@@ -39,6 +39,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
+(cd benchmark && go vet . && go test .)
+
 echo "== go test -race (trace, metrics, telemetry, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
 go test -race ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
 
@@ -55,14 +58,14 @@ go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertCoverageCatchesMutedA
 echo "== scale smoke (event-heap determinism, FIFO stability, 100k-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
-echo "== hotpath perf baseline (quick mode; gates batched throughput, allocs/op, lock-wait/op) =="
-go run ./cmd/lambdafs-bench -checkbaseline BENCH_hotpath.json
+echo "== hotpath perf baseline (quick mode; gates throughput, allocs/op, lock-wait/op) =="
+go run ./cmd/lambdafs-bench -check BENCH_hotpath.json
 
 echo "== restart durability baseline (quick mode; gates digest-exact recovery, replayed records, recovery time) =="
-go run ./cmd/lambdafs-bench -checkrestartbaseline BENCH_restart.json
+go run ./cmd/lambdafs-bench -check BENCH_restart.json
 
 echo "== scale baseline (quick mode; gates the bit-exact client-count sweep: digests, op/throttle counts, quantiles, shard counts) =="
-go run ./cmd/lambdafs-bench -checkscalebaseline BENCH_scale.json
+go run ./cmd/lambdafs-bench -check BENCH_scale.json
 
 echo "== profiling smoke =="
 profdir=$(mktemp -d)

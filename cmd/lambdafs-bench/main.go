@@ -10,12 +10,8 @@
 //	lambdafs-bench fig8a fig11          # run selected experiments
 //	lambdafs-bench -full fig8a          # paper-scale counts (slow)
 //	lambdafs-bench -seed 42 fig16
-//	lambdafs-bench -baseline BENCH_hotpath.json        # write perf baseline
-//	lambdafs-bench -checkbaseline BENCH_hotpath.json   # fail on regression
-//	lambdafs-bench -restartbaseline BENCH_restart.json      # write durability baseline
-//	lambdafs-bench -checkrestartbaseline BENCH_restart.json # fail on recovery regression
-//	lambdafs-bench -scalebaseline BENCH_scale.json          # write scale-curve baseline
-//	lambdafs-bench -checkscalebaseline BENCH_scale.json     # fail on scale-model divergence
+//	lambdafs-bench -baseline hotpath          # write BENCH_hotpath.json (also: restart, scale)
+//	lambdafs-bench -check BENCH_hotpath.json  # re-measure, fail on regression (gate picked by the file's schema)
 package main
 
 import (
@@ -40,14 +36,10 @@ func main() {
 	chaosSeed := flag.Int64("chaosseed", 0, "replay a single chaos episode with this seed (0 = full chaos experiment; use the seed a failing run printed)")
 	sloDir := flag.String("slo", "", "write the slo experiment's alert artifacts (coverage battery JSON, alert-transition JSONL, live telemetry plane) into this directory")
 	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap,mutex,block}.pprof into this directory")
-	baseline := flag.String("baseline", "", "measure the hotpath experiment and write the perf baseline JSON to this file, then exit")
-	checkBaseline := flag.String("checkbaseline", "", "re-measure the hotpath experiment at this baseline file's mode and exit nonzero on a >10% batched-throughput regression or an allocs/op or lock-wait/op blow-up")
-	restartBaseline := flag.String("restartbaseline", "", "measure the restart experiment's recovery sweep and write the durability baseline JSON to this file, then exit")
-	checkRestartBaseline := flag.String("checkrestartbaseline", "", "re-measure the restart recovery sweep at this baseline file's mode and exit nonzero on a digest divergence, a replayed-record drift, or a >10% recovery-time regression")
-	scaleBaseline := flag.String("scalebaseline", "", "run the scale experiment's client-count sweep and write the deterministic baseline JSON to this file, then exit")
-	checkScaleBaseline := flag.String("checkscalebaseline", "", "re-run the scale sweep at this baseline file's mode and exit nonzero on any divergence (the model is bit-deterministic: op counts, throttles, quantiles, and the event-stream digest must match exactly)")
+	baseline := flag.String("baseline", "", "measure the named baseline (hotpath|restart|scale) and write BENCH_<name>.json into the current directory, then exit")
+	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on a regression or divergence")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-csv DIR] [-trace DIR] [-metrics DIR] [-chaosseed N] [-slo DIR] [-pprof DIR] list | all | <experiment>...\n\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-csv DIR] [-trace DIR] [-metrics DIR] [-chaosseed N] [-slo DIR] [-pprof DIR] [-baseline NAME] [-check FILE] list | all | <experiment>...\n\n", os.Args[0])
 		fmt.Fprintln(os.Stderr, "experiments:")
 		for _, e := range bench.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", e.Name, e.Brief)
@@ -56,50 +48,23 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 
-	if *baseline != "" || *checkBaseline != "" || *restartBaseline != "" || *checkRestartBaseline != "" ||
-		*scaleBaseline != "" || *checkScaleBaseline != "" {
+	if *baseline != "" || *check != "" {
 		opts := bench.Options{Quick: !*full, Seed: *seed}
 		if *baseline != "" {
-			if err := bench.WriteHotpathBaseline(*baseline, opts); err != nil {
+			path, err := bench.WriteBaseline(*baseline, opts)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "baseline:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("wrote hotpath baseline to %s\n", *baseline)
+			fmt.Printf("wrote %s baseline to %s\n", *baseline, path)
 		}
-		if *checkBaseline != "" {
-			if err := bench.CheckHotpathBaseline(*checkBaseline, opts); err != nil {
+		if *check != "" {
+			gate, err := bench.CheckBaseline(*check, opts)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			fmt.Printf("hotpath baseline %s holds (no >10%% batched-throughput regression)\n", *checkBaseline)
-		}
-		if *restartBaseline != "" {
-			if err := bench.WriteRestartBaseline(*restartBaseline, opts); err != nil {
-				fmt.Fprintln(os.Stderr, "restartbaseline:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote restart baseline to %s\n", *restartBaseline)
-		}
-		if *checkRestartBaseline != "" {
-			if err := bench.CheckRestartBaseline(*checkRestartBaseline, opts); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("restart baseline %s holds (digest-exact recovery, no >10%% recovery-time regression)\n", *checkRestartBaseline)
-		}
-		if *scaleBaseline != "" {
-			if err := bench.WriteScaleBaseline(*scaleBaseline, opts); err != nil {
-				fmt.Fprintln(os.Stderr, "scalebaseline:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote scale baseline to %s\n", *scaleBaseline)
-		}
-		if *checkScaleBaseline != "" {
-			if err := bench.CheckScaleBaseline(*checkScaleBaseline, opts); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("scale baseline %s holds (bit-exact event stream, counts, and quantiles)\n", *checkScaleBaseline)
+			fmt.Printf("%s baseline %s holds\n", gate, *check)
 		}
 		return
 	}

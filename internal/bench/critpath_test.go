@@ -13,7 +13,7 @@ import (
 // tracedDeepStatReport runs the deep_stat hot path (stats of files under a
 // 10-deep directory chain) with tracing on and returns its critical-path
 // report.
-func tracedDeepStatReport(t *testing.T, serial bool) *trace.CritReport {
+func tracedDeepStatReport(t *testing.T) *trace.CritReport {
 	t.Helper()
 	clk := clock.NewSim()
 	defer clk.Close()
@@ -21,7 +21,7 @@ func tracedDeepStatReport(t *testing.T, serial bool) *trace.CritReport {
 	var tr *trace.Tracer
 	var paths []string
 	clock.Run(clk, func() {
-		c = newHotpathCluster(clk, serial, 2)
+		c = newHotpathCluster(clk, 2)
 		tr = trace.New(clk, trace.Config{})
 		dir := ""
 		var dirs []string
@@ -46,59 +46,28 @@ func tracedDeepStatReport(t *testing.T, serial bool) *trace.CritReport {
 }
 
 // TestDeepStatCriticalPathShift pins the headline behavior of the
-// critical-path report on deep_stat. Serial and batched resolution spend
-// identical virtual time in the store (one 300µs round trip + one 300µs
-// service phase), so pure latency attribution cannot tell them apart; the
-// resource ledgers can. Serial resolution's wire exchange carries the
-// whole dependent-hop chain (hops and row materializations bill to
-// ndb.rtt), so the round trip ranks first; batched resolution collapses
-// the exchange to one hop and moves the row materialization into the
-// per-shard service phase, so ndb.service takes over the top slot.
+// critical-path report on deep_stat. The store round trip and the
+// per-shard service phase cost identical virtual time (300µs each), so
+// pure latency attribution cannot rank them; the resource ledgers can.
+// Batched resolution makes the wire exchange a single hop and
+// materializes the chain's rows in the per-shard service phase, so
+// ndb.service — not ndb.rtt — holds the top slot.
 func TestDeepStatCriticalPathShift(t *testing.T) {
-	top := func(r *trace.CritReport, cohort string) *trace.CritKind {
-		t.Helper()
-		op := r.Op("stat")
-		if op == nil {
-			t.Fatal("no stat traces in report")
-		}
-		co := op.P99
-		if cohort == "p50" {
-			co = op.P50
-		}
+	op := tracedDeepStatReport(t).Op("stat")
+	if op == nil {
+		t.Fatal("no stat traces in report")
+	}
+	for cohort, co := range map[string]*trace.CritCohort{"p50": op.P50, "p99": op.P99} {
 		ranked := co.Ranked()
 		if len(ranked) == 0 {
 			t.Fatalf("%s cohort has no contributors", cohort)
 		}
-		return ranked[0]
-	}
-
-	serial := tracedDeepStatReport(t, true)
-	for _, cohort := range []string{"p50", "p99"} {
-		got := top(serial, cohort)
-		if got.Kind != trace.KindStoreRTT {
-			t.Errorf("serial %s top contributor = %s, want %s (NDB wire exchange carries the resolve chain)",
-				cohort, got.Kind, trace.KindStoreRTT)
-		}
-		if got.Res.StoreHops == 0 {
-			t.Errorf("serial %s top contributor has no store hops in its ledger", cohort)
-		}
-	}
-
-	batched := tracedDeepStatReport(t, false)
-	for _, cohort := range []string{"p50", "p99"} {
-		got := top(batched, cohort)
-		if got.Kind != trace.KindStoreService {
-			t.Errorf("batched %s top contributor = %s, want %s (rows materialize in the per-shard service phase)",
+		if got := ranked[0]; got.Kind != trace.KindStoreService {
+			t.Errorf("%s top contributor = %s, want %s (rows materialize in the per-shard service phase)",
 				cohort, got.Kind, trace.KindStoreService)
 		}
 	}
-
-	// The shift is a ledger effect, not a latency effect: both modes put
-	// the same virtual time on the store round trip and the service phase.
-	sst := serial.Op("stat")
-	bst := batched.Op("stat")
-	if sst.P50.Kind(trace.KindStoreRTT).PathTotal != bst.P50.Kind(trace.KindStoreRTT).PathTotal {
-		t.Errorf("rtt path time differs between modes: serial %v, batched %v",
-			sst.P50.Kind(trace.KindStoreRTT).PathTotal, bst.P50.Kind(trace.KindStoreRTT).PathTotal)
+	if rtt, svc := op.P50.Kind(trace.KindStoreRTT).PathTotal, op.P50.Kind(trace.KindStoreService).PathTotal; rtt != svc {
+		t.Errorf("rtt path time %v != service path time %v: the ranking must be a ledger effect, not a latency one", rtt, svc)
 	}
 }

@@ -3,20 +3,15 @@ package bench
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func writeBaselineFile(t *testing.T, b *HotpathBaseline) string {
+func tempBaselineFile(t *testing.T, b *HotpathBaseline) string {
 	t.Helper()
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal baseline: %v", err)
-	}
 	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeBaselineFile(path, b); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
 	return path
@@ -39,7 +34,7 @@ func cloneBaseline(t *testing.T, b *HotpathBaseline) *HotpathBaseline {
 // TestHotpathBaselineGate measures a tiny baseline once and then drives
 // CheckHotpathBaseline three ways: an honest baseline must pass, a
 // deliberately-deflated allocs_per_op fixture must fail mentioning
-// allocs, and a stale schema must be rejected outright.
+// allocs, and a v2 file must be rejected with the regenerate command.
 func TestHotpathBaselineGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-measures the hotpath experiment")
@@ -48,16 +43,16 @@ func TestHotpathBaselineGate(t *testing.T) {
 	cur := HotpathMeasure(opts)
 
 	ds := cur.Scenarios["deep_stat"]
-	if ds.Batched.AllocsPerOp <= 2*hotpathAllocsSlack {
-		t.Fatalf("deep_stat batched allocs/op = %.0f, too small for the deflation fixture to trip the gate",
-			ds.Batched.AllocsPerOp)
+	if ds.AllocsPerOp <= 2*hotpathAllocsSlack {
+		t.Fatalf("deep_stat allocs/op = %.0f, too small for the deflation fixture to trip the gate",
+			ds.AllocsPerOp)
 	}
-	if ds.Batched.LockWaitUsPerOp < 0 {
-		t.Fatalf("negative lock-wait/op %.1f", ds.Batched.LockWaitUsPerOp)
+	if ds.LockWaitUsPerOp < 0 {
+		t.Fatalf("negative lock-wait/op %.1f", ds.LockWaitUsPerOp)
 	}
 
 	t.Run("honest baseline passes", func(t *testing.T) {
-		path := writeBaselineFile(t, cur)
+		path := tempBaselineFile(t, cur)
 		if err := CheckHotpathBaseline(path, Options{Out: io.Discard}); err != nil {
 			t.Fatalf("honest baseline failed the gate: %v", err)
 		}
@@ -67,8 +62,8 @@ func TestHotpathBaselineGate(t *testing.T) {
 		regressed := cloneBaseline(t, cur)
 		// A committed baseline claiming near-zero allocations makes the
 		// current (honest) measurement look like an allocation regression.
-		regressed.Scenarios["deep_stat"].Batched.AllocsPerOp = 0
-		path := writeBaselineFile(t, regressed)
+		regressed.Scenarios["deep_stat"].AllocsPerOp = 0
+		path := tempBaselineFile(t, regressed)
 		err := CheckHotpathBaseline(path, Options{Out: io.Discard})
 		if err == nil {
 			t.Fatal("deflated allocs baseline passed the gate")
@@ -78,13 +73,14 @@ func TestHotpathBaselineGate(t *testing.T) {
 		}
 	})
 
-	t.Run("stale schema rejected", func(t *testing.T) {
+	t.Run("v2 file rejected", func(t *testing.T) {
 		stale := cloneBaseline(t, cur)
-		stale.Schema = "lambdafs-hotpath-baseline/v1"
-		path := writeBaselineFile(t, stale)
+		stale.Schema = "lambdafs-hotpath-baseline/v2"
+		path := tempBaselineFile(t, stale)
 		err := CheckHotpathBaseline(path, Options{Out: io.Discard})
-		if err == nil || !strings.Contains(err.Error(), "schema") {
-			t.Fatalf("v1 schema not rejected: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "schema") ||
+			!strings.Contains(err.Error(), "-baseline hotpath") {
+			t.Fatalf("v2 schema not rejected with a regenerate hint: %v", err)
 		}
 	})
 }

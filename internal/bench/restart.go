@@ -3,9 +3,7 @@ package bench
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -182,7 +180,7 @@ func measureRestart(sc restartScenario) *RestartRow {
 func RestartMeasure(opts Options) *RestartBaseline {
 	b := &RestartBaseline{
 		Schema: RestartSchema,
-		Mode:   hotpathMode(opts),
+		Mode:   baselineMode(opts),
 		Seed:   opts.Seed,
 		Rows:   map[string]*RestartRow{},
 	}
@@ -263,16 +261,6 @@ func RunRestart(opts Options) []*Table {
 	return []*Table{t, ep}
 }
 
-// WriteRestartBaseline measures and writes the baseline JSON to path.
-func WriteRestartBaseline(path string, opts Options) error {
-	b := RestartMeasure(opts)
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // restartRecoverySlackUs absorbs rounding on near-zero baselines; the
 // relative gate is 10%, same as hotpath (virtual time is deterministic,
 // so any honest regression is a code change, not noise).
@@ -283,27 +271,17 @@ const restartRecoverySlackUs = 50
 // or surviving-WAL-record counts drift from the baseline, or its
 // recovery time regresses more than 10%.
 func CheckRestartBaseline(path string, opts Options) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
 	var committed RestartBaseline
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
+	opts, err := loadBaseline(path, "restart", RestartSchema, &committed, opts)
+	if err != nil {
+		return err
 	}
-	if committed.Schema != RestartSchema {
-		return fmt.Errorf("baseline schema %q, want %q (regenerate with -restartbaseline)",
-			committed.Schema, RestartSchema)
-	}
-	opts.Quick = committed.Mode == "quick"
-	opts.Tiny = committed.Mode == "tiny"
-	opts.Seed = committed.Seed
 	cur := RestartMeasure(opts)
 	var fails []string
 	for _, sc := range restartScenarios(opts) {
 		want, ok := committed.Rows[sc.name]
 		if !ok {
-			return fmt.Errorf("baseline %s lacks scenario %q (regenerate with -restartbaseline)",
+			return fmt.Errorf("baseline %s lacks scenario %q (regenerate with -baseline restart)",
 				path, sc.name)
 		}
 		got := cur.Rows[sc.name]
@@ -322,8 +300,5 @@ func CheckRestartBaseline(path string, opts Options) error {
 				sc.name, got.RecoveryUs, limit, want.RecoveryUs, restartRecoverySlackUs))
 		}
 	}
-	if len(fails) > 0 {
-		return fmt.Errorf("restart recovery regression vs %s:\n  %s", path, joinLines(fails))
-	}
-	return nil
+	return regressionError("restart recovery regression", path, fails)
 }

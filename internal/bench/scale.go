@@ -24,10 +24,8 @@ package bench
 // invariants — which is what the committed BENCH_scale.json gates on.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -92,17 +90,6 @@ type ScaleBaseline struct {
 	Mode   string               `json:"mode"`
 	Seed   int64                `json:"seed"`
 	Rows   map[string]*ScaleRow `json:"rows"`
-}
-
-func scaleMode(opts Options) string {
-	switch {
-	case opts.Tiny:
-		return "tiny"
-	case opts.Quick:
-		return "quick"
-	default:
-		return "full"
-	}
 }
 
 // scaleTenantStat is one tenant's outcome at a measured point.
@@ -362,7 +349,7 @@ func latQuantiles(lat []int64) (p50, p99 time.Duration) {
 func ScaleMeasure(opts Options) (*ScaleBaseline, []*scaleResult) {
 	b := &ScaleBaseline{
 		Schema: ScaleSchema,
-		Mode:   scaleMode(opts),
+		Mode:   baselineMode(opts),
 		Seed:   opts.Seed,
 		Rows:   make(map[string]*ScaleRow),
 	}
@@ -449,44 +436,24 @@ func scaleTables(results []*scaleResult) []*Table {
 	return []*Table{curve, tenants}
 }
 
-// WriteScaleBaseline measures the sweep and writes BENCH_scale.json.
-func WriteScaleBaseline(path string, opts Options) error {
-	b, _ := ScaleMeasure(opts)
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // CheckScaleBaseline re-runs the sweep at the committed baseline's mode
 // and seed and fails on ANY divergence: the model is bit-deterministic,
 // so op counts, throttle counts, latency quantiles, and the scheduler
 // digest must all match exactly. An intentional model change regenerates
-// the file with -scalebaseline.
+// the file with -baseline scale.
 func CheckScaleBaseline(path string, opts Options) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
 	var committed ScaleBaseline
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
+	opts, err := loadBaseline(path, "scale", ScaleSchema, &committed, opts)
+	if err != nil {
+		return err
 	}
-	if committed.Schema != ScaleSchema {
-		return fmt.Errorf("baseline schema %q, want %q (regenerate with -scalebaseline)",
-			committed.Schema, ScaleSchema)
-	}
-	opts.Quick = committed.Mode == "quick"
-	opts.Tiny = committed.Mode == "tiny"
-	opts.Seed = committed.Seed
 	cur, _ := ScaleMeasure(opts)
 	var fails []string
 	for _, pt := range scalePoints(opts) {
 		key := fmt.Sprintf("c%d", pt.clients)
 		want, ok := committed.Rows[key]
 		if !ok {
-			return fmt.Errorf("baseline %s lacks point %q (regenerate with -scalebaseline)", path, key)
+			return fmt.Errorf("baseline %s lacks point %q (regenerate with -baseline scale)", path, key)
 		}
 		got := cur.Rows[key]
 		if got.Digest != want.Digest {
@@ -509,8 +476,5 @@ func CheckScaleBaseline(path string, opts Options) error {
 				"%s: %d shards, baseline %d", key, got.Shards, want.Shards))
 		}
 	}
-	if len(fails) > 0 {
-		return fmt.Errorf("scale model regression vs %s:\n  %s", path, joinLines(fails))
-	}
-	return nil
+	return regressionError("scale model regression", path, fails)
 }

@@ -84,7 +84,8 @@ func TestScaleMeasureTiny(t *testing.T) {
 func TestScaleBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scale.json")
 	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
-	if err := WriteScaleBaseline(path, opts); err != nil {
+	cur, _ := ScaleMeasure(opts)
+	if err := writeBaselineFile(path, cur); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
 	if err := CheckScaleBaseline(path, opts); err != nil {
@@ -97,7 +98,8 @@ func TestScaleBaselineRoundTrip(t *testing.T) {
 func TestScaleBaselineCatchesDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scale.json")
 	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
-	if err := WriteScaleBaseline(path, opts); err != nil {
+	cur, _ := ScaleMeasure(opts)
+	if err := writeBaselineFile(path, cur); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -154,7 +156,7 @@ func TestScaleBaselineRejectsBadSchema(t *testing.T) {
 	if err == nil {
 		t.Fatalf("stale schema accepted")
 	}
-	if !strings.Contains(err.Error(), "-scalebaseline") {
+	if !strings.Contains(err.Error(), "-baseline scale") {
 		t.Fatalf("error lacks the regenerate hint: %v", err)
 	}
 }

@@ -84,6 +84,19 @@ type Coordinator interface {
 	// step 1).
 	Invalidate(deps []int, inv Invalidation) error
 
+	// InvalidateBatchTraced delivers many invalidations in one INV/ACK
+	// round: every target member receives the whole batch in a single
+	// message, all targets concurrently (bounded by Config.InvFanout)
+	// under a single ACK deadline, with hedged re-sends to stragglers
+	// after Config.HedgeAfter. The round's latency is therefore ~max of
+	// the per-target latencies instead of the per-path sum a loop over
+	// Invalidate would pay. A per-inv Writer is skipped at its own member
+	// exactly as in Invalidate. Each target's INV/ACK leg becomes a
+	// coherence.target child span of tc tagged with the target's
+	// instance ID; a nil tc records nothing. On ACK timeout the returned
+	// error joins one wrapped ErrAckTimeout per missing target, naming it.
+	InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ctx) error
+
 	// TryLead attempts to acquire leadership of group for id, returning
 	// true when id is (or becomes) the leader. Leadership is released
 	// when the id's session closes or crashes.
@@ -91,30 +104,6 @@ type Coordinator interface {
 
 	// Leader returns the current leader of group ("" when none).
 	Leader(group string) string
-}
-
-// BatchInvalidator is an optional extension a Coordinator may implement
-// to deliver many invalidations in one INV/ACK round: every target member
-// receives the whole batch in a single message, all targets concurrently
-// (bounded by Config.InvFanout) under a single ACK deadline, with hedged
-// re-sends to stragglers after Config.HedgeAfter. The round's latency is
-// therefore ~max of the per-target latencies instead of the per-path sum
-// a loop over Invalidate pays. A per-inv Writer is skipped at its own
-// member exactly as in Invalidate. On ACK timeout the returned error
-// joins one wrapped ErrAckTimeout per missing target, naming it.
-// Callers type-assert and fall back to per-path Invalidate calls.
-type BatchInvalidator interface {
-	Coordinator
-	InvalidateBatch(deps []int, invs []Invalidation) error
-}
-
-// TracedBatchInvalidator additionally attributes the round to a trace:
-// each target's INV/ACK leg becomes a coherence.target child span of tc
-// tagged with the target's instance ID. A nil tc is exactly
-// InvalidateBatch.
-type TracedBatchInvalidator interface {
-	BatchInvalidator
-	InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ctx) error
 }
 
 // Config tunes the coordinator's latency model.
@@ -125,13 +114,13 @@ type Config struct {
 	// AckTimeout bounds the wait for ACKs from live members (real time
 	// scaled by the clock; generous because handler execution is fast).
 	AckTimeout time.Duration
-	// InvFanout bounds how many concurrent INV deliveries one
-	// InvalidateBatch round keeps in flight (≤0 = deliver to all targets
-	// at once). It models the coordinator's outbound messaging capacity.
+	// InvFanout bounds how many concurrent INV deliveries one batch round
+	// keeps in flight (≤0 = deliver to all targets at once). It models
+	// the coordinator's outbound messaging capacity.
 	InvFanout int
 	// HedgeAfter, when > 0, re-sends the INV to any target that has not
-	// ACKed within this duration (hedged stragglers; InvalidateBatch
-	// only). Duplicate delivery is benign — invalidation handlers are
+	// ACKed within this duration (hedged stragglers; batch rounds only).
+	// Duplicate delivery is benign — invalidation handlers are
 	// idempotent, they only remove cache entries.
 	HedgeAfter time.Duration
 	// OnCrash, when set, is invoked with the instance ID of every crashed

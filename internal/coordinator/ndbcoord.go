@@ -32,7 +32,7 @@ func memberKey(dep int, id string) string {
 
 // Register persists the membership row, then registers in-memory.
 func (c *NDBCoord) Register(dep int, id string, h Handler) Session {
-	err := store.RunTx(c.st, "coord", func(tx store.Tx) error {
+	err := store.RunTx(c.st, "coord", nil, func(tx store.Tx) error {
 		return tx.KVPut(store.TableCoord, memberKey(dep, id), []byte("alive"))
 	})
 	if err != nil {
@@ -53,7 +53,7 @@ type ndbSession struct {
 }
 
 func (s *ndbSession) remove() {
-	_ = store.RunTx(s.c.st, "coord", func(tx store.Tx) error {
+	_ = store.RunTx(s.c.st, "coord", nil, func(tx store.Tx) error {
 		return tx.KVDelete(store.TableCoord, memberKey(s.dep, s.id))
 	})
 }
@@ -72,7 +72,7 @@ func (s *ndbSession) Crash() {
 // (diagnostic / recovery path).
 func (c *NDBCoord) PersistedMembers(dep int) ([]string, error) {
 	var ids []string
-	err := store.RunTx(c.st, "coord", func(tx store.Tx) error {
+	err := store.RunTx(c.st, "coord", nil, func(tx store.Tx) error {
 		ids = ids[:0]
 		rows, err := tx.KVScan(store.TableCoord, fmt.Sprintf("member/%d/", dep))
 		if err != nil {

@@ -51,7 +51,6 @@ func newCoordTelemetry(reg *telemetry.Registry) coordTelemetry {
 }
 
 var _ Coordinator = (*ZK)(nil)
-var _ TracedBatchInvalidator = (*ZK)(nil)
 
 type zkSession struct {
 	zk      *ZK

@@ -20,16 +20,14 @@
 // locking. Every goroutine the engine starts (parallel subtree
 // partitions, batch invalidation rounds) runs under clock.Go on the
 // simulation clock, and all blocking waits are wrapped in clock.Idle.
-// EngineConfig.SerialHotPaths selects between the optimized hot paths
-// (batched resolution, batch INV rounds, partitioned subtree ops — the
-// default) and the historical serial shapes; outcomes are identical
-// either way, only latency shapes differ. Lock-order discipline is
-// global and identical in both modes: path ancestors in path order, then
+// Every hot operation has one shape: path resolution is a single batched
+// per-shard multi-get, a write's invalidations go out in one concurrent
+// INV/ACK round, and subtree quiesce reads are batched per partition.
+// Lock-order discipline is global: path ancestors in path order, then
 // the child-key slot, then the inode row.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -84,19 +82,6 @@ type EngineConfig struct {
 	DataNodeViewTTL time.Duration
 	// Replication is the block replication factor for new files.
 	Replication int
-	// PassThroughNonOwner keeps correctness when anti-thrashing routes a
-	// request to a non-owner deployment: the op is served without
-	// populating the cache.
-	PassThroughNonOwner bool
-	// SerialHotPaths reverts the hot-path parallelism and coalescing
-	// optimizations to their original serial shapes: per-component path
-	// resolution (one dependent store round per ancestor), per-path
-	// invalidation rounds, and per-INode sequential subtree quiesce reads.
-	// The zero value enables the optimized paths — batched per-shard
-	// multi-get resolution, one concurrent INV/ACK round per write, and
-	// batched quiesce reads — when the store/coordinator support them.
-	// Results are identical either way; only latency shapes differ.
-	SerialHotPaths bool
 
 	// Metrics, when non-nil, receives engine instruments
 	// (lambdafs_core_*): metadata-cache hits/misses and invalidation
@@ -123,14 +108,13 @@ type Admission interface {
 // DefaultEngineConfig matches the evaluation's λFS NameNode settings.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{
-		OpCPUCost:           400 * time.Microsecond,
-		SubtreeCPUPerINode:  2 * time.Microsecond,
-		CacheBudget:         0,
-		ResultCacheSize:     4096,
-		SubtreeBatch:        512,
-		DataNodeViewTTL:     10 * time.Second,
-		Replication:         3,
-		PassThroughNonOwner: true,
+		OpCPUCost:          400 * time.Microsecond,
+		SubtreeCPUPerINode: 2 * time.Microsecond,
+		CacheBudget:        0,
+		ResultCacheSize:    4096,
+		SubtreeBatch:       512,
+		DataNodeViewTTL:    10 * time.Second,
+		Replication:        3,
 	}
 }
 
@@ -292,35 +276,12 @@ func (e *Engine) execute(tc *trace.Ctx, req namespace.Request) *namespace.Respon
 	return fail(namespace.ErrInvalidState)
 }
 
-// begin opens a store transaction, attaching tc when the store implements
-// trace attribution. With a nil tc this is exactly e.st.Begin (the
-// fast path costs nothing beyond a nil check).
-func (e *Engine) begin(tc *trace.Ctx) store.Tx {
-	if tc != nil {
-		if ts, ok := e.st.(store.TracedStore); ok {
-			return ts.BeginTraced(e.id, tc)
-		}
-	}
-	return e.st.Begin(e.id)
-}
-
-// resolveStore is Store.ResolvePath with trace attribution when available,
-// using the store's batched per-shard multi-get resolution unless
-// SerialHotPaths reverts to the per-component walk.
+// resolveStore is the lock-free store resolution of path: one batched
+// per-shard multi-get, attributed to tc.
 //
 //vet:hotpath
 func (e *Engine) resolveStore(tc *trace.Ctx, path string) ([]*namespace.INode, error) {
-	if !e.cfg.SerialHotPaths {
-		if bs, ok := e.st.(store.BatchedStore); ok {
-			return bs.ResolvePathBatched(path, tc)
-		}
-	}
-	if tc != nil {
-		if ts, ok := e.st.(store.TracedStore); ok {
-			return ts.ResolvePathTraced(path, tc)
-		}
-	}
-	return e.st.ResolvePath(path)
+	return e.st.ResolvePathBatched(path, tc)
 }
 
 func fail(err error) *namespace.Response {
@@ -329,7 +290,9 @@ func fail(err error) *namespace.Response {
 
 // cachingAllowed reports whether this engine may populate its cache for
 // path: always for unpartitioned engines, otherwise only when this
-// deployment owns the path (anti-thrashing pass-through rule).
+// deployment owns the path. When anti-thrashing routes a request to a
+// non-owner deployment the op is served pass-through, because a non-owner
+// never receives the INVs that would keep such an entry coherent.
 func (e *Engine) cachingAllowed(path string) bool {
 	if e.cache == nil {
 		return false
@@ -337,10 +300,7 @@ func (e *Engine) cachingAllowed(path string) bool {
 	if e.ring == nil || e.dep < 0 {
 		return true
 	}
-	if e.ring.DeploymentForPath(path) == e.dep {
-		return true
-	}
-	return !e.cfg.PassThroughNonOwner
+	return e.ring.DeploymentForPath(path) == e.dep
 }
 
 // resolve returns the INode chain for path, serving from the cache when
@@ -355,15 +315,9 @@ func (e *Engine) resolve(tc *trace.Ctx, path string) (chain []*namespace.INode, 
 			return chain, true, nil
 		}
 		e.tel.misses.Inc()
-		tx := e.begin(tc)
+		tx := e.st.BeginTraced(e.id, tc)
 		defer tx.Abort()
-		var chain []*namespace.INode
-		var err error
-		if e.cfg.SerialHotPaths {
-			chain, err = tx.ResolvePath(path, store.LockShared)
-		} else {
-			chain, err = tx.ResolvePathBatched(path, store.LockShared, store.LockShared)
-		}
+		chain, err := tx.ResolvePathBatched(path, store.LockShared, store.LockShared)
 		if err != nil {
 			return chain, false, err
 		}
@@ -442,7 +396,7 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 		}
 		e.tel.misses.Inc()
 	}
-	tx := e.begin(tc)
+	tx := e.st.BeginTraced(e.id, tc)
 	defer tx.Abort()
 	mode := store.LockNone
 	if allowed {
@@ -505,14 +459,10 @@ func (e *Engine) invTargets(paths ...string) []int {
 
 // invalidateAll runs the INV/ACK exchange for the given paths (remote
 // caches first — Algorithm 1 requires all ACKs before persisting) and
-// then updates the local cache identically. When the coordinator supports
-// batch invalidation (and SerialHotPaths is off), all paths go out in one
-// concurrent round whose latency is ~max of the per-target legs; otherwise
-// the per-path rounds run serially, with every path attempted and the
-// per-path failures aggregated via errors.Join (each naming its path and,
-// through the coordinator, the timed-out target IDs). When traced, the
-// exchange becomes a coherence.inv span — with one coherence.target child
-// per remote member on the batched path — and one coherence_inv event
+// then updates the local cache identically. All paths go out in one
+// concurrent round whose latency is ~max of the per-target legs. When
+// traced, the exchange becomes a coherence.inv span with one
+// coherence.target child per remote member, and one coherence_inv event
 // whose duration is the ACK wait and whose detail carries any failure,
 // including the unresponsive targets.
 func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error {
@@ -527,33 +477,15 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error
 	}
 	var invErr error
 	if e.coord != nil {
-		if bi, ok := e.coord.(coordinator.BatchInvalidator); ok && !e.cfg.SerialHotPaths {
-			invs := make([]coordinator.Invalidation, len(paths))
-			for i, p := range paths {
-				invs[i] = coordinator.Invalidation{Path: p, Writer: e.id}
-			}
-			e.tel.parallelInvs.Add(float64(len(paths)))
-			if tbi, ok := e.coord.(coordinator.TracedBatchInvalidator); ok {
-				// Target legs nest under the coherence.inv span, so the
-				// critical-path walk sees the exchange as parent of its
-				// slowest member leg; each leg bills its own INV delivery.
-				invErr = tbi.InvalidateBatchTraced(deps, invs, sp.Ctx())
-			} else {
-				invErr = bi.InvalidateBatch(deps, invs)
-			}
-		} else {
-			var errs []error
-			for _, p := range paths {
-				inv := coordinator.Invalidation{Path: p, Writer: e.id}
-				if err := e.coord.Invalidate(deps, inv); err != nil {
-					errs = append(errs, fmt.Errorf("path %s: %w", p, err))
-				}
-			}
-			invErr = errors.Join(errs...)
-			// The serial rounds emit no per-target spans; bill the requested
-			// fan-out (paths × target deployments) on the exchange span.
-			sp.AddINVTargets(uint64(len(paths)) * uint64(len(deps)))
+		invs := make([]coordinator.Invalidation, len(paths))
+		for i, p := range paths {
+			invs[i] = coordinator.Invalidation{Path: p, Writer: e.id}
 		}
+		e.tel.parallelInvs.Add(float64(len(paths)))
+		// Target legs nest under the coherence.inv span, so the
+		// critical-path walk sees the exchange as parent of its slowest
+		// member leg; each leg bills its own INV delivery.
+		invErr = e.coord.InvalidateBatchTraced(deps, invs, sp.Ctx())
 	}
 	// The local invalidation is unconditionally safe (it only removes
 	// entries), so apply it even when a remote ACK timed out — the caller
@@ -577,27 +509,4 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error
 	}
 	sp.End()
 	return invErr
-}
-
-// retryWrite runs fn with lock-timeout retries, mirroring store.RunTx but
-// keeping the coherence protocol inside the critical section.
-func (e *Engine) retryWrite(tc *trace.Ctx, fn func(tx store.Tx) error) error {
-	const maxAttempts = 8
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		tx := e.begin(tc)
-		err := fn(tx)
-		if err == nil {
-			err = tx.Commit()
-		}
-		if err == nil {
-			return nil
-		}
-		tx.Abort()
-		if !errors.Is(err, store.ErrLockTimeout) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
 }

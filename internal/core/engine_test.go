@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,7 +415,7 @@ func TestCrashCleanupReleasesSubtreeLock(t *testing.T) {
 	mustOK(t, b, namespace.OpCreate, "/crash/dir/f", "")
 }
 
-func TestPassThroughNonOwnerDoesNotCache(t *testing.T) {
+func TestNonOwnerDoesNotCache(t *testing.T) {
 	st := fastStore()
 	clk := clock.NewScaled(0)
 	coord := fastCoord(st)
@@ -520,6 +521,62 @@ func TestSubtreeDeleteHugeUsesBatches(t *testing.T) {
 	}
 	if st.HeldLocks() != 0 {
 		t.Fatalf("locks leaked: %d", st.HeldLocks())
+	}
+}
+
+func TestSubtreeDeleteFailedBatchKeepsRoot(t *testing.T) {
+	// Regression: a victim batch whose commit fails used to be dropped and
+	// the root row deleted anyway, orphaning the batch's inodes.
+	var armed atomic.Bool
+	var commits atomic.Int64
+	ncfg := ndb.DefaultConfig()
+	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
+	ncfg.OnCommit = func(string) error {
+		// Commit 1 is the subtree lock, 2 the first victim batch to finish.
+		if armed.Load() && commits.Add(1) == 2 {
+			return errors.New("injected commit abort")
+		}
+		return nil
+	}
+	clk := clock.NewScaled(0)
+	st := ndb.New(clk, ncfg)
+	cfg := DefaultEngineConfig()
+	cfg.OpCPUCost, cfg.SubtreeCPUPerINode = 0, 0
+	e := NewEngine("nn-solo", -1, clk, st, nil, nil, nil, cfg)
+	mustOK(t, e, namespace.OpMkdirs, "/doomed", "")
+	for i := 0; i < 700; i++ { // two SubtreeBatch-sized victim batches
+		mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/doomed/f%03d", i), "")
+	}
+
+	armed.Store(true)
+	if resp := do(t, e, namespace.OpDelete, "/doomed", ""); resp.OK() {
+		t.Fatal("delete reported success although a victim batch failed to commit")
+	}
+	armed.Store(false)
+	if bad := st.CheckIntegrity(); len(bad) > 0 {
+		t.Fatalf("integrity violations after failed delete: %v", bad)
+	}
+	chain, err := st.ResolvePath("/doomed")
+	if err != nil {
+		t.Fatalf("root gone after failed delete: %v", err)
+	}
+	if owner := chain[len(chain)-1].SubtreeLockOwner; owner != "" {
+		t.Fatalf("subtree lock still held by %q", owner)
+	}
+	var ops map[string][]byte
+	if err := store.RunTx(st, "audit", nil, func(tx store.Tx) (err error) {
+		ops, err = tx.KVScan(store.TableSubtreeOps, "")
+		return err
+	}); err != nil || len(ops) != 0 {
+		t.Fatalf("subtree_ops rows left: %v (err %v)", ops, err)
+	}
+	if st.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", st.HeldLocks())
+	}
+
+	mustOK(t, e, namespace.OpDelete, "/doomed", "")
+	if st.INodeCount() != 1 {
+		t.Fatalf("inodes left after retried delete: %d", st.INodeCount())
 	}
 }
 

@@ -38,7 +38,7 @@ type subtreeWalk struct {
 // subtreeLock runs Phase 1 for op on rootPath, returning the locked root.
 func (e *Engine) subtreeLock(tc *trace.Ctx, rootPath string, op namespace.OpType) (*namespace.INode, error) {
 	var root *namespace.INode
-	err := e.retryWrite(tc, func(tx store.Tx) error {
+	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		parent, err := e.lockParent(tx, rootPath)
 		if err != nil {
 			return err
@@ -70,7 +70,7 @@ func (e *Engine) subtreeLock(tc *trace.Ctx, rootPath string, op namespace.OpType
 // subtreeUnlock clears Phase 1 state (used on mv completion and failure
 // paths; delete removes the root row itself).
 func (e *Engine) subtreeUnlock(tc *trace.Ctx, rootID namespace.INodeID) {
-	_ = e.retryWrite(tc, func(tx store.Tx) error {
+	_ = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		r, err := tx.GetINode(rootID, store.LockExclusive)
 		if err != nil {
 			if errors.Is(err, namespace.ErrNotFound) {
@@ -92,13 +92,7 @@ func (e *Engine) subtreeUnlock(tc *trace.Ctx, rootID namespace.INodeID) {
 func (e *Engine) quiesce(tc *trace.Ctx, rootPath string, root *namespace.INode) (*subtreeWalk, error) {
 	sp := tc.Start(trace.KindSubtreeQuiesce)
 	defer sp.End()
-	var nodes []*namespace.INode
-	var err error
-	if bs, ok := e.st.(store.BatchedStore); ok && !e.cfg.SerialHotPaths {
-		nodes, err = bs.ListSubtreeBatched(root.ID, tc)
-	} else {
-		nodes, err = e.st.ListSubtree(root.ID)
-	}
+	nodes, err := e.st.ListSubtreeBatched(root.ID, tc)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +199,7 @@ func (e *Engine) runBatches(tc *trace.Ctx, n int, exec func(start, end int, cpu 
 // store.ReleaseOwner.
 func CleanupCrashedNameNode(st store.Store, nnID string) {
 	st.ReleaseOwner(nnID)
-	_ = store.RunTx(st, "crash-cleanup", func(tx store.Tx) error {
+	_ = store.RunTx(st, "crash-cleanup", nil, func(tx store.Tx) error {
 		rows, err := tx.KVScan(store.TableSubtreeOps, "")
 		if err != nil {
 			return err
@@ -264,9 +258,11 @@ func (e *Engine) deleteSubtree(tc *trace.Ctx, rootPath string) *namespace.Respon
 		victims = append(victims, w.nodes[i])
 	}
 	perINodeCPU := e.cfg.SubtreeCPUPerINode
+	batch := e.cfg.SubtreeBatch
+	errs := make([]error, (len(victims)+batch-1)/batch) // one slot per batch
 	e.runBatches(tc, len(victims), func(start, end int, cpu CPU) {
 		cpu.AcquireCPU(time.Duration(end-start) * perINodeCPU)
-		_ = e.retryWrite(tc, func(tx store.Tx) error {
+		errs[start/batch] = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 			for _, n := range victims[start:end] {
 				if err := tx.DeleteINode(n.ID); err != nil && !errors.Is(err, namespace.ErrNotFound) {
 					return err
@@ -275,9 +271,18 @@ func (e *Engine) deleteSubtree(tc *trace.Ctx, rootPath string) *namespace.Respon
 			return nil
 		})
 	})
+	for _, err := range errs {
+		if err != nil {
+			// Victims of the failed batch still exist: deleting the root
+			// now would orphan them. Leave the root in place, unlocked, so
+			// the delete can be retried.
+			e.subtreeUnlock(tc, root.ID)
+			return fail(err)
+		}
+	}
 	// Finally remove the root itself, the registry entry, and bump the
 	// parent's mtime.
-	err = e.retryWrite(tc, func(tx store.Tx) error {
+	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		parent, err := e.lockParent(tx, rootPath)
 		if err != nil {
 			return err
@@ -333,33 +338,22 @@ func (e *Engine) mvSubtree(tc *trace.Ctx, src, dest string) *namespace.Response 
 	}
 	// Quiesce sub-operations: take and release write locks on every
 	// INode in the subtree, batched and in parallel. Each batch reads its
-	// rows in one per-shard multi-get (GetINodesBatched) rather than one
-	// dependent store round per INode, unless SerialHotPaths reverts to
-	// the sequential shape. Missing rows (deleted concurrently before the
-	// subtree lock landed) are simply skipped in both shapes.
+	// rows in one per-shard multi-get (GetINodesBatched); missing rows
+	// (deleted concurrently before the subtree lock landed) are skipped.
 	perINodeCPU := e.cfg.SubtreeCPUPerINode
 	nodes := w.nodes[1:]
 	e.runBatches(tc, len(nodes), func(start, end int, cpu CPU) {
 		cpu.AcquireCPU(time.Duration(end-start) * perINodeCPU)
-		tx := e.begin(tc)
-		if e.cfg.SerialHotPaths {
-			for _, n := range nodes[start:end] {
-				if _, err := tx.GetINode(n.ID, store.LockExclusive); err != nil &&
-					!errors.Is(err, namespace.ErrNotFound) {
-					break
-				}
-			}
-		} else {
-			ids := make([]namespace.INodeID, 0, end-start)
-			for _, n := range nodes[start:end] {
-				ids = append(ids, n.ID)
-			}
-			_, _ = tx.GetINodesBatched(ids, store.LockExclusive)
+		tx := e.st.BeginTraced(e.id, tc)
+		ids := make([]namespace.INodeID, 0, end-start)
+		for _, n := range nodes[start:end] {
+			ids = append(ids, n.ID)
 		}
+		_, _ = tx.GetINodesBatched(ids, store.LockExclusive)
 		tx.Abort() // releases the quiesce locks
 	})
 	// The actual move: relink the root, clear the subtree lock.
-	err = e.retryWrite(tc, func(tx store.Tx) error {
+	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		dstParent, err := e.lockParent(tx, dest)
 		if err != nil {
 			return err

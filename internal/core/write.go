@@ -13,12 +13,10 @@ import (
 // INode. The parent is locked exclusively without an upgrade (ancestors
 // are resolved only up to the grandparent) so concurrent creators in the
 // same directory serialize cleanly instead of deadlocking on a
-// shared→exclusive upgrade. Unless SerialHotPaths reverts it, the chain
-// read and the parent read coalesce into one batched store resolution
-// (ResolvePathBatched with an exclusive terminal), halving the dependent
-// store rounds on the write hot path; the lock order — ancestors in path
-// order, then the parent's directory-entry slot, then its row — is
-// identical in both shapes.
+// shared→exclusive upgrade. The chain read and the parent read are one
+// batched store resolution (ResolvePathBatched with an exclusive
+// terminal); the lock order is ancestors in path order, then the parent's
+// directory-entry slot, then its row.
 func (e *Engine) lockParent(tx store.Tx, path string) (*namespace.INode, error) {
 	parentPath := namespace.ParentPath(path)
 	if parentPath == "/" {
@@ -28,30 +26,14 @@ func (e *Engine) lockParent(tx store.Tx, path string) (*namespace.INode, error) 
 		}
 		return root, nil
 	}
-	var parent *namespace.INode
-	if e.cfg.SerialHotPaths {
-		grandChain, err := tx.ResolvePath(namespace.ParentPath(parentPath), store.LockShared)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkSubtreeLocks(grandChain, e.id); err != nil {
-			return nil, err
-		}
-		grand := grandChain[len(grandChain)-1]
-		parent, err = tx.GetChild(grand.ID, namespace.BaseName(parentPath), store.LockExclusive)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		chain, err := tx.ResolvePathBatched(parentPath, store.LockShared, store.LockExclusive)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkSubtreeLocks(chain[:len(chain)-1], e.id); err != nil {
-			return nil, err
-		}
-		parent = chain[len(chain)-1]
+	chain, err := tx.ResolvePathBatched(parentPath, store.LockShared, store.LockExclusive)
+	if err != nil {
+		return nil, err
 	}
+	if err := checkSubtreeLocks(chain[:len(chain)-1], e.id); err != nil {
+		return nil, err
+	}
+	parent := chain[len(chain)-1]
 	if !parent.IsDir {
 		return nil, namespace.ErrNotDir
 	}
@@ -68,7 +50,7 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 		return fail(namespace.ErrExists)
 	}
 	var created *namespace.INode
-	err := e.retryWrite(tc, func(tx store.Tx) error {
+	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		parent, err := e.lockParent(tx, path)
 		if err != nil {
 			return err
@@ -120,7 +102,7 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 		return &namespace.Response{ID: namespace.RootID}
 	}
 	var dirID namespace.INodeID
-	err := e.retryWrite(tc, func(tx store.Tx) error {
+	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		// Lock-free peek to find the deepest existing component; the
 		// authoritative re-check happens below under exclusive locks.
 		// Taking shared locks here would deadlock concurrent mkdirs on a
@@ -224,7 +206,7 @@ func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 		return e.deleteSubtree(tc, path)
 	}
 
-	err = e.retryWrite(tc, func(tx store.Tx) error {
+	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		parent, err := e.lockParent(tx, path)
 		if err != nil {
 			return err
@@ -270,7 +252,7 @@ func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 		return e.mvSubtree(tc, src, dest)
 	}
 
-	err = e.retryWrite(tc, func(tx store.Tx) error {
+	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		// Lock parents in path order to avoid mv/mv deadlocks.
 		srcParentPath := namespace.ParentPath(src)
 		dstParentPath := namespace.ParentPath(dest)

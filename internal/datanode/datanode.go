@@ -101,7 +101,7 @@ func (dn *DataNode) Publish() error {
 	if err != nil {
 		return err
 	}
-	return store.RunTx(dn.st, dn.id, func(tx store.Tx) error {
+	return store.RunTx(dn.st, dn.id, nil, func(tx store.Tx) error {
 		return tx.KVPut(store.TableDataNodes, dn.id, data)
 	})
 }
@@ -147,7 +147,7 @@ func (dn *DataNode) Stop() {
 // discovery" path NameNodes use.
 func Discover(clk clock.Clock, st store.Store, owner string, maxAge time.Duration) ([]Report, error) {
 	var reports []Report
-	err := store.RunTx(st, owner, func(tx store.Tx) error {
+	err := store.RunTx(st, owner, nil, func(tx store.Tx) error {
 		reports = reports[:0]
 		rows, err := tx.KVScan(store.TableDataNodes, "")
 		if err != nil {

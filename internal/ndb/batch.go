@@ -92,9 +92,8 @@ func (db *DB) serviceMultiT(keys []string, tc *trace.Ctx) {
 	})
 }
 
-// ResolvePathBatched implements store.BatchedStore: ResolvePath with the
-// whole chain fetched as one per-shard multi-get (read-committed, no
-// locks, one resolution hop).
+// ResolvePathBatched implements store.Store: the whole chain fetched as
+// one per-shard multi-get (read-committed, no locks, one resolution hop).
 //
 //vet:hotpath
 func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode, error) {
@@ -139,30 +138,14 @@ func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode
 	return chain, nil
 }
 
-// ListSubtreeBatched implements store.BatchedStore: the subtree walk's
+// ListSubtreeBatched implements store.Store: the subtree walk's
 // row reads are partitioned over the shards owning them and served
 // concurrently instead of as one serial batch chain.
 func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*namespace.INode, error) {
-	db.mu.RLock()
-	if db.inodes[root] == nil {
-		db.mu.RUnlock()
-		return nil, namespace.ErrNotFound
+	out, err := db.subtreeRows(root)
+	if err != nil {
+		return nil, err
 	}
-	var out []*namespace.INode
-	queue := []namespace.INodeID{root}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		n := db.inodes[id]
-		if n == nil {
-			continue
-		}
-		out = append(out, n.Clone())
-		for _, cid := range db.children[id] {
-			queue = append(queue, cid)
-		}
-	}
-	db.mu.RUnlock()
 	keys := make([]string, len(out))
 	for i, n := range out {
 		keys[i] = inodeKey(n.ID)

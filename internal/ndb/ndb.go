@@ -167,11 +167,7 @@ type DB struct {
 	commitTick atomic.Uint64 // write-commits since New, for CheckpointEvery
 }
 
-var (
-	_ store.Store        = (*DB)(nil)
-	_ store.TracedStore  = (*DB)(nil)
-	_ store.BatchedStore = (*DB)(nil)
-)
+var _ store.Store = (*DB)(nil)
 
 // shard is one data node's service queue: a fixed worker pool consuming
 // service-time tasks, which is what gives the store a finite capacity.
@@ -355,8 +351,8 @@ func (db *DB) Begin(owner string) store.Tx {
 	return db.BeginTraced(owner, nil)
 }
 
-// BeginTraced opens a transaction whose store accesses attach spans to tc
-// (store.TracedStore). A nil tc is exactly Begin.
+// BeginTraced opens a transaction whose store accesses attach spans to tc.
+// A nil tc is exactly Begin.
 func (db *DB) BeginTraced(owner string, tc *trace.Ctx) store.Tx {
 	key := fmt.Sprintf("%s#%d", owner, db.txSeq.Add(1))
 	db.locks.registerTx(key, owner)
@@ -372,12 +368,6 @@ func (db *DB) ReleaseOwner(owner string) {
 // component chain is fetched with one RTT and one read service slot per
 // BatchRows components (HopsFS's INode-hint-cache fast path).
 func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
-	return db.ResolvePathTraced(path, nil)
-}
-
-// ResolvePathTraced is ResolvePath with trace attribution for the store
-// round trip and shard service (store.TracedStore).
-func (db *DB) ResolvePathTraced(path string, tc *trace.Ctx) ([]*namespace.INode, error) {
 	p, err := namespace.CleanPath(path)
 	if err != nil {
 		return nil, err
@@ -388,8 +378,7 @@ func (db *DB) ResolvePathTraced(path string, tc *trace.Ctx) ([]*namespace.INode,
 	if hops == 0 {
 		hops = 1
 	}
-	db.serviceT(p, time.Duration(batches)*db.cfg.ReadService, tc,
-		trace.Resources{StoreHops: hops, Allocs: uint64(len(comps) + 1)})
+	db.service(p, time.Duration(batches)*db.cfg.ReadService)
 	db.bumpStat(func(s *Stats) {
 		s.Reads++
 		s.ResolveHops += hops
@@ -415,12 +404,12 @@ func (db *DB) ResolvePathTraced(path string, tc *trace.Ctx) ([]*namespace.INode,
 	return chain, nil
 }
 
-// ListSubtree returns the subtree rooted at root in BFS order, charging
-// read service proportional to its size (HopsFS Phase-2 subtree walk).
-func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
+// subtreeRows returns clones of every INode in the subtree rooted at root
+// (inclusive) in BFS order, charging nothing.
+func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if db.inodes[root] == nil {
-		db.mu.RUnlock()
 		return nil, namespace.ErrNotFound
 	}
 	var out []*namespace.INode
@@ -437,7 +426,16 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 			queue = append(queue, cid)
 		}
 	}
-	db.mu.RUnlock()
+	return out, nil
+}
+
+// ListSubtree returns the subtree rooted at root in BFS order, charging
+// read service proportional to its size (HopsFS Phase-2 subtree walk).
+func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
+	out, err := db.subtreeRows(root)
+	if err != nil {
+		return nil, err
+	}
 	batches := 1 + len(out)/db.cfg.BatchRows
 	db.service(fmt.Sprintf("subtree/%d", root), time.Duration(batches)*db.cfg.ReadService)
 	db.bumpStat(func(s *Stats) { s.Reads++ })

@@ -406,7 +406,7 @@ func TestConcurrentCreateSameNameSerializes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := store.RunTx(db, fmt.Sprintf("c%d", i), func(tx store.Tx) error {
+			err := store.RunTx(db, fmt.Sprintf("c%d", i), nil, func(tx store.Tx) error {
 				_, err := tx.GetChild(namespace.RootID, "one", store.LockExclusive)
 				if err == nil {
 					return namespace.ErrExists
@@ -448,7 +448,7 @@ func TestConcurrentIncrementsSerialize(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				err := store.RunTx(db, fmt.Sprintf("w%d", w), func(tx store.Tx) error {
+				err := store.RunTx(db, fmt.Sprintf("w%d", w), nil, func(tx store.Tx) error {
 					n, err := tx.GetINode(id, store.LockExclusive)
 					if err != nil {
 						return err
@@ -488,7 +488,7 @@ func TestRunTxRetriesOnLockTimeout(t *testing.T) {
 		blocker.Abort()
 		close(released)
 	}()
-	err := store.RunTx(db, "retrier", func(tx store.Tx) error {
+	err := store.RunTx(db, "retrier", nil, func(tx store.Tx) error {
 		_, err := tx.GetINode(id, store.LockExclusive)
 		return err
 	})

@@ -11,15 +11,13 @@
 // # Concurrency and ownership
 //
 // A Store must be safe for concurrent use; a Tx belongs to the single
-// goroutine that Begin()s it and must end in exactly one Commit or
+// goroutine that begins it and must end in exactly one Commit or
 // Abort. Rows a transaction has locked are owned by that transaction
 // until it ends; implementations enforce strict two-phase locking, and
 // callers own the global lock-acquisition order (path ancestors first,
-// then child-key slot, then inode row). Optional capabilities are
-// extension interfaces discovered by type assertion — TracedStore for
-// span-carrying variants, BatchedStore for single-round batched
-// resolution and subtree listing — so alternative Store implementations
-// need only the base interface.
+// then child-key slot, then inode row). Every trace-carrying method
+// takes a *trace.Ctx and must treat nil exactly like an untraced call, so
+// callers pass their context through unconditionally.
 package store
 
 import (
@@ -91,7 +89,7 @@ type Tx interface {
 	// so that a concurrent writer's exclusive locks serialize against the
 	// fill (Algorithm 1's staleness guard), and with LockExclusive on
 	// write paths. Partial chains are returned with namespace.ErrNotFound
-	// exactly like Store.ResolvePath.
+	// exactly like Store.ResolvePathBatched.
 	ResolvePath(path string, lock LockMode) ([]*namespace.INode, error)
 
 	// ResolvePathBatched resolves path as one batched per-shard multi-get
@@ -131,20 +129,24 @@ type Tx interface {
 
 // Store is the persistent metadata store.
 type Store interface {
-	// Begin opens a transaction on behalf of owner (used for crash
-	// cleanup: locks held by a declared-dead owner can be broken).
-	Begin(owner string) Tx
+	// BeginTraced opens a transaction on behalf of owner (used for crash
+	// cleanup: locks held by a declared-dead owner can be broken). Spans
+	// for every store access inside the transaction (round trips,
+	// per-shard queueing, service time) attach to tc.
+	BeginTraced(owner string, tc *trace.Ctx) Tx
 
-	// ResolvePath performs HopsFS's optimized single-round-trip batched
-	// path resolution: it returns the INode chain from the root to the
-	// final component of path (read-committed, no locks). If some prefix
-	// resolves but a later component is missing, the partial chain is
-	// returned along with namespace.ErrNotFound.
-	ResolvePath(path string) ([]*namespace.INode, error)
+	// ResolvePathBatched returns the INode chain from the root to the
+	// final component of path (read-committed, no locks), fetched as one
+	// per-shard multi-get: one shared round trip, per-shard service in
+	// parallel, one resolution hop. If some prefix resolves but a later
+	// component is missing, the partial chain is returned along with
+	// namespace.ErrNotFound.
+	ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode, error)
 
-	// ListSubtree returns every INode in the subtree rooted at root
-	// (inclusive), in BFS order.
-	ListSubtree(root namespace.INodeID) ([]*namespace.INode, error)
+	// ListSubtreeBatched returns every INode in the subtree rooted at
+	// root (inclusive), in BFS order, with the walk's row reads
+	// partitioned over the shards and served concurrently.
+	ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*namespace.INode, error)
 
 	// NextID allocates a cluster-unique INode ID.
 	NextID() namespace.INodeID
@@ -154,44 +156,16 @@ type Store interface {
 	ReleaseOwner(owner string)
 }
 
-// TracedStore is an optional extension a Store may implement to attribute
-// its internal latency (round trips, per-shard queueing, service time) to
-// a request's trace. Callers type-assert and fall back to the untraced
-// methods; implementations must treat a nil context exactly like the
-// untraced call.
-type TracedStore interface {
-	Store
-	// BeginTraced is Begin with a trace context: spans for every store
-	// access inside the transaction attach to tc.
+// RunTx runs fn inside a transaction traced under tc, with automatic retry
+// on lock timeouts (the standard DAL usage pattern). Any other error
+// aborts and is returned. fn must be idempotent.
+func RunTx(s interface {
 	BeginTraced(owner string, tc *trace.Ctx) Tx
-	// ResolvePathTraced is ResolvePath with a trace context.
-	ResolvePathTraced(path string, tc *trace.Ctx) ([]*namespace.INode, error)
-}
-
-// BatchedStore is an optional extension a Store may implement to expose
-// lock-free batched reads with per-shard parallel service charging (the
-// multi-get shapes behind Tx.ResolvePathBatched, outside a transaction).
-// Callers type-assert and fall back to the serial Store methods; a nil
-// trace context must behave exactly like an untraced call.
-type BatchedStore interface {
-	Store
-	// ResolvePathBatched is Store.ResolvePath with the chain fetched as
-	// one per-shard multi-get: one shared round trip, per-shard service
-	// in parallel, one resolution hop.
-	ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode, error)
-	// ListSubtreeBatched is Store.ListSubtree with the walk's row reads
-	// partitioned over the shards and served concurrently.
-	ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*namespace.INode, error)
-}
-
-// RunTx runs fn inside a transaction with automatic retry on lock
-// timeouts (the standard DAL usage pattern). Any other error aborts and is
-// returned. fn must be idempotent.
-func RunTx(s Store, owner string, fn func(Tx) error) error {
+}, owner string, tc *trace.Ctx, fn func(Tx) error) error {
 	const maxAttempts = 8
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		tx := s.Begin(owner)
+		tx := s.BeginTraced(owner, tc)
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()

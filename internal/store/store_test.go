@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/trace"
 )
 
 func TestLockModeStrings(t *testing.T) {
@@ -21,7 +22,8 @@ func TestLockModeStrings(t *testing.T) {
 	}
 }
 
-// fakeStore exercises RunTx's retry policy without a real store.
+// fakeStore exercises RunTx's retry policy without a real store;
+// BeginTraced is all RunTx asks of one.
 type fakeStore struct {
 	beginCount int
 	failTimes  int
@@ -34,16 +36,10 @@ type fakeTx struct {
 	aborted   bool
 }
 
-func (s *fakeStore) Begin(owner string) Tx {
+func (s *fakeStore) BeginTraced(string, *trace.Ctx) Tx {
 	s.beginCount++
 	return &fakeTx{s: s}
 }
-func (s *fakeStore) ResolvePath(string) ([]*namespace.INode, error) { return nil, nil }
-func (s *fakeStore) ListSubtree(namespace.INodeID) ([]*namespace.INode, error) {
-	return nil, nil
-}
-func (s *fakeStore) NextID() namespace.INodeID { return 1 }
-func (s *fakeStore) ReleaseOwner(string)       {}
 
 func (t *fakeTx) GetINode(namespace.INodeID, LockMode) (*namespace.INode, error) {
 	if t.s.failTimes > 0 {
@@ -78,7 +74,7 @@ func (t *fakeTx) Abort()        { t.aborted = true }
 
 func TestRunTxRetriesLockTimeouts(t *testing.T) {
 	s := &fakeStore{failTimes: 3}
-	err := RunTx(s, "o", func(tx Tx) error {
+	err := RunTx(s, "o", nil, func(tx Tx) error {
 		_, err := tx.GetINode(namespace.RootID, LockExclusive)
 		return err
 	})
@@ -92,7 +88,7 @@ func TestRunTxRetriesLockTimeouts(t *testing.T) {
 
 func TestRunTxGivesUpEventually(t *testing.T) {
 	s := &fakeStore{failTimes: 1000}
-	err := RunTx(s, "o", func(tx Tx) error {
+	err := RunTx(s, "o", nil, func(tx Tx) error {
 		_, err := tx.GetINode(namespace.RootID, LockExclusive)
 		return err
 	})
@@ -106,7 +102,7 @@ func TestRunTxGivesUpEventually(t *testing.T) {
 
 func TestRunTxStopsOnSemanticError(t *testing.T) {
 	s := &fakeStore{}
-	err := RunTx(s, "o", func(tx Tx) error { return namespace.ErrExists })
+	err := RunTx(s, "o", nil, func(tx Tx) error { return namespace.ErrExists })
 	if !errors.Is(err, namespace.ErrExists) {
 		t.Fatalf("err = %v", err)
 	}
