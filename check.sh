@@ -1,11 +1,11 @@
 #!/bin/sh
 # Repo health check: formatting, vet, the in-repo lambdafs-vet analyzer,
 # build, full test suite, the race detector over the concurrency-heavy
-# packages (tracer, metrics, telemetry plane, FaaS platform, RPC fabric,
-# chaos harness, coordinator, NDB, LSM, core, tenant), bounded fixed-seed
-# chaos, crash-restart, alert-coverage, and discrete-event-scale smoke
-# runs, and the perf/durability/scale baseline gates. Run before sending
-# changes.
+# packages (tracer, metrics, telemetry plane, SLO engine, FaaS platform,
+# RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant), bounded
+# fixed-seed chaos, crash-restart, alert-coverage, and
+# discrete-event-scale smoke runs, and the perf/durability/scale baseline
+# gates. Run before sending changes.
 set -e
 
 cd "$(dirname "$0")"
@@ -42,8 +42,8 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (trace, metrics, telemetry, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
-go test -race ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
+echo "== go test -race (trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
+go test -race ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1

@@ -208,8 +208,6 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 		switch cfg.Family {
 		case FamilyCrashRestart:
 			runRestartAlertScenario(cfg, clk, reg, sc)
-		case FamilyTenantStorm:
-			runTenantStormScenario(cfg, clk, reg, sc)
 		default:
 			runClusterAlertScenario(cfg, clk, reg, sc)
 		}
@@ -266,7 +264,9 @@ func alertStoreConfig(clk clock.Clock, reg *telemetry.Registry, inj *Injector, d
 
 // runClusterAlertScenario drives a three-engine cluster with a seeded
 // op mix for cfg.Seconds virtual seconds, scraping once per second, and
-// injects the family's fault at seconds 4 and 7.
+// injects the family's fault at seconds 4 and 7. The tenant-storm family
+// (tenantstorm.go) additionally gates the engines with an admission
+// registry and tags every request with a tenant.
 func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telemetry.Registry, sc *telemetry.Scraper) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inj := NewInjector()
@@ -288,6 +288,13 @@ func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telem
 	ecfg.OpCPUCost = 0
 	ecfg.SubtreeCPUPerINode = 0
 	ecfg.Metrics = reg
+	// Untagged requests bypass admission, so one empty tenant is the
+	// op mix of every family that does not exercise it.
+	tenants := []string{""}
+	if cfg.Family == FamilyTenantStorm {
+		ecfg.Admission = stormTenants(clk, reg)
+		tenants = stormMix
+	}
 
 	nnSeq := 0
 	engines := make([]*core.Engine, 3)
@@ -316,7 +323,7 @@ func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telem
 		}
 		return p
 	}
-	step := func() {
+	step := func(tenantName string) {
 		client := rng.Intn(len(seqs))
 		engine := engines[rng.Intn(len(engines))]
 		var op namespace.OpType
@@ -334,13 +341,14 @@ func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telem
 		}
 		seqs[client]++
 		engine.Execute(namespace.Request{
-			Op: op, Path: randPath(),
+			Op: op, Path: randPath(), Tenant: tenantName,
 			ClientID: fmt.Sprintf("c%d", client), Seq: seqs[client],
 		})
 	}
 
 	for sec := 0; sec < cfg.Seconds; sec++ {
-		if sec == 4 || sec == 7 {
+		fault := sec == 4 || sec == 7
+		if fault {
 			switch cfg.Family {
 			case FamilyInstanceKill:
 				slot := 1 + rng.Intn(2) // never the leader in slot 0
@@ -360,7 +368,18 @@ func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telem
 			}
 		}
 		for i := 0; i < cfg.OpsPerSec; i++ {
-			step()
+			step(tenants[i%len(tenants)])
+		}
+		if fault && cfg.Family == FamilyTenantStorm {
+			// The storm follows the second's steady ops, which keep the
+			// crawler inside its 5 ops/s budget: it fires 20× the per-second
+			// op count in one burst at a drained bucket, which admits a
+			// handful; admission rejects the rest before any CPU or store
+			// work happens.
+			for i := 0; i < cfg.OpsPerSec*20; i++ {
+				step("crawler")
+			}
+			inj.NoteFired(FaultTenantStorm, fmt.Sprintf("sec=%d tenant=crawler", sec))
 		}
 		clk.Sleep(time.Second)
 		sc.ScrapeNow()

@@ -7,20 +7,12 @@ package chaos
 // underprovisioned tenant flooding far past its rate — must surface as
 // the tenant-throttle alert while every other alert in the uniform
 // ChaosRulePack stays quiet (latency, membership, and durability are
-// untouched: throttled requests never reach the store).
+// untouched: throttled requests never reach the store). The cluster, op
+// mix and clock discipline are runClusterAlertScenario's (alerts.go);
+// this file holds only what the family adds to it.
 
 import (
-	"fmt"
-	"math/rand"
-	"time"
-
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
-	"lambdafs/internal/core"
-	"lambdafs/internal/lsm"
-	"lambdafs/internal/namespace"
-	"lambdafs/internal/ndb"
-	"lambdafs/internal/partition"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/tenant"
 )
@@ -36,100 +28,7 @@ func stormTenants(clk clock.Clock, reg *telemetry.Registry) *tenant.Registry {
 	return tr
 }
 
-// runTenantStormScenario drives a three-engine cluster with
-// tenant-tagged seeded operations for cfg.Seconds virtual seconds,
-// scraping once per second. At seconds 4 and 7 the crawler tenant
-// floods 20× the usual op count into the cluster inside one second;
-// admission rejects nearly all of it (the alert's signal) and the store
-// never sees the rejected requests (everyone else's signals stay flat).
-func runTenantStormScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telemetry.Registry, sc *telemetry.Scraper) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	inj := NewInjector()
-
-	ckptCfg := lsm.DefaultConfig()
-	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
-	ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
-	dur := ndb.NewDurable(clk, 4, ckptCfg)
-	db := ndb.New(clk, alertStoreConfig(clk, reg, inj, dur))
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 50 * time.Microsecond
-	ccfg.Metrics = reg
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	zk := coordinator.NewZK(clk, ccfg)
-
-	admission := stormTenants(clk, reg)
-
-	ring := partition.NewRing(1, 0)
-	ecfg := core.DefaultEngineConfig()
-	ecfg.OpCPUCost = 0
-	ecfg.SubtreeCPUPerINode = 0
-	ecfg.Metrics = reg
-	ecfg.Admission = admission
-
-	engines := make([]*core.Engine, 3)
-	sessions := make([]coordinator.Session, 3)
-	for i := range engines {
-		id := fmt.Sprintf("nn-%d", i)
-		e := core.NewEngine(id, 0, clk, db, ring, zk, nil, ecfg)
-		engines[i] = e
-		sessions[i] = zk.Register(0, id, e.HandleInvalidation)
-		zk.TryLead(LeaderGroup, id)
-	}
-
-	tenants := []string{"media", "media", "analytics", "crawler"}
-	seqs := make([]uint64, 4)
-	randPath := func() string {
-		n := rng.Intn(3) + 1
-		p := ""
-		for i := 0; i < n; i++ {
-			p += fmt.Sprintf("/n%d", rng.Intn(4))
-		}
-		return p
-	}
-	step := func(tenantName string) {
-		client := rng.Intn(len(seqs))
-		engine := engines[rng.Intn(len(engines))]
-		var op namespace.OpType
-		switch rng.Intn(8) {
-		case 0, 1, 2:
-			op = namespace.OpMkdirs
-		case 3, 4:
-			op = namespace.OpCreate
-		case 5:
-			op = namespace.OpStat
-		case 6:
-			op = namespace.OpLs
-		default:
-			op = namespace.OpRead
-		}
-		seqs[client]++
-		engine.Execute(namespace.Request{
-			Op: op, Path: randPath(), Tenant: tenantName,
-			ClientID: fmt.Sprintf("c%d", client), Seq: seqs[client],
-		})
-	}
-
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		for i := 0; i < cfg.OpsPerSec; i++ {
-			// Steady state keeps the crawler inside its 5 ops/s budget.
-			step(tenants[i%len(tenants)])
-		}
-		if sec == 4 || sec == 7 {
-			// The storm: the crawler fires 20× the per-second op count in
-			// one burst — its 5-token bucket admits a handful, admission
-			// rejects the rest before any CPU or store work happens.
-			for i := 0; i < cfg.OpsPerSec*20; i++ {
-				step("crawler")
-			}
-			inj.NoteFired(FaultTenantStorm, fmt.Sprintf("sec=%d tenant=crawler", sec))
-		}
-		clk.Sleep(time.Second)
-		sc.ScrapeNow()
-	}
-	for _, s := range sessions {
-		if s != nil {
-			s.Close()
-		}
-	}
-}
+// stormMix is the steady-state tenant rotation of the episode's op
+// stream: at the default 20 ops/s the crawler's quarter share is exactly
+// its 5 ops/s budget.
+var stormMix = []string{"media", "media", "analytics", "crawler"}

@@ -174,9 +174,6 @@ func (s *Sim) IdleDo(fn func()) {
 	s.busy.Add(1)
 }
 
-// Busy reports the registered-busy count (diagnostics).
-func (s *Sim) Busy() int64 { return s.busy.Load() }
-
 // Advances reports how many time advances occurred (diagnostics).
 func (s *Sim) Advances() uint64 { return s.advanceEvents.Load() }
 

@@ -65,9 +65,6 @@ func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator,
 	return &System{inner: core.NewSystem(clk, st, coord, platform, sysCfg)}
 }
 
-// Inner exposes the underlying core system (diagnostics).
-func (s *System) Inner() *core.System { return s.inner }
-
 // Client invokes a function for every operation — no persistent TCP
 // connections, no scaling signal beyond the fixed fleet.
 type Client struct {

@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -17,8 +16,10 @@ import (
 )
 
 // Histogram is a concurrency-safe log-bucketed latency histogram. Buckets
-// grow geometrically from 1µs to ~17 minutes, giving <5% relative error per
-// bucket, which is ample for CDF reproduction.
+// grow geometrically from 1µs to ~5 minutes, giving <5% relative error per
+// bucket, which is ample for CDF reproduction. It is the repo's one
+// quantile structure: every reader that needs more than one number of the
+// same instant takes a Snapshot.
 type Histogram struct {
 	mu     sync.Mutex
 	counts []uint64
@@ -31,7 +32,7 @@ type Histogram struct {
 const (
 	histMin    = time.Microsecond
 	histGrowth = 1.05
-	histBucket = 400 // 1µs * 1.05^400 ≈ 5h
+	histBucket = 400 // 1µs * 1.05^400 ≈ 5 minutes
 )
 
 var histBounds = func() []time.Duration {
@@ -57,7 +58,7 @@ func bucketFor(d time.Duration) int {
 	if i < 0 {
 		i = 0
 	}
-	// Samples beyond the last bound (~5h) go to the overflow bucket;
+	// Samples beyond the last bound (~5 minutes) go to the overflow bucket;
 	// without the clamp the raw log index would run past the counts slice.
 	if i > histBucket {
 		return histBucket
@@ -122,9 +123,56 @@ func (h *Histogram) Max() time.Duration {
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) as the upper bound of the
 // bucket containing it. Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
+	return h.Snapshot().Quantile(q)
+}
+
+// HistBucket is one non-empty bucket of a HistSnapshot.
+type HistBucket struct {
+	Index int // position in the shared bucket layout; the last one is the overflow bucket
+	Count uint64
+}
+
+// HistSnapshot is a value copy of a Histogram taken under one lock, so its
+// buckets, count, sum and max describe the same instant. Only non-empty
+// buckets are stored (ascending Index): an idle histogram snapshots to
+// four words. Snapshots share the Histogram's bucket layout, so Merge and
+// Sub are exact at bucket granularity and Quantile answers as the live
+// histogram would.
+type HistSnapshot struct {
+	Buckets []HistBucket
+	Count   uint64
+	Sum     time.Duration
+	Max     time.Duration
+}
+
+// Snapshot copies the histogram's current state.
+func (h *Histogram) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	s := HistSnapshot{Count: h.total, Sum: h.sum, Max: h.max}
 	if h.total == 0 {
+		return s
+	}
+	n := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	s.Buckets = make([]HistBucket, 0, n)
+	for i, c := range h.counts {
+		if c != 0 {
+			s.Buckets = append(s.Buckets, HistBucket{Index: i, Count: c})
+		}
+	}
+	return s
+}
+
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) as the upper bound of the
+// bucket containing it; in the overflow bucket, where there is no bound,
+// it reports Max. Returns 0 when the snapshot is empty.
+func (s HistSnapshot) Quantile(q float64) time.Duration {
+	if s.Count == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -133,21 +181,75 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
+	rank := uint64(math.Ceil(q * float64(s.Count)))
 	if rank == 0 {
 		rank = 1
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
+	for _, b := range s.Buckets {
+		cum += b.Count
 		if cum >= rank {
-			if i >= histBucket {
-				return h.max
+			if b.Index >= histBucket {
+				return s.Max
 			}
-			return histBounds[i]
+			return histBounds[b.Index]
 		}
 	}
-	return h.max
+	return s.Max
+}
+
+// Merge returns the snapshot of the union of both sample sets: what one
+// histogram fed s's and o's samples would snapshot to.
+func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
+	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum, Max: s.Max}
+	if o.Max > out.Max {
+		out.Max = o.Max
+	}
+	a, b := s.Buckets, o.Buckets
+	out.Buckets = make([]HistBucket, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Index < b[0].Index:
+			out.Buckets, a = append(out.Buckets, a[0]), a[1:]
+		case b[0].Index < a[0].Index:
+			out.Buckets, b = append(out.Buckets, b[0]), b[1:]
+		default:
+			out.Buckets = append(out.Buckets, HistBucket{Index: a[0].Index, Count: a[0].Count + b[0].Count})
+			a, b = a[1:], b[1:]
+		}
+	}
+	out.Buckets = append(append(out.Buckets, a...), b...)
+	return out
+}
+
+// Sub returns the samples observed after old was taken, where old is an
+// earlier snapshot of the same histogram (or a Merge of earlier snapshots
+// of the same histograms): the difference has the buckets, count and sum
+// of a histogram fed only the later samples. Max cannot be subtracted and
+// stays s.Max, so a quantile that lands in the overflow bucket reports
+// the newer snapshot's maximum. Where old holds more than s — two
+// concurrent scrapes delivered out of order — the difference saturates at
+// empty instead of wrapping.
+func (s HistSnapshot) Sub(old HistSnapshot) HistSnapshot {
+	out := HistSnapshot{Max: s.Max}
+	if s.Sum > old.Sum {
+		out.Sum = s.Sum - old.Sum
+	}
+	o := old.Buckets
+	for _, b := range s.Buckets {
+		for len(o) > 0 && o[0].Index < b.Index {
+			o = o[1:]
+		}
+		if len(o) > 0 && o[0].Index == b.Index {
+			if o[0].Count >= b.Count {
+				continue
+			}
+			b.Count -= o[0].Count
+		}
+		out.Buckets = append(out.Buckets, b)
+		out.Count += b.Count
+	}
+	return out
 }
 
 // CDFPoint is one point of an exported latency CDF.
@@ -174,40 +276,6 @@ func (h *Histogram) CDF() []CDFPoint {
 		pts = append(pts, CDFPoint{Latency: lat, Fraction: float64(cum) / float64(h.total)})
 	}
 	return pts
-}
-
-// Merge adds all samples of other into h. Min/max remain exact; the bucket
-// resolution is shared, so the merge is lossless at bucket granularity.
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	counts := append([]uint64(nil), other.counts...)
-	total, sum, min, max := other.total, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if total == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || min < h.min {
-		h.min = min
-	}
-	if max > h.max {
-		h.max = max
-	}
-	h.total += total
-	h.sum += sum
-}
-
-// Summary renders mean/p50/p99/max in a compact human-readable form.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean().Round(10*time.Microsecond),
-		h.Quantile(0.5).Round(10*time.Microsecond),
-		h.Quantile(0.99).Round(10*time.Microsecond),
-		h.Max().Round(10*time.Microsecond))
 }
 
 // MovingWindow keeps the most recent N duration samples and answers their

@@ -86,22 +86,149 @@ func TestHistogramCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
+// TestHistogramQuantileAdversarial feeds the distributions a bucketed
+// estimator is worst at and checks every quantile against the exact
+// Percentile reference: the documented bound is one bucket, i.e. a
+// relative error of at most histGrowth-1 = 5% (absolute floor histMin for
+// values in the first bucket).
+func TestHistogramQuantileAdversarial(t *testing.T) {
+	repeat := func(d time.Duration, n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = d
+		}
+		return out
+	}
+	ramp := make([]time.Duration, 10000)
+	for i := range ramp {
+		ramp[i] = time.Millisecond + time.Duration(i)*(time.Second-time.Millisecond)/time.Duration(len(ramp)-1)
+	}
+	tails := []float64{0.01, 0.5, 0.95, 0.99, 0.999}
+	cases := []struct {
+		name    string
+		samples []time.Duration
+		qs      []float64
+	}{
+		{"point mass 1µs", repeat(time.Microsecond, 1000), tails},
+		{"point mass 37µs", repeat(37*time.Microsecond, 1000), tails},
+		{"point mass 1ms", repeat(time.Millisecond, 1000), tails},
+		{"point mass 250ms", repeat(250*time.Millisecond, 1000), tails},
+		{"point mass 10s", repeat(10*time.Second, 1000), tails},
+		// 100× separation: quantiles on either side of the split must snap
+		// to the right mode, which a 5% bucket error cannot blur.
+		{"bimodal 1ms/100ms", append(repeat(time.Millisecond, 500), repeat(100*time.Millisecond, 500)...),
+			[]float64{0.05, 0.25, 0.45, 0.55, 0.75, 0.99}},
+		{"monotone ramp 1ms..1s", ramp, []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}},
+	}
+	for _, tc := range cases {
+		h := NewHistogram()
+		for _, d := range tc.samples {
+			h.Observe(d)
+		}
+		for _, q := range tc.qs {
+			got, want := h.Quantile(q), Percentile(tc.samples, q*100)
+			tol := time.Duration(float64(want) * (histGrowth - 1))
+			if tol < histMin {
+				tol = histMin
+			}
+			if got < want-tol || got > want+tol {
+				t.Errorf("%s q%g: got %v want %v (tolerance %v)", tc.name, q, got, want, tol)
+			}
+		}
+	}
+}
+
+// sameSamples reports whether two snapshots hold the same buckets, count
+// and sum (Max is compared by the callers: Sub documents it separately).
+func sameSamples(a, b HistSnapshot) bool {
+	if a.Count != b.Count || a.Sum != b.Sum || len(a.Buckets) != len(b.Buckets) {
+		return false
+	}
+	for i := range a.Buckets {
+		if a.Buckets[i] != b.Buckets[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSnapshotMergeIsExact(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	a.Observe(time.Millisecond)
 	b.Observe(5 * time.Millisecond)
 	b.Observe(10 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
+	m := a.Snapshot().Merge(b.Snapshot())
+	if m.Count != 3 || m.Sum != 16*time.Millisecond || m.Max != 10*time.Millisecond {
+		t.Fatalf("merged count/sum/max = %d/%v/%v", m.Count, m.Sum, m.Max)
 	}
-	if a.Min() != time.Millisecond || a.Max() != 10*time.Millisecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	// Merging an empty snapshot is a no-op, from either side.
+	var empty HistSnapshot
+	if !sameSamples(m.Merge(empty), m) || !sameSamples(empty.Merge(m), m) {
+		t.Fatal("merge with empty changed the snapshot")
 	}
-	// Merging an empty histogram is a no-op.
-	a.Merge(NewHistogram())
-	if a.Count() != 3 {
-		t.Fatal("merge with empty changed count")
+
+	// Merging k shards is bucket-identical to one histogram over the
+	// union — the property that lets the SLO engine fold label sets and
+	// lets a window be a difference of cumulative snapshots.
+	whole := NewHistogram()
+	shards := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram()}
+	for i := 0; i < 3000; i++ {
+		d := time.Duration(10e3 * math.Pow(1.003, float64(i%2000))) // 10µs .. ~4ms
+		whole.Observe(d)
+		shards[i%3].Observe(d)
+	}
+	var merged HistSnapshot
+	for _, s := range shards {
+		merged = merged.Merge(s.Snapshot())
+	}
+	if want := whole.Snapshot(); !sameSamples(merged, want) || merged.Max != want.Max {
+		t.Fatalf("merged shards differ from the whole: %+v vs %+v", merged, want)
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
+		if got, want := merged.Quantile(q), whole.Quantile(q); got != want {
+			t.Errorf("q%g: merged %v != whole %v", q, got, want)
+		}
+	}
+}
+
+// TestSnapshotSubIsLaterSamples pins the subtraction property: for sample
+// sets A then B fed to one histogram, snapshot(A∪B).Sub(snapshot(A)) has
+// the bucket counts, count and sum of a histogram fed B alone.
+func TestSnapshotSubIsLaterSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	both, onlyB := NewHistogram(), NewHistogram()
+	// A spans 1µs..10ms, B 1ms..1s: some buckets only A fills (they must
+	// vanish from the difference), some only B, some both.
+	for i := 0; i < 4000; i++ {
+		both.Observe(time.Duration(rng.Int63n(int64(10 * time.Millisecond))))
+	}
+	both.Observe(7 * time.Hour) // overflow bucket, in A only
+	snapA := both.Snapshot()
+	for i := 0; i < 1500; i++ {
+		d := time.Millisecond + time.Duration(rng.Int63n(int64(time.Second)))
+		both.Observe(d)
+		onlyB.Observe(d)
+	}
+	snapAB := both.Snapshot()
+	diff := snapAB.Sub(snapA)
+	if want := onlyB.Snapshot(); !sameSamples(diff, want) {
+		t.Fatalf("difference is not B alone:\n got %+v\nwant %+v", diff, want)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
+		if got, want := diff.Quantile(q), onlyB.Quantile(q); got != want {
+			t.Errorf("q%g: difference %v != B alone %v", q, got, want)
+		}
+	}
+	// Max is not subtractable: the difference keeps the newer snapshot's.
+	if diff.Max != snapAB.Max {
+		t.Fatalf("difference max = %v, want the newer snapshot's %v", diff.Max, snapAB.Max)
+	}
+	// Nothing later than itself, and — out-of-order arguments — nothing
+	// later than a newer snapshot: empty, never a wrapped count.
+	for _, d := range []HistSnapshot{snapAB.Sub(snapAB), snapA.Sub(snapAB)} {
+		if d.Count != 0 || d.Sum != 0 || len(d.Buckets) != 0 || d.Quantile(0.99) != 0 {
+			t.Fatalf("difference is not empty: %+v", d)
+		}
 	}
 }
 
@@ -295,7 +422,7 @@ func TestPerfPerCost(t *testing.T) {
 // TestBucketForBoundaries pins down the log-arithmetic fix-up in
 // bucketFor: exact bucket upper bounds must land in their own bucket, one
 // nanosecond more must land in the next, and samples beyond the last bound
-// (~5h) must fall into the overflow bucket, where quantiles degrade to the
+// (~5 minutes) must fall into the overflow bucket, where quantiles degrade to the
 // observed max.
 func TestBucketForBoundaries(t *testing.T) {
 	if bucketFor(0) != 0 || bucketFor(histMin) != 0 {

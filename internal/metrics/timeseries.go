@@ -56,9 +56,6 @@ func (ts *Timeseries) Values() []float64 {
 	return append([]float64(nil), ts.vals...)
 }
 
-// Width returns the bucket width.
-func (ts *Timeseries) Width() time.Duration { return ts.width }
-
 // Rate returns per-bucket sums divided by the bucket width in seconds,
 // i.e. ops/sec when Incr is used.
 func (ts *Timeseries) Rate() []float64 {

@@ -1,3 +1,13 @@
+// Package slo is the streaming analytics and alerting layer of the
+// telemetry plane: it subscribes to the virtual-time Scraper, maintains
+// derived series per instrument (windowed rates, EWMA smoothing, and
+// windowed quantiles taken as differences of scraped histogram
+// snapshots), and evaluates SLO rules — threshold, multi-window
+// burn-rate, and staleness/absence — every scrape tick. Rule transitions
+// are exported as trace events, lambdafs_slo_* instruments, and a JSONL
+// alert log. The chaos harness consumes it for alert-coverage testing:
+// each episode family declares alerts it must and must not fire
+// (internal/chaos).
 package slo
 
 import (
@@ -10,6 +20,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/metrics"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/trace"
 )
@@ -116,8 +127,9 @@ func Threshold(name, metric string, sig Signal, op Op, bound float64, holdTicks 
 }
 
 // QuantileThreshold declares a latency-style rule over a histogram: the
-// q-quantile of metric, estimated from a sliding window of per-tick
-// sketches, must not breach bound for holdTicks consecutive ticks.
+// q-quantile of the observations metric recorded during the last
+// Config.Window scrape ticks (all label sets together) must not breach
+// bound for holdTicks consecutive ticks.
 func QuantileThreshold(name, metric string, q float64, op Op, bound float64, holdTicks int) Rule {
 	if holdTicks < 1 {
 		holdTicks = 1
@@ -181,7 +193,7 @@ type Config struct {
 	// Registry, when set, receives the lambdafs_slo_* state instruments.
 	Registry *telemetry.Registry
 	// Window is the sliding-window length in scrape ticks for quantile
-	// sketches (default 16).
+	// rules (default 16).
 	Window int
 	// EWMAAlpha is the smoothing factor for SignalEWMA (default 0.3).
 	EWMAAlpha float64
@@ -242,13 +254,29 @@ func (r *ring) sumLast(k int) float64 {
 	return s
 }
 
-// histTrack is the per-histogram sketch window: one sketch per scrape
-// tick, merged on demand at evaluation time.
-type histTrack struct {
-	window []*Sketch
+// histWindow is one quantile-rule metric's sliding window: a ring of the
+// last Config.Window cumulative snapshots (label sets merged), one per
+// scrape tick, and the difference the latest tick left in the window.
+type histWindow struct {
+	ring   []metrics.HistSnapshot
 	next   int
-	// prevCount per count-series key, for delta extraction
-	prevCount map[string]float64
+	window metrics.HistSnapshot
+}
+
+// advance records this tick's cumulative snapshot of metric and
+// recomputes the window as newest minus the snapshot it evicts — the one
+// taken len(ring) ticks ago, or the empty snapshot until the ring wraps.
+func (hw *histWindow) advance(metric string, snap telemetry.Snapshot) {
+	var cum metrics.HistSnapshot
+	for k, hs := range snap.Hists {
+		if seriesBase(k) == metric {
+			cum = cum.Merge(hs)
+		}
+	}
+	slot := &hw.ring[hw.next]
+	hw.next = (hw.next + 1) % len(hw.ring)
+	hw.window = cum.Sub(*slot)
+	*slot = cum
 }
 
 // Engine evaluates SLO rules against scraper snapshots. Wire it with
@@ -261,11 +289,10 @@ type Engine struct {
 	mu          sync.Mutex
 	rules       []*ruleState
 	byName      map[string]*ruleState
-	hists       map[string]*histTrack // histogram base name → sketch window
-	prevVals    map[string]float64    // previous snapshot values (delta base)
+	hists       map[string]*histWindow // histogram base name → sliding window
+	prevVals    map[string]float64     // previous snapshot values (delta base)
 	prevTime    time.Time
 	havePrev    bool
-	ticks       int64
 	transitions []Transition
 	sink        func(trace.Event)
 
@@ -284,7 +311,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		byName:   make(map[string]*ruleState),
-		hists:    make(map[string]*histTrack),
+		hists:    make(map[string]*histWindow),
 		prevVals: make(map[string]float64),
 	}
 	if cfg.Registry != nil {
@@ -319,11 +346,7 @@ func (e *Engine) AddRule(r Rule) {
 		rs.totalRing = ring{buf: make([]float64, r.HoldTicks)}
 	case KindQuantile:
 		if _, ok := e.hists[r.Metric]; !ok {
-			w := make([]*Sketch, e.cfg.Window)
-			for i := range w {
-				w[i] = NewSketch()
-			}
-			e.hists[r.Metric] = &histTrack{window: w, prevCount: make(map[string]float64)}
+			e.hists[r.Metric] = &histWindow{ring: make([]metrics.HistSnapshot, e.cfg.Window)}
 		}
 	}
 	e.rules = append(e.rules, rs)
@@ -372,8 +395,9 @@ func (e *Engine) Observe(snap telemetry.Snapshot) {
 	var events []trace.Event
 
 	e.mu.Lock()
-	e.ticks++
-	e.ingestHistograms(snap)
+	for metric, hw := range e.hists {
+		hw.advance(metric, snap)
+	}
 	tus := snap.VirtualUS()
 	for _, rs := range e.rules {
 		val, breach, ok := e.evaluate(rs, snap)
@@ -494,15 +518,11 @@ func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, 
 		return val, compare(r.Op, val, r.Bound), true
 
 	case KindQuantile:
-		ht := e.hists[r.Metric]
-		merged := NewSketch()
-		for _, sk := range ht.window {
-			merged.Merge(sk)
-		}
-		if merged.Count() == 0 {
+		w := e.hists[r.Metric].window
+		if w.Count == 0 {
 			return 0, false, true // no traffic: quantile rule is quiet, not stuck
 		}
-		val = merged.Quantile(r.Q)
+		val = w.Quantile(r.Q).Seconds()
 		return val, compare(r.Op, val, r.Bound), true
 
 	case KindBurnRate:
@@ -592,52 +612,6 @@ func (e *Engine) aggDelta(snap telemetry.Snapshot, metric string) float64 {
 		}
 	}
 	return d
-}
-
-// ingestHistograms advances every tracked histogram's sketch window one
-// tick: the count delta per label set since the previous snapshot is
-// redistributed across the published quantiles (50% of observations at
-// ≤q50, 45% in (q50,q95], 5% in (q95,q99]) — a coarse but mergeable
-// reconstruction whose error is bounded by the published quantiles
-// themselves.
-func (e *Engine) ingestHistograms(snap telemetry.Snapshot) {
-	for base, ht := range e.hists {
-		sk := ht.window[(e.ticksInt())%len(ht.window)]
-		sk.Reset()
-		countPrefix := base + "_count"
-		for k, v := range snap.Values {
-			if !strings.HasPrefix(k, countPrefix) {
-				continue
-			}
-			rest := k[len(countPrefix):]
-			if rest != "" && rest[0] != '{' {
-				continue
-			}
-			dc := v - ht.prevCount[k]
-			ht.prevCount[k] = v
-			if dc <= 0 {
-				continue
-			}
-			q50 := snap.Values[quantileKey(base, rest, "0.5")]
-			q95 := snap.Values[quantileKey(base, rest, "0.95")]
-			q99 := snap.Values[quantileKey(base, rest, "0.99")]
-			sk.AddWeighted(q50, 0.50*dc)
-			sk.AddWeighted(q95, 0.45*dc)
-			sk.AddWeighted(q99, 0.05*dc)
-		}
-	}
-}
-
-func (e *Engine) ticksInt() int { return int(e.ticks) }
-
-// quantileKey rebuilds the flattened quantile series key for a
-// histogram base name and the label block of its _count key ("" or
-// "{...}"): flatten appends the quantile label last, unsorted.
-func quantileKey(base, labelBlock, q string) string {
-	if labelBlock == "" {
-		return base + `{quantile="` + q + `"}`
-	}
-	return base + labelBlock[:len(labelBlock)-1] + `,quantile="` + q + `"}`
 }
 
 // Transitions returns a copy of the alert log so far, in virtual-time

@@ -3,6 +3,7 @@ package slo
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,7 +230,7 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
 	// End-to-end through the real registry + scraper: observe latencies
 	// into a telemetry histogram, scrape on a manual clock, and let the
-	// windowed sketch reconstruction trip a p99 rule.
+	// windowed quantile trip a p99 rule.
 	clk := clock.NewManual()
 	reg := telemetry.NewRegistry()
 	sc := telemetry.NewScraper(clk, reg, time.Second)
@@ -266,6 +267,112 @@ func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
 	}
 	if v := snap.Values["lambdafs_slo_rules"]; v != 1 {
 		t.Fatalf("rules gauge = %g, want 1", v)
+	}
+}
+
+// TestQuantileRuleSeesItsWindow pins "windowed, not cumulative" on both
+// sides. Old history must not dilute a bad tick: once 10,000 healthy
+// observations have aged out of the window, 50 slow ones fire a p99 rule
+// (the lifetime p99 stays at 1ms). And a bad tick must not outlive the
+// window: healthy traffic resolves the alert Window ticks later (the
+// lifetime p99 stays slow until slow observations drop under 1% of
+// everything ever recorded). Each script runs unlabelled and spread over
+// two label sets, which covers the cross-label merge.
+func TestQuantileRuleSeesItsWindow(t *testing.T) {
+	const metric = "lambdafs_core_op_latency_seconds"
+	const window = 4
+	type step struct {
+		ticks int // scrape ticks of this traffic
+		n     int // observations per tick
+		d     time.Duration
+		want  string // rule state after the last of them
+	}
+	scripts := map[string][]step{
+		"old history does not dilute": {
+			{1, 10000, time.Millisecond, StateInactive},
+			{window, 100, time.Millisecond, StateInactive}, // the 10,000 age out
+			{1, 50, 20 * time.Millisecond, StateFiring},
+			{1, 100, time.Millisecond, StateFiring}, // slow tick still inside the window
+			{window, 100, time.Millisecond, StateInactive},
+		},
+		"bad tick does not outlive the window": {
+			{1, 100, time.Millisecond, StateInactive},
+			{1, 400, 20 * time.Millisecond, StateFiring},
+			{window + 1, 100, time.Millisecond, StateInactive},
+		},
+	}
+	labelSets := map[string][][]telemetry.Label{
+		"unlabelled":     {nil},
+		"two label sets": {{telemetry.L("op", "read")}, {telemetry.L("op", "write")}},
+	}
+	for name, script := range scripts {
+		for lname, labels := range labelSets {
+			t.Run(name+"/"+lname, func(t *testing.T) {
+				clk := clock.NewManual()
+				reg := telemetry.NewRegistry()
+				sc := telemetry.NewScraper(clk, reg, time.Second)
+				e := New(Config{Window: window})
+				e.AddRule(QuantileThreshold("p99", metric, 0.99, OpGreater, 5e-3, 1))
+				sc.OnSnapshot(e.Observe)
+				for i, st := range script {
+					for k := 0; k < st.ticks; k++ {
+						for j := 0; j < st.n; j++ {
+							reg.Histogram(metric, labels[j%len(labels)]...).Observe(st.d)
+						}
+						clk.Advance(time.Second)
+						sc.ScrapeNow()
+					}
+					if s := states(e)["p99"]; s != st.want {
+						t.Fatalf("step %d (%d ticks of %d × %v): state %s, want %s (%+v)",
+							i, st.ticks, st.n, st.d, s, st.want, e.Status())
+					}
+				}
+				trs := e.Transitions()
+				if len(trs) != 2 || trs[0].To != StateFiring || trs[1].To != StateInactive {
+					t.Fatalf("transitions = %+v, want firing then resolved", trs)
+				}
+			})
+		}
+	}
+}
+
+// TestEngineConcurrentScrapeAndStatus is the -race test for the engine
+// mutex: the scraper goroutine drives Observe while the instrumented hot
+// path keeps recording and a display surface polls the read API.
+func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sc := telemetry.NewScraper(clock.NewScaled(0), reg, time.Millisecond)
+	e := New(Config{Registry: reg, Window: 2})
+	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, OpGreater, 5e-3, 1))
+	sc.OnSnapshot(e.Observe)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h := reg.Histogram("lambdafs_core_op_latency_seconds")
+		for j := 0; ; j++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Observe(time.Duration(j%20) * time.Millisecond)
+		}
+	}()
+	sc.Start()
+	for i := 0; i < 200; i++ {
+		sc.ScrapeNow()
+		_ = e.Status()
+		_ = e.Firing()
+		_ = e.Transitions()
+	}
+	sc.Stop()
+	close(stop)
+	wg.Wait()
+	if sc.HookPanics() != 0 {
+		t.Fatalf("engine panicked inside %d scrape hooks", sc.HookPanics())
 	}
 }
 

@@ -113,19 +113,16 @@ func WritePrometheus(w io.Writer, reg *Registry) error {
 			}
 		case KindHistogram:
 			ls := promLabelString(m.Labels)
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", m.Q50}, {"0.95", m.Q95}, {"0.99", m.Q99}} {
-				ql := promLabelString(append(append([]Label(nil), m.Labels...), L("quantile", q.q)))
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", m.Name, ql, fmtFloat(q.v)); err != nil {
+			for _, sq := range summaryQuantiles {
+				ql := promLabelString(append(append([]Label(nil), m.Labels...), L("quantile", sq.label)))
+				if _, err := fmt.Fprintf(w, "%s%s %s\n", m.Name, ql, fmtFloat(m.Hist.Quantile(sq.q).Seconds())); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", m.Name, ls, fmtFloat(m.Sum)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", m.Name, ls, fmtFloat(m.Hist.Sum.Seconds())); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", m.Name, ls, m.Count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", m.Name, ls, m.Hist.Count); err != nil {
 				return err
 			}
 		}
@@ -160,7 +157,10 @@ func WriteJSON(w io.Writer, reg *Registry) error {
 			}
 		}
 		if m.Kind == KindHistogram {
-			j.Count, j.Sum, j.Q50, j.Q95, j.Q99 = m.Count, m.Sum, m.Q50, m.Q95, m.Q99
+			j.Count, j.Sum = m.Hist.Count, m.Hist.Sum.Seconds()
+			j.Q50 = m.Hist.Quantile(0.50).Seconds()
+			j.Q95 = m.Hist.Quantile(0.95).Seconds()
+			j.Q99 = m.Hist.Quantile(0.99).Seconds()
 		} else {
 			j.Value = m.Value
 		}

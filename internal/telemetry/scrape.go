@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/metrics"
 )
 
 // Snapshot is one scrape of the registry: every instrument flattened to
@@ -12,27 +13,40 @@ import (
 // the exposition identity name{labels}; histograms contribute
 // <name>_count and <name>_sum series plus quantile series
 // <name>{quantile="0.5"} etc. (merged with any instrument labels).
+// Hists carries each non-empty histogram's snapshot under its identity
+// name{labels} — the distribution those flattened series were derived
+// from, for consumers (the SLO engine) that subtract and merge
+// snapshots rather than read lifetime quantiles.
 type Snapshot struct {
 	Time   time.Time
 	Values map[string]float64
+	Hists  map[string]metrics.HistSnapshot
 }
 
 // VirtualUS returns the snapshot time as microseconds since clock.Epoch,
 // matching the t_us convention of the trace JSONL stream.
 func (s Snapshot) VirtualUS() int64 { return s.Time.Sub(clock.Epoch).Microseconds() }
 
-func flatten(ms []Metric, out map[string]float64) {
+func (s *Snapshot) flatten(ms []Metric) {
+	s.Values = make(map[string]float64)
 	for _, m := range ms {
 		switch m.Kind {
 		case KindCounter, KindGauge:
-			out[m.ID()] = m.Value
+			s.Values[m.ID()] = m.Value
 		case KindHistogram:
 			ls := labelString(m.Labels)
-			out[m.Name+"_count"+ls] = float64(m.Count)
-			out[m.Name+"_sum"+ls] = m.Sum
-			out[m.Name+labelString(append(append([]Label(nil), m.Labels...), L("quantile", "0.5")))] = m.Q50
-			out[m.Name+labelString(append(append([]Label(nil), m.Labels...), L("quantile", "0.95")))] = m.Q95
-			out[m.Name+labelString(append(append([]Label(nil), m.Labels...), L("quantile", "0.99")))] = m.Q99
+			s.Values[m.Name+"_count"+ls] = float64(m.Hist.Count)
+			s.Values[m.Name+"_sum"+ls] = m.Hist.Sum.Seconds()
+			for _, sq := range summaryQuantiles {
+				ql := labelString(append(append([]Label(nil), m.Labels...), L("quantile", sq.label)))
+				s.Values[m.Name+ql] = m.Hist.Quantile(sq.q).Seconds()
+			}
+			if m.Hist.Count > 0 {
+				if s.Hists == nil {
+					s.Hists = make(map[string]metrics.HistSnapshot)
+				}
+				s.Hists[m.ID()] = m.Hist
+			}
 		}
 	}
 }
@@ -116,8 +130,8 @@ func (s *Scraper) ScrapeNow() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
-	snap := Snapshot{Time: s.clk.Now(), Values: make(map[string]float64)}
-	flatten(s.reg.Gather(), snap.Values)
+	snap := Snapshot{Time: s.clk.Now()}
+	snap.flatten(s.reg.Gather())
 	s.mu.Lock()
 	s.snaps = append(s.snaps, snap)
 	fns := append([]func(Snapshot){}, s.onSnap...)

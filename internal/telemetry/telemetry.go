@@ -169,9 +169,9 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram records durations. It wraps metrics.Histogram (log-bucketed,
-// internally locked) and exposes it through the registry as a
-// Prometheus-style summary (quantiles + _sum + _count).
+// Histogram records durations. It is the registry's named, nil-safe
+// handle on a metrics.Histogram (log-bucketed, internally locked), exposed
+// as a Prometheus-style summary (quantiles + _sum + _count).
 type Histogram struct {
 	name   string
 	labels []Label
@@ -186,20 +186,13 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.h.Observe(d)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
+// Snapshot returns the observations so far as one consistent value (empty
+// on a nil handle).
+func (h *Histogram) Snapshot() metrics.HistSnapshot {
 	if h == nil {
-		return 0
+		return metrics.HistSnapshot{}
 	}
-	return h.h.Count()
-}
-
-// Quantile returns the q-quantile of observed durations.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.h.Quantile(q)
+	return h.h.Snapshot()
 }
 
 // Metric is one gathered instrument reading.
@@ -211,11 +204,18 @@ type Metric struct {
 	// Counter / gauge reading.
 	Value float64
 
-	// Histogram summary (seconds).
-	Count         uint64
-	Sum           float64
-	Q50, Q95, Q99 float64
+	// Hist is a histogram's one-lock snapshot. The _count, _sum and
+	// quantile series of both expositions and of a scrape all derive from
+	// it, so they describe the same instant.
+	Hist metrics.HistSnapshot
 }
+
+// summaryQuantiles are the quantile series a histogram exposes, in
+// exposition order.
+var summaryQuantiles = []struct {
+	label string
+	q     float64
+}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}}
 
 // ID returns the exposition identity name{labels}.
 func (m Metric) ID() string { return m.Name + labelString(m.Labels) }
@@ -344,13 +344,7 @@ func (r *Registry) Gather() []Metric {
 		case *Gauge:
 			out = append(out, Metric{Name: i.name, Labels: i.labels, Kind: KindGauge, Value: i.Value()})
 		case *Histogram:
-			m := Metric{Name: i.name, Labels: i.labels, Kind: KindHistogram}
-			m.Count = i.h.Count()
-			m.Sum = i.h.Mean().Seconds() * float64(m.Count)
-			m.Q50 = i.h.Quantile(0.50).Seconds()
-			m.Q95 = i.h.Quantile(0.95).Seconds()
-			m.Q99 = i.h.Quantile(0.99).Seconds()
-			out = append(out, m)
+			out = append(out, Metric{Name: i.name, Labels: i.labels, Kind: KindHistogram, Hist: i.h.Snapshot()})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

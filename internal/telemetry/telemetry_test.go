@@ -41,11 +41,37 @@ func TestHistogramBasics(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	snap := h.Snapshot()
+	if snap.Count != 100 {
+		t.Fatalf("count = %d", snap.Count)
 	}
-	if q := h.Quantile(0.5); q <= 0 {
+	if q := snap.Quantile(0.5); q <= 0 {
 		t.Fatalf("q50 = %v", q)
+	}
+}
+
+// TestHistogramSumExact pins the exported _sum to the exact sum of the
+// observations: it used to be rebuilt as mean × count with the mean
+// truncated to whole nanoseconds, which turned 1+1+2 ns into 3 ns.
+func TestHistogramSumExact(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lambdafs_test_latency_seconds")
+	for _, d := range []time.Duration{1, 1, 2} {
+		h.Observe(d)
+	}
+	snap := NewScraper(clock.NewManual(), r, 0).ScrapeNow()
+	if got := snap.Values["lambdafs_test_latency_seconds_sum"]; got != 4e-9 {
+		t.Fatalf("_sum = %g, want 4e-09", got)
+	}
+	if got := snap.Values["lambdafs_test_latency_seconds_count"]; got != 3 {
+		t.Fatalf("_count = %g, want 3", got)
+	}
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "lambdafs_test_latency_seconds_sum 4e-09\n") {
+		t.Fatalf("Prometheus exposition lacks the exact sum:\n%s", sb.String())
 	}
 }
 
@@ -95,8 +121,9 @@ func TestNilSafety(t *testing.T) {
 	_ = gf.Value()
 	h := r.Histogram("c")
 	h.Observe(time.Second)
-	_ = h.Count()
-	_ = h.Quantile(0.5)
+	if h.Snapshot().Count != 0 {
+		t.Fatal("nil histogram must snapshot empty")
+	}
 	if r.Gather() != nil {
 		t.Fatal("nil registry must gather nil")
 	}
@@ -171,7 +198,9 @@ func TestScraperOnSimClock(t *testing.T) {
 }
 
 // TestConcurrentScrapeAndUpdate is the -race stress test from the issue:
-// hot-path updates race against Gather/exposition/scrapes.
+// hot-path updates race against Gather/exposition/scrapes. Every
+// gathered histogram must be one consistent instant: its buckets add up
+// to its count, and the scrape's flattened _count says the same.
 func TestConcurrentScrapeAndUpdate(t *testing.T) {
 	clk := clock.NewScaled(0)
 	r := NewRegistry()
@@ -209,7 +238,20 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 		if err := WriteJSON(&sb, r); err != nil {
 			t.Fatal(err)
 		}
-		sc.ScrapeNow()
+		for _, m := range r.Gather() {
+			var inBuckets uint64
+			for _, b := range m.Hist.Buckets {
+				inBuckets += b.Count
+			}
+			if inBuckets != m.Hist.Count {
+				t.Fatalf("%s gathered torn: buckets hold %d samples, count says %d", m.ID(), inBuckets, m.Hist.Count)
+			}
+		}
+		snap := sc.ScrapeNow()
+		hs := snap.Hists["stress_latency_seconds"]
+		if got := snap.Values["stress_latency_seconds_count"]; got != float64(hs.Count) {
+			t.Fatalf("scrape torn: _count %g beside a snapshot of %d samples", got, hs.Count)
+		}
 	}
 	sc.Stop()
 	close(stop)
@@ -240,25 +282,26 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	for _, d := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
 		h.Observe(d)
 	}
-	q0, q1 := h.Quantile(0), h.Quantile(1)
+	hs := h.Snapshot()
+	q0, q1 := hs.Quantile(0), hs.Quantile(1)
 	if q0 <= 0 || q0 > 2*time.Millisecond {
 		t.Errorf("Quantile(0) = %v, want ~1ms (smallest observation's bucket)", q0)
 	}
 	if q1 < 100*time.Millisecond || q1 > 110*time.Millisecond {
 		t.Errorf("Quantile(1) = %v, want ~100ms (largest observation's bucket)", q1)
 	}
-	if q0 > h.Quantile(0.5) || h.Quantile(0.5) > q1 {
-		t.Errorf("quantiles not monotonic: q0=%v q50=%v q1=%v", q0, h.Quantile(0.5), q1)
+	if q0 > hs.Quantile(0.5) || hs.Quantile(0.5) > q1 {
+		t.Errorf("quantiles not monotonic: q0=%v q50=%v q1=%v", q0, hs.Quantile(0.5), q1)
 	}
 
 	empty := reg.Histogram("empty_seconds")
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := empty.Quantile(q); got != 0 {
+		if got := empty.Snapshot().Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	if empty.Count() != 0 {
-		t.Errorf("empty Count = %d", empty.Count())
+	if n := empty.Snapshot().Count; n != 0 {
+		t.Errorf("empty Count = %d", n)
 	}
 
 	// The whole exposition path must survive an observation-free summary.
@@ -268,7 +311,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 			continue
 		}
 		found = true
-		if m.Count != 0 || m.Sum != 0 || m.Q50 != 0 || m.Q99 != 0 {
+		if m.Hist.Count != 0 || m.Hist.Sum != 0 || m.Hist.Quantile(0.5) != 0 || m.Hist.Quantile(0.99) != 0 {
 			t.Errorf("empty summary gathered as %+v, want all zeros", m)
 		}
 	}

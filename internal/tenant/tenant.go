@@ -126,13 +126,6 @@ func (r *Registry) Lookup(name string) *Tenant {
 	return r.tenants[name]
 }
 
-// Tenants returns the registered tenants in registration order.
-func (r *Registry) Tenants() []*Tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*Tenant(nil), r.order...)
-}
-
 // Admit gates one operation for the named tenant: the in-flight cap is
 // checked first, then the token bucket. On success the caller MUST pair
 // it with Done. Unregistered tenants (and the empty name) are admitted
