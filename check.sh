@@ -58,7 +58,7 @@ go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertCoverageCatchesMutedA
 echo "== scale smoke (event-heap determinism, FIFO stability, 100k-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
-echo "== hotpath perf baseline (quick mode; gates throughput, allocs/op, lock-wait/op) =="
+echo "== hotpath perf baseline (quick mode; gates throughput, allocs/op, lock-wait/op, exact store reads/op and resolve hops/op) =="
 go run ./cmd/lambdafs-bench -check BENCH_hotpath.json
 
 echo "== restart durability baseline (quick mode; gates digest-exact recovery, replayed records, recovery time) =="

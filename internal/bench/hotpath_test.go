@@ -32,9 +32,10 @@ func cloneBaseline(t *testing.T, b *HotpathBaseline) *HotpathBaseline {
 }
 
 // TestHotpathBaselineGate measures a tiny baseline once and then drives
-// CheckHotpathBaseline three ways: an honest baseline must pass, a
+// CheckHotpathBaseline four ways: an honest baseline must pass, a
 // deliberately-deflated allocs_per_op fixture must fail mentioning
-// allocs, and a v2 file must be rejected with the regenerate command.
+// allocs, deflated reads/op and hops/op fixtures must fail naming the
+// count, and a v2 file must be rejected with the regenerate command.
 func TestHotpathBaselineGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-measures the hotpath experiment")
@@ -70,6 +71,22 @@ func TestHotpathBaselineGate(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "allocs/op") {
 			t.Fatalf("gate failure does not mention allocs/op: %v", err)
+		}
+	})
+
+	t.Run("deflated store-count fixtures fail", func(t *testing.T) {
+		// The counts are exact, so a committed baseline claiming one round
+		// trip fewer makes the honest measurement a regression.
+		for field, deflate := range map[string]func(*HotpathScenario){
+			"ndb reads/op":    func(sc *HotpathScenario) { sc.NDBReadsPerOp-- },
+			"resolve hops/op": func(sc *HotpathScenario) { sc.ResolveHopsPerOp-- },
+		} {
+			regressed := cloneBaseline(t, cur)
+			deflate(regressed.Scenarios["write_storm"])
+			err := CheckHotpathBaseline(tempBaselineFile(t, regressed), Options{Out: io.Discard})
+			if err == nil || !strings.Contains(err.Error(), "write_storm: "+field) {
+				t.Fatalf("deflated %s baseline: gate said %v", field, err)
+			}
 		}
 	})
 

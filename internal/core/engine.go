@@ -21,10 +21,14 @@
 // partitions, batch invalidation rounds) runs under clock.Go on the
 // simulation clock, and all blocking waits are wrapped in clock.Idle.
 // Every hot operation has one shape: path resolution is a single batched
-// per-shard multi-get, a write's invalidations go out in one concurrent
-// INV/ACK round, and subtree quiesce reads are batched per partition.
-// Lock-order discipline is global: path ancestors in path order, then
-// the child-key slot, then the inode row.
+// per-shard multi-get, a write's whole lock phase is one store.Tx.LockPaths
+// call (every row it will decide on — parents, targets, free names —
+// resolved and locked under one multi-get, nothing read afterwards), its
+// invalidations go out in one concurrent INV/ACK round, and subtree
+// quiesce reads are batched per partition. Lock-order discipline is
+// global and lives in LockPaths: target paths sorted, each walked from the
+// root down — ancestors, then the child-key slot, then the inode row.
+// Writes take no row lock before that call, so they inherit the order.
 package core
 
 import (

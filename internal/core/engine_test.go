@@ -389,12 +389,24 @@ func TestConcurrentCreateSameFileOneWins(t *testing.T) {
 func TestSubtreeIsolationBlocksInnerOps(t *testing.T) {
 	a, b, _ := twoEngines(t, 1)
 	mustOK(t, a, namespace.OpMkdirs, "/iso/deep", "")
+	mustOK(t, a, namespace.OpMkdirs, "/quiet", "")
+	mustOK(t, a, namespace.OpCreate, "/quiet/file", "")
 	root, err := a.subtreeLock(nil, "/iso", namespace.OpDelete)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantErr(t, b, namespace.OpCreate, "/iso/deep/f", "", namespace.ErrSubtreeBusy)
 	wantErr(t, b, namespace.OpMv, "/iso/deep", "/elsewhere", namespace.ErrSubtreeBusy)
+	// What the path names is decided first, as the pre-transaction peek
+	// used to: a missing target is ErrNotFound whatever is above it (the
+	// model tests pin the same for a non-directory parent); a target that
+	// exists meets isolation — a file in the transaction that locked it, a
+	// directory in the subtree protocol it is rerouted to.
+	wantErr(t, b, namespace.OpDelete, "/iso/deep/missing", "", namespace.ErrNotFound)
+	wantErr(t, b, namespace.OpMv, "/iso/deep/missing", "/elsewhere", namespace.ErrNotFound)
+	wantErr(t, b, namespace.OpMv, "/quiet/missing", "/iso/deep/f", namespace.ErrNotFound)
+	wantErr(t, b, namespace.OpDelete, "/iso/deep", "", namespace.ErrSubtreeBusy)
+	wantErr(t, b, namespace.OpMv, "/quiet/file", "/iso/deep/f", namespace.ErrSubtreeBusy)
 	// Overlapping subtree op rejected too.
 	if _, err := b.subtreeLock(nil, "/iso", namespace.OpMv); !errors.Is(err, namespace.ErrSubtreeBusy) {
 		t.Fatalf("overlapping subtree lock: %v", err)

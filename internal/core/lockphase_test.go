@@ -1,0 +1,243 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"lambdafs/internal/clock"
+	"lambdafs/internal/coordinator"
+	"lambdafs/internal/namespace"
+	"lambdafs/internal/ndb"
+	"lambdafs/internal/partition"
+)
+
+// TestWriteLockPhaseIsOneStoreRead pins the store round trips of every
+// write's lock phase: one LockPaths call, so one ndb read, whatever the
+// operation locks — and one more for mkdirs' lock-free peek.
+func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
+	e, st := soloEngine()
+	mustOK(t, e, namespace.OpMkdirs, "/p/q", "")
+	mustOK(t, e, namespace.OpMkdirs, "/r", "")
+	mustOK(t, e, namespace.OpCreate, "/r/warm", "") // loads the DataNode view (a KV scan) once
+	for _, c := range []struct {
+		name       string
+		op         namespace.OpType
+		path, dest string
+		reads      uint64
+	}{
+		{"create", namespace.OpCreate, "/p/q/f", "", 1},
+		{"mv same parent", namespace.OpMv, "/p/q/f", "/p/q/g", 1},
+		{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1},
+		{"delete", namespace.OpDelete, "/r/h", "", 1},
+		{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2},
+	} {
+		before := st.Stats()
+		mustOK(t, e, c.op, c.path, c.dest)
+		after := st.Stats()
+		if got := after.Reads - before.Reads; got != c.reads {
+			t.Errorf("%s: %d store reads, want %d", c.name, got, c.reads)
+		}
+		if got := after.ResolveHops - before.ResolveHops; got != c.reads {
+			t.Errorf("%s: %d resolve hops, want %d", c.name, got, c.reads)
+		}
+	}
+	if st.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", st.HeldLocks())
+	}
+}
+
+// TestDirectoryDispatchUnderLock: del and mv learn what the path names
+// from the rows they locked and reroute a directory through the subtree
+// protocol — also when a file was replaced by a directory after the
+// operation chose its rows (it used to answer ErrInvalidState).
+func TestDirectoryDispatchUnderLock(t *testing.T) {
+	t.Run("plain directory", func(t *testing.T) {
+		e, st := soloEngine()
+		mustOK(t, e, namespace.OpMkdirs, "/d/sub", "")
+		mustOK(t, e, namespace.OpCreate, "/d/sub/f", "")
+		mustOK(t, e, namespace.OpMv, "/d", "/e")
+		mustOK(t, e, namespace.OpStat, "/e/sub/f", "")
+		mustOK(t, e, namespace.OpDelete, "/e", "")
+		if st.INodeCount() != 1 {
+			t.Fatalf("inodes left: %d", st.INodeCount())
+		}
+	})
+	for _, op := range []namespace.OpType{namespace.OpDelete, namespace.OpMv} {
+		op := op
+		t.Run(fmt.Sprintf("file replaced by directory during %v", op), func(t *testing.T) {
+			e, st := soloEngine()
+			mustOK(t, e, namespace.OpMkdirs, "/d", "")
+			mustOK(t, e, namespace.OpMkdirs, "/e", "")
+			mustOK(t, e, namespace.OpCreate, "/d/x", "")
+			mustOK(t, e, namespace.OpStat, "/d/x", "") // cached as a file: no cache entry may decide the route
+
+			// The blocker owns /d/x's whole row set, so the operation picks
+			// its rows (x is a file) and then parks behind /d.
+			blocker := st.Begin("blocker")
+			locked, err := blocker.LockPaths("/d/x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := st.HeldLocks()
+			done := make(chan *namespace.Response, 1)
+			go func() { done <- e.Execute(namespace.Request{Op: op, Path: "/d/x", Dest: "/e/moved"}) }()
+			// Its first lock (the root, shared) is taken after the peek.
+			for deadline := time.Now().Add(5 * time.Second); st.HeldLocks() == held; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("operation never reached its lock phase")
+				}
+			}
+			dir := &namespace.INode{ID: st.NextID(), ParentID: locked[0].Target.ParentID, Name: "x", IsDir: true}
+			if err := blocker.DeleteINode(locked[0].Target.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := blocker.PutINode(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := blocker.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			if resp := <-done; !resp.OK() {
+				t.Fatalf("%v of a file replaced by a directory: %s", op, resp.Err)
+			}
+			wantErr(t, e, namespace.OpStat, "/d/x", "", namespace.ErrNotFound)
+			if op == namespace.OpMv {
+				if resp := mustOK(t, e, namespace.OpStat, "/e/moved", ""); resp.ID != dir.ID || !resp.Stat.IsDir {
+					t.Fatalf("moved = %+v, want directory %d", resp.Stat, dir.ID)
+				}
+			}
+			if st.HeldLocks() != 0 {
+				t.Fatalf("locks leaked: %d", st.HeldLocks())
+			}
+		})
+	}
+}
+
+// simOp is one request of a concurrent round and the error it must answer
+// (nil: it must succeed).
+type simOp struct {
+	op         namespace.OpType
+	path, dest string
+	want       error
+}
+
+// runSimRounds builds a two-engine deployment on a fresh clock.Sim, runs
+// setup once, then for each round starts that round's ops on the same
+// virtual tick (alternating engines) and waits for them all. Afterwards no
+// lock wait may have timed out — a timeout is how a lock-order inversion
+// shows — the store must be intact and no lock may be left held.
+func runSimRounds(t *testing.T, rounds int, setup, ops func(r int) []simOp) {
+	t.Helper()
+	clk := clock.NewSim()
+	defer clk.Close()
+	var db *ndb.DB
+	var engines [2]*Engine
+	// The ops run on simulation goroutines, so failures are t.Error, not t.Fatal.
+	exec := func(e *Engine, o simOp) {
+		resp := e.Execute(namespace.Request{Op: o.op, Path: o.path, Dest: o.dest})
+		if !errors.Is(resp.Error(), o.want) {
+			t.Errorf("%v %s %s: err=%v, want %v", o.op, o.path, o.dest, resp.Error(), o.want)
+		}
+	}
+	clock.Run(clk, func() {
+		db = ndb.New(clk, ndb.DefaultConfig())
+		ccfg := coordinator.DefaultConfig()
+		ccfg.OnCrash = func(id string) { CleanupCrashedNameNode(db, id) }
+		zk := coordinator.NewZK(clk, ccfg)
+		ring := partition.NewRing(1, 0)
+		for i := range engines {
+			id := fmt.Sprintf("nn-%d", i)
+			engines[i] = NewEngine(id, 0, clk, db, ring, zk, nil, DefaultEngineConfig())
+			zk.Register(0, id, engines[i].HandleInvalidation)
+		}
+		for r := 0; r < rounds; r++ {
+			for _, o := range setup(r) {
+				exec(engines[0], o)
+			}
+		}
+	})
+	clock.Run(clk, func() {
+		for r := 0; r < rounds; r++ {
+			var wg sync.WaitGroup
+			for i, o := range ops(r) {
+				e, o := engines[i%2], o
+				wg.Add(1)
+				clock.Go(clk, func() {
+					defer wg.Done()
+					exec(e, o)
+				})
+			}
+			clock.Idle(clk, wg.Wait)
+		}
+	})
+	if n := db.Stats().LockTimeouts; n != 0 {
+		t.Fatalf("%d lock-wait timeouts: concurrent writes deadlocked", n)
+	}
+	if bad := db.CheckIntegrity(); len(bad) != 0 {
+		t.Fatalf("store integrity: %v", bad)
+	}
+	if db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", db.HeldLocks())
+	}
+}
+
+// TestCrossingMovesTakeOneLockOrder runs crossing renames between two
+// directories in virtual time: directory moves /a→/b and /b→/a beside
+// file moves both ways, all starting on the same tick. mvSubtree's relink
+// used to lock destination parent then source parent whatever their
+// order, so crossing pairs deadlocked until the lock-wait timeout fired;
+// every rename now locks through one sorted LockPaths call.
+func TestCrossingMovesTakeOneLockOrder(t *testing.T) {
+	name := func(format string, r int) string { return fmt.Sprintf(format, r) }
+	runSimRounds(t, 6, func(r int) []simOp {
+		return []simOp{
+			{op: namespace.OpMkdirs, path: name("/a/x%d/sub", r)},
+			{op: namespace.OpMkdirs, path: name("/b/y%d/sub", r)},
+			{op: namespace.OpCreate, path: name("/a/f%d", r)},
+			{op: namespace.OpCreate, path: name("/b/g%d", r)},
+		}
+	}, func(r int) []simOp {
+		return []simOp{
+			{op: namespace.OpMv, path: name("/a/x%d", r), dest: name("/b/x%d", r)},
+			{op: namespace.OpMv, path: name("/b/y%d", r), dest: name("/a/y%d", r)},
+			{op: namespace.OpMv, path: name("/a/f%d", r), dest: name("/b/f%d", r)},
+			{op: namespace.OpMv, path: name("/b/g%d", r), dest: name("/a/g%d", r)},
+		}
+	})
+}
+
+// TestMovesBetweenDirectoryAndSubdirectory: renames between /a and /a/b,
+// files and directories, both directions, plus a rename onto the source's
+// own parent directory (answered ErrExists, after the same lock phase),
+// beside creates in /a and /a/b on the same tick. Row a is an ancestor on
+// one path of such a rename and the parent on the other; it has to be
+// taken slot first, as a create in /a takes it, whichever path is walked
+// first.
+func TestMovesBetweenDirectoryAndSubdirectory(t *testing.T) {
+	name := func(format string, r int) string { return fmt.Sprintf(format, r) }
+	runSimRounds(t, 6, func(r int) []simOp {
+		return []simOp{
+			{op: namespace.OpMkdirs, path: name("/a/b/d%d/sub", r)},
+			{op: namespace.OpMkdirs, path: name("/a/e%d/sub", r)},
+			{op: namespace.OpCreate, path: name("/a/b/x%d", r)},
+			{op: namespace.OpCreate, path: name("/a/b/z%d", r)},
+			{op: namespace.OpCreate, path: name("/a/y%d", r)},
+		}
+	}, func(r int) []simOp {
+		return []simOp{
+			{op: namespace.OpMv, path: name("/a/b/x%d", r), dest: name("/a/up%d", r)},
+			{op: namespace.OpCreate, path: name("/a/c%d", r)},
+			{op: namespace.OpMv, path: name("/a/y%d", r), dest: name("/a/b/down%d", r)},
+			{op: namespace.OpCreate, path: name("/a/b/c%d", r)},
+			{op: namespace.OpMv, path: name("/a/b/d%d", r), dest: name("/a/dup%d", r)},
+			{op: namespace.OpMv, path: name("/a/e%d", r), dest: name("/a/b/edown%d", r)},
+			{op: namespace.OpMv, path: name("/a/b/z%d", r), dest: "/a/b", want: namespace.ErrExists},
+			{op: namespace.OpCreate, path: name("/a/c%d-2", r)},
+		}
+	})
+}

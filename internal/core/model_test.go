@@ -29,11 +29,18 @@ import (
 // zero-latency store and coordinator (the engine_test twoEngines shape,
 // rebuilt from exported API only).
 func modelCluster(t *testing.T, n int) ([]*core.Engine, *ndb.DB) {
+	return modelClusterLockWait(t, n, 150*time.Millisecond)
+}
+
+// modelClusterLockWait is modelCluster with a chosen (real-time) lock-wait
+// timeout: tests asserting that no wait ever times out set it far above
+// any scheduling hiccup, so only a true deadlock can trip it.
+func modelClusterLockWait(t *testing.T, n int, lockWait time.Duration) ([]*core.Engine, *ndb.DB) {
 	t.Helper()
 	clk := clock.NewScaled(0)
 	ncfg := ndb.DefaultConfig()
 	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = 150 * time.Millisecond
+	ncfg.LockWaitTimeout = lockWait
 	db := ndb.New(clk, ncfg)
 
 	ccfg := coordinator.DefaultConfig()
@@ -242,6 +249,120 @@ func TestEngineMatchesModelConcurrentClients(t *testing.T) {
 					continue
 				}
 				checkAgreement(t, -1, e, models[c], p)
+			}
+		}
+	}
+	if db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", db.HeldLocks())
+	}
+	if bad := db.CheckIntegrity(); len(bad) != 0 {
+		t.Fatalf("store integrity: %v", bad)
+	}
+}
+
+// TestEngineMatchesModelTwoHotDirs is the contended counterpart: every
+// client works in the SAME two directories, so all writes queue on two
+// parent rows, while each client owns the names it touches (prefix c<i>_)
+// and therefore an exact oracle. The mix is the write path's whole lock
+// phase — create, mkdirs, delete and mv of files and directories, within
+// one hot directory and across both (crossing renames in either
+// direction). One global lock order means no lock wait may ever time out.
+func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
+	const (
+		clients = 4
+		steps   = 200
+		seed    = int64(77)
+	)
+	engines, db := modelClusterLockWait(t, 2, 10*time.Second)
+	hot := []string{"/hot0", "/hot1"}
+	for _, h := range hot {
+		if resp := engines[0].Execute(namespace.Request{Op: namespace.OpMkdirs, Path: h}); !resp.OK() {
+			t.Fatalf("mkdirs %s: %s", h, resp.Err)
+		}
+	}
+
+	models := make([]*chaos.Oracle, clients)
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		c := c
+		m := chaos.NewOracle()
+		for _, h := range hot {
+			if err := m.Mkdirs(h); err != nil {
+				t.Fatalf("oracle mkdirs: %v", err)
+			}
+		}
+		models[c] = m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(c)))
+			// Files and directories share one small name pool per client,
+			// so creates land on directories and mkdirs on files too.
+			name := func() string {
+				return fmt.Sprintf("%s/c%d_n%d", hot[rng.Intn(len(hot))], c, rng.Intn(5))
+			}
+			for step := 0; step < steps; step++ {
+				e := engines[rng.Intn(len(engines))]
+				op, path, dest := namespace.OpCreate, name(), ""
+				switch rng.Intn(10) {
+				case 0, 1, 2, 3:
+				case 4:
+					op, path = namespace.OpMkdirs, path+"/s/t"
+				case 5, 6:
+					op = namespace.OpDelete
+				default:
+					op, dest = namespace.OpMv, name()
+				}
+				resp := e.Execute(namespace.Request{
+					Op: op, Path: path, Dest: dest,
+					ClientID: fmt.Sprintf("c%d", c), Seq: uint64(step + 1),
+				})
+				gotErr, modelErr := resp.Error(), m.Apply(op, path, dest)
+				if (modelErr == nil) != (gotErr == nil) ||
+					(modelErr != nil && !errors.Is(gotErr, modelErr)) {
+					errs <- fmt.Errorf("client %d step %d: %v %s %s -> engine %v, model %v",
+						c, step, op, path, dest, gotErr, modelErr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	if n := db.Stats().LockTimeouts; n != 0 {
+		t.Fatalf("%d lock-wait timeouts", n)
+	}
+	// Each client's names agree with its oracle through both engines; the
+	// hot directories themselves list the union of all clients' names.
+	for _, e := range engines {
+		for _, h := range hot {
+			var want []string
+			for c := 0; c < clients; c++ {
+				for _, p := range models[c].Paths() {
+					if namespace.ParentPath(p) == h {
+						want = append(want, namespace.BaseName(p))
+					}
+					if p != "/" && p != hot[0] && p != hot[1] {
+						checkAgreement(t, -1, e, models[c], p)
+					}
+				}
+			}
+			sort.Strings(want)
+			ls := e.Execute(namespace.Request{Op: namespace.OpLs, Path: h})
+			var got []string
+			for _, ent := range ls.Entries {
+				got = append(got, ent.Name)
+			}
+			if !ls.OK() || strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("ls %s = %v (%s), models %v", h, got, ls.Err, want)
 			}
 		}
 	}

@@ -39,13 +39,16 @@ type subtreeWalk struct {
 func (e *Engine) subtreeLock(tc *trace.Ctx, rootPath string, op namespace.OpType) (*namespace.INode, error) {
 	var root *namespace.INode
 	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		parent, err := e.lockParent(tx, rootPath)
+		locked, err := tx.LockPaths(rootPath)
 		if err != nil {
 			return err
 		}
-		r, err := tx.GetChild(parent.ID, namespace.BaseName(rootPath), store.LockExclusive)
-		if err != nil {
+		if _, err := e.lockedParent(locked[0]); err != nil {
 			return err
+		}
+		r := locked[0].Target
+		if r == nil {
+			return namespace.ErrNotFound
 		}
 		if !r.IsDir {
 			return namespace.ErrNotDir
@@ -283,7 +286,11 @@ func (e *Engine) deleteSubtree(tc *trace.Ctx, rootPath string) *namespace.Respon
 	// Finally remove the root itself, the registry entry, and bump the
 	// parent's mtime.
 	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		parent, err := e.lockParent(tx, rootPath)
+		locked, err := tx.LockPaths(rootPath)
+		if err != nil {
+			return err
+		}
+		parent, err := e.lockedParent(locked[0])
 		if err != nil {
 			return err
 		}
@@ -352,24 +359,21 @@ func (e *Engine) mvSubtree(tc *trace.Ctx, src, dest string) *namespace.Response 
 		_, _ = tx.GetINodesBatched(ids, store.LockExclusive)
 		tx.Abort() // releases the quiesce locks
 	})
-	// The actual move: relink the root, clear the subtree lock.
+	// The actual move: relink the root, clear the subtree lock. Both paths
+	// lock in one sorted LockPaths call — the same order a file mv takes,
+	// so crossing directory and file moves cannot deadlock.
 	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		dstParent, err := e.lockParent(tx, dest)
+		locked, err := tx.LockPaths(src, dest)
 		if err != nil {
 			return err
 		}
-		if _, err := tx.GetChild(dstParent.ID, namespace.BaseName(dest), store.LockExclusive); err == nil {
-			return namespace.ErrExists
-		} else if !errors.Is(err, namespace.ErrNotFound) {
-			return err
-		}
-		srcParent, err := e.lockParent(tx, src)
+		srcParent, dstParent, err := e.lockedMvParents(locked)
 		if err != nil {
 			return err
 		}
-		r, err := tx.GetINode(root.ID, store.LockExclusive)
-		if err != nil {
-			return err
+		r := locked[0].Target
+		if r == nil || r.ID != root.ID {
+			return namespace.ErrNotFound
 		}
 		now := e.clk.Now()
 		r.ParentID = dstParent.ID
@@ -379,15 +383,8 @@ func (e *Engine) mvSubtree(tc *trace.Ctx, src, dest string) *namespace.Response 
 		if err := tx.PutINode(r); err != nil {
 			return err
 		}
-		srcParent.Mtime = now
-		if err := tx.PutINode(srcParent); err != nil {
+		if err := touchMvParents(tx, srcParent, dstParent, now); err != nil {
 			return err
-		}
-		if dstParent.ID != srcParent.ID {
-			dstParent.Mtime = now
-			if err := tx.PutINode(dstParent); err != nil {
-				return err
-			}
 		}
 		return tx.KVDelete(store.TableSubtreeOps, fmt.Sprintf("%d", root.ID))
 	})

@@ -2,43 +2,27 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/store"
 	"lambdafs/internal/trace"
 )
 
-// lockParent resolves path's parent chain (ancestors shared-locked) and
-// exclusive-locks the parent directory row itself, returning the parent
-// INode. The parent is locked exclusively without an upgrade (ancestors
-// are resolved only up to the grandparent) so concurrent creators in the
-// same directory serialize cleanly instead of deadlocking on a
-// shared→exclusive upgrade. The chain read and the parent read are one
-// batched store resolution (ResolvePathBatched with an exclusive
-// terminal); the lock order is ancestors in path order, then the parent's
-// directory-entry slot, then its row.
-func (e *Engine) lockParent(tx store.Tx, path string) (*namespace.INode, error) {
-	parentPath := namespace.ParentPath(path)
-	if parentPath == "/" {
-		root, err := tx.GetINode(namespace.RootID, store.LockExclusive)
-		if err != nil {
-			return nil, err
-		}
-		return root, nil
-	}
-	chain, err := tx.ResolvePathBatched(parentPath, store.LockShared, store.LockExclusive)
-	if err != nil {
+// errIsDir aborts a single-INode delete or mv that found a directory under
+// its locks; the operation is redone through the subtree protocol.
+var errIsDir = errors.New("core: target is a directory")
+
+// lockedParent applies subtree isolation to a locked path's chain (an
+// ancestor or the parent under a foreign subtree operation fails the
+// write) and returns the parent directory, exclusive-locked by LockPaths.
+func (e *Engine) lockedParent(lp store.LockedPath) (*namespace.INode, error) {
+	if err := checkSubtreeLocks(lp.Chain, e.id); err != nil {
 		return nil, err
 	}
-	if err := checkSubtreeLocks(chain[:len(chain)-1], e.id); err != nil {
-		return nil, err
-	}
-	parent := chain[len(chain)-1]
+	parent := lp.Chain[len(lp.Chain)-1]
 	if !parent.IsDir {
 		return nil, namespace.ErrNotDir
-	}
-	if parent.SubtreeLockOwner != "" && parent.SubtreeLockOwner != e.id {
-		return nil, namespace.ErrSubtreeBusy
 	}
 	return parent, nil
 }
@@ -51,21 +35,22 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 	}
 	var created *namespace.INode
 	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		parent, err := e.lockParent(tx, path)
+		locked, err := tx.LockPaths(path)
 		if err != nil {
 			return err
 		}
-		name := namespace.BaseName(path)
-		if _, err := tx.GetChild(parent.ID, name, store.LockExclusive); err == nil {
-			return namespace.ErrExists
-		} else if !errors.Is(err, namespace.ErrNotFound) {
+		parent, err := e.lockedParent(locked[0])
+		if err != nil {
 			return err
+		}
+		if locked[0].Target != nil {
+			return namespace.ErrExists
 		}
 		now := e.clk.Now()
 		created = &namespace.INode{
 			ID:       e.st.NextID(),
 			ParentID: parent.ID,
-			Name:     name,
+			Name:     namespace.BaseName(path),
 			Perm:     namespace.PermDefaultFile,
 			Owner:    "hdfs",
 			Group:    "hdfs",
@@ -104,8 +89,8 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 	var dirID namespace.INodeID
 	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
 		// Lock-free peek to find the deepest existing component; the
-		// authoritative re-check happens below under exclusive locks.
-		// Taking shared locks here would deadlock concurrent mkdirs on a
+		// authoritative check happens below under exclusive locks. Taking
+		// shared locks here would deadlock concurrent mkdirs on a
 		// shared→exclusive upgrade.
 		chain, err := e.resolveStore(tc, path)
 		if err == nil {
@@ -119,45 +104,47 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 		if !errors.Is(err, namespace.ErrNotFound) {
 			return err
 		}
-		if cerr := checkSubtreeLocks(chain, e.id); cerr != nil {
-			return cerr
-		}
+		// The peek only says where to start; every check it could make is
+		// made again by the lock phase on the same rows.
 		comps := namespace.SplitPath(path)
-		cur := chain[len(chain)-1]
-		if !cur.IsDir {
-			return namespace.ErrNotDir
+		first := len(chain) - 1 // index of the first missing component
+		curPath := "/"
+		for _, c := range comps[:first] {
+			curPath = namespace.JoinPath(curPath, c)
 		}
 		now := e.clk.Now()
 		var createdPaths []string
-		curPath := "/"
-		for i := 0; i < len(chain)-1; i++ {
+		var cur *namespace.INode
+		for i := first; i < len(comps); i++ {
 			curPath = namespace.JoinPath(curPath, comps[i])
-		}
-		// Exclusive-lock the deepest existing dir directly (ancestors
-		// shared only): serializes sibling mkdirs without upgrades.
-		firstMissing := namespace.JoinPath(curPath, comps[len(chain)-1])
-		cur, err = e.lockParent(tx, firstMissing)
-		if err != nil {
-			return err
-		}
-		for i := len(chain) - 1; i < len(comps); i++ {
-			name := comps[i]
-			// Re-check under the exclusive lock: a concurrent mkdirs may
-			// have created this component while we resolved.
-			if existing, gerr := tx.GetChild(cur.ID, name, store.LockExclusive); gerr == nil {
-				if !existing.IsDir {
-					return namespace.ErrNotDir
+			if len(createdPaths) == 0 {
+				// One round trip: the deepest existing directory exclusive
+				// (ancestors shared only, so sibling mkdirs serialize without
+				// upgrades) plus this component's slot.
+				locked, err := tx.LockPaths(curPath)
+				if err != nil {
+					return err
 				}
-				cur = existing
-				curPath = namespace.JoinPath(curPath, name)
-				continue
-			} else if !errors.Is(gerr, namespace.ErrNotFound) {
-				return gerr
+				if cur, err = e.lockedParent(locked[0]); err != nil {
+					return err
+				}
+				if existing := locked[0].Target; existing != nil {
+					// A concurrent mkdirs created this component since the
+					// peek: step into it and lock one level further down.
+					if !existing.IsDir {
+						return namespace.ErrNotDir
+					}
+					cur = existing
+					continue
+				}
 			}
+			// Absent under the parent's exclusive lock — or inside a
+			// directory this transaction is itself creating, where nothing
+			// else can exist: no store read needed.
 			child := &namespace.INode{
 				ID:       e.st.NextID(),
 				ParentID: cur.ID,
-				Name:     name,
+				Name:     comps[i],
 				IsDir:    true,
 				Perm:     namespace.PermDefaultDir,
 				Owner:    "hdfs",
@@ -173,7 +160,6 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 				return err
 			}
 			cur = child
-			curPath = namespace.JoinPath(curPath, name)
 			createdPaths = append(createdPaths, curPath)
 		}
 		dirID = cur.ID
@@ -190,34 +176,31 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 	return &namespace.Response{ID: dirID}
 }
 
-// del deletes a file or (recursively) a directory. Directories route
-// through the subtree protocol.
+// del deletes a file or (recursively) a directory. What the path names
+// is read under the transaction's own locks and decided before anything
+// above it is checked (the client-visible precedence of the peek this
+// replaced): a missing target is ErrNotFound, a directory aborts the
+// transaction and reroutes through the subtree protocol, which applies
+// isolation itself. mv follows the same order.
 func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 	if path == "/" {
 		return fail(namespace.ErrPermission)
 	}
-	// Peek at the target to decide file vs subtree.
-	chain, _, err := e.resolve(tc, path)
-	if err != nil {
-		return fail(err)
-	}
-	target := chain[len(chain)-1]
-	if target.IsDir {
-		return e.deleteSubtree(tc, path)
-	}
-
-	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		parent, err := e.lockParent(tx, path)
+	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
+		locked, err := tx.LockPaths(path)
 		if err != nil {
 			return err
 		}
-		target, err := tx.GetChild(parent.ID, namespace.BaseName(path), store.LockExclusive)
-		if err != nil {
-			return err
+		target := locked[0].Target
+		if target == nil {
+			return namespace.ErrNotFound
 		}
 		if target.IsDir {
-			// Raced with a concurrent replace-by-dir; redo as subtree.
-			return namespace.ErrInvalidState
+			return errIsDir
+		}
+		parent, err := e.lockedParent(locked[0])
+		if err != nil {
+			return err
 		}
 		if err := tx.DeleteINode(target.ID); err != nil {
 			return err
@@ -228,15 +211,20 @@ func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 		}
 		return e.invalidateAll(tc, e.invTargets(path), path)
 	})
+	if err == errIsDir {
+		return e.deleteSubtree(tc, path)
+	}
 	if err != nil {
 		return fail(err)
 	}
 	return &namespace.Response{}
 }
 
-// mv renames path to dest. Directory moves route through the subtree
-// protocol; file moves run the single-INode coherence protocol across
-// both the source and destination owner deployments.
+// mv renames path to dest. File moves run the single-INode coherence
+// protocol across both the source and destination owner deployments, with
+// both paths' rows locked in one LockPaths call (which also fixes their
+// order against crossing moves); a directory source aborts the
+// transaction and reroutes through the subtree protocol.
 func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 	if src == "/" || dest == "/" {
 		return fail(namespace.ErrPermission)
@@ -244,48 +232,20 @@ func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 	if namespace.HasPathPrefix(dest, src) {
 		return fail(namespace.ErrMvIntoSelf)
 	}
-	chain, _, err := e.resolve(tc, src)
-	if err != nil {
-		return fail(err)
-	}
-	if chain[len(chain)-1].IsDir {
-		return e.mvSubtree(tc, src, dest)
-	}
-
-	err = store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		// Lock parents in path order to avoid mv/mv deadlocks.
-		srcParentPath := namespace.ParentPath(src)
-		dstParentPath := namespace.ParentPath(dest)
-		first, second := src, dest
-		if dstParentPath < srcParentPath {
-			first, second = dest, src
-		}
-		firstParent, err := e.lockParent(tx, first)
+	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
+		locked, err := tx.LockPaths(src, dest)
 		if err != nil {
 			return err
 		}
-		secondParent := firstParent
-		if srcParentPath != dstParentPath {
-			secondParent, err = e.lockParent(tx, second)
-			if err != nil {
-				return err
-			}
-		}
-		srcParent, dstParent := firstParent, secondParent
-		if first != src {
-			srcParent, dstParent = secondParent, firstParent
-		}
-
-		target, err := tx.GetChild(srcParent.ID, namespace.BaseName(src), store.LockExclusive)
-		if err != nil {
-			return err
+		target := locked[0].Target
+		if target == nil {
+			return namespace.ErrNotFound
 		}
 		if target.IsDir {
-			return namespace.ErrInvalidState
+			return errIsDir
 		}
-		if _, err := tx.GetChild(dstParent.ID, namespace.BaseName(dest), store.LockExclusive); err == nil {
-			return namespace.ErrExists
-		} else if !errors.Is(err, namespace.ErrNotFound) {
+		srcParent, dstParent, err := e.lockedMvParents(locked)
+		if err != nil {
 			return err
 		}
 		now := e.clk.Now()
@@ -295,20 +255,46 @@ func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 		if err := tx.PutINode(target); err != nil {
 			return err
 		}
-		srcParent.Mtime = now
-		if err := tx.PutINode(srcParent); err != nil {
+		if err := touchMvParents(tx, srcParent, dstParent, now); err != nil {
 			return err
-		}
-		if dstParent.ID != srcParent.ID {
-			dstParent.Mtime = now
-			if err := tx.PutINode(dstParent); err != nil {
-				return err
-			}
 		}
 		return e.invalidateAll(tc, e.invTargets(src, dest), src, dest)
 	})
+	if err == errIsDir {
+		return e.mvSubtree(tc, src, dest)
+	}
 	if err != nil {
 		return fail(err)
 	}
 	return &namespace.Response{}
+}
+
+// lockedMvParents checks both ends of a rename whose rows LockPaths(src,
+// dest) holds: subtree isolation along both chains, both parents
+// directories, and the destination name free.
+func (e *Engine) lockedMvParents(locked []store.LockedPath) (srcParent, dstParent *namespace.INode, err error) {
+	if srcParent, err = e.lockedParent(locked[0]); err != nil {
+		return nil, nil, err
+	}
+	if dstParent, err = e.lockedParent(locked[1]); err != nil {
+		return nil, nil, err
+	}
+	if locked[1].Target != nil {
+		return nil, nil, namespace.ErrExists
+	}
+	return srcParent, dstParent, nil
+}
+
+// touchMvParents bumps the mtime of a rename's parent directories (one
+// row when the move stays inside a directory).
+func touchMvParents(tx store.Tx, srcParent, dstParent *namespace.INode, now time.Time) error {
+	srcParent.Mtime = now
+	if err := tx.PutINode(srcParent); err != nil {
+		return err
+	}
+	if dstParent.ID == srcParent.ID {
+		return nil
+	}
+	dstParent.Mtime = now
+	return tx.PutINode(dstParent)
 }

@@ -1,6 +1,8 @@
 package ndb
 
 import (
+	"errors"
+	"slices"
 	"time"
 
 	"lambdafs/internal/clock"
@@ -155,13 +157,125 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 	return out, nil
 }
 
-// ResolvePathBatched implements the transactional batched resolution
-// (store.Tx): one per-shard multi-get charge for the whole chain, then
-// the same lock-and-reread walk as ResolvePath — ancestors locked with
-// ancestors, the terminal component's (parent, name) slot and row locked
-// with terminal (GetChild's order, so write paths that collapse
-// resolve+lock-parent into this call keep deadlock parity with serial
-// resolvers).
+// lockPlan is one path of a batched locked resolution. Rows above depth
+// slotFrom (the root is depth 0) are taken with ancestors, resolver-style:
+// the (parent, name) slot is locked only when the row is missing. Rows
+// from slotFrom down are taken with tail, slot first and then the row —
+// GetChild's order, which is what protects the names the caller decides
+// on against phantoms.
+type lockPlan struct {
+	comps     []string
+	ancestors store.LockMode
+	tail      store.LockMode
+	slotFrom  int
+}
+
+func (p *lockPlan) modeAt(depth int) store.LockMode {
+	if depth >= p.slotFrom {
+		return p.tail
+	}
+	return p.ancestors
+}
+
+// samePrefix reports whether a and b agree on their first depth
+// components, i.e. whether their depth-th rows are the same row.
+func samePrefix(a, b []string, depth int) bool {
+	if len(a) < depth || len(b) < depth {
+		return false
+	}
+	for k := 0; k < depth; k++ {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// chargePlans peeks every plan's row IDs under the structure lock
+// (uncharged) and charges ONE multi-get over the union of their keys — a
+// row shared by two paths is fetched once, a missing component probes its
+// (parent, name) slot — counted as one read and one resolution hop. The
+// locked walks that follow revalidate every row.
+func (t *tx) chargePlans(plans []lockPlan) {
+	n := 1
+	for i := range plans {
+		n += len(plans[i].comps)
+	}
+	keys := make([]string, 0, n)
+	keys = append(keys, inodeKey(namespace.RootID))
+	t.db.mu.RLock()
+	for i := range plans {
+		curID := namespace.RootID
+		for d, c := range plans[i].comps {
+			fetched := false
+			for j := 0; j < i && !fetched; j++ {
+				fetched = samePrefix(plans[j].comps, plans[i].comps, d+1)
+			}
+			id, ok := t.db.children[curID][c]
+			if !ok {
+				if !fetched {
+					keys = append(keys, childKey(curID, c))
+				}
+				break
+			}
+			if !fetched {
+				keys = append(keys, inodeKey(id))
+			}
+			curID = id
+		}
+	}
+	t.db.mu.RUnlock()
+	t.db.serviceMultiT(keys, t.tc)
+	t.db.bumpStat(func(s *Stats) {
+		s.Reads++
+		s.BatchedResolves++
+		s.ResolveHops++
+	})
+}
+
+// walkPlan locks and re-reads plans[i]'s chain from the root down,
+// charging nothing (chargePlans paid for the rows). Each row is taken the
+// way the most demanding plan sharing it asks — strongest mode, and slot
+// first if it is any plan's parent or terminal — decided here before the
+// row's first acquisition, so a row two paths share is never upgraded and
+// never takes its slot after the row. A missing component ends the walk
+// with the partial chain and namespace.ErrNotFound.
+func (t *tx) walkPlan(plans []lockPlan, i int) ([]*namespace.INode, error) {
+	p := &plans[i]
+	how := func(depth int) (m store.LockMode, slotFirst bool) {
+		for j := range plans {
+			if q := &plans[j]; samePrefix(p.comps, q.comps, depth) {
+				m = max(m, q.modeAt(depth))
+				slotFirst = slotFirst || depth >= q.slotFrom
+			}
+		}
+		return m, slotFirst
+	}
+	rootMode, _ := how(0)
+	if err := t.lock(inodeKey(namespace.RootID), rootMode); err != nil {
+		return nil, err
+	}
+	cur := t.readINode(namespace.RootID)
+	if cur == nil {
+		return nil, namespace.ErrInvalidState
+	}
+	chain := make([]*namespace.INode, 0, len(p.comps)+1)
+	chain = append(chain, cur)
+	for d, c := range p.comps {
+		mode, slotFirst := how(d + 1)
+		next, err := t.lockChild(cur.ID, c, mode, slotFirst)
+		if err != nil {
+			return chain, err
+		}
+		chain = append(chain, next)
+		cur = next
+	}
+	return chain, nil
+}
+
+// ResolvePathBatched implements store.Tx: one multi-get charge for the
+// whole chain, then the locked walk — ancestors locked with ancestors,
+// the terminal component's (parent, name) slot and row with terminal.
 //
 //vet:hotpath
 func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode) ([]*namespace.INode, error) {
@@ -173,70 +287,66 @@ func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode)
 		return nil, err
 	}
 	comps := namespace.SplitPath(p)
-
-	// Peek the chain's row IDs under the structure lock (uncharged) so the
-	// multi-get knows which shards it touches; the locked walk below
-	// revalidates every row, exactly like ResolvePath's resolveStep.
-	keys := make([]string, 0, len(comps)+1)
-	keys = append(keys, inodeKey(namespace.RootID))
-	t.db.mu.RLock()
-	curID := namespace.RootID
-	for _, c := range comps {
-		id, ok := t.db.children[curID][c]
-		if !ok {
-			keys = append(keys, childKey(curID, c))
-			break
-		}
-		keys = append(keys, inodeKey(id))
-		curID = id
-	}
-	t.db.mu.RUnlock()
-	t.db.serviceMultiT(keys, t.tc)
-	t.db.bumpStat(func(s *Stats) {
-		s.Reads++
-		s.BatchedResolves++
-		s.ResolveHops++
-	})
-
-	rootMode := ancestors
-	if len(comps) == 0 {
-		rootMode = terminal
-	}
-	if err := t.lock(inodeKey(namespace.RootID), rootMode); err != nil {
-		return nil, err
-	}
-	cur := t.readINode(namespace.RootID)
-	if cur == nil {
-		return nil, namespace.ErrInvalidState
-	}
-	chain := make([]*namespace.INode, 0, len(comps)+1)
-	chain = append(chain, cur)
-	for i, c := range comps {
-		var next *namespace.INode
-		var serr error
-		if i == len(comps)-1 {
-			next, serr = t.lockedChild(cur.ID, c, terminal)
-		} else {
-			next, serr = t.resolveStep(cur.ID, c, ancestors)
-		}
-		if serr != nil {
-			return chain, serr
-		}
-		chain = append(chain, next)
-		cur = next
-	}
-	return chain, nil
+	plans := [1]lockPlan{{comps: comps, ancestors: ancestors, tail: terminal, slotFrom: len(comps)}}
+	t.chargePlans(plans[:])
+	return t.walkPlan(plans[:], 0)
 }
 
-// lockedChild is GetChild's locking protocol without the service charge
-// (the batched resolve charged its multi-get upfront): the (parent, name)
-// slot is locked first, then the child row, then the row is re-read —
-// identical acquisition order to GetChild, which is what gives a
-// terminal-exclusive batched resolve the same phantom protection as a
-// trailing GetChild.
-func (t *tx) lockedChild(parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
-	if err := t.lock(childKey(parent, name), mode); err != nil {
-		return nil, err
+// LockPaths implements store.Tx: a write's whole lock phase in one store
+// round trip. One multi-get covers the union of the (canonical) paths'
+// rows; then the paths are walked in component-wise sorted order, each
+// from the root down — ancestors shared, the parent directory and the
+// terminal exclusive, slot before row, a row two paths share taken on the
+// terms of the more demanding one — so every transaction acquires its
+// rows in the same global order: the namespace tree's preorder.
+//
+//vet:hotpath
+func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
+	if t.done {
+		return nil, store.ErrTxDone
+	}
+	plans := make([]lockPlan, len(paths))
+	order := make([]int, len(paths))
+	for i, p := range paths {
+		comps := namespace.SplitPath(p)
+		if len(comps) == 0 || p[0] != '/' {
+			return nil, namespace.ErrInvalidPath // the root has no parent to lock
+		}
+		plans[i] = lockPlan{comps: comps, ancestors: store.LockShared, tail: store.LockExclusive, slotFrom: len(comps) - 1}
+		order[i] = i
+		for k := i; k > 0 && slices.Compare(comps, plans[order[k-1]].comps) < 0; k-- {
+			order[k], order[k-1] = order[k-1], order[k]
+		}
+	}
+	t.chargePlans(plans)
+	out := make([]store.LockedPath, len(paths))
+	for _, i := range order {
+		chain, err := t.walkPlan(plans, i)
+		parents := len(plans[i].comps) // rows root … parent
+		switch {
+		case err == nil:
+			out[i].Chain, out[i].Target = chain[:parents], chain[parents]
+		case errors.Is(err, namespace.ErrNotFound) && len(chain) == parents:
+			out[i].Chain = chain // only the terminal is missing: absent, slot locked
+		default:
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// lockChild finds, locks and re-reads the row named name inside parent,
+// charging nothing (the caller's multi-get or serviceT paid for it). With
+// slotFirst the (parent, name) slot is locked before the lookup — phantom
+// protection for a name the caller decides on; without it the slot is
+// locked only when the row is missing, so the miss serializes against a
+// concurrent create of that name. The row is validated after its lock: it
+// may have moved or vanished while the transaction waited.
+func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMode, slotFirst bool) (*namespace.INode, error) {
+	if slotFirst {
+		if err := t.lock(childKey(parent, name), mode); err != nil {
+			return nil, err
+		}
 	}
 	if n := t.bufferedChild(parent, name); n != nil {
 		if err := t.lock(inodeKey(n.ID), mode); err != nil {
@@ -244,9 +354,19 @@ func (t *tx) lockedChild(parent namespace.INodeID, name string, mode store.LockM
 		}
 		return n.Clone(), nil
 	}
-	t.db.mu.RLock()
-	id, ok := t.db.children[parent][name]
-	t.db.mu.RUnlock()
+	lookup := func() (namespace.INodeID, bool) {
+		t.db.mu.RLock()
+		id, ok := t.db.children[parent][name]
+		t.db.mu.RUnlock()
+		return id, ok
+	}
+	id, ok := lookup()
+	if !ok && !slotFirst {
+		if err := t.lock(childKey(parent, name), mode); err != nil {
+			return nil, err
+		}
+		id, ok = lookup() // a concurrent create may have committed while we waited
+	}
 	if !ok {
 		return nil, namespace.ErrNotFound
 	}

@@ -14,10 +14,11 @@ import (
 // forced release (used when the Coordinator declares a NameNode dead,
 // §3.6).
 //
-// Lock waits time out after a configurable *real-time* interval: a timeout
-// indicates either a deadlock (mv/mv on crossing paths) or a lock held by
-// a crashed peer; the DAL responds by aborting and retrying the
-// transaction, exactly as NDB's lock-wait-timeout behaves.
+// Lock waits time out after a configurable interval (clock.Timeout:
+// virtual on clock.Sim, real-time elsewhere): a timeout indicates either a
+// deadlock or a lock held by a crashed peer; the DAL responds by aborting
+// and retrying the transaction, exactly as NDB's lock-wait-timeout
+// behaves.
 type lockManager struct {
 	clk         clock.Clock
 	mu          sync.Mutex

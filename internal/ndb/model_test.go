@@ -47,7 +47,7 @@ func storeModelCheck(seed int64, crashEvery int) error {
 		tx := db.Begin("sweep")
 		defer tx.Abort()
 		for k, id := range model {
-			n, err := tx.GetChild(k.parent, k.name, store.LockNone)
+			n, err := getChild(tx, k.parent, k.name, store.LockNone)
 			if err != nil || n.ID != id {
 				return fmt.Errorf("slot (%d,%q): got %v err %v, want id %d", k.parent, k.name, n, err, id)
 			}
@@ -210,7 +210,7 @@ func storeModelCheck(seed int64, crashEvery int) error {
 			id := ids[rng.Intn(len(ids))]
 			k, live := rev[id]
 			rtx := db.Begin("check")
-			n, err := rtx.GetChild(k.parent, k.name, store.LockNone)
+			n, err := getChild(rtx, k.parent, k.name, store.LockNone)
 			rtx.Abort()
 			if live {
 				if err != nil || n.ID != id {

@@ -16,12 +16,13 @@
 // charge no service time — only row reads/writes consume shard capacity,
 // serialized through each shard's fixed worker pool on the simulation
 // clock. Serial operations charge one RTT + service per access
-// (serviceT); batched operations (ResolvePathBatched, GetINodesBatched,
-// ListSubtreeBatched) group keys per shard and charge the shards in
-// parallel under a single RTT (serviceMultiT), taking the same locks in
-// the same global order as their serial equivalents. Deadlock avoidance
-// is therefore the callers' lock-order discipline plus the
-// LockWaitTimeout backstop, identical in both shapes.
+// (serviceT); batched operations (ResolvePathBatched, LockPaths,
+// GetINodesBatched, ListSubtreeBatched) group keys per shard and charge
+// the shards in parallel under a single RTT (serviceMultiT), taking the
+// same locks in the same global order as their serial equivalents.
+// Deadlock avoidance is that order — which LockPaths fixes for a write's
+// whole row set (paths sorted, each walked root-down, strongest mode and
+// slot-first per row up front) — plus the LockWaitTimeout backstop.
 package ndb
 
 import (
@@ -56,8 +57,9 @@ type Config struct {
 	// BatchRows is how many rows one read service slot covers (batched
 	// primary-key operations).
 	BatchRows int
-	// LockWaitTimeout is the real-time lock wait timeout (deadlock/crash
-	// detection); it is NOT scaled by the virtual clock.
+	// LockWaitTimeout is the lock wait timeout (deadlock/crash
+	// detection), measured by clock.Timeout: virtual time on clock.Sim,
+	// a real-time timer on any other clock.
 	LockWaitTimeout time.Duration
 
 	// OnShardService, when non-nil, is consulted before every shard

@@ -61,19 +61,25 @@ func TestRootExists(t *testing.T) {
 	}
 }
 
+// getChild reaches GetChild, which is a concrete ndb method: nothing calls
+// it through store.Tx any more (writes lock through LockPaths).
+func getChild(t store.Tx, parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
+	return t.(*tx).GetChild(parent, name, mode)
+}
+
 func TestPutGetChild(t *testing.T) {
 	db := testDB()
 	id := addFile(t, db, namespace.RootID, "a.txt")
 	tx := db.Begin("t")
 	defer tx.Abort()
-	n, err := tx.GetChild(namespace.RootID, "a.txt", store.LockNone)
+	n, err := getChild(tx, namespace.RootID, "a.txt", store.LockNone)
 	if err != nil {
 		t.Fatalf("get child: %v", err)
 	}
 	if n.ID != id || n.Name != "a.txt" {
 		t.Fatalf("wrong child: %v", n)
 	}
-	if _, err := tx.GetChild(namespace.RootID, "missing", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+	if _, err := getChild(tx, namespace.RootID, "missing", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatalf("missing child err = %v", err)
 	}
 }
@@ -88,7 +94,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if n, err := tx.GetINode(id, store.LockNone); err != nil || n.Name != "x" {
 		t.Fatalf("read own write: %v %v", n, err)
 	}
-	if n, err := tx.GetChild(namespace.RootID, "x", store.LockNone); err != nil || n.ID != id {
+	if n, err := getChild(tx, namespace.RootID, "x", store.LockNone); err != nil || n.ID != id {
 		t.Fatalf("read own child: %v %v", n, err)
 	}
 	if err := tx.DeleteINode(id); err != nil {
@@ -101,7 +107,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	// Nothing should have been created.
 	tx2 := db.Begin("t")
 	defer tx2.Abort()
-	if _, err := tx2.GetChild(namespace.RootID, "x", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+	if _, err := getChild(tx2, namespace.RootID, "x", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatalf("phantom row after put+delete commit: %v", err)
 	}
 }
@@ -116,7 +122,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	tx.Abort()
 	tx2 := db.Begin("t")
 	defer tx2.Abort()
-	if _, err := tx2.GetChild(namespace.RootID, "gone", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+	if _, err := getChild(tx2, namespace.RootID, "gone", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatal("aborted write became visible")
 	}
 	if db.HeldLocks() != 0 {
@@ -157,10 +163,10 @@ func TestMoveUpdatesChildIndex(t *testing.T) {
 
 	tx2 := db.Begin("t")
 	defer tx2.Abort()
-	if _, err := tx2.GetChild(dirA, "f", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+	if _, err := getChild(tx2, dirA, "f", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatal("old child entry survived the move")
 	}
-	got, err := tx2.GetChild(dirB, "g", store.LockNone)
+	got, err := getChild(tx2, dirB, "g", store.LockNone)
 	if err != nil || got.ID != id {
 		t.Fatalf("moved child not found: %v %v", got, err)
 	}
@@ -179,7 +185,7 @@ func TestDeleteRemovesRowAndIndex(t *testing.T) {
 	if _, err := tx2.GetINode(id, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatal("deleted inode still readable")
 	}
-	if _, err := tx2.GetChild(namespace.RootID, "dead", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+	if _, err := getChild(tx2, namespace.RootID, "dead", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatal("deleted child index entry survived")
 	}
 }
@@ -407,7 +413,7 @@ func TestConcurrentCreateSameNameSerializes(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			err := store.RunTx(db, fmt.Sprintf("c%d", i), nil, func(tx store.Tx) error {
-				_, err := tx.GetChild(namespace.RootID, "one", store.LockExclusive)
+				_, err := getChild(tx, namespace.RootID, "one", store.LockExclusive)
 				if err == nil {
 					return namespace.ErrExists
 				}
@@ -581,7 +587,7 @@ func TestTxResolvePathMissLocksSlot(t *testing.T) {
 	}
 	// Creator of the same name must serialize against the miss.
 	w := db.Begin("creator")
-	if _, err := w.GetChild(namespace.RootID, "nope", store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
+	if _, err := getChild(w, namespace.RootID, "nope", store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
 		t.Fatalf("creator did not block on missed slot: %v", err)
 	}
 	w.Abort()
@@ -600,4 +606,57 @@ func TestTxResolvePathSeesOwnWrites(t *testing.T) {
 		t.Fatalf("chain = %v, %v", chain, err)
 	}
 	tx.Abort()
+}
+
+// TestLockPathsSharedRowTakesSlotFirst: a row that is an ancestor of one
+// path and the parent of another is taken on the parent's terms — slot,
+// then row — at its first acquisition. /a/b/x sorts before /a/y, so row a
+// is first met as an ancestor; taking it without its slot and the slot
+// later, behind the row, inverts the order of every single-path write
+// into /a and deadlocks against it until the lock-wait timeout.
+func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
+	for _, paths := range [][]string{
+		{"/a/b/x", "/a/y"}, // directory ← subdirectory
+		{"/a/y", "/a/b/x"}, // directory → subdirectory
+		{"/a/b/x", "/a/b"}, // destination is the source's parent directory
+	} {
+		db := testDB()
+		a := addDir(t, db, namespace.RootID, "a")
+		addFile(t, db, addDir(t, db, a, "b"), "x")
+
+		// A creator inside /a, stopped between its slot and its row.
+		creator := db.Begin("creator").(*tx)
+		slot := childKey(namespace.RootID, "a")
+		if err := creator.lock(slot, store.LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			mover := db.Begin("mover")
+			_, err := mover.LockPaths(paths...)
+			mover.Abort()
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			db.locks.mu.Lock()
+			queued := len(db.locks.rows[slot].waiters)
+			db.locks.mu.Unlock()
+			if queued == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%v: mover never queued on the slot", paths)
+			}
+		}
+		if err := creator.lock(inodeKey(a), store.LockExclusive); err != nil {
+			t.Fatalf("%v: mover holds row a while it waits for a's slot: %v", paths, err)
+		}
+		creator.Abort()
+		if err := <-done; err != nil {
+			t.Fatalf("%v: LockPaths: %v", paths, err)
+		}
+		if n := db.Stats().LockTimeouts; n != 0 {
+			t.Fatalf("%v: %d lock-wait timeouts", paths, n)
+		}
+	}
 }

@@ -90,48 +90,18 @@ func (t *tx) bufferedChild(parent namespace.INodeID, name string) *namespace.INo
 	return nil
 }
 
-// GetChild fetches the INode named name inside parent. With a lock mode,
-// both the (parent, name) slot and the child row (if present) are locked,
-// which provides phantom protection for concurrent creates of the same
-// name.
+// GetChild fetches the INode named name inside parent for one serial
+// read charge. With a lock mode, both the (parent, name) slot and the
+// child row (if present) are locked. Not part of store.Tx: writes lock
+// through LockPaths; oracles and tests look rows up by name with it.
 func (t *tx) GetChild(parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
 	if t.done {
 		return nil, store.ErrTxDone
 	}
-	if err := t.lock(childKey(parent, name), mode); err != nil {
-		return nil, err
-	}
 	t.db.serviceT(childKey(parent, name), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
 	t.db.bumpStat(func(s *Stats) { s.Reads++ })
-	if n := t.bufferedChild(parent, name); n != nil {
-		if err := t.lock(inodeKey(n.ID), mode); err != nil {
-			return nil, err
-		}
-		return n.Clone(), nil
-	}
-	t.db.mu.RLock()
-	id, ok := t.db.children[parent][name]
-	var n *namespace.INode
-	if ok {
-		n = t.db.inodes[id]
-	}
-	t.db.mu.RUnlock()
-	if n == nil || t.delINodes[n.ID] {
-		return nil, namespace.ErrNotFound
-	}
-	if err := t.lock(inodeKey(n.ID), mode); err != nil {
-		return nil, err
-	}
-	// Re-read after lock acquisition: the row may have changed while we
-	// waited (standard lock-then-reread).
-	t.db.mu.RLock()
-	n = t.db.inodes[n.ID]
-	t.db.mu.RUnlock()
-	if n == nil || n.ParentID != parent || n.Name != name {
-		return nil, namespace.ErrNotFound
-	}
-	return n.Clone(), nil
+	return t.lockChild(parent, name, mode, true)
 }
 
 // ResolvePath performs a batched, locked resolution of path inside the
@@ -160,59 +130,10 @@ func (t *tx) ResolvePath(path string, mode store.LockMode) ([]*namespace.INode, 
 		s.ResolveHops += hops
 	})
 
-	chain := make([]*namespace.INode, 0, len(comps)+1)
-	if err := t.lock(inodeKey(namespace.RootID), mode); err != nil {
-		return nil, err
-	}
-	cur := t.readINode(namespace.RootID)
-	if cur == nil {
-		return nil, namespace.ErrInvalidState
-	}
-	chain = append(chain, cur)
-	for _, c := range comps {
-		next, err := t.resolveStep(cur.ID, c, mode)
-		if err != nil {
-			return chain, err
-		}
-		chain = append(chain, next)
-		cur = next
-	}
-	return chain, nil
-}
-
-// resolveStep finds and locks one child on the resolution chain without
-// charging additional service time (the batch was charged upfront).
-func (t *tx) resolveStep(parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
-	if n := t.bufferedChild(parent, name); n != nil {
-		if err := t.lock(inodeKey(n.ID), mode); err != nil {
-			return nil, err
-		}
-		return n.Clone(), nil
-	}
-	t.db.mu.RLock()
-	id, ok := t.db.children[parent][name]
-	t.db.mu.RUnlock()
-	if !ok {
-		if err := t.lock(childKey(parent, name), mode); err != nil {
-			return nil, err
-		}
-		// Re-check after the slot lock: a concurrent create may have
-		// committed while we waited.
-		t.db.mu.RLock()
-		id, ok = t.db.children[parent][name]
-		t.db.mu.RUnlock()
-		if !ok {
-			return nil, namespace.ErrNotFound
-		}
-	}
-	if err := t.lock(inodeKey(id), mode); err != nil {
-		return nil, err
-	}
-	n := t.readINode(id)
-	if n == nil || n.ParentID != parent || n.Name != name {
-		return nil, namespace.ErrNotFound
-	}
-	return n, nil
+	// Same locked walk as the batched resolvers, resolver-style all the way
+	// down (no row is taken slot first).
+	plans := [1]lockPlan{{comps: comps, ancestors: mode, tail: mode, slotFrom: len(comps) + 1}}
+	return t.walkPlan(plans[:], 0)
 }
 
 // readINode reads a row through the transaction's write buffer.

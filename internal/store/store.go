@@ -13,9 +13,12 @@
 // A Store must be safe for concurrent use; a Tx belongs to the single
 // goroutine that begins it and must end in exactly one Commit or
 // Abort. Rows a transaction has locked are owned by that transaction
-// until it ends; implementations enforce strict two-phase locking, and
-// callers own the global lock-acquisition order (path ancestors first,
-// then child-key slot, then inode row). Every trace-carrying method
+// until it ends; implementations enforce strict two-phase locking. The
+// global lock-acquisition order is path ancestors first, then child-key
+// slot, then inode row; a write takes its whole row set in that order with
+// one Tx.LockPaths call (several paths: sorted, each walked from the root
+// down), so callers that lock nothing else before it inherit the order
+// instead of maintaining it. Every trace-carrying method
 // takes a *trace.Ctx and must treat nil exactly like an untraced call, so
 // callers pass their context through unconditionally.
 package store
@@ -68,14 +71,23 @@ const (
 	TableLeader     = "leader"      // leader election for serverful baselines
 )
 
+// LockedPath is one target path's rows as locked by Tx.LockPaths.
+type LockedPath struct {
+	// Chain is the path's directory chain from the root down to the
+	// parent: ancestors locked shared, the parent (last) exclusive. The
+	// parent is whatever row holds that name — callers check IsDir.
+	Chain []*namespace.INode
+	// Target is the path's own row, locked exclusively, or nil when no
+	// such row exists; its (parent, name) slot is locked either way.
+	Target *namespace.INode
+}
+
 // Tx is one ACID transaction. All row reads/writes inside a transaction
 // see their own writes; locks acquired with LockShared/LockExclusive are
 // held until Commit or Abort (strict two-phase locking).
 type Tx interface {
 	// GetINode fetches an INode by ID.
 	GetINode(id namespace.INodeID, lock LockMode) (*namespace.INode, error)
-	// GetChild fetches the INode named name inside parent.
-	GetChild(parent namespace.INodeID, name string, lock LockMode) (*namespace.INode, error)
 	// ListChildren returns all direct children of dir (no locks retained).
 	ListChildren(dir namespace.INodeID) ([]*namespace.INode, error)
 	// PutINode inserts or updates an INode (implicitly exclusive).
@@ -85,11 +97,12 @@ type Tx interface {
 
 	// ResolvePath performs a batched (single-round-trip) resolution of
 	// path inside the transaction, acquiring the given lock on every row
-	// in the chain. λFS NameNodes use it with LockShared on cache fills
-	// so that a concurrent writer's exclusive locks serialize against the
-	// fill (Algorithm 1's staleness guard), and with LockExclusive on
-	// write paths. Partial chains are returned with namespace.ErrNotFound
-	// exactly like Store.ResolvePathBatched.
+	// in the chain (serial charging: one RTT plus one read slot per
+	// BatchRows components on a single shard). The engine's directory
+	// listing uses it — LockShared when the listing will be cached, so a
+	// concurrent writer's exclusive locks serialize against the fill,
+	// LockNone otherwise. Partial chains are returned with
+	// namespace.ErrNotFound exactly like Store.ResolvePathBatched.
 	ResolvePath(path string, lock LockMode) ([]*namespace.INode, error)
 
 	// ResolvePathBatched resolves path as one batched per-shard multi-get
@@ -98,13 +111,26 @@ type Tx interface {
 	// round trip plus the max — not the sum — of the per-shard service
 	// times, and the whole chain counts as a single dependent resolution
 	// hop. Ancestor rows are locked with ancestors; the terminal
-	// component's row and its (parent, name) slot are locked with
-	// terminal, giving the same phantom protection as a trailing GetChild
-	// — which lets write paths collapse their resolve-then-lock-parent
-	// sequence into one call. Lock acquisition order matches ResolvePath
-	// exactly (deadlock parity with serial resolvers). Partial chains are
-	// returned with namespace.ErrNotFound.
+	// component's (parent, name) slot and row are locked with terminal.
+	// The read-side cache fill calls it shared/shared (Algorithm 1's
+	// staleness guard); writes lock through LockPaths, which shares its
+	// walk. Partial chains are returned with namespace.ErrNotFound.
 	ResolvePathBatched(path string, ancestors, terminal LockMode) ([]*namespace.INode, error)
+
+	// LockPaths is a write's whole lock phase in one store round trip: it
+	// resolves and locks the row set of the given canonical target paths
+	// (one for create/delete/mkdirs/subtree-lock, two for mv) under a single
+	// batched multi-get over the union of their rows. Per path, ancestors
+	// are locked shared, the parent directory exclusive (slot, then row)
+	// and the terminal's (parent, name) slot plus its row, when present,
+	// exclusive. A row two paths share is taken once, on its most
+	// demanding terms (strongest mode, slot first) — never upgraded — and
+	// rows are acquired in one global order: paths sorted by component,
+	// each walked from the root down. A missing terminal is not an error
+	// (LockedPath.Target is nil and stays absent until the transaction
+	// ends); a missing ancestor or parent fails the call with
+	// namespace.ErrNotFound. The root itself is not a valid target.
+	LockPaths(paths ...string) ([]LockedPath, error)
 
 	// GetINodesBatched fetches the given INodes as one batched per-shard
 	// multi-get, locking each row with lock in the order given (callers

@@ -48,13 +48,11 @@ func (t *fakeTx) GetINode(namespace.INodeID, LockMode) (*namespace.INode, error)
 	}
 	return namespace.NewRoot(), nil
 }
-func (t *fakeTx) GetChild(namespace.INodeID, string, LockMode) (*namespace.INode, error) {
-	return nil, namespace.ErrNotFound
-}
 func (t *fakeTx) ResolvePath(string, LockMode) ([]*namespace.INode, error) { return nil, nil }
 func (t *fakeTx) ResolvePathBatched(string, LockMode, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
+func (t *fakeTx) LockPaths(...string) ([]LockedPath, error) { return nil, nil }
 func (t *fakeTx) GetINodesBatched([]namespace.INodeID, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
