@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo health check: formatting, vet, the in-repo lambdafs-vet analyzer,
 # build, full test suite, the race detector over the concurrency-heavy
-# packages (tracer, metrics, telemetry plane, SLO engine, FaaS platform,
-# RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant), bounded
+# packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
+# platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant),
+# the clock's quiescence smoke on one and two Ps, bounded
 # fixed-seed chaos, crash-restart, alert-coverage, and
 # discrete-event-scale smoke runs, and the perf/durability/scale baseline
 # gates. Run before sending changes.
@@ -42,8 +43,11 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
-go test -race ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
+go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
+
+echo "== clock quiescence smoke (exact sleeps and the queue/worker-pool equivalence on 1 and 2 Ps, repeated) =="
+go test ./internal/clock/ -cpu 1,2 -count=5
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1

@@ -18,16 +18,14 @@
 // atomics readable without it. Capability caches live on each Client
 // under the Client's own mutex — they must, because a *writer's* op
 // revokes capabilities by reaching into every other client's cache
-// (dropCap) from the writer's goroutine. Each modeled MDS owns a worker
-// pool of sim-clock goroutines (spawned with clock.Go at construction,
-// parked in clock.Idle while waiting for tasks) that serialize service
-// time on its vCPUs; capacity is charged only through that pool, never
-// while the System mutex is held. Lock order is therefore System.mu
-// before Client.mu, and MDS service time is outside both.
+// (dropCap) from the writer's goroutine. Each modeled MDS is a clock.Queue
+// over its vCPUs (no goroutines: a request reserves its slot and sleeps
+// through it); capacity is charged only through that queue, never while
+// the System mutex is held. Lock order is therefore System.mu before
+// Client.mu, and MDS service time is outside both.
 package cephfs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,49 +82,6 @@ type inode struct {
 	kids map[string]*inode
 }
 
-// mds is one metadata server: a worker pool bounding its throughput.
-type mds struct {
-	clk   clock.Clock
-	tasks chan task
-}
-
-type task struct {
-	dur  time.Duration
-	done chan struct{}
-}
-
-func newMDS(clk clock.Clock, vcpu float64) *mds {
-	workers := int(math.Ceil(vcpu))
-	adjust := float64(workers) / vcpu
-	m := &mds{clk: clk, tasks: make(chan task, 4096)}
-	for w := 0; w < workers; w++ {
-		clock.Go(clk, func() {
-			for {
-				var t task
-				var ok bool
-				clock.Idle(clk, func() { t, ok = <-m.tasks })
-				if !ok {
-					return
-				}
-				clk.Sleep(time.Duration(float64(t.dur) * adjust))
-				close(t.done)
-			}
-		})
-	}
-	return m
-}
-
-func (m *mds) acquire(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := task{dur: d, done: make(chan struct{})}
-	clock.Idle(m.clk, func() {
-		m.tasks <- t
-		<-t.done
-	})
-}
-
 // System is the modelled CephFS metadata service.
 type System struct {
 	clk clock.Clock
@@ -136,7 +91,7 @@ type System struct {
 	root   *inode
 	nextID atomic.Uint64
 
-	servers []*mds
+	servers []*clock.Queue // one vCPU queue per MDS, bounding its throughput
 	stats   Stats
 }
 
@@ -162,14 +117,14 @@ func New(clk clock.Clock, cfg Config) *System {
 	}
 	s.nextID.Store(uint64(namespace.RootID))
 	for i := 0; i < cfg.MDSServers; i++ {
-		s.servers = append(s.servers, newMDS(clk, cfg.VCPUPerMDS))
+		s.servers = append(s.servers, clock.NewCPUQueue(clk, cfg.VCPUPerMDS))
 	}
 	return s
 }
 
 // mdsFor implements (static) subtree partitioning: the top-level
 // directory selects the authoritative MDS.
-func (s *System) mdsFor(path string) *mds {
+func (s *System) mdsFor(path string) *clock.Queue {
 	comps := namespace.SplitPath(path)
 	var h uint32 = 2166136261
 	if len(comps) > 0 {
@@ -275,7 +230,7 @@ func (c *Client) read(path string, op namespace.OpType) *namespace.Response {
 	s := c.sys
 	s.clk.Sleep(s.cfg.NetOneWay)
 	m := s.mdsFor(path)
-	m.acquire(s.cfg.ReadCPUCost)
+	m.Acquire(s.cfg.ReadCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
@@ -310,7 +265,7 @@ func (c *Client) ls(path string) *namespace.Response {
 	s := c.sys
 	s.clk.Sleep(s.cfg.NetOneWay)
 	m := s.mdsFor(path)
-	m.acquire(s.cfg.ReadCPUCost)
+	m.Acquire(s.cfg.ReadCPUCost)
 	s.stats.MDSOps.Add(1)
 	defer s.clk.Sleep(s.cfg.NetOneWay)
 
@@ -333,9 +288,9 @@ func (c *Client) ls(path string) *namespace.Response {
 	return &namespace.Response{ID: n.id, Entries: entries}
 }
 
-// revokeLocked revokes every capability on n, charging the MDS for each;
-// caller holds s.mu and has the MDS.
-func (s *System) revokeLocked(m *mds, n *inode) time.Duration {
+// revokeLocked revokes every capability on n and returns the MDS CPU the
+// caller owes for it; caller holds s.mu.
+func (s *System) revokeLocked(n *inode) time.Duration {
 	if len(n.caps) == 0 {
 		return 0
 	}
@@ -353,7 +308,7 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 	s := c.sys
 	s.clk.Sleep(s.cfg.NetOneWay)
 	m := s.mdsFor(path)
-	m.acquire(s.cfg.WriteCPUCost)
+	m.Acquire(s.cfg.WriteCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
@@ -386,7 +341,7 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 				kids:  map[string]*inode{},
 			}
 			cur.kids[comp] = next
-			revoke += s.revokeLocked(m, cur) // parent attrs changed
+			revoke += s.revokeLocked(cur) // parent attrs changed
 		} else if last {
 			if dir && next.isDir {
 				id := next.id
@@ -407,7 +362,7 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 	id := cur.id
 	s.mu.Unlock()
 
-	m.acquire(revoke)
+	m.Acquire(revoke)
 	s.clk.Sleep(s.cfg.JournalLatency)
 	s.clk.Sleep(s.cfg.NetOneWay)
 	return &namespace.Response{ID: id}
@@ -418,7 +373,7 @@ func (c *Client) delete(path string) *namespace.Response {
 	s := c.sys
 	s.clk.Sleep(s.cfg.NetOneWay)
 	m := s.mdsFor(path)
-	m.acquire(s.cfg.WriteCPUCost)
+	m.Acquire(s.cfg.WriteCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
@@ -441,11 +396,11 @@ func (c *Client) delete(path string) *namespace.Response {
 		s.clk.Sleep(s.cfg.NetOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 	}
-	revoke := s.revokeLocked(m, target) + s.revokeLocked(m, parent)
+	revoke := s.revokeLocked(target) + s.revokeLocked(parent)
 	delete(parent.kids, name)
 	s.mu.Unlock()
 
-	m.acquire(revoke)
+	m.Acquire(revoke)
 	s.clk.Sleep(s.cfg.JournalLatency)
 	s.clk.Sleep(s.cfg.NetOneWay)
 	return &namespace.Response{}
@@ -459,7 +414,7 @@ func (c *Client) mv(src, dest string) *namespace.Response {
 	s := c.sys
 	s.clk.Sleep(s.cfg.NetOneWay)
 	m := s.mdsFor(src)
-	m.acquire(s.cfg.WriteCPUCost)
+	m.Acquire(s.cfg.WriteCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
@@ -488,13 +443,13 @@ func (c *Client) mv(src, dest string) *namespace.Response {
 		s.clk.Sleep(s.cfg.NetOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrExists)}
 	}
-	revoke := s.revokeLocked(m, target) + s.revokeLocked(m, srcParent) + s.revokeLocked(m, dstParent)
+	revoke := s.revokeLocked(target) + s.revokeLocked(srcParent) + s.revokeLocked(dstParent)
 	delete(srcParent.kids, sc[len(sc)-1])
 	target.name = dc[len(dc)-1]
 	dstParent.kids[target.name] = target
 	s.mu.Unlock()
 
-	m.acquire(revoke)
+	m.Acquire(revoke)
 	s.clk.Sleep(s.cfg.JournalLatency)
 	s.clk.Sleep(s.cfg.NetOneWay)
 	return &namespace.Response{ID: target.id}

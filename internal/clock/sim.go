@@ -21,16 +21,27 @@ import (
 // The contract: every goroutine participating in the simulation is
 // spawned through Go (or registered with Add/Done), and marks itself idle
 // around every blocking operation that waits on *simulation* events —
-// clock.Sleep does this automatically; channel waits are wrapped in Idle.
-// A registered goroutine blocked outside Sleep/Idle stalls virtual time;
-// the watchdog dumps all goroutines after StallTimeout to make such bugs
-// easy to find.
+// Sleep and SleepOr do this automatically; channel waits are wrapped in
+// Idle. A registered goroutine blocked outside Sleep/Idle stalls virtual
+// time; the watchdog dumps all goroutines after StallTimeout to make such
+// bugs easy to find.
 //
-// Quiescence is detected heuristically: the monitor only advances time
-// after the busy count stays zero across several scheduler yields, which
-// gives woken-but-not-yet-reregistered goroutines time to run. The
-// simulation is therefore not bit-deterministic, but virtual durations
-// are exact.
+// Which wakes are exact. A goroutine parked in Sleep or SleepOr gives up
+// its busy token, and the waker (advance, Close) hands the token back
+// *before* it sends the wake, so the busy count never reads zero between
+// a sleeper's wake and its next instruction. That covers every wait for
+// time: latencies, service and queueing on a Queue (capacity is a plain
+// Sleep), periodic loops, CPU charges cut short by a kill. What remains
+// heuristic is a goroutine woken through a channel inside Idle — an rpc
+// reply, a coordinator ACK or semaphore, a row-lock grant, a FaaS
+// admission slot, a WaitGroup: it re-registers only once it runs, so the
+// monitor advances time only after the busy count has stayed zero across
+// several scheduler yields, which gives such goroutines time to run. On
+// one P that is sound (a woken goroutine is runnable and runs within the
+// yields); with more Ps and a loaded host the monitor can still win the
+// race and advance early. The simulation is therefore not
+// bit-deterministic — and same-instant arrivals at a Queue are ordered by
+// its mutex — but virtual durations are exact.
 type Sim struct {
 	nowNS atomic.Int64 // virtual ns since Epoch
 	busy  atomic.Int64
@@ -69,7 +80,11 @@ func goid() int64 {
 type simWaiter struct {
 	deadlineNS int64
 	ch         chan time.Time
-	sleep      bool // Sleep-style waiter (busy bracketing done by sleeper)
+	sleep      bool // Sleep waiter: parked without its busy token, which wake hands back
+	// claim is set on a cancellable sleep (SleepOr): the wake and the
+	// cancellation both swap it to true, and whichever does so first owns
+	// the outcome — so a cancelled sleeper is never handed a token.
+	claim *atomic.Bool
 }
 
 type simHeap []simWaiter
@@ -101,8 +116,21 @@ func (s *Sim) Close() {
 	pending := append(simHeap(nil), s.heapq...)
 	s.heapq = nil
 	s.mu.Unlock()
-	now := s.Now()
-	for _, w := range pending {
+	s.wake(pending, s.Now())
+}
+
+// wake delivers now to every waiter. A Sleep waiter gave up its busy token
+// when it parked; the token is handed back here, before the send, so the
+// monitor never observes the instant between a sleeper's wake and its
+// re-registration as quiescence.
+func (s *Sim) wake(ws []simWaiter, now time.Time) {
+	for _, w := range ws {
+		if w.claim != nil && w.claim.Swap(true) {
+			continue // cancelled: nobody is waiting
+		}
+		if w.sleep {
+			s.busy.Add(1)
+		}
 		w.ch <- now
 	}
 }
@@ -114,17 +142,36 @@ func (s *Sim) Now() time.Time { return Epoch.Add(time.Duration(s.nowNS.Load())) 
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
 // Sleep blocks for exactly d of virtual time.
-func (s *Sim) Sleep(d time.Duration) {
+func (s *Sim) Sleep(d time.Duration) { s.sleepOr(d, nil) }
+
+// sleepOr is Sleep that gives up when cancel is closed (nil: never); it
+// reports whether the sleep ran its course. See SleepOr.
+func (s *Sim) sleepOr(d time.Duration, cancel <-chan struct{}) bool {
 	if d <= 0 || s.closed.Load() {
-		return
+		return true
 	}
-	ch := make(chan time.Time, 1)
+	w := simWaiter{deadlineNS: s.nowNS.Load() + int64(d), ch: make(chan time.Time, 1), sleep: true}
+	if cancel != nil {
+		w.claim = new(atomic.Bool)
+	}
 	s.mu.Lock()
-	heap.Push(&s.heapq, simWaiter{deadlineNS: s.nowNS.Load() + int64(d), ch: ch, sleep: true})
+	heap.Push(&s.heapq, w)
 	s.mu.Unlock()
 	s.busy.Add(-1)
-	<-ch
-	s.busy.Add(1)
+	select {
+	case <-w.ch: // the waker re-added our busy token (see wake)
+		return true
+	case <-cancel:
+		if w.claim.Swap(true) {
+			<-w.ch // the wake got there first; take its token and its word
+			return true
+		}
+		// The abandoned waiter stays in the heap until its deadline and is
+		// skipped there. Re-registering here is the heuristic seam every
+		// channel wake has (see the type comment).
+		s.busy.Add(1)
+		return false
+	}
 }
 
 // After returns a channel receiving the virtual time once d has elapsed.
@@ -251,10 +298,7 @@ func (s *Sim) advance() {
 	s.mu.Unlock()
 	s.advanceEvents.Add(1)
 	s.progress.Store(time.Now().UnixNano())
-	now := s.Now()
-	for _, w := range due {
-		w.ch <- now
-	}
+	s.wake(due, s.Now())
 }
 
 // checkStall panics with a goroutine dump when registered goroutines stay
@@ -294,6 +338,27 @@ func Idle(clk Clock, fn func()) {
 		return
 	}
 	fn()
+}
+
+// SleepOr sleeps d of virtual time on clk unless cancel is closed first,
+// and reports whether the sleep ran its course. It is the one way to wait
+// for "a deadline or a shutdown": on a Sim the deadline wake is as exact
+// as Sleep's, which a select over After inside Idle is not.
+func SleepOr(clk Clock, d time.Duration, cancel <-chan struct{}) bool {
+	select {
+	case <-cancel: // already cancelled: wins over a sleep that would return at once
+		return false
+	default:
+	}
+	if s, ok := clk.(*Sim); ok {
+		return s.sleepOr(d, cancel)
+	}
+	select {
+	case <-clk.After(d):
+		return true
+	case <-cancel:
+		return false
+	}
 }
 
 // Timeout returns a channel that fires after d. On a Sim clock the

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,102 @@ func TestSimCloseWakesSleepers(t *testing.T) {
 	case <-released:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not wake pending sleepers")
+	}
+}
+
+// TestSimWakeHandsSleeperItsBusyToken: the instant a sleeper is woken it
+// must already count as busy — if re-registering were left to the sleeper,
+// the monitor could see busy == 0 between the wake and the sleeper's next
+// instruction and advance past work that is about to happen. Driven by
+// hand (no monitor) so the window is observed deterministically.
+func TestSimWakeHandsSleeperItsBusyToken(t *testing.T) {
+	s := &Sim{stop: make(chan struct{})}
+	s.busy.Store(1) // the sleeper-to-be
+	proceed := make(chan struct{})
+	woke := make(chan struct{})
+	go func() {
+		s.Sleep(time.Millisecond)
+		close(woke)
+		<-proceed
+	}()
+	for s.busy.Load() != 0 {
+		runtime.Gosched() // until the sleeper is parked
+	}
+	s.advance()
+	if b := s.busy.Load(); b != 1 {
+		t.Fatalf("busy = %d right after the wake was sent, want 1", b)
+	}
+	<-woke
+	if b := s.busy.Load(); b != 1 {
+		t.Fatalf("busy = %d after the sleeper resumed, want 1 (token added twice?)", b)
+	}
+	close(proceed)
+	if got := s.Since(Epoch); got != time.Millisecond {
+		t.Fatalf("virtual time = %v, want 1ms", got)
+	}
+}
+
+// TestSleepOr: a cancellable sleep runs its course exactly like Sleep,
+// returns at the cancel instant when cancelled, and leaves the busy count
+// whole either way — the sleeps that follow a cancellation, including the
+// one that passes the abandoned deadline, are still exact.
+func TestSleepOr(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	cancel := make(chan struct{})
+	var full, cut, after time.Duration
+	var fullOK, cutOK bool
+	Run(s, func() {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		Go(s, func() {
+			defer wg.Done()
+			fullOK = SleepOr(s, 3*time.Millisecond, cancel)
+			full = s.Since(Epoch)
+		})
+		Go(s, func() {
+			defer wg.Done()
+			cutOK = SleepOr(s, 50*time.Millisecond, cancel)
+			cut = s.Since(Epoch)
+		})
+		s.Sleep(7 * time.Millisecond)
+		close(cancel)
+		Idle(s, wg.Wait)
+		for i := 0; i < 100; i++ {
+			s.Sleep(time.Millisecond) // crosses the abandoned 50ms deadline
+		}
+		after = s.Since(Epoch)
+	})
+	if !fullOK || full != 3*time.Millisecond {
+		t.Errorf("uncancelled SleepOr = %v at %v, want true at 3ms", fullOK, full)
+	}
+	if cutOK || cut != 7*time.Millisecond {
+		t.Errorf("cancelled SleepOr = %v at %v, want false at the cancel instant 7ms", cutOK, cut)
+	}
+	if after != 107*time.Millisecond {
+		t.Errorf("100 × 1ms after the cancellation ended at %v, want 107ms", after)
+	}
+	for i := 0; s.busy.Load() != 0 && i < 1000; i++ {
+		time.Sleep(time.Millisecond) // Run's goroutine is still unregistering
+	}
+	if b := s.busy.Load(); b != 0 {
+		t.Errorf("busy = %d after the run, want 0", b)
+	}
+	// Cancelled beforehand: no sleep at all, even where sleeps return at once.
+	for _, clk := range []Clock{s, NewScaled(0), NewManual()} {
+		if SleepOr(clk, time.Hour, cancel) {
+			t.Errorf("%T: SleepOr slept through a closed cancel channel", clk)
+		}
+	}
+	m := NewManual()
+	done := make(chan bool)
+	go func() { done <- SleepOr(m, time.Second, nil) }()
+	for m.Waiters() == 0 {
+		runtime.Gosched()
+	}
+	m.Advance(time.Second)
+	if !<-done {
+		t.Error("Manual: SleepOr reported a cancellation nobody made")
 	}
 }
 

@@ -48,7 +48,7 @@ import (
 )
 
 // CPU abstracts the compute capacity an Engine runs on: a faas.Instance
-// for λFS, a serverful NameNode's worker pool for the baselines.
+// for λFS, a serverful NameNode's vCPU queue for the baselines.
 type CPU interface {
 	AcquireCPU(d time.Duration)
 }

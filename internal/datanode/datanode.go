@@ -116,16 +116,7 @@ func (dn *DataNode) Start() {
 				// failed publish only delays discovery.
 				_ = err
 			}
-			stop := false
-			after := dn.clk.After(dn.interval)
-			clock.Idle(dn.clk, func() {
-				select {
-				case <-dn.stop:
-					stop = true
-				case <-after:
-				}
-			})
-			if stop {
+			if !clock.SleepOr(dn.clk, dn.interval, dn.stop) {
 				return
 			}
 		}

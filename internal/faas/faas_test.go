@@ -346,6 +346,48 @@ func TestCPUCapacityLimitsThroughput(t *testing.T) {
 	}
 }
 
+// TestAcquireCPUReturnsAtKillInstant: a caller in service and a caller
+// still waiting for the instance's one vCPU are both released the moment
+// the instance is killed — not when their reserved slots would have ended
+// — and a dead instance charges nothing.
+func TestAcquireCPUReturnsAtKillInstant(t *testing.T) {
+	sim := clock.NewSim()
+	defer sim.Close()
+	p := New(sim, fastCfg())
+	defer p.Close()
+	tr := &appTracker{}
+	var returned [2]time.Duration
+	var late time.Duration
+	clock.Run(sim, func() {
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
+		inst := d.Warm()[0]
+		var wg sync.WaitGroup
+		for i := range returned {
+			wg.Add(1)
+			clock.Go(sim, func() {
+				defer wg.Done()
+				inst.AcquireCPU(10 * time.Millisecond) // slots [0,10ms) and [10ms,20ms)
+				returned[i] = sim.Since(clock.Epoch)
+			})
+		}
+		sim.Sleep(4 * time.Millisecond)
+		if !p.KillOneInstance(0) {
+			t.Error("kill failed")
+		}
+		clock.Idle(sim, wg.Wait)
+		inst.AcquireCPU(time.Second)
+		late = sim.Since(clock.Epoch)
+	})
+	for i, at := range returned {
+		if at != 4*time.Millisecond {
+			t.Errorf("caller %d returned at %v, want the kill instant 4ms", i, at)
+		}
+	}
+	if late != 4*time.Millisecond {
+		t.Errorf("AcquireCPU on the dead instance returned at %v, want 4ms (no charge)", late)
+	}
+}
+
 func TestBillingActiveTime(t *testing.T) {
 	clk := clock.NewScaled(0.01)
 	cfg := fastCfg()

@@ -30,49 +30,16 @@ type Instance struct {
 	createdAt    time.Time
 
 	termCh chan struct{}
-	cpu    chan cpuTask
-}
-
-type cpuTask struct {
-	dur  time.Duration
-	done chan struct{}
+	cpu    *clock.Queue // the instance's vCPUs
 }
 
 func newInstance(d *Deployment, id string) *Instance {
-	inst := &Instance{
+	return &Instance{
 		d:         d,
 		id:        id,
 		createdAt: d.p.clk.Now(),
 		termCh:    make(chan struct{}),
-		cpu:       make(chan cpuTask, 1024),
-	}
-	workers := roundUp(d.opts.VCPU)
-	// Each of the ceil(vCPU) workers stretches service time so aggregate
-	// CPU throughput equals exactly VCPU seconds of work per second.
-	adjust := float64(workers) / d.opts.VCPU
-	for w := 0; w < workers; w++ {
-		clock.Go(d.p.clk, func() { inst.cpuWorker(adjust) })
-	}
-	return inst
-}
-
-func (inst *Instance) cpuWorker(adjust float64) {
-	clk := inst.d.p.clk
-	for {
-		var t cpuTask
-		stop := false
-		clock.Idle(clk, func() {
-			select {
-			case <-inst.termCh:
-				stop = true
-			case t = <-inst.cpu:
-			}
-		})
-		if stop {
-			return
-		}
-		clk.Sleep(time.Duration(float64(t.dur) * adjust))
-		close(t.done)
+		cpu:       clock.NewCPUQueue(d.p.clk, d.opts.VCPU),
 	}
 }
 
@@ -108,24 +75,15 @@ func (inst *Instance) aliveLocked() bool { return !inst.terminated }
 func (inst *Instance) busy() bool { return inst.busyCount > 0 }
 
 // AcquireCPU charges dur of instance CPU time, queueing behind other work
-// on this instance — the per-instance compute capacity model.
+// on this instance — the per-instance compute capacity model. It returns
+// early, at the kill instant, when the instance terminates first.
 func (inst *Instance) AcquireCPU(dur time.Duration) {
 	if dur <= 0 {
 		return
 	}
-	t := cpuTask{dur: dur, done: make(chan struct{})}
 	clk := inst.d.p.clk
-	clock.Idle(clk, func() {
-		select {
-		case inst.cpu <- t:
-		case <-inst.termCh:
-			return
-		}
-		select {
-		case <-t.done:
-		case <-inst.termCh:
-		}
-	})
+	wait, service := inst.cpu.Reserve(clk.Now(), dur)
+	clock.SleepOr(clk, wait+service, inst.termCh)
 }
 
 // beginRequest accounts a request start; reports false when the instance

@@ -6,6 +6,12 @@
 // eviction of idle instances from other deployments (the thrashing regime
 // of Appendix C), fault injection, and pay-per-use billing meters.
 //
+// An instance's compute capacity is its deployment's vCPU count as a
+// clock.Queue (ceil(vCPU) servers stretched by ceil(vCPU)/vCPU): a CPU
+// charge books its slot and sleeps through it, or until the instance is
+// killed. Instances own no goroutines; terminating one releases nothing
+// but its pool share.
+//
 // The platform knows nothing about file system metadata; it hosts Apps.
 // λFS NameNodes, InfiniCache nodes, and λIndexFS functions are all Apps.
 package faas
@@ -13,7 +19,6 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -563,16 +568,7 @@ func (p *Platform) evictIdleLocked(requester *Deployment) bool {
 // reclaimLoop periodically scales idle instances in.
 func (p *Platform) reclaimLoop() {
 	for {
-		stop := false
-		after := p.clk.After(p.cfg.ReclaimInterval)
-		clock.Idle(p.clk, func() {
-			select {
-			case <-p.stopReclaim:
-				stop = true
-			case <-after:
-			}
-		})
-		if stop {
+		if !clock.SleepOr(p.clk, p.cfg.ReclaimInterval, p.stopReclaim) {
 			return
 		}
 		if p.cfg.IdleReclaim <= 0 {
@@ -786,13 +782,4 @@ func (p *Platform) closeInner() {
 			inst.terminate(false)
 		}
 	}
-}
-
-// roundUp returns the smallest integer ≥ v, minimum 1.
-func roundUp(v float64) int {
-	n := int(math.Ceil(v))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

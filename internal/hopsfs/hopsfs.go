@@ -10,7 +10,8 @@
 //
 // Both reuse core.Engine, so the comparison against λFS isolates the
 // architecture (elastic serverless vs fixed serverful) rather than the
-// implementation.
+// implementation. A NameNode's compute capacity is the same clock.Queue
+// over its vCPUs that a function instance has.
 package hopsfs
 
 import (
@@ -60,9 +61,15 @@ func DefaultConfig() Config {
 type NameNode struct {
 	id  string
 	eng *core.Engine
-	cpu *workerCPU
 	sem chan struct{}
 }
+
+// nameNodeCPU is a serverful NameNode's compute capacity as a core.CPU: a
+// fixed vCPU queue like a function instance's, minus the lifecycle —
+// NameNodes never terminate.
+type nameNodeCPU struct{ *clock.Queue }
+
+func (c nameNodeCPU) AcquireCPU(d time.Duration) { c.Acquire(d) }
 
 // Cluster is a running HopsFS (or HopsFS+Cache) deployment.
 type Cluster struct {
@@ -102,9 +109,9 @@ func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator, cfg Con
 			nnRing = ring
 			nnCoord = coord
 		}
-		cpu := newWorkerCPU(clk, cfg.VCPUPerNameNode)
+		cpu := nameNodeCPU{clock.NewCPUQueue(clk, cfg.VCPUPerNameNode)}
 		engine := core.NewEngine(id, dep, clk, st, nnRing, nnCoord, cpu, eng)
-		nn := &NameNode{id: id, eng: engine, cpu: cpu, sem: make(chan struct{}, cfg.RPCHandlers)}
+		nn := &NameNode{id: id, eng: engine, sem: make(chan struct{}, cfg.RPCHandlers)}
 		if nnCoord != nil {
 			nnCoord.Register(dep, id, engine.HandleInvalidation)
 		}

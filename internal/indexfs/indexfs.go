@@ -11,12 +11,13 @@
 // library (internal/rpc) and FaaS platform unchanged.
 //
 // The workload interface is IndexFS's tree-test: Mknod (create a file
-// metadata row) and Getattr (read it back).
+// metadata row) and Getattr (read it back). A vanilla server's compute
+// capacity is a clock.Queue over its vCPUs; a λIndexFS function's is its
+// faas.Instance's.
 package indexfs
 
 import (
 	"encoding/binary"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -79,48 +80,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// server is one IndexFS metadata server.
+// server is one IndexFS metadata server: a LevelDB partition behind a
+// vCPU queue.
 type server struct {
-	clk   clock.Clock
-	db    *lsm.DB
-	tasks chan task
-}
-
-type task struct {
-	dur  time.Duration
-	done chan struct{}
-}
-
-func newServer(clk clock.Clock, vcpu float64, lsmCfg lsm.Config) *server {
-	workers := int(math.Ceil(vcpu))
-	adjust := float64(workers) / vcpu
-	s := &server{clk: clk, db: lsm.New(clk, lsmCfg), tasks: make(chan task, 4096)}
-	for w := 0; w < workers; w++ {
-		clock.Go(clk, func() {
-			for {
-				var t task
-				var ok bool
-				clock.Idle(clk, func() { t, ok = <-s.tasks })
-				if !ok {
-					return
-				}
-				clk.Sleep(time.Duration(float64(t.dur) * adjust))
-				close(t.done)
-			}
-		})
-	}
-	return s
-}
-
-func (s *server) acquire(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := task{dur: d, done: make(chan struct{})}
-	clock.Idle(s.clk, func() {
-		s.tasks <- t
-		<-t.done
-	})
+	db  *lsm.DB
+	cpu *clock.Queue
 }
 
 // Cluster is a running IndexFS deployment.
@@ -140,7 +104,7 @@ func New(clk clock.Clock, cfg Config) *Cluster {
 	}
 	c := &Cluster{clk: clk, cfg: cfg, ring: partition.NewRing(cfg.Servers, 0)}
 	for i := 0; i < cfg.Servers; i++ {
-		c.servers = append(c.servers, newServer(clk, cfg.VCPUPerServer, cfg.LSM))
+		c.servers = append(c.servers, &server{db: lsm.New(clk, cfg.LSM), cpu: clock.NewCPUQueue(clk, cfg.VCPUPerServer)})
 	}
 	return c
 }
@@ -169,7 +133,7 @@ func (cl *Client) Mknod(path string) error {
 	c := cl.c
 	c.clk.Sleep(c.cfg.NetOneWay)
 	s := c.serverFor(p)
-	s.acquire(c.cfg.OpCPUCost)
+	s.cpu.Acquire(c.cfg.OpCPUCost)
 	s.db.Put(p, encodeAttr(Attr{Mode: 0o644, Ctime: c.clk.Now().UnixNano()}))
 	c.mknods.Add(1)
 	c.clk.Sleep(c.cfg.NetOneWay)
@@ -185,7 +149,7 @@ func (cl *Client) Getattr(path string) (Attr, bool, error) {
 	c := cl.c
 	c.clk.Sleep(c.cfg.NetOneWay)
 	s := c.serverFor(p)
-	s.acquire(c.cfg.OpCPUCost)
+	s.cpu.Acquire(c.cfg.OpCPUCost)
 	raw, ok := s.db.Get(p)
 	c.gets.Add(1)
 	c.clk.Sleep(c.cfg.NetOneWay)

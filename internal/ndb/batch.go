@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/store"
 	"lambdafs/internal/trace"
@@ -43,8 +42,11 @@ func (db *DB) serviceMultiT(keys []string, tc *trace.Ctx) {
 		db.clk.Sleep(db.cfg.RTT)
 		sp.End()
 	}
-	done := make(chan struct{}, len(db.shards))
-	launched := 0
+	// Every shard's share is reserved at the same instant; the caller
+	// waits once, until the slowest shard has served. The per-shard spans
+	// are stamped from the reserved windows.
+	now := db.clk.Now()
+	var until time.Duration
 	for idx, rows := range perShard {
 		if rows == 0 {
 			continue
@@ -59,39 +61,17 @@ func (db *DB) serviceMultiT(keys []string, tc *trace.Ctx) {
 		if dur <= 0 {
 			continue
 		}
-		idx, sh := idx, db.shards[idx]
-		launched++
-		clock.Go(db.clk, func() {
-			tk := task{dur: dur, done: make(chan struct{})}
-			if tc == nil {
-				clock.Idle(db.clk, func() {
-					sh.tasks <- tk
-					<-tk.done
-				})
-				done <- struct{}{}
-				return
-			}
-			tk.started = make(chan struct{}, 1)
-			qsp := tc.Start(trace.KindStoreQueue)
-			qsp.SetShard(idx)
-			clock.Idle(db.clk, func() {
-				sh.tasks <- tk
-				<-tk.started
-			})
-			qsp.End()
-			ssp := tc.Start(trace.KindStoreService)
-			ssp.SetShard(idx)
-			ssp.AddAllocs(uint64(rows))
-			clock.Idle(db.clk, func() { <-tk.done })
-			ssp.End()
-			done <- struct{}{}
-		})
+		wait, dur := db.shards[idx].Reserve(now, dur)
+		qsp := tc.Start(trace.KindStoreQueue)
+		qsp.SetShard(idx)
+		qsp.EndAt(now, wait)
+		ssp := tc.Start(trace.KindStoreService)
+		ssp.SetShard(idx)
+		ssp.AddAllocs(uint64(rows))
+		ssp.EndAt(now.Add(wait), dur)
+		until = max(until, wait+dur)
 	}
-	clock.Idle(db.clk, func() {
-		for i := 0; i < launched; i++ {
-			<-done
-		}
-	})
+	db.clk.Sleep(until)
 }
 
 // ResolvePathBatched implements store.Store: the whole chain fetched as

@@ -3,8 +3,10 @@
 // NDB. It provides ACID transactions with strict two-phase row locking,
 // batched single-round-trip path resolution, generic KV tables, and —
 // crucially for the evaluation — an explicit capacity model: every store
-// access costs a network round trip plus service time on one of a fixed
-// pool of data-node workers, so the store saturates and queues exactly
+// access costs a network round trip plus service time on its data node,
+// a FIFO queue in front of WorkersPerNode servers (a clock.Queue: the
+// access books the earliest-free server and sleeps through its wait and
+// its service; no goroutines), so the store saturates and queues exactly
 // like the paper's NDB cluster does (making it the write-path bottleneck
 // for all systems and the read-path bottleneck for cache-less HopsFS).
 //
@@ -14,12 +16,14 @@
 // by whichever transaction holds their lock, and a transaction is owned
 // by a single goroutine (Tx is not safe for concurrent use). Row locks
 // charge no service time — only row reads/writes consume shard capacity,
-// serialized through each shard's fixed worker pool on the simulation
-// clock. Serial operations charge one RTT + service per access
-// (serviceT); batched operations (ResolvePathBatched, LockPaths,
-// GetINodesBatched, ListSubtreeBatched) group keys per shard and charge
-// the shards in parallel under a single RTT (serviceMultiT), taking the
-// same locks in the same global order as their serial equivalents.
+// booked on each shard's queue in arrival order (accesses arriving at the
+// same virtual instant are ordered by the queue's mutex). Serial
+// operations charge one RTT + service per access (serviceT); batched
+// operations (ResolvePathBatched, LockPaths, GetINodesBatched,
+// ListSubtreeBatched) group keys per shard, book every shard at the same
+// instant under a single RTT and wait once for the slowest
+// (serviceMultiT), taking the same locks in the same global order as
+// their serial equivalents.
 // Deadlock avoidance is that order — which LockPaths fixes for a write's
 // whole row set (paths sorted, each walked root-down, strongest mode and
 // slot-first per row up front) — plus the LockWaitTimeout backstop.
@@ -158,7 +162,7 @@ type DB struct {
 	nextID  atomic.Uint64
 	txSeq   atomic.Uint64
 	locks   *lockManager
-	shards  []*shard
+	shards  []*clock.Queue // one service queue of WorkersPerNode servers per data node
 	stats   Stats
 	statsMu sync.Mutex
 	tel     *storeTelemetry
@@ -170,21 +174,6 @@ type DB struct {
 }
 
 var _ store.Store = (*DB)(nil)
-
-// shard is one data node's service queue: a fixed worker pool consuming
-// service-time tasks, which is what gives the store a finite capacity.
-type shard struct {
-	tasks chan task
-}
-
-type task struct {
-	dur  time.Duration
-	done chan struct{}
-	// started, when non-nil (traced requests only), receives a signal the
-	// moment a worker dequeues the task, letting the enqueuer split queue
-	// wait from service time.
-	started chan struct{}
-}
 
 // New creates a store containing only the root directory. A durability
 // tier attached via Config.Durable is formatted (Recover, not New,
@@ -200,8 +189,8 @@ func New(clk clock.Clock, cfg Config) *DB {
 	return db
 }
 
-// newDB builds an empty store shell (no root, no rows): shard worker
-// pools, lock manager, telemetry. New installs the root; Recover loads
+// newDB builds an empty store shell (no root, no rows): shard service
+// queues, lock manager, telemetry. New installs the root; Recover loads
 // checkpoint rows and replays the WAL instead.
 func newDB(clk clock.Clock, cfg Config) *DB {
 	if cfg.Durable != nil {
@@ -228,36 +217,16 @@ func newDB(clk clock.Clock, cfg Config) *DB {
 		dur:      cfg.Durable,
 	}
 	db.nextID.Store(uint64(namespace.RootID))
-	db.shards = make([]*shard, cfg.DataNodes)
+	db.shards = make([]*clock.Queue, cfg.DataNodes)
 	for i := range db.shards {
-		sh := &shard{tasks: make(chan task, 4096)}
-		db.shards[i] = sh
-		for w := 0; w < cfg.WorkersPerNode; w++ {
-			clock.Go(clk, func() { sh.run(clk) })
-		}
+		db.shards[i] = clock.NewQueue(clk, cfg.WorkersPerNode)
 	}
 	if cfg.Metrics != nil {
 		db.tel = newStoreTelemetry(cfg.Metrics)
 		db.locks.waits = cfg.Metrics.Counter("lambdafs_ndb_lock_waits_total")
-		registerShardGauges(cfg.Metrics, db.shards)
+		registerShardGauges(cfg.Metrics, clk, db.shards)
 	}
 	return db
-}
-
-func (sh *shard) run(clk clock.Clock) {
-	for {
-		var t task
-		var ok bool
-		clock.Idle(clk, func() { t, ok = <-sh.tasks })
-		if !ok {
-			return
-		}
-		if t.started != nil {
-			t.started <- struct{}{} // buffered; marks end of queue wait
-		}
-		clk.Sleep(t.dur)
-		close(t.done)
-	}
 }
 
 // service charges dur of service time on the shard owning key and blocks
@@ -273,8 +242,7 @@ func (db *DB) service(key string, dur time.Duration) {
 // index. The caller's resource ledger (dependent store rounds this
 // exchange represents, rows materialized by it) attaches to the round-trip
 // span — the wire exchange is what carries the rows in the serial shape.
-// With a nil context it is exactly service (no extra allocation, no
-// started channel).
+// A nil context records nothing and allocates nothing.
 func (db *DB) serviceT(key string, dur time.Duration, tc *trace.Ctx, res trace.Resources) {
 	if db.cfg.RTT > 0 {
 		sp := tc.Start(trace.KindStoreRTT)
@@ -291,22 +259,10 @@ func (db *DB) serviceT(key string, dur time.Duration, tc *trace.Ctx, res trace.R
 	if dur <= 0 {
 		return
 	}
-	sh := db.shards[idx]
-	t := task{dur: dur, done: make(chan struct{})}
-	if tc == nil {
-		clock.Idle(db.clk, func() {
-			sh.tasks <- t
-			<-t.done
-		})
-		return
-	}
-	t.started = make(chan struct{}, 1)
+	wait, dur := db.shards[idx].Reserve(db.clk.Now(), dur)
 	qsp := tc.Start(trace.KindStoreQueue)
 	qsp.SetShard(idx)
-	clock.Idle(db.clk, func() {
-		sh.tasks <- t
-		<-t.started
-	})
+	db.clk.Sleep(wait)
 	qsp.End()
 	ssp := tc.Start(trace.KindStoreService)
 	ssp.SetShard(idx)
@@ -314,7 +270,7 @@ func (db *DB) serviceT(key string, dur time.Duration, tc *trace.Ctx, res trace.R
 		// No round-trip span to carry the ledger; the service span does.
 		ssp.AddRes(res)
 	}
-	clock.Idle(db.clk, func() { <-t.done })
+	db.clk.Sleep(dur)
 	ssp.End()
 }
 

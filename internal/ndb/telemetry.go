@@ -3,6 +3,7 @@ package ndb
 import (
 	"strconv"
 
+	"lambdafs/internal/clock"
 	"lambdafs/internal/telemetry"
 )
 
@@ -58,13 +59,13 @@ func (t *storeTelemetry) mirror(before, after Stats) {
 }
 
 // registerShardGauges exposes each data-node shard's instantaneous queue
-// depth. Reading len() of the task channel is concurrency-safe and takes
-// no store locks, so the scraper can sample it at any time.
-func registerShardGauges(reg *telemetry.Registry, shards []*shard) {
-	for i := range shards {
-		sh := shards[i]
+// depth: the accesses that have reserved a slot and not yet started
+// service. Reading it takes only the queue's own mutex, no store locks, so
+// the scraper can sample it at any time.
+func registerShardGauges(reg *telemetry.Registry, clk clock.Clock, shards []*clock.Queue) {
+	for i, sh := range shards {
 		reg.GaugeFunc("lambdafs_ndb_queue_depth",
-			func() float64 { return float64(len(sh.tasks)) },
+			func() float64 { return float64(sh.Waiting(clk.Now())) },
 			telemetry.L("shard", strconv.Itoa(i)))
 	}
 }

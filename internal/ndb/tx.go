@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/store"
 	"lambdafs/internal/trace"
@@ -415,50 +414,28 @@ func (t *tx) Commit() error {
 // chargeCommit spreads the write service cost over the shards in
 // parallel, approximating NDB's distributed commit: total work is
 // writes × WriteService, executed by up to DataNodes shards concurrently.
+// A single-row (or single-shard) commit is a round trip and then one
+// service slot; a multi-shard commit reserves every shard's share at once
+// and the round trip overlaps the service, so the caller waits for
+// whichever ends last.
 func (t *tx) chargeCommit(writes int) {
-	shards := len(t.db.shards)
+	db := t.db
+	shards := len(db.shards)
 	if writes <= 1 || shards == 1 {
-		// Fast path: all rows land on one service slot.
-		if t.db.cfg.RTT > 0 {
-			t.db.clk.Sleep(t.db.cfg.RTT)
-		}
-		sh := t.db.shards[0]
-		tk := task{dur: time.Duration(writes) * t.db.cfg.WriteService, done: make(chan struct{})}
-		clock.Idle(t.db.clk, func() {
-			sh.tasks <- tk
-			<-tk.done
-		})
+		db.clk.Sleep(db.cfg.RTT)
+		db.shards[0].Acquire(time.Duration(writes) * db.cfg.WriteService)
 		return
 	}
 	perShard := (writes + shards - 1) / shards
-	done := make(chan struct{}, shards)
-	launched := 0
+	now := db.clk.Now()
+	until := db.cfg.RTT
 	for i := 0; i < shards && writes > 0; i++ {
-		n := perShard
-		if n > writes {
-			n = writes
-		}
+		n := min(perShard, writes)
 		writes -= n
-		dur := time.Duration(n) * t.db.cfg.WriteService
-		sh := t.db.shards[i]
-		launched++
-		clock.Go(t.db.clk, func() {
-			tk := task{dur: dur, done: make(chan struct{})}
-			clock.Idle(t.db.clk, func() {
-				sh.tasks <- tk
-				<-tk.done
-			})
-			done <- struct{}{}
-		})
+		wait, dur := db.shards[i].Reserve(now, time.Duration(n)*db.cfg.WriteService)
+		until = max(until, wait+dur)
 	}
-	if t.db.cfg.RTT > 0 {
-		t.db.clk.Sleep(t.db.cfg.RTT)
-	}
-	clock.Idle(t.db.clk, func() {
-		for i := 0; i < launched; i++ {
-			<-done
-		}
-	})
+	db.clk.Sleep(until)
 }
 
 // logAndApply appends the transaction's WAL record (when a durability

@@ -176,19 +176,10 @@ func (s *Scraper) Start() {
 func (s *Scraper) loop(stop, done chan struct{}) {
 	defer close(done)
 	for {
-		stopped := false
 		s.mu.Lock()
 		interval := s.interval
 		s.mu.Unlock()
-		after := s.clk.After(interval)
-		clock.Idle(s.clk, func() {
-			select {
-			case <-stop:
-				stopped = true
-			case <-after:
-			}
-		})
-		if stopped {
+		if !clock.SleepOr(s.clk, interval, stop) {
 			return
 		}
 		s.ScrapeNow()

@@ -543,14 +543,26 @@ func (a *ActiveSpan) Cancel() {
 	}
 }
 
-// End closes the span and records it on the trace.
+// End closes the span at the current virtual time and records it on the
+// trace.
 func (a *ActiveSpan) End() {
 	if a == nil || a.dropped {
 		return
 	}
+	a.EndAt(a.span.Start, a.ctx.tracer.clk.Now().Sub(a.span.Start))
+}
+
+// EndAt records the span with an explicit window instead of the one the
+// clock observed between Start and now: a leg whose start and duration
+// were computed (a reserved slot in a clock.Queue) rather than lived
+// through.
+func (a *ActiveSpan) EndAt(start time.Time, dur time.Duration) {
+	if a == nil || a.dropped {
+		return
+	}
 	a.dropped = true // double-End protection
+	a.span.Start, a.span.Dur = start, dur
 	tracer := a.ctx.tracer
-	a.span.Dur = tracer.clk.Now().Sub(a.span.Start)
 	t := a.ctx.tr
 	t.mu.Lock()
 	if len(t.spans) >= tracer.cfg.MaxSpansPerTrace {

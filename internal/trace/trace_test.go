@@ -217,6 +217,39 @@ func TestCancelledSpanNotRecorded(t *testing.T) {
 	}
 }
 
+// TestEndAtRecordsComputedWindow: a span for a leg that was computed, not
+// lived through, carries the window it is given — here one that lies
+// wholly in the future of the clock — keeps its tags and ledger, records
+// once, and is a no-op on a nil span.
+func TestEndAtRecordsComputedWindow(t *testing.T) {
+	clk := clock.NewManual()
+	tr := New(clk, Config{})
+	tc := tr.StartTrace("stat", "/x", "c")
+	clk.Advance(time.Millisecond)
+	sp := tc.Start(KindStoreService)
+	sp.SetShard(2)
+	sp.AddAllocs(3)
+	start := clk.Now().Add(5 * time.Millisecond)
+	sp.EndAt(start, 7*time.Millisecond)
+	sp.End() // already recorded
+	var none *ActiveSpan
+	none.EndAt(start, time.Second)
+	clk.Advance(12 * time.Millisecond)
+	tc.Finish("")
+
+	spans := tc.Trace().Spans()
+	if len(spans) != 1 {
+		t.Fatalf("span count = %d, want 1", len(spans))
+	}
+	got := spans[0]
+	if !got.Start.Equal(start) || got.Dur != 7*time.Millisecond || got.Shard != 2 || got.Res.Allocs != 3 {
+		t.Fatalf("span = %+v, want [%v +7ms] shard 2 allocs 3", got, start)
+	}
+	if ks := Aggregate(tr.Traces()).Op("stat").Kind(KindStoreService); ks == nil || ks.Total != 7*time.Millisecond {
+		t.Fatalf("aggregated ndb.service = %+v, want 7ms", ks)
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	clk := clock.NewManual()
 	tr := New(clk, Config{})

@@ -10,7 +10,7 @@ import (
 
 // checkSpans enforces trace-span hygiene: every *trace.ActiveSpan opened
 // with Ctx.Start and every *trace.Ctx opened with Tracer.StartTrace must be
-// closed (End/Cancel, resp. Finish) in the function that opened it —
+// closed (End/EndAt/Cancel, resp. Finish) in the function that opened it —
 // deferred, inside a function literal it hands the span to, or on every
 // return path before control leaves. An unclosed span never records its
 // duration, so the trace it belongs to under-reports exactly the operation
@@ -39,7 +39,7 @@ func checkSpans(l *Loader, pkg *Package, report func(pos token.Pos, check, msg s
 	}
 }
 
-var spanClosers = map[string]bool{"End": true, "Cancel": true, "Finish": true}
+var spanClosers = map[string]bool{"End": true, "EndAt": true, "Cancel": true, "Finish": true}
 
 // spanOpener reports whether call opens a span or trace, returning the
 // result's type name ("ActiveSpan" or "Ctx").
@@ -239,7 +239,7 @@ func checkSpanBody(pkg *Package, body *ast.BlockStmt, report func(pos token.Pos,
 		}
 		if !st.anyClose {
 			report(ev.pos, "spans", fmt.Sprintf(
-				"trace %s opened here is never ended in this function (no End/Cancel/Finish)", ev.name))
+				"trace %s opened here is never ended in this function (no End/EndAt/Cancel/Finish)", ev.name))
 			continue
 		}
 		closed := false
@@ -258,7 +258,7 @@ func checkSpanBody(pkg *Package, body *ast.BlockStmt, report func(pos token.Pos,
 		}
 		if leaked != token.NoPos && closed {
 			report(ev.pos, "spans", fmt.Sprintf(
-				"trace %s opened here can leak: a return path precedes its first End/Cancel/Finish — defer the close or end it before returning", ev.name))
+				"trace %s opened here can leak: a return path precedes its first End/EndAt/Cancel/Finish — defer the close or end it before returning", ev.name))
 		} else if !closed {
 			report(ev.pos, "spans", fmt.Sprintf(
 				"trace %s re-opened here is never ended afterwards", ev.name))

@@ -101,16 +101,7 @@ type FaultInjector struct {
 func (fi *FaultInjector) Run(clk clock.Clock, stop <-chan struct{}) {
 	dep := 0
 	for {
-		halt := false
-		after := clk.After(fi.Interval)
-		clock.Idle(clk, func() {
-			select {
-			case <-stop:
-				halt = true
-			case <-after:
-			}
-		})
-		if halt {
+		if !clock.SleepOr(clk, fi.Interval, stop) {
 			return
 		}
 		select {

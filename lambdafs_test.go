@@ -3,6 +3,7 @@ package lambdafs
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +218,36 @@ func TestCloseIdempotentAndTerminal(t *testing.T) {
 	c.Close()
 	if got := c.Platform().ActiveInstances(); got != 0 {
 		t.Fatalf("instances alive after close: %d", got)
+	}
+}
+
+// TestClustersLeaveNoGoroutinesBehind: nothing in a cluster outlives Close
+// — in particular no capacity worker pool (the store's shards and every
+// function instance's vCPUs are clock.Queue arithmetic, not goroutines).
+func TestClustersLeaveNoGoroutinesBehind(t *testing.T) {
+	settle := func() int {
+		time.Sleep(20 * time.Millisecond) // exiting goroutines finish unwinding
+		return runtime.NumGoroutine()
+	}
+	before := settle()
+	for i := 0; i < 10; i++ {
+		c, err := NewCluster(quickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := c.NewClient("")
+		if err := cl.MkdirAll("/d"); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Create("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Stat("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	if after := settle(); after > before+4 {
+		t.Fatalf("%d goroutines before, %d after ten clusters were built, used and closed", before, after)
 	}
 }
