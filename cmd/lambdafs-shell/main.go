@@ -373,12 +373,9 @@ func driveMixed(cluster *lambdafs.Cluster, scraper *telemetry.Scraper, seconds, 
 	cluster.Run(func() {
 		scraper.ScrapeNow()
 		end := clk.Now().Add(time.Duration(seconds) * time.Second)
-		var wg sync.WaitGroup
+		g := clock.NewGroup(clk)
 		for i := 0; i < clients; i++ {
-			i := i
-			wg.Add(1)
-			clock.Go(clk, func() {
-				defer wg.Done()
+			g.Go(func() {
 				cl := cluster.NewClient(fmt.Sprintf("top-%d", i))
 				dir := fmt.Sprintf("/.top/c%d", i)
 				cl.MkdirAll(dir)
@@ -396,7 +393,7 @@ func driveMixed(cluster *lambdafs.Cluster, scraper *telemetry.Scraper, seconds, 
 			})
 		}
 		scraper.Start()
-		clock.Idle(clk, wg.Wait)
+		g.Wait()
 		scraper.Stop()
 	})
 }

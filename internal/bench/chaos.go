@@ -122,10 +122,19 @@ func runChaosEpisodes(opts Options) *Table {
 }
 
 // runChaosStorm is phase B: the full λFS stack under a seeded fault storm.
-func runChaosStorm(opts Options) *Table {
+// One clock-registered goroutine drives every phase: while an unregistered
+// driver is between two clock.Run calls nothing is busy, and the clock runs
+// ahead through the scraper's and the reclaimer's timers for as long as the
+// host takes to come back — idle instances get reclaimed in one run and not
+// in the next.
+func runChaosStorm(opts Options) (t *Table) {
 	clk := clock.NewSim()
 	defer clk.Close()
+	clock.Run(clk, func() { t = chaosStorm(clk, opts) })
+	return t
+}
 
+func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	inj := chaos.NewInjector()
 	p := defaultLambdaParams()
 	p.seed = opts.Seed
@@ -154,12 +163,9 @@ func runChaosStorm(opts Options) *Table {
 
 	d, f := microTreeShape(opts)
 	dirs, files := workload.GenerateNamespace(d, f)
-	var c *lambdaCluster
-	clock.Run(clk, func() {
-		c = newLambdaCluster(clk, p)
-		workload.PreloadNDB(c.db, dirs, files)
-	})
-	defer func() { clock.Run(clk, c.close) }()
+	c := newLambdaCluster(clk, p)
+	workload.PreloadNDB(c.db, dirs, files)
+	defer c.close()
 
 	scraper := telemetry.NewScraper(clk, reg, time.Second)
 	scraper.OnSnapshot(fr.RecordSnapshot)
@@ -187,10 +193,7 @@ func runChaosStorm(opts Options) *Table {
 	cached := func(i int) workload.FS { return fss[i] }
 
 	// Warm phase: connections and instances up, no faults armed.
-	var warm *workload.Recorder
-	clock.Run(clk, func() {
-		warm = workload.RunClosedLoop(clk, tree, mix, clients, per, opts.Seed, cached)
-	})
+	warm := workload.RunClosedLoop(clk, tree, mix, clients, per, opts.Seed, cached)
 
 	// Storm phase: between workload waves, arm a seeded batch of faults
 	// across every injection layer, plus direct instance kills.
@@ -199,36 +202,27 @@ func runChaosStorm(opts Options) *Table {
 	if opts.Tiny {
 		waves = 2
 	}
-	var storm *workload.Recorder
-	clock.Run(clk, func() {
-		storm = workload.NewRecorder(clk.Now())
-	})
+	storm := workload.NewRecorder(clk.Now())
 	for w := 0; w < waves; w++ {
-		clock.Run(clk, func() {
-			inj.ArmKillInvocation(1 + rng.Intn(2))
-			inj.ArmProvisionFailure(rng.Intn(2))
-			inj.ArmRPCDrop(2 + rng.Intn(3))
-			inj.ArmRPCDelay(time.Duration(1+rng.Intn(4))*time.Millisecond, 2)
-			inj.ArmShardStall(rng.Intn(4), 5*time.Millisecond, 3)
-			c.platform.KillOneInstance(rng.Intn(p.deployments))
-			r := workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+int64(w)+11, cached)
-			storm.Completed.Add(r.Completed.Load())
-			storm.SemanticErrs.Add(r.SemanticErrs.Load())
-			storm.TransportErrs.Add(r.TransportErrs.Load())
-		})
+		inj.ArmKillInvocation(1 + rng.Intn(2))
+		inj.ArmProvisionFailure(rng.Intn(2))
+		inj.ArmRPCDrop(2 + rng.Intn(3))
+		inj.ArmRPCDelay(time.Duration(1+rng.Intn(4))*time.Millisecond, 2)
+		inj.ArmShardStall(rng.Intn(4), 5*time.Millisecond, 3)
+		c.platform.KillOneInstance(rng.Intn(p.deployments))
+		r := workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+int64(w)+11, cached)
+		storm.Completed.Add(r.Completed.Load())
+		storm.SemanticErrs.Add(r.SemanticErrs.Load())
+		storm.TransportErrs.Add(r.TransportErrs.Load())
 	}
 
 	// Drain phase: disarm everything and let the system settle before the
 	// structural audit (invariants are checked at quiescence).
 	inj.Reset()
-	var drain *workload.Recorder
-	clock.Run(clk, func() {
-		drain = workload.RunClosedLoop(clk, tree, mix, clients, 16, opts.Seed+101, cached)
-		clk.Sleep(2 * time.Second)
-	})
+	drain := workload.RunClosedLoop(clk, tree, mix, clients, 16, opts.Seed+101, cached)
+	clk.Sleep(2 * time.Second)
 
-	var violations []string
-	clock.Run(clk, func() { violations = chaos.CheckStore(c.db) })
+	violations := chaos.CheckStore(c.db)
 	fired := inj.Fired()
 	stats := c.platform.Stats()
 	scraper.ScrapeNow()

@@ -93,11 +93,16 @@ func runSLOCoverage(opts Options) *Table {
 	return t
 }
 
-// runSLOLive is phase B: the default rule pack over a live deployment.
-func runSLOLive(opts Options) *Table {
+// runSLOLive is phase B: the default rule pack over a live deployment,
+// every phase driven by one clock-registered goroutine (see runChaosStorm).
+func runSLOLive(opts Options) (t *Table) {
 	clk := clock.NewSim()
 	defer clk.Close()
+	clock.Run(clk, func() { t = sloLive(clk, opts) })
+	return t
+}
 
+func sloLive(clk *clock.Sim, opts Options) *Table {
 	reg := telemetry.NewRegistry()
 	p := defaultLambdaParams()
 	p.seed = opts.Seed
@@ -122,12 +127,9 @@ func runSLOLive(opts Options) *Table {
 
 	d, f := microTreeShape(opts)
 	dirs, files := workload.GenerateNamespace(d, f)
-	var c *lambdaCluster
-	clock.Run(clk, func() {
-		c = newLambdaCluster(clk, p)
-		workload.PreloadNDB(c.db, dirs, files)
-	})
-	defer func() { clock.Run(clk, c.close) }()
+	c := newLambdaCluster(clk, p)
+	workload.PreloadNDB(c.db, dirs, files)
+	defer c.close()
 
 	scraper := telemetry.NewScraper(clk, reg, time.Second)
 	scraper.OnSnapshot(eng.Observe)
@@ -156,19 +158,13 @@ func runSLOLive(opts Options) *Table {
 	cached := func(i int) workload.FS { return fss[i] }
 
 	// Warm phase: a light load settles instances and caches.
-	var warm *workload.Recorder
-	clock.Run(clk, func() {
-		warm = workload.RunClosedLoop(clk, tree, mix, warmClients, per, opts.Seed, cached)
-	})
+	warm := workload.RunClosedLoop(clk, tree, mix, warmClients, per, opts.Seed, cached)
 	// Burst phase: client count jumps — cold starts and queueing spike,
 	// which is what the burn-rate and saturation rules watch.
-	var burst *workload.Recorder
-	clock.Run(clk, func() {
-		burst = workload.RunClosedLoop(clk, tree, mix, burstClients, per, opts.Seed+1, cached)
-	})
+	burst := workload.RunClosedLoop(clk, tree, mix, burstClients, per, opts.Seed+1, cached)
 	// Settle phase: a few quiet virtual seconds so resolved transitions
 	// have ticks to land on before the final scrape.
-	clock.Run(clk, func() { clk.Sleep(5 * time.Second) })
+	clk.Sleep(5 * time.Second)
 	scraper.ScrapeNow()
 	scraper.Stop()
 

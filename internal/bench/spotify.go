@@ -107,7 +107,7 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 	})
 	scraper.Start()
 
-	stopFaults := make(chan struct{})
+	stopFaults := clock.NewEvent(clk)
 	if faultEvery > 0 {
 		fi := &workload.FaultInjector{Platform: c.platform, Interval: faultEvery, Deployments: p.deployments}
 		clock.Go(clk, func() { fi.Run(clk, stopFaults) })
@@ -124,7 +124,7 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 			Seed:     opts.Seed,
 		}, c.clientFor)
 	})
-	close(stopFaults)
+	stopFaults.Set()
 	peakVCPU := c.platform.Stats().PeakVCPUUsed
 	var runEnd time.Time
 	clock.Run(clk, func() { runEnd = clk.Now() })

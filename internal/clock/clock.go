@@ -52,6 +52,7 @@ type scaled struct {
 	mu      sync.Mutex
 	heapq   deadlineHeap
 	running bool
+	kick    chan struct{} // capacity 1: cuts the ticker's long sleep short when an earlier deadline arrives
 }
 
 type sleeper struct {
@@ -83,7 +84,7 @@ func NewScaled(scale float64) Clock {
 	if scale < 0 {
 		panic("clock: negative scale")
 	}
-	return &scaled{scale: scale, start: time.Now()}
+	return &scaled{scale: scale, start: time.Now(), kick: make(chan struct{}, 1)}
 }
 
 func (c *scaled) Now() time.Time {
@@ -119,10 +120,16 @@ func (c *scaled) after(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	s := sleeper{deadline: time.Now().Add(realDur), ch: ch}
 	c.mu.Lock()
+	earliest := c.heapq.empty() || s.deadline.Before(c.heapq.peek())
 	heap.Push(&c.heapq, s)
 	if !c.running {
 		c.running = true
 		go c.tick()
+	} else if earliest {
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
 	}
 	c.mu.Unlock()
 	return ch
@@ -159,7 +166,12 @@ func (c *scaled) tick() {
 		gap := next.Sub(now)
 		if gap > 3*time.Millisecond {
 			// Long gap: a real sleep is accurate enough and saves CPU.
-			time.Sleep(gap - 2*time.Millisecond)
+			t := time.NewTimer(gap - 2*time.Millisecond)
+			select {
+			case <-t.C:
+			case <-c.kick:
+				t.Stop()
+			}
 		} else {
 			runtime.Gosched()
 		}
@@ -172,10 +184,10 @@ func (c *scaled) tick() {
 type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
-	waiters []*waiter
+	waiters []*manualWaiter
 }
 
-type waiter struct {
+type manualWaiter struct {
 	deadline time.Time
 	ch       chan time.Time
 }
@@ -209,7 +221,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 		m.mu.Unlock()
 		return ch
 	}
-	m.waiters = append(m.waiters, &waiter{deadline: deadline, ch: ch})
+	m.waiters = append(m.waiters, &manualWaiter{deadline: deadline, ch: ch})
 	m.mu.Unlock()
 	return ch
 }
@@ -221,7 +233,7 @@ func (m *Manual) Advance(d time.Duration) {
 	m.now = m.now.Add(d)
 	now := m.now
 	remaining := m.waiters[:0]
-	var fired []*waiter
+	var fired []*manualWaiter
 	for _, w := range m.waiters {
 		if !w.deadline.After(now) {
 			fired = append(fired, w)

@@ -24,6 +24,20 @@ func TestScaledNowAdvances(t *testing.T) {
 	}
 }
 
+// TestScaledEarlierDeadlineCutsLongSleep: a deadline that arrives while the
+// ticker sleeps towards a much later one (a 10 ms hedge threshold behind a
+// 5 s reclaim tick) fires on time, not when the ticker next wakes.
+func TestScaledEarlierDeadlineCutsLongSleep(t *testing.T) {
+	c := NewScaled(1)
+	c.After(time.Minute)
+	time.Sleep(5 * time.Millisecond) // the ticker is asleep by now
+	start := time.Now()
+	<-c.After(10 * time.Millisecond)
+	if real := time.Since(start); real > 2*time.Second {
+		t.Fatalf("a 10ms timer behind a 1m one fired after %v", real)
+	}
+}
+
 func TestZeroScaleSleepIsInstant(t *testing.T) {
 	c := NewScaled(0)
 	start := time.Now()

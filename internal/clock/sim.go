@@ -19,29 +19,30 @@ import (
 // (see the package comment).
 //
 // The contract: every goroutine participating in the simulation is
-// spawned through Go (or registered with Add/Done), and marks itself idle
-// around every blocking operation that waits on *simulation* events —
-// Sleep and SleepOr do this automatically; channel waits are wrapped in
-// Idle. A registered goroutine blocked outside Sleep/Idle stalls virtual
-// time; the watchdog dumps all goroutines after StallTimeout to make such
-// bugs easy to find.
+// spawned through Go, and waits for simulation events only through the
+// clock: Sleep and SleepOr for time, a Mailbox, Event or Group (wait.go) for
+// anything else. A registered goroutine blocked any other way stalls
+// virtual time; the watchdog dumps all goroutines after StallTimeout to
+// make such bugs easy to find.
 //
-// Which wakes are exact. A goroutine parked in Sleep or SleepOr gives up
-// its busy token, and the waker (advance, Close) hands the token back
-// *before* it sends the wake, so the busy count never reads zero between
-// a sleeper's wake and its next instruction. That covers every wait for
-// time: latencies, service and queueing on a Queue (capacity is a plain
-// Sleep), periodic loops, CPU charges cut short by a kill. What remains
-// heuristic is a goroutine woken through a channel inside Idle — an rpc
-// reply, a coordinator ACK or semaphore, a row-lock grant, a FaaS
-// admission slot, a WaitGroup: it re-registers only once it runs, so the
-// monitor advances time only after the busy count has stayed zero across
-// several scheduler yields, which gives such goroutines time to run. On
-// one P that is sound (a woken goroutine is runnable and runs within the
-// yields); with more Ps and a loaded host the monitor can still win the
-// race and advance early. The simulation is therefore not
-// bit-deterministic — and same-instant arrivals at a Queue are ordered by
-// its mutex — but virtual durations are exact.
+// Which wakes are exact: all of them. A parked goroutine gives up its busy
+// token, and whoever wakes it — advance reaching its deadline, a Send, a
+// Set, a Group's last Done, Close — hands the token back *before* sending
+// the wake (waiter.wake, the one implementation), so the busy count never
+// reads zero between a wake and the woken goroutine's next instruction and
+// time cannot advance past work that is about to happen. When an event and
+// a deadline land on the same instant, whichever claims the waiter first
+// owns the outcome; a wait its event satisfied takes its deadline out of
+// the heap, so it costs no later advance. Only the order of goroutines
+// runnable at the same virtual instant is left to the host scheduler
+// (same-instant arrivals at a Queue or a mutex are ordered by the mutex):
+// virtual durations are exact, a run is not bit-deterministic.
+//
+// The exception is Idle, kept for the benchmark/ module alone: a goroutine
+// woken through a raw channel inside Idle re-registers only once it runs, so
+// the monitor still holds back each advance until the busy count has stayed
+// zero across several scheduler yields — sound on one P, where benchmark/
+// runs.
 type Sim struct {
 	nowNS atomic.Int64 // virtual ns since Epoch
 	busy  atomic.Int64
@@ -77,23 +78,26 @@ func goid() int64 {
 	return id
 }
 
-type simWaiter struct {
-	deadlineNS int64
-	ch         chan time.Time
-	sleep      bool // Sleep waiter: parked without its busy token, which wake hands back
-	// claim is set on a cancellable sleep (SleepOr): the wake and the
-	// cancellation both swap it to true, and whichever does so first owns
-	// the outcome — so a cancelled sleeper is never handed a token.
-	claim *atomic.Bool
-}
-
-type simHeap []simWaiter
+// simHeap orders parked waiters and After entries by deadline; each entry
+// tracks its position so a wait its event satisfied can leave early.
+type simHeap []*waiter
 
 func (h simHeap) Len() int           { return len(h) }
 func (h simHeap) Less(i, j int) bool { return h[i].deadlineNS < h[j].deadlineNS }
-func (h simHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x any)        { *h = append(*h, x.(simWaiter)) }
-func (h *simHeap) Pop() (out any)    { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
+func (h simHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx, h[j].idx = i, j }
+func (h *simHeap) Push(x any) {
+	w := x.(*waiter)
+	w.idx, w.queued = len(*h), true
+	*h = append(*h, w)
+}
+func (h *simHeap) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	old[len(old)-1] = nil
+	w.queued = false
+	*h = old[:len(old)-1]
+	return w
+}
 
 var _ Clock = (*Sim)(nil)
 
@@ -105,33 +109,32 @@ func NewSim() *Sim {
 	return s
 }
 
-// Close stops the monitor. Pending sleepers are woken immediately so the
-// simulation can drain.
+// Close stops the monitor. Everything parked with a deadline is woken
+// immediately, as if the deadline had come, so the simulation can drain.
 func (s *Sim) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
 	close(s.stop)
 	s.mu.Lock()
-	pending := append(simHeap(nil), s.heapq...)
+	pending := s.heapq
 	s.heapq = nil
+	for _, w := range pending {
+		w.queued = false
+	}
 	s.mu.Unlock()
-	s.wake(pending, s.Now())
+	s.fire(pending)
 }
 
-// wake delivers now to every waiter. A Sleep waiter gave up its busy token
-// when it parked; the token is handed back here, before the send, so the
-// monitor never observes the instant between a sleeper's wake and its
-// re-registration as quiescence.
-func (s *Sim) wake(ws []simWaiter, now time.Time) {
-	for _, w := range ws {
-		if w.claim != nil && w.claim.Swap(true) {
-			continue // cancelled: nobody is waiting
+// fire wakes entries taken off the heap: their deadline has come.
+func (s *Sim) fire(due []*waiter) {
+	now := s.Now()
+	for _, w := range due {
+		if w.after != nil {
+			w.after <- now
+			continue
 		}
-		if w.sleep {
-			s.busy.Add(1)
-		}
-		w.ch <- now
+		w.wake(s, true)
 	}
 }
 
@@ -142,55 +145,58 @@ func (s *Sim) Now() time.Time { return Epoch.Add(time.Duration(s.nowNS.Load())) 
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
 // Sleep blocks for exactly d of virtual time.
-func (s *Sim) Sleep(d time.Duration) { s.sleepOr(d, nil) }
+func (s *Sim) Sleep(d time.Duration) {
+	if d > 0 {
+		w := newWaiter()
+		s.park(&w, s.nowNS.Load()+int64(d))
+	}
+}
 
-// sleepOr is Sleep that gives up when cancel is closed (nil: never); it
-// reports whether the sleep ran its course. See SleepOr.
-func (s *Sim) sleepOr(d time.Duration, cancel <-chan struct{}) bool {
-	if d <= 0 || s.closed.Load() {
-		return true
-	}
-	w := simWaiter{deadlineNS: s.nowNS.Load() + int64(d), ch: make(chan time.Time, 1), sleep: true}
-	if cancel != nil {
-		w.claim = new(atomic.Bool)
-	}
-	s.mu.Lock()
-	heap.Push(&s.heapq, w)
-	s.mu.Unlock()
-	s.busy.Add(-1)
-	select {
-	case <-w.ch: // the waker re-added our busy token (see wake)
-		return true
-	case <-cancel:
-		if w.claim.Swap(true) {
-			<-w.ch // the wake got there first; take its token and its word
-			return true
+// park is the Sim side of the package's park: the goroutine gives up its
+// busy token for as long as it is parked and gets it back from its waker.
+// deadlineNS is virtual ns since Epoch, 0 for none. A deadline already due,
+// or any deadline on a closed clock, wakes w on the spot; a wait its event
+// satisfied takes its deadline off the heap.
+func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
+	armed := false
+	if deadlineNS != 0 {
+		w.deadlineNS = deadlineNS
+		s.mu.Lock()
+		if armed = !s.closed.Load() && deadlineNS > s.nowNS.Load(); armed {
+			heap.Push(&s.heapq, w)
 		}
-		// The abandoned waiter stays in the heap until its deadline and is
-		// skipped there. Re-registering here is the heuristic seam every
-		// channel wake has (see the type comment).
-		s.busy.Add(1)
-		return false
+		s.mu.Unlock()
+		if !armed {
+			w.wake(s, true)
+		}
 	}
+	s.busy.Add(-1)
+	expired = <-w.ch
+	if armed && !expired {
+		s.mu.Lock()
+		if w.queued {
+			heap.Remove(&s.heapq, w.idx)
+		}
+		s.mu.Unlock()
+	}
+	return expired
 }
 
 // After returns a channel receiving the virtual time once d has elapsed.
-// Receivers inside registered goroutines must wait for it inside Idle.
+// A registered goroutine cannot wait on it exactly (see Idle): use Sleep,
+// SleepOr or a Deadline instead.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
+	s.mu.Lock()
 	if d <= 0 || s.closed.Load() {
+		s.mu.Unlock()
 		ch <- s.Now()
 		return ch
 	}
-	s.mu.Lock()
-	heap.Push(&s.heapq, simWaiter{deadlineNS: s.nowNS.Load() + int64(d), ch: ch})
+	heap.Push(&s.heapq, &waiter{after: ch, deadlineNS: s.nowNS.Load() + int64(d)})
 	s.mu.Unlock()
 	return ch
 }
-
-// Add registers n additional busy goroutines (Go uses it; exposed for
-// callers that manage goroutines manually).
-func (s *Sim) Add(n int64) { s.busy.Add(n) }
 
 // GoRun spawns fn as a registered simulation goroutine.
 func (s *Sim) GoRun(fn func()) {
@@ -211,14 +217,6 @@ func (s *Sim) GoRun(fn func()) {
 func (s *Sim) isRegistered() bool {
 	_, ok := s.registered.Load(goid())
 	return ok
-}
-
-// IdleDo marks the calling registered goroutine idle while fn blocks on a
-// simulation event (channel wait, WaitGroup, select).
-func (s *Sim) IdleDo(fn func()) {
-	s.busy.Add(-1)
-	fn()
-	s.busy.Add(1)
 }
 
 // Advances reports how many time advances occurred (diagnostics).
@@ -290,15 +288,15 @@ func (s *Sim) advance() {
 		return
 	}
 	deadline := s.heapq[0].deadlineNS
-	var due []simWaiter
+	var due []*waiter
 	for s.heapq.Len() > 0 && s.heapq[0].deadlineNS == deadline {
-		due = append(due, heap.Pop(&s.heapq).(simWaiter))
+		due = append(due, heap.Pop(&s.heapq).(*waiter))
 	}
 	s.nowNS.Store(deadline)
 	s.mu.Unlock()
 	s.advanceEvents.Add(1)
 	s.progress.Store(time.Now().UnixNano())
-	s.wake(due, s.Now())
+	s.fire(due)
 }
 
 // checkStall panics with a goroutine dump when registered goroutines stay
@@ -329,52 +327,27 @@ func Go(clk Clock, fn func()) {
 	go fn()
 }
 
-// Idle marks the calling goroutine idle for the duration of fn when clk
-// is a Sim (fn blocks on a simulation event); otherwise it just runs fn.
-// Every channel wait on the simulation's hot paths is wrapped in Idle.
+// Idle runs fn, which blocks on a raw channel or WaitGroup, with the calling
+// goroutine marked idle when clk is a Sim. The wake that ends fn is not
+// clock-owned, so on a Sim it is exact only heuristically (see the Sim type
+// comment). Idle exists for the two joins in benchmark/run.go, which only a
+// benchmark PR may edit; this module has no non-test caller and
+// lambdafs-vet's virtualtime check keeps it so. Wait on a Mailbox, Event or
+// Group instead.
 func Idle(clk Clock, fn func()) {
 	if s, ok := clk.(*Sim); ok {
-		s.IdleDo(fn)
-		return
+		s.busy.Add(-1)
+		defer s.busy.Add(1)
 	}
 	fn()
 }
 
-// SleepOr sleeps d of virtual time on clk unless cancel is closed first,
-// and reports whether the sleep ran its course. It is the one way to wait
-// for "a deadline or a shutdown": on a Sim the deadline wake is as exact
-// as Sleep's, which a select over After inside Idle is not.
-func SleepOr(clk Clock, d time.Duration, cancel <-chan struct{}) bool {
-	select {
-	case <-cancel: // already cancelled: wins over a sleep that would return at once
-		return false
-	default:
-	}
-	if s, ok := clk.(*Sim); ok {
-		return s.sleepOr(d, cancel)
-	}
-	select {
-	case <-clk.After(d):
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// Timeout returns a channel that fires after d. On a Sim clock the
-// timeout is *virtual* (deterministic with respect to simulated time); on
-// other clocks it is a real-time timer (virtual-scaled timers would fire
-// instantly on zero-scale test clocks).
-func Timeout(clk Clock, d time.Duration) <-chan time.Time {
-	if s, ok := clk.(*Sim); ok {
-		return s.After(d)
-	}
-	ch := make(chan time.Time, 1)
-	go func() {
-		time.Sleep(d)
-		ch <- time.Now()
-	}()
-	return ch
+// SleepOr sleeps d of virtual time on clk unless cancel is set first, and
+// reports whether the sleep ran its course. It is the one way to wait for
+// "a deadline or a shutdown". A cancel already set wins over a sleep that
+// would return at once.
+func SleepOr(clk Clock, d time.Duration, cancel *Event) bool {
+	return !cancel.WaitBy(DeadlineIn(clk, d))
 }
 
 // Run executes fn to completion on clk: on a Sim clock, fn is shuttled

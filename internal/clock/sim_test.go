@@ -105,7 +105,7 @@ func TestSimIdleAllowsAdvance(t *testing.T) {
 	// signals. Time must advance despite A being blocked.
 	s.GoRun(func() {
 		defer wg.Done()
-		s.IdleDo(func() { <-ch })
+		Idle(s, func() { <-ch })
 	})
 	s.GoRun(func() {
 		defer wg.Done()
@@ -130,7 +130,7 @@ func TestSimAfter(t *testing.T) {
 	s.GoRun(func() {
 		defer wg.Done()
 		after := s.After(7 * time.Millisecond)
-		s.IdleDo(func() { got = <-after })
+		Idle(s, func() { got = <-after })
 	})
 	wg.Wait()
 	if want := Epoch.Add(7 * time.Millisecond); !got.Equal(want) {
@@ -193,31 +193,29 @@ func TestSimWakeHandsSleeperItsBusyToken(t *testing.T) {
 // TestSleepOr: a cancellable sleep runs its course exactly like Sleep,
 // returns at the cancel instant when cancelled, and leaves the busy count
 // whole either way — the sleeps that follow a cancellation, including the
-// one that passes the abandoned deadline, are still exact.
+// one that passes the cancelled deadline, are still exact, and the
+// cancelled deadline costs no advance of its own.
 func TestSleepOr(t *testing.T) {
 	s := NewSim()
 	defer s.Close()
-	cancel := make(chan struct{})
+	cancel := NewEvent(s)
 	var full, cut, after time.Duration
 	var fullOK, cutOK bool
 	Run(s, func() {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		Go(s, func() {
-			defer wg.Done()
+		g := NewGroup(s)
+		g.Go(func() {
 			fullOK = SleepOr(s, 3*time.Millisecond, cancel)
 			full = s.Since(Epoch)
 		})
-		Go(s, func() {
-			defer wg.Done()
+		g.Go(func() {
 			cutOK = SleepOr(s, 50*time.Millisecond, cancel)
 			cut = s.Since(Epoch)
 		})
 		s.Sleep(7 * time.Millisecond)
-		close(cancel)
-		Idle(s, wg.Wait)
+		cancel.Set()
+		g.Wait()
 		for i := 0; i < 100; i++ {
-			s.Sleep(time.Millisecond) // crosses the abandoned 50ms deadline
+			s.Sleep(time.Millisecond) // crosses the cancelled 50ms deadline
 		}
 		after = s.Since(Epoch)
 	})
@@ -230,6 +228,9 @@ func TestSleepOr(t *testing.T) {
 	if after != 107*time.Millisecond {
 		t.Errorf("100 × 1ms after the cancellation ended at %v, want 107ms", after)
 	}
+	if got := s.Advances(); got != 102 { // 3ms, 7ms, 100 × 1ms — and nothing at 50ms
+		t.Errorf("%d advances, want 102: one per distinct deadline that was waited out", got)
+	}
 	for i := 0; s.busy.Load() != 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond) // Run's goroutine is still unregistering
 	}
@@ -238,13 +239,15 @@ func TestSleepOr(t *testing.T) {
 	}
 	// Cancelled beforehand: no sleep at all, even where sleeps return at once.
 	for _, clk := range []Clock{s, NewScaled(0), NewManual()} {
-		if SleepOr(clk, time.Hour, cancel) {
-			t.Errorf("%T: SleepOr slept through a closed cancel channel", clk)
+		set := NewEvent(clk)
+		set.Set()
+		if SleepOr(clk, time.Hour, set) {
+			t.Errorf("%T: SleepOr slept through a cancel already set", clk)
 		}
 	}
 	m := NewManual()
 	done := make(chan bool)
-	go func() { done <- SleepOr(m, time.Second, nil) }()
+	go func() { done <- SleepOr(m, time.Second, NewEvent(m)) }()
 	for m.Waiters() == 0 {
 		runtime.Gosched()
 	}

@@ -1,8 +1,10 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,36 +128,66 @@ func TestAckTimeout(t *testing.T) {
 	block := make(chan struct{})
 	z.Register(0, "nn-stuck", func(Invalidation) { <-block })
 	err := z.Invalidate([]int{0}, Invalidation{Path: "/z"})
-	if err != ErrAckTimeout {
+	if !errors.Is(err, ErrAckTimeout) {
 		t.Fatalf("err = %v, want ErrAckTimeout", err)
 	}
 	close(block)
 }
 
 // TestAckTimeoutVirtualTimestamp pins the ack deadline to simulated time:
-// on a Sim clock, Invalidate against a member stuck for a (virtual) hour
-// must give up exactly AckTimeout later on the virtual clock, not after
-// any host-dependent wall delay.
+// on a Sim clock, a round against a member stuck for a (virtual) hour must
+// give up exactly AckTimeout later on the virtual clock, not after any
+// host-dependent wall delay — wherever the hedge instant falls. A hedge due
+// before the deadline re-sends to the straggler once; one due at the
+// deadline loses to it.
 func TestAckTimeoutVirtualTimestamp(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	cfg := DefaultConfig()
-	cfg.HopLatency = 0
-	cfg.AckTimeout = 250 * time.Millisecond
-	z := NewZK(clk, cfg)
-	z.Register(0, "nn-stuck", func(Invalidation) { clk.Sleep(time.Hour) })
-	var err error
-	var elapsed time.Duration
-	clock.Run(clk, func() {
-		start := clk.Now()
-		err = z.Invalidate([]int{0}, Invalidation{Path: "/z"})
-		elapsed = clk.Since(start)
-	})
-	if err != ErrAckTimeout {
-		t.Fatalf("err = %v, want ErrAckTimeout", err)
-	}
-	if elapsed != cfg.AckTimeout {
-		t.Fatalf("timed out after %v virtual, want exactly %v", elapsed, cfg.AckTimeout)
+	const ackTimeout = 250 * time.Millisecond
+	for _, tc := range []struct {
+		name       string
+		hedgeAfter time.Duration
+		batch      bool
+		deliveries int64 // to the stuck member
+	}{
+		{"single inv", DefaultConfig().HedgeAfter, false, 1},
+		{"batch, hedge before the deadline", 100 * time.Millisecond, true, 2},
+		{"batch, hedge at the deadline", ackTimeout, true, 1},
+		{"batch, no hedging", 0, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewSim()
+			defer clk.Close()
+			cfg := DefaultConfig()
+			cfg.HopLatency = 0
+			cfg.AckTimeout = ackTimeout
+			cfg.HedgeAfter = tc.hedgeAfter
+			z := NewZK(clk, cfg)
+			var stuck, healthy atomic.Int64
+			z.Register(0, "nn-stuck", func(Invalidation) { stuck.Add(1); clk.Sleep(time.Hour) })
+			z.Register(0, "nn-ok", func(Invalidation) { healthy.Add(1) })
+			var err error
+			var elapsed time.Duration
+			clock.Run(clk, func() {
+				start := clk.Now()
+				if tc.batch {
+					err = z.InvalidateBatchTraced([]int{0}, []Invalidation{{Path: "/z"}}, nil)
+				} else {
+					err = z.Invalidate([]int{0}, Invalidation{Path: "/z"})
+				}
+				elapsed = clk.Since(start)
+			})
+			if !errors.Is(err, ErrAckTimeout) || !strings.Contains(err.Error(), "nn-stuck") || strings.Contains(err.Error(), "nn-ok") {
+				t.Fatalf("err = %v, want ErrAckTimeout naming nn-stuck alone", err)
+			}
+			if elapsed != ackTimeout {
+				t.Fatalf("timed out after %v virtual, want exactly %v", elapsed, ackTimeout)
+			}
+			if got := stuck.Load(); got != tc.deliveries {
+				t.Errorf("%d deliveries to the stuck member, want %d", got, tc.deliveries)
+			}
+			if got := healthy.Load(); got != 1 {
+				t.Errorf("%d deliveries to the member that ACKed, want 1: it is never hedged", got)
+			}
+		})
 	}
 }
 

@@ -58,9 +58,9 @@ type zkSession struct {
 	id      string
 	handler Handler
 	closed  bool
-	// gone is closed when the session ends; in-flight Invalidate calls
-	// waiting on this member use it to excuse the ACK.
-	gone chan struct{}
+	// gone is set when the session ends; in-flight INV rounds use it to
+	// excuse the member's ACK.
+	gone *clock.Event
 }
 
 // NewZK creates the coordinator.
@@ -84,7 +84,7 @@ func NewZK(clk clock.Clock, cfg Config) *ZK {
 
 // Register adds an instance to deployment dep.
 func (z *ZK) Register(dep int, id string, h Handler) Session {
-	s := &zkSession{zk: z, dep: dep, id: id, handler: h, gone: make(chan struct{})}
+	s := &zkSession{zk: z, dep: dep, id: id, handler: h, gone: clock.NewEvent(z.clk)}
 	z.mu.Lock()
 	if z.deps[dep] == nil {
 		z.deps[dep] = make(map[string]*zkSession)
@@ -125,7 +125,7 @@ func (s *zkSession) end(crashed bool) {
 	if crashed {
 		z.tel.leaseExpiries.Inc()
 	}
-	close(s.gone)
+	s.gone.Set()
 	if crashed && z.cfg.OnCrash != nil {
 		z.cfg.OnCrash(s.id)
 	}
@@ -158,64 +158,9 @@ func (z *ZK) MemberCount() int {
 
 // Invalidate implements Algorithm 1 steps 1–2: deliver the INV to every
 // live member of the target deployments and collect ACKs, excusing members
-// that terminate mid-protocol.
+// that terminate mid-protocol. It is a batch round of one.
 func (z *ZK) Invalidate(deps []int, inv Invalidation) error {
-	// Snapshot the membership at protocol start.
-	z.mu.Lock()
-	var targets []*zkSession
-	for _, dep := range deps {
-		for id, s := range z.deps[dep] {
-			if id != inv.Writer {
-				targets = append(targets, s)
-			}
-		}
-	}
-	z.mu.Unlock()
-	z.tel.invalidations.Inc()
-	if len(targets) == 0 {
-		return nil
-	}
-	z.tel.watches.Add(float64(len(targets)))
-	invStart := z.clk.Now()
-
-	type result struct{ ok bool }
-	acks := make(chan result, len(targets))
-	for _, s := range targets {
-		s := s
-		clock.Go(z.clk, func() {
-			// Leader → coordinator → member hop.
-			z.clk.Sleep(2 * z.cfg.HopLatency)
-			select {
-			case <-s.gone:
-				acks <- result{ok: true} // excused
-				return
-			default:
-			}
-			s.handler(inv)
-			// Member → coordinator → leader ACK hop.
-			z.clk.Sleep(2 * z.cfg.HopLatency)
-			acks <- result{ok: true}
-		})
-	}
-	// clock.Timeout is virtual on a Sim clock — the ack deadline expires at
-	// a simulated timestamp, not a host one — and degrades to a real-time
-	// timer on scaled clocks so scale-0 tests keep their wall deadlines.
-	deadline := clock.Timeout(z.clk, z.cfg.AckTimeout)
-	timedOut := false
-	for i := 0; i < len(targets) && !timedOut; i++ {
-		clock.Idle(z.clk, func() {
-			select {
-			case <-acks:
-			case <-deadline:
-				timedOut = true
-			}
-		})
-	}
-	z.tel.invLatency.Observe(z.clk.Since(invStart))
-	if timedOut {
-		return ErrAckTimeout
-	}
-	return nil
+	return z.InvalidateBatchTraced(deps, []Invalidation{inv}, nil)
 }
 
 // InvalidateBatch delivers the whole batch of invalidations to every live
@@ -277,26 +222,22 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	if fan <= 0 || fan > len(targets) {
 		fan = len(targets)
 	}
-	sem := make(chan struct{}, fan)
-	// Buffered for 2× the targets so late primary and hedged deliveries can
-	// always post their ACK without blocking after the gather loop exits.
-	acks := make(chan int, 2*len(targets))
-	ackDone := make([]chan struct{}, len(targets))
-	for i := range ackDone {
-		ackDone[i] = make(chan struct{})
+	sem := clock.NewMailbox[struct{}](z.clk) // fan delivery slots
+	for i := 0; i < fan; i++ {
+		sem.Send(struct{}{})
 	}
+	// A target's primary and hedged deliveries both post its index.
+	acks := clock.NewMailbox[int](z.clk)
 
 	deliver := func(i int, s *zkSession) {
-		clock.Idle(z.clk, func() { sem <- struct{}{} })
+		sem.Recv()
 		tsp := tc.Start(trace.KindCoherenceTarget)
 		tsp.SetInstance(s.id)
 		tsp.AddINVTargets(1)
 		// Leader → coordinator → member hop.
 		z.clk.Sleep(2 * z.cfg.HopLatency)
-		select {
-		case <-s.gone:
-			// Excused: the member terminated mid-protocol.
-		default:
+		// A member that terminated mid-protocol is excused.
+		if !s.gone.IsSet() {
 			for _, inv := range invs {
 				if inv.Writer == s.id {
 					continue
@@ -307,50 +248,43 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 			z.clk.Sleep(2 * z.cfg.HopLatency)
 		}
 		tsp.End()
-		<-sem //vet:allow hotpath slot release: this goroutine's own token is in the buffer, the receive cannot block
-		acks <- i
+		sem.Send(struct{}{})
+		acks.Send(i)
 	}
 	for i, s := range targets {
-		i, s := i, s
 		clock.Go(z.clk, func() { deliver(i, s) })
-		if z.cfg.HedgeAfter > 0 {
-			clock.Go(z.clk, func() {
-				hedge := false
-				clock.Idle(z.clk, func() {
-					select {
-					case <-ackDone[i]:
-					case <-s.gone:
-					case <-clock.Timeout(z.clk, z.cfg.HedgeAfter):
-						hedge = true
-					}
-				})
-				if hedge {
-					// Straggler: re-send. Duplicate delivery is benign —
-					// handlers are idempotent.
-					z.tel.hedgedINVs.Inc()
-					deliver(i, s)
-				}
-			})
-		}
 	}
 
-	deadline := clock.Timeout(z.clk, z.cfg.AckTimeout)
+	// Gather: wait for every target's ACK until the deadline, stopping once
+	// on the way, at the hedge instant, to re-send to the stragglers.
+	ackBy := clock.HostDeadlineIn(z.clk, z.cfg.AckTimeout)
+	waitBy, hedged := ackBy, true
+	if z.cfg.HedgeAfter > 0 && z.cfg.HedgeAfter < z.cfg.AckTimeout {
+		waitBy, hedged = clock.HostDeadlineIn(z.clk, z.cfg.HedgeAfter), false
+	}
 	acked := make([]bool, len(targets))
 	need := len(targets)
 	timedOut := false
 	for need > 0 && !timedOut {
-		clock.Idle(z.clk, func() {
-			select {
-			case i := <-acks:
-				if !acked[i] {
-					acked[i] = true
-					close(ackDone[i])
-					need--
-				}
-			case <-deadline:
-				timedOut = true
+		i, ok := acks.RecvBy(waitBy)
+		switch {
+		case ok:
+			if !acked[i] {
+				acked[i] = true
+				need--
 			}
-		})
+		case !hedged:
+			// Duplicate delivery is benign — handlers are idempotent.
+			waitBy, hedged = ackBy, true
+			for i, s := range targets {
+				if !acked[i] && !s.gone.IsSet() {
+					z.tel.hedgedINVs.Inc()
+					clock.Go(z.clk, func() { deliver(i, s) })
+				}
+			}
+		default:
+			timedOut = true
+		}
 	}
 	z.tel.invLatency.Observe(z.clk.Since(invStart))
 	if !timedOut {

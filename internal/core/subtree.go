@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"lambdafs/internal/clock"
@@ -171,16 +170,16 @@ func (e *Engine) runBatches(tc *trace.Ctx, n int, exec func(start, end int, cpu 
 	sp := tc.Start(trace.KindSubtreeExec)
 	sp.SetDetail(fmt.Sprintf("items=%d batch=%d", n, e.cfg.SubtreeBatch))
 	batch := e.cfg.SubtreeBatch
-	var wg sync.WaitGroup
+	g := clock.NewGroup(e.clk)
 	for start := 0; start < n; start += batch {
 		start, end := start, start+batch
 		if end > n {
 			end = n
 		}
 		e.tel.subtreeParts.Inc()
-		wg.Add(1)
+		g.Add(1) // a helper NameNode may run the batch on a goroutine of its own
 		run := func(cpu CPU) {
-			defer wg.Done()
+			defer g.Done()
 			exec(start, end, cpu)
 		}
 		if e.offload != nil && e.offload.OffloadBatch(e.dep, run) {
@@ -192,7 +191,7 @@ func (e *Engine) runBatches(tc *trace.Ctx, n int, exec func(start, end int, cpu 
 		}
 		clock.Go(e.clk, func() { run(e.cpu) })
 	}
-	clock.Idle(e.clk, wg.Wait)
+	g.Wait()
 	sp.End()
 }
 

@@ -109,7 +109,7 @@ func (s *System) newNameNode(dep int, inst *faas.Instance) faas.App {
 	s.engines[id] = eng
 	s.mu.Unlock()
 	clock.Go(s.clk, func() {
-		clock.Idle(s.clk, func() { <-inst.Terminated() })
+		inst.Terminated().Wait()
 		s.mu.Lock()
 		delete(s.engines, id)
 		s.mu.Unlock()

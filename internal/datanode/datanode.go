@@ -48,8 +48,8 @@ type DataNode struct {
 
 	mu     sync.Mutex
 	blocks map[namespace.BlockID]int64
-	stop   chan struct{}
-	done   chan struct{}
+	stop   *clock.Event
+	done   *clock.Event
 }
 
 // New creates a DataNode publishing every interval; call Start to begin.
@@ -60,8 +60,8 @@ func New(clk clock.Clock, st store.Store, id string, interval time.Duration) *Da
 		st:       st,
 		interval: interval,
 		blocks:   make(map[namespace.BlockID]int64),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		stop:     clock.NewEvent(clk),
+		done:     clock.NewEvent(clk),
 	}
 }
 
@@ -109,7 +109,7 @@ func (dn *DataNode) Publish() error {
 // Start launches the publication loop (first report immediate).
 func (dn *DataNode) Start() {
 	clock.Go(dn.clk, func() {
-		defer close(dn.done)
+		defer dn.done.Set()
 		for {
 			if err := dn.Publish(); err != nil {
 				// The store outlives DataNodes in every experiment; a
@@ -125,12 +125,8 @@ func (dn *DataNode) Start() {
 
 // Stop halts publication.
 func (dn *DataNode) Stop() {
-	select {
-	case <-dn.stop:
-	default:
-		close(dn.stop)
-	}
-	<-dn.done
+	dn.stop.Set()
+	clock.Run(dn.clk, dn.done.Wait)
 }
 
 // Discover reads all live DataNode reports from the store, dropping ones

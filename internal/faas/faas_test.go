@@ -311,10 +311,8 @@ func TestTerminatedChannelAndServe(t *testing.T) {
 		t.Fatalf("serve: %v %v", resp, err)
 	}
 	p.KillOneInstance(0)
-	select {
-	case <-inst.Terminated():
-	default:
-		t.Fatal("Terminated channel not closed")
+	if !inst.Terminated().IsSet() {
+		t.Fatal("Terminated event not set")
 	}
 	if _, err := inst.Serve(func() any { return 0 }); err != ErrInstanceDead {
 		t.Fatalf("serve on dead instance: %v", err)
@@ -385,6 +383,62 @@ func TestAcquireCPUReturnsAtKillInstant(t *testing.T) {
 	}
 	if late != 4*time.Millisecond {
 		t.Errorf("AcquireCPU on the dead instance returned at %v, want 4ms (no charge)", late)
+	}
+}
+
+// TestAdmissionWakesOnlyOnFreedCapacity: an invocation queued for admission
+// re-runs its admission pass — which consults the OnProvision hook, and can
+// evict — once per 10 ms poll and once when an HTTP slot or pool capacity
+// really frees, at that instant. Requests that end without freeing an HTTP
+// slot (every TCP request) while nobody is queued must not leave wake-ups
+// behind for the next waiter to burn through.
+func TestAdmissionWakesOnlyOnFreedCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		holds    time.Duration // how long the first invocation keeps the only HTTP slot
+		err      error
+		returns  time.Duration // when the queued invocation comes back
+		consults int64
+	}{
+		// Queued at 1ms: passes at 1, 11, 21, 31ms, woken at 35ms into a free slot, served by 70ms.
+		{"slot frees", 35 * time.Millisecond, nil, 70 * time.Millisecond, 4},
+		// Passes at 1, 11, … 101ms, the last one finding the 100ms queue timeout spent.
+		{"queue timeout", time.Second, ErrNoCapacity, 101 * time.Millisecond, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := clock.NewSim()
+			defer sim.Close()
+			cfg := fastCfg()
+			cfg.TotalVCPU, cfg.MaxUtilization, cfg.EvictForSpace = 1, 1, false
+			cfg.InvokeQueueTimeout = 100 * time.Millisecond
+			var consults atomic.Int64
+			cfg.OnProvision = func(int) bool { consults.Add(1); return true }
+			p := New(sim, cfg)
+			defer p.Close()
+			tr := &appTracker{}
+			var err error
+			var returned time.Duration
+			clock.Run(sim, func() {
+				d := p.Register("nn0", tr.factory(nil, tc.holds), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 1})
+				inst := d.Warm()[0] // fills the one-vCPU pool
+				for i := 0; i < 50; i++ {
+					if _, err := inst.Serve(func() any { return nil }); err != nil {
+						t.Error(err)
+					}
+				}
+				consults.Store(0)
+				clock.Go(sim, func() { _, _ = d.Invoke("holder") })
+				sim.Sleep(time.Millisecond)
+				_, err = d.Invoke("queued")
+				returned = sim.Since(clock.Epoch)
+			})
+			if err != tc.err || returned != tc.returns {
+				t.Errorf("queued invocation returned %v at %v, want %v at %v", err, returned, tc.err, tc.returns)
+			}
+			if got := consults.Load(); got != tc.consults {
+				t.Errorf("%d admission passes consulted OnProvision, want %d: one per poll, none per stale wake-up", got, tc.consults)
+			}
+		})
 	}
 }
 

@@ -29,8 +29,8 @@ type Instance struct {
 	activeStart  time.Time
 	createdAt    time.Time
 
-	termCh chan struct{}
-	cpu    *clock.Queue // the instance's vCPUs
+	term *clock.Event // set when the instance dies
+	cpu  *clock.Queue // the instance's vCPUs
 }
 
 func newInstance(d *Deployment, id string) *Instance {
@@ -38,7 +38,7 @@ func newInstance(d *Deployment, id string) *Instance {
 		d:         d,
 		id:        id,
 		createdAt: d.p.clk.Now(),
-		termCh:    make(chan struct{}),
+		term:      clock.NewEvent(d.p.clk),
 		cpu:       clock.NewCPUQueue(d.p.clk, d.opts.VCPU),
 	}
 }
@@ -59,8 +59,8 @@ func (inst *Instance) ID() string { return inst.id }
 // DeploymentIndex returns the index of the owning deployment.
 func (inst *Instance) DeploymentIndex() int { return inst.d.index }
 
-// Terminated is closed when the instance dies.
-func (inst *Instance) Terminated() <-chan struct{} { return inst.termCh }
+// Terminated is set when the instance dies.
+func (inst *Instance) Terminated() *clock.Event { return inst.term }
 
 // Alive reports liveness.
 func (inst *Instance) Alive() bool {
@@ -83,7 +83,7 @@ func (inst *Instance) AcquireCPU(dur time.Duration) {
 	}
 	clk := inst.d.p.clk
 	wait, service := inst.cpu.Reserve(clk.Now(), dur)
-	clock.SleepOr(clk, wait+service, inst.termCh)
+	clock.SleepOr(clk, wait+service, inst.term)
 }
 
 // beginRequest accounts a request start; reports false when the instance
@@ -113,7 +113,8 @@ func (inst *Instance) endRequest(http bool) {
 	var billFrom time.Time
 	var bill bool
 	d.mu.Lock()
-	if http && inst.httpInFlight > 0 {
+	slotFreed := http && inst.httpInFlight > 0
+	if slotFreed {
 		inst.httpInFlight--
 	}
 	if inst.busyCount > 0 {
@@ -128,10 +129,8 @@ func (inst *Instance) endRequest(http bool) {
 	if bill && p.cfg.Lambda != nil {
 		p.cfg.Lambda.BillActive(billFrom, now.Sub(billFrom), d.opts.RAMGB)
 	}
-	// Wake one admission waiter.
-	select {
-	case d.slotFreed <- struct{}{}:
-	default:
+	if slotFreed {
+		d.slotFreed.Offer(struct{}{})
 	}
 }
 
@@ -203,7 +202,7 @@ func (inst *Instance) terminate(crashed bool) {
 		}
 	}
 	d.mu.Unlock()
-	close(inst.termCh)
+	inst.term.Set()
 
 	p.mu.Lock()
 	p.vcpuUsed -= d.opts.VCPU
@@ -222,9 +221,6 @@ func (inst *Instance) terminate(crashed bool) {
 	}
 	// Freed capacity may unblock any deployment's admission queue.
 	for _, other := range deps {
-		select {
-		case other.slotFreed <- struct{}{}:
-		default:
-		}
+		other.slotFreed.Offer(struct{}{})
 	}
 }

@@ -19,7 +19,6 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -146,11 +145,6 @@ type DeploymentOptions struct {
 	MinInstances int
 }
 
-// debugAdmit enables admission-rejection logging (diagnostics only).
-var debugAdmit = os.Getenv("FAAS_DEBUG_ADMIT") != ""
-
-var clockEpochForDebug = clock.Epoch
-
 // Platform errors.
 var (
 	ErrNoCapacity   = errors.New("faas: no capacity for invocation")
@@ -202,7 +196,7 @@ type Platform struct {
 	instSeq     int
 	closed      bool
 	stats       Stats
-	stopReclaim chan struct{}
+	stopReclaim *clock.Event
 
 	tel faasTelemetry
 }
@@ -217,8 +211,11 @@ type Deployment struct {
 
 	mu            sync.Mutex
 	instances     []*Instance
-	peakInstances int           // high-water mark of live instances
-	slotFreed     chan struct{} // signalled when an HTTP slot or capacity frees
+	peakInstances int // high-water mark of live instances
+	// slotFreed wakes one admission waiter when an HTTP slot or pool
+	// capacity frees. It is offered, never queued: a wake-up nobody was
+	// parked for would only re-run an admission pass that cannot succeed.
+	slotFreed *clock.Mailbox[struct{}]
 }
 
 // New creates a platform and starts its reclaimer.
@@ -232,7 +229,7 @@ func New(clk clock.Clock, cfg Config) *Platform {
 	if cfg.InvokeQueueTimeout <= 0 {
 		cfg.InvokeQueueTimeout = 15 * time.Second
 	}
-	p := &Platform{clk: clk, cfg: cfg, stopReclaim: make(chan struct{})}
+	p := &Platform{clk: clk, cfg: cfg, stopReclaim: clock.NewEvent(clk)}
 	p.tel = newFaasTelemetry(cfg.Metrics)
 	if cfg.Metrics != nil {
 		p.registerPoolGauges(cfg.Metrics)
@@ -257,7 +254,7 @@ func (p *Platform) Register(name string, factory AppFactory, opts DeploymentOpti
 		name:      name,
 		factory:   factory,
 		opts:      opts,
-		slotFreed: make(chan struct{}, 1024),
+		slotFreed: clock.NewMailbox[struct{}](p.clk),
 	}
 	p.mu.Lock()
 	d.index = len(p.deployments)
@@ -328,19 +325,6 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 		p.stats.Rejections++
 		p.mu.Unlock()
 		p.tel.rejections.Inc()
-		if debugAdmit {
-			d.mu.Lock()
-			alive, busySlots := 0, 0
-			for _, i := range d.instances {
-				if i.aliveLocked() {
-					alive++
-					busySlots += i.httpInFlight
-				}
-			}
-			d.mu.Unlock()
-			fmt.Fprintf(os.Stderr, "REJECT dep=%d t=%v alive=%d busyHTTP=%d vcpuUsed=%.0f\n",
-				d.index, p.clk.Now().Sub(clockEpochForDebug), alive, busySlots, p.VCPUInUse())
-		}
 		return nil, err
 	}
 	asp.SetInstance(inst.id)
@@ -371,26 +355,14 @@ func (d *Deployment) admit(tc *trace.Ctx) (*Instance, error) {
 		if inst := d.provisionT(true, tc); inst != nil {
 			return inst, nil
 		}
-		// 3. Wait for a slot or capacity to free.
+		// 3. Wait for a slot or capacity to free, polling every 10 ms for
+		// one that freed while no waiter was parked.
 		remain := deadline.Sub(clk.Now())
 		if remain <= 0 {
 			return nil, ErrNoCapacity
 		}
-		timeout := clock.Timeout(clk, minDuration(remain, 10*time.Millisecond))
-		clock.Idle(clk, func() {
-			select {
-			case <-d.slotFreed:
-			case <-timeout:
-			}
-		})
+		d.slotFreed.RecvBy(clock.HostDeadlineIn(clk, min(remain, 10*time.Millisecond)))
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // pickWarm returns the warm instance with the most free HTTP slots.
@@ -771,7 +743,7 @@ func (p *Platform) closeInner() {
 		return
 	}
 	p.closed = true
-	close(p.stopReclaim)
+	p.stopReclaim.Set()
 	deps := append([]*Deployment(nil), p.deployments...)
 	p.mu.Unlock()
 	for _, d := range deps {

@@ -59,9 +59,9 @@ func DefaultConfig() Config {
 
 // NameNode is one serverful metadata server.
 type NameNode struct {
-	id  string
-	eng *core.Engine
-	sem chan struct{}
+	id       string
+	eng      *core.Engine
+	handlers *clock.Mailbox[struct{}] // one token per free RPC handler
 }
 
 // nameNodeCPU is a serverful NameNode's compute capacity as a core.CPU: a
@@ -111,7 +111,10 @@ func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator, cfg Con
 		}
 		cpu := nameNodeCPU{clock.NewCPUQueue(clk, cfg.VCPUPerNameNode)}
 		engine := core.NewEngine(id, dep, clk, st, nnRing, nnCoord, cpu, eng)
-		nn := &NameNode{id: id, eng: engine, sem: make(chan struct{}, cfg.RPCHandlers)}
+		nn := &NameNode{id: id, eng: engine, handlers: clock.NewMailbox[struct{}](clk)}
+		for h := 0; h < cfg.RPCHandlers; h++ {
+			nn.handlers.Send(struct{}{})
+		}
 		if nnCoord != nil {
 			nnCoord.Register(dep, id, engine.HandleInvalidation)
 		}
@@ -125,9 +128,9 @@ func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator, cfg Con
 
 // Serve executes one request on the NameNode, bounded by its RPC handler
 // pool.
-func (nn *NameNode) Serve(clk clock.Clock, req namespace.Request) *namespace.Response {
-	clock.Idle(clk, func() { nn.sem <- struct{}{} })
-	defer func() { <-nn.sem }()
+func (nn *NameNode) Serve(req namespace.Request) *namespace.Response {
+	nn.handlers.Recv()
+	defer nn.handlers.Send(struct{}{})
 	return nn.eng.Execute(req)
 }
 
@@ -179,7 +182,7 @@ func (cl *Client) Do(op namespace.OpType, path, dest string) (*namespace.Respons
 		nn = cl.c.nns[int(cl.rr.Add(1))%len(cl.c.nns)]
 	}
 	cl.c.clk.Sleep(cl.c.cfg.RPCOneWay)
-	resp := nn.Serve(cl.c.clk, req)
+	resp := nn.Serve(req)
 	cl.c.clk.Sleep(cl.c.cfg.RPCOneWay)
 	return resp, nil
 }

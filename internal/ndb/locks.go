@@ -1,6 +1,7 @@
 package ndb
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -14,11 +15,11 @@ import (
 // forced release (used when the Coordinator declares a NameNode dead,
 // §3.6).
 //
-// Lock waits time out after a configurable interval (clock.Timeout:
-// virtual on clock.Sim, real-time elsewhere): a timeout indicates either a
-// deadlock or a lock held by a crashed peer; the DAL responds by aborting
-// and retrying the transaction, exactly as NDB's lock-wait-timeout
-// behaves.
+// Lock waits time out after a configurable interval
+// (clock.HostDeadlineIn: virtual on clock.Sim, real-time elsewhere): a
+// timeout indicates either a deadlock or a lock held by a crashed peer; the
+// DAL responds by aborting and retrying the transaction, exactly as NDB's
+// lock-wait-timeout behaves.
 type lockManager struct {
 	clk         clock.Clock
 	mu          sync.Mutex
@@ -40,8 +41,7 @@ type rowLock struct {
 type lockWaiter struct {
 	txKey     string
 	exclusive bool
-	ready     chan struct{}
-	granted   bool
+	ready     *clock.Event // set, under lm.mu, by the promote that grants the lock
 }
 
 func newLockManager(clk clock.Clock, waitTimeout time.Duration) *lockManager {
@@ -121,42 +121,26 @@ func (lm *lockManager) Acquire(txKey, key string, exclusive bool) (time.Duration
 		lm.mu.Unlock()
 		return 0, nil
 	}
-	w := &lockWaiter{txKey: txKey, exclusive: exclusive, ready: make(chan struct{})} //vet:allow hotpath waiter exists only on lock contention, off the uncontended grant path
+	w := &lockWaiter{txKey: txKey, exclusive: exclusive, ready: clock.NewEvent(lm.clk)} //vet:allow hotpath waiter exists only on lock contention, off the uncontended grant path
 	rl.waiters = append(rl.waiters, w)
 	lm.mu.Unlock()
 	lm.waits.Inc()
 	waitStart := lm.clk.Now()
 
-	timeout := clock.Timeout(lm.clk, lm.waitTimeout)
-	timedOut := false
-	clock.Idle(lm.clk, func() {
-		select {
-		case <-w.ready:
-		case <-timeout:
-			timedOut = true
-		}
-	})
-	if !timedOut {
-		return lm.clk.Now().Sub(waitStart), nil
-	}
-	{
+	if !w.ready.WaitBy(clock.HostDeadlineIn(lm.clk, lm.waitTimeout)) {
+		// Timed out — unless a grant landed on the same instant: promote
+		// sets ready under lm.mu, so under lm.mu the answer is final.
 		lm.mu.Lock()
-		if w.granted {
-			// Lost the race: the grant arrived as we timed out; keep it.
-			lm.mu.Unlock()
-			clock.Idle(lm.clk, func() { <-w.ready })
-			return lm.clk.Now().Sub(waitStart), nil
-		}
-		// Remove ourselves from the wait queue.
-		for i, other := range rl.waiters {
-			if other == w {
-				rl.waiters = append(rl.waiters[:i], rl.waiters[i+1:]...)
-				break
-			}
+		granted := w.ready.IsSet()
+		if !granted {
+			rl.waiters = slices.DeleteFunc(rl.waiters, func(o *lockWaiter) bool { return o == w })
 		}
 		lm.mu.Unlock()
-		return lm.clk.Now().Sub(waitStart), store.ErrLockTimeout
+		if !granted {
+			return lm.clk.Now().Sub(waitStart), store.ErrLockTimeout
+		}
 	}
+	return lm.clk.Now().Sub(waitStart), nil
 }
 
 // promote wakes every waiter that is now grantable. Must be called with
@@ -168,8 +152,7 @@ func (lm *lockManager) promote(rl *rowLock, key string) {
 		for i, w := range rl.waiters {
 			if rl.canGrant(w.txKey, w.exclusive) {
 				lm.grant(rl, key, w.txKey, w.exclusive)
-				w.granted = true
-				close(w.ready)
+				w.ready.Set()
 				progressed = true
 				// Exclusive grant blocks everything behind it.
 				if w.exclusive {

@@ -339,21 +339,12 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 		resp *namespace.Response
 		err  error
 	}
-	ch := make(chan result, 2)
+	results := clock.NewMailbox[result](c.vm.clk)
 	clock.Go(c.vm.clk, func() {
 		resp, err := c.callTCP(tc, conn, req)
-		ch <- result{resp, err}
+		results.Send(result{resp, err})
 	})
-	var primary *result
-	after := c.vm.clk.After(threshold)
-	clock.Idle(c.vm.clk, func() {
-		select {
-		case r := <-ch:
-			primary = &r
-		case <-after:
-		}
-	})
-	if primary != nil {
+	if primary, ok := results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
 		if primary.err != nil {
 			c.connBroken(dep, conn)
 			c.stats.failovers.Add(1)
@@ -372,16 +363,15 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	clock.Go(c.vm.clk, func() {
 		if alt, _ := c.vm.findConn(dep, c.tcp, conn); alt != nil {
 			resp, err := c.callTCP(tc, alt, req)
-			ch <- result{resp, err}
+			results.Send(result{resp, err})
 			return
 		}
 		resp, err := c.callHTTP(tc, dep, req)
-		ch <- result{resp, err}
+		results.Send(result{resp, err})
 	})
 	var firstErr error
 	for i := 0; i < 2; i++ {
-		var r result
-		clock.Idle(c.vm.clk, func() { r = <-ch })
+		r := results.Recv()
 		if r.err == nil {
 			return r.resp, nil
 		}

@@ -303,6 +303,51 @@ func TestHedgingFiresSecondAttempt(t *testing.T) {
 	}
 }
 
+// TestHedgedReadLeavesNoDeadlineBehind: a hedge-eligible read whose primary
+// answers before the straggler threshold takes its threshold deadline with
+// it — nothing is left on the simulation clock's heap to cost an advance
+// when time later passes that instant.
+func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
+	cfg := testCfg()
+	cfg.Hedging = true
+	cfg.StragglerFloor = 50 * time.Millisecond
+	cfg.LatencyWindow = 4
+	cfg.TCPOneWay = time.Millisecond
+
+	sim := clock.NewSim()
+	defer sim.Close()
+	fcfg := faas.DefaultConfig()
+	fcfg.ColdStart, fcfg.GatewayLatency, fcfg.IdleReclaim = 0, 0, 0
+	p := faas.New(sim, fcfg)
+	defer p.Close()
+	p.Register("nn", func(inst *faas.Instance) faas.App { return &testNN{inst: inst} },
+		faas.DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 8})
+	c := NewVM(sim, cfg).NewClient("c1", partition.NewRing(1, 0), platformInvoker{p})
+	clock.Run(sim, func() {
+		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			c.window.Add(time.Millisecond) // arm hedging
+		}
+		start := sim.Now()
+		if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
+			t.Fatal(err)
+		}
+		if took := sim.Since(start); took != 2*cfg.TCPOneWay {
+			t.Fatalf("read took %v, want two one-way trips", took)
+		}
+		before := sim.Advances()
+		sim.Sleep(time.Second) // across the 50ms threshold instant, short of the reclaimer's first tick
+		if got := sim.Advances() - before; got != 1 {
+			t.Errorf("%d advances across a 1s sleep, want 1: the finished read left a deadline behind", got)
+		}
+	})
+	if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 1 {
+		t.Errorf("stats = %+v, want one unhedged TCP read", st)
+	}
+}
+
 func TestAntiThrashTriggersAndSuppressesReplacement(t *testing.T) {
 	cfg := testCfg()
 	cfg.HTTPReplaceProb = 1.0 // would force HTTP every time...

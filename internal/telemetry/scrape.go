@@ -53,8 +53,8 @@ func (s *Snapshot) flatten(ms []Metric) {
 
 // Scraper snapshots a registry on a virtual-time ticker into an
 // append-only series. It follows the same clock discipline as every
-// other background loop in the repo (clock.Go + per-iteration After +
-// clock.Idle), so it participates correctly in Sim-clock quiescence.
+// other background loop in the repo (clock.Go + clock.SleepOr on a stop
+// event), so it participates correctly in Sim-clock quiescence.
 type Scraper struct {
 	clk      clock.Clock
 	reg      *Registry
@@ -64,8 +64,7 @@ type Scraper struct {
 	snaps      []Snapshot
 	onSnap     []func(Snapshot)
 	hookPanics uint64
-	stop       chan struct{}
-	done       chan struct{}
+	stop, done *clock.Event // nil until Start
 }
 
 // NewScraper builds a scraper over reg ticking every interval (default
@@ -166,15 +165,14 @@ func (s *Scraper) Start() {
 		s.mu.Unlock()
 		return
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
+	stop, done := clock.NewEvent(s.clk), clock.NewEvent(s.clk)
 	s.stop, s.done = stop, done
 	s.mu.Unlock()
 	clock.Go(s.clk, func() { s.loop(stop, done) })
 }
 
-func (s *Scraper) loop(stop, done chan struct{}) {
-	defer close(done)
+func (s *Scraper) loop(stop, done *clock.Event) {
+	defer done.Set()
 	for {
 		s.mu.Lock()
 		interval := s.interval
@@ -199,12 +197,10 @@ func (s *Scraper) Stop() {
 	if stop == nil {
 		return
 	}
-	close(stop)
-	// Run registers the waiter with a Sim clock so the blocking wait does
-	// not look like a stall; on other clocks it runs inline.
-	clock.Run(s.clk, func() {
-		clock.Idle(s.clk, func() { <-done })
-	})
+	stop.Set()
+	// Run registers the caller with a Sim clock for the wait; on other
+	// clocks it runs inline.
+	clock.Run(s.clk, done.Wait)
 }
 
 // Snapshots returns a copy of the accumulated series, in scrape order.

@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -23,16 +24,17 @@ import (
 //     (escaping allocations); the zero-size struct{}{} is exempt;
 //   - no closure that captures outer variables created inside a loop
 //     (per-iteration closure allocation), unless handed directly to
-//     clock.Go / clock.Idle;
+//     clock.Go;
 //   - no blocking channel operation (send, receive, select without
-//     default) outside a function literal passed directly to clock.Idle
-//     or clock.Go, except sends to locally created buffered channels;
+//     default) outside a function literal passed directly to clock.Go,
+//     except sends to locally created buffered channels;
 //   - no wall-clock reachability: calling anything that transitively
 //     reaches a time.Now/Sleep/… call (even a //vet:allow virtualtime'd
 //     one) is reported at the call edge, with the chain to the source.
 //
 // internal/clock is fully exempt (it is the sanctioned waiting and timing
-// boundary — clock.Idle parking is how a hot path is *supposed* to wait).
+// boundary — parking on a clock.Mailbox, Event or Group is how a hot path
+// is *supposed* to wait).
 // internal/trace and internal/telemetry are exempt from the allocation
 // and blocking rules: both are nil-safe fast-path instruments whose
 // zero-cost-when-disabled contract is enforced by their own tests; they
@@ -243,23 +245,12 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 		}
 		return false
 	}
-	// blockExempt: inside a function literal handed directly to clock.Idle
-	// (inline wait under the scheduler) or clock.Go (off the caller's
-	// critical path).
+	// blockExempt: inside a function literal handed directly to clock.Go
+	// (off the caller's critical path).
 	blockExempt := func() bool {
 		for i, nd := range stack {
-			lit, ok := nd.(*ast.FuncLit)
-			if !ok || i == 0 {
-				continue
-			}
-			call, ok := stack[i-1].(*ast.CallExpr)
-			if !ok || !isClockCall(pkg, file, call) {
-				continue
-			}
-			for _, a := range call.Args {
-				if a == lit {
-					return true
-				}
+			if lit, ok := nd.(*ast.FuncLit); ok && isDirectClockArg(pkg, file, stack[:i+1], lit) {
+				return true
 			}
 		}
 		return false
@@ -276,7 +267,7 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 	}
 	blocking := func(pos token.Pos, what string) {
 		flag(pos, fmt.Sprintf(
-			"%s blocks the hot path — wrap the wait in clock.Idle or hand it to clock.Go%s", what, suffix))
+			"%s blocks the hot path — wait on a clock.Mailbox, Event or Group, or hand it to clock.Go%s", what, suffix))
 	}
 	// inSelectComm: a send/receive that is a select case's communication
 	// operation doesn't block on its own — whether the select blocks is the
@@ -392,35 +383,23 @@ func fmtAllocCall(pkg *Package, file *ast.File, call *ast.CallExpr) (string, boo
 	return sel.Sel.Name, true
 }
 
-// isClockCall matches clock.Idle(…) / clock.Go(…) calls.
-func isClockCall(pkg *Package, file *ast.File, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Idle" && sel.Sel.Name != "Go") {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return strings.HasSuffix(pkgPathOf(pkg, file, id), "internal/clock")
-}
-
 // isDirectClockArg reports whether lit is itself an argument of a
-// clock.Idle/clock.Go call (its immediate parent on the stack).
+// clock.Go(…) call (its immediate parent on the stack).
 func isDirectClockArg(pkg *Package, file *ast.File, stack []ast.Node, lit *ast.FuncLit) bool {
 	if len(stack) < 2 {
 		return false
 	}
 	call, ok := stack[len(stack)-2].(*ast.CallExpr)
-	if !ok || !isClockCall(pkg, file, call) {
+	if !ok {
 		return false
 	}
-	for _, a := range call.Args {
-		if a == lit {
-			return true
-		}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Go" {
+		return false
 	}
-	return false
+	id, ok := sel.X.(*ast.Ident)
+	return ok && strings.HasSuffix(pkgPathOf(pkg, file, id), "internal/clock") &&
+		slices.Contains(call.Args, ast.Expr(lit))
 }
 
 func isStringExpr(pkg *Package, e ast.Expr) bool {

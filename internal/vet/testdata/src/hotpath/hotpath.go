@@ -1,8 +1,8 @@
 // Package hotpath is a lambdafs-vet golden fixture for the //vet:hotpath
 // contract: allocation, blocking, and wall-clock reachability are flagged
 // transitively through the call graph (including interface dispatch);
-// pre-sized appends, clock.Idle-wrapped waits, buffered local signals,
-// and unreachable code are not.
+// pre-sized appends, clock-owned waits, work handed to clock.Go, buffered
+// local signals, and unreachable code are not.
 package hotpath
 
 import (
@@ -92,13 +92,22 @@ func emit(r renderer, n int) string {
 	return r.render(n)
 }
 
-// okWait parks through the sanctioned clock.Idle boundary: no finding.
+// okWait parks through the sanctioned boundary, a clock-owned mailbox: no
+// finding.
 //
 //vet:hotpath
-func okWait(clk clock.Clock, ch chan int) int {
-	v := 0
-	clock.Idle(clk, func() { v = <-ch })
-	return v
+func okWait(mb *clock.Mailbox[int]) int {
+	return mb.Recv()
+}
+
+// okSpawn hands its per-iteration closures, and the blocking they do,
+// straight to clock.Go — off the caller's critical path: no finding.
+//
+//vet:hotpath
+func okSpawn(clk clock.Clock, chs []chan int) {
+	for _, ch := range chs {
+		clock.Go(clk, func() { <-ch })
+	}
 }
 
 // okPresized appends within an explicit capacity: no finding.

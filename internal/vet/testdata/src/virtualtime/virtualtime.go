@@ -1,9 +1,13 @@
 // Package virtualtime is a lambdafs-vet golden fixture: wall-clock reads
-// must be flagged, duration arithmetic must not, and a reasoned
-// //vet:allow must suppress.
+// and clock.Idle-wrapped waits must be flagged, duration arithmetic and
+// clock-owned waits must not, and a reasoned //vet:allow must suppress.
 package virtualtime
 
-import "time"
+import (
+	"time"
+
+	"lambdafs/internal/clock"
+)
 
 func bad() time.Time {
 	time.Sleep(time.Millisecond) // want virtualtime
@@ -13,6 +17,18 @@ func bad() time.Time {
 
 func badWait() {
 	<-time.After(time.Millisecond) // want virtualtime
+}
+
+// badJoin waits on a raw channel inside Idle: the clock cannot hand the woken
+// goroutine its token, so the wake is a guess.
+func badJoin(clk clock.Clock, done chan struct{}) {
+	clock.Idle(clk, func() { <-done }) // want virtualtime
+}
+
+// cleanJoin waits on clock-owned primitives.
+func cleanJoin(done *clock.Event, g *clock.Group) {
+	done.Wait()
+	g.Wait()
 }
 
 func clean() time.Duration {

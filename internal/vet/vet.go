@@ -7,7 +7,8 @@
 //     time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/AfterFunc are
 //     forbidden outside internal/clock — one stray time.After silently
 //     decouples a component from simulated time and skews every
-//     experiment that touches it.
+//     experiment that touches it. So is clock.Idle, whose raw channel
+//     wakes clock.Sim can only guess at.
 //   - determinism: no global math/rand source, and every rand.New /
 //     rand.NewSource must derive from a plumbed seed (an identifier whose
 //     name mentions "seed"), so chaos episodes and benchmarks replay
@@ -39,8 +40,9 @@
 //   - hotpath: functions annotated `//vet:hotpath` — and everything they
 //     transitively call — must not allocate (fmt.Sprintf, string
 //     concatenation, append growth, escaping composite literals,
-//     per-iteration closures), must not block outside clock.Idle /
-//     clock.Go, and must not reach wall-clock time.
+//     per-iteration closures), must not block outside clock.Go (waits
+//     go through internal/clock's Mailbox, Event and Group), and must not
+//     reach wall-clock time.
 //
 // Findings can be suppressed with a `//vet:allow <check> <reason>`
 // comment on the offending line (or the line above); several allows may

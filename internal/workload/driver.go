@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,12 +120,9 @@ func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk cloc
 func RunClosedLoop(clk clock.Clock, tree *Tree, mix Mix, clients, opsPerClient int,
 	seed int64, fsFor func(i int) FS) *Recorder {
 	rec := NewRecorder(clk.Now())
-	var wg sync.WaitGroup
+	g := clock.NewGroup(clk)
 	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		clock.Go(clk, func() {
-			defer wg.Done()
+		g.Go(func() {
 			fs := fsFor(i)
 			rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 			for n := 0; n < opsPerClient; n++ {
@@ -134,7 +130,7 @@ func RunClosedLoop(clk clock.Clock, tree *Tree, mix Mix, clients, opsPerClient i
 			}
 		})
 	}
-	clock.Idle(clk, wg.Wait)
+	g.Wait()
 	return rec
 }
 
@@ -164,17 +160,14 @@ func RunRateDriven(clk clock.Clock, tree *Tree, cfg RateConfig, fsFor func(i int
 	if len(cfg.Targets) == 0 {
 		return rec
 	}
-	var wg sync.WaitGroup
+	g := clock.NewGroup(clk)
 	seconds := int(cfg.Duration / time.Second)
 	perInterval := int(cfg.Interval / time.Second)
 	if perInterval <= 0 {
 		perInterval = 1
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		wg.Add(1)
-		clock.Go(clk, func() {
-			defer wg.Done()
+		g.Go(func() {
 			fs := fsFor(i)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*104729))
 			start := clk.Now()
@@ -205,7 +198,7 @@ func RunRateDriven(clk clock.Clock, tree *Tree, cfg RateConfig, fsFor func(i int
 			}
 		})
 	}
-	clock.Idle(clk, wg.Wait)
+	g.Wait()
 	return rec
 }
 
@@ -270,13 +263,10 @@ func RunTreeTest(clk clock.Clock, cfg TreeTestConfig, fsFor func(i int) TreeTest
 
 	// Phase 1: mknod.
 	start := clk.Now()
-	var wg sync.WaitGroup
+	g := clock.NewGroup(clk)
 	var werrs, wops atomic.Uint64
 	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		wg.Add(1)
-		clock.Go(clk, func() {
-			defer wg.Done()
+		g.Go(func() {
 			for n := 0; n < cfg.WritesPerClient; n++ {
 				p := "/tt/c" + itoa(uint64(i)) + "/f" + itoa(uint64(n))
 				if err := fss[i].Mknod(p); err != nil {
@@ -288,7 +278,7 @@ func RunTreeTest(clk clock.Clock, cfg TreeTestConfig, fsFor func(i int) TreeTest
 			}
 		})
 	}
-	clock.Idle(clk, wg.Wait)
+	g.Wait()
 	res.WriteDur = clk.Since(start)
 	res.WriteOps = wops.Load()
 	res.WriteErrs = werrs.Load()
@@ -297,10 +287,7 @@ func RunTreeTest(clk clock.Clock, cfg TreeTestConfig, fsFor func(i int) TreeTest
 	start = clk.Now()
 	var rerrs, rops atomic.Uint64
 	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		wg.Add(1)
-		clock.Go(clk, func() {
-			defer wg.Done()
+		g.Go(func() {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
 			own := paths[i]
 			if len(own) == 0 {
@@ -316,7 +303,7 @@ func RunTreeTest(clk clock.Clock, cfg TreeTestConfig, fsFor func(i int) TreeTest
 			}
 		})
 	}
-	clock.Idle(clk, wg.Wait)
+	g.Wait()
 	res.ReadDur = clk.Since(start)
 	res.ReadOps = rops.Load()
 	res.ReadErrs = rerrs.Load()

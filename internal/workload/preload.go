@@ -97,17 +97,12 @@ type FaultInjector struct {
 	Kills int
 }
 
-// Run injects faults until stop is closed.
-func (fi *FaultInjector) Run(clk clock.Clock, stop <-chan struct{}) {
+// Run injects faults until stop is set.
+func (fi *FaultInjector) Run(clk clock.Clock, stop *clock.Event) {
 	dep := 0
 	for {
-		if !clock.SleepOr(clk, fi.Interval, stop) {
+		if !clock.SleepOr(clk, fi.Interval, stop) || stop.IsSet() {
 			return
-		}
-		select {
-		case <-stop:
-			return
-		default:
 		}
 		// Round-robin across deployments; skip empty ones.
 		for tries := 0; tries < fi.Deployments; tries++ {

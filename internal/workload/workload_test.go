@@ -390,13 +390,13 @@ func TestFaultInjectorKillsRoundRobin(t *testing.T) {
 		p.Register("d", func(inst *faasInstance) faasApp { return nopApp{} },
 			faasDeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 2})
 	}
-	stop := make(chan struct{})
+	stop := clock.NewEvent(clk)
 	fi := &FaultInjector{Platform: p, Interval: 10 * time.Millisecond, Deployments: 2}
 	done := make(chan struct{})
 	clock.Go(clk, func() { fi.Run(clk, stop); close(done) })
 	// Let several intervals elapse in virtual time.
 	clock.Run(clk, func() { clk.Sleep(100 * time.Millisecond) })
-	close(stop)
+	stop.Set()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
