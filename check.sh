@@ -3,10 +3,9 @@
 # build, full test suite, the race detector over the concurrency-heavy
 # packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
 # platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant),
-# the exactness smoke — the clock's own tests and the sim-driven tests that
-# used to flake on early advances (bench hotpath/SLO/storm, chaos alert and
-# tenant-storm contracts, ndb, coordinator, rpc, core's lock phase), each
-# repeated on one and two Ps — bounded fixed-seed chaos, crash-restart,
+# the determinism smoke — the clock's own tests and the three golden
+# sim-driven tests (storm tables, alert digests, hotpath gate) on one, two
+# and four Ps — bounded fixed-seed chaos, crash-restart,
 # alert-coverage, and discrete-event-scale smoke runs, and the
 # perf/durability/scale baseline gates. Run before sending changes.
 set -e
@@ -48,15 +47,9 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
 
-echo "== exactness smoke (every clock.Sim wake is exact whatever the P count: clock, then the sim-driven tests, on 1 and 2 Ps, repeated) =="
-go test ./internal/clock/ -cpu 1,2 -count=5
-go test ./internal/bench/ -run 'TestHotpathBaselineGate|TestSLOExperiment' -cpu 1,2 -count=3
-# Two storms compared byte for byte: exact durations are not enough, it also
-# needs same-instant order, which only one P fixes (ROADMAP, one-substrate).
-go test ./internal/bench/ -run TestChaosStormSeedDeterminism -cpu 1 -count=3
-go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertEpisodeDigestStable|TestTenantStormContract|TestTenantStormMutedAlertCaught' -cpu 1,2 -count=3
-go test ./internal/ndb/ ./internal/coordinator/ ./internal/rpc/ -cpu 1,2 -count=3
-go test ./internal/core/ -run 'TestWriteLockPhaseIsOneStoreRead|TestDirectoryDispatchUnderLock|TestCrossingMovesTakeOneLockOrder|TestMovesBetweenDirectoryAndSubdirectory' -cpu 1,2 -count=3
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests and hotpath gate, on 1, 2 and 4 Ps) =="
+go test ./internal/clock/ -cpu 1,2,4
+go test ./internal/bench/ ./internal/chaos/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate' -cpu 1,2,4 -count=2
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1

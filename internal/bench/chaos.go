@@ -122,11 +122,9 @@ func runChaosEpisodes(opts Options) *Table {
 }
 
 // runChaosStorm is phase B: the full λFS stack under a seeded fault storm.
-// One clock-registered goroutine drives every phase: while an unregistered
-// driver is between two clock.Run calls nothing is busy, and the clock runs
-// ahead through the scraper's and the reclaimer's timers for as long as the
-// host takes to come back — idle instances get reclaimed in one run and not
-// in the next.
+// One clock-registered goroutine drives every phase, so every goroutine of
+// the storm is clock-started and a seed's table is the same on every run
+// (TestChaosStormSeedDeterminism holds it to a committed one).
 func runChaosStorm(opts Options) (t *Table) {
 	clk := clock.NewSim()
 	defer clk.Close()

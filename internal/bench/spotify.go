@@ -110,7 +110,9 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 	stopFaults := clock.NewEvent(clk)
 	if faultEvery > 0 {
 		fi := &workload.FaultInjector{Platform: c.platform, Interval: faultEvery, Deployments: p.deployments}
-		clock.Go(clk, func() { fi.Run(clk, stopFaults) })
+		// A daemon: started from outside the clock, it must not move time
+		// before the workload below does, nor after it.
+		clock.GoDaemon(clk, func() { fi.Run(clk, stopFaults) })
 	}
 
 	var rec *workload.Recorder

@@ -28,18 +28,36 @@ func TestAlertCoverage(t *testing.T) {
 	}
 }
 
+// goldenAlertDigests are the transition digests of every family's episode
+// for seeds 1 and 2, the ten `lambdafs-bench slo` prints (first 16 hex
+// digits). The episodes run on clock.Sim, which schedules its goroutines
+// itself, so they are the same on every run, host and GOMAXPROCS.
+var goldenAlertDigests = map[AlertFamily][2]string{
+	FamilyInstanceKill: {"36bc49c0b63e1621", "24cda43e8e609b9a"},
+	FamilyShardFault:   {"adb5cb7e47ea326e", "47bc34ac9bd98601"},
+	FamilyCrashRestart: {"103dc5152dd742c2", "103dc5152dd742c2"},
+	FamilyLeaderDepose: {"d8010bc185958e54", "a5d70495e8da9cd9"},
+	FamilyTenantStorm:  {"e6e7db4f432f8e60", "1bff7f1855d02cee"},
+}
+
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must
-// produce byte-identical transition digests, and differing seeds are
-// allowed to differ (they schedule different ops around the faults).
+// produce byte-identical transition digests — the committed ones — and
+// differing seeds are allowed to differ (they schedule different ops
+// around the faults).
 func TestAlertEpisodeDigestStable(t *testing.T) {
 	for _, c := range AlertContracts() {
-		a := RunAlertEpisode(DefaultAlertEpisode(c.Family, 42))
-		b := RunAlertEpisode(DefaultAlertEpisode(c.Family, 42))
-		if a.Digest != b.Digest {
-			t.Errorf("family %s: seed 42 replay diverged: %s vs %s", c.Family, a.Digest, b.Digest)
-		}
-		if a.Digest == "" {
-			t.Errorf("family %s: empty digest", c.Family)
+		for i, want := range goldenAlertDigests[c.Family] {
+			seed := int64(i + 1)
+			a := RunAlertEpisode(DefaultAlertEpisode(c.Family, seed))
+			if seed == 1 {
+				if b := RunAlertEpisode(DefaultAlertEpisode(c.Family, seed)); a.Digest != b.Digest {
+					t.Errorf("family %s: seed %d replay diverged: %s vs %s", c.Family, seed, a.Digest, b.Digest)
+				}
+			}
+			if len(a.Digest) < 16 || a.Digest[:16] != want {
+				t.Errorf("family %s seed %d: digest %.16s, committed %s — if the change is meant to move alert timing, "+
+					"`go run ./cmd/lambdafs-bench slo` prints all ten for goldenAlertDigests", c.Family, seed, a.Digest, want)
+			}
 		}
 	}
 }

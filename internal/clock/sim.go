@@ -10,59 +10,71 @@ import (
 	"time"
 )
 
-// Sim is a discrete-event simulation clock: virtual time advances
-// instantly to the next pending deadline whenever every registered
-// goroutine is idle, so computation consumes no virtual time and modeled
-// latencies are exact regardless of host timer granularity or core count.
-// This is what the benchmark harness runs on; the experiments' latency
-// model would otherwise be flattened by the ~1 ms kernel timer resolution
-// (see the package comment).
+// Sim is a discrete-event simulation clock and the only scheduler of the
+// goroutines that run on it: computation consumes no virtual time, modeled
+// latencies are exact regardless of host timer granularity or core count
+// (the ~1 ms kernel timer resolution would otherwise flatten the latency
+// model; see the package comment), and a run steps the same way every time.
 //
-// The contract: every goroutine participating in the simulation is
-// spawned through Go, and waits for simulation events only through the
-// clock: Sleep and SleepOr for time, a Mailbox, Event or Group (wait.go) for
-// anything else. A registered goroutine blocked any other way stalls
-// virtual time; the watchdog dumps all goroutines after StallTimeout to
-// make such bugs easy to find.
+// The contract: every goroutine of the simulation is started through Go,
+// GoDaemon or Run, and waits only through the clock: Sleep and SleepOr for
+// time, a Mailbox, Event or Group (wait.go) for anything else. A registered
+// goroutine blocked any other way keeps the baton and stalls the simulation;
+// the watchdog dumps all goroutines after StallTimeout.
 //
-// Which wakes are exact: all of them. A parked goroutine gives up its busy
-// token, and whoever wakes it — advance reaching its deadline, a Send, a
-// Set, a Group's last Done, Close — hands the token back *before* sending
-// the wake (waiter.wake, the one implementation), so the busy count never
-// reads zero between a wake and the woken goroutine's next instruction and
-// time cannot advance past work that is about to happen. When an event and
-// a deadline land on the same instant, whichever claims the waiter first
-// owns the outcome; a wait its event satisfied takes its deadline out of
-// the heap, so it costs no later advance. Only the order of goroutines
-// runnable at the same virtual instant is left to the host scheduler
-// (same-instant arrivals at a Queue or a mutex are ordered by the mutex):
-// virtual durations are exact, a run is not bit-deterministic.
+// The order rule: exactly one registered goroutine runs at a time — it holds
+// the baton. A wake (a Send, a Set, a Group's last Done, Close, a spawn)
+// releases nobody to the host scheduler; it appends to a first-come-first-
+// served run queue. Whoever parks or returns hands the baton to the head of
+// that queue, and when the queue is empty that same goroutine moves time to
+// the earliest armed deadline and queues everything due then in (deadline,
+// arm order). So woken goroutines run in wake order and spawned ones in
+// spawn order once the waker or spawner parks, sleepers due together run in
+// the order they went to sleep, and of an event and a deadline landing
+// together the first to claim the waiter owns the outcome (a wait its event
+// satisfied takes its deadline out of the heap: no later advance). A
+// simulation whose goroutines are all clock-started is bit-deterministic on
+// any number of Ps; what an unregistered goroutine does (a test calling
+// Stop, a driver spawning from outside) lands wherever the host puts it.
 //
-// The exception is Idle, kept for the benchmark/ module alone: a goroutine
-// woken through a raw channel inside Idle re-registers only once it runs, so
-// the monitor still holds back each advance until the busy count has stayed
-// zero across several scheduler yields — sound on one P, where benchmark/
-// runs.
+// The stand-still rule: time moves only for someone. It advances only while
+// a goroutine started by Go or Run is alive; periodic background loops
+// (reclaimer, scraper, heartbeats) are started by GoDaemon and do not count.
+// A quiescent cluster therefore holds its clock between two Run calls, and a
+// wake from outside (a spawn, a Set, a Send, Close) starts it again.
+//
+// What is still a guess: Idle, at the bottom of this file.
 type Sim struct {
-	nowNS atomic.Int64 // virtual ns since Epoch
-	busy  atomic.Int64
+	nowNS atomic.Int64 // virtual ns since Epoch; stored under mu
 
-	mu    sync.Mutex
-	heapq simHeap
+	mu         sync.Mutex
+	heapq      simHeap    // armed deadlines
+	arms       uint64     // arm sequence: same-instant deadlines fire in arm order
+	runq       []runnable // runq[head:] wait for the baton, first come first served
+	head       int
+	running    bool // a registered goroutine holds the baton
+	alive      int  // non-daemon goroutines spawned and not yet returned
+	idlers     int  // Idle helpers out
+	closed     bool
+	picks      uint64             // baton hand-offs, for the watchdog
+	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
 
 	stop          chan struct{}
-	closed        atomic.Bool
-	progress      atomic.Int64 // real ns of last observed progress
 	StallTimeout  time.Duration
 	advanceEvents atomic.Uint64
+}
 
-	// registered tracks the goroutine IDs of simulation-registered
-	// goroutines so Run can detect re-entrancy and run inline.
-	registered sync.Map // int64 -> struct{}
+// runnable is one run-queue slot: a parked goroutine to resume with its
+// park's outcome, or (fn set) a spawned goroutine to start.
+type runnable struct {
+	w       *waiter
+	expired bool
+	fn      func()
+	daemon  bool
 }
 
 // goid returns the current goroutine's ID (parsed from the stack header;
-// used only on Run's cold path).
+// used once per spawned goroutine and on Run's cold path).
 func goid() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -78,13 +90,18 @@ func goid() int64 {
 	return id
 }
 
-// simHeap orders parked waiters and After entries by deadline; each entry
-// tracks its position so a wait its event satisfied can leave early.
+// simHeap orders parked waiters by (deadline, arm order); each entry tracks
+// its position so a wait its event satisfied can leave early.
 type simHeap []*waiter
 
-func (h simHeap) Len() int           { return len(h) }
-func (h simHeap) Less(i, j int) bool { return h[i].deadlineNS < h[j].deadlineNS }
-func (h simHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx, h[j].idx = i, j }
+func (h simHeap) Len() int { return len(h) }
+func (h simHeap) Less(i, j int) bool {
+	if h[i].deadlineNS != h[j].deadlineNS {
+		return h[i].deadlineNS < h[j].deadlineNS
+	}
+	return h[i].seq < h[j].seq
+}
+func (h simHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].idx, h[j].idx = i, j }
 func (h *simHeap) Push(x any) {
 	w := x.(*waiter)
 	w.idx, w.queued = len(*h), true
@@ -103,39 +120,24 @@ var _ Clock = (*Sim)(nil)
 
 // NewSim starts a simulation clock at Epoch. Call Close when done.
 func NewSim() *Sim {
-	s := &Sim{stop: make(chan struct{}), StallTimeout: 10 * time.Second}
-	s.progress.Store(time.Now().UnixNano())
-	go s.monitor()
+	s := &Sim{stop: make(chan struct{}), StallTimeout: 10 * time.Second, registered: map[int64]struct{}{}}
+	go s.watchdog()
 	return s
 }
 
-// Close stops the monitor. Everything parked with a deadline is woken
-// immediately, as if the deadline had come, so the simulation can drain.
+// Close stops the watchdog and drains the simulation: everything parked
+// with a deadline is woken, in heap order, as if the deadline had come, and
+// from then on a deadline expires as soon as it is waited on.
 func (s *Sim) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	close(s.stop)
 	s.mu.Lock()
-	pending := s.heapq
-	s.heapq = nil
-	for _, w := range pending {
-		w.queued = false
+	if !s.closed {
+		s.closed = true
+		close(s.stop)
+		for len(s.heapq) > 0 {
+			s.wakeLocked(heap.Pop(&s.heapq).(*waiter), true)
+		}
 	}
 	s.mu.Unlock()
-	s.fire(pending)
-}
-
-// fire wakes entries taken off the heap: their deadline has come.
-func (s *Sim) fire(due []*waiter) {
-	now := s.Now()
-	for _, w := range due {
-		if w.after != nil {
-			w.after <- now
-			continue
-		}
-		w.wake(s, true)
-	}
 }
 
 // Now returns the current virtual time.
@@ -147,39 +149,9 @@ func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 // Sleep blocks for exactly d of virtual time.
 func (s *Sim) Sleep(d time.Duration) {
 	if d > 0 {
-		w := newWaiter()
+		w := newWaiter(s)
 		s.park(&w, s.nowNS.Load()+int64(d))
 	}
-}
-
-// park is the Sim side of the package's park: the goroutine gives up its
-// busy token for as long as it is parked and gets it back from its waker.
-// deadlineNS is virtual ns since Epoch, 0 for none. A deadline already due,
-// or any deadline on a closed clock, wakes w on the spot; a wait its event
-// satisfied takes its deadline off the heap.
-func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
-	armed := false
-	if deadlineNS != 0 {
-		w.deadlineNS = deadlineNS
-		s.mu.Lock()
-		if armed = !s.closed.Load() && deadlineNS > s.nowNS.Load(); armed {
-			heap.Push(&s.heapq, w)
-		}
-		s.mu.Unlock()
-		if !armed {
-			w.wake(s, true)
-		}
-	}
-	s.busy.Add(-1)
-	expired = <-w.ch
-	if armed && !expired {
-		s.mu.Lock()
-		if w.queued {
-			heap.Remove(&s.heapq, w.idx)
-		}
-		s.mu.Unlock()
-	}
-	return expired
 }
 
 // After returns a channel receiving the virtual time once d has elapsed.
@@ -187,159 +159,216 @@ func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
 // SleepOr or a Deadline instead.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	s.mu.Lock()
-	if d <= 0 || s.closed.Load() {
-		s.mu.Unlock()
-		ch <- s.Now()
-		return ch
-	}
-	heap.Push(&s.heapq, &waiter{after: ch, deadlineNS: s.nowNS.Load() + int64(d)})
-	s.mu.Unlock()
+	s.spawn(func() { s.Sleep(d); ch <- s.Now() }, true)
 	return ch
 }
 
-// GoRun spawns fn as a registered simulation goroutine.
-func (s *Sim) GoRun(fn func()) {
-	s.busy.Add(1)
-	go func() {
-		id := goid()
-		s.registered.Store(id, struct{}{})
-		defer func() {
-			s.registered.Delete(id)
-			s.busy.Add(-1)
-		}()
-		fn()
-	}()
+// park is the Sim side of the package's park: the goroutine puts the baton
+// down, hands it to whoever is next and blocks until somebody's pick hands
+// it back with the outcome. deadlineNS is virtual ns since Epoch, 0 for
+// none. A deadline already due returns at once, baton in hand, unless an
+// event got to w first; on a closed clock every deadline is due, but the
+// goroutine queues behind the others so a ticker loop cannot keep the
+// baton to itself.
+func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
+	s.mu.Lock()
+	if !s.running {
+		s.mu.Unlock()
+		panic("clock.Sim: parked by a goroutine the clock did not start — enter through clock.Run")
+	}
+	switch {
+	case deadlineNS == 0 || w.claimed.Load(): // nothing to arm
+	case s.closed:
+		s.wakeLocked(w, true)
+	case deadlineNS <= s.nowNS.Load():
+		w.claimed.Store(true) // under s.mu, like every claim on a Sim
+		s.mu.Unlock()
+		return true
+	default:
+		s.arms++
+		w.deadlineNS, w.seq = deadlineNS, s.arms
+		heap.Push(&s.heapq, w)
+	}
+	r, picked := s.next()
+	s.mu.Unlock()
+	if picked && r.w == w {
+		return r.expired
+	}
+	s.dispatch(r, picked)
+	return <-w.ch
 }
 
+// wake queues the goroutine parked (or about to park) on w with the outcome
+// its park will report, unless another wake claimed w first; it reports
+// whether this one won.
+func (s *Sim) wake(w *waiter, expired bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wakeLocked(w, expired)
+}
+
+// wakeLocked is wake for a caller that holds s.mu.
+func (s *Sim) wakeLocked(w *waiter, expired bool) bool {
+	if w.claimed.Swap(true) {
+		return false
+	}
+	if w.queued {
+		heap.Remove(&s.heapq, w.idx)
+	}
+	s.enqueue(runnable{w: w, expired: expired})
+	return true
+}
+
+// spawn queues fn to start, on a goroutine of its own, when its turn for
+// the baton comes.
+func (s *Sim) spawn(fn func(), daemon bool) {
+	s.mu.Lock()
+	if !daemon {
+		s.alive++
+	}
+	s.enqueue(runnable{fn: fn, daemon: daemon})
+	s.mu.Unlock()
+}
+
+// enqueue puts r at the tail of the run queue. This is also how a
+// simulation that stands still starts again: the caller is then outside it
+// and picks the baton up for r. Caller holds s.mu (dispatch cannot block).
+func (s *Sim) enqueue(r runnable) {
+	s.runq = append(s.runq, r)
+	if !s.running {
+		s.running = true
+		s.dispatch(s.next())
+	}
+}
+
+// next picks who gets the baton from the caller, which is parking,
+// returning or outside: the head of the run queue, or — the queue empty —
+// the first of everything due at the earliest deadline, time moved there.
+// With nothing to pick (no deadline armed, or none that anybody alive is
+// waiting out) the baton is put down and the simulation stands still until
+// a wake from outside. Caller holds s.mu.
+func (s *Sim) next() (r runnable, ok bool) {
+	for s.head == len(s.runq) {
+		if s.idlers > 0 {
+			if s.grace(); s.head < len(s.runq) {
+				break
+			}
+		}
+		if len(s.heapq) == 0 || s.alive == 0 {
+			s.running = false
+			return r, false
+		}
+		at := s.heapq[0].deadlineNS
+		s.nowNS.Store(at)
+		s.advanceEvents.Add(1)
+		for len(s.heapq) > 0 && s.heapq[0].deadlineNS == at {
+			s.wakeLocked(heap.Pop(&s.heapq).(*waiter), true)
+		}
+	}
+	r = s.runq[s.head]
+	s.runq[s.head] = runnable{}
+	if s.head++; s.head == len(s.runq) {
+		s.runq, s.head = s.runq[:0], 0
+	}
+	s.picks++
+	return r, true
+}
+
+// dispatch hands the baton to r, if there is one: resumes the parked
+// goroutine (its channel has room for the one outcome it ever gets) or
+// starts the spawned one.
+func (s *Sim) dispatch(r runnable, ok bool) {
+	switch {
+	case !ok:
+	case r.fn != nil:
+		go s.run(r.fn, r.daemon)
+	default:
+		r.w.ch <- r.expired
+	}
+}
+
+// run is the body of every registered goroutine: it starts with the baton
+// and hands it on when fn returns.
+func (s *Sim) run(fn func(), daemon bool) {
+	id := goid()
+	s.mu.Lock()
+	s.registered[id] = struct{}{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.registered, id)
+		if !daemon {
+			s.alive--
+		}
+		r, ok := s.next()
+		s.mu.Unlock()
+		s.dispatch(r, ok)
+	}()
+	fn()
+}
+
+// GoRun spawns fn as a registered simulation goroutine.
+func (s *Sim) GoRun(fn func()) { s.spawn(fn, false) }
+
 // isRegistered reports whether the calling goroutine is
-// simulation-registered.
+// simulation-registered. While nobody holds the baton it cannot be.
 func (s *Sim) isRegistered() bool {
-	_, ok := s.registered.Load(goid())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.running {
+		return false
+	}
+	_, ok := s.registered[goid()]
 	return ok
 }
 
 // Advances reports how many time advances occurred (diagnostics).
 func (s *Sim) Advances() uint64 { return s.advanceEvents.Load() }
 
-// monitor advances virtual time whenever the simulation quiesces.
-func (s *Sim) monitor() {
-	const graceRounds = 16
-	// idleStreak counts consecutive empty+idle observations; the monitor
-	// only parks (time.Sleep has ~millisecond kernel granularity) once
-	// the simulation has looked finished for a while — a goroutine woken
-	// by the previous advance may not have re-registered yet.
-	idleStreak := 0
-	for {
+// watchdog panics with a goroutine dump when the baton has not changed
+// hands for StallTimeout while somebody holds it — almost always a
+// registered goroutine blocked on something the clock does not own. It
+// sleeps between checks and exits with Close.
+func (s *Sim) watchdog() {
+	const tick = time.Second
+	var seen uint64
+	for stalled := tick; ; stalled += tick {
 		select {
 		case <-s.stop:
 			return
-		default:
-		}
-		if b := s.busy.Load(); b != 0 {
-			idleStreak = 0
-			if b > 0 {
-				// Positive busy is normal execution; negative busy means
-				// an unregistered goroutine slept or idled — let the
-				// stall watchdog expose it.
-				s.progress.Store(time.Now().UnixNano())
-			}
-			runtime.Gosched()
-			s.checkStall()
-			continue
+		case <-time.After(tick):
 		}
 		s.mu.Lock()
-		empty := s.heapq.Len() == 0
+		if !s.running || s.picks != seen {
+			seen, stalled = s.picks, 0
+		}
 		s.mu.Unlock()
-		if empty {
-			idleStreak++
-			if idleStreak < 2000 {
-				runtime.Gosched()
-				continue
-			}
-			// Genuinely nothing to do: the simulation is finished or has
-			// not started. Park without burning the core.
-			time.Sleep(time.Millisecond)
-			continue
+		if s.StallTimeout > 0 && stalled >= s.StallTimeout {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			fmt.Fprintf(os.Stderr, "clock.Sim: stall detected (baton held for %v); goroutines:\n%s\n", stalled, buf[:n])
+			panic("clock.Sim: simulation stalled — a registered goroutine is blocked outside the clock")
 		}
-		idleStreak = 0
-		// Grace: let woken-but-unregistered goroutines run before
-		// declaring quiescence.
-		stable := true
-		for i := 0; i < graceRounds; i++ {
-			runtime.Gosched()
-			if s.busy.Load() != 0 {
-				stable = false
-				break
-			}
-		}
-		if !stable {
-			continue
-		}
-		s.advance()
 	}
-}
-
-// advance pops every waiter at the earliest deadline and wakes it.
-func (s *Sim) advance() {
-	s.mu.Lock()
-	if s.heapq.Len() == 0 || s.busy.Load() != 0 {
-		s.mu.Unlock()
-		return
-	}
-	deadline := s.heapq[0].deadlineNS
-	var due []*waiter
-	for s.heapq.Len() > 0 && s.heapq[0].deadlineNS == deadline {
-		due = append(due, heap.Pop(&s.heapq).(*waiter))
-	}
-	s.nowNS.Store(deadline)
-	s.mu.Unlock()
-	s.advanceEvents.Add(1)
-	s.progress.Store(time.Now().UnixNano())
-	s.fire(due)
-}
-
-// checkStall panics with a goroutine dump when registered goroutines stay
-// busy without progress — almost always an unwrapped blocking wait.
-func (s *Sim) checkStall() {
-	if s.StallTimeout <= 0 {
-		return
-	}
-	last := time.Unix(0, s.progress.Load())
-	if time.Since(last) < s.StallTimeout {
-		return
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	fmt.Fprintf(os.Stderr, "clock.Sim: stall detected (busy=%d for %v); goroutines:\n%s\n",
-		s.busy.Load(), time.Since(last), buf[:n])
-	panic("clock.Sim: simulation stalled — a registered goroutine is blocked outside Sleep/Idle")
 }
 
 // Go spawns fn as a simulation-registered goroutine when clk is a Sim,
 // and as a plain goroutine otherwise. All simulation components spawn
 // through this helper.
-func Go(clk Clock, fn func()) {
+func Go(clk Clock, fn func()) { spawn(clk, fn, false) }
+
+// GoDaemon is Go for a background loop that ticks for as long as its owner
+// exists (a reclaimer, a scraper, a heartbeat): on a Sim it runs like any
+// other goroutine, but time does not advance on its account alone (the
+// stand-still rule in the Sim type comment).
+func GoDaemon(clk Clock, fn func()) { spawn(clk, fn, true) }
+
+func spawn(clk Clock, fn func(), daemon bool) {
 	if s, ok := clk.(*Sim); ok {
-		s.GoRun(fn)
+		s.spawn(fn, daemon)
 		return
 	}
 	go fn()
-}
-
-// Idle runs fn, which blocks on a raw channel or WaitGroup, with the calling
-// goroutine marked idle when clk is a Sim. The wake that ends fn is not
-// clock-owned, so on a Sim it is exact only heuristically (see the Sim type
-// comment). Idle exists for the two joins in benchmark/run.go, which only a
-// benchmark PR may edit; this module has no non-test caller and
-// lambdafs-vet's virtualtime check keeps it so. Wait on a Mailbox, Event or
-// Group instead.
-func Idle(clk Clock, fn func()) {
-	if s, ok := clk.(*Sim); ok {
-		s.busy.Add(-1)
-		defer s.busy.Add(1)
-	}
-	fn()
 }
 
 // SleepOr sleeps d of virtual time on clk unless cancel is set first, and
@@ -352,8 +381,8 @@ func SleepOr(clk Clock, d time.Duration, cancel *Event) bool {
 
 // Run executes fn to completion on clk: on a Sim clock, fn is shuttled
 // into a registered goroutine when the caller is unregistered (an
-// unregistered goroutine must never Sleep on a Sim directly — it would
-// stall the monitor) and runs inline when the caller is already
+// unregistered goroutine must never park on a Sim directly — it holds no
+// baton to put down) and runs inline when the caller is already
 // registered; on other clocks fn always runs inline. Public API entry
 // points use this so applications and tests need no knowledge of the DES
 // clock.
@@ -364,9 +393,57 @@ func Run(clk Clock, fn func()) {
 		return
 	}
 	done := make(chan struct{})
-	s.GoRun(func() {
+	s.spawn(func() {
 		defer close(done)
 		fn()
-	})
+	}, false)
 	<-done
+}
+
+// The Idle compatibility path: everything below, Sim.idlers and the grace
+// call in Sim.next exist for the two joins in benchmark/run.go, which only
+// a benchmark PR may edit, and are deleted together by ROADMAP's
+// one-substrate item (a).
+
+// Idle runs fn, which blocks on a raw channel or WaitGroup, while the
+// caller is parked on clk. On a Sim fn runs on a helper goroutine the clock
+// does not schedule and the caller parks on an Event the helper sets; the
+// wake that ends fn is a raw channel's, so while a helper is out the picker
+// holds each advance back for graceRounds scheduler yields — a guess, sound
+// on one P, where benchmark/ runs. This module has no non-test caller and
+// lambdafs-vet's virtualtime check keeps it so. Wait on a Mailbox, Event or
+// Group instead.
+func Idle(clk Clock, fn func()) {
+	s, ok := clk.(*Sim)
+	if !ok {
+		fn()
+		return
+	}
+	done := NewEvent(s)
+	s.mu.Lock()
+	s.idlers++
+	s.mu.Unlock()
+	go func() {
+		fn()
+		done.Set()
+		s.mu.Lock()
+		s.idlers--
+		s.mu.Unlock()
+	}()
+	done.Wait()
+}
+
+// graceRounds is how many scheduler yields an advance is held back for
+// while an Idle helper is out.
+const graceRounds = 16
+
+// grace gives the Idle helpers that are out a chance to turn a raw wake
+// into a clock one (a run-queue entry) before time moves. Caller holds
+// s.mu, which is released across each yield.
+func (s *Sim) grace() {
+	for i := 0; i < graceRounds && s.head == len(s.runq); i++ {
+		s.mu.Unlock()
+		runtime.Gosched()
+		s.mu.Lock()
+	}
 }

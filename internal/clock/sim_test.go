@@ -117,7 +117,7 @@ func TestSimIdleAllowsAdvance(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("simulation deadlocked: Idle did not release the busy count")
+		t.Fatal("simulation deadlocked: Idle did not put the baton down")
 	}
 }
 
@@ -138,17 +138,21 @@ func TestSimAfter(t *testing.T) {
 	}
 }
 
+// TestSimCloseWakesSleepers: nothing alive is waiting the hour out, so the
+// clock stands still on the daemon's deadline; Close must still release it.
 func TestSimCloseWakesSleepers(t *testing.T) {
 	s := NewSim()
 	released := make(chan struct{})
-	s.GoRun(func() {
-		// A busy peer prevents advancement; Close must still release.
-		s.busy.Add(1)
-		defer s.busy.Add(-1)
+	GoDaemon(s, func() {
 		s.Sleep(time.Hour)
 		close(released)
 	})
 	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-released:
+		t.Fatal("time moved for a daemon alone")
+	default:
+	}
 	s.Close()
 	s.Close() // idempotent
 	select {
@@ -156,45 +160,15 @@ func TestSimCloseWakesSleepers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not wake pending sleepers")
 	}
-}
-
-// TestSimWakeHandsSleeperItsBusyToken: the instant a sleeper is woken it
-// must already count as busy — if re-registering were left to the sleeper,
-// the monitor could see busy == 0 between the wake and the sleeper's next
-// instruction and advance past work that is about to happen. Driven by
-// hand (no monitor) so the window is observed deterministically.
-func TestSimWakeHandsSleeperItsBusyToken(t *testing.T) {
-	s := &Sim{stop: make(chan struct{})}
-	s.busy.Store(1) // the sleeper-to-be
-	proceed := make(chan struct{})
-	woke := make(chan struct{})
-	go func() {
-		s.Sleep(time.Millisecond)
-		close(woke)
-		<-proceed
-	}()
-	for s.busy.Load() != 0 {
-		runtime.Gosched() // until the sleeper is parked
-	}
-	s.advance()
-	if b := s.busy.Load(); b != 1 {
-		t.Fatalf("busy = %d right after the wake was sent, want 1", b)
-	}
-	<-woke
-	if b := s.busy.Load(); b != 1 {
-		t.Fatalf("busy = %d after the sleeper resumed, want 1 (token added twice?)", b)
-	}
-	close(proceed)
-	if got := s.Since(Epoch); got != time.Millisecond {
-		t.Fatalf("virtual time = %v, want 1ms", got)
+	if now := s.Since(Epoch); now != 0 {
+		t.Fatalf("Close moved time to Epoch+%v; it wakes sleepers where the clock stands", now)
 	}
 }
 
-// TestSleepOr: a cancellable sleep runs its course exactly like Sleep,
-// returns at the cancel instant when cancelled, and leaves the busy count
-// whole either way — the sleeps that follow a cancellation, including the
-// one that passes the cancelled deadline, are still exact, and the
-// cancelled deadline costs no advance of its own.
+// TestSleepOr: a cancellable sleep runs its course exactly like Sleep and
+// returns at the cancel instant when cancelled; the sleeps that follow a
+// cancellation, including the one that passes the cancelled deadline, are
+// still exact, and the cancelled deadline costs no advance of its own.
 func TestSleepOr(t *testing.T) {
 	s := NewSim()
 	defer s.Close()
@@ -230,12 +204,6 @@ func TestSleepOr(t *testing.T) {
 	}
 	if got := s.Advances(); got != 102 { // 3ms, 7ms, 100 × 1ms — and nothing at 50ms
 		t.Errorf("%d advances, want 102: one per distinct deadline that was waited out", got)
-	}
-	for i := 0; s.busy.Load() != 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond) // Run's goroutine is still unregistering
-	}
-	if b := s.busy.Load(); b != 0 {
-		t.Errorf("busy = %d after the run, want 0", b)
 	}
 	// Cancelled beforehand: no sleep at all, even where sleeps return at once.
 	for _, clk := range []Clock{s, NewScaled(0), NewManual()} {

@@ -10,41 +10,40 @@ import (
 // The one way to wait for something other than time: a value (Mailbox), a
 // state that never reverts (Event), a set of goroutines (Group), each
 // optionally bounded by a Deadline. All park on one waiter and wake through
-// one hand-off, so on a Sim a wake by event is as exact as a wake by
-// deadline; on every other clock a waiter is a plain channel and a Deadline
-// a plain timer.
+// one hand-off, so on a Sim a wake by event is scheduled exactly like a wake
+// by deadline; on every other clock a waiter is a plain channel and a
+// Deadline a plain timer.
 
 // waiter is one goroutine parked until an event source or a deadline wakes
 // it, whichever gets to it first.
 type waiter struct {
-	ch      chan bool   // capacity 1, for the winning waker's send: true = the deadline won
+	ch      chan bool   // capacity 1, for the outcome: true = the deadline won
 	claimed atomic.Bool // set by the first waker to reach the waiter
+	sim     *Sim        // the clock it waits on, if that is a Sim
 
-	// A Sim's deadline-heap entry, guarded by Sim.mu.
+	// The Sim's deadline-heap entry, guarded by Sim.mu.
 	deadlineNS int64
+	seq        uint64 // arm order, the tie-break among equal deadlines
 	idx        int
 	queued     bool
-	after      chan time.Time // Sim.After entry: nobody is parked, no token moves
 }
 
-func newWaiter() waiter { return waiter{ch: make(chan bool, 1)} }
+func newWaiter(clk Clock) waiter {
+	s, _ := clk.(*Sim)
+	return waiter{ch: make(chan bool, 1), sim: s}
+}
 
-// wake is the single hand-off every clock-owned wait ends with, whoever the
-// waker is: an advance reaching the deadline, a Send, a Set, the last Done,
-// Close, a host timer. On a Sim (s non-nil) it first returns the busy token
-// the waiter gave up when it parked, then claims the waiter, then sends the
-// wake — so the busy count never reads zero between a wake and the woken
-// goroutine's next instruction, even when the waker holds no token itself.
-// Of an event and a deadline landing together, the first to claim owns the
-// outcome and the other's wake is a no-op; wake reports whether it won.
-func (w *waiter) wake(s *Sim, expired bool) bool {
-	if s != nil {
-		s.busy.Add(1)
+// wake is what every clock-owned wait ends with, whoever the waker is: a
+// deadline, a Send, a Set, the last Done, Close, a host timer. Of an event
+// and a deadline landing together, the first to claim the waiter owns the
+// outcome and the other's wake is a no-op; wake reports whether it won. On
+// a Sim the winner queues the waiter for the baton (Sim.wake); on every
+// other clock it releases the goroutine to the host scheduler.
+func (w *waiter) wake(expired bool) bool {
+	if w.sim != nil {
+		return w.sim.wake(w, expired)
 	}
 	if w.claimed.Swap(true) {
-		if s != nil {
-			s.busy.Add(-1)
-		}
 		return false
 	}
 	w.ch <- expired
@@ -55,11 +54,11 @@ func (w *waiter) wake(s *Sim, expired bool) bool {
 // already lists, until that source or dl wakes it, and reports whether the
 // deadline did — in which case the caller takes w off the source's list.
 func park(clk Clock, w *waiter, dl Deadline) (expired bool) {
-	if s, ok := clk.(*Sim); ok {
+	if w.sim != nil {
 		if dl.at.IsZero() {
-			return s.park(w, 0)
+			return w.sim.park(w, 0)
 		}
-		return s.park(w, int64(dl.at.Sub(Epoch)))
+		return w.sim.park(w, int64(dl.at.Sub(Epoch)))
 	}
 	if dl.at.IsZero() {
 		return <-w.ch
@@ -76,15 +75,9 @@ func park(clk Clock, w *waiter, dl Deadline) (expired bool) {
 	case expired = <-w.ch:
 		return expired
 	case <-timer:
-		w.wake(nil, true) // unless the source got there first: either way w.ch now holds the outcome
+		w.wake(true) // unless the source got there first: either way w.ch now holds the outcome
 		return <-w.ch
 	}
-}
-
-// asSim returns clk as a Sim, or nil: what wake needs to know.
-func asSim(clk Clock) *Sim {
-	s, _ := clk.(*Sim)
-	return s
 }
 
 // without returns list with w taken off it.
@@ -167,7 +160,7 @@ func (m *Mailbox[T]) handOff(v T) bool {
 		r := m.recvs[0]
 		m.recvs = slices.Delete(m.recvs, 0, 1)
 		r.v = v // read only by a receiver this wake wins
-		if r.wake(asSim(m.clk), false) {
+		if r.wake(false) {
 			return true
 		}
 	}
@@ -189,7 +182,7 @@ func (m *Mailbox[T]) RecvBy(dl Deadline) (v T, ok bool) {
 		m.mu.Unlock()
 		return v, true
 	}
-	r := &recv[T]{waiter: newWaiter()}
+	r := &recv[T]{waiter: newWaiter(m.clk)}
 	m.recvs = append(m.recvs, r)
 	m.mu.Unlock()
 	if park(m.clk, &r.waiter, dl) {
@@ -222,7 +215,7 @@ func (e *Event) Set() {
 	e.set, e.waiters = true, nil
 	e.mu.Unlock()
 	for _, w := range ws {
-		w.wake(asSim(e.clk), false)
+		w.wake(false)
 	}
 }
 
@@ -244,7 +237,7 @@ func (e *Event) WaitBy(dl Deadline) bool {
 		e.mu.Unlock()
 		return true
 	}
-	w := newWaiter()
+	w := newWaiter(e.clk)
 	e.waiters = append(e.waiters, &w)
 	e.mu.Unlock()
 	if park(e.clk, &w, dl) {

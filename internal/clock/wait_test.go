@@ -7,20 +7,11 @@ import (
 	"time"
 )
 
-// settleBusy waits for goroutines that have returned from their last
-// clock call to finish unregistering, and returns the busy count.
-func settleBusy(s *Sim, want int64) int64 {
-	for i := 0; s.busy.Load() != want && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	return s.busy.Load()
-}
-
 // TestEventWakesAreExact: goroutines that wake each other through a
 // Mailbox, an Event or a Group, thousands of times at one virtual instant,
 // never let time move — a sleeper's pending 1 h deadline is not reached,
 // whatever the P count — and the waits that do run into a deadline cost
-// exactly one advance per distinct deadline. Run at -cpu 1,2.
+// exactly one advance per distinct deadline. Run at -cpu 1,2,4.
 func TestEventWakesAreExact(t *testing.T) {
 	const pairs, rounds = 8, 200
 	pingPong := map[string]func(s *Sim){
@@ -105,17 +96,15 @@ func TestEventWakesAreExact(t *testing.T) {
 					t.Errorf("%d deadlines left in the heap by waits their event satisfied", s.heapq.Len())
 				}
 			})
-			if b := settleBusy(s, 0); b != 0 {
-				t.Errorf("busy = %d after the run, want 0", b)
-			}
 		})
 	}
 }
 
 // TestEventDeadlineTie: when a wait's event and its deadline land on the
 // same virtual instant, exactly one of them owns the outcome — the value is
-// either received or still in the mailbox, never both or neither — and the
-// busy count comes back whole.
+// either received or still in the mailbox, never both or neither — and it
+// is the same one every time: the receiver armed its deadline before the
+// sender armed its sleep, so the deadline fires first.
 func TestEventDeadlineTie(t *testing.T) {
 	s := NewSim()
 	defer s.Close()
@@ -149,61 +138,70 @@ func TestEventDeadlineTie(t *testing.T) {
 			if !ev.WaitBy(DeadlineIn(s, -time.Second)) {
 				t.Fatalf("round %d: WaitBy missed a set event", i)
 			}
-			if b := s.busy.Load(); b < 1 || b > 2 { // this goroutine, and the sender while it unregisters
-				t.Fatalf("round %d: busy = %d", i, b)
-			}
 		}
 	})
-	t.Logf("event won %d ties, deadline won %d", received, expired)
-	if b := settleBusy(s, 0); b != 0 {
-		t.Errorf("busy = %d after the run, want 0", b)
+	if received != 0 || expired != 300 {
+		t.Errorf("event won %d ties, deadline won %d; want the earlier-armed deadline to win all 300", received, expired)
 	}
-	// On the Sim the deadline nearly always gets there first, so race the
-	// two wakers by hand as well: one winner, one token.
-	for i := 0; i < 2000; i++ {
-		w := newWaiter()
-		won := make(chan bool, 2)
-		go func() { won <- w.wake(s, false) }()
-		go func() { won <- w.wake(s, true) }()
-		if a, b := <-won, <-won; a == b {
-			t.Fatalf("race %d: both wakers report won = %v", i, a)
+	// Race the two wakers by hand as well, from outside the clock, on a
+	// goroutine that is really parked: one winner, and the park reports the
+	// winner's outcome.
+	const races = 2000
+	ws := make([]waiter, races)
+	for i := range ws {
+		ws[i] = newWaiter(s)
+	}
+	outcome := make(chan bool, races)
+	Go(s, func() {
+		for i := range ws {
+			outcome <- s.park(&ws[i], 0)
 		}
-		<-w.ch
-		if b := s.busy.Load(); b != int64(i+1) {
-			t.Fatalf("race %d: busy = %d, want one token per waiter woken", i, b)
+	})
+	for i := range ws {
+		won := make(chan bool, 2)
+		go func() { won <- ws[i].wake(false) }()
+		go func() { won <- !ws[i].wake(true) }()
+		// Each reports whether the park should read "event": the event's
+		// wake won, or the deadline's lost.
+		if a, b := <-won, <-won; a != b {
+			t.Fatalf("race %d: event won = %v, deadline lost = %v: not exactly one winner", i, a, b)
+		} else if got := <-outcome; got == a {
+			t.Fatalf("race %d: park reported expired = %v, the winner was expired = %v", i, got, !a)
 		}
 	}
 }
 
 // TestUnregisteredWaker: a goroutine the clock does not know about (a test
-// calling Stop, Close) may wake parked goroutines; the token it hands over
-// is the parked goroutine's own, so the count stays balanced.
+// calling Stop, Close) may wake parked goroutines, and its Set, Send or
+// Close starts a simulation that is standing still. The parked goroutines
+// are daemons, so nobody waits their sleeps out and time does not move.
 func TestUnregisteredWaker(t *testing.T) {
 	s := NewSim()
-	s.busy.Add(1) // pin the clock: the sleeps below must not be waited out
 	ev, mb, parked := NewEvent(s), NewMailbox[string](s), NewGroup(s)
 	var got string
 	var woken, cancelled bool
-	parked.Go(func() { ev.Wait(); woken = true })
-	parked.Go(func() { got = mb.Recv() })
-	parked.Go(func() { cancelled = !SleepOr(s, time.Hour, ev) })
-	asleep := make(chan struct{})
-	Go(s, func() { s.Sleep(2 * time.Hour); close(asleep) })
-	if b := settleBusy(s, 1); b != 1 {
-		t.Fatalf("busy = %d with every goroutine parked, want only the pin", b)
+	daemon := func(fn func()) {
+		parked.Add(1)
+		GoDaemon(s, func() { defer parked.Done(); fn() })
 	}
+	daemon(func() { ev.Wait(); woken = true })
+	daemon(func() { got = mb.Recv() })
+	daemon(func() { cancelled = !SleepOr(s, time.Hour, ev) })
+	asleep := make(chan struct{})
+	GoDaemon(s, func() { s.Sleep(2 * time.Hour); close(asleep) })
 	ev.Set()
 	mb.Send("hello")
 	Run(s, parked.Wait)
 	if !woken || !cancelled || got != "hello" {
 		t.Errorf("woken = %v, cancelled = %v, got = %q", woken, cancelled, got)
 	}
+	select {
+	case <-asleep:
+		t.Fatal("the 2h sleep ended with nobody alive to wait it out")
+	default:
+	}
 	s.Close() // wakes the sleeper as if its deadline had come
 	<-asleep
-	s.busy.Add(-1)
-	if b := settleBusy(s, 0); b != 0 {
-		t.Errorf("busy = %d after Close, want 0", b)
-	}
 	if now := s.Since(Epoch); now != 0 {
 		t.Errorf("time moved to Epoch+%v", now)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -163,16 +162,12 @@ func runSimRounds(t *testing.T, rounds int, setup, ops func(r int) []simOp) {
 	})
 	clock.Run(clk, func() {
 		for r := 0; r < rounds; r++ {
-			var wg sync.WaitGroup
+			g := clock.NewGroup(clk)
 			for i, o := range ops(r) {
 				e, o := engines[i%2], o
-				wg.Add(1)
-				clock.Go(clk, func() {
-					defer wg.Done()
-					exec(e, o)
-				})
+				g.Go(func() { exec(e, o) })
 			}
-			clock.Idle(clk, wg.Wait)
+			g.Wait()
 		}
 	})
 	if n := db.Stats().LockTimeouts; n != 0 {

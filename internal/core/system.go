@@ -105,16 +105,18 @@ func (s *System) newNameNode(dep int, inst *faas.Instance) faas.App {
 		eng.SetOffloader(s)
 	}
 	nn := NewNameNode(eng, inst, s.coord)
+	nn.sys = s
 	s.mu.Lock()
 	s.engines[id] = eng
 	s.mu.Unlock()
-	clock.Go(s.clk, func() {
-		inst.Terminated().Wait()
-		s.mu.Lock()
-		delete(s.engines, id)
-		s.mu.Unlock()
-	})
 	return nn
+}
+
+// forget drops a terminated NameNode's engine from the live set.
+func (s *System) forget(id string) {
+	s.mu.Lock()
+	delete(s.engines, id)
+	s.mu.Unlock()
 }
 
 // Invoke implements rpc.Invoker: HTTP-RPC via the platform gateway.

@@ -26,7 +26,11 @@ type testCluster struct {
 
 func newCluster(t *testing.T, deployments int) *testCluster {
 	t.Helper()
-	clk := clock.NewScaled(0)
+	return newClusterOn(t, clock.NewScaled(0), deployments, 0)
+}
+
+func newClusterOn(t *testing.T, clk clock.Clock, deployments int, coldStart time.Duration) *testCluster {
+	t.Helper()
 	dbCfg := ndb.DefaultConfig()
 	dbCfg.RTT, dbCfg.ReadService, dbCfg.WriteService = 0, 0, 0
 	dbCfg.LockWaitTimeout = 150 * time.Millisecond
@@ -38,7 +42,7 @@ func newCluster(t *testing.T, deployments int) *testCluster {
 	coord := coordinator.NewZK(clk, coCfg)
 
 	fCfg := faas.DefaultConfig()
-	fCfg.ColdStart = 0
+	fCfg.ColdStart = coldStart
 	fCfg.GatewayLatency = 0
 	fCfg.IdleReclaim = 0
 	p := faas.New(clk, fCfg)
@@ -250,6 +254,43 @@ func TestAutoScaleOutUnderClientLoad(t *testing.T) {
 			cok(t, checker, namespace.OpStat, fmt.Sprintf("/scale%d-%d", i, j), "")
 		}
 	}
+}
+
+// TestLiveEnginesFollowTermination: a NameNode leaves the system's live set
+// and the coordinator's membership through its one Shutdown — also when it
+// is killed while still cold-starting, before there was an app to shut
+// down — with no goroutine per instance watching for it.
+func TestLiveEnginesFollowTermination(t *testing.T) {
+	sim := clock.NewSim()
+	t.Cleanup(sim.Close)
+	tc := newClusterOn(t, sim, 1, 10*time.Millisecond)
+	live := func() (int, int) { return len(tc.sys.LiveEngines()), tc.coord.MemberCount() }
+	clock.Run(sim, func() {
+		c := tc.client("c1")
+		g := clock.NewGroup(sim)
+		g.Go(func() {
+			if resp, err := c.Do(namespace.OpMkdirs, "/a", ""); err != nil || !resp.OK() {
+				t.Errorf("mkdirs across the killed cold start: %v %v", resp, err)
+			}
+		})
+		sim.Sleep(5 * time.Millisecond)
+		if !tc.p.KillOneInstance(0) {
+			t.Error("nothing to kill 5ms into a 10ms cold start")
+		}
+		g.Wait()
+		if at := sim.Since(clock.Epoch); at < 20*time.Millisecond {
+			t.Errorf("request served at %v: the killed cold start was not replaced by a second one", at)
+		}
+		if e, m := live(); e != 1 || m != 1 {
+			t.Errorf("%d live engines and %d members after a kill mid-cold-start, want the replacement only", e, m)
+		}
+		if !tc.p.KillOneInstance(0) {
+			t.Error("no instance to kill")
+		}
+		if e, m := live(); e != 0 || m != 0 {
+			t.Errorf("%d live engines and %d members with every instance dead, want none", e, m)
+		}
+	})
 }
 
 func TestOffloadBatchUsesHelpers(t *testing.T) {

@@ -8,8 +8,8 @@
 // # Concurrency and ownership
 //
 // A DataNode is safe for concurrent use: its block map is mutex-guarded,
-// and Start spawns exactly one publisher goroutine (clock.Go on the
-// injected clock, interval waits parked in clock.Idle) that Stop joins.
+// and Start spawns exactly one publisher goroutine (clock.GoDaemon on the
+// injected clock, interval waits in clock.SleepOr) that Stop joins.
 // There is deliberately no channel between DataNodes and NameNodes — the
 // store is the only shared medium, which is the serverless-compatibility
 // point. On the reading side, a View is safe for concurrent Live/
@@ -108,7 +108,7 @@ func (dn *DataNode) Publish() error {
 
 // Start launches the publication loop (first report immediate).
 func (dn *DataNode) Start() {
-	clock.Go(dn.clk, func() {
+	clock.GoDaemon(dn.clk, func() {
 		defer dn.done.Set()
 		for {
 			if err := dn.Publish(); err != nil {

@@ -311,7 +311,7 @@ func TestTerminatedChannelAndServe(t *testing.T) {
 		t.Fatalf("serve: %v %v", resp, err)
 	}
 	p.KillOneInstance(0)
-	if !inst.Terminated().IsSet() {
+	if !inst.term.IsSet() {
 		t.Fatal("Terminated event not set")
 	}
 	if _, err := inst.Serve(func() any { return 0 }); err != ErrInstanceDead {
@@ -359,11 +359,9 @@ func TestAcquireCPUReturnsAtKillInstant(t *testing.T) {
 	clock.Run(sim, func() {
 		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
 		inst := d.Warm()[0]
-		var wg sync.WaitGroup
+		g := clock.NewGroup(sim)
 		for i := range returned {
-			wg.Add(1)
-			clock.Go(sim, func() {
-				defer wg.Done()
+			g.Go(func() {
 				inst.AcquireCPU(10 * time.Millisecond) // slots [0,10ms) and [10ms,20ms)
 				returned[i] = sim.Since(clock.Epoch)
 			})
@@ -372,7 +370,7 @@ func TestAcquireCPUReturnsAtKillInstant(t *testing.T) {
 		if !p.KillOneInstance(0) {
 			t.Error("kill failed")
 		}
-		clock.Idle(sim, wg.Wait)
+		g.Wait()
 		inst.AcquireCPU(time.Second)
 		late = sim.Since(clock.Epoch)
 	})
@@ -471,39 +469,68 @@ func TestBillingActiveTime(t *testing.T) {
 	}
 }
 
+// TestEvictForSpace: eviction makes room for a hot deployment out of
+// another one's idle instances, but never shrinks it below its MinInstances
+// floor (or below one) — then the invocation is shed when its admission
+// wait runs out, at exactly that virtual instant.
 func TestEvictForSpace(t *testing.T) {
 	cfg := fastCfg()
 	cfg.TotalVCPU = 8
 	cfg.MaxUtilization = 1
 	cfg.EvictForSpace = true
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	// Two idle instances: eviction may shrink the deployment but never
-	// below one (or its MinInstances floor).
-	d0 := p.Register("idle", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 2})
-	if d0.AliveInstances() != 2 {
-		t.Fatalf("prewarmed %d", d0.AliveInstances())
+	opts := DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1}
+	for _, tc := range []struct {
+		name      string
+		floor     int
+		err       error
+		returns   time.Duration
+		idleLeft  int
+		evictions uint64
+	}{
+		{"at the floor", 2, ErrNoCapacity, cfg.InvokeQueueTimeout, 2, 0},
+		{"above the floor", 1, nil, 0, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := clock.NewSim()
+			defer sim.Close()
+			p := New(sim, cfg)
+			defer p.Close()
+			tr := &appTracker{}
+			clock.Run(sim, func() {
+				idleOpts := opts
+				idleOpts.MinInstances = tc.floor
+				idle := p.Register("idle", tr.factory(nil, time.Millisecond), idleOpts)
+				// Two concurrent requests on one-slot instances: the
+				// deployment holds two instances, the whole pool, whatever
+				// its floor; both are idle again afterwards.
+				g := clock.NewGroup(sim)
+				for i := 0; i < 2; i++ {
+					g.Go(func() {
+						if _, err := idle.Invoke(i); err != nil {
+							t.Errorf("filling the pool: %v", err)
+						}
+					})
+				}
+				g.Wait()
+				if idle.AliveInstances() != 2 {
+					t.Errorf("pool filled with %d instances, want 2", idle.AliveInstances())
+					return
+				}
+				hot := p.Register("hot", tr.factory(nil, 0), opts)
+				start := sim.Now()
+				_, err := hot.Invoke("x")
+				if err != tc.err {
+					t.Errorf("Invoke = %v, want %v", err, tc.err)
+				}
+				if at := sim.Since(start); at != tc.returns {
+					t.Errorf("Invoke returned after %v, want %v", at, tc.returns)
+				}
+				if got, ev := idle.AliveInstances(), p.Stats().Evictions; got != tc.idleLeft || ev != tc.evictions {
+					t.Errorf("%d idle instances after %d evictions, want %d after %d", got, ev, tc.idleLeft, tc.evictions)
+				}
+			})
+		})
 	}
-	d1 := p.Register("hot", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1})
-	// Floor respected: no room can be made, the invocation is shed.
-	cfgShed, err := d1.Invoke("x")
-	if err != ErrNoCapacity {
-		t.Fatalf("eviction violated the MinInstances floor: %v %v", cfgShed, err)
-	}
-	if d0.AliveInstances() != 2 || p.Stats().Evictions != 0 {
-		t.Fatalf("floor violated: %d instances, %d evictions", d0.AliveInstances(), p.Stats().Evictions)
-	}
-	p.Close()
-
-	// With a floor of 1, the second instance is fair game.
-	p2 := New(clock.NewScaled(0), cfg)
-	defer p2.Close()
-	e0 := p2.Register("idle", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 2})
-	_ = e0
-	// Rebuild with MinInstances 1 semantics by reaching steady state:
-	e1 := p2.Register("hot", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1})
-	_ = e1
 }
 
 func TestInvokeUnknownDeployment(t *testing.T) {

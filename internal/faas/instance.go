@@ -43,14 +43,21 @@ func newInstance(d *Deployment, id string) *Instance {
 	}
 }
 
-// start instantiates the app after the cold start completed.
+// start instantiates the app after the cold start completed. An instance
+// killed while it was still starting never saw terminate's Shutdown (there
+// was no app yet), so it gets it here: exactly one Shutdown per app either
+// way. It did no work, so the shutdown is a graceful one.
 func (inst *Instance) start() {
 	inst.app = inst.d.factory(inst)
 	d := inst.d
 	d.mu.Lock()
 	inst.started = true
 	inst.lastActive = d.p.clk.Now()
+	dead := inst.terminated
 	d.mu.Unlock()
+	if dead {
+		inst.app.Shutdown(false)
+	}
 }
 
 // ID returns the instance's unique identifier.
@@ -58,9 +65,6 @@ func (inst *Instance) ID() string { return inst.id }
 
 // DeploymentIndex returns the index of the owning deployment.
 func (inst *Instance) DeploymentIndex() int { return inst.d.index }
-
-// Terminated is set when the instance dies.
-func (inst *Instance) Terminated() *clock.Event { return inst.term }
 
 // Alive reports liveness.
 func (inst *Instance) Alive() bool {

@@ -234,7 +234,7 @@ func New(clk clock.Clock, cfg Config) *Platform {
 	if cfg.Metrics != nil {
 		p.registerPoolGauges(cfg.Metrics)
 	}
-	clock.Go(clk, p.reclaimLoop)
+	clock.GoDaemon(clk, p.reclaimLoop)
 	return p
 }
 

@@ -3,7 +3,6 @@ package ndb
 import (
 	"runtime"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,11 +57,9 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 
 	const callers = 40
 	clock.Run(sim, func() {
-		var wg sync.WaitGroup
+		g := clock.NewGroup(sim)
 		for i := 0; i < callers; i++ {
-			wg.Add(1)
-			clock.Go(sim, func() {
-				defer wg.Done()
+			g.Go(func() {
 				if i%2 == 0 {
 					db.service(serial, cfg.ReadService)
 				} else if _, err := db.ResolvePathBatched("/", nil); err != nil {
@@ -79,7 +76,7 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 				t.Errorf("depth on idle shard %d = %v, want 0", shard, got)
 			}
 		}
-		clock.Idle(sim, wg.Wait)
+		g.Wait()
 		// 40 accesses of 20.15ms on 8 workers: five rounds after the RTT.
 		if got, want := sim.Since(clock.Epoch), cfg.RTT+5*(20*time.Millisecond+cfg.ReadService); got != want {
 			t.Errorf("stalled accesses drained at %v, want %v", got, want)

@@ -32,6 +32,7 @@ package ndb
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -363,7 +364,9 @@ func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 }
 
 // subtreeRows returns clones of every INode in the subtree rooted at root
-// (inclusive) in BFS order, charging nothing.
+// (inclusive) in BFS order, each node's children by ascending ID — the
+// child table is a Go map, and callers cut the listing into batches whose
+// latency is modelled, so the order must not be the map's. Charges nothing.
 func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -380,9 +383,11 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 			continue
 		}
 		out = append(out, n.Clone())
+		first := len(queue)
 		for _, cid := range db.children[id] {
 			queue = append(queue, cid)
 		}
+		slices.Sort(queue[first:])
 	}
 	return out, nil
 }

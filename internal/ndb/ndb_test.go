@@ -3,6 +3,7 @@ package ndb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -264,6 +265,64 @@ func TestListSubtree(t *testing.T) {
 	if _, err := db.ListSubtree(999); !errors.Is(err, namespace.ErrNotFound) {
 		t.Fatal("missing subtree root accepted")
 	}
+}
+
+// TestListSubtreeOrderIsSortedBFS: the child table is a Go map, but a
+// subtree listing is cut into batches whose latency is modelled, so both
+// listings must come back in one order every time: BFS, each node's
+// children by ascending ID.
+func TestListSubtreeOrderIsSortedBFS(t *testing.T) {
+	db := testDB()
+	const fan = 64
+	top := addDir(t, db, namespace.RootID, "top")
+	nodes := []*namespace.INode{}
+	id := namespace.INodeID(1000)
+	want := []namespace.INodeID{top}
+	var mids, leaves []namespace.INodeID
+	for d := 0; d < fan; d++ {
+		mid := id
+		id++
+		// Names descend while IDs ascend: name order is not the answer.
+		nodes = append(nodes, &namespace.INode{ID: mid, ParentID: top, Name: fmt.Sprintf("d%02d", fan-d), IsDir: true})
+		mids = append(mids, mid)
+	}
+	for _, mid := range mids {
+		for f := 0; f < fan; f++ {
+			nodes = append(nodes, &namespace.INode{ID: id, ParentID: mid, Name: fmt.Sprintf("f%02d", fan-f)})
+			leaves = append(leaves, id)
+			id++
+		}
+	}
+	db.Preload(nodes)
+	want = append(append(want, mids...), leaves...)
+	ids := func(list []*namespace.INode, err error) []namespace.INodeID {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]namespace.INodeID, len(list))
+		for i, n := range list {
+			out[i] = n.ID
+		}
+		return out
+	}
+	for round := 0; round < 2; round++ {
+		if got := ids(db.ListSubtree(top)); !slices.Equal(got, want) {
+			t.Fatalf("ListSubtree, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
+		}
+		if got := ids(db.ListSubtreeBatched(top, nil)); !slices.Equal(got, want) {
+			t.Fatalf("ListSubtreeBatched, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(a, b []namespace.INodeID) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func TestKVOps(t *testing.T) {

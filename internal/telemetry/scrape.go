@@ -53,8 +53,9 @@ func (s *Snapshot) flatten(ms []Metric) {
 
 // Scraper snapshots a registry on a virtual-time ticker into an
 // append-only series. It follows the same clock discipline as every
-// other background loop in the repo (clock.Go + clock.SleepOr on a stop
-// event), so it participates correctly in Sim-clock quiescence.
+// other background loop in the repo (clock.GoDaemon + clock.SleepOr on a
+// stop event): on a Sim clock it ticks in its turn and only while somebody
+// else keeps time moving.
 type Scraper struct {
 	clk      clock.Clock
 	reg      *Registry
@@ -168,7 +169,7 @@ func (s *Scraper) Start() {
 	stop, done := clock.NewEvent(s.clk), clock.NewEvent(s.clk)
 	s.stop, s.done = stop, done
 	s.mu.Unlock()
-	clock.Go(s.clk, func() { s.loop(stop, done) })
+	clock.GoDaemon(s.clk, func() { s.loop(stop, done) })
 }
 
 func (s *Scraper) loop(stop, done *clock.Event) {

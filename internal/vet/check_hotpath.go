@@ -24,10 +24,10 @@ import (
 //     (escaping allocations); the zero-size struct{}{} is exempt;
 //   - no closure that captures outer variables created inside a loop
 //     (per-iteration closure allocation), unless handed directly to
-//     clock.Go;
+//     clock.Go or clock.GoDaemon;
 //   - no blocking channel operation (send, receive, select without
-//     default) outside a function literal passed directly to clock.Go,
-//     except sends to locally created buffered channels;
+//     default) outside a function literal passed directly to clock.Go or
+//     clock.GoDaemon, except sends to locally created buffered channels;
 //   - no wall-clock reachability: calling anything that transitively
 //     reaches a time.Now/Sleep/… call (even a //vet:allow virtualtime'd
 //     one) is reported at the call edge, with the chain to the source.
@@ -384,7 +384,8 @@ func fmtAllocCall(pkg *Package, file *ast.File, call *ast.CallExpr) (string, boo
 }
 
 // isDirectClockArg reports whether lit is itself an argument of a
-// clock.Go(…) call (its immediate parent on the stack).
+// clock.Go(…) or clock.GoDaemon(…) call (its immediate parent on the
+// stack).
 func isDirectClockArg(pkg *Package, file *ast.File, stack []ast.Node, lit *ast.FuncLit) bool {
 	if len(stack) < 2 {
 		return false
@@ -394,7 +395,7 @@ func isDirectClockArg(pkg *Package, file *ast.File, stack []ast.Node, lit *ast.F
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Go" {
+	if !ok || sel.Sel.Name != "Go" && sel.Sel.Name != "GoDaemon" {
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)

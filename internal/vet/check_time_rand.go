@@ -36,14 +36,26 @@ var wallClockFuncs = map[string]bool{
 // the benchmark until a benchmark PR moves them, cannot take a //vet:allow
 // meanwhile, and run on one P, where Idle's heuristic is sound. They are why
 // Idle still exists.
+//
+// And it keeps clock.Sim the only scheduler of simulation code: a bare `go`
+// statement starts a goroutine that runs beside the baton holder instead of
+// in its turn. The programs under cmd/ and examples/ are exempt: host-side
+// drivers (a signal handler, an HTTP listener, an application's client
+// threads) that enter the simulation through Run, like any API user.
 func checkVirtualTime(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
 	clockPath := l.ModulePath + "/internal/clock"
 	if pkg.Path == clockPath {
 		return
 	}
 	idleExempt := pkg.Path == l.ModulePath+"/benchmark"
+	goExempt := strings.HasPrefix(pkg.Path, l.ModulePath+"/cmd/") || strings.HasPrefix(pkg.Path, l.ModulePath+"/examples/")
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && !goExempt {
+				report(g.Pos(), "virtualtime",
+					"bare go statement starts a goroutine the clock does not schedule — spawn through clock.Go, clock.GoDaemon or a clock.Group")
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true

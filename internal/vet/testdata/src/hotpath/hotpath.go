@@ -110,6 +110,14 @@ func okSpawn(clk clock.Clock, chs []chan int) {
 	}
 }
 
+// okDaemon hands a ticker loop's blocking to clock.GoDaemon, exempt like
+// clock.Go: no finding.
+//
+//vet:hotpath
+func okDaemon(clk clock.Clock, ticks chan int) {
+	clock.GoDaemon(clk, func() { <-ticks })
+}
+
 // okPresized appends within an explicit capacity: no finding.
 //
 //vet:hotpath

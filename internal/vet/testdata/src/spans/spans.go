@@ -3,7 +3,10 @@
 // spans must not.
 package spans
 
-import "lambdafs/internal/trace"
+import (
+	"lambdafs/internal/clock"
+	"lambdafs/internal/trace"
+)
 
 func badNeverEnded(tc *trace.Ctx) {
 	sp := tc.Start(trace.KindGateway) // want spans
@@ -53,9 +56,9 @@ func cleanReopen(tc *trace.Ctx) {
 	sp.End()
 }
 
-func cleanHandoff(tc *trace.Ctx) {
+func cleanHandoff(clk clock.Clock, tc *trace.Ctx) {
 	sp := tc.Start(trace.KindGateway)
-	go func() { sp.End() }()
+	clock.Go(clk, func() { sp.End() })
 }
 
 func cleanEscape(tc *trace.Ctx) *trace.ActiveSpan {

@@ -1,6 +1,7 @@
-// Package virtualtime is a lambdafs-vet golden fixture: wall-clock reads
-// and clock.Idle-wrapped waits must be flagged, duration arithmetic and
-// clock-owned waits must not, and a reasoned //vet:allow must suppress.
+// Package virtualtime is a lambdafs-vet golden fixture: wall-clock reads,
+// clock.Idle-wrapped waits and bare go statements must be flagged, duration
+// arithmetic, clock-owned waits and clock-started goroutines must not, and
+// a reasoned //vet:allow must suppress.
 package virtualtime
 
 import (
@@ -23,6 +24,18 @@ func badWait() {
 // goroutine its token, so the wake is a guess.
 func badJoin(clk clock.Clock, done chan struct{}) {
 	clock.Idle(clk, func() { <-done }) // want virtualtime
+}
+
+// badSpawn starts a goroutine the clock does not schedule: on a clock.Sim it
+// runs beside the baton holder instead of in its turn.
+func badSpawn(clk clock.Clock, work func()) {
+	go work() // want virtualtime
+}
+
+// cleanSpawn starts its goroutines through the clock.
+func cleanSpawn(clk clock.Clock, work, tick func()) {
+	clock.Go(clk, work)
+	clock.GoDaemon(clk, tick)
 }
 
 // cleanJoin waits on clock-owned primitives.

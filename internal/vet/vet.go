@@ -8,7 +8,9 @@
 //     forbidden outside internal/clock — one stray time.After silently
 //     decouples a component from simulated time and skews every
 //     experiment that touches it. So is clock.Idle, whose raw channel
-//     wakes clock.Sim can only guess at.
+//     wakes clock.Sim can only guess at, and so is a bare go statement
+//     outside cmd/ and examples/: clock.Sim schedules only the goroutines
+//     started through it.
 //   - determinism: no global math/rand source, and every rand.New /
 //     rand.NewSource must derive from a plumbed seed (an identifier whose
 //     name mentions "seed"), so chaos episodes and benchmarks replay

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -287,48 +288,51 @@ func TestClosedLoopDriverCounts(t *testing.T) {
 	}
 }
 
-func TestRateDrivenRollover(t *testing.T) {
-	clk := clock.NewScaled(0.001)
+// runRateDrivenOnSim runs the rate-driven loop in virtual time, where its
+// pacing is exact, against an in-memory FS of the given service latency.
+func runRateDrivenOnSim(cfg RateConfig, lat time.Duration) *Recorder {
+	clk := clock.NewSim()
+	defer clk.Close()
 	dirs, files := GenerateNamespace(4, 50)
 	tree := NewTree(dirs, files)
-	// Service latency 20ms → a single client can do ~50 ops/sec; target
+	fs := newMemFS(clk, files, lat)
+	var rec *Recorder
+	clock.Run(clk, func() { rec = RunRateDriven(clk, tree, cfg, func(int) FS { return fs }) })
+	return rec
+}
+
+func TestRateDrivenRollover(t *testing.T) {
+	// Service latency 20ms → a single client does 50 ops/sec; target
 	// 100 ops/sec forces rollover and a drain phase.
-	fs := newMemFS(clk, files, 20*time.Millisecond)
-	cfg := RateConfig{
+	rec := runRateDrivenOnSim(RateConfig{
 		Clients:  1,
 		Duration: 3 * time.Second,
 		Targets:  []float64{100},
 		Interval: 15 * time.Second,
 		Mix:      SingleOpMix(namespace.OpStat),
 		Seed:     1,
-	}
-	rec := RunRateDriven(clk, tree, cfg, func(int) FS { return fs })
-	done := rec.Completed.Load()
-	if done < 100 || done > 300 {
-		t.Fatalf("completed = %d, want backlog-limited progress", done)
+	}, 20*time.Millisecond)
+	// 3 s × 50 ops/s, then the 150 rolled over drain until the first op
+	// that ends past 1.5 × Duration: 76 more at 20 ms each from 3.0 s.
+	if done := rec.Completed.Load(); done != 150+76 {
+		t.Fatalf("completed = %d, want 226: backlog-limited progress, then a bounded drain", done)
 	}
 }
 
 func TestRateDrivenHitsTargetWhenFast(t *testing.T) {
-	clk := clock.NewScaled(0.001)
-	dirs, files := GenerateNamespace(4, 50)
-	tree := NewTree(dirs, files)
-	fs := newMemFS(clk, files, 0)
-	cfg := RateConfig{
+	rec := runRateDrivenOnSim(RateConfig{
 		Clients:  4,
 		Duration: 5 * time.Second,
 		Targets:  []float64{200},
 		Interval: 15 * time.Second,
 		Mix:      SingleOpMix(namespace.OpStat),
 		Seed:     1,
+	}, 0)
+	if got := rec.Completed.Load(); got != 1000 {
+		t.Fatalf("completed = %d, want 1000 (200/s x 5s)", got)
 	}
-	rec := RunRateDriven(clk, tree, cfg, func(int) FS { return fs })
-	if got := rec.Completed.Load(); got < 900 || got > 1100 {
-		t.Fatalf("completed = %d, want ~1000 (200/s x 5s)", got)
-	}
-	rates := rec.Throughput.Rate()
-	if len(rates) < 4 {
-		t.Fatalf("throughput series too short: %v", rates)
+	if rates := rec.Throughput.Rate(); !slices.Equal(rates, []float64{200, 200, 200, 200, 200}) {
+		t.Fatalf("throughput series %v, want 200 ops in each of the five seconds", rates)
 	}
 }
 

@@ -7,6 +7,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lambdafs/internal/clock"
+	"lambdafs/internal/datanode"
+	"lambdafs/internal/telemetry"
 )
 
 // quickConfig keeps public-API tests fast: tiny latencies, DES clock.
@@ -250,4 +254,68 @@ func TestClustersLeaveNoGoroutinesBehind(t *testing.T) {
 	if after := settle(); after > before+4 {
 		t.Fatalf("%d goroutines before, %d after ten clusters were built, used and closed", before, after)
 	}
+}
+
+// TestQuiescentClusterStandsStill: time moves only for someone. A default
+// cluster driven from a goroutine the clock does not know holds its clock
+// between calls — although its reclaimer, a started scraper and a started
+// DataNode all tick on it — moves again inside the next Run, and still
+// drains on Close.
+func TestQuiescentClusterStandsStill(t *testing.T) {
+	c := newTestCluster(t, DefaultConfig())
+	sim := c.Clock().(*clock.Sim)
+	const tick = time.Second
+	scraper := telemetry.NewScraper(sim, c.Telemetry(), tick)
+	scraper.Start()
+	dn := datanode.New(sim, c.Store(), "dn1", tick)
+	dn.Start()
+	cl := c.NewClient("")
+	if err := cl.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+
+	type instant struct {
+		now      time.Time
+		advances uint64
+	}
+	sample := func() instant { return instant{sim.Now(), sim.Advances()} }
+	// What the last call left in flight (a hedge's loser, an INV delivery)
+	// finishes on its own; wait it out before taking the reading.
+	rest := sample()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		time.Sleep(5 * time.Millisecond)
+		if next := sample(); next == rest {
+			break
+		} else if rest = next; time.Now().After(deadline) {
+			t.Fatalf("the clock never came to rest: at %v after %d advances", rest.now.Sub(clock.Epoch), rest.advances)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := sample(); got != rest {
+		t.Fatalf("an idle cluster moved from %v (%d advances) to %v (%d) in 50ms of host time",
+			rest.now.Sub(clock.Epoch), rest.advances, got.now.Sub(clock.Epoch), got.advances)
+	}
+
+	scrapes := len(scraper.Snapshots())
+	c.Run(func() { sim.Sleep(3 * tick) })
+	if got := sim.Now().Sub(rest.now); got < 3*tick {
+		t.Fatalf("a 3s sleep inside Run moved the clock by %v", got)
+	}
+	if got := len(scraper.Snapshots()) - scrapes; got < 2 {
+		t.Errorf("the scraper ticked %d times across a 3s sleep, want one per second", got)
+	}
+	var reports []datanode.Report
+	var err error
+	c.Run(func() { reports, err = datanode.Discover(sim, c.Store(), "test", 0) })
+	if err != nil || len(reports) != 1 || reports[0].Timestamp.Before(rest.now.Add(tick)) {
+		t.Errorf("DataNode report after the sleep: %+v, %v; want one published during it", reports, err)
+	}
+
+	// Close wakes the tickers wherever they are parked; the joins return.
+	c.Close()
+	scraper.Stop()
+	dn.Stop()
 }
