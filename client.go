@@ -39,12 +39,7 @@ type Client struct {
 }
 
 // NewClient creates a client on the cluster's default VM.
-func (c *Cluster) NewClient(id string) *Client {
-	if id == "" {
-		id = fmt.Sprintf("client-%d", c.clientSeq.Add(1))
-	}
-	return &Client{inner: c.vm.NewClient(id, c.sys.Ring(), c.sys), clk: c.clk}
-}
+func (c *Cluster) NewClient(id string) *Client { return c.NewClientOnVM(c.vm, id) }
 
 // NewClientOnVM creates a client on a specific VM (see Cluster.NewVM).
 func (c *Cluster) NewClientOnVM(vm *rpc.VM, id string) *Client {

@@ -68,6 +68,10 @@ type spotifyRun struct {
 	costCurve []float64 // cumulative per second
 	ppcCurve  []float64 // performance per cost, per second
 	vcpuUsed  float64
+	// The same run re-priced by provisioned time (λFS only): Figure 9's
+	// "λFS (Simplified)".
+	provUSD   float64
+	provCurve []float64
 }
 
 // runSpotifyLambda executes the workload on λFS. cacheBudget < 0 means
@@ -144,6 +148,8 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 		costCurve: c.lambda.CumulativeUSD(),
 		ppcCurve:  metrics.PerfPerCostSeries(rec.Throughput.Rate(), c.lambda.PerSecondUSD()),
 		vcpuUsed:  peakVCPU,
+		provUSD:   c.prov.TotalUSD(),
+		provCurve: c.prov.CumulativeUSD(),
 	}
 	if opts.MetricsDir != "" {
 		if err := writeTelemetryArtifacts(opts.MetricsDir, "spotify-"+sanitizeName(label), reg, scraper); err != nil {
@@ -151,39 +157,6 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 		}
 	}
 	return run
-}
-
-// simplifiedLambdaCost re-prices a λFS run under the provisioned-time
-// model (Figure 9's "λFS (Simplified)").
-func runSpotifyLambdaSimplifiedCost(opts Options, sp spotifyParams) *spotifyRun {
-	clk := clock.NewSim()
-	defer clk.Close()
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.nnVCPU = 5
-	p.nnRAMGB = 6
-	p.minInstances = 1
-	var c *lambdaCluster
-	dirs, files := workload.GenerateNamespace(sp.dirs, sp.files)
-	clock.Run(clk, func() {
-		c = newLambdaCluster(clk, p)
-		workload.PreloadNDB(c.db, dirs, files)
-	})
-	tree := workload.NewTree(dirs, files)
-	var rec *workload.Recorder
-	clock.Run(clk, func() {
-		rec = workload.RunRateDriven(clk, tree, workload.RateConfig{
-			Clients: sp.clients, Duration: sp.duration, Targets: sp.targets,
-			Interval: sp.interval, Mix: workload.SpotifyMix(), Seed: opts.Seed,
-		}, c.clientFor)
-	})
-	clock.Run(clk, c.close) // flush provisioned billing at termination
-	return &spotifyRun{
-		label:     "λFS (Simplified)",
-		rec:       rec,
-		costUSD:   c.prov.TotalUSD(),
-		costCurve: c.prov.CumulativeUSD(),
-	}
 }
 
 // runSpotifyHops executes the workload on HopsFS or HopsFS+Cache with a
@@ -349,7 +322,7 @@ func throughputTimeline(id string, runs []*spotifyRun) *Table {
 func RunFig9(opts Options) []*Table {
 	sp := spotifyShape(opts, 25000)
 	lam := runSpotifyLambda(opts, sp, "λFS", -1, 256, 6, 0)
-	simpl := runSpotifyLambdaSimplifiedCost(opts, sp)
+	simpl := &spotifyRun{label: "λFS (Simplified)", rec: lam.rec, costUSD: lam.provUSD, costCurve: lam.provCurve}
 	hops := runSpotifyHops(opts, sp, "HopsFS", false, 512)
 	hopsCache := runSpotifyHops(opts, sp, "HopsFS+Cache", true, 512)
 

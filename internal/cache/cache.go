@@ -34,10 +34,9 @@ import (
 	"lambdafs/internal/trie"
 )
 
-// Stats counts cache activity.
+// Stats counts what only the cache sees. Hits and misses are counted by
+// the engine that looks up (lambdafs_core_cache_{hits,misses}_total).
 type Stats struct {
-	Hits          uint64
-	Misses        uint64
 	Puts          uint64
 	Evictions     uint64
 	Invalidations uint64
@@ -189,11 +188,6 @@ func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
 	for _, e := range entries {
 		chain = append(chain, e.inode.Clone())
 	}
-	if ok {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
 	return chain, ok
 }
 
@@ -219,7 +213,7 @@ func (c *Cache) Get(path string) (*namespace.INode, bool) {
 }
 
 // Contains reports whether path's terminal INode is cached, without
-// touching the LRU or stats (diagnostic).
+// touching the LRU (diagnostic).
 func (c *Cache) Contains(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -281,7 +275,6 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.t.Get(comps)
 	if !ok || !e.complete {
-		c.stats.Misses++
 		return nil, false
 	}
 	var out []*namespace.INode
@@ -297,7 +290,6 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 			c.lru.MoveToFront(entries[i].elem)
 		}
 	}
-	c.stats.Hits++
 	return out, true
 }
 
@@ -321,15 +313,6 @@ func (c *Cache) IsComplete(dir string) bool {
 	return ok && e.complete
 }
 
-// Clear drops everything.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = trie.New[*entry]()
-	c.lru.Init()
-	c.used = 0
-}
-
 // Len returns the number of cached INodes.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -344,22 +327,9 @@ func (c *Cache) UsedBytes() int64 {
 	return c.used
 }
 
-// Budget returns the configured byte budget (0 = unlimited).
-func (c *Cache) Budget() int64 { return c.budget }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// HitRatio returns hits/(hits+misses), or 0 when no lookups happened.
-func (c *Cache) HitRatio() float64 {
-	s := c.Stats()
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

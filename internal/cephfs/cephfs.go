@@ -485,8 +485,3 @@ func (s *System) Preload(dirs, files []string) {
 		insert(f, false)
 	}
 }
-
-// StatsSnapshot returns counter values.
-func (s *System) StatsSnapshot() (capHits, mdsOps, revocations uint64) {
-	return s.stats.CapHits.Load(), s.stats.MDSOps.Load(), s.stats.Revocations.Load()
-}

@@ -70,7 +70,7 @@ func TestCapabilityHitOnRepeatRead(t *testing.T) {
 	if !r.CacheHit {
 		t.Fatal("repeat read did not use the capability")
 	}
-	capHits, mdsOps, _ := s.StatsSnapshot()
+	capHits, mdsOps := s.stats.CapHits.Load(), s.stats.MDSOps.Load()
 	if capHits == 0 || mdsOps == 0 {
 		t.Fatalf("stats: hits=%d ops=%d", capHits, mdsOps)
 	}
@@ -85,8 +85,7 @@ func TestWriteRevokesCapabilities(t *testing.T) {
 	cok(t, w, namespace.OpDelete, "/shared", "")
 	// r's cap was revoked: the next read goes to the MDS and misses.
 	cerr(t, r, namespace.OpStat, "/shared", "", namespace.ErrNotFound)
-	_, _, revs := s.StatsSnapshot()
-	if revs == 0 {
+	if s.stats.Revocations.Load() == 0 {
 		t.Fatal("no revocations recorded")
 	}
 }
@@ -109,15 +108,14 @@ func TestParentCapRevokedOnChildCreate(t *testing.T) {
 	r := s.NewClient("r")
 	cok(t, w, namespace.OpMkdirs, "/p", "")
 	cok(t, r, namespace.OpStat, "/p", "")
-	before, _, _ := s.StatsSnapshot()
+	before := s.stats.CapHits.Load()
 	cok(t, w, namespace.OpCreate, "/p/child", "")
 	// r's cap on /p is gone: next stat is not a cap hit.
 	st := cok(t, r, namespace.OpStat, "/p", "")
 	if st.CacheHit {
 		t.Fatal("parent capability survived child create")
 	}
-	after, _, _ := s.StatsSnapshot()
-	if after != before {
+	if after := s.stats.CapHits.Load(); after != before {
 		t.Fatalf("unexpected cap hits during revalidation: %d -> %d", before, after)
 	}
 }

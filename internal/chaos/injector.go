@@ -72,7 +72,6 @@ type Injector struct {
 	walTearKeep int           // bytes of a torn append that reach media
 	ckptLosses  int           // shard checkpoint rounds to lose
 	fired       map[FaultKind]uint64
-	totalFired  uint64
 	totalArmed  uint64
 	onFault     func(kind FaultKind, detail string)
 }
@@ -93,7 +92,6 @@ func (in *Injector) SetOnFault(fn func(kind FaultKind, detail string)) {
 
 func (in *Injector) firedLocked(kind FaultKind, detail string) func() {
 	in.fired[kind]++
-	in.totalFired++
 	fn := in.onFault
 	if fn == nil {
 		return func() {}
@@ -335,13 +333,6 @@ func (in *Injector) Fired() map[FaultKind]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// TotalFired returns the monotone count of fired faults.
-func (in *Injector) TotalFired() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.totalFired
 }
 
 // Pending reports whether any fault is still armed.

@@ -2,12 +2,14 @@
 //
 // Every latency in the system — HTTP invocation overhead, TCP round trips,
 // NDB service times, cold starts — is expressed in *virtual* time and
-// injected through a Clock. Experiments run on a Scaled clock that maps
-// virtual durations onto (much shorter) real waits, so a 300-second
-// industrial workload executes in a few wall-clock seconds while all
-// reported metrics remain in paper-equivalent units. Unit tests use a
-// Manual clock that only advances when told to, making timer-driven logic
-// (backoff, straggler mitigation, instance reclamation) deterministic.
+// injected through a Clock. Every experiment, the benchmark and the default
+// lambdafs.Cluster run on Sim (sim.go), the discrete-event clock that is
+// also the only scheduler of its goroutines: a 300-second industrial
+// workload executes in wall-clock seconds, latencies are exact, and a seeded
+// run is bit-identical. A Scaled clock maps virtual durations onto (much
+// shorter) real waits instead — Cluster's TimeScale > 0, and at scale 0 the
+// zero-latency clock of the chaos episodes and many unit tests. A Manual
+// clock only advances when told to; tests of timer-driven logic use it.
 //
 // The Scaled clock does not rely on time.Sleep for short waits: kernel
 // timer granularity can exceed a millisecond, which would flatten the

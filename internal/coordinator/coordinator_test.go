@@ -12,6 +12,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/ndb"
+	"lambdafs/internal/store"
 )
 
 func newTestZK() *ZK {
@@ -233,10 +234,20 @@ func TestNDBCoordPersistsMembership(t *testing.T) {
 	cfg.HopLatency = 0
 	c := NewNDB(clk, cfg, db)
 
+	// persisted reads deployment 3's membership rows back from the store.
+	persisted := func() map[string][]byte {
+		t.Helper()
+		tx := db.Begin("test")
+		defer tx.Abort()
+		rows, err := tx.KVScan(store.TableCoord, "member/3/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
 	s := c.Register(3, "nn-x", func(Invalidation) {})
-	ids, err := c.PersistedMembers(3)
-	if err != nil || len(ids) != 1 || ids[0] != "nn-x" {
-		t.Fatalf("persisted = %v, %v", ids, err)
+	if rows := persisted(); len(rows) != 1 || rows[memberKey(3, "nn-x")] == nil {
+		t.Fatalf("persisted = %v", rows)
 	}
 	// INV works through the embedded dispatcher.
 	var got atomic.Bool
@@ -248,11 +259,8 @@ func TestNDBCoordPersistsMembership(t *testing.T) {
 		t.Fatal("INV not delivered via NDB coordinator")
 	}
 	s.Close()
-	ids, _ = c.PersistedMembers(3)
-	for _, id := range ids {
-		if id == "nn-x" {
-			t.Fatal("membership row survived Close")
-		}
+	if rows := persisted(); rows[memberKey(3, "nn-x")] != nil {
+		t.Fatal("membership row survived Close")
 	}
 }
 

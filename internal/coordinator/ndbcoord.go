@@ -67,22 +67,3 @@ func (s *ndbSession) Crash() {
 	s.remove()
 	s.Session.Crash()
 }
-
-// PersistedMembers reads the membership rows back from the store
-// (diagnostic / recovery path).
-func (c *NDBCoord) PersistedMembers(dep int) ([]string, error) {
-	var ids []string
-	err := store.RunTx(c.st, "coord", nil, func(tx store.Tx) error {
-		ids = ids[:0]
-		rows, err := tx.KVScan(store.TableCoord, fmt.Sprintf("member/%d/", dep))
-		if err != nil {
-			return err
-		}
-		prefixLen := len(fmt.Sprintf("member/%d/", dep))
-		for k := range rows {
-			ids = append(ids, k[prefixLen:])
-		}
-		return nil
-	})
-	return ids, err
-}

@@ -14,12 +14,13 @@
 // # Concurrency and ownership
 //
 // An Engine is safe for concurrent Execute calls; its mutable state is
-// the metadata cache (internally locked) and nil-safe telemetry
-// instruments. Correctness across engines is owned by the store's strict
+// the metadata cache (internally locked) and its registry instruments
+// (atomics). Correctness across engines is owned by the store's strict
 // 2PL row locks plus the coherence protocol — never by engine-local
 // locking. Every goroutine the engine starts (parallel subtree
 // partitions, batch invalidation rounds) runs under clock.Go on the
-// simulation clock, and all blocking waits are wrapped in clock.Idle.
+// simulation clock, and every wait parks on a clock-owned primitive
+// (clock.Sleep, Mailbox, Event, Group), never on a raw channel.
 // Every hot operation has one shape: path resolution is a single batched
 // per-shard multi-get, a write's whole lock phase is one store.Tx.LockPaths
 // call (every row it will decide on — parents, targets, free names —
@@ -87,10 +88,11 @@ type EngineConfig struct {
 	// Replication is the block replication factor for new files.
 	Replication int
 
-	// Metrics, when non-nil, receives engine instruments
-	// (lambdafs_core_*): metadata-cache hits/misses and invalidation
-	// rounds. Engines sharing one config share the counters (registry
-	// get-or-create), giving fleet-wide totals.
+	// Metrics is the registry the engine instruments (lambdafs_core_*)
+	// live in: metadata-cache hits/misses and invalidation rounds. Engines
+	// sharing one config share the counters (registry get-or-create),
+	// giving fleet-wide totals. Nil gives a bare engine a private
+	// registry; NewSystem and hopsfs.New make one for all their engines.
 	Metrics *telemetry.Registry
 
 	// Admission, when non-nil, gates every tenant-tagged request before
@@ -141,11 +143,9 @@ type Engine struct {
 	tel     coreTelemetry
 }
 
-// coreTelemetry holds the engine's registry counters; instruments are
-// nil (no-op) when EngineConfig.Metrics is unset. Unlike
-// System.CacheStats — which aggregates live engines only — these
-// counters accumulate across every engine ever started, so they survive
-// NameNode reclamation.
+// coreTelemetry holds the engine's registry instruments. The registry is
+// the counter: they accumulate across every engine ever started on it, so
+// they survive NameNode reclamation, and System.CacheStats reads them.
 type coreTelemetry struct {
 	hits         *telemetry.Counter
 	misses       *telemetry.Counter
@@ -176,6 +176,9 @@ func NewEngine(id string, dep int, clk clock.Clock, st store.Store, ring *partit
 	}
 	if cfg.SubtreeBatch <= 0 {
 		cfg.SubtreeBatch = 512
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.NewRegistry()
 	}
 	e := &Engine{
 		id: id, dep: dep, ring: ring, st: st, coord: coord, cpu: cpu, clk: clk, cfg: cfg,

@@ -456,16 +456,17 @@ func TestNonOwnerDoesNotCache(t *testing.T) {
 
 func TestResultCacheBounded(t *testing.T) {
 	rc := newResultCache(3)
-	for i := 0; i < 10; i++ {
-		rc.put(fmt.Sprintf("k%d", i), &namespace.Response{})
+	k := func(seq uint64) namespace.RequestKey { return namespace.RequestKey{ClientID: "c", Seq: seq} }
+	for i := uint64(0); i < 10; i++ {
+		rc.put(k(i), &namespace.Response{})
 	}
 	if rc.len() != 3 {
 		t.Fatalf("result cache len = %d", rc.len())
 	}
-	if rc.get("k0") != nil {
+	if rc.get(k(0)) != nil {
 		t.Fatal("oldest entry not evicted")
 	}
-	if rc.get("k9") == nil {
+	if rc.get(k(9)) == nil {
 		t.Fatal("newest entry missing")
 	}
 }
@@ -498,8 +499,8 @@ func TestReducedCacheEngineStaysCorrect(t *testing.T) {
 		}
 	}
 	c := e.Cache()
-	if c.UsedBytes() > c.Budget() {
-		t.Fatalf("cache over budget: %d > %d", c.UsedBytes(), c.Budget())
+	if c.UsedBytes() > cfg.CacheBudget {
+		t.Fatalf("cache over budget: %d > %d", c.UsedBytes(), cfg.CacheBudget)
 	}
 	if s := c.Stats(); s.Evictions == 0 {
 		t.Fatal("tiny budget produced no evictions")

@@ -14,7 +14,6 @@ type NameNode struct {
 	eng     *Engine
 	inst    *faas.Instance
 	session coordinator.Session
-	sys     *System // whose live-engine set lists eng; nil for a bare NameNode
 }
 
 var _ faas.App = (*NameNode)(nil)
@@ -45,14 +44,10 @@ func (nn *NameNode) HandleInvoke(payload any) any {
 	return resp
 }
 
-// Shutdown takes the NameNode out of its system's live-engine set and
-// deregisters it from the Coordinator. A crash (fault injection or
-// provider reclamation mid-work) uses the Coordinator's crash path, which
-// triggers store lock cleanup for this NameNode (§3.6).
+// Shutdown deregisters the NameNode from the Coordinator. A crash (fault
+// injection or provider reclamation mid-work) uses the Coordinator's crash
+// path, which triggers store lock cleanup for this NameNode (§3.6).
 func (nn *NameNode) Shutdown(crashed bool) {
-	if nn.sys != nil {
-		nn.sys.forget(nn.eng.ID())
-	}
 	if nn.session == nil {
 		return
 	}

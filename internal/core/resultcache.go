@@ -12,8 +12,8 @@ import (
 // cached result instead of re-executing. Bounded FIFO.
 type resultCache struct {
 	mu    sync.Mutex
-	m     map[string]*namespace.Response
-	order []string
+	m     map[namespace.RequestKey]*namespace.Response
+	order []namespace.RequestKey
 	cap   int
 }
 
@@ -21,16 +21,16 @@ func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &resultCache{m: make(map[string]*namespace.Response, capacity), cap: capacity}
+	return &resultCache{m: make(map[namespace.RequestKey]*namespace.Response), cap: capacity}
 }
 
-func (rc *resultCache) get(key string) *namespace.Response {
+func (rc *resultCache) get(key namespace.RequestKey) *namespace.Response {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.m[key]
 }
 
-func (rc *resultCache) put(key string, resp *namespace.Response) {
+func (rc *resultCache) put(key namespace.RequestKey, resp *namespace.Response) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if _, exists := rc.m[key]; exists {

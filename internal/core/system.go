@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"lambdafs/internal/faas"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/store"
+	"lambdafs/internal/telemetry"
 )
 
 // SystemConfig assembles a λFS metadata service.
@@ -62,9 +62,7 @@ type System struct {
 	deps     []*faas.Deployment
 	nnSeq    atomic.Uint64
 	offloadN atomic.Uint64
-
-	mu      sync.Mutex
-	engines map[string]*Engine // live engines by NameNode id (diagnostics)
+	tel      coreTelemetry // the instruments every engine of this system bumps
 }
 
 // NewSystem registers the NameNode deployments on the platform. The
@@ -74,11 +72,14 @@ func NewSystem(clk clock.Clock, st store.Store, coord coordinator.Coordinator,
 	if cfg.Deployments <= 0 {
 		cfg.Deployments = 1
 	}
+	if cfg.Engine.Metrics == nil {
+		cfg.Engine.Metrics = telemetry.NewRegistry()
+	}
 	s := &System{
 		clk: clk, st: st, coord: coord, platform: platform,
-		ring:    partition.NewRing(cfg.Deployments, 0),
-		cfg:     cfg,
-		engines: make(map[string]*Engine),
+		ring: partition.NewRing(cfg.Deployments, 0),
+		cfg:  cfg,
+		tel:  newCoreTelemetry(cfg.Engine.Metrics),
 	}
 	opts := faas.DeploymentOptions{
 		VCPU:             cfg.NameNodeVCPU,
@@ -104,19 +105,7 @@ func (s *System) newNameNode(dep int, inst *faas.Instance) faas.App {
 	if s.cfg.OffloadLatency >= 0 {
 		eng.SetOffloader(s)
 	}
-	nn := NewNameNode(eng, inst, s.coord)
-	nn.sys = s
-	s.mu.Lock()
-	s.engines[id] = eng
-	s.mu.Unlock()
-	return nn
-}
-
-// forget drops a terminated NameNode's engine from the live set.
-func (s *System) forget(id string) {
-	s.mu.Lock()
-	delete(s.engines, id)
-	s.mu.Unlock()
+	return NewNameNode(eng, inst, s.coord)
 }
 
 // Invoke implements rpc.Invoker: HTTP-RPC via the platform gateway.
@@ -168,25 +157,9 @@ func (s *System) OffloadBatch(excludeDep int, fn func(cpu CPU)) bool {
 	return false
 }
 
-// LiveEngines returns a snapshot of the live engines (diagnostics).
-func (s *System) LiveEngines() []*Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Engine, 0, len(s.engines))
-	for _, e := range s.engines {
-		out = append(out, e)
-	}
-	return out
-}
-
-// CacheStats aggregates hit/miss counters across live engines.
+// CacheStats reads the metadata-cache hit/miss counters out of the registry
+// (SystemConfig.Engine.Metrics): every engine this system ever started
+// counts there, so the totals outlive reclaimed and crashed NameNodes.
 func (s *System) CacheStats() (hits, misses uint64) {
-	for _, e := range s.LiveEngines() {
-		if c := e.Cache(); c != nil {
-			st := c.Stats()
-			hits += st.Hits
-			misses += st.Misses
-		}
-	}
-	return hits, misses
+	return uint64(s.tel.hits.Value()), uint64(s.tel.misses.Value())
 }

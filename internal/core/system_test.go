@@ -256,15 +256,14 @@ func TestAutoScaleOutUnderClientLoad(t *testing.T) {
 	}
 }
 
-// TestLiveEnginesFollowTermination: a NameNode leaves the system's live set
-// and the coordinator's membership through its one Shutdown — also when it
-// is killed while still cold-starting, before there was an app to shut
-// down — with no goroutine per instance watching for it.
-func TestLiveEnginesFollowTermination(t *testing.T) {
+// TestMembershipFollowsTermination: a NameNode leaves the coordinator's
+// membership through its one Shutdown — also when it is killed while still
+// cold-starting, before there was an app to shut down — with no goroutine
+// per instance watching for it.
+func TestMembershipFollowsTermination(t *testing.T) {
 	sim := clock.NewSim()
 	t.Cleanup(sim.Close)
 	tc := newClusterOn(t, sim, 1, 10*time.Millisecond)
-	live := func() (int, int) { return len(tc.sys.LiveEngines()), tc.coord.MemberCount() }
 	clock.Run(sim, func() {
 		c := tc.client("c1")
 		g := clock.NewGroup(sim)
@@ -281,14 +280,14 @@ func TestLiveEnginesFollowTermination(t *testing.T) {
 		if at := sim.Since(clock.Epoch); at < 20*time.Millisecond {
 			t.Errorf("request served at %v: the killed cold start was not replaced by a second one", at)
 		}
-		if e, m := live(); e != 1 || m != 1 {
-			t.Errorf("%d live engines and %d members after a kill mid-cold-start, want the replacement only", e, m)
+		if m := tc.coord.MemberCount(); m != 1 {
+			t.Errorf("%d members after a kill mid-cold-start, want the replacement only", m)
 		}
 		if !tc.p.KillOneInstance(0) {
 			t.Error("no instance to kill")
 		}
-		if e, m := live(); e != 0 || m != 0 {
-			t.Errorf("%d live engines and %d members with every instance dead, want none", e, m)
+		if m := tc.coord.MemberCount(); m != 0 {
+			t.Errorf("%d members with every instance dead, want none", m)
 		}
 	})
 }
@@ -306,9 +305,8 @@ func TestOffloadBatchUsesHelpers(t *testing.T) {
 	}
 	// Small batches force multiple sub-operations; offloading should not
 	// break correctness.
-	engines := tc.sys.LiveEngines()
-	if len(engines) == 0 {
-		t.Fatal("no live engines")
+	if tc.p.ActiveInstances() == 0 {
+		t.Fatal("no live NameNodes")
 	}
 	cok(t, c, namespace.OpDelete, "/off", "")
 	resp := cdo(t, c, namespace.OpStat, "/off", "")

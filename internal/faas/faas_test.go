@@ -700,10 +700,7 @@ func TestKillOneInstanceSkipsDraining(t *testing.T) {
 	if !p.KillOneInstance(0) {
 		t.Fatal("kill failed with a non-draining instance available")
 	}
-	d.mu.Lock()
-	aliveMarked := marked.aliveLocked()
-	d.mu.Unlock()
-	if !aliveMarked {
+	if !marked.Alive() {
 		t.Fatal("kill chose the draining instance")
 	}
 

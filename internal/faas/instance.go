@@ -70,10 +70,8 @@ func (inst *Instance) DeploymentIndex() int { return inst.d.index }
 func (inst *Instance) Alive() bool {
 	inst.d.mu.Lock()
 	defer inst.d.mu.Unlock()
-	return inst.aliveLocked()
+	return !inst.terminated
 }
-
-func (inst *Instance) aliveLocked() bool { return !inst.terminated }
 
 // busy reports in-flight requests; caller holds d.mu.
 func (inst *Instance) busy() bool { return inst.busyCount > 0 }
@@ -157,9 +155,6 @@ func (inst *Instance) serveHTTP(payload any) any {
 		// Fault injection: the instance dies mid-invocation. The request is
 		// dropped (nil response → client-side unavailable + retry) and the
 		// app's Shutdown(crashed) runs, exactly as for KillOneInstance.
-		p.mu.Lock()
-		p.stats.Kills++
-		p.mu.Unlock()
 		p.tel.kills.Inc()
 		p.cfg.Tracer.Emit(trace.Event{
 			Type: trace.EventKill, Deployment: inst.d.index, Instance: inst.id,

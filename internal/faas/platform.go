@@ -19,6 +19,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -96,10 +97,11 @@ type Config struct {
 	// use.
 	OnProvision func(dep int) bool
 
-	// Metrics, when non-nil, receives platform instruments
-	// (lambdafs_faas_*): invocation/cold-start/reclaim/evict/kill
-	// counters mirroring Stats plus live pool gauges (active instances,
-	// warm instances, vCPU in use, utilization).
+	// Metrics is the registry the platform's instruments (lambdafs_faas_*)
+	// live in: the invocation/cold-start/reclaim/evict/kill/rejection
+	// counters Stats() reads, plus live pool gauges (active instances,
+	// warm instances, vCPU in use, utilization). Nil gives the platform a
+	// private registry of its own.
 	Metrics *telemetry.Registry
 }
 
@@ -152,7 +154,8 @@ var (
 	ErrNoDeployment = errors.New("faas: unknown deployment")
 )
 
-// Stats counts platform activity.
+// Stats counts platform activity. The counters are a read of the
+// lambdafs_faas_*_total registry instruments (see Platform.Stats).
 type Stats struct {
 	Invocations   uint64
 	ColdStarts    uint64
@@ -193,9 +196,9 @@ type Platform struct {
 	deployments []*Deployment
 	vcpuUsed    float64
 	ramUsed     float64
+	peakVCPU    float64 // high-water mark of vcpuUsed
 	instSeq     int
 	closed      bool
-	stats       Stats
 	stopReclaim *clock.Event
 
 	tel faasTelemetry
@@ -229,11 +232,12 @@ func New(clk clock.Clock, cfg Config) *Platform {
 	if cfg.InvokeQueueTimeout <= 0 {
 		cfg.InvokeQueueTimeout = 15 * time.Second
 	}
-	p := &Platform{clk: clk, cfg: cfg, stopReclaim: clock.NewEvent(clk)}
-	p.tel = newFaasTelemetry(cfg.Metrics)
-	if cfg.Metrics != nil {
-		p.registerPoolGauges(cfg.Metrics)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	p := &Platform{clk: clk, cfg: cfg, stopReclaim: clock.NewEvent(clk), tel: newFaasTelemetry(reg)}
+	p.registerPoolGauges(reg)
 	clock.GoDaemon(clk, p.reclaimLoop)
 	return p
 }
@@ -300,12 +304,11 @@ func (p *Platform) Invoke(dep int, payload any) (any, error) {
 func (d *Deployment) Invoke(payload any) (any, error) {
 	p := d.p
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	p.stats.Invocations++
-	p.mu.Unlock()
 	p.tel.invocations.Inc()
 
 	tc := traceOf(payload)
@@ -321,9 +324,6 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 	if err != nil {
 		asp.SetDetail("rejected")
 		asp.End()
-		p.mu.Lock()
-		p.stats.Rejections++
-		p.mu.Unlock()
 		p.tel.rejections.Inc()
 		return nil, err
 	}
@@ -372,7 +372,7 @@ func (d *Deployment) pickWarm() *Instance {
 	var best *Instance
 	bestFree := 0
 	for _, inst := range d.instances {
-		if !inst.aliveLocked() || !inst.started {
+		if !inst.started {
 			continue
 		}
 		free := d.opts.ConcurrencyLevel - inst.httpInFlight
@@ -412,19 +412,10 @@ func (d *Deployment) provisionT(chargeColdStart bool, tc *trace.Ctx) *Instance {
 		p.mu.Unlock()
 		return nil
 	}
-	d.mu.Lock()
-	alive := 0
-	for _, inst := range d.instances {
-		if inst.aliveLocked() {
-			alive++
-		}
-	}
-	if d.opts.MaxInstances > 0 && alive >= d.opts.MaxInstances {
-		d.mu.Unlock()
+	if d.opts.MaxInstances > 0 && d.aliveCount() >= d.opts.MaxInstances {
 		p.mu.Unlock()
 		return nil
 	}
-	d.mu.Unlock()
 
 	limit := p.cfg.TotalVCPU * p.cfg.MaxUtilization
 	if p.vcpuUsed+d.opts.VCPU > limit || p.ramUsed+d.opts.RAMGB > p.cfg.TotalRAMGB {
@@ -440,13 +431,9 @@ func (d *Deployment) provisionT(chargeColdStart bool, tc *trace.Ctx) *Instance {
 	}
 	p.vcpuUsed += d.opts.VCPU
 	p.ramUsed += d.opts.RAMGB
-	if p.vcpuUsed > p.stats.PeakVCPUUsed {
-		p.stats.PeakVCPUUsed = p.vcpuUsed
-	}
+	p.peakVCPU = max(p.peakVCPU, p.vcpuUsed)
 	p.instSeq++
 	id := fmt.Sprintf("%s/i%04d", d.name, p.instSeq)
-	p.stats.ColdStarts++
-	p.stats.ColdStartTime += p.cfg.ColdStart
 	p.mu.Unlock()
 	p.tel.coldStarts.Inc()
 	p.tel.coldStartSec.Add(p.cfg.ColdStart.Seconds())
@@ -457,15 +444,7 @@ func (d *Deployment) provisionT(chargeColdStart bool, tc *trace.Ctx) *Instance {
 	}
 	d.mu.Lock()
 	d.instances = append(d.instances, inst)
-	live := 0
-	for _, i := range d.instances {
-		if i.aliveLocked() {
-			live++
-		}
-	}
-	if live > d.peakInstances {
-		d.peakInstances = live
-	}
+	d.peakInstances = max(d.peakInstances, len(d.instances))
 	d.mu.Unlock()
 
 	p.cfg.Tracer.Emit(trace.Event{
@@ -492,25 +471,17 @@ func (p *Platform) evictIdleLocked(requester *Deployment) bool {
 			continue
 		}
 		d.mu.Lock()
-		alive := 0
-		for _, inst := range d.instances {
-			if inst.aliveLocked() {
-				alive++
-			}
-		}
-		for _, inst := range d.instances {
-			if alive <= d.opts.MinInstances || alive <= 1 {
-				// Never evict a deployment down to zero (or below its
-				// pre-warmed floor): that trades one starvation for
-				// another.
-				break
-			}
-			if !inst.aliveLocked() || inst.busy() {
-				continue
-			}
-			idle := now.Sub(inst.lastActive)
-			if victim == nil || idle > victimIdle {
-				victim, victimIdle = inst, idle
+		// Never evict a deployment down to zero (or below its pre-warmed
+		// floor): that trades one starvation for another.
+		if alive := len(d.instances); alive > d.opts.MinInstances && alive > 1 {
+			for _, inst := range d.instances {
+				if inst.busy() {
+					continue
+				}
+				idle := now.Sub(inst.lastActive)
+				if victim == nil || idle > victimIdle {
+					victim, victimIdle = inst, idle
+				}
 			}
 		}
 		d.mu.Unlock()
@@ -523,7 +494,6 @@ func (p *Platform) evictIdleLocked(requester *Deployment) bool {
 	victim.d.mu.Lock()
 	victim.draining = true
 	victim.d.mu.Unlock()
-	p.stats.Evictions++
 	p.tel.evictions.Inc()
 	p.cfg.Tracer.Emit(trace.Event{
 		Type: trace.EventEvict, Deployment: victim.d.index, Instance: victim.id,
@@ -557,17 +527,12 @@ func (p *Platform) reclaimLoop() {
 		for _, d := range deps {
 			d.mu.Lock()
 			var victims []*Instance
-			alive := 0
-			for _, inst := range d.instances {
-				if inst.aliveLocked() {
-					alive++
-				}
-			}
+			alive := len(d.instances)
 			for _, inst := range d.instances {
 				if alive <= d.opts.MinInstances {
 					break
 				}
-				if inst.aliveLocked() && !inst.busy() && now.Sub(inst.lastActive) > p.cfg.IdleReclaim {
+				if !inst.busy() && now.Sub(inst.lastActive) > p.cfg.IdleReclaim {
 					inst.draining = true
 					victims = append(victims, inst)
 					alive--
@@ -575,9 +540,6 @@ func (p *Platform) reclaimLoop() {
 			}
 			d.mu.Unlock()
 			for _, v := range victims {
-				p.mu.Lock()
-				p.stats.Reclamations++
-				p.mu.Unlock()
 				p.tel.reclamations.Inc()
 				p.cfg.Tracer.Emit(trace.Event{
 					Type: trace.EventReclaim, Deployment: d.index, Instance: v.id,
@@ -609,7 +571,7 @@ func (p *Platform) killOneInstance(dep int) bool {
 		// Skip instances already draining (selected for reclaim or
 		// eviction): their termination is in flight, so "killing" them
 		// would report a fault injection that changed nothing.
-		if inst.aliveLocked() && !inst.draining {
+		if !inst.draining {
 			victim = inst
 			break
 		}
@@ -618,9 +580,6 @@ func (p *Platform) killOneInstance(dep int) bool {
 	if victim == nil {
 		return false
 	}
-	p.mu.Lock()
-	p.stats.Kills++
-	p.mu.Unlock()
 	p.tel.kills.Inc()
 	p.cfg.Tracer.Emit(trace.Event{
 		Type: trace.EventKill, Deployment: d.index, Instance: victim.id,
@@ -636,7 +595,7 @@ func (d *Deployment) Warm() []*Instance {
 	defer d.mu.Unlock()
 	out := make([]*Instance, 0, len(d.instances))
 	for _, inst := range d.instances {
-		if inst.aliveLocked() && inst.started {
+		if inst.started {
 			out = append(out, inst)
 		}
 	}
@@ -649,16 +608,13 @@ func (d *Deployment) Name() string { return d.name }
 // Index returns the deployment's index on the platform.
 func (d *Deployment) Index() int { return d.index }
 
+// aliveCount is the number of live instances: terminate prunes an instance
+// from d.instances in the critical section that marks it terminated, so
+// under d.mu every member is alive.
 func (d *Deployment) aliveCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, inst := range d.instances {
-		if inst.aliveLocked() {
-			n++
-		}
-	}
-	return n
+	return len(d.instances)
 }
 
 // AliveInstances returns the number of live instances of d.
@@ -686,7 +642,7 @@ func (p *Platform) WarmInstances() int {
 	for _, d := range deps {
 		d.mu.Lock()
 		for _, inst := range d.instances {
-			if inst.aliveLocked() && !inst.busy() {
+			if !inst.busy() {
 				n++
 			}
 		}
@@ -702,25 +658,31 @@ func (p *Platform) VCPUInUse() float64 {
 	return p.vcpuUsed
 }
 
-// Stats returns a snapshot of platform counters, including per-deployment
-// instance counts and high-water marks. The whole snapshot is taken under
-// the platform mutex (deployment marks under each deployment's mutex, in
-// the established p.mu → d.mu order), so counters are mutually consistent.
+// Stats returns the platform counters, read out of the registry, with the
+// pool's vCPU high-water mark and per-deployment instance counts and marks
+// taken under the platform mutex (deployment marks under each deployment's
+// mutex, in the established p.mu → d.mu order). Each counter is one atomic
+// load; the counters are not read at one common instant with each other or
+// with the pool state (on clock.Sim only one goroutine runs at a time, so
+// there a snapshot between operations is exact anyway).
 func (p *Platform) Stats() Stats {
+	s := Stats{
+		Invocations:   uint64(p.tel.invocations.Value()),
+		ColdStarts:    uint64(p.tel.coldStarts.Value()),
+		ColdStartTime: time.Duration(math.Round(p.tel.coldStartSec.Value() * 1e9)),
+		Reclamations:  uint64(p.tel.reclamations.Value()),
+		Evictions:     uint64(p.tel.evictions.Value()),
+		Kills:         uint64(p.tel.kills.Value()),
+		Rejections:    uint64(p.tel.rejections.Value()),
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.stats
+	s.PeakVCPUUsed = p.peakVCPU
 	s.Deployments = make([]DeploymentStats, len(p.deployments))
 	for i, d := range p.deployments {
 		d.mu.Lock()
-		alive := 0
-		for _, inst := range d.instances {
-			if inst.aliveLocked() {
-				alive++
-			}
-		}
 		s.Deployments[i] = DeploymentStats{
-			Name: d.name, Alive: alive, PeakInstances: d.peakInstances,
+			Name: d.name, Alive: len(d.instances), PeakInstances: d.peakInstances,
 		}
 		d.mu.Unlock()
 	}

@@ -4,11 +4,9 @@ import (
 	"lambdafs/internal/telemetry"
 )
 
-// faasTelemetry holds the platform's registry counters. Bumps are
-// co-located with the corresponding Stats increments, so Stats() and the
-// registry agree (the consistency test in telemetry_consistency_test.go
-// pins this). Instruments are nil when no registry is wired; every bump
-// is then a no-op.
+// faasTelemetry holds the platform's registry counters. The registry is
+// the counter: call sites bump these instruments and Stats() reads them
+// back, so a count exists exactly once.
 type faasTelemetry struct {
 	invocations  *telemetry.Counter
 	coldStarts   *telemetry.Counter

@@ -25,6 +25,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/store"
+	"lambdafs/internal/telemetry"
 )
 
 // Config shapes a HopsFS cluster.
@@ -92,6 +93,9 @@ func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator, cfg Con
 	}
 	c := &Cluster{clk: clk, cfg: cfg, coord: coord}
 	eng := cfg.Engine
+	if eng.Metrics == nil {
+		eng.Metrics = telemetry.NewRegistry() // one for the cluster, not one per engine
+	}
 	var ring *partition.Ring
 	if cfg.WithCache {
 		ring = partition.NewRing(cfg.NameNodes, 0)
@@ -185,16 +189,4 @@ func (cl *Client) Do(op namespace.OpType, path, dest string) (*namespace.Respons
 	resp := nn.Serve(req)
 	cl.c.clk.Sleep(cl.c.cfg.RPCOneWay)
 	return resp, nil
-}
-
-// CacheStats aggregates hit/miss counters (zero for stateless HopsFS).
-func (c *Cluster) CacheStats() (hits, misses uint64) {
-	for _, nn := range c.nns {
-		if cache := nn.eng.Cache(); cache != nil {
-			s := cache.Stats()
-			hits += s.Hits
-			misses += s.Misses
-		}
-	}
-	return hits, misses
 }

@@ -65,8 +65,10 @@ func TestStatelessLifecycle(t *testing.T) {
 		t.Fatalf("inodes = %d", st.INodeCount())
 	}
 	// Stateless NameNodes never cache.
-	if hits, misses := cl.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("stateless cluster has cache stats %d/%d", hits, misses)
+	for _, nn := range cl.nns {
+		if nn.Engine().Cache() != nil {
+			t.Fatalf("stateless NameNode %s has a metadata cache", nn.id)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ type Histogram struct {
 	counts []uint64
 	total  uint64
 	sum    time.Duration
-	min    time.Duration
 	max    time.Duration
 }
 
@@ -80,9 +79,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[i]++
 	h.total++
 	h.sum += d
-	if h.total == 1 || d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
@@ -104,13 +100,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return h.sum / time.Duration(h.total)
-}
-
-// Min returns the smallest sample observed.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
 }
 
 // Max returns the largest sample observed.
@@ -250,32 +239,6 @@ func (s HistSnapshot) Sub(old HistSnapshot) HistSnapshot {
 		out.Count += b.Count
 	}
 	return out
-}
-
-// CDFPoint is one point of an exported latency CDF.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
-}
-
-// CDF exports the cumulative distribution at every non-empty bucket.
-func (h *Histogram) CDF() []CDFPoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var pts []CDFPoint
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		lat := h.max
-		if i < histBucket {
-			lat = histBounds[i]
-		}
-		pts = append(pts, CDFPoint{Latency: lat, Fraction: float64(cum) / float64(h.total)})
-	}
-	return pts
 }
 
 // MovingWindow keeps the most recent N duration samples and answers their

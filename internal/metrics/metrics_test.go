@@ -15,9 +15,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	if pts := h.CDF(); len(pts) != 0 {
-		t.Fatalf("empty CDF has %d points", len(pts))
-	}
 }
 
 func TestHistogramMeanExact(t *testing.T) {
@@ -27,8 +24,8 @@ func TestHistogramMeanExact(t *testing.T) {
 	if got := h.Mean(); got != 2*time.Millisecond {
 		t.Fatalf("mean = %v, want 2ms", got)
 	}
-	if h.Min() != time.Millisecond || h.Max() != 3*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Max() != 3*time.Millisecond {
+		t.Fatalf("max = %v", h.Max())
 	}
 }
 
@@ -63,26 +60,6 @@ func TestHistogramQuantileWithinBucketError(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramCDFMonotone(t *testing.T) {
-	h := NewHistogram()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		h.Observe(time.Duration(rng.Intn(1e9)))
-	}
-	pts := h.CDF()
-	if len(pts) == 0 {
-		t.Fatal("no CDF points")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Fraction < pts[i-1].Fraction || pts[i].Latency < pts[i-1].Latency {
-			t.Fatalf("CDF not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if last := pts[len(pts)-1].Fraction; math.Abs(last-1) > 1e-9 {
-		t.Fatalf("CDF does not end at 1: %v", last)
 	}
 }
 

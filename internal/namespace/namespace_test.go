@@ -119,12 +119,6 @@ func TestAncestors(t *testing.T) {
 	}
 }
 
-func TestPathDepth(t *testing.T) {
-	if PathDepth("/") != 0 || PathDepth("/a") != 1 || PathDepth("/a/b/c") != 3 {
-		t.Fatal("PathDepth wrong")
-	}
-}
-
 func TestINodeClone(t *testing.T) {
 	n := &INode{
 		ID: 7, ParentID: 1, Name: "f", IsDir: false,
@@ -161,9 +155,6 @@ func TestOpTypeClassification(t *testing.T) {
 		if op.String() == "" || strings.HasPrefix(op.String(), "op(") {
 			t.Errorf("missing name for %d", op)
 		}
-	}
-	if !OpDelete.IsSubtree() || !OpMv.IsSubtree() || OpCreate.IsSubtree() {
-		t.Fatal("IsSubtree wrong")
 	}
 }
 

@@ -45,12 +45,6 @@ func (op OpType) IsWrite() bool {
 	return false
 }
 
-// IsSubtree reports whether the operation may span many INodes and uses the
-// subtree protocol when applied to a directory.
-func (op OpType) IsSubtree() bool {
-	return op == OpDelete || op == OpMv
-}
-
 // Request is one metadata RPC from a client to a NameNode. The same
 // payload travels over both the HTTP and TCP paths.
 type Request struct {
@@ -76,10 +70,14 @@ type Request struct {
 	TC *trace.Ctx
 }
 
-// Key returns the deduplication key of the request.
-func (r Request) Key() string {
-	return fmt.Sprintf("%s/%d", r.ClientID, r.Seq)
+// RequestKey identifies a request across resubmissions.
+type RequestKey struct {
+	ClientID string
+	Seq      uint64
 }
+
+// Key returns the deduplication key of the request.
+func (r Request) Key() RequestKey { return RequestKey{r.ClientID, r.Seq} }
 
 // Response is the result of a metadata RPC.
 type Response struct {

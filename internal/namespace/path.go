@@ -75,11 +75,6 @@ func JoinPath(dir, name string) string {
 	return dir + "/" + name
 }
 
-// PathDepth returns the number of components below root: "/"→0, "/a"→1.
-func PathDepth(p string) int {
-	return len(SplitPath(p))
-}
-
 // HasPathPrefix reports whether path is prefix itself or lies underneath
 // it ("/a/b" has prefix "/a" but not "/ab").
 func HasPathPrefix(path, prefix string) bool {

@@ -109,11 +109,7 @@ func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode
 	}
 	db.mu.RUnlock()
 	db.serviceMultiT(keys, tc)
-	db.bumpStat(func(s *Stats) {
-		s.Reads++
-		s.BatchedResolves++
-		s.ResolveHops++
-	})
+	db.tel.countBatchedResolve()
 	if missing {
 		return chain, namespace.ErrNotFound
 	}
@@ -133,7 +129,7 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 		keys[i] = inodeKey(n.ID)
 	}
 	db.serviceMultiT(keys, tc)
-	db.bumpStat(func(s *Stats) { s.Reads++ })
+	db.tel.reads.Inc()
 	return out, nil
 }
 
@@ -206,11 +202,7 @@ func (t *tx) chargePlans(plans []lockPlan) {
 	}
 	t.db.mu.RUnlock()
 	t.db.serviceMultiT(keys, t.tc)
-	t.db.bumpStat(func(s *Stats) {
-		s.Reads++
-		s.BatchedResolves++
-		s.ResolveHops++
-	})
+	t.db.tel.countBatchedResolve()
 }
 
 // walkPlan locks and re-reads plans[i]'s chain from the root down,
@@ -376,7 +368,7 @@ func (t *tx) GetINodesBatched(ids []namespace.INodeID, mode store.LockMode) ([]*
 		keys[i] = inodeKey(id)
 	}
 	t.db.serviceMultiT(keys, t.tc)
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	out := make([]*namespace.INode, 0, len(ids))
 	for _, id := range ids {
 		if err := t.lock(inodeKey(id), mode); err != nil {

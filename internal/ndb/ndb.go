@@ -101,9 +101,9 @@ type Config struct {
 	// so recovery still converges). It must be safe for concurrent use.
 	OnCheckpoint func(shard int) bool
 
-	// Metrics, when non-nil, receives store instruments
-	// (lambdafs_ndb_*): per-shard queue depth gauges, lock waits, and
-	// mirrors of the Stats counters.
+	// Metrics is the registry the store's instruments (lambdafs_ndb_*)
+	// live in: per-shard queue depth gauges, lock waits, and the counters
+	// Stats() reads. Nil gives the store a private registry of its own.
 	Metrics *telemetry.Registry
 }
 
@@ -122,7 +122,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats exposes store-level counters for the evaluation.
+// Stats exposes store-level counters for the evaluation: a read of the
+// lambdafs_ndb_*_total registry counters (see DB.Stats).
 type Stats struct {
 	Reads        uint64
 	Writes       uint64
@@ -160,13 +161,11 @@ type DB struct {
 	children map[namespace.INodeID]map[string]namespace.INodeID
 	kv       map[string]map[string][]byte
 
-	nextID  atomic.Uint64
-	txSeq   atomic.Uint64
-	locks   *lockManager
-	shards  []*clock.Queue // one service queue of WorkersPerNode servers per data node
-	stats   Stats
-	statsMu sync.Mutex
-	tel     *storeTelemetry
+	nextID atomic.Uint64
+	txSeq  atomic.Uint64
+	locks  *lockManager
+	shards []*clock.Queue // one service queue of WorkersPerNode servers per data node
+	tel    storeTelemetry
 
 	// Durability tier (nil when Config.Durable is nil).
 	dur        *Durable
@@ -222,11 +221,13 @@ func newDB(clk clock.Clock, cfg Config) *DB {
 	for i := range db.shards {
 		db.shards[i] = clock.NewQueue(clk, cfg.WorkersPerNode)
 	}
-	if cfg.Metrics != nil {
-		db.tel = newStoreTelemetry(cfg.Metrics)
-		db.locks.waits = cfg.Metrics.Counter("lambdafs_ndb_lock_waits_total")
-		registerShardGauges(cfg.Metrics, clk, db.shards)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	db.tel = newStoreTelemetry(reg)
+	db.locks.waits = reg.Counter("lambdafs_ndb_lock_waits_total")
+	registerShardGauges(reg, clk, db.shards)
 	return db
 }
 
@@ -282,24 +283,6 @@ func (db *DB) shardFor(key string) int {
 	return int(h.Sum32() % uint32(len(db.shards)))
 }
 
-func (db *DB) bumpStat(f func(*Stats)) {
-	db.statsMu.Lock()
-	before := db.stats
-	f(&db.stats)
-	after := db.stats
-	db.statsMu.Unlock()
-	// Mirror the deltas into the telemetry registry outside the stats
-	// lock; counters there agree with Stats() by construction.
-	db.tel.mirror(before, after)
-}
-
-// Stats returns a snapshot of the store counters.
-func (db *DB) Stats() Stats {
-	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	return db.stats
-}
-
 // NextID allocates a cluster-unique INode ID.
 func (db *DB) NextID() namespace.INodeID {
 	return namespace.INodeID(db.nextID.Add(1))
@@ -333,15 +316,9 @@ func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 	}
 	comps := namespace.SplitPath(p)
 	batches := 1 + len(comps)/db.cfg.BatchRows
-	hops := uint64(len(comps))
-	if hops == 0 {
-		hops = 1
-	}
 	db.service(p, time.Duration(batches)*db.cfg.ReadService)
-	db.bumpStat(func(s *Stats) {
-		s.Reads++
-		s.ResolveHops += hops
-	})
+	db.tel.reads.Inc()
+	db.tel.resolveHops.Add(float64(max(len(comps), 1)))
 
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -401,7 +378,7 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 	}
 	batches := 1 + len(out)/db.cfg.BatchRows
 	db.service(fmt.Sprintf("subtree/%d", root), time.Duration(batches)*db.cfg.ReadService)
-	db.bumpStat(func(s *Stats) { s.Reads++ })
+	db.tel.reads.Inc()
 	return out, nil
 }
 

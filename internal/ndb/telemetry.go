@@ -1,16 +1,16 @@
 package ndb
 
 import (
+	"math"
 	"strconv"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/telemetry"
 )
 
-// storeTelemetry mirrors the Stats counters into the telemetry registry.
-// The mirroring happens in bumpStat from before/after deltas, so the
-// registry counters agree with Stats() by construction. All fields are
-// nil-safe instruments: with no registry wired the mirror is a no-op.
+// storeTelemetry holds the store's registry counters. The registry is the
+// counter: call sites bump these instruments and Stats() reads them back,
+// so a count exists exactly once.
 type storeTelemetry struct {
 	reads           *telemetry.Counter
 	writes          *telemetry.Counter
@@ -25,8 +25,8 @@ type storeTelemetry struct {
 	checkpoints     *telemetry.Counter
 }
 
-func newStoreTelemetry(reg *telemetry.Registry) *storeTelemetry {
-	return &storeTelemetry{
+func newStoreTelemetry(reg *telemetry.Registry) storeTelemetry {
+	return storeTelemetry{
 		reads:           reg.Counter("lambdafs_ndb_reads_total"),
 		writes:          reg.Counter("lambdafs_ndb_writes_total"),
 		commits:         reg.Counter("lambdafs_ndb_tx_commits_total"),
@@ -41,21 +41,35 @@ func newStoreTelemetry(reg *telemetry.Registry) *storeTelemetry {
 	}
 }
 
-func (t *storeTelemetry) mirror(before, after Stats) {
-	if t == nil {
-		return
+// countBatchedResolve counts one multi-get path resolution: one read, one
+// dependent round.
+func (t *storeTelemetry) countBatchedResolve() {
+	t.reads.Inc()
+	t.batchedResolves.Inc()
+	t.resolveHops.Inc()
+}
+
+// Stats reads the store counters out of the registry. Each field is one
+// atomic load; the fields are not read at one common instant (on clock.Sim
+// only one goroutine runs at a time, so there a snapshot between
+// operations is exact anyway). Stores sharing a registry — a Recover after
+// a crash handed the crashed store's Config — share the counts, which
+// therefore carry on across the restart.
+func (db *DB) Stats() Stats {
+	t := &db.tel
+	return Stats{
+		Reads:           uint64(t.reads.Value()),
+		Writes:          uint64(t.writes.Value()),
+		Commits:         uint64(t.commits.Value()),
+		Aborts:          uint64(t.aborts.Value()),
+		LockTimeouts:    uint64(t.lockTimeouts.Value()),
+		BatchedResolves: uint64(t.batchedResolves.Value()),
+		ResolveHops:     uint64(t.resolveHops.Value()),
+		LockWaitNS:      uint64(math.Round(t.lockWaitSec.Value() * 1e9)),
+		WALAppends:      uint64(t.walAppends.Value()),
+		WALBytes:        uint64(t.walBytes.Value()),
+		Checkpoints:     uint64(t.checkpoints.Value()),
 	}
-	t.reads.Add(float64(after.Reads - before.Reads))
-	t.writes.Add(float64(after.Writes - before.Writes))
-	t.commits.Add(float64(after.Commits - before.Commits))
-	t.aborts.Add(float64(after.Aborts - before.Aborts))
-	t.lockTimeouts.Add(float64(after.LockTimeouts - before.LockTimeouts))
-	t.batchedResolves.Add(float64(after.BatchedResolves - before.BatchedResolves))
-	t.resolveHops.Add(float64(after.ResolveHops - before.ResolveHops))
-	t.lockWaitSec.Add(float64(after.LockWaitNS-before.LockWaitNS) / 1e9)
-	t.walAppends.Add(float64(after.WALAppends - before.WALAppends))
-	t.walBytes.Add(float64(after.WALBytes - before.WALBytes))
-	t.checkpoints.Add(float64(after.Checkpoints - before.Checkpoints))
 }
 
 // registerShardGauges exposes each data-node shard's instantaneous queue

@@ -43,12 +43,12 @@ func (t *tx) lock(key string, mode store.LockMode) error {
 		sp.SetDetail(key)
 		sp.AddLockWait(wait)
 		sp.End()
-		t.db.bumpStat(func(s *Stats) { s.LockWaitNS += uint64(wait.Nanoseconds()) })
+		t.db.tel.lockWaitSec.Add(wait.Seconds())
 	} else {
 		sp.Cancel()
 	}
 	if err != nil {
-		t.db.bumpStat(func(s *Stats) { s.LockTimeouts++ })
+		t.db.tel.lockTimeouts.Inc()
 	}
 	return err
 }
@@ -63,7 +63,7 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 	}
 	t.db.serviceT(inodeKey(id), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	if t.delINodes[id] {
 		return nil, namespace.ErrNotFound
 	}
@@ -99,7 +99,7 @@ func (t *tx) GetChild(parent namespace.INodeID, name string, mode store.LockMode
 	}
 	t.db.serviceT(childKey(parent, name), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	return t.lockChild(parent, name, mode, true)
 }
 
@@ -124,10 +124,8 @@ func (t *tx) ResolvePath(path string, mode store.LockMode) ([]*namespace.INode, 
 	}
 	t.db.serviceT(p, time.Duration(batches)*t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: hops, Allocs: uint64(len(comps) + 1)})
-	t.db.bumpStat(func(s *Stats) {
-		s.Reads++
-		s.ResolveHops += hops
-	})
+	t.db.tel.reads.Inc()
+	t.db.tel.resolveHops.Add(float64(hops))
 
 	// Same locked walk as the batched resolvers, resolver-style all the way
 	// down (no row is taken slot first).
@@ -188,7 +186,7 @@ func (t *tx) ListChildren(dir namespace.INodeID) ([]*namespace.INode, error) {
 	batches := 1 + len(out)/t.db.cfg.BatchRows
 	t.db.serviceT(inodeKey(dir), time.Duration(batches)*t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: uint64(len(out))})
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	return out, nil
 }
 
@@ -265,7 +263,7 @@ func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, bool, error)
 	}
 	t.db.serviceT(kvKey(table, key), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	if t.kvDels[table][key] {
 		return nil, false, nil
 	}
@@ -348,7 +346,7 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 	batches := 1 + len(out)/t.db.cfg.BatchRows
 	t.db.serviceT(kvKey(table, prefix), time.Duration(batches)*t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: uint64(len(out))})
-	t.db.bumpStat(func(s *Stats) { s.Reads++ })
+	t.db.tel.reads.Inc()
 	return out, nil
 }
 
@@ -397,14 +395,12 @@ func (t *tx) Commit() error {
 		sp.End()
 	}
 	t.db.locks.ReleaseAll(t.key)
-	t.db.bumpStat(func(s *Stats) {
-		s.Commits++
-		s.Writes += uint64(writes)
-		if walBytes > 0 {
-			s.WALAppends++
-			s.WALBytes += uint64(walBytes)
-		}
-	})
+	t.db.tel.commits.Inc()
+	t.db.tel.writes.Add(float64(writes))
+	if walBytes > 0 {
+		t.db.tel.walAppends.Inc()
+		t.db.tel.walBytes.Add(float64(walBytes))
+	}
 	if writes > 0 {
 		t.db.maybeCheckpoint()
 	}
@@ -538,5 +534,5 @@ func (t *tx) Abort() {
 	}
 	t.done = true
 	t.db.locks.ReleaseAll(t.key)
-	t.db.bumpStat(func(s *Stats) { s.Aborts++ })
+	t.db.tel.aborts.Inc()
 }

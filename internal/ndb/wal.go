@@ -583,7 +583,7 @@ func (db *DB) Checkpoint() uint64 {
 
 	floor := db.ckptFloor()
 	db.dur.truncateThrough(floor)
-	db.bumpStat(func(s *Stats) { s.Checkpoints++ })
+	db.tel.checkpoints.Inc()
 	return lsn
 }
 

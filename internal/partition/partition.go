@@ -117,8 +117,7 @@ func (r *Ring) DeploymentForPath(path string) int {
 
 // DeploymentsForSubtree returns the set of deployments that may cache any
 // metadata under root (inclusive). Because children hash by parent, every
-// directory in the subtree contributes its own deployment; callers that
-// cannot enumerate the subtree use AllDeployments instead.
+// directory in the subtree contributes its own deployment.
 func (r *Ring) DeploymentsForSubtree(dirs []string) []int {
 	seen := make(map[int]bool, r.n)
 	for _, d := range dirs {
@@ -130,14 +129,5 @@ func (r *Ring) DeploymentsForSubtree(dirs []string) []int {
 		out = append(out, d)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// AllDeployments returns [0, n).
-func (r *Ring) AllDeployments() []int {
-	out := make([]int, r.n)
-	for i := range out {
-		out[i] = i
-	}
 	return out
 }

@@ -75,9 +75,6 @@ func hashID(s string) uint32 {
 // ID returns the client identifier.
 func (c *Client) ID() string { return c.id }
 
-// TCPServerRef returns the client's assigned TCP server.
-func (c *Client) TCPServerRef() *TCPServer { return c.tcp }
-
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{

@@ -136,7 +136,7 @@ func TestConnectionSharingAcrossServers(t *testing.T) {
 	inv := platformInvoker{h.p}
 	c1 := h.vm.NewClient("c1", h.ring, inv)
 	c2 := h.vm.NewClient("c2", h.ring, inv)
-	if c1.TCPServerRef() == c2.TCPServerRef() {
+	if c1.tcp == c2.tcp {
 		t.Fatal("clients should have distinct TCP servers")
 	}
 	// c1 establishes the connection via HTTP.
@@ -387,7 +387,7 @@ func TestTCPServerOfferDedupes(t *testing.T) {
 	if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
 		t.Fatal(err)
 	}
-	s := c.TCPServerRef()
+	s := c.tcp
 	if s.ConnCount(0) != 1 {
 		t.Fatalf("conns = %d", s.ConnCount(0))
 	}
@@ -428,7 +428,7 @@ func TestConnRotationSpreadsLoad(t *testing.T) {
 	if _, err := c.callHTTP(nil, 0, namespace.Request{Op: namespace.OpStat, Path: "/a", ClientID: "c1", Seq: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	s := c.TCPServerRef()
+	s := c.tcp
 	if s.ConnCount(0) < 1 {
 		t.Fatalf("conns = %d", s.ConnCount(0))
 	}
@@ -452,10 +452,10 @@ func TestClientsPerTCPServerBoundary(t *testing.T) {
 	c1 := h.vm.NewClient("c1", h.ring, inv)
 	c2 := h.vm.NewClient("c2", h.ring, inv)
 	c3 := h.vm.NewClient("c3", h.ring, inv)
-	if c1.TCPServerRef() != c2.TCPServerRef() {
+	if c1.tcp != c2.tcp {
 		t.Fatal("first two clients should share a TCP server")
 	}
-	if c3.TCPServerRef() == c1.TCPServerRef() {
+	if c3.tcp == c1.tcp {
 		t.Fatal("third client should get a fresh TCP server (at-most-n rule)")
 	}
 	if got := len(h.vm.Servers()); got != 2 {

@@ -288,13 +288,10 @@ func (q *FairQueue[T]) Pop() (T, bool) {
 
 // Placement maps tenants onto namespace shards. The default mapping
 // hashes the tenant name (exactly how the CephFS model pins a top-level
-// directory to an MDS — see cephfs.mdsFor); Rebalance replaces it with a
-// load-adaptive assignment: tenants sorted by observed demand, heaviest
-// first, each placed on the currently least-loaded shard. Deterministic
-// for a given load map. Not safe for concurrent use.
+// directory to an MDS — see cephfs.mdsFor); RebalanceProportional replaces
+// it with a load-adaptive one. Not safe for concurrent use.
 type Placement struct {
 	shards int
-	assign map[string]int
 	spans  map[string]span
 }
 
@@ -306,67 +303,27 @@ func NewPlacement(n int) *Placement {
 	if n < 1 {
 		n = 1
 	}
-	return &Placement{shards: n, assign: make(map[string]int), spans: make(map[string]span)}
+	return &Placement{shards: n, spans: make(map[string]span)}
 }
 
 // Shards returns the shard count.
 func (p *Placement) Shards() int { return p.shards }
 
-// ShardFor returns the tenant's shard: the rebalanced assignment when
-// one exists, the stable hash of the tenant name otherwise.
+// ShardFor returns the tenant's default shard: the stable hash of its
+// name.
 func (p *Placement) ShardFor(tenantName string) int {
-	if s, ok := p.assign[tenantName]; ok {
-		return s
-	}
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(tenantName)) // hash.Hash.Write never fails
 
 	return int(h.Sum32()) % p.shards
 }
 
-// Rebalance recomputes the assignment from observed per-tenant load
-// (ops/sec or any proportional measure): heaviest tenant first onto the
-// least-loaded shard (lowest index breaks ties). Returns the number of
-// tenants whose shard changed.
-func (p *Placement) Rebalance(load map[string]float64) int {
-	names := make([]string, 0, len(load))
-	for name := range load {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if load[names[i]] != load[names[j]] {
-			return load[names[i]] > load[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	shardLoad := make([]float64, p.shards)
-	next := make(map[string]int, len(names))
-	for _, name := range names {
-		min := 0
-		for s := 1; s < p.shards; s++ {
-			if shardLoad[s] < shardLoad[min] {
-				min = s
-			}
-		}
-		next[name] = min
-		shardLoad[min] += load[name]
-	}
-	moves := 0
-	for name, s := range next {
-		if p.ShardFor(name) != s {
-			moves++
-		}
-	}
-	p.assign = next
-	return moves
-}
-
 // RebalanceProportional allocates each tenant a contiguous run of shards
-// sized by its load share (minimum one shard), heaviest tenant first —
-// the elastic counterpart of Rebalance for tenants too big for a single
-// shard. Runs may wrap and overlap when the population outnumbers the
-// shards; ClientShard spreads a tenant's clients round-robin across its
-// run. Deterministic for a given load map.
+// sized by its load share (minimum one shard), heaviest tenant first, so
+// a tenant too big for a single shard gets several. Runs may wrap and
+// overlap when the population outnumbers the shards; ClientShard spreads
+// a tenant's clients round-robin across its run. Deterministic for a
+// given load map.
 func (p *Placement) RebalanceProportional(load map[string]float64) {
 	names := make([]string, 0, len(load))
 	total := 0.0
@@ -400,8 +357,8 @@ func (p *Placement) RebalanceProportional(load map[string]float64) {
 }
 
 // ClientShard maps one client of a tenant onto a shard: round-robin over
-// the tenant's proportional run when one exists, the tenant's single
-// assigned/hashed shard otherwise.
+// the tenant's proportional run when one exists, the tenant's hashed shard
+// otherwise.
 func (p *Placement) ClientShard(tenantName string, client int) int {
 	if sp, ok := p.spans[tenantName]; ok {
 		return (sp.start + client%sp.width) % p.shards

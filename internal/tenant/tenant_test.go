@@ -168,16 +168,16 @@ func TestPlacementHashAndRebalance(t *testing.T) {
 	// Rebalance by load: the two heaviest tenants must land on distinct
 	// shards, and the assignment must be deterministic.
 	load := map[string]float64{"spotify": 100, "crawler": 90, "batch-ingest": 10, "interactive": 5}
-	p.Rebalance(load)
-	if p.ShardFor("spotify") == p.ShardFor("crawler") {
-		t.Fatalf("heaviest tenants share shard %d after rebalance", p.ShardFor("spotify"))
+	p.RebalanceProportional(load)
+	if p.ClientShard("spotify", 0) == p.ClientShard("crawler", 0) {
+		t.Fatalf("heaviest tenants share shard %d after rebalance", p.ClientShard("spotify", 0))
 	}
 	q := NewPlacement(4)
-	q.Rebalance(load)
+	q.RebalanceProportional(load)
 	for name := range load {
-		if p.ShardFor(name) != q.ShardFor(name) {
+		if p.ClientShard(name, 0) != q.ClientShard(name, 0) {
 			t.Fatalf("rebalance nondeterministic for %s: %d vs %d",
-				name, p.ShardFor(name), q.ShardFor(name))
+				name, p.ClientShard(name, 0), q.ClientShard(name, 0))
 		}
 	}
 }

@@ -174,13 +174,6 @@ func (t *Trie[V]) countValues(n *node[V]) int {
 	return count
 }
 
-// Walk visits every stored value in depth-first order. comps is the path
-// from the root; the callback must not modify the trie. Returning false
-// stops the walk.
-func (t *Trie[V]) Walk(fn func(comps []string, v V) bool) {
-	t.walk(t.root, nil, fn)
-}
-
 func (t *Trie[V]) walk(n *node[V], comps []string, fn func([]string, V) bool) bool {
 	if n.has {
 		if !fn(comps, n.val) {
@@ -208,21 +201,4 @@ func (t *Trie[V]) WalkPrefix(comps []string, fn func(comps []string, v V) bool) 
 		}
 	}
 	t.walk(n, append([]string(nil), comps...), fn)
-}
-
-// HasDescendants reports whether any value is stored strictly below comps.
-func (t *Trie[V]) HasDescendants(comps []string) bool {
-	n := t.root
-	for _, c := range comps {
-		n = n.children[c]
-		if n == nil {
-			return false
-		}
-	}
-	for _, child := range n.children {
-		if t.countValues(child) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -87,8 +87,8 @@ func TestDeletePrunes(t *testing.T) {
 		t.Fatal("sibling value lost")
 	}
 	// Internal structure pruned: b no longer reachable.
-	if tr.HasDescendants(comps("a")) {
-		t.Fatal("pruning left empty descendants")
+	if n := len(tr.root.children["a"].children); n != 0 {
+		t.Fatalf("pruning left %d empty descendants", n)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("len = %d", tr.Len())
@@ -145,7 +145,7 @@ func TestWalkVisitsAll(t *testing.T) {
 		tr.Put(comps(p), v)
 	}
 	got := map[string]int{}
-	tr.Walk(func(c []string, v int) bool {
+	tr.WalkPrefix(nil, func(c []string, v int) bool {
 		got[strings.Join(c, "/")] = v
 		return true
 	})
@@ -159,7 +159,7 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Walk(func([]string, int) bool { count++; return false })
+	tr.WalkPrefix(nil, func([]string, int) bool { count++; return false })
 	if count != 1 {
 		t.Fatalf("early stop visited %d", count)
 	}

@@ -67,9 +67,6 @@ type CallGraph struct {
 	byObj map[*types.Func]*FuncNode
 }
 
-// NodeOf returns the graph node declaring obj, or nil.
-func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.byObj[obj] }
-
 // displayName renders a node's function compactly for messages:
 // "pkg.Func" or "(*pkg.Type).Method".
 func (n *FuncNode) displayName() string {

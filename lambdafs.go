@@ -287,7 +287,11 @@ type Stats struct {
 	ProvisionedUSD  float64
 }
 
-// Stats returns a snapshot.
+// Stats reads the cluster's counters out of the telemetry registry and its
+// live pool state off the platform. The counters count for the cluster, not
+// for its current NameNodes: they never decrease when instances are
+// reclaimed or crash. The fields are read one after another, not at one
+// common instant.
 func (c *Cluster) Stats() Stats {
 	hits, misses := c.sys.CacheStats()
 	ps := c.platform.Stats()
@@ -302,11 +306,6 @@ func (c *Cluster) Stats() Stats {
 		PayPerUseUSD:    c.lambdaMeter.TotalUSD(),
 		ProvisionedUSD:  c.provisionedMeter.TotalUSD(),
 	}
-}
-
-// Meters exposes the billing meters (the evaluation's cost models).
-func (c *Cluster) Meters() (*metrics.LambdaMeter, *metrics.ProvisionedMeter) {
-	return c.lambdaMeter, c.provisionedMeter
 }
 
 // Run executes fn as a clock-registered task and waits for it: on the

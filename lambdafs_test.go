@@ -101,9 +101,42 @@ func TestClusterStatsPopulated(t *testing.T) {
 	if st.PayPerUseUSD <= 0 {
 		t.Fatal("no pay-per-use cost accrued")
 	}
-	lm, pm := c.Meters()
-	if lm == nil || pm == nil {
-		t.Fatal("meters missing")
+}
+
+// TestClusterStatsSurviveReclamation: fleet counts live in the registry, not
+// in the instances that produced them, so losing the NameNodes that served
+// the hits takes nothing away from Stats and their replacements count on
+// top.
+func TestClusterStatsSurviveReclamation(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Deployments = 1
+	c := newTestCluster(t, cfg)
+	cl := c.NewClient("")
+	if err := cl.MkdirAll("/hot"); err != nil {
+		t.Fatal(err)
+	}
+	stats := func(n int) Stats {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := cl.Stat("/hot"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Stats()
+	}
+	warm := stats(5)
+	if warm.CacheHits == 0 {
+		t.Fatal("warm-up recorded no cache hits")
+	}
+	for c.Platform().KillOneInstance(0) {
+	}
+	if dead := c.Stats(); dead.ActiveNameNodes != 0 || dead.CacheHits != warm.CacheHits || dead.CacheMisses != warm.CacheMisses {
+		t.Fatalf("hits/misses %d/%d with the deployment warm, %d/%d with its %d NameNodes killed",
+			warm.CacheHits, warm.CacheMisses, dead.CacheHits, dead.CacheMisses, warm.ActiveNameNodes)
+	}
+	if again := stats(5); again.CacheHits <= warm.CacheHits || again.ColdStarts <= warm.ColdStarts {
+		t.Fatalf("hits %d -> %d and cold starts %d -> %d after a replacement served 5 more stats",
+			warm.CacheHits, again.CacheHits, warm.ColdStarts, again.ColdStarts)
 	}
 }
 
