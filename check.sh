@@ -2,7 +2,8 @@
 # Repo health check: formatting, vet, the in-repo lambdafs-vet analyzer,
 # build, full test suite, the race detector over the concurrency-heavy
 # packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
-# platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant),
+# platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant,
+# cache, partition, hopsfs),
 # the determinism smoke — the clock's own tests and the three golden
 # sim-driven tests (storm tables, alert digests, hotpath gate) on one, two
 # and four Ps — bounded fixed-seed chaos, crash-restart,
@@ -44,8 +45,8 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant) =="
-go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs) =="
+go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests and hotpath gate, on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4

@@ -67,12 +67,14 @@ func RunTrace(opts Options) []*Table {
 		workload.RunClosedLoop(clk, tree, mix, clients, per, opts.Seed, cached)
 	})
 
-	// Phase 2 — kill storm: dead connections force HTTP failover through
-	// fresh cold starts; the latency spikes push clients into
-	// anti-thrashing mode.
+	// Phase 2 — kill storm: every instance of four deployments dies, so
+	// the next request routed to one of them finds no connection to fail
+	// over to and goes through HTTP into a fresh cold start; the latency
+	// spike pushes the client into anti-thrashing mode.
 	clock.Run(clk, func() {
-		for i := 0; i < 4; i++ {
-			c.platform.KillOneInstance(i % p.deployments)
+		for dep := 0; dep < 4; dep++ {
+			for c.platform.KillOneInstance(dep % p.deployments) {
+			}
 		}
 		workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+1, cached)
 		// Outlive the anti-thrashing hold, then issue a few more ops so

@@ -34,7 +34,7 @@ func TestAlertCoverage(t *testing.T) {
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
 	FamilyInstanceKill: {"36bc49c0b63e1621", "24cda43e8e609b9a"},
-	FamilyShardFault:   {"adb5cb7e47ea326e", "47bc34ac9bd98601"},
+	FamilyShardFault:   {"f89540eb1f6c604a", "99bc18e1ef19c4ab"},
 	FamilyCrashRestart: {"103dc5152dd742c2", "103dc5152dd742c2"},
 	FamilyLeaderDepose: {"d8010bc185958e54", "a5d70495e8da9cd9"},
 	FamilyTenantStorm:  {"e6e7db4f432f8e60", "1bff7f1855d02cee"},

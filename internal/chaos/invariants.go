@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lambdafs/internal/core"
@@ -75,9 +76,11 @@ func CheckOracle(db *ndb.DB, m *Oracle) []string {
 
 // CheckCaches verifies client-cache coherence: for every probed path, any
 // engine whose metadata cache holds an entry must agree with the oracle on
-// existence and kind. (Caches may hold fewer entries than the store —
-// that is what a cache is — but never stale or phantom ones once the
-// coherence protocol has quiesced.)
+// existence and kind, and any engine that holds a directory
+// listing-complete must list exactly the oracle's children for it. (Caches
+// may hold fewer entries than the store — that is what a cache is — but
+// never stale or phantom ones, nor a listing that claims to be whole and
+// is not, once the coherence protocol has quiesced.)
 func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool) []string {
 	var bad []string
 	paths := make([]string, 0, len(probe))
@@ -97,6 +100,17 @@ func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool) []str
 			} else if n.IsDir != m.IsDir(p) {
 				bad = append(bad, fmt.Sprintf("cache of %s has %s as dir=%v, oracle dir=%v",
 					e.ID(), p, n.IsDir, m.IsDir(p)))
+			}
+			if kids, complete := c.Listing(p); complete {
+				got := make([]string, len(kids))
+				for i, k := range kids {
+					got[i] = k.Name
+				}
+				sort.Strings(got)
+				if want, _ := m.List(p); !slices.Equal(got, want) {
+					bad = append(bad, fmt.Sprintf("cache of %s lists %s complete as %v, oracle %v",
+						e.ID(), p, got, want))
+				}
 			}
 		}
 	}

@@ -22,18 +22,27 @@
 // simulation clock, and every wait parks on a clock-owned primitive
 // (clock.Sleep, Mailbox, Event, Group), never on a raw channel.
 // Every hot operation has one shape: path resolution is a single batched
-// per-shard multi-get, a write's whole lock phase is one store.Tx.LockPaths
-// call (every row it will decide on — parents, targets, free names —
-// resolved and locked under one multi-get, nothing read afterwards), its
-// invalidations go out in one concurrent INV/ACK round, and subtree
-// quiesce reads are batched per partition. Lock-order discipline is
-// global and lives in LockPaths: target paths sorted, each walked from the
-// root down — ancestors, then the child-key slot, then the inode row.
-// Writes take no row lock before that call, so they inherit the order.
+// per-shard multi-get (read, stat and ls alike), a write's whole lock phase
+// is one store.Tx.LockPaths call (every row it will decide on — parents,
+// targets, free names — resolved and locked under one multi-get, nothing
+// read afterwards), its invalidations go out in one concurrent INV/ACK
+// round, and subtree quiesce reads are batched per partition. Lock-order
+// discipline is global and lives in LockPaths: target paths sorted, each
+// walked from the root down — ancestors, then the child-key slot, then the
+// inode row. Writes take no row lock before that call, so they inherit the
+// order.
+//
+// Who caches what is the ring's decision, not the engine's: an engine
+// fills its cache only with what partition.Ring.Route sends to its own
+// deployment — a path's metadata at hash(parent), a directory's listing at
+// hash(dir), beside the children it lists — so a single-INode write
+// invalidates exactly one deployment, DeploymentForPath(path), and a
+// subtree operation the ring's DeploymentsForSubtree of its directories.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -295,19 +304,20 @@ func fail(err error) *namespace.Response {
 	return &namespace.Response{Err: namespace.ToWire(err)}
 }
 
-// cachingAllowed reports whether this engine may populate its cache for
-// path: always for unpartitioned engines, otherwise only when this
-// deployment owns the path. When anti-thrashing routes a request to a
-// non-owner deployment the op is served pass-through, because a non-owner
-// never receives the INVs that would keep such an entry coherent.
-func (e *Engine) cachingAllowed(path string) bool {
+// cachingAllowed reports whether this engine may populate its cache with
+// what op reads at path: always for unpartitioned engines, otherwise only
+// when this is the deployment the ring routes op on path to. When
+// anti-thrashing routes a request anywhere else the op is served
+// pass-through, because only that deployment receives the INVs that keep
+// such an entry coherent.
+func (e *Engine) cachingAllowed(op namespace.OpType, path string) bool {
 	if e.cache == nil {
 		return false
 	}
 	if e.ring == nil || e.dep < 0 {
 		return true
 	}
-	return e.ring.DeploymentForPath(path) == e.dep
+	return e.ring.Route(op, path) == e.dep
 }
 
 // resolve returns the INode chain for path, serving from the cache when
@@ -315,8 +325,8 @@ func (e *Engine) cachingAllowed(path string) bool {
 // misses (the staleness guard of §3.5: a concurrent writer's exclusive
 // locks serialize against the fill, and the chain is inserted before the
 // locks are released).
-func (e *Engine) resolve(tc *trace.Ctx, path string) (chain []*namespace.INode, hit bool, err error) {
-	if e.cachingAllowed(path) {
+func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string) (chain []*namespace.INode, hit bool, err error) {
+	if e.cachingAllowed(op, path) {
 		if chain, ok := e.cache.Lookup(path); ok {
 			e.tel.hits.Inc()
 			return chain, true, nil
@@ -356,7 +366,7 @@ func checkSubtreeLocks(chain []*namespace.INode, self string) error {
 // read resolves a file and returns its block locations (open /
 // getBlockLocations).
 func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
-	chain, hit, err := e.resolve(tc, path)
+	chain, hit, err := e.resolve(tc, namespace.OpRead, path)
 	if err != nil {
 		return fail(err)
 	}
@@ -378,7 +388,7 @@ func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
 
 // stat resolves any path and returns its attributes.
 func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
-	chain, hit, err := e.resolve(tc, path)
+	chain, hit, err := e.resolve(tc, namespace.OpStat, path)
 	if err != nil {
 		return fail(err)
 	}
@@ -393,9 +403,11 @@ func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
 // ls lists a directory (or stats a file, HDFS-style). Directory listings
 // are served from the cache when a complete listing is cached; otherwise
 // the listing is fetched under shared locks and cached with the
-// completeness mark.
+// completeness mark. The listing is cached where the ring routes ls, which
+// is where the directory's children are cached: the fill is a prefetch for
+// the reads and stats that follow.
 func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
-	allowed := e.cachingAllowed(path)
+	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
 		if kids, ok := e.cache.Listing(path); ok {
 			e.tel.hits.Inc()
@@ -409,7 +421,7 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	if allowed {
 		mode = store.LockShared
 	}
-	chain, err := tx.ResolvePath(path, mode)
+	chain, err := tx.ResolvePathBatched(path, mode, mode)
 	if err != nil {
 		return fail(err)
 	}
@@ -444,24 +456,21 @@ func toEntries(kids []*namespace.INode) []namespace.DirEntry {
 }
 
 // invTargets computes the deployments whose caches may hold metadata
-// invalidated by a write on path: the path's owner (terminal metadata)
-// and the parent's owner (the listing containing it). Unpartitioned
-// engines (serverful cached baselines) target every peer.
+// invalidated by a single-INode write on paths: each path's owner, which
+// caches the INode and, being where its siblings live, the parent's listing
+// too. One deployment per written path. Unpartitioned engines (serverful
+// cached baselines) target every peer.
 func (e *Engine) invTargets(paths ...string) []int {
 	if e.ring == nil {
 		return []int{e.dep}
 	}
-	seen := make(map[int]bool, 4)
+	deps := make([]int, 0, len(paths))
 	for _, p := range paths {
-		seen[e.ring.DeploymentForPath(p)] = true
-		seen[e.ring.DeploymentForPath(namespace.ParentPath(p))] = true
+		if d := e.ring.DeploymentForPath(p); !slices.Contains(deps, d) {
+			deps = append(deps, d)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
+	return deps
 }
 
 // invalidateAll runs the INV/ACK exchange for the given paths (remote

@@ -239,34 +239,8 @@ func TestResultCacheDedupesResubmission(t *testing.T) {
 // and coordinator — the multi-instance coherence scenario.
 func twoEngines(t *testing.T, deployments int) (*Engine, *Engine, *ndb.DB) {
 	t.Helper()
-	st := fastStore()
-	clk := clock.NewScaled(0)
-	coord := fastCoord(st)
-	ring := partition.NewRing(deployments, 0)
-	cfg := DefaultEngineConfig()
-	cfg.OpCPUCost = 0
-	cfg.SubtreeCPUPerINode = 0
-	mk := func(id string, dep int) *Engine {
-		e := NewEngine(id, dep, clk, st, ring, coord, nil, cfg)
-		coord.Register(dep, id, e.HandleInvalidation)
-		return e
-	}
-	// Both engines in deployment 0 — instances of the same deployment.
-	a := mk("nn-a", 0)
-	b := mk("nn-b", 0)
-	return a, b, st
-}
-
-// ownedPath finds a path under /coh whose owner deployment is 0 for the
-// given ring size.
-func ownedPath(ring *partition.Ring, i int) string {
-	for ; ; i++ {
-		dir := fmt.Sprintf("/coh%d", i)
-		p := dir + "/f"
-		if ring.DeploymentForPath(p) == 0 && ring.DeploymentForPath(dir) == 0 {
-			return p
-		}
-	}
+	fleet, _, _, st := engineFleet(t, deployments, 2)
+	return fleet[0][0], fleet[0][1], st
 }
 
 func TestCoherenceAcrossInstances(t *testing.T) {

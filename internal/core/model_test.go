@@ -25,17 +25,24 @@ import (
 	"lambdafs/internal/store"
 )
 
-// modelCluster builds n engines in one deployment over a shared
-// zero-latency store and coordinator (the engine_test twoEngines shape,
-// rebuilt from exported API only).
-func modelCluster(t *testing.T, n int) ([]*core.Engine, *ndb.DB) {
-	return modelClusterLockWait(t, n, 150*time.Millisecond)
+// modelFleet is deployments × perDep engines over a shared zero-latency
+// store and coordinator (the engine_test twoEngines shape, rebuilt from
+// exported API only, with the ring as one more input).
+type modelFleet struct {
+	ring    *partition.Ring
+	byDep   [][]*core.Engine // [deployment][instance]
+	engines []*core.Engine   // all of them
+	db      *ndb.DB
+}
+
+func modelCluster(t *testing.T, deployments, perDep int) *modelFleet {
+	return modelClusterLockWait(t, deployments, perDep, 150*time.Millisecond)
 }
 
 // modelClusterLockWait is modelCluster with a chosen (real-time) lock-wait
 // timeout: tests asserting that no wait ever times out set it far above
 // any scheduling hiccup, so only a true deadlock can trip it.
-func modelClusterLockWait(t *testing.T, n int, lockWait time.Duration) ([]*core.Engine, *ndb.DB) {
+func modelClusterLockWait(t *testing.T, deployments, perDep int, lockWait time.Duration) *modelFleet {
 	t.Helper()
 	clk := clock.NewScaled(0)
 	ncfg := ndb.DefaultConfig()
@@ -48,19 +55,61 @@ func modelClusterLockWait(t *testing.T, n int, lockWait time.Duration) ([]*core.
 	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
 	zk := coordinator.NewZK(clk, ccfg)
 
-	ring := partition.NewRing(1, 0)
 	ecfg := core.DefaultEngineConfig()
 	ecfg.OpCPUCost = 0
 	ecfg.SubtreeCPUPerINode = 0
 
-	engines := make([]*core.Engine, n)
-	for i := range engines {
-		id := fmt.Sprintf("nn-%c", 'a'+i)
-		e := core.NewEngine(id, 0, clk, db, ring, zk, nil, ecfg)
-		zk.Register(0, id, e.HandleInvalidation)
-		engines[i] = e
+	f := &modelFleet{ring: partition.NewRing(deployments, 0), byDep: make([][]*core.Engine, deployments), db: db}
+	for dep := range f.byDep {
+		for i := 0; i < perDep; i++ {
+			id := fmt.Sprintf("nn-%d%c", dep, 'a'+i)
+			e := core.NewEngine(id, dep, clk, db, f.ring, zk, nil, ecfg)
+			zk.Register(dep, id, e.HandleInvalidation)
+			f.byDep[dep] = append(f.byDep[dep], e)
+			f.engines = append(f.engines, e)
+		}
 	}
-	return engines, db
+	return f
+}
+
+// pick draws the engine a client sends op on path to: a random instance of
+// the deployment the ring routes it to, and one time in eight any engine
+// of the fleet — the anti-thrash route, which a foreign deployment serves
+// pass-through.
+func (f *modelFleet) pick(rng *rand.Rand, op namespace.OpType, path string) *core.Engine {
+	if rng.Intn(8) == 0 {
+		return f.engines[rng.Intn(len(f.engines))]
+	}
+	dep := f.byDep[f.ring.Route(op, path)]
+	return dep[rng.Intn(len(dep))]
+}
+
+// cachers returns every engine allowed to cache path: the instances of the
+// deployment that owns its metadata and of the one that owns its listing.
+func (f *modelFleet) cachers(path string) []*core.Engine {
+	own, list := f.ring.DeploymentForPath(path), f.ring.Route(namespace.OpLs, path)
+	if own == list {
+		return f.byDep[own]
+	}
+	return append(append([]*core.Engine(nil), f.byDep[own]...), f.byDep[list]...)
+}
+
+// checkWritten checks, after a successful write, everything the write
+// changed — the parents' listings first, before a stat of the written path
+// can refill a cache and paper over a listing left wrongly complete —
+// through every engine allowed to cache it (coherence must have
+// propagated).
+func (f *modelFleet) checkWritten(t *testing.T, step int, m *chaos.Oracle, path, dest string) {
+	t.Helper()
+	written := []string{namespace.ParentPath(path), path}
+	if dest != "" {
+		written = []string{namespace.ParentPath(path), namespace.ParentPath(dest), path, dest}
+	}
+	for _, p := range written {
+		for _, e := range f.cachers(p) {
+			checkAgreement(t, step, e, m, p)
+		}
+	}
 }
 
 // randPathUnder draws paths under prefix from a small universe so
@@ -115,72 +164,81 @@ func judgeWrite(t *testing.T, step int, op namespace.OpType, path string,
 }
 
 // TestEngineMatchesModelRandomOps drives random operation sequences
-// through a pair of engines (same deployment, shared store + coordinator)
-// and checks full agreement with the reference oracle after every write:
-// path existence, node kind, and listings. This exercises the cache,
-// coherence protocol, subtree protocol, and store together.
+// through a fleet of engines (shared store + coordinator) — two instances
+// of one deployment, and two instances of each of four, where the INV
+// target computation has something to decide — and checks full agreement
+// with the reference oracle after every write: path existence, node kind,
+// and listings. This exercises routing, the cache, coherence protocol,
+// subtree protocol, and store together.
 func TestEngineMatchesModelRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			engines, db := modelCluster(t, 2)
-			model := chaos.NewOracle()
-			rng := rand.New(rand.NewSource(seed))
-
-			for step := 0; step < 250; step++ {
-				e := engines[rng.Intn(len(engines))]
-				op := randOp(rng)
-				path := randPathUnder(rng, "", 3)
-				dest := ""
-				if op == namespace.OpMv {
-					dest = randPathUnder(rng, "", 3)
-				}
-
-				resp := e.Execute(namespace.Request{Op: op, Path: path, Dest: dest})
-				if op.IsWrite() {
-					judgeWrite(t, step, op, path,
-						resp.Error(), model.Apply(op, path, dest))
-				}
-
-				// After each write, spot-check agreement through the
-				// OTHER engine (coherence must have propagated).
-				if op.IsWrite() && resp.OK() {
-					other := engines[1-indexOf(engines, e)]
-					checkAgreement(t, step, other, model, path)
-					if dest != "" {
-						checkAgreement(t, step, other, model, dest)
-					}
-				}
-			}
-
-			// Final full sweep on both engines.
-			for _, e := range engines {
-				for _, p := range model.Paths() {
-					checkAgreement(t, -1, e, model, p)
-				}
-			}
-			if db.HeldLocks() != 0 {
-				t.Fatalf("locks leaked: %d", db.HeldLocks())
+			for _, deployments := range []int{1, 4} {
+				t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
+					randomOpsMatchModel(t, modelCluster(t, deployments, 2), seed)
+				})
 			}
 		})
 	}
 }
 
+func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
+	model := chaos.NewOracle()
+	rng := rand.New(rand.NewSource(seed))
+
+	for step := 0; step < 250; step++ {
+		op := randOp(rng)
+		path := randPathUnder(rng, "", 3)
+		dest := ""
+		if op == namespace.OpMv {
+			dest = randPathUnder(rng, "", 3)
+		}
+		e := f.pick(rng, op, path)
+
+		resp := e.Execute(namespace.Request{Op: op, Path: path, Dest: dest})
+		if op.IsWrite() {
+			judgeWrite(t, step, op, path,
+				resp.Error(), model.Apply(op, path, dest))
+		}
+		if op.IsWrite() && resp.OK() {
+			f.checkWritten(t, step, model, path, dest)
+		}
+	}
+
+	// Final full sweep on every engine.
+	for _, e := range f.engines {
+		for _, p := range model.Paths() {
+			checkAgreement(t, -1, e, model, p)
+		}
+	}
+	if f.db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", f.db.HeldLocks())
+	}
+}
+
 // TestEngineMatchesModelConcurrentClients runs several clients
 // CONCURRENTLY, each on a private subtree with its own oracle and seed,
-// through a shared engine pair — rename and recursive mv/delete included.
-// Clients interleave arbitrarily in real time; because their subtrees are
-// disjoint, each client's oracle stays exact, while the shared cache,
-// coherence protocol, subtree protocol, and lock manager absorb the full
-// interleaving. A final merged sweep checks every client's namespace
-// through both engines.
+// through a shared fleet (1 and 4 deployments × 2 engines) — rename and
+// recursive mv/delete included. Clients interleave arbitrarily in real
+// time; because their subtrees are disjoint, each client's oracle stays
+// exact, while the shared cache, coherence protocol, subtree protocol, and
+// lock manager absorb the full interleaving. A final merged sweep checks
+// every client's namespace through every engine.
 func TestEngineMatchesModelConcurrentClients(t *testing.T) {
+	for _, deployments := range []int{1, 4} {
+		t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
+			concurrentClientsMatchModel(t, modelCluster(t, deployments, 2))
+		})
+	}
+}
+
+func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 	const (
 		clients = 4
 		steps   = 150
 		seed    = int64(1234)
 	)
-	engines, db := modelCluster(t, 2)
+	engines, db := f.engines, f.db
 
 	// Carve one private subtree per client, sequentially, before racing.
 	for c := 0; c < clients; c++ {
@@ -206,14 +264,13 @@ func TestEngineMatchesModelConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			for step := 0; step < steps; step++ {
-				e := engines[rng.Intn(len(engines))]
 				op := randOp(rng)
 				path := randPathUnder(rng, root, 3)
 				dest := ""
 				if op == namespace.OpMv {
 					dest = randPathUnder(rng, root, 3)
 				}
-				resp := e.Execute(namespace.Request{
+				resp := f.pick(rng, op, path).Execute(namespace.Request{
 					Op: op, Path: path, Dest: dest,
 					ClientID: fmt.Sprintf("c%d", c), Seq: uint64(step + 1),
 				})
@@ -240,7 +297,7 @@ func TestEngineMatchesModelConcurrentClients(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Merged final sweep: both engines must agree with every client's
+	// Merged final sweep: every engine must agree with every client's
 	// oracle, and the cluster must be clean.
 	for _, e := range engines {
 		for c := 0; c < clients; c++ {
@@ -273,7 +330,8 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 		steps   = 200
 		seed    = int64(77)
 	)
-	engines, db := modelClusterLockWait(t, 2, 10*time.Second)
+	f := modelClusterLockWait(t, 1, 2, 10*time.Second)
+	engines, db := f.engines, f.db
 	hot := []string{"/hot0", "/hot1"}
 	for _, h := range hot {
 		if resp := engines[0].Execute(namespace.Request{Op: namespace.OpMkdirs, Path: h}); !resp.OK() {
@@ -372,15 +430,6 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 	if bad := db.CheckIntegrity(); len(bad) != 0 {
 		t.Fatalf("store integrity: %v", bad)
 	}
-}
-
-func indexOf(es []*core.Engine, e *core.Engine) int {
-	for i, x := range es {
-		if x == e {
-			return i
-		}
-	}
-	return -1
 }
 
 // checkAgreement verifies existence, kind, and listing of path.

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lambdafs/internal/clock"
@@ -30,7 +30,6 @@ import (
 type subtreeWalk struct {
 	root    *namespace.INode
 	nodes   []*namespace.INode // BFS order, root first
-	paths   map[namespace.INodeID]string
 	invDeps []int
 }
 
@@ -89,8 +88,10 @@ func (e *Engine) subtreeUnlock(tc *trace.Ctx, rootID namespace.INodeID) {
 }
 
 // quiesce runs Phase 2: walk the subtree and compute the INV deployment
-// set — the owner of every INode in the subtree plus the owners of the
-// root and its parent (whose cached listing contains the root).
+// set, which is the ring's answer for the subtree's directories: where each
+// one's own metadata is cached (for the root, also the parent listing that
+// contains it) and where its children and its listing are — the latter even
+// for an empty directory, whose cached listing no child's owner would cover.
 func (e *Engine) quiesce(tc *trace.Ctx, rootPath string, root *namespace.INode) (*subtreeWalk, error) {
 	sp := tc.Start(trace.KindSubtreeQuiesce)
 	defer sp.End()
@@ -98,65 +99,62 @@ func (e *Engine) quiesce(tc *trace.Ctx, rootPath string, root *namespace.INode) 
 	if err != nil {
 		return nil, err
 	}
-	w := &subtreeWalk{root: root, nodes: nodes, paths: make(map[namespace.INodeID]string, len(nodes))}
-	w.paths[root.ID] = rootPath
-	depSet := make(map[int]bool)
-	addOwner := func(p string) {
-		if e.ring != nil {
-			depSet[e.ring.DeploymentForPath(p)] = true
-		}
-	}
 	sp.SetDetail(fmt.Sprintf("inodes=%d", len(nodes)))
-	addOwner(rootPath)
-	addOwner(namespace.ParentPath(rootPath))
+	w := &subtreeWalk{root: root, nodes: nodes}
+	if e.ring == nil {
+		w.invDeps = []int{e.dep}
+		return w, nil
+	}
+	dirPaths := map[namespace.INodeID]string{root.ID: rootPath}
+	dirs := []string{rootPath}
 	for _, n := range nodes[1:] {
-		parentPath, ok := w.paths[n.ParentID]
+		parentPath, ok := dirPaths[n.ParentID]
 		if !ok {
 			// BFS order guarantees parents precede children.
 			return nil, namespace.ErrInvalidState
 		}
-		p := namespace.JoinPath(parentPath, n.Name)
-		w.paths[n.ID] = p
-		addOwner(p)
-	}
-	if e.ring == nil {
-		w.invDeps = []int{e.dep}
-	} else {
-		for d := range depSet {
-			w.invDeps = append(w.invDeps, d)
+		if n.IsDir {
+			p := namespace.JoinPath(parentPath, n.Name)
+			dirPaths[n.ID] = p
+			dirs = append(dirs, p)
 		}
-		sort.Ints(w.invDeps)
 	}
+	w.invDeps = e.ring.DeploymentsForSubtree(dirs)
 	return w, nil
 }
 
-// prefixInvalidate runs the subtree coherence protocol: one prefix INV to
-// every deployment in the set, then the same invalidation locally.
-func (e *Engine) prefixInvalidate(tc *trace.Ctx, w *subtreeWalk, rootPath string) error {
+// prefixInvalidate runs the subtree coherence protocol: one prefix INV for
+// rootPath to every deployment in the set, then the same invalidation
+// locally. A rename also names the path that appears (appears != ""), as a
+// plain INV in the same message, so the listing of its new parent loses
+// its completeness exactly as the old parent's does.
+func (e *Engine) prefixInvalidate(tc *trace.Ctx, deps []int, rootPath, appears string) error {
 	sp := tc.Start(trace.KindCoherence)
 	var start time.Time
 	if tc != nil {
 		sp.SetDeployment(e.dep)
 		sp.SetInstance(e.id)
-		sp.SetDetail(fmt.Sprintf("prefix deps=%d", len(w.invDeps)))
+		sp.SetDetail(fmt.Sprintf("prefix deps=%d", len(deps)))
 		start = e.clk.Now()
 	}
+	invs := []coordinator.Invalidation{{Path: rootPath, Prefix: true, Writer: e.id}}
+	if appears != "" {
+		invs = append(invs, coordinator.Invalidation{Path: appears, Writer: e.id})
+	}
 	if e.coord != nil {
-		inv := coordinator.Invalidation{Path: rootPath, Prefix: true, Writer: e.id}
-		if err := e.coord.Invalidate(w.invDeps, inv); err != nil {
+		if err := e.coord.InvalidateBatchTraced(deps, invs, nil); err != nil {
 			sp.End()
 			return err
 		}
 	}
-	if e.cache != nil {
-		e.cache.InvalidatePrefix(rootPath)
-		e.cache.ClearComplete(namespace.ParentPath(rootPath))
+	for _, inv := range invs {
+		e.HandleInvalidation(inv)
 	}
 	if tc != nil {
 		tc.Emit(trace.Event{
 			Type: trace.EventCoherenceINV, Deployment: e.dep, Instance: e.id,
 			Dur:    e.clk.Since(start),
-			Detail: fmt.Sprintf("prefix=%s deps=%d", rootPath, len(w.invDeps)),
+			Detail: fmt.Sprintf("prefix=%s deps=%d", rootPath, len(deps)),
 		})
 	}
 	sp.End()
@@ -249,7 +247,7 @@ func (e *Engine) deleteSubtree(tc *trace.Ctx, rootPath string) *namespace.Respon
 		e.subtreeUnlock(tc, root.ID)
 		return fail(err)
 	}
-	if err := e.prefixInvalidate(tc, w, rootPath); err != nil {
+	if err := e.prefixInvalidate(tc, w.invDeps, rootPath, ""); err != nil {
 		e.subtreeUnlock(tc, root.ID)
 		return fail(err)
 	}
@@ -323,22 +321,13 @@ func (e *Engine) mvSubtree(tc *trace.Ctx, src, dest string) *namespace.Response 
 		e.subtreeUnlock(tc, root.ID)
 		return fail(err)
 	}
-	// The destination's owners see a new entry appear.
-	if e.ring != nil {
-		depSet := map[int]bool{}
-		for _, d := range w.invDeps {
-			depSet[d] = true
-		}
-		for _, d := range e.invTargets(dest) {
-			depSet[d] = true
-		}
-		w.invDeps = w.invDeps[:0]
-		for d := range depSet {
+	// The destination's owner sees a new entry appear in a listing it caches.
+	for _, d := range e.invTargets(dest) {
+		if !slices.Contains(w.invDeps, d) {
 			w.invDeps = append(w.invDeps, d)
 		}
-		sort.Ints(w.invDeps)
 	}
-	if err := e.prefixInvalidate(tc, w, src); err != nil {
+	if err := e.prefixInvalidate(tc, w.invDeps, src, dest); err != nil {
 		e.subtreeUnlock(tc, root.ID)
 		return fail(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -107,21 +108,44 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 }
 
+// TestCrossDeploymentCoherenceViaClients: through rpc routing on 8
+// deployments, what one client writes the other sees at once — in the
+// stat of the path and in the (cached) listing of its directory.
 func TestCrossDeploymentCoherenceViaClients(t *testing.T) {
 	tc := newCluster(t, 8)
 	w := tc.client("writer")
 	r := tc.client("reader")
 	cok(t, w, namespace.OpMkdirs, "/shared", "")
+	listed := func(when string, want ...string) {
+		t.Helper()
+		ls := cok(t, r, namespace.OpLs, "/shared", "")
+		var got []string
+		for _, e := range ls.Entries {
+			got = append(got, e.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ls /shared %s = %v (cache hit %v), want %v", when, got, ls.CacheHit, want)
+		}
+	}
 	for i := 0; i < 20; i++ {
-		p := fmt.Sprintf("/shared/f%d", i%5)
+		name := fmt.Sprintf("f%d", i%5)
+		p := "/shared/" + name
 		cok(t, w, namespace.OpCreate, p, "")
 		if resp := cok(t, r, namespace.OpStat, p, ""); resp.Stat == nil {
 			t.Fatal("stat lost")
+		}
+		listed("after create", name)
+		if ls := cok(t, r, namespace.OpLs, "/shared", ""); !ls.CacheHit {
+			t.Fatal("the reader's listing is not cached: the deletes below prove nothing")
 		}
 		cok(t, w, namespace.OpDelete, p, "")
 		resp := cdo(t, r, namespace.OpStat, p, "")
 		if !errors.Is(resp.Error(), namespace.ErrNotFound) {
 			t.Fatalf("stale read after delete (i=%d): %v", i, resp.Error())
+		}
+		listed("after delete")
+		if ls := cok(t, r, namespace.OpLs, "/shared", ""); !ls.CacheHit {
+			t.Fatal("the reader's empty listing is not cached: the creates above prove nothing")
 		}
 	}
 }

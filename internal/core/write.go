@@ -167,7 +167,8 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 			return nil
 		}
 		// Fresh directories cannot be cached anywhere; the INVs exist to
-		// clear stale listing-completeness on the parents' owners.
+		// clear stale listing-completeness where the parents are listed,
+		// which is where the new directories are owned.
 		return e.invalidateAll(tc, e.invTargets(createdPaths...), createdPaths...)
 	})
 	if err != nil {
@@ -221,7 +222,8 @@ func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 }
 
 // mv renames path to dest. File moves run the single-INode coherence
-// protocol across both the source and destination owner deployments, with
+// protocol across the source's and the destination's owner deployments
+// (one and the same for a rename inside a directory), with
 // both paths' rows locked in one LockPaths call (which also fixes their
 // order against crossing moves); a directory source aborts the
 // transaction and reroutes through the subtree protocol.

@@ -4,9 +4,11 @@
 //     of the shared NDB store (§2, Figure 1b). Every metadata operation
 //     resolves against the store; clients spread requests round-robin.
 //   - HopsFS+Cache: the same cluster with each NameNode augmented by a
-//     λFS-style metadata cache; clients route by consistent hashing of
-//     the parent directory so each NameNode owns a namespace partition
-//     (§5.1). Coherence runs over the same Coordinator protocol.
+//     λFS-style metadata cache; clients route with λFS's own
+//     partition.Ring.Route (consistent hashing of the parent directory,
+//     a listing with its children) so each NameNode owns a namespace
+//     partition (§5.1). Coherence runs over the same Coordinator
+//     protocol.
 //
 // Both reuse core.Engine, so the comparison against λFS isolates the
 // architecture (elastic serverless vs fixed serverful) rather than the
@@ -181,7 +183,7 @@ func (cl *Client) Do(op namespace.OpType, path, dest string) (*namespace.Respons
 	}
 	var nn *NameNode
 	if cl.c.ring != nil {
-		nn = cl.c.nns[cl.c.ring.DeploymentForPath(path)]
+		nn = cl.c.nns[cl.c.ring.Route(op, path)]
 	} else {
 		nn = cl.c.nns[int(cl.rr.Add(1))%len(cl.c.nns)]
 	}

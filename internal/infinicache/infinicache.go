@@ -84,7 +84,7 @@ func (cl *Client) Do(op namespace.OpType, path, dest string) (*namespace.Respons
 		Op: op, Path: path, Dest: dest,
 		ClientID: cl.id, Seq: cl.seq.Add(1),
 	}
-	dep := cl.sys.inner.Ring().DeploymentForPath(path)
+	dep := cl.sys.inner.Ring().Route(op, path)
 	v, err := cl.sys.inner.Invoke(dep, rpc.Payload{Req: req}) // no ReplyTo: no TCP back-connection
 	if err != nil {
 		return nil, err

@@ -624,7 +624,7 @@ func TestTxResolvePathLocked(t *testing.T) {
 	f := addFile(t, db, a, "f")
 
 	tx := db.Begin("reader")
-	chain, err := tx.ResolvePath("/a/f", store.LockShared)
+	chain, err := tx.ResolvePathBatched("/a/f", store.LockShared, store.LockShared)
 	if err != nil || len(chain) != 3 || chain[2].ID != f {
 		t.Fatalf("chain = %v, %v", chain, err)
 	}
@@ -640,7 +640,7 @@ func TestTxResolvePathLocked(t *testing.T) {
 func TestTxResolvePathMissLocksSlot(t *testing.T) {
 	db := testDB()
 	tx := db.Begin("reader")
-	chain, err := tx.ResolvePath("/nope", store.LockShared)
+	chain, err := tx.ResolvePathBatched("/nope", store.LockShared, store.LockShared)
 	if !errors.Is(err, namespace.ErrNotFound) || len(chain) != 1 {
 		t.Fatalf("chain=%v err=%v", chain, err)
 	}
@@ -660,7 +660,7 @@ func TestTxResolvePathSeesOwnWrites(t *testing.T) {
 	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "mine", IsDir: true}); err != nil {
 		t.Fatal(err)
 	}
-	chain, err := tx.ResolvePath("/mine", store.LockExclusive)
+	chain, err := tx.ResolvePathBatched("/mine", store.LockExclusive, store.LockExclusive)
 	if err != nil || len(chain) != 2 || chain[1].ID != id {
 		t.Fatalf("chain = %v, %v", chain, err)
 	}

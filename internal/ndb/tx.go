@@ -103,36 +103,6 @@ func (t *tx) GetChild(parent namespace.INodeID, name string, mode store.LockMode
 	return t.lockChild(parent, name, mode, true)
 }
 
-// ResolvePath performs a batched, locked resolution of path inside the
-// transaction (one RTT + one read service slot per BatchRows components).
-// Each chain row is locked with the given mode; when a component is
-// missing, its (parent, name) slot is locked instead so the miss
-// serializes against a concurrent create of that name.
-func (t *tx) ResolvePath(path string, mode store.LockMode) ([]*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
-	}
-	p, err := namespace.CleanPath(path)
-	if err != nil {
-		return nil, err
-	}
-	comps := namespace.SplitPath(p)
-	batches := 1 + len(comps)/t.db.cfg.BatchRows
-	hops := uint64(len(comps))
-	if hops == 0 {
-		hops = 1
-	}
-	t.db.serviceT(p, time.Duration(batches)*t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: hops, Allocs: uint64(len(comps) + 1)})
-	t.db.tel.reads.Inc()
-	t.db.tel.resolveHops.Add(float64(hops))
-
-	// Same locked walk as the batched resolvers, resolver-style all the way
-	// down (no row is taken slot first).
-	plans := [1]lockPlan{{comps: comps, ancestors: mode, tail: mode, slotFrom: len(comps) + 1}}
-	return t.walkPlan(plans[:], 0)
-}
-
 // readINode reads a row through the transaction's write buffer.
 func (t *tx) readINode(id namespace.INodeID) *namespace.INode {
 	if t.delINodes[id] {

@@ -6,6 +6,14 @@
 // path resolution caching) deployment-local, while FaaS intra-deployment
 // auto-scaling absorbs hot directories.
 //
+// What a deployment "owns" depends on the operation, and Route is the one
+// place that says so: a path's own metadata (read, stat and every write)
+// belongs to hash(parent(path)); a directory's *listing* — its completeness
+// flag and its children — belongs to hash(dir), the deployment that already
+// caches those children. So `ls D`, `stat D/x` and `create D/y` all meet in
+// one deployment, a listing fill warms the cache the reads are routed to,
+// and a single-INode write has exactly one deployment to invalidate.
+//
 // # Concurrency and ownership
 //
 // A Ring is immutable after construction and therefore safe for
@@ -99,15 +107,29 @@ func (r *Ring) locate(h uint64) int {
 	return r.points[i].dep
 }
 
-// DeploymentForParent maps a canonical *parent directory* path onto its
-// owning deployment.
+// Route is the routing decision, made in this one place: the deployment a
+// client sends op on path to, and the only deployment allowed to cache what
+// op reads there. ls goes to the deployment that caches path's children
+// (DeploymentForParent); every other operation to the one that caches
+// path's own metadata (DeploymentForPath).
+func (r *Ring) Route(op namespace.OpType, path string) int {
+	if op == namespace.OpLs {
+		return r.DeploymentForParent(path)
+	}
+	return r.DeploymentForPath(path)
+}
+
+// DeploymentForParent maps a canonical *directory* path onto the deployment
+// that owns its children: their metadata and the directory's listing.
 func (r *Ring) DeploymentForParent(parent string) int {
 	return r.locate(hashString(parent))
 }
 
 // DeploymentForPath maps a file or directory path onto the deployment that
-// caches its metadata: the hash of its parent directory. The root, having
-// no parent, hashes by itself.
+// caches its own metadata (not, for a directory, its listing — see Route):
+// the hash of its parent directory. It is the one deployment a single-INode
+// write on path must invalidate. The root, having no parent, hashes by
+// itself.
 func (r *Ring) DeploymentForPath(path string) int {
 	if path == "/" || path == "" {
 		return r.locate(hashString("/"))
@@ -115,9 +137,13 @@ func (r *Ring) DeploymentForPath(path string) int {
 	return r.DeploymentForParent(namespace.ParentPath(path))
 }
 
-// DeploymentsForSubtree returns the set of deployments that may cache any
-// metadata under root (inclusive). Because children hash by parent, every
-// directory in the subtree contributes its own deployment.
+// DeploymentsForSubtree returns the sorted set of deployments that may
+// cache any metadata of a subtree, given every directory in it, root
+// included: the INV set of a subtree operation. Each directory contributes
+// both its mappings — DeploymentForPath (its own metadata, and for the root
+// the parent listing that contains it) and DeploymentForParent (its
+// children and its listing, which an `ls` may have cached even when the
+// directory is empty and no child would name that deployment).
 func (r *Ring) DeploymentsForSubtree(dirs []string) []int {
 	seen := make(map[int]bool, r.n)
 	for _, d := range dirs {

@@ -2,8 +2,11 @@ package partition
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lambdafs/internal/namespace"
 )
 
 func TestDeterministic(t *testing.T) {
@@ -28,6 +31,33 @@ func TestSiblingsColocate(t *testing.T) {
 				t.Fatalf("sibling %q mapped to %d, dir owner is %d", p, got, want)
 			}
 		}
+	}
+}
+
+// TestRouteIsOpAware pins the one routing decision: a listing lives where
+// its children live, everything else where the path's own metadata does.
+func TestRouteIsOpAware(t *testing.T) {
+	r := NewRing(16, 0)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		p := ""
+		for d := rng.Intn(5); d >= 0; d-- {
+			p += fmt.Sprintf("/n%d", rng.Intn(50))
+		}
+		if got, want := r.Route(namespace.OpLs, p), r.DeploymentForPath(p+"/x"); got != want {
+			t.Fatalf("ls %q routed to %d, its children live on %d", p, got, want)
+		}
+		for op := namespace.OpType(0); int(op) < namespace.NumOps; op++ {
+			if op == namespace.OpLs {
+				continue
+			}
+			if got, want := r.Route(op, p), r.DeploymentForPath(p); got != want {
+				t.Fatalf("%v %q routed to %d, path owner is %d", op, p, got, want)
+			}
+		}
+	}
+	if got, want := r.Route(namespace.OpLs, "/"), r.DeploymentForPath("/x"); got != want {
+		t.Fatalf("ls / routed to %d, top-level entries live on %d", got, want)
 	}
 }
 
@@ -87,10 +117,11 @@ func TestSubtreeDeployments(t *testing.T) {
 		}
 		seen[d] = true
 	}
-	// Owners of each dir must be included.
+	// Both mappings of each dir must be included: where it is cached and
+	// where its children and listing are.
 	for _, dir := range dirs {
-		if !seen[r.DeploymentForPath(dir)] {
-			t.Fatalf("owner of %q missing from subtree set", dir)
+		if !seen[r.DeploymentForPath(dir)] || !seen[r.Route(namespace.OpLs, dir)] {
+			t.Fatalf("an owner of %q is missing from subtree set %v", dir, got)
 		}
 	}
 }

@@ -143,17 +143,19 @@ func (c *Client) noteLatency(lat time.Duration) {
 	}
 }
 
-// Do executes one metadata operation end-to-end: route by the parent
-// directory hash, pick TCP vs HTTP, retry transport failures with
-// backoff, hedge stragglers. Semantic failures (ErrNotFound, ErrExists…)
-// are returned inside the Response without retry.
+// Do executes one metadata operation end-to-end: route to the deployment
+// the ring names for (op, path) — the hash of the parent directory, or for
+// ls the directory's own hash, where its children are cached — pick TCP vs
+// HTTP, retry transport failures with backoff, hedge stragglers. Semantic
+// failures (ErrNotFound, ErrExists…) are returned inside the Response
+// without retry.
 func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	req := namespace.Request{
 		Op: op, Path: path, Dest: dest,
 		ClientID: c.id, Seq: c.seq.Add(1),
 	}
 	tc := c.tracer.StartTrace(op.String(), path, c.id)
-	dep := c.ring.DeploymentForPath(path)
+	dep := c.ring.Route(op, path)
 	start := c.vm.clk.Now()
 	c.tel.inflight.Add(1)
 	resp, err := c.attempt(tc, dep, req)

@@ -95,16 +95,6 @@ type Tx interface {
 	// DeleteINode removes an INode by ID (implicitly exclusive).
 	DeleteINode(id namespace.INodeID) error
 
-	// ResolvePath performs a batched (single-round-trip) resolution of
-	// path inside the transaction, acquiring the given lock on every row
-	// in the chain (serial charging: one RTT plus one read slot per
-	// BatchRows components on a single shard). The engine's directory
-	// listing uses it — LockShared when the listing will be cached, so a
-	// concurrent writer's exclusive locks serialize against the fill,
-	// LockNone otherwise. Partial chains are returned with
-	// namespace.ErrNotFound exactly like Store.ResolvePathBatched.
-	ResolvePath(path string, lock LockMode) ([]*namespace.INode, error)
-
 	// ResolvePathBatched resolves path as one batched per-shard multi-get
 	// (MySQL Cluster's batched PK reads): every shard owning a row of the
 	// chain serves its share concurrently, so the charge is one shared
@@ -112,9 +102,11 @@ type Tx interface {
 	// times, and the whole chain counts as a single dependent resolution
 	// hop. Ancestor rows are locked with ancestors; the terminal
 	// component's (parent, name) slot and row are locked with terminal.
-	// The read-side cache fill calls it shared/shared (Algorithm 1's
-	// staleness guard); writes lock through LockPaths, which shares its
-	// walk. Partial chains are returned with namespace.ErrNotFound.
+	// The read-side cache fills (read, stat, ls) call it shared/shared
+	// (Algorithm 1's staleness guard: a concurrent writer's exclusive locks
+	// serialize against the fill) and a pass-through ls none/none; writes
+	// lock through LockPaths, which shares its walk. Partial chains are
+	// returned with namespace.ErrNotFound.
 	ResolvePathBatched(path string, ancestors, terminal LockMode) ([]*namespace.INode, error)
 
 	// LockPaths is a write's whole lock phase in one store round trip: it

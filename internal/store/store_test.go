@@ -48,7 +48,6 @@ func (t *fakeTx) GetINode(namespace.INodeID, LockMode) (*namespace.INode, error)
 	}
 	return namespace.NewRoot(), nil
 }
-func (t *fakeTx) ResolvePath(string, LockMode) ([]*namespace.INode, error) { return nil, nil }
 func (t *fakeTx) ResolvePathBatched(string, LockMode, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
