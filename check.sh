@@ -4,8 +4,9 @@
 # packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
 # platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant,
 # cache, partition, hopsfs),
-# the determinism smoke — the clock's own tests and the three golden
-# sim-driven tests (storm tables, alert digests, hotpath gate) on one, two
+# the determinism smoke — the clock's own tests, the three golden
+# sim-driven tests (storm tables, alert digests, hotpath gate) and the
+# commit-window reader census on one, two
 # and four Ps — bounded fixed-seed chaos, crash-restart,
 # alert-coverage, and discrete-event-scale smoke runs, and the
 # perf/durability/scale baseline gates. Run before sending changes.
@@ -48,9 +49,9 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests and hotpath gate, on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests, hotpath gate and the readers-in-the-commit-window census, on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ ./internal/chaos/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate' -cpu 1,2,4 -count=2
+go test ./internal/bench/ ./internal/chaos/ ./internal/core/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate|TestReadersInCommitWindow' -cpu 1,2,4 -count=2
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1

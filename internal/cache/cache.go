@@ -23,6 +23,23 @@
 // single internal mutex, so invalidations are atomic with respect to
 // lookups. The cache holds clones, never live store rows — freshness is
 // owned by the coherence protocol, not by the cache.
+//
+// # A directory's listing
+//
+// A cached directory's listing is in one of three states. Unknown: some
+// child may be missing, ls goes to the store. Complete: every child is
+// cached, ls is served locally. Suspended: it was complete, and a writer on
+// this NameNode that holds the directory's row exclusive in the store is
+// changing the child set; never served. Only two calls make a listing
+// complete: PutListing (a fill, under the directory's shared store lock) and
+// ResumeListing (the suspending writer at its commit point, still under the
+// exclusive lock, after installing the rows it committed). Everything else
+// that touches a listing only ever makes it unknown: a child evicted or
+// invalidated (peer INV, prefix INV), ClearComplete, a second
+// SuspendListing finding the first one's suspension still standing (that
+// writer never committed), a ResumeListing whose child did not survive
+// eviction. So a complete listing is always an exact function of the store
+// under locks its maker held.
 package cache
 
 import (
@@ -48,11 +65,18 @@ type entry struct {
 	comps []string
 	bytes int64
 	elem  *list.Element
-	// complete marks a directory entry whose full child listing is
-	// cached, making ls servable locally. It is cleared whenever a child
-	// is invalidated or evicted.
-	complete bool
+	// listing is a directory entry's listing state (see the package doc);
+	// listingComplete makes ls servable locally.
+	listing listingState
 }
+
+type listingState uint8
+
+const (
+	listingUnknown listingState = iota
+	listingComplete
+	listingSuspended
+)
 
 // Cache is a byte-budgeted metadata cache. Safe for concurrent use.
 type Cache struct {
@@ -141,9 +165,22 @@ func (c *Cache) evictLocked() {
 }
 
 // removeSubtreeLocked removes the entry at comps and all cached
-// descendants, fixing byte accounting, the LRU list, and the parent's
-// listing-completeness flag.
+// descendants (dropSubtreeLocked) and, when anything went, makes the
+// parent's listing unknown.
 func (c *Cache) removeSubtreeLocked(comps []string, eviction bool) int {
+	removed := c.dropSubtreeLocked(comps, eviction)
+	if removed > 0 && len(comps) > 0 {
+		if parent, ok := c.t.Get(comps[:len(comps)-1]); ok {
+			parent.listing = listingUnknown
+		}
+	}
+	return removed
+}
+
+// dropSubtreeLocked removes the entry at comps and all cached descendants,
+// fixing byte accounting and the LRU list; the parent's listing state is
+// the caller's to settle.
+func (c *Cache) dropSubtreeLocked(comps []string, eviction bool) int {
 	removed := 0
 	var victims []*entry
 	c.t.WalkPrefix(comps, func(_ []string, e *entry) bool {
@@ -162,12 +199,6 @@ func (c *Cache) removeSubtreeLocked(comps []string, eviction bool) int {
 			c.stats.Evictions++
 		} else {
 			c.stats.Invalidations++
-		}
-	}
-	// The parent's listing is no longer known-complete.
-	if len(comps) > 0 {
-		if parent, ok := c.t.Get(comps[:len(comps)-1]); ok {
-			parent.complete = false
 		}
 	}
 	return removed
@@ -264,7 +295,81 @@ func (c *Cache) PutListing(dir string, children []*namespace.INode) {
 			return
 		}
 	}
-	e.complete = true
+	e.listing = listingComplete
+}
+
+// SuspendListing is a writer's own half of the INV for path when it is
+// adding, removing or replacing the INode there under the parent
+// directory's exclusive store lock: path's entry goes (with anything under
+// it), and so does gone's — the old path of a rename inside the directory,
+// else "" — but a complete listing of the directory is suspended instead of
+// lost, for ResumeListing to restore at the commit point. It reports whether
+// the listing is now suspended; in every other case the listing is left
+// unknown, exactly as Invalidate plus ClearComplete leave it.
+func (c *Cache) SuspendListing(path, gone string) bool {
+	comps := namespace.SplitPath(path)
+	if len(comps) == 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropSubtreeLocked(comps, false)
+	if gone != "" {
+		c.dropSubtreeLocked(namespace.SplitPath(gone), false)
+	}
+	dir, ok := c.t.Get(comps[:len(comps)-1])
+	if !ok {
+		return false
+	}
+	if dir.listing != listingComplete {
+		dir.listing = listingUnknown
+		return false
+	}
+	dir.listing = listingSuspended
+	return true
+}
+
+// ResumeListing ends a suspension at the writer's commit point: parent is
+// path's directory row as committed and child the row now at path (nil
+// when the write left nothing there). If the listing is still suspended the
+// rows are installed and — provided they and the directory survived the
+// evictions that may cause — the listing is complete again, which is
+// reported. A listing no longer suspended (an INV or an eviction got there
+// first) is left as it is, and nothing is installed.
+func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool {
+	comps := namespace.SplitPath(path)
+	if len(comps) == 0 {
+		return false
+	}
+	dirComps := comps[:len(comps)-1]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	suspended := func() (*entry, bool) {
+		dir, ok := c.t.Get(dirComps)
+		return dir, ok && dir.listing == listingSuspended
+	}
+	if _, ok := suspended(); !ok {
+		return false
+	}
+	c.putLocked(dirComps, parent)
+	if child != nil {
+		if _, ok := suspended(); !ok {
+			return false
+		}
+		c.putLocked(comps, child)
+	}
+	dir, ok := suspended()
+	if !ok {
+		return false
+	}
+	if child != nil {
+		if _, ok := c.t.Get(comps); !ok {
+			dir.listing = listingUnknown
+			return false
+		}
+	}
+	dir.listing = listingComplete
+	return true
 }
 
 // Listing returns the directory's cached children when the listing is
@@ -274,7 +379,7 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.t.Get(comps)
-	if !ok || !e.complete {
+	if !ok || e.listing != listingComplete {
 		return nil, false
 	}
 	var out []*namespace.INode
@@ -301,7 +406,7 @@ func (c *Cache) ClearComplete(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.t.Get(comps); ok {
-		e.complete = false
+		e.listing = listingUnknown
 	}
 }
 
@@ -310,7 +415,7 @@ func (c *Cache) IsComplete(dir string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.t.Get(namespace.SplitPath(dir))
-	return ok && e.complete
+	return ok && e.listing == listingComplete
 }
 
 // Len returns the number of cached INodes.

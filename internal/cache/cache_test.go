@@ -3,9 +3,12 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lambdafs/internal/namespace"
 )
@@ -302,5 +305,134 @@ func TestListingOnUncachedDirNoop(t *testing.T) {
 	c.ClearComplete("/ghost") // must not panic
 	if c.IsComplete("/ghost") {
 		t.Fatal("ghost dir complete")
+	}
+}
+
+// listed returns a cache holding /dir listed complete with files a and b.
+func listed(budget int64) *Cache {
+	c := New(budget)
+	c.PutChain("/dir", chainFor("/dir"))
+	c.PutListing("/dir", []*namespace.INode{inode(10, "a", false), inode(11, "b", false)})
+	return c
+}
+
+func listingNames(t *testing.T, c *Cache, dir string) []string {
+	t.Helper()
+	kids, ok := c.Listing(dir)
+	if !ok {
+		t.Fatalf("listing of %s not complete", dir)
+	}
+	names := make([]string, len(kids))
+	for i, k := range kids {
+		names[i] = k.Name
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestListingSuspendResume: the writer's pair. A suspended listing is never
+// served; resuming installs the committed rows and serves the new child
+// set — an added child, a removed one, a rename inside the directory.
+func TestListingSuspendResume(t *testing.T) {
+	dir := inode(2, "dir", true)
+	dir.Mtime = dir.Mtime.Add(time.Hour) // the row the writer commits
+	for _, c := range []struct {
+		name       string
+		path, gone string
+		child      *namespace.INode
+		want       []string
+	}{
+		{"create", "/dir/c", "", inode(12, "c", false), []string{"a", "b", "c"}},
+		{"delete", "/dir/a", "", nil, []string{"b"}},
+		{"rename", "/dir/z", "/dir/a", inode(10, "z", false), []string{"b", "z"}},
+	} {
+		ca := listed(0)
+		if !ca.SuspendListing(c.path, c.gone) {
+			t.Fatalf("%s: complete listing not suspended", c.name)
+		}
+		if ca.IsComplete("/dir") {
+			t.Fatalf("%s: suspended listing reads complete", c.name)
+		}
+		if _, ok := ca.Listing("/dir"); ok {
+			t.Fatalf("%s: suspended listing served", c.name)
+		}
+		if ca.Contains(c.path) || c.gone != "" && ca.Contains(c.gone) {
+			t.Fatalf("%s: written path still cached while suspended", c.name)
+		}
+		if !ca.ResumeListing(c.path, dir, c.child) {
+			t.Fatalf("%s: suspended listing not resumed", c.name)
+		}
+		if got := listingNames(t, ca, "/dir"); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: resumed listing = %v, want %v", c.name, got, c.want)
+		}
+		if got, _ := ca.Get("/dir"); !got.Mtime.Equal(dir.Mtime) {
+			t.Fatalf("%s: directory row not the committed one", c.name)
+		}
+	}
+}
+
+// TestListingSuspensionIsFragile: only the suspending writer's resume makes
+// the listing complete again, and only if nothing touched it in between.
+func TestListingSuspensionIsFragile(t *testing.T) {
+	dir, child := inode(2, "dir", true), inode(12, "c", false)
+	for name, touch := range map[string]func(c *Cache){
+		"peer INV of a sibling": func(c *Cache) { c.Invalidate("/dir/b") },
+		"prefix INV of the dir": func(c *Cache) { c.InvalidatePrefix("/dir") },
+		"ClearComplete":         func(c *Cache) { c.ClearComplete("/dir") },
+		"a second suspension":   func(c *Cache) { c.SuspendListing("/dir/d", "") },
+		"eviction of a sibling": func(c *Cache) {
+			c.mu.Lock()
+			c.removeSubtreeLocked([]string{"dir", "a"}, true)
+			c.mu.Unlock()
+		},
+	} {
+		c := listed(0)
+		if !c.SuspendListing("/dir/c", "") {
+			t.Fatalf("%s: fixture not suspended", name)
+		}
+		touch(c)
+		if c.ResumeListing("/dir/c", dir, child) || c.IsComplete("/dir") {
+			t.Errorf("%s between suspend and resume: listing came back complete", name)
+		}
+		if c.Contains("/dir/c") {
+			t.Errorf("%s between suspend and resume: the child was installed anyway", name)
+		}
+	}
+	// A listing that was not complete is not suspended, and a resume with no
+	// suspension installs nothing.
+	c := New(0)
+	c.PutChain("/dir/a", chainFor("/dir/a"))
+	if c.SuspendListing("/dir/c", "") {
+		t.Error("an unknown listing was suspended")
+	}
+	if c.ResumeListing("/dir/c", dir, child) || c.IsComplete("/dir") || c.Contains("/dir/c") {
+		t.Error("resume without a suspension touched the cache")
+	}
+	if c.SuspendListing("/dir/a", ""); c.Contains("/dir/a") {
+		t.Error("SuspendListing must invalidate the written path whatever the listing's state")
+	}
+	if c.SuspendListing("/", "") || c.ResumeListing("/", dir, nil) {
+		t.Error("the root has no parent listing")
+	}
+}
+
+// TestListingResumeNeedsTheChild: when installing the committed rows evicts
+// — a sibling, or the new child itself — the listing stays not complete.
+func TestListingResumeNeedsTheChild(t *testing.T) {
+	c := listed(0)
+	used := c.UsedBytes()
+	c = listed(used + 10) // room for the listing, not for one more entry
+	c.Listing("/dir")     // an ls hit: the chain is hot, child a is the coldest entry
+	if !c.SuspendListing("/dir/c", "") {
+		t.Fatal("fixture not suspended")
+	}
+	if c.ResumeListing("/dir/c", inode(2, "dir", true), inode(12, "c", false)) || c.IsComplete("/dir") {
+		t.Fatal("listing resumed although the install evicted")
+	}
+	if c.Stats().Evictions != 1 || c.Contains("/dir/a") || !c.Contains("/dir/c") {
+		t.Fatalf("fixture: %d evictions, want the install of c to evict a alone", c.Stats().Evictions)
+	}
+	if c.UsedBytes() > used+10 {
+		t.Fatalf("over budget: %d", c.UsedBytes())
 	}
 }

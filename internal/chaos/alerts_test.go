@@ -33,11 +33,11 @@ func TestAlertCoverage(t *testing.T) {
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
-	FamilyInstanceKill: {"36bc49c0b63e1621", "24cda43e8e609b9a"},
-	FamilyShardFault:   {"f89540eb1f6c604a", "99bc18e1ef19c4ab"},
+	FamilyInstanceKill: {"a740ba155fad06e7", "0f5a7fc547812bcd"},
+	FamilyShardFault:   {"f8ca5fca856d10be", "a211bf645364a664"},
 	FamilyCrashRestart: {"103dc5152dd742c2", "103dc5152dd742c2"},
-	FamilyLeaderDepose: {"d8010bc185958e54", "a5d70495e8da9cd9"},
-	FamilyTenantStorm:  {"e6e7db4f432f8e60", "1bff7f1855d02cee"},
+	FamilyLeaderDepose: {"a60223a1855bc85a", "3bf90f6ac45b2bc9"},
+	FamilyTenantStorm:  {"f0f35022795e343b", "06b19f23139978cb"},
 }
 
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must

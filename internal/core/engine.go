@@ -22,11 +22,14 @@
 // simulation clock, and every wait parks on a clock-owned primitive
 // (clock.Sleep, Mailbox, Event, Group), never on a raw channel.
 // Every hot operation has one shape: path resolution is a single batched
-// per-shard multi-get (read, stat and ls alike), a write's whole lock phase
-// is one store.Tx.LockPaths call (every row it will decide on — parents,
-// targets, free names — resolved and locked under one multi-get, nothing
-// read afterwards), its invalidations go out in one concurrent INV/ACK
-// round, and subtree quiesce reads are batched per partition. Lock-order
+// per-shard multi-get (read and stat), a listing miss is that same
+// multi-get with the directory's children riding in it
+// (store.Tx.ListPathBatched — ls makes no other store call), a write's
+// whole lock phase is one store.Tx.LockPaths call (every row it will decide
+// on — parents, targets, free names — resolved and locked under one
+// multi-get, nothing read afterwards), its invalidations go out in one
+// concurrent INV/ACK round, and subtree quiesce reads are batched per
+// partition. Lock-order
 // discipline is global and lives in LockPaths: target paths sorted, each
 // walked from the root down — ancestors, then the child-key slot, then the
 // inode row. Writes take no row lock before that call, so they inherit the
@@ -38,6 +41,18 @@
 // hash(dir), beside the children it lists — so a single-INode write
 // invalidates exactly one deployment, DeploymentForPath(path), and a
 // subtree operation the ring's DeploymentsForSubtree of its directories.
+//
+// The INV round is for the followers. The writer keeps its own listing: it
+// holds every directory whose child set it changes exclusive in the store
+// and every listing fill holds that row shared, so where it owns the
+// written path the local half of the INV (invalidateLocal) removes the
+// written INode's entry and only suspends a complete listing of the
+// directory — never served while suspended — and a store.Tx.AtCommitPoint
+// hook, run once the write is applied and durable and before any lock is
+// released, installs the committed directory and child rows and resumes it.
+// The cache package doc has the listing's three states and who may change
+// them; followers, non-owning (anti-thrash) writers, aborted and failed
+// commits and the subtree protocol invalidate plainly.
 package core
 
 import (
@@ -381,7 +396,7 @@ func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
 	return &namespace.Response{
 		ID:       target.ID,
 		Stat:     &stat,
-		Blocks:   target.Clone().Blocks,
+		Blocks:   target.Blocks, // resolve returns private clones
 		CacheHit: hit,
 	}
 }
@@ -402,10 +417,12 @@ func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
 
 // ls lists a directory (or stats a file, HDFS-style). Directory listings
 // are served from the cache when a complete listing is cached; otherwise
-// the listing is fetched under shared locks and cached with the
-// completeness mark. The listing is cached where the ring routes ls, which
-// is where the directory's children are cached: the fill is a prefetch for
-// the reads and stats that follow.
+// chain and children come back from the store in one fused round trip
+// (store.Tx.ListPathBatched — the only store call of a miss), under shared
+// locks when the listing will be cached with the completeness mark. The
+// listing is cached where the ring routes ls, which is where the
+// directory's children are cached: the fill is a prefetch for the reads
+// and stats that follow.
 func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
@@ -421,7 +438,7 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	if allowed {
 		mode = store.LockShared
 	}
-	chain, err := tx.ResolvePathBatched(path, mode, mode)
+	chain, kids, err := tx.ListPathBatched(path, mode)
 	if err != nil {
 		return fail(err)
 	}
@@ -434,10 +451,6 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 		return &namespace.Response{ID: target.ID, Stat: &stat, Entries: []namespace.DirEntry{
 			{Name: target.Name, ID: target.ID, IsDir: false, Size: target.Size},
 		}}
-	}
-	kids, err := tx.ListChildren(target.ID)
-	if err != nil {
-		return fail(err)
 	}
 	if allowed {
 		e.cache.PutChain(path, chain)
@@ -455,49 +468,84 @@ func toEntries(kids []*namespace.INode) []namespace.DirEntry {
 	return out
 }
 
+// written is one directory's share of a single-INode write: the path whose
+// INode the write adds, replaces or removes, that directory's own row as
+// written (new mtime), and the row now at path — nil when the write removed
+// it. gone, set only by a rename inside one directory, is the old path,
+// which empties in the same stroke; a rename across directories is two
+// shares, one per directory.
+type written struct {
+	path   string
+	parent *namespace.INode
+	child  *namespace.INode
+	gone   string
+}
+
 // invTargets computes the deployments whose caches may hold metadata
-// invalidated by a single-INode write on paths: each path's owner, which
+// invalidated by a single-INode write: each written path's owner, which
 // caches the INode and, being where its siblings live, the parent's listing
-// too. One deployment per written path. Unpartitioned engines (serverful
-// cached baselines) target every peer.
-func (e *Engine) invTargets(paths ...string) []int {
+// too. One deployment per written directory. Unpartitioned engines
+// (serverful cached baselines) target every peer.
+func (e *Engine) invTargets(ws []written) []int {
 	if e.ring == nil {
 		return []int{e.dep}
 	}
-	deps := make([]int, 0, len(paths))
-	for _, p := range paths {
-		if d := e.ring.DeploymentForPath(p); !slices.Contains(deps, d) {
+	deps := make([]int, 0, len(ws))
+	for i := range ws {
+		if d := e.ring.DeploymentForPath(ws[i].path); !slices.Contains(deps, d) {
 			deps = append(deps, d)
 		}
 	}
 	return deps
 }
 
-// invalidateAll runs the INV/ACK exchange for the given paths (remote
-// caches first — Algorithm 1 requires all ACKs before persisting) and
-// then updates the local cache identically. All paths go out in one
-// concurrent round whose latency is ~max of the per-target legs. When
-// traced, the exchange becomes a coherence.inv span with one
-// coherence.target child per remote member, and one coherence_inv event
-// whose duration is the ACK wait and whose detail carries any failure,
-// including the unresponsive targets.
-func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error {
+// ownsPath reports whether this engine's deployment is the owner of path's
+// metadata and of the listing path appears in — the one place a complete
+// listing of path's directory can be cached.
+func (e *Engine) ownsPath(path string) bool {
+	return e.ring == nil || e.dep < 0 || e.ring.DeploymentForPath(path) == e.dep
+}
+
+// invalidateAll runs the INV/ACK exchange for a single-INode write (remote
+// caches first — Algorithm 1 requires all ACKs before persisting) and then
+// invalidates the local cache. All paths go out in one concurrent round
+// whose latency is ~max of the per-target legs. When traced, the exchange
+// becomes a coherence.inv span with one coherence.target child per remote
+// member, and one coherence_inv event whose duration is the ACK wait and
+// whose detail carries any failure, including the unresponsive targets.
+//
+// Followers drop what they hold; the writer need not. It holds every
+// written directory's row exclusive and knows the rows it is committing, so
+// where it owns a written path and has the directory's listing complete,
+// the local half only suspends the listing (invalidateLocal) and a hook at
+// tx's commit point brings it back exact.
+func (e *Engine) invalidateAll(tc *trace.Ctx, tx store.Tx, ws ...written) error {
+	deps := e.invTargets(ws)
+	paths := len(ws)
+	for i := range ws {
+		if ws[i].gone != "" {
+			paths++
+		}
+	}
 	e.tel.invRounds.Inc()
 	sp := tc.Start(trace.KindCoherence)
 	var start time.Time
 	if tc != nil {
 		sp.SetDeployment(e.dep)
 		sp.SetInstance(e.id)
-		sp.SetDetail(fmt.Sprintf("deps=%d paths=%d", len(deps), len(paths)))
+		sp.SetDetail(fmt.Sprintf("deps=%d paths=%d", len(deps), paths))
 		start = e.clk.Now()
 	}
 	var invErr error
 	if e.coord != nil {
-		invs := make([]coordinator.Invalidation, len(paths))
-		for i, p := range paths {
-			invs[i] = coordinator.Invalidation{Path: p, Writer: e.id}
+		invs := make([]coordinator.Invalidation, 0, paths)
+		for i := range ws {
+			if ws[i].gone != "" {
+				invs = append(invs, coordinator.Invalidation{Path: ws[i].gone, Writer: e.id})
+			}
+			invs = append(invs, coordinator.Invalidation{Path: ws[i].path, Writer: e.id})
 		}
-		e.tel.parallelInvs.Add(float64(len(paths)))
+		e.tel.parallelInvs.Add(float64(paths))
 		// Target legs nest under the coherence.inv span, so the
 		// critical-path walk sees the exchange as parent of its slowest
 		// member leg; each leg bills its own INV delivery.
@@ -507,13 +555,12 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error
 	// entries), so apply it even when a remote ACK timed out — the caller
 	// aborts the write, leaving the store unchanged.
 	if e.cache != nil {
-		for _, p := range paths {
-			e.cache.Invalidate(p)
-			e.cache.ClearComplete(namespace.ParentPath(p))
+		for i := range ws {
+			e.invalidateLocal(tx, ws[i], invErr == nil)
 		}
 	}
 	if tc != nil {
-		detail := fmt.Sprintf("deps=%d paths=%d", len(deps), len(paths))
+		detail := fmt.Sprintf("deps=%d paths=%d", len(deps), paths)
 		if invErr != nil {
 			detail += " err=" + invErr.Error()
 		}
@@ -525,4 +572,25 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, deps []int, paths ...string) error
 	}
 	sp.End()
 	return invErr
+}
+
+// invalidateLocal is the writer's own cache's share of w's INV, applied
+// before the commit so that from the instant the store applies the write no
+// cache serves the old row: the written INode's entry goes, and a complete
+// listing of the directory is suspended (anything less is left unknown).
+// With keep (the round succeeded) and the path owned, the suspended listing
+// is resumed with the committed rows at tx's commit point — after the
+// fsync, so the cache never holds a row that is not durable, and before the
+// locks release, so no other writer or fill can come between; otherwise it
+// is dropped. A write that aborts never resumes: the suspended listing is
+// never served, and the next fill or writer settles it. With no complete
+// listing cached this is one cache call and allocates nothing more.
+func (e *Engine) invalidateLocal(tx store.Tx, w written, keep bool) {
+	switch {
+	case !e.cache.SuspendListing(w.path, w.gone):
+	case keep && e.ownsPath(w.path):
+		tx.AtCommitPoint(func() { e.cache.ResumeListing(w.path, w.parent, w.child) })
+	default:
+		e.cache.ClearComplete(namespace.ParentPath(w.path))
+	}
 }

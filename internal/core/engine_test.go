@@ -178,6 +178,21 @@ func TestReadReturnsBlockLocations(t *testing.T) {
 	if len(rd.Blocks) != 1 || len(rd.Blocks[0].Locations) != 2 {
 		t.Fatalf("blocks = %+v", rd.Blocks)
 	}
+	// The reply's blocks are the caller's own: read hands out the chain
+	// resolve cloned, never the cached row.
+	hit := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
+	if !hit.CacheHit {
+		t.Fatal("second read missed")
+	}
+	for _, r := range []*namespace.Response{rd, hit} {
+		r.Blocks[0].ID, r.Blocks[0].Locations[0] = 0, "scribbled"
+		r.Blocks = append(r.Blocks[:0], namespace.Block{})
+	}
+	again := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
+	if !again.CacheHit || len(again.Blocks) != 1 || again.Blocks[0].ID != namespace.BlockID(again.ID) ||
+		again.Blocks[0].Locations[0] == "scribbled" {
+		t.Fatalf("a reply's blocks alias the cache: next read = %+v (hit %v)", again.Blocks, again.CacheHit)
+	}
 }
 
 func TestCacheHitOnSecondAccess(t *testing.T) {
@@ -196,23 +211,30 @@ func TestCacheHitOnSecondAccess(t *testing.T) {
 	}
 }
 
-func TestLocalWriteInvalidatesOwnCacheAndListing(t *testing.T) {
+// TestLocalWriteInvalidatesOwnEntryKeepsListing: a write takes the INode it
+// changes out of the writer's own cache, and keeps the directory's complete
+// listing — exact — instead of dropping it (writethrough_test.go has the
+// cases where it must be dropped).
+func TestLocalWriteInvalidatesOwnEntryKeepsListing(t *testing.T) {
 	e, _ := soloEngine()
 	mustOK(t, e, namespace.OpMkdirs, "/w", "")
 	mustOK(t, e, namespace.OpCreate, "/w/a", "")
 	mustOK(t, e, namespace.OpLs, "/w", "") // listing cached
 	mustOK(t, e, namespace.OpCreate, "/w/b", "")
 	ls := mustOK(t, e, namespace.OpLs, "/w", "")
-	if ls.CacheHit {
-		t.Fatal("stale listing served from cache after create")
+	if !ls.CacheHit {
+		t.Fatal("the writer dropped its own listing")
 	}
 	if len(ls.Entries) != 2 {
-		t.Fatalf("entries = %+v", ls.Entries)
+		t.Fatalf("stale listing served from cache after create: %+v", ls.Entries)
 	}
 	// Delete must invalidate the file's cached entry.
 	mustOK(t, e, namespace.OpStat, "/w/a", "")
 	mustOK(t, e, namespace.OpDelete, "/w/a", "")
 	wantErr(t, e, namespace.OpStat, "/w/a", "", namespace.ErrNotFound)
+	if ls := mustOK(t, e, namespace.OpLs, "/w", ""); !ls.CacheHit || len(ls.Entries) != 1 || ls.Entries[0].Name != "b" {
+		t.Fatalf("ls after delete: hit=%v entries=%+v, want b from the cache", ls.CacheHit, ls.Entries)
+	}
 }
 
 func TestResultCacheDedupesResubmission(t *testing.T) {

@@ -14,14 +14,19 @@ import (
 )
 
 // recordingCoord is a Coordinator that remembers the deployment set of
-// every INV round the engines start before running it.
+// every INV round the engines start before running it — or, with fail set,
+// failing it undelivered.
 type recordingCoord struct {
 	coordinator.Coordinator
 	rounds [][]int
+	fail   error
 }
 
 func (r *recordingCoord) InvalidateBatchTraced(deps []int, invs []coordinator.Invalidation, tc *trace.Ctx) error {
 	r.rounds = append(r.rounds, slices.Clone(deps))
+	if r.fail != nil {
+		return r.fail
+	}
 	return r.Coordinator.InvalidateBatchTraced(deps, invs, tc)
 }
 
@@ -31,6 +36,12 @@ func (r *recordingCoord) InvalidateBatchTraced(deps []int, invs []coordinator.In
 func engineFleet(t *testing.T, deployments, perDep int) ([][]*Engine, *partition.Ring, *recordingCoord, *ndb.DB) {
 	t.Helper()
 	st := fastStore()
+	fleet, ring, coord := engineFleetOn(st, deployments, perDep)
+	return fleet, ring, coord, st
+}
+
+// engineFleetOn is engineFleet over a store the caller configured.
+func engineFleetOn(st *ndb.DB, deployments, perDep int) ([][]*Engine, *partition.Ring, *recordingCoord) {
 	clk := clock.NewScaled(0)
 	zk := fastCoord(st)
 	coord := &recordingCoord{Coordinator: zk}
@@ -47,7 +58,7 @@ func engineFleet(t *testing.T, deployments, perDep int) ([][]*Engine, *partition
 			fleet[d] = append(fleet[d], e)
 		}
 	}
-	return fleet, ring, coord, st
+	return fleet, ring, coord
 }
 
 // TestSingleINodeWriteInvalidatesOneDeployment pins the fan-out of

@@ -12,6 +12,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/workload"
 )
 
 // TestWriteLockPhaseIsOneStoreRead pins the store round trips of every
@@ -46,6 +47,79 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 	}
 	if st.HeldLocks() != 0 {
 		t.Fatalf("locks leaked: %d", st.HeldLocks())
+	}
+}
+
+// TestLsMissIsOneStoreRead pins the store round trips of a listing miss:
+// chain and children come back in one fused multi-get — one read, one
+// resolve hop, one batched resolve — whether ls fills the cache (shared
+// locks), passes through (none) or names a file; and the virtual cost is
+// the round trip plus the read batches of the busiest shard, the
+// directory's children riding on the directory's own shard.
+func TestLsMissIsOneStoreRead(t *testing.T) {
+	clk := clock.NewSim()
+	defer clk.Close()
+	ncfg := ndb.DefaultConfig() // 4 shards, 64 rows a batch
+	db := ndb.New(clk, ncfg)
+	ring := partition.NewRing(4, 0)
+	dirs := []string{"/p", "/p/d16", "/p/d100", "/p/through"}
+	var files []string
+	for _, c := range []struct {
+		dir string
+		n   int
+	}{{"/p/d16", 16}, {"/p/d100", 100}, {"/p/through", 100}} {
+		for i := 0; i < c.n; i++ {
+			files = append(files, fmt.Sprintf("%s/f%03d", c.dir, i))
+		}
+	}
+	workload.PreloadNDB(db, dirs, files)
+	ecfg := DefaultEngineConfig()
+	ecfg.OpCPUCost = 0
+	engine := func(dep int) *Engine {
+		return NewEngine(fmt.Sprintf("nn-%d", dep), dep, clk, db, ring, nil, nil, ecfg)
+	}
+	// The chain is at most 4 rows, so the directory's shard serves its
+	// children plus 1 to 4 rows: one batch up to 60 children, two from 64 to
+	// 124, wherever the rows hash.
+	one, two := ncfg.RTT+ncfg.ReadService, ncfg.RTT+2*ncfg.ReadService
+	for _, c := range []struct {
+		name, path string
+		dep        int
+		entries    int
+		want       time.Duration
+	}{
+		{"16 children", "/p/d16", ring.Route(namespace.OpLs, "/p/d16"), 16, one},
+		{"100 children", "/p/d100", ring.Route(namespace.OpLs, "/p/d100"), 100, two},
+		{"a file", "/p/d16/f000", ring.Route(namespace.OpLs, "/p/d16/f000"), 1, one},
+		{"pass-through", "/p/through", (ring.Route(namespace.OpLs, "/p/through") + 1) % 4, 100, two},
+	} {
+		e := engine(c.dep) // a cold cache each
+		before := db.Stats()
+		var resp *namespace.Response
+		var took time.Duration
+		clock.Run(clk, func() {
+			start := clk.Now()
+			resp = e.Execute(namespace.Request{Op: namespace.OpLs, Path: c.path})
+			took = clk.Since(start)
+		})
+		after := db.Stats()
+		if !resp.OK() || resp.CacheHit || len(resp.Entries) != c.entries {
+			t.Errorf("%s: ls %s = %d entries, hit=%v, err=%q; want a miss with %d", c.name, c.path,
+				len(resp.Entries), resp.CacheHit, resp.Err, c.entries)
+		}
+		if r, h, b := after.Reads-before.Reads, after.ResolveHops-before.ResolveHops,
+			after.BatchedResolves-before.BatchedResolves; r != 1 || h != 1 || b != 1 {
+			t.Errorf("%s: %d store reads, %d resolve hops, %d batched resolves; want 1 each", c.name, r, h, b)
+		}
+		if took != c.want {
+			t.Errorf("%s: took %v of virtual time, want %v", c.name, took, c.want)
+		}
+		if cached := e.Cache().IsComplete(c.path); cached != (c.name == "16 children" || c.name == "100 children") {
+			t.Errorf("%s: listing cached complete = %v", c.name, cached)
+		}
+	}
+	if db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", db.HeldLocks())
 	}
 }
 

@@ -322,7 +322,7 @@ func (e *Engine) mvSubtree(tc *trace.Ctx, src, dest string) *namespace.Response 
 		return fail(err)
 	}
 	// The destination's owner sees a new entry appear in a listing it caches.
-	for _, d := range e.invTargets(dest) {
+	for _, d := range e.invTargets([]written{{path: dest}}) {
 		if !slices.Contains(w.invDeps, d) {
 			w.invDeps = append(w.invDeps, d)
 		}

@@ -72,7 +72,7 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 			return err
 		}
 		// Locks held: run the coherence protocol before persisting.
-		return e.invalidateAll(tc, e.invTargets(path), path)
+		return e.invalidateAll(tc, tx, written{path: path, parent: parent, child: created})
 	})
 	if err != nil {
 		return fail(err)
@@ -113,11 +113,11 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 			curPath = namespace.JoinPath(curPath, c)
 		}
 		now := e.clk.Now()
-		var createdPaths []string
+		var created []written
 		var cur *namespace.INode
 		for i := first; i < len(comps); i++ {
 			curPath = namespace.JoinPath(curPath, comps[i])
-			if len(createdPaths) == 0 {
+			if len(created) == 0 {
 				// One round trip: the deepest existing directory exclusive
 				// (ancestors shared only, so sibling mkdirs serialize without
 				// upgrades) plus this component's slot.
@@ -159,17 +159,18 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 			if err := tx.PutINode(cur); err != nil {
 				return err
 			}
+			created = append(created, written{path: curPath, parent: cur, child: child})
 			cur = child
-			createdPaths = append(createdPaths, curPath)
 		}
 		dirID = cur.ID
-		if len(createdPaths) == 0 {
+		if len(created) == 0 {
 			return nil
 		}
-		// Fresh directories cannot be cached anywhere; the INVs exist to
-		// clear stale listing-completeness where the parents are listed,
-		// which is where the new directories are owned.
-		return e.invalidateAll(tc, e.invTargets(createdPaths...), createdPaths...)
+		// Fresh directories cannot be cached anywhere; the INVs exist for
+		// the listings the parents appear complete in, which is where the
+		// new directories are owned — and only the first component's parent
+		// existed before, so only its listing can be cached at all.
+		return e.invalidateAll(tc, tx, created...)
 	})
 	if err != nil {
 		return fail(err)
@@ -210,7 +211,7 @@ func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 		if err := tx.PutINode(parent); err != nil {
 			return err
 		}
-		return e.invalidateAll(tc, e.invTargets(path), path)
+		return e.invalidateAll(tc, tx, written{path: path, parent: parent})
 	})
 	if err == errIsDir {
 		return e.deleteSubtree(tc, path)
@@ -260,7 +261,12 @@ func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 		if err := touchMvParents(tx, srcParent, dstParent, now); err != nil {
 			return err
 		}
-		return e.invalidateAll(tc, e.invTargets(src, dest), src, dest)
+		if dstParent.ID == srcParent.ID {
+			return e.invalidateAll(tc, tx, written{path: dest, gone: src, parent: srcParent, child: target})
+		}
+		return e.invalidateAll(tc, tx,
+			written{path: src, parent: srcParent},
+			written{path: dest, parent: dstParent, child: target})
 	})
 	if err == errIsDir {
 		return e.mvSubtree(tc, src, dest)

@@ -32,10 +32,23 @@ func (db *DB) serviceMultiT(keys []string, tc *trace.Ctx) {
 	if len(keys) == 0 {
 		return
 	}
+	db.serviceRowsT(db.rowsPerShard(keys), tc)
+}
+
+// rowsPerShard counts the given row keys by owning shard.
+func (db *DB) rowsPerShard(keys []string) []int {
 	perShard := make([]int, len(db.shards))
 	for _, k := range keys {
 		perShard[db.shardFor(k)]++
 	}
+	return perShard
+}
+
+// serviceRowsT is serviceMultiT for a multi-get given as per-shard row
+// counts (a caller that knows where a run of rows lives — a directory's
+// children sit on the directory's shard — adds the count instead of
+// building one key per row).
+func (db *DB) serviceRowsT(perShard []int, tc *trace.Ctx) {
 	if db.cfg.RTT > 0 {
 		sp := tc.Start(trace.KindStoreRTT)
 		sp.AddStoreHops(1)
@@ -170,18 +183,21 @@ func samePrefix(a, b []string, depth int) bool {
 // chargePlans peeks every plan's row IDs under the structure lock
 // (uncharged) and charges ONE multi-get over the union of their keys — a
 // row shared by two paths is fetched once, a missing component probes its
-// (parent, name) slot — counted as one read and one resolution hop. The
+// (parent, name) slot — counted as one read and one resolution hop. With
+// list, the children of the directory the last plan resolves to ride in
+// the same multi-get: one more row each on that directory's shard. The
 // locked walks that follow revalidate every row.
-func (t *tx) chargePlans(plans []lockPlan) {
+func (t *tx) chargePlans(plans []lockPlan, list bool) {
 	n := 1
 	for i := range plans {
 		n += len(plans[i].comps)
 	}
 	keys := make([]string, 0, n)
 	keys = append(keys, inodeKey(namespace.RootID))
+	listed, kids := namespace.InvalidID, 0
 	t.db.mu.RLock()
 	for i := range plans {
-		curID := namespace.RootID
+		curID, found := namespace.RootID, true
 		for d, c := range plans[i].comps {
 			fetched := false
 			for j := 0; j < i && !fetched; j++ {
@@ -192,6 +208,7 @@ func (t *tx) chargePlans(plans []lockPlan) {
 				if !fetched {
 					keys = append(keys, childKey(curID, c))
 				}
+				found = false
 				break
 			}
 			if !fetched {
@@ -199,9 +216,16 @@ func (t *tx) chargePlans(plans []lockPlan) {
 			}
 			curID = id
 		}
+		if list && found {
+			listed, kids = curID, len(t.db.children[curID]) // no child table: a file
+		}
 	}
 	t.db.mu.RUnlock()
-	t.db.serviceMultiT(keys, t.tc)
+	perShard := t.db.rowsPerShard(keys)
+	if kids > 0 {
+		perShard[t.db.shardFor(inodeKey(listed))] += kids
+	}
+	t.db.serviceRowsT(perShard, t.tc)
 	t.db.tel.countBatchedResolve()
 }
 
@@ -245,12 +269,12 @@ func (t *tx) walkPlan(plans []lockPlan, i int) ([]*namespace.INode, error) {
 	return chain, nil
 }
 
-// ResolvePathBatched implements store.Tx: one multi-get charge for the
-// whole chain, then the locked walk — ancestors locked with ancestors,
-// the terminal component's (parent, name) slot and row with terminal.
-//
-//vet:hotpath
-func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode) ([]*namespace.INode, error) {
+// resolveOne is the one-path batched resolution behind ResolvePathBatched
+// and ListPathBatched: one multi-get charge for the whole chain (with list,
+// the terminal directory's children ride in it), then the locked walk —
+// ancestors locked with ancestors, the terminal component's (parent, name)
+// slot and row with terminal.
+func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bool) ([]*namespace.INode, error) {
 	if t.done {
 		return nil, store.ErrTxDone
 	}
@@ -260,8 +284,30 @@ func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode)
 	}
 	comps := namespace.SplitPath(p)
 	plans := [1]lockPlan{{comps: comps, ancestors: ancestors, tail: terminal, slotFrom: len(comps)}}
-	t.chargePlans(plans[:])
+	t.chargePlans(plans[:], list)
 	return t.walkPlan(plans[:], 0)
+}
+
+// ResolvePathBatched implements store.Tx.
+//
+//vet:hotpath
+func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode) ([]*namespace.INode, error) {
+	return t.resolveOne(path, ancestors, terminal, false)
+}
+
+// ListPathBatched implements store.Tx: a listing miss in one round — the
+// chain's multi-get also carries the directory's children, which are then
+// read under the directory's lock.
+//
+//vet:hotpath
+func (t *tx) ListPathBatched(path string, mode store.LockMode) (chain, children []*namespace.INode, err error) {
+	if chain, err = t.resolveOne(path, mode, mode, true); err != nil {
+		return chain, nil, err
+	}
+	if dir := chain[len(chain)-1]; dir.IsDir {
+		children = t.childrenOf(dir.ID)
+	}
+	return chain, children, nil
 }
 
 // LockPaths implements store.Tx: a write's whole lock phase in one store
@@ -290,7 +336,7 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 			order[k], order[k-1] = order[k-1], order[k]
 		}
 	}
-	t.chargePlans(plans)
+	t.chargePlans(plans, false)
 	out := make([]store.LockedPath, len(paths))
 	for _, i := range order {
 		chain, err := t.walkPlan(plans, i)

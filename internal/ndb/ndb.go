@@ -19,8 +19,8 @@
 // booked on each shard's queue in arrival order (accesses arriving at the
 // same virtual instant are ordered by the queue's mutex). Serial
 // operations charge one RTT + service per access (serviceT); batched
-// operations (ResolvePathBatched, LockPaths, GetINodesBatched,
-// ListSubtreeBatched) group keys per shard, book every shard at the same
+// operations (ResolvePathBatched, ListPathBatched, LockPaths,
+// GetINodesBatched, ListSubtreeBatched) group keys per shard, book every shard at the same
 // instant under a single RTT and wait once for the slowest
 // (serviceMultiT), taking the same locks in the same global order as
 // their serial equivalents.

@@ -191,27 +191,179 @@ func TestDeleteRemovesRowAndIndex(t *testing.T) {
 	}
 }
 
+// TestListChildrenSortedAndMerged: the children ListPathBatched returns are
+// the committed ones merged with the transaction's own buffered writes —
+// puts, deletes and moves out of the directory — sorted by name.
 func TestListChildrenSortedAndMerged(t *testing.T) {
 	db := testDB()
+	other := addDir(t, db, namespace.RootID, "other")
 	addFile(t, db, namespace.RootID, "b")
 	addFile(t, db, namespace.RootID, "a")
+	dead := addFile(t, db, namespace.RootID, "dead")
+	moved := addFile(t, db, namespace.RootID, "moved")
 	tx := db.Begin("t")
-	id := db.NextID()
-	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "c"}); err != nil {
+	defer tx.Abort()
+	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "c"}); err != nil {
 		t.Fatal(err)
 	}
-	kids, err := tx.ListChildren(namespace.RootID)
+	if err := tx.DeleteINode(dead); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.PutINode(&namespace.INode{ID: moved, ParentID: other, Name: "moved"}); err != nil {
+		t.Fatal(err)
+	}
+	chain, kids, err := tx.ListPathBatched("/", store.LockShared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kids) != 3 || kids[0].Name != "a" || kids[1].Name != "b" || kids[2].Name != "c" {
-		names := make([]string, len(kids))
-		for i, k := range kids {
-			names[i] = k.Name
-		}
-		t.Fatalf("children = %v", names)
+	if len(chain) != 1 || chain[0].ID != namespace.RootID {
+		t.Fatalf("chain = %v, want the root alone", chain)
 	}
-	tx.Abort()
+	names := make([]string, len(kids))
+	for i, k := range kids {
+		names[i] = k.Name
+	}
+	if want := []string{"a", "b", "c", "other"}; !slices.Equal(names, want) {
+		t.Fatalf("children = %v, want %v", names, want)
+	}
+}
+
+// TestListPathBatchedOneRound: a listing is one multi-get whatever it
+// returns — chain and children of a directory, the chain alone for a file,
+// the partial chain for a missing path — one read, one resolve hop, one
+// batched resolve; and its virtual cost is the round trip plus the batches
+// of the busiest shard, the directory's children counted on the
+// directory's own shard.
+func TestListPathBatchedOneRound(t *testing.T) {
+	sim := clock.NewSim()
+	defer sim.Close()
+	cfg := DefaultConfig()
+	cfg.BatchRows = 8
+	db := New(sim, cfg)
+	var a, dir, f00 namespace.INodeID
+	clock.Run(sim, func() {
+		a = addDir(t, db, namespace.RootID, "a")
+		dir = addDir(t, db, a, "d")
+		f00 = addFile(t, db, dir, "f00")
+		for i := 1; i < 20; i++ {
+			addFile(t, db, dir, fmt.Sprintf("f%02d", i))
+		}
+	})
+	// rows[shard] of ls /a/d: the three chain rows, and 20 children beside d.
+	rows := db.rowsPerShard([]string{inodeKey(namespace.RootID), inodeKey(a), inodeKey(dir)})
+	fileRows := slices.Clone(rows) // ls /a/d/f00: one more chain row, no children
+	fileRows[db.shardFor(inodeKey(f00))]++
+	missRows := slices.Clone(rows) // ls /a/d/nope: the missing name's slot
+	missRows[db.shardFor(childKey(dir, "nope"))]++
+	rows[db.shardFor(inodeKey(dir))] += 20
+	cost := func(rows []int) time.Duration {
+		busiest := 0
+		for _, n := range rows {
+			busiest = max(busiest, (n+cfg.BatchRows-1)/cfg.BatchRows)
+		}
+		return cfg.RTT + time.Duration(busiest)*cfg.ReadService
+	}
+	for _, c := range []struct {
+		path      string
+		mode      store.LockMode
+		chain     int
+		kids      int
+		err       error
+		wantDelay time.Duration
+	}{
+		{"/a/d", store.LockShared, 3, 20, nil, cost(rows)},
+		{"/a/d", store.LockNone, 3, 20, nil, cost(rows)},
+		{"/a/d/f00", store.LockShared, 4, 0, nil, cost(fileRows)},
+		{"/a/d/nope", store.LockShared, 3, 0, namespace.ErrNotFound, cost(missRows)},
+	} {
+		before := db.Stats()
+		var took time.Duration
+		clock.Run(sim, func() {
+			tx := db.Begin("t")
+			defer tx.Abort()
+			start := sim.Now()
+			chain, kids, err := tx.ListPathBatched(c.path, c.mode)
+			took = sim.Since(start)
+			if !errors.Is(err, c.err) || len(chain) != c.chain || len(kids) != c.kids {
+				t.Errorf("ls %s (%v): %d chain rows, %d children, err %v; want %d, %d, %v",
+					c.path, c.mode, len(chain), len(kids), err, c.chain, c.kids, c.err)
+			}
+			if c.path == "/a/d" && c.mode == store.LockShared && db.HeldLocks() != 4 {
+				t.Errorf("shared ls holds %d locks, want 4: the chain's rows and the directory's name slot", db.HeldLocks())
+			}
+		})
+		after := db.Stats()
+		if r, h, b := after.Reads-before.Reads, after.ResolveHops-before.ResolveHops,
+			after.BatchedResolves-before.BatchedResolves; r != 1 || h != 1 || b != 1 {
+			t.Errorf("ls %s (%v): %d reads, %d hops, %d batched resolves; want 1 each", c.path, c.mode, r, h, b)
+		}
+		if took != c.wantDelay {
+			t.Errorf("ls %s (%v) took %v, want %v", c.path, c.mode, took, c.wantDelay)
+		}
+	}
+	if cost(rows) < cfg.RTT+3*cfg.ReadService {
+		t.Fatalf("fixture: 20 children at 8 rows a batch must cost 3 batches, got %v", cost(rows))
+	}
+	if db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", db.HeldLocks())
+	}
+}
+
+// TestCommitPointHooks: AtCommitPoint hooks run once, in order, inside a
+// successful Commit — the writes visible, the locks still held — and never
+// on an abort or a failed commit.
+func TestCommitPointHooks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
+	failCommit := false
+	cfg.OnCommit = func(string) error {
+		if failCommit {
+			return errors.New("injected")
+		}
+		return nil
+	}
+	db := New(clock.NewScaled(0), cfg)
+	put := func(tx store.Tx, name string) {
+		t.Helper()
+		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ran []string
+	tx := db.Begin("t")
+	put(tx, "x")
+	tx.AtCommitPoint(func() {
+		if _, err := db.ResolvePath("/x"); err != nil {
+			t.Errorf("first hook: the write is not applied yet: %v", err)
+		}
+		if db.HeldLocks() == 0 {
+			t.Error("first hook: the locks are already released")
+		}
+		ran = append(ran, "first")
+	})
+	tx.AtCommitPoint(func() { ran = append(ran, "second") })
+	mustCommit(t, tx)
+	if !slices.Equal(ran, []string{"first", "second"}) {
+		t.Fatalf("hooks ran %v, want first then second", ran)
+	}
+	tx.Abort() // after Commit: a no-op, and no second run
+	for _, end := range []string{"abort", "failed commit"} {
+		tx := db.Begin("t")
+		put(tx, "y")
+		tx.AtCommitPoint(func() { t.Errorf("hook ran on %s", end) })
+		if end == "abort" {
+			tx.Abort()
+			continue
+		}
+		failCommit = true
+		if err := tx.Commit(); err == nil {
+			t.Fatal("injected commit failure did not surface")
+		}
+		failCommit = false
+	}
+	if db.HeldLocks() != 0 {
+		t.Fatalf("locks leaked: %d", db.HeldLocks())
+	}
 }
 
 func TestResolvePath(t *testing.T) {

@@ -26,6 +26,8 @@ type tx struct {
 	delINodes map[namespace.INodeID]bool
 	kvPuts    map[string]map[string][]byte
 	kvDels    map[string]map[string]bool
+
+	atCommit []func() // commit-point hooks, in registration order
 }
 
 var _ store.Tx = (*tx)(nil)
@@ -117,20 +119,14 @@ func (t *tx) readINode(id namespace.INodeID) *namespace.INode {
 	return n.Clone()
 }
 
-// ListChildren returns all direct children of dir (read-committed, merged
-// with this transaction's buffered writes).
-func (t *tx) ListChildren(dir namespace.INodeID) ([]*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
-	}
+// childrenOf reads all direct children of dir (read-committed, merged with
+// this transaction's buffered writes, sorted by name), charging nothing:
+// ListPathBatched's multi-get paid for the rows.
+func (t *tx) childrenOf(dir namespace.INodeID) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
-	ids := make([]namespace.INodeID, 0, len(kids))
+	out := make([]*namespace.INode, 0, len(kids))
 	for _, id := range kids {
-		ids = append(ids, id)
-	}
-	out := make([]*namespace.INode, 0, len(ids))
-	for _, id := range ids {
 		if t.delINodes[id] {
 			continue
 		}
@@ -144,7 +140,6 @@ func (t *tx) ListChildren(dir namespace.INodeID) ([]*namespace.INode, error) {
 			out = append(out, n.Clone())
 		}
 	}
-	t.db.mu.RUnlock()
 	for _, n := range t.putINodes {
 		if n.ParentID == dir && !t.delINodes[n.ID] {
 			if _, committed := kids[n.Name]; !committed {
@@ -152,12 +147,9 @@ func (t *tx) ListChildren(dir namespace.INodeID) ([]*namespace.INode, error) {
 			}
 		}
 	}
+	t.db.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	batches := 1 + len(out)/t.db.cfg.BatchRows
-	t.db.serviceT(inodeKey(dir), time.Duration(batches)*t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: 1, Allocs: uint64(len(out))})
-	t.db.tel.reads.Inc()
-	return out, nil
+	return out
 }
 
 // PutINode buffers an insert/update. The row and its (parent, name) slot
@@ -332,12 +324,20 @@ func (t *tx) writeCount() int {
 	return n
 }
 
+// AtCommitPoint implements store.Tx: fn runs inside a successful Commit,
+// once the writes are applied and durable, while every lock is still held.
+func (t *tx) AtCommitPoint(fn func()) {
+	t.atCommit = append(t.atCommit, fn)
+}
+
 // Commit applies buffered writes atomically, charges write service time
 // across the shards in parallel, and releases all locks. With a
 // durability tier attached, the WAL record is appended (and its fsync
 // charged) before the locks release, so a committed transaction is on
 // durable media before any conflicting transaction can observe it —
-// which is what makes the global LSN order a valid serialization.
+// which is what makes the global LSN order a valid serialization. The
+// commit-point hooks run between the two: after the fsync, before the
+// release.
 func (t *tx) Commit() error {
 	if t.done {
 		return store.ErrTxDone
@@ -363,6 +363,9 @@ func (t *tx) Commit() error {
 			}
 		}
 		sp.End()
+	}
+	for _, fn := range t.atCommit {
+		fn()
 	}
 	t.db.locks.ReleaseAll(t.key)
 	t.db.tel.commits.Inc()

@@ -88,8 +88,6 @@ type LockedPath struct {
 type Tx interface {
 	// GetINode fetches an INode by ID.
 	GetINode(id namespace.INodeID, lock LockMode) (*namespace.INode, error)
-	// ListChildren returns all direct children of dir (no locks retained).
-	ListChildren(dir namespace.INodeID) ([]*namespace.INode, error)
 	// PutINode inserts or updates an INode (implicitly exclusive).
 	PutINode(n *namespace.INode) error
 	// DeleteINode removes an INode by ID (implicitly exclusive).
@@ -102,12 +100,26 @@ type Tx interface {
 	// times, and the whole chain counts as a single dependent resolution
 	// hop. Ancestor rows are locked with ancestors; the terminal
 	// component's (parent, name) slot and row are locked with terminal.
-	// The read-side cache fills (read, stat, ls) call it shared/shared
+	// The read-side cache fills (read, stat) call it shared/shared
 	// (Algorithm 1's staleness guard: a concurrent writer's exclusive locks
-	// serialize against the fill) and a pass-through ls none/none; writes
-	// lock through LockPaths, which shares its walk. Partial chains are
-	// returned with namespace.ErrNotFound.
+	// serialize against the fill); ls resolves through ListPathBatched and
+	// writes lock through LockPaths, which share its walk. Partial chains
+	// are returned with namespace.ErrNotFound.
 	ResolvePathBatched(path string, ancestors, terminal LockMode) ([]*namespace.INode, error)
+
+	// ListPathBatched is a listing miss in one store round trip: path's
+	// chain and, when it names a directory, the directory's children, all
+	// fetched by the one multi-get ResolvePathBatched would issue for the
+	// chain alone — the children's rows ride in it on the directory's own
+	// shard, so the call counts one read, one resolution hop and one batched
+	// resolve however many children there are. Every row of the chain is
+	// locked with mode as ResolvePathBatched(path, mode, mode) locks it, and
+	// the children are read under the directory's lock (merged with this
+	// transaction's buffered writes, sorted by name): LockShared is the
+	// listing fill's staleness guard, LockNone the pass-through ls. For a
+	// file children is nil. Partial chains are returned with
+	// namespace.ErrNotFound.
+	ListPathBatched(path string, mode LockMode) (chain, children []*namespace.INode, err error)
 
 	// LockPaths is a write's whole lock phase in one store round trip: it
 	// resolves and locks the row set of the given canonical target paths
@@ -137,6 +149,14 @@ type Tx interface {
 	KVDelete(table, key string) error
 	KVScan(table, prefix string) (map[string][]byte, error)
 
+	// AtCommitPoint registers fn to run at this transaction's commit point:
+	// inside a successful Commit, after the writes are applied and durable
+	// and before any lock is released — the one instant at which the caller
+	// still owns every row it wrote and the store already answers with them.
+	// Hooks run in registration order on the committing goroutine; none runs
+	// when the transaction aborts or its commit fails. fn must not use the
+	// transaction.
+	AtCommitPoint(fn func())
 	// Commit atomically applies the transaction's writes and releases
 	// locks.
 	Commit() error

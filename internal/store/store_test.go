@@ -55,9 +55,10 @@ func (t *fakeTx) LockPaths(...string) ([]LockedPath, error) { return nil, nil }
 func (t *fakeTx) GetINodesBatched([]namespace.INodeID, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
-func (t *fakeTx) ListChildren(namespace.INodeID) ([]*namespace.INode, error) {
-	return nil, nil
+func (t *fakeTx) ListPathBatched(string, LockMode) (chain, children []*namespace.INode, err error) {
+	return nil, nil, nil
 }
+func (t *fakeTx) AtCommitPoint(func())                                 {}
 func (t *fakeTx) PutINode(*namespace.INode) error                      { return nil }
 func (t *fakeTx) DeleteINode(namespace.INodeID) error                  { return nil }
 func (t *fakeTx) KVGet(string, string, LockMode) ([]byte, bool, error) { return nil, false, nil }
