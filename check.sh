@@ -4,12 +4,13 @@
 # packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
 # platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant,
 # cache, partition, hopsfs),
-# the determinism smoke — the clock's own tests, the three golden
-# sim-driven tests (storm tables, alert digests, hotpath gate) and the
-# commit-window reader census on one, two
-# and four Ps — bounded fixed-seed chaos, crash-restart,
-# alert-coverage, and discrete-event-scale smoke runs, and the
-# perf/durability/scale baseline gates. Run before sending changes.
+# the determinism smoke — the clock's own tests, the four golden
+# sim-driven tests (storm tables, alert digests, hotpath gate, a
+# real-stack scale point) and the commit-window reader census on one, two
+# and four Ps — bounded fixed-seed chaos, crash-restart and
+# alert-coverage smoke runs, an event-heap smoke for internal/sim (kept
+# only because benchmark/ times it), and the perf/durability/scale
+# baseline gates. Run before sending changes.
 set -e
 
 cd "$(dirname "$0")"
@@ -49,9 +50,9 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests, hotpath gate and the readers-in-the-commit-window census, on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests, hotpath gate, a real-stack scale point and the readers-in-the-commit-window census, on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ ./internal/chaos/ ./internal/core/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate|TestReadersInCommitWindow' -cpu 1,2,4 -count=2
+go test ./internal/bench/ ./internal/chaos/ ./internal/core/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate|TestScalePointDeterminism|TestReadersInCommitWindow' -cpu 1,2,4 -count=2
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1
@@ -63,7 +64,7 @@ go test ./internal/chaos/ -run 'TestCrashRestartEpisodes|TestCrashRestartCatches
 echo "== alert-coverage smoke (every episode family's must-fire/must-not-fire contract + muted-alert sabotage) =="
 go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertCoverageCatchesMutedAlert|TestAlertEpisodeDigestStable|TestTenantStormContract|TestTenantStormMutedAlertCaught' -count=1
 
-echo "== scale smoke (event-heap determinism, FIFO stability, 100k-client wall/alloc budget) =="
+echo "== event-heap smoke (internal/sim, which only benchmark/ still times: determinism, FIFO stability, 100k-event-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
 echo "== hotpath perf baseline (quick mode; gates throughput, allocs/op, lock-wait/op, exact store reads/op and resolve hops/op) =="
@@ -72,7 +73,7 @@ go run ./cmd/lambdafs-bench -check BENCH_hotpath.json
 echo "== restart durability baseline (quick mode; gates digest-exact recovery, replayed records, recovery time) =="
 go run ./cmd/lambdafs-bench -check BENCH_restart.json
 
-echo "== scale baseline (quick mode; gates the bit-exact client-count sweep: digests, op/throttle counts, quantiles, shard counts) =="
+echo "== scale baseline (quick mode; 1k and 10k tenant clients through the real rpc/faas/core/ndb stack on clock.Sim; exact gate on ops, throttles, p50/p99, cold starts, peak instances and per-tenant admitted/throttled/p99) =="
 go run ./cmd/lambdafs-bench -check BENCH_scale.json
 
 echo "== profiling smoke =="

@@ -36,7 +36,7 @@ func main() {
 	chaosSeed := flag.Int64("chaosseed", 0, "replay a single chaos episode with this seed (0 = full chaos experiment; use the seed a failing run printed)")
 	sloDir := flag.String("slo", "", "write the slo experiment's alert artifacts (coverage battery JSON, alert-transition JSONL, live telemetry plane) into this directory")
 	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap,mutex,block}.pprof into this directory")
-	baseline := flag.String("baseline", "", "measure the named baseline (hotpath|restart|scale) and write BENCH_<name>.json into the current directory, then exit")
+	baseline := flag.String("baseline", "", "measure the named baseline (hotpath|restart|scale) and write BENCH_<name>.json into the current directory, then exit (scale: tenant clients through the real stack, 1k and 10k; -full adds 30k)")
 	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on a regression or divergence")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-csv DIR] [-trace DIR] [-metrics DIR] [-chaosseed N] [-slo DIR] [-pprof DIR] [-baseline NAME] [-check FILE] list | all | <experiment>...\n\n", os.Args[0])

@@ -11,7 +11,7 @@
 // ls <path> | mv <src> <dst> | rm <path> | kill <deployment> | stats |
 // top [seconds] [clients] | slo | watch [seconds] [clients] | metrics |
 // trace [n] | prof | chaos [episodes] [seed] | restart [episodes] [seed] |
-// scale [clients] [seconds] [seed] | help
+// help
 package main
 
 import (
@@ -274,31 +274,6 @@ func main() {
 				}
 			}
 			runWatch(cluster, scraper, sloEng, sloLog, seconds, clients)
-		case "scale":
-			// scale [clients] [seconds] [seed]: run one point of the
-			// discrete-event scale model — closed-loop multi-tenant
-			// clients against the per-shard WFQ service surface — and
-			// print the curve row plus the per-tenant admission breakdown.
-			// Runs on its own scheduler, not this cluster.
-			clients, seconds, seed := 100_000, 8, int64(1)
-			if len(args) > 0 {
-				if v, err := strconv.Atoi(args[0]); err == nil && v > 0 {
-					clients = v
-				}
-			}
-			if len(args) > 1 {
-				if v, err := strconv.Atoi(args[1]); err == nil && v > 0 {
-					seconds = v
-				}
-			}
-			if len(args) > 2 {
-				if v, err := strconv.ParseInt(args[2], 10, 64); err == nil {
-					seed = v
-				}
-			}
-			for _, tb := range bench.ScaleProbe(clients, seconds, seed) {
-				tb.Fprint(os.Stdout)
-			}
 		case "metrics":
 			cluster.Run(func() { scraper.ScrapeNow() })
 			if err := telemetry.WritePrometheus(os.Stdout, cluster.Telemetry()); err != nil {
@@ -312,7 +287,7 @@ func main() {
 				s.CacheHits, s.CacheMisses, s.Store.Reads, s.Store.Writes, s.Store.Commits)
 			fmt.Printf("cost: pay-per-use $%.6f, provisioned $%.6f\n", s.PayPerUseUSD, s.ProvisionedUSD)
 		case "help":
-			fmt.Println("commands: mkdir create stat read ls mv rm kill stats top slo watch metrics trace prof chaos restart scale help")
+			fmt.Println("commands: mkdir create stat read ls mv rm kill stats top slo watch metrics trace prof chaos restart help")
 		default:
 			fmt.Printf("unknown command %q (try help)\n", cmd)
 		}

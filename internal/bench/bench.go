@@ -174,7 +174,7 @@ func All() []Experiment {
 		{"chaos", "Chaos: deterministic fault-injection episodes + full-stack fault storm", RunChaos},
 		{"restart", "Durability: recovery time vs WAL length + crash_restart episode battery", RunRestart},
 		{"slo", "SLOs: chaos alert-coverage battery + default rule pack on a live deployment", RunSLO},
-		{"scale", "Scalability: 10³–10⁶-client throughput/p99 curve with multi-tenant admission (discrete-event)", RunScale},
+		{"scale", "Scalability: 10³–10⁴-client (-full: 3·10⁴) curve of the real stack with multi-tenant admission: throughput, p50/p99, cold starts, fleet", RunScale},
 	}
 }
 
@@ -342,11 +342,13 @@ func newLambdaClusterWith(clk *clock.Sim, p lambdaParams, mutate func(*core.Syst
 	return c
 }
 
-// clientFor spreads clients across the cluster's VMs.
-func (c *lambdaCluster) clientFor(i int) workload.FS {
+// rpcClient spreads clients across the cluster's VMs.
+func (c *lambdaCluster) rpcClient(i int) *rpc.Client {
 	vm := c.vms[i%len(c.vms)]
 	return vm.NewClient(fmt.Sprintf("c%04d", i), c.sys.Ring(), c.sys)
 }
+
+func (c *lambdaCluster) clientFor(i int) workload.FS { return c.rpcClient(i) }
 
 func (c *lambdaCluster) close() { c.platform.Close() }
 

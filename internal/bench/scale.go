@@ -1,57 +1,36 @@
 package bench
 
-// The scale experiment answers the question the goroutine-per-client
-// drivers cannot: what does the metadata service's throughput/latency
-// curve look like from 10³ to 10⁶ concurrent clients? It runs entirely
-// on the internal/sim discrete-event scheduler — each client is a
-// closed-loop state machine (think → admit → queue → service → think)
-// costing one pending heap event, so a 100k-client point simulates in a
-// couple of wall seconds and a million-client point stays tractable.
+// The scale experiment asks what the metadata service does as the client
+// population grows: each point builds the same λFS deployment every other
+// experiment uses (newLambdaClusterWith on clock.Sim: rpc → faas →
+// core.Engine → ndb, one warm NameNode per deployment), registers
+// workload.DefaultTenantClasses with a tenant.Registry wired into
+// EngineConfig.Admission, and drives the population as closed-loop
+// goroutine clients (workload.RunPopulation) through tenant-tagged
+// rpc.Clients for a fixed number of virtual seconds. What the rows show —
+// cold starts, the instance count pinned at the vCPU cap, the latency
+// cliff past it, the crawler clipped by its token bucket — is the FaaS
+// control loop and the admission gate themselves, not a model of them.
 //
-// The service surface is a calibrated model, not the full engine stack:
-// tenants pass the REAL tenant.Registry admission path (token buckets,
-// in-flight caps, lambdafs_tenant_* instruments) and then queue onto
-// per-shard single-server FIFOs under weighted fair queuing, with
-// per-op service times matching the hotpath experiment's observed
-// shape. Shard count scales elastically with the client population
-// (one shard per ~4k clients — the serverless story), and tenants are
-// spread over shards by tenant.Placement's load-proportional
-// allocation.
-//
-// Every point is bit-deterministic: per-client splitmix64 PRNGs, the
-// scheduler's FIFO-stable heap, and integer virtual time make the
-// scheduler digest, op counts, and latency quantiles exact replay
-// invariants — which is what the committed BENCH_scale.json gates on.
+// clock.Sim resumes one goroutine at a time in (deadline, arm order), so
+// a point is a pure function of (clients, seconds, seed) on any
+// GOMAXPROCS: BENCH_scale.json is an exact-match golden.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
-	"lambdafs/internal/namespace"
-	"lambdafs/internal/sim"
-	"lambdafs/internal/slo"
+	"lambdafs/internal/clock"
+	"lambdafs/internal/core"
+	"lambdafs/internal/metrics"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/tenant"
 	"lambdafs/internal/workload"
 )
 
 // ScaleSchema identifies the BENCH_scale.json format.
-const ScaleSchema = "lambdafs-scale-baseline/v1"
-
-// scaleServiceNS is the modeled per-op shard service time (ns), indexed
-// by namespace.OpType: reads are cache-shaped, writes pay the coherence
-// round.
-var scaleServiceNS = [namespace.NumOps]int64{
-	namespace.OpCreate: 150_000,
-	namespace.OpMkdirs: 150_000,
-	namespace.OpDelete: 150_000,
-	namespace.OpMv:     200_000,
-	namespace.OpRead:   60_000,
-	namespace.OpStat:   40_000,
-	namespace.OpLs:     80_000,
-}
+const ScaleSchema = "lambdafs-scale-baseline/v2"
 
 // scalePoint is one measured (population, duration) point.
 type scalePoint struct {
@@ -59,29 +38,44 @@ type scalePoint struct {
 	seconds int
 }
 
+// The sweeps are sized by host cost (a goroutine, two PRNGs and an rpc
+// client per simulated client): quick stays under 1 GiB and ~20 s of
+// wall, and only -full crosses the cliff at 30k clients.
 func scalePoints(opts Options) []scalePoint {
 	switch {
 	case opts.Tiny:
-		return []scalePoint{{1_000, 2}, {10_000, 2}}
+		return []scalePoint{{200, 4}, {1_000, 4}}
 	case opts.Quick:
-		return []scalePoint{{1_000, 8}, {10_000, 8}, {100_000, 8}}
+		return []scalePoint{{1_000, 8}, {10_000, 8}}
 	default:
-		return []scalePoint{{10_000, 10}, {100_000, 10}, {1_000_000, 10}}
+		return []scalePoint{{1_000, 8}, {10_000, 8}, {30_000, 8}}
 	}
+}
+
+// ScaleTenantRow is one tenant's outcome at a point: the admission
+// gate's own counters (lambdafs_tenant_*) and the tenant's client-side
+// p99.
+type ScaleTenantRow struct {
+	Tenant    string `json:"tenant"`
+	Clients   int    `json:"clients"`
+	Admitted  uint64 `json:"admitted"`
+	Throttled uint64 `json:"throttled"`
+	P99Us     int64  `json:"p99_us"`
 }
 
 // ScaleRow is one point of the committed scale baseline. All fields are
 // exact replay invariants of (mode, seed).
 type ScaleRow struct {
-	Clients   int    `json:"clients"`
-	Shards    int    `json:"shards"`
-	Ops       uint64 `json:"ops"`
-	Throttled uint64 `json:"throttled"`
-	P50Us     int64  `json:"p50_us"`
-	P99Us     int64  `json:"p99_us"`
-	// Digest is the scheduler's executed-event-order digest: any change
-	// to the model's scheduling decisions shows up here first.
-	Digest string `json:"digest"`
+	Clients int `json:"clients"`
+	// Ops and Throttled are what the clients saw: replies served and
+	// replies rejected by the admission gate.
+	Ops           uint64           `json:"ops"`
+	Throttled     uint64           `json:"throttled"`
+	P50Us         int64            `json:"p50_us"`
+	P99Us         int64            `json:"p99_us"`
+	ColdStarts    uint64           `json:"cold_starts"`
+	PeakInstances int              `json:"peak_instances"`
+	Tenants       []ScaleTenantRow `json:"tenants"`
 }
 
 // ScaleBaseline is the committed BENCH_scale.json document.
@@ -92,257 +86,84 @@ type ScaleBaseline struct {
 	Rows   map[string]*ScaleRow `json:"rows"`
 }
 
-// scaleTenantStat is one tenant's outcome at a measured point.
-type scaleTenantStat struct {
-	name      string
-	clients   int
-	admitted  uint64
-	throttled uint64
-	p99       time.Duration
-}
-
-// scaleResult is one simulated point.
+// scaleResult is one measured point: the gated row plus what only the
+// rendered tables and the tests read.
 type scaleResult struct {
 	scalePoint
-	shards    int
-	ops       uint64
-	throttled uint64
-	p50, p99  time.Duration
-	digest    uint64
-	wall      time.Duration
-	tenants   []scaleTenantStat
-	alerts    []string
+	row     *ScaleRow
+	reg     *telemetry.Registry // the point's whole telemetry plane
+	elapsed time.Duration       // virtual: first issue window open → last reply
+	wall    time.Duration
 }
 
-// splitmix64 advances a 64-bit PRNG state; one word of state per client
-// is what keeps a million-client population cheap.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// unitFloat maps a PRNG draw onto [0, 1).
-func unitFloat(state *uint64) float64 {
-	return float64(splitmix64(state)>>11) / float64(1<<53)
-}
-
-// scaleClient is one simulated client's whole state.
-type scaleClient struct {
-	rng   uint64
-	class uint8
-	shard int32
-}
-
-// scaleReq is one admitted operation waiting in a shard queue.
-type scaleReq struct {
-	ci      int32
-	class   uint8
-	op      uint8
-	arrival time.Duration
-}
-
-// scaleShard is one modeled namespace shard: a single server draining a
-// weighted-fair queue.
-type scaleShard struct {
-	q    *tenant.FairQueue[scaleReq]
-	busy bool
-}
-
-// runScalePoint simulates one (clients, seconds) point.
+// runScalePoint measures one (clients, seconds) point on the real stack.
 func runScalePoint(pt scalePoint, seed int64) *scaleResult {
 	wallStart := time.Now() //vet:allow virtualtime reports host simulation runtime, not simulated latency
+	clk := clock.NewSim()
+	defer clk.Close()
 	classes := workload.DefaultTenantClasses()
-	horizon := time.Duration(pt.seconds) * time.Second
+	counts := workload.SplitClients(classes, pt.clients)
 
-	sch := sim.New(pt.clients + 64)
 	reg := telemetry.NewRegistry()
-	treg := tenant.NewRegistry(sch.Clock(), reg)
-	sc := telemetry.NewScraper(sch.Clock(), reg, time.Second)
-	sloEng := slo.New(slo.Config{Registry: reg})
-	sloEng.AddRules(slo.DefaultRules())
-	sc.OnSnapshot(sloEng.Observe)
-
-	// Tenant population: class shares of the client count (remainder to
-	// the first class), admission contracts derived from each tenant's
-	// expected demand.
-	names := make([]string, len(classes))
-	weights := make([]float64, len(classes))
-	classClients := make([]int, len(classes))
-	thinkMeanNS := make([]float64, len(classes))
-	assigned := 0
+	treg := tenant.NewRegistry(clk, reg)
 	for i, cls := range classes {
-		names[i] = cls.Name
-		weights[i] = cls.Weight
-		classClients[i] = cls.Clients(pt.clients)
-		assigned += classClients[i]
-		thinkMeanNS[i] = float64(time.Second) / cls.OpsPerClient
+		treg.Register(cls.AdmissionClass(counts[i]))
 	}
-	classClients[0] += pt.clients - assigned
-	demand := make(map[string]float64, len(classes))
-	for i, cls := range classes {
-		treg.Register(cls.AdmissionClass(classClients[i]))
-		demand[cls.Name] = float64(classClients[i]) * cls.OpsPerClient
-	}
+	p := defaultLambdaParams()
+	p.seed = seed
+	p.minInstances = 1
+	p.metrics = reg
+	dirs, files := workload.GenerateNamespace(microTreeShape(Options{Quick: true}))
+	tree := workload.NewTree(dirs, files)
 
-	// Pre-sampled cumulative mix thresholds per class (avoids touching
-	// workload.Mix.Sample's rand.Rand in the event loop).
-	cum := make([][]float64, len(classes))
-	ops := make([][]uint8, len(classes))
-	for i, cls := range classes {
-		total := 0.0
-		for _, w := range cls.Mix {
-			total += w.Weight
-		}
-		acc := 0.0
-		for _, w := range cls.Mix {
-			acc += w.Weight
-			cum[i] = append(cum[i], acc/total)
-			ops[i] = append(ops[i], uint8(w.Op))
-		}
-	}
+	var c *lambdaCluster
+	var recs []*workload.Recorder
+	var elapsed time.Duration
+	clock.Run(clk, func() {
+		c = newLambdaClusterWith(clk, p, func(cfg *core.SystemConfig) { cfg.Engine.Admission = treg })
+		workload.PreloadNDB(c.db, dirs, files)
+		start := clk.Now()
+		recs = workload.RunPopulation(clk, tree, classes, pt.clients,
+			time.Duration(pt.seconds)*time.Second, seed,
+			func(tenantName string, i int) workload.FS {
+				cl := c.rpcClient(i)
+				cl.Tenant = tenantName
+				return cl
+			})
+		elapsed = clk.Since(start)
+	})
+	defer c.close()
 
-	// Elastic shards: one per ~4k clients, and load-proportional tenant
-	// spreads over them.
-	nShards := pt.clients / 4000
-	if nShards < 8 {
-		nShards = 8
+	fst := c.platform.Stats()
+	row := &ScaleRow{
+		Clients:       pt.clients,
+		ColdStarts:    fst.ColdStarts,
+		PeakInstances: int(math.Round(fst.PeakVCPUUsed / p.nnVCPU)),
 	}
-	place := tenant.NewPlacement(nShards)
-	place.RebalanceProportional(demand)
-	shards := make([]scaleShard, nShards)
-	for i := range shards {
-		shards[i].q = tenant.NewFairQueue[scaleReq]()
-	}
-
-	// Client state machines.
-	clients := make([]scaleClient, pt.clients)
-	ci := 0
-	for classIdx := range classes {
-		for k := 0; k < classClients[classIdx]; k++ {
-			clients[ci] = scaleClient{
-				rng:   uint64(seed)*0x9e3779b97f4a7c15 + uint64(ci)*0xbf58476d1ce4e5b9 + 1,
-				class: uint8(classIdx),
-				shard: int32(place.ClientShard(names[classIdx], k)),
-			}
-			ci++
-		}
-	}
-
-	res := &scaleResult{scalePoint: pt, shards: nShards}
-	estOps := int(float64(pt.clients) * float64(pt.seconds) * 1.3)
-	lat := make([]int64, 0, estOps)
-	perTenantLat := make([][]int64, len(classes))
-	for i, n := range classClients {
-		perTenantLat[i] = make([]int64, 0, n*pt.seconds*2)
-	}
-
-	var issue []func() // per-client issue closures, allocated once
-	next := func(i int32) {
-		c := &clients[i]
-		think := time.Duration(-math.Log(1-unitFloat(&c.rng)) * thinkMeanNS[c.class])
-		sch.After(think, issue[i])
-	}
-	var startService func(si int32)
-	startService = func(si int32) {
-		sh := &shards[si]
-		req, ok := sh.q.Pop()
-		if !ok {
-			sh.busy = false
-			return
-		}
-		sh.busy = true
-		sch.After(time.Duration(scaleServiceNS[req.op]), func() {
-			d := int64(sch.Now() - req.arrival)
-			lat = append(lat, d)
-			perTenantLat[req.class] = append(perTenantLat[req.class], d)
-			res.ops++
-			treg.Done(names[req.class])
-			next(req.ci)
-			startService(si)
+	var overall metrics.HistSnapshot
+	for i, rec := range recs {
+		lat := rec.Overall.Snapshot()
+		overall = overall.Merge(lat)
+		row.Ops += rec.Completed.Load()
+		row.Throttled += rec.Throttled.Load()
+		t := treg.Lookup(classes[i].Name)
+		row.Tenants = append(row.Tenants, ScaleTenantRow{
+			Tenant:    classes[i].Name,
+			Clients:   counts[i],
+			Admitted:  uint64(t.Admitted()),
+			Throttled: uint64(t.Throttled()),
+			P99Us:     lat.Quantile(0.99).Microseconds(),
 		})
 	}
-	issue = make([]func(), pt.clients)
-	for i := range issue {
-		i := int32(i)
-		issue[i] = func() {
-			c := &clients[i]
-			u := unitFloat(&c.rng)
-			classIdx := c.class
-			opIdx := 0
-			for opIdx < len(cum[classIdx])-1 && u > cum[classIdx][opIdx] {
-				opIdx++
-			}
-			if err := treg.Admit(names[classIdx]); err != nil {
-				res.throttled++
-				next(i)
-				return
-			}
-			sh := &shards[c.shard]
-			sh.q.Push(names[classIdx], weights[classIdx],
-				scaleReq{ci: i, class: classIdx, op: ops[classIdx][opIdx], arrival: sch.Now()})
-			if !sh.busy {
-				startService(c.shard)
-			}
-		}
+	row.P50Us = overall.Quantile(0.50).Microseconds()
+	row.P99Us = overall.Quantile(0.99).Microseconds()
+	return &scaleResult{
+		scalePoint: pt, row: row, reg: reg, elapsed: elapsed,
+		wall: time.Since(wallStart), //vet:allow virtualtime host-runtime measurement is genuinely wall-clock
 	}
-
-	// Staggered starts: uniform over one think interval.
-	for i := range clients {
-		c := &clients[i]
-		sch.After(time.Duration(unitFloat(&c.rng)*thinkMeanNS[c.class]), issue[int32(i)])
-	}
-	// One telemetry scrape per virtual second feeds the SLO engine.
-	var tick func()
-	tick = func() {
-		sc.ScrapeNow()
-		if sch.Now()+time.Second <= horizon {
-			sch.After(time.Second, tick)
-		}
-	}
-	sch.After(time.Second, tick)
-
-	sch.RunUntil(horizon)
-
-	res.digest = sch.Digest()
-	res.p50, res.p99 = latQuantiles(lat)
-	for i := range classes {
-		_, p99 := latQuantiles(perTenantLat[i])
-		t := treg.Lookup(names[i])
-		res.tenants = append(res.tenants, scaleTenantStat{
-			name:      names[i],
-			clients:   classClients[i],
-			admitted:  uint64(t.Admitted()),
-			throttled: uint64(t.Throttled()),
-			p99:       p99,
-		})
-	}
-	fired := map[string]bool{}
-	for _, tr := range sloEng.Transitions() {
-		if tr.To == slo.StateFiring && !fired[tr.Rule] {
-			fired[tr.Rule] = true
-			res.alerts = append(res.alerts, tr.Rule)
-		}
-	}
-	sort.Strings(res.alerts)
-	res.wall = time.Since(wallStart) //vet:allow virtualtime host-runtime measurement is genuinely wall-clock
-	return res
 }
 
-// latQuantiles sorts in place and returns (p50, p99); zeros when empty.
-func latQuantiles(lat []int64) (p50, p99 time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	idx := func(q float64) int64 {
-		i := int(q * float64(len(lat)-1))
-		return lat[i]
-	}
-	return time.Duration(idx(0.50)), time.Duration(idx(0.99))
-}
+func scaleKey(clients int) string { return fmt.Sprintf("c%d", clients) }
 
 // ScaleMeasure runs the mode's client-count sweep and returns the
 // baseline document plus the results for rendering.
@@ -357,21 +178,14 @@ func ScaleMeasure(opts Options) (*ScaleBaseline, []*scaleResult) {
 	for _, pt := range scalePoints(opts) {
 		r := runScalePoint(pt, opts.Seed)
 		results = append(results, r)
-		b.Rows[fmt.Sprintf("c%d", pt.clients)] = &ScaleRow{
-			Clients:   pt.clients,
-			Shards:    r.shards,
-			Ops:       r.ops,
-			Throttled: r.throttled,
-			P50Us:     r.p50.Microseconds(),
-			P99Us:     r.p99.Microseconds(),
-			Digest:    fmt.Sprintf("%016x", r.digest),
-		}
+		b.Rows[scaleKey(pt.clients)] = r.row
 	}
 	return b, results
 }
 
-// RunScale is the `scale` experiment: the throughput/p99-vs-client-count
-// curve plus the per-tenant admission breakdown at the largest point.
+// RunScale is the `scale` experiment: the throughput/latency/fleet curve
+// over the client count plus the per-tenant admission breakdown at the
+// largest point.
 func RunScale(opts Options) []*Table {
 	_, results := ScaleMeasure(opts)
 	tables := scaleTables(results)
@@ -381,31 +195,26 @@ func RunScale(opts Options) []*Table {
 	return tables
 }
 
-// ScaleProbe runs a single point of the scale model (the shell's
-// interactive entry point).
-func ScaleProbe(clients, seconds int, seed int64) []*Table {
-	return scaleTables([]*scaleResult{runScalePoint(scalePoint{clients, seconds}, seed)})
-}
-
 func scaleTables(results []*scaleResult) []*Table {
 	curve := &Table{
 		ID:    "scale_curve",
-		Title: "client count vs throughput and latency (discrete-event model)",
-		Columns: []string{"clients", "shards", "ops", "throughput",
-			"p50", "p99", "throttled", "wall"},
+		Title: "client count vs throughput, latency and fleet (real stack on clock.Sim)",
+		Columns: []string{"clients", "ops", "throughput", "p50", "p99",
+			"throttled", "cold starts", "peak NNs", "wall"},
 	}
 	for _, r := range results {
-		thr := float64(r.ops) / float64(r.seconds)
 		curve.Rows = append(curve.Rows, []string{
-			fmtOps(float64(r.clients)), fmt.Sprintf("%d", r.shards),
-			fmtOps(float64(r.ops)), fmtOps(thr) + "/s",
-			fmtDur(r.p50), fmtDur(r.p99),
-			fmtOps(float64(r.throttled)), fmtDur(r.wall),
+			fmtOps(float64(r.clients)), fmtOps(float64(r.row.Ops)),
+			fmtOps(float64(r.row.Ops)/r.elapsed.Seconds()) + "/s",
+			fmtDur(time.Duration(r.row.P50Us) * time.Microsecond),
+			fmtDur(time.Duration(r.row.P99Us) * time.Microsecond),
+			fmtOps(float64(r.row.Throttled)), fmtOps(float64(r.row.ColdStarts)),
+			fmt.Sprintf("%d", r.row.PeakInstances), fmtDur(r.wall),
 		})
 	}
 	curve.Notes = append(curve.Notes,
-		"closed-loop clients on the internal/sim event heap; admission via tenant token buckets; per-shard WFQ service model",
-		fmt.Sprintf("virtual duration %ds per point; wall column is host simulation time", results[0].seconds))
+		"closed-loop tenant clients through rpc → faas → core.Engine → ndb; admission is the engines' tenant token buckets and in-flight caps",
+		fmt.Sprintf("clients issue for %d virtual seconds per point and throughput is ops over the time to the last reply; wall column is host simulation time", results[0].seconds))
 
 	last := results[len(results)-1]
 	tenants := &Table{
@@ -413,23 +222,16 @@ func scaleTables(results []*scaleResult) []*Table {
 		Title:   fmt.Sprintf("per-tenant admission at %s clients", fmtOps(float64(last.clients))),
 		Columns: []string{"tenant", "clients", "admitted", "throttled", "throttle%", "p99"},
 	}
-	for _, ts := range last.tenants {
-		total := ts.admitted + ts.throttled
+	for _, ts := range last.row.Tenants {
 		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(ts.throttled) / float64(total)
+		if total := ts.Admitted + ts.Throttled; total > 0 {
+			pct = 100 * float64(ts.Throttled) / float64(total)
 		}
 		tenants.Rows = append(tenants.Rows, []string{
-			ts.name, fmtOps(float64(ts.clients)),
-			fmtOps(float64(ts.admitted)), fmtOps(float64(ts.throttled)),
-			fmt.Sprintf("%.1f%%", pct), fmtDur(ts.p99),
+			ts.Tenant, fmtOps(float64(ts.Clients)),
+			fmtOps(float64(ts.Admitted)), fmtOps(float64(ts.Throttled)),
+			fmt.Sprintf("%.1f%%", pct), fmtDur(time.Duration(ts.P99Us) * time.Microsecond),
 		})
-	}
-	if len(last.alerts) > 0 {
-		tenants.Notes = append(tenants.Notes,
-			fmt.Sprintf("SLO rules fired during the run: %v", last.alerts))
-	} else {
-		tenants.Notes = append(tenants.Notes, "no SLO rules fired during the run")
 	}
 	tenants.Notes = append(tenants.Notes,
 		"crawler is provisioned below demand by design — the throttle column is admission control working")
@@ -437,10 +239,9 @@ func scaleTables(results []*scaleResult) []*Table {
 }
 
 // CheckScaleBaseline re-runs the sweep at the committed baseline's mode
-// and seed and fails on ANY divergence: the model is bit-deterministic,
-// so op counts, throttle counts, latency quantiles, and the scheduler
-// digest must all match exactly. An intentional model change regenerates
-// the file with -baseline scale.
+// and seed and fails on ANY divergence: the substrate is bit-exact, so
+// every column of every row must match. An intentional behaviour change
+// regenerates the file with -baseline scale.
 func CheckScaleBaseline(path string, opts Options) error {
 	var committed ScaleBaseline
 	opts, err := loadBaseline(path, "scale", ScaleSchema, &committed, opts)
@@ -450,31 +251,30 @@ func CheckScaleBaseline(path string, opts Options) error {
 	cur, _ := ScaleMeasure(opts)
 	var fails []string
 	for _, pt := range scalePoints(opts) {
-		key := fmt.Sprintf("c%d", pt.clients)
+		key := scaleKey(pt.clients)
 		want, ok := committed.Rows[key]
 		if !ok {
 			return fmt.Errorf("baseline %s lacks point %q (regenerate with -baseline scale)", path, key)
 		}
 		got := cur.Rows[key]
-		if got.Digest != want.Digest {
-			fails = append(fails, fmt.Sprintf(
-				"%s: scheduler digest %s, baseline %s (event stream diverged)",
-				key, got.Digest, want.Digest))
+		diff := func(col string, g, w any) {
+			if g != w {
+				fails = append(fails, fmt.Sprintf("%s: %s %v, baseline %v", key, col, g, w))
+			}
 		}
-		if got.Ops != want.Ops || got.Throttled != want.Throttled {
-			fails = append(fails, fmt.Sprintf(
-				"%s: ops/throttled %d/%d, baseline %d/%d",
-				key, got.Ops, got.Throttled, want.Ops, want.Throttled))
+		diff("ops", got.Ops, want.Ops)
+		diff("throttled", got.Throttled, want.Throttled)
+		diff("p50_us", got.P50Us, want.P50Us)
+		diff("p99_us", got.P99Us, want.P99Us)
+		diff("cold_starts", got.ColdStarts, want.ColdStarts)
+		diff("peak_instances", got.PeakInstances, want.PeakInstances)
+		if len(got.Tenants) != len(want.Tenants) {
+			diff("tenants", len(got.Tenants), len(want.Tenants))
+			continue
 		}
-		if got.P50Us != want.P50Us || got.P99Us != want.P99Us {
-			fails = append(fails, fmt.Sprintf(
-				"%s: p50/p99 %dus/%dus, baseline %dus/%dus",
-				key, got.P50Us, got.P99Us, want.P50Us, want.P99Us))
-		}
-		if got.Shards != want.Shards {
-			fails = append(fails, fmt.Sprintf(
-				"%s: %d shards, baseline %d", key, got.Shards, want.Shards))
+		for i, ts := range got.Tenants {
+			diff("tenant "+ts.Tenant, ts, want.Tenants[i])
 		}
 	}
-	return regressionError("scale model regression", path, fails)
+	return regressionError("scale regression", path, fails)
 }

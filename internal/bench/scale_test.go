@@ -5,37 +5,32 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lambdafs/internal/telemetry"
 )
 
 // TestScalePointDeterminism pins the bit-determinism claim the baseline
-// gate rests on: the same (point, seed) must reproduce the exact event
-// stream, and a different seed must not.
+// gate rests on: the same (point, seed) must reproduce the exact row —
+// check.sh also runs it at -cpu 1,2,4 — and a different seed must not.
 func TestScalePointDeterminism(t *testing.T) {
-	pt := scalePoint{clients: 2_000, seconds: 2}
-	a := runScalePoint(pt, 1)
-	b := runScalePoint(pt, 1)
-	if a.digest != b.digest {
-		t.Fatalf("same seed diverged: digest %016x vs %016x", a.digest, b.digest)
+	pt := scalePoint{clients: 400, seconds: 4}
+	a := runScalePoint(pt, 1).row
+	b := runScalePoint(pt, 1).row
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed diverged:\n%+v\n%+v", *a, *b)
 	}
-	if a.ops != b.ops || a.throttled != b.throttled {
-		t.Fatalf("same seed diverged: ops/throttled %d/%d vs %d/%d",
-			a.ops, a.throttled, b.ops, b.throttled)
-	}
-	if a.p50 != b.p50 || a.p99 != b.p99 {
-		t.Fatalf("same seed diverged: p50/p99 %v/%v vs %v/%v",
-			a.p50, a.p99, b.p50, b.p99)
-	}
-	c := runScalePoint(pt, 2)
-	if c.digest == a.digest {
-		t.Fatalf("different seeds produced the same digest %016x", a.digest)
+	if c := runScalePoint(pt, 2).row; reflect.DeepEqual(a, c) {
+		t.Fatalf("different seeds produced the same row %+v", *a)
 	}
 }
 
-// TestScaleMeasureTiny checks the model's physics at tiny scale: every
-// point produces work, admission visibly throttles the underprovisioned
-// crawler class, and the digest is populated.
+// TestScaleMeasureTiny checks the sweep's physics at tiny scale: every
+// point serves ops over the real request path (each layer's counters
+// move), every deployment cold-started at least its warm instance, and
+// admission clips the underprovisioned crawler class and nobody else.
 func TestScaleMeasureTiny(t *testing.T) {
 	b, results := ScaleMeasure(Options{Tiny: true, Seed: 1, Out: io.Discard})
 	if b.Schema != ScaleSchema {
@@ -47,108 +42,122 @@ func TestScaleMeasureTiny(t *testing.T) {
 	if len(b.Rows) != len(results) || len(results) == 0 {
 		t.Fatalf("rows/results %d/%d", len(b.Rows), len(results))
 	}
-	for key, row := range b.Rows {
+	for _, r := range results {
+		key, row := scaleKey(r.clients), r.row
 		if row.Ops == 0 {
-			t.Errorf("%s: no ops completed", key)
-		}
-		if row.Digest == "" || row.Digest == "0000000000000000" {
-			t.Errorf("%s: empty scheduler digest %q", key, row.Digest)
+			t.Errorf("%s: no ops served", key)
 		}
 		if row.P99Us < row.P50Us {
 			t.Errorf("%s: p99 %dus below p50 %dus", key, row.P99Us, row.P50Us)
 		}
-	}
-	// The crawler class is provisioned below its demand by design; if
-	// nothing throttles, admission control is not in the request path.
-	last := results[len(results)-1]
-	if last.throttled == 0 {
-		t.Errorf("largest point recorded zero throttles — admission control inert")
-	}
-	var crawler *scaleTenantStat
-	for i := range last.tenants {
-		if last.tenants[i].name == "crawler" {
-			crawler = &last.tenants[i]
+		if deps := defaultLambdaParams().deployments; row.ColdStarts < uint64(deps) || row.PeakInstances < deps {
+			t.Errorf("%s: %d cold starts, peak %d instances; want at least one per deployment (%d)",
+				key, row.ColdStarts, row.PeakInstances, deps)
 		}
-	}
-	if crawler == nil {
-		t.Fatalf("crawler tenant missing from per-tenant stats")
-	}
-	if crawler.throttled == 0 {
-		t.Errorf("crawler throttled 0 of %d ops; want the underprovisioned class to be clipped",
-			crawler.admitted)
+		// The row comes from the real path: every layer under the client
+		// counted work in this point's registry.
+		moved := map[string]bool{}
+		for _, m := range r.reg.Gather() {
+			if m.Kind != telemetry.KindCounter || m.Value == 0 {
+				continue
+			}
+			for _, layer := range []string{"rpc", "faas", "core", "ndb"} {
+				if strings.HasPrefix(m.Name, "lambdafs_"+layer+"_") {
+					moved[layer] = true
+				}
+			}
+		}
+		if len(moved) != 4 {
+			t.Errorf("%s: layers with non-zero counters %v, want rpc, faas, core and ndb", key, moved)
+		}
+		// The crawler class is provisioned below its demand by design; if
+		// it is not clipped, admission control is not in the request path.
+		// The gate's own counter is the witness.
+		for _, ts := range row.Tenants {
+			gate := r.reg.Counter("lambdafs_tenant_throttled_total", telemetry.L("tenant", ts.Tenant)).Value()
+			if uint64(gate) != ts.Throttled {
+				t.Errorf("%s/%s: row says %d throttled, lambdafs_tenant_throttled_total %v",
+					key, ts.Tenant, ts.Throttled, gate)
+			}
+			if ts.Admitted == 0 {
+				t.Errorf("%s/%s: nothing admitted", key, ts.Tenant)
+			}
+			if clipped := ts.Throttled > 0; clipped != (ts.Tenant == "crawler") {
+				t.Errorf("%s/%s: throttled %d of %d; want only the crawler clipped",
+					key, ts.Tenant, ts.Throttled, ts.Admitted+ts.Throttled)
+			}
+		}
+		if row.Throttled == 0 {
+			t.Errorf("%s: clients saw no throttled reply", key)
+		}
 	}
 }
 
-// TestScaleBaselineRoundTrip writes a tiny baseline and immediately
-// re-checks it: a freshly measured baseline must hold.
-func TestScaleBaselineRoundTrip(t *testing.T) {
+func writeTinyScaleBaseline(t *testing.T) (string, Options, *ScaleBaseline) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "scale.json")
 	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
 	cur, _ := ScaleMeasure(opts)
 	if err := writeBaselineFile(path, cur); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
+	return path, opts, cur
+}
+
+// TestScaleBaselineRoundTrip writes a tiny baseline and immediately
+// re-checks it: a freshly measured baseline must hold.
+func TestScaleBaselineRoundTrip(t *testing.T) {
+	path, opts, _ := writeTinyScaleBaseline(t)
 	if err := CheckScaleBaseline(path, opts); err != nil {
 		t.Fatalf("fresh baseline did not hold: %v", err)
 	}
 }
 
 // TestScaleBaselineCatchesDrift is the sabotage proof for the gate:
-// corrupting any committed invariant must fail the check.
+// corrupting any gated column of the committed file must fail the check
+// and name the column.
 func TestScaleBaselineCatchesDrift(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scale.json")
-	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
-	cur, _ := ScaleMeasure(opts)
-	if err := writeBaselineFile(path, cur); err != nil {
-		t.Fatalf("write baseline: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var b ScaleBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
+	_, opts, b := writeTinyScaleBaseline(t)
 	sabotage := map[string]func(r *ScaleRow){
-		"ops":    func(r *ScaleRow) { r.Ops++ },
-		"digest": func(r *ScaleRow) { r.Digest = "deadbeefdeadbeef" },
-		"p99":    func(r *ScaleRow) { r.P99Us += 17 },
-		"shards": func(r *ScaleRow) { r.Shards++ },
+		"ops":              func(r *ScaleRow) { r.Ops++ },
+		"throttled":        func(r *ScaleRow) { r.Throttled++ },
+		"p50_us":           func(r *ScaleRow) { r.P50Us += 3 },
+		"p99_us":           func(r *ScaleRow) { r.P99Us += 17 },
+		"cold_starts":      func(r *ScaleRow) { r.ColdStarts++ },
+		"peak_instances":   func(r *ScaleRow) { r.PeakInstances-- },
+		"tenant admitted":  func(r *ScaleRow) { r.Tenants[0].Admitted++ },
+		"tenant throttled": func(r *ScaleRow) { r.Tenants[3].Throttled-- },
+		"tenant p99_us":    func(r *ScaleRow) { r.Tenants[1].P99Us++ },
 	}
 	for name, corrupt := range sabotage {
-		mutated := ScaleBaseline{Schema: b.Schema, Mode: b.Mode, Seed: b.Seed,
-			Rows: make(map[string]*ScaleRow, len(b.Rows))}
-		for key, row := range b.Rows {
-			cp := *row
-			mutated.Rows[key] = &cp
-		}
-		for _, row := range mutated.Rows {
-			corrupt(row)
-			break
-		}
-		out, err := json.Marshal(&mutated)
+		data, err := json.Marshal(b)
 		if err != nil {
-			t.Fatalf("marshal mutated baseline: %v", err)
+			t.Fatalf("marshal baseline: %v", err)
 		}
-		mpath := filepath.Join(t.TempDir(), name+".json")
-		if err := os.WriteFile(mpath, out, 0o644); err != nil {
+		var mutated ScaleBaseline
+		if err := json.Unmarshal(data, &mutated); err != nil {
+			t.Fatalf("parse baseline: %v", err)
+		}
+		corrupt(mutated.Rows[scaleKey(scalePoints(opts)[0].clients)])
+		mpath := filepath.Join(t.TempDir(), "mutated.json")
+		if err := writeBaselineFile(mpath, &mutated); err != nil {
 			t.Fatalf("write mutated baseline: %v", err)
 		}
-		if err := CheckScaleBaseline(mpath, opts); err == nil {
+		err = CheckScaleBaseline(mpath, opts)
+		if err == nil {
 			t.Errorf("%s corruption went undetected", name)
-		} else if !strings.Contains(err.Error(), "scale baseline") &&
-			!strings.Contains(err.Error(), "baseline") {
-			t.Errorf("%s corruption produced an unhelpful error: %v", name, err)
+		} else if col := strings.Fields(name)[0]; !strings.Contains(err.Error(), col) {
+			t.Errorf("%s corruption produced an error that does not name the column: %v", name, err)
 		}
 	}
 }
 
-// TestScaleBaselineRejectsBadSchema checks the regenerate hint on a
-// schema mismatch.
+// TestScaleBaselineRejectsBadSchema: a file of the deleted queueing
+// proxy (schema v1) must be refused with the regenerate hint, not
+// compared.
 func TestScaleBaselineRejectsBadSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scale.json")
-	doc := `{"schema":"lambdafs-scale-baseline/v0","mode":"tiny","seed":1,"rows":{}}`
+	doc := `{"schema":"lambdafs-scale-baseline/v1","mode":"tiny","seed":1,"rows":{}}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}

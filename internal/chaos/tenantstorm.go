@@ -22,9 +22,9 @@ import (
 // for background scraping — the storm target.
 func stormTenants(clk clock.Clock, reg *telemetry.Registry) *tenant.Registry {
 	tr := tenant.NewRegistry(clk, reg)
-	tr.Register(tenant.Class{Name: "media", Weight: 4, OpsPerSec: 500, Burst: 500})
-	tr.Register(tenant.Class{Name: "analytics", Weight: 2, OpsPerSec: 500, Burst: 500})
-	tr.Register(tenant.Class{Name: "crawler", Weight: 1, OpsPerSec: 5, Burst: 5})
+	tr.Register(tenant.Class{Name: "media", OpsPerSec: 500, Burst: 500})
+	tr.Register(tenant.Class{Name: "analytics", OpsPerSec: 500, Burst: 500})
+	tr.Register(tenant.Class{Name: "crawler", OpsPerSec: 5, Burst: 5})
 	return tr
 }
 

@@ -19,6 +19,10 @@ import (
 // single goroutine (the usual driver pattern); its internals are
 // nevertheless safe against the concurrency hedging introduces.
 type Client struct {
+	// Tenant, when set before the first Do, tags every request with the
+	// issuing tenant for the engines' admission gate; empty bypasses it.
+	Tenant string
+
 	id   string
 	vm   *VM
 	tcp  *TCPServer
@@ -151,7 +155,7 @@ func (c *Client) noteLatency(lat time.Duration) {
 // without retry.
 func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	req := namespace.Request{
-		Op: op, Path: path, Dest: dest,
+		Op: op, Path: path, Dest: dest, Tenant: c.Tenant,
 		ClientID: c.id, Seq: c.seq.Add(1),
 	}
 	tc := c.tracer.StartTrace(op.String(), path, c.id)

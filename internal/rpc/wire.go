@@ -25,7 +25,7 @@ const (
 
 // reqWireBytes models the on-wire size of a request.
 func reqWireBytes(req namespace.Request) uint64 {
-	return wireHeaderBytes + uint64(len(req.Path)+len(req.Dest)+len(req.ClientID))
+	return wireHeaderBytes + uint64(len(req.Path)+len(req.Dest)+len(req.Tenant)+len(req.ClientID))
 }
 
 // respWireBytes models the on-wire size of a response.

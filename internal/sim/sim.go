@@ -1,26 +1,18 @@
-// Package sim implements the discrete-event scheduler behind the
-// million-client scale experiments: simulated clients are lightweight
-// state machines whose next steps are events on a binary min-heap keyed
-// by (virtual time, sequence number), executed one at a time by a single
-// goroutine. It is the deterministic, bounded-memory counterpart of
-// clock.Sim's goroutine-per-actor model (see SIMULATION.md): where
-// clock.Sim lets ordinary blocking Go code run on virtual time at the
-// cost of one goroutine (and one runtime schedule point) per actor, a
-// Scheduler represents each pending actor step as one ~40-byte heap
-// entry, so 10⁵–10⁶ concurrent clients simulate in seconds of wall time.
+// Package sim is a discrete-event scheduler: callbacks on a binary
+// min-heap keyed by (virtual time, sequence number), executed one at a
+// time by a single goroutine. It drove the queueing-model scale
+// experiment until that was replaced by the real stack on clock.Sim;
+// nothing in the product imports it any more. It stays because
+// benchmark/layers.go times its event loop as sim.host_ns_per_event, and
+// it goes with that metric (ROADMAP item 1(e)).
 //
 // # Determinism
 //
 // A Scheduler run is a pure function of the callbacks scheduled into it:
 // events fire in strictly non-decreasing virtual time, and events
 // scheduled for the same instant fire in the order they were scheduled
-// (the sequence number breaks ties, making the heap FIFO-stable).
-// Callbacks must derive all randomness from seeds and must not consult
-// wall-clock time; under that contract, the same seed yields the same
-// event order, the same Digest, and the same results on every run —
-// unlike clock.Sim, which is deterministic in outcome but not in
-// interleaving. Digest seals the executed event order so tests and bench
-// baselines can assert replay-exactness cheaply.
+// (the sequence number breaks ties, making the heap FIFO-stable). Digest
+// seals the executed event order so tests can assert replay-exactness.
 //
 // # Concurrency and ownership
 //
@@ -28,9 +20,6 @@
 // concurrent use: exactly one goroutine calls Run/RunUntil, and
 // callbacks run on that goroutine. Callbacks may schedule further events
 // but must never block — there is no other goroutine to unblock them.
-// Clock() adapts the scheduler's virtual time for clock-keyed components
-// (telemetry scrapers, tenant token buckets); its Sleep and After panic
-// for that reason.
 package sim
 
 import (
@@ -190,21 +179,4 @@ func (s *Scheduler) pop() event {
 		i = min
 	}
 	return top
-}
-
-// Clock adapts the scheduler as a read-only clock.Clock for components
-// that only need Now/Since (telemetry scrapers, token buckets). Sleep
-// and After panic: blocking is impossible on the single event-loop
-// goroutine — schedule a continuation with Scheduler.After instead.
-func (s *Scheduler) Clock() clock.Clock { return schedClock{s} }
-
-type schedClock struct{ s *Scheduler }
-
-func (c schedClock) Now() time.Time                  { return c.s.NowTime() }
-func (c schedClock) Since(t time.Time) time.Duration { return c.s.NowTime().Sub(t) }
-func (c schedClock) Sleep(d time.Duration) {
-	panic("sim: Sleep would block the event loop; use Scheduler.After")
-}
-func (c schedClock) After(d time.Duration) <-chan time.Time {
-	panic("sim: After has no waiter goroutine; use Scheduler.After")
 }

@@ -100,32 +100,8 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// TestSchedulerClock checks the read-only clock adapter: Now tracks
-// virtual time on the shared Epoch, and the blocking methods panic
-// rather than deadlock the event loop.
-func TestSchedulerClock(t *testing.T) {
-	s := New(0)
-	clk := s.Clock()
-	start := clk.Now()
-	s.After(250*time.Millisecond, func() {})
-	s.Run()
-	if got := clk.Since(start); got != 250*time.Millisecond {
-		t.Fatalf("Since = %v, want 250ms", got)
-	}
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Sleep", func() { clk.Sleep(time.Millisecond) })
-	mustPanic("After", func() { clk.After(time.Millisecond) })
-}
-
-// splitmix64 is the per-client PRNG of the scale experiments: one uint64
-// of state per client instead of math/rand's ~5KB source.
+// splitmix64 is the budget test's per-client PRNG: one uint64 of state
+// per client instead of math/rand's ~5KB source.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -22,6 +23,10 @@ type Recorder struct {
 	// after retries.
 	SemanticErrs  atomic.Uint64
 	TransportErrs atomic.Uint64
+	// Throttled counts replies the admission gate rejected
+	// (namespace.ErrThrottled): the service did no work for them, so they
+	// are neither Completed nor in any histogram.
+	Throttled atomic.Uint64
 }
 
 // NewRecorder starts recording at start (virtual time).
@@ -50,8 +55,7 @@ func (r *Recorder) Record(op namespace.OpType, at time.Time, lat time.Duration, 
 }
 
 // issueOp generates and executes one operation of the mix against fs,
-// maintaining the tree pool. Returns the op and whether the result was a
-// hard failure.
+// maintaining the tree pool and recording the outcome in rec.
 func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk clock.Clock) {
 	op := mix.Sample(rng)
 	var path, dest string
@@ -90,13 +94,23 @@ func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk cloc
 		return
 	}
 	if !resp.OK() {
-		rec.SemanticErrs.Add(1)
+		opErr := resp.Error()
+		// Give back what the op tentatively claimed from the pool.
 		switch op {
 		case namespace.OpCreate:
 			tree.Remove(path)
 		case namespace.OpMv:
 			tree.Add(path) // the source still exists
+		case namespace.OpDelete:
+			if !errors.Is(opErr, namespace.ErrNotFound) {
+				tree.Add(path) // refused (throttled, lock timeout): still there
+			}
 		}
+		if errors.Is(opErr, namespace.ErrThrottled) {
+			rec.Throttled.Add(1)
+			return
+		}
+		rec.SemanticErrs.Add(1)
 		// Semantic failures still count as served operations: the MDS
 		// did the work (matches hammer-bench accounting).
 		rec.Completed.Add(1)
@@ -197,6 +211,43 @@ func RunRateDriven(clk clock.Clock, tree *Tree, cfg RateConfig, fsFor func(i int
 	}
 	g.Wait()
 	return rec
+}
+
+// RunPopulation drives a multi-tenant closed-loop client population for
+// duration of virtual time. SplitClients divides clients across classes;
+// each client waits a seeded offset inside one think interval, then
+// alternates one operation of its class's Mix with an exponentially
+// distributed think time (mean 1/OpsPerClient) for as long as its next
+// issue still falls inside the window. fsFor supplies client i's handle
+// for its tenant (a tenant-tagged rpc.Client on the real stack). Returns
+// one Recorder per class, in class order.
+func RunPopulation(clk clock.Clock, tree *Tree, classes []TenantClass, clients int,
+	duration time.Duration, seed int64, fsFor func(tenant string, i int) FS) []*Recorder {
+	start := clk.Now()
+	deadline := start.Add(duration)
+	recs := make([]*Recorder, len(classes))
+	g := clock.NewGroup(clk)
+	next := 0
+	for ci, n := range SplitClients(classes, clients) {
+		cls, rec := classes[ci], NewRecorder(start)
+		recs[ci] = rec
+		thinkMean := float64(time.Second) / cls.OpsPerClient
+		for i := next; i < next+n; i++ {
+			g.Go(func() {
+				fs := fsFor(cls.Name, i)
+				rng := rand.New(rand.NewSource(seed + int64(i)*7919))
+				wait := time.Duration(rng.Float64() * thinkMean)
+				for clk.Now().Add(wait).Before(deadline) {
+					clk.Sleep(wait)
+					issueOp(fs, tree, cls.Mix, rng, rec, clk)
+					wait = time.Duration(rng.ExpFloat64() * thinkMean)
+				}
+			})
+		}
+		next += n
+	}
+	g.Wait()
+	return recs
 }
 
 // TreeTestConfig shapes IndexFS's tree-test (§5.7): per client, writes

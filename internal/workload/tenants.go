@@ -8,15 +8,14 @@ import (
 // TenantClass couples a tenant's admission contract with the operation
 // mix and demand its clients generate. The Spotify industrial workload
 // is one class among several synthetic ones: the scale experiment
-// partitions its client population across these classes and derives each
-// tenant's token-bucket rate from its expected demand.
+// partitions its client population across these classes (SplitClients),
+// drives it with RunPopulation and derives each tenant's token-bucket
+// rate from its expected demand (AdmissionClass).
 type TenantClass struct {
 	// Name is the tenant identifier carried in namespace.Request.Tenant.
 	Name string
 	// Mix is the class's operation distribution.
 	Mix Mix
-	// Weight is the tenant's weighted-fair-queuing share.
-	Weight float64
 	// ClientShare is the fraction of the total client population the
 	// class owns (the shares of DefaultTenantClasses sum to 1).
 	ClientShare float64
@@ -36,33 +35,38 @@ func DefaultTenantClasses() []TenantClass {
 	return []TenantClass{
 		// The paper's industrial workload: read-dominated, the largest
 		// population share, provisioned with comfortable headroom.
-		{Name: "spotify", Mix: SpotifyMix(), Weight: 4,
+		{Name: "spotify", Mix: SpotifyMix(),
 			ClientShare: 0.50, OpsPerClient: 1.0, AdmissionHeadroom: 1.5},
 		// Interactive analytics: bursts of stat/ls from human-facing
 		// dashboards.
 		{Name: "interactive", Mix: Mix{
 			{namespace.OpStat, 55}, {namespace.OpLs, 30}, {namespace.OpRead, 15},
-		}, Weight: 2, ClientShare: 0.30, OpsPerClient: 0.5, AdmissionHeadroom: 1.5},
+		}, ClientShare: 0.30, OpsPerClient: 0.5, AdmissionHeadroom: 1.5},
 		// Batch ingest: write-heavy pipeline churn.
 		{Name: "batch-ingest", Mix: Mix{
 			{namespace.OpCreate, 45}, {namespace.OpMkdirs, 5}, {namespace.OpDelete, 20},
 			{namespace.OpMv, 5}, {namespace.OpStat, 25},
-		}, Weight: 1, ClientShare: 0.15, OpsPerClient: 2.0, AdmissionHeadroom: 1.5},
+		}, ClientShare: 0.15, OpsPerClient: 2.0, AdmissionHeadroom: 1.5},
 		// Crawler: a scraping workload deliberately provisioned below its
 		// demand — the class that exercises throttling in steady state.
 		{Name: "crawler", Mix: Mix{
 			{namespace.OpLs, 50}, {namespace.OpRead, 40}, {namespace.OpStat, 10},
-		}, Weight: 1, ClientShare: 0.05, OpsPerClient: 4.0, AdmissionHeadroom: 0.7},
+		}, ClientShare: 0.05, OpsPerClient: 4.0, AdmissionHeadroom: 0.7},
 	}
 }
 
-// Clients returns the class's share of a total client population.
-func (tc TenantClass) Clients(total int) int {
-	n := int(float64(total) * tc.ClientShare)
-	if n < 1 {
-		n = 1
+// SplitClients divides a client population across classes by ClientShare
+// (at least one client each); what rounding leaves over goes to the first
+// class.
+func SplitClients(classes []TenantClass, total int) []int {
+	counts := make([]int, len(classes))
+	assigned := 0
+	for i, cls := range classes {
+		counts[i] = max(1, int(float64(total)*cls.ClientShare))
+		assigned += counts[i]
 	}
-	return n
+	counts[0] += total - assigned
+	return counts
 }
 
 // AdmissionClass derives the tenant.Class for a population of clients:
@@ -72,7 +76,6 @@ func (tc TenantClass) AdmissionClass(clients int) tenant.Class {
 	rate := float64(clients) * tc.OpsPerClient * tc.AdmissionHeadroom
 	return tenant.Class{
 		Name:        tc.Name,
-		Weight:      tc.Weight,
 		OpsPerSec:   rate,
 		Burst:       rate,
 		MaxInflight: int(rate), // at most ~1s of service backlog in flight

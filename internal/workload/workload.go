@@ -1,9 +1,10 @@
 // Package workload implements the benchmark drivers of the evaluation:
 // the Spotify industrial workload (Table 2's operation mix replayed under
 // a Pareto-distributed bursty arrival process, §5.2.1), the
-// client-driven/resource scaling microbenchmarks (§5.3), tree-test for
-// IndexFS (§5.7), namespace pre-population, latency/throughput recording,
-// and NameNode fault injection (§5.6). It is this repository's
+// client-driven/resource scaling microbenchmarks (§5.3), the multi-tenant
+// closed-loop client population of the scale experiment (RunPopulation),
+// tree-test for IndexFS (§5.7), namespace pre-population,
+// latency/throughput recording, and NameNode fault injection (§5.6). It is this repository's
 // replacement for the paper's modified hammer-bench driver.
 //
 // # Concurrency and ownership
@@ -19,7 +20,9 @@
 // structure is Tree, the live-namespace pool: it is mutex-guarded and
 // safe for all client goroutines to draw paths from concurrently.
 // TenantClass and the default tenant tables (tenants.go) are pure data —
-// construct-then-read, safe to share.
+// construct-then-read, safe to share. RunPopulation keeps one Recorder
+// per class; a throttled reply (namespace.ErrThrottled) is counted in
+// Recorder.Throttled and nowhere else.
 package workload
 
 import (

@@ -153,6 +153,32 @@ func TestTreePoolOperations(t *testing.T) {
 	if nd == "" || len(tree.dirs) != 5 {
 		t.Fatalf("new dir %q dirs=%d", nd, len(tree.dirs))
 	}
+	// A delete or mv the service refused leaves the file where it was, so
+	// its path goes back into the pool; only a delete that found nothing
+	// confirms the path is gone.
+	clk := clock.NewManual()
+	for _, tc := range []struct {
+		op   namespace.OpType
+		err  error
+		want int
+	}{
+		{namespace.OpDelete, namespace.ErrThrottled, 12},
+		{namespace.OpDelete, namespace.ErrTimeout, 12},
+		{namespace.OpMv, namespace.ErrThrottled, 12},
+		{namespace.OpDelete, namespace.ErrNotFound, 11},
+	} {
+		issueOp(replyFS{tc.err}, tree, SingleOpMix(tc.op), rng, NewRecorder(clk.Now()), clk)
+		if tree.FileCount() != tc.want {
+			t.Fatalf("%v answered %v: pool holds %d files, want %d", tc.op, tc.err, tree.FileCount(), tc.want)
+		}
+	}
+}
+
+// replyFS answers every operation with one semantic error (nil: success).
+type replyFS struct{ err error }
+
+func (f replyFS) Do(namespace.OpType, string, string) (*namespace.Response, error) {
+	return &namespace.Response{Err: namespace.ToWire(f.err)}, nil
 }
 
 func TestTreePoolConcurrent(t *testing.T) {
@@ -381,6 +407,77 @@ func TestRecorderErrorAccounting(t *testing.T) {
 	rec.Record(namespace.OpRead, clock.Epoch, time.Millisecond, nil)
 	if rec.Completed.Load() != 1 || rec.PerOp[namespace.OpRead].Count() != 1 {
 		t.Fatal("success misaccounted")
+	}
+}
+
+// TestRecorderThrottledAccounting: a reply the admission gate rejected is
+// not a served op — the service did no work for it — so it stays out of
+// Completed, the throughput series and every histogram (a semantic
+// failure, by the hammer-bench rule, stays in).
+func TestRecorderThrottledAccounting(t *testing.T) {
+	clk := clock.NewManual()
+	_, files := GenerateNamespace(1, 4)
+	tree := NewTree([]string{"/bench0000"}, files)
+	rng := rand.New(rand.NewSource(1))
+	rec := NewRecorder(clk.Now())
+	issueOp(replyFS{namespace.ErrThrottled}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+	if rec.Throttled.Load() != 1 || rec.Completed.Load() != 0 || rec.SemanticErrs.Load() != 0 ||
+		rec.Overall.Count() != 0 || rec.PerOp[namespace.OpStat].Count() != 0 || rec.Throughput.Total() != 0 {
+		t.Fatalf("throttled reply misaccounted: throttled=%d completed=%d semantic=%d latencies=%d",
+			rec.Throttled.Load(), rec.Completed.Load(), rec.SemanticErrs.Load(), rec.Overall.Count())
+	}
+	issueOp(replyFS{namespace.ErrNotFound}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+	if rec.Throttled.Load() != 1 || rec.Completed.Load() != 1 || rec.SemanticErrs.Load() != 1 || rec.Overall.Count() != 1 {
+		t.Fatal("semantic failure no longer counts as a served op")
+	}
+	issueOp(replyFS{}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+	if rec.Completed.Load() != 2 || rec.SemanticErrs.Load() != 1 {
+		t.Fatal("success misaccounted")
+	}
+}
+
+// TestPopulationDriver: every class gets its share of the clients and
+// its own Recorder, clients issue at their class's rate for the window
+// and no longer, each tagged with its tenant.
+func TestPopulationDriver(t *testing.T) {
+	clk := clock.NewSim()
+	defer clk.Close()
+	dirs, files := GenerateNamespace(4, 50)
+	tree := NewTree(dirs, files)
+	classes := DefaultTenantClasses()
+	if got := SplitClients(classes, 101); !slices.Equal(got, []int{51, 30, 15, 5}) {
+		t.Fatalf("SplitClients(101) = %v", got)
+	}
+	fs := newMemFS(clk, files, time.Millisecond)
+	var mu sync.Mutex
+	tagged := map[string]int{}
+	var recs []*Recorder
+	var elapsed time.Duration
+	clock.Run(clk, func() {
+		start := clk.Now()
+		recs = RunPopulation(clk, tree, classes, 100, 10*time.Second, 1, func(tenant string, i int) FS {
+			mu.Lock()
+			tagged[tenant]++
+			mu.Unlock()
+			return fs
+		})
+		elapsed = clk.Since(start)
+	})
+	if elapsed > 10*time.Second+time.Millisecond {
+		t.Fatalf("population ran %v past a 10s window", elapsed)
+	}
+	counts := SplitClients(classes, 100)
+	for i, cls := range classes {
+		n := counts[i]
+		if tagged[cls.Name] != n {
+			t.Fatalf("%s: %d clients tagged, want %d", cls.Name, tagged[cls.Name], n)
+		}
+		// Closed loop at 1ms service: the rate is the think rate, within
+		// Poisson noise.
+		want := float64(n) * cls.OpsPerClient * 10
+		if got := float64(recs[i].Completed.Load()); got < 0.8*want || got > 1.2*want {
+			t.Fatalf("%s: %v ops in 10s, want ≈%v", cls.Name, got, want)
+		}
 	}
 }
 
