@@ -220,7 +220,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	drain := workload.RunClosedLoop(clk, tree, mix, clients, 16, opts.Seed+101, cached)
 	clk.Sleep(2 * time.Second)
 
-	violations := chaos.CheckStore(c.db)
+	violations := chaos.CheckStore(c.db, nil)
 	fired := inj.Fired()
 	stats := c.platform.Stats()
 	scraper.ScrapeNow()

@@ -21,8 +21,12 @@
 // coordinator delivery goroutines applying INVs (possibly several
 // concurrently during a batch round). All operations take the cache's
 // single internal mutex, so invalidations are atomic with respect to
-// lookups. The cache holds clones, never live store rows — freshness is
-// owned by the coherence protocol, not by the cache.
+// lookups. The cache keeps the *namespace.INode it is given and hands that
+// same pointer out, read-only: a published INode is never written again
+// (namespace.INode), so the store, this cache and every chain share one
+// snapshot per row version and a hit copies nothing. What the cache owns is
+// which version it holds — replacing an entry swaps the pointer, never edits
+// the pointee — and freshness is the coherence protocol's.
 //
 // # A directory's listing
 //
@@ -125,7 +129,7 @@ func (c *Cache) Put(path string, n *namespace.INode) {
 
 func (c *Cache) putLocked(comps []string, n *namespace.INode) {
 	if old, ok := c.t.Get(comps); ok {
-		old.inode = n.Clone()
+		old.inode = n
 		nb := entryBytes(old.path, n)
 		c.used += nb - old.bytes
 		old.bytes = nb
@@ -136,7 +140,7 @@ func (c *Cache) putLocked(comps []string, n *namespace.INode) {
 			path = "/" + strings.Join(comps, "/")
 		}
 		e := &entry{
-			inode: n.Clone(),
+			inode: n,
 			path:  path,
 			comps: append([]string(nil), comps...),
 			bytes: entryBytes(path, n),
@@ -204,34 +208,24 @@ func (c *Cache) dropSubtreeLocked(comps []string, eviction bool) int {
 	return removed
 }
 
-// Lookup returns the cached INode chain for path. hit is true only when
-// the entire chain, including the terminal INode, is cached; otherwise the
-// longest cached prefix is returned (used to shorten store resolution).
-// A lookup touches every returned entry (leaf to root) in the LRU.
+// Lookup returns the cached INode chain for path — the cached pointers
+// themselves, read-only. hit is true only when the entire chain, including
+// the terminal INode, is cached; otherwise the longest cached prefix is
+// returned (used to shorten store resolution). A lookup touches every
+// returned entry (leaf to root) in the LRU.
+//
+//vet:hotpath
 func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
 	comps := namespace.SplitPath(path)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries, ok := c.chainEntriesLocked(comps)
+	entries, ok := c.t.Chain(comps)
+	chain = make([]*namespace.INode, len(entries))
 	for i := len(entries) - 1; i >= 0; i-- {
 		c.lru.MoveToFront(entries[i].elem)
-	}
-	for _, e := range entries {
-		chain = append(chain, e.inode.Clone())
+		chain[i] = entries[i].inode
 	}
 	return chain, ok
-}
-
-func (c *Cache) chainEntriesLocked(comps []string) ([]*entry, bool) {
-	var out []*entry
-	for i := 0; i <= len(comps); i++ {
-		e, ok := c.t.Get(comps[:i])
-		if !ok {
-			return out, false
-		}
-		out = append(out, e)
-	}
-	return out, true
 }
 
 // Get returns the cached terminal INode for path, touching its chain.
@@ -372,28 +366,26 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 	return true
 }
 
-// Listing returns the directory's cached children when the listing is
-// known-complete, touching the chain in the LRU.
+// Listing returns the directory's cached children (the cached pointers,
+// read-only, in no particular order) when the listing is known-complete,
+// touching the directory's chain in the LRU.
+//
+//vet:hotpath
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	comps := namespace.SplitPath(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.t.Get(comps)
-	if !ok || e.listing != listingComplete {
+	entries, ok := c.t.Chain(comps)
+	if !ok || entries[len(entries)-1].listing != listingComplete {
 		return nil, false
 	}
-	var out []*namespace.INode
-	c.t.WalkPrefix(comps, func(wc []string, child *entry) bool {
-		if len(wc) == len(comps)+1 {
-			out = append(out, child.inode.Clone())
-		}
-		return true
-	})
-	// Touch the dir chain.
-	if entries, full := c.chainEntriesLocked(comps); full {
-		for i := len(entries) - 1; i >= 0; i-- {
-			c.lru.MoveToFront(entries[i].elem)
-		}
+	for i := len(entries) - 1; i >= 0; i-- {
+		c.lru.MoveToFront(entries[i].elem)
+	}
+	kids := c.t.Children(comps)
+	out := make([]*namespace.INode, len(kids))
+	for i, child := range kids {
+		out[i] = child.inode
 	}
 	return out, true
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -58,14 +59,35 @@ func TestLookupMissReturnsLongestPrefix(t *testing.T) {
 	}
 }
 
-func TestLookupReturnsClones(t *testing.T) {
+// TestLookupReturnsCachedPointers is the sharing contract: a published INode
+// is immutable (namespace.INode), so the cache keeps the pointer it is given
+// and Lookup and Listing hand that same pointer out — and a new version of a
+// row replaces the entry's pointer, it never edits the old version.
+func TestLookupReturnsCachedPointers(t *testing.T) {
 	c := New(0)
-	c.PutChain("/a", chainFor("/a"))
-	chain, _ := c.Lookup("/a")
-	chain[1].Name = "mutated"
-	chain2, _ := c.Lookup("/a")
-	if chain2[1].Name != "a" {
-		t.Fatal("cache returned aliased INode")
+	v1 := chainFor("/d/f")
+	c.PutChain("/d/f", v1)
+	c.PutListing("/d", v1[2:])
+	chain, hit := c.Lookup("/d/f")
+	if !hit || !slices.Equal(chain, v1) {
+		t.Fatalf("Lookup = %v (hit %v), want the pointers that were put: %v", chain, hit, v1)
+	}
+	if kids, ok := c.Listing("/d"); !ok || !slices.Equal(kids, v1[2:]) {
+		t.Fatalf("Listing = %v (complete %v), want the pointer that was put", kids, ok)
+	}
+
+	was := *v1[2]
+	v2 := v1[2].Clone()
+	v2.Size = 42
+	c.PutChain("/d/f", []*namespace.INode{v1[0], v1[1], v2})
+	if got, _ := c.Get("/d/f"); got != v2 {
+		t.Fatalf("after a second PutChain Get = %p, want the new version %p", got, v2)
+	}
+	if kids, _ := c.Listing("/d"); len(kids) != 1 || kids[0] != v2 {
+		t.Fatalf("after a second PutChain Listing = %v, want the new version", kids)
+	}
+	if chain[2] != v1[2] || !reflect.DeepEqual(*v1[2], was) {
+		t.Fatalf("the replaced version was edited: %+v, was %+v", *v1[2], was)
 	}
 }
 

@@ -140,7 +140,7 @@ func (fc *failoverCluster) checkFailoverOutcome(t *testing.T, m *Oracle, mvOK bo
 	for fc.db.HeldLocks() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if bad := CheckStore(fc.db); len(bad) != 0 {
+	if bad := CheckStore(fc.db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants after failover: %v", bad)
 	}
 
@@ -264,7 +264,7 @@ func TestFailoverLeaderFlapDuringDelete(t *testing.T) {
 	if !found {
 		t.Fatal("nn-a lost its session during a flap")
 	}
-	if bad := CheckStore(fc.db); len(bad) != 0 {
+	if bad := CheckStore(fc.db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants after flap: %v", bad)
 	}
 	want := NewOracle()

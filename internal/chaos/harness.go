@@ -101,6 +101,7 @@ type episode struct {
 	nnSeq    int
 	oracle   *Oracle
 	touched  map[string]bool // every path any op referenced (cache probe set)
+	frozen   Frozen          // every published row any check has met
 	seqs     []uint64
 	prev     ndb.Stats
 	res      *Result
@@ -126,6 +127,7 @@ func RunEpisode(cfg EpisodeConfig) *Result {
 		inj:     NewInjector(),
 		oracle:  NewOracle(),
 		touched: map[string]bool{"/": true},
+		frozen:  Frozen{},
 		seqs:    make([]uint64, cfg.Clients),
 		res:     &Result{Seed: cfg.Seed},
 	}
@@ -399,9 +401,9 @@ func (ep *episode) judge(step int, op namespace.OpType, path, dest string, resp 
 // checkStep runs the post-step invariants.
 func (ep *episode) checkStep(step int) {
 	var bad []string
-	bad = append(bad, CheckStore(ep.db)...)
+	bad = append(bad, CheckStore(ep.db, ep.frozen)...)
 	bad = append(bad, CheckOracle(ep.db, ep.oracle)...)
-	bad = append(bad, CheckCaches(ep.engines, ep.oracle, ep.touched)...)
+	bad = append(bad, CheckCaches(ep.engines, ep.oracle, ep.touched, ep.frozen)...)
 	cur := ep.db.Stats()
 	bad = append(bad, checkMonotone(ep.prev, cur)...)
 	ep.prev = cur

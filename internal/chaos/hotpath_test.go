@@ -129,7 +129,7 @@ func invalidationKillEpisode(t *testing.T) (digest string) {
 			t.Fatal("nn-c still a member after mid-round expiry")
 		}
 	}
-	if bad := CheckStore(db); len(bad) != 0 {
+	if bad := CheckStore(db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants: %v", bad)
 	}
 	if bad := CheckOracle(db, m); len(bad) != 0 {
@@ -142,7 +142,7 @@ func invalidationKillEpisode(t *testing.T) (digest string) {
 		probe[p] = true
 	}
 	survivors := []*core.Engine{engines["nn-a"], engines["nn-b"], engines["nn-d"]}
-	if bad := CheckCaches(survivors, m, probe); len(bad) != 0 {
+	if bad := CheckCaches(survivors, m, probe, nil); len(bad) != 0 {
 		t.Fatalf("cache coherence after mid-round kill: %v", bad)
 	}
 	return hotpathDigest(t, db, steps)
@@ -225,7 +225,7 @@ func shardFaultMvEpisode(t *testing.T) (digest string) {
 	if n := inj.Fired()[FaultShardCrash]; n == 0 {
 		t.Fatal("shard fault never fired during the partitioned mv")
 	}
-	if bad := CheckStore(db); len(bad) != 0 {
+	if bad := CheckStore(db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants: %v", bad)
 	}
 	if bad := CheckOracle(db, m); len(bad) != 0 {
@@ -238,7 +238,7 @@ func shardFaultMvEpisode(t *testing.T) (digest string) {
 			probe[fmt.Sprintf("/dst/d%d/f%d", d, f)] = true
 		}
 	}
-	if bad := CheckCaches([]*core.Engine{a, b}, m, probe); len(bad) != 0 {
+	if bad := CheckCaches([]*core.Engine{a, b}, m, probe, nil); len(bad) != 0 {
 		t.Fatalf("cache coherence after shard fault: %v", bad)
 	}
 	return hotpathDigest(t, db, steps)

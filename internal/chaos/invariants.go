@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 
@@ -11,14 +12,32 @@ import (
 	"lambdafs/internal/store"
 )
 
+// Frozen witnesses the rule that a published INode is never written again
+// (namespace.INode): it keeps a deep copy of every row it is shown — the
+// store's table through CheckStore, what the caches hold through CheckCaches
+// — and reports each row that no longer equals its copy. Nil checks nothing.
+type Frozen map[*namespace.INode]*namespace.INode
+
+func (f Frozen) check(where string, rows []*namespace.INode) (bad []string) {
+	for _, n := range rows {
+		if was, seen := f[n]; !seen && f != nil {
+			f[n] = n.Clone()
+		} else if seen && !reflect.DeepEqual(n, was) {
+			bad = append(bad, fmt.Sprintf("%s: published row was written: %+v, first seen as %+v", where, *n, *was))
+		}
+	}
+	return bad
+}
+
 // CheckStore audits the store-side invariants at quiescence:
 //
 //   - structural integrity (no lost/orphaned inodes, no dangling or
 //     misfiled child entries — ndb's CheckIntegrity);
 //   - no leaked row locks;
 //   - no leaked subtree locks: every inode's SubtreeLockOwner is clear and
-//     the subtree-operations registry is empty.
-func CheckStore(db *ndb.DB) []string {
+//     the subtree-operations registry is empty;
+//   - no row frozen has seen before was written since.
+func CheckStore(db *ndb.DB, frozen Frozen) []string {
 	bad := db.CheckIntegrity()
 	if n := db.HeldLocks(); n != 0 {
 		bad = append(bad, fmt.Sprintf("%d row locks leaked", n))
@@ -27,6 +46,7 @@ func CheckStore(db *ndb.DB) []string {
 	if err != nil {
 		return append(bad, fmt.Sprintf("subtree walk failed: %v", err))
 	}
+	bad = append(bad, frozen.check("store", nodes)...)
 	for _, n := range nodes {
 		if n.SubtreeLockOwner != "" {
 			bad = append(bad, fmt.Sprintf("subtree lock leaked on inode %d (name=%q owner=%s)",
@@ -80,8 +100,9 @@ func CheckOracle(db *ndb.DB, m *Oracle) []string {
 // listing-complete must list exactly the oracle's children for it. (Caches
 // may hold fewer entries than the store — that is what a cache is — but
 // never stale or phantom ones, nor a listing that claims to be whole and
-// is not, once the coherence protocol has quiesced.)
-func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool) []string {
+// is not, once the coherence protocol has quiesced.) Every cached row met on
+// the way is shown to frozen.
+func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool, frozen Frozen) []string {
 	var bad []string
 	paths := make([]string, 0, len(probe))
 	for p := range probe {
@@ -95,13 +116,15 @@ func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool) []str
 			if !ok {
 				continue
 			}
+			kids, complete := c.Listing(p)
+			bad = append(bad, frozen.check("cache of "+e.ID(), append(kids, n))...)
 			if !m.Has(p) {
 				bad = append(bad, fmt.Sprintf("cache of %s holds deleted path %s", e.ID(), p))
 			} else if n.IsDir != m.IsDir(p) {
 				bad = append(bad, fmt.Sprintf("cache of %s has %s as dir=%v, oracle dir=%v",
 					e.ID(), p, n.IsDir, m.IsDir(p)))
 			}
-			if kids, complete := c.Listing(p); complete {
+			if complete {
 				got := make([]string, len(kids))
 				for i, k := range kids {
 					got[i] = k.Name

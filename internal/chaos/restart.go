@@ -292,7 +292,7 @@ func RunCrashRestart(cfg CrashRestartConfig) *CrashRestartResult {
 			violate("step %d flavor %d: recovered to LSN %d, want %d",
 				step, flavor, stats.LastLSN, wantLSN)
 		}
-		for _, msg := range CheckStore(recovered) {
+		for _, msg := range CheckStore(recovered, nil) {
 			violate("step %d flavor %d: post-recovery: %s", step, flavor, msg)
 		}
 		o2, oerr := OracleFromStore(recovered)

@@ -396,7 +396,7 @@ func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
 	return &namespace.Response{
 		ID:       target.ID,
 		Stat:     &stat,
-		Blocks:   target.Blocks, // resolve returns private clones
+		Blocks:   namespace.CloneBlocks(target.Blocks), // the reply leaves the process; the row is shared
 		CacheHit: hit,
 	}
 }

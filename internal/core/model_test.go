@@ -33,6 +33,7 @@ type modelFleet struct {
 	byDep   [][]*core.Engine // [deployment][instance]
 	engines []*core.Engine   // all of them
 	db      *ndb.DB
+	frozen  chaos.Frozen // every published row checkFrozen has met
 }
 
 func modelCluster(t *testing.T, deployments, perDep int) *modelFleet {
@@ -59,7 +60,7 @@ func modelClusterLockWait(t *testing.T, deployments, perDep int, lockWait time.D
 	ecfg.OpCPUCost = 0
 	ecfg.SubtreeCPUPerINode = 0
 
-	f := &modelFleet{ring: partition.NewRing(deployments, 0), byDep: make([][]*core.Engine, deployments), db: db}
+	f := &modelFleet{ring: partition.NewRing(deployments, 0), byDep: make([][]*core.Engine, deployments), db: db, frozen: chaos.Frozen{}}
 	for dep := range f.byDep {
 		for i := 0; i < perDep; i++ {
 			id := fmt.Sprintf("nn-%d%c", dep, 'a'+i)
@@ -109,6 +110,24 @@ func (f *modelFleet) checkWritten(t *testing.T, step int, m *chaos.Oracle, path,
 		for _, e := range f.cachers(p) {
 			checkAgreement(t, step, e, m, p)
 		}
+	}
+}
+
+// checkFrozen is the immutability rule's check (namespace.INode), made at
+// quiescence: every row the store publishes and every row a cache holds for
+// one of m's paths is shown to the fleet's witness, which fails the test if
+// a row it has met before was written since — what a store handing out its
+// shared row under LockExclusive would let a writer do. The store and cache
+// audits that walk those rows come along.
+func (f *modelFleet) checkFrozen(t *testing.T, step int, m *chaos.Oracle) {
+	t.Helper()
+	probe := map[string]bool{}
+	for _, p := range m.Paths() {
+		probe[p] = true
+	}
+	bad := append(chaos.CheckStore(f.db, f.frozen), chaos.CheckCaches(f.engines, m, probe, f.frozen)...)
+	if len(bad) != 0 {
+		t.Fatalf("step %d: %s", step, strings.Join(bad, "\n"))
 	}
 }
 
@@ -202,6 +221,7 @@ func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
 		}
 		if op.IsWrite() && resp.OK() {
 			f.checkWritten(t, step, model, path, dest)
+			f.checkFrozen(t, step, model)
 		}
 	}
 
@@ -211,8 +231,41 @@ func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
 			checkAgreement(t, -1, e, model, p)
 		}
 	}
-	if f.db.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", f.db.HeldLocks())
+	f.checkFrozen(t, -1, model)
+}
+
+// TestFrozenRowCheckCatchesAWrite: the witness has teeth. A row read under
+// LockShared is the published row itself — what every LockExclusive read
+// would be if the store stopped copying — and one write through it is
+// reported by the next check, from the store's table and from the cache
+// that shares the row.
+func TestFrozenRowCheckCatchesAWrite(t *testing.T) {
+	f := modelCluster(t, 1, 2)
+	m := chaos.NewOracle()
+	for _, w := range []struct {
+		op   namespace.OpType
+		path string
+	}{{namespace.OpMkdirs, "/d"}, {namespace.OpCreate, "/d/f"}, {namespace.OpStat, "/d/f"}} {
+		if resp := f.engines[0].Execute(namespace.Request{Op: w.op, Path: w.path}); !resp.OK() {
+			t.Fatalf("%v %s: %s", w.op, w.path, resp.Err)
+		}
+		_ = m.Apply(w.op, w.path, "")
+	}
+	f.checkFrozen(t, 0, m)
+
+	tx := f.db.Begin("vandal")
+	chain, err := tx.ResolvePathBatched("/d/f", store.LockShared, store.LockShared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain[2].Size++
+	tx.Abort()
+
+	probe := map[string]bool{"/d/f": true}
+	bad := append(chaos.CheckStore(f.db, f.frozen), chaos.CheckCaches(f.engines, m, probe, f.frozen)...)
+	if len(bad) != 2 || !strings.HasPrefix(bad[0], "store: published row was written") ||
+		!strings.HasPrefix(bad[1], "cache of nn-0a: published row was written") {
+		t.Fatalf("a write to the published row of /d/f was reported as %q", bad)
 	}
 }
 
@@ -238,7 +291,7 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 		steps   = 150
 		seed    = int64(1234)
 	)
-	engines, db := f.engines, f.db
+	engines := f.engines
 
 	// Carve one private subtree per client, sequentially, before racing.
 	for c := 0; c < clients; c++ {
@@ -247,6 +300,7 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 			t.Fatalf("mkdirs %s: %s", root, resp.Err)
 		}
 	}
+	f.checkFrozen(t, 0, chaos.NewOracle()) // the rows every client's writes will replace
 
 	models := make([]*chaos.Oracle, clients)
 	errs := make(chan error, clients)
@@ -309,11 +363,8 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 			}
 		}
 	}
-	if db.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", db.HeldLocks())
-	}
-	if bad := db.CheckIntegrity(); len(bad) != 0 {
-		t.Fatalf("store integrity: %v", bad)
+	for _, m := range models {
+		f.checkFrozen(t, -1, m)
 	}
 }
 

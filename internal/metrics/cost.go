@@ -44,7 +44,8 @@ func (m *LambdaMeter) BillActive(start time.Time, d time.Duration, memGB float64
 	if d <= 0 {
 		return
 	}
-	// Lambda bills at 1ms granularity: round the active interval up.
+	// Lambda bills at 1ms granularity: the active interval is rounded to the
+	// nearest millisecond (half up), and never below one.
 	ms := float64(d.Round(time.Millisecond)) / float64(time.Millisecond)
 	if ms == 0 {
 		ms = 1

@@ -9,16 +9,13 @@
 //
 // # Concurrency and ownership
 //
-// The types here are plain data with no internal locking. An INode
-// pointer returned by a store is a clone owned by the caller; shared
-// ownership of a live row never crosses a package boundary. Stores and
-// caches that hand out INodes are responsible for cloning on the way in
-// and out, which is what lets engines mutate resolved chains freely
-// inside a transaction.
+// The types here are plain data with no internal locking; what makes an
+// INode safe to share is that a published one is immutable (see INode).
 package namespace
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -55,6 +52,16 @@ type Block struct {
 // INode is one file or directory in the namespace. It mirrors the HopsFS
 // inode row: identity, linkage (ParentID, Name), attributes, and for files
 // the block list.
+//
+// An INode is one version of its row, immutable once published: a *INode
+// reachable from the store's table, a metadata cache, a resolved chain or a
+// listing is never written again — fields, Blocks and Locations alike — and
+// a new version is a new INode, so the store, every cache and every reader
+// share one snapshot per row version without copying or locking. Only two
+// parties may write an INode: whoever built it, until they hand it over (to
+// store.Tx.PutINode, which copies it in, or to a cache, which keeps the
+// pointer), and a transaction that read the row with store.LockExclusive,
+// which is given a private copy for exactly that.
 type INode struct {
 	ID       INodeID
 	ParentID INodeID
@@ -74,23 +81,26 @@ type INode struct {
 	SubtreeLockOwner string
 }
 
-// Clone returns a deep copy, so cached INodes can be handed out without
-// aliasing store state.
+// Clone returns a deep copy: a private, writable version of n. Sharing needs
+// no copy, so the callers are few: the store copying a row in (PutINode,
+// Preload) or handing one out under LockExclusive, and test witnesses.
 func (n *INode) Clone() *INode {
 	if n == nil {
 		return nil
 	}
 	c := *n
-	if n.Blocks != nil {
-		c.Blocks = make([]Block, len(n.Blocks))
-		for i, b := range n.Blocks {
-			c.Blocks[i] = b
-			if b.Locations != nil {
-				c.Blocks[i].Locations = append([]string(nil), b.Locations...)
-			}
-		}
-	}
+	c.Blocks = CloneBlocks(n.Blocks)
 	return &c
+}
+
+// CloneBlocks deep-copies a block list, replica locations included: the
+// copy a reply carries out of the process, away from the shared row.
+func CloneBlocks(blocks []Block) []Block {
+	out := slices.Clone(blocks) // nil stays nil
+	for i := range out {
+		out[i].Locations = slices.Clone(out[i].Locations)
+	}
+	return out
 }
 
 // ApproxBytes estimates the in-memory footprint of the INode for cache

@@ -18,37 +18,17 @@ import (
 // service times, not the sum — the serial serviceT loop shape these
 // helpers replace.
 
-// serviceMultiT charges read service for one batched multi-get covering
-// the given row keys: a single RTT, then each shard owning any of the
-// rows serves ceil(rows/BatchRows) read batches, all shards in parallel.
-// With a trace context, the round trip and each shard's queue/service
-// phases become spans exactly as in serviceT. Resource attribution
-// mirrors the execution shape: the single shared round trip bills one
-// dependent store round, and each shard's service span bills the rows it
-// materializes — the inverse of the serial shape, where the wire exchange
-// carries everything. Safe for concurrent use; blocks until every shard
-// has served its share.
-func (db *DB) serviceMultiT(keys []string, tc *trace.Ctx) {
-	if len(keys) == 0 {
-		return
-	}
-	db.serviceRowsT(db.rowsPerShard(keys), tc)
-}
-
-// rowsPerShard counts the given row keys by owning shard.
-func (db *DB) rowsPerShard(keys []string) []int {
-	perShard := make([]int, len(db.shards))
-	for _, k := range keys {
-		perShard[db.shardFor(k)]++
-	}
-	return perShard
-}
-
-// serviceRowsT is serviceMultiT for a multi-get given as per-shard row
-// counts (a caller that knows where a run of rows lives — a directory's
-// children sit on the directory's shard — adds the count instead of
-// building one key per row).
-func (db *DB) serviceRowsT(perShard []int, tc *trace.Ctx) {
+// serviceMultiT charges read service for one batched multi-get, given as
+// how many of its rows each shard owns (callers count a row on its key's
+// shard and keep no key; a directory's children sit on the directory's
+// shard): a single RTT, then each shard serves ceil(rows/BatchRows) read
+// batches, all shards in parallel. With a trace context, the round trip and
+// each shard's queue/service phases become spans exactly as in serviceT;
+// the shared round trip bills one dependent store round and each shard's
+// service span the rows it materializes — the inverse of the serial shape,
+// where the wire exchange carries everything. Safe for concurrent use;
+// blocks until every shard has served its share.
+func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 	if db.cfg.RTT > 0 {
 		sp := tc.Start(trace.KindStoreRTT)
 		sp.AddStoreHops(1)
@@ -96,35 +76,39 @@ func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode
 	if err != nil {
 		return nil, err
 	}
-	comps := namespace.SplitPath(p)
+	perShard := make([]int, len(db.shards))
 	db.mu.RLock()
-	chain := make([]*namespace.INode, 0, len(comps)+1)
-	keys := make([]string, 0, len(comps)+1)
-	keys = append(keys, inodeKey(namespace.RootID))
+	chain, err := db.chainLocked(namespace.SplitPath(p), perShard)
+	db.mu.RUnlock()
+	db.serviceMultiT(perShard, tc)
+	db.tel.countBatchedResolve()
+	return chain, err
+}
+
+// chainLocked walks comps from the root (caller holds db.mu) and returns the
+// rows found, with namespace.ErrNotFound when the walk ends early. Given
+// perShard, it counts each row it reads on the row's shard.
+func (db *DB) chainLocked(comps []string, perShard []int) ([]*namespace.INode, error) {
+	count := func(k rowKey) {
+		if perShard != nil {
+			perShard[db.shardFor(k)]++
+		}
+	}
 	cur := db.inodes[namespace.RootID]
-	chain = append(chain, cur.Clone())
-	missing := false
+	chain := make([]*namespace.INode, 1, len(comps)+1)
+	chain[0] = cur
+	count(inodeKey(cur.ID))
 	for _, c := range comps {
 		id, ok := db.children[cur.ID][c]
 		if !ok {
-			// The multi-get still probes the missing (parent, name) slot.
-			keys = append(keys, childKey(cur.ID, c))
-			missing = true
-			break
+			count(childKey(cur.ID, c)) // the multi-get still probes the missing (parent, name) slot
+			return chain, namespace.ErrNotFound
 		}
-		cur = db.inodes[id]
-		if cur == nil {
-			missing = true
-			break
+		if cur = db.inodes[id]; cur == nil {
+			return chain, namespace.ErrNotFound
 		}
-		keys = append(keys, inodeKey(id))
-		chain = append(chain, cur.Clone())
-	}
-	db.mu.RUnlock()
-	db.serviceMultiT(keys, tc)
-	db.tel.countBatchedResolve()
-	if missing {
-		return chain, namespace.ErrNotFound
+		count(inodeKey(id))
+		chain = append(chain, cur)
 	}
 	return chain, nil
 }
@@ -137,11 +121,11 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(out))
-	for i, n := range out {
-		keys[i] = inodeKey(n.ID)
+	perShard := make([]int, len(db.shards))
+	for _, n := range out {
+		perShard[db.shardFor(inodeKey(n.ID))]++
 	}
-	db.serviceMultiT(keys, tc)
+	db.serviceMultiT(perShard, tc)
 	db.tel.reads.Inc()
 	return out, nil
 }
@@ -149,9 +133,8 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 // lockPlan is one path of a batched locked resolution. Rows above depth
 // slotFrom (the root is depth 0) are taken with ancestors, resolver-style:
 // the (parent, name) slot is locked only when the row is missing. Rows
-// from slotFrom down are taken with tail, slot first and then the row —
-// GetChild's order, which is what protects the names the caller decides
-// on against phantoms.
+// from slotFrom down are taken with tail, slot first and then the row,
+// which is what protects the names the caller decides on against phantoms.
 type lockPlan struct {
 	comps     []string
 	ancestors store.LockMode
@@ -181,21 +164,17 @@ func samePrefix(a, b []string, depth int) bool {
 }
 
 // chargePlans peeks every plan's row IDs under the structure lock
-// (uncharged) and charges ONE multi-get over the union of their keys — a
+// (uncharged) and charges ONE multi-get over the union of their rows — a
 // row shared by two paths is fetched once, a missing component probes its
 // (parent, name) slot — counted as one read and one resolution hop. With
-// list, the children of the directory the last plan resolves to ride in
-// the same multi-get: one more row each on that directory's shard. The
-// locked walks that follow revalidate every row.
+// list, the children of the directory a plan resolves to ride in the same
+// multi-get: one more row each on that directory's shard. The locked walks
+// that follow revalidate every row.
 func (t *tx) chargePlans(plans []lockPlan, list bool) {
-	n := 1
-	for i := range plans {
-		n += len(plans[i].comps)
-	}
-	keys := make([]string, 0, n)
-	keys = append(keys, inodeKey(namespace.RootID))
-	listed, kids := namespace.InvalidID, 0
-	t.db.mu.RLock()
+	db := t.db
+	perShard := make([]int, len(db.shards))
+	perShard[db.shardFor(inodeKey(namespace.RootID))]++
+	db.mu.RLock()
 	for i := range plans {
 		curID, found := namespace.RootID, true
 		for d, c := range plans[i].comps {
@@ -203,30 +182,26 @@ func (t *tx) chargePlans(plans []lockPlan, list bool) {
 			for j := 0; j < i && !fetched; j++ {
 				fetched = samePrefix(plans[j].comps, plans[i].comps, d+1)
 			}
-			id, ok := t.db.children[curID][c]
-			if !ok {
-				if !fetched {
-					keys = append(keys, childKey(curID, c))
-				}
-				found = false
-				break
+			id, ok := db.children[curID][c]
+			key := childKey(curID, c) // a missing component probes its slot
+			if ok {
+				key = inodeKey(id)
 			}
 			if !fetched {
-				keys = append(keys, inodeKey(id))
+				perShard[db.shardFor(key)]++
+			}
+			if found = ok; !found {
+				break
 			}
 			curID = id
 		}
 		if list && found {
-			listed, kids = curID, len(t.db.children[curID]) // no child table: a file
+			perShard[db.shardFor(inodeKey(curID))] += len(db.children[curID]) // no child table: a file
 		}
 	}
-	t.db.mu.RUnlock()
-	perShard := t.db.rowsPerShard(keys)
-	if kids > 0 {
-		perShard[t.db.shardFor(inodeKey(listed))] += kids
-	}
-	t.db.serviceRowsT(perShard, t.tc)
-	t.db.tel.countBatchedResolve()
+	db.mu.RUnlock()
+	db.serviceMultiT(perShard, t.tc)
+	db.tel.countBatchedResolve()
 }
 
 // walkPlan locks and re-reads plans[i]'s chain from the root down,
@@ -251,7 +226,7 @@ func (t *tx) walkPlan(plans []lockPlan, i int) ([]*namespace.INode, error) {
 	if err := t.lock(inodeKey(namespace.RootID), rootMode); err != nil {
 		return nil, err
 	}
-	cur := t.readINode(namespace.RootID)
+	cur := t.readINode(namespace.RootID, rootMode)
 	if cur == nil {
 		return nil, namespace.ErrInvalidState
 	}
@@ -305,7 +280,7 @@ func (t *tx) ListPathBatched(path string, mode store.LockMode) (chain, children 
 		return chain, nil, err
 	}
 	if dir := chain[len(chain)-1]; dir.IsDir {
-		children = t.childrenOf(dir.ID)
+		children = t.childrenOf(dir.ID, mode)
 	}
 	return chain, children, nil
 }
@@ -370,7 +345,7 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 		if err := t.lock(inodeKey(n.ID), mode); err != nil {
 			return nil, err
 		}
-		return n.Clone(), nil
+		return handOut(n, mode), nil
 	}
 	lookup := func() (namespace.INodeID, bool) {
 		t.db.mu.RLock()
@@ -391,7 +366,7 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 	if err := t.lock(inodeKey(id), mode); err != nil {
 		return nil, err
 	}
-	n := t.readINode(id)
+	n := t.readINode(id, mode)
 	if n == nil || n.ParentID != parent || n.Name != name {
 		return nil, namespace.ErrNotFound
 	}
@@ -409,18 +384,18 @@ func (t *tx) GetINodesBatched(ids []namespace.INodeID, mode store.LockMode) ([]*
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = inodeKey(id)
+	perShard := make([]int, len(t.db.shards))
+	for _, id := range ids {
+		perShard[t.db.shardFor(inodeKey(id))]++
 	}
-	t.db.serviceMultiT(keys, t.tc)
+	t.db.serviceMultiT(perShard, t.tc)
 	t.db.tel.reads.Inc()
 	out := make([]*namespace.INode, 0, len(ids))
 	for _, id := range ids {
 		if err := t.lock(inodeKey(id), mode); err != nil {
 			return out, err
 		}
-		if n := t.readINode(id); n != nil {
+		if n := t.readINode(id, mode); n != nil {
 			out = append(out, n)
 		}
 	}

@@ -61,7 +61,7 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 		for i := 0; i < callers; i++ {
 			g.Go(func() {
 				if i%2 == 0 {
-					db.service(serial, cfg.ReadService)
+					db.serviceT(serial, cfg.ReadService, nil, trace.Resources{})
 				} else if _, err := db.ResolvePathBatched("/", nil); err != nil {
 					t.Error(err)
 				}

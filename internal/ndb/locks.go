@@ -23,23 +23,31 @@ import (
 type lockManager struct {
 	clk         clock.Clock
 	mu          sync.Mutex
-	rows        map[string]*rowLock
-	ownerOfTx   map[string]string   // txKey -> owner
-	txHoldings  map[string][]string // txKey -> row keys held
+	rows        map[rowKey]*rowLock
+	txs         map[*lockTx]struct{} // those holding at least one row (ReleaseOwner's index)
+	free        []*rowLock           // emptied rowLocks, reused with their slices
 	waitTimeout time.Duration
 	// waits counts acquisitions that could not be granted immediately
 	// (nil-safe; set by ndb.New when a telemetry registry is wired).
 	waits *telemetry.Counter
 }
 
+// lockTx is a transaction's identity in the lock table and its own record
+// of the rows it holds, both guarded by the table's mutex.
+type lockTx struct {
+	owner   string
+	held    []rowKey
+	heldBuf [8]rowKey // backs held: a read's or a one-path write's lock set fits
+}
+
 type rowLock struct {
-	exclusive string          // txKey of exclusive holder ("" when none)
-	shared    map[string]bool // txKeys of shared holders
+	exclusive *lockTx   // nil when none
+	shared    []*lockTx // few at a time
 	waiters   []*lockWaiter
 }
 
 type lockWaiter struct {
-	txKey     string
+	tx        *lockTx
 	exclusive bool
 	ready     *clock.Event // set, under lm.mu, by the promote that grants the lock
 }
@@ -50,78 +58,75 @@ func newLockManager(clk clock.Clock, waitTimeout time.Duration) *lockManager {
 	}
 	return &lockManager{
 		clk:         clk,
-		rows:        make(map[string]*rowLock),
-		ownerOfTx:   make(map[string]string),
-		txHoldings:  make(map[string][]string),
+		rows:        make(map[rowKey]*rowLock),
+		txs:         make(map[*lockTx]struct{}),
 		waitTimeout: waitTimeout,
 	}
 }
 
-func (lm *lockManager) registerTx(txKey, owner string) {
-	lm.mu.Lock()
-	lm.ownerOfTx[txKey] = owner
-	lm.mu.Unlock()
-}
-
-// holdsExclusive reports whether txKey already has key exclusively.
-func (lm *lockManager) holdsExclusive(txKey, key string) bool {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	rl := lm.rows[key]
-	return rl != nil && rl.exclusive == txKey
-}
-
 // canGrant must be called with lm.mu held.
-func (rl *rowLock) canGrant(txKey string, exclusive bool) bool {
+func (rl *rowLock) canGrant(tx *lockTx, exclusive bool) bool {
 	if exclusive {
-		if rl.exclusive != "" && rl.exclusive != txKey {
+		if rl.exclusive != nil && rl.exclusive != tx {
 			return false
 		}
 		// Upgrade allowed only when we are the sole shared holder.
-		for holder := range rl.shared {
-			if holder != txKey {
+		for _, holder := range rl.shared {
+			if holder != tx {
 				return false
 			}
 		}
 		return true
 	}
 	// Shared: compatible unless another tx holds exclusive.
-	return rl.exclusive == "" || rl.exclusive == txKey
+	return rl.exclusive == nil || rl.exclusive == tx
 }
 
 // grant must be called with lm.mu held.
-func (lm *lockManager) grant(rl *rowLock, key, txKey string, exclusive bool) {
-	already := rl.exclusive == txKey || rl.shared[txKey]
+func (lm *lockManager) grant(rl *rowLock, key rowKey, tx *lockTx, exclusive bool) {
+	i := slices.Index(rl.shared, tx)
+	already := rl.exclusive == tx || i >= 0
 	if exclusive {
-		delete(rl.shared, txKey)
-		rl.exclusive = txKey
-	} else if rl.exclusive != txKey {
-		if rl.shared == nil {
-			rl.shared = make(map[string]bool)
+		if i >= 0 {
+			rl.shared = slices.Delete(rl.shared, i, i+1)
 		}
-		rl.shared[txKey] = true
+		rl.exclusive = tx
+	} else if !already {
+		rl.shared = append(rl.shared, tx)
 	}
 	if !already {
-		lm.txHoldings[txKey] = append(lm.txHoldings[txKey], key)
+		if len(tx.held) == 0 {
+			tx.held = tx.heldBuf[:0]
+			lm.txs[tx] = struct{}{}
+		}
+		tx.held = append(tx.held, key)
 	}
 }
 
 // Acquire blocks until the lock is granted or the wait times out. It
 // returns the *virtual* time spent waiting (0 on an immediate grant) so
-// callers can attribute lock contention per transaction and per span.
-func (lm *lockManager) Acquire(txKey, key string, exclusive bool) (time.Duration, error) {
+// callers can attribute lock contention per transaction and per span. An
+// uncontended acquire builds no string and, rowLocks being reused, allocates
+// nothing.
+//
+//vet:hotpath
+func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Duration, error) {
 	lm.mu.Lock()
 	rl := lm.rows[key]
 	if rl == nil {
-		rl = &rowLock{} //vet:allow hotpath one allocation per distinct row key, amortized over the row's lifetime in lm.rows
+		if n := len(lm.free); n > 0 {
+			rl, lm.free = lm.free[n-1], lm.free[:n-1]
+		} else {
+			rl = new(rowLock)
+		}
 		lm.rows[key] = rl
 	}
-	if rl.canGrant(txKey, exclusive) {
-		lm.grant(rl, key, txKey, exclusive)
+	if rl.canGrant(tx, exclusive) {
+		lm.grant(rl, key, tx, exclusive)
 		lm.mu.Unlock()
 		return 0, nil
 	}
-	w := &lockWaiter{txKey: txKey, exclusive: exclusive, ready: clock.NewEvent(lm.clk)} //vet:allow hotpath waiter exists only on lock contention, off the uncontended grant path
+	w := &lockWaiter{tx: tx, exclusive: exclusive, ready: clock.NewEvent(lm.clk)} //vet:allow hotpath waiter exists only on lock contention, off the uncontended grant path
 	rl.waiters = append(rl.waiters, w)
 	lm.mu.Unlock()
 	lm.waits.Inc()
@@ -145,13 +150,13 @@ func (lm *lockManager) Acquire(txKey, key string, exclusive bool) (time.Duration
 
 // promote wakes every waiter that is now grantable. Must be called with
 // lm.mu held.
-func (lm *lockManager) promote(rl *rowLock, key string) {
+func (lm *lockManager) promote(rl *rowLock, key rowKey) {
 	for {
 		progressed := false
 		remaining := rl.waiters[:0]
 		for i, w := range rl.waiters {
-			if rl.canGrant(w.txKey, w.exclusive) {
-				lm.grant(rl, key, w.txKey, w.exclusive)
+			if rl.canGrant(w.tx, w.exclusive) {
+				lm.grant(rl, key, w.tx, w.exclusive)
 				w.ready.Set()
 				progressed = true
 				// Exclusive grant blocks everything behind it.
@@ -163,6 +168,7 @@ func (lm *lockManager) promote(rl *rowLock, key string) {
 				remaining = append(remaining, w)
 			}
 		}
+		clear(rl.waiters[len(remaining):]) // a parked rowLock must not pin woken waiters
 		rl.waiters = remaining
 		if !progressed {
 			return
@@ -170,30 +176,33 @@ func (lm *lockManager) promote(rl *rowLock, key string) {
 	}
 }
 
-// ReleaseAll releases every lock held by txKey and wakes waiters.
-func (lm *lockManager) ReleaseAll(txKey string) {
+// ReleaseAll releases every lock held by tx and wakes waiters.
+func (lm *lockManager) ReleaseAll(tx *lockTx) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	lm.releaseAllLocked(txKey)
-	delete(lm.ownerOfTx, txKey)
+	lm.releaseAllLocked(tx)
 }
 
-func (lm *lockManager) releaseAllLocked(txKey string) {
-	for _, key := range lm.txHoldings[txKey] {
+func (lm *lockManager) releaseAllLocked(tx *lockTx) {
+	for _, key := range tx.held {
 		rl := lm.rows[key]
 		if rl == nil {
 			continue
 		}
-		if rl.exclusive == txKey {
-			rl.exclusive = ""
+		if rl.exclusive == tx {
+			rl.exclusive = nil
 		}
-		delete(rl.shared, txKey)
+		if i := slices.Index(rl.shared, tx); i >= 0 {
+			rl.shared = slices.Delete(rl.shared, i, i+1)
+		}
 		lm.promote(rl, key)
-		if rl.exclusive == "" && len(rl.shared) == 0 && len(rl.waiters) == 0 {
+		if rl.exclusive == nil && len(rl.shared) == 0 && len(rl.waiters) == 0 {
 			delete(lm.rows, key)
+			lm.free = append(lm.free, rl) // parked, slices and all, for the next new row
 		}
 	}
-	delete(lm.txHoldings, txKey)
+	tx.held = nil
+	delete(lm.txs, tx)
 }
 
 // ReleaseOwner force-releases locks of every transaction begun by owner
@@ -201,10 +210,9 @@ func (lm *lockManager) releaseAllLocked(txKey string) {
 func (lm *lockManager) ReleaseOwner(owner string) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	for txKey, o := range lm.ownerOfTx {
-		if o == owner {
-			lm.releaseAllLocked(txKey)
-			delete(lm.ownerOfTx, txKey)
+	for tx := range lm.txs {
+		if tx.owner == owner {
+			lm.releaseAllLocked(tx)
 		}
 	}
 }
@@ -214,8 +222,8 @@ func (lm *lockManager) heldLocks() int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	n := 0
-	for _, keys := range lm.txHoldings {
-		n += len(keys)
+	for tx := range lm.txs {
+		n += len(tx.held)
 	}
 	return n
 }

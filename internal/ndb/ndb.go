@@ -20,7 +20,7 @@
 // same virtual instant are ordered by the queue's mutex). Serial
 // operations charge one RTT + service per access (serviceT); batched
 // operations (ResolvePathBatched, ListPathBatched, LockPaths,
-// GetINodesBatched, ListSubtreeBatched) group keys per shard, book every shard at the same
+// GetINodesBatched, ListSubtreeBatched) count rows per shard, book every shard at the same
 // instant under a single RTT and wait once for the slowest
 // (serviceMultiT), taking the same locks in the same global order as
 // their serial equivalents.
@@ -31,7 +31,6 @@ package ndb
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"sync"
@@ -162,7 +161,6 @@ type DB struct {
 	kv       map[string]map[string][]byte
 
 	nextID atomic.Uint64
-	txSeq  atomic.Uint64
 	locks  *lockManager
 	shards []*clock.Queue // one service queue of WorkersPerNode servers per data node
 	tel    storeTelemetry
@@ -231,21 +229,15 @@ func newDB(clk clock.Clock, cfg Config) *DB {
 	return db
 }
 
-// service charges dur of service time on the shard owning key and blocks
+// serviceT charges dur of service time on the shard owning key and blocks
 // until served; RTT is charged on top. This is the single point where the
-// store's capacity model applies.
-func (db *DB) service(key string, dur time.Duration) {
-	db.serviceT(key, dur, nil, trace.Resources{})
-}
-
-// serviceT is service with per-phase trace attribution: the network round
-// trip (ndb.rtt), the wait for a shard worker (ndb.queue), and the shard
-// service time (ndb.service) become separate spans tagged with the shard
-// index. The caller's resource ledger (dependent store rounds this
-// exchange represents, rows materialized by it) attaches to the round-trip
-// span — the wire exchange is what carries the rows in the serial shape.
-// A nil context records nothing and allocates nothing.
-func (db *DB) serviceT(key string, dur time.Duration, tc *trace.Ctx, res trace.Resources) {
+// store's capacity model applies. The network round trip (ndb.rtt), the wait
+// for a shard worker (ndb.queue), and the shard service time (ndb.service)
+// become separate spans tagged with the shard index. The caller's resource
+// ledger (dependent store rounds this exchange represents, rows materialized
+// by it) attaches to the round-trip span — the wire exchange is what carries
+// the rows in the serial shape. A nil context records and allocates nothing.
+func (db *DB) serviceT(key rowKey, dur time.Duration, tc *trace.Ctx, res trace.Resources) {
 	if db.cfg.RTT > 0 {
 		sp := tc.Start(trace.KindStoreRTT)
 		sp.AddRes(res)
@@ -277,10 +269,8 @@ func (db *DB) serviceT(key string, dur time.Duration, tc *trace.Ctx, res trace.R
 }
 
 // shardFor hashes a row key onto its owning data-node shard.
-func (db *DB) shardFor(key string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key)) // hash.Hash.Write never fails
-	return int(h.Sum32() % uint32(len(db.shards)))
+func (db *DB) shardFor(key rowKey) int {
+	return int(key.hash() % uint32(len(db.shards)))
 }
 
 // NextID allocates a cluster-unique INode ID.
@@ -296,9 +286,7 @@ func (db *DB) Begin(owner string) store.Tx {
 // BeginTraced opens a transaction whose store accesses attach spans to tc.
 // A nil tc is exactly Begin.
 func (db *DB) BeginTraced(owner string, tc *trace.Ctx) store.Tx {
-	key := fmt.Sprintf("%s#%d", owner, db.txSeq.Add(1))
-	db.locks.registerTx(key, owner)
-	return &tx{db: db, key: key, owner: owner, tc: tc}
+	return &tx{db: db, lt: lockTx{owner: owner}, tc: tc}
 }
 
 // ReleaseOwner force-releases all locks held by a crashed owner.
@@ -316,31 +304,16 @@ func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 	}
 	comps := namespace.SplitPath(p)
 	batches := 1 + len(comps)/db.cfg.BatchRows
-	db.service(p, time.Duration(batches)*db.cfg.ReadService)
+	db.serviceT(plainKey(p), time.Duration(batches)*db.cfg.ReadService, nil, trace.Resources{})
 	db.tel.reads.Inc()
 	db.tel.resolveHops.Add(float64(max(len(comps), 1)))
 
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	chain := make([]*namespace.INode, 0, len(comps)+1)
-	cur := db.inodes[namespace.RootID]
-	chain = append(chain, cur.Clone())
-	for _, c := range comps {
-		kids := db.children[cur.ID]
-		id, ok := kids[c]
-		if !ok {
-			return chain, namespace.ErrNotFound
-		}
-		cur = db.inodes[id]
-		if cur == nil {
-			return chain, namespace.ErrNotFound
-		}
-		chain = append(chain, cur.Clone())
-	}
-	return chain, nil
+	return db.chainLocked(comps, nil)
 }
 
-// subtreeRows returns clones of every INode in the subtree rooted at root
+// subtreeRows returns every INode row in the subtree rooted at root
 // (inclusive) in BFS order, each node's children by ascending ID — the
 // child table is a Go map, and callers cut the listing into batches whose
 // latency is modelled, so the order must not be the map's. Charges nothing.
@@ -359,7 +332,7 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 		if n == nil {
 			continue
 		}
-		out = append(out, n.Clone())
+		out = append(out, n)
 		first := len(queue)
 		for _, cid := range db.children[id] {
 			queue = append(queue, cid)
@@ -377,7 +350,7 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 		return nil, err
 	}
 	batches := 1 + len(out)/db.cfg.BatchRows
-	db.service(fmt.Sprintf("subtree/%d", root), time.Duration(batches)*db.cfg.ReadService)
+	db.serviceT(plainKey(fmt.Sprintf("subtree/%d", root)), time.Duration(batches)*db.cfg.ReadService, nil, trace.Resources{})
 	db.tel.reads.Inc()
 	return out, nil
 }
@@ -388,22 +361,14 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 // must not run concurrently with serving. IDs must be unique; parents
 // must precede children.
 func (db *DB) Preload(nodes []*namespace.INode) {
-	db.mu.Lock()
+	rec := &walRecord{puts: make([]*namespace.INode, len(nodes))}
 	maxID := db.nextID.Load()
-	for _, n := range nodes {
-		c := n.Clone()
-		db.inodes[c.ID] = c
-		if db.children[c.ParentID] == nil {
-			db.children[c.ParentID] = make(map[string]namespace.INodeID)
-		}
-		db.children[c.ParentID][c.Name] = c.ID
-		if c.IsDir && db.children[c.ID] == nil {
-			db.children[c.ID] = make(map[string]namespace.INodeID)
-		}
-		if uint64(c.ID) > maxID {
-			maxID = uint64(c.ID)
-		}
+	for i, n := range nodes {
+		rec.puts[i] = n.Clone()
+		maxID = max(maxID, uint64(n.ID))
 	}
+	db.mu.Lock()
+	db.applyRecord(rec)
 	db.nextID.Store(maxID)
 	db.mu.Unlock()
 	// Preload bypasses the WAL; a preloaded namespace must survive
@@ -423,12 +388,52 @@ func (db *DB) INodeCount() int {
 // HeldLocks reports currently held row locks (test hook: must drain to 0).
 func (db *DB) HeldLocks() int { return db.locks.heldLocks() }
 
-// lock keys — built with strconv, not fmt, because they sit on the batched
-// resolution hot path (one key per component per multi-get).
-func inodeKey(id namespace.INodeID) string {
-	return "i/" + strconv.FormatUint(uint64(id), 10)
+// rowKey names a row for the lock table and for shard placement: an INode
+// row (i/<id>), a child slot (c/<parent>/<name>), a KV row (k/<table>/<key>)
+// or the plain string a serial scan bills its service to. It is a comparable
+// value, so the hot path (one key per component per multi-get) builds no
+// string. String is the form checkpoint rows and lock spans are named by, and
+// hash is 32-bit FNV-1a over exactly those bytes: row→shard placement is part
+// of the media's layout and of every committed virtual-time number.
+type rowKey struct {
+	kind byte              // 'i', 'c', 'k'; 0 for a plain string
+	id   namespace.INodeID // 'i': the row; 'c': the parent
+	name string            // 'c': the name; 'k': table/key; 0: the string
 }
-func childKey(parent namespace.INodeID, name string) string {
-	return "c/" + strconv.FormatUint(uint64(parent), 10) + "/" + name
+
+func inodeKey(id namespace.INodeID) rowKey { return rowKey{kind: 'i', id: id} }
+func childKey(parent namespace.INodeID, name string) rowKey {
+	return rowKey{kind: 'c', id: parent, name: name}
 }
-func kvKey(table, key string) string { return "k/" + table + "/" + key }
+func kvKey(table, key string) rowKey { return rowKey{kind: 'k', name: table + "/" + key} }
+func plainKey(s string) rowKey       { return rowKey{name: s} }
+
+// prefix appends everything of the string form but the name.
+func (k rowKey) prefix(b []byte) []byte {
+	switch k.kind {
+	case 'i':
+		return strconv.AppendUint(append(b, "i/"...), uint64(k.id), 10)
+	case 'c':
+		return append(strconv.AppendUint(append(b, "c/"...), uint64(k.id), 10), '/')
+	case 'k':
+		return append(b, "k/"...)
+	}
+	return b
+}
+
+func (k rowKey) String() string {
+	var buf [24]byte // "c/" + 20 digits + "/"
+	return string(k.prefix(buf[:0])) + k.name
+}
+
+func (k rowKey) hash() uint32 {
+	var buf [24]byte
+	return fnv1a(fnv1a(2166136261, k.prefix(buf[:0])), k.name)
+}
+
+func fnv1a[T string | []byte](h uint32, s T) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}

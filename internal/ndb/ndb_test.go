@@ -62,10 +62,10 @@ func TestRootExists(t *testing.T) {
 	}
 }
 
-// getChild reaches GetChild, which is a concrete ndb method: nothing calls
-// it through store.Tx any more (writes lock through LockPaths).
+// getChild looks a row up by name the way LockPaths takes a name it decides
+// on — slot first, then the row — which nothing does through store.Tx alone.
 func getChild(t store.Tx, parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
-	return t.(*tx).GetChild(parent, name, mode)
+	return t.(*tx).lockChild(parent, name, mode, true)
 }
 
 func TestPutGetChild(t *testing.T) {
@@ -250,7 +250,10 @@ func TestListPathBatchedOneRound(t *testing.T) {
 		}
 	})
 	// rows[shard] of ls /a/d: the three chain rows, and 20 children beside d.
-	rows := db.rowsPerShard([]string{inodeKey(namespace.RootID), inodeKey(a), inodeKey(dir)})
+	rows := make([]int, len(db.shards))
+	for _, id := range []namespace.INodeID{namespace.RootID, a, dir} {
+		rows[db.shardFor(inodeKey(id))]++
+	}
 	fileRows := slices.Clone(rows) // ls /a/d/f00: one more chain row, no children
 	fileRows[db.shardFor(inodeKey(f00))]++
 	missRows := slices.Clone(rows) // ls /a/d/nope: the missing name's slot

@@ -16,23 +16,35 @@ import (
 // the store's structure lock, while row locks (strict 2PL) provide
 // isolation against concurrent transactions.
 type tx struct {
-	db    *DB
-	key   string
-	owner string
-	done  bool
-	tc    *trace.Ctx // nil when untraced
+	db   *DB
+	lt   lockTx // identity and holdings in the lock table
+	done bool
+	tc   *trace.Ctx // nil when untraced
 
 	putINodes map[namespace.INodeID]*namespace.INode
 	delINodes map[namespace.INodeID]bool
-	kvPuts    map[string]map[string][]byte
-	kvDels    map[string]map[string]bool
+	kvPuts    map[kvRef][]byte
+	kvDels    map[kvRef]bool
 
 	atCommit []func() // commit-point hooks, in registration order
 }
 
 var _ store.Tx = (*tx)(nil)
 
-func (t *tx) lock(key string, mode store.LockMode) error {
+// kvRef names one row of a KV table in the write buffer.
+type kvRef struct{ table, key string }
+
+// handOut applies the immutability rule (namespace.INode) to a committed or
+// buffered row read with mode: only LockExclusive, under which the caller may
+// change what it gets, is given a private copy.
+func handOut(n *namespace.INode, mode store.LockMode) *namespace.INode {
+	if mode == store.LockExclusive {
+		return n.Clone()
+	}
+	return n
+}
+
+func (t *tx) lock(key rowKey, mode store.LockMode) error {
 	if mode == store.LockNone {
 		return nil
 	}
@@ -40,9 +52,9 @@ func (t *tx) lock(key string, mode store.LockMode) error {
 	// from its true start; an immediate grant cancels it (no span spam on
 	// the uncontended fast path — with a nil trace context this is free).
 	sp := t.tc.Start(trace.KindStoreLock)
-	wait, err := t.db.locks.Acquire(t.key, key, mode == store.LockExclusive)
+	wait, err := t.db.locks.Acquire(&t.lt, key, mode == store.LockExclusive)
 	if wait > 0 {
-		sp.SetDetail(key)
+		sp.SetDetail(key.String())
 		sp.AddLockWait(wait)
 		sp.End()
 		t.db.tel.lockWaitSec.Add(wait.Seconds())
@@ -66,19 +78,11 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 	t.db.serviceT(inodeKey(id), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
 	t.db.tel.reads.Inc()
-	if t.delINodes[id] {
-		return nil, namespace.ErrNotFound
-	}
-	if n, ok := t.putINodes[id]; ok {
-		return n.Clone(), nil
-	}
-	t.db.mu.RLock()
-	n := t.db.inodes[id]
-	t.db.mu.RUnlock()
+	n := t.readINode(id, mode)
 	if n == nil {
 		return nil, namespace.ErrNotFound
 	}
-	return n.Clone(), nil
+	return n, nil
 }
 
 // bufferedChild looks for a buffered put matching (parent, name).
@@ -91,38 +95,26 @@ func (t *tx) bufferedChild(parent namespace.INodeID, name string) *namespace.INo
 	return nil
 }
 
-// GetChild fetches the INode named name inside parent for one serial
-// read charge. With a lock mode, both the (parent, name) slot and the
-// child row (if present) are locked. Not part of store.Tx: writes lock
-// through LockPaths; oracles and tests look rows up by name with it.
-func (t *tx) GetChild(parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
-	}
-	t.db.serviceT(childKey(parent, name), t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: 1, Allocs: 1})
-	t.db.tel.reads.Inc()
-	return t.lockChild(parent, name, mode, true)
-}
-
-// readINode reads a row through the transaction's write buffer.
-func (t *tx) readINode(id namespace.INodeID) *namespace.INode {
+// readINode reads a row, locked with mode, through the transaction's write
+// buffer; nil when there is none.
+func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
 	if t.delINodes[id] {
 		return nil
 	}
 	if n, ok := t.putINodes[id]; ok {
-		return n.Clone()
+		return handOut(n, mode)
 	}
 	t.db.mu.RLock()
 	n := t.db.inodes[id]
 	t.db.mu.RUnlock()
-	return n.Clone()
+	return handOut(n, mode)
 }
 
-// childrenOf reads all direct children of dir (read-committed, merged with
-// this transaction's buffered writes, sorted by name), charging nothing:
-// ListPathBatched's multi-get paid for the rows.
-func (t *tx) childrenOf(dir namespace.INodeID) []*namespace.INode {
+// childrenOf reads all direct children of dir, which the caller holds with
+// mode (read-committed, merged with this transaction's buffered writes,
+// sorted by name), charging nothing: ListPathBatched's multi-get paid for
+// the rows.
+func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
 	out := make([]*namespace.INode, 0, len(kids))
@@ -132,18 +124,18 @@ func (t *tx) childrenOf(dir namespace.INodeID) []*namespace.INode {
 		}
 		if buf, ok := t.putINodes[id]; ok {
 			if buf.ParentID == dir {
-				out = append(out, buf.Clone())
+				out = append(out, handOut(buf, mode))
 			}
 			continue
 		}
 		if n := t.db.inodes[id]; n != nil {
-			out = append(out, n.Clone())
+			out = append(out, handOut(n, mode))
 		}
 	}
 	for _, n := range t.putINodes {
 		if n.ParentID == dir && !t.delINodes[n.ID] {
 			if _, committed := kids[n.Name]; !committed {
-				out = append(out, n.Clone())
+				out = append(out, handOut(n, mode))
 			}
 		}
 	}
@@ -183,7 +175,7 @@ func (t *tx) PutINode(n *namespace.INode) error {
 	if t.putINodes == nil {
 		t.putINodes = make(map[namespace.INodeID]*namespace.INode)
 	}
-	t.putINodes[n.ID] = n.Clone()
+	t.putINodes[n.ID] = n.Clone() // the one copy-in: Commit publishes this copy itself
 	delete(t.delINodes, n.ID)
 	return nil
 }
@@ -226,10 +218,10 @@ func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, bool, error)
 	t.db.serviceT(kvKey(table, key), t.db.cfg.ReadService, t.tc,
 		trace.Resources{StoreHops: 1, Allocs: 1})
 	t.db.tel.reads.Inc()
-	if t.kvDels[table][key] {
+	if t.kvDels[kvRef{table, key}] {
 		return nil, false, nil
 	}
-	if v, ok := t.kvPuts[table][key]; ok {
+	if v, ok := t.kvPuts[kvRef{table, key}]; ok {
 		return append([]byte(nil), v...), true, nil
 	}
 	t.db.mu.RLock()
@@ -250,15 +242,10 @@ func (t *tx) KVPut(table, key string, val []byte) error {
 		return err
 	}
 	if t.kvPuts == nil {
-		t.kvPuts = make(map[string]map[string][]byte)
+		t.kvPuts = make(map[kvRef][]byte)
 	}
-	if t.kvPuts[table] == nil {
-		t.kvPuts[table] = make(map[string][]byte)
-	}
-	t.kvPuts[table][key] = append([]byte(nil), val...)
-	if t.kvDels[table] != nil {
-		delete(t.kvDels[table], key)
-	}
+	t.kvPuts[kvRef{table, key}] = append([]byte(nil), val...)
+	delete(t.kvDels, kvRef{table, key})
 	return nil
 }
 
@@ -271,15 +258,10 @@ func (t *tx) KVDelete(table, key string) error {
 		return err
 	}
 	if t.kvDels == nil {
-		t.kvDels = make(map[string]map[string]bool)
+		t.kvDels = make(map[kvRef]bool)
 	}
-	if t.kvDels[table] == nil {
-		t.kvDels[table] = make(map[string]bool)
-	}
-	t.kvDels[table][key] = true
-	if t.kvPuts[table] != nil {
-		delete(t.kvPuts[table], key)
-	}
+	t.kvDels[kvRef{table, key}] = true
+	delete(t.kvPuts, kvRef{table, key})
 	return nil
 }
 
@@ -297,13 +279,15 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 		}
 	}
 	t.db.mu.RUnlock()
-	for k, v := range t.kvPuts[table] {
-		if strings.HasPrefix(k, prefix) {
-			out[k] = append([]byte(nil), v...)
+	for ref, v := range t.kvPuts {
+		if ref.table == table && strings.HasPrefix(ref.key, prefix) {
+			out[ref.key] = append([]byte(nil), v...)
 		}
 	}
-	for k := range t.kvDels[table] {
-		delete(out, k)
+	for ref := range t.kvDels {
+		if ref.table == table {
+			delete(out, ref.key)
+		}
 	}
 	batches := 1 + len(out)/t.db.cfg.BatchRows
 	t.db.serviceT(kvKey(table, prefix), time.Duration(batches)*t.db.cfg.ReadService, t.tc,
@@ -314,14 +298,7 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 
 // writeCount returns the number of buffered row writes.
 func (t *tx) writeCount() int {
-	n := len(t.putINodes) + len(t.delINodes)
-	for _, m := range t.kvPuts {
-		n += len(m)
-	}
-	for _, m := range t.kvDels {
-		n += len(m)
-	}
-	return n
+	return len(t.putINodes) + len(t.delINodes) + len(t.kvPuts) + len(t.kvDels)
 }
 
 // AtCommitPoint implements store.Tx: fn runs inside a successful Commit,
@@ -343,7 +320,7 @@ func (t *tx) Commit() error {
 		return store.ErrTxDone
 	}
 	if h := t.db.cfg.OnCommit; h != nil {
-		if err := h(t.owner); err != nil {
+		if err := h(t.lt.owner); err != nil {
 			t.Abort()
 			return err
 		}
@@ -367,7 +344,7 @@ func (t *tx) Commit() error {
 	for _, fn := range t.atCommit {
 		fn()
 	}
-	t.db.locks.ReleaseAll(t.key)
+	t.db.locks.ReleaseAll(&t.lt)
 	t.db.tel.commits.Inc()
 	t.db.tel.writes.Add(float64(writes))
 	if walBytes > 0 {
@@ -411,93 +388,39 @@ func (t *tx) chargeCommit(writes int) {
 // tier is attached) and installs the buffered writes, both under the
 // structure lock: LSN assignment, log append, and apply are one atomic
 // step, so a checkpoint snapshot taken under the read lock always
-// reflects every LSN the media has. Returns the appended frame size
-// (0 without durability).
+// reflects every LSN the media has. What is logged is what is applied —
+// one record, one applyRecord, at commit as at replay. Returns the appended
+// frame size (0 without durability).
 func (t *tx) logAndApply() int {
 	db := t.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	rec := &walRecord{puts: make([]*namespace.INode, 0, len(t.putINodes))}
+	for _, n := range t.putINodes { // disjoint from delINodes: each buffers out of the other
+		rec.puts = append(rec.puts, n)
+	}
+	for id := range t.delINodes {
+		rec.dels = append(rec.dels, id)
+	}
+	for ref, v := range t.kvPuts {
+		rec.kvPuts = append(rec.kvPuts, kvOp{table: ref.table, key: ref.key, val: v})
+	}
+	for ref := range t.kvDels {
+		rec.kvDels = append(rec.kvDels, kvOp{table: ref.table, key: ref.key})
+	}
 	walBytes := 0
 	if db.dur != nil {
-		lsn := db.dur.LastLSN() + 1
-		rec := &walRecord{lsn: lsn, idHW: db.nextID.Load()}
-		for id, n := range t.putINodes {
-			if t.delINodes[id] {
-				continue
-			}
-			rec.puts = append(rec.puts, n)
-		}
-		for id := range t.delINodes {
-			rec.dels = append(rec.dels, id)
-		}
-		for table, m := range t.kvPuts {
-			for k, v := range m {
-				rec.kvPuts = append(rec.kvPuts, kvOp{table: table, key: k, val: v})
-			}
-		}
-		for table, m := range t.kvDels {
-			for k := range m {
-				rec.kvDels = append(rec.kvDels, kvOp{table: table, key: k})
-			}
-		}
+		rec.lsn, rec.idHW = db.dur.LastLSN()+1, db.nextID.Load()
 		frame := encodeFrame(encodeRecord(rec))
 		durable := len(frame)
 		if h := db.cfg.OnWALAppend; h != nil {
-			durable = h(db.dur.walShard(lsn), lsn, len(frame))
+			durable = h(db.dur.walShard(rec.lsn), rec.lsn, len(frame))
 		}
-		db.dur.appendFrame(lsn, frame, durable)
+		db.dur.appendFrame(rec.lsn, frame, durable)
 		walBytes = len(frame)
 	}
-	t.applyLocked()
+	db.applyRecord(rec)
 	return walBytes
-}
-
-// applyLocked installs the buffered writes; caller holds db.mu.
-func (t *tx) applyLocked() {
-	db := t.db
-	for id, n := range t.putINodes {
-		if t.delINodes[id] {
-			continue
-		}
-		if old := db.inodes[id]; old != nil {
-			if kids := db.children[old.ParentID]; kids != nil && kids[old.Name] == id {
-				delete(kids, old.Name)
-			}
-		}
-		db.inodes[id] = n.Clone()
-		if db.children[n.ParentID] == nil {
-			db.children[n.ParentID] = make(map[string]namespace.INodeID)
-		}
-		db.children[n.ParentID][n.Name] = id
-		if n.IsDir && db.children[id] == nil {
-			db.children[id] = make(map[string]namespace.INodeID)
-		}
-	}
-	for id := range t.delINodes {
-		if old := db.inodes[id]; old != nil {
-			if kids := db.children[old.ParentID]; kids != nil && kids[old.Name] == id {
-				delete(kids, old.Name)
-			}
-			delete(db.inodes, id)
-			delete(db.children, id)
-		}
-	}
-	for table, m := range t.kvPuts {
-		if db.kv[table] == nil {
-			db.kv[table] = make(map[string][]byte)
-		}
-		for k, v := range m {
-			db.kv[table][k] = v
-		}
-	}
-	for table, m := range t.kvDels {
-		if db.kv[table] == nil {
-			continue
-		}
-		for k := range m {
-			delete(db.kv[table], k)
-		}
-	}
 }
 
 // Abort discards buffered writes and releases locks; idempotent.
@@ -506,6 +429,6 @@ func (t *tx) Abort() {
 		return
 	}
 	t.done = true
-	t.db.locks.ReleaseAll(t.key)
+	t.db.locks.ReleaseAll(&t.lt)
 	t.db.tel.aborts.Inc()
 }

@@ -546,7 +546,7 @@ func (db *DB) Checkpoint() uint64 {
 	nextID := db.nextID.Load()
 	for id, n := range db.inodes {
 		k := inodeKey(id)
-		rows[db.shardFor(k)][k] = append([]byte{ckptTagINode}, appendINode(nil, n)...)
+		rows[db.shardFor(k)][k.String()] = append([]byte{ckptTagINode}, appendINode(nil, n)...)
 	}
 	for table, m := range db.kv {
 		for key, val := range m {
@@ -554,7 +554,7 @@ func (db *DB) Checkpoint() uint64 {
 			v := appendStr([]byte{ckptTagKV}, table)
 			v = appendStr(v, key)
 			v = appendBytes(v, val)
-			rows[db.shardFor(k)][k] = v
+			rows[db.shardFor(k)][k.String()] = v
 		}
 	}
 	db.mu.RUnlock()
@@ -810,14 +810,36 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 	return nil
 }
 
-// applyRecord replays one committed transaction (puts then deletes,
-// matching apply); full-row values make replay idempotent.
+// applyRecord installs one committed transaction's writes — at commit under
+// db.mu, at replay by Recover, which owns the store outright. Puts go before
+// deletes; each put row is installed itself (from here on it is published and
+// immutable); the children index follows the rows; full-row values make
+// replay idempotent.
 func (db *DB) applyRecord(rec *walRecord) {
+	unlink := func(old *namespace.INode) {
+		if kids := db.children[old.ParentID]; kids != nil && kids[old.Name] == old.ID {
+			delete(kids, old.Name)
+		}
+	}
 	for _, n := range rec.puts {
-		db.inodes[n.ID] = n.Clone()
+		if old := db.inodes[n.ID]; old != nil {
+			unlink(old)
+		}
+		db.inodes[n.ID] = n
+		if db.children[n.ParentID] == nil {
+			db.children[n.ParentID] = make(map[string]namespace.INodeID)
+		}
+		db.children[n.ParentID][n.Name] = n.ID
+		if n.IsDir && db.children[n.ID] == nil {
+			db.children[n.ID] = make(map[string]namespace.INodeID)
+		}
 	}
 	for _, id := range rec.dels {
-		delete(db.inodes, id)
+		if old := db.inodes[id]; old != nil {
+			unlink(old)
+			delete(db.inodes, id)
+			delete(db.children, id)
+		}
 	}
 	for _, op := range rec.kvPuts {
 		if db.kv[op.table] == nil {
@@ -826,9 +848,7 @@ func (db *DB) applyRecord(rec *walRecord) {
 		db.kv[op.table][op.key] = op.val
 	}
 	for _, op := range rec.kvDels {
-		if db.kv[op.table] != nil {
-			delete(db.kv[op.table], op.key)
-		}
+		delete(db.kv[op.table], op.key)
 	}
 }
 

@@ -85,6 +85,12 @@ type LockedPath struct {
 // Tx is one ACID transaction. All row reads/writes inside a transaction
 // see their own writes; locks acquired with LockShared/LockExclusive are
 // held until Commit or Abort (strict two-phase locking).
+//
+// Who may write an INode a read returns follows from its lock mode:
+// exclusive ⇒ a private copy, the caller's to change and PutINode;
+// otherwise the shared snapshot of the row (namespace.INode), read-only, the
+// pointer every other reader and cache holds. LockPaths reads parent and
+// Target exclusive, ancestors shared.
 type Tx interface {
 	// GetINode fetches an INode by ID.
 	GetINode(id namespace.INodeID, lock LockMode) (*namespace.INode, error)

@@ -88,7 +88,8 @@ func (t *Trie[V]) Chain(comps []string) (vals []V, ok bool) {
 	if !n.has {
 		return nil, false
 	}
-	vals = append(vals, n.val)
+	vals = make([]V, 1, len(comps)+1)
+	vals[0] = n.val
 	for _, c := range comps {
 		n = n.children[c]
 		if n == nil || !n.has {
@@ -97,6 +98,25 @@ func (t *Trie[V]) Chain(comps []string) (vals []V, ok bool) {
 		vals = append(vals, n.val)
 	}
 	return vals, true
+}
+
+// Children returns the values stored at the direct children of the node at
+// comps, in no particular order, whatever is stored below them.
+func (t *Trie[V]) Children(comps []string) []V {
+	n := t.root
+	for _, c := range comps {
+		n = n.children[c]
+		if n == nil {
+			return nil
+		}
+	}
+	vals := make([]V, 0, len(n.children))
+	for _, child := range n.children {
+		if child.has {
+			vals = append(vals, child.val)
+		}
+	}
+	return vals
 }
 
 // Delete removes the value stored exactly at comps, pruning now-empty

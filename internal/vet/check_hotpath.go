@@ -20,8 +20,8 @@ import (
 //   - no string concatenation inside a loop, and no string +=;
 //   - no append growth in a loop unless the slice was made with an
 //     explicit capacity (make(T, 0, n));
-//   - no &CompositeLit and no composite literal returned by value
-//     (escaping allocations); the zero-size struct{}{} is exempt;
+//   - no &CompositeLit (the zero-size struct{}{} is exempt) and no slice or
+//     map literal returned (escaping allocations);
 //   - no closure that captures outer variables created inside a loop
 //     (per-iteration closure allocation), unless handed directly to
 //     clock.Go or clock.GoDaemon;
@@ -352,8 +352,13 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 			}
 		case *ast.ReturnStmt:
 			for _, r := range v.Results {
-				if cl, ok := r.(*ast.CompositeLit); ok && !isZeroSizeLit(pkg, cl) {
-					flag(cl.Pos(), "composite literal in return allocates"+suffix)
+				cl, ok := r.(*ast.CompositeLit)
+				if !ok || pkg.Info.Types[cl].Type == nil {
+					continue
+				}
+				switch pkg.Info.Types[cl].Type.Underlying().(type) {
+				case *types.Slice, *types.Map: // a struct or array value is copied out, not allocated
+					flag(cl.Pos(), "slice or map literal in return allocates"+suffix)
 				}
 			}
 		case *ast.FuncLit:

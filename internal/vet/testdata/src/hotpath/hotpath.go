@@ -67,6 +67,14 @@ func alloc(id int) *row {
 	return &row{id: id} // want hotpath
 }
 
+// The struct value is copied to the caller (no finding); the slice is built
+// on the heap.
+//
+//vet:hotpath
+func values(id int) (row, []int) {
+	return row{id: id}, []int{id} // want hotpath
+}
+
 //vet:hotpath
 func spawn(n int) []func() int {
 	fns := make([]func() int, 0, n)
