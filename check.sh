@@ -1,12 +1,13 @@
 #!/bin/sh
-# Repo health check: formatting, vet, the in-repo lambdafs-vet analyzer,
-# build, full test suite, the race detector over the concurrency-heavy
-# packages (clock, tracer, metrics, telemetry plane, SLO engine, FaaS
-# platform, RPC fabric, chaos harness, coordinator, NDB, LSM, core, tenant,
-# cache, partition, hopsfs),
-# the determinism smoke — the clock's own tests, the four golden
-# sim-driven tests (storm tables, alert digests, hotpath gate, a
-# real-stack scale point) and the commit-window reader census on one, two
+# Repo health check: formatting, the one-clock guard (no second time
+# source, no host-time wait in a test), vet, the in-repo lambdafs-vet
+# analyzer, build, full test suite, the race detector over the
+# concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
+# engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
+# core, tenant, cache, partition, hopsfs),
+# the determinism smoke — the clock's own tests, bench's three golden
+# sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
+# and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
 # and four Ps — bounded fixed-seed chaos, crash-restart and
 # alert-coverage smoke runs, an event-heap smoke for internal/sim (kept
 # only because benchmark/ times it), and the perf/durability/scale
@@ -21,6 +22,23 @@ if [ -n "$unformatted" ]; then
     echo "gofmt needed on:"
     echo "$unformatted"
     gofmt -d $unformatted
+    exit 1
+fi
+echo "ok"
+
+echo "== one clock (clock.Sim is the only time source; tests wait in virtual time) =="
+# A second clock, a host-time deadline or a clock interface coming back:
+if grep -rnE 'NewScaled|NewManual|HostDeadlineIn|TimeScale|clock\.Clock\b' --include='*.go' .; then
+    echo "one clock: the identifiers above belong to the deleted scaled/manual clocks"
+    exit 1
+fi
+# A test that waits on the host's clock is neither exact nor replayable.
+# Allowed: internal/clock's watchdog-timeout tests, the two host-behaviour
+# tests of lambdafs_test.go (a cluster's goroutines unwinding, a quiescent
+# cluster standing still), lambdafs-vet's fixtures.
+if grep -rnE 'time\.(Sleep|After|NewTimer)\(' --include='*_test.go' . |
+    grep -vE '^\./(internal/clock/|lambdafs_test\.go:|internal/vet/testdata/)'; then
+    echo "one clock: a test waits on host time — Sleep on its clock.Sim, or park on a clock.Event/Mailbox/Group"
     exit 1
 fi
 echo "ok"
@@ -50,9 +68,10 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb and core are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, then the golden storm tables, alert digests, hotpath gate, a real-stack scale point and the readers-in-the-commit-window census, on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate and real-stack scale point, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ ./internal/chaos/ ./internal/core/ -run 'TestChaosStormSeedDeterminism|TestAlertEpisodeDigestStable|TestHotpathBaselineGate|TestScalePointDeterminism|TestReadersInCommitWindow' -cpu 1,2,4 -count=2
+go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism' -cpu 1,2,4 -count=2
+go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
 echo "== chaos smoke (bounded, fixed seed) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1
@@ -67,10 +86,10 @@ go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertCoverageCatchesMutedA
 echo "== event-heap smoke (internal/sim, which only benchmark/ still times: determinism, FIFO stability, 100k-event-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
-echo "== hotpath perf baseline (quick mode; gates throughput, allocs/op, lock-wait/op, exact store reads/op and resolve hops/op) =="
+echo "== hotpath perf baseline (quick mode; every virtual column exact, a margin on allocs/op alone) =="
 go run ./cmd/lambdafs-bench -check BENCH_hotpath.json
 
-echo "== restart durability baseline (quick mode; gates digest-exact recovery, replayed records, recovery time) =="
+echo "== restart durability baseline (quick mode; digest-exact recovery, every column exact) =="
 go run ./cmd/lambdafs-bench -check BENCH_restart.json
 
 echo "== scale baseline (quick mode; 1k and 10k tenant clients through the real rpc/faas/core/ndb stack on clock.Sim; exact gate on ops, throttles, p50/p99, cold starts, peak instances and per-tenant admitted/throttled/p99) =="

@@ -35,7 +35,7 @@ var (
 // (§3.2, §3.4, Appendices B-C).
 type Client struct {
 	inner *rpc.Client
-	clk   clock.Clock
+	clk   *clock.Sim
 }
 
 // NewClient creates a client on the cluster's default VM.
@@ -116,8 +116,8 @@ func (cl *Client) Remove(path string) error {
 }
 
 // Do exposes the raw operation interface used by the workload drivers.
-// On the DES clock the operation is shuttled into a simulation-registered
-// goroutine, so applications may call it from anywhere.
+// The operation is shuttled into a simulation-registered goroutine, so
+// applications may call it from anywhere.
 func (cl *Client) Do(op namespace.OpType, path, dest string) (resp *namespace.Response, err error) {
 	clock.Run(cl.clk, func() {
 		resp, err = cl.inner.Do(op, path, dest)

@@ -25,8 +25,9 @@ import (
 )
 
 func main() {
-	// The simulation is allocation-heavy (per-op request/response and
-	// INode clones); a relaxed GC target trades memory for wall time.
+	// The simulation is allocation-heavy (per-op requests, responses,
+	// spans and parked waiters; rows themselves are shared, not cloned);
+	// a relaxed GC target trades memory for wall time.
 	debug.SetGCPercent(400)
 	full := flag.Bool("full", false, "run paper-scale op counts and durations (slow)")
 	seed := flag.Int64("seed", 1, "workload randomness seed")

@@ -552,7 +552,6 @@ func runChaosEpisodes(n int, seed int64) {
 	for i := 0; i < n; i++ {
 		s := seed + int64(i)
 		cfg := chaos.DefaultEpisode(s)
-		cfg.Tracer = trace.New(clock.NewScaled(0), trace.Config{})
 		res := chaos.RunEpisode(cfg)
 		var fired uint64
 		for _, v := range res.FaultsFired {

@@ -124,6 +124,18 @@ func loadBaseline(path, name, schema string, doc any, opts Options) (Options, er
 	return opts, nil
 }
 
+// baselineDiff collects where a re-measured baseline differs from the
+// committed file. exact is how every gate compares a virtual column: the
+// substrate is bit-exact, so the two are equal or the gate fails — an
+// intentional behaviour change regenerates the file with -baseline.
+type baselineDiff struct{ fails []string }
+
+func (d *baselineDiff) exact(row, col string, got, want any) {
+	if got != want {
+		d.fails = append(d.fails, fmt.Sprintf("%s: %s %v, baseline %v", row, col, got, want))
+	}
+}
+
 // regressionError folds a gate's failed comparisons into one error (nil
 // when there are none).
 func regressionError(what, path string, fails []string) error {

@@ -71,17 +71,17 @@ func runChaosEpisodes(opts Options) *Table {
 	}
 	for _, seed := range seeds {
 		cfg := chaos.DefaultEpisode(seed)
-		cfg.Tracer = trace.New(clock.NewScaled(0), trace.Config{})
 		cfg.Metrics = telemetry.NewRegistry()
-		// The flight recorder rides along on every episode: the tracer's
-		// event sink feeds its ring, and on an invariant violation the
-		// freshest window is dumped for post-mortem replay.
+		// The flight recorder rides along on every episode: the episode's
+		// tracer feeds its ring and its clock stamps a final snapshot, and
+		// on an invariant violation the freshest window is dumped for
+		// post-mortem replay.
 		fr := telemetry.NewFlightRecorder(0, 0)
-		cfg.Tracer.SetEventSink(fr.RecordEvent)
+		cfg.Flight = fr
 		res := chaos.RunEpisode(cfg)
 		if len(res.Violations) > 0 && opts.MetricsDir != "" {
 			if path, err := dumpFlight(opts.MetricsDir,
-				fmt.Sprintf("chaos-flight-%d.jsonl", seed), fr, cfg.Metrics); err == nil {
+				fmt.Sprintf("chaos-flight-%d.jsonl", seed), fr); err == nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("seed %d flight recorder: %s", seed, path))
 			} else {
 				t.Notes = append(t.Notes, fmt.Sprintf("seed %d flight recorder dump failed: %v", seed, err))
@@ -259,7 +259,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 			t.Notes = append(t.Notes, fmt.Sprintf("metrics artifacts failed: %v", err))
 		}
 		if len(violations) > 0 {
-			if path, err := dumpFlight(opts.MetricsDir, "chaos-storm-flight.jsonl", fr, reg); err == nil {
+			if path, err := dumpFlight(opts.MetricsDir, "chaos-storm-flight.jsonl", fr); err == nil {
 				t.Notes = append(t.Notes, "flight recorder: "+path)
 			}
 		}

@@ -90,6 +90,24 @@ func TestHotpathBaselineGate(t *testing.T) {
 		}
 	})
 
+	t.Run("inflated virtual-column fixtures fail", func(t *testing.T) {
+		// Exact, not one-sided: a committed file that claims a slower or
+		// more contended run than the tree measures is as stale as one that
+		// claims a faster one.
+		for field, inflate := range map[string]func(*HotpathScenario){
+			"p99_us":          func(sc *HotpathScenario) { sc.P99Us++ },
+			"lock-wait us/op": func(sc *HotpathScenario) { sc.LockWaitUsPerOp++ },
+			"virtual_wall_us": func(sc *HotpathScenario) { sc.VirtualWallUs++ },
+		} {
+			stale := cloneBaseline(t, cur)
+			inflate(stale.Scenarios["subtree_mv"])
+			err := CheckHotpathBaseline(tempBaselineFile(t, stale), Options{Out: io.Discard})
+			if err == nil || !strings.Contains(err.Error(), "subtree_mv: "+field) {
+				t.Fatalf("inflated %s baseline: gate said %v", field, err)
+			}
+		}
+	})
+
 	t.Run("v2 file rejected", func(t *testing.T) {
 		stale := cloneBaseline(t, cur)
 		stale.Schema = "lambdafs-hotpath-baseline/v2"

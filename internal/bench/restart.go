@@ -261,15 +261,10 @@ func RunRestart(opts Options) []*Table {
 	return []*Table{t, ep}
 }
 
-// restartRecoverySlackUs absorbs rounding on near-zero baselines; the
-// relative gate is 10%, same as hotpath (virtual time is deterministic,
-// so any honest regression is a code change, not noise).
-const restartRecoverySlackUs = 50
-
 // CheckRestartBaseline re-measures at the committed baseline's mode and
-// fails when a scenario's recovered state diverges, its replayed-record
-// or surviving-WAL-record counts drift from the baseline, or its
-// recovery time regresses more than 10%.
+// fails when a scenario's recovered state diverges from the pre-crash
+// state or any column — the log footprint, the checkpoint/replay split,
+// the recovery time — differs from the baseline (baselineDiff.exact).
 func CheckRestartBaseline(path string, opts Options) error {
 	var committed RestartBaseline
 	opts, err := loadBaseline(path, "restart", RestartSchema, &committed, opts)
@@ -277,7 +272,7 @@ func CheckRestartBaseline(path string, opts Options) error {
 		return err
 	}
 	cur := RestartMeasure(opts)
-	var fails []string
+	var d baselineDiff
 	for _, sc := range restartScenarios(opts) {
 		want, ok := committed.Rows[sc.name]
 		if !ok {
@@ -286,19 +281,17 @@ func CheckRestartBaseline(path string, opts Options) error {
 		}
 		got := cur.Rows[sc.name]
 		if !got.DigestMatch {
-			fails = append(fails, fmt.Sprintf(
+			d.fails = append(d.fails, fmt.Sprintf(
 				"%s: recovered state diverged from the pre-crash committed state", sc.name))
 		}
-		if got.Replayed != want.Replayed || got.WALRecords != want.WALRecords {
-			fails = append(fails, fmt.Sprintf(
-				"%s: replayed/wal records %d/%d, baseline %d/%d (durability bookkeeping drifted)",
-				sc.name, got.Replayed, got.WALRecords, want.Replayed, want.WALRecords))
-		}
-		if limit := want.RecoveryUs + want.RecoveryUs/10 + restartRecoverySlackUs; got.RecoveryUs > limit {
-			fails = append(fails, fmt.Sprintf(
-				"%s: recovery %dus > %dus (baseline %dus +10%% +%dus slack)",
-				sc.name, got.RecoveryUs, limit, want.RecoveryUs, restartRecoverySlackUs))
-		}
+		d.exact(sc.name, "commits", got.Commits, want.Commits)
+		d.exact(sc.name, "checkpoints", got.Checkpoints, want.Checkpoints)
+		d.exact(sc.name, "wal_records", got.WALRecords, want.WALRecords)
+		d.exact(sc.name, "wal_bytes", got.WALBytes, want.WALBytes)
+		d.exact(sc.name, "base_lsn", got.BaseLSN, want.BaseLSN)
+		d.exact(sc.name, "checkpoint_rows", got.CheckpointRows, want.CheckpointRows)
+		d.exact(sc.name, "replayed_records", got.Replayed, want.Replayed)
+		d.exact(sc.name, "recovery_us", got.RecoveryUs, want.RecoveryUs)
 	}
-	return regressionError("restart recovery regression", path, fails)
+	return regressionError("restart recovery regression", path, d.fails)
 }

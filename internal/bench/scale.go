@@ -249,7 +249,7 @@ func CheckScaleBaseline(path string, opts Options) error {
 		return err
 	}
 	cur, _ := ScaleMeasure(opts)
-	var fails []string
+	var d baselineDiff
 	for _, pt := range scalePoints(opts) {
 		key := scaleKey(pt.clients)
 		want, ok := committed.Rows[key]
@@ -257,24 +257,19 @@ func CheckScaleBaseline(path string, opts Options) error {
 			return fmt.Errorf("baseline %s lacks point %q (regenerate with -baseline scale)", path, key)
 		}
 		got := cur.Rows[key]
-		diff := func(col string, g, w any) {
-			if g != w {
-				fails = append(fails, fmt.Sprintf("%s: %s %v, baseline %v", key, col, g, w))
-			}
-		}
-		diff("ops", got.Ops, want.Ops)
-		diff("throttled", got.Throttled, want.Throttled)
-		diff("p50_us", got.P50Us, want.P50Us)
-		diff("p99_us", got.P99Us, want.P99Us)
-		diff("cold_starts", got.ColdStarts, want.ColdStarts)
-		diff("peak_instances", got.PeakInstances, want.PeakInstances)
+		d.exact(key, "ops", got.Ops, want.Ops)
+		d.exact(key, "throttled", got.Throttled, want.Throttled)
+		d.exact(key, "p50_us", got.P50Us, want.P50Us)
+		d.exact(key, "p99_us", got.P99Us, want.P99Us)
+		d.exact(key, "cold_starts", got.ColdStarts, want.ColdStarts)
+		d.exact(key, "peak_instances", got.PeakInstances, want.PeakInstances)
 		if len(got.Tenants) != len(want.Tenants) {
-			diff("tenants", len(got.Tenants), len(want.Tenants))
+			d.exact(key, "tenants", len(got.Tenants), len(want.Tenants))
 			continue
 		}
 		for i, ts := range got.Tenants {
-			diff("tenant "+ts.Tenant, ts, want.Tenants[i])
+			d.exact(key, "tenant "+ts.Tenant, ts, want.Tenants[i])
 		}
 	}
-	return regressionError("scale regression", path, fails)
+	return regressionError("scale regression", path, d.fails)
 }

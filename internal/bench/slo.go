@@ -198,7 +198,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 		if err := writeTelemetryArtifacts(opts.SLODir, "slo-live", reg, scraper); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("telemetry artifacts failed: %v", err))
 		}
-		if path, err := dumpFlight(opts.SLODir, "slo-live-flight.jsonl", fr, nil); err == nil {
+		if path, err := dumpFlight(opts.SLODir, "slo-live-flight.jsonl", fr); err == nil {
 			t.Notes = append(t.Notes, "flight recorder: "+path)
 		}
 	}

@@ -4,9 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"lambdafs/internal/clock"
 	"lambdafs/internal/telemetry"
 )
 
@@ -60,14 +58,9 @@ func writeTelemetryArtifacts(dir, name string, reg *telemetry.Registry, sc *tele
 	return g.Close()
 }
 
-// dumpFlight records one final registry snapshot into fr (when reg is
-// non-nil) and writes the recorder's retained window as JSONL into
-// dir/name, returning the written path.
-func dumpFlight(dir, name string, fr *telemetry.FlightRecorder, reg *telemetry.Registry) (string, error) {
-	if reg != nil {
-		sc := telemetry.NewScraper(clock.NewScaled(0), reg, time.Second)
-		fr.RecordSnapshot(sc.ScrapeNow())
-	}
+// dumpFlight writes the recorder's retained window as JSONL into dir/name,
+// returning the written path.
+func dumpFlight(dir, name string, fr *telemetry.FlightRecorder) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}

@@ -9,31 +9,31 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/trace"
 )
 
-// buildGoldenBreakdown constructs a deterministic span forest on a Manual
-// clock: two identical "stat" traces (TCP RPC with a store-RTT child) and
+// buildGoldenBreakdown constructs a deterministic span forest: two
+// identical "stat" traces (TCP RPC with a store-RTT child) and
 // one "create" trace (HTTP RPC then a coherence round).
-func buildGoldenBreakdown() *trace.Breakdown {
-	clk := clock.NewManual()
+func buildGoldenBreakdown(clk *clock.Sim) *trace.Breakdown {
 	tr := trace.New(clk, trace.Config{})
 	for i := 0; i < 2; i++ {
 		tc := tr.StartTrace("stat", "/a", "c1")
 		sp := tc.Start(trace.KindRPCTCP)
 		child := sp.Ctx().Start(trace.KindStoreRTT)
-		clk.Advance(300 * time.Microsecond)
+		clk.Sleep(300 * time.Microsecond)
 		child.End()
-		clk.Advance(700 * time.Microsecond)
+		clk.Sleep(700 * time.Microsecond)
 		sp.End()
 		tc.Finish("")
 	}
 	tc := tr.StartTrace("create", "/b", "c1")
 	sp := tc.Start(trace.KindRPCHTTP)
-	clk.Advance(5 * time.Millisecond)
+	clk.Sleep(5 * time.Millisecond)
 	sp.End()
 	sp = tc.Start(trace.KindCoherence)
-	clk.Advance(2 * time.Millisecond)
+	clk.Sleep(2 * time.Millisecond)
 	sp.End()
 	tc.Finish("")
 	return trace.Aggregate(tr.Traces())
@@ -44,7 +44,8 @@ func buildGoldenBreakdown() *trace.Breakdown {
 // per span kind in canonical trace.KindOrder. External plotting scripts
 // key on these column names and positions.
 func TestBreakdownTableGolden(t *testing.T) {
-	tb := BreakdownTable(buildGoldenBreakdown())
+	var tb *Table
+	simtest.Run(t, func(clk *clock.Sim) { tb = BreakdownTable(buildGoldenBreakdown(clk)) })
 	var sb strings.Builder
 	if err := tb.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

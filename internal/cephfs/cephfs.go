@@ -84,7 +84,7 @@ type inode struct {
 
 // System is the modelled CephFS metadata service.
 type System struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	mu     sync.Mutex
@@ -103,7 +103,7 @@ type Stats struct {
 }
 
 // New builds the system with an empty namespace.
-func New(clk clock.Clock, cfg Config) *System {
+func New(clk *clock.Sim, cfg Config) *System {
 	if cfg.MDSServers <= 0 {
 		cfg.MDSServers = 1
 	}

@@ -251,7 +251,7 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 // scenarios: modest real latencies (so the latency SLO has signal),
 // durable media (so the WAL-stall absence rule sees appends married to
 // commits), and the injector's shard-service hook armed.
-func alertStoreConfig(clk clock.Clock, reg *telemetry.Registry, inj *Injector, dur *ndb.Durable) ndb.Config {
+func alertStoreConfig(clk *clock.Sim, reg *telemetry.Registry, inj *Injector, dur *ndb.Durable) ndb.Config {
 	c := ndb.DefaultConfig()
 	c.RTT = 100 * time.Microsecond
 	c.ReadService = 30 * time.Microsecond
@@ -267,7 +267,7 @@ func alertStoreConfig(clk clock.Clock, reg *telemetry.Registry, inj *Injector, d
 // injects the family's fault at seconds 4 and 7. The tenant-storm family
 // (tenantstorm.go) additionally gates the engines with an admission
 // registry and tags every request with a tenant.
-func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telemetry.Registry, sc *telemetry.Scraper) {
+func runClusterAlertScenario(cfg AlertEpisodeConfig, clk *clock.Sim, reg *telemetry.Registry, sc *telemetry.Scraper) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inj := NewInjector()
 
@@ -396,7 +396,7 @@ func runClusterAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telem
 // large enough to breach the recovery-time ceiling. Commits continue on
 // the recovered store afterwards, proving the WAL keeps pace (the
 // absence rule stays quiet).
-func runRestartAlertScenario(cfg AlertEpisodeConfig, clk clock.Clock, reg *telemetry.Registry, sc *telemetry.Scraper) {
+func runRestartAlertScenario(cfg AlertEpisodeConfig, clk *clock.Sim, reg *telemetry.Registry, sc *telemetry.Scraper) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inj := NewInjector()
 

@@ -1,14 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"lambdafs/internal/clock"
-	"lambdafs/internal/trace"
+	"time"
 )
 
 // chaosSeed replays a single episode: go test ./internal/chaos/ -run
@@ -21,10 +20,7 @@ const randomizedEpisodes = 60 // acceptance floor is 50
 // line plus a persistent trace/event JSONL dump on any violation.
 func runSeededEpisode(t *testing.T, seed int64) *Result {
 	t.Helper()
-	cfg := DefaultEpisode(seed)
-	tr := trace.New(clock.NewScaled(0), trace.Config{})
-	cfg.Tracer = tr
-	res := RunEpisode(cfg)
+	res := RunEpisode(DefaultEpisode(seed))
 	if !res.Failed() {
 		return res
 	}
@@ -35,7 +31,7 @@ func runSeededEpisode(t *testing.T, seed int64) *Result {
 	if dir, err := os.MkdirTemp("", "chaos-"); err == nil {
 		p := filepath.Join(dir, fmt.Sprintf("episode-seed%d.jsonl", seed))
 		if f, err := os.Create(p); err == nil {
-			if err := tr.WriteJSONL(f); err == nil {
+			if err := res.Tracer.WriteJSONL(f); err == nil {
 				dump = p
 			}
 			f.Close()
@@ -168,5 +164,34 @@ func TestInjectorArming(t *testing.T) {
 	}
 	if in.Fired()[FaultTxAbort] != 2 {
 		t.Fatalf("tx_abort fired = %d, want 2", in.Fired()[FaultTxAbort])
+	}
+}
+
+// TestEpisodeFaultsCostVirtualTime: an episode runs on a clock.Sim of its
+// own, so an injected shard crash is really slept — the episode's clock ends
+// at least one recovery window (500 ms) past the epoch although every
+// modelled latency is zero — and the spans and events it records are
+// stamped from that clock: the trace JSONL of a seed is the same bytes on
+// every run.
+func TestEpisodeFaultsCostVirtualTime(t *testing.T) {
+	const seed = 42 // the digest-golden seed
+	dump := func() (*Result, []byte) {
+		res := RunEpisode(DefaultEpisode(seed))
+		var buf bytes.Buffer
+		if err := res.Tracer.WriteJSONL(&buf); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+		return res, buf.Bytes()
+	}
+	res, first := dump()
+	if res.FaultsFired[FaultShardCrash] == 0 {
+		t.Fatalf("seed %d fired no shard_crash: %v", seed, res.FaultsFired)
+	}
+	if res.Elapsed < 500*time.Millisecond {
+		t.Fatalf("episode took %v of virtual time with %d shard crashes fired: the stall was not slept",
+			res.Elapsed, res.FaultsFired[FaultShardCrash])
+	}
+	if _, second := dump(); len(first) == 0 || !bytes.Equal(first, second) {
+		t.Fatalf("trace JSONL of seed %d: %d bytes, then %d bytes that differ", seed, len(first), len(second))
 	}
 }

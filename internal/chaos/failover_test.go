@@ -12,6 +12,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 )
 
 // failoverCluster is a two-NameNode λFS cluster whose store commit path
@@ -27,10 +28,9 @@ type failoverCluster struct {
 	onCommit func(owner string) error
 }
 
-func newFailoverCluster(t *testing.T) *failoverCluster {
+func newFailoverCluster(t *testing.T, clk *clock.Sim) *failoverCluster {
 	t.Helper()
 	fc := &failoverCluster{}
-	clk := clock.NewScaled(0)
 
 	ncfg := ndb.DefaultConfig()
 	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
@@ -136,10 +136,6 @@ func (fc *failoverCluster) checkFailoverOutcome(t *testing.T, m *Oracle, mvOK bo
 	}
 
 	// No leaked row locks, subtree locks, or registry entries.
-	deadline := time.Now().Add(2 * time.Second)
-	for fc.db.HeldLocks() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if bad := CheckStore(fc.db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants after failover: %v", bad)
 	}
@@ -160,35 +156,37 @@ func (fc *failoverCluster) checkFailoverOutcome(t *testing.T, m *Oracle, mvOK bo
 // NameNode cleanup races the in-flight operation, a new leader is
 // elected, and the operation must still complete atomically.
 func TestFailoverLeaderKilledMidSubtreeMv(t *testing.T) {
-	fc := newFailoverCluster(t)
-	m := fc.buildTree(t, 6, 6)
+	simtest.Run(t, func(clk *clock.Sim) {
+		fc := newFailoverCluster(t, clk)
+		m := fc.buildTree(t, 6, 6)
 
-	commits := 0
-	fc.setOnCommit(func(owner string) error {
-		if owner != "nn-a" {
-			return nil
-		}
-		commits++
-		if commits == 2 {
-			// Commit 1 was the subtree-lock registration; commit 2 is the
-			// final relink. Expire the leader's session now — cleanup for
-			// the "crashed" NameNode runs synchronously, racing the
-			// still-in-flight mv exactly as a watch firing would.
-			if !fc.zk.ExpireSession("nn-a") {
-				t.Error("ExpireSession(nn-a) found no session")
+		commits := 0
+		fc.setOnCommit(func(owner string) error {
+			if owner != "nn-a" {
+				return nil
 			}
+			commits++
+			if commits == 2 {
+				// Commit 1 was the subtree-lock registration; commit 2 is the
+				// final relink. Expire the leader's session now — cleanup for
+				// the "crashed" NameNode runs synchronously, racing the
+				// still-in-flight mv exactly as a watch firing would.
+				if !fc.zk.ExpireSession("nn-a") {
+					t.Error("ExpireSession(nn-a) found no session")
+				}
+			}
+			return nil
+		})
+		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
+		fc.setOnCommit(nil)
+		if commits < 2 {
+			t.Fatalf("mv committed %d times for nn-a, expected the lock + relink pair", commits)
 		}
-		return nil
+		if !resp.OK() {
+			t.Fatalf("mv after mid-op lease expiry: %s", resp.Err)
+		}
+		fc.checkFailoverOutcome(t, m, true)
 	})
-	resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
-	fc.setOnCommit(nil)
-	if commits < 2 {
-		t.Fatalf("mv committed %d times for nn-a, expected the lock + relink pair", commits)
-	}
-	if !resp.OK() {
-		t.Fatalf("mv after mid-op lease expiry: %s", resp.Err)
-	}
-	fc.checkFailoverOutcome(t, m, true)
 }
 
 // TestFailoverLeaderKilledAtSubtreeLock kills the leader as it tries to
@@ -197,32 +195,34 @@ func TestFailoverLeaderKilledMidSubtreeMv(t *testing.T) {
 // must roll back completely — no subtree lock, no registry entry, the
 // source subtree untouched — and leadership must pass on.
 func TestFailoverLeaderKilledAtSubtreeLock(t *testing.T) {
-	fc := newFailoverCluster(t)
-	m := fc.buildTree(t, 6, 6)
+	simtest.Run(t, func(clk *clock.Sim) {
+		fc := newFailoverCluster(t, clk)
+		m := fc.buildTree(t, 6, 6)
 
-	fired := false
-	fc.setOnCommit(func(owner string) error {
-		if owner != "nn-a" || fired {
-			return nil
+		fired := false
+		fc.setOnCommit(func(owner string) error {
+			if owner != "nn-a" || fired {
+				return nil
+			}
+			fired = true
+			if !fc.zk.ExpireSession("nn-a") {
+				t.Error("ExpireSession(nn-a) found no session")
+			}
+			return ErrInjected
+		})
+		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
+		fc.setOnCommit(nil)
+		if !fired {
+			t.Fatal("commit hook never fired")
 		}
-		fired = true
-		if !fc.zk.ExpireSession("nn-a") {
-			t.Error("ExpireSession(nn-a) found no session")
+		if resp.OK() {
+			t.Fatal("mv succeeded though its lock commit was killed")
 		}
-		return ErrInjected
+		if !IsInjected(resp.Error()) {
+			t.Fatalf("mv error = %v, want injected fault", resp.Error())
+		}
+		fc.checkFailoverOutcome(t, m, false)
 	})
-	resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
-	fc.setOnCommit(nil)
-	if !fired {
-		t.Fatal("commit hook never fired")
-	}
-	if resp.OK() {
-		t.Fatal("mv succeeded though its lock commit was killed")
-	}
-	if !IsInjected(resp.Error()) {
-		t.Fatalf("mv error = %v, want injected fault", resp.Error())
-	}
-	fc.checkFailoverOutcome(t, m, false)
 }
 
 // TestFailoverLeaderFlapDuringDelete rotates leadership (Depose — a flap
@@ -230,45 +230,47 @@ func TestFailoverLeaderKilledAtSubtreeLock(t *testing.T) {
 // must be unaffected and the deposed leader must re-queue behind the new
 // one.
 func TestFailoverLeaderFlapDuringDelete(t *testing.T) {
-	fc := newFailoverCluster(t)
-	fc.buildTree(t, 4, 4)
+	simtest.Run(t, func(clk *clock.Sim) {
+		fc := newFailoverCluster(t, clk)
+		fc.buildTree(t, 4, 4)
 
-	flapped := false
-	fc.setOnCommit(func(owner string) error {
-		if owner == "nn-a" && !flapped {
-			flapped = true
-			if got := fc.zk.Depose(LeaderGroup); got != "nn-b" {
-				t.Errorf("Depose -> %q, want nn-b", got)
+		flapped := false
+		fc.setOnCommit(func(owner string) error {
+			if owner == "nn-a" && !flapped {
+				flapped = true
+				if got := fc.zk.Depose(LeaderGroup); got != "nn-b" {
+					t.Errorf("Depose -> %q, want nn-b", got)
+				}
+			}
+			return nil
+		})
+		resp := fc.a.Execute(namespace.Request{Op: namespace.OpDelete, Path: "/big"})
+		fc.setOnCommit(nil)
+		if !resp.OK() {
+			t.Fatalf("delete during leader flap: %s", resp.Err)
+		}
+		if !flapped {
+			t.Fatal("flap never triggered")
+		}
+		if got := fc.zk.Leader(LeaderGroup); got != "nn-b" {
+			t.Fatalf("leader = %q, want nn-b", got)
+		}
+		// Old leader is still a live member (no session loss) and re-queued.
+		found := false
+		for _, id := range fc.zk.Members(0) {
+			if id == "nn-a" {
+				found = true
 			}
 		}
-		return nil
-	})
-	resp := fc.a.Execute(namespace.Request{Op: namespace.OpDelete, Path: "/big"})
-	fc.setOnCommit(nil)
-	if !resp.OK() {
-		t.Fatalf("delete during leader flap: %s", resp.Err)
-	}
-	if !flapped {
-		t.Fatal("flap never triggered")
-	}
-	if got := fc.zk.Leader(LeaderGroup); got != "nn-b" {
-		t.Fatalf("leader = %q, want nn-b", got)
-	}
-	// Old leader is still a live member (no session loss) and re-queued.
-	found := false
-	for _, id := range fc.zk.Members(0) {
-		if id == "nn-a" {
-			found = true
+		if !found {
+			t.Fatal("nn-a lost its session during a flap")
 		}
-	}
-	if !found {
-		t.Fatal("nn-a lost its session during a flap")
-	}
-	if bad := CheckStore(fc.db, nil); len(bad) != 0 {
-		t.Fatalf("store invariants after flap: %v", bad)
-	}
-	want := NewOracle()
-	if bad := CheckOracle(fc.db, want); len(bad) != 0 {
-		t.Fatalf("delete left residue: %v", bad)
-	}
+		if bad := CheckStore(fc.db, nil); len(bad) != 0 {
+			t.Fatalf("store invariants after flap: %v", bad)
+		}
+		want := NewOracle()
+		if bad := CheckOracle(fc.db, want); len(bad) != 0 {
+			t.Fatalf("delete left residue: %v", bad)
+		}
+	})
 }

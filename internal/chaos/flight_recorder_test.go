@@ -5,13 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
-	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/telemetry"
-	"lambdafs/internal/trace"
 )
 
 // TestFlightRecorderOnInvariantViolation forces a chaos invariant
@@ -26,11 +23,9 @@ func TestFlightRecorderOnInvariantViolation(t *testing.T) {
 	const sabotageStep = 25
 
 	cfg := DefaultEpisode(seed)
-	tr := trace.New(clock.NewScaled(0), trace.Config{})
-	cfg.Tracer = tr
 	cfg.Metrics = telemetry.NewRegistry()
 	fr := telemetry.NewFlightRecorder(0, 0)
-	tr.SetEventSink(fr.RecordEvent)
+	cfg.Flight = fr
 	cfg.Sabotage = func(step int, db *ndb.DB) {
 		if step != sabotageStep {
 			return
@@ -45,10 +40,9 @@ func TestFlightRecorderOnInvariantViolation(t *testing.T) {
 		t.Fatal("sabotaged episode reported no invariant violation")
 	}
 
-	// Dump exactly as the bench harness does on a violation: one final
-	// registry snapshot, then the retained window as JSONL.
-	sc := telemetry.NewScraper(clock.NewScaled(0), cfg.Metrics, time.Second)
-	fr.RecordSnapshot(sc.ScrapeNow())
+	// Dump exactly as the bench harness does on a violation: the retained
+	// window, which the episode closed with one final registry snapshot,
+	// as JSONL.
 	var buf bytes.Buffer
 	if err := fr.DumpJSONL(&buf); err != nil {
 		t.Fatalf("DumpJSONL: %v", err)
@@ -96,7 +90,7 @@ func TestFlightRecorderOnInvariantViolation(t *testing.T) {
 	// dump share the {"rec":"event"} frame, so a reader that consumes one
 	// consumes the concatenation of both.
 	var episodeDump bytes.Buffer
-	if err := tr.WriteJSONL(&episodeDump); err != nil {
+	if err := res.Tracer.WriteJSONL(&episodeDump); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	combined := append(episodeDump.Bytes(), buf.Bytes()...)

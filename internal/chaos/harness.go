@@ -28,9 +28,10 @@ const LeaderGroup = "chaos-nn"
 // λFS cluster (shared store + coordinator, instances of one deployment)
 // driven by a seeded sequence of client operations with seeded faults
 // armed between steps. Everything — op mix, paths, issuing client, serving
-// engine, and the fault schedule — derives from Seed, and operations are
-// issued sequentially, so the whole episode is a pure function of the
-// configuration: same seed, same digest.
+// engine, and the fault schedule — derives from Seed, operations are issued
+// sequentially and the episode runs on a clock.Sim of its own, so the whole
+// episode — digest, trace timestamps, the virtual time its stalls cost — is
+// a pure function of the configuration: same seed, same bytes.
 type EpisodeConfig struct {
 	Seed    int64
 	Steps   int
@@ -39,12 +40,12 @@ type EpisodeConfig struct {
 	// FaultEvery arms one fault before roughly every n-th step (0
 	// disables fault injection; 1 arms before every step).
 	FaultEvery int
-	// Tracer, when non-nil, records per-op traces and chaos_fault events
-	// for post-mortem JSONL dumps (PR-1 observability).
-	Tracer *trace.Tracer
+	// Flight, when non-nil, rides along for failure dumps: it receives
+	// every event of the episode's tracer as it is emitted and, at the end,
+	// one snapshot of Metrics stamped by the episode's clock.
+	Flight *telemetry.FlightRecorder
 	// Metrics, when non-nil, wires the episode's store and engines into a
-	// telemetry registry (scraped by a flight recorder for failure
-	// dumps).
+	// telemetry registry.
 	Metrics *telemetry.Registry
 	// Sabotage, when non-nil, runs at the top of every step with direct
 	// store access, BEFORE the step's operation and invariant checks. It
@@ -81,6 +82,12 @@ type Result struct {
 	Violations  []string
 	FaultsFired map[FaultKind]uint64
 	FinalINodes int
+	// Elapsed is the virtual time the episode took: every engine and store
+	// latency is zero, so it is what the injected stalls cost.
+	Elapsed time.Duration
+	// Tracer holds the per-op traces and chaos_fault events, stamped in the
+	// episode's virtual time, for post-mortem JSONL dumps.
+	Tracer *trace.Tracer
 }
 
 // Failed reports whether any invariant was violated.
@@ -90,7 +97,7 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 type episode struct {
 	cfg      EpisodeConfig
 	rng      *rand.Rand
-	clk      clock.Clock
+	clk      *clock.Sim
 	inj      *Injector
 	db       *ndb.DB
 	zk       *coordinator.ZK
@@ -111,6 +118,14 @@ type episode struct {
 // result. It never calls testing hooks; the caller decides how to react to
 // violations (fail a test, print a replay line, tabulate in a bench).
 func RunEpisode(cfg EpisodeConfig) *Result {
+	clk := clock.NewSim()
+	defer clk.Close()
+	var res *Result
+	clock.Run(clk, func() { res = runEpisode(clk, cfg) })
+	return res
+}
+
+func runEpisode(clk *clock.Sim, cfg EpisodeConfig) *Result {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 120
 	}
@@ -123,16 +138,19 @@ func RunEpisode(cfg EpisodeConfig) *Result {
 	ep := &episode{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		clk:     clock.NewScaled(0),
+		clk:     clk,
 		inj:     NewInjector(),
 		oracle:  NewOracle(),
 		touched: map[string]bool{"/": true},
 		frozen:  Frozen{},
 		seqs:    make([]uint64, cfg.Clients),
-		res:     &Result{Seed: cfg.Seed},
+		res:     &Result{Seed: cfg.Seed, Tracer: trace.New(clk, trace.Config{})},
+	}
+	if cfg.Flight != nil {
+		ep.res.Tracer.SetEventSink(cfg.Flight.RecordEvent)
 	}
 	ep.inj.SetOnFault(func(kind FaultKind, detail string) {
-		cfg.Tracer.Emit(trace.Event{
+		ep.res.Tracer.Emit(trace.Event{
 			Type: trace.EventChaosFault, Detail: string(kind) + " " + detail,
 		})
 	})
@@ -286,7 +304,7 @@ func (ep *episode) runStep(step int, fault string) {
 		Op: op, Path: path, Dest: dest,
 		ClientID: clientID, Seq: ep.seqs[client],
 	}
-	tc := ep.cfg.Tracer.StartTrace(op.String(), path, clientID)
+	tc := ep.res.Tracer.StartTrace(op.String(), path, clientID)
 	req.TC = tc
 	resp := engine.Execute(req)
 	tc.Finish(resp.Err)
@@ -416,6 +434,10 @@ func (ep *episode) checkStep(step int) {
 func (ep *episode) finish() {
 	ep.res.FaultsFired = ep.inj.Fired()
 	ep.res.FinalINodes = ep.db.INodeCount()
+	ep.res.Elapsed = ep.clk.Since(clock.Epoch)
+	if ep.cfg.Flight != nil && ep.cfg.Metrics != nil {
+		ep.cfg.Flight.RecordSnapshot(telemetry.NewScraper(ep.clk, ep.cfg.Metrics, time.Second).ScrapeNow())
+	}
 
 	h := sha256.New()
 	for _, r := range ep.res.Steps {

@@ -13,6 +13,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 )
 
 // This file chaos-tests the hot-path parallelism added by the batched
@@ -49,9 +50,8 @@ func hotpathDigest(t *testing.T, db *ndb.DB, steps []string) string {
 // the middle of the concurrent INV/ACK round for delete /w/f0. The round
 // must excuse the dead member, every survivor must still apply the INV,
 // and the episode must replay to the same digest.
-func invalidationKillEpisode(t *testing.T) (digest string) {
+func invalidationKillEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	t.Helper()
-	clk := clock.NewScaled(0)
 
 	ncfg := ndb.DefaultConfig()
 	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
@@ -149,8 +149,9 @@ func invalidationKillEpisode(t *testing.T) (digest string) {
 }
 
 func TestChaosNameNodeKilledMidParallelInvalidation(t *testing.T) {
-	a := invalidationKillEpisode(t)
-	b := invalidationKillEpisode(t)
+	var a, b string
+	simtest.Run(t, func(clk *clock.Sim) { a = invalidationKillEpisode(t, clk) })
+	simtest.Run(t, func(clk *clock.Sim) { b = invalidationKillEpisode(t, clk) })
 	if a != b {
 		t.Fatalf("episode digest not replay-stable:\n  run1 %s\n  run2 %s", a, b)
 	}
@@ -161,9 +162,8 @@ func TestChaosNameNodeKilledMidParallelInvalidation(t *testing.T) {
 // shard crash-recovery window armed mid-operation. The mv must complete
 // atomically, the peer's cache must honor the prefix INV, and the episode
 // must replay to the same digest.
-func shardFaultMvEpisode(t *testing.T) (digest string) {
+func shardFaultMvEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	t.Helper()
-	clk := clock.NewScaled(0)
 	inj := NewInjector()
 
 	ncfg := ndb.DefaultConfig()
@@ -245,8 +245,9 @@ func shardFaultMvEpisode(t *testing.T) (digest string) {
 }
 
 func TestChaosShardFaultMidPartitionedMv(t *testing.T) {
-	a := shardFaultMvEpisode(t)
-	b := shardFaultMvEpisode(t)
+	var a, b string
+	simtest.Run(t, func(clk *clock.Sim) { a = shardFaultMvEpisode(t, clk) })
+	simtest.Run(t, func(clk *clock.Sim) { b = shardFaultMvEpisode(t, clk) })
 	if a != b {
 		t.Fatalf("episode digest not replay-stable:\n  run1 %s\n  run2 %s", a, b)
 	}

@@ -116,6 +116,14 @@ func pathIndex(db *ndb.DB) (map[string]namespace.INodeID, error) {
 // clean. The episode then resumes the workload on the recovered store,
 // so later crashes also cover logs that already survived one recovery.
 func RunCrashRestart(cfg CrashRestartConfig) *CrashRestartResult {
+	clk := clock.NewSim()
+	defer clk.Close()
+	var res *CrashRestartResult
+	clock.Run(clk, func() { res = runCrashRestart(clk, cfg) })
+	return res
+}
+
+func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 80
 	}
@@ -127,7 +135,6 @@ func RunCrashRestart(cfg CrashRestartConfig) *CrashRestartResult {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed)) // deterministic: op and fault schedule derive from the seed
 	inj := NewInjector()
-	clk := clock.NewScaled(0)
 
 	ckptCfg := lsm.DefaultConfig()
 	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0

@@ -20,7 +20,7 @@ import (
 // stormTenants is the episode's fixed tenant population: two
 // well-provisioned interactive tenants and one whose bucket is sized
 // for background scraping — the storm target.
-func stormTenants(clk clock.Clock, reg *telemetry.Registry) *tenant.Registry {
+func stormTenants(clk *clock.Sim, reg *telemetry.Registry) *tenant.Registry {
 	tr := tenant.NewRegistry(clk, reg)
 	tr.Register(tenant.Class{Name: "media", OpsPerSec: 500, Burst: 500})
 	tr.Register(tenant.Class{Name: "analytics", OpsPerSec: 500, Burst: 500})

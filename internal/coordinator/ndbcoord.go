@@ -22,7 +22,7 @@ var _ Coordinator = (*NDBCoord)(nil)
 
 // NewNDB creates a store-backed coordinator. The INV/ACK hop latency is
 // inherited from cfg (callers typically set it to the store RTT).
-func NewNDB(clk clock.Clock, cfg Config, st store.Store) *NDBCoord {
+func NewNDB(clk *clock.Sim, cfg Config, st store.Store) *NDBCoord {
 	return &NDBCoord{ZK: NewZK(clk, cfg), st: st}
 }
 

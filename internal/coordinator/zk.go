@@ -16,7 +16,7 @@ import (
 // liveness, watch-style crash callbacks, group messaging for INV/ACK, and
 // first-come leader election with succession.
 type ZK struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	tel coordTelemetry
@@ -64,7 +64,7 @@ type zkSession struct {
 }
 
 // NewZK creates the coordinator.
-func NewZK(clk clock.Clock, cfg Config) *ZK {
+func NewZK(clk *clock.Sim, cfg Config) *ZK {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 30 * time.Second
 	}
@@ -154,13 +154,6 @@ func (z *ZK) MemberCount() int {
 		n += len(m)
 	}
 	return n
-}
-
-// Invalidate implements Algorithm 1 steps 1–2: deliver the INV to every
-// live member of the target deployments and collect ACKs, excusing members
-// that terminate mid-protocol. It is a batch round of one.
-func (z *ZK) Invalidate(deps []int, inv Invalidation) error {
-	return z.InvalidateBatchTraced(deps, []Invalidation{inv}, nil)
 }
 
 // InvalidateBatch delivers the whole batch of invalidations to every live
@@ -257,10 +250,10 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 
 	// Gather: wait for every target's ACK until the deadline, stopping once
 	// on the way, at the hedge instant, to re-send to the stragglers.
-	ackBy := clock.HostDeadlineIn(z.clk, z.cfg.AckTimeout)
+	ackBy := clock.DeadlineIn(z.clk, z.cfg.AckTimeout)
 	waitBy, hedged := ackBy, true
 	if z.cfg.HedgeAfter > 0 && z.cfg.HedgeAfter < z.cfg.AckTimeout {
-		waitBy, hedged = clock.HostDeadlineIn(z.clk, z.cfg.HedgeAfter), false
+		waitBy, hedged = clock.DeadlineIn(z.clk, z.cfg.HedgeAfter), false
 	}
 	acked := make([]bool, len(targets))
 	need := len(targets)

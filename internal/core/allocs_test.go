@@ -5,7 +5,9 @@ package core
 import (
 	"testing"
 
+	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
@@ -13,26 +15,28 @@ import (
 // depth and, for a read, the block list the reply carries out. (Not under
 // -race: the detector allocates.)
 func TestExecuteHitAllocs(t *testing.T) {
-	e, st := soloEngine()
-	tx := st.Begin("seed") // a DataNode, so the file gets a block with a location
-	if err := tx.KVPut(store.TableDataNodes, "dn1", []byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
-	mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
-	// CleanPath's four, Lookup's three, the StatInfo and the Response; a read
-	// adds the reply's block list and its location list.
-	for op, want := range map[namespace.OpType]float64{namespace.OpStat: 9, namespace.OpRead: 11} {
-		req := namespace.Request{Op: op, Path: "/a/b/f"}
-		e.Execute(req) // the fill
-		if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != int(want-9)/2 {
-			t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected: %+v", op, resp)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		tx := st.Begin("seed") // a DataNode, so the file gets a block with a location
+		if err := tx.KVPut(store.TableDataNodes, "dn1", []byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
+			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {
-			t.Errorf("%v hit of a depth-3 path: %v allocs, want %v", op, got, want)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
+		// CleanPath's four, Lookup's three, the StatInfo and the Response; a read
+		// adds the reply's block list and its location list.
+		for op, want := range map[namespace.OpType]float64{namespace.OpStat: 9, namespace.OpRead: 11} {
+			req := namespace.Request{Op: op, Path: "/a/b/f"}
+			e.Execute(req) // the fill
+			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != int(want-9)/2 {
+				t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected: %+v", op, resp)
+			}
+			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {
+				t.Errorf("%v hit of a depth-3 path: %v allocs, want %v", op, got, want)
+			}
+		}
+	})
 }

@@ -158,7 +158,7 @@ type Engine struct {
 	coord coordinator.Coordinator // nil → no coherence (stateless baseline)
 	cache *cache.Cache            // nil → no caching
 	cpu   CPU
-	clk   clock.Clock
+	clk   *clock.Sim
 	cfg   EngineConfig
 
 	dnview  *datanode.View
@@ -193,7 +193,7 @@ func newCoreTelemetry(reg *telemetry.Registry) coreTelemetry {
 // NewEngine builds an engine. ring may be nil for unpartitioned
 // baselines; coord may be nil to disable the coherence protocol (only
 // valid when caching is disabled or the engine is the sole cache).
-func NewEngine(id string, dep int, clk clock.Clock, st store.Store, ring *partition.Ring,
+func NewEngine(id string, dep int, clk *clock.Sim, st store.Store, ring *partition.Ring,
 	coord coordinator.Coordinator, cpu CPU, cfg EngineConfig) *Engine {
 	if cpu == nil {
 		cpu = nopCPU{}

@@ -13,28 +13,28 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
-func fastStore() *ndb.DB {
+func fastStore(clk *clock.Sim) *ndb.DB {
 	cfg := ndb.DefaultConfig()
 	cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
 	cfg.LockWaitTimeout = 150 * time.Millisecond
-	return ndb.New(clock.NewScaled(0), cfg)
+	return ndb.New(clk, cfg)
 }
 
-func fastCoord(st store.Store) *coordinator.ZK {
+func fastCoord(clk *clock.Sim, st store.Store) *coordinator.ZK {
 	cfg := coordinator.DefaultConfig()
 	cfg.HopLatency = 0
 	cfg.OnCrash = func(id string) { CleanupCrashedNameNode(st, id) }
-	return coordinator.NewZK(clock.NewScaled(0), cfg)
+	return coordinator.NewZK(clk, cfg)
 }
 
 // soloEngine is an unpartitioned engine with unlimited cache and no
 // coherence peers — semantics-focused tests.
-func soloEngine() (*Engine, *ndb.DB) {
-	st := fastStore()
-	clk := clock.NewScaled(0)
+func soloEngine(clk *clock.Sim) (*Engine, *ndb.DB) {
+	st := fastStore(clk)
 	cfg := DefaultEngineConfig()
 	cfg.OpCPUCost = 0
 	cfg.SubtreeCPUPerINode = 0
@@ -66,149 +66,163 @@ func wantErr(t *testing.T, e *Engine, op namespace.OpType, path, dest string, wa
 }
 
 func TestBasicSemantics(t *testing.T) {
-	e, _ := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
-	mustOK(t, e, namespace.OpCreate, "/a/b/f.txt", "")
-	wantErr(t, e, namespace.OpCreate, "/a/b/f.txt", "", namespace.ErrExists)
-	wantErr(t, e, namespace.OpCreate, "/a/b/f.txt/under-file", "", namespace.ErrNotDir)
-	wantErr(t, e, namespace.OpStat, "/nope", "", namespace.ErrNotFound)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		mustOK(t, e, namespace.OpCreate, "/a/b/f.txt", "")
+		wantErr(t, e, namespace.OpCreate, "/a/b/f.txt", "", namespace.ErrExists)
+		wantErr(t, e, namespace.OpCreate, "/a/b/f.txt/under-file", "", namespace.ErrNotDir)
+		wantErr(t, e, namespace.OpStat, "/nope", "", namespace.ErrNotFound)
 
-	st := mustOK(t, e, namespace.OpStat, "/a/b/f.txt", "")
-	if st.Stat == nil || st.Stat.IsDir || st.Stat.Path != "/a/b/f.txt" {
-		t.Fatalf("stat = %+v", st.Stat)
-	}
-	rd := mustOK(t, e, namespace.OpRead, "/a/b/f.txt", "")
-	if rd.ID == namespace.InvalidID {
-		t.Fatal("read returned no inode")
-	}
-	wantErr(t, e, namespace.OpRead, "/a/b", "", namespace.ErrIsDir)
+		st := mustOK(t, e, namespace.OpStat, "/a/b/f.txt", "")
+		if st.Stat == nil || st.Stat.IsDir || st.Stat.Path != "/a/b/f.txt" {
+			t.Fatalf("stat = %+v", st.Stat)
+		}
+		rd := mustOK(t, e, namespace.OpRead, "/a/b/f.txt", "")
+		if rd.ID == namespace.InvalidID {
+			t.Fatal("read returned no inode")
+		}
+		wantErr(t, e, namespace.OpRead, "/a/b", "", namespace.ErrIsDir)
 
-	ls := mustOK(t, e, namespace.OpLs, "/a/b", "")
-	if len(ls.Entries) != 1 || ls.Entries[0].Name != "f.txt" {
-		t.Fatalf("ls = %+v", ls.Entries)
-	}
-	// ls of a file returns its own entry (HDFS style).
-	lsf := mustOK(t, e, namespace.OpLs, "/a/b/f.txt", "")
-	if len(lsf.Entries) != 1 || lsf.Entries[0].Name != "f.txt" {
-		t.Fatalf("ls file = %+v", lsf.Entries)
-	}
+		ls := mustOK(t, e, namespace.OpLs, "/a/b", "")
+		if len(ls.Entries) != 1 || ls.Entries[0].Name != "f.txt" {
+			t.Fatalf("ls = %+v", ls.Entries)
+		}
+		// ls of a file returns its own entry (HDFS style).
+		lsf := mustOK(t, e, namespace.OpLs, "/a/b/f.txt", "")
+		if len(lsf.Entries) != 1 || lsf.Entries[0].Name != "f.txt" {
+			t.Fatalf("ls file = %+v", lsf.Entries)
+		}
+	})
 }
 
 func TestMkdirsIdempotentAndDeep(t *testing.T) {
-	e, _ := soloEngine()
-	r1 := mustOK(t, e, namespace.OpMkdirs, "/x/y/z", "")
-	r2 := mustOK(t, e, namespace.OpMkdirs, "/x/y/z", "")
-	if r1.ID != r2.ID {
-		t.Fatalf("mkdirs not idempotent: %d vs %d", r1.ID, r2.ID)
-	}
-	mustOK(t, e, namespace.OpMkdirs, "/", "")
-	mustOK(t, e, namespace.OpCreate, "/x/f", "")
-	wantErr(t, e, namespace.OpMkdirs, "/x/f", "", namespace.ErrExists)
-	wantErr(t, e, namespace.OpMkdirs, "/x/f/sub", "", namespace.ErrNotDir)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		r1 := mustOK(t, e, namespace.OpMkdirs, "/x/y/z", "")
+		r2 := mustOK(t, e, namespace.OpMkdirs, "/x/y/z", "")
+		if r1.ID != r2.ID {
+			t.Fatalf("mkdirs not idempotent: %d vs %d", r1.ID, r2.ID)
+		}
+		mustOK(t, e, namespace.OpMkdirs, "/", "")
+		mustOK(t, e, namespace.OpCreate, "/x/f", "")
+		wantErr(t, e, namespace.OpMkdirs, "/x/f", "", namespace.ErrExists)
+		wantErr(t, e, namespace.OpMkdirs, "/x/f/sub", "", namespace.ErrNotDir)
+	})
 }
 
 func TestDeleteFileAndDir(t *testing.T) {
-	e, st := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/d/sub", "")
-	mustOK(t, e, namespace.OpCreate, "/d/f1", "")
-	mustOK(t, e, namespace.OpCreate, "/d/sub/f2", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/d/sub", "")
+		mustOK(t, e, namespace.OpCreate, "/d/f1", "")
+		mustOK(t, e, namespace.OpCreate, "/d/sub/f2", "")
 
-	mustOK(t, e, namespace.OpDelete, "/d/f1", "")
-	wantErr(t, e, namespace.OpStat, "/d/f1", "", namespace.ErrNotFound)
+		mustOK(t, e, namespace.OpDelete, "/d/f1", "")
+		wantErr(t, e, namespace.OpStat, "/d/f1", "", namespace.ErrNotFound)
 
-	// Recursive directory delete.
-	mustOK(t, e, namespace.OpDelete, "/d", "")
-	wantErr(t, e, namespace.OpStat, "/d", "", namespace.ErrNotFound)
-	wantErr(t, e, namespace.OpStat, "/d/sub/f2", "", namespace.ErrNotFound)
-	if st.INodeCount() != 1 {
-		t.Fatalf("inodes left: %d", st.INodeCount())
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
-	wantErr(t, e, namespace.OpDelete, "/", "", namespace.ErrPermission)
+		// Recursive directory delete.
+		mustOK(t, e, namespace.OpDelete, "/d", "")
+		wantErr(t, e, namespace.OpStat, "/d", "", namespace.ErrNotFound)
+		wantErr(t, e, namespace.OpStat, "/d/sub/f2", "", namespace.ErrNotFound)
+		if st.INodeCount() != 1 {
+			t.Fatalf("inodes left: %d", st.INodeCount())
+		}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+		wantErr(t, e, namespace.OpDelete, "/", "", namespace.ErrPermission)
+	})
 }
 
 func TestMvFile(t *testing.T) {
-	e, _ := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/src", "")
-	mustOK(t, e, namespace.OpMkdirs, "/dst", "")
-	mustOK(t, e, namespace.OpCreate, "/src/f", "")
-	mustOK(t, e, namespace.OpMv, "/src/f", "/dst/g")
-	wantErr(t, e, namespace.OpStat, "/src/f", "", namespace.ErrNotFound)
-	mustOK(t, e, namespace.OpStat, "/dst/g", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/src", "")
+		mustOK(t, e, namespace.OpMkdirs, "/dst", "")
+		mustOK(t, e, namespace.OpCreate, "/src/f", "")
+		mustOK(t, e, namespace.OpMv, "/src/f", "/dst/g")
+		wantErr(t, e, namespace.OpStat, "/src/f", "", namespace.ErrNotFound)
+		mustOK(t, e, namespace.OpStat, "/dst/g", "")
 
-	mustOK(t, e, namespace.OpCreate, "/src/f", "")
-	wantErr(t, e, namespace.OpMv, "/src/f", "/dst/g", namespace.ErrExists)
-	// Rename within the same directory.
-	mustOK(t, e, namespace.OpMv, "/src/f", "/src/f2")
-	mustOK(t, e, namespace.OpStat, "/src/f2", "")
+		mustOK(t, e, namespace.OpCreate, "/src/f", "")
+		wantErr(t, e, namespace.OpMv, "/src/f", "/dst/g", namespace.ErrExists)
+		// Rename within the same directory.
+		mustOK(t, e, namespace.OpMv, "/src/f", "/src/f2")
+		mustOK(t, e, namespace.OpStat, "/src/f2", "")
+	})
 }
 
 func TestMvDirSubtree(t *testing.T) {
-	e, _ := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/old/deep", "")
-	mustOK(t, e, namespace.OpCreate, "/old/deep/f", "")
-	mustOK(t, e, namespace.OpMkdirs, "/parent", "")
-	mustOK(t, e, namespace.OpMv, "/old", "/parent/new")
-	mustOK(t, e, namespace.OpStat, "/parent/new/deep/f", "")
-	wantErr(t, e, namespace.OpStat, "/old", "", namespace.ErrNotFound)
-	// Subtree lock must be released afterwards.
-	mustOK(t, e, namespace.OpCreate, "/parent/new/deep/f2", "")
-	wantErr(t, e, namespace.OpMv, "/parent", "/parent/new/oops", namespace.ErrMvIntoSelf)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/old/deep", "")
+		mustOK(t, e, namespace.OpCreate, "/old/deep/f", "")
+		mustOK(t, e, namespace.OpMkdirs, "/parent", "")
+		mustOK(t, e, namespace.OpMv, "/old", "/parent/new")
+		mustOK(t, e, namespace.OpStat, "/parent/new/deep/f", "")
+		wantErr(t, e, namespace.OpStat, "/old", "", namespace.ErrNotFound)
+		// Subtree lock must be released afterwards.
+		mustOK(t, e, namespace.OpCreate, "/parent/new/deep/f2", "")
+		wantErr(t, e, namespace.OpMv, "/parent", "/parent/new/oops", namespace.ErrMvIntoSelf)
+	})
 }
 
 func TestReadReturnsBlockLocations(t *testing.T) {
-	e, st := soloEngine()
-	// Publish two DataNodes so create assigns locations.
-	tx := st.Begin("seed")
-	if err := tx.KVPut(store.TableDataNodes, "dn1",
-		[]byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.KVPut(store.TableDataNodes, "dn2",
-		[]byte(`{"ID":"dn2","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	mustOK(t, e, namespace.OpCreate, "/blocks.bin", "")
-	rd := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
-	if len(rd.Blocks) != 1 || len(rd.Blocks[0].Locations) != 2 {
-		t.Fatalf("blocks = %+v", rd.Blocks)
-	}
-	// The reply's blocks are the caller's own: read hands out the chain
-	// resolve cloned, never the cached row.
-	hit := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
-	if !hit.CacheHit {
-		t.Fatal("second read missed")
-	}
-	for _, r := range []*namespace.Response{rd, hit} {
-		r.Blocks[0].ID, r.Blocks[0].Locations[0] = 0, "scribbled"
-		r.Blocks = append(r.Blocks[:0], namespace.Block{})
-	}
-	again := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
-	if !again.CacheHit || len(again.Blocks) != 1 || again.Blocks[0].ID != namespace.BlockID(again.ID) ||
-		again.Blocks[0].Locations[0] == "scribbled" {
-		t.Fatalf("a reply's blocks alias the cache: next read = %+v (hit %v)", again.Blocks, again.CacheHit)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		// Publish two DataNodes so create assigns locations.
+		tx := st.Begin("seed")
+		if err := tx.KVPut(store.TableDataNodes, "dn1",
+			[]byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.KVPut(store.TableDataNodes, "dn2",
+			[]byte(`{"ID":"dn2","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		mustOK(t, e, namespace.OpCreate, "/blocks.bin", "")
+		rd := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
+		if len(rd.Blocks) != 1 || len(rd.Blocks[0].Locations) != 2 {
+			t.Fatalf("blocks = %+v", rd.Blocks)
+		}
+		// The reply's blocks are the caller's own: read hands out the chain
+		// resolve cloned, never the cached row.
+		hit := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
+		if !hit.CacheHit {
+			t.Fatal("second read missed")
+		}
+		for _, r := range []*namespace.Response{rd, hit} {
+			r.Blocks[0].ID, r.Blocks[0].Locations[0] = 0, "scribbled"
+			r.Blocks = append(r.Blocks[:0], namespace.Block{})
+		}
+		again := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
+		if !again.CacheHit || len(again.Blocks) != 1 || again.Blocks[0].ID != namespace.BlockID(again.ID) ||
+			again.Blocks[0].Locations[0] == "scribbled" {
+			t.Fatalf("a reply's blocks alias the cache: next read = %+v (hit %v)", again.Blocks, again.CacheHit)
+		}
+	})
 }
 
 func TestCacheHitOnSecondAccess(t *testing.T) {
-	e, _ := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/c", "")
-	mustOK(t, e, namespace.OpCreate, "/c/f", "")
-	first := mustOK(t, e, namespace.OpStat, "/c/f", "")
-	second := mustOK(t, e, namespace.OpStat, "/c/f", "")
-	if second.CacheHit != true {
-		t.Fatalf("second stat hit=%v first=%v", second.CacheHit, first.CacheHit)
-	}
-	// ls caches the listing; second ls hits.
-	mustOK(t, e, namespace.OpLs, "/c", "")
-	if ls2 := mustOK(t, e, namespace.OpLs, "/c", ""); !ls2.CacheHit {
-		t.Fatal("second ls not served from cache")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/c", "")
+		mustOK(t, e, namespace.OpCreate, "/c/f", "")
+		first := mustOK(t, e, namespace.OpStat, "/c/f", "")
+		second := mustOK(t, e, namespace.OpStat, "/c/f", "")
+		if second.CacheHit != true {
+			t.Fatalf("second stat hit=%v first=%v", second.CacheHit, first.CacheHit)
+		}
+		// ls caches the listing; second ls hits.
+		mustOK(t, e, namespace.OpLs, "/c", "")
+		if ls2 := mustOK(t, e, namespace.OpLs, "/c", ""); !ls2.CacheHit {
+			t.Fatal("second ls not served from cache")
+		}
+	})
 }
 
 // TestLocalWriteInvalidatesOwnEntryKeepsListing: a write takes the INode it
@@ -216,238 +230,255 @@ func TestCacheHitOnSecondAccess(t *testing.T) {
 // listing — exact — instead of dropping it (writethrough_test.go has the
 // cases where it must be dropped).
 func TestLocalWriteInvalidatesOwnEntryKeepsListing(t *testing.T) {
-	e, _ := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/w", "")
-	mustOK(t, e, namespace.OpCreate, "/w/a", "")
-	mustOK(t, e, namespace.OpLs, "/w", "") // listing cached
-	mustOK(t, e, namespace.OpCreate, "/w/b", "")
-	ls := mustOK(t, e, namespace.OpLs, "/w", "")
-	if !ls.CacheHit {
-		t.Fatal("the writer dropped its own listing")
-	}
-	if len(ls.Entries) != 2 {
-		t.Fatalf("stale listing served from cache after create: %+v", ls.Entries)
-	}
-	// Delete must invalidate the file's cached entry.
-	mustOK(t, e, namespace.OpStat, "/w/a", "")
-	mustOK(t, e, namespace.OpDelete, "/w/a", "")
-	wantErr(t, e, namespace.OpStat, "/w/a", "", namespace.ErrNotFound)
-	if ls := mustOK(t, e, namespace.OpLs, "/w", ""); !ls.CacheHit || len(ls.Entries) != 1 || ls.Entries[0].Name != "b" {
-		t.Fatalf("ls after delete: hit=%v entries=%+v, want b from the cache", ls.CacheHit, ls.Entries)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/w", "")
+		mustOK(t, e, namespace.OpCreate, "/w/a", "")
+		mustOK(t, e, namespace.OpLs, "/w", "") // listing cached
+		mustOK(t, e, namespace.OpCreate, "/w/b", "")
+		ls := mustOK(t, e, namespace.OpLs, "/w", "")
+		if !ls.CacheHit {
+			t.Fatal("the writer dropped its own listing")
+		}
+		if len(ls.Entries) != 2 {
+			t.Fatalf("stale listing served from cache after create: %+v", ls.Entries)
+		}
+		// Delete must invalidate the file's cached entry.
+		mustOK(t, e, namespace.OpStat, "/w/a", "")
+		mustOK(t, e, namespace.OpDelete, "/w/a", "")
+		wantErr(t, e, namespace.OpStat, "/w/a", "", namespace.ErrNotFound)
+		if ls := mustOK(t, e, namespace.OpLs, "/w", ""); !ls.CacheHit || len(ls.Entries) != 1 || ls.Entries[0].Name != "b" {
+			t.Fatalf("ls after delete: hit=%v entries=%+v, want b from the cache", ls.CacheHit, ls.Entries)
+		}
+	})
 }
 
 func TestResultCacheDedupesResubmission(t *testing.T) {
-	e, _ := soloEngine()
-	req := namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 7}
-	r1 := e.Execute(req)
-	if !r1.OK() {
-		t.Fatalf("create: %s", r1.Err)
-	}
-	// Resubmission (same ClientID/Seq) returns the cached success rather
-	// than ErrExists.
-	r2 := e.Execute(req)
-	if !r2.OK() || r2.ID != r1.ID {
-		t.Fatalf("resubmission: %+v vs %+v", r2, r1)
-	}
-	// A genuinely new request for the same path fails.
-	r3 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 8})
-	if !errors.Is(r3.Error(), namespace.ErrExists) {
-		t.Fatalf("new create: %v", r3.Error())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		req := namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 7}
+		r1 := e.Execute(req)
+		if !r1.OK() {
+			t.Fatalf("create: %s", r1.Err)
+		}
+		// Resubmission (same ClientID/Seq) returns the cached success rather
+		// than ErrExists.
+		r2 := e.Execute(req)
+		if !r2.OK() || r2.ID != r1.ID {
+			t.Fatalf("resubmission: %+v vs %+v", r2, r1)
+		}
+		// A genuinely new request for the same path fails.
+		r3 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 8})
+		if !errors.Is(r3.Error(), namespace.ErrExists) {
+			t.Fatalf("new create: %v", r3.Error())
+		}
+	})
 }
 
 // twoEngines builds two engines in the same deployment sharing a store
 // and coordinator — the multi-instance coherence scenario.
-func twoEngines(t *testing.T, deployments int) (*Engine, *Engine, *ndb.DB) {
+func twoEngines(t *testing.T, clk *clock.Sim, deployments int) (*Engine, *Engine, *ndb.DB) {
 	t.Helper()
-	fleet, _, _, st := engineFleet(t, deployments, 2)
+	fleet, _, _, st := engineFleet(t, clk, deployments, 2)
 	return fleet[0][0], fleet[0][1], st
 }
 
 func TestCoherenceAcrossInstances(t *testing.T) {
-	a, b, _ := twoEngines(t, 1) // single deployment: both own everything
-	mustOK(t, a, namespace.OpMkdirs, "/coh", "")
-	mustOK(t, a, namespace.OpCreate, "/coh/f", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, _ := twoEngines(t, clk, 1) // single deployment: both own everything
+		mustOK(t, a, namespace.OpMkdirs, "/coh", "")
+		mustOK(t, a, namespace.OpCreate, "/coh/f", "")
 
-	// b caches the file.
-	mustOK(t, b, namespace.OpStat, "/coh/f", "")
-	if hit := mustOK(t, b, namespace.OpStat, "/coh/f", ""); !hit.CacheHit {
-		t.Fatal("b did not cache")
-	}
-	// a deletes it; the INV must reach b before the delete persists.
-	mustOK(t, a, namespace.OpDelete, "/coh/f", "")
-	wantErr(t, b, namespace.OpStat, "/coh/f", "", namespace.ErrNotFound)
+		// b caches the file.
+		mustOK(t, b, namespace.OpStat, "/coh/f", "")
+		if hit := mustOK(t, b, namespace.OpStat, "/coh/f", ""); !hit.CacheHit {
+			t.Fatal("b did not cache")
+		}
+		// a deletes it; the INV must reach b before the delete persists.
+		mustOK(t, a, namespace.OpDelete, "/coh/f", "")
+		wantErr(t, b, namespace.OpStat, "/coh/f", "", namespace.ErrNotFound)
+	})
 }
 
 func TestCoherenceListingAcrossInstances(t *testing.T) {
-	a, b, _ := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/dir", "")
-	mustOK(t, a, namespace.OpCreate, "/dir/x", "")
-	mustOK(t, b, namespace.OpLs, "/dir", "")
-	if ls := mustOK(t, b, namespace.OpLs, "/dir", ""); !ls.CacheHit {
-		t.Fatal("listing not cached on b")
-	}
-	mustOK(t, a, namespace.OpCreate, "/dir/y", "")
-	ls := mustOK(t, b, namespace.OpLs, "/dir", "")
-	if ls.CacheHit {
-		t.Fatal("b served stale listing after sibling create")
-	}
-	if len(ls.Entries) != 2 {
-		t.Fatalf("entries = %+v", ls.Entries)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, _ := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/dir", "")
+		mustOK(t, a, namespace.OpCreate, "/dir/x", "")
+		mustOK(t, b, namespace.OpLs, "/dir", "")
+		if ls := mustOK(t, b, namespace.OpLs, "/dir", ""); !ls.CacheHit {
+			t.Fatal("listing not cached on b")
+		}
+		mustOK(t, a, namespace.OpCreate, "/dir/y", "")
+		ls := mustOK(t, b, namespace.OpLs, "/dir", "")
+		if ls.CacheHit {
+			t.Fatal("b served stale listing after sibling create")
+		}
+		if len(ls.Entries) != 2 {
+			t.Fatalf("entries = %+v", ls.Entries)
+		}
+	})
 }
 
 func TestCoherenceSubtreePrefixINV(t *testing.T) {
-	a, b, _ := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/tree/deep", "")
-	mustOK(t, a, namespace.OpCreate, "/tree/deep/f", "")
-	mustOK(t, b, namespace.OpStat, "/tree/deep/f", "")
-	mustOK(t, a, namespace.OpDelete, "/tree", "")
-	wantErr(t, b, namespace.OpStat, "/tree/deep/f", "", namespace.ErrNotFound)
-	wantErr(t, b, namespace.OpStat, "/tree", "", namespace.ErrNotFound)
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, _ := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/tree/deep", "")
+		mustOK(t, a, namespace.OpCreate, "/tree/deep/f", "")
+		mustOK(t, b, namespace.OpStat, "/tree/deep/f", "")
+		mustOK(t, a, namespace.OpDelete, "/tree", "")
+		wantErr(t, b, namespace.OpStat, "/tree/deep/f", "", namespace.ErrNotFound)
+		wantErr(t, b, namespace.OpStat, "/tree", "", namespace.ErrNotFound)
+	})
 }
 
 func TestLinearizabilityCreateDeleteLoop(t *testing.T) {
-	// Property: after a delete completes on engine A, a stat on engine B
-	// never sees the file; after a create completes, B always sees it.
-	a, b, st := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/lin", "")
-	for i := 0; i < 60; i++ {
-		p := fmt.Sprintf("/lin/f%d", i%7)
-		mustOK(t, a, namespace.OpCreate, p, "")
-		if r := mustOK(t, b, namespace.OpStat, p, ""); r.Stat == nil {
-			t.Fatalf("stat after create returned nothing (i=%d)", i)
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Property: after a delete completes on engine A, a stat on engine B
+		// never sees the file; after a create completes, B always sees it.
+		a, b, st := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/lin", "")
+		for i := 0; i < 60; i++ {
+			p := fmt.Sprintf("/lin/f%d", i%7)
+			mustOK(t, a, namespace.OpCreate, p, "")
+			if r := mustOK(t, b, namespace.OpStat, p, ""); r.Stat == nil {
+				t.Fatalf("stat after create returned nothing (i=%d)", i)
+			}
+			mustOK(t, a, namespace.OpDelete, p, "")
+			wantErr(t, b, namespace.OpStat, p, "", namespace.ErrNotFound)
 		}
-		mustOK(t, a, namespace.OpDelete, p, "")
-		wantErr(t, b, namespace.OpStat, p, "", namespace.ErrNotFound)
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+	})
 }
 
 func TestConcurrentWritersDistinctFiles(t *testing.T) {
-	a, b, st := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/conc", "")
-	var wg sync.WaitGroup
-	for w, e := range []*Engine{a, b} {
-		wg.Add(1)
-		go func(w int, e *Engine) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				p := fmt.Sprintf("/conc/w%d-%d", w, i)
-				if r := do(t, e, namespace.OpCreate, p, ""); !r.OK() {
-					t.Errorf("create %s: %s", p, r.Err)
-					return
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, st := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/conc", "")
+		wg := clock.NewGroup(clk)
+		for w, e := range []*Engine{a, b} {
+			wg.Go(func() {
+				for i := 0; i < 30; i++ {
+					p := fmt.Sprintf("/conc/w%d-%d", w, i)
+					if r := do(t, e, namespace.OpCreate, p, ""); !r.OK() {
+						t.Errorf("create %s: %s", p, r.Err)
+						return
+					}
 				}
-			}
-		}(w, e)
-	}
-	wg.Wait()
-	ls := mustOK(t, a, namespace.OpLs, "/conc", "")
-	if len(ls.Entries) != 60 {
-		t.Fatalf("entries = %d, want 60", len(ls.Entries))
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+			})
+		}
+		wg.Wait()
+		ls := mustOK(t, a, namespace.OpLs, "/conc", "")
+		if len(ls.Entries) != 60 {
+			t.Fatalf("entries = %d, want 60", len(ls.Entries))
+		}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+	})
 }
 
 func TestConcurrentCreateSameFileOneWins(t *testing.T) {
-	a, b, _ := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/race", "")
-	var ok, exists int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, e := range []*Engine{a, b, a, b} {
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			r := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/race/one"})
-			mu.Lock()
-			defer mu.Unlock()
-			if r.OK() {
-				ok++
-			} else if errors.Is(r.Error(), namespace.ErrExists) {
-				exists++
-			} else {
-				t.Errorf("unexpected: %s", r.Err)
-			}
-		}(e)
-	}
-	wg.Wait()
-	if ok != 1 || exists != 3 {
-		t.Fatalf("ok=%d exists=%d", ok, exists)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, _ := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/race", "")
+		var ok, exists int
+		var mu sync.Mutex
+		wg := clock.NewGroup(clk)
+		for _, e := range []*Engine{a, b, a, b} {
+			wg.Go(func() {
+				r := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/race/one"})
+				mu.Lock()
+				defer mu.Unlock()
+				if r.OK() {
+					ok++
+				} else if errors.Is(r.Error(), namespace.ErrExists) {
+					exists++
+				} else {
+					t.Errorf("unexpected: %s", r.Err)
+				}
+			})
+		}
+		wg.Wait()
+		if ok != 1 || exists != 3 {
+			t.Fatalf("ok=%d exists=%d", ok, exists)
+		}
+	})
 }
 
 func TestSubtreeIsolationBlocksInnerOps(t *testing.T) {
-	a, b, _ := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/iso/deep", "")
-	mustOK(t, a, namespace.OpMkdirs, "/quiet", "")
-	mustOK(t, a, namespace.OpCreate, "/quiet/file", "")
-	root, err := a.subtreeLock(nil, "/iso", namespace.OpDelete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErr(t, b, namespace.OpCreate, "/iso/deep/f", "", namespace.ErrSubtreeBusy)
-	wantErr(t, b, namespace.OpMv, "/iso/deep", "/elsewhere", namespace.ErrSubtreeBusy)
-	// What the path names is decided first, as the pre-transaction peek
-	// used to: a missing target is ErrNotFound whatever is above it (the
-	// model tests pin the same for a non-directory parent); a target that
-	// exists meets isolation — a file in the transaction that locked it, a
-	// directory in the subtree protocol it is rerouted to.
-	wantErr(t, b, namespace.OpDelete, "/iso/deep/missing", "", namespace.ErrNotFound)
-	wantErr(t, b, namespace.OpMv, "/iso/deep/missing", "/elsewhere", namespace.ErrNotFound)
-	wantErr(t, b, namespace.OpMv, "/quiet/missing", "/iso/deep/f", namespace.ErrNotFound)
-	wantErr(t, b, namespace.OpDelete, "/iso/deep", "", namespace.ErrSubtreeBusy)
-	wantErr(t, b, namespace.OpMv, "/quiet/file", "/iso/deep/f", namespace.ErrSubtreeBusy)
-	// Overlapping subtree op rejected too.
-	if _, err := b.subtreeLock(nil, "/iso", namespace.OpMv); !errors.Is(err, namespace.ErrSubtreeBusy) {
-		t.Fatalf("overlapping subtree lock: %v", err)
-	}
-	a.subtreeUnlock(nil, root.ID)
-	mustOK(t, b, namespace.OpCreate, "/iso/deep/f", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, _ := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/iso/deep", "")
+		mustOK(t, a, namespace.OpMkdirs, "/quiet", "")
+		mustOK(t, a, namespace.OpCreate, "/quiet/file", "")
+		root, err := a.subtreeLock(nil, "/iso", namespace.OpDelete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantErr(t, b, namespace.OpCreate, "/iso/deep/f", "", namespace.ErrSubtreeBusy)
+		wantErr(t, b, namespace.OpMv, "/iso/deep", "/elsewhere", namespace.ErrSubtreeBusy)
+		// What the path names is decided first, as the pre-transaction peek
+		// used to: a missing target is ErrNotFound whatever is above it (the
+		// model tests pin the same for a non-directory parent); a target that
+		// exists meets isolation — a file in the transaction that locked it, a
+		// directory in the subtree protocol it is rerouted to.
+		wantErr(t, b, namespace.OpDelete, "/iso/deep/missing", "", namespace.ErrNotFound)
+		wantErr(t, b, namespace.OpMv, "/iso/deep/missing", "/elsewhere", namespace.ErrNotFound)
+		wantErr(t, b, namespace.OpMv, "/quiet/missing", "/iso/deep/f", namespace.ErrNotFound)
+		wantErr(t, b, namespace.OpDelete, "/iso/deep", "", namespace.ErrSubtreeBusy)
+		wantErr(t, b, namespace.OpMv, "/quiet/file", "/iso/deep/f", namespace.ErrSubtreeBusy)
+		// Overlapping subtree op rejected too.
+		if _, err := b.subtreeLock(nil, "/iso", namespace.OpMv); !errors.Is(err, namespace.ErrSubtreeBusy) {
+			t.Fatalf("overlapping subtree lock: %v", err)
+		}
+		a.subtreeUnlock(nil, root.ID)
+		mustOK(t, b, namespace.OpCreate, "/iso/deep/f", "")
+	})
 }
 
 func TestCrashCleanupReleasesSubtreeLock(t *testing.T) {
-	a, b, st := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/crash/dir", "")
-	if _, err := a.subtreeLock(nil, "/crash", namespace.OpDelete); err != nil {
-		t.Fatal(err)
-	}
-	wantErr(t, b, namespace.OpCreate, "/crash/dir/f", "", namespace.ErrSubtreeBusy)
-	// a crashes; cleanup runs (normally via the Coordinator's OnCrash).
-	CleanupCrashedNameNode(st, a.ID())
-	mustOK(t, b, namespace.OpCreate, "/crash/dir/f", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, st := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/crash/dir", "")
+		if _, err := a.subtreeLock(nil, "/crash", namespace.OpDelete); err != nil {
+			t.Fatal(err)
+		}
+		wantErr(t, b, namespace.OpCreate, "/crash/dir/f", "", namespace.ErrSubtreeBusy)
+		// a crashes; cleanup runs (normally via the Coordinator's OnCrash).
+		CleanupCrashedNameNode(st, a.ID())
+		mustOK(t, b, namespace.OpCreate, "/crash/dir/f", "")
+	})
 }
 
 func TestNonOwnerDoesNotCache(t *testing.T) {
-	st := fastStore()
-	clk := clock.NewScaled(0)
-	coord := fastCoord(st)
-	ring := partition.NewRing(4, 0)
-	cfg := DefaultEngineConfig()
-	cfg.OpCPUCost = 0
-	e := NewEngine("nn-x", 0, clk, st, ring, coord, nil, cfg)
-	coord.Register(0, "nn-x", e.HandleInvalidation)
+	simtest.Run(t, func(clk *clock.Sim) {
+		st := fastStore(clk)
+		coord := fastCoord(clk, st)
+		ring := partition.NewRing(4, 0)
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost = 0
+		e := NewEngine("nn-x", 0, clk, st, ring, coord, nil, cfg)
+		coord.Register(0, "nn-x", e.HandleInvalidation)
 
-	// Find a path NOT owned by deployment 0.
-	var p string
-	for i := 0; ; i++ {
-		cand := fmt.Sprintf("/foreign%d/f", i)
-		if ring.DeploymentForPath(cand) != 0 {
-			p = cand
-			break
+		// Find a path NOT owned by deployment 0.
+		var p string
+		for i := 0; ; i++ {
+			cand := fmt.Sprintf("/foreign%d/f", i)
+			if ring.DeploymentForPath(cand) != 0 {
+				p = cand
+				break
+			}
 		}
-	}
-	mustOK(t, e, namespace.OpMkdirs, namespace.ParentPath(p), "")
-	mustOK(t, e, namespace.OpCreate, p, "")
-	mustOK(t, e, namespace.OpStat, p, "")
-	if r := mustOK(t, e, namespace.OpStat, p, ""); r.CacheHit {
-		t.Fatal("non-owner cached foreign metadata")
-	}
+		mustOK(t, e, namespace.OpMkdirs, namespace.ParentPath(p), "")
+		mustOK(t, e, namespace.OpCreate, p, "")
+		mustOK(t, e, namespace.OpStat, p, "")
+		if r := mustOK(t, e, namespace.OpStat, p, ""); r.CacheHit {
+			t.Fatal("non-owner cached foreign metadata")
+		}
+	})
 }
 
 func TestResultCacheBounded(t *testing.T) {
@@ -468,146 +499,156 @@ func TestResultCacheBounded(t *testing.T) {
 }
 
 func TestInvalidPathsRejected(t *testing.T) {
-	e, _ := soloEngine()
-	wantErr(t, e, namespace.OpStat, "relative/path", "", namespace.ErrInvalidPath)
-	wantErr(t, e, namespace.OpMv, "/a", "bad", namespace.ErrInvalidPath)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		wantErr(t, e, namespace.OpStat, "relative/path", "", namespace.ErrInvalidPath)
+		wantErr(t, e, namespace.OpMv, "/a", "bad", namespace.ErrInvalidPath)
+	})
 }
 
 func TestReducedCacheEngineStaysCorrect(t *testing.T) {
-	// A cache far smaller than the working set must only cost
-	// performance, never correctness.
-	st := fastStore()
-	clk := clock.NewScaled(0)
-	cfg := DefaultEngineConfig()
-	cfg.OpCPUCost = 0
-	cfg.CacheBudget = 2048 // a handful of entries
-	e := NewEngine("nn-small", -1, clk, st, nil, nil, nil, cfg)
-	mustOK(t, e, namespace.OpMkdirs, "/rc", "")
-	for i := 0; i < 50; i++ {
-		p := fmt.Sprintf("/rc/f%02d", i)
-		mustOK(t, e, namespace.OpCreate, p, "")
-	}
-	for i := 0; i < 50; i++ {
-		p := fmt.Sprintf("/rc/f%02d", i)
-		r := mustOK(t, e, namespace.OpStat, p, "")
-		if r.Stat == nil {
-			t.Fatalf("stat %s lost", p)
+	simtest.Run(t, func(clk *clock.Sim) {
+		// A cache far smaller than the working set must only cost
+		// performance, never correctness.
+		st := fastStore(clk)
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost = 0
+		cfg.CacheBudget = 2048 // a handful of entries
+		e := NewEngine("nn-small", -1, clk, st, nil, nil, nil, cfg)
+		mustOK(t, e, namespace.OpMkdirs, "/rc", "")
+		for i := 0; i < 50; i++ {
+			p := fmt.Sprintf("/rc/f%02d", i)
+			mustOK(t, e, namespace.OpCreate, p, "")
 		}
-	}
-	c := e.Cache()
-	if c.UsedBytes() > cfg.CacheBudget {
-		t.Fatalf("cache over budget: %d > %d", c.UsedBytes(), cfg.CacheBudget)
-	}
-	if s := c.Stats(); s.Evictions == 0 {
-		t.Fatal("tiny budget produced no evictions")
-	}
-	ls := mustOK(t, e, namespace.OpLs, "/rc", "")
-	if len(ls.Entries) != 50 {
-		t.Fatalf("ls = %d entries", len(ls.Entries))
-	}
+		for i := 0; i < 50; i++ {
+			p := fmt.Sprintf("/rc/f%02d", i)
+			r := mustOK(t, e, namespace.OpStat, p, "")
+			if r.Stat == nil {
+				t.Fatalf("stat %s lost", p)
+			}
+		}
+		c := e.Cache()
+		if c.UsedBytes() > cfg.CacheBudget {
+			t.Fatalf("cache over budget: %d > %d", c.UsedBytes(), cfg.CacheBudget)
+		}
+		if s := c.Stats(); s.Evictions == 0 {
+			t.Fatal("tiny budget produced no evictions")
+		}
+		ls := mustOK(t, e, namespace.OpLs, "/rc", "")
+		if len(ls.Entries) != 50 {
+			t.Fatalf("ls = %d entries", len(ls.Entries))
+		}
+	})
 }
 
 func TestResultCacheDisabledForAnonymousRequests(t *testing.T) {
-	e, _ := soloEngine()
-	// Requests without a ClientID must not be deduplicated.
-	r1 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/anon"})
-	r2 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/anon"})
-	if !r1.OK() || r2.OK() {
-		t.Fatalf("anonymous dedup occurred: %v %v", r1.Err, r2.Err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		// Requests without a ClientID must not be deduplicated.
+		r1 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/anon"})
+		r2 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/anon"})
+		if !r1.OK() || r2.OK() {
+			t.Fatalf("anonymous dedup occurred: %v %v", r1.Err, r2.Err)
+		}
+	})
 }
 
 func TestSubtreeDeleteHugeUsesBatches(t *testing.T) {
-	e, st := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/huge", "")
-	// More files than one SubtreeBatch (512).
-	for i := 0; i < 700; i++ {
-		mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/huge/f%03d", i), "")
-	}
-	mustOK(t, e, namespace.OpDelete, "/huge", "")
-	if st.INodeCount() != 1 {
-		t.Fatalf("inodes left: %d", st.INodeCount())
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/huge", "")
+		// More files than one SubtreeBatch (512).
+		for i := 0; i < 700; i++ {
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/huge/f%03d", i), "")
+		}
+		mustOK(t, e, namespace.OpDelete, "/huge", "")
+		if st.INodeCount() != 1 {
+			t.Fatalf("inodes left: %d", st.INodeCount())
+		}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+	})
 }
 
 func TestSubtreeDeleteFailedBatchKeepsRoot(t *testing.T) {
-	// Regression: a victim batch whose commit fails used to be dropped and
-	// the root row deleted anyway, orphaning the batch's inodes.
-	var armed atomic.Bool
-	var commits atomic.Int64
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.OnCommit = func(string) error {
-		// Commit 1 is the subtree lock, 2 the first victim batch to finish.
-		if armed.Load() && commits.Add(1) == 2 {
-			return errors.New("injected commit abort")
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Regression: a victim batch whose commit fails used to be dropped and
+		// the root row deleted anyway, orphaning the batch's inodes.
+		var armed atomic.Bool
+		var commits atomic.Int64
+		ncfg := ndb.DefaultConfig()
+		ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
+		ncfg.OnCommit = func(string) error {
+			// Commit 1 is the subtree lock, 2 the first victim batch to finish.
+			if armed.Load() && commits.Add(1) == 2 {
+				return errors.New("injected commit abort")
+			}
+			return nil
 		}
-		return nil
-	}
-	clk := clock.NewScaled(0)
-	st := ndb.New(clk, ncfg)
-	cfg := DefaultEngineConfig()
-	cfg.OpCPUCost, cfg.SubtreeCPUPerINode = 0, 0
-	e := NewEngine("nn-solo", -1, clk, st, nil, nil, nil, cfg)
-	mustOK(t, e, namespace.OpMkdirs, "/doomed", "")
-	for i := 0; i < 700; i++ { // two SubtreeBatch-sized victim batches
-		mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/doomed/f%03d", i), "")
-	}
+		st := ndb.New(clk, ncfg)
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost, cfg.SubtreeCPUPerINode = 0, 0
+		e := NewEngine("nn-solo", -1, clk, st, nil, nil, nil, cfg)
+		mustOK(t, e, namespace.OpMkdirs, "/doomed", "")
+		for i := 0; i < 700; i++ { // two SubtreeBatch-sized victim batches
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/doomed/f%03d", i), "")
+		}
 
-	armed.Store(true)
-	if resp := do(t, e, namespace.OpDelete, "/doomed", ""); resp.OK() {
-		t.Fatal("delete reported success although a victim batch failed to commit")
-	}
-	armed.Store(false)
-	if bad := st.CheckIntegrity(); len(bad) > 0 {
-		t.Fatalf("integrity violations after failed delete: %v", bad)
-	}
-	chain, err := st.ResolvePath("/doomed")
-	if err != nil {
-		t.Fatalf("root gone after failed delete: %v", err)
-	}
-	if owner := chain[len(chain)-1].SubtreeLockOwner; owner != "" {
-		t.Fatalf("subtree lock still held by %q", owner)
-	}
-	var ops map[string][]byte
-	if err := store.RunTx(st, "audit", nil, func(tx store.Tx) (err error) {
-		ops, err = tx.KVScan(store.TableSubtreeOps, "")
-		return err
-	}); err != nil || len(ops) != 0 {
-		t.Fatalf("subtree_ops rows left: %v (err %v)", ops, err)
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+		armed.Store(true)
+		if resp := do(t, e, namespace.OpDelete, "/doomed", ""); resp.OK() {
+			t.Fatal("delete reported success although a victim batch failed to commit")
+		}
+		armed.Store(false)
+		if bad := st.CheckIntegrity(); len(bad) > 0 {
+			t.Fatalf("integrity violations after failed delete: %v", bad)
+		}
+		chain, err := st.ResolvePath("/doomed")
+		if err != nil {
+			t.Fatalf("root gone after failed delete: %v", err)
+		}
+		if owner := chain[len(chain)-1].SubtreeLockOwner; owner != "" {
+			t.Fatalf("subtree lock still held by %q", owner)
+		}
+		var ops map[string][]byte
+		if err := store.RunTx(st, "audit", nil, func(tx store.Tx) (err error) {
+			ops, err = tx.KVScan(store.TableSubtreeOps, "")
+			return err
+		}); err != nil || len(ops) != 0 {
+			t.Fatalf("subtree_ops rows left: %v (err %v)", ops, err)
+		}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
 
-	mustOK(t, e, namespace.OpDelete, "/doomed", "")
-	if st.INodeCount() != 1 {
-		t.Fatalf("inodes left after retried delete: %d", st.INodeCount())
-	}
+		mustOK(t, e, namespace.OpDelete, "/doomed", "")
+		if st.INodeCount() != 1 {
+			t.Fatalf("inodes left after retried delete: %d", st.INodeCount())
+		}
+	})
 }
 
 func TestNoCacheFillUnderForeignSubtreeLock(t *testing.T) {
-	// Regression: a cache fill racing a subtree operation must not insert
-	// entries after the prefix INV has passed — they would go stale when
-	// the subtree is deleted (no further INVs are sent).
-	a, b, _ := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/locked", "")
-	mustOK(t, a, namespace.OpCreate, "/locked/f", "")
-	root, err := a.subtreeLock(nil, "/locked", namespace.OpDelete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the prefix INV having already cleared b's cache.
-	b.Cache().InvalidatePrefix("/locked")
-	// b's read during the locked window is rejected AND must not fill
-	// the cache.
-	wantErr(t, b, namespace.OpStat, "/locked/f", "", namespace.ErrSubtreeBusy)
-	if b.Cache().Contains("/locked/f") || b.Cache().Contains("/locked") {
-		t.Fatal("cache filled under a foreign subtree lock")
-	}
-	a.subtreeUnlock(nil, root.ID)
-	mustOK(t, b, namespace.OpStat, "/locked/f", "")
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Regression: a cache fill racing a subtree operation must not insert
+		// entries after the prefix INV has passed — they would go stale when
+		// the subtree is deleted (no further INVs are sent).
+		a, b, _ := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/locked", "")
+		mustOK(t, a, namespace.OpCreate, "/locked/f", "")
+		root, err := a.subtreeLock(nil, "/locked", namespace.OpDelete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Simulate the prefix INV having already cleared b's cache.
+		b.Cache().InvalidatePrefix("/locked")
+		// b's read during the locked window is rejected AND must not fill
+		// the cache.
+		wantErr(t, b, namespace.OpStat, "/locked/f", "", namespace.ErrSubtreeBusy)
+		if b.Cache().Contains("/locked/f") || b.Cache().Contains("/locked") {
+			t.Fatal("cache filled under a foreign subtree lock")
+		}
+		a.subtreeUnlock(nil, root.ID)
+		mustOK(t, b, namespace.OpStat, "/locked/f", "")
+	})
 }

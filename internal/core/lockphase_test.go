@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/workload"
 )
 
@@ -19,35 +19,37 @@ import (
 // write's lock phase: one LockPaths call, so one ndb read, whatever the
 // operation locks — and one more for mkdirs' lock-free peek.
 func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
-	e, st := soloEngine()
-	mustOK(t, e, namespace.OpMkdirs, "/p/q", "")
-	mustOK(t, e, namespace.OpMkdirs, "/r", "")
-	mustOK(t, e, namespace.OpCreate, "/r/warm", "") // loads the DataNode view (a KV scan) once
-	for _, c := range []struct {
-		name       string
-		op         namespace.OpType
-		path, dest string
-		reads      uint64
-	}{
-		{"create", namespace.OpCreate, "/p/q/f", "", 1},
-		{"mv same parent", namespace.OpMv, "/p/q/f", "/p/q/g", 1},
-		{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1},
-		{"delete", namespace.OpDelete, "/r/h", "", 1},
-		{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2},
-	} {
-		before := st.Stats()
-		mustOK(t, e, c.op, c.path, c.dest)
-		after := st.Stats()
-		if got := after.Reads - before.Reads; got != c.reads {
-			t.Errorf("%s: %d store reads, want %d", c.name, got, c.reads)
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/p/q", "")
+		mustOK(t, e, namespace.OpMkdirs, "/r", "")
+		mustOK(t, e, namespace.OpCreate, "/r/warm", "") // loads the DataNode view (a KV scan) once
+		for _, c := range []struct {
+			name       string
+			op         namespace.OpType
+			path, dest string
+			reads      uint64
+		}{
+			{"create", namespace.OpCreate, "/p/q/f", "", 1},
+			{"mv same parent", namespace.OpMv, "/p/q/f", "/p/q/g", 1},
+			{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1},
+			{"delete", namespace.OpDelete, "/r/h", "", 1},
+			{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2},
+		} {
+			before := st.Stats()
+			mustOK(t, e, c.op, c.path, c.dest)
+			after := st.Stats()
+			if got := after.Reads - before.Reads; got != c.reads {
+				t.Errorf("%s: %d store reads, want %d", c.name, got, c.reads)
+			}
+			if got := after.ResolveHops - before.ResolveHops; got != c.reads {
+				t.Errorf("%s: %d resolve hops, want %d", c.name, got, c.reads)
+			}
 		}
-		if got := after.ResolveHops - before.ResolveHops; got != c.reads {
-			t.Errorf("%s: %d resolve hops, want %d", c.name, got, c.reads)
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
 		}
-	}
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+	})
 }
 
 // TestLsMissIsOneStoreRead pins the store round trips of a listing miss:
@@ -129,64 +131,67 @@ func TestLsMissIsOneStoreRead(t *testing.T) {
 // operation chose its rows (it used to answer ErrInvalidState).
 func TestDirectoryDispatchUnderLock(t *testing.T) {
 	t.Run("plain directory", func(t *testing.T) {
-		e, st := soloEngine()
-		mustOK(t, e, namespace.OpMkdirs, "/d/sub", "")
-		mustOK(t, e, namespace.OpCreate, "/d/sub/f", "")
-		mustOK(t, e, namespace.OpMv, "/d", "/e")
-		mustOK(t, e, namespace.OpStat, "/e/sub/f", "")
-		mustOK(t, e, namespace.OpDelete, "/e", "")
-		if st.INodeCount() != 1 {
-			t.Fatalf("inodes left: %d", st.INodeCount())
-		}
+		simtest.Run(t, func(clk *clock.Sim) {
+			e, st := soloEngine(clk)
+			mustOK(t, e, namespace.OpMkdirs, "/d/sub", "")
+			mustOK(t, e, namespace.OpCreate, "/d/sub/f", "")
+			mustOK(t, e, namespace.OpMv, "/d", "/e")
+			mustOK(t, e, namespace.OpStat, "/e/sub/f", "")
+			mustOK(t, e, namespace.OpDelete, "/e", "")
+			if st.INodeCount() != 1 {
+				t.Fatalf("inodes left: %d", st.INodeCount())
+			}
+		})
 	})
 	for _, op := range []namespace.OpType{namespace.OpDelete, namespace.OpMv} {
 		op := op
 		t.Run(fmt.Sprintf("file replaced by directory during %v", op), func(t *testing.T) {
-			e, st := soloEngine()
-			mustOK(t, e, namespace.OpMkdirs, "/d", "")
-			mustOK(t, e, namespace.OpMkdirs, "/e", "")
-			mustOK(t, e, namespace.OpCreate, "/d/x", "")
-			mustOK(t, e, namespace.OpStat, "/d/x", "") // cached as a file: no cache entry may decide the route
+			simtest.Run(t, func(clk *clock.Sim) {
+				e, st := soloEngine(clk)
+				mustOK(t, e, namespace.OpMkdirs, "/d", "")
+				mustOK(t, e, namespace.OpMkdirs, "/e", "")
+				mustOK(t, e, namespace.OpCreate, "/d/x", "")
+				mustOK(t, e, namespace.OpStat, "/d/x", "") // cached as a file: no cache entry may decide the route
 
-			// The blocker owns /d/x's whole row set, so the operation picks
-			// its rows (x is a file) and then parks behind /d.
-			blocker := st.Begin("blocker")
-			locked, err := blocker.LockPaths("/d/x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			held := st.HeldLocks()
-			done := make(chan *namespace.Response, 1)
-			go func() { done <- e.Execute(namespace.Request{Op: op, Path: "/d/x", Dest: "/e/moved"}) }()
-			// Its first lock (the root, shared) is taken after the peek.
-			for deadline := time.Now().Add(5 * time.Second); st.HeldLocks() == held; runtime.Gosched() {
-				if time.Now().After(deadline) {
+				// The blocker owns /d/x's whole row set, so the operation picks
+				// its rows (x is a file) and then parks behind /d.
+				blocker := st.Begin("blocker")
+				locked, err := blocker.LockPaths("/d/x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := st.HeldLocks()
+				var resp *namespace.Response
+				inFlight := clock.NewGroup(clk)
+				inFlight.Go(func() { resp = e.Execute(namespace.Request{Op: op, Path: "/d/x", Dest: "/e/moved"}) })
+				clk.Sleep(time.Millisecond) // it has run as far as it can: past the peek, into its lock phase
+				if st.HeldLocks() == held {
 					t.Fatal("operation never reached its lock phase")
 				}
-			}
-			dir := &namespace.INode{ID: st.NextID(), ParentID: locked[0].Target.ParentID, Name: "x", IsDir: true}
-			if err := blocker.DeleteINode(locked[0].Target.ID); err != nil {
-				t.Fatal(err)
-			}
-			if err := blocker.PutINode(dir); err != nil {
-				t.Fatal(err)
-			}
-			if err := blocker.Commit(); err != nil {
-				t.Fatal(err)
-			}
-
-			if resp := <-done; !resp.OK() {
-				t.Fatalf("%v of a file replaced by a directory: %s", op, resp.Err)
-			}
-			wantErr(t, e, namespace.OpStat, "/d/x", "", namespace.ErrNotFound)
-			if op == namespace.OpMv {
-				if resp := mustOK(t, e, namespace.OpStat, "/e/moved", ""); resp.ID != dir.ID || !resp.Stat.IsDir {
-					t.Fatalf("moved = %+v, want directory %d", resp.Stat, dir.ID)
+				dir := &namespace.INode{ID: st.NextID(), ParentID: locked[0].Target.ParentID, Name: "x", IsDir: true}
+				if err := blocker.DeleteINode(locked[0].Target.ID); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if st.HeldLocks() != 0 {
-				t.Fatalf("locks leaked: %d", st.HeldLocks())
-			}
+				if err := blocker.PutINode(dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := blocker.Commit(); err != nil {
+					t.Fatal(err)
+				}
+
+				if inFlight.Wait(); !resp.OK() {
+					t.Fatalf("%v of a file replaced by a directory: %s", op, resp.Err)
+				}
+				wantErr(t, e, namespace.OpStat, "/d/x", "", namespace.ErrNotFound)
+				if op == namespace.OpMv {
+					if resp := mustOK(t, e, namespace.OpStat, "/e/moved", ""); resp.ID != dir.ID || !resp.Stat.IsDir {
+						t.Fatalf("moved = %+v, want directory %d", resp.Stat, dir.ID)
+					}
+				}
+				if st.HeldLocks() != 0 {
+					t.Fatalf("locks leaked: %d", st.HeldLocks())
+				}
+			})
 		})
 	}
 }

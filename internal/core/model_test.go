@@ -6,12 +6,13 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,37 +23,38 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
+	"lambdafs/internal/telemetry"
 )
 
-// modelFleet is deployments × perDep engines over a shared zero-latency
-// store and coordinator (the engine_test twoEngines shape, rebuilt from
-// exported API only, with the ring as one more input).
+// modelFleet is deployments × perDep engines over a shared store and
+// coordinator (the engine_test twoEngines shape, rebuilt from exported API
+// only, with the ring as one more input).
 type modelFleet struct {
+	clk     *clock.Sim
 	ring    *partition.Ring
 	byDep   [][]*core.Engine // [deployment][instance]
 	engines []*core.Engine   // all of them
 	db      *ndb.DB
-	frozen  chaos.Frozen // every published row checkFrozen has met
+	metrics *telemetry.Registry // the store's
+	frozen  chaos.Frozen        // every published row checkFrozen has met
 }
 
-func modelCluster(t *testing.T, deployments, perDep int) *modelFleet {
-	return modelClusterLockWait(t, deployments, perDep, 150*time.Millisecond)
-}
-
-// modelClusterLockWait is modelCluster with a chosen (real-time) lock-wait
-// timeout: tests asserting that no wait ever times out set it far above
-// any scheduling hiccup, so only a true deadlock can trip it.
-func modelClusterLockWait(t *testing.T, deployments, perDep int, lockWait time.Duration) *modelFleet {
+// modelCluster builds the fleet on clk. Sequential tests run it with every
+// latency zero; the concurrent ones on the store's and the coordinator's
+// default latencies (modelLatencies), which is what spreads their clients'
+// operations over virtual time and so decides how they interleave.
+func modelCluster(t *testing.T, clk *clock.Sim, deployments, perDep int, modelLatencies bool) *modelFleet {
 	t.Helper()
-	clk := clock.NewScaled(0)
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = lockWait
+	ncfg, ccfg := ndb.DefaultConfig(), coordinator.DefaultConfig()
+	if !modelLatencies {
+		ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
+		ncfg.LockWaitTimeout = 150 * time.Millisecond
+		ccfg.HopLatency = 0
+	}
+	ncfg.Metrics = telemetry.NewRegistry()
 	db := ndb.New(clk, ncfg)
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 0
 	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
 	zk := coordinator.NewZK(clk, ccfg)
 
@@ -60,7 +62,7 @@ func modelClusterLockWait(t *testing.T, deployments, perDep int, lockWait time.D
 	ecfg.OpCPUCost = 0
 	ecfg.SubtreeCPUPerINode = 0
 
-	f := &modelFleet{ring: partition.NewRing(deployments, 0), byDep: make([][]*core.Engine, deployments), db: db, frozen: chaos.Frozen{}}
+	f := &modelFleet{clk: clk, ring: partition.NewRing(deployments, 0), byDep: make([][]*core.Engine, deployments), db: db, metrics: ncfg.Metrics, frozen: chaos.Frozen{}}
 	for dep := range f.byDep {
 		for i := 0; i < perDep; i++ {
 			id := fmt.Sprintf("nn-%d%c", dep, 'a'+i)
@@ -194,7 +196,9 @@ func TestEngineMatchesModelRandomOps(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, deployments := range []int{1, 4} {
 				t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
-					randomOpsMatchModel(t, modelCluster(t, deployments, 2), seed)
+					simtest.Run(t, func(clk *clock.Sim) {
+						randomOpsMatchModel(t, modelCluster(t, clk, deployments, 2, false), seed)
+					})
 				})
 			}
 		})
@@ -240,56 +244,99 @@ func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
 // reported by the next check, from the store's table and from the cache
 // that shares the row.
 func TestFrozenRowCheckCatchesAWrite(t *testing.T) {
-	f := modelCluster(t, 1, 2)
-	m := chaos.NewOracle()
-	for _, w := range []struct {
-		op   namespace.OpType
-		path string
-	}{{namespace.OpMkdirs, "/d"}, {namespace.OpCreate, "/d/f"}, {namespace.OpStat, "/d/f"}} {
-		if resp := f.engines[0].Execute(namespace.Request{Op: w.op, Path: w.path}); !resp.OK() {
-			t.Fatalf("%v %s: %s", w.op, w.path, resp.Err)
+	simtest.Run(t, func(clk *clock.Sim) {
+		f := modelCluster(t, clk, 1, 2, false)
+		m := chaos.NewOracle()
+		for _, w := range []struct {
+			op   namespace.OpType
+			path string
+		}{{namespace.OpMkdirs, "/d"}, {namespace.OpCreate, "/d/f"}, {namespace.OpStat, "/d/f"}} {
+			if resp := f.engines[0].Execute(namespace.Request{Op: w.op, Path: w.path}); !resp.OK() {
+				t.Fatalf("%v %s: %s", w.op, w.path, resp.Err)
+			}
+			_ = m.Apply(w.op, w.path, "")
 		}
-		_ = m.Apply(w.op, w.path, "")
-	}
-	f.checkFrozen(t, 0, m)
+		f.checkFrozen(t, 0, m)
 
-	tx := f.db.Begin("vandal")
-	chain, err := tx.ResolvePathBatched("/d/f", store.LockShared, store.LockShared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain[2].Size++
-	tx.Abort()
+		tx := f.db.Begin("vandal")
+		chain, err := tx.ResolvePathBatched("/d/f", store.LockShared, store.LockShared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain[2].Size++
+		tx.Abort()
 
-	probe := map[string]bool{"/d/f": true}
-	bad := append(chaos.CheckStore(f.db, f.frozen), chaos.CheckCaches(f.engines, m, probe, f.frozen)...)
-	if len(bad) != 2 || !strings.HasPrefix(bad[0], "store: published row was written") ||
-		!strings.HasPrefix(bad[1], "cache of nn-0a: published row was written") {
-		t.Fatalf("a write to the published row of /d/f was reported as %q", bad)
+		probe := map[string]bool{"/d/f": true}
+		bad := append(chaos.CheckStore(f.db, f.frozen), chaos.CheckCaches(f.engines, m, probe, f.frozen)...)
+		if len(bad) != 2 || !strings.HasPrefix(bad[0], "store: published row was written") ||
+			!strings.HasPrefix(bad[1], "cache of nn-0a: published row was written") {
+			t.Fatalf("a write to the published row of /d/f was reported as %q", bad)
+		}
+	})
+}
+
+// history is what the clients of one concurrent run did, in the order the
+// operations completed: the run's fingerprint. The clock schedules every
+// goroutine of the run, so a seed's history is the same on every run and
+// every P, and a failing seed replays.
+type history struct{ lines []string }
+
+func (h *history) record(client, step int, err error) {
+	h.lines = append(h.lines, fmt.Sprintf("%d|%d|%v", client, step, err))
+}
+
+func (h *history) digest() string {
+	if h == nil { // the run failed before it had a history to return
+		return ""
 	}
+	sum := sha256.Sum256([]byte(strings.Join(h.lines, "\n")))
+	return hex.EncodeToString(sum[:])
+}
+
+// overSeeds runs one concurrent model workload over seeds first … first+7,
+// each a subtest named after its seed, then the first seed a second time:
+// same seed, same history.
+func overSeeds(t *testing.T, first int64, run func(t *testing.T, seed int64) *history) {
+	var want string
+	for seed := first; seed < first+8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			if h := run(t, seed); seed == first {
+				want = h.digest()
+			}
+		})
+	}
+	t.Run(fmt.Sprintf("seed=%d replayed", first), func(t *testing.T) {
+		if got := run(t, first).digest(); got != want {
+			t.Fatalf("history digest %s, the first run of the seed had %s", got, want)
+		}
+	})
 }
 
 // TestEngineMatchesModelConcurrentClients runs several clients
 // CONCURRENTLY, each on a private subtree with its own oracle and seed,
-// through a shared fleet (1 and 4 deployments × 2 engines) — rename and
-// recursive mv/delete included. Clients interleave arbitrarily in real
-// time; because their subtrees are disjoint, each client's oracle stays
+// through a shared fleet (1 and 4 deployments × 2 engines) on the default
+// store and coordinator latencies — rename and recursive mv/delete
+// included. Because their subtrees are disjoint, each client's oracle stays
 // exact, while the shared cache, coherence protocol, subtree protocol, and
-// lock manager absorb the full interleaving. A final merged sweep checks
-// every client's namespace through every engine.
+// lock manager absorb the interleaving the seed produces. A final merged
+// sweep checks every client's namespace through every engine.
 func TestEngineMatchesModelConcurrentClients(t *testing.T) {
 	for _, deployments := range []int{1, 4} {
 		t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
-			concurrentClientsMatchModel(t, modelCluster(t, deployments, 2))
+			overSeeds(t, 1234, func(t *testing.T, seed int64) (h *history) {
+				simtest.Run(t, func(clk *clock.Sim) {
+					h = concurrentClientsMatchModel(t, modelCluster(t, clk, deployments, 2, true), seed)
+				})
+				return h
+			})
 		})
 	}
 }
 
-func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
+func concurrentClientsMatchModel(t *testing.T, f *modelFleet, seed int64) *history {
 	const (
 		clients = 4
 		steps   = 150
-		seed    = int64(1234)
 	)
 	engines := f.engines
 
@@ -302,20 +349,17 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 	}
 	f.checkFrozen(t, 0, chaos.NewOracle()) // the rows every client's writes will replace
 
+	h := &history{}
 	models := make([]*chaos.Oracle, clients)
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
+	running := clock.NewGroup(f.clk)
 	for c := 0; c < clients; c++ {
-		c := c
 		root := fmt.Sprintf("/c%d", c)
 		m := chaos.NewOracle()
 		if err := m.Mkdirs(root); err != nil {
 			t.Fatalf("oracle mkdirs: %v", err)
 		}
 		models[c] = m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		running.Go(func() {
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			for step := 0; step < steps; step++ {
 				op := randOp(rng)
@@ -328,6 +372,7 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 					Op: op, Path: path, Dest: dest,
 					ClientID: fmt.Sprintf("c%d", c), Seq: uint64(step + 1),
 				})
+				h.record(c, step, resp.Error())
 				if !op.IsWrite() {
 					continue
 				}
@@ -335,18 +380,14 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 				modelErr := m.Apply(op, path, dest)
 				if (modelErr == nil) != (gotErr == nil) ||
 					(modelErr != nil && !errors.Is(gotErr, modelErr)) {
-					errs <- fmt.Errorf("client %d step %d: %v %s -> engine %v, model %v",
-						c, step, op, path, gotErr, modelErr)
+					t.Errorf("seed %d client %d step %d: %v %s -> engine %v, model %v",
+						seed, c, step, op, path, gotErr, modelErr)
 					return
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	running.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -366,22 +407,32 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet) {
 	for _, m := range models {
 		f.checkFrozen(t, -1, m)
 	}
+	return h
 }
 
 // TestEngineMatchesModelTwoHotDirs is the contended counterpart: every
 // client works in the SAME two directories, so all writes queue on two
-// parent rows, while each client owns the names it touches (prefix c<i>_)
-// and therefore an exact oracle. The mix is the write path's whole lock
-// phase — create, mkdirs, delete and mv of files and directories, within
-// one hot directory and across both (crossing renames in either
-// direction). One global lock order means no lock wait may ever time out.
+// parent rows — and must: a run in which no transaction ever waited for a
+// row lock tested nothing — while each client owns the names it touches
+// (prefix c<i>_) and therefore an exact oracle. The mix is the write path's
+// whole lock phase — create, mkdirs, delete and mv of files and
+// directories, within one hot directory and across both (crossing renames
+// in either direction). One global lock order means no lock wait may ever
+// time out.
 func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
+	overSeeds(t, 77, func(t *testing.T, seed int64) (h *history) {
+		simtest.Run(t, func(clk *clock.Sim) {
+			h = twoHotDirsMatchModel(t, modelCluster(t, clk, 1, 2, true), seed)
+		})
+		return h
+	})
+}
+
+func twoHotDirsMatchModel(t *testing.T, f *modelFleet, seed int64) *history {
 	const (
 		clients = 4
 		steps   = 200
-		seed    = int64(77)
 	)
-	f := modelClusterLockWait(t, 1, 2, 10*time.Second)
 	engines, db := f.engines, f.db
 	hot := []string{"/hot0", "/hot1"}
 	for _, h := range hot {
@@ -390,11 +441,10 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 		}
 	}
 
+	h := &history{}
 	models := make([]*chaos.Oracle, clients)
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
+	running := clock.NewGroup(f.clk)
 	for c := 0; c < clients; c++ {
-		c := c
 		m := chaos.NewOracle()
 		for _, h := range hot {
 			if err := m.Mkdirs(h); err != nil {
@@ -402,9 +452,7 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 			}
 		}
 		models[c] = m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		running.Go(func() {
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			// Files and directories share one small name pool per client,
 			// so creates land on directories and mkdirs on files too.
@@ -427,28 +475,35 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 					Op: op, Path: path, Dest: dest,
 					ClientID: fmt.Sprintf("c%d", c), Seq: uint64(step + 1),
 				})
+				h.record(c, step, resp.Error())
 				gotErr, modelErr := resp.Error(), m.Apply(op, path, dest)
 				if (modelErr == nil) != (gotErr == nil) ||
 					(modelErr != nil && !errors.Is(gotErr, modelErr)) {
-					errs <- fmt.Errorf("client %d step %d: %v %s %s -> engine %v, model %v",
-						c, step, op, path, dest, gotErr, modelErr)
+					t.Errorf("seed %d client %d step %d: %v %s %s -> engine %v, model %v",
+						seed, c, step, op, path, dest, gotErr, modelErr)
 					return
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	running.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 
 	if n := db.Stats().LockTimeouts; n != 0 {
-		t.Fatalf("%d lock-wait timeouts", n)
+		t.Fatalf("seed %d: %d lock-wait timeouts", seed, n)
 	}
+	var lockWaits float64
+	for _, m := range f.metrics.Gather() {
+		if m.Name == "lambdafs_ndb_lock_waits_total" {
+			lockWaits = m.Value
+		}
+	}
+	if lockWaits == 0 {
+		t.Fatalf("seed %d: lambdafs_ndb_lock_waits_total is 0: %d clients in two directories never contended for a row", seed, clients)
+	}
+	t.Logf("seed %d: %.0f row-lock waits, history %s", seed, lockWaits, h.digest()[:16])
 	// Each client's names agree with its oracle through both engines; the
 	// hot directories themselves list the union of all clients' names.
 	for _, e := range engines {
@@ -481,6 +536,7 @@ func TestEngineMatchesModelTwoHotDirs(t *testing.T) {
 	if bad := db.CheckIntegrity(); len(bad) != 0 {
 		t.Fatalf("store integrity: %v", bad)
 	}
+	return h
 }
 
 // checkAgreement verifies existence, kind, and listing of path.

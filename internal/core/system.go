@@ -53,7 +53,7 @@ func DefaultSystemConfig() SystemConfig {
 // System is a running λFS metadata service: n NameNode deployments on a
 // FaaS platform over a shared persistent store and Coordinator.
 type System struct {
-	clk      clock.Clock
+	clk      *clock.Sim
 	st       store.Store
 	coord    coordinator.Coordinator
 	platform *faas.Platform
@@ -67,7 +67,7 @@ type System struct {
 
 // NewSystem registers the NameNode deployments on the platform. The
 // caller owns the platform, store, and coordinator lifecycles.
-func NewSystem(clk clock.Clock, st store.Store, coord coordinator.Coordinator,
+func NewSystem(clk *clock.Sim, st store.Store, coord coordinator.Coordinator,
 	platform *faas.Platform, cfg SystemConfig) *System {
 	if cfg.Deployments <= 0 {
 		cfg.Deployments = 1

@@ -13,6 +13,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/partition"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
@@ -67,67 +68,69 @@ func wantLs(t *testing.T, e *Engine, st *ndb.DB, dir string, hit bool) {
 func TestCompleteListingSurvivesOwnWrites(t *testing.T) {
 	for _, deployments := range []int{1, 4} {
 		t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
-			fleet, ring, _, st := engineFleet(t, deployments, 1)
-			e := fleet[ring.Route(namespace.OpLs, "/w")][0] // owns /w's listing and /w's children
-			mustOK(t, e, namespace.OpMkdirs, "/w", "")
-			mustOK(t, e, namespace.OpCreate, "/w/a", "")
-			wantLs(t, e, st, "/w", false)
-			wantLs(t, e, st, "/w", true)
-			for _, c := range []struct {
-				op         namespace.OpType
-				path, dest string
-				appears    string // stat'able from the cache afterwards
-			}{
-				{namespace.OpCreate, "/w/b", "", "/w/b"},
-				{namespace.OpDelete, "/w/a", "", ""},
-				{namespace.OpMv, "/w/b", "/w/c", "/w/c"},
-				{namespace.OpMkdirs, "/w/sub/deep", "", "/w/sub"},
-				{namespace.OpCreate, "/w/d", "", "/w/d"},
-			} {
-				reads := st.Stats().Reads
-				mustOK(t, e, c.op, c.path, c.dest)
+			simtest.Run(t, func(clk *clock.Sim) {
+				fleet, ring, _, st := engineFleet(t, clk, deployments, 1)
+				e := fleet[ring.Route(namespace.OpLs, "/w")][0] // owns /w's listing and /w's children
+				mustOK(t, e, namespace.OpMkdirs, "/w", "")
+				mustOK(t, e, namespace.OpCreate, "/w/a", "")
+				wantLs(t, e, st, "/w", false)
 				wantLs(t, e, st, "/w", true)
-				if c.appears != "" {
-					if stat := mustOK(t, e, namespace.OpStat, c.appears, ""); !stat.CacheHit {
-						t.Errorf("%v %s: stat %s missed, want the committed row installed", c.op, c.path, c.appears)
+				for _, c := range []struct {
+					op         namespace.OpType
+					path, dest string
+					appears    string // stat'able from the cache afterwards
+				}{
+					{namespace.OpCreate, "/w/b", "", "/w/b"},
+					{namespace.OpDelete, "/w/a", "", ""},
+					{namespace.OpMv, "/w/b", "/w/c", "/w/c"},
+					{namespace.OpMkdirs, "/w/sub/deep", "", "/w/sub"},
+					{namespace.OpCreate, "/w/d", "", "/w/d"},
+				} {
+					reads := st.Stats().Reads
+					mustOK(t, e, c.op, c.path, c.dest)
+					wantLs(t, e, st, "/w", true)
+					if c.appears != "" {
+						if stat := mustOK(t, e, namespace.OpStat, c.appears, ""); !stat.CacheHit {
+							t.Errorf("%v %s: stat %s missed, want the committed row installed", c.op, c.path, c.appears)
+						}
+					}
+					if c.op == namespace.OpMv || c.op == namespace.OpDelete {
+						wantErr(t, e, namespace.OpStat, c.path, "", namespace.ErrNotFound)
+					}
+					// The write's lock phase (and mkdirs' peek, and the stat of
+					// what it removed) are the only store reads: nothing above
+					// was refilled.
+					want := uint64(1)
+					switch c.op {
+					case namespace.OpMkdirs, namespace.OpMv, namespace.OpDelete:
+						want = 2
+					}
+					if got := st.Stats().Reads - reads - 1; got != want { // -1: storeNames' own read
+						t.Errorf("%v %s: %d store reads, want %d", c.op, c.path, got, want)
 					}
 				}
-				if c.op == namespace.OpMv || c.op == namespace.OpDelete {
-					wantErr(t, e, namespace.OpStat, c.path, "", namespace.ErrNotFound)
+				if deployments == 1 {
+					// One deployment owns both directories of a rename across
+					// directories: each side is maintained on its own.
+					mustOK(t, e, namespace.OpMkdirs, "/v", "")
+					mustOK(t, e, namespace.OpLs, "/v", "")
+					wantLs(t, e, st, "/v", true)
+					mustOK(t, e, namespace.OpMv, "/w/c", "/v/c")
+					wantLs(t, e, st, "/w", true)
+					wantLs(t, e, st, "/v", true)
 				}
-				// The write's lock phase (and mkdirs' peek, and the stat of
-				// what it removed) are the only store reads: nothing above
-				// was refilled.
-				want := uint64(1)
-				switch c.op {
-				case namespace.OpMkdirs, namespace.OpMv, namespace.OpDelete:
-					want = 2
+				// The directory's own row is the committed one (new mtime).
+				chain, err := st.ResolvePath("/w")
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got := st.Stats().Reads - reads - 1; got != want { // -1: storeNames' own read
-					t.Errorf("%v %s: %d store reads, want %d", c.op, c.path, got, want)
+				if cached, ok := e.Cache().Get("/w"); !ok || !cached.Mtime.Equal(chain[1].Mtime) {
+					t.Errorf("cached /w = %+v, store mtime %v", cached, chain[1].Mtime)
 				}
-			}
-			if deployments == 1 {
-				// One deployment owns both directories of a rename across
-				// directories: each side is maintained on its own.
-				mustOK(t, e, namespace.OpMkdirs, "/v", "")
-				mustOK(t, e, namespace.OpLs, "/v", "")
-				wantLs(t, e, st, "/v", true)
-				mustOK(t, e, namespace.OpMv, "/w/c", "/v/c")
-				wantLs(t, e, st, "/w", true)
-				wantLs(t, e, st, "/v", true)
-			}
-			// The directory's own row is the committed one (new mtime).
-			chain, err := st.ResolvePath("/w")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cached, ok := e.Cache().Get("/w"); !ok || !cached.Mtime.Equal(chain[1].Mtime) {
-				t.Errorf("cached /w = %+v, store mtime %v", cached, chain[1].Mtime)
-			}
-			if st.HeldLocks() != 0 {
-				t.Fatalf("locks leaked: %d", st.HeldLocks())
-			}
+				if st.HeldLocks() != 0 {
+					t.Fatalf("locks leaked: %d", st.HeldLocks())
+				}
+			})
 		})
 	}
 }
@@ -136,58 +139,62 @@ func TestCompleteListingSurvivesOwnWrites(t *testing.T) {
 // deployment the writer keeps its listing and the follower drops its own;
 // both answer what the store holds.
 func TestPeerListingDroppedWriterKept(t *testing.T) {
-	a, b, st := twoEngines(t, 1)
-	mustOK(t, a, namespace.OpMkdirs, "/w", "")
-	mustOK(t, a, namespace.OpCreate, "/w/x", "")
-	for _, e := range []*Engine{a, b} {
-		wantLs(t, e, st, "/w", false)
-		wantLs(t, e, st, "/w", true)
-	}
-	mustOK(t, a, namespace.OpCreate, "/w/y", "")
-	wantLs(t, a, st, "/w", true)
-	wantLs(t, b, st, "/w", false)
-	mustOK(t, b, namespace.OpDelete, "/w/x", "")
-	wantLs(t, b, st, "/w", true)
-	wantLs(t, a, st, "/w", false)
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b, st := twoEngines(t, clk, 1)
+		mustOK(t, a, namespace.OpMkdirs, "/w", "")
+		mustOK(t, a, namespace.OpCreate, "/w/x", "")
+		for _, e := range []*Engine{a, b} {
+			wantLs(t, e, st, "/w", false)
+			wantLs(t, e, st, "/w", true)
+		}
+		mustOK(t, a, namespace.OpCreate, "/w/y", "")
+		wantLs(t, a, st, "/w", true)
+		wantLs(t, b, st, "/w", false)
+		mustOK(t, b, namespace.OpDelete, "/w/x", "")
+		wantLs(t, b, st, "/w", true)
+		wantLs(t, a, st, "/w", false)
+	})
 }
 
 // TestCrossDirectoryMvMaintainsOwnedSide: a rename between directories of
 // two deployments keeps the listing of the side the writer owns and clears
 // the other deployment's, whichever side that is.
 func TestCrossDirectoryMvMaintainsOwnedSide(t *testing.T) {
-	fleet, ring, _, st := engineFleet(t, 4, 1)
-	// Two directories whose children (and listings) two deployments own.
-	p, q := "/d0", ""
-	for i := 1; q == ""; i++ {
-		if d := fmt.Sprintf("/d%d", i); ring.Route(namespace.OpLs, d) != ring.Route(namespace.OpLs, p) {
-			q = d
+	simtest.Run(t, func(clk *clock.Sim) {
+		fleet, ring, _, st := engineFleet(t, clk, 4, 1)
+		// Two directories whose children (and listings) two deployments own.
+		p, q := "/d0", ""
+		for i := 1; q == ""; i++ {
+			if d := fmt.Sprintf("/d%d", i); ring.Route(namespace.OpLs, d) != ring.Route(namespace.OpLs, p) {
+				q = d
+			}
 		}
-	}
-	ownP, ownQ := fleet[ring.Route(namespace.OpLs, p)][0], fleet[ring.Route(namespace.OpLs, q)][0]
-	for _, path := range []string{p, q} {
-		mustOK(t, ownP, namespace.OpMkdirs, path, "")
-		for _, f := range []string{"/f1", "/f2"} {
-			mustOK(t, ownP, namespace.OpCreate, path+f, "")
+		ownP, ownQ := fleet[ring.Route(namespace.OpLs, p)][0], fleet[ring.Route(namespace.OpLs, q)][0]
+		for _, path := range []string{p, q} {
+			mustOK(t, ownP, namespace.OpMkdirs, path, "")
+			for _, f := range []string{"/f1", "/f2"} {
+				mustOK(t, ownP, namespace.OpCreate, path+f, "")
+			}
 		}
-	}
-	warm := func() {
-		t.Helper()
-		mustOK(t, ownP, namespace.OpLs, p, "")
-		mustOK(t, ownQ, namespace.OpLs, q, "")
+		warm := func() {
+			t.Helper()
+			mustOK(t, ownP, namespace.OpLs, p, "")
+			mustOK(t, ownQ, namespace.OpLs, q, "")
+			wantLs(t, ownP, st, p, true)
+			wantLs(t, ownQ, st, q, true)
+		}
+		warm()
+		mustOK(t, ownP, namespace.OpMv, p+"/f1", q+"/g1") // the writer owns the source side
 		wantLs(t, ownP, st, p, true)
+		wantLs(t, ownQ, st, q, false)
+		warm()
+		mustOK(t, ownQ, namespace.OpMv, p+"/f2", q+"/g2") // the writer owns the destination side
 		wantLs(t, ownQ, st, q, true)
-	}
-	warm()
-	mustOK(t, ownP, namespace.OpMv, p+"/f1", q+"/g1") // the writer owns the source side
-	wantLs(t, ownP, st, p, true)
-	wantLs(t, ownQ, st, q, false)
-	warm()
-	mustOK(t, ownQ, namespace.OpMv, p+"/f2", q+"/g2") // the writer owns the destination side
-	wantLs(t, ownQ, st, q, true)
-	if stat := mustOK(t, ownQ, namespace.OpStat, q+"/g2", ""); !stat.CacheHit {
-		t.Errorf("stat %s/g2 missed on the destination's owner", q)
-	}
-	wantLs(t, ownP, st, p, false)
+		if stat := mustOK(t, ownQ, namespace.OpStat, q+"/g2", ""); !stat.CacheHit {
+			t.Errorf("stat %s/g2 missed on the destination's owner", q)
+		}
+		wantLs(t, ownP, st, p, false)
+	})
 }
 
 // TestFailedWriteLeavesListingNotComplete: a write that does not commit —
@@ -195,98 +202,101 @@ func TestCrossDirectoryMvMaintainsOwnedSide(t *testing.T) {
 // may have suspended; nor does the next writer trust a suspension it finds
 // standing. The next ls goes to the store.
 func TestFailedWriteLeavesListingNotComplete(t *testing.T) {
-	failCommit := false
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.OnCommit = func(string) error {
-		if failCommit {
-			return errors.New("injected commit abort")
+	simtest.Run(t, func(clk *clock.Sim) {
+		failCommit := false
+		ncfg := ndb.DefaultConfig()
+		ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
+		ncfg.OnCommit = func(string) error {
+			if failCommit {
+				return errors.New("injected commit abort")
+			}
+			return nil
 		}
-		return nil
-	}
-	st := ndb.New(clock.NewScaled(0), ncfg)
-	fleet, _, coord := engineFleetOn(st, 1, 1)
-	e := fleet[0][0]
-	mustOK(t, e, namespace.OpMkdirs, "/w", "")
-	mustOK(t, e, namespace.OpCreate, "/w/a", "")
-	warm := func() {
-		t.Helper()
-		mustOK(t, e, namespace.OpLs, "/w", "")
+		st := ndb.New(clk, ncfg)
+		fleet, _, coord := engineFleetOn(clk, st, 1, 1)
+		e := fleet[0][0]
+		mustOK(t, e, namespace.OpMkdirs, "/w", "")
+		mustOK(t, e, namespace.OpCreate, "/w/a", "")
+		warm := func() {
+			t.Helper()
+			mustOK(t, e, namespace.OpLs, "/w", "")
+			wantLs(t, e, st, "/w", true)
+		}
+
+		warm()
+		coord.fail = coordinator.ErrAckTimeout
+		if resp := do(t, e, namespace.OpCreate, "/w/inv-failed", ""); resp.OK() {
+			t.Fatal("create succeeded although its INV round failed")
+		}
+		coord.fail = nil
+		if e.Cache().IsComplete("/w") {
+			t.Error("listing complete after a failed INV round")
+		}
+		wantLs(t, e, st, "/w", false)
+
+		warm()
+		failCommit = true
+		if resp := do(t, e, namespace.OpDelete, "/w/a", ""); resp.OK() {
+			t.Fatal("delete succeeded although its commit failed")
+		}
+		failCommit = false
+		if e.Cache().IsComplete("/w") {
+			t.Error("listing complete after a failed commit")
+		}
+		// The aborted delete took a's entry out of the cache and left the
+		// listing suspended; a writer resuming that suspension would list /w
+		// complete without a, which the store still has.
+		mustOK(t, e, namespace.OpCreate, "/w/b", "")
+		if e.Cache().IsComplete("/w") {
+			t.Error("a writer resumed a suspension that was not its own")
+		}
+		wantLs(t, e, st, "/w", false)
 		wantLs(t, e, st, "/w", true)
-	}
-
-	warm()
-	coord.fail = coordinator.ErrAckTimeout
-	if resp := do(t, e, namespace.OpCreate, "/w/inv-failed", ""); resp.OK() {
-		t.Fatal("create succeeded although its INV round failed")
-	}
-	coord.fail = nil
-	if e.Cache().IsComplete("/w") {
-		t.Error("listing complete after a failed INV round")
-	}
-	wantLs(t, e, st, "/w", false)
-
-	warm()
-	failCommit = true
-	if resp := do(t, e, namespace.OpDelete, "/w/a", ""); resp.OK() {
-		t.Fatal("delete succeeded although its commit failed")
-	}
-	failCommit = false
-	if e.Cache().IsComplete("/w") {
-		t.Error("listing complete after a failed commit")
-	}
-	// The aborted delete took a's entry out of the cache and left the
-	// listing suspended; a writer resuming that suspension would list /w
-	// complete without a, which the store still has.
-	mustOK(t, e, namespace.OpCreate, "/w/b", "")
-	if e.Cache().IsComplete("/w") {
-		t.Error("a writer resumed a suspension that was not its own")
-	}
-	wantLs(t, e, st, "/w", false)
-	wantLs(t, e, st, "/w", true)
-	if st.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", st.HeldLocks())
-	}
+		if st.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+	})
 }
 
 // TestEvictedSiblingBlocksResume: with the cache at its budget, installing
 // the committed row evicts the coldest entry — a sibling — and a listing
 // that lost a child must not come back complete.
 func TestEvictedSiblingBlocksResume(t *testing.T) {
-	st := fastStore()
-	clk := clock.NewScaled(0)
-	cfg := DefaultEngineConfig()
-	cfg.OpCPUCost = 0
-	cfg.CacheBudget = 64 << 10
-	e := NewEngine("nn-small", -1, clk, st, nil, nil, nil, cfg)
-	mustOK(t, e, namespace.OpMkdirs, "/w", "")
-	mustOK(t, e, namespace.OpMkdirs, "/pad", "")
-	for i := 0; i < 8; i++ {
-		mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/w/f%03d", i), "")
-	}
-	mustOK(t, e, namespace.OpLs, "/w", "")
-	wantLs(t, e, st, "/w", true)
-	// Fill the rest of the budget with entries hotter than /w's children,
-	// stopping one entry short of the first eviction.
-	c := e.Cache()
-	for i, size := 0, int64(0); cfg.CacheBudget-c.UsedBytes() >= size; i++ {
-		p := fmt.Sprintf("/pad/f%03d", i)
-		mustOK(t, e, namespace.OpCreate, p, "")
-		before := c.UsedBytes()
-		mustOK(t, e, namespace.OpStat, p, "")
-		size = c.UsedBytes() - before
-	}
-	if c.Stats().Evictions != 0 || !c.IsComplete("/w") {
-		t.Fatalf("fixture: %d evictions, /w complete = %v before the write", c.Stats().Evictions, c.IsComplete("/w"))
-	}
-	mustOK(t, e, namespace.OpCreate, "/w/new", "")
-	if c.Stats().Evictions == 0 {
-		t.Fatal("fixture: installing the new row evicted nothing")
-	}
-	if c.IsComplete("/w") {
-		t.Error("listing resumed although a sibling was evicted by the install")
-	}
-	wantLs(t, e, st, "/w", false)
+	simtest.Run(t, func(clk *clock.Sim) {
+		st := fastStore(clk)
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost = 0
+		cfg.CacheBudget = 64 << 10
+		e := NewEngine("nn-small", -1, clk, st, nil, nil, nil, cfg)
+		mustOK(t, e, namespace.OpMkdirs, "/w", "")
+		mustOK(t, e, namespace.OpMkdirs, "/pad", "")
+		for i := 0; i < 8; i++ {
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/w/f%03d", i), "")
+		}
+		mustOK(t, e, namespace.OpLs, "/w", "")
+		wantLs(t, e, st, "/w", true)
+		// Fill the rest of the budget with entries hotter than /w's children,
+		// stopping one entry short of the first eviction.
+		c := e.Cache()
+		for i, size := 0, int64(0); cfg.CacheBudget-c.UsedBytes() >= size; i++ {
+			p := fmt.Sprintf("/pad/f%03d", i)
+			mustOK(t, e, namespace.OpCreate, p, "")
+			before := c.UsedBytes()
+			mustOK(t, e, namespace.OpStat, p, "")
+			size = c.UsedBytes() - before
+		}
+		if c.Stats().Evictions != 0 || !c.IsComplete("/w") {
+			t.Fatalf("fixture: %d evictions, /w complete = %v before the write", c.Stats().Evictions, c.IsComplete("/w"))
+		}
+		mustOK(t, e, namespace.OpCreate, "/w/new", "")
+		if c.Stats().Evictions == 0 {
+			t.Fatal("fixture: installing the new row evicted nothing")
+		}
+		if c.IsComplete("/w") {
+			t.Error("listing resumed although a sibling was evicted by the install")
+		}
+		wantLs(t, e, st, "/w", false)
+	})
 }
 
 // windowRead is one read of the commit-window test.

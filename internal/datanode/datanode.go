@@ -42,7 +42,7 @@ type Report struct {
 // DataNode periodically publishes a heartbeat/block report row.
 type DataNode struct {
 	id       string
-	clk      clock.Clock
+	clk      *clock.Sim
 	st       store.Store
 	interval time.Duration
 
@@ -53,7 +53,7 @@ type DataNode struct {
 }
 
 // New creates a DataNode publishing every interval; call Start to begin.
-func New(clk clock.Clock, st store.Store, id string, interval time.Duration) *DataNode {
+func New(clk *clock.Sim, st store.Store, id string, interval time.Duration) *DataNode {
 	return &DataNode{
 		id:       id,
 		clk:      clk,
@@ -132,7 +132,7 @@ func (dn *DataNode) Stop() {
 // Discover reads all live DataNode reports from the store, dropping ones
 // staler than maxAge (0 = keep all). This is the serverless "DataNode
 // discovery" path NameNodes use.
-func Discover(clk clock.Clock, st store.Store, owner string, maxAge time.Duration) ([]Report, error) {
+func Discover(clk *clock.Sim, st store.Store, owner string, maxAge time.Duration) ([]Report, error) {
 	var reports []Report
 	err := store.RunTx(st, owner, nil, func(tx store.Tx) error {
 		reports = reports[:0]
@@ -162,7 +162,7 @@ func Discover(clk clock.Clock, st store.Store, owner string, maxAge time.Duratio
 // must never be held under a lock on the simulation clock); concurrent
 // callers serve the stale view while one refreshes.
 type View struct {
-	clk     clock.Clock
+	clk     *clock.Sim
 	st      store.Store
 	owner   string
 	ttl     time.Duration
@@ -177,7 +177,7 @@ type View struct {
 
 // NewView creates a view refreshing at most every ttl with the given
 // replication factor.
-func NewView(clk clock.Clock, st store.Store, owner string, ttl time.Duration, replication int) *View {
+func NewView(clk *clock.Sim, st store.Store, owner string, ttl time.Duration, replication int) *View {
 	if replication <= 0 {
 		replication = 3
 	}

@@ -9,6 +9,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/metrics"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/trace"
 )
 
@@ -18,7 +19,7 @@ type echoApp struct {
 	invokes  atomic.Int64
 	shutdown atomic.Int64
 	crashed  atomic.Bool
-	block    chan struct{} // when non-nil, HandleInvoke waits on it
+	block    *clock.Event // when non-nil, HandleInvoke parks on it
 	cpu      time.Duration
 }
 
@@ -28,7 +29,7 @@ func (a *echoApp) HandleInvoke(payload any) any {
 		a.inst.AcquireCPU(a.cpu)
 	}
 	if a.block != nil {
-		<-a.block
+		a.block.Wait()
 	}
 	return payload
 }
@@ -45,7 +46,7 @@ type appTracker struct {
 	apps []*echoApp
 }
 
-func (t *appTracker) factory(block chan struct{}, cpu time.Duration) AppFactory {
+func (t *appTracker) factory(block *clock.Event, cpu time.Duration) AppFactory {
 	return func(inst *Instance) App {
 		a := &echoApp{inst: inst, block: block, cpu: cpu}
 		t.mu.Lock()
@@ -74,274 +75,278 @@ func fastCfg() Config {
 }
 
 func TestInvokeProvisionsAndRoutes(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
-	resp, err := d.Invoke("hello")
-	if err != nil || resp != "hello" {
-		t.Fatalf("invoke: %v %v", resp, err)
-	}
-	if d.AliveInstances() != 1 {
-		t.Fatalf("instances = %d", d.AliveInstances())
-	}
-	// Second invocation reuses the warm instance.
-	if _, err := d.Invoke("again"); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().ColdStarts; got != 1 {
-		t.Fatalf("cold starts = %d, want 1", got)
-	}
-	if tr.total() != 2 {
-		t.Fatalf("invokes = %d", tr.total())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
+		resp, err := d.Invoke("hello")
+		if err != nil || resp != "hello" {
+			t.Fatalf("invoke: %v %v", resp, err)
+		}
+		if d.AliveInstances() != 1 {
+			t.Fatalf("instances = %d", d.AliveInstances())
+		}
+		// Second invocation reuses the warm instance.
+		if _, err := d.Invoke("again"); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Stats().ColdStarts; got != 1 {
+			t.Fatalf("cold starts = %d, want 1", got)
+		}
+		if tr.total() != 2 {
+			t.Fatalf("invokes = %d", tr.total())
+		}
+	})
 }
 
 func TestScaleOutWhenConcurrencyFull(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	block := make(chan struct{})
-	d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1})
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		block := clock.NewEvent(clk)
+		d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1})
 
-	const n = 5
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := d.Invoke("x"); err != nil {
-				t.Errorf("invoke: %v", err)
-			}
-		}()
-	}
-	// Each in-flight blocked invocation occupies one instance entirely
-	// (concurrency 1), so the platform must scale to n instances.
-	deadline := time.Now().Add(2 * time.Second)
-	for d.AliveInstances() < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := d.AliveInstances(); got != n {
-		t.Fatalf("scaled to %d instances, want %d", got, n)
-	}
-	close(block)
-	wg.Wait()
+		const n = 5
+		wg := clock.NewGroup(clk)
+		for i := 0; i < n; i++ {
+			wg.Go(func() {
+				if _, err := d.Invoke("x"); err != nil {
+					t.Errorf("invoke: %v", err)
+				}
+			})
+		}
+		// Each in-flight blocked invocation occupies one instance entirely
+		// (concurrency 1), so the platform must scale to n instances.
+		clk.Sleep(time.Millisecond) // every invocation is parked in its app by now
+		if got := d.AliveInstances(); got != n {
+			t.Fatalf("scaled to %d instances, want %d", got, n)
+		}
+		block.Set()
+		wg.Wait()
+	})
 }
 
 func TestMaxInstancesCapsScaleOut(t *testing.T) {
-	cfg := fastCfg()
-	cfg.InvokeQueueTimeout = 100 * time.Millisecond
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	block := make(chan struct{})
-	d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MaxInstances: 2})
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.InvokeQueueTimeout = 100 * time.Millisecond
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		block := clock.NewEvent(clk)
+		d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MaxInstances: 2})
 
-	errs := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			_, err := d.Invoke("x")
-			errs <- err
-		}()
-	}
-	var rejected int
-	for i := 0; i < 2; i++ { // two should eventually be shed
-		select {
-		case err := <-errs:
-			if err == ErrNoCapacity {
-				rejected++
-			} else if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			} else {
-				t.Fatal("invocation completed while app blocked")
+		results := clock.NewMailbox[error](clk)
+		for i := 0; i < 4; i++ {
+			clock.Go(clk, func() {
+				_, err := d.Invoke("x")
+				results.Send(err)
+			})
+		}
+		for i := 0; i < 2; i++ { // two are shed, when their admission wait runs out
+			if err := results.Recv(); err != ErrNoCapacity {
+				t.Fatalf("first results = %v, want ErrNoCapacity while the app blocks", err)
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("timed out waiting for shed invocations")
+			if at := clk.Since(clock.Epoch); at != cfg.InvokeQueueTimeout {
+				t.Fatalf("shed at %v, want the queue timeout %v", at, cfg.InvokeQueueTimeout)
+			}
 		}
-	}
-	if d.AliveInstances() > 2 {
-		t.Fatalf("instances = %d exceeds MaxInstances", d.AliveInstances())
-	}
-	close(block)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("queued invocation failed after unblock: %v", err)
+		if d.AliveInstances() > 2 {
+			t.Fatalf("instances = %d exceeds MaxInstances", d.AliveInstances())
 		}
-	}
+		block.Set()
+		for i := 0; i < 2; i++ {
+			if err := results.Recv(); err != nil {
+				t.Fatalf("admitted invocation failed after unblock: %v", err)
+			}
+		}
+	})
 }
 
 func TestResourcePoolBoundsProvisioning(t *testing.T) {
-	cfg := fastCfg()
-	cfg.TotalVCPU = 8
-	cfg.MaxUtilization = 1
-	cfg.InvokeQueueTimeout = 100 * time.Millisecond
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	block := make(chan struct{})
-	d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1})
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.TotalVCPU = 8
+		cfg.MaxUtilization = 1
+		cfg.InvokeQueueTimeout = 100 * time.Millisecond
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		block := clock.NewEvent(clk)
+		d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1})
 
-	results := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, err := d.Invoke("x")
-			results <- err
-		}()
-	}
-	// Only 2 instances fit in 8 vCPUs; the third invocation is shed.
-	var shed int
-	select {
-	case err := <-results:
-		if err == ErrNoCapacity {
-			shed++
-		} else {
-			t.Fatalf("unexpected result: %v", err)
+		results := clock.NewMailbox[error](clk)
+		for i := 0; i < 3; i++ {
+			clock.Go(clk, func() {
+				_, err := d.Invoke("x")
+				results.Send(err)
+			})
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no shed invocation")
-	}
-	if p.VCPUInUse() > 8 {
-		t.Fatalf("vCPU in use %v exceeds pool", p.VCPUInUse())
-	}
-	close(block)
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("invocation failed: %v", err)
+		// Only 2 instances fit in 8 vCPUs; the third invocation is shed.
+		if err := results.Recv(); err != ErrNoCapacity {
+			t.Fatalf("first result = %v, want ErrNoCapacity", err)
 		}
-	}
-	_ = shed
+		if at := clk.Since(clock.Epoch); at != cfg.InvokeQueueTimeout {
+			t.Fatalf("shed at %v, want the queue timeout %v", at, cfg.InvokeQueueTimeout)
+		}
+		if p.VCPUInUse() > 8 {
+			t.Fatalf("vCPU in use %v exceeds pool", p.VCPUInUse())
+		}
+		block.Set()
+		for i := 0; i < 2; i++ {
+			if err := results.Recv(); err != nil {
+				t.Fatalf("invocation failed: %v", err)
+			}
+		}
+	})
 }
 
 func TestMaxUtilizationBound(t *testing.T) {
-	cfg := fastCfg()
-	cfg.TotalVCPU = 10
-	cfg.MaxUtilization = 0.5
-	cfg.InvokeQueueTimeout = 80 * time.Millisecond
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	block := make(chan struct{})
-	defer close(block)
-	d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 5, RAMGB: 1, ConcurrencyLevel: 1})
-	go d.Invoke("a")
-	go d.Invoke("b")
-	time.Sleep(50 * time.Millisecond)
-	if p.VCPUInUse() > 5 {
-		t.Fatalf("utilization bound violated: %v vCPU in use", p.VCPUInUse())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.TotalVCPU = 10
+		cfg.MaxUtilization = 0.5
+		cfg.InvokeQueueTimeout = 80 * time.Millisecond
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		block := clock.NewEvent(clk)
+		d := p.Register("nn0", tr.factory(block, 0), DeploymentOptions{VCPU: 5, RAMGB: 1, ConcurrencyLevel: 1})
+		invokes := clock.NewGroup(clk)
+		invokes.Go(func() { d.Invoke("a") })
+		invokes.Go(func() { d.Invoke("b") })
+		clk.Sleep(50 * time.Millisecond)
+		if p.VCPUInUse() > 5 {
+			t.Fatalf("utilization bound violated: %v vCPU in use", p.VCPUInUse())
+		}
+		block.Set()
+		invokes.Wait()
+	})
 }
 
 func TestIdleReclaimScalesIn(t *testing.T) {
-	cfg := fastCfg()
-	cfg.IdleReclaim = 50 * time.Millisecond
-	cfg.ReclaimInterval = 10 * time.Millisecond
-	p := New(clock.NewScaled(1), cfg) // real-time clock drives the reclaimer
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4})
-	if _, err := d.Invoke("x"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for d.AliveInstances() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if d.AliveInstances() != 0 {
-		t.Fatal("idle instance was not reclaimed")
-	}
-	if p.Stats().Reclamations == 0 {
-		t.Fatal("reclaim not counted")
-	}
-	if tr.apps[0].shutdown.Load() != 1 || tr.apps[0].crashed.Load() {
-		t.Fatal("graceful shutdown expected exactly once")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.IdleReclaim = 50 * time.Millisecond
+		cfg.ReclaimInterval = 10 * time.Millisecond
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4})
+		if _, err := d.Invoke("x"); err != nil {
+			t.Fatal(err)
+		}
+		// Idle since 0: the reclaimer's ticks up to 50ms leave it (idle for
+		// no longer than IdleReclaim), the one at 60ms takes it.
+		clk.Sleep(55 * time.Millisecond)
+		if d.AliveInstances() != 1 {
+			t.Fatal("instance reclaimed before it had been idle for longer than IdleReclaim")
+		}
+		clk.Sleep(10 * time.Millisecond)
+		if d.AliveInstances() != 0 {
+			t.Fatal("idle instance was not reclaimed")
+		}
+		if p.Stats().Reclamations == 0 {
+			t.Fatal("reclaim not counted")
+		}
+		if tr.apps[0].shutdown.Load() != 1 || tr.apps[0].crashed.Load() {
+			t.Fatal("graceful shutdown expected exactly once")
+		}
+	})
 }
 
 func TestMinInstancesPrewarmedAndKept(t *testing.T) {
-	cfg := fastCfg()
-	cfg.IdleReclaim = 20 * time.Millisecond
-	cfg.ReclaimInterval = 10 * time.Millisecond
-	p := New(clock.NewScaled(1), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 2})
-	if d.AliveInstances() != 2 {
-		t.Fatalf("prewarmed %d, want 2", d.AliveInstances())
-	}
-	time.Sleep(100 * time.Millisecond)
-	if d.AliveInstances() != 2 {
-		t.Fatalf("reclaimer violated MinInstances: %d", d.AliveInstances())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.IdleReclaim = 20 * time.Millisecond
+		cfg.ReclaimInterval = 10 * time.Millisecond
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 2})
+		if d.AliveInstances() != 2 {
+			t.Fatalf("prewarmed %d, want 2", d.AliveInstances())
+		}
+		clk.Sleep(100 * time.Millisecond) // ten reclaim ticks, five IdleReclaims
+		if d.AliveInstances() != 2 {
+			t.Fatalf("reclaimer violated MinInstances: %d", d.AliveInstances())
+		}
+	})
 }
 
 func TestKillOneInstance(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
-	if !p.KillOneInstance(0) {
-		t.Fatal("kill failed")
-	}
-	if d.AliveInstances() != 0 {
-		t.Fatal("instance survived kill")
-	}
-	if !tr.apps[0].crashed.Load() {
-		t.Fatal("kill should report crashed shutdown")
-	}
-	if p.KillOneInstance(0) {
-		t.Fatal("kill succeeded with no instances")
-	}
-	if p.KillOneInstance(99) {
-		t.Fatal("kill succeeded on unknown deployment")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
+		if !p.KillOneInstance(0) {
+			t.Fatal("kill failed")
+		}
+		if d.AliveInstances() != 0 {
+			t.Fatal("instance survived kill")
+		}
+		if !tr.apps[0].crashed.Load() {
+			t.Fatal("kill should report crashed shutdown")
+		}
+		if p.KillOneInstance(0) {
+			t.Fatal("kill succeeded with no instances")
+		}
+		if p.KillOneInstance(99) {
+			t.Fatal("kill succeeded on unknown deployment")
+		}
+	})
 }
 
 func TestTerminatedChannelAndServe(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
-	insts := d.Warm()
-	if len(insts) != 1 {
-		t.Fatalf("warm = %d", len(insts))
-	}
-	inst := insts[0]
-	resp, err := inst.Serve(func() any { return 42 })
-	if err != nil || resp != 42 {
-		t.Fatalf("serve: %v %v", resp, err)
-	}
-	p.KillOneInstance(0)
-	if !inst.term.IsSet() {
-		t.Fatal("Terminated event not set")
-	}
-	if _, err := inst.Serve(func() any { return 0 }); err != ErrInstanceDead {
-		t.Fatalf("serve on dead instance: %v", err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4, MinInstances: 1})
+		insts := d.Warm()
+		if len(insts) != 1 {
+			t.Fatalf("warm = %d", len(insts))
+		}
+		inst := insts[0]
+		resp, err := inst.Serve(func() any { return 42 })
+		if err != nil || resp != 42 {
+			t.Fatalf("serve: %v %v", resp, err)
+		}
+		p.KillOneInstance(0)
+		if !inst.term.IsSet() {
+			t.Fatal("Terminated event not set")
+		}
+		if _, err := inst.Serve(func() any { return 0 }); err != ErrInstanceDead {
+			t.Fatalf("serve on dead instance: %v", err)
+		}
+	})
 }
 
 func TestCPUCapacityLimitsThroughput(t *testing.T) {
-	// One instance with 1 vCPU and 10ms/op must take ~100ms virtual for
-	// 10 sequentially-queued ops even when issued concurrently.
-	clk := clock.NewScaled(0.05)
-	p := New(clk, fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 10*time.Millisecond), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 16, MaxInstances: 1, MinInstances: 1})
-	start := clk.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := d.Invoke("x"); err != nil {
-				t.Errorf("invoke: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := clk.Since(start); got < 80*time.Millisecond {
-		t.Fatalf("10 ops × 10ms CPU on 1 vCPU took only %v virtual", got)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		// One instance with 1 vCPU and 10ms/op takes 100ms virtual for 10
+		// sequentially-queued ops even when issued concurrently.
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 10*time.Millisecond), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 16, MaxInstances: 1, MinInstances: 1})
+		start := clk.Now()
+		wg := clock.NewGroup(clk)
+		for i := 0; i < 10; i++ {
+			wg.Go(func() {
+				if _, err := d.Invoke("x"); err != nil {
+					t.Errorf("invoke: %v", err)
+				}
+			})
+		}
+		wg.Wait()
+		if got := clk.Since(start); got != 100*time.Millisecond {
+			t.Fatalf("10 ops × 10ms CPU on 1 vCPU took %v virtual, want 100ms", got)
+		}
+	})
 }
 
 // TestAcquireCPUReturnsAtKillInstant: a caller in service and a caller
@@ -441,32 +446,33 @@ func TestAdmissionWakesOnlyOnFreedCapacity(t *testing.T) {
 }
 
 func TestBillingActiveTime(t *testing.T) {
-	clk := clock.NewScaled(0.01)
-	cfg := fastCfg()
-	lm := metrics.NewLambdaMeter(clock.Epoch)
-	pm := metrics.NewProvisionedMeter(clock.Epoch)
-	cfg.Lambda = lm
-	cfg.Provisioned = pm
-	p := New(clk, cfg)
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 20*time.Millisecond), DeploymentOptions{VCPU: 1, RAMGB: 2, ConcurrencyLevel: 4})
-	if _, err := d.Invoke("x"); err != nil {
-		t.Fatal(err)
-	}
-	if lm.Requests() != 1 {
-		t.Fatalf("billed requests = %d", lm.Requests())
-	}
-	if lm.TotalUSD() <= 0 {
-		t.Fatal("no active-time cost billed")
-	}
-	p.Close()
-	if pm.TotalUSD() <= 0 {
-		t.Fatal("no provisioned cost billed at termination")
-	}
-	// Active-billed time must not exceed provisioned time.
-	if lm.TotalUSD()-float64(lm.Requests())*metrics.LambdaPerRequestUSD > pm.TotalUSD()*1.5 {
-		t.Fatalf("active cost %v exceeds provisioned cost %v", lm.TotalUSD(), pm.TotalUSD())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		lm := metrics.NewLambdaMeter(clock.Epoch)
+		pm := metrics.NewProvisionedMeter(clock.Epoch)
+		cfg.Lambda = lm
+		cfg.Provisioned = pm
+		p := New(clk, cfg)
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 20*time.Millisecond), DeploymentOptions{VCPU: 1, RAMGB: 2, ConcurrencyLevel: 4})
+		if _, err := d.Invoke("x"); err != nil {
+			t.Fatal(err)
+		}
+		if lm.Requests() != 1 {
+			t.Fatalf("billed requests = %d", lm.Requests())
+		}
+		if lm.TotalUSD() <= 0 {
+			t.Fatal("no active-time cost billed")
+		}
+		p.Close()
+		if pm.TotalUSD() <= 0 {
+			t.Fatal("no provisioned cost billed at termination")
+		}
+		// Active-billed time must not exceed provisioned time.
+		if lm.TotalUSD()-float64(lm.Requests())*metrics.LambdaPerRequestUSD > pm.TotalUSD()*1.5 {
+			t.Fatalf("active cost %v exceeds provisioned cost %v", lm.TotalUSD(), pm.TotalUSD())
+		}
+	})
 }
 
 // TestEvictForSpace: eviction makes room for a hot deployment out of
@@ -534,71 +540,77 @@ func TestEvictForSpace(t *testing.T) {
 }
 
 func TestInvokeUnknownDeployment(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	if _, err := p.Invoke(3, "x"); err != ErrNoDeployment {
-		t.Fatalf("err = %v", err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		if _, err := p.Invoke(3, "x"); err != ErrNoDeployment {
+			t.Fatalf("err = %v", err)
+		}
+	})
 }
 
 func TestCloseRejectsInvocations(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1})
-	p.Close()
-	if _, err := d.Invoke("x"); err != ErrClosed {
-		t.Fatalf("err = %v", err)
-	}
-	p.Close() // idempotent
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1})
+		p.Close()
+		if _, err := d.Invoke("x"); err != ErrClosed {
+			t.Fatalf("err = %v", err)
+		}
+		p.Close() // idempotent
+	})
 }
 
 func TestManyDeploymentsParallelInvokes(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	const deps = 8
-	for i := 0; i < deps; i++ {
-		p.Register(fmt.Sprintf("nn%d", i), tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4})
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := p.Invoke(i%deps, i); err != nil {
-				t.Errorf("invoke: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if tr.total() != 200 {
-		t.Fatalf("total invokes = %d", tr.total())
-	}
-	if p.Deployments() != deps {
-		t.Fatalf("deployments = %d", p.Deployments())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		const deps = 8
+		for i := 0; i < deps; i++ {
+			p.Register(fmt.Sprintf("nn%d", i), tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 4})
+		}
+		wg := clock.NewGroup(clk)
+		for i := 0; i < 200; i++ {
+			wg.Go(func() {
+				if _, err := p.Invoke(i%deps, i); err != nil {
+					t.Errorf("invoke: %v", err)
+				}
+			})
+		}
+		wg.Wait()
+		if tr.total() != 200 {
+			t.Fatalf("total invokes = %d", tr.total())
+		}
+		if p.Deployments() != deps {
+			t.Fatalf("deployments = %d", p.Deployments())
+		}
+	})
 }
 
 func TestNuclioProfile(t *testing.T) {
-	owCfg := DefaultConfig()
-	nuCfg := NuclioConfig()
-	if nuCfg.ColdStart >= owCfg.ColdStart {
-		t.Fatal("Nuclio profile should have faster cold starts")
-	}
-	if nuCfg.GatewayLatency >= owCfg.GatewayLatency {
-		t.Fatal("Nuclio profile should have a lighter gateway")
-	}
-	// The profile must be a drop-in: same control loop, working end to end.
-	nuCfg.ColdStart = 0
-	nuCfg.GatewayLatency = 0
-	nuCfg.IdleReclaim = 0
-	p := New(clock.NewScaled(0), nuCfg)
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("fn", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 2})
-	if resp, err := d.Invoke("ping"); err != nil || resp != "ping" {
-		t.Fatalf("nuclio-profile invoke: %v %v", resp, err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		owCfg := DefaultConfig()
+		nuCfg := NuclioConfig()
+		if nuCfg.ColdStart >= owCfg.ColdStart {
+			t.Fatal("Nuclio profile should have faster cold starts")
+		}
+		if nuCfg.GatewayLatency >= owCfg.GatewayLatency {
+			t.Fatal("Nuclio profile should have a lighter gateway")
+		}
+		// The profile must be a drop-in: same control loop, working end to end.
+		nuCfg.ColdStart = 0
+		nuCfg.GatewayLatency = 0
+		nuCfg.IdleReclaim = 0
+		p := New(clk, nuCfg)
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("fn", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 2})
+		if resp, err := d.Invoke("ping"); err != nil || resp != "ping" {
+			t.Fatalf("nuclio-profile invoke: %v %v", resp, err)
+		}
+	})
 }
 
 // TestConcurrentInvokeStats hammers two deployments from many goroutines
@@ -606,71 +618,70 @@ func TestNuclioProfile(t *testing.T) {
 // cumulative cold-start time, per-deployment instance high-water marks,
 // and structured cold-start events all line up with the counters.
 func TestConcurrentInvokeStats(t *testing.T) {
-	cfg := fastCfg()
-	cfg.ColdStart = 2 * time.Millisecond
-	clk := clock.NewScaled(0)
-	evTr := trace.New(clk, trace.Config{})
-	cfg.Tracer = evTr
-	p := New(clk, cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	const deps = 2
-	for i := 0; i < deps; i++ {
-		p.Register(fmt.Sprintf("nn%d", i), tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 2})
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 4; j++ {
-				if _, err := p.Invoke(i%deps, i); err != nil {
-					t.Errorf("invoke: %v", err)
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.ColdStart = 2 * time.Millisecond
+		evTr := trace.New(clk, trace.Config{})
+		cfg.Tracer = evTr
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		const deps = 2
+		for i := 0; i < deps; i++ {
+			p.Register(fmt.Sprintf("nn%d", i), tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 2})
+		}
+		wg := clock.NewGroup(clk)
+		for i := 0; i < 64; i++ {
+			wg.Go(func() {
+				for j := 0; j < 4; j++ {
+					if _, err := p.Invoke(i%deps, i); err != nil {
+						t.Errorf("invoke: %v", err)
+					}
+					// Concurrent Stats reads must observe a coherent snapshot.
+					st := p.Stats()
+					if st.ColdStartTime != time.Duration(st.ColdStarts)*cfg.ColdStart {
+						t.Errorf("cold start time %v != %d starts * %v",
+							st.ColdStartTime, st.ColdStarts, cfg.ColdStart)
+					}
 				}
-				// Concurrent Stats reads must observe a coherent snapshot.
-				st := p.Stats()
-				if st.ColdStartTime != time.Duration(st.ColdStarts)*cfg.ColdStart {
-					t.Errorf("cold start time %v != %d starts * %v",
-						st.ColdStartTime, st.ColdStarts, cfg.ColdStart)
-				}
+			})
+		}
+		wg.Wait()
+		if tr.total() != 64*4 {
+			t.Fatalf("total invokes = %d", tr.total())
+		}
+		st := p.Stats()
+		if st.ColdStarts == 0 || st.ColdStartTime == 0 {
+			t.Fatalf("no cold starts recorded: %+v", st)
+		}
+		if len(st.Deployments) != deps {
+			t.Fatalf("deployment stats = %d", len(st.Deployments))
+		}
+		var peakSum int
+		for i, ds := range st.Deployments {
+			if ds.Name != fmt.Sprintf("nn%d", i) {
+				t.Fatalf("deployment %d name = %q", i, ds.Name)
 			}
-		}(i)
-	}
-	wg.Wait()
-	if tr.total() != 64*4 {
-		t.Fatalf("total invokes = %d", tr.total())
-	}
-	st := p.Stats()
-	if st.ColdStarts == 0 || st.ColdStartTime == 0 {
-		t.Fatalf("no cold starts recorded: %+v", st)
-	}
-	if len(st.Deployments) != deps {
-		t.Fatalf("deployment stats = %d", len(st.Deployments))
-	}
-	var peakSum int
-	for i, ds := range st.Deployments {
-		if ds.Name != fmt.Sprintf("nn%d", i) {
-			t.Fatalf("deployment %d name = %q", i, ds.Name)
+			if ds.PeakInstances < 1 || ds.PeakInstances < ds.Alive {
+				t.Fatalf("deployment %d peak %d alive %d", i, ds.PeakInstances, ds.Alive)
+			}
+			peakSum += ds.PeakInstances
 		}
-		if ds.PeakInstances < 1 || ds.PeakInstances < ds.Alive {
-			t.Fatalf("deployment %d peak %d alive %d", i, ds.PeakInstances, ds.Alive)
+		// Every cold start created an instance; the high-water marks cannot
+		// exceed the total ever provisioned.
+		if uint64(peakSum) > st.ColdStarts {
+			t.Fatalf("peak sum %d exceeds cold starts %d", peakSum, st.ColdStarts)
 		}
-		peakSum += ds.PeakInstances
-	}
-	// Every cold start created an instance; the high-water marks cannot
-	// exceed the total ever provisioned.
-	if uint64(peakSum) > st.ColdStarts {
-		t.Fatalf("peak sum %d exceeds cold starts %d", peakSum, st.ColdStarts)
-	}
-	evs := evTr.EventsOf(trace.EventColdStart)
-	if uint64(len(evs)) != st.ColdStarts {
-		t.Fatalf("cold_start events %d != counter %d", len(evs), st.ColdStarts)
-	}
-	for _, ev := range evs {
-		if ev.Dur != cfg.ColdStart {
-			t.Fatalf("cold_start event dur = %v", ev.Dur)
+		evs := evTr.EventsOf(trace.EventColdStart)
+		if uint64(len(evs)) != st.ColdStarts {
+			t.Fatalf("cold_start events %d != counter %d", len(evs), st.ColdStarts)
 		}
-	}
+		for _, ev := range evs {
+			if ev.Dur != cfg.ColdStart {
+				t.Fatalf("cold_start event dur = %v", ev.Dur)
+			}
+		}
+	})
 }
 
 // TestKillOneInstanceSkipsDraining is the regression test for the bug
@@ -678,99 +689,101 @@ func TestConcurrentInvokeStats(t *testing.T) {
 // reclaim or eviction and reported true — a "fault injection" that
 // changed nothing, since that instance's termination was in flight.
 func TestKillOneInstanceSkipsDraining(t *testing.T) {
-	p := New(clock.NewScaled(0), fastCfg())
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4, MinInstances: 2})
-	deadline := time.Now().Add(2 * time.Second)
-	for d.AliveInstances() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d.AliveInstances() != 2 {
-		t.Fatalf("prewarmed %d instances, want 2", d.AliveInstances())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		p := New(clk, fastCfg())
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4, MinInstances: 2})
+		if d.AliveInstances() != 2 {
+			t.Fatalf("prewarmed %d instances, want 2", d.AliveInstances())
+		}
 
-	// Mark the first instance draining, as reclaimLoop/evictIdleLocked do
-	// at victim-selection time.
-	d.mu.Lock()
-	marked := d.instances[0]
-	marked.draining = true
-	d.mu.Unlock()
+		// Mark the first instance draining, as reclaimLoop/evictIdleLocked do
+		// at victim-selection time.
+		d.mu.Lock()
+		marked := d.instances[0]
+		marked.draining = true
+		d.mu.Unlock()
 
-	if !p.KillOneInstance(0) {
-		t.Fatal("kill failed with a non-draining instance available")
-	}
-	if !marked.Alive() {
-		t.Fatal("kill chose the draining instance")
-	}
+		if !p.KillOneInstance(0) {
+			t.Fatal("kill failed with a non-draining instance available")
+		}
+		if !marked.Alive() {
+			t.Fatal("kill chose the draining instance")
+		}
 
-	// Only the draining instance remains: a further kill must report
-	// false rather than double-terminate it.
-	killsBefore := p.Stats().Kills
-	if p.KillOneInstance(0) {
-		t.Fatal("kill reported true with only a draining instance left")
-	}
-	if got := p.Stats().Kills; got != killsBefore {
-		t.Fatalf("kills counter moved on a no-op kill: %d -> %d", killsBefore, got)
-	}
+		// Only the draining instance remains: a further kill must report
+		// false rather than double-terminate it.
+		killsBefore := p.Stats().Kills
+		if p.KillOneInstance(0) {
+			t.Fatal("kill reported true with only a draining instance left")
+		}
+		if got := p.Stats().Kills; got != killsBefore {
+			t.Fatalf("kills counter moved on a no-op kill: %d -> %d", killsBefore, got)
+		}
+	})
 }
 
 // TestOnInvokeKillHook covers the chaos injection point that crashes an
 // instance mid-invocation, before the app handler runs.
 func TestOnInvokeKillHook(t *testing.T) {
-	cfg := fastCfg()
-	var armed atomic.Int64
-	armed.Store(1)
-	cfg.OnInvoke = func(dep int, instID string) bool {
-		return armed.Add(-1) >= 0
-	}
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		var armed atomic.Int64
+		armed.Store(1)
+		cfg.OnInvoke = func(dep int, instID string) bool {
+			return armed.Add(-1) >= 0
+		}
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
 
-	// First invocation: the instance is killed before the app handler
-	// runs; the platform reports a nil response (the caller's retry layer
-	// handles it) and a crashed shutdown.
-	resp, err := d.Invoke("x")
-	if err != nil || resp != nil {
-		t.Fatalf("killed invoke = (%v, %v), want (nil, nil)", resp, err)
-	}
-	if got := p.Stats().Kills; got != 1 {
-		t.Fatalf("kills = %d, want 1", got)
-	}
-	if len(tr.apps) == 0 || !tr.apps[0].crashed.Load() || tr.apps[0].invokes.Load() != 0 {
-		t.Fatal("victim app should see a crashed shutdown and zero invokes")
-	}
+		// First invocation: the instance is killed before the app handler
+		// runs; the platform reports a nil response (the caller's retry layer
+		// handles it) and a crashed shutdown.
+		resp, err := d.Invoke("x")
+		if err != nil || resp != nil {
+			t.Fatalf("killed invoke = (%v, %v), want (nil, nil)", resp, err)
+		}
+		if got := p.Stats().Kills; got != 1 {
+			t.Fatalf("kills = %d, want 1", got)
+		}
+		if len(tr.apps) == 0 || !tr.apps[0].crashed.Load() || tr.apps[0].invokes.Load() != 0 {
+			t.Fatal("victim app should see a crashed shutdown and zero invokes")
+		}
 
-	// Disarmed: the next invocation cold-starts a fresh instance and runs.
-	resp, err = d.Invoke("y")
-	if err != nil || resp != "y" {
-		t.Fatalf("post-kill invoke = (%v, %v)", resp, err)
-	}
+		// Disarmed: the next invocation cold-starts a fresh instance and runs.
+		resp, err = d.Invoke("y")
+		if err != nil || resp != "y" {
+			t.Fatalf("post-kill invoke = (%v, %v)", resp, err)
+		}
+	})
 }
 
 // TestOnProvisionDenyHook covers the chaos injection point that starves
 // cold starts (pool exhaustion / cold-start storms).
 func TestOnProvisionDenyHook(t *testing.T) {
-	cfg := fastCfg()
-	cfg.InvokeQueueTimeout = 50 * time.Millisecond
-	var deny atomic.Bool
-	deny.Store(true)
-	cfg.OnProvision = func(dep int) bool { return !deny.Load() }
-	p := New(clock.NewScaled(0), cfg)
-	defer p.Close()
-	tr := &appTracker{}
-	d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.InvokeQueueTimeout = 50 * time.Millisecond
+		var deny atomic.Bool
+		deny.Store(true)
+		cfg.OnProvision = func(dep int) bool { return !deny.Load() }
+		p := New(clk, cfg)
+		defer p.Close()
+		tr := &appTracker{}
+		d := p.Register("nn0", tr.factory(nil, 0), DeploymentOptions{VCPU: 4, RAMGB: 8, ConcurrencyLevel: 4})
 
-	if _, err := d.Invoke("x"); err != ErrNoCapacity {
-		t.Fatalf("invoke under provision denial = %v, want ErrNoCapacity", err)
-	}
-	if d.AliveInstances() != 0 {
-		t.Fatalf("instances provisioned despite denial: %d", d.AliveInstances())
-	}
-	deny.Store(false)
-	if resp, err := d.Invoke("y"); err != nil || resp != "y" {
-		t.Fatalf("post-denial invoke = (%v, %v)", resp, err)
-	}
+		if _, err := d.Invoke("x"); err != ErrNoCapacity {
+			t.Fatalf("invoke under provision denial = %v, want ErrNoCapacity", err)
+		}
+		if d.AliveInstances() != 0 {
+			t.Fatalf("instances provisioned despite denial: %d", d.AliveInstances())
+		}
+		deny.Store(false)
+		if resp, err := d.Invoke("y"); err != nil || resp != "y" {
+			t.Fatalf("post-denial invoke = (%v, %v)", resp, err)
+		}
+	})
 }

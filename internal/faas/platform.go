@@ -189,7 +189,7 @@ func traceOf(payload any) *trace.Ctx {
 
 // Platform is the FaaS control plane.
 type Platform struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	mu          sync.Mutex
@@ -222,7 +222,7 @@ type Deployment struct {
 }
 
 // New creates a platform and starts its reclaimer.
-func New(clk clock.Clock, cfg Config) *Platform {
+func New(clk *clock.Sim, cfg Config) *Platform {
 	if cfg.MaxUtilization <= 0 || cfg.MaxUtilization > 1 {
 		cfg.MaxUtilization = 1
 	}
@@ -361,7 +361,7 @@ func (d *Deployment) admit(tc *trace.Ctx) (*Instance, error) {
 		if remain <= 0 {
 			return nil, ErrNoCapacity
 		}
-		d.slotFreed.RecvBy(clock.HostDeadlineIn(clk, min(remain, 10*time.Millisecond)))
+		d.slotFreed.RecvBy(clock.DeadlineIn(clk, min(remain, 10*time.Millisecond)))
 	}
 }
 
@@ -690,7 +690,7 @@ func (p *Platform) Stats() Stats {
 }
 
 // Clock returns the platform's clock (Apps use it for timers).
-func (p *Platform) Clock() clock.Clock { return p.clk }
+func (p *Platform) Clock() *clock.Sim { return p.clk }
 
 // Close terminates every instance and stops the reclaimer. Safe to call
 // from unregistered goroutines.

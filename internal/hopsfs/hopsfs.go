@@ -76,7 +76,7 @@ func (c nameNodeCPU) AcquireCPU(d time.Duration) { c.Acquire(d) }
 
 // Cluster is a running HopsFS (or HopsFS+Cache) deployment.
 type Cluster struct {
-	clk   clock.Clock
+	clk   *clock.Sim
 	cfg   Config
 	nns   []*NameNode
 	ring  *partition.Ring // only with cache
@@ -86,7 +86,7 @@ type Cluster struct {
 // New starts the cluster. coord may be nil for the cache-less variant
 // (stateless NameNodes need no coherence); with WithCache a Coordinator
 // is required.
-func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator, cfg Config) *Cluster {
+func New(clk *clock.Sim, st store.Store, coord coordinator.Coordinator, cfg Config) *Cluster {
 	if cfg.NameNodes <= 0 {
 		cfg.NameNodes = 1
 	}

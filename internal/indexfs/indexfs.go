@@ -89,7 +89,7 @@ type server struct {
 
 // Cluster is a running IndexFS deployment.
 type Cluster struct {
-	clk     clock.Clock
+	clk     *clock.Sim
 	cfg     Config
 	ring    *partition.Ring
 	servers []*server
@@ -98,7 +98,7 @@ type Cluster struct {
 }
 
 // New starts the cluster.
-func New(clk clock.Clock, cfg Config) *Cluster {
+func New(clk *clock.Sim, cfg Config) *Cluster {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 1
 	}

@@ -47,7 +47,7 @@ func DefaultLambdaConfig() LambdaConfig {
 
 // LambdaSystem is a running λIndexFS deployment.
 type LambdaSystem struct {
-	clk      clock.Clock
+	clk      *clock.Sim
 	platform *faas.Platform
 	ring     *partition.Ring
 	lsms     []*lsm.DB
@@ -55,7 +55,7 @@ type LambdaSystem struct {
 }
 
 // NewLambda registers the λIndexFS function deployments.
-func NewLambda(clk clock.Clock, platform *faas.Platform, cfg LambdaConfig) *LambdaSystem {
+func NewLambda(clk *clock.Sim, platform *faas.Platform, cfg LambdaConfig) *LambdaSystem {
 	if cfg.Deployments <= 0 {
 		cfg.Deployments = 1
 	}

@@ -51,7 +51,7 @@ type System struct {
 }
 
 // New registers the fixed deployments on the platform.
-func New(clk clock.Clock, st store.Store, coord coordinator.Coordinator,
+func New(clk *clock.Sim, st store.Store, coord coordinator.Coordinator,
 	platform *faas.Platform, cfg Config) *System {
 	sysCfg := core.DefaultSystemConfig()
 	sysCfg.Deployments = cfg.Deployments

@@ -88,7 +88,7 @@ type Stats struct {
 
 // DB is the LSM tree. Safe for concurrent use.
 type DB struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	mu     sync.Mutex
@@ -99,7 +99,7 @@ type DB struct {
 }
 
 // New creates an empty tree.
-func New(clk clock.Clock, cfg Config) *DB {
+func New(clk *clock.Sim, cfg Config) *DB {
 	if cfg.MemtableEntries <= 0 {
 		cfg.MemtableEntries = 4096
 	}

@@ -15,8 +15,10 @@ import (
 // pool — a store nobody closes must not leave goroutines parked for the
 // life of the process.
 func TestNewStartsNoGoroutines(t *testing.T) {
+	clk := clock.NewSim()
+	defer clk.Close()
 	before := runtime.NumGoroutine()
-	db := New(clock.NewManual(), DefaultConfig())
+	db := New(clk, DefaultConfig())
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("ndb.New started %d goroutines", after-before)
 	}

@@ -15,13 +15,12 @@ import (
 // forced release (used when the Coordinator declares a NameNode dead,
 // §3.6).
 //
-// Lock waits time out after a configurable interval
-// (clock.HostDeadlineIn: virtual on clock.Sim, real-time elsewhere): a
+// Lock waits time out after a configurable interval of virtual time: a
 // timeout indicates either a deadlock or a lock held by a crashed peer; the
 // DAL responds by aborting and retrying the transaction, exactly as NDB's
 // lock-wait-timeout behaves.
 type lockManager struct {
-	clk         clock.Clock
+	clk         *clock.Sim
 	mu          sync.Mutex
 	rows        map[rowKey]*rowLock
 	txs         map[*lockTx]struct{} // those holding at least one row (ReleaseOwner's index)
@@ -52,7 +51,7 @@ type lockWaiter struct {
 	ready     *clock.Event // set, under lm.mu, by the promote that grants the lock
 }
 
-func newLockManager(clk clock.Clock, waitTimeout time.Duration) *lockManager {
+func newLockManager(clk *clock.Sim, waitTimeout time.Duration) *lockManager {
 	if waitTimeout <= 0 {
 		waitTimeout = 250 * time.Millisecond
 	}
@@ -132,7 +131,7 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 	lm.waits.Inc()
 	waitStart := lm.clk.Now()
 
-	if !w.ready.WaitBy(clock.HostDeadlineIn(lm.clk, lm.waitTimeout)) {
+	if !w.ready.WaitBy(clock.DeadlineIn(lm.clk, lm.waitTimeout)) {
 		// Timed out — unless a grant landed on the same instant: promote
 		// sets ready under lm.mu, so under lm.mu the answer is final.
 		lm.mu.Lock()

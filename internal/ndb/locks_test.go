@@ -15,6 +15,8 @@ import (
 // checkpoint on durable media and every committed virtual-time number was
 // made with — and the hash is computed without building that string.
 func TestRowKeyHashesItsStringForm(t *testing.T) {
+	clk := clock.NewSim()
+	defer clk.Close()
 	for _, tc := range []struct {
 		key  rowKey
 		form string
@@ -43,7 +45,7 @@ func TestRowKeyHashesItsStringForm(t *testing.T) {
 		for _, shards := range []int{1, 4, 7} {
 			cfg := DefaultConfig()
 			cfg.DataNodes = shards
-			if got, want := New(clock.NewScaled(0), cfg).shardFor(tc.key), int(h.Sum32()%uint32(shards)); got != want {
+			if got, want := New(clk, cfg).shardFor(tc.key), int(h.Sum32()%uint32(shards)); got != want {
 				t.Errorf("%q of %d shards on %d, want %d", tc.form, shards, got, want)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
@@ -22,7 +23,7 @@ import (
 // media) every crashEvery ops; the model state must match after every
 // recovery — every op here is a committed transaction, so recovery may
 // not lose any of them.
-func storeModelCheck(seed int64, crashEvery int) error {
+func storeModelCheck(clk *clock.Sim, seed int64, crashEvery int) error {
 	type key struct {
 		parent namespace.INodeID
 		name   string
@@ -31,11 +32,10 @@ func storeModelCheck(seed int64, crashEvery int) error {
 	var db *DB
 	var dur *Durable
 	if crashEvery > 0 {
-		clk := clock.NewScaled(0)
 		dur = NewDurable(clk, 4, zeroLSM())
 		db = New(clk, durableCfg(dur))
 	} else {
-		db = testDB()
+		db = testDB(clk)
 	}
 	model := map[key]namespace.INodeID{} // slot -> id
 	rev := map[namespace.INodeID]key{}   // id -> slot
@@ -74,7 +74,6 @@ func storeModelCheck(seed int64, crashEvery int) error {
 	for op := 0; op < 120; op++ {
 		if crashEvery > 0 && op > 0 && op%crashEvery == 0 {
 			// Crash: abandon the live store, recover from the media.
-			clk := clock.NewScaled(0)
 			recovered, rs, err := Recover(clk, durableCfg(dur))
 			if err != nil {
 				return fmt.Errorf("op %d: recover: %v", op, err)
@@ -232,31 +231,35 @@ func storeModelCheck(seed int64, crashEvery int) error {
 }
 
 func TestStoreMatchesModelRandomCommits(t *testing.T) {
-	f := func(seed int64) bool {
-		if err := storeModelCheck(seed, 0); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+	simtest.Run(t, func(clk *clock.Sim) {
+		f := func(seed int64) bool {
+			if err := storeModelCheck(clk, seed, 0); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestStoreMatchesModelWithCrashRecoverCycles(t *testing.T) {
-	// Same property with the durability tier on and a crash-recover
-	// cycle interleaved every 15 ops: every op is a committed
-	// transaction, so recovery must reproduce the model exactly after
-	// each cycle.
-	f := func(seed int64) bool {
-		if err := storeModelCheck(seed, 15); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Same property with the durability tier on and a crash-recover
+		// cycle interleaved every 15 ops: every op is a committed
+		// transaction, so recovery must reproduce the model exactly after
+		// each cycle.
+		f := func(seed int64) bool {
+			if err := storeModelCheck(clk, seed, 15); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

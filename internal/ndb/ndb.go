@@ -62,8 +62,7 @@ type Config struct {
 	// primary-key operations).
 	BatchRows int
 	// LockWaitTimeout is the lock wait timeout (deadlock/crash
-	// detection), measured by clock.Timeout: virtual time on clock.Sim,
-	// a real-time timer on any other clock.
+	// detection), in virtual time: it expires at an exact simulated instant.
 	LockWaitTimeout time.Duration
 
 	// OnShardService, when non-nil, is consulted before every shard
@@ -153,7 +152,7 @@ type Stats struct {
 // DB is the NDB-like store. It implements store.Store.
 type DB struct {
 	cfg Config
-	clk clock.Clock
+	clk *clock.Sim
 
 	mu       sync.RWMutex
 	inodes   map[namespace.INodeID]*namespace.INode
@@ -176,7 +175,7 @@ var _ store.Store = (*DB)(nil)
 // New creates a store containing only the root directory. A durability
 // tier attached via Config.Durable is formatted (Recover, not New,
 // restores a previous epoch).
-func New(clk clock.Clock, cfg Config) *DB {
+func New(clk *clock.Sim, cfg Config) *DB {
 	if cfg.Durable != nil {
 		cfg.Durable.reset()
 	}
@@ -190,7 +189,7 @@ func New(clk clock.Clock, cfg Config) *DB {
 // newDB builds an empty store shell (no root, no rows): shard service
 // queues, lock manager, telemetry. New installs the root; Recover loads
 // checkpoint rows and replays the WAL instead.
-func newDB(clk clock.Clock, cfg Config) *DB {
+func newDB(clk *clock.Sim, cfg Config) *DB {
 	if cfg.Durable != nil {
 		// The media's layout wins: row→shard placement must match the
 		// per-shard checkpoint stores.

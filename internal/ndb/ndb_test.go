@@ -10,16 +10,17 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
-func testDB() *DB {
+func testDB(clk *clock.Sim) *DB {
 	cfg := DefaultConfig()
 	cfg.RTT = 0
 	cfg.ReadService = 0
 	cfg.WriteService = 0
 	cfg.LockWaitTimeout = 100 * time.Millisecond
-	return New(clock.NewScaled(0), cfg)
+	return New(clk, cfg)
 }
 
 func mustCommit(t *testing.T, tx store.Tx) {
@@ -53,13 +54,15 @@ func addDir(t *testing.T, db *DB, parent namespace.INodeID, name string) namespa
 }
 
 func TestRootExists(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	defer tx.Abort()
-	root, err := tx.GetINode(namespace.RootID, store.LockNone)
-	if err != nil || !root.IsDir {
-		t.Fatalf("root: %v %v", root, err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		defer tx.Abort()
+		root, err := tx.GetINode(namespace.RootID, store.LockNone)
+		if err != nil || !root.IsDir {
+			t.Fatalf("root: %v %v", root, err)
+		}
+	})
 }
 
 // getChild looks a row up by name the way LockPaths takes a name it decides
@@ -69,163 +72,177 @@ func getChild(t store.Tx, parent namespace.INodeID, name string, mode store.Lock
 }
 
 func TestPutGetChild(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "a.txt")
-	tx := db.Begin("t")
-	defer tx.Abort()
-	n, err := getChild(tx, namespace.RootID, "a.txt", store.LockNone)
-	if err != nil {
-		t.Fatalf("get child: %v", err)
-	}
-	if n.ID != id || n.Name != "a.txt" {
-		t.Fatalf("wrong child: %v", n)
-	}
-	if _, err := getChild(tx, namespace.RootID, "missing", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatalf("missing child err = %v", err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "a.txt")
+		tx := db.Begin("t")
+		defer tx.Abort()
+		n, err := getChild(tx, namespace.RootID, "a.txt", store.LockNone)
+		if err != nil {
+			t.Fatalf("get child: %v", err)
+		}
+		if n.ID != id || n.Name != "a.txt" {
+			t.Fatalf("wrong child: %v", n)
+		}
+		if _, err := getChild(tx, namespace.RootID, "missing", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatalf("missing child err = %v", err)
+		}
+	})
 }
 
 func TestTxReadYourWrites(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	id := db.NextID()
-	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := tx.GetINode(id, store.LockNone); err != nil || n.Name != "x" {
-		t.Fatalf("read own write: %v %v", n, err)
-	}
-	if n, err := getChild(tx, namespace.RootID, "x", store.LockNone); err != nil || n.ID != id {
-		t.Fatalf("read own child: %v %v", n, err)
-	}
-	if err := tx.DeleteINode(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.GetINode(id, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatalf("deleted row visible: %v", err)
-	}
-	mustCommit(t, tx)
-	// Nothing should have been created.
-	tx2 := db.Begin("t")
-	defer tx2.Abort()
-	if _, err := getChild(tx2, namespace.RootID, "x", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatalf("phantom row after put+delete commit: %v", err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		id := db.NextID()
+		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := tx.GetINode(id, store.LockNone); err != nil || n.Name != "x" {
+			t.Fatalf("read own write: %v %v", n, err)
+		}
+		if n, err := getChild(tx, namespace.RootID, "x", store.LockNone); err != nil || n.ID != id {
+			t.Fatalf("read own child: %v %v", n, err)
+		}
+		if err := tx.DeleteINode(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.GetINode(id, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatalf("deleted row visible: %v", err)
+		}
+		mustCommit(t, tx)
+		// Nothing should have been created.
+		tx2 := db.Begin("t")
+		defer tx2.Abort()
+		if _, err := getChild(tx2, namespace.RootID, "x", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatalf("phantom row after put+delete commit: %v", err)
+		}
+	})
 }
 
 func TestAbortDiscardsWrites(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	id := db.NextID()
-	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "gone"}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Abort()
-	tx2 := db.Begin("t")
-	defer tx2.Abort()
-	if _, err := getChild(tx2, namespace.RootID, "gone", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatal("aborted write became visible")
-	}
-	if db.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", db.HeldLocks())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		id := db.NextID()
+		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "gone"}); err != nil {
+			t.Fatal(err)
+		}
+		tx.Abort()
+		tx2 := db.Begin("t")
+		defer tx2.Abort()
+		if _, err := getChild(tx2, namespace.RootID, "gone", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatal("aborted write became visible")
+		}
+		if db.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", db.HeldLocks())
+		}
+	})
 }
 
 func TestUseAfterFinish(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	mustCommit(t, tx)
-	if _, err := tx.GetINode(namespace.RootID, store.LockNone); !errors.Is(err, store.ErrTxDone) {
-		t.Fatalf("err = %v, want ErrTxDone", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, store.ErrTxDone) {
-		t.Fatalf("double commit err = %v", err)
-	}
-	tx.Abort() // must not panic
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		mustCommit(t, tx)
+		if _, err := tx.GetINode(namespace.RootID, store.LockNone); !errors.Is(err, store.ErrTxDone) {
+			t.Fatalf("err = %v, want ErrTxDone", err)
+		}
+		if err := tx.Commit(); !errors.Is(err, store.ErrTxDone) {
+			t.Fatalf("double commit err = %v", err)
+		}
+		tx.Abort() // must not panic
+	})
 }
 
 func TestMoveUpdatesChildIndex(t *testing.T) {
-	db := testDB()
-	dirA := addDir(t, db, namespace.RootID, "a")
-	dirB := addDir(t, db, namespace.RootID, "b")
-	id := addFile(t, db, dirA, "f")
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		dirA := addDir(t, db, namespace.RootID, "a")
+		dirB := addDir(t, db, namespace.RootID, "b")
+		id := addFile(t, db, dirA, "f")
 
-	tx := db.Begin("t")
-	n, err := tx.GetINode(id, store.LockExclusive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.ParentID = dirB
-	n.Name = "g"
-	if err := tx.PutINode(n); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
+		tx := db.Begin("t")
+		n, err := tx.GetINode(id, store.LockExclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.ParentID = dirB
+		n.Name = "g"
+		if err := tx.PutINode(n); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
 
-	tx2 := db.Begin("t")
-	defer tx2.Abort()
-	if _, err := getChild(tx2, dirA, "f", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatal("old child entry survived the move")
-	}
-	got, err := getChild(tx2, dirB, "g", store.LockNone)
-	if err != nil || got.ID != id {
-		t.Fatalf("moved child not found: %v %v", got, err)
-	}
+		tx2 := db.Begin("t")
+		defer tx2.Abort()
+		if _, err := getChild(tx2, dirA, "f", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatal("old child entry survived the move")
+		}
+		got, err := getChild(tx2, dirB, "g", store.LockNone)
+		if err != nil || got.ID != id {
+			t.Fatalf("moved child not found: %v %v", got, err)
+		}
+	})
 }
 
 func TestDeleteRemovesRowAndIndex(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "dead")
-	tx := db.Begin("t")
-	if err := tx.DeleteINode(id); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	tx2 := db.Begin("t")
-	defer tx2.Abort()
-	if _, err := tx2.GetINode(id, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatal("deleted inode still readable")
-	}
-	if _, err := getChild(tx2, namespace.RootID, "dead", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatal("deleted child index entry survived")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "dead")
+		tx := db.Begin("t")
+		if err := tx.DeleteINode(id); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		tx2 := db.Begin("t")
+		defer tx2.Abort()
+		if _, err := tx2.GetINode(id, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatal("deleted inode still readable")
+		}
+		if _, err := getChild(tx2, namespace.RootID, "dead", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatal("deleted child index entry survived")
+		}
+	})
 }
 
 // TestListChildrenSortedAndMerged: the children ListPathBatched returns are
 // the committed ones merged with the transaction's own buffered writes —
 // puts, deletes and moves out of the directory — sorted by name.
 func TestListChildrenSortedAndMerged(t *testing.T) {
-	db := testDB()
-	other := addDir(t, db, namespace.RootID, "other")
-	addFile(t, db, namespace.RootID, "b")
-	addFile(t, db, namespace.RootID, "a")
-	dead := addFile(t, db, namespace.RootID, "dead")
-	moved := addFile(t, db, namespace.RootID, "moved")
-	tx := db.Begin("t")
-	defer tx.Abort()
-	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.DeleteINode(dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.PutINode(&namespace.INode{ID: moved, ParentID: other, Name: "moved"}); err != nil {
-		t.Fatal(err)
-	}
-	chain, kids, err := tx.ListPathBatched("/", store.LockShared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 1 || chain[0].ID != namespace.RootID {
-		t.Fatalf("chain = %v, want the root alone", chain)
-	}
-	names := make([]string, len(kids))
-	for i, k := range kids {
-		names[i] = k.Name
-	}
-	if want := []string{"a", "b", "c", "other"}; !slices.Equal(names, want) {
-		t.Fatalf("children = %v, want %v", names, want)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		other := addDir(t, db, namespace.RootID, "other")
+		addFile(t, db, namespace.RootID, "b")
+		addFile(t, db, namespace.RootID, "a")
+		dead := addFile(t, db, namespace.RootID, "dead")
+		moved := addFile(t, db, namespace.RootID, "moved")
+		tx := db.Begin("t")
+		defer tx.Abort()
+		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "c"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.DeleteINode(dead); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.PutINode(&namespace.INode{ID: moved, ParentID: other, Name: "moved"}); err != nil {
+			t.Fatal(err)
+		}
+		chain, kids, err := tx.ListPathBatched("/", store.LockShared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chain) != 1 || chain[0].ID != namespace.RootID {
+			t.Fatalf("chain = %v, want the root alone", chain)
+		}
+		names := make([]string, len(kids))
+		for i, k := range kids {
+			names[i] = k.Name
+		}
+		if want := []string{"a", "b", "c", "other"}; !slices.Equal(names, want) {
+			t.Fatalf("children = %v, want %v", names, want)
+		}
+	})
 }
 
 // TestListPathBatchedOneRound: a listing is one multi-get whatever it
@@ -316,110 +333,116 @@ func TestListPathBatchedOneRound(t *testing.T) {
 // successful Commit — the writes visible, the locks still held — and never
 // on an abort or a failed commit.
 func TestCommitPointHooks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
-	failCommit := false
-	cfg.OnCommit = func(string) error {
-		if failCommit {
-			return errors.New("injected")
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := DefaultConfig()
+		cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
+		failCommit := false
+		cfg.OnCommit = func(string) error {
+			if failCommit {
+				return errors.New("injected")
+			}
+			return nil
 		}
-		return nil
-	}
-	db := New(clock.NewScaled(0), cfg)
-	put := func(tx store.Tx, name string) {
-		t.Helper()
-		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: name}); err != nil {
-			t.Fatal(err)
+		db := New(clk, cfg)
+		put := func(tx store.Tx, name string) {
+			t.Helper()
+			if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: name}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	var ran []string
-	tx := db.Begin("t")
-	put(tx, "x")
-	tx.AtCommitPoint(func() {
-		if _, err := db.ResolvePath("/x"); err != nil {
-			t.Errorf("first hook: the write is not applied yet: %v", err)
-		}
-		if db.HeldLocks() == 0 {
-			t.Error("first hook: the locks are already released")
-		}
-		ran = append(ran, "first")
-	})
-	tx.AtCommitPoint(func() { ran = append(ran, "second") })
-	mustCommit(t, tx)
-	if !slices.Equal(ran, []string{"first", "second"}) {
-		t.Fatalf("hooks ran %v, want first then second", ran)
-	}
-	tx.Abort() // after Commit: a no-op, and no second run
-	for _, end := range []string{"abort", "failed commit"} {
+		var ran []string
 		tx := db.Begin("t")
-		put(tx, "y")
-		tx.AtCommitPoint(func() { t.Errorf("hook ran on %s", end) })
-		if end == "abort" {
-			tx.Abort()
-			continue
+		put(tx, "x")
+		tx.AtCommitPoint(func() {
+			if _, err := db.ResolvePath("/x"); err != nil {
+				t.Errorf("first hook: the write is not applied yet: %v", err)
+			}
+			if db.HeldLocks() == 0 {
+				t.Error("first hook: the locks are already released")
+			}
+			ran = append(ran, "first")
+		})
+		tx.AtCommitPoint(func() { ran = append(ran, "second") })
+		mustCommit(t, tx)
+		if !slices.Equal(ran, []string{"first", "second"}) {
+			t.Fatalf("hooks ran %v, want first then second", ran)
 		}
-		failCommit = true
-		if err := tx.Commit(); err == nil {
-			t.Fatal("injected commit failure did not surface")
+		tx.Abort() // after Commit: a no-op, and no second run
+		for _, end := range []string{"abort", "failed commit"} {
+			tx := db.Begin("t")
+			put(tx, "y")
+			tx.AtCommitPoint(func() { t.Errorf("hook ran on %s", end) })
+			if end == "abort" {
+				tx.Abort()
+				continue
+			}
+			failCommit = true
+			if err := tx.Commit(); err == nil {
+				t.Fatal("injected commit failure did not surface")
+			}
+			failCommit = false
 		}
-		failCommit = false
-	}
-	if db.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", db.HeldLocks())
-	}
+		if db.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", db.HeldLocks())
+		}
+	})
 }
 
 func TestResolvePath(t *testing.T) {
-	db := testDB()
-	a := addDir(t, db, namespace.RootID, "a")
-	b := addDir(t, db, a, "b")
-	f := addFile(t, db, b, "f.txt")
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		a := addDir(t, db, namespace.RootID, "a")
+		b := addDir(t, db, a, "b")
+		f := addFile(t, db, b, "f.txt")
 
-	chain, err := db.ResolvePath("/a/b/f.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 4 {
-		t.Fatalf("chain length %d", len(chain))
-	}
-	wantIDs := []namespace.INodeID{namespace.RootID, a, b, f}
-	for i, n := range chain {
-		if n.ID != wantIDs[i] {
-			t.Fatalf("chain[%d] = %v, want id %d", i, n, wantIDs[i])
+		chain, err := db.ResolvePath("/a/b/f.txt")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Partial resolution.
-	chain, err = db.ResolvePath("/a/b/missing")
-	if !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(chain) != 3 {
-		t.Fatalf("partial chain length %d", len(chain))
-	}
-	if _, err := db.ResolvePath("relative"); !errors.Is(err, namespace.ErrInvalidPath) {
-		t.Fatal("relative path accepted")
-	}
+		if len(chain) != 4 {
+			t.Fatalf("chain length %d", len(chain))
+		}
+		wantIDs := []namespace.INodeID{namespace.RootID, a, b, f}
+		for i, n := range chain {
+			if n.ID != wantIDs[i] {
+				t.Fatalf("chain[%d] = %v, want id %d", i, n, wantIDs[i])
+			}
+		}
+		// Partial resolution.
+		chain, err = db.ResolvePath("/a/b/missing")
+		if !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatalf("err = %v", err)
+		}
+		if len(chain) != 3 {
+			t.Fatalf("partial chain length %d", len(chain))
+		}
+		if _, err := db.ResolvePath("relative"); !errors.Is(err, namespace.ErrInvalidPath) {
+			t.Fatal("relative path accepted")
+		}
+	})
 }
 
 func TestListSubtree(t *testing.T) {
-	db := testDB()
-	a := addDir(t, db, namespace.RootID, "a")
-	b := addDir(t, db, a, "b")
-	addFile(t, db, a, "f1")
-	addFile(t, db, b, "f2")
-	nodes, err := db.ListSubtree(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 4 {
-		t.Fatalf("subtree size %d, want 4", len(nodes))
-	}
-	if nodes[0].ID != a {
-		t.Fatal("BFS should start at the root of the subtree")
-	}
-	if _, err := db.ListSubtree(999); !errors.Is(err, namespace.ErrNotFound) {
-		t.Fatal("missing subtree root accepted")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		a := addDir(t, db, namespace.RootID, "a")
+		b := addDir(t, db, a, "b")
+		addFile(t, db, a, "f1")
+		addFile(t, db, b, "f2")
+		nodes, err := db.ListSubtree(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nodes) != 4 {
+			t.Fatalf("subtree size %d, want 4", len(nodes))
+		}
+		if nodes[0].ID != a {
+			t.Fatal("BFS should start at the root of the subtree")
+		}
+		if _, err := db.ListSubtree(999); !errors.Is(err, namespace.ErrNotFound) {
+			t.Fatal("missing subtree root accepted")
+		}
+	})
 }
 
 // TestListSubtreeOrderIsSortedBFS: the child table is a Go map, but a
@@ -427,48 +450,50 @@ func TestListSubtree(t *testing.T) {
 // listings must come back in one order every time: BFS, each node's
 // children by ascending ID.
 func TestListSubtreeOrderIsSortedBFS(t *testing.T) {
-	db := testDB()
-	const fan = 64
-	top := addDir(t, db, namespace.RootID, "top")
-	nodes := []*namespace.INode{}
-	id := namespace.INodeID(1000)
-	want := []namespace.INodeID{top}
-	var mids, leaves []namespace.INodeID
-	for d := 0; d < fan; d++ {
-		mid := id
-		id++
-		// Names descend while IDs ascend: name order is not the answer.
-		nodes = append(nodes, &namespace.INode{ID: mid, ParentID: top, Name: fmt.Sprintf("d%02d", fan-d), IsDir: true})
-		mids = append(mids, mid)
-	}
-	for _, mid := range mids {
-		for f := 0; f < fan; f++ {
-			nodes = append(nodes, &namespace.INode{ID: id, ParentID: mid, Name: fmt.Sprintf("f%02d", fan-f)})
-			leaves = append(leaves, id)
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		const fan = 64
+		top := addDir(t, db, namespace.RootID, "top")
+		nodes := []*namespace.INode{}
+		id := namespace.INodeID(1000)
+		want := []namespace.INodeID{top}
+		var mids, leaves []namespace.INodeID
+		for d := 0; d < fan; d++ {
+			mid := id
 			id++
+			// Names descend while IDs ascend: name order is not the answer.
+			nodes = append(nodes, &namespace.INode{ID: mid, ParentID: top, Name: fmt.Sprintf("d%02d", fan-d), IsDir: true})
+			mids = append(mids, mid)
 		}
-	}
-	db.Preload(nodes)
-	want = append(append(want, mids...), leaves...)
-	ids := func(list []*namespace.INode, err error) []namespace.INodeID {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
+		for _, mid := range mids {
+			for f := 0; f < fan; f++ {
+				nodes = append(nodes, &namespace.INode{ID: id, ParentID: mid, Name: fmt.Sprintf("f%02d", fan-f)})
+				leaves = append(leaves, id)
+				id++
+			}
 		}
-		out := make([]namespace.INodeID, len(list))
-		for i, n := range list {
-			out[i] = n.ID
+		db.Preload(nodes)
+		want = append(append(want, mids...), leaves...)
+		ids := func(list []*namespace.INode, err error) []namespace.INodeID {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]namespace.INodeID, len(list))
+			for i, n := range list {
+				out[i] = n.ID
+			}
+			return out
 		}
-		return out
-	}
-	for round := 0; round < 2; round++ {
-		if got := ids(db.ListSubtree(top)); !slices.Equal(got, want) {
-			t.Fatalf("ListSubtree, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
+		for round := 0; round < 2; round++ {
+			if got := ids(db.ListSubtree(top)); !slices.Equal(got, want) {
+				t.Fatalf("ListSubtree, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
+			}
+			if got := ids(db.ListSubtreeBatched(top, nil)); !slices.Equal(got, want) {
+				t.Fatalf("ListSubtreeBatched, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
+			}
 		}
-		if got := ids(db.ListSubtreeBatched(top, nil)); !slices.Equal(got, want) {
-			t.Fatalf("ListSubtreeBatched, listing %d: not the sorted BFS (first difference at %d)", round, firstDiff(got, want))
-		}
-	}
+	})
 }
 
 func firstDiff(a, b []namespace.INodeID) int {
@@ -481,277 +506,300 @@ func firstDiff(a, b []namespace.INodeID) int {
 }
 
 func TestKVOps(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	if err := tx.KVPut(store.TableDataNodes, "dn1", []byte("alive")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := tx.KVGet(store.TableDataNodes, "dn1", store.LockNone); err != nil || !ok || string(v) != "alive" {
-		t.Fatalf("read own kv write: %q %v %v", v, ok, err)
-	}
-	mustCommit(t, tx)
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		if err := tx.KVPut(store.TableDataNodes, "dn1", []byte("alive")); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := tx.KVGet(store.TableDataNodes, "dn1", store.LockNone); err != nil || !ok || string(v) != "alive" {
+			t.Fatalf("read own kv write: %q %v %v", v, ok, err)
+		}
+		mustCommit(t, tx)
 
-	tx2 := db.Begin("t")
-	if v, ok, _ := tx2.KVGet(store.TableDataNodes, "dn1", store.LockShared); !ok || string(v) != "alive" {
-		t.Fatalf("committed kv missing: %q %v", v, ok)
-	}
-	if err := tx2.KVPut(store.TableDataNodes, "dn2", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	scan, err := tx2.KVScan(store.TableDataNodes, "dn")
-	if err != nil || len(scan) != 2 {
-		t.Fatalf("scan = %v, %v", scan, err)
-	}
-	if err := tx2.KVDelete(store.TableDataNodes, "dn1"); err != nil {
-		t.Fatal(err)
-	}
-	scan, _ = tx2.KVScan(store.TableDataNodes, "dn")
-	if len(scan) != 1 {
-		t.Fatalf("scan after buffered delete = %v", scan)
-	}
-	mustCommit(t, tx2)
+		tx2 := db.Begin("t")
+		if v, ok, _ := tx2.KVGet(store.TableDataNodes, "dn1", store.LockShared); !ok || string(v) != "alive" {
+			t.Fatalf("committed kv missing: %q %v", v, ok)
+		}
+		if err := tx2.KVPut(store.TableDataNodes, "dn2", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		scan, err := tx2.KVScan(store.TableDataNodes, "dn")
+		if err != nil || len(scan) != 2 {
+			t.Fatalf("scan = %v, %v", scan, err)
+		}
+		if err := tx2.KVDelete(store.TableDataNodes, "dn1"); err != nil {
+			t.Fatal(err)
+		}
+		scan, _ = tx2.KVScan(store.TableDataNodes, "dn")
+		if len(scan) != 1 {
+			t.Fatalf("scan after buffered delete = %v", scan)
+		}
+		mustCommit(t, tx2)
 
-	tx3 := db.Begin("t")
-	defer tx3.Abort()
-	if _, ok, _ := tx3.KVGet(store.TableDataNodes, "dn1", store.LockNone); ok {
-		t.Fatal("deleted kv still present")
-	}
+		tx3 := db.Begin("t")
+		defer tx3.Abort()
+		if _, ok, _ := tx3.KVGet(store.TableDataNodes, "dn1", store.LockNone); ok {
+			t.Fatal("deleted kv still present")
+		}
+	})
 }
 
 func TestExclusiveLockBlocksSecondWriter(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "locked")
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "locked")
 
-	tx1 := db.Begin("w1")
-	if _, err := tx1.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := db.Begin("w2")
-	start := time.Now()
-	_, err := tx2.GetINode(id, store.LockExclusive)
-	if !errors.Is(err, store.ErrLockTimeout) {
-		t.Fatalf("second writer got lock: %v", err)
-	}
-	if time.Since(start) < 50*time.Millisecond {
-		t.Fatal("lock timeout fired too early")
-	}
-	tx2.Abort()
-	tx1.Abort()
+		tx1 := db.Begin("w1")
+		if _, err := tx1.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		tx2 := db.Begin("w2")
+		start := clk.Now()
+		_, err := tx2.GetINode(id, store.LockExclusive)
+		if !errors.Is(err, store.ErrLockTimeout) {
+			t.Fatalf("second writer got lock: %v", err)
+		}
+		if waited := clk.Since(start); waited != 100*time.Millisecond {
+			t.Fatalf("lock wait timed out after %v, want the configured 100ms", waited)
+		}
+		tx2.Abort()
+		tx1.Abort()
 
-	// After release the lock is acquirable.
-	tx3 := db.Begin("w3")
-	if _, err := tx3.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatalf("lock not released: %v", err)
-	}
-	tx3.Abort()
+		// After release the lock is acquirable.
+		tx3 := db.Begin("w3")
+		if _, err := tx3.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatalf("lock not released: %v", err)
+		}
+		tx3.Abort()
+	})
 }
 
 func TestSharedLocksCompatible(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "shared")
-	tx1 := db.Begin("r1")
-	tx2 := db.Begin("r2")
-	if _, err := tx1.GetINode(id, store.LockShared); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx2.GetINode(id, store.LockShared); err != nil {
-		t.Fatalf("shared locks should be compatible: %v", err)
-	}
-	// A writer must block while readers hold the lock.
-	tx3 := db.Begin("w")
-	if _, err := tx3.GetINode(id, store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
-		t.Fatalf("writer acquired lock under readers: %v", err)
-	}
-	tx3.Abort()
-	tx1.Abort()
-	tx2.Abort()
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "shared")
+		tx1 := db.Begin("r1")
+		tx2 := db.Begin("r2")
+		if _, err := tx1.GetINode(id, store.LockShared); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx2.GetINode(id, store.LockShared); err != nil {
+			t.Fatalf("shared locks should be compatible: %v", err)
+		}
+		// A writer must block while readers hold the lock.
+		tx3 := db.Begin("w")
+		if _, err := tx3.GetINode(id, store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
+			t.Fatalf("writer acquired lock under readers: %v", err)
+		}
+		tx3.Abort()
+		tx1.Abort()
+		tx2.Abort()
+	})
 }
 
 func TestLockUpgrade(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "up")
-	tx := db.Begin("t")
-	if _, err := tx.GetINode(id, store.LockShared); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatalf("sole shared holder could not upgrade: %v", err)
-	}
-	tx.Abort()
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "up")
+		tx := db.Begin("t")
+		if _, err := tx.GetINode(id, store.LockShared); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatalf("sole shared holder could not upgrade: %v", err)
+		}
+		tx.Abort()
+	})
 }
 
 func TestWriterWakesWhenReaderReleases(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "wake")
-	tx1 := db.Begin("r")
-	if _, err := tx1.GetINode(id, store.LockShared); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		tx2 := db.Begin("w")
-		_, err := tx2.GetINode(id, store.LockExclusive)
-		tx2.Abort()
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	tx1.Abort()
-	if err := <-done; err != nil {
-		t.Fatalf("writer not woken on release: %v", err)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "wake")
+		tx1 := db.Begin("r")
+		if _, err := tx1.GetINode(id, store.LockShared); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		var wokenAt time.Duration
+		writer := clock.NewGroup(clk)
+		writer.Go(func() {
+			tx2 := db.Begin("w")
+			_, err = tx2.GetINode(id, store.LockExclusive)
+			wokenAt = clk.Since(clock.Epoch)
+			tx2.Abort()
+		})
+		clk.Sleep(10 * time.Millisecond) // the writer is parked on the row
+		tx1.Abort()
+		writer.Wait()
+		if err != nil || wokenAt != 10*time.Millisecond {
+			t.Fatalf("writer woken at %v with %v, want at the release instant 10ms", wokenAt, err)
+		}
+	})
 }
 
 func TestReleaseOwnerBreaksCrashedLocks(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "crash")
-	crashed := db.Begin("nn-dead")
-	if _, err := crashed.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatal(err)
-	}
-	// Simulated crash: coordinator detects and releases.
-	db.ReleaseOwner("nn-dead")
-	tx := db.Begin("nn-live")
-	if _, err := tx.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatalf("crashed owner's lock not broken: %v", err)
-	}
-	tx.Abort()
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "crash")
+		crashed := db.Begin("nn-dead")
+		if _, err := crashed.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		// Simulated crash: coordinator detects and releases.
+		db.ReleaseOwner("nn-dead")
+		tx := db.Begin("nn-live")
+		if _, err := tx.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatalf("crashed owner's lock not broken: %v", err)
+		}
+		tx.Abort()
+	})
 }
 
 func TestConcurrentCreateSameNameSerializes(t *testing.T) {
-	db := testDB()
-	var wins, losses int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := store.RunTx(db, fmt.Sprintf("c%d", i), nil, func(tx store.Tx) error {
-				_, err := getChild(tx, namespace.RootID, "one", store.LockExclusive)
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		var wins, losses int
+		var mu sync.Mutex
+		wg := clock.NewGroup(clk)
+		for i := 0; i < 8; i++ {
+			wg.Go(func() {
+				err := store.RunTx(db, fmt.Sprintf("c%d", i), nil, func(tx store.Tx) error {
+					_, err := getChild(tx, namespace.RootID, "one", store.LockExclusive)
+					if err == nil {
+						return namespace.ErrExists
+					}
+					if !errors.Is(err, namespace.ErrNotFound) {
+						return err
+					}
+					return tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "one"})
+				})
+				mu.Lock()
 				if err == nil {
-					return namespace.ErrExists
+					wins++
+				} else if errors.Is(err, namespace.ErrExists) {
+					losses++
+				} else {
+					t.Errorf("unexpected error: %v", err)
 				}
-				if !errors.Is(err, namespace.ErrNotFound) {
-					return err
-				}
-				return tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "one"})
+				mu.Unlock()
 			})
-			mu.Lock()
-			if err == nil {
-				wins++
-			} else if errors.Is(err, namespace.ErrExists) {
-				losses++
-			} else {
-				t.Errorf("unexpected error: %v", err)
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if wins != 1 || losses != 7 {
-		t.Fatalf("wins=%d losses=%d, want 1/7", wins, losses)
-	}
-	if db.HeldLocks() != 0 {
-		t.Fatalf("locks leaked: %d", db.HeldLocks())
-	}
+		}
+		wg.Wait()
+		if wins != 1 || losses != 7 {
+			t.Fatalf("wins=%d losses=%d, want 1/7", wins, losses)
+		}
+		if db.HeldLocks() != 0 {
+			t.Fatalf("locks leaked: %d", db.HeldLocks())
+		}
+	})
 }
 
 func TestConcurrentIncrementsSerialize(t *testing.T) {
-	// Isolation property: N concurrent read-modify-write transactions on
-	// one row must all be reflected (no lost updates).
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "counter")
-	const workers, rounds = 8, 20
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				err := store.RunTx(db, fmt.Sprintf("w%d", w), nil, func(tx store.Tx) error {
-					n, err := tx.GetINode(id, store.LockExclusive)
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Isolation property: N concurrent read-modify-write transactions on
+		// one row must all be reflected (no lost updates).
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "counter")
+		const workers, rounds = 8, 20
+		wg := clock.NewGroup(clk)
+		for w := 0; w < workers; w++ {
+			wg.Go(func() {
+				for r := 0; r < rounds; r++ {
+					err := store.RunTx(db, fmt.Sprintf("w%d", w), nil, func(tx store.Tx) error {
+						n, err := tx.GetINode(id, store.LockExclusive)
+						if err != nil {
+							return err
+						}
+						n.Size++
+						return tx.PutINode(n)
+					})
 					if err != nil {
-						return err
+						t.Errorf("increment failed: %v", err)
+						return
 					}
-					n.Size++
-					return tx.PutINode(n)
-				})
-				if err != nil {
-					t.Errorf("increment failed: %v", err)
-					return
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	tx := db.Begin("check")
-	defer tx.Abort()
-	n, err := tx.GetINode(id, store.LockNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Size != workers*rounds {
-		t.Fatalf("size = %d, want %d (lost updates)", n.Size, workers*rounds)
-	}
+			})
+		}
+		wg.Wait()
+		tx := db.Begin("check")
+		defer tx.Abort()
+		n, err := tx.GetINode(id, store.LockNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Size != workers*rounds {
+			t.Fatalf("size = %d, want %d (lost updates)", n.Size, workers*rounds)
+		}
+	})
 }
 
 func TestRunTxRetriesOnLockTimeout(t *testing.T) {
-	db := testDB()
-	id := addFile(t, db, namespace.RootID, "contended")
-	blocker := db.Begin("blocker")
-	if _, err := blocker.GetINode(id, store.LockExclusive); err != nil {
-		t.Fatal(err)
-	}
-	released := make(chan struct{})
-	go func() {
-		time.Sleep(150 * time.Millisecond) // past one lock timeout
-		blocker.Abort()
-		close(released)
-	}()
-	err := store.RunTx(db, "retrier", nil, func(tx store.Tx) error {
-		_, err := tx.GetINode(id, store.LockExclusive)
-		return err
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		id := addFile(t, db, namespace.RootID, "contended")
+		blocker := db.Begin("blocker")
+		if _, err := blocker.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		clock.Go(clk, func() {
+			clk.Sleep(150 * time.Millisecond) // past one 100ms lock timeout
+			blocker.Abort()
+		})
+		err := store.RunTx(db, "retrier", nil, func(tx store.Tx) error {
+			_, err := tx.GetINode(id, store.LockExclusive)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("RunTx did not retry through a lock timeout: %v", err)
+		}
+		if got := clk.Since(clock.Epoch); got != 150*time.Millisecond {
+			t.Fatalf("the retry got the row at %v, want the release instant 150ms", got)
+		}
+		if n := db.Stats().LockTimeouts; n != 1 {
+			t.Fatalf("%d lock timeouts recorded, want the one at 100ms", n)
+		}
 	})
-	<-released
-	if err != nil {
-		t.Fatalf("RunTx did not retry through a lock timeout: %v", err)
-	}
-	st := db.Stats()
-	if st.LockTimeouts == 0 {
-		t.Fatal("expected at least one recorded lock timeout")
-	}
 }
 
 func TestServiceLatencyCharged(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RTT = 50 * time.Millisecond
-	cfg.ReadService = 0
-	cfg.WriteService = 0
-	clk := clock.NewScaled(0.01) // 100x speedup: 50ms virtual → 0.5ms real
-	db := New(clk, cfg)
-	start := clk.Now()
-	if _, err := db.ResolvePath("/"); err != nil {
-		t.Fatal(err)
-	}
-	if d := clk.Since(start); d < 40*time.Millisecond {
-		t.Fatalf("resolve charged only %v virtual, want ≥ RTT", d)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := DefaultConfig()
+		cfg.RTT = 50 * time.Millisecond
+		cfg.ReadService = 0
+		cfg.WriteService = 0
+		db := New(clk, cfg)
+		start := clk.Now()
+		if _, err := db.ResolvePath("/"); err != nil {
+			t.Fatal(err)
+		}
+		if d := clk.Since(start); d != cfg.RTT {
+			t.Fatalf("resolve charged %v virtual, want the RTT %v", d, cfg.RTT)
+		}
+	})
 }
 
 func TestStatsCounters(t *testing.T) {
-	db := testDB()
-	addFile(t, db, namespace.RootID, "s")
-	st := db.Stats()
-	if st.Commits == 0 || st.Writes == 0 {
-		t.Fatalf("stats not recorded: %+v", st)
-	}
-	if db.INodeCount() != 2 { // root + file
-		t.Fatalf("inode count = %d", db.INodeCount())
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		addFile(t, db, namespace.RootID, "s")
+		st := db.Stats()
+		if st.Commits == 0 || st.Writes == 0 {
+			t.Fatalf("stats not recorded: %+v", st)
+		}
+		if db.INodeCount() != 2 { // root + file
+			t.Fatalf("inode count = %d", db.INodeCount())
+		}
+	})
 }
 
+// TestNextIDUnique: the allocator is an atomic counter, so host goroutines
+// hammer it in parallel; nothing here parks.
 func TestNextIDUnique(t *testing.T) {
-	db := testDB()
+	clk := clock.NewSim()
+	defer clk.Close()
+	db := testDB(clk)
 	seen := make(map[namespace.INodeID]bool)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -774,52 +822,58 @@ func TestNextIDUnique(t *testing.T) {
 }
 
 func TestTxResolvePathLocked(t *testing.T) {
-	db := testDB()
-	a := addDir(t, db, namespace.RootID, "a")
-	f := addFile(t, db, a, "f")
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		a := addDir(t, db, namespace.RootID, "a")
+		f := addFile(t, db, a, "f")
 
-	tx := db.Begin("reader")
-	chain, err := tx.ResolvePathBatched("/a/f", store.LockShared, store.LockShared)
-	if err != nil || len(chain) != 3 || chain[2].ID != f {
-		t.Fatalf("chain = %v, %v", chain, err)
-	}
-	// A writer must now block on the terminal row.
-	w := db.Begin("writer")
-	if _, err := w.GetINode(f, store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
-		t.Fatalf("writer got exclusive under shared chain: %v", err)
-	}
-	w.Abort()
-	tx.Abort()
+		tx := db.Begin("reader")
+		chain, err := tx.ResolvePathBatched("/a/f", store.LockShared, store.LockShared)
+		if err != nil || len(chain) != 3 || chain[2].ID != f {
+			t.Fatalf("chain = %v, %v", chain, err)
+		}
+		// A writer must now block on the terminal row.
+		w := db.Begin("writer")
+		if _, err := w.GetINode(f, store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
+			t.Fatalf("writer got exclusive under shared chain: %v", err)
+		}
+		w.Abort()
+		tx.Abort()
+	})
 }
 
 func TestTxResolvePathMissLocksSlot(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("reader")
-	chain, err := tx.ResolvePathBatched("/nope", store.LockShared, store.LockShared)
-	if !errors.Is(err, namespace.ErrNotFound) || len(chain) != 1 {
-		t.Fatalf("chain=%v err=%v", chain, err)
-	}
-	// Creator of the same name must serialize against the miss.
-	w := db.Begin("creator")
-	if _, err := getChild(w, namespace.RootID, "nope", store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
-		t.Fatalf("creator did not block on missed slot: %v", err)
-	}
-	w.Abort()
-	tx.Abort()
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("reader")
+		chain, err := tx.ResolvePathBatched("/nope", store.LockShared, store.LockShared)
+		if !errors.Is(err, namespace.ErrNotFound) || len(chain) != 1 {
+			t.Fatalf("chain=%v err=%v", chain, err)
+		}
+		// Creator of the same name must serialize against the miss.
+		w := db.Begin("creator")
+		if _, err := getChild(w, namespace.RootID, "nope", store.LockExclusive); !errors.Is(err, store.ErrLockTimeout) {
+			t.Fatalf("creator did not block on missed slot: %v", err)
+		}
+		w.Abort()
+		tx.Abort()
+	})
 }
 
 func TestTxResolvePathSeesOwnWrites(t *testing.T) {
-	db := testDB()
-	tx := db.Begin("t")
-	id := db.NextID()
-	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "mine", IsDir: true}); err != nil {
-		t.Fatal(err)
-	}
-	chain, err := tx.ResolvePathBatched("/mine", store.LockExclusive, store.LockExclusive)
-	if err != nil || len(chain) != 2 || chain[1].ID != id {
-		t.Fatalf("chain = %v, %v", chain, err)
-	}
-	tx.Abort()
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		tx := db.Begin("t")
+		id := db.NextID()
+		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID, Name: "mine", IsDir: true}); err != nil {
+			t.Fatal(err)
+		}
+		chain, err := tx.ResolvePathBatched("/mine", store.LockExclusive, store.LockExclusive)
+		if err != nil || len(chain) != 2 || chain[1].ID != id {
+			t.Fatalf("chain = %v, %v", chain, err)
+		}
+		tx.Abort()
+	})
 }
 
 // TestLockPathsSharedRowTakesSlotFirst: a row that is an ancestor of one
@@ -829,48 +883,46 @@ func TestTxResolvePathSeesOwnWrites(t *testing.T) {
 // later, behind the row, inverts the order of every single-path write
 // into /a and deadlocks against it until the lock-wait timeout.
 func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
-	for _, paths := range [][]string{
-		{"/a/b/x", "/a/y"}, // directory ← subdirectory
-		{"/a/y", "/a/b/x"}, // directory → subdirectory
-		{"/a/b/x", "/a/b"}, // destination is the source's parent directory
-	} {
-		db := testDB()
-		a := addDir(t, db, namespace.RootID, "a")
-		addFile(t, db, addDir(t, db, a, "b"), "x")
+	simtest.Run(t, func(clk *clock.Sim) {
+		for _, paths := range [][]string{
+			{"/a/b/x", "/a/y"}, // directory ← subdirectory
+			{"/a/y", "/a/b/x"}, // directory → subdirectory
+			{"/a/b/x", "/a/b"}, // destination is the source's parent directory
+		} {
+			db := testDB(clk)
+			a := addDir(t, db, namespace.RootID, "a")
+			addFile(t, db, addDir(t, db, a, "b"), "x")
 
-		// A creator inside /a, stopped between its slot and its row.
-		creator := db.Begin("creator").(*tx)
-		slot := childKey(namespace.RootID, "a")
-		if err := creator.lock(slot, store.LockExclusive); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			mover := db.Begin("mover")
-			_, err := mover.LockPaths(paths...)
-			mover.Abort()
-			done <- err
-		}()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			// A creator inside /a, stopped between its slot and its row.
+			creator := db.Begin("creator").(*tx)
+			slot := childKey(namespace.RootID, "a")
+			if err := creator.lock(slot, store.LockExclusive); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			mover := clock.NewGroup(clk)
+			mover.Go(func() {
+				tx := db.Begin("mover")
+				_, err = tx.LockPaths(paths...)
+				tx.Abort()
+			})
+			clk.Sleep(time.Millisecond) // the mover has run as far as it can
 			db.locks.mu.Lock()
 			queued := len(db.locks.rows[slot].waiters)
 			db.locks.mu.Unlock()
-			if queued == 1 {
-				break
+			if queued != 1 {
+				t.Fatalf("%v: %d waiters on the slot, want the mover", paths, queued)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%v: mover never queued on the slot", paths)
+			if err := creator.lock(inodeKey(a), store.LockExclusive); err != nil {
+				t.Fatalf("%v: mover holds row a while it waits for a's slot: %v", paths, err)
+			}
+			creator.Abort()
+			if mover.Wait(); err != nil {
+				t.Fatalf("%v: LockPaths: %v", paths, err)
+			}
+			if n := db.Stats().LockTimeouts; n != 0 {
+				t.Fatalf("%v: %d lock-wait timeouts", paths, n)
 			}
 		}
-		if err := creator.lock(inodeKey(a), store.LockExclusive); err != nil {
-			t.Fatalf("%v: mover holds row a while it waits for a's slot: %v", paths, err)
-		}
-		creator.Abort()
-		if err := <-done; err != nil {
-			t.Fatalf("%v: LockPaths: %v", paths, err)
-		}
-		if n := db.Stats().LockTimeouts; n != 0 {
-			t.Fatalf("%v: %d lock-wait timeouts", paths, n)
-		}
-	}
+	})
 }

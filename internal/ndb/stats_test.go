@@ -8,6 +8,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 	"lambdafs/internal/telemetry"
 )
@@ -103,14 +104,16 @@ func TestStatsReadTheRegistry(t *testing.T) {
 // TestStatsWithoutRegistry: a store given no registry counts in a private
 // one, which it shares with no other store.
 func TestStatsWithoutRegistry(t *testing.T) {
-	a, b := testDB(), testDB()
-	for i := 0; i < 3; i++ {
-		if _, err := a.ResolvePath("/"); err != nil {
-			t.Fatal(err)
+	simtest.Run(t, func(clk *clock.Sim) {
+		a, b := testDB(clk), testDB(clk)
+		for i := 0; i < 3; i++ {
+			if _, err := a.ResolvePath("/"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	addFile(t, b, namespace.RootID, "only-in-b")
-	if sa, sb := a.Stats(), b.Stats(); sa.Reads != 3 || sa.Commits != 0 || sb.Reads != 0 || sb.Commits != 1 {
-		t.Fatalf("two stores without a registry: a counted %+v, b counted %+v", sa, sb)
-	}
+		addFile(t, b, namespace.RootID, "only-in-b")
+		if sa, sb := a.Stats(), b.Stats(); sa.Reads != 3 || sa.Commits != 0 || sb.Reads != 0 || sb.Commits != 1 {
+			t.Fatalf("two stores without a registry: a counted %+v, b counted %+v", sa, sb)
+		}
+	})
 }

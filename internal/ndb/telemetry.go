@@ -76,7 +76,7 @@ func (db *DB) Stats() Stats {
 // depth: the accesses that have reserved a slot and not yet started
 // service. Reading it takes only the queue's own mutex, no store locks, so
 // the scraper can sample it at any time.
-func registerShardGauges(reg *telemetry.Registry, clk clock.Clock, shards []*clock.Queue) {
+func registerShardGauges(reg *telemetry.Registry, clk *clock.Sim, shards []*clock.Queue) {
 	for i, sh := range shards {
 		reg.GaugeFunc("lambdafs_ndb_queue_depth",
 			func() float64 { return float64(sh.Waiting(clk.Now())) },

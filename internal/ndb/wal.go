@@ -64,7 +64,7 @@ func DefaultDurabilityConfig() DurabilityConfig {
 // rebuilds a store from it); it must be attached to at most one live DB
 // at a time. All methods are safe for concurrent use.
 type Durable struct {
-	clk     clock.Clock
+	clk     *clock.Sim
 	ckptCfg lsm.Config
 
 	mu      sync.Mutex
@@ -76,7 +76,7 @@ type Durable struct {
 // NewDurable creates empty durable media with one WAL and one
 // checkpoint store per shard. The checkpoint stores bill their IO to
 // clk under the given LSM latency model.
-func NewDurable(clk clock.Clock, shards int, ckptCfg lsm.Config) *Durable {
+func NewDurable(clk *clock.Sim, shards int, ckptCfg lsm.Config) *Durable {
 	if shards <= 0 {
 		shards = 1
 	}
@@ -656,7 +656,7 @@ type RecoveryStats struct {
 // longest durable committed prefix. The media is rewritten to that
 // prefix, so a subsequent crash-recover cycle is idempotent and new
 // commits extend a consistent log.
-func Recover(clk clock.Clock, cfg Config) (*DB, *RecoveryStats, error) {
+func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 	if cfg.Durable == nil {
 		return nil, nil, fmt.Errorf("ndb: Recover requires Config.Durable")
 	}

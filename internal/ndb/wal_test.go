@@ -11,6 +11,7 @@ import (
 	"lambdafs/internal/clock"
 	"lambdafs/internal/lsm"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
@@ -66,9 +67,8 @@ func stateDigest(db *DB) string {
 // rename, a delete). It returns the store, its media, and the state
 // digest after every prefix: digests[i] is the state once i
 // transactions have committed.
-func buildWALWorkload(t *testing.T, n int) (*DB, *Durable, []string) {
+func buildWALWorkload(t *testing.T, clk *clock.Sim, n int) (*DB, *Durable, []string) {
 	t.Helper()
-	clk := clock.NewScaled(0)
 	d := NewDurable(clk, 1, zeroLSM())
 	db := New(clk, durableCfg(d))
 	digests := []string{stateDigest(db)}
@@ -130,60 +130,61 @@ func frameBounds(t *testing.T, w []byte) (starts []int, total int) {
 }
 
 func TestWALTornTailPrefixRecovery(t *testing.T) {
-	// Property: with N committed transactions, truncating the log at
-	// ANY byte offset inside the final record recovers exactly the N−1
-	// prefix — never a partial transaction, never an error — and a
-	// clean (untruncated) tail recovers all N.
-	const n = 6
-	_, d0, _ := buildWALWorkload(t, n)
-	d0.mu.Lock()
-	starts, total := frameBounds(t, d0.wals[0])
-	d0.mu.Unlock()
-	if len(starts) != n {
-		t.Fatalf("workload produced %d records, want %d", len(starts), n)
-	}
-	lastStart := starts[n-1]
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Property: with N committed transactions, truncating the log at
+		// ANY byte offset inside the final record recovers exactly the N−1
+		// prefix — never a partial transaction, never an error — and a
+		// clean (untruncated) tail recovers all N.
+		const n = 6
+		_, d0, _ := buildWALWorkload(t, clk, n)
+		d0.mu.Lock()
+		starts, total := frameBounds(t, d0.wals[0])
+		d0.mu.Unlock()
+		if len(starts) != n {
+			t.Fatalf("workload produced %d records, want %d", len(starts), n)
+		}
+		lastStart := starts[n-1]
 
-	for cut := lastStart; cut <= total; cut++ {
-		_, d, digests := buildWALWorkload(t, n)
-		d.cropWAL(0, cut)
-		clk := clock.NewScaled(0)
-		db, rs, err := Recover(clk, durableCfg(d))
-		if err != nil {
-			t.Fatalf("cut=%d: recover: %v", cut, err)
+		for cut := lastStart; cut <= total; cut++ {
+			_, d, digests := buildWALWorkload(t, clk, n)
+			d.cropWAL(0, cut)
+			db, rs, err := Recover(clk, durableCfg(d))
+			if err != nil {
+				t.Fatalf("cut=%d: recover: %v", cut, err)
+			}
+			wantLSN := uint64(n - 1)
+			wantTruncated := 1
+			if cut == lastStart {
+				wantTruncated = 0 // clean boundary: record absent, tail intact
+			}
+			if cut == total {
+				wantLSN = n // clean tail: full prefix, no truncation
+				wantTruncated = 0
+			}
+			if rs.LastLSN != wantLSN {
+				t.Fatalf("cut=%d: recovered to LSN %d, want %d (stats %+v)", cut, rs.LastLSN, wantLSN, rs)
+			}
+			if rs.TruncatedShards != wantTruncated {
+				t.Fatalf("cut=%d: truncated %d shards, want %d", cut, rs.TruncatedShards, wantTruncated)
+			}
+			if got := stateDigest(db); got != digests[wantLSN] {
+				t.Errorf("cut=%d: state diverged from committed prefix %d:\n got: %s\nwant: %s",
+					cut, wantLSN, got, digests[wantLSN])
+			}
+			if msgs := db.CheckIntegrity(); len(msgs) != 0 {
+				t.Fatalf("cut=%d: integrity: %v", cut, msgs)
+			}
+			// Recovery rewrote the media to the committed prefix: a second
+			// recovery must be a fixed point.
+			db2, rs2, err := Recover(clk, durableCfg(d))
+			if err != nil || rs2.LastLSN != wantLSN || rs2.TruncatedShards != 0 {
+				t.Fatalf("cut=%d: re-recovery not idempotent: %+v err=%v", cut, rs2, err)
+			}
+			if stateDigest(db2) != digests[wantLSN] {
+				t.Fatalf("cut=%d: re-recovery diverged", cut)
+			}
 		}
-		wantLSN := uint64(n - 1)
-		wantTruncated := 1
-		if cut == lastStart {
-			wantTruncated = 0 // clean boundary: record absent, tail intact
-		}
-		if cut == total {
-			wantLSN = n // clean tail: full prefix, no truncation
-			wantTruncated = 0
-		}
-		if rs.LastLSN != wantLSN {
-			t.Fatalf("cut=%d: recovered to LSN %d, want %d (stats %+v)", cut, rs.LastLSN, wantLSN, rs)
-		}
-		if rs.TruncatedShards != wantTruncated {
-			t.Fatalf("cut=%d: truncated %d shards, want %d", cut, rs.TruncatedShards, wantTruncated)
-		}
-		if got := stateDigest(db); got != digests[wantLSN] {
-			t.Errorf("cut=%d: state diverged from committed prefix %d:\n got: %s\nwant: %s",
-				cut, wantLSN, got, digests[wantLSN])
-		}
-		if msgs := db.CheckIntegrity(); len(msgs) != 0 {
-			t.Fatalf("cut=%d: integrity: %v", cut, msgs)
-		}
-		// Recovery rewrote the media to the committed prefix: a second
-		// recovery must be a fixed point.
-		db2, rs2, err := Recover(clk, durableCfg(d))
-		if err != nil || rs2.LastLSN != wantLSN || rs2.TruncatedShards != 0 {
-			t.Fatalf("cut=%d: re-recovery not idempotent: %+v err=%v", cut, rs2, err)
-		}
-		if stateDigest(db2) != digests[wantLSN] {
-			t.Fatalf("cut=%d: re-recovery diverged", cut)
-		}
-	}
+	})
 }
 
 func TestWALRecordCodecRoundtrip(t *testing.T) {
@@ -238,259 +239,266 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 }
 
 func TestCheckpointTruncatesWALAndRecovers(t *testing.T) {
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 4, zeroLSM())
-	db := New(clk, durableCfg(d))
-	for i := 0; i < 10; i++ {
-		tx := db.Begin("w")
-		id := db.NextID()
-		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 4, zeroLSM())
+		db := New(clk, durableCfg(d))
+		for i := 0; i < 10; i++ {
+			tx := db.Begin("w")
+			id := db.NextID()
+			if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		if lsn := db.Checkpoint(); lsn != 10 {
+			t.Fatalf("checkpoint covered LSN %d, want 10", lsn)
+		}
+		if recs, _ := d.WALSize(); recs != 0 {
+			t.Fatalf("WAL holds %d records after full checkpoint, want 0", recs)
+		}
+		pre := stateDigest(db)
+		// Five more commits after the checkpoint; only these should replay.
+		for i := 10; i < 15; i++ {
+			tx := db.Begin("w")
+			id := db.NextID()
+			if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		post := stateDigest(db)
+		db2, rs, err := Recover(clk, durableCfg(d))
+		if err != nil {
 			t.Fatal(err)
 		}
-		mustCommit(t, tx)
-	}
-	if lsn := db.Checkpoint(); lsn != 10 {
-		t.Fatalf("checkpoint covered LSN %d, want 10", lsn)
-	}
-	if recs, _ := d.WALSize(); recs != 0 {
-		t.Fatalf("WAL holds %d records after full checkpoint, want 0", recs)
-	}
-	pre := stateDigest(db)
-	// Five more commits after the checkpoint; only these should replay.
-	for i := 10; i < 15; i++ {
-		tx := db.Begin("w")
-		id := db.NextID()
-		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
-			t.Fatal(err)
+		if rs.BaseLSN != 10 || rs.LastLSN != 15 || rs.ReplayedRecords != 5 {
+			t.Fatalf("recovery stats %+v, want base 10 last 15 replayed 5", rs)
 		}
-		mustCommit(t, tx)
-	}
-	post := stateDigest(db)
-	db2, rs, err := Recover(clk, durableCfg(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.BaseLSN != 10 || rs.LastLSN != 15 || rs.ReplayedRecords != 5 {
-		t.Fatalf("recovery stats %+v, want base 10 last 15 replayed 5", rs)
-	}
-	if got := stateDigest(db2); got != post {
-		t.Fatalf("recovered state != pre-crash state\n got: %s\nwant: %s", got, post)
-	}
-	if pre == post {
-		t.Fatal("test bug: pre and post digests identical")
-	}
-	// Allocator must stay above every recovered ID.
-	if id := db2.NextID(); uint64(id) <= 15 {
-		t.Fatalf("NextID after recovery = %d, collides with recovered rows", id)
-	}
+		if got := stateDigest(db2); got != post {
+			t.Fatalf("recovered state != pre-crash state\n got: %s\nwant: %s", got, post)
+		}
+		if pre == post {
+			t.Fatal("test bug: pre and post digests identical")
+		}
+		// Allocator must stay above every recovered ID.
+		if id := db2.NextID(); uint64(id) <= 15 {
+			t.Fatalf("NextID after recovery = %d, collides with recovered rows", id)
+		}
+	})
 }
 
 func TestRecoverStopsAtLSNGap(t *testing.T) {
-	// Drop one mid-log record (shard-local fault): every later record —
-	// on any shard — must be discarded, because the committed prefix
-	// ends where the log first has a hole.
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 3, zeroLSM())
-	cfg := durableCfg(d)
-	const dropLSN = 7
-	cfg.OnWALAppend = func(shard int, lsn uint64, size int) int {
-		if lsn == dropLSN {
-			return 0
+	simtest.Run(t, func(clk *clock.Sim) {
+		// Drop one mid-log record (shard-local fault): every later record —
+		// on any shard — must be discarded, because the committed prefix
+		// ends where the log first has a hole.
+		d := NewDurable(clk, 3, zeroLSM())
+		cfg := durableCfg(d)
+		const dropLSN = 7
+		cfg.OnWALAppend = func(shard int, lsn uint64, size int) int {
+			if lsn == dropLSN {
+				return 0
+			}
+			return size
 		}
-		return size
-	}
-	db := New(clk, cfg)
-	var digests []string
-	digests = append(digests, stateDigest(db))
-	for i := 0; i < 12; i++ {
-		tx := db.Begin("w")
-		id := db.NextID()
+		db := New(clk, cfg)
+		var digests []string
+		digests = append(digests, stateDigest(db))
+		for i := 0; i < 12; i++ {
+			tx := db.Begin("w")
+			id := db.NextID()
+			if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			digests = append(digests, stateDigest(db))
+		}
+		db2, rs, err := Recover(clk, durableCfg(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.LastLSN != dropLSN-1 {
+			t.Fatalf("recovered to LSN %d, want %d", rs.LastLSN, dropLSN-1)
+		}
+		if rs.DiscardedRecords != 12-dropLSN {
+			t.Fatalf("discarded %d records, want %d", rs.DiscardedRecords, 12-dropLSN)
+		}
+		if got := stateDigest(db2); got != digests[dropLSN-1] {
+			t.Fatalf("state != committed prefix %d", dropLSN-1)
+		}
+		// The media was rewritten to the prefix: appending after recovery
+		// must produce a log that recovers cleanly.
+		tx := db2.Begin("w")
+		id := db2.NextID()
 		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+			Name: "after", Perm: namespace.PermDefaultFile}); err != nil {
 			t.Fatal(err)
 		}
 		mustCommit(t, tx)
-		digests = append(digests, stateDigest(db))
-	}
-	db2, rs, err := Recover(clk, durableCfg(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.LastLSN != dropLSN-1 {
-		t.Fatalf("recovered to LSN %d, want %d", rs.LastLSN, dropLSN-1)
-	}
-	if rs.DiscardedRecords != 12-dropLSN {
-		t.Fatalf("discarded %d records, want %d", rs.DiscardedRecords, 12-dropLSN)
-	}
-	if got := stateDigest(db2); got != digests[dropLSN-1] {
-		t.Fatalf("state != committed prefix %d", dropLSN-1)
-	}
-	// The media was rewritten to the prefix: appending after recovery
-	// must produce a log that recovers cleanly.
-	tx := db2.Begin("w")
-	id := db2.NextID()
-	if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
-		Name: "after", Perm: namespace.PermDefaultFile}); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	want := stateDigest(db2)
-	db3, rs3, err := Recover(clk, durableCfg(d))
-	if err != nil || rs3.LastLSN != dropLSN || rs3.DiscardedRecords != 0 {
-		t.Fatalf("post-gap append recovery: %+v err=%v", rs3, err)
-	}
-	if stateDigest(db3) != want {
-		t.Fatal("post-gap append state diverged")
-	}
+		want := stateDigest(db2)
+		db3, rs3, err := Recover(clk, durableCfg(d))
+		if err != nil || rs3.LastLSN != dropLSN || rs3.DiscardedRecords != 0 {
+			t.Fatalf("post-gap append recovery: %+v err=%v", rs3, err)
+		}
+		if stateDigest(db3) != want {
+			t.Fatal("post-gap append state diverged")
+		}
+	})
 }
 
 func TestLostCheckpointFallsBackToWAL(t *testing.T) {
-	// A shard whose checkpoint round is lost keeps its old metadata, so
-	// the WAL keeps every record past the surviving floor and recovery
-	// still reaches the full committed state — just with more replay.
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 4, zeroLSM())
-	cfg := durableCfg(d)
-	lost := 0
-	cfg.OnCheckpoint = func(shard int) bool {
-		if shard == 2 {
-			lost++
-			return false
+	simtest.Run(t, func(clk *clock.Sim) {
+		// A shard whose checkpoint round is lost keeps its old metadata, so
+		// the WAL keeps every record past the surviving floor and recovery
+		// still reaches the full committed state — just with more replay.
+		d := NewDurable(clk, 4, zeroLSM())
+		cfg := durableCfg(d)
+		lost := 0
+		cfg.OnCheckpoint = func(shard int) bool {
+			if shard == 2 {
+				lost++
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	db := New(clk, cfg)
-	for i := 0; i < 9; i++ {
-		tx := db.Begin("w")
-		id := db.NextID()
-		if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+		db := New(clk, cfg)
+		for i := 0; i < 9; i++ {
+			tx := db.Begin("w")
+			id := db.NextID()
+			if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		db.Checkpoint()
+		if lost != 1 {
+			t.Fatalf("loss hook fired %d times, want 1", lost)
+		}
+		// Conservative truncation: shard 2 never checkpointed, so nothing
+		// may be truncated.
+		if recs, _ := d.WALSize(); recs != 9 {
+			t.Fatalf("WAL holds %d records after lost round, want 9", recs)
+		}
+		want := stateDigest(db)
+		db2, rs, err := Recover(clk, durableCfg(d))
+		if err != nil {
 			t.Fatal(err)
 		}
-		mustCommit(t, tx)
-	}
-	db.Checkpoint()
-	if lost != 1 {
-		t.Fatalf("loss hook fired %d times, want 1", lost)
-	}
-	// Conservative truncation: shard 2 never checkpointed, so nothing
-	// may be truncated.
-	if recs, _ := d.WALSize(); recs != 9 {
-		t.Fatalf("WAL holds %d records after lost round, want 9", recs)
-	}
-	want := stateDigest(db)
-	db2, rs, err := Recover(clk, durableCfg(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.BaseLSN != 0 || rs.ReplayedRecords != 9 || rs.LastLSN != 9 {
-		t.Fatalf("recovery stats %+v, want base 0 replayed 9 last 9", rs)
-	}
-	if stateDigest(db2) != want {
-		t.Fatal("recovered state diverged after lost checkpoint")
-	}
+		if rs.BaseLSN != 0 || rs.ReplayedRecords != 9 || rs.LastLSN != 9 {
+			t.Fatalf("recovery stats %+v, want base 0 replayed 9 last 9", rs)
+		}
+		if stateDigest(db2) != want {
+			t.Fatal("recovered state diverged after lost checkpoint")
+		}
+	})
 }
 
 func TestPreloadSurvivesRestart(t *testing.T) {
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 2, zeroLSM())
-	db := New(clk, durableCfg(d))
-	nodes := []*namespace.INode{
-		{ID: 2, ParentID: 1, Name: "dir", IsDir: true, Perm: namespace.PermDefaultDir},
-		{ID: 3, ParentID: 2, Name: "file", Perm: namespace.PermDefaultFile, Size: 7},
-	}
-	db.Preload(nodes)
-	want := stateDigest(db)
-	db2, rs, err := Recover(clk, durableCfg(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stateDigest(db2) != want {
-		t.Fatal("preloaded namespace lost on restart")
-	}
-	if rs.CheckpointRows == 0 {
-		t.Fatalf("preload did not checkpoint: %+v", rs)
-	}
-	if id := db2.NextID(); uint64(id) <= 3 {
-		t.Fatalf("NextID after recovery = %d, collides with preloaded rows", id)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 2, zeroLSM())
+		db := New(clk, durableCfg(d))
+		nodes := []*namespace.INode{
+			{ID: 2, ParentID: 1, Name: "dir", IsDir: true, Perm: namespace.PermDefaultDir},
+			{ID: 3, ParentID: 2, Name: "file", Perm: namespace.PermDefaultFile, Size: 7},
+		}
+		db.Preload(nodes)
+		want := stateDigest(db)
+		db2, rs, err := Recover(clk, durableCfg(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stateDigest(db2) != want {
+			t.Fatal("preloaded namespace lost on restart")
+		}
+		if rs.CheckpointRows == 0 {
+			t.Fatalf("preload did not checkpoint: %+v", rs)
+		}
+		if id := db2.NextID(); uint64(id) <= 3 {
+			t.Fatalf("NextID after recovery = %d, collides with preloaded rows", id)
+		}
+	})
 }
 
 func TestNewFormatsDurableMedia(t *testing.T) {
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 2, zeroLSM())
-	db := New(clk, durableCfg(d))
-	tx := db.Begin("w")
-	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
-		Name: "old-epoch", Perm: namespace.PermDefaultFile}); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	db.Checkpoint()
-	// A second New over the same media starts a fresh epoch.
-	db2 := New(clk, durableCfg(d))
-	if db2.INodeCount() != 1 {
-		t.Fatalf("fresh store has %d inodes, want 1 (root)", db2.INodeCount())
-	}
-	db3, rs, err := Recover(clk, durableCfg(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.LastLSN != 0 || db3.INodeCount() != 1 {
-		t.Fatalf("old epoch resurrected: %+v inodes=%d", rs, db3.INodeCount())
-	}
-}
-
-func TestWALStatsCounted(t *testing.T) {
-	clk := clock.NewScaled(0)
-	d := NewDurable(clk, 2, zeroLSM())
-	cfg := durableCfg(d)
-	cfg.Durability.CheckpointEvery = 4
-	db := New(clk, cfg)
-	for i := 0; i < 8; i++ {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 2, zeroLSM())
+		db := New(clk, durableCfg(d))
 		tx := db.Begin("w")
 		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+			Name: "old-epoch", Perm: namespace.PermDefaultFile}); err != nil {
 			t.Fatal(err)
 		}
 		mustCommit(t, tx)
-	}
-	// Read-only transactions must not consume LSNs or append records.
-	tx := db.Begin("r")
-	if _, err := tx.GetINode(namespace.RootID, store.LockShared); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	st := db.Stats()
-	if st.WALAppends != 8 || st.WALBytes == 0 {
-		t.Fatalf("WAL stats %+v, want 8 appends", st)
-	}
-	if st.Checkpoints != 2 {
-		t.Fatalf("auto-checkpoints = %d, want 2 (every 4 of 8 commits)", st.Checkpoints)
-	}
-	if d.LastLSN() != 8 {
-		t.Fatalf("LastLSN = %d, want 8", d.LastLSN())
-	}
+		db.Checkpoint()
+		// A second New over the same media starts a fresh epoch.
+		db2 := New(clk, durableCfg(d))
+		if db2.INodeCount() != 1 {
+			t.Fatalf("fresh store has %d inodes, want 1 (root)", db2.INodeCount())
+		}
+		db3, rs, err := Recover(clk, durableCfg(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.LastLSN != 0 || db3.INodeCount() != 1 {
+			t.Fatalf("old epoch resurrected: %+v inodes=%d", rs, db3.INodeCount())
+		}
+	})
+}
+
+func TestWALStatsCounted(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 2, zeroLSM())
+		cfg := durableCfg(d)
+		cfg.Durability.CheckpointEvery = 4
+		db := New(clk, cfg)
+		for i := 0; i < 8; i++ {
+			tx := db.Begin("w")
+			if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		// Read-only transactions must not consume LSNs or append records.
+		tx := db.Begin("r")
+		if _, err := tx.GetINode(namespace.RootID, store.LockShared); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		st := db.Stats()
+		if st.WALAppends != 8 || st.WALBytes == 0 {
+			t.Fatalf("WAL stats %+v, want 8 appends", st)
+		}
+		if st.Checkpoints != 2 {
+			t.Fatalf("auto-checkpoints = %d, want 2 (every 4 of 8 commits)", st.Checkpoints)
+		}
+		if d.LastLSN() != 8 {
+			t.Fatalf("LastLSN = %d, want 8", d.LastLSN())
+		}
+	})
 }
 
 func TestWALFsyncBilled(t *testing.T) {
-	// A durable commit must advance the virtual clock by at least the
-	// configured fsync latency.
-	clk := clock.NewScaled(0.01)
-	d := NewDurable(clk, 1, zeroLSM())
-	cfg := durableCfg(d)
-	cfg.Durability.WALFsync = 5 * time.Millisecond
-	db := New(clk, cfg)
-	tx := db.Begin("w")
-	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
-		Name: "f", Perm: namespace.PermDefaultFile}); err != nil {
-		t.Fatal(err)
-	}
-	start := clk.Now()
-	mustCommit(t, tx)
-	if dur := clk.Since(start); dur < 5*time.Millisecond {
-		t.Fatalf("durable commit charged %v, want >= 5ms fsync", dur)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		// A durable commit advances the virtual clock by the configured fsync
+		// latency (every other latency here is zero).
+		d := NewDurable(clk, 1, zeroLSM())
+		cfg := durableCfg(d)
+		cfg.Durability.WALFsync = 5 * time.Millisecond
+		db := New(clk, cfg)
+		tx := db.Begin("w")
+		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+			Name: "f", Perm: namespace.PermDefaultFile}); err != nil {
+			t.Fatal(err)
+		}
+		start := clk.Now()
+		mustCommit(t, tx)
+		if dur := clk.Since(start); dur != 5*time.Millisecond {
+			t.Fatalf("durable commit charged %v, want the 5ms fsync", dur)
+		}
+	})
 }

@@ -223,7 +223,7 @@ func (s *TCPServer) ConnCount(dep int) int {
 // VM models one client virtual machine: a set of TCP servers shared by
 // the clients running on it.
 type VM struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	tel rpcTelemetry
@@ -250,7 +250,7 @@ func (vm *VM) Tracer() *trace.Tracer {
 }
 
 // NewVM creates a client VM.
-func NewVM(clk clock.Clock, cfg Config) *VM {
+func NewVM(clk *clock.Sim, cfg Config) *VM {
 	if cfg.ClientsPerTCPServer <= 0 {
 		cfg.ClientsPerTCPServer = 128
 	}

@@ -11,6 +11,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/rpc"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/tenant"
 )
 
@@ -20,44 +21,45 @@ import (
 // (HTTP, through the gateway) and on the next (TCP) — while an untagged
 // client on the same system bypasses admission.
 func TestClientCarriesTenant(t *testing.T) {
-	clk := clock.NewScaled(0)
-	db := ndb.New(clk, ndb.DefaultConfig())
-	coord := coordinator.NewZK(clk, coordinator.DefaultConfig())
-	fCfg := faas.DefaultConfig()
-	fCfg.ColdStart, fCfg.GatewayLatency, fCfg.IdleReclaim = 0, 0, 0
-	p := faas.New(clk, fCfg)
-	t.Cleanup(p.Close)
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := ndb.New(clk, ndb.DefaultConfig())
+		coord := coordinator.NewZK(clk, coordinator.DefaultConfig())
+		fCfg := faas.DefaultConfig()
+		fCfg.ColdStart, fCfg.GatewayLatency, fCfg.IdleReclaim = 0, 0, 0
+		p := faas.New(clk, fCfg)
+		t.Cleanup(p.Close)
 
-	treg := tenant.NewRegistry(clk, nil)
-	starved := treg.Register(tenant.Class{Name: "starved", OpsPerSec: 1e-9})
-	sysCfg := core.DefaultSystemConfig()
-	sysCfg.Deployments = 1
-	sysCfg.Engine.Admission = treg
-	sys := core.NewSystem(clk, db, coord, p, sysCfg)
+		treg := tenant.NewRegistry(clk, nil)
+		starved := treg.Register(tenant.Class{Name: "starved", OpsPerSec: 1e-9})
+		sysCfg := core.DefaultSystemConfig()
+		sysCfg.Deployments = 1
+		sysCfg.Engine.Admission = treg
+		sys := core.NewSystem(clk, db, coord, p, sysCfg)
 
-	rCfg := rpc.DefaultConfig()
-	rCfg.HTTPReplaceProb = 0
-	vm := rpc.NewVM(clk, rCfg)
+		rCfg := rpc.DefaultConfig()
+		rCfg.HTTPReplaceProb = 0
+		vm := rpc.NewVM(clk, rCfg)
 
-	tagged := vm.NewClient("tagged", sys.Ring(), sys)
-	tagged.Tenant = "starved"
-	for i, transport := range []string{"http", "tcp"} {
-		resp, err := tagged.Do(namespace.OpStat, "/", "")
-		if err != nil {
-			t.Fatalf("%s: transport error %v", transport, err)
+		tagged := vm.NewClient("tagged", sys.Ring(), sys)
+		tagged.Tenant = "starved"
+		for i, transport := range []string{"http", "tcp"} {
+			resp, err := tagged.Do(namespace.OpStat, "/", "")
+			if err != nil {
+				t.Fatalf("%s: transport error %v", transport, err)
+			}
+			if !errors.Is(resp.Error(), namespace.ErrThrottled) {
+				t.Fatalf("%s: tagged client answered %q, want throttled", transport, resp.Err)
+			}
+			if st := tagged.Stats(); i == 1 && (st.HTTPRPCs != 1 || st.TCPRPCs != 1) {
+				t.Fatalf("second op did not go TCP: %+v", st)
+			}
 		}
-		if !errors.Is(resp.Error(), namespace.ErrThrottled) {
-			t.Fatalf("%s: tagged client answered %q, want throttled", transport, resp.Err)
+		plain := vm.NewClient("plain", sys.Ring(), sys)
+		if resp, err := plain.Do(namespace.OpStat, "/", ""); err != nil || !resp.OK() {
+			t.Fatalf("untagged client: %v %v", resp, err)
 		}
-		if st := tagged.Stats(); i == 1 && (st.HTTPRPCs != 1 || st.TCPRPCs != 1) {
-			t.Fatalf("second op did not go TCP: %+v", st)
+		if starved.Inflight() != 0 {
+			t.Fatalf("throttled ops left %d in flight", starved.Inflight())
 		}
-	}
-	plain := vm.NewClient("plain", sys.Ring(), sys)
-	if resp, err := plain.Do(namespace.OpStat, "/", ""); err != nil || !resp.OK() {
-		t.Fatalf("untagged client: %v %v", resp, err)
-	}
-	if starved.Inflight() != 0 {
-		t.Fatalf("throttled ops left %d in flight", starved.Inflight())
-	}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/trace"
 )
@@ -228,46 +229,47 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 }
 
 func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
-	// End-to-end through the real registry + scraper: observe latencies
-	// into a telemetry histogram, scrape on a manual clock, and let the
-	// windowed quantile trip a p99 rule.
-	clk := clock.NewManual()
-	reg := telemetry.NewRegistry()
-	sc := telemetry.NewScraper(clk, reg, time.Second)
-	e := New(Config{Registry: reg, Window: 4})
-	e.AddRule(QuantileThreshold("p99", "lambdafs_coordinator_inv_latency_seconds", 0.99, OpGreater, 5e-3, 1))
-	sc.OnSnapshot(e.Observe)
+	simtest.Run(t, func(clk *clock.Sim) {
+		// End-to-end through the real registry + scraper: observe latencies
+		// into a telemetry histogram, scrape once a virtual second, and let the
+		// windowed quantile trip a p99 rule.
+		reg := telemetry.NewRegistry()
+		sc := telemetry.NewScraper(clk, reg, time.Second)
+		e := New(Config{Registry: reg, Window: 4})
+		e.AddRule(QuantileThreshold("p99", "lambdafs_coordinator_inv_latency_seconds", 0.99, OpGreater, 5e-3, 1))
+		sc.OnSnapshot(e.Observe)
 
-	h := reg.Histogram("lambdafs_coordinator_inv_latency_seconds")
-	// Fast traffic: p99 ~1ms, far under the 5ms bound.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
-	}
-	clk.Advance(time.Second)
-	sc.ScrapeNow()
-	if s := states(e)["p99"]; s != StateInactive {
-		t.Fatalf("fast traffic: state %s, want inactive", s)
-	}
-	// Slow burst: 20ms observations dominate the new deltas.
-	for i := 0; i < 400; i++ {
-		h.Observe(20 * time.Millisecond)
-	}
-	clk.Advance(time.Second)
-	sc.ScrapeNow()
-	if s := states(e)["p99"]; s != StateFiring {
-		t.Fatalf("slow burst: state %s, want firing (value %v)", s, states(e))
-	}
-	// The lambdafs_slo_* instruments must reflect the transition.
-	snap := sc.ScrapeNow()
-	if v := snap.Values[`lambdafs_slo_firing{rule="p99"}`]; v != 1 {
-		t.Fatalf("lambdafs_slo_firing gauge = %g, want 1", v)
-	}
-	if v := snap.Values[`lambdafs_slo_transitions_total{rule="p99"}`]; v != 1 {
-		t.Fatalf("transitions counter = %g, want 1", v)
-	}
-	if v := snap.Values["lambdafs_slo_rules"]; v != 1 {
-		t.Fatalf("rules gauge = %g, want 1", v)
-	}
+		h := reg.Histogram("lambdafs_coordinator_inv_latency_seconds")
+		// Fast traffic: p99 ~1ms, far under the 5ms bound.
+		for i := 0; i < 100; i++ {
+			h.Observe(time.Millisecond)
+		}
+		clk.Sleep(time.Second)
+		sc.ScrapeNow()
+		if s := states(e)["p99"]; s != StateInactive {
+			t.Fatalf("fast traffic: state %s, want inactive", s)
+		}
+		// Slow burst: 20ms observations dominate the new deltas.
+		for i := 0; i < 400; i++ {
+			h.Observe(20 * time.Millisecond)
+		}
+		clk.Sleep(time.Second)
+		sc.ScrapeNow()
+		if s := states(e)["p99"]; s != StateFiring {
+			t.Fatalf("slow burst: state %s, want firing (value %v)", s, states(e))
+		}
+		// The lambdafs_slo_* instruments must reflect the transition.
+		snap := sc.ScrapeNow()
+		if v := snap.Values[`lambdafs_slo_firing{rule="p99"}`]; v != 1 {
+			t.Fatalf("lambdafs_slo_firing gauge = %g, want 1", v)
+		}
+		if v := snap.Values[`lambdafs_slo_transitions_total{rule="p99"}`]; v != 1 {
+			t.Fatalf("transitions counter = %g, want 1", v)
+		}
+		if v := snap.Values["lambdafs_slo_rules"]; v != 1 {
+			t.Fatalf("rules gauge = %g, want 1", v)
+		}
+	})
 }
 
 // TestQuantileRuleSeesItsWindow pins "windowed, not cumulative" on both
@@ -308,29 +310,30 @@ func TestQuantileRuleSeesItsWindow(t *testing.T) {
 	for name, script := range scripts {
 		for lname, labels := range labelSets {
 			t.Run(name+"/"+lname, func(t *testing.T) {
-				clk := clock.NewManual()
-				reg := telemetry.NewRegistry()
-				sc := telemetry.NewScraper(clk, reg, time.Second)
-				e := New(Config{Window: window})
-				e.AddRule(QuantileThreshold("p99", metric, 0.99, OpGreater, 5e-3, 1))
-				sc.OnSnapshot(e.Observe)
-				for i, st := range script {
-					for k := 0; k < st.ticks; k++ {
-						for j := 0; j < st.n; j++ {
-							reg.Histogram(metric, labels[j%len(labels)]...).Observe(st.d)
+				simtest.Run(t, func(clk *clock.Sim) {
+					reg := telemetry.NewRegistry()
+					sc := telemetry.NewScraper(clk, reg, time.Second)
+					e := New(Config{Window: window})
+					e.AddRule(QuantileThreshold("p99", metric, 0.99, OpGreater, 5e-3, 1))
+					sc.OnSnapshot(e.Observe)
+					for i, st := range script {
+						for k := 0; k < st.ticks; k++ {
+							for j := 0; j < st.n; j++ {
+								reg.Histogram(metric, labels[j%len(labels)]...).Observe(st.d)
+							}
+							clk.Sleep(time.Second)
+							sc.ScrapeNow()
 						}
-						clk.Advance(time.Second)
-						sc.ScrapeNow()
+						if s := states(e)["p99"]; s != st.want {
+							t.Fatalf("step %d (%d ticks of %d × %v): state %s, want %s (%+v)",
+								i, st.ticks, st.n, st.d, s, st.want, e.Status())
+						}
 					}
-					if s := states(e)["p99"]; s != st.want {
-						t.Fatalf("step %d (%d ticks of %d × %v): state %s, want %s (%+v)",
-							i, st.ticks, st.n, st.d, s, st.want, e.Status())
+					trs := e.Transitions()
+					if len(trs) != 2 || trs[0].To != StateFiring || trs[1].To != StateInactive {
+						t.Fatalf("transitions = %+v, want firing then resolved", trs)
 					}
-				}
-				trs := e.Transitions()
-				if len(trs) != 2 || trs[0].To != StateFiring || trs[1].To != StateInactive {
-					t.Fatalf("transitions = %+v, want firing then resolved", trs)
-				}
+				})
 			})
 		}
 	}
@@ -341,14 +344,19 @@ func TestQuantileRuleSeesItsWindow(t *testing.T) {
 // path keeps recording and a display surface polls the read API.
 func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sc := telemetry.NewScraper(clock.NewScaled(0), reg, time.Millisecond)
+	clk := clock.NewSim()
+	t.Cleanup(clk.Close)
+	sc := telemetry.NewScraper(clk, reg, time.Millisecond)
 	e := New(Config{Registry: reg, Window: 2})
 	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, OpGreater, 5e-3, 1))
 	sc.OnSnapshot(e.Observe)
 
+	// The recorder and the poller are host goroutines, outside the
+	// simulation like an instrumented caller and a dashboard; the scrape
+	// loop ticks on the clock for 200 virtual milliseconds meanwhile.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		h := reg.Histogram("lambdafs_core_op_latency_seconds")
@@ -361,16 +369,30 @@ func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 			h.Observe(time.Duration(j%20) * time.Millisecond)
 		}
 	}()
-	sc.Start()
-	for i := 0; i < 200; i++ {
-		sc.ScrapeNow()
-		_ = e.Status()
-		_ = e.Firing()
-		_ = e.Transitions()
-	}
-	sc.Stop()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sc.ScrapeNow()
+			_ = e.Status()
+			_ = e.Firing()
+			_ = e.Transitions()
+		}
+	}()
+	clock.Run(clk, func() {
+		sc.Start()
+		clk.Sleep(200 * time.Millisecond)
+		sc.Stop()
+	})
 	close(stop)
 	wg.Wait()
+	if n := len(sc.Snapshots()); n < 199 {
+		t.Fatalf("scrape loop ticked %d times in 200 intervals", n)
+	}
 	if sc.HookPanics() != 0 {
 		t.Fatalf("engine panicked inside %d scrape hooks", sc.HookPanics())
 	}

@@ -105,7 +105,7 @@ func TestFlightRecorderDumpJSONL(t *testing.T) {
 // way the cluster does and checks events flow through even past the
 // tracer's own retention cap.
 func TestTracerSinkFeedsRecorder(t *testing.T) {
-	clk := clock.NewScaled(0)
+	clk := newClock(t)
 	tr := trace.New(clk, trace.Config{MaxEvents: 2})
 	fr := NewFlightRecorder(16, 4)
 	tr.SetEventSink(fr.RecordEvent)

@@ -54,10 +54,10 @@ func (s *Snapshot) flatten(ms []Metric) {
 // Scraper snapshots a registry on a virtual-time ticker into an
 // append-only series. It follows the same clock discipline as every
 // other background loop in the repo (clock.GoDaemon + clock.SleepOr on a
-// stop event): on a Sim clock it ticks in its turn and only while somebody
-// else keeps time moving.
+// stop event): it ticks in its turn and only while somebody else keeps
+// time moving.
 type Scraper struct {
-	clk      clock.Clock
+	clk      *clock.Sim
 	reg      *Registry
 	interval time.Duration
 
@@ -70,7 +70,7 @@ type Scraper struct {
 
 // NewScraper builds a scraper over reg ticking every interval (default
 // 1s). Call Start to begin scraping.
-func NewScraper(clk clock.Clock, reg *Registry, interval time.Duration) *Scraper {
+func NewScraper(clk *clock.Sim, reg *Registry, interval time.Duration) *Scraper {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -199,8 +199,7 @@ func (s *Scraper) Stop() {
 		return
 	}
 	stop.Set()
-	// Run registers the caller with a Sim clock for the wait; on other
-	// clocks it runs inline.
+	// Run registers the caller with the clock for the wait.
 	clock.Run(s.clk, done.Wait)
 }
 

@@ -8,11 +8,19 @@ import (
 	"lambdafs/internal/clock"
 )
 
+// newClock returns a clock for tests that read it from outside the
+// simulation, as an application's own goroutines read a cluster's telemetry.
+func newClock(t *testing.T) *clock.Sim {
+	clk := clock.NewSim()
+	t.Cleanup(clk.Close)
+	return clk
+}
+
 // TestScrapeEmptyRegistry pins the zero-instrument edge case: scraping
 // a registry with nothing registered yields empty-but-valid snapshots,
 // and the loop runs without issue.
 func TestScrapeEmptyRegistry(t *testing.T) {
-	clk := clock.NewManual()
+	clk := newClock(t)
 	reg := NewRegistry()
 	sc := NewScraper(clk, reg, time.Second)
 	snap := sc.ScrapeNow()
@@ -36,7 +44,7 @@ func TestScrapeEmptyRegistry(t *testing.T) {
 // panicking hook is recovered and counted, and the other subscribers
 // (registered before and after it) still observe every snapshot.
 func TestOnSnapshotPanicIsolated(t *testing.T) {
-	clk := clock.NewManual()
+	clk := newClock(t)
 	reg := NewRegistry()
 	reg.Gauge("lambdafs_test_g").Set(1)
 	sc := NewScraper(clk, reg, time.Second)
@@ -66,7 +74,7 @@ func TestOnSnapshotPanicIsolated(t *testing.T) {
 // is live on a Sim clock and checks the cadence actually changes.
 // Exercised under -race by check.sh.
 func TestSetIntervalMidRun(t *testing.T) {
-	clk := clock.NewSim()
+	clk := newClock(t)
 	reg := NewRegistry()
 	reg.Counter("lambdafs_test_ticks_total")
 	sc := NewScraper(clk, reg, time.Second)
@@ -99,14 +107,16 @@ func TestSetIntervalMidRun(t *testing.T) {
 }
 
 // TestSetIntervalConcurrent hammers SetInterval/ScrapeNow/OnSnapshot
-// from multiple goroutines — a pure race-detector target.
+// from multiple host goroutines while the scrape loop ticks on the clock —
+// a pure race-detector target.
 func TestSetIntervalConcurrent(t *testing.T) {
-	clk := clock.NewScaled(0)
+	clk := newClock(t)
 	reg := NewRegistry()
 	ctr := reg.Counter("lambdafs_test_ops_total")
 	sc := NewScraper(clk, reg, time.Millisecond)
 	sc.OnSnapshot(func(Snapshot) {})
 	sc.Start()
+	clock.Go(clk, func() { clk.Sleep(100 * time.Millisecond) }) // the loop ticks while somebody waits
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

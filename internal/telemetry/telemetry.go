@@ -5,7 +5,7 @@
 // The package deliberately mirrors the Prometheus data model — counters,
 // gauges, and histograms identified by a metric name plus a sorted label
 // set — but stays dependency-free and virtual-time aware: scraping
-// (scrape.go) runs on a clock.Clock ticker so simulated runs produce the
+// (scrape.go) runs on a *clock.Sim ticker so simulated runs produce the
 // same series shape as scaled-time runs, and exposition (expo.go) renders
 // the registry as Prometheus text or JSON.
 //

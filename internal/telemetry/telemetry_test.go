@@ -59,7 +59,7 @@ func TestHistogramSumExact(t *testing.T) {
 	for _, d := range []time.Duration{1, 1, 2} {
 		h.Observe(d)
 	}
-	snap := NewScraper(clock.NewManual(), r, 0).ScrapeNow()
+	snap := NewScraper(newClock(t), r, 0).ScrapeNow()
 	if got := snap.Values["lambdafs_test_latency_seconds_sum"]; got != 4e-9 {
 		t.Fatalf("_sum = %g, want 4e-09", got)
 	}
@@ -164,8 +164,7 @@ func TestGatherSorted(t *testing.T) {
 // series it accumulates is chronological with nondecreasing counter
 // readings.
 func TestScraperOnSimClock(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := newClock(t)
 	r := NewRegistry()
 	c := r.Counter("lambdafs_test_ticks_total")
 	sc := NewScraper(clk, r, time.Second)
@@ -202,7 +201,7 @@ func TestScraperOnSimClock(t *testing.T) {
 // gathered histogram must be one consistent instant: its buckets add up
 // to its count, and the scrape's flattened _count says the same.
 func TestConcurrentScrapeAndUpdate(t *testing.T) {
-	clk := clock.NewScaled(0)
+	clk := newClock(t)
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -230,6 +229,7 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 	var seen int
 	sc.OnSnapshot(func(Snapshot) { snapMu.Lock(); seen++; snapMu.Unlock() })
 	sc.Start()
+	clock.Go(clk, func() { clk.Sleep(100 * time.Millisecond) }) // the loop ticks while somebody waits
 	for k := 0; k < 50; k++ {
 		var sb writerCounter
 		if err := WritePrometheus(&sb, r); err != nil {

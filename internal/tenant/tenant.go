@@ -61,7 +61,7 @@ type Tenant struct {
 // Registry holds the tenant population. It implements core's Admission
 // interface, so it can be wired directly into EngineConfig.Admission.
 type Registry struct {
-	clk clock.Clock
+	clk *clock.Sim
 	reg *telemetry.Registry
 
 	mu      sync.RWMutex
@@ -71,7 +71,7 @@ type Registry struct {
 
 // NewRegistry builds an empty registry on the given virtual clock. reg
 // may be nil (instruments no-op).
-func NewRegistry(clk clock.Clock, reg *telemetry.Registry) *Registry {
+func NewRegistry(clk *clock.Sim, reg *telemetry.Registry) *Registry {
 	r := &Registry{clk: clk, reg: reg, tenants: make(map[string]*Tenant)}
 	reg.GaugeFunc("lambdafs_tenant_count", func() float64 {
 		r.mu.RLock()

@@ -239,7 +239,7 @@ func DefaultConfig() Config {
 // Tracer collects traces and events in virtual time. A nil *Tracer is a
 // valid no-op tracer.
 type Tracer struct {
-	clk clock.Clock
+	clk *clock.Sim
 	cfg Config
 
 	idSeq         atomic.Uint64
@@ -268,7 +268,7 @@ func (tr *Tracer) SetEventSink(fn func(Event)) {
 
 // New creates a tracer on clk. Zero-valued cfg fields fall back to
 // DefaultConfig.
-func New(clk clock.Clock, cfg Config) *Tracer {
+func New(clk *clock.Sim, cfg Config) *Tracer {
 	def := DefaultConfig()
 	if cfg.MaxTraces <= 0 {
 		cfg.MaxTraces = def.MaxTraces

@@ -25,10 +25,10 @@ var wallClockFuncs = map[string]bool{
 // checkVirtualTime enforces the virtual-time discipline: no wall-clock
 // reads or waits outside internal/clock. The simulation's whole latency
 // model — and the benchmark numbers reproduced from the paper — depends
-// on every duration flowing through a clock.Clock.
+// on every duration flowing through the clock.Sim.
 //
 // It also keeps waits exact: clock.Idle wraps a raw channel wait whose wake
-// the clock does not own, so on a clock.Sim time can advance before the
+// the clock does not own, so time can advance before the
 // woken goroutine runs. Every wait goes through a clock.Mailbox, Event or
 // Group instead, and any Idle call outside a _test.go file is a finding.
 // The benchmark/ module, which this analyzer's directory walk also visits,
@@ -73,7 +73,7 @@ func checkVirtualTime(l *Loader, pkg *Package, report func(pos token.Pos, check,
 				return true
 			}
 			report(sel.Pos(), "virtualtime", fmt.Sprintf(
-				"time.%s reads the wall clock — use the virtual clock (clock.Clock.%s, or a clock.Deadline for timeouts)",
+				"time.%s reads the wall clock — use the virtual clock ((*clock.Sim).%s, or a clock.Deadline for timeouts)",
 				sel.Sel.Name, sel.Sel.Name))
 			return true
 		})

@@ -112,7 +112,7 @@ func okWait(mb *clock.Mailbox[int]) int {
 // straight to clock.Go — off the caller's critical path: no finding.
 //
 //vet:hotpath
-func okSpawn(clk clock.Clock, chs []chan int) {
+func okSpawn(clk *clock.Sim, chs []chan int) {
 	for _, ch := range chs {
 		clock.Go(clk, func() { <-ch })
 	}
@@ -122,7 +122,7 @@ func okSpawn(clk clock.Clock, chs []chan int) {
 // clock.Go: no finding.
 //
 //vet:hotpath
-func okDaemon(clk clock.Clock, ticks chan int) {
+func okDaemon(clk *clock.Sim, ticks chan int) {
 	clock.GoDaemon(clk, func() { <-ticks })
 }
 

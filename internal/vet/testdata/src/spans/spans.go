@@ -56,7 +56,7 @@ func cleanReopen(tc *trace.Ctx) {
 	sp.End()
 }
 
-func cleanHandoff(clk clock.Clock, tc *trace.Ctx) {
+func cleanHandoff(clk *clock.Sim, tc *trace.Ctx) {
 	sp := tc.Start(trace.KindGateway)
 	clock.Go(clk, func() { sp.End() })
 }

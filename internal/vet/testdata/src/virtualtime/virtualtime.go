@@ -22,18 +22,18 @@ func badWait() {
 
 // badJoin waits on a raw channel inside Idle: the clock cannot hand the woken
 // goroutine its token, so the wake is a guess.
-func badJoin(clk clock.Clock, done chan struct{}) {
+func badJoin(clk *clock.Sim, done chan struct{}) {
 	clock.Idle(clk, func() { <-done }) // want virtualtime
 }
 
 // badSpawn starts a goroutine the clock does not schedule: on a clock.Sim it
 // runs beside the baton holder instead of in its turn.
-func badSpawn(clk clock.Clock, work func()) {
+func badSpawn(clk *clock.Sim, work func()) {
 	go work() // want virtualtime
 }
 
 // cleanSpawn starts its goroutines through the clock.
-func cleanSpawn(clk clock.Clock, work, tick func()) {
+func cleanSpawn(clk *clock.Sim, work, tick func()) {
 	clock.Go(clk, work)
 	clock.GoDaemon(clk, tick)
 }

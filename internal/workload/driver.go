@@ -56,7 +56,7 @@ func (r *Recorder) Record(op namespace.OpType, at time.Time, lat time.Duration, 
 
 // issueOp generates and executes one operation of the mix against fs,
 // maintaining the tree pool and recording the outcome in rec.
-func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk clock.Clock) {
+func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk *clock.Sim) {
 	op := mix.Sample(rng)
 	var path, dest string
 	switch op {
@@ -128,7 +128,7 @@ func issueOp(fs FS, tree *Tree, mix Mix, rng *rand.Rand, rec *Recorder, clk cloc
 // RunClosedLoop runs the §5.3 microbenchmark: clients clients, each
 // executing opsPerClient operations back-to-back, drawn from mix. fsFor
 // supplies each client's FS handle. Returns the recorder.
-func RunClosedLoop(clk clock.Clock, tree *Tree, mix Mix, clients, opsPerClient int,
+func RunClosedLoop(clk *clock.Sim, tree *Tree, mix Mix, clients, opsPerClient int,
 	seed int64, fsFor func(i int) FS) *Recorder {
 	rec := NewRecorder(clk.Now())
 	g := clock.NewGroup(clk)
@@ -166,7 +166,7 @@ type RateConfig struct {
 // RunRateDriven replays a bursty open-ish loop: every virtual second each
 // client owes δ = Δ/n operations; unfinished operations roll over to the
 // next second (§5.2.1). Returns the recorder.
-func RunRateDriven(clk clock.Clock, tree *Tree, cfg RateConfig, fsFor func(i int) FS) *Recorder {
+func RunRateDriven(clk *clock.Sim, tree *Tree, cfg RateConfig, fsFor func(i int) FS) *Recorder {
 	rec := NewRecorder(clk.Now())
 	if len(cfg.Targets) == 0 {
 		return rec
@@ -221,7 +221,7 @@ func RunRateDriven(clk clock.Clock, tree *Tree, cfg RateConfig, fsFor func(i int
 // issue still falls inside the window. fsFor supplies client i's handle
 // for its tenant (a tenant-tagged rpc.Client on the real stack). Returns
 // one Recorder per class, in class order.
-func RunPopulation(clk clock.Clock, tree *Tree, classes []TenantClass, clients int,
+func RunPopulation(clk *clock.Sim, tree *Tree, classes []TenantClass, clients int,
 	duration time.Duration, seed int64, fsFor func(tenant string, i int) FS) []*Recorder {
 	start := clk.Now()
 	deadline := start.Add(duration)
@@ -301,7 +301,7 @@ func (r TreeTestResult) AggThroughput() float64 {
 }
 
 // RunTreeTest executes the two-phase tree-test workload.
-func RunTreeTest(clk clock.Clock, cfg TreeTestConfig, fsFor func(i int) TreeTestFS) TreeTestResult {
+func RunTreeTest(clk *clock.Sim, cfg TreeTestConfig, fsFor func(i int) TreeTestFS) TreeTestResult {
 	var res TreeTestResult
 	paths := make([][]string, cfg.Clients)
 	fss := make([]TreeTestFS, cfg.Clients)

@@ -98,7 +98,7 @@ type FaultInjector struct {
 }
 
 // Run injects faults until stop is set.
-func (fi *FaultInjector) Run(clk clock.Clock, stop *clock.Event) {
+func (fi *FaultInjector) Run(clk *clock.Sim, stop *clock.Event) {
 	dep := 0
 	for {
 		if !clock.SleepOr(clk, fi.Interval, stop) || stop.IsSet() {

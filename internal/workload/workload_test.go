@@ -12,6 +12,7 @@ import (
 	"lambdafs/internal/faas"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
+	"lambdafs/internal/simtest"
 )
 
 // thin aliases keep the fault-injector test readable.
@@ -118,60 +119,61 @@ func TestParetoBurstsOccur(t *testing.T) {
 }
 
 func TestTreePoolOperations(t *testing.T) {
-	dirs, files := GenerateNamespace(4, 3)
-	tree := NewTree(dirs, files)
-	rng := rand.New(rand.NewSource(3))
-	if tree.FileCount() != 12 {
-		t.Fatalf("files = %d", tree.FileCount())
-	}
-	if f := tree.RandomFile(rng); f == "" {
-		t.Fatal("no random file")
-	}
-	if d := tree.RandomDir(rng); d == "" {
-		t.Fatal("no random dir")
-	}
-	p := tree.NewFilePath(rng)
-	if p == "" || tree.FileCount() != 13 {
-		t.Fatalf("new file %q, count %d", p, tree.FileCount())
-	}
-	tree.Remove(p)
-	if tree.FileCount() != 12 {
-		t.Fatal("remove failed")
-	}
-	taken := tree.TakeRandomFile(rng)
-	if taken == "" || tree.FileCount() != 11 {
-		t.Fatal("take failed")
-	}
-	tree.Add(taken)
-	if tree.FileCount() != 12 {
-		t.Fatal("add failed")
-	}
-	if mv := tree.RenameTarget("/bench0000/file00001"); namespace.ParentPath(mv) != "/bench0000" {
-		t.Fatalf("rename target %q not a sibling", mv)
-	}
-	nd := tree.NewDirPath(rng)
-	if nd == "" || len(tree.dirs) != 5 {
-		t.Fatalf("new dir %q dirs=%d", nd, len(tree.dirs))
-	}
-	// A delete or mv the service refused leaves the file where it was, so
-	// its path goes back into the pool; only a delete that found nothing
-	// confirms the path is gone.
-	clk := clock.NewManual()
-	for _, tc := range []struct {
-		op   namespace.OpType
-		err  error
-		want int
-	}{
-		{namespace.OpDelete, namespace.ErrThrottled, 12},
-		{namespace.OpDelete, namespace.ErrTimeout, 12},
-		{namespace.OpMv, namespace.ErrThrottled, 12},
-		{namespace.OpDelete, namespace.ErrNotFound, 11},
-	} {
-		issueOp(replyFS{tc.err}, tree, SingleOpMix(tc.op), rng, NewRecorder(clk.Now()), clk)
-		if tree.FileCount() != tc.want {
-			t.Fatalf("%v answered %v: pool holds %d files, want %d", tc.op, tc.err, tree.FileCount(), tc.want)
+	simtest.Run(t, func(clk *clock.Sim) {
+		dirs, files := GenerateNamespace(4, 3)
+		tree := NewTree(dirs, files)
+		rng := rand.New(rand.NewSource(3))
+		if tree.FileCount() != 12 {
+			t.Fatalf("files = %d", tree.FileCount())
 		}
-	}
+		if f := tree.RandomFile(rng); f == "" {
+			t.Fatal("no random file")
+		}
+		if d := tree.RandomDir(rng); d == "" {
+			t.Fatal("no random dir")
+		}
+		p := tree.NewFilePath(rng)
+		if p == "" || tree.FileCount() != 13 {
+			t.Fatalf("new file %q, count %d", p, tree.FileCount())
+		}
+		tree.Remove(p)
+		if tree.FileCount() != 12 {
+			t.Fatal("remove failed")
+		}
+		taken := tree.TakeRandomFile(rng)
+		if taken == "" || tree.FileCount() != 11 {
+			t.Fatal("take failed")
+		}
+		tree.Add(taken)
+		if tree.FileCount() != 12 {
+			t.Fatal("add failed")
+		}
+		if mv := tree.RenameTarget("/bench0000/file00001"); namespace.ParentPath(mv) != "/bench0000" {
+			t.Fatalf("rename target %q not a sibling", mv)
+		}
+		nd := tree.NewDirPath(rng)
+		if nd == "" || len(tree.dirs) != 5 {
+			t.Fatalf("new dir %q dirs=%d", nd, len(tree.dirs))
+		}
+		// A delete or mv the service refused leaves the file where it was, so
+		// its path goes back into the pool; only a delete that found nothing
+		// confirms the path is gone.
+		for _, tc := range []struct {
+			op   namespace.OpType
+			err  error
+			want int
+		}{
+			{namespace.OpDelete, namespace.ErrThrottled, 12},
+			{namespace.OpDelete, namespace.ErrTimeout, 12},
+			{namespace.OpMv, namespace.ErrThrottled, 12},
+			{namespace.OpDelete, namespace.ErrNotFound, 11},
+		} {
+			issueOp(replyFS{tc.err}, tree, SingleOpMix(tc.op), rng, NewRecorder(clk.Now()), clk)
+			if tree.FileCount() != tc.want {
+				t.Fatalf("%v answered %v: pool holds %d files, want %d", tc.op, tc.err, tree.FileCount(), tc.want)
+			}
+		}
+	})
 }
 
 // replyFS answers every operation with one semantic error (nil: success).
@@ -227,26 +229,27 @@ func TestGenerateNamespaceShapes(t *testing.T) {
 }
 
 func TestPreloadNDBResolvable(t *testing.T) {
-	clk := clock.NewScaled(0)
-	cfg := ndb.DefaultConfig()
-	cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
-	db := ndb.New(clk, cfg)
-	dirs, files := GenerateNamespace(5, 10)
-	PreloadNDB(db, dirs, files)
-	if db.INodeCount() != 1+5+50 {
-		t.Fatalf("inodes = %d", db.INodeCount())
-	}
-	chain, err := db.ResolvePath(files[len(files)-1])
-	if err != nil || len(chain) != 3 {
-		t.Fatalf("resolve preloaded: %v %v", chain, err)
-	}
-	if chain[2].Blocks == nil {
-		t.Fatal("preloaded file has no blocks")
-	}
-	// IDs must not collide with subsequent allocations.
-	if id := db.NextID(); id <= chain[2].ID {
-		t.Fatalf("NextID %d collides with preloaded %d", id, chain[2].ID)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := ndb.DefaultConfig()
+		cfg.RTT, cfg.ReadService, cfg.WriteService = 0, 0, 0
+		db := ndb.New(clk, cfg)
+		dirs, files := GenerateNamespace(5, 10)
+		PreloadNDB(db, dirs, files)
+		if db.INodeCount() != 1+5+50 {
+			t.Fatalf("inodes = %d", db.INodeCount())
+		}
+		chain, err := db.ResolvePath(files[len(files)-1])
+		if err != nil || len(chain) != 3 {
+			t.Fatalf("resolve preloaded: %v %v", chain, err)
+		}
+		if chain[2].Blocks == nil {
+			t.Fatal("preloaded file has no blocks")
+		}
+		// IDs must not collide with subsequent allocations.
+		if id := db.NextID(); id <= chain[2].ID {
+			t.Fatalf("NextID %d collides with preloaded %d", id, chain[2].ID)
+		}
+	})
 }
 
 // memFS is an in-memory FS for driver tests.
@@ -254,10 +257,10 @@ type memFS struct {
 	mu    sync.Mutex
 	files map[string]bool
 	lat   time.Duration
-	clk   clock.Clock
+	clk   *clock.Sim
 }
 
-func newMemFS(clk clock.Clock, files []string, lat time.Duration) *memFS {
+func newMemFS(clk *clock.Sim, files []string, lat time.Duration) *memFS {
 	m := &memFS{files: make(map[string]bool), lat: lat, clk: clk}
 	for _, f := range files {
 		m.files[f] = true
@@ -295,24 +298,25 @@ func (m *memFS) Do(op namespace.OpType, path, dest string) (*namespace.Response,
 }
 
 func TestClosedLoopDriverCounts(t *testing.T) {
-	clk := clock.NewScaled(0)
-	dirs, files := GenerateNamespace(4, 25)
-	tree := NewTree(dirs, files)
-	fs := newMemFS(clk, files, 0)
-	rec := RunClosedLoop(clk, tree, SpotifyMix(), 8, 100, 1, func(int) FS { return fs })
-	if got := rec.Completed.Load(); got != 800 {
-		t.Fatalf("completed = %d, want 800", got)
-	}
-	if rec.TransportErrs.Load() != 0 {
-		t.Fatalf("transport errors = %d", rec.TransportErrs.Load())
-	}
-	// Low semantic-error rate: the pool keeps ops mostly valid.
-	if errs := rec.SemanticErrs.Load(); errs > 80 {
-		t.Fatalf("semantic errors = %d of 800", errs)
-	}
-	if rec.Overall.Count() == 0 {
-		t.Fatal("latencies not recorded")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		dirs, files := GenerateNamespace(4, 25)
+		tree := NewTree(dirs, files)
+		fs := newMemFS(clk, files, 0)
+		rec := RunClosedLoop(clk, tree, SpotifyMix(), 8, 100, 1, func(int) FS { return fs })
+		if got := rec.Completed.Load(); got != 800 {
+			t.Fatalf("completed = %d, want 800", got)
+		}
+		if rec.TransportErrs.Load() != 0 {
+			t.Fatalf("transport errors = %d", rec.TransportErrs.Load())
+		}
+		// Low semantic-error rate: the pool keeps ops mostly valid.
+		if errs := rec.SemanticErrs.Load(); errs > 80 {
+			t.Fatalf("semantic errors = %d of 800", errs)
+		}
+		if rec.Overall.Count() == 0 {
+			t.Fatal("latencies not recorded")
+		}
+	})
 }
 
 // runRateDrivenOnSim runs the rate-driven loop in virtual time, where its
@@ -383,19 +387,20 @@ func (f *treeTestMem) Getattr(p string) (bool, error) {
 }
 
 func TestTreeTestDriver(t *testing.T) {
-	clk := clock.NewScaled(0)
-	fs := &treeTestMem{m: map[string]bool{}}
-	res := RunTreeTest(clk, TreeTestConfig{Clients: 4, WritesPerClient: 50, ReadsPerClient: 30, Seed: 1},
-		func(int) TreeTestFS { return fs })
-	if res.WriteOps != 200 || res.ReadOps != 120 {
-		t.Fatalf("ops = %d/%d", res.WriteOps, res.ReadOps)
-	}
-	if res.WriteErrs != 0 || res.ReadErrs != 0 {
-		t.Fatalf("errs = %d/%d", res.WriteErrs, res.ReadErrs)
-	}
-	if res.AggThroughput() < 0 {
-		t.Fatal("agg throughput negative")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		fs := &treeTestMem{m: map[string]bool{}}
+		res := RunTreeTest(clk, TreeTestConfig{Clients: 4, WritesPerClient: 50, ReadsPerClient: 30, Seed: 1},
+			func(int) TreeTestFS { return fs })
+		if res.WriteOps != 200 || res.ReadOps != 120 {
+			t.Fatalf("ops = %d/%d", res.WriteOps, res.ReadOps)
+		}
+		if res.WriteErrs != 0 || res.ReadErrs != 0 {
+			t.Fatalf("errs = %d/%d", res.WriteErrs, res.ReadErrs)
+		}
+		if res.AggThroughput() < 0 {
+			t.Fatal("agg throughput negative")
+		}
+	})
 }
 
 func TestRecorderErrorAccounting(t *testing.T) {
@@ -415,25 +420,26 @@ func TestRecorderErrorAccounting(t *testing.T) {
 // Completed, the throughput series and every histogram (a semantic
 // failure, by the hammer-bench rule, stays in).
 func TestRecorderThrottledAccounting(t *testing.T) {
-	clk := clock.NewManual()
-	_, files := GenerateNamespace(1, 4)
-	tree := NewTree([]string{"/bench0000"}, files)
-	rng := rand.New(rand.NewSource(1))
-	rec := NewRecorder(clk.Now())
-	issueOp(replyFS{namespace.ErrThrottled}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
-	if rec.Throttled.Load() != 1 || rec.Completed.Load() != 0 || rec.SemanticErrs.Load() != 0 ||
-		rec.Overall.Count() != 0 || rec.PerOp[namespace.OpStat].Count() != 0 || rec.Throughput.Total() != 0 {
-		t.Fatalf("throttled reply misaccounted: throttled=%d completed=%d semantic=%d latencies=%d",
-			rec.Throttled.Load(), rec.Completed.Load(), rec.SemanticErrs.Load(), rec.Overall.Count())
-	}
-	issueOp(replyFS{namespace.ErrNotFound}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
-	if rec.Throttled.Load() != 1 || rec.Completed.Load() != 1 || rec.SemanticErrs.Load() != 1 || rec.Overall.Count() != 1 {
-		t.Fatal("semantic failure no longer counts as a served op")
-	}
-	issueOp(replyFS{}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
-	if rec.Completed.Load() != 2 || rec.SemanticErrs.Load() != 1 {
-		t.Fatal("success misaccounted")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		_, files := GenerateNamespace(1, 4)
+		tree := NewTree([]string{"/bench0000"}, files)
+		rng := rand.New(rand.NewSource(1))
+		rec := NewRecorder(clk.Now())
+		issueOp(replyFS{namespace.ErrThrottled}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+		if rec.Throttled.Load() != 1 || rec.Completed.Load() != 0 || rec.SemanticErrs.Load() != 0 ||
+			rec.Overall.Count() != 0 || rec.PerOp[namespace.OpStat].Count() != 0 || rec.Throughput.Total() != 0 {
+			t.Fatalf("throttled reply misaccounted: throttled=%d completed=%d semantic=%d latencies=%d",
+				rec.Throttled.Load(), rec.Completed.Load(), rec.SemanticErrs.Load(), rec.Overall.Count())
+		}
+		issueOp(replyFS{namespace.ErrNotFound}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+		if rec.Throttled.Load() != 1 || rec.Completed.Load() != 1 || rec.SemanticErrs.Load() != 1 || rec.Overall.Count() != 1 {
+			t.Fatal("semantic failure no longer counts as a served op")
+		}
+		issueOp(replyFS{}, tree, SingleOpMix(namespace.OpStat), rng, rec, clk)
+		if rec.Completed.Load() != 2 || rec.SemanticErrs.Load() != 1 {
+			t.Fatal("success misaccounted")
+		}
+	})
 }
 
 // TestPopulationDriver: every class gets its share of the clients and
@@ -482,32 +488,27 @@ func TestPopulationDriver(t *testing.T) {
 }
 
 func TestFaultInjectorKillsRoundRobin(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	fcfg := faasDefaultForTest()
-	p := faasNew(clk, fcfg)
-	defer p.Close()
-	// Two deployments with pre-warmed instances.
-	for i := 0; i < 2; i++ {
-		p.Register("d", func(inst *faasInstance) faasApp { return nopApp{} },
-			faasDeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 2})
-	}
-	stop := clock.NewEvent(clk)
-	fi := &FaultInjector{Platform: p, Interval: 10 * time.Millisecond, Deployments: 2}
-	done := make(chan struct{})
-	clock.Go(clk, func() { fi.Run(clk, stop); close(done) })
-	// Let several intervals elapse in virtual time.
-	clock.Run(clk, func() { clk.Sleep(100 * time.Millisecond) })
-	stop.Set()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("fault injector did not stop")
-	}
-	if fi.Kills == 0 {
-		t.Fatal("no kills recorded")
-	}
-	if got := p.Stats().Kills; got == 0 {
-		t.Fatalf("platform kills = %d", got)
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		fcfg := faasDefaultForTest()
+		p := faasNew(clk, fcfg)
+		defer p.Close()
+		// Two deployments with pre-warmed instances.
+		for i := 0; i < 2; i++ {
+			p.Register("d", func(inst *faasInstance) faasApp { return nopApp{} },
+				faasDeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MinInstances: 2})
+		}
+		stop := clock.NewEvent(clk)
+		fi := &FaultInjector{Platform: p, Interval: 10 * time.Millisecond, Deployments: 2}
+		injector := clock.NewGroup(clk)
+		injector.Go(func() { fi.Run(clk, stop) })
+		clk.Sleep(100 * time.Millisecond) // several intervals
+		stop.Set()
+		injector.Wait()
+		if fi.Kills == 0 {
+			t.Fatal("no kills recorded")
+		}
+		if got := p.Stats().Kills; got == 0 {
+			t.Fatalf("platform kills = %d", got)
+		}
+	})
 }

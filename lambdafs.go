@@ -22,7 +22,6 @@
 package lambdafs
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -80,12 +79,6 @@ type Config struct {
 	// Engine tunes NameNode execution (CPU per op, subtree batching…).
 	Engine core.EngineConfig
 
-	// TimeScale selects the clock: 0 (default) runs on the
-	// discrete-event simulation clock (fast, exact virtual latencies);
-	// a positive value maps one virtual second onto TimeScale real
-	// seconds.
-	TimeScale float64
-
 	// EnableTracing turns on the virtual-time distributed tracer: every
 	// request carries a trace context through the RPC fabric, FaaS
 	// platform, NameNode engine, and store, and platform/client lifecycle
@@ -118,8 +111,7 @@ func DefaultConfig() Config {
 // Cluster is a running λFS metadata service.
 type Cluster struct {
 	cfg      Config
-	clk      clock.Clock
-	sim      *clock.Sim // non-nil when running on the DES clock
+	clk      *clock.Sim
 	db       *ndb.DB
 	coord    coordinator.Coordinator
 	platform *faas.Platform
@@ -164,17 +156,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Engine.SubtreeBatch == 0 {
 		cfg.Engine = def.Engine
 	}
-	if cfg.TimeScale < 0 {
-		return nil, errors.New("lambdafs: negative TimeScale")
-	}
 
-	c := &Cluster{cfg: cfg}
-	if cfg.TimeScale == 0 {
-		c.sim = clock.NewSim()
-		c.clk = c.sim
-	} else {
-		c.clk = clock.NewScaled(cfg.TimeScale)
-	}
+	c := &Cluster{cfg: cfg, clk: clock.NewSim()}
 
 	// The telemetry plane is always on: every subsystem registers its
 	// instruments here (counters and gauges are cheap atomics). A caller-
@@ -247,7 +230,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.registry }
 
 // Clock exposes the cluster's virtual clock.
-func (c *Cluster) Clock() clock.Clock { return c.clk }
+func (c *Cluster) Clock() *clock.Sim { return c.clk }
 
 // Store exposes the persistent metadata store.
 func (c *Cluster) Store() *ndb.DB { return c.db }
@@ -324,9 +307,7 @@ func (c *Cluster) Close() {
 		return
 	}
 	// Teardown performs store transactions (coordinator deregistration);
-	// run it registered on the DES clock.
+	// run it registered on the clock.
 	clock.Run(c.clk, c.platform.Close)
-	if c.sim != nil {
-		c.sim.Close()
-	}
+	c.clk.Close()
 }

@@ -170,11 +170,6 @@ func TestUnknownCoordinatorRejected(t *testing.T) {
 	if _, err := NewCluster(cfg); err == nil {
 		t.Fatal("unknown coordinator accepted")
 	}
-	cfg = quickConfig()
-	cfg.TimeScale = -1
-	if _, err := NewCluster(cfg); err == nil {
-		t.Fatal("negative TimeScale accepted")
-	}
 }
 
 func TestMultiVMClientsShareNothingAcrossVMs(t *testing.T) {
@@ -232,19 +227,6 @@ func TestConcurrentClientsOnSimClock(t *testing.T) {
 	}
 }
 
-func TestScaledClockVariant(t *testing.T) {
-	cfg := quickConfig()
-	cfg.TimeScale = 0.001 // 1000x faster than real time
-	c := newTestCluster(t, cfg)
-	cl := c.NewClient("scaled")
-	if err := cl.MkdirAll("/scaled"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Stat("/scaled"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloseIdempotentAndTerminal(t *testing.T) {
 	c := newTestCluster(t, quickConfig())
 	cl := c.NewClient("x")
@@ -296,7 +278,7 @@ func TestClustersLeaveNoGoroutinesBehind(t *testing.T) {
 // drains on Close.
 func TestQuiescentClusterStandsStill(t *testing.T) {
 	c := newTestCluster(t, DefaultConfig())
-	sim := c.Clock().(*clock.Sim)
+	sim := c.Clock()
 	const tick = time.Second
 	scraper := telemetry.NewScraper(sim, c.Telemetry(), tick)
 	scraper.Start()
