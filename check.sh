@@ -46,15 +46,12 @@ echo "ok"
 echo "== go vet =="
 go vet ./...
 
-echo "== lambdafs-vet (virtualtime/determinism/locks/spans/errcheck/metricnames/slorules + lockorder/hotpath; fails on stale allows) =="
-vetout=$(mktemp)
-if ! go run ./cmd/lambdafs-vet -json ./... >"$vetout" 2>&1; then
-    cat "$vetout"
-    rm -f "$vetout"
+echo "== lambdafs-vet (fails on any finding or stale allow) =="
+if ! vetout=$(go run ./cmd/lambdafs-vet ./... 2>&1); then
+    echo "$vetout"
     exit 1
 fi
-rm -f "$vetout"
-echo "ok"
+echo "$vetout" | tail -n 1
 
 echo "== go build =="
 go build ./...

@@ -10,8 +10,10 @@
 // Commands: mkdir <path> | create <path> | stat <path> | read <path> |
 // ls <path> | mv <src> <dst> | rm <path> | kill <deployment> | stats |
 // top [seconds] [clients] | slo | watch [seconds] [clients] | metrics |
-// trace [n] | prof | chaos [episodes] [seed] | restart [episodes] [seed] |
-// help
+// trace [n] | prof | help
+//
+// Chaos and crash-restart episodes run on clusters of their own, not the
+// session's: see `lambdafs-bench chaos` and `lambdafs-bench restart`.
 package main
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"lambdafs"
 	"lambdafs/internal/bench"
-	"lambdafs/internal/chaos"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/slo"
 	"lambdafs/internal/telemetry"
@@ -205,38 +206,6 @@ func main() {
 				return
 			}
 			bench.CriticalPathTable(trace.CriticalPath(traces)).Fprint(os.Stdout)
-		case "chaos":
-			// chaos [episodes] [seed]: run deterministic fault-injection
-			// episodes (separate model-checked mini-clusters, not this one).
-			episodes, seed := 3, int64(1)
-			if len(args) > 0 {
-				if v, err := strconv.Atoi(args[0]); err == nil && v > 0 {
-					episodes = v
-				}
-			}
-			if len(args) > 1 {
-				if v, err := strconv.ParseInt(args[1], 10, 64); err == nil {
-					seed = v
-				}
-			}
-			runChaosEpisodes(episodes, seed)
-		case "restart":
-			// restart [episodes] [seed]: run crash_restart durability
-			// episodes (crash a durable store mid-workload under WAL
-			// drop/tear and checkpoint-loss faults, recover, check the
-			// committed prefix survived digest-exact).
-			episodes, seed := 3, int64(1)
-			if len(args) > 0 {
-				if v, err := strconv.Atoi(args[0]); err == nil && v > 0 {
-					episodes = v
-				}
-			}
-			if len(args) > 1 {
-				if v, err := strconv.ParseInt(args[1], 10, 64); err == nil {
-					seed = v
-				}
-			}
-			runRestartEpisodes(episodes, seed)
 		case "top":
 			// top [seconds] [clients]: drive a short mixed workload and
 			// render the telemetry plane's key series once per virtual
@@ -287,7 +256,7 @@ func main() {
 				s.CacheHits, s.CacheMisses, s.Store.Reads, s.Store.Writes, s.Store.Commits)
 			fmt.Printf("cost: pay-per-use $%.6f, provisioned $%.6f\n", s.PayPerUseUSD, s.ProvisionedUSD)
 		case "help":
-			fmt.Println("commands: mkdir create stat read ls mv rm kill stats top slo watch metrics trace prof chaos restart help")
+			fmt.Println("commands: mkdir create stat read ls mv rm kill stats top slo watch metrics trace prof help")
 		default:
 			fmt.Printf("unknown command %q (try help)\n", cmd)
 		}
@@ -542,54 +511,6 @@ func printTraces(tr *trace.Tracer, n int) {
 		}
 		fmt.Printf("  t+%-12v %-18s %s %s\n",
 			ev.Time.Sub(clock.Epoch).Round(time.Microsecond), ev.Type, who, ev.Detail)
-	}
-}
-
-// runChaosEpisodes runs n deterministic fault-injection episodes (the
-// TestChaosRandomized harness) and prints one summary line each; any
-// invariant violation prints in full with the replay seed.
-func runChaosEpisodes(n int, seed int64) {
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		cfg := chaos.DefaultEpisode(s)
-		res := chaos.RunEpisode(cfg)
-		var fired uint64
-		for _, v := range res.FaultsFired {
-			fired += v
-		}
-		status := "OK"
-		if res.Failed() {
-			status = fmt.Sprintf("FAILED (%d violations)", len(res.Violations))
-		}
-		fmt.Printf("episode seed=%d: %s steps=%d inodes=%d faults=%d digest=%s\n",
-			s, status, len(res.Steps), res.FinalINodes, fired, res.Digest[:16])
-		for _, v := range res.Violations {
-			fmt.Println("  violation:", v)
-		}
-		if res.Failed() {
-			fmt.Printf("  replay: go test ./internal/chaos/ -run TestChaosRandomized -chaosseed %d\n", s)
-		}
-	}
-}
-
-// runRestartEpisodes runs n crash_restart durability episodes and prints
-// one summary line each; violations print in full with the replay seed.
-func runRestartEpisodes(n int, seed int64) {
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		res := chaos.RunCrashRestart(chaos.DefaultCrashRestart(s))
-		status := "OK"
-		if res.Failed() {
-			status = fmt.Sprintf("FAILED (%d violations)", len(res.Violations))
-		}
-		fmt.Printf("restart seed=%d: %s commits=%d crashes=%d ckpts=%d replayed=%d discarded=%d digest=%s\n",
-			s, status, res.Commits, res.Crashes, res.Checkpoints, res.Replayed, res.Discarded, res.Digest[:16])
-		for _, v := range res.Violations {
-			fmt.Println("  violation:", v)
-		}
-		if res.Failed() {
-			fmt.Printf("  replay: go test ./internal/chaos/ -run TestCrashRestart -v  (seed %d)\n", s)
-		}
 	}
 }
 

@@ -1,11 +1,11 @@
-// Command lambdafs-vet runs the repository's custom static analyzer: six
-// per-package checks (virtualtime, determinism, locks, spans, errcheck,
-// metricnames) plus two interprocedural checks over a module-wide call
-// graph (lockorder — lock-acquisition-order cycles; hotpath — the
-// //vet:hotpath zero-allocation / non-blocking / virtual-time-only
-// contract), enforcing the disciplines the λFS reproduction's evaluation
-// depends on. Built purely on the standard library's go/ast, go/parser,
-// go/token, and go/types.
+// Command lambdafs-vet runs the repository's custom static analyzer, nine
+// checks enforcing the disciplines the λFS reproduction's evaluation
+// depends on: virtualtime (no wall clock, no wait or goroutine clock.Sim
+// cannot see), determinism, locks, spans, errcheck, metricnames, slorules
+// (SLO rules name registered metrics), and two over a module-wide call
+// graph — lockorder (lock-acquisition-order cycles) and hotpath (the
+// //vet:hotpath zero-allocation, virtual-time-only contract). Built purely
+// on the standard library's go/ast, go/parser, go/token, and go/types.
 //
 // Usage:
 //

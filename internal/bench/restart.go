@@ -256,7 +256,7 @@ func RunRestart(opts Options) []*Table {
 	}
 	ep.Notes = append(ep.Notes,
 		"each episode mixes clean kills, dropped WAL records, torn tails, and lost checkpoint rounds; every recovery must land digest-exact on the committed prefix",
-		"replay any violation with `lambdafs-shell restart 1 <seed>`")
+		"replay any violation with chaos.RunCrashRestart(chaos.DefaultCrashRestart(<seed>)); the whole battery with `lambdafs-bench -seed <run seed> restart`")
 	ep.Fprint(opts.out())
 	return []*Table{t, ep}
 }

@@ -94,8 +94,7 @@ func (n *FuncNode) displayName() string {
 func BuildCallGraph(l *Loader, pkgs []*Package) *CallGraph {
 	g := &CallGraph{byObj: map[*types.Func]*FuncNode{}}
 	for _, pkg := range pkgs {
-		for i, file := range pkg.Files {
-			_ = i
+		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -216,29 +215,18 @@ func collectCalls(g *CallGraph, n *FuncNode, resolveIface func(*types.Interface,
 	return out
 }
 
-// wallClockPos finds the first wall-clock time call in the body, using the
-// same syntactic resolution as the virtualtime check.
+// wallClockPos finds the first wall-clock time call in the body with the
+// virtualtime check's matcher.
 func wallClockPos(n *FuncNode) token.Pos {
 	if strings.HasSuffix(n.Pkg.Path, "internal/clock") {
 		return token.NoPos
 	}
 	pos := token.NoPos
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if pos != token.NoPos {
-			return false
-		}
-		sel, ok := node.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || !wallClockFuncs[sel.Sel.Name] {
-			return true
-		}
-		if pkgPathOf(n.Pkg, n.File, id) == "time" {
+		if sel, ok := node.(*ast.SelectorExpr); ok && wallClockCall(n.Pkg, n.File, sel) {
 			pos = sel.Pos()
 		}
-		return true
+		return pos == token.NoPos
 	})
 	return pos
 }

@@ -3,7 +3,6 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -14,7 +13,7 @@ import (
 // so the drop is visible in review. Deferred and go'd calls are statements
 // of their own kind and are exempt, as are fmt's printers and the
 // never-failing writers (*bytes.Buffer, *strings.Builder).
-func checkErrcheck(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
+func checkErrcheck(l *Loader, pkg *Package, report reporter) {
 	if !strings.HasPrefix(pkg.Path, l.ModulePath+"/internal/") {
 		return
 	}

@@ -3,7 +3,6 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"slices"
@@ -11,10 +10,10 @@ import (
 )
 
 // checkHotPath enforces the `//vet:hotpath` annotation: a doc-comment line
-// marking a function as a zero-allocation, non-blocking, virtual-time-only
-// path. The contract propagates through the call graph — every function
-// reachable from an annotated root (static calls, plus CHA-resolved
-// interface calls) is held to the same discipline:
+// marking a function as a zero-allocation, virtual-time-only path. The
+// contract propagates through the call graph — every function reachable
+// from an annotated root (static calls, plus CHA-resolved interface calls)
+// is held to the same discipline:
 //
 //   - no fmt.Sprintf / Sprint / Sprintln / Errorf / Appendf;
 //   - no string concatenation inside a loop, and no string +=;
@@ -25,25 +24,22 @@ import (
 //   - no closure that captures outer variables created inside a loop
 //     (per-iteration closure allocation), unless handed directly to
 //     clock.Go or clock.GoDaemon;
-//   - no blocking channel operation (send, receive, select without
-//     default) outside a function literal passed directly to clock.Go or
-//     clock.GoDaemon, except sends to locally created buffered channels;
 //   - no wall-clock reachability: calling anything that transitively
 //     reaches a time.Now/Sleep/… call (even a //vet:allow virtualtime'd
 //     one) is reported at the call edge, with the chain to the source.
 //
+// A hot path waits by parking on a clock.Mailbox, Event or Group; a raw
+// channel wait is virtualtime's finding, on or off a hot path.
 // internal/clock is fully exempt (it is the sanctioned waiting and timing
-// boundary — parking on a clock.Mailbox, Event or Group is how a hot path
-// is *supposed* to wait).
-// internal/trace and internal/telemetry are exempt from the allocation
-// and blocking rules: both are nil-safe fast-path instruments whose
+// boundary). internal/trace and internal/telemetry are exempt from the
+// allocation rules: both are nil-safe fast-path instruments whose
 // zero-cost-when-disabled contract is enforced by their own tests; they
 // still count as wall-clock sources if they read the host clock.
 //
 // Findings point at the offending construct (or call edge) and name the
 // annotated root that reaches it. Suppress individual findings with
 // `//vet:allow hotpath <reason>`.
-func checkHotPath(l *Loader, g *CallGraph, report func(pos token.Pos, check, msg string)) {
+func checkHotPath(l *Loader, _ []*Package, g *CallGraph, report reporter) {
 	var roots []*FuncNode
 	for _, n := range g.Nodes {
 		if n.HotPath {
@@ -102,7 +98,7 @@ func checkHotPath(l *Loader, g *CallGraph, report func(pos token.Pos, check, msg
 	}
 }
 
-// hotExemptPkg reports packages exempt from the allocation/blocking scan.
+// hotExemptPkg reports packages exempt from the allocation scan.
 func hotExemptPkg(n *FuncNode) bool {
 	p := n.Pkg.Path
 	return strings.HasSuffix(p, "internal/clock") ||
@@ -162,21 +158,17 @@ func wallChain(l *Loader, n *FuncNode, next map[*FuncNode]*FuncNode) string {
 // ---------------------------------------------------------------------------
 // Per-function construct scan.
 
-// hotFacts caches per-declaration allocation-relevant bindings.
-type hotFacts struct {
-	buffered map[types.Object]bool // channels made locally with nonzero buffer
-	presized map[types.Object]bool // slices made locally with explicit capacity
-}
-
-func collectHotFacts(pkg *Package, body *ast.BlockStmt) *hotFacts {
-	f := &hotFacts{buffered: map[types.Object]bool{}, presized: map[types.Object]bool{}}
+// presizedSlices returns the slices the body makes with an explicit
+// capacity (make(T, n, c)).
+func presizedSlices(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
+	presized := map[types.Object]bool{}
 	note := func(lhs, rhs ast.Expr) {
 		id, ok := lhs.(*ast.Ident)
 		if !ok {
 			return
 		}
 		call, ok := rhs.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
+		if !ok || len(call.Args) != 3 {
 			return
 		}
 		if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "make" {
@@ -186,17 +178,8 @@ func collectHotFacts(pkg *Package, body *ast.BlockStmt) *hotFacts {
 		if obj == nil {
 			obj = pkg.Info.Uses[id]
 		}
-		if obj == nil {
-			return
-		}
-		if _, isChan := call.Args[0].(*ast.ChanType); isChan {
-			if len(call.Args) == 2 && !isConstZero(pkg, call.Args[1]) {
-				f.buffered[obj] = true
-			}
-			return
-		}
-		if len(call.Args) == 3 {
-			f.presized[obj] = true
+		if obj != nil {
+			presized[obj] = true
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -216,23 +199,14 @@ func collectHotFacts(pkg *Package, body *ast.BlockStmt) *hotFacts {
 		}
 		return true
 	})
-	return f
-}
-
-func isConstZero(pkg *Package, e ast.Expr) bool {
-	tv, ok := pkg.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	return exact && v == 0
+	return presized
 }
 
 // scanHotBody walks n's declaration (function literals flattened in) and
 // flags every hot-path-hostile construct, attributing it to root.
 func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos, msg string)) {
 	pkg, file := n.Pkg, n.File
-	facts := collectHotFacts(pkg, n.Decl.Body)
+	presized := presizedSlices(pkg, n.Decl.Body)
 	suffix := fmt.Sprintf(" (reached from //vet:hotpath %s)", root.displayName())
 
 	var stack []ast.Node
@@ -240,16 +214,6 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 		for _, nd := range stack[:len(stack)-1] {
 			switch nd.(type) {
 			case *ast.ForStmt, *ast.RangeStmt:
-				return true
-			}
-		}
-		return false
-	}
-	// blockExempt: inside a function literal handed directly to clock.Go
-	// (off the caller's critical path).
-	blockExempt := func() bool {
-		for i, nd := range stack {
-			if lit, ok := nd.(*ast.FuncLit); ok && isDirectClockArg(pkg, file, stack[:i+1], lit) {
 				return true
 			}
 		}
@@ -265,23 +229,6 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 		}
 		return pkg.Info.Defs[id]
 	}
-	blocking := func(pos token.Pos, what string) {
-		flag(pos, fmt.Sprintf(
-			"%s blocks the hot path — wait on a clock.Mailbox, Event or Group, or hand it to clock.Go%s", what, suffix))
-	}
-	// inSelectComm: a send/receive that is a select case's communication
-	// operation doesn't block on its own — whether the select blocks is the
-	// SelectStmt rule's call.
-	inSelectComm := func(pos token.Pos) bool {
-		for _, nd := range stack[:len(stack)-1] {
-			if cc, ok := nd.(*ast.CommClause); ok && cc.Comm != nil &&
-				cc.Comm.Pos() <= pos && pos <= cc.Comm.End() {
-				return true
-			}
-		}
-		return false
-	}
-
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		if nd == nil {
 			stack = stack[:len(stack)-1]
@@ -315,7 +262,7 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 					}
 					dst := objOf(v.Lhs[i])
 					src := objOf(call.Args[0])
-					if dst == nil || dst != src || facts.presized[dst] {
+					if dst == nil || dst != src || presized[dst] {
 						continue
 					}
 					flag(call.Pos(), fmt.Sprintf(
@@ -324,31 +271,8 @@ func scanHotBody(l *Loader, n *FuncNode, root *FuncNode, flag func(pos token.Pos
 				}
 			}
 		case *ast.UnaryExpr:
-			switch v.Op {
-			case token.AND:
-				if cl, ok := v.X.(*ast.CompositeLit); ok && !isZeroSizeLit(pkg, cl) {
-					flag(v.Pos(), fmt.Sprintf("&%s{…} escapes to the heap%s", exprString(cl.Type), suffix))
-				}
-			case token.ARROW:
-				if !blockExempt() && !inSelectComm(v.Pos()) {
-					blocking(v.Pos(), "channel receive")
-				}
-			}
-		case *ast.SendStmt:
-			if !blockExempt() && !inSelectComm(v.Pos()) {
-				if obj := objOf(v.Chan); obj == nil || !facts.buffered[obj] {
-					blocking(v.Pos(), "channel send")
-				}
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, cl := range v.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault && !blockExempt() {
-				blocking(v.Pos(), "select without default")
+			if cl, ok := v.X.(*ast.CompositeLit); ok && v.Op == token.AND && !isZeroSizeLit(pkg, cl) {
+				flag(v.Pos(), fmt.Sprintf("&%s{…} escapes to the heap%s", exprString(cl.Type), suffix))
 			}
 		case *ast.ReturnStmt:
 			for _, r := range v.Results {

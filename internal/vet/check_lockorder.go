@@ -9,6 +9,137 @@ import (
 	"strings"
 )
 
+// The lock walker: one source-order stream of lock events per function
+// body, read by two rules — locks (no return while a mutex is held) and
+// lockorder (no acquisition-order cycle). It approximates, it is not a
+// CFG: precise enough for the straight-line lock sections this codebase
+// uses, and every miss is on the quiet side.
+
+const (
+	evAcquire = iota
+	evRelease
+	evDeferRelease
+	evCall
+	evReturn
+)
+
+type lockEvent struct {
+	kind   int
+	key    string // lock identity (lockOrderKey)
+	local  bool   // a function-local mutex: no cross-function order
+	pos    token.Pos
+	callee *FuncNode // evCall only
+}
+
+// lockEvents walks one function body in source order and records its
+// acquires, releases, deferred releases and returns, plus — given the
+// body's call-graph edges — its statically resolved calls outside a defer.
+// Nested function literals are not entered: each is a body of its own (a
+// goroutine body holds its own locks on its own stack, not its creator's).
+func lockEvents(pkg *Package, body *ast.BlockStmt, calls []CallSite) []lockEvent {
+	callAt := make(map[token.Pos]*FuncNode, len(calls))
+	for _, c := range calls {
+		if !c.ViaIface {
+			callAt[c.Pos] = c.Callee
+		}
+	}
+	var events []lockEvent
+	var walk func(root ast.Node, inDefer bool)
+	walk = func(root ast.Node, inDefer bool) {
+		ast.Inspect(root, func(node ast.Node) bool {
+			switch v := node.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ReturnStmt:
+				events = append(events, lockEvent{kind: evReturn, pos: v.Pos()})
+			case *ast.DeferStmt:
+				if ev, ok := lockOrderOp(pkg, v.Call); ok && ev.kind == evRelease {
+					ev.kind = evDeferRelease
+					events = append(events, ev)
+					return false
+				}
+				walk(v.Call, true)
+				return false
+			case *ast.CallExpr:
+				if ev, ok := lockOrderOp(pkg, v); ok {
+					events = append(events, ev)
+				} else if callee := callAt[v.Pos()]; callee != nil && !inDefer {
+					events = append(events, lockEvent{kind: evCall, pos: v.Pos(), callee: callee})
+				}
+			}
+			return true
+		})
+	}
+	walk(body, false)
+	return events
+}
+
+// deferReleased returns the keys a defer in the stream unlocks: those stay
+// held to the end of the function, whatever the explicit releases say.
+func deferReleased(events []lockEvent) map[string]bool {
+	keys := map[string]bool{}
+	for _, ev := range events {
+		if ev.kind == evDeferRelease {
+			keys[ev.key] = true
+		}
+	}
+	return keys
+}
+
+// release drops key's hold from held.
+func release(held []lockEvent, key string) []lockEvent {
+	for i, h := range held {
+		if h.key == key {
+			return append(held[:i], held[i+1:]...)
+		}
+	}
+	return held
+}
+
+// checkLocks enforces lock hygiene: a mutex locked without a deferred
+// unlock must not reach a return statement while held. Every function body
+// is judged on its own stream — a literal's return under its own lock is a
+// finding, one under its creator's is not — and function-local mutexes
+// count. Each hold reports once: later returns on it cascade from the
+// first.
+func checkLocks(l *Loader, pkgs []*Package, _ *CallGraph, report reporter) {
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					body = fn.Body
+				case *ast.FuncLit:
+					body = fn.Body
+				}
+				if body == nil {
+					return true
+				}
+				events := lockEvents(pkg, body, nil)
+				deferred := deferReleased(events)
+				var held []lockEvent
+				for _, ev := range events {
+					switch {
+					case ev.kind == evAcquire && !deferred[ev.key]:
+						held = append(release(held, ev.key), ev) // a re-acquire resets
+					case ev.kind == evRelease:
+						held = release(held, ev.key)
+					case ev.kind == evReturn:
+						for _, h := range held {
+							report(ev.pos, "locks", fmt.Sprintf(
+								"return while %s is locked (Lock at line %d) without a deferred unlock",
+								h.key, l.Fset.Position(h.pos).Line))
+						}
+						held = held[:0]
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // checkLockOrder extracts a global lock-acquisition-order graph and
 // reports cycles as potential deadlocks. A node is a lock identity; an
 // edge A→B means some function acquires B while holding A — directly, or
@@ -23,44 +154,45 @@ import (
 //
 // Approximations, all on the quiet side:
 //
-//   - Holds are tracked in source order per function (the same
-//     approximation as the locks check); a `defer mu.Unlock()` keeps the
-//     lock held to the end of the function.
+//   - Holds are tracked on each declaration's lock-event stream; a
+//     `defer mu.Unlock()` keeps the lock held to the end of the function.
 //   - Only statically resolved calls propagate acquisition sets —
 //     interface dispatch does not (CHA over lock behavior would drown the
 //     report in impossible pairs).
-//   - Function literals are skipped: a goroutine body holds its own
-//     locks on its own stack, not its creator's.
+//   - Function literals and function-local mutexes add no edges: a
+//     goroutine body holds its own locks on its own stack, not its
+//     creator's, and a mutex that never leaves its frame has no
+//     cross-function order (if it escapes, its methods key it where they
+//     are called).
 //   - Self-edges (A→A) are dropped: re-acquiring the same identity is
-//     either a re-entrant bug the locks check family covers or a
-//     different instance of the same type, which needs instance-order
-//     reasoning beyond a static pass.
+//     either a re-entrant bug or a different instance of the same type,
+//     which needs instance-order reasoning beyond a static pass.
 //
 // Each cycle reports once, at its lexically first edge, listing every
 // edge with the function that introduces it. Suppress with
 // `//vet:allow lockorder <reason>` on that edge's line.
-func checkLockOrder(l *Loader, g *CallGraph, report func(pos token.Pos, check, msg string)) {
-	facts := make(map[*FuncNode]*lockOrderFacts, len(g.Nodes))
+func checkLockOrder(l *Loader, _ []*Package, g *CallGraph, report reporter) {
+	events := make(map[*FuncNode][]lockEvent, len(g.Nodes))
+	acqAll := make(map[*FuncNode]map[string]bool, len(g.Nodes))
 	for _, n := range g.Nodes {
-		facts[n] = collectLockOrderFacts(g, n)
+		evs := lockEvents(n.Pkg, n.Decl.Body, n.Calls)
+		direct := map[string]bool{}
+		for _, ev := range evs {
+			if ev.kind == evAcquire && !ev.local {
+				direct[ev.key] = true
+			}
+		}
+		events[n], acqAll[n] = evs, direct
 	}
 
 	// Fixpoint: a function's transitive acquisition set is its direct
 	// acquires plus every statically-called function's set.
-	acqAll := make(map[*FuncNode]map[string]bool, len(g.Nodes))
-	for n, f := range facts {
-		set := make(map[string]bool, len(f.acquires))
-		for k := range f.acquires {
-			set[k] = true
-		}
-		acqAll[n] = set
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.Nodes {
 			set := acqAll[n]
-			for _, ev := range facts[n].events {
-				if ev.kind != loCall {
+			for _, ev := range events[n] {
+				if ev.kind != evCall {
 					continue
 				}
 				for k := range acqAll[ev.callee] {
@@ -89,41 +221,26 @@ func checkLockOrder(l *Loader, g *CallGraph, report func(pos token.Pos, check, m
 		}
 	}
 	for _, n := range g.Nodes {
-		f := facts[n]
-		deferManaged := map[string]bool{}
-		for _, ev := range f.events {
-			if ev.kind == loDeferUnlock {
-				deferManaged[ev.key] = true
+		deferred := deferReleased(events[n])
+		var held []lockEvent
+		for _, ev := range events[n] {
+			if ev.local {
+				continue
 			}
-		}
-		var held []string
-		release := func(key string) {
-			for i, h := range held {
-				if h == key {
-					held = append(held[:i], held[i+1:]...)
-					return
-				}
-			}
-		}
-		for _, ev := range f.events {
 			switch ev.kind {
-			case loAcquire:
+			case evAcquire:
 				for _, h := range held {
-					addEdge(h, ev.key, ev.pos, "")
+					addEdge(h.key, ev.key, ev.pos, "")
 				}
-				release(ev.key) // re-acquire resets
-				held = append(held, ev.key)
-			case loRelease:
-				if !deferManaged[ev.key] {
-					release(ev.key)
+				held = append(release(held, ev.key), ev) // a re-acquire resets
+			case evRelease:
+				if !deferred[ev.key] {
+					held = release(held, ev.key)
 				}
-			case loCall:
-				if len(held) == 0 {
-					continue
-				}
+			case evCall:
 				for k := range acqAll[ev.callee] {
 					for _, h := range held {
-						addEdge(h, k, ev.pos, ev.callee.displayName())
+						addEdge(h.key, k, ev.pos, ev.callee.displayName())
 					}
 				}
 			}
@@ -140,112 +257,38 @@ func checkLockOrder(l *Loader, g *CallGraph, report func(pos token.Pos, check, m
 	}
 }
 
-const (
-	loAcquire = iota
-	loRelease
-	loDeferUnlock
-	loCall
-)
-
-type lockOrderEvent struct {
-	kind   int
-	key    string
-	pos    token.Pos
-	callee *FuncNode
-}
-
-type lockOrderFacts struct {
-	acquires map[string]token.Pos // direct acquires (first position)
-	events   []lockOrderEvent     // source-order acquire/release/call stream
-}
-
-// collectLockOrderFacts walks n's declaration body (function literals
-// excluded) and records its lock events and statically-resolved calls in
-// source order.
-func collectLockOrderFacts(g *CallGraph, n *FuncNode) *lockOrderFacts {
-	f := &lockOrderFacts{acquires: map[string]token.Pos{}}
-	// Static call sites by position, from the graph's (flattened) edges;
-	// the literal-free walk below only looks up positions it visits.
-	callAt := map[token.Pos]*FuncNode{}
-	for _, c := range n.Calls {
-		if !c.ViaIface {
-			callAt[c.Pos] = c.Callee
-		}
-	}
-	var walk func(node ast.Node, inDefer bool)
-	walk = func(root ast.Node, inDefer bool) {
-		ast.Inspect(root, func(node ast.Node) bool {
-			switch v := node.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.DeferStmt:
-				if key, acquire, ok := lockOrderOp(n.Pkg, v.Call); ok && !acquire {
-					f.events = append(f.events, lockOrderEvent{kind: loDeferUnlock, key: key, pos: v.Pos()})
-					return false
-				}
-				walk(v.Call, true)
-				return false
-			case *ast.CallExpr:
-				if key, acquire, ok := lockOrderOp(n.Pkg, v); ok {
-					kind := loRelease
-					if acquire {
-						kind = loAcquire
-						if _, seen := f.acquires[key]; !seen {
-							f.acquires[key] = v.Pos()
-						}
-					}
-					f.events = append(f.events, lockOrderEvent{kind: kind, key: key, pos: v.Pos()})
-					return true
-				}
-				if callee := callAt[v.Pos()]; callee != nil && !inDefer {
-					f.events = append(f.events, lockOrderEvent{kind: loCall, pos: v.Pos(), callee: callee})
-				}
-				return true
-			}
-			return true
-		})
-	}
-	walk(n.Decl.Body, false)
-	return f
-}
-
 // lockOrderOp classifies call as a mutex Lock/RLock (acquire) or
-// Unlock/RUnlock (release) and returns the type-qualified lock key. When
-// type info is available the method must come from package sync.
-func lockOrderOp(pkg *Package, call *ast.CallExpr) (key string, acquire, ok bool) {
-	if len(call.Args) != 0 {
-		return "", false, false
-	}
+// Unlock/RUnlock (release) — the analyzer's one lock classifier — and
+// keys the mutex. When type info is available the method must come from
+// package sync, so a type's own Lock and Unlock methods are not a mutex's.
+func lockOrderOp(pkg *Package, call *ast.CallExpr) (lockEvent, bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
+	if !isSel || len(call.Args) != 0 {
+		return lockEvent{}, false
 	}
+	ev := lockEvent{kind: evRelease, pos: call.Pos()}
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
-		acquire = true
+		ev.kind = evAcquire
 	case "Unlock", "RUnlock":
 	default:
-		return "", false, false
+		return lockEvent{}, false
 	}
 	if obj, found := pkg.Info.Uses[sel.Sel]; found {
 		fn, isFn := obj.(*types.Func)
 		if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return "", false, false
+			return lockEvent{}, false
 		}
 	}
-	key = lockOrderKey(pkg, sel.X)
-	if key == "" {
-		return "", false, false
-	}
-	return key, acquire, true
+	ev.key, ev.local = lockOrderKey(pkg, sel.X)
+	return ev, true
 }
 
 // lockOrderKey derives the type-qualified identity of the mutex
 // expression: "pkg.Type.field" for a struct field, "pkg.var" for a
-// package-level mutex. Locals return "" (no cross-function order exists
-// for a mutex that never escapes its frame — and if it does escape, its
-// methods key it where they are called).
-func lockOrderKey(pkg *Package, e ast.Expr) string {
+// package-level mutex. A function-local mutex keys by its name and is
+// marked local; without type info the key is the expression's text.
+func lockOrderKey(pkg *Package, e ast.Expr) (key string, local bool) {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
 		return lockOrderKey(pkg, v.X)
@@ -256,20 +299,18 @@ func lockOrderKey(pkg *Package, e ast.Expr) string {
 				t = p.Elem()
 			}
 			if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-				return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + v.Sel.Name
+				return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + v.Sel.Name, false
 			}
 		}
-		return exprString(e)
 	case *ast.Ident:
-		if obj, found := pkg.Info.Uses[v]; found && obj != nil {
+		if obj := pkg.Info.Uses[v]; obj != nil {
 			if pkg.Types != nil && obj.Parent() == pkg.Types.Scope() {
-				return pkg.Types.Name() + "." + v.Name
+				return pkg.Types.Name() + "." + v.Name, false
 			}
-			return "" // local mutex
+			return v.Name, true
 		}
-		return exprString(e)
 	}
-	return exprString(e)
+	return exprString(e), false
 }
 
 // ---------------------------------------------------------------------------

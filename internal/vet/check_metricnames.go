@@ -36,7 +36,7 @@ var registryMethods = map[string]bool{
 	"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
 }
 
-func checkMetricNames(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
+func checkMetricNames(l *Loader, pkg *Package, report reporter) {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -88,7 +88,7 @@ func isRegistryMethod(pkg *Package, sel *ast.SelectorExpr) bool {
 		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/telemetry")
 }
 
-func checkMetricName(pkg *Package, kind, name string, pos token.Pos, report func(pos token.Pos, check, msg string)) {
+func checkMetricName(pkg *Package, kind, name string, pos token.Pos, report reporter) {
 	if !metricNameRe.MatchString(name) {
 		report(pos, "metricnames", fmt.Sprintf(
 			"telemetry metric %q does not match lambdafs_<subsystem>_<metric> (lowercase, underscore-separated)", name))
@@ -119,7 +119,7 @@ func checkMetricName(pkg *Package, kind, name string, pos token.Pos, report func
 	}
 }
 
-func checkMetricLabels(pkg *Package, kind, name string, call *ast.CallExpr, report func(pos token.Pos, check, msg string)) {
+func checkMetricLabels(pkg *Package, kind, name string, call *ast.CallExpr, report reporter) {
 	labelStart := 1
 	if kind == "GaugeFunc" {
 		labelStart = 2

@@ -3,7 +3,6 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -30,7 +29,7 @@ var sloRuleMetricArgs = map[string][]int{
 	"Absence":           {1, 2},
 }
 
-func checkSLORules(l *Loader, pkgs []*Package, report func(pos token.Pos, check, msg string)) {
+func checkSLORules(l *Loader, pkgs []*Package, _ *CallGraph, report reporter) {
 	// Pass 1: collect every constant instrument name registered anywhere
 	// in the analyzed packages (the same call shape metricnames lints).
 	registered := map[string]bool{}

@@ -21,7 +21,7 @@ import (
 // .../internal/trace. Spans that escape the function (passed as an
 // argument, returned, stored in a field or composite) are assumed to be
 // closed by their new owner.
-func checkSpans(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
+func checkSpans(l *Loader, pkg *Package, report reporter) {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
@@ -88,7 +88,7 @@ type spanState struct {
 // function literals are excluded from the flattened event stream (the
 // literal is analyzed as its own root), except that a closer on an outer
 // span inside a literal marks that span as handled.
-func checkSpanBody(pkg *Package, body *ast.BlockStmt, report func(pos token.Pos, check, msg string)) {
+func checkSpanBody(pkg *Package, body *ast.BlockStmt, report reporter) {
 	var events []spanEvent
 	state := map[types.Object]*spanState{}
 	tracked := func(id *ast.Ident) types.Object {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -22,59 +23,95 @@ var wallClockFuncs = map[string]bool{
 	"Until":     true,
 }
 
+// wallClockCall reports whether sel names one of wallClockFuncs in package
+// time — the one wall-clock matcher, shared with the call graph's WallPos.
+func wallClockCall(pkg *Package, file *ast.File, sel *ast.SelectorExpr) bool {
+	id, ok := sel.X.(*ast.Ident)
+	return ok && wallClockFuncs[sel.Sel.Name] && pkgPathOf(pkg, file, id) == "time"
+}
+
 // checkVirtualTime enforces the virtual-time discipline: no wall-clock
 // reads or waits outside internal/clock. The simulation's whole latency
 // model — and the benchmark numbers reproduced from the paper — depends
 // on every duration flowing through the clock.Sim.
 //
-// It also keeps waits exact: clock.Idle wraps a raw channel wait whose wake
-// the clock does not own, so time can advance before the
-// woken goroutine runs. Every wait goes through a clock.Mailbox, Event or
-// Group instead, and any Idle call outside a _test.go file is a finding.
-// The benchmark/ module, which this analyzer's directory walk also visits,
-// is exempt by path: its two Idle joins (run.go) are frozen with the rest of
-// the benchmark until a benchmark PR moves them, cannot take a //vet:allow
-// meanwhile, and run on one P, where Idle's heuristic is sound. They are why
-// Idle still exists.
+// It also keeps clock.Sim the only scheduler of simulation code, with
+// three rules. A raw channel send, receive, select or range over a channel
+// is a wait the clock cannot see: it hands the baton on only when the
+// goroutine parks on a clock.Mailbox, Event or Group. clock.Idle wraps such
+// a wait and guesses at its wake. A bare `go` statement starts a goroutine
+// that runs beside the baton holder instead of in its turn. The host-side
+// drivers under cmd/, examples/ and benchmark/ (a signal handler, an HTTP
+// listener, an application's client threads, the benchmark's two Idle
+// joins) are exempt from the three: they enter the simulation through Run,
+// like any API user.
 //
-// And it keeps clock.Sim the only scheduler of simulation code: a bare `go`
-// statement starts a goroutine that runs beside the baton holder instead of
-// in its turn. The programs under cmd/ and examples/ are exempt: host-side
-// drivers (a signal handler, an HTTP listener, an application's client
-// threads) that enter the simulation through Run, like any API user.
-func checkVirtualTime(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
+// A line reports once: `<-time.After(d)` is one mistake, not two.
+func checkVirtualTime(l *Loader, pkg *Package, report reporter) {
 	clockPath := l.ModulePath + "/internal/clock"
 	if pkg.Path == clockPath {
 		return
 	}
-	idleExempt := pkg.Path == l.ModulePath+"/benchmark"
-	goExempt := strings.HasPrefix(pkg.Path, l.ModulePath+"/cmd/") || strings.HasPrefix(pkg.Path, l.ModulePath+"/examples/")
+	rel := strings.TrimPrefix(pkg.Path, l.ModulePath+"/")
+	host := rel == "benchmark" || strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/")
 	for _, file := range pkg.Files {
+		lines := map[int]bool{}
+		flag := func(pos token.Pos, msg string) {
+			if line := l.Fset.Position(pos).Line; !lines[line] {
+				lines[line] = true
+				report(pos, "virtualtime", msg)
+			}
+		}
+		wait := func(pos token.Pos, what string) {
+			if !host {
+				flag(pos, what+" is a wait clock.Sim cannot see — wait on a clock.Mailbox, Event or Group")
+			}
+		}
+		var comms []ast.Stmt // select cases: judged with their select
+		inComm := func(n ast.Node) bool {
+			for _, c := range comms {
+				if c.Pos() <= n.Pos() && n.End() <= c.End() {
+					return true
+				}
+			}
+			return false
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && !goExempt {
-				report(g.Pos(), "virtualtime",
-					"bare go statement starts a goroutine the clock does not schedule — spawn through clock.Go, clock.GoDaemon or a clock.Group")
-				return true
+			switch v := n.(type) {
+			case *ast.GoStmt:
+				if !host {
+					flag(v.Pos(), "bare go statement starts a goroutine the clock does not schedule — spawn through clock.Go, clock.GoDaemon or a clock.Group")
+				}
+			case *ast.SelectStmt:
+				wait(v.Pos(), "select on raw channels")
+				for _, cl := range v.Body.List {
+					if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
+						comms = append(comms, cc.Comm)
+					}
+				}
+			case *ast.SendStmt:
+				if !inComm(v) {
+					wait(v.Pos(), "raw channel send")
+				}
+			case *ast.UnaryExpr:
+				if v.Op == token.ARROW && !inComm(v) {
+					wait(v.Pos(), "raw channel receive")
+				}
+			case *ast.RangeStmt:
+				if tv, ok := pkg.Info.Types[v.X]; ok && tv.Type != nil {
+					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+						wait(v.Pos(), "range over a raw channel")
+					}
+				}
+			case *ast.SelectorExpr:
+				if id, ok := v.X.(*ast.Ident); ok && v.Sel.Name == "Idle" && !host && pkgPathOf(pkg, file, id) == clockPath {
+					flag(v.Pos(), "clock.Idle wraps a wait the clock cannot wake exactly — wait on a clock.Mailbox, Event or Group")
+				} else if wallClockCall(pkg, file, v) {
+					flag(v.Pos(), fmt.Sprintf(
+						"time.%s reads the wall clock — use the virtual clock ((*clock.Sim).%s, or a clock.Deadline for timeouts)",
+						v.Sel.Name, v.Sel.Name))
+				}
 			}
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if sel.Sel.Name == "Idle" && !idleExempt && pkgPathOf(pkg, file, ident) == clockPath {
-				report(sel.Pos(), "virtualtime",
-					"clock.Idle wraps a wait the clock cannot wake exactly — wait on a clock.Mailbox, Event or Group")
-				return true
-			}
-			if !wallClockFuncs[sel.Sel.Name] || pkgPathOf(pkg, file, ident) != "time" {
-				return true
-			}
-			report(sel.Pos(), "virtualtime", fmt.Sprintf(
-				"time.%s reads the wall clock — use the virtual clock ((*clock.Sim).%s, or a clock.Deadline for timeouts)",
-				sel.Sel.Name, sel.Sel.Name))
 			return true
 		})
 	}
@@ -95,7 +132,7 @@ var randGlobalFuncs = map[string]bool{
 // approximated as "the source expression mentions an identifier whose name
 // contains 'seed'". That convention is what lets a -seed / -chaosseed flag
 // replay an entire run byte-for-byte.
-func checkDeterminism(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string)) {
+func checkDeterminism(l *Loader, pkg *Package, report reporter) {
 	for _, file := range pkg.Files {
 		// rand.New(rand.NewSource(e)) reports once, at the outer call.
 		handled := map[*ast.CallExpr]bool{}

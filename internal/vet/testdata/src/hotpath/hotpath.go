@@ -1,8 +1,9 @@
 // Package hotpath is a lambdafs-vet golden fixture for the //vet:hotpath
-// contract: allocation, blocking, and wall-clock reachability are flagged
+// contract: allocation and wall-clock reachability are flagged
 // transitively through the call graph (including interface dispatch);
-// pre-sized appends, clock-owned waits, work handed to clock.Go, buffered
-// local signals, and unreachable code are not.
+// pre-sized appends, clock-owned waits and signals, closures handed to
+// clock.Go or clock.GoDaemon, and unreachable code are not. (A raw channel
+// wait is virtualtime's finding, hot path or not.)
 package hotpath
 
 import (
@@ -33,13 +34,15 @@ func tick() {
 	_ = time.Now() //vet:allow virtualtime fixture wall-clock source
 }
 
+// gather fans its work out on a clock.Group and joins on it: no finding.
+//
 //vet:hotpath
-func gather(ch chan int, n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		total += <-ch // want hotpath
+func gather(clk *clock.Sim, work []func()) {
+	g := clock.NewGroup(clk)
+	for _, w := range work {
+		g.Go(w)
 	}
-	return total
+	g.Wait()
 }
 
 //vet:hotpath
@@ -108,22 +111,24 @@ func okWait(mb *clock.Mailbox[int]) int {
 	return mb.Recv()
 }
 
-// okSpawn hands its per-iteration closures, and the blocking they do,
-// straight to clock.Go — off the caller's critical path: no finding.
+// okSpawn hands its per-iteration closures straight to clock.Go — off the
+// caller's critical path: no finding.
 //
 //vet:hotpath
-func okSpawn(clk *clock.Sim, chs []chan int) {
-	for _, ch := range chs {
-		clock.Go(clk, func() { <-ch })
+func okSpawn(clk *clock.Sim, evs []*clock.Event) {
+	for _, ev := range evs {
+		clock.Go(clk, func() { ev.Wait() })
 	}
 }
 
-// okDaemon hands a ticker loop's blocking to clock.GoDaemon, exempt like
-// clock.Go: no finding.
+// okDaemon hands its per-iteration ticker loops to clock.GoDaemon, exempt
+// like clock.Go: no finding.
 //
 //vet:hotpath
-func okDaemon(clk *clock.Sim, ticks chan int) {
-	clock.GoDaemon(clk, func() { <-ticks })
+func okDaemon(clk *clock.Sim, ticks []*clock.Mailbox[int]) {
+	for _, t := range ticks {
+		clock.GoDaemon(clk, func() { t.Recv() })
+	}
 }
 
 // okPresized appends within an explicit capacity: no finding.
@@ -137,12 +142,11 @@ func okPresized(n int) []int {
 	return out
 }
 
-// okSignal sends to a locally created buffered channel: cannot block.
+// okSignal sets a clock-owned event: no finding.
 //
 //vet:hotpath
-func okSignal() {
-	done := make(chan struct{}, 1)
-	done <- struct{}{}
+func okSignal(done *clock.Event) {
+	done.Set()
 }
 
 // coldFormat is not reachable from any annotated root: its allocation is

@@ -1,6 +1,9 @@
-// Package locks is a lambdafs-vet golden fixture: returns and blocking
-// operations under a non-defer-managed mutex must be flagged; deferred
-// unlocks and buffered-local-channel wakeups must not.
+// Package locks is a lambdafs-vet golden fixture: a return under a
+// non-defer-managed sync mutex must be flagged — in a function, in a
+// closure under its own lock, and for a function-local mutex — while
+// deferred unlocks, a closure defined inside a locked section, and a
+// type's own Lock/Unlock methods must not. (Raw channel waits are
+// virtualtime's findings; see that fixture.)
 package locks
 
 import "sync"
@@ -20,30 +23,23 @@ func badReturn(b *box) int {
 	return 0
 }
 
-func badSend(b *box, ch chan int) {
-	b.mu.Lock()
-	ch <- b.n // want locks
-	b.mu.Unlock()
-}
-
-func badRecv(b *box, ch chan int) {
-	b.mu.Lock()
-	b.n = <-ch // want locks
-	b.mu.Unlock()
-}
-
-func badSelect(b *box, ch chan int) {
-	b.mu.Lock()
-	select { // want locks
-	case v := <-ch:
-		b.n = v
-	}
-	b.mu.Unlock()
-}
-
 func badRead(b *box) int {
 	b.rw.RLock()
 	return b.n // want locks
+}
+
+func badLocal(n int) int {
+	var mu sync.Mutex
+	mu.Lock()
+	return n // want locks
+}
+
+// badClosure returns under the closure's own lock.
+func badClosure(b *box) func() int {
+	return func() int {
+		b.mu.Lock()
+		return b.n // want locks
+	}
 }
 
 func cleanDefer(b *box) int {
@@ -59,22 +55,28 @@ func cleanStraightline(b *box) int {
 	return v
 }
 
-func cleanWake(b *box) {
-	wake := make(chan struct{}, 1)
+// cleanClosureInLock defines a closure while b.mu is held: the closure's
+// return runs later, on its own stack, and is not charged to b.mu.
+func cleanClosureInLock(b *box) func() int {
 	b.mu.Lock()
-	wake <- struct{}{} // buffered local channel: cannot block
+	f := func() int { return b.n }
 	b.mu.Unlock()
-	<-wake
+	return f
 }
 
-func cleanNonBlockingSelect(b *box, ch chan int) {
-	b.mu.Lock()
-	select {
-	case v := <-ch:
-		b.n = v
-	default:
+// gate has Lock and Unlock methods of its own: they are not a mutex's.
+type gate struct{ open bool }
+
+func (g *gate) Lock()   { g.open = false }
+func (g *gate) Unlock() { g.open = true }
+
+func cleanOwnLock(g *gate, n int) int {
+	g.Lock()
+	if n > 0 {
+		return n
 	}
-	b.mu.Unlock()
+	g.Unlock()
+	return 0
 }
 
 func allowed(b *box) int {

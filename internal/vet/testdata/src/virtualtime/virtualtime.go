@@ -1,10 +1,12 @@
 // Package virtualtime is a lambdafs-vet golden fixture: wall-clock reads,
-// clock.Idle-wrapped waits and bare go statements must be flagged, duration
-// arithmetic, clock-owned waits and clock-started goroutines must not, and
-// a reasoned //vet:allow must suppress.
+// raw channel waits, clock.Idle-wrapped waits and bare go statements must
+// be flagged, once per line; duration arithmetic, clock-owned waits and
+// clock-started goroutines must not, and a reasoned //vet:allow must
+// suppress.
 package virtualtime
 
 import (
+	"sync"
 	"time"
 
 	"lambdafs/internal/clock"
@@ -30,6 +32,61 @@ func badJoin(clk *clock.Sim, done chan struct{}) {
 // runs beside the baton holder instead of in its turn.
 func badSpawn(clk *clock.Sim, work func()) {
 	go work() // want virtualtime
+}
+
+// Raw channel operations are waits clock.Sim cannot see, whatever a held
+// lock, a buffer, a default case or the goroutine's starter says about
+// them. A select reports once, at the select.
+func badSend(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	ch <- 1 // want virtualtime
+	mu.Unlock()
+}
+
+func badRecv(ch chan int) int {
+	return <-ch // want virtualtime
+}
+
+func badSelect(ch chan int) int {
+	select { // want virtualtime
+	case v := <-ch:
+		return v
+	}
+}
+
+func badBufferedWake() {
+	wake := make(chan struct{}, 1)
+	wake <- struct{}{} // want virtualtime
+	<-wake             // want virtualtime
+}
+
+func badNonBlockingSelect(ch chan int) (v int) {
+	select { // want virtualtime
+	case v = <-ch:
+	default:
+	}
+	return v
+}
+
+func badGather(ch chan int, n int) (total int) {
+	for i := 0; i < n; i++ {
+		total += <-ch // want virtualtime
+	}
+	return total
+}
+
+func badRange(ch chan int) (total int) {
+	for v := range ch { // want virtualtime
+		total += v
+	}
+	return total
+}
+
+func badHandedOff(clk *clock.Sim, chs []chan int, ticks chan int) {
+	for _, ch := range chs {
+		clock.Go(clk, func() { <-ch }) // want virtualtime
+	}
+	clock.GoDaemon(clk, func() { <-ticks }) // want virtualtime
 }
 
 // cleanSpawn starts its goroutines through the clock.

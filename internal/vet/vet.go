@@ -3,21 +3,20 @@
 // go/types (no golang.org/x/tools), that enforces the platform-level
 // disciplines the λFS reproduction's evaluation rests on:
 //
-//   - virtualtime: all latency flows through internal/clock. Wall-clock
-//     time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/AfterFunc are
-//     forbidden outside internal/clock — one stray time.After silently
-//     decouples a component from simulated time and skews every
-//     experiment that touches it. So is clock.Idle, whose raw channel
-//     wakes clock.Sim can only guess at, and so is a bare go statement
-//     outside cmd/ and examples/: clock.Sim schedules only the goroutines
-//     started through it.
+//   - virtualtime: all latency and every wait flow through internal/clock.
+//     Wall-clock time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/
+//     AfterFunc are forbidden outside internal/clock — one stray
+//     time.After silently decouples a component from simulated time and
+//     skews every experiment that touches it. So are the scheduling
+//     hazards clock.Sim cannot see: a raw channel send, receive, select or
+//     range over a channel, clock.Idle, and a bare go statement. The host
+//     drivers under cmd/, examples/ and benchmark/ are exempt from those.
 //   - determinism: no global math/rand source, and every rand.New /
 //     rand.NewSource must derive from a plumbed seed (an identifier whose
 //     name mentions "seed"), so chaos episodes and benchmarks replay
 //     byte-for-byte from a -seed / -chaosseed flag.
 //   - locks: a mutex locked without a deferred unlock must not reach a
-//     return statement or a blocking operation (channel send/receive,
-//     select without default) while held.
+//     return statement while held.
 //   - spans: every tracer span (trace.Ctx.Start) and trace
 //     (trace.Tracer.StartTrace) opened in a function must be closed in
 //     that function — deferred, or on every return path after it opens.
@@ -28,23 +27,21 @@
 //     matching lambdafs_<subsystem>_<metric>, subsystem equal to the
 //     registering package, kind-appropriate suffixes, and bounded
 //     literal-keyed label sets.
-//   - slorules (module-wide): SLO rule definitions (internal/slo
-//     constructor calls) may only reference metric names that some
-//     analyzed package actually registers — a typo'd rule would
-//     silently never fire.
-//
-// On top of the per-package checks, the analyzer builds a module-wide
-// call graph (callgraph.go) and runs two interprocedural checks:
-//
+//   - slorules: SLO rule definitions (internal/slo constructor calls) may
+//     only reference metric names that some analyzed package actually
+//     registers — a typo'd rule would silently never fire.
 //   - lockorder: the global lock-acquisition-order graph (which mutexes
-//     are acquired while which are held, propagated through calls) must
-//     be cycle-free — a cycle is a latent deadlock.
+//     are acquired while which are held, propagated through the
+//     module-wide call graph of callgraph.go) must be cycle-free — a
+//     cycle is a latent deadlock. It reads the same per-function stream
+//     of lock events as locks.
 //   - hotpath: functions annotated `//vet:hotpath` — and everything they
 //     transitively call — must not allocate (fmt.Sprintf, string
 //     concatenation, append growth, escaping composite literals,
-//     per-iteration closures), must not block outside clock.Go (waits
-//     go through internal/clock's Mailbox, Event and Group), and must not
-//     reach wall-clock time.
+//     per-iteration closures) and must not reach wall-clock time.
+//
+// Each check is one entry of the checks registry, and each hazard has one
+// walk: a rule that two checks share reads one event stream.
 //
 // Findings can be suppressed with a `//vet:allow <check> <reason>`
 // comment on the offending line (or the line above); several allows may
@@ -95,45 +92,48 @@ type Result struct {
 	NumPackages int
 }
 
-// CheckNames lists the analyzer's checks in presentation order: the
-// per-package checks first, then the call-graph (interprocedural) checks.
-var CheckNames = []string{
-	"virtualtime", "determinism", "locks", "spans", "errcheck",
-	"metricnames", "slorules", "lockorder", "hotpath",
+// reporter records one finding; Analyze matches it against the
+// //vet:allow table.
+type reporter func(pos token.Pos, check, msg string)
+
+// checks is the registry, in presentation order. Every check sees the
+// analyzed packages and the module call graph built over them.
+var checks = []struct {
+	name string
+	run  func(l *Loader, pkgs []*Package, g *CallGraph, report reporter)
+}{
+	{"virtualtime", perPackage(checkVirtualTime)},
+	{"determinism", perPackage(checkDeterminism)},
+	{"locks", checkLocks},
+	{"spans", perPackage(checkSpans)},
+	{"errcheck", perPackage(checkErrcheck)},
+	{"metricnames", perPackage(checkMetricNames)},
+	{"slorules", checkSLORules},
+	{"lockorder", checkLockOrder},
+	{"hotpath", checkHotPath},
 }
 
-// checkFunc inspects one package and reports findings.
-type checkFunc func(l *Loader, pkg *Package, report func(pos token.Pos, check, msg string))
+// CheckNames lists the analyzer's checks in presentation order.
+var CheckNames = func() []string {
+	names := make([]string, len(checks))
+	for i, c := range checks {
+		names[i] = c.name
+	}
+	return names
+}()
 
-// moduleCheckFunc inspects all analyzed packages together (cross-package
-// consistency, e.g. SLO rules against the registered metric namespace).
-type moduleCheckFunc func(l *Loader, pkgs []*Package, report func(pos token.Pos, check, msg string))
-
-// graphCheckFunc inspects the whole module through its call graph.
-type graphCheckFunc func(l *Loader, g *CallGraph, report func(pos token.Pos, check, msg string))
-
-var localChecks = map[string]checkFunc{
-	"virtualtime": checkVirtualTime,
-	"determinism": checkDeterminism,
-	"locks":       checkLocks,
-	"spans":       checkSpans,
-	"errcheck":    checkErrcheck,
-	"metricnames": checkMetricNames,
+// perPackage lifts a check that looks at one package at a time.
+func perPackage(check func(l *Loader, pkg *Package, report reporter)) func(*Loader, []*Package, *CallGraph, reporter) {
+	return func(l *Loader, pkgs []*Package, _ *CallGraph, report reporter) {
+		for _, pkg := range pkgs {
+			check(l, pkg, report)
+		}
+	}
 }
 
-var moduleChecks = map[string]moduleCheckFunc{
-	"slorules": checkSLORules,
-}
-
-var graphChecks = map[string]graphCheckFunc{
-	"lockorder": checkLockOrder,
-	"hotpath":   checkHotPath,
-}
-
-// Analyze runs every check over the given packages: the per-package
-// checks on each, then the interprocedural checks on the call graph built
-// over all of them. The //vet:allow table is global, so a suppression is
-// matched wherever the reporting check runs from.
+// Analyze runs every check over the given packages and the call graph
+// built over all of them. The //vet:allow table is global, so a
+// suppression is matched wherever the reporting check runs from.
 func Analyze(l *Loader, pkgs []*Package) *Result {
 	res := &Result{NumPackages: len(pkgs)}
 	allows := collectAllows(l, pkgs)
@@ -148,23 +148,9 @@ func Analyze(l *Loader, pkgs []*Package) *Result {
 		}
 		res.Findings = append(res.Findings, Finding{Pos: p, Check: check, Msg: msg})
 	}
-	for _, pkg := range pkgs {
-		for _, name := range CheckNames {
-			if check, ok := localChecks[name]; ok {
-				check(l, pkg, report)
-			}
-		}
-	}
-	for _, name := range CheckNames {
-		if check, ok := moduleChecks[name]; ok {
-			check(l, pkgs, report)
-		}
-	}
 	g := BuildCallGraph(l, pkgs)
-	for _, name := range CheckNames {
-		if check, ok := graphChecks[name]; ok {
-			check(l, g, report)
-		}
+	for _, c := range checks {
+		c.run(l, pkgs, g, report)
 	}
 	// Allowlist hygiene: a suppression without a reason is a finding, and
 	// so is one that no longer suppresses anything (the stale entry would
@@ -307,16 +293,6 @@ func pkgPathOf(pkg *Package, file *ast.File, ident *ast.Ident) string {
 		}
 	}
 	return ""
-}
-
-// fileOf returns the file containing pos.
-func fileOf(l *Loader, pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // exprString renders a (small) expression as source text for lock keys and

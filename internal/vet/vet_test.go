@@ -5,21 +5,35 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// sharedLoader is the one Loader of the test binary: type-checking the
+// standard library from source is most of what a fresh loader costs, and a
+// loader memoizes every package it has checked.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(root)
+})
+
+func testLoader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 // analyzeFixture runs the analyzer over one testdata/src package.
 func analyzeFixture(t *testing.T, name string) *Result {
 	t.Helper()
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "vet", "testdata", "src", name)
+	l := testLoader(t)
+	dir := filepath.Join(l.ModuleRoot, "internal", "vet", "testdata", "src", name)
 	pkgs, err := l.LoadDirs([]string{dir})
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +130,12 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root, err := filepath.Abs("../..")
+	l := testLoader(t)
+	pkgs, err := l.LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckRepo(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Analyze(l, pkgs)
 	for _, f := range res.Findings {
 		t.Errorf("finding: %s", f)
 	}
