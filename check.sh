@@ -4,7 +4,8 @@
 # analyzer, build, full test suite, the race detector over the
 # concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
-# core, tenant, cache, partition, hopsfs),
+# core, tenant, cache, partition, hopsfs), a bounded fuzz of namespace's
+# CleanPath,
 # the determinism smoke — the clock's own tests, bench's three golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
 # and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
@@ -62,8 +63,11 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb and core are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
+
+echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join; bounded) =="
+go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate and real-stack scale point, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4

@@ -43,13 +43,13 @@ func TestHotpathBaselineGate(t *testing.T) {
 	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
 	cur := HotpathMeasure(opts)
 
-	ds := cur.Scenarios["deep_stat"]
-	if ds.AllocsPerOp <= 2*hotpathAllocsSlack {
-		t.Fatalf("deep_stat allocs/op = %.0f, too small for the deflation fixture to trip the gate",
-			ds.AllocsPerOp)
+	ls := cur.Scenarios["ls_miss"]
+	if ls.AllocsPerOp <= 2*hotpathAllocsSlack {
+		t.Fatalf("ls_miss allocs/op = %.0f, too small for the deflation fixture to trip the gate",
+			ls.AllocsPerOp)
 	}
-	if ds.LockWaitUsPerOp < 0 {
-		t.Fatalf("negative lock-wait/op %.1f", ds.LockWaitUsPerOp)
+	if ls.LockWaitUsPerOp < 0 {
+		t.Fatalf("negative lock-wait/op %.1f", ls.LockWaitUsPerOp)
 	}
 
 	t.Run("honest baseline passes", func(t *testing.T) {
@@ -63,7 +63,7 @@ func TestHotpathBaselineGate(t *testing.T) {
 		regressed := cloneBaseline(t, cur)
 		// A committed baseline claiming near-zero allocations makes the
 		// current (honest) measurement look like an allocation regression.
-		regressed.Scenarios["deep_stat"].AllocsPerOp = 0
+		regressed.Scenarios["ls_miss"].AllocsPerOp = 0
 		path := tempBaselineFile(t, regressed)
 		err := CheckHotpathBaseline(path, Options{Out: io.Discard})
 		if err == nil {

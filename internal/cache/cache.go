@@ -14,6 +14,18 @@
 //     older than its hottest descendant and evicting the LRU victim's
 //     subtree only removes colder entries.
 //
+// # One node per component
+//
+// A path component is one node: its trie links, its cached row with its
+// byte count and listing state, and its place in the intrusive LRU list (a
+// sentinel node in the Cache anchors it). Caching a new row is one
+// allocation, plus the parent's children map for its first child; no path
+// string is stored. A node without a row is structural: something was cached
+// under it without it (Put without the ancestors, or an eviction that took an
+// ancestor mid-chain). Lookups treat it as absent; the rows under it count
+// towards Len and the budget. Eviction and invalidation unlink a node from
+// its parent and recurse over its subtree; the root is emptied in place.
+//
 // # Concurrency and ownership
 //
 // A Cache is owned by one NameNode engine but accessed from many
@@ -47,12 +59,10 @@
 package cache
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
 	"lambdafs/internal/namespace"
-	"lambdafs/internal/trie"
 )
 
 // Stats counts what only the cache sees. Hits and misses are counted by
@@ -63,15 +73,15 @@ type Stats struct {
 	Invalidations uint64
 }
 
-type entry struct {
-	inode *namespace.INode
-	path  string
-	comps []string
-	bytes int64
-	elem  *list.Element
-	// listing is a directory entry's listing state (see the package doc);
-	// listingComplete makes ls servable locally.
-	listing listingState
+// node is one path component (see the package doc).
+type node struct {
+	name       string
+	parent     *node // nil for the root and for a node no longer in the tree
+	children   map[string]*node
+	inode      *namespace.INode // nil: a structural node
+	bytes      int64
+	listing    listingState // a cached directory's (see the package doc)
+	prev, next *node        // LRU neighbours, set while the node holds a row
 }
 
 type listingState uint8
@@ -85,8 +95,9 @@ const (
 // Cache is a byte-budgeted metadata cache. Safe for concurrent use.
 type Cache struct {
 	mu     sync.Mutex
-	t      *trie.Trie[*entry]
-	lru    *list.List // front = most recently used
+	root   node
+	lru    node // sentinel: lru.next is the most recently used row, lru.prev the least
+	rows   int
 	budget int64
 	used   int64
 	stats  Stats
@@ -95,27 +106,126 @@ type Cache struct {
 // New returns a cache holding at most budget bytes of INode metadata.
 // budget <= 0 means unlimited.
 func New(budget int64) *Cache {
-	return &Cache{t: trie.New[*entry](), lru: list.New(), budget: budget}
+	c := &Cache{budget: budget}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 const perEntryOverhead = 64
 
-func entryBytes(path string, n *namespace.INode) int64 {
-	return int64(n.ApproxBytes() + len(path) + perEntryOverhead)
+// entryBytes charges a row for its INode, its path ("/" + the components
+// joined by "/", pathLen bytes) and the per-entry overhead.
+func entryBytes(pathLen int, n *namespace.INode) int64 {
+	return int64(n.ApproxBytes() + pathLen + perEntryOverhead)
+}
+
+// components walks a path's components exactly as namespace.SplitPath
+// splits it, without allocating.
+type components struct {
+	rest string
+	done bool
+}
+
+func split(path string) components {
+	return components{rest: strings.TrimPrefix(path, "/"), done: path == "/" || path == ""}
+}
+
+// next returns the next component; ok is false once there is none.
+func (cs *components) next() (comp string, ok bool) {
+	if cs.done {
+		return "", false
+	}
+	comp, cs.rest, ok = strings.Cut(cs.rest, "/")
+	cs.done = !ok
+	return comp, true
+}
+
+// dir splits off the last component: parent walks the ones before it. ok is
+// false for the root, which has no last component.
+func (cs components) dir() (parent components, last string, ok bool) {
+	i := strings.LastIndexByte(cs.rest, '/')
+	if cs.done || i < 0 {
+		return components{done: true}, cs.rest, !cs.done
+	}
+	return components{rest: cs.rest[:i]}, cs.rest[i+1:], true
+}
+
+// nodeLocked returns the node cs leads to, structural or not, or nil.
+func (c *Cache) nodeLocked(cs components) *node {
+	n := &c.root
+	for comp, ok := cs.next(); ok && n != nil; comp, ok = cs.next() {
+		n = n.children[comp]
+	}
+	return n
+}
+
+// rowLocked returns the node cs leads to if it holds a row, else nil.
+func (c *Cache) rowLocked(cs components) *node {
+	if n := c.nodeLocked(cs); n != nil && n.inode != nil {
+		return n
+	}
+	return nil
+}
+
+// makeLocked is nodeLocked that adds the missing nodes, structural.
+func (c *Cache) makeLocked(cs components) *node {
+	n := &c.root
+	for comp, ok := cs.next(); ok; comp, ok = cs.next() {
+		n = n.child(comp)
+	}
+	return n
+}
+
+// child returns n's child called name, adding a structural one if need be.
+func (n *node) child(name string) *node {
+	ch := n.children[name]
+	if ch == nil {
+		ch = &node{name: name, parent: n}
+		if n.children == nil {
+			n.children = make(map[string]*node)
+		}
+		n.children[name] = ch
+	}
+	return ch
+}
+
+// detached reports whether n was taken out of the tree.
+func (c *Cache) detached(n *node) bool { return n.parent == nil && n != &c.root }
+
+// pathLen is the length of the path n stands for.
+func (n *node) pathLen() int {
+	l := 0
+	for ; n.parent != nil; n = n.parent {
+		l += 1 + len(n.name)
+	}
+	return max(l, 1)
 }
 
 // PutChain caches the INode chain of a resolved path: chain[0] is the
 // root INode and chain[len-1] the terminal INode of path. Intermediate
 // entries are cached under their ancestor paths.
 func (c *Cache) PutChain(path string, chain []*namespace.INode) {
-	comps := namespace.SplitPath(path)
-	if len(chain) == 0 || len(chain) > len(comps)+1 {
-		return
+	cs := split(path)
+	if len(chain) == 0 || len(chain) > 1 && (cs.done || len(chain)-2 > strings.Count(cs.rest, "/")) {
+		return // more rows than the root plus one per component
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, n := range chain {
-		c.putLocked(comps[:i], n)
+	n := &c.root
+	for i, in := range chain {
+		if i > 0 {
+			if c.detached(n) {
+				// An eviction took n: walk down again, leaving structural nodes.
+				n = &c.root
+				for again, k := split(path), 1; k < i; k++ {
+					comp, _ := again.next()
+					n = n.child(comp)
+				}
+			}
+			comp, _ := cs.next()
+			n = n.child(comp)
+		}
+		c.setLocked(n, in)
 	}
 }
 
@@ -124,87 +234,84 @@ func (c *Cache) PutChain(path string, chain []*namespace.INode) {
 func (c *Cache) Put(path string, n *namespace.INode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(namespace.SplitPath(path), n)
+	c.setLocked(c.makeLocked(split(path)), n)
 }
 
-func (c *Cache) putLocked(comps []string, n *namespace.INode) {
-	if old, ok := c.t.Get(comps); ok {
-		old.inode = n
-		nb := entryBytes(old.path, n)
-		c.used += nb - old.bytes
-		old.bytes = nb
-		c.lru.MoveToFront(old.elem)
-	} else {
-		path := "/"
-		if len(comps) > 0 {
-			path = "/" + strings.Join(comps, "/")
-		}
-		e := &entry{
-			inode: n,
-			path:  path,
-			comps: append([]string(nil), comps...),
-			bytes: entryBytes(path, n),
-		}
-		e.elem = c.lru.PushFront(e)
-		c.t.Put(e.comps, e)
-		c.used += e.bytes
+// setLocked caches in at n, a node in the tree, as the most recently used
+// row, then evicts down to the budget.
+func (c *Cache) setLocked(n *node, in *namespace.INode) {
+	nb := entryBytes(n.pathLen(), in)
+	if n.inode == nil {
+		n.listing = listingUnknown
+		c.rows++
 		c.stats.Puts++
 	}
+	c.used += nb - n.bytes // a structural node's bytes are 0
+	n.inode, n.bytes = in, nb
+	c.touchLocked(n)
 	c.evictLocked()
+}
+
+// touchLocked moves n's row to the front of the LRU list.
+func (c *Cache) touchLocked(n *node) {
+	if n.prev != nil {
+		n.prev.next, n.next.prev = n.next, n.prev
+	}
+	n.prev, n.next = &c.lru, c.lru.next
+	n.next.prev, c.lru.next = n, n
 }
 
 // evictLocked evicts LRU subtrees until within budget.
 func (c *Cache) evictLocked() {
-	if c.budget <= 0 {
-		return
-	}
-	for c.used > c.budget {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		c.removeSubtreeLocked(victim.comps, true)
+	for c.budget > 0 && c.used > c.budget && c.lru.prev != &c.lru {
+		c.removeLocked(c.lru.prev, &c.stats.Evictions)
 	}
 }
 
-// removeSubtreeLocked removes the entry at comps and all cached
-// descendants (dropSubtreeLocked) and, when anything went, makes the
-// parent's listing unknown.
-func (c *Cache) removeSubtreeLocked(comps []string, eviction bool) int {
-	removed := c.dropSubtreeLocked(comps, eviction)
-	if removed > 0 && len(comps) > 0 {
-		if parent, ok := c.t.Get(comps[:len(comps)-1]); ok {
-			parent.listing = listingUnknown
-		}
+// removeLocked drops n's subtree (dropLocked) and, when a row went with it,
+// makes the parent's listing unknown.
+func (c *Cache) removeLocked(n *node, count *uint64) int {
+	if n == nil {
+		return 0
+	}
+	parent := n.parent
+	removed := c.dropLocked(n, count)
+	if removed > 0 && parent != nil {
+		parent.listing = listingUnknown
 	}
 	return removed
 }
 
-// dropSubtreeLocked removes the entry at comps and all cached descendants,
-// fixing byte accounting and the LRU list; the parent's listing state is
-// the caller's to settle.
-func (c *Cache) dropSubtreeLocked(comps []string, eviction bool) int {
-	removed := 0
-	var victims []*entry
-	c.t.WalkPrefix(comps, func(_ []string, e *entry) bool {
-		victims = append(victims, e)
-		return true
-	})
-	if len(victims) == 0 {
+// dropLocked takes n (if any) and its subtree out of the tree, the LRU list
+// and the byte count (the root is emptied in place), and adds the rows that
+// went to *count and returns it. The parent's listing is the caller's.
+func (c *Cache) dropLocked(n *node, count *uint64) int {
+	if n == nil {
 		return 0
 	}
-	c.t.DeletePrefix(comps)
-	for _, e := range victims {
-		c.lru.Remove(e.elem)
-		c.used -= e.bytes
-		removed++
-		if eviction {
-			c.stats.Evictions++
-		} else {
-			c.stats.Invalidations++
-		}
+	if n.parent != nil {
+		delete(n.parent.children, n.name)
 	}
+	removed := c.emptyLocked(n)
+	*count += uint64(removed)
+	return removed
+}
+
+// emptyLocked unlinks the rows of n's subtree and leaves every node in it
+// detached, and returns how many rows there were.
+func (c *Cache) emptyLocked(n *node) int {
+	removed := 0
+	if n.inode != nil {
+		n.prev.next, n.next.prev = n.next, n.prev
+		c.used -= n.bytes
+		n.prev, n.next, n.inode, n.bytes = nil, nil, nil, 0
+		c.rows--
+		removed++
+	}
+	for _, ch := range n.children {
+		removed += c.emptyLocked(ch)
+	}
+	n.parent, n.children, n.listing = nil, nil, listingUnknown
 	return removed
 }
 
@@ -216,16 +323,32 @@ func (c *Cache) dropSubtreeLocked(comps []string, eviction bool) int {
 //
 //vet:hotpath
 func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
-	comps := namespace.SplitPath(path)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries, ok := c.t.Chain(comps)
-	chain = make([]*namespace.INode, len(entries))
-	for i := len(entries) - 1; i >= 0; i-- {
-		c.lru.MoveToFront(entries[i].elem)
-		chain[i] = entries[i].inode
+	n, depth, hit := c.chainLocked(split(path))
+	chain = make([]*namespace.INode, depth)
+	for i := depth - 1; i >= 0; i, n = i-1, n.parent {
+		chain[i] = n.inode
+		c.touchLocked(n)
 	}
-	return chain, ok
+	return chain, hit
+}
+
+// chainLocked follows cs down from the root for as long as the nodes hold
+// rows: it returns the last node that did, how many did, and whether that
+// took in all of cs.
+func (c *Cache) chainLocked(cs components) (n *node, depth int, all bool) {
+	if n = &c.root; n.inode == nil {
+		return n, 0, false
+	}
+	for comp, ok := cs.next(); ok; comp, ok = cs.next() {
+		next := n.children[comp]
+		if next == nil || next.inode == nil {
+			return n, depth + 1, false
+		}
+		n, depth = next, depth+1
+	}
+	return n, depth + 1, true
 }
 
 // Get returns the cached terminal INode for path, touching its chain.
@@ -242,8 +365,7 @@ func (c *Cache) Get(path string) (*namespace.INode, bool) {
 func (c *Cache) Contains(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.t.Get(namespace.SplitPath(path))
-	return ok
+	return c.rowLocked(split(path)) != nil
 }
 
 // Invalidate removes the entry for path and, because descendants must not
@@ -253,7 +375,7 @@ func (c *Cache) Contains(path string) bool {
 func (c *Cache) Invalidate(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.removeSubtreeLocked(namespace.SplitPath(path), false)
+	return c.removeLocked(c.nodeLocked(split(path)), &c.stats.Invalidations)
 }
 
 // InvalidatePrefix removes every cached entry at or under path — the
@@ -269,27 +391,30 @@ func (c *Cache) InvalidatePrefix(path string) int {
 // subsequent ls operations servable locally (§3.3 read optimization). The
 // dir chain must already be cached (PutChain the resolution first).
 func (c *Cache) PutListing(dir string, children []*namespace.INode) {
-	comps := namespace.SplitPath(dir)
+	cs := split(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.t.Get(comps); !ok {
+	d := c.rowLocked(cs)
+	if d == nil {
 		return
 	}
 	for _, child := range children {
-		c.putLocked(append(comps, child.Name), child)
+		if c.detached(d) { // a put's eviction reached dir's subtree
+			d = c.makeLocked(cs)
+		}
+		c.setLocked(d.child(child.Name), child)
 	}
 	// Mark complete only when the dir and every child survived any
 	// evictions the puts triggered.
-	e, ok := c.t.Get(comps)
-	if !ok {
+	if c.detached(d) || d.inode == nil {
 		return
 	}
 	for _, child := range children {
-		if _, ok := c.t.Get(append(comps, child.Name)); !ok {
+		if ch := d.children[child.Name]; ch == nil || ch.inode == nil {
 			return
 		}
 	}
-	e.listing = listingComplete
+	d.listing = listingComplete
 }
 
 // SuspendListing is a writer's own half of the INV for path when it is
@@ -301,18 +426,19 @@ func (c *Cache) PutListing(dir string, children []*namespace.INode) {
 // the listing is now suspended; in every other case the listing is left
 // unknown, exactly as Invalidate plus ClearComplete leave it.
 func (c *Cache) SuspendListing(path, gone string) bool {
-	comps := namespace.SplitPath(path)
-	if len(comps) == 0 {
+	cs := split(path)
+	dirCs, _, ok := cs.dir()
+	if !ok {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dropSubtreeLocked(comps, false)
+	c.dropLocked(c.nodeLocked(cs), &c.stats.Invalidations)
 	if gone != "" {
-		c.dropSubtreeLocked(namespace.SplitPath(gone), false)
+		c.dropLocked(c.nodeLocked(split(gone)), &c.stats.Invalidations)
 	}
-	dir, ok := c.t.Get(comps[:len(comps)-1])
-	if !ok {
+	dir := c.rowLocked(dirCs)
+	if dir == nil {
 		return false
 	}
 	if dir.listing != listingComplete {
@@ -331,33 +457,34 @@ func (c *Cache) SuspendListing(path, gone string) bool {
 // reported. A listing no longer suspended (an INV or an eviction got there
 // first) is left as it is, and nothing is installed.
 func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool {
-	comps := namespace.SplitPath(path)
-	if len(comps) == 0 {
-		return false
-	}
-	dirComps := comps[:len(comps)-1]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	suspended := func() (*entry, bool) {
-		dir, ok := c.t.Get(dirComps)
-		return dir, ok && dir.listing == listingSuspended
-	}
-	if _, ok := suspended(); !ok {
-		return false
-	}
-	c.putLocked(dirComps, parent)
-	if child != nil {
-		if _, ok := suspended(); !ok {
-			return false
-		}
-		c.putLocked(comps, child)
-	}
-	dir, ok := suspended()
+	dirCs, name, ok := split(path).dir()
 	if !ok {
 		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	suspended := func() *node {
+		if dir := c.rowLocked(dirCs); dir != nil && dir.listing == listingSuspended {
+			return dir
+		}
+		return nil
+	}
+	dir := suspended()
+	if dir == nil {
+		return false
+	}
+	c.setLocked(dir, parent)
 	if child != nil {
-		if _, ok := c.t.Get(comps); !ok {
+		if dir = suspended(); dir == nil {
+			return false
+		}
+		c.setLocked(dir.child(name), child)
+	}
+	if dir = suspended(); dir == nil {
+		return false
+	}
+	if child != nil {
+		if ch := dir.children[name]; ch == nil || ch.inode == nil {
 			dir.listing = listingUnknown
 			return false
 		}
@@ -372,20 +499,20 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 //
 //vet:hotpath
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
-	comps := namespace.SplitPath(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries, ok := c.t.Chain(comps)
-	if !ok || entries[len(entries)-1].listing != listingComplete {
+	d, _, ok := c.chainLocked(split(dir))
+	if !ok || d.listing != listingComplete {
 		return nil, false
 	}
-	for i := len(entries) - 1; i >= 0; i-- {
-		c.lru.MoveToFront(entries[i].elem)
+	for n := d; n != nil; n = n.parent {
+		c.touchLocked(n)
 	}
-	kids := c.t.Children(comps)
-	out := make([]*namespace.INode, len(kids))
-	for i, child := range kids {
-		out[i] = child.inode
+	out := make([]*namespace.INode, 0, len(d.children))
+	for _, ch := range d.children {
+		if ch.inode != nil {
+			out = append(out, ch.inode)
+		}
 	}
 	return out, true
 }
@@ -394,11 +521,10 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 // delete / mv made the cached listing stale) without removing any cached
 // INodes.
 func (c *Cache) ClearComplete(dir string) {
-	comps := namespace.SplitPath(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.t.Get(comps); ok {
-		e.listing = listingUnknown
+	if d := c.rowLocked(split(dir)); d != nil {
+		d.listing = listingUnknown
 	}
 }
 
@@ -406,15 +532,15 @@ func (c *Cache) ClearComplete(dir string) {
 func (c *Cache) IsComplete(dir string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.t.Get(namespace.SplitPath(dir))
-	return ok && e.listing == listingComplete
+	d := c.rowLocked(split(dir))
+	return d != nil && d.listing == listingComplete
 }
 
 // Len returns the number of cached INodes.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.t.Len()
+	return c.rows
 }
 
 // UsedBytes returns the current byte accounting.

@@ -397,18 +397,22 @@ func TestListingSuspendResume(t *testing.T) {
 // the listing complete again, and only if nothing touched it in between.
 func TestListingSuspensionIsFragile(t *testing.T) {
 	dir, child := inode(2, "dir", true), inode(12, "c", false)
+	full := listed(0).UsedBytes() // a budget the fixture just fits
 	for name, touch := range map[string]func(c *Cache){
 		"peer INV of a sibling": func(c *Cache) { c.Invalidate("/dir/b") },
 		"prefix INV of the dir": func(c *Cache) { c.InvalidatePrefix("/dir") },
 		"ClearComplete":         func(c *Cache) { c.ClearComplete("/dir") },
 		"a second suspension":   func(c *Cache) { c.SuspendListing("/dir/d", "") },
 		"eviction of a sibling": func(c *Cache) {
-			c.mu.Lock()
-			c.removeSubtreeLocked([]string{"dir", "a"}, true)
-			c.mu.Unlock()
+			c.Lookup("/dir/b") // a is now the coldest row
+			b := inode(11, "b", false)
+			b.Owner = "o" // one byte more than the cache has room for
+			if c.Put("/dir/b", b); c.Contains("/dir/a") || c.Stats().Evictions != 1 {
+				t.Fatal("fixture: growing b did not evict a alone")
+			}
 		},
 	} {
-		c := listed(0)
+		c := listed(full)
 		if !c.SuspendListing("/dir/c", "") {
 			t.Fatalf("%s: fixture not suspended", name)
 		}
@@ -456,5 +460,400 @@ func TestListingResumeNeedsTheChild(t *testing.T) {
 	}
 	if c.UsedBytes() > used+10 {
 		t.Fatalf("over budget: %d", c.UsedBytes())
+	}
+}
+
+// TestStructuralNodeLeftByPut: a row put without its ancestors sits under
+// structural nodes — counted and charged, invisible to lookups — until the
+// chain above it is cached.
+func TestStructuralNodeLeftByPut(t *testing.T) {
+	c := New(0)
+	deep := inode(7, "c", false)
+	c.Put("/a/b/c", deep)
+	if c.Len() != 1 || !c.Contains("/a/b/c") || c.Contains("/a/b") || c.Contains("/a") {
+		t.Fatalf("len %d: want the one row at /a/b/c and nothing above it", c.Len())
+	}
+	if chain, hit := c.Lookup("/a/b/c"); hit || len(chain) != 0 {
+		t.Fatalf("Lookup through structural nodes = %v, %v; want an empty miss", chain, hit)
+	}
+	c.PutChain("/a/b", chainFor("/a/b"))
+	if chain, hit := c.Lookup("/a/b/c"); !hit || len(chain) != 4 || chain[3] != deep {
+		t.Fatalf("Lookup once the chain above is cached = %v, %v; want the row put first", chain, hit)
+	}
+}
+
+// TestInvalidateRootResetsCache: invalidating "/" empties the cache in place,
+// structural nodes and listings included, and it fills again from scratch.
+func TestInvalidateRootResetsCache(t *testing.T) {
+	c := New(0)
+	c.PutChain("/a/b", chainFor("/a/b"))
+	c.PutListing("/", []*namespace.INode{inode(10, "a", true)})
+	c.Put("/x/y", inode(11, "y", false))
+	if n := c.Invalidate("/"); n != 4 {
+		t.Fatalf("root invalidation removed %d, want 4", n)
+	}
+	if c.Len() != 0 || c.UsedBytes() != 0 || c.IsComplete("/") || c.Contains("/x/y") {
+		t.Fatalf("after root invalidation: len %d, used %d", c.Len(), c.UsedBytes())
+	}
+	c.PutChain("/a", chainFor("/a"))
+	if _, hit := c.Lookup("/a"); !hit {
+		t.Fatal("no hit after refilling")
+	}
+	if _, hit := c.Lookup("/a/b"); hit || c.Len() != 2 {
+		t.Fatalf("a row from before the reset came back (len %d)", c.Len())
+	}
+	if s := c.Stats(); s.Invalidations != 4 || s.Puts != 6 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestPrefixRemovalKeepsSiblings: removing /a takes what is under /a, not
+// /a2 (a shared name prefix) and not /b/a (a shared base name).
+func TestPrefixRemovalKeepsSiblings(t *testing.T) {
+	c := New(0)
+	for _, p := range []string{"/a/x/y", "/a2/x", "/b/a"} {
+		c.PutChain(p, chainFor(p))
+	}
+	if n := c.InvalidatePrefix("/a"); n != 3 {
+		t.Fatalf("removed %d, want 3", n)
+	}
+	for _, p := range []string{"/a2/x", "/b/a"} {
+		if _, hit := c.Lookup(p); !hit {
+			t.Fatalf("%s went with /a", p)
+		}
+	}
+	if n := c.InvalidatePrefix("/missing"); n != 0 {
+		t.Fatalf("removed %d under a missing prefix", n)
+	}
+}
+
+// model is the reference TestCacheMatchesReferenceModel holds the cache to:
+// a map of path → row, the LRU order as a slice (most recent first) and the
+// same byte charge, with every operation written out the obvious way.
+type model struct {
+	budget  int64
+	rows    map[string]*namespace.INode
+	listing map[string]listingState
+	lru     []string
+	used    int64
+	stats   Stats
+}
+
+func newModel(budget int64) *model {
+	return &model{budget: budget, rows: map[string]*namespace.INode{}, listing: map[string]listingState{}}
+}
+
+func modelBytes(p string, n *namespace.INode) int64 {
+	return int64(n.ApproxBytes() + len(p) + perEntryOverhead)
+}
+
+func (m *model) touch(p string) {
+	m.lru = slices.DeleteFunc(m.lru, func(q string) bool { return q == p })
+	m.lru = slices.Insert(m.lru, 0, p)
+}
+
+func (m *model) put(p string, n *namespace.INode) {
+	if old, ok := m.rows[p]; ok {
+		m.used -= modelBytes(p, old)
+	} else {
+		m.listing[p] = listingUnknown
+		m.stats.Puts++
+	}
+	m.rows[p] = n
+	m.used += modelBytes(p, n)
+	m.touch(p)
+	for m.budget > 0 && m.used > m.budget && len(m.lru) > 0 {
+		m.remove(m.lru[len(m.lru)-1], true)
+	}
+}
+
+// drop removes p and every row under it; remove also makes p's parent's
+// listing unknown when a row went.
+func (m *model) drop(p string, eviction bool) int {
+	removed := 0
+	for q, n := range m.rows {
+		if namespace.HasPathPrefix(q, p) {
+			m.used -= modelBytes(q, n)
+			delete(m.rows, q)
+			delete(m.listing, q)
+			m.lru = slices.DeleteFunc(m.lru, func(r string) bool { return r == q })
+			removed++
+		}
+	}
+	if eviction {
+		m.stats.Evictions += uint64(removed)
+	} else {
+		m.stats.Invalidations += uint64(removed)
+	}
+	return removed
+}
+
+func (m *model) remove(p string, eviction bool) int {
+	removed := m.drop(p, eviction)
+	if parent := namespace.ParentPath(p); removed > 0 && p != "/" && m.rows[parent] != nil {
+		m.listing[parent] = listingUnknown
+	}
+	return removed
+}
+
+// chainPaths returns p and its ancestors, root first.
+func chainPaths(p string) []string {
+	if p == "/" {
+		return []string{"/"}
+	}
+	return append(namespace.Ancestors(p), p)
+}
+
+func (m *model) putChain(p string, chain []*namespace.INode) {
+	paths := chainPaths(p)
+	if len(chain) == 0 || len(chain) > len(paths) {
+		return
+	}
+	for i, n := range chain {
+		m.put(paths[i], n)
+	}
+}
+
+func (m *model) lookup(p string) ([]*namespace.INode, bool) {
+	paths := chainPaths(p)
+	var chain []*namespace.INode
+	for _, q := range paths {
+		n := m.rows[q]
+		if n == nil {
+			break
+		}
+		chain = append(chain, n)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		m.touch(paths[i])
+	}
+	return chain, len(chain) == len(paths)
+}
+
+func (m *model) putListing(dir string, kids []*namespace.INode) {
+	if m.rows[dir] == nil {
+		return
+	}
+	for _, k := range kids {
+		m.put(namespace.JoinPath(dir, k.Name), k)
+	}
+	if m.rows[dir] == nil {
+		return
+	}
+	for _, k := range kids {
+		if m.rows[namespace.JoinPath(dir, k.Name)] == nil {
+			return
+		}
+	}
+	m.listing[dir] = listingComplete
+}
+
+func (m *model) listingOf(dir string) ([]*namespace.INode, bool) {
+	for _, q := range chainPaths(dir) {
+		if m.rows[q] == nil {
+			return nil, false
+		}
+	}
+	if m.listing[dir] != listingComplete {
+		return nil, false
+	}
+	m.lookup(dir)
+	var kids []*namespace.INode
+	for q, n := range m.rows {
+		if q != "/" && namespace.ParentPath(q) == dir {
+			kids = append(kids, n)
+		}
+	}
+	return kids, true
+}
+
+func (m *model) suspend(p, gone string) bool {
+	if p == "/" {
+		return false
+	}
+	m.drop(p, false)
+	if gone != "" {
+		m.drop(gone, false)
+	}
+	dir := namespace.ParentPath(p)
+	if m.rows[dir] == nil {
+		return false
+	}
+	if m.listing[dir] != listingComplete {
+		m.listing[dir] = listingUnknown
+		return false
+	}
+	m.listing[dir] = listingSuspended
+	return true
+}
+
+func (m *model) resume(p string, parent, child *namespace.INode) bool {
+	if p == "/" {
+		return false
+	}
+	dir := namespace.ParentPath(p)
+	suspended := func() bool { return m.rows[dir] != nil && m.listing[dir] == listingSuspended }
+	if !suspended() {
+		return false
+	}
+	m.put(dir, parent)
+	if child != nil {
+		if !suspended() {
+			return false
+		}
+		m.put(p, child)
+	}
+	if !suspended() {
+		return false
+	}
+	if child != nil && m.rows[p] == nil {
+		m.listing[dir] = listingUnknown
+		return false
+	}
+	m.listing[dir] = listingComplete
+	return true
+}
+
+func byID(ns []*namespace.INode) []*namespace.INode {
+	ns = slices.Clone(ns)
+	slices.SortFunc(ns, func(a, b *namespace.INode) int { return int(a.ID) - int(b.ID) })
+	return ns
+}
+
+// TestCacheMatchesReferenceModel drives the cache and the model with the same
+// seeded random operations, at a budget that evicts on most puts and without
+// one, and requires the same answers and the same Len, UsedBytes, Stats,
+// Contains and IsComplete after every step — so the cache evicts exactly the
+// rows the model does.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	var universe []string
+	var walk func(p string, depth int)
+	walk = func(p string, depth int) {
+		universe = append(universe, p)
+		if depth < 3 {
+			for _, name := range []string{"a", "b", "c"} {
+				walk(namespace.JoinPath(p, name), depth+1)
+			}
+		}
+	}
+	walk("/", 0)
+
+	for _, budget := range []int64{600, 0} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, m := New(budget), newModel(budget)
+			id := namespace.INodeID(0)
+			row := func(name string) *namespace.INode {
+				id++
+				return &namespace.INode{ID: id, Name: name, IsDir: true, Owner: strings.Repeat("o", rng.Intn(40))}
+			}
+			path := func() string { // mostly below the root; "/" one time in 40
+				if rng.Intn(40) == 0 {
+					return "/"
+				}
+				return universe[1+rng.Intn(len(universe)-1)]
+			}
+			puts, evicting := 0, 0
+			for step := 0; step < 1500; step++ {
+				p := path()
+				var what string
+				before := c.Stats()
+				switch op := rng.Intn(10); op {
+				case 0, 1, 2: // PutChain, sometimes of a prefix, rarely too long
+					comps := namespace.SplitPath(p)
+					chain := []*namespace.INode{row("")}
+					for _, name := range comps[:rng.Intn(len(comps)+1)] {
+						chain = append(chain, row(name))
+					}
+					if rng.Intn(20) == 0 {
+						chain = append(chain, row("z"), row("z"))
+					}
+					what = fmt.Sprintf("PutChain(%s, %d rows)", p, len(chain))
+					c.PutChain(p, chain)
+					m.putChain(p, chain)
+				case 3: // Put, possibly without ancestors
+					n := row(namespace.BaseName(p))
+					what = "Put(" + p + ")"
+					c.Put(p, n)
+					m.put(p, n)
+				case 4:
+					var kids []*namespace.INode
+					for k := rng.Intn(4); k > 0; k-- {
+						kids = append(kids, row([]string{"a", "b", "c"}[rng.Intn(3)]))
+					}
+					what = fmt.Sprintf("PutListing(%s, %d kids)", p, len(kids))
+					c.PutListing(p, kids)
+					m.putListing(p, kids)
+				case 5:
+					n := row(namespace.BaseName(namespace.ParentPath(p)))
+					var child *namespace.INode
+					if rng.Intn(3) > 0 {
+						child = row(namespace.BaseName(p))
+					}
+					what = fmt.Sprintf("ResumeListing(%s, child %v)", p, child != nil)
+					if got, want := c.ResumeListing(p, n, child), m.resume(p, n, child); got != want {
+						t.Fatalf("budget %d seed %d step %d: %s = %v, model %v", budget, seed, step, what, got, want)
+					}
+				default:
+					switch op {
+					case 6:
+						what = "Lookup(" + p + ")"
+						got, hit := c.Lookup(p)
+						want, wantHit := m.lookup(p)
+						if hit != wantHit || !slices.Equal(got, want) {
+							t.Fatalf("budget %d seed %d step %d: %s = %v %v, model %v %v", budget, seed, step, what, got, hit, want, wantHit)
+						}
+					case 7:
+						what = "Listing(" + p + ")"
+						got, ok := c.Listing(p)
+						want, wantOK := m.listingOf(p)
+						if ok != wantOK || !slices.Equal(byID(got), byID(want)) {
+							t.Fatalf("budget %d seed %d step %d: %s = %v %v, model %v %v", budget, seed, step, what, got, ok, want, wantOK)
+						}
+					case 8:
+						what = "Invalidate(" + p + ")"
+						if got, want := c.Invalidate(p), m.remove(p, false); got != want {
+							t.Fatalf("budget %d seed %d step %d: %s = %d, model %d", budget, seed, step, what, got, want)
+						}
+					case 9:
+						gone := ""
+						if rng.Intn(2) == 0 {
+							gone = path()
+						}
+						if rng.Intn(4) == 0 {
+							what = "ClearComplete(" + p + ")"
+							c.ClearComplete(p)
+							if m.rows[p] != nil {
+								m.listing[p] = listingUnknown
+							}
+						} else {
+							what = fmt.Sprintf("SuspendListing(%s, %q)", p, gone)
+							if got, want := c.SuspendListing(p, gone), m.suspend(p, gone); got != want {
+								t.Fatalf("budget %d seed %d step %d: %s = %v, model %v", budget, seed, step, what, got, want)
+							}
+						}
+					}
+				}
+				if after := c.Stats(); after.Puts > before.Puts {
+					puts++
+					if after.Evictions > before.Evictions {
+						evicting++
+					}
+				}
+				if c.Len() != len(m.rows) || c.UsedBytes() != m.used || c.Stats() != m.stats {
+					t.Fatalf("budget %d seed %d step %d, after %s: len %d used %d stats %+v; model len %d used %d stats %+v",
+						budget, seed, step, what, c.Len(), c.UsedBytes(), c.Stats(), len(m.rows), m.used, m.stats)
+				}
+				for _, q := range universe {
+					if c.Contains(q) != (m.rows[q] != nil) || c.IsComplete(q) != (m.rows[q] != nil && m.listing[q] == listingComplete) {
+						t.Fatalf("budget %d seed %d step %d, after %s: %s cached %v complete %v, model disagrees",
+							budget, seed, step, what, q, c.Contains(q), c.IsComplete(q))
+					}
+				}
+			}
+			if budget > 0 && 2*evicting <= puts {
+				t.Fatalf("budget %d seed %d: only %d of %d puts of a new row evicted", budget, seed, evicting, puts)
+			}
+		}
 	}
 }

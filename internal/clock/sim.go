@@ -59,6 +59,7 @@ type Sim struct {
 	closed     bool
 	picks      uint64             // baton hand-offs, for the watchdog
 	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
+	spare      []*waiter          // Sleep's spent waiters, for reuse
 
 	stop          chan struct{}
 	StallTimeout  time.Duration
@@ -145,12 +146,29 @@ func (s *Sim) Now() time.Time { return Epoch.Add(time.Duration(s.nowNS.Load())) 
 // Since returns virtual time elapsed since t.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// Sleep blocks for exactly d of virtual time.
+// Sleep blocks for exactly d of virtual time. Its waiter comes from, and
+// goes back to, s.spare: once park returns nothing refers to a sleep's
+// waiter any more — the deadline heap popped it, the run-queue slot that
+// resumed it was cleared, its channel was drained — and no event source
+// ever listed it. (A Mailbox's or Event's waiter stays one per wait: after
+// its deadline wins it is still on the source's list.)
 func (s *Sim) Sleep(d time.Duration) {
-	if d > 0 {
-		w := newWaiter(s)
-		s.park(&w, s.nowNS.Load()+int64(d))
+	if d <= 0 {
+		return
 	}
+	s.mu.Lock()
+	var w *waiter
+	if n := len(s.spare); n > 0 {
+		w, s.spare = s.spare[n-1], s.spare[:n-1]
+		w.claimed.Store(false)
+	} else {
+		w = &waiter{ch: make(chan bool, 1), sim: s}
+	}
+	s.mu.Unlock()
+	s.park(w, s.nowNS.Load()+int64(d))
+	s.mu.Lock()
+	s.spare = append(s.spare, w)
+	s.mu.Unlock()
 }
 
 // park blocks the calling goroutine on w, which its event source (if any)

@@ -26,12 +26,12 @@ func TestExecuteHitAllocs(t *testing.T) {
 		}
 		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
-		// CleanPath's four, Lookup's three, the StatInfo and the Response; a read
-		// adds the reply's block list and its location list.
-		for op, want := range map[namespace.OpType]float64{namespace.OpStat: 9, namespace.OpRead: 11} {
+		// Lookup's chain, the StatInfo and the Response (a canonical path cleans
+		// for free); a read adds the reply's block list and its location list.
+		for op, want := range map[namespace.OpType]float64{namespace.OpStat: 3, namespace.OpRead: 5} {
 			req := namespace.Request{Op: op, Path: "/a/b/f"}
 			e.Execute(req) // the fill
-			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != int(want-9)/2 {
+			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != int(want-3)/2 {
 				t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected: %+v", op, resp)
 			}
 			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {

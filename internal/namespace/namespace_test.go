@@ -188,3 +188,35 @@ func TestRequestKeyUnique(t *testing.T) {
 		t.Fatal("request keys collide")
 	}
 }
+
+// FuzzCleanPath holds CleanPath to its contract on any input: what it
+// returns is canonical and cleans to itself, and wherever the one-scan fast
+// path takes an input as canonical, splitting and rejoining it gives that
+// same string. The seed corpus is testdata/fuzz/FuzzCleanPath.
+func FuzzCleanPath(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p string) {
+		got, err := CleanPath(p)
+		if joined, jerr := joinClean(p); got != joined || (err == nil) != (jerr == nil) {
+			t.Fatalf("CleanPath(%q) = %q, %v; split and rejoined: %q, %v", p, got, err, joined, jerr)
+		}
+		if err != nil {
+			return
+		}
+		if got != "/" {
+			if got[0] != '/' {
+				t.Fatalf("CleanPath(%q) = %q: not absolute", p, got)
+			}
+			for _, c := range strings.Split(got[1:], "/") {
+				if c == "" || c == "." || c == ".." {
+					t.Fatalf("CleanPath(%q) = %q: component %q", p, got, c)
+				}
+			}
+		}
+		if again, err := CleanPath(got); again != got || err != nil {
+			t.Fatalf("CleanPath(%q) = %q, but CleanPath(%q) = %q, %v", p, got, got, again, err)
+		}
+		if canonical(p) && got != p {
+			t.Fatalf("the fast path took %q as canonical, but it cleans to %q", p, got)
+		}
+	})
+}

@@ -10,13 +10,39 @@ var ErrInvalidPath = errors.New("namespace: invalid path")
 
 // CleanPath normalizes an absolute path: collapses repeated slashes,
 // removes trailing slashes (except for the root itself), and rejects
-// relative paths and "."/".." components. It returns the canonical form.
+// relative paths and "."/".." components. It returns the canonical form. A
+// path that already is canonical — every request's path, in practice —
+// comes back as it is after one scan, without allocating; any other is
+// split and rejoined (joinClean).
 func CleanPath(p string) (string, error) {
+	if canonical(p) {
+		return p, nil
+	}
+	return joinClean(p)
+}
+
+// canonical reports whether p is "/" or a "/"-led path with no empty, "."
+// or ".." component, which is what CleanPath returns.
+func canonical(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if !strings.HasPrefix(p, "/") {
+		return false
+	}
+	for rest, more := p[1:], true; more; {
+		var c string
+		if c, rest, more = strings.Cut(rest, "/"); c == "" || c == "." || c == ".." {
+			return false
+		}
+	}
+	return true
+}
+
+// joinClean is CleanPath by splitting p on "/" and joining what is left.
+func joinClean(p string) (string, error) {
 	if p == "" || p[0] != '/' {
 		return "", ErrInvalidPath
-	}
-	if p == "/" {
-		return "/", nil
 	}
 	parts := strings.Split(p, "/")
 	out := make([]string, 0, len(parts))

@@ -24,16 +24,16 @@ func TestReadPathAllocs(t *testing.T) {
 		addFile(t, db, parent, "f")
 		path += "/f"
 
-		// The transaction, CleanPath's four, the split, the multi-get's per-shard
-		// counts, the chain — and nothing per row or per lock.
+		// The transaction, the split, the multi-get's per-shard counts, the
+		// chain — and nothing to clean the canonical path, per row or per lock.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if chain, err := tx.ResolvePathBatched(path, store.LockShared, store.LockShared); err != nil || len(chain) != 7 {
 				t.Fatalf("resolve %s: %d rows, %v", path, len(chain), err)
 			}
 			tx.Abort()
-		}); got != 8 {
-			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 8", got)
+		}); got != 4 {
+			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 4", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}
