@@ -4,8 +4,8 @@
 # analyzer, build, full test suite, the race detector over the
 # concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
-# core, tenant, cache, partition, hopsfs), a bounded fuzz of namespace's
-# CleanPath,
+# core, tenant, cache, partition, hopsfs), bounded fuzzes of namespace's
+# CleanPath and of ndb's WAL recovery (arbitrary bytes after a valid log),
 # the determinism smoke — the clock's own tests, bench's three golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
 # and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
@@ -68,6 +68,9 @@ go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
+
+echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="
+go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
 
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate and real-stack scale point, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4

@@ -52,3 +52,57 @@ func TestReadPathAllocs(t *testing.T) {
 		}
 	})
 }
+
+// The durability tier's costs follow what changed, not the store's size: a
+// one-row commit encodes its frame into a reused buffer, a round with no
+// dirty rows writes only the metadata, and truncation reads frame headers
+// only, copying just the tail of each log it cuts.
+func TestDurablePathAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 4, zeroLSM())
+		db := New(clk, durableCfg(d))
+		id := addFile(t, db, namespace.RootID, "f")
+		row := &namespace.INode{ID: id, ParentID: namespace.RootID, Name: "f", Perm: namespace.PermDefaultFile}
+		commit := func() {
+			tx := db.Begin("nn")
+			if err := tx.PutINode(row); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			d.cropWAL(d.walShard(d.LastLSN()), 0) // keep the log's capacity: no growth
+		}
+		// The transaction, the buffered put (its map and the row's copy-in),
+		// the record, the commit span's detail — and no encode buffer: the
+		// frame goes into the store's reused one.
+		commit()
+		if got := testing.AllocsPerRun(100, commit); got != 6 {
+			t.Errorf("one-row durable commit: %v allocs, want 6", got)
+		}
+
+		// Each shard's copy of the metadata into its memtable and each
+		// shard's metadata read for the truncation floor.
+		db.Checkpoint()
+		if got := testing.AllocsPerRun(100, func() { db.Checkpoint() }); got != 8 {
+			t.Errorf("checkpoint round with no dirty rows: %v allocs, want 8", got)
+		}
+
+		const records = 4096
+		full := make([][]byte, d.Shards())
+		for lsn := uint64(1); lsn <= records; lsn++ {
+			s := d.walShard(lsn)
+			full[s] = appendRecord(full[s], &walRecord{lsn: lsn, puts: []*namespace.INode{row}})
+		}
+		truncate := func(through uint64) func() {
+			return func() {
+				copy(d.wals, full) // truncation replaces a log, never writes into it
+				d.truncateThrough(through)
+			}
+		}
+		if got := testing.AllocsPerRun(100, truncate(records/2)); got != float64(d.Shards()) {
+			t.Errorf("truncating half of a %d-record log: %v allocs, want %d (one tail copy per shard)", records, got, d.Shards())
+		}
+		if got := testing.AllocsPerRun(100, truncate(records)); got != 0 {
+			t.Errorf("truncating all of a %d-record log: %v allocs, want 0", records, got)
+		}
+	})
+}

@@ -168,6 +168,8 @@ type DB struct {
 	dur        *Durable
 	ckptMu     sync.Mutex    // serializes checkpoint rounds
 	commitTick atomic.Uint64 // write-commits since New, for CheckpointEvery
+	dirty      []dirtyRows   // per shard, guarded by mu; nil without durability
+	walBuf     []byte        // frame scratch of logAndApply, guarded by mu
 }
 
 var _ store.Store = (*DB)(nil)
@@ -183,6 +185,7 @@ func New(clk *clock.Sim, cfg Config) *DB {
 	root := namespace.NewRoot()
 	db.inodes[root.ID] = root
 	db.children[root.ID] = make(map[string]namespace.INodeID)
+	db.markINode(root.ID)
 	return db
 }
 
@@ -214,6 +217,12 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 		dur:      cfg.Durable,
 	}
 	db.nextID.Store(uint64(namespace.RootID))
+	if db.dur != nil {
+		db.dirty = make([]dirtyRows, cfg.DataNodes)
+		for i := range db.dirty {
+			db.dirty[i] = newDirtyRows()
+		}
+	}
 	db.shards = make([]*clock.Queue, cfg.DataNodes)
 	for i := range db.shards {
 		db.shards[i] = clock.NewQueue(clk, cfg.WorkersPerNode)

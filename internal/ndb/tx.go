@@ -387,10 +387,11 @@ func (t *tx) chargeCommit(writes int) {
 // logAndApply appends the transaction's WAL record (when a durability
 // tier is attached) and installs the buffered writes, both under the
 // structure lock: LSN assignment, log append, and apply are one atomic
-// step, so a checkpoint snapshot taken under the read lock always
-// reflects every LSN the media has. What is logged is what is applied —
-// one record, one applyRecord, at commit as at replay. Returns the appended
-// frame size (0 without durability).
+// step, so a checkpoint round, which reads its dirty rows under the same
+// lock, always reflects every LSN the media has. What is logged is what is applied —
+// one record, one applyRecord, at commit as at replay. The frame is encoded
+// into the store's scratch buffer, which appendFrame copies into the log.
+// Returns the appended frame size (0 without durability).
 func (t *tx) logAndApply() int {
 	db := t.db
 	db.mu.Lock()
@@ -411,7 +412,8 @@ func (t *tx) logAndApply() int {
 	walBytes := 0
 	if db.dur != nil {
 		rec.lsn, rec.idHW = db.dur.LastLSN()+1, db.nextID.Load()
-		frame := encodeFrame(encodeRecord(rec))
+		db.walBuf = appendRecord(db.walBuf[:0], rec)
+		frame := db.walBuf
 		durable := len(frame)
 		if h := db.cfg.OnWALAppend; h != nil {
 			durable = h(db.dur.walShard(rec.lsn), rec.lsn, len(frame))

@@ -5,9 +5,11 @@
 //
 // A Durable is the simulated durable media. It outlives DB instances:
 // New formats it, Commit appends one checksummed WAL record per
-// committed write-transaction, Checkpoint persists a full snapshot into
-// the per-shard LSM stores and truncates the logs, and Recover rebuilds
-// a fresh DB as checkpoint-load + WAL-replay. Records carry a single
+// committed write-transaction, Checkpoint persists a partial checkpoint
+// into the per-shard LSM stores — only the rows written since that shard's
+// last completed round, so each store stays the full snapshot of its rows
+// at its metadata LSN — and truncates the logs, and Recover rebuilds a
+// fresh DB as checkpoint-load + WAL-replay. Records carry a single
 // global LSN sequence (strict 2PL means conflicting transactions commit
 // in lock order, so LSN order is a valid serialization); each record
 // lands on the shard owning its LSN. Recovery truncates every shard's
@@ -17,10 +19,11 @@
 package ndb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -163,8 +166,8 @@ func (d *Durable) truncateThrough(lsn uint64) {
 	for s, w := range d.wals {
 		off := 0
 		for {
-			rec, n, ok := decodeFrame(w[off:])
-			if !ok || rec.lsn > lsn {
+			recLSN, n, ok := frameLSN(w[off:])
+			if !ok || recLSN > lsn {
 				break
 			}
 			off += n
@@ -273,23 +276,18 @@ func appendINode(b []byte, n *namespace.INode) []byte {
 	return b
 }
 
-// encodeRecord renders a record's payload (ops sorted so identical
-// logical transactions always produce identical bytes).
-func encodeRecord(r *walRecord) []byte {
-	sort.Slice(r.puts, func(i, j int) bool { return r.puts[i].ID < r.puts[j].ID })
-	sort.Slice(r.dels, func(i, j int) bool { return r.dels[i] < r.dels[j] })
-	sortKV := func(ops []kvOp) {
-		sort.Slice(ops, func(i, j int) bool {
-			if ops[i].table != ops[j].table {
-				return ops[i].table < ops[j].table
-			}
-			return ops[i].key < ops[j].key
-		})
-	}
-	sortKV(r.kvPuts)
-	sortKV(r.kvDels)
+// appendRecord appends r's frame to b — the length+checksum header, then
+// the payload — and returns the extended buffer. Ops are sorted first, so
+// identical logical transactions always produce identical bytes.
+func appendRecord(b []byte, r *walRecord) []byte {
+	slices.SortFunc(r.puts, func(x, y *namespace.INode) int { return cmp.Compare(x.ID, y.ID) })
+	slices.Sort(r.dels)
+	slices.SortFunc(r.kvPuts, cmpKVOp)
+	slices.SortFunc(r.kvDels, cmpKVOp)
 
-	b := appendU64(nil, r.lsn)
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
+	b = appendU64(b, r.lsn)
 	b = appendU64(b, r.idHW)
 	nops := len(r.puts) + len(r.dels) + len(r.kvPuts) + len(r.kvDels)
 	b = appendU32(b, uint32(nops))
@@ -312,14 +310,17 @@ func encodeRecord(r *walRecord) []byte {
 		b = appendStr(b, op.table)
 		b = appendStr(b, op.key)
 	}
+	payload := b[start+8:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
 	return b
 }
 
-// encodeFrame wraps a payload in the length+checksum frame.
-func encodeFrame(payload []byte) []byte {
-	b := appendU32(nil, uint32(len(payload)))
-	b = appendU32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+func cmpKVOp(x, y kvOp) int {
+	if c := cmp.Compare(x.table, y.table); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.key, y.key)
 }
 
 // walReader decodes a payload; any overrun or malformed field sets err
@@ -470,28 +471,49 @@ func decodeRecord(payload []byte) *walRecord {
 	return rec
 }
 
+// framePayload checks the first frame of b — a length prefix in bounds
+// and a matching checksum — and returns its payload. ok is false on a torn
+// or corrupt frame.
+func framePayload(b []byte) (payload []byte, ok bool) {
+	if len(b) < 8 {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if n <= 0 || n > maxFramePayload || 8+n > len(b) {
+		return nil, false
+	}
+	payload = b[8 : 8+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, false
+	}
+	return payload, true
+}
+
 // decodeFrame parses the first frame of b. ok is false on a torn or
 // corrupt frame (short header, short payload, checksum mismatch,
 // malformed record) — the caller must treat everything from this offset
 // on as lost.
 func decodeFrame(b []byte) (rec *walRecord, size int, ok bool) {
-	if len(b) < 8 {
-		return nil, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n <= 0 || n > maxFramePayload || 8+n > len(b) {
-		return nil, 0, false
-	}
-	sum := binary.LittleEndian.Uint32(b[4:])
-	payload := b[8 : 8+n]
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, ok := framePayload(b)
+	if !ok {
 		return nil, 0, false
 	}
 	rec = decodeRecord(payload)
 	if rec == nil {
 		return nil, 0, false
 	}
-	return rec, 8 + n, true
+	return rec, 8 + len(payload), true
+}
+
+// frameLSN reads the LSN of b's first frame — a payload's first 8 bytes —
+// without decoding the record: checkpoint truncation needs nothing else.
+// Wherever decodeFrame accepts a frame, frameLSN returns its LSN and size.
+func frameLSN(b []byte) (lsn uint64, size int, ok bool) {
+	payload, ok := framePayload(b)
+	if !ok || len(payload) < 8 {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(payload), 8 + len(payload), true
 }
 
 // --- Checkpoints -----------------------------------------------------------
@@ -509,7 +531,7 @@ const (
 const ckptMetaKey = "m/ckpt"
 
 func encodeCkptMeta(lsn, nextID uint64) []byte {
-	return appendU64(appendU64(nil, lsn), nextID)
+	return appendU64(appendU64(make([]byte, 0, 16), lsn), nextID)
 }
 
 func decodeCkptMeta(b []byte) (lsn, nextID uint64, ok bool) {
@@ -519,13 +541,100 @@ func decodeCkptMeta(b []byte) (lsn, nextID uint64, ok bool) {
 	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]), true
 }
 
-// Checkpoint persists a full snapshot of the store into the per-shard
-// checkpoint stores and truncates every WAL up to the lowest LSN any
+// dirtyRows is one shard's rows written since its last completed
+// checkpoint round: the INodes and KV rows applyRecord has put or deleted.
+//
+// Invariant: each shard's checkpoint store, with these rows set to their
+// current values (deleted where absent), equals the full snapshot of the
+// shard's live rows. New starts from empty stores with the root dirty;
+// Recover loads the rows from the stores and marks every replayed write
+// (and a root it has to install); applyRecord marks each write as it
+// lands. So once a round completes, the shard's store equals the full
+// snapshot of its rows at the round's meta LSN.
+type dirtyRows struct {
+	inodes map[namespace.INodeID]struct{}
+	kv     map[kvRef]struct{}
+}
+
+func newDirtyRows() dirtyRows {
+	return dirtyRows{inodes: make(map[namespace.INodeID]struct{}), kv: make(map[kvRef]struct{})}
+}
+
+// markINode records that INode id changed; a no-op without durability.
+// Caller holds db.mu for writing (or owns the store, as Recover does).
+func (db *DB) markINode(id namespace.INodeID) {
+	if db.dirty != nil {
+		db.dirty[db.shardFor(inodeKey(id))].inodes[id] = struct{}{}
+	}
+}
+
+// markKV is markINode for a KV row.
+func (db *DB) markKV(ref kvRef) {
+	if db.dirty != nil {
+		db.dirty[db.shardFor(kvKey(ref.table, ref.key))].kv[ref] = struct{}{}
+	}
+}
+
+// ckptRow is one dirty row and its value as a checkpoint round read it:
+// an INode (kind 'i') or a KV row (kind 'k'); live is false when the row
+// is absent, which the round writes as a delete.
+type ckptRow struct {
+	shard int
+	kind  byte
+	id    namespace.INodeID
+	ref   kvRef
+	inode *namespace.INode
+	val   []byte
+	live  bool
+}
+
+// cmpCkptRow orders rows by shard, then key kind, ID and name, so a round
+// writes the same sequence every run.
+func cmpCkptRow(x, y ckptRow) int {
+	if c := cmp.Compare(x.shard, y.shard); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.kind, y.kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.id, y.id); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.ref.table, y.ref.table); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.ref.key, y.ref.key)
+}
+
+// key is the checkpoint store key of the row.
+func (r *ckptRow) key() string {
+	if r.kind == 'i' {
+		return inodeKey(r.id).String()
+	}
+	return kvKey(r.ref.table, r.ref.key).String()
+}
+
+// appendValue appends the row's self-describing checkpoint value to b.
+func (r *ckptRow) appendValue(b []byte) []byte {
+	if r.kind == 'i' {
+		return appendINode(append(b, ckptTagINode), r.inode)
+	}
+	b = appendStr(append(b, ckptTagKV), r.ref.table)
+	b = appendStr(b, r.ref.key)
+	return appendBytes(b, r.val)
+}
+
+// Checkpoint persists a partial checkpoint: each shard's store receives
+// the rows written since that shard's last completed round (a put per live
+// row, a delete per absent one) and then its metadata, so by the
+// dirtyRows invariant it holds the full snapshot of the shard's rows at
+// the round's LSN. Every WAL is then truncated up to the lowest LSN any
 // shard's checkpoint covers (conservative: a shard whose round is lost
-// keeps its old metadata, so the records it still needs stay in the
-// log). Rows land on the shard owning their row key. It returns the LSN
-// the snapshot covers (0 with no durability tier attached). Safe to run
-// concurrently with serving; concurrent commits simply stay in the log.
+// keeps its old metadata, so the records it still needs stay in the log,
+// and its rows stay dirty for the next round). It returns the LSN the
+// round covers (0 with no durability tier attached). Safe to run
+// concurrently with serving; concurrent commits stay in the log and in
+// the next round's dirty rows.
 func (db *DB) Checkpoint() uint64 {
 	if db.dur == nil {
 		return 0
@@ -533,49 +642,68 @@ func (db *DB) Checkpoint() uint64 {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
-	shards := len(db.shards)
-	rows := make([]map[string][]byte, shards)
-	for i := range rows {
-		rows[i] = make(map[string][]byte)
-	}
-	// Snapshot under the structure read lock: WAL append and apply are
-	// atomic under the write lock, so every LSN <= lastLSN is fully
-	// reflected in what we copy here.
-	db.mu.RLock()
+	// Swap the dirty sets out and read their rows' values under the
+	// structure lock: WAL append, apply and mark are atomic under it, so
+	// the values are exactly the state at lsn. (Fresh sets, not cleared
+	// ones: a set that once held a bulk load would keep its buckets.)
+	db.mu.Lock()
 	lsn := db.dur.LastLSN()
 	nextID := db.nextID.Load()
-	for id, n := range db.inodes {
-		k := inodeKey(id)
-		rows[db.shardFor(k)][k.String()] = append([]byte{ckptTagINode}, appendINode(nil, n)...)
+	total := 0
+	for s := range db.dirty {
+		total += len(db.dirty[s].inodes) + len(db.dirty[s].kv)
 	}
-	for table, m := range db.kv {
-		for key, val := range m {
-			k := kvKey(table, key)
-			v := appendStr([]byte{ckptTagKV}, table)
-			v = appendStr(v, key)
-			v = appendBytes(v, val)
-			rows[db.shardFor(k)][k.String()] = v
+	rows := make([]ckptRow, 0, total)
+	for s, d := range db.dirty {
+		for id := range d.inodes {
+			n := db.inodes[id]
+			rows = append(rows, ckptRow{shard: s, kind: 'i', id: id, inode: n, live: n != nil})
+		}
+		for ref := range d.kv {
+			v, ok := db.kv[ref.table][ref.key]
+			rows = append(rows, ckptRow{shard: s, kind: 'k', ref: ref, val: v, live: ok})
+		}
+		if len(d.inodes)+len(d.kv) > 0 {
+			db.dirty[s] = newDirtyRows()
 		}
 	}
-	db.mu.RUnlock()
+	db.mu.Unlock()
+	slices.SortFunc(rows, cmpCkptRow)
 
-	for s := 0; s < shards; s++ {
+	meta := encodeCkptMeta(lsn, nextID)
+	var buf []byte
+	for s := range db.dirty {
+		n := 0
+		for n < len(rows) && rows[n].shard == s {
+			n++
+		}
+		shardRows := rows[:n]
+		rows = rows[n:]
 		if h := db.cfg.OnCheckpoint; h != nil && !h(s) {
-			continue // this shard's round is lost (fault injection)
+			// This shard's round is lost (fault injection): its store still
+			// holds the previous round, so its taken rows merge back.
+			db.mu.Lock()
+			for i := range shardRows {
+				if r := &shardRows[i]; r.kind == 'i' {
+					db.markINode(r.id)
+				} else {
+					db.markKV(r.ref)
+				}
+			}
+			db.mu.Unlock()
+			continue
 		}
 		ck := db.dur.ckpts[s]
-		for k := range ck.Scan("") {
-			if k == ckptMetaKey {
+		for i := range shardRows {
+			r := &shardRows[i]
+			if !r.live {
+				ck.Delete(r.key())
 				continue
 			}
-			if _, live := rows[s][k]; !live {
-				ck.Delete(k)
-			}
+			buf = r.appendValue(buf[:0])
+			ck.Put(r.key(), buf)
 		}
-		for k, v := range rows[s] {
-			ck.Put(k, v)
-		}
-		ck.Put(ckptMetaKey, encodeCkptMeta(lsn, nextID))
+		ck.Put(ckptMetaKey, meta)
 		if d := db.cfg.Durability.CheckpointSync; d > 0 {
 			db.clk.Sleep(d)
 		}
@@ -636,7 +764,8 @@ type RecoveryStats struct {
 	// ReplayedRecords counts WAL records applied.
 	ReplayedRecords int
 	// DiscardedRecords counts intact records dropped because an earlier
-	// LSN was missing (a lost or torn record orphans its successors).
+	// LSN was missing (a lost or torn record orphans its successors) or
+	// because they are stale copies of an LSN already replayed.
 	DiscardedRecords int
 	// TruncatedShards counts shards whose log was cut at a torn or
 	// corrupt frame; TruncatedBytes is the total tail length discarded.
@@ -727,10 +856,17 @@ func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 	}
 	d.mu.Unlock()
 
-	// Phase 3: replay the contiguous prefix in LSN order.
-	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
+	// Phase 3: replay the contiguous prefix in LSN order. A stale copy of
+	// an LSN already replayed (a frame the media surfaces twice) is
+	// skipped, not taken for a gap; the sort is stable, so the copy
+	// earliest in the log is the one replayed.
+	slices.SortStableFunc(recs, func(x, y *walRecord) int { return cmp.Compare(x.lsn, y.lsn) })
 	last := base
+	replayed := recs[:0]
 	for _, rec := range recs {
+		if rec.lsn <= last {
+			continue
+		}
 		if rec.lsn != last+1 {
 			break
 		}
@@ -739,8 +875,9 @@ func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 			maxID = rec.idHW
 		}
 		last = rec.lsn
-		rs.ReplayedRecords++
+		replayed = append(replayed, rec)
 	}
+	rs.ReplayedRecords = len(replayed)
 	rs.DiscardedRecords = len(recs) - rs.ReplayedRecords
 	rs.LastLSN = last
 
@@ -752,13 +889,9 @@ func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 		for s := range d.wals {
 			d.wals[s] = nil
 		}
-		for _, rec := range recs {
-			if rec.lsn > last {
-				break
-			}
-			frame := encodeFrame(encodeRecord(rec))
+		for _, rec := range replayed {
 			s := d.walShard(rec.lsn)
-			d.wals[s] = append(d.wals[s], frame...)
+			d.wals[s] = appendRecord(d.wals[s], rec)
 		}
 		d.mu.Unlock()
 	}
@@ -811,8 +944,9 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 }
 
 // applyRecord installs one committed transaction's writes — at commit under
-// db.mu, at replay by Recover, which owns the store outright. Puts go before
-// deletes; each put row is installed itself (from here on it is published and
+// db.mu, at replay by Recover, which owns the store outright — and marks each
+// written row dirty for the next checkpoint round. Puts go before deletes;
+// each put row is installed itself (from here on it is published and
 // immutable); the children index follows the rows; full-row values make
 // replay idempotent.
 func (db *DB) applyRecord(rec *walRecord) {
@@ -822,6 +956,7 @@ func (db *DB) applyRecord(rec *walRecord) {
 		}
 	}
 	for _, n := range rec.puts {
+		db.markINode(n.ID)
 		if old := db.inodes[n.ID]; old != nil {
 			unlink(old)
 		}
@@ -835,6 +970,7 @@ func (db *DB) applyRecord(rec *walRecord) {
 		}
 	}
 	for _, id := range rec.dels {
+		db.markINode(id)
 		if old := db.inodes[id]; old != nil {
 			unlink(old)
 			delete(db.inodes, id)
@@ -842,23 +978,26 @@ func (db *DB) applyRecord(rec *walRecord) {
 		}
 	}
 	for _, op := range rec.kvPuts {
+		db.markKV(kvRef{op.table, op.key})
 		if db.kv[op.table] == nil {
 			db.kv[op.table] = make(map[string][]byte)
 		}
 		db.kv[op.table][op.key] = op.val
 	}
 	for _, op := range rec.kvDels {
+		db.markKV(kvRef{op.table, op.key})
 		delete(db.kv[op.table], op.key)
 	}
 }
 
-// finishRecovery installs the root if the media was empty, rebuilds the
-// derived children index from the recovered rows, and restores the ID
-// allocator above every ID the store has ever handed out.
+// finishRecovery installs the root (marked dirty) if the media was empty,
+// rebuilds the derived children index from the recovered rows, and restores
+// the ID allocator above every ID the store has ever handed out.
 func (db *DB) finishRecovery(maxID uint64) {
 	if db.inodes[namespace.RootID] == nil {
 		root := namespace.NewRoot()
 		db.inodes[root.ID] = root
+		db.markINode(root.ID)
 	}
 	db.children = make(map[namespace.INodeID]map[string]namespace.INodeID)
 	for id, n := range db.inodes {

@@ -67,7 +67,7 @@ func stateDigest(db *DB) string {
 // rename, a delete). It returns the store, its media, and the state
 // digest after every prefix: digests[i] is the state once i
 // transactions have committed.
-func buildWALWorkload(t *testing.T, clk *clock.Sim, n int) (*DB, *Durable, []string) {
+func buildWALWorkload(t testing.TB, clk *clock.Sim, n int) (*DB, *Durable, []string) {
 	t.Helper()
 	d := NewDurable(clk, 1, zeroLSM())
 	db := New(clk, durableCfg(d))
@@ -205,7 +205,7 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 		kvPuts: []kvOp{{table: "t/x", key: "k1", val: []byte{1, 2, 3}}, {table: "t", key: "", val: nil}},
 		kvDels: []kvOp{{table: "t", key: "gone"}},
 	}
-	frame := encodeFrame(encodeRecord(rec))
+	frame := appendRecord(nil, rec)
 	got, size, ok := decodeFrame(frame)
 	if !ok || size != len(frame) {
 		t.Fatalf("decode failed: ok=%v size=%d/%d", ok, size, len(frame))
