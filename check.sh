@@ -4,9 +4,12 @@
 # analyzer, build, full test suite, the race detector over the
 # concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
-# core, tenant, cache, partition, hopsfs), bounded fuzzes of namespace's
-# CleanPath and of ndb's WAL recovery (arbitrary bytes after a valid log),
-# the determinism smoke — the clock's own tests, bench's three golden
+# core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
+# pins of cache, ndb, core, clock, rpc and namespace run in the plain test
+# step only), bounded fuzzes of namespace's CleanPath, of ndb's WAL recovery
+# (arbitrary bytes after a valid log) and of indexfs's attribute codec
+# (FuzzDecodeAttr: round trip, every other length rejected), the
+# determinism smoke — the clock's own tests, bench's three golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
 # and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
 # and four Ps — bounded fixed-seed chaos, crash-restart and
@@ -63,7 +66,7 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join; bounded) =="
@@ -71,6 +74,9 @@ go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 
 echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="
 go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
+
+echo "== fuzz (indexfs attribute codec: encode/decode round trip, every 20-byte row re-encodes to itself, every other length rejected; bounded) =="
+go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
 
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate and real-stack scale point, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4

@@ -59,7 +59,9 @@ type Sim struct {
 	closed     bool
 	picks      uint64             // baton hand-offs, for the watchdog
 	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
-	spare      []*waiter          // Sleep's spent waiters, for reuse
+	spare      []*waiter          // spent waiters, for reuse (getWaiter, putWaiter in wait.go)
+	tasks      []*task            // spent start records, for reuse (spawn)
+	goidBuf    [64]byte           // the stack header goid parses
 
 	stop          chan struct{}
 	StallTimeout  time.Duration
@@ -67,23 +69,31 @@ type Sim struct {
 }
 
 // runnable is one run-queue slot: a parked goroutine to resume with its
-// park's outcome, or (fn set) a spawned goroutine to start.
+// park's outcome, or (t set) a spawned goroutine to start.
 type runnable struct {
 	w       *waiter
 	expired bool
-	fn      func()
-	daemon  bool
+	t       *task
 }
 
-// goid returns the current goroutine's ID (parsed from the stack header;
-// used once per spawned goroutine and on Run's cold path).
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
+// task is a spawn's start record. Records are reused (Sim.tasks), and start
+// is t.run bound once, so dispatch's go statement needs no wrapper: a spawn
+// allocates nothing once warm.
+type task struct {
+	sim    *Sim
+	fn     func()
+	daemon bool
+	start  func()
+}
+
+// goid returns the current goroutine's ID, parsed from the stack header in
+// s.goidBuf (at every goroutine's start and in isRegistered). Caller holds
+// s.mu.
+func (s *Sim) goid() int64 {
+	n := runtime.Stack(s.goidBuf[:], false)
 	// "goroutine 123 [...":
-	s := buf[10:n]
 	var id int64
-	for _, b := range s {
+	for _, b := range s.goidBuf[10:n] {
 		if b < '0' || b > '9' {
 			break
 		}
@@ -146,29 +156,15 @@ func (s *Sim) Now() time.Time { return Epoch.Add(time.Duration(s.nowNS.Load())) 
 // Since returns virtual time elapsed since t.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// Sleep blocks for exactly d of virtual time. Its waiter comes from, and
-// goes back to, s.spare: once park returns nothing refers to a sleep's
-// waiter any more — the deadline heap popped it, the run-queue slot that
-// resumed it was cleared, its channel was drained — and no event source
-// ever listed it. (A Mailbox's or Event's waiter stays one per wait: after
-// its deadline wins it is still on the source's list.)
+// Sleep blocks for exactly d of virtual time. No event source lists a
+// sleep's waiter, so it goes back to the pool as soon as park returns.
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.mu.Lock()
-	var w *waiter
-	if n := len(s.spare); n > 0 {
-		w, s.spare = s.spare[n-1], s.spare[:n-1]
-		w.claimed.Store(false)
-	} else {
-		w = &waiter{ch: make(chan bool, 1), sim: s}
-	}
-	s.mu.Unlock()
+	w := s.getWaiter()
 	s.park(w, s.nowNS.Load()+int64(d))
-	s.mu.Lock()
-	s.spare = append(s.spare, w)
-	s.mu.Unlock()
+	s.putWaiter(w)
 }
 
 // park blocks the calling goroutine on w, which its event source (if any)
@@ -237,7 +233,15 @@ func (s *Sim) spawn(fn func(), daemon bool) {
 	if !daemon {
 		s.alive++
 	}
-	s.enqueue(runnable{fn: fn, daemon: daemon})
+	var t *task
+	if n := len(s.tasks); n > 0 {
+		t, s.tasks = s.tasks[n-1], s.tasks[:n-1]
+	} else {
+		t = &task{sim: s}
+		t.start = t.run
+	}
+	t.fn, t.daemon = fn, daemon
+	s.enqueue(runnable{t: t})
 	s.mu.Unlock()
 }
 
@@ -291,18 +295,23 @@ func (s *Sim) next() (r runnable, ok bool) {
 func (s *Sim) dispatch(r runnable, ok bool) {
 	switch {
 	case !ok:
-	case r.fn != nil:
-		go s.run(r.fn, r.daemon)
+	case r.t != nil:
+		go r.t.start()
 	default:
 		r.w.ch <- r.expired
 	}
 }
 
-// run is the body of every registered goroutine: it starts with the baton
-// and hands it on when fn returns.
-func (s *Sim) run(fn func(), daemon bool) {
-	id := goid()
+// run is the body of every registered goroutine: it starts with the baton,
+// gives its start record back before fn runs and hands the baton on when fn
+// returns.
+func (t *task) run() {
+	s := t.sim
 	s.mu.Lock()
+	fn, daemon := t.fn, t.daemon
+	t.fn = nil
+	s.tasks = append(s.tasks, t)
+	id := s.goid()
 	s.registered[id] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
@@ -326,7 +335,7 @@ func (s *Sim) isRegistered() bool {
 	if !s.running {
 		return false
 	}
-	_, ok := s.registered[goid()]
+	_, ok := s.registered[s.goid()]
 	return ok
 }
 

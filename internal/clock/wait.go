@@ -29,6 +29,40 @@ type waiter struct {
 
 func newWaiter(s *Sim) waiter { return waiter{ch: make(chan bool, 1), sim: s} }
 
+// getWaiter returns a waiter for one wait on s: a spent one from s.spare,
+// unclaimed again, or a new one.
+//
+// The reuse rule: a wait gives its waiter back (putWaiter) only when no
+// source lists it and no waker can still reach it. park's return settles
+// the clock's side — the deadline heap no longer holds the waiter, the
+// run-queue slot that resumed it was cleared, its channel is drained. The
+// source's side is settled under the source's lock: a source wakes the
+// waiters it lists while holding that lock (Event.Set under e.mu,
+// Mailbox.handOff under m.mu), and a wait whose deadline won takes its
+// waiter off the list under the same lock before giving it back. So a late
+// Set or Offer racing a deadline that won either reaches the waiter while it
+// is still this wait's, where the claim is already taken, or finds it gone
+// from the list; it never wakes the waiter's next wait.
+func (s *Sim) getWaiter() *waiter {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.spare); n > 0 {
+		w := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		w.claimed.Store(false)
+		return w
+	}
+	w := newWaiter(s)
+	return &w
+}
+
+// putWaiter gives a spent waiter back to s (the reuse rule at getWaiter).
+func (s *Sim) putWaiter(w *waiter) {
+	s.mu.Lock()
+	s.spare = append(s.spare, w)
+	s.mu.Unlock()
+}
+
 // wake ends the wait on w with the given outcome unless somebody else's
 // wake got there first (Sim.wake).
 func (w *waiter) wake(expired bool) bool { return w.sim.wake(w, expired) }
@@ -72,10 +106,12 @@ type Mailbox[T any] struct {
 	mu    sync.Mutex
 	queue []T
 	recvs []*recv[T] // parked receivers, longest-waiting first
+	spare []*recv[T] // spent receive records, for reuse
 }
 
+// recv is one parked receive: its waiter and the value handed to it.
 type recv[T any] struct {
-	waiter
+	w *waiter
 	v T
 }
 
@@ -107,7 +143,7 @@ func (m *Mailbox[T]) handOff(v T) bool {
 		r := m.recvs[0]
 		m.recvs = slices.Delete(m.recvs, 0, 1)
 		r.v = v // read only by a receiver this wake wins
-		if r.wake(false) {
+		if r.w.wake(false) {
 			return true
 		}
 	}
@@ -129,16 +165,27 @@ func (m *Mailbox[T]) RecvBy(dl Deadline) (v T, ok bool) {
 		m.mu.Unlock()
 		return v, true
 	}
-	r := &recv[T]{waiter: newWaiter(m.clk)}
+	var r *recv[T]
+	if n := len(m.spare); n > 0 {
+		r, m.spare = m.spare[n-1], m.spare[:n-1]
+	} else {
+		r = new(recv[T])
+	}
+	r.w = m.clk.getWaiter()
 	m.recvs = append(m.recvs, r)
 	m.mu.Unlock()
-	if r.park(dl) {
-		m.mu.Lock()
+	expired := r.w.park(dl)
+	m.mu.Lock()
+	if expired {
 		m.recvs = without(m.recvs, r)
-		m.mu.Unlock()
-		return v, false
+	} else {
+		v = r.v
 	}
-	return r.v, true
+	m.clk.putWaiter(r.w)
+	*r = recv[T]{}
+	m.spare = append(m.spare, r)
+	m.mu.Unlock()
+	return v, !expired
 }
 
 // Event is a sticky broadcast: once Set it stays set, and every Wait —
@@ -149,21 +196,27 @@ type Event struct {
 	mu      sync.Mutex
 	set     bool
 	waiters []*waiter
+	first   [1]*waiter // waiters' first backing array: one waiter needs no list of its own
 }
 
 // NewEvent returns an unset event on clk.
-func NewEvent(clk *Sim) *Event { return &Event{clk: clk} }
+func NewEvent(clk *Sim) *Event {
+	e := &Event{clk: clk}
+	e.waiters = e.first[:0]
+	return e
+}
 
 // Set sets the event and wakes everything parked on it. Setting a set
-// event does nothing.
+// event does nothing. It wakes under e.mu, so a waiter whose deadline won
+// and that went back to the pool is out of its reach (getWaiter).
 func (e *Event) Set() {
 	e.mu.Lock()
-	ws := e.waiters
-	e.set, e.waiters = true, nil
-	e.mu.Unlock()
-	for _, w := range ws {
+	defer e.mu.Unlock()
+	e.set = true
+	for _, w := range e.waiters {
 		w.wake(false)
 	}
+	e.waiters = nil
 }
 
 // IsSet reports whether the event has been set, without waiting.
@@ -184,16 +237,17 @@ func (e *Event) WaitBy(dl Deadline) bool {
 		e.mu.Unlock()
 		return true
 	}
-	w := newWaiter(e.clk)
-	e.waiters = append(e.waiters, &w)
+	w := e.clk.getWaiter()
+	e.waiters = append(e.waiters, w)
 	e.mu.Unlock()
-	if w.park(dl) {
+	expired := w.park(dl)
+	if expired {
 		e.mu.Lock()
-		e.waiters = without(e.waiters, &w)
+		e.waiters = without(e.waiters, w)
 		e.mu.Unlock()
-		return false
 	}
-	return true
+	e.clk.putWaiter(w)
+	return !expired
 }
 
 // Group is a fan-out/join: Go starts goroutines on the clock, Wait parks

@@ -1,8 +1,11 @@
 package clock
 
 import (
+	"container/heap"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -269,4 +272,100 @@ func TestMailboxQueueAndOffer(t *testing.T) {
 			t.Fatalf("now = Epoch+%v: a deadline its value beat still cost an advance", now)
 		}
 	})
+}
+
+// TestLateWakerMissesReusedWaiter: a waiter goes back to the pool only once
+// no source lists it and no waker can still reach it. Each round an
+// unregistered goroutine's Set (even rounds) or Offer (odd rounds) races the
+// deadline of a wait on that source — the deadline fired by hand, as the
+// clock's next would, once the waker has begun (a daemon's deadline does
+// not move time) — and the waiter's next wait, a receive that only the
+// round's own Send may end, must never be woken by the late waker instead.
+// Claimed waiters listed ahead of the racing one stretch the waker's walk
+// over the list, so a waker that walked it outside the source's lock would
+// reach the waiter after the deadline's winner had reused it. Run at
+// -cpu 1,2,4.
+func TestLateWakerMissesReusedWaiter(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	const races, ahead = 2000, 256
+	evs, mbs := make([]*Event, races), make([]*Mailbox[int], races)
+	for i := range evs {
+		evs[i], mbs[i] = NewEvent(s), NewMailbox[int](s)
+	}
+	claimed, claimedRecvs := make([]*waiter, ahead), make([]*recv[int], ahead)
+	for i := range claimed {
+		w := newWaiter(s)
+		w.claimed.Store(true)
+		claimed[i], claimedRecvs[i] = &w, &recv[int]{w: &w}
+	}
+	next := NewMailbox[int](s)
+	type result struct {
+		woke     bool // the source's wake won the race
+		got, nxt int  // what the racing receive and the next wait received
+	}
+	outcome := make(chan result, races)
+	GoDaemon(s, func() {
+		for i := 0; i < races; i++ {
+			var r result
+			if i%2 == 0 {
+				r.woke = evs[i].WaitBy(DeadlineIn(s, time.Hour))
+			} else {
+				r.got, r.woke = mbs[i].RecvBy(DeadlineIn(s, time.Hour))
+			}
+			r.nxt = next.Recv()
+			outcome <- r
+		}
+	})
+	armed := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.heapq) == 1
+	}
+	fire := func() {
+		s.mu.Lock()
+		if len(s.heapq) > 0 {
+			s.wakeLocked(heap.Pop(&s.heapq).(*waiter), true)
+		}
+		s.mu.Unlock()
+	}
+	for i := 0; i < races; i++ {
+		for !armed() {
+			runtime.Gosched()
+		}
+		var offered bool
+		waker := func() { evs[i].Set() }
+		if i%2 == 0 {
+			ev := evs[i]
+			ev.mu.Lock()
+			ev.waiters = append(slices.Clone(claimed), ev.waiters...)
+			ev.mu.Unlock()
+		} else {
+			mb := mbs[i]
+			mb.mu.Lock()
+			mb.recvs = append(slices.Clone(claimedRecvs), mb.recvs...)
+			mb.mu.Unlock()
+			waker = func() { offered = mb.Offer(i) }
+		}
+		var wg sync.WaitGroup
+		var begun atomic.Bool
+		wg.Add(2)
+		go func() { defer wg.Done(); begun.Store(true); waker() }()
+		go func() {
+			defer wg.Done()
+			for !begun.Load() {
+				runtime.Gosched()
+			}
+			fire()
+		}()
+		wg.Wait()
+		next.Send(i + 1)
+		r := <-outcome
+		if r.nxt != i+1 {
+			t.Fatalf("round %d: the next wait received %d, want %d: a late waker woke a reused waiter", i, r.nxt, i+1)
+		}
+		if i%2 == 1 && (r.woke != offered || r.woke && r.got != i) {
+			t.Fatalf("round %d: RecvBy = (%d, %v), Offer delivered = %v", i, r.got, r.woke, offered)
+		}
+	}
 }

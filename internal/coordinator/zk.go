@@ -1,9 +1,10 @@
 package coordinator
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -207,7 +208,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	}
 	// Deterministic delivery order: membership is a map, so sort by id
 	// before fanning out.
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
+	slices.SortFunc(targets, func(a, b *zkSession) int { return cmp.Compare(a.id, b.id) })
 	z.tel.watches.Add(float64(len(targets)))
 	invStart := z.clk.Now()
 

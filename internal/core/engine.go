@@ -56,9 +56,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"lambdafs/internal/cache"
@@ -464,7 +464,7 @@ func toEntries(kids []*namespace.INode) []namespace.DirEntry {
 	for i, k := range kids {
 		out[i] = namespace.DirEntry{Name: k.Name, ID: k.ID, IsDir: k.IsDir, Size: k.Size}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b namespace.DirEntry) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 

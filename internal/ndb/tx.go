@@ -1,8 +1,9 @@
 package ndb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -140,7 +141,7 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 		}
 	}
 	t.db.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *namespace.INode) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -17,7 +17,10 @@ import (
 // Client is one λFS client. Clients are cheap; a workload driver creates
 // one per simulated application thread. A Client may be used from a
 // single goroutine (the usual driver pattern); its internals are
-// nevertheless safe against the concurrency hedging introduces.
+// nevertheless safe against the concurrency hedging introduces. It keeps a
+// free list of hedge-eligible calls' state (hedged), so a read whose
+// primary answers before the straggler threshold allocates nothing for the
+// race it did not need.
 type Client struct {
 	// Tenant, when set before the first Do, tags every request with the
 	// issuing tenant for the engines' admission gate; empty bypasses it.
@@ -38,7 +41,8 @@ type Client struct {
 	mu              sync.Mutex
 	rng             *rand.Rand
 	antiThrashUntil time.Time
-	atEngaged       bool // anti-thrash mode entered and exit not yet emitted
+	atEngaged       bool      // anti-thrash mode entered and exit not yet emitted
+	freeHedged      []*hedged // spent hedged calls, for reuse (callTCPHedged)
 
 	stats struct {
 		tcp, http, retries, hedges, failovers, antiThrash atomic.Uint64
@@ -338,16 +342,12 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	if threshold < c.cfg.StragglerFloor {
 		threshold = c.cfg.StragglerFloor
 	}
-	type result struct {
-		resp *namespace.Response
-		err  error
-	}
-	results := clock.NewMailbox[result](c.vm.clk)
-	clock.Go(c.vm.clk, func() {
-		resp, err := c.callTCP(tc, conn, req)
-		results.Send(result{resp, err})
-	})
+	h := c.getHedged()
+	h.tc, h.conn, h.req = tc, conn, req
+	clock.Go(c.vm.clk, h.primary)
+	results := h.results
 	if primary, ok := results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
+		c.putHedged(h)
 		if primary.err != nil {
 			c.connBroken(dep, conn)
 			c.stats.failovers.Add(1)
@@ -366,11 +366,11 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	clock.Go(c.vm.clk, func() {
 		if alt, _ := c.vm.findConn(dep, c.tcp, conn); alt != nil {
 			resp, err := c.callTCP(tc, alt, req)
-			results.Send(result{resp, err})
+			results.Send(hedgeResult{resp, err})
 			return
 		}
 		resp, err := c.callHTTP(tc, dep, req)
-		results.Send(result{resp, err})
+		results.Send(hedgeResult{resp, err})
 	})
 	var firstErr error
 	for i := 0; i < 2; i++ {
@@ -384,6 +384,55 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	}
 	c.connBroken(dep, conn)
 	return nil, firstErr
+}
+
+// hedged is one hedge-eligible call's state: the mailbox the racers answer
+// on and what the primary sends. A call whose primary answered before the
+// threshold gives it back to its client's free list: exactly one value was
+// sent, by the primary, and under the baton the primary has returned by the
+// time the caller runs again, so nothing can reach the mailbox any more. A
+// call that hedged leaves it to the two racers, either of which may still
+// send to it.
+type hedged struct {
+	c       *Client
+	results *clock.Mailbox[hedgeResult]
+	primary func() // h.callPrimary, bound once
+
+	tc   *trace.Ctx
+	conn *Conn
+	req  namespace.Request
+}
+
+type hedgeResult struct {
+	resp *namespace.Response
+	err  error
+}
+
+func (h *hedged) callPrimary() {
+	resp, err := h.c.callTCP(h.tc, h.conn, h.req)
+	h.results.Send(hedgeResult{resp, err})
+}
+
+// getHedged returns a spent hedged call of c's, or a new one.
+func (c *Client) getHedged() *hedged {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.freeHedged); n > 0 {
+		h := c.freeHedged[n-1]
+		c.freeHedged = c.freeHedged[:n-1]
+		return h
+	}
+	h := &hedged{c: c, results: clock.NewMailbox[hedgeResult](c.vm.clk)}
+	h.primary = h.callPrimary
+	return h
+}
+
+// putHedged gives back a call whose primary answered before the threshold.
+func (c *Client) putHedged(h *hedged) {
+	h.tc, h.conn, h.req = nil, nil, namespace.Request{}
+	c.mu.Lock()
+	c.freeHedged = append(c.freeHedged, h)
+	c.mu.Unlock()
 }
 
 // tcpWithFailover runs one TCP RPC, failing over across the VM's other

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,8 @@ import (
 
 // testNN is a minimal NameNode: it implements faas.App for the HTTP path
 // and Server for the TCP path, and connects back to the client's TCP
-// server exactly like the real NameNode does.
+// server exactly like the real NameNode does. Its response's ID is the
+// request's Seq, so a test can tell whose response a call got.
 type testNN struct {
 	inst  *faas.Instance
 	execs atomic.Int64
@@ -30,7 +32,7 @@ func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 	if n.block != nil && req.Op == namespace.OpRead && n.used.CompareAndSwap(false, true) {
 		n.block.Wait()
 	}
-	return &namespace.Response{ServedBy: n.inst.ID()}
+	return &namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: n.inst.ID()}
 }
 
 func (n *testNN) HandleInvoke(payload any) any {
@@ -358,6 +360,72 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 	if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 1 {
 		t.Errorf("stats = %+v, want one unhedged TCP read", st)
 	}
+}
+
+// TestHedgedCallReuseSkipsAbandonedPrimary: a client reuses a hedged call's
+// state only when its primary answered in time. Here one read straggles
+// past the threshold (its primary delayed through OnTCPFault), its hedge
+// answers, and 50 fast reads follow on the same client while the abandoned
+// primary is still out: its late response lands mid-sequence, and it must
+// never reach a later call — each call gets its own response.
+func TestHedgedCallReuseSkipsAbandonedPrimary(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := testCfg()
+		cfg.Hedging = true
+		cfg.StragglerThreshold = 2
+		cfg.StragglerFloor = 10 * time.Millisecond
+		cfg.LatencyWindow = 4
+		cfg.TCPOneWay = time.Millisecond
+		var straggle atomic.Bool
+		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
+			if straggle.CompareAndSwap(true, false) {
+				return false, 50 * time.Millisecond
+			}
+			return false, 0
+		}
+		h := newHarness(t, clk, 1, cfg)
+		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
+		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 4; i++ {
+			c.window.Add(time.Millisecond) // arm hedging
+		}
+		read := func(what string) bool {
+			resp, err := c.Do(namespace.OpRead, "/a", "")
+			if err != nil {
+				t.Errorf("%s: %v", what, err)
+				return false
+			}
+			if seq := c.seq.Load(); resp.ID != namespace.INodeID(seq) {
+				t.Errorf("%s (seq %d) got the response to seq %d", what, seq, resp.ID)
+				return false
+			}
+			return true
+		}
+		straggle.Store(true)
+		if !read("the straggling read") {
+			return
+		}
+		if st := c.Stats(); st.Hedges != 1 {
+			t.Errorf("hedges = %d after the straggler, want 1", st.Hedges)
+			return
+		}
+		start := clk.Now()
+		for i := 0; i < 50; i++ {
+			if !read(fmt.Sprintf("fast read %d", i)) {
+				return
+			}
+		}
+		// The primary sent 52 ms after it started, about 42 ms into the fast reads.
+		if took := clk.Since(start); took != 50*2*cfg.TCPOneWay {
+			t.Errorf("50 fast reads took %v, want %v", took, 50*2*cfg.TCPOneWay)
+		}
+		if st := c.Stats(); st.Hedges != 1 || st.TCPRPCs != 51 || st.HTTPRPCs != 2 {
+			t.Errorf("stats = %+v, want 1 hedge, 51 TCP (the abandoned primary's included) and 2 HTTP", st)
+		}
+	})
 }
 
 func TestAntiThrashTriggersAndSuppressesReplacement(t *testing.T) {
