@@ -6,16 +6,17 @@
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
 # core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
 # pins of cache, ndb, core, clock, rpc and namespace run in the plain test
-# step only), bounded fuzzes of namespace's CleanPath, of ndb's WAL recovery
+# step only), bounded fuzzes of namespace's CleanPath (and the path
+# helpers on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec
 # (FuzzDecodeAttr: round trip, every other length rejected), the
 # determinism smoke — the clock's own tests, bench's three golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
 # and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
-# and four Ps — bounded fixed-seed chaos, crash-restart and
-# alert-coverage smoke runs, an event-heap smoke for internal/sim (kept
-# only because benchmark/ times it), and the perf/durability/scale
-# baseline gates. Run before sending changes.
+# and four Ps, which covers every crash-restart and alert-coverage test —
+# the one -chaosseed replay of a chaos episode, an event-heap smoke for
+# internal/sim (kept only because benchmark/ times it), and the
+# perf/durability/scale baseline gates. Run before sending changes.
 set -e
 
 cd "$(dirname "$0")"
@@ -69,7 +70,7 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
-echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join; bounded) =="
+echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 
 echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="
@@ -83,15 +84,8 @@ go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism' -cpu 1,2,4 -count=2
 go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
-echo "== chaos smoke (bounded, fixed seed) =="
+echo "== chaos replay (one episode through the -chaosseed path, which no other step runs) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1
-
-echo "== crash-restart smoke (durability: WAL torn-tail sweep + episode battery) =="
-go test ./internal/ndb/ -run TestWALTornTailPrefixRecovery -count=1
-go test ./internal/chaos/ -run 'TestCrashRestartEpisodes|TestCrashRestartCatchesSabotage' -count=1
-
-echo "== alert-coverage smoke (every episode family's must-fire/must-not-fire contract + muted-alert sabotage) =="
-go test ./internal/chaos/ -run 'TestAlertCoverage|TestAlertCoverageCatchesMutedAlert|TestAlertEpisodeDigestStable|TestTenantStormContract|TestTenantStormMutedAlertCaught' -count=1
 
 echo "== event-heap smoke (internal/sim, which only benchmark/ still times: determinism, FIFO stability, 100k-event-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1

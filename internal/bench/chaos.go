@@ -70,7 +70,7 @@ func runChaosEpisodes(opts Options) *Table {
 		},
 	}
 	for _, seed := range seeds {
-		cfg := chaos.DefaultEpisode(seed)
+		cfg := chaos.EpisodeConfig{Seed: seed}
 		cfg.Metrics = telemetry.NewRegistry()
 		// The flight recorder rides along on every episode: the episode's
 		// tracer feeds its ring and its clock stamps a final snapshot, and

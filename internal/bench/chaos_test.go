@@ -122,7 +122,7 @@ func TestChaosEpisodeDigestMatchesLibrary(t *testing.T) {
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tb.Rows))
 	}
-	want := chaos.RunEpisode(chaos.DefaultEpisode(seed)).Digest[:16]
+	want := chaos.RunEpisode(chaos.EpisodeConfig{Seed: seed}).Digest[:16]
 	got := tb.Rows[0][len(tb.Columns)-1]
 	if got != want {
 		t.Fatalf("bench digest %s != library digest %s", got, want)

@@ -238,7 +238,7 @@ func RunRestart(opts Options) []*Table {
 		seeds = 2
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		cfg := chaos.DefaultCrashRestart(opts.Seed*1000 + seed)
+		cfg := chaos.CrashRestartConfig{Seed: opts.Seed*1000 + seed}
 		res := chaos.RunCrashRestart(cfg)
 		ep.Rows = append(ep.Rows, []string{
 			fmt.Sprintf("%d", res.Seed),
@@ -256,7 +256,7 @@ func RunRestart(opts Options) []*Table {
 	}
 	ep.Notes = append(ep.Notes,
 		"each episode mixes clean kills, dropped WAL records, torn tails, and lost checkpoint rounds; every recovery must land digest-exact on the committed prefix",
-		"replay any violation with chaos.RunCrashRestart(chaos.DefaultCrashRestart(<seed>)); the whole battery with `lambdafs-bench -seed <run seed> restart`")
+		"replay any violation with chaos.RunCrashRestart(chaos.CrashRestartConfig{Seed: <seed>}); the whole battery with `lambdafs-bench -seed <run seed> restart`")
 	ep.Fprint(opts.out())
 	return []*Table{t, ep}
 }

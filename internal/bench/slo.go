@@ -67,7 +67,7 @@ func runSLOCoverage(opts Options) *Table {
 	var results []*chaos.AlertEpisodeResult
 	for _, c := range chaos.AlertContracts() {
 		for _, seed := range seeds {
-			res := chaos.RunAlertEpisode(chaos.DefaultAlertEpisode(c.Family, seed))
+			res := chaos.RunAlertEpisode(chaos.AlertEpisodeConfig{Family: c.Family, Seed: seed})
 			results = append(results, res)
 			t.Rows = append(t.Rows, []string{
 				string(res.Family),

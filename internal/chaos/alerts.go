@@ -5,43 +5,31 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
-	"lambdafs/internal/core"
-	"lambdafs/internal/lsm"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
-	"lambdafs/internal/partition"
 	"lambdafs/internal/slo"
+	"lambdafs/internal/store"
 	"lambdafs/internal/telemetry"
 )
 
 // AlertFamily names one chaos episode family with an alert-coverage
 // contract: a scripted fault scenario plus the alerts it must and must
-// not fire.
+// not fire. alertFamilies pairs each with its fault, whose doc says what
+// it scripts.
 type AlertFamily string
 
+// The alert families.
 const (
-	// FamilyInstanceKill expires non-leader NameNode sessions mid-run:
-	// lease churn must alert, but leadership and latency stay healthy.
 	FamilyInstanceKill AlertFamily = "instance_kill"
-	// FamilyShardFault stalls one NDB shard hard enough to push the op
-	// latency SLO over its bound; membership stays stable.
-	FamilyShardFault AlertFamily = "shard_fault"
-	// FamilyCrashRestart crashes and recovers a durable store whose
-	// replay cost breaches the recovery-time ceiling; the WAL keeps pace
-	// with commits throughout (no stall).
+	FamilyShardFault   AlertFamily = "shard_fault"
 	FamilyCrashRestart AlertFamily = "crash_restart"
-	// FamilyLeaderDepose rotates coordination leadership: failovers must
-	// alert while sessions and latency stay quiet.
 	FamilyLeaderDepose AlertFamily = "leader_depose"
-	// FamilyTenantStorm floods one underprovisioned tenant far past its
-	// token-bucket rate: admission throttles must alert while the rest of
-	// the cluster (latency, membership, durability) stays healthy.
-	FamilyTenantStorm AlertFamily = "tenant_storm"
+	FamilyTenantStorm  AlertFamily = "tenant_storm"
 )
 
 // Chaos alert rule names (stable identifiers — they appear in digests,
@@ -56,7 +44,7 @@ const (
 )
 
 // ChaosRulePack is the uniform rule set every alert episode runs: the
-// same five rules are active in every family, so "must not fire" is a
+// same six rules are active in every family, so "must not fire" is a
 // real statement about signal selectivity, not about a rule being
 // absent.
 func ChaosRulePack() []slo.Rule {
@@ -83,79 +71,53 @@ func ChaosRulePack() []slo.Rule {
 	}
 }
 
-// AlertContract declares the coverage expectations of one family.
+// AlertContract is one row of the alert-coverage table: a family, the
+// rules its scripted fault must fire, and the fault. Every other rule of
+// ChaosRulePack must not fire, so each rule sits in each contract on one
+// side or the other by construction.
 type AlertContract struct {
-	Family      AlertFamily
-	MustFire    []string
-	MustNotFire []string
+	Family   AlertFamily
+	MustFire []string
+	// fault runs one virtual second of the family's episode: the second's
+	// steady work and, at the family's fault seconds, the fault.
+	fault func(a *alertEpisode, sec int)
+}
+
+// alertFamilies is the coverage table.
+var alertFamilies = []AlertContract{
+	{FamilyInstanceKill, []string{AlertLeaseChurn}, killInstance},
+	{FamilyShardFault, []string{AlertOpLatency}, stallShard},
+	{FamilyCrashRestart, []string{AlertRecoveryCeiling}, crashStore},
+	{FamilyLeaderDepose, []string{AlertLeaderFlap}, deposeLeader},
+	{FamilyTenantStorm, []string{AlertTenantThrottle}, floodTenant},
 }
 
 // AlertContracts returns the coverage contract of every episode family.
-// Every rule in ChaosRulePack appears in each family's contract, on one
-// side or the other: coverage is total by construction.
-func AlertContracts() []AlertContract {
-	return []AlertContract{
-		{
-			Family:      FamilyInstanceKill,
-			MustFire:    []string{AlertLeaseChurn},
-			MustNotFire: []string{AlertLeaderFlap, AlertOpLatency, AlertRecoveryCeiling, AlertWALStall, AlertTenantThrottle},
-		},
-		{
-			Family:      FamilyShardFault,
-			MustFire:    []string{AlertOpLatency},
-			MustNotFire: []string{AlertLeaseChurn, AlertLeaderFlap, AlertRecoveryCeiling, AlertWALStall, AlertTenantThrottle},
-		},
-		{
-			Family:      FamilyCrashRestart,
-			MustFire:    []string{AlertRecoveryCeiling},
-			MustNotFire: []string{AlertLeaseChurn, AlertLeaderFlap, AlertOpLatency, AlertWALStall, AlertTenantThrottle},
-		},
-		{
-			Family:      FamilyLeaderDepose,
-			MustFire:    []string{AlertLeaderFlap},
-			MustNotFire: []string{AlertLeaseChurn, AlertOpLatency, AlertRecoveryCeiling, AlertWALStall, AlertTenantThrottle},
-		},
-		{
-			Family:      FamilyTenantStorm,
-			MustFire:    []string{AlertTenantThrottle},
-			MustNotFire: []string{AlertLeaseChurn, AlertLeaderFlap, AlertOpLatency, AlertRecoveryCeiling, AlertWALStall},
-		},
-	}
-}
+func AlertContracts() []AlertContract { return slices.Clone(alertFamilies) }
 
-func contractFor(f AlertFamily) (AlertContract, bool) {
-	for _, c := range AlertContracts() {
-		if c.Family == f {
-			return c, true
-		}
-	}
-	return AlertContract{}, false
-}
+// The alert episodes' shape: alertSeconds virtual seconds, one scrape at
+// the end of each, and alertOpsPerSec steady requests per second on the
+// live cluster (half as many commits on the crash_restart family's store).
+const (
+	alertSeconds   = 12
+	alertOpsPerSec = 20
+)
 
 // AlertEpisodeConfig shapes one alert-coverage episode. Episodes run on
 // a Sim clock with sequential seeded operations and one scrape per
 // virtual second, so the transition log (and hence the digest) is a
-// pure function of (Family, Seed, Seconds, OpsPerSec, MuteRule).
+// pure function of (Family, Seed, MuteRule).
 type AlertEpisodeConfig struct {
-	Family  AlertFamily
-	Seed    int64
-	Seconds int // virtual seconds of workload (default 12)
-	// OpsPerSec is the scripted op count per virtual second for the
-	// live-cluster families (default 20).
-	OpsPerSec int
+	Family AlertFamily
+	Seed   int64
 	// MuteRule is the sabotage hook: the named rule keeps evaluating but
 	// can never transition. Muting a family's must-fire rule MUST surface
 	// as a contract violation — that is what proves the assertion
 	// machinery is alive.
 	MuteRule string
-	// Recorder, when non-nil, receives every scrape snapshot and every
+	// Flight, when non-nil, receives every scrape snapshot and every
 	// firing/resolved trace event (failure-dump wiring).
-	Recorder *telemetry.FlightRecorder
-}
-
-// DefaultAlertEpisode returns the standard episode shape.
-func DefaultAlertEpisode(family AlertFamily, seed int64) AlertEpisodeConfig {
-	return AlertEpisodeConfig{Family: family, Seed: seed, Seconds: 12, OpsPerSec: 20}
+	Flight *telemetry.FlightRecorder
 }
 
 // AlertEpisodeResult is the outcome of one alert-coverage episode.
@@ -177,18 +139,13 @@ func (r *AlertEpisodeResult) Failed() bool { return len(r.Violations) > 0 }
 // the full ChaosRulePack and asserts its coverage contract: every
 // must-fire alert fired, no must-not-fire alert did.
 func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
-	if cfg.Seconds <= 0 {
-		cfg.Seconds = 12
-	}
-	if cfg.OpsPerSec <= 0 {
-		cfg.OpsPerSec = 20
-	}
 	res := &AlertEpisodeResult{Family: cfg.Family, Seed: cfg.Seed}
-	contract, ok := contractFor(cfg.Family)
-	if !ok {
+	i := slices.IndexFunc(alertFamilies, func(c AlertContract) bool { return c.Family == cfg.Family })
+	if i < 0 {
 		res.Violations = append(res.Violations, fmt.Sprintf("unknown alert family %q", cfg.Family))
 		return res
 	}
+	contract := alertFamilies[i]
 
 	reg := telemetry.NewRegistry()
 	clk := clock.NewSim()
@@ -198,18 +155,18 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	if cfg.MuteRule != "" {
 		eng.Mute(cfg.MuteRule)
 	}
-	if cfg.Recorder != nil {
-		sc.OnSnapshot(cfg.Recorder.RecordSnapshot)
-		eng.SetEventSink(cfg.Recorder.RecordEvent)
+	if cfg.Flight != nil {
+		sc.OnSnapshot(cfg.Flight.RecordSnapshot)
+		eng.SetEventSink(cfg.Flight.RecordEvent)
 	}
 	sc.OnSnapshot(eng.Observe)
 
 	clock.Run(clk, func() {
-		switch cfg.Family {
-		case FamilyCrashRestart:
-			runRestartAlertScenario(cfg, clk, reg, sc)
-		default:
-			runClusterAlertScenario(cfg, clk, reg, sc)
+		a := &alertEpisode{clk: clk, reg: reg, rng: rand.New(rand.NewSource(cfg.Seed)), inj: NewInjector()}
+		for sec := 0; sec < alertSeconds; sec++ {
+			contract.fault(a, sec)
+			clk.Sleep(time.Second)
+			sc.ScrapeNow()
 		}
 	})
 
@@ -225,16 +182,14 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	}
 	sort.Strings(res.Fired)
 
-	for _, name := range contract.MustFire {
-		if !fired[name] {
+	for _, r := range ChaosRulePack() {
+		switch must := slices.Contains(contract.MustFire, r.Name); {
+		case must && !fired[r.Name]:
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("family %s: must-fire alert %q never fired", cfg.Family, name))
-		}
-	}
-	for _, name := range contract.MustNotFire {
-		if fired[name] {
+				fmt.Sprintf("family %s: must-fire alert %q never fired", cfg.Family, r.Name))
+		case !must && fired[r.Name]:
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("family %s: must-not-fire alert %q fired", cfg.Family, name))
+				fmt.Sprintf("family %s: must-not-fire alert %q fired", cfg.Family, r.Name))
 		}
 	}
 
@@ -247,205 +202,120 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	return res
 }
 
-// alertStoreConfig is the episode store shape shared by the live-cluster
-// scenarios: modest real latencies (so the latency SLO has signal),
-// durable media (so the WAL-stall absence rule sees appends married to
-// commits), and the injector's shard-service hook armed.
-func alertStoreConfig(clk *clock.Sim, reg *telemetry.Registry, inj *Injector, dur *ndb.Durable) ndb.Config {
+// alertEpisode is one alert episode's running state. Its substrate is
+// built on first use: the live cluster every family but crash_restart
+// drives, or the durable store crash_restart crashes.
+type alertEpisode struct {
+	clk *clock.Sim
+	reg *telemetry.Registry
+	rng *rand.Rand
+	inj *Injector
+	c   *cluster
+	d   *durable
+}
+
+// alertStore is the alert episodes' store config: modest real latencies,
+// so the latency SLO has signal, instrumented into the episode's registry.
+func (a *alertEpisode) alertStore() ndb.Config {
 	c := ndb.DefaultConfig()
 	c.RTT = 100 * time.Microsecond
 	c.ReadService = 30 * time.Microsecond
 	c.WriteService = 60 * time.Microsecond
-	c.OnShardService = inj.NDBOnShardService
-	c.Metrics = reg
-	c.Durable = dur
+	c.Metrics = a.reg
 	return c
 }
 
-// runClusterAlertScenario drives a three-engine cluster with a seeded
-// op mix for cfg.Seconds virtual seconds, scraping once per second, and
-// injects the family's fault at seconds 4 and 7. The tenant-storm family
-// (tenantstorm.go) additionally gates the engines with an admission
-// registry and tags every request with a tenant.
-func runClusterAlertScenario(cfg AlertEpisodeConfig, clk *clock.Sim, reg *telemetry.Registry, sc *telemetry.Scraper) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	inj := NewInjector()
-
-	ckptCfg := lsm.DefaultConfig()
-	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
-	ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
-	dur := ndb.NewDurable(clk, 4, ckptCfg)
-	db := ndb.New(clk, alertStoreConfig(clk, reg, inj, dur))
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 50 * time.Microsecond
-	ccfg.Metrics = reg
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	zk := coordinator.NewZK(clk, ccfg)
-
-	ring := partition.NewRing(1, 0)
-	ecfg := core.DefaultEngineConfig()
-	ecfg.OpCPUCost = 0
-	ecfg.SubtreeCPUPerINode = 0
-	ecfg.Metrics = reg
-	// Untagged requests bypass admission, so one empty tenant is the
-	// op mix of every family that does not exercise it.
-	tenants := []string{""}
-	if cfg.Family == FamilyTenantStorm {
-		ecfg.Admission = stormTenants(clk, reg)
-		tenants = stormMix
+// cluster returns the live cluster: three engines on a durable store (so
+// the WAL-stall absence rule sees appends married to commits), gated by
+// the storm tenants' admission (tenantstorm.go).
+func (a *alertEpisode) cluster() *cluster {
+	if a.c == nil {
+		a.c = newCluster(a.clk, durableConfig(a.clk, a.inj, a.alertStore()), 50*time.Microsecond, 3,
+			func(c *cluster) { c.ecfg.Admission = stormTenants(a.clk, a.reg) })
 	}
+	return a.c
+}
 
-	nnSeq := 0
-	engines := make([]*core.Engine, 3)
-	sessions := make([]coordinator.Session, 3)
-	spawn := func(slot int) {
-		id := fmt.Sprintf("nn-%d", nnSeq)
-		nnSeq++
-		e := core.NewEngine(id, 0, clk, db, ring, zk, nil, ecfg)
-		engines[slot] = e
-		sessions[slot] = zk.Register(0, id, e.HandleInvalidation)
-		zk.TryLead(LeaderGroup, id)
+// durable returns crash_restart's store. Each replayed record charges
+// 50ms of virtual recovery time: a crash after ~30 commits recovers in
+// ~1.5s, breaching the 500ms ceiling deterministically.
+func (a *alertEpisode) durable() *durable {
+	if a.d == nil {
+		cfg := a.alertStore()
+		cfg.Durability.ReplayPerRecord = 50 * time.Millisecond
+		a.d = newDurable(a.clk, a.inj, cfg)
 	}
-	for i := range engines {
-		spawn(i)
-	}
-	// Slot 0 registered first, so it holds leadership; the instance-kill
-	// scenario only ever expires slots 1 and 2, keeping the leader (and
-	// the leader-flap alert) untouched.
+	return a.d
+}
 
-	seqs := make([]uint64, 4)
-	randPath := func() string {
-		n := rng.Intn(3) + 1
-		p := ""
-		for i := 0; i < n; i++ {
-			p += fmt.Sprintf("/n%d", rng.Intn(4))
-		}
-		return p
-	}
-	step := func(tenantName string) {
-		client := rng.Intn(len(seqs))
-		engine := engines[rng.Intn(len(engines))]
-		var op namespace.OpType
-		switch rng.Intn(8) {
-		case 0, 1, 2:
-			op = namespace.OpMkdirs
-		case 3, 4:
-			op = namespace.OpCreate
-		case 5:
-			op = namespace.OpStat
-		case 6:
-			op = namespace.OpLs
-		default:
-			op = namespace.OpRead
-		}
-		seqs[client]++
-		engine.Execute(namespace.Request{
-			Op: op, Path: randPath(), Tenant: tenantName,
-			ClientID: fmt.Sprintf("c%d", client), Seq: seqs[client],
-		})
-	}
+// request sends one seeded request from tenant to the live cluster.
+func (a *alertEpisode) request(tenant string) {
+	_, e, req := a.cluster().next(a.rng, alertMix)
+	req.Tenant = tenant
+	e.Execute(req)
+}
 
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		fault := sec == 4 || sec == 7
-		if fault {
-			switch cfg.Family {
-			case FamilyInstanceKill:
-				slot := 1 + rng.Intn(2) // never the leader in slot 0
-				old := engines[slot].ID()
-				zk.ExpireSession(old)
-				inj.NoteFired(FaultLeaseExpiry, "nn="+old)
-				spawn(slot)
-			case FamilyShardFault:
-				// Stall every shard for the next ops: raw op latency jumps
-				// ~5ms, far over the 2ms p99 bound.
-				for shard := 0; shard < 4; shard++ {
-					inj.ArmShardStall(shard, 5*time.Millisecond, cfg.OpsPerSec)
-				}
-			case FamilyLeaderDepose:
-				zk.Depose(LeaderGroup)
-				inj.NoteFired(FaultLeaderFlap, "scripted depose")
-			}
-		}
-		for i := 0; i < cfg.OpsPerSec; i++ {
-			step(tenants[i%len(tenants)])
-		}
-		if fault && cfg.Family == FamilyTenantStorm {
-			// The storm follows the second's steady ops, which keep the
-			// crawler inside its 5 ops/s budget: it fires 20× the per-second
-			// op count in one burst at a drained bucket, which admits a
-			// handful; admission rejects the rest before any CPU or store
-			// work happens.
-			for i := 0; i < cfg.OpsPerSec*20; i++ {
-				step("crawler")
-			}
-			inj.NoteFired(FaultTenantStorm, fmt.Sprintf("sec=%d tenant=crawler", sec))
-		}
-		clk.Sleep(time.Second)
-		sc.ScrapeNow()
-	}
-	for _, s := range sessions {
-		if s != nil {
-			s.Close()
-		}
+// steady sends one second of the live cluster's steady traffic, tagged in
+// stormMix's tenant rotation.
+func (a *alertEpisode) steady() {
+	for i := 0; i < alertOpsPerSec; i++ {
+		a.request(stormMix[i%len(stormMix)])
 	}
 }
 
-// runRestartAlertScenario commits a seeded stream against a durable
-// store, then crashes and recovers it with a per-record replay charge
-// large enough to breach the recovery-time ceiling. Commits continue on
-// the recovered store afterwards, proving the WAL keeps pace (the
-// absence rule stays quiet).
-func runRestartAlertScenario(cfg AlertEpisodeConfig, clk *clock.Sim, reg *telemetry.Registry, sc *telemetry.Scraper) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	inj := NewInjector()
+// faultSecond reports whether the live-cluster families fault at sec.
+func faultSecond(sec int) bool { return sec == 4 || sec == 7 }
 
-	ckptCfg := lsm.DefaultConfig()
-	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
-	ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
-	dur := ndb.NewDurable(clk, 4, ckptCfg)
-
-	storeCfg := func() ndb.Config {
-		c := alertStoreConfig(clk, reg, inj, dur)
-		// Each replayed record charges 50ms of virtual recovery time: a
-		// crash after ~30 commits recovers in ~1.5s, breaching the 500ms
-		// ceiling deterministically.
-		c.Durability = ndb.DurabilityConfig{ReplayPerRecord: 50 * time.Millisecond}
-		return c
+// killInstance expires a NameNode's session at each fault second; a fresh
+// engine takes its slot. Slot 0 registered first and holds leadership, so
+// only slots 1 and 2 die: the leader (and the leader-flap alert) stay
+// untouched.
+func killInstance(a *alertEpisode, sec int) {
+	if faultSecond(sec) {
+		a.cluster().replace(1+a.rng.Intn(2), a.inj)
 	}
-	db := ndb.New(clk, storeCfg())
+	a.steady()
+}
 
-	seq := 0
-	commitOne := func() {
-		seq++
-		id := db.NextID()
-		tx := db.Begin("alerts")
-		err := tx.PutINode(&namespace.INode{
-			ID: id, ParentID: namespace.RootID,
-			Name: fmt.Sprintf("f%d-%d", seq, rng.Intn(1000)),
-			Perm: namespace.PermDefaultFile,
+// stallShard stalls one shard for a second's worth of accesses at each
+// fault second: raw op latency jumps ~5ms, far over the 2ms p99 bound.
+func stallShard(a *alertEpisode, sec int) {
+	if faultSecond(sec) {
+		a.inj.ArmShardStall(mediaShards-1, 5*time.Millisecond, alertOpsPerSec)
+	}
+	a.steady()
+}
+
+// deposeLeader rotates coordination leadership at each fault second.
+func deposeLeader(a *alertEpisode, sec int) {
+	if faultSecond(sec) {
+		a.cluster().zk.Depose(LeaderGroup)
+		a.inj.NoteFired(FaultLeaderFlap, "scripted depose")
+	}
+	a.steady()
+}
+
+// crashStore commits a seeded stream against the durable store and, at
+// the episode's midpoint, crashes and recovers it. Commits continue on the
+// recovered store afterwards, proving the WAL keeps pace (the absence rule
+// stays quiet). A failed recovery leaves the ceiling alert silent, which
+// the must-fire contract reports.
+func crashStore(a *alertEpisode, sec int) {
+	d := a.durable()
+	if sec == alertSeconds/2 {
+		_, _ = d.crash()
+		a.inj.NoteFired(FaultCrashRestart, fmt.Sprintf("sec=%d", sec))
+	}
+	for i := 0; i < alertOpsPerSec/2; i++ {
+		seq := sec*alertOpsPerSec/2 + i + 1
+		id := d.db.NextID()
+		// A refused commit only thins the stream the rules watch.
+		_ = d.commit(func(tx store.Tx) error {
+			return tx.PutINode(&namespace.INode{
+				ID: id, ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d-%d", seq, a.rng.Intn(1000)),
+				Perm: namespace.PermDefaultFile,
+			})
 		})
-		if err != nil {
-			tx.Abort()
-			return
-		}
-		_ = tx.Commit()
-	}
-
-	crashAt := cfg.Seconds / 2
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		if sec == crashAt {
-			// Crash: abandon the live store, recover from media.
-			recovered, _, err := ndb.Recover(clk, storeCfg())
-			if err == nil {
-				db = recovered
-			}
-			inj.NoteFired(FaultCrashRestart, fmt.Sprintf("sec=%d", sec))
-		}
-		for i := 0; i < cfg.OpsPerSec/2; i++ {
-			commitOne()
-		}
-		clk.Sleep(time.Second)
-		sc.ScrapeNow()
 	}
 }

@@ -15,7 +15,7 @@ func TestAlertCoverage(t *testing.T) {
 		c := c
 		t.Run(string(c.Family), func(t *testing.T) {
 			for _, seed := range []int64{1, 7} {
-				res := RunAlertEpisode(DefaultAlertEpisode(c.Family, seed))
+				res := RunAlertEpisode(AlertEpisodeConfig{Family: c.Family, Seed: seed})
 				if res.Failed() {
 					t.Errorf("seed %d: contract violated:\n  %s",
 						seed, strings.Join(res.Violations, "\n  "))
@@ -48,9 +48,9 @@ func TestAlertEpisodeDigestStable(t *testing.T) {
 	for _, c := range AlertContracts() {
 		for i, want := range goldenAlertDigests[c.Family] {
 			seed := int64(i + 1)
-			a := RunAlertEpisode(DefaultAlertEpisode(c.Family, seed))
+			a := RunAlertEpisode(AlertEpisodeConfig{Family: c.Family, Seed: seed})
 			if seed == 1 {
-				if b := RunAlertEpisode(DefaultAlertEpisode(c.Family, seed)); a.Digest != b.Digest {
+				if b := RunAlertEpisode(AlertEpisodeConfig{Family: c.Family, Seed: seed}); a.Digest != b.Digest {
 					t.Errorf("family %s: seed %d replay diverged: %s vs %s", c.Family, seed, a.Digest, b.Digest)
 				}
 			}
@@ -68,8 +68,7 @@ func TestAlertEpisodeDigestStable(t *testing.T) {
 // the battery would silently pass with dead alerts.
 func TestAlertCoverageCatchesMutedAlert(t *testing.T) {
 	for _, c := range AlertContracts() {
-		cfg := DefaultAlertEpisode(c.Family, 5)
-		cfg.MuteRule = c.MustFire[0]
+		cfg := AlertEpisodeConfig{Family: c.Family, Seed: 5, MuteRule: c.MustFire[0]}
 		res := RunAlertEpisode(cfg)
 		if !res.Failed() {
 			t.Errorf("family %s: muted must-fire rule %q was not caught", c.Family, cfg.MuteRule)
@@ -91,9 +90,7 @@ func TestAlertCoverageCatchesMutedAlert(t *testing.T) {
 // and firing/resolved trace events land in a flight recorder.
 func TestAlertEpisodeRecorderWiring(t *testing.T) {
 	rec := telemetry.NewFlightRecorder(256, 256)
-	cfg := DefaultAlertEpisode(FamilyShardFault, 3)
-	cfg.Recorder = rec
-	res := RunAlertEpisode(cfg)
+	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyShardFault, Seed: 3, Flight: rec})
 	if res.Failed() {
 		t.Fatalf("episode failed: %v", res.Violations)
 	}

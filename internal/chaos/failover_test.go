@@ -2,16 +2,13 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
-	"time"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
 	"lambdafs/internal/core"
 	"lambdafs/internal/namespace"
-	"lambdafs/internal/ndb"
-	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
 )
 
@@ -19,10 +16,9 @@ import (
 // can be intercepted per-owner, so tests can kill the leader at an exact
 // point inside a subtree operation.
 type failoverCluster struct {
-	db *ndb.DB
-	zk *coordinator.ZK
-	a  *core.Engine // initial leader
-	b  *core.Engine // successor
+	*cluster
+	a *core.Engine // nn-0, the initial leader
+	b *core.Engine // nn-1, its successor
 
 	mu       sync.Mutex
 	onCommit func(owner string) error
@@ -31,10 +27,7 @@ type failoverCluster struct {
 func newFailoverCluster(t *testing.T, clk *clock.Sim) *failoverCluster {
 	t.Helper()
 	fc := &failoverCluster{}
-
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = 150 * time.Millisecond
+	ncfg := zeroStore()
 	ncfg.OnCommit = func(owner string) error {
 		fc.mu.Lock()
 		h := fc.onCommit
@@ -44,27 +37,10 @@ func newFailoverCluster(t *testing.T, clk *clock.Sim) *failoverCluster {
 		}
 		return nil
 	}
-	fc.db = ndb.New(clk, ncfg)
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 0
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(fc.db, id) }
-	fc.zk = coordinator.NewZK(clk, ccfg)
-
-	ring := partition.NewRing(1, 0)
-	ecfg := core.DefaultEngineConfig()
-	ecfg.OpCPUCost = 0
-	ecfg.SubtreeCPUPerINode = 0
-	mk := func(id string) *core.Engine {
-		e := core.NewEngine(id, 0, clk, fc.db, ring, fc.zk, nil, ecfg)
-		fc.zk.Register(0, id, e.HandleInvalidation)
-		fc.zk.TryLead(LeaderGroup, id)
-		return e
-	}
-	fc.a = mk("nn-a")
-	fc.b = mk("nn-b")
-	if got := fc.zk.Leader(LeaderGroup); got != "nn-a" {
-		t.Fatalf("initial leader = %q, want nn-a", got)
+	fc.cluster = newCluster(clk, ncfg, 0, 2, nil)
+	fc.a, fc.b = fc.engines[0], fc.engines[1]
+	if got := fc.zk.Leader(LeaderGroup); got != "nn-0" {
+		t.Fatalf("initial leader = %q, want nn-0", got)
 	}
 	return fc
 }
@@ -103,29 +79,19 @@ func (fc *failoverCluster) buildTree(t *testing.T, dirs, files int) *Oracle {
 // the namespace shows no half-renamed subtree, and nothing leaked.
 func (fc *failoverCluster) checkFailoverOutcome(t *testing.T, m *Oracle, mvOK bool) {
 	t.Helper()
-	// The lease expired: nn-a is no longer a member…
+	// The lease expired: nn-0 is no longer a member…
 	for _, id := range fc.zk.Members(0) {
-		if id == "nn-a" {
-			t.Fatal("nn-a still a coordinator member after lease expiry")
+		if id == "nn-0" {
+			t.Fatal("nn-0 still a coordinator member after lease expiry")
 		}
 	}
-	// …and leadership passed to nn-b.
-	if got := fc.zk.Leader(LeaderGroup); got != "nn-b" {
-		t.Fatalf("leader after failover = %q, want nn-b", got)
+	// …and leadership passed to nn-1.
+	if got := fc.zk.Leader(LeaderGroup); got != "nn-1" {
+		t.Fatalf("leader after failover = %q, want nn-1", got)
 	}
 
 	// All-or-nothing: the subtree lives at exactly one of src/dst, whole.
-	want := NewOracle()
-	for _, p := range m.Paths() {
-		if p == "/" {
-			continue
-		}
-		if m.IsDir(p) {
-			want.dirs[p] = true
-		} else {
-			want.files[p] = true
-		}
-	}
+	want := &Oracle{nodes: maps.Clone(m.nodes)}
 	if mvOK {
 		if err := want.Mv("/big", "/dst"); err != nil {
 			t.Fatalf("oracle mv: %v", err)
@@ -162,7 +128,7 @@ func TestFailoverLeaderKilledMidSubtreeMv(t *testing.T) {
 
 		commits := 0
 		fc.setOnCommit(func(owner string) error {
-			if owner != "nn-a" {
+			if owner != "nn-0" {
 				return nil
 			}
 			commits++
@@ -171,8 +137,8 @@ func TestFailoverLeaderKilledMidSubtreeMv(t *testing.T) {
 				// final relink. Expire the leader's session now — cleanup for
 				// the "crashed" NameNode runs synchronously, racing the
 				// still-in-flight mv exactly as a watch firing would.
-				if !fc.zk.ExpireSession("nn-a") {
-					t.Error("ExpireSession(nn-a) found no session")
+				if !fc.zk.ExpireSession("nn-0") {
+					t.Error("ExpireSession(nn-0) found no session")
 				}
 			}
 			return nil
@@ -180,7 +146,7 @@ func TestFailoverLeaderKilledMidSubtreeMv(t *testing.T) {
 		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
 		fc.setOnCommit(nil)
 		if commits < 2 {
-			t.Fatalf("mv committed %d times for nn-a, expected the lock + relink pair", commits)
+			t.Fatalf("mv committed %d times for nn-0, expected the lock + relink pair", commits)
 		}
 		if !resp.OK() {
 			t.Fatalf("mv after mid-op lease expiry: %s", resp.Err)
@@ -201,12 +167,12 @@ func TestFailoverLeaderKilledAtSubtreeLock(t *testing.T) {
 
 		fired := false
 		fc.setOnCommit(func(owner string) error {
-			if owner != "nn-a" || fired {
+			if owner != "nn-0" || fired {
 				return nil
 			}
 			fired = true
-			if !fc.zk.ExpireSession("nn-a") {
-				t.Error("ExpireSession(nn-a) found no session")
+			if !fc.zk.ExpireSession("nn-0") {
+				t.Error("ExpireSession(nn-0) found no session")
 			}
 			return ErrInjected
 		})
@@ -236,10 +202,10 @@ func TestFailoverLeaderFlapDuringDelete(t *testing.T) {
 
 		flapped := false
 		fc.setOnCommit(func(owner string) error {
-			if owner == "nn-a" && !flapped {
+			if owner == "nn-0" && !flapped {
 				flapped = true
-				if got := fc.zk.Depose(LeaderGroup); got != "nn-b" {
-					t.Errorf("Depose -> %q, want nn-b", got)
+				if got := fc.zk.Depose(LeaderGroup); got != "nn-1" {
+					t.Errorf("Depose -> %q, want nn-1", got)
 				}
 			}
 			return nil
@@ -252,18 +218,18 @@ func TestFailoverLeaderFlapDuringDelete(t *testing.T) {
 		if !flapped {
 			t.Fatal("flap never triggered")
 		}
-		if got := fc.zk.Leader(LeaderGroup); got != "nn-b" {
-			t.Fatalf("leader = %q, want nn-b", got)
+		if got := fc.zk.Leader(LeaderGroup); got != "nn-1" {
+			t.Fatalf("leader = %q, want nn-1", got)
 		}
 		// Old leader is still a live member (no session loss) and re-queued.
 		found := false
 		for _, id := range fc.zk.Members(0) {
-			if id == "nn-a" {
+			if id == "nn-0" {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatal("nn-a lost its session during a flap")
+			t.Fatal("nn-0 lost its session during a flap")
 		}
 		if bad := CheckStore(fc.db, nil); len(bad) != 0 {
 			t.Fatalf("store invariants after flap: %v", bad)

@@ -22,7 +22,7 @@ func TestFlightRecorderOnInvariantViolation(t *testing.T) {
 	const seed = 42 // the digest-golden seed: known to fire faults
 	const sabotageStep = 25
 
-	cfg := DefaultEpisode(seed)
+	cfg := EpisodeConfig{Seed: seed}
 	cfg.Metrics = telemetry.NewRegistry()
 	fr := telemetry.NewFlightRecorder(0, 0)
 	cfg.Flight = fr

@@ -6,23 +6,26 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
-	"lambdafs/internal/core"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
-	"lambdafs/internal/partition"
 	"lambdafs/internal/store"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/trace"
 )
 
-// LeaderGroup is the election group harness engines compete for; leader
-// flap faults rotate it.
-const LeaderGroup = "chaos-nn"
+// The model-checked episode's shape: every episode runs episodeSteps
+// steps against episodeEngines engines and arms a fault before roughly
+// one step in faultEvery.
+const (
+	episodeSteps   = 120
+	episodeEngines = 3
+	faultEvery     = 5
+)
 
 // EpisodeConfig shapes one deterministic chaos episode: a multi-engine
 // λFS cluster (shared store + coordinator, instances of one deployment)
@@ -33,19 +36,13 @@ const LeaderGroup = "chaos-nn"
 // episode — digest, trace timestamps, the virtual time its stalls cost — is
 // a pure function of the configuration: same seed, same bytes.
 type EpisodeConfig struct {
-	Seed    int64
-	Steps   int
-	Engines int
-	Clients int
-	// FaultEvery arms one fault before roughly every n-th step (0
-	// disables fault injection; 1 arms before every step).
-	FaultEvery int
+	Seed int64
 	// Flight, when non-nil, rides along for failure dumps: it receives
 	// every event of the episode's tracer as it is emitted and, at the end,
 	// one snapshot of Metrics stamped by the episode's clock.
 	Flight *telemetry.FlightRecorder
-	// Metrics, when non-nil, wires the episode's store and engines into a
-	// telemetry registry.
+	// Metrics, when non-nil, wires the episode's store, coordinator and
+	// engines into a telemetry registry.
 	Metrics *telemetry.Registry
 	// Sabotage, when non-nil, runs at the top of every step with direct
 	// store access, BEFORE the step's operation and invariant checks. It
@@ -54,11 +51,6 @@ type EpisodeConfig struct {
 	// ghost inode the oracle never saw); production episodes leave it
 	// nil.
 	Sabotage func(step int, db *ndb.DB)
-}
-
-// DefaultEpisode returns the standard randomized-test shape.
-func DefaultEpisode(seed int64) EpisodeConfig {
-	return EpisodeConfig{Seed: seed, Steps: 120, Engines: 3, Clients: 4, FaultEvery: 5}
 }
 
 // StepRecord is one canonical step-log entry; the episode digest is
@@ -95,23 +87,15 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
 // episode is the running cluster state.
 type episode struct {
-	cfg      EpisodeConfig
-	rng      *rand.Rand
-	clk      *clock.Sim
-	inj      *Injector
-	db       *ndb.DB
-	zk       *coordinator.ZK
-	ring     *partition.Ring
-	ecfg     core.EngineConfig
-	engines  []*core.Engine
-	sessions []coordinator.Session
-	nnSeq    int
-	oracle   *Oracle
-	touched  map[string]bool // every path any op referenced (cache probe set)
-	frozen   Frozen          // every published row any check has met
-	seqs     []uint64
-	prev     ndb.Stats
-	res      *Result
+	cfg     EpisodeConfig
+	rng     *rand.Rand
+	inj     *Injector
+	c       *cluster
+	oracle  *Oracle
+	touched map[string]bool // every path any op referenced (cache probe set)
+	frozen  Frozen          // every published row any check has met
+	prev    ndb.Stats
+	res     *Result
 }
 
 // RunEpisode executes one deterministic chaos episode and returns its
@@ -126,24 +110,13 @@ func RunEpisode(cfg EpisodeConfig) *Result {
 }
 
 func runEpisode(clk *clock.Sim, cfg EpisodeConfig) *Result {
-	if cfg.Steps <= 0 {
-		cfg.Steps = 120
-	}
-	if cfg.Engines <= 0 {
-		cfg.Engines = 3
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
 	ep := &episode{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		clk:     clk,
 		inj:     NewInjector(),
 		oracle:  NewOracle(),
 		touched: map[string]bool{"/": true},
 		frozen:  Frozen{},
-		seqs:    make([]uint64, cfg.Clients),
 		res:     &Result{Seed: cfg.Seed, Tracer: trace.New(clk, trace.Config{})},
 	}
 	if cfg.Flight != nil {
@@ -155,59 +128,26 @@ func runEpisode(clk *clock.Sim, cfg EpisodeConfig) *Result {
 		})
 	})
 
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = 150 * time.Millisecond
-	ncfg.OnCommit = ep.inj.NDBOnCommit
-	ncfg.OnShardService = ep.inj.NDBOnShardService
+	ncfg := injected(zeroStore(), ep.inj)
 	ncfg.Metrics = cfg.Metrics
-	ep.db = ndb.New(ep.clk, ncfg)
+	ep.c = newCluster(clk, ncfg, 0, episodeEngines, nil)
+	ep.prev = ep.c.db.Stats()
 
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 0
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(ep.db, id) }
-	ep.zk = coordinator.NewZK(ep.clk, ccfg)
-
-	ep.ring = partition.NewRing(1, 0)
-	ep.ecfg = core.DefaultEngineConfig()
-	ep.ecfg.OpCPUCost = 0
-	ep.ecfg.SubtreeCPUPerINode = 0
-	ep.ecfg.Metrics = cfg.Metrics
-
-	for i := 0; i < cfg.Engines; i++ {
-		ep.engines = append(ep.engines, nil)
-		ep.sessions = append(ep.sessions, nil)
-		ep.spawnEngine(i)
-	}
-	ep.prev = ep.db.Stats()
-
-	for step := 0; step < cfg.Steps && !ep.res.Failed(); step++ {
+	for step := 0; step < episodeSteps && !ep.res.Failed(); step++ {
 		if cfg.Sabotage != nil {
-			cfg.Sabotage(step, ep.db)
+			cfg.Sabotage(step, ep.c.db)
 		}
-		fault := ep.maybeArmFault(step)
+		fault := ep.maybeArmFault()
 		ep.runStep(step, fault)
 	}
 	ep.finish()
 	return ep.res
 }
 
-// spawnEngine fills slot with a fresh engine (initially, or after a lease
-// expiry retired the previous occupant — a new serverless instance with an
-// empty cache, exactly like a FaaS replacement).
-func (ep *episode) spawnEngine(slot int) {
-	id := fmt.Sprintf("nn-%d", ep.nnSeq)
-	ep.nnSeq++
-	e := core.NewEngine(id, 0, ep.clk, ep.db, ep.ring, ep.zk, nil, ep.ecfg)
-	ep.engines[slot] = e
-	ep.sessions[slot] = ep.zk.Register(0, id, e.HandleInvalidation)
-	ep.zk.TryLead(LeaderGroup, id)
-}
-
 // maybeArmFault decides, from the seed stream, whether to arm a fault
 // before this step, and returns its canonical description ("" = none).
-func (ep *episode) maybeArmFault(step int) string {
-	if ep.cfg.FaultEvery <= 0 || ep.rng.Intn(ep.cfg.FaultEvery) != 0 {
+func (ep *episode) maybeArmFault() string {
+	if ep.rng.Intn(faultEvery) != 0 {
 		return ""
 	}
 	switch ep.rng.Intn(5) {
@@ -227,54 +167,19 @@ func (ep *episode) maybeArmFault(step int) string {
 		ep.inj.ArmShardStall(shard, 500*time.Millisecond, 2)
 		return fmt.Sprintf("shard_crash shard=%d", shard)
 	case 3:
-		slot := ep.rng.Intn(len(ep.engines))
-		old := ep.engines[slot].ID()
-		ep.zk.ExpireSession(old)
-		ep.inj.NoteFired(FaultLeaseExpiry, "nn="+old)
-		ep.spawnEngine(slot)
+		slot := ep.rng.Intn(episodeEngines)
+		old := ep.c.replace(slot, ep.inj)
 		return fmt.Sprintf("lease_expiry slot=%d nn=%s", slot, old)
 	default:
-		newLeader := ep.zk.Depose(LeaderGroup)
+		newLeader := ep.c.zk.Depose(LeaderGroup)
 		ep.inj.NoteFired(FaultLeaderFlap, "leader="+newLeader)
 		return fmt.Sprintf("leader_flap leader=%s", newLeader)
 	}
 }
 
-// randPath draws paths from a small universe so operations collide often.
-func (ep *episode) randPath(depth int) string {
-	n := ep.rng.Intn(depth) + 1
-	p := ""
-	for i := 0; i < n; i++ {
-		p += fmt.Sprintf("/n%d", ep.rng.Intn(4))
-	}
-	return p
-}
-
 func (ep *episode) runStep(step int, fault string) {
-	client := ep.rng.Intn(ep.cfg.Clients)
-	engine := ep.engines[ep.rng.Intn(len(ep.engines))]
-	var op namespace.OpType
-	switch ep.rng.Intn(12) {
-	case 0, 1, 2:
-		op = namespace.OpCreate
-	case 3, 4:
-		op = namespace.OpMkdirs
-	case 5, 6:
-		op = namespace.OpDelete
-	case 7, 8:
-		op = namespace.OpMv
-	case 9:
-		op = namespace.OpStat
-	case 10:
-		op = namespace.OpLs
-	default:
-		op = namespace.OpRead
-	}
-	path := ep.randPath(3)
-	dest := ""
-	if op == namespace.OpMv {
-		dest = ep.randPath(3)
-	}
+	client, engine, req := ep.c.next(ep.rng, episodeMix)
+	op, path, dest := req.Op, req.Path, req.Dest
 
 	if fault == "tx_abort" {
 		// Arm only when this step is a single-transaction write the oracle
@@ -298,13 +203,7 @@ func (ep *episode) runStep(step int, fault string) {
 		}
 	}
 
-	ep.seqs[client]++
-	clientID := fmt.Sprintf("c%d", client)
-	req := namespace.Request{
-		Op: op, Path: path, Dest: dest,
-		ClientID: clientID, Seq: ep.seqs[client],
-	}
-	tc := ep.res.Tracer.StartTrace(op.String(), path, clientID)
+	tc := ep.res.Tracer.StartTrace(op.String(), path, req.ClientID)
 	req.TC = tc
 	resp := engine.Execute(req)
 	tc.Finish(resp.Err)
@@ -328,15 +227,7 @@ func (ep *episode) abortable(op namespace.OpType, path string) bool {
 	case namespace.OpCreate:
 		return !ep.oracle.Has(path) && ep.oracle.IsDir(namespace.ParentPath(path))
 	case namespace.OpMkdirs:
-		if ep.oracle.IsFile(path) {
-			return false
-		}
-		for _, anc := range namespace.Ancestors(path) {
-			if ep.oracle.IsFile(anc) {
-				return false
-			}
-		}
-		return true
+		return !slices.ContainsFunc(append(namespace.Ancestors(path), path), ep.oracle.IsFile)
 	}
 	return false
 }
@@ -359,7 +250,7 @@ func (ep *episode) judge(step int, op namespace.OpType, path, dest string, resp 
 		case gotErr != nil && IsInjected(gotErr):
 			// Excused by an injected fault: rebuild the oracle from the
 			// store's ground truth and keep checking from there.
-			m, err := OracleFromStore(ep.db)
+			m, err := OracleFromStore(ep.c.db)
 			if err != nil {
 				violate("oracle reconcile failed: %v", err)
 				return
@@ -383,26 +274,17 @@ func (ep *episode) judge(step int, op namespace.OpType, path, dest string, resp 
 	// Reads: stat and ls must agree with the oracle exactly.
 	switch op {
 	case namespace.OpStat:
-		if ep.oracle.Has(path) {
-			if !resp.OK() {
-				violate("stat %s failed (%s) but oracle has it", path, resp.Err)
-			} else if resp.Stat.IsDir != ep.oracle.IsDir(path) {
-				violate("stat %s kind mismatch: engine dir=%v oracle dir=%v",
-					path, resp.Stat.IsDir, ep.oracle.IsDir(path))
-			}
-		} else if resp.OK() {
-			violate("stat %s succeeded but oracle lacks it", path)
+		switch has := ep.oracle.Has(path); {
+		case has != resp.OK():
+			violate("stat %s -> engine %q, oracle has it: %v", path, resp.Err, has)
+		case has && resp.Stat.IsDir != ep.oracle.IsDir(path):
+			violate("stat %s kind mismatch: engine dir=%v oracle dir=%v",
+				path, resp.Stat.IsDir, ep.oracle.IsDir(path))
 		}
 	case namespace.OpLs:
 		want, wantErr := ep.oracle.List(path)
-		if wantErr != nil {
-			if resp.OK() {
-				violate("ls %s succeeded but oracle refused (%v)", path, wantErr)
-			}
-			return
-		}
-		if !resp.OK() {
-			violate("ls %s failed: %s", path, resp.Err)
+		if (wantErr == nil) != resp.OK() {
+			violate("ls %s -> engine %q, oracle %v", path, resp.Err, wantErr)
 			return
 		}
 		got := make([]string, 0, len(resp.Entries))
@@ -410,7 +292,7 @@ func (ep *episode) judge(step int, op namespace.OpType, path, dest string, resp 
 			got = append(got, ent.Name)
 		}
 		sort.Strings(got)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if !slices.Equal(got, want) {
 			violate("ls %s = %v, oracle %v", path, got, want)
 		}
 	}
@@ -418,12 +300,9 @@ func (ep *episode) judge(step int, op namespace.OpType, path, dest string, resp 
 
 // checkStep runs the post-step invariants.
 func (ep *episode) checkStep(step int) {
-	var bad []string
-	bad = append(bad, CheckStore(ep.db, ep.frozen)...)
-	bad = append(bad, CheckOracle(ep.db, ep.oracle)...)
-	bad = append(bad, CheckCaches(ep.engines, ep.oracle, ep.touched, ep.frozen)...)
-	cur := ep.db.Stats()
-	bad = append(bad, checkMonotone(ep.prev, cur)...)
+	cur := ep.c.db.Stats()
+	bad := slices.Concat(CheckStore(ep.c.db, ep.frozen), CheckOracle(ep.c.db, ep.oracle),
+		CheckCaches(ep.c.engines, ep.oracle, ep.touched, ep.frozen), checkMonotone(ep.prev, cur))
 	ep.prev = cur
 	for _, v := range bad {
 		ep.res.Violations = append(ep.res.Violations, fmt.Sprintf("step %d: %s", step, v))
@@ -433,10 +312,10 @@ func (ep *episode) checkStep(step int) {
 // finish runs the final sweep and seals the digest.
 func (ep *episode) finish() {
 	ep.res.FaultsFired = ep.inj.Fired()
-	ep.res.FinalINodes = ep.db.INodeCount()
-	ep.res.Elapsed = ep.clk.Since(clock.Epoch)
+	ep.res.FinalINodes = ep.c.db.INodeCount()
+	ep.res.Elapsed = ep.c.clk.Since(clock.Epoch)
 	if ep.cfg.Flight != nil && ep.cfg.Metrics != nil {
-		ep.cfg.Flight.RecordSnapshot(telemetry.NewScraper(ep.clk, ep.cfg.Metrics, time.Second).ScrapeNow())
+		ep.cfg.Flight.RecordSnapshot(telemetry.NewScraper(ep.c.clk, ep.cfg.Metrics, time.Second).ScrapeNow())
 	}
 
 	h := sha256.New()
@@ -444,7 +323,7 @@ func (ep *episode) finish() {
 		fmt.Fprintf(h, "%d|%d|%s|%s|%s|%s|%s\n",
 			r.Step, r.Client, r.Op, r.Path, r.Dest, r.Err, r.Fault)
 	}
-	final, err := OracleFromStore(ep.db)
+	final, err := OracleFromStore(ep.c.db)
 	if err != nil {
 		ep.res.Violations = append(ep.res.Violations,
 			fmt.Sprintf("final store walk failed: %v", err))

@@ -12,7 +12,6 @@ import (
 	"lambdafs/internal/core"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
-	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
 )
 
@@ -46,49 +45,25 @@ func hotpathDigest(t *testing.T, db *ndb.DB, steps []string) string {
 }
 
 // invalidationKillEpisode builds a four-NameNode cluster, warms the peers'
-// caches, and kills nn-c from inside nn-b's invalidation handler — i.e. in
+// caches, and kills nn-2 from inside nn-1's invalidation handler — i.e. in
 // the middle of the concurrent INV/ACK round for delete /w/f0. The round
 // must excuse the dead member, every survivor must still apply the INV,
 // and the episode must replay to the same digest.
 func invalidationKillEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	t.Helper()
-
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = 150 * time.Millisecond
-	db := ndb.New(clk, ncfg)
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 0
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	zk := coordinator.NewZK(clk, ccfg)
-
-	ring := partition.NewRing(1, 0)
-	ecfg := core.DefaultEngineConfig()
-	ecfg.OpCPUCost = 0
-	ecfg.SubtreeCPUPerINode = 0
-
-	engines := map[string]*core.Engine{}
-	for _, id := range []string{"nn-a", "nn-b", "nn-c", "nn-d"} {
-		engines[id] = core.NewEngine(id, 0, clk, db, ring, zk, nil, ecfg)
-	}
 	killed := false
-	for id, e := range engines {
-		id, e := id, e
-		h := e.HandleInvalidation
-		if id == "nn-b" {
-			h = func(inv coordinator.Invalidation) {
-				// Mid-round NameNode death: the INV for /w/f0 is in flight
-				// to every peer concurrently when nn-c's session expires.
-				if inv.Path == "/w/f0" && !killed {
-					killed = true
-					zk.ExpireSession("nn-c")
-				}
-				e.HandleInvalidation(inv)
+	cl := newCluster(clk, zeroStore(), 0, 4, func(cl *cluster) {
+		cl.invalidate = func(e *core.Engine, inv coordinator.Invalidation) {
+			// Mid-round NameNode death: the INV for /w/f0 is in flight to
+			// every peer concurrently when nn-2's session expires.
+			if e.ID() == "nn-1" && inv.Path == "/w/f0" && !killed {
+				killed = true
+				cl.zk.ExpireSession("nn-2")
 			}
+			e.HandleInvalidation(inv)
 		}
-		zk.Register(0, id, h)
-	}
+	})
+	a, b, c, d := cl.engines[0], cl.engines[1], cl.engines[2], cl.engines[3]
 
 	m := NewOracle()
 	var steps []string
@@ -106,46 +81,45 @@ func invalidationKillEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 		}
 	}
 
-	do(engines["nn-a"], namespace.OpMkdirs, "/w")
-	do(engines["nn-a"], namespace.OpCreate, "/w/f0")
-	do(engines["nn-a"], namespace.OpCreate, "/w/f1")
+	do(a, namespace.OpMkdirs, "/w")
+	do(a, namespace.OpCreate, "/w/f0")
+	do(a, namespace.OpCreate, "/w/f1")
 	// Warm every peer's cache with the paths about to be invalidated.
-	for _, id := range []string{"nn-b", "nn-c", "nn-d"} {
-		do(engines[id], namespace.OpStat, "/w/f0")
-		do(engines[id], namespace.OpStat, "/w/f1")
+	for _, e := range []*core.Engine{b, c, d} {
+		do(e, namespace.OpStat, "/w/f0")
+		do(e, namespace.OpStat, "/w/f1")
 	}
 	// A multi-path round: mkdirs sends all created paths in one batch.
-	do(engines["nn-a"], namespace.OpMkdirs, "/w/a/b/c")
-	// The round that kills nn-c mid-flight.
-	do(engines["nn-a"], namespace.OpDelete, "/w/f0")
+	do(a, namespace.OpMkdirs, "/w/a/b/c")
+	// The round that kills nn-2 mid-flight.
+	do(a, namespace.OpDelete, "/w/f0")
 	// A follow-up round against the reduced membership.
-	do(engines["nn-a"], namespace.OpCreate, "/w/g")
+	do(a, namespace.OpCreate, "/w/g")
 
 	if !killed {
 		t.Fatal("the mid-round kill never fired")
 	}
-	for _, id := range zk.Members(0) {
-		if id == "nn-c" {
-			t.Fatal("nn-c still a member after mid-round expiry")
+	for _, id := range cl.zk.Members(0) {
+		if id == "nn-2" {
+			t.Fatal("nn-2 still a member after mid-round expiry")
 		}
 	}
-	if bad := CheckStore(db, nil); len(bad) != 0 {
+	if bad := CheckStore(cl.db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants: %v", bad)
 	}
-	if bad := CheckOracle(db, m); len(bad) != 0 {
+	if bad := CheckOracle(cl.db, m); len(bad) != 0 {
 		t.Fatalf("namespace diverged: %v", bad)
 	}
-	// Cache coherence across the survivors (nn-c died; a FaaS instance
+	// Cache coherence across the survivors (nn-2 died; a FaaS instance
 	// that expires never serves again, so its cache is out of scope).
 	probe := map[string]bool{}
 	for _, p := range []string{"/w", "/w/f0", "/w/f1", "/w/a", "/w/a/b", "/w/a/b/c", "/w/g"} {
 		probe[p] = true
 	}
-	survivors := []*core.Engine{engines["nn-a"], engines["nn-b"], engines["nn-d"]}
-	if bad := CheckCaches(survivors, m, probe, nil); len(bad) != 0 {
+	if bad := CheckCaches([]*core.Engine{a, b, d}, m, probe, nil); len(bad) != 0 {
 		t.Fatalf("cache coherence after mid-round kill: %v", bad)
 	}
-	return hotpathDigest(t, db, steps)
+	return hotpathDigest(t, cl.db, steps)
 }
 
 func TestChaosNameNodeKilledMidParallelInvalidation(t *testing.T) {
@@ -165,28 +139,9 @@ func TestChaosNameNodeKilledMidParallelInvalidation(t *testing.T) {
 func shardFaultMvEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	t.Helper()
 	inj := NewInjector()
-
-	ncfg := ndb.DefaultConfig()
-	ncfg.RTT, ncfg.ReadService, ncfg.WriteService = 0, 0, 0
-	ncfg.LockWaitTimeout = 150 * time.Millisecond
-	ncfg.OnShardService = inj.NDBOnShardService
-	db := ndb.New(clk, ncfg)
-
-	ccfg := coordinator.DefaultConfig()
-	ccfg.HopLatency = 0
-	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	zk := coordinator.NewZK(clk, ccfg)
-
-	ring := partition.NewRing(1, 0)
-	ecfg := core.DefaultEngineConfig()
-	ecfg.OpCPUCost = 0
-	ecfg.SubtreeCPUPerINode = 0
-	ecfg.SubtreeBatch = 32 // force several concurrent quiesce partitions
-
-	a := core.NewEngine("nn-a", 0, clk, db, ring, zk, nil, ecfg)
-	b := core.NewEngine("nn-b", 0, clk, db, ring, zk, nil, ecfg)
-	zk.Register(0, "nn-a", a.HandleInvalidation)
-	zk.Register(0, "nn-b", b.HandleInvalidation)
+	// A small SubtreeBatch forces several concurrent quiesce partitions.
+	cl := newCluster(clk, injected(zeroStore(), inj), 0, 2, func(cl *cluster) { cl.ecfg.SubtreeBatch = 32 })
+	a, b := cl.engines[0], cl.engines[1]
 
 	m := NewOracle()
 	var steps []string
@@ -225,10 +180,10 @@ func shardFaultMvEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	if n := inj.Fired()[FaultShardCrash]; n == 0 {
 		t.Fatal("shard fault never fired during the partitioned mv")
 	}
-	if bad := CheckStore(db, nil); len(bad) != 0 {
+	if bad := CheckStore(cl.db, nil); len(bad) != 0 {
 		t.Fatalf("store invariants: %v", bad)
 	}
-	if bad := CheckOracle(db, m); len(bad) != 0 {
+	if bad := CheckOracle(cl.db, m); len(bad) != 0 {
 		t.Fatalf("half-renamed subtree: %v", bad)
 	}
 	probe := map[string]bool{"/big": true, "/dst": true}
@@ -241,7 +196,7 @@ func shardFaultMvEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	if bad := CheckCaches([]*core.Engine{a, b}, m, probe, nil); len(bad) != 0 {
 		t.Fatalf("cache coherence after shard fault: %v", bad)
 	}
-	return hotpathDigest(t, db, steps)
+	return hotpathDigest(t, cl.db, steps)
 }
 
 func TestChaosShardFaultMidPartitionedMv(t *testing.T) {

@@ -13,21 +13,20 @@ type FaultKind string
 
 // The fault classes, one per substrate boundary.
 const (
-	FaultKillInstance  FaultKind = "kill_instance"    // faas: instance dies mid-invocation
-	FaultColdStorm     FaultKind = "cold_start_storm" // faas: provisioning attempts fail in a burst
-	FaultPoolExhausted FaultKind = "pool_exhausted"   // faas: resource pool refuses new instances
-	FaultShardStall    FaultKind = "shard_stall"      // ndb: one shard slows down (GC pause, hot disk)
-	FaultShardCrash    FaultKind = "shard_crash"      // ndb: one shard unreachable, then recovers
-	FaultTxAbort       FaultKind = "tx_abort"         // ndb: commit aborted (node failure, epoch change)
-	FaultRPCDrop       FaultKind = "rpc_drop"         // rpc: TCP call dropped, forcing failover
-	FaultRPCDelay      FaultKind = "rpc_delay"        // rpc: TCP call stalled, forcing hedged retry
-	FaultLeaseExpiry   FaultKind = "lease_expiry"     // coordinator: ephemeral session expires
-	FaultLeaderFlap    FaultKind = "leader_flap"      // coordinator: leadership rotates without crash
-	FaultWALDrop       FaultKind = "wal_drop"         // ndb: a committed WAL record never reaches media
-	FaultWALTear       FaultKind = "wal_torn_write"   // ndb: crash mid-append leaves a torn WAL tail
-	FaultCkptLoss      FaultKind = "checkpoint_loss"  // ndb: one shard's checkpoint round silently lost
-	FaultCrashRestart  FaultKind = "crash_restart"    // ndb: whole store killed, recovered from media
-	FaultTenantStorm   FaultKind = "tenant_storm"     // tenant: one tenant floods past its admission rate
+	FaultKillInstance  FaultKind = "kill_instance"   // faas: instance dies mid-invocation
+	FaultPoolExhausted FaultKind = "pool_exhausted"  // faas: resource pool refuses new instances
+	FaultShardStall    FaultKind = "shard_stall"     // ndb: one shard slows down (GC pause, hot disk)
+	FaultShardCrash    FaultKind = "shard_crash"     // ndb: one shard unreachable, then recovers
+	FaultTxAbort       FaultKind = "tx_abort"        // ndb: commit aborted (node failure, epoch change)
+	FaultRPCDrop       FaultKind = "rpc_drop"        // rpc: TCP call dropped, forcing failover
+	FaultRPCDelay      FaultKind = "rpc_delay"       // rpc: TCP call stalled, forcing hedged retry
+	FaultLeaseExpiry   FaultKind = "lease_expiry"    // coordinator: ephemeral session expires
+	FaultLeaderFlap    FaultKind = "leader_flap"     // coordinator: leadership rotates without crash
+	FaultWALDrop       FaultKind = "wal_drop"        // ndb: a committed WAL record never reaches media
+	FaultWALTear       FaultKind = "wal_torn_write"  // ndb: crash mid-append leaves a torn WAL tail
+	FaultCkptLoss      FaultKind = "checkpoint_loss" // ndb: one shard's checkpoint round silently lost
+	FaultCrashRestart  FaultKind = "crash_restart"   // ndb: whole store killed, recovered from media
+	FaultTenantStorm   FaultKind = "tenant_storm"    // tenant: one tenant floods past its admission rate
 )
 
 // ErrInjected is the error surfaced by injected ndb faults. It crosses the
@@ -72,7 +71,6 @@ type Injector struct {
 	walTearKeep int           // bytes of a torn append that reach media
 	ckptLosses  int           // shard checkpoint rounds to lose
 	fired       map[FaultKind]uint64
-	totalArmed  uint64
 	onFault     func(kind FaultKind, detail string)
 }
 
@@ -101,86 +99,54 @@ func (in *Injector) firedLocked(kind FaultKind, detail string) func() {
 
 // --- Arming ---------------------------------------------------------------
 
-// ArmTxAbort aborts the next n ndb commits.
-func (in *Injector) ArmTxAbort(n int) {
+// arm applies set to the armed counters under the injector lock.
+func (in *Injector) arm(set func()) {
 	in.mu.Lock()
-	in.txAborts += n
-	in.totalArmed++
-	in.mu.Unlock()
+	defer in.mu.Unlock()
+	set()
 }
+
+// ArmTxAbort aborts the next n ndb commits.
+func (in *Injector) ArmTxAbort(n int) { in.arm(func() { in.txAborts += n }) }
 
 // ArmShardStall slows shard by delay for the next accesses touches; a
 // large delay models a crash/recover window (the shard is unreachable
 // until its redo log replays), a small one a GC pause.
 func (in *Injector) ArmShardStall(shard int, delay time.Duration, accesses int) {
-	in.mu.Lock()
-	in.stallShard, in.stallDelay, in.stallLeft = shard, delay, accesses
-	in.totalArmed++
-	in.mu.Unlock()
+	in.arm(func() { in.stallShard, in.stallDelay, in.stallLeft = shard, delay, accesses })
 }
 
 // ArmKillInvocation kills the instance serving each of the next n HTTP
 // invocations, mid-flight.
-func (in *Injector) ArmKillInvocation(n int) {
-	in.mu.Lock()
-	in.killInvokes += n
-	in.totalArmed++
-	in.mu.Unlock()
-}
+func (in *Injector) ArmKillInvocation(n int) { in.arm(func() { in.killInvokes += n }) }
 
 // ArmProvisionFailure denies the next n provisioning attempts (cold-start
 // storm / pool exhaustion).
-func (in *Injector) ArmProvisionFailure(n int) {
-	in.mu.Lock()
-	in.denyProvs += n
-	in.totalArmed++
-	in.mu.Unlock()
-}
+func (in *Injector) ArmProvisionFailure(n int) { in.arm(func() { in.denyProvs += n }) }
 
 // ArmRPCDrop drops the next n TCP RPCs.
-func (in *Injector) ArmRPCDrop(n int) {
-	in.mu.Lock()
-	in.rpcDrops += n
-	in.totalArmed++
-	in.mu.Unlock()
-}
+func (in *Injector) ArmRPCDrop(n int) { in.arm(func() { in.rpcDrops += n }) }
 
 // ArmRPCDelay stalls each of the next n TCP RPCs by d.
 func (in *Injector) ArmRPCDelay(d time.Duration, n int) {
-	in.mu.Lock()
-	in.rpcDelays, in.rpcDelayDur = in.rpcDelays+n, d
-	in.totalArmed++
-	in.mu.Unlock()
+	in.arm(func() { in.rpcDelays, in.rpcDelayDur = in.rpcDelays+n, d })
 }
 
 // ArmWALDrop loses the next n committed WAL records entirely (the commit
 // acks, the record never reaches media — the crash eats the log tail).
-func (in *Injector) ArmWALDrop(n int) {
-	in.mu.Lock()
-	in.walDrops += n
-	in.totalArmed++
-	in.mu.Unlock()
-}
+func (in *Injector) ArmWALDrop(n int) { in.arm(func() { in.walDrops += n }) }
 
 // ArmWALTear tears the next n WAL appends: only keepBytes of each frame
 // reach media, modelling a crash mid-write. Recovery must cut the log at
 // the torn frame.
 func (in *Injector) ArmWALTear(keepBytes, n int) {
-	in.mu.Lock()
-	in.walTears, in.walTearKeep = in.walTears+n, keepBytes
-	in.totalArmed++
-	in.mu.Unlock()
+	in.arm(func() { in.walTears, in.walTearKeep = in.walTears+n, keepBytes })
 }
 
 // ArmCheckpointLoss silently loses the next n per-shard checkpoint
 // rounds (the shard keeps its previous snapshot, so the WAL retains the
 // records covering the gap).
-func (in *Injector) ArmCheckpointLoss(n int) {
-	in.mu.Lock()
-	in.ckptLosses += n
-	in.totalArmed++
-	in.mu.Unlock()
-}
+func (in *Injector) ArmCheckpointLoss(n int) { in.arm(func() { in.ckptLosses += n }) }
 
 // --- Substrate hooks ------------------------------------------------------
 

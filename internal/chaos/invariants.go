@@ -140,23 +140,14 @@ func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool, froze
 	return bad
 }
 
-// checkMonotone verifies store counters never move backwards.
-func checkMonotone(prev, cur ndb.Stats) []string {
-	var bad []string
-	chk := func(name string, a, b uint64) {
-		if b < a {
-			bad = append(bad, fmt.Sprintf("counter %s went backwards: %d -> %d", name, a, b))
+// checkMonotone verifies no store counter (every ndb.Stats field) moved
+// backwards.
+func checkMonotone(prev, cur ndb.Stats) (bad []string) {
+	p, c := reflect.ValueOf(prev), reflect.ValueOf(cur)
+	for i := 0; i < p.NumField(); i++ {
+		if a, b := p.Field(i).Uint(), c.Field(i).Uint(); b < a {
+			bad = append(bad, fmt.Sprintf("counter %s went backwards: %d -> %d", p.Type().Field(i).Name, a, b))
 		}
 	}
-	chk("reads", prev.Reads, cur.Reads)
-	chk("writes", prev.Writes, cur.Writes)
-	chk("commits", prev.Commits, cur.Commits)
-	chk("aborts", prev.Aborts, cur.Aborts)
-	chk("lock_timeouts", prev.LockTimeouts, cur.LockTimeouts)
-	chk("batched_resolves", prev.BatchedResolves, cur.BatchedResolves)
-	chk("resolve_hops", prev.ResolveHops, cur.ResolveHops)
-	chk("wal_appends", prev.WALAppends, cur.WALAppends)
-	chk("wal_bytes", prev.WALBytes, cur.WALBytes)
-	chk("checkpoints", prev.Checkpoints, cur.Checkpoints)
 	return bad
 }

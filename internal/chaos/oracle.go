@@ -10,6 +10,8 @@
 package chaos
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,85 +28,75 @@ import (
 // An Oracle is not safe for concurrent use; give each logical client its
 // own (they operate on disjoint subtrees) or serialize access.
 type Oracle struct {
-	dirs  map[string]bool
-	files map[string]bool
+	nodes map[string]bool // path -> whether it is a directory
 }
 
 // NewOracle returns an oracle holding only the root directory.
-func NewOracle() *Oracle {
-	return &Oracle{dirs: map[string]bool{"/": true}, files: map[string]bool{}}
-}
+func NewOracle() *Oracle { return &Oracle{nodes: map[string]bool{"/": true}} }
 
 // IsDir reports whether p is a directory in the oracle.
-func (m *Oracle) IsDir(p string) bool { return m.dirs[p] }
+func (m *Oracle) IsDir(p string) bool { return m.nodes[p] }
 
 // IsFile reports whether p is a file in the oracle.
-func (m *Oracle) IsFile(p string) bool { return m.files[p] }
+func (m *Oracle) IsFile(p string) bool { dir, ok := m.nodes[p]; return ok && !dir }
 
 // Has reports whether p exists at all.
-func (m *Oracle) Has(p string) bool { return m.dirs[p] || m.files[p] }
+func (m *Oracle) Has(p string) bool { _, ok := m.nodes[p]; return ok }
 
 // Len returns the number of nodes, including the root.
-func (m *Oracle) Len() int { return len(m.dirs) + len(m.files) }
+func (m *Oracle) Len() int { return len(m.nodes) }
 
 // Create adds a file at p with HDFS create semantics.
 func (m *Oracle) Create(p string) error {
-	if m.files[p] || m.dirs[p] {
+	if m.Has(p) {
 		return namespace.ErrExists
 	}
-	parent := namespace.ParentPath(p)
-	if !m.dirs[parent] {
-		if m.files[parent] {
-			return namespace.ErrNotDir
-		}
+	if err := m.parentErr(p); err != nil {
+		return err
+	}
+	m.nodes[p] = false
+	return nil
+}
+
+// parentErr is why p cannot be created: its parent is a file or missing.
+func (m *Oracle) parentErr(p string) error {
+	switch parent := namespace.ParentPath(p); {
+	case m.IsFile(parent):
+		return namespace.ErrNotDir
+	case !m.IsDir(parent):
 		return namespace.ErrNotFound
 	}
-	m.files[p] = true
 	return nil
 }
 
 // Mkdirs creates the directory chain down to p (mkdir -p semantics).
 func (m *Oracle) Mkdirs(p string) error {
-	if m.files[p] {
+	if m.IsFile(p) {
 		return namespace.ErrExists
 	}
 	// Any file on the ancestor chain makes this invalid.
-	for _, anc := range namespace.Ancestors(p) {
-		if m.files[anc] {
-			return namespace.ErrNotDir
-		}
+	if slices.ContainsFunc(namespace.Ancestors(p), m.IsFile) {
+		return namespace.ErrNotDir
 	}
 	cur := "/"
 	for _, c := range namespace.SplitPath(p) {
 		cur = namespace.JoinPath(cur, c)
-		if m.files[cur] {
-			return namespace.ErrNotDir
-		}
-		m.dirs[cur] = true
+		m.nodes[cur] = true
 	}
 	return nil
 }
 
 // Delete removes the file or (recursively) the directory at p.
 func (m *Oracle) Delete(p string) error {
-	if m.files[p] {
-		delete(m.files, p)
-		return nil
-	}
-	if !m.dirs[p] || p == "/" {
-		if p == "/" {
-			return namespace.ErrPermission
-		}
+	switch {
+	case p == "/":
+		return namespace.ErrPermission
+	case !m.Has(p):
 		return namespace.ErrNotFound
 	}
-	for d := range m.dirs {
-		if namespace.HasPathPrefix(d, p) {
-			delete(m.dirs, d)
-		}
-	}
-	for f := range m.files {
-		if namespace.HasPathPrefix(f, p) {
-			delete(m.files, f)
+	for k := range m.nodes {
+		if namespace.HasPathPrefix(k, p) {
+			delete(m.nodes, k)
 		}
 	}
 	return nil
@@ -112,66 +104,43 @@ func (m *Oracle) Delete(p string) error {
 
 // Mv renames src to dst, moving a whole subtree when src is a directory.
 func (m *Oracle) Mv(src, dst string) error {
-	if src == "/" || dst == "/" {
+	switch {
+	case src == "/" || dst == "/":
 		return namespace.ErrPermission
-	}
-	if namespace.HasPathPrefix(dst, src) {
+	case namespace.HasPathPrefix(dst, src):
 		return namespace.ErrMvIntoSelf
-	}
-	srcIsFile, srcIsDir := m.files[src], m.dirs[src]
-	if !srcIsFile && !srcIsDir {
+	case !m.Has(src):
 		return namespace.ErrNotFound
-	}
-	if m.files[dst] || m.dirs[dst] {
+	case m.Has(dst):
 		return namespace.ErrExists
 	}
-	dstParent := namespace.ParentPath(dst)
-	if !m.dirs[dstParent] {
-		if m.files[dstParent] {
-			return namespace.ErrNotDir
-		}
-		return namespace.ErrNotFound
+	if err := m.parentErr(dst); err != nil {
+		return err
 	}
-	if srcIsFile {
-		delete(m.files, src)
-		m.files[dst] = true
-		return nil
-	}
-	moveKeys := func(set map[string]bool) {
-		var moved []string
-		for k := range set {
-			if namespace.HasPathPrefix(k, src) {
-				moved = append(moved, k)
-			}
-		}
-		for _, k := range moved {
-			delete(set, k)
-			set[dst+strings.TrimPrefix(k, src)] = true
+	moved := map[string]bool{}
+	for k, dir := range m.nodes {
+		if namespace.HasPathPrefix(k, src) {
+			moved[dst+strings.TrimPrefix(k, src)] = dir
+			delete(m.nodes, k)
 		}
 	}
-	moveKeys(m.dirs)
-	moveKeys(m.files)
+	maps.Copy(m.nodes, moved)
 	return nil
 }
 
 // List returns the sorted basenames under directory p (or the file's own
 // basename, mirroring HDFS ls-on-file).
 func (m *Oracle) List(p string) ([]string, error) {
-	if m.files[p] {
+	if m.IsFile(p) {
 		return []string{namespace.BaseName(p)}, nil
 	}
-	if !m.dirs[p] {
+	if !m.IsDir(p) {
 		return nil, namespace.ErrNotFound
 	}
 	var out []string
-	for d := range m.dirs {
-		if d != p && namespace.ParentPath(d) == p {
-			out = append(out, namespace.BaseName(d))
-		}
-	}
-	for f := range m.files {
-		if namespace.ParentPath(f) == p {
-			out = append(out, namespace.BaseName(f))
+	for k := range m.nodes {
+		if k != p && namespace.ParentPath(k) == p {
+			out = append(out, namespace.BaseName(k))
 		}
 	}
 	sort.Strings(out)
@@ -195,12 +164,9 @@ func (m *Oracle) Apply(op namespace.OpType, path, dest string) error {
 
 // Paths returns every path in the oracle, sorted.
 func (m *Oracle) Paths() []string {
-	out := make([]string, 0, len(m.dirs)+len(m.files))
-	for d := range m.dirs {
-		out = append(out, d)
-	}
-	for f := range m.files {
-		out = append(out, f)
+	out := make([]string, 0, len(m.nodes))
+	for k := range m.nodes {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -230,13 +196,8 @@ func OracleFromStore(db *ndb.DB) (*Oracle, error) {
 	}
 	m := NewOracle()
 	for _, n := range nodes {
-		if n.ID == namespace.RootID {
-			continue
-		}
-		if n.IsDir {
-			m.dirs[pathOf(n)] = true
-		} else {
-			m.files[pathOf(n)] = true
+		if n.ID != namespace.RootID {
+			m.nodes[pathOf(n)] = n.IsDir
 		}
 	}
 	return m, nil

@@ -5,13 +5,18 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/lsm"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/store"
+)
+
+// The crash_restart episode's shape: restartSteps workload steps, each
+// crashing the store with probability crashRate.
+const (
+	restartSteps = 80
+	crashRate    = 0.15
 )
 
 // CrashRestartConfig parameterises one crash_restart episode: a seeded
@@ -19,28 +24,17 @@ import (
 // interrupted by whole-store crashes in four flavours (clean kill, WAL
 // record drop, torn WAL tail, lost checkpoint round). After every crash
 // the store is rebuilt with ndb.Recover and must land, digest-exact, on
-// the committed prefix the durability contract promises.
+// the committed prefix the durability contract promises. Every episode
+// additionally ends with one clean crash-recover cycle, so recovery is
+// exercised at least once even if the seeded schedule never crashes
+// mid-run.
 type CrashRestartConfig struct {
 	Seed int64
-	// Steps is the number of workload steps (default 80). Every episode
-	// additionally ends with one clean crash-recover cycle, so recovery
-	// is exercised at least once even if the seeded schedule never
-	// crashes mid-run.
-	Steps int
-	// Shards is the durable media's shard count (default 4).
-	Shards int
-	// CrashRate is the per-step crash probability (default 0.15).
-	CrashRate float64
 	// SabotageRecovered, when non-nil, runs against every freshly
 	// recovered store before the harness checks it. Tests use it to
 	// prove the harness catches a broken replayer: a hook that perturbs
 	// one committed row must produce a violation.
 	SabotageRecovered func(*ndb.DB)
-}
-
-// DefaultCrashRestart returns the standard episode shape for a seed.
-func DefaultCrashRestart(seed int64) CrashRestartConfig {
-	return CrashRestartConfig{Seed: seed, Steps: 80, Shards: 4, CrashRate: 0.15}
 }
 
 // CrashRestartResult summarises one episode.
@@ -77,33 +71,6 @@ func oracleDigest(m *Oracle) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pathIndex rebuilds the path → inode-ID map from the store's ground
-// truth (the recovered store is the only source of truth after a crash).
-func pathIndex(db *ndb.DB) (map[string]namespace.INodeID, error) {
-	nodes, err := db.ListSubtree(namespace.RootID)
-	if err != nil {
-		return nil, err
-	}
-	byID := make(map[namespace.INodeID]*namespace.INode, len(nodes))
-	for _, n := range nodes {
-		byID[n.ID] = n
-	}
-	var pathOf func(n *namespace.INode) string
-	pathOf = func(n *namespace.INode) string {
-		if n.ID == namespace.RootID {
-			return "/"
-		}
-		return namespace.JoinPath(pathOf(byID[n.ParentID]), n.Name)
-	}
-	out := map[string]namespace.INodeID{"/": namespace.RootID}
-	for _, n := range nodes {
-		if n.ID != namespace.RootID {
-			out[pathOf(n)] = n.ID
-		}
-	}
-	return out, nil
-}
-
 // RunCrashRestart executes one seeded crash_restart episode.
 //
 // The harness keeps a digest of the oracle after every committed LSN.
@@ -124,39 +91,14 @@ func RunCrashRestart(cfg CrashRestartConfig) *CrashRestartResult {
 }
 
 func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult {
-	if cfg.Steps <= 0 {
-		cfg.Steps = 80
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.CrashRate <= 0 {
-		cfg.CrashRate = 0.15
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed)) // deterministic: op and fault schedule derive from the seed
 	inj := NewInjector()
-
-	ckptCfg := lsm.DefaultConfig()
-	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
-	ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
-	dur := ndb.NewDurable(clk, cfg.Shards, ckptCfg)
-
-	storeCfg := func() ndb.Config {
-		c := ndb.DefaultConfig()
-		c.RTT, c.ReadService, c.WriteService = 0, 0, 0
-		c.Durable = dur
-		// CheckpointEvery stays 0: the harness drives checkpoints
-		// explicitly so arm-then-crash predictions stay exact.
-		c.Durability = ndb.DurabilityConfig{}
-		c.OnWALAppend = inj.NDBOnWALAppend
-		c.OnCheckpoint = inj.NDBOnCheckpoint
-		return c
-	}
-	db := ndb.New(clk, storeCfg())
+	// Durability.CheckpointEvery stays 0: the harness drives checkpoints
+	// explicitly so arm-then-crash predictions stay exact.
+	d := newDurable(clk, inj, zeroStore())
 	oracle := NewOracle()
-	ids := map[string]namespace.INodeID{"/": namespace.RootID}
 
-	res := &CrashRestartResult{Seed: cfg.Seed, Steps: cfg.Steps}
+	res := &CrashRestartResult{Seed: cfg.Seed, Steps: restartSteps}
 	trail := sha256.New()
 	note := func(format string, a ...any) { fmt.Fprintf(trail, format+"\n", a...) }
 	violate := func(format string, a ...any) {
@@ -168,97 +110,43 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 	// digests[stats.LastLSN].
 	digests := []string{oracleDigest(oracle)}
 
-	commit := func(op, path string, fn func(tx store.Tx) error) bool {
-		tx := db.Begin("restart")
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			violate("step op %s %s: build tx: %v", op, path, err)
-			return false
+	// resolve returns p's inode on the live store. A failed resolve is a
+	// violation; the zero inode it returns fails whatever depends on it.
+	resolve := func(p string) *namespace.INode {
+		nodes, err := d.db.ResolvePath(p)
+		if err != nil {
+			violate("resolve %s: %v", p, err)
+			return &namespace.INode{}
 		}
-		if err := tx.Commit(); err != nil {
-			violate("step op %s %s: commit: %v", op, path, err)
-			return false
+		return nodes[len(nodes)-1]
+	}
+	// write commits fn as one transaction; once it committed, mirror
+	// replays it on the oracle and the trail records line.
+	write := func(line string, fn func(tx store.Tx) error, mirror func() error) {
+		if err := d.commit(fn); err != nil {
+			violate("%s: %v", line, err)
+			return
 		}
 		res.Commits++
-		return true
+		_ = mirror()
+		digests = append(digests, oracleDigest(oracle))
+		note("%s", line)
 	}
-
-	doMkdir := func(parent, name string) {
+	// put creates n, a file or a directory, as parent/name.
+	put := func(op, parent, name string, n namespace.INode) {
 		p := namespace.JoinPath(parent, name)
-		id := db.NextID()
-		ok := commit("mkdir", p, func(tx store.Tx) error {
-			return tx.PutINode(&namespace.INode{
-				ID: id, ParentID: ids[parent], Name: name,
-				IsDir: true, Perm: namespace.PermDefaultDir,
-			})
-		})
-		if !ok {
-			return
+		n.ID = d.db.NextID()
+		n.ParentID, n.Name = resolve(parent).ID, name
+		mirror := oracle.Create
+		if n.IsDir {
+			mirror = oracle.Mkdirs
 		}
-		ids[p] = id
-		_ = oracle.Mkdirs(p)
-		digests = append(digests, oracleDigest(oracle))
-		note("mkdir %s id=%d", p, id)
+		write(fmt.Sprintf("%s %s id=%d", op, p, n.ID),
+			func(tx store.Tx) error { return tx.PutINode(&n) },
+			func() error { return mirror(p) })
 	}
-
-	doCreate := func(parent, name string, size int64) {
-		p := namespace.JoinPath(parent, name)
-		id := db.NextID()
-		ok := commit("create", p, func(tx store.Tx) error {
-			return tx.PutINode(&namespace.INode{
-				ID: id, ParentID: ids[parent], Name: name,
-				Perm: namespace.PermDefaultFile, Size: size,
-			})
-		})
-		if !ok {
-			return
-		}
-		ids[p] = id
-		_ = oracle.Create(p)
-		digests = append(digests, oracleDigest(oracle))
-		note("create %s id=%d", p, id)
-	}
-
-	doDelete := func(p string) {
-		id := ids[p]
-		if !commit("delete", p, func(tx store.Tx) error { return tx.DeleteINode(id) }) {
-			return
-		}
-		delete(ids, p)
-		_ = oracle.Delete(p)
-		digests = append(digests, oracleDigest(oracle))
-		note("delete %s id=%d", p, id)
-	}
-
-	doMv := func(src, dstParent, name string) {
-		dst := namespace.JoinPath(dstParent, name)
-		id := ids[src]
-		ok := commit("mv", src, func(tx store.Tx) error {
-			n, err := tx.GetINode(id, store.LockExclusive)
-			if err != nil {
-				return err
-			}
-			n.ParentID = ids[dstParent]
-			n.Name = name
-			return tx.PutINode(n)
-		})
-		if !ok {
-			return
-		}
-		var moved []string
-		for p := range ids {
-			if namespace.HasPathPrefix(p, src) {
-				moved = append(moved, p)
-			}
-		}
-		for _, p := range moved {
-			mid := ids[p]
-			delete(ids, p)
-			ids[dst+strings.TrimPrefix(p, src)] = mid
-		}
-		_ = oracle.Mv(src, dst)
-		digests = append(digests, oracleDigest(oracle))
-		note("mv %s -> %s id=%d", src, dst, id)
+	mkdir := func(parent, name string) {
+		put("mkdir", parent, name, namespace.INode{IsDir: true, Perm: namespace.PermDefaultDir})
 	}
 
 	// crashSeq names the filler op committed between arming a WAL fault
@@ -268,41 +156,39 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 	doCrash := func(step, flavor int) {
 		wantLSN := uint64(len(digests) - 1)
 		switch flavor {
-		case 1: // drop: the next record vanishes entirely
-			inj.ArmWALDrop(1)
+		case 1, 2: // drop: the next record vanishes entirely; tear: its tail is cut mid-frame
+			if flavor == 1 {
+				inj.ArmWALDrop(1)
+			} else {
+				inj.ArmWALTear(rng.Intn(256), 1)
+			}
 			crashSeq++
-			doMkdir("/", fmt.Sprintf(".crash%d", crashSeq))
-			wantLSN = uint64(len(digests) - 2)
-		case 2: // tear: the next record's tail is cut mid-frame
-			inj.ArmWALTear(rng.Intn(256), 1)
-			crashSeq++
-			doMkdir("/", fmt.Sprintf(".crash%d", crashSeq))
+			mkdir("/", fmt.Sprintf(".crash%d", crashSeq))
 			wantLSN = uint64(len(digests) - 2)
 		case 3: // checkpoint loss: some shards' rounds silently vanish
-			inj.ArmCheckpointLoss(1 + rng.Intn(cfg.Shards))
-			db.Checkpoint()
+			inj.ArmCheckpointLoss(1 + rng.Intn(mediaShards))
+			d.db.Checkpoint()
 			res.Checkpoints++
 		}
 		inj.NoteFired(FaultCrashRestart, fmt.Sprintf("step=%d flavor=%d", step, flavor))
 		res.Crashes++
 
-		// Abandon the live store; rebuild from the media.
-		recovered, stats, err := ndb.Recover(clk, storeCfg())
+		stats, err := d.crash()
 		if err != nil {
 			violate("step %d flavor %d: recover: %v", step, flavor, err)
 			return
 		}
 		if cfg.SabotageRecovered != nil {
-			cfg.SabotageRecovered(recovered)
+			cfg.SabotageRecovered(d.db)
 		}
 		if stats.LastLSN != wantLSN {
 			violate("step %d flavor %d: recovered to LSN %d, want %d",
 				step, flavor, stats.LastLSN, wantLSN)
 		}
-		for _, msg := range CheckStore(recovered, nil) {
+		for _, msg := range CheckStore(d.db, nil) {
 			violate("step %d flavor %d: post-recovery: %s", step, flavor, msg)
 		}
-		o2, oerr := OracleFromStore(recovered)
+		o2, oerr := OracleFromStore(d.db)
 		if oerr != nil {
 			violate("step %d flavor %d: rebuild oracle: %v", step, flavor, oerr)
 			return
@@ -317,26 +203,21 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 			violate("step %d flavor %d: recovered past the committed prefix: LSN %d, only %d recorded",
 				step, flavor, stats.LastLSN, len(digests)-1)
 		}
-		idx, ierr := pathIndex(recovered)
-		if ierr != nil {
-			violate("step %d flavor %d: rebuild path index: %v", step, flavor, ierr)
-			return
-		}
 		res.Replayed += stats.ReplayedRecords
 		res.Discarded += stats.DiscardedRecords
-		db, oracle, ids = recovered, o2, idx
+		oracle = o2
 		inj.Reset() // a crash disarms whatever was still pending
 		note("crash flavor=%d lsn=%d base=%d replayed=%d truncated=%d",
 			flavor, stats.LastLSN, stats.BaseLSN, stats.ReplayedRecords, stats.TruncatedShards)
 	}
 
-	for step := 0; step < cfg.Steps; step++ {
-		if rng.Float64() < cfg.CrashRate {
+	for step := 0; step < restartSteps; step++ {
+		if rng.Float64() < crashRate {
 			doCrash(step, rng.Intn(4))
 			continue
 		}
 		if rng.Float64() < 0.10 {
-			lsn := db.Checkpoint()
+			lsn := d.db.Checkpoint()
 			res.Checkpoints++
 			note("checkpoint lsn=%d", lsn)
 		}
@@ -359,13 +240,13 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 			parent := dirs[rng.Intn(len(dirs))]
 			name := fmt.Sprintf("f%d", rng.Intn(12))
 			if !oracle.Has(namespace.JoinPath(parent, name)) {
-				doCreate(parent, name, int64(rng.Intn(1<<20)))
+				put("create", parent, name, namespace.INode{Perm: namespace.PermDefaultFile, Size: int64(rng.Intn(1 << 20))})
 			}
 		case 2: // make a directory
 			parent := dirs[rng.Intn(len(dirs))]
 			name := fmt.Sprintf("d%d", rng.Intn(6))
 			if !oracle.Has(namespace.JoinPath(parent, name)) {
-				doMkdir(parent, name)
+				mkdir(parent, name)
 			}
 		case 3: // delete a childless node
 			var cands []string
@@ -375,7 +256,11 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 				}
 			}
 			if len(cands) > 0 {
-				doDelete(cands[rng.Intn(len(cands))])
+				p := cands[rng.Intn(len(cands))]
+				id := resolve(p).ID
+				write(fmt.Sprintf("delete %s id=%d", p, id),
+					func(tx store.Tx) error { return tx.DeleteINode(id) },
+					func() error { return oracle.Delete(p) })
 			}
 		case 4: // move a node (subtree moves included)
 			var cands []string
@@ -393,27 +278,31 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 				continue // would move a dir under its own subtree
 			}
 			name := fmt.Sprintf("m%d", rng.Intn(8))
-			if !oracle.Has(namespace.JoinPath(dstParent, name)) {
-				doMv(src, dstParent, name)
-			}
-		case 5: // read-verify one path against the oracle
-			p := paths[rng.Intn(len(paths))]
-			nodes, rerr := db.ResolvePath(p)
-			if rerr != nil {
-				violate("step %d: resolve %s: %v", step, p, rerr)
+			dst := namespace.JoinPath(dstParent, name)
+			if oracle.Has(dst) {
 				continue
 			}
-			leaf := nodes[len(nodes)-1]
-			if leaf.IsDir != oracle.IsDir(p) {
+			id, parentID := resolve(src).ID, resolve(dstParent).ID
+			write(fmt.Sprintf("mv %s -> %s id=%d", src, dst, id), func(tx store.Tx) error {
+				n, err := tx.GetINode(id, store.LockExclusive)
+				if err != nil {
+					return err
+				}
+				n.ParentID, n.Name = parentID, name
+				return tx.PutINode(n)
+			}, func() error { return oracle.Mv(src, dst) })
+		case 5: // read-verify one path against the oracle
+			p := paths[rng.Intn(len(paths))]
+			if n := resolve(p); n.IsDir != oracle.IsDir(p) {
 				violate("step %d: %s kind mismatch: store dir=%v oracle dir=%v",
-					step, p, leaf.IsDir, oracle.IsDir(p))
+					step, p, n.IsDir, oracle.IsDir(p))
 			}
 		}
 	}
 
 	// Every episode ends with one clean crash-recover cycle: whatever the
 	// schedule did, the final state must survive a restart.
-	doCrash(cfg.Steps, 0)
+	doCrash(restartSteps, 0)
 
 	res.Fired = inj.Fired()
 	res.Digest = hex.EncodeToString(trail.Sum(nil))

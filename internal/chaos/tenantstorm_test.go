@@ -9,7 +9,7 @@ import (
 // and the episode must be digest-stable under replay.
 func TestTenantStormContract(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		res := RunAlertEpisode(DefaultAlertEpisode(FamilyTenantStorm, seed))
+		res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: seed})
 		if res.Failed() {
 			t.Fatalf("seed %d violated the contract: %v", seed, res.Violations)
 		}
@@ -22,7 +22,7 @@ func TestTenantStormContract(t *testing.T) {
 		if !fired {
 			t.Fatalf("seed %d: %s never fired (fired: %v)", seed, AlertTenantThrottle, res.Fired)
 		}
-		replay := RunAlertEpisode(DefaultAlertEpisode(FamilyTenantStorm, seed))
+		replay := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: seed})
 		if replay.Digest != res.Digest {
 			t.Fatalf("seed %d replay diverged: %s vs %s", seed, res.Digest, replay.Digest)
 		}
@@ -33,9 +33,7 @@ func TestTenantStormContract(t *testing.T) {
 // family: muting the throttle alert must surface as a must-fire
 // violation, demonstrating the contract assertions are alive.
 func TestTenantStormMutedAlertCaught(t *testing.T) {
-	cfg := DefaultAlertEpisode(FamilyTenantStorm, 7)
-	cfg.MuteRule = AlertTenantThrottle
-	res := RunAlertEpisode(cfg)
+	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 7, MuteRule: AlertTenantThrottle})
 	if !res.Failed() {
 		t.Fatalf("muting %s went undetected — the coverage assertions are dead", AlertTenantThrottle)
 	}
@@ -46,7 +44,7 @@ func TestTenantStormMutedAlertCaught(t *testing.T) {
 // so op latency stays healthy even while thousands of requests are
 // being thrown away.
 func TestTenantStormStoreIsolation(t *testing.T) {
-	res := RunAlertEpisode(DefaultAlertEpisode(FamilyTenantStorm, 11))
+	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 11})
 	for _, name := range res.Fired {
 		if name == AlertOpLatency {
 			t.Fatalf("op latency alert fired during a tenant storm: throttled requests leaked into the service path")

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,7 +193,10 @@ func TestRequestKeyUnique(t *testing.T) {
 // FuzzCleanPath holds CleanPath to its contract on any input: what it
 // returns is canonical and cleans to itself, and wherever the one-scan fast
 // path takes an input as canonical, splitting and rejoining it gives that
-// same string. The seed corpus is testdata/fuzz/FuzzCleanPath.
+// same string. On every clean output the path helpers agree with folding
+// JoinPath over SplitPath from the root: the fold gives the path back, its
+// last step is ParentPath and BaseName, and its earlier steps are
+// Ancestors. The seed corpus is testdata/fuzz/FuzzCleanPath.
 func FuzzCleanPath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p string) {
 		got, err := CleanPath(p)
@@ -217,6 +221,17 @@ func FuzzCleanPath(f *testing.F) {
 		}
 		if canonical(p) && got != p {
 			t.Fatalf("the fast path took %q as canonical, but it cleans to %q", p, got)
+		}
+		var prefixes []string
+		fold, parent, base := "/", "/", ""
+		for _, c := range SplitPath(got) {
+			prefixes = append(prefixes, fold)
+			fold, parent, base = JoinPath(fold, c), fold, c
+		}
+		if fold != got || ParentPath(got) != parent || BaseName(got) != base || !slices.Equal(Ancestors(got), prefixes) {
+			t.Fatalf("%q: folding JoinPath over SplitPath gives %q, parent %q, base %q, ancestors %q; "+
+				"ParentPath %q, BaseName %q, Ancestors %q",
+				got, fold, parent, base, prefixes, ParentPath(got), BaseName(got), Ancestors(got))
 		}
 	})
 }
