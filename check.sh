@@ -6,8 +6,11 @@
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
 # core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
 # pins of cache, ndb, core, clock, rpc and namespace run in the plain test
-# step only), bounded fuzzes of namespace's CleanPath (and the path
-# helpers on its output), of ndb's WAL recovery
+# step only — among them a cache Lookup miss 0, a PutChain that evicts a
+# chain of its own shape 0, ndb's depth-6 shared ResolvePathBatched 2 and
+# namespace's AppendSplit of a depth-6 path into a stack buffer 0),
+# bounded fuzzes of namespace's CleanPath (and the path helpers and the
+# component walker on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec
 # (FuzzDecodeAttr: round trip, every other length rejected), the
 # determinism smoke — the clock's own tests, bench's three golden
@@ -70,7 +73,7 @@ echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
-echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath; bounded) =="
+echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 
 echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="

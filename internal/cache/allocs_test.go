@@ -28,10 +28,14 @@ func TestHitPathAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { c.Listing("/a/b") }); got != 1 {
 		t.Errorf("Listing hit of 64 children: %v allocs, want 1 (the listing)", got)
 	}
+	if got := testing.AllocsPerRun(100, func() { c.Lookup("/a/b/missing/f") }); got != 0 {
+		t.Errorf("Lookup miss below a cached depth-2 prefix: %v allocs, want 0", got)
+	}
 }
 
-// Caching a new row is one node; a directory's first child adds its
-// children map.
+// With an empty free list — nothing was ever evicted or invalidated —
+// caching a new row allocates its node, and a directory's first child adds
+// its children map.
 func TestPutChainAllocs(t *testing.T) {
 	c := New(0)
 	c.PutChain("/d/seed", chainFor("/d/seed"))
@@ -45,7 +49,7 @@ func TestPutChainAllocs(t *testing.T) {
 		c.PutChain(paths[i], chain)
 		i++
 	}); got != 1 {
-		t.Errorf("PutChain of a new row under a cached parent: %v allocs, want 1 (the node)", got)
+		t.Errorf("PutChain of a new row under a cached parent, nothing to recycle: %v allocs, want 1 (a new node)", got)
 	}
 
 	for j, p := range paths {
@@ -57,6 +61,36 @@ func TestPutChainAllocs(t *testing.T) {
 		c.PutChain(paths[i], deeper)
 		i++
 	}); got != 3 {
-		t.Errorf("PutChain of a directory's first child: %v allocs, want 3 (the node, the children map's header and first group)", got)
+		t.Errorf("PutChain of a directory's first child, nothing to recycle: %v allocs, want 3 (a new node, the children map's header and first group)", got)
+	}
+}
+
+// Under memory pressure a chain's nodes are the ones its put evicted: once
+// every spare node has been a directory (and kept its children map), a put
+// that evicts a chain of its own shape allocates nothing.
+func TestPutChainEvictingAllocs(t *testing.T) {
+	paths := make([]string, 400)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/d%03d/f", i)
+	}
+	chain := chainFor(paths[0]) // every put caches the same rows: their bytes match
+	full := New(0)
+	for _, p := range paths[:4] {
+		full.PutChain(p, chain)
+	}
+	c, i := New(full.UsedBytes()), 0 // room for the root and four chains
+	put := func() {
+		c.PutChain(paths[i], chain)
+		i++
+	}
+	for i < 200 {
+		put()
+	}
+	before := c.Stats().Evictions
+	if got := testing.AllocsPerRun(100, put); got != 0 {
+		t.Errorf("steady-state PutChain evicting one chain: %v allocs, want 0", got)
+	}
+	if evicted := c.Stats().Evictions - before; evicted != 2*101 || c.Len() != 9 {
+		t.Errorf("fixture: %d rows evicted by 101 puts, %d cached; want 2 per put and 9", evicted, c.Len())
 	}
 }

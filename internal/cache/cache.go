@@ -18,13 +18,26 @@
 //
 // A path component is one node: its trie links, its cached row with its
 // byte count and listing state, and its place in the intrusive LRU list (a
-// sentinel node in the Cache anchors it). Caching a new row is one
-// allocation, plus the parent's children map for its first child; no path
-// string is stored. A node without a row is structural: something was cached
-// under it without it (Put without the ancestors, or an eviction that took an
-// ancestor mid-chain). Lookups treat it as absent; the rows under it count
-// towards Len and the budget. Eviction and invalidation unlink a node from
-// its parent and recurse over its subtree; the root is emptied in place.
+// sentinel node in the Cache anchors it). No path string is stored. A node
+// without a row is structural: something was cached under it without it (Put
+// without the ancestors, or an eviction that took an ancestor mid-chain).
+// Lookups treat it as absent; the rows under it count towards Len and the
+// budget. Eviction and invalidation unlink a node from its parent and recurse
+// over its subtree; the root is emptied in place.
+//
+// # Recycled nodes
+//
+// Every node eviction or invalidation takes out of the tree goes on the
+// Cache's free list, emptied: no row, no parent, no name, listing unknown,
+// its children map cleared but kept. A new component takes a node from that
+// list before it allocates one, so a cache under memory pressure — each miss
+// evicting cold rows to insert a chain — caches a row without allocating
+// once the list has warmed up. The list is never longer than the tree: a
+// removal that leaves more spare nodes than live ones drops the excess, so a
+// mass invalidation pins no memory. A node pointer never leaves the package,
+// and no method holds one across an eviction without checking detached
+// first (a node on the list has no parent), so a recycled node is never
+// mistaken for the component it used to be.
 //
 // # Concurrency and ownership
 //
@@ -59,7 +72,6 @@
 package cache
 
 import (
-	"strings"
 	"sync"
 
 	"lambdafs/internal/namespace"
@@ -81,7 +93,7 @@ type node struct {
 	inode      *namespace.INode // nil: a structural node
 	bytes      int64
 	listing    listingState // a cached directory's (see the package doc)
-	prev, next *node        // LRU neighbours, set while the node holds a row
+	prev, next *node        // LRU neighbours while the node holds a row; next links the free list
 }
 
 type listingState uint8
@@ -96,7 +108,10 @@ const (
 type Cache struct {
 	mu     sync.Mutex
 	root   node
-	lru    node // sentinel: lru.next is the most recently used row, lru.prev the least
+	lru    node  // sentinel: lru.next is the most recently used row, lru.prev the least
+	free   *node // detached nodes kept for reuse (see the package doc)
+	spare  int   // the free list's length, never above nodes
+	nodes  int   // nodes in the tree besides the root, structural ones included
 	rows   int
 	budget int64
 	used   int64
@@ -119,48 +134,17 @@ func entryBytes(pathLen int, n *namespace.INode) int64 {
 	return int64(n.ApproxBytes() + pathLen + perEntryOverhead)
 }
 
-// components walks a path's components exactly as namespace.SplitPath
-// splits it, without allocating.
-type components struct {
-	rest string
-	done bool
-}
-
-func split(path string) components {
-	return components{rest: strings.TrimPrefix(path, "/"), done: path == "/" || path == ""}
-}
-
-// next returns the next component; ok is false once there is none.
-func (cs *components) next() (comp string, ok bool) {
-	if cs.done {
-		return "", false
-	}
-	comp, cs.rest, ok = strings.Cut(cs.rest, "/")
-	cs.done = !ok
-	return comp, true
-}
-
-// dir splits off the last component: parent walks the ones before it. ok is
-// false for the root, which has no last component.
-func (cs components) dir() (parent components, last string, ok bool) {
-	i := strings.LastIndexByte(cs.rest, '/')
-	if cs.done || i < 0 {
-		return components{done: true}, cs.rest, !cs.done
-	}
-	return components{rest: cs.rest[:i]}, cs.rest[i+1:], true
-}
-
 // nodeLocked returns the node cs leads to, structural or not, or nil.
-func (c *Cache) nodeLocked(cs components) *node {
+func (c *Cache) nodeLocked(cs namespace.Components) *node {
 	n := &c.root
-	for comp, ok := cs.next(); ok && n != nil; comp, ok = cs.next() {
+	for comp, ok := cs.Next(); ok && n != nil; comp, ok = cs.Next() {
 		n = n.children[comp]
 	}
 	return n
 }
 
 // rowLocked returns the node cs leads to if it holds a row, else nil.
-func (c *Cache) rowLocked(cs components) *node {
+func (c *Cache) rowLocked(cs namespace.Components) *node {
 	if n := c.nodeLocked(cs); n != nil && n.inode != nil {
 		return n
 	}
@@ -168,24 +152,33 @@ func (c *Cache) rowLocked(cs components) *node {
 }
 
 // makeLocked is nodeLocked that adds the missing nodes, structural.
-func (c *Cache) makeLocked(cs components) *node {
+func (c *Cache) makeLocked(cs namespace.Components) *node {
 	n := &c.root
-	for comp, ok := cs.next(); ok; comp, ok = cs.next() {
-		n = n.child(comp)
+	for comp, ok := cs.Next(); ok; comp, ok = cs.Next() {
+		n = c.childLocked(n, comp)
 	}
 	return n
 }
 
-// child returns n's child called name, adding a structural one if need be.
-func (n *node) child(name string) *node {
+// childLocked returns n's child called name, adding a structural one — off
+// the free list when it has one — if need be.
+func (c *Cache) childLocked(n *node, name string) *node {
 	ch := n.children[name]
-	if ch == nil {
-		ch = &node{name: name, parent: n}
-		if n.children == nil {
-			n.children = make(map[string]*node)
-		}
-		n.children[name] = ch
+	if ch != nil {
+		return ch
 	}
+	if ch = c.free; ch != nil {
+		c.free, ch.next = ch.next, nil
+		c.spare--
+		ch.name, ch.parent = name, n
+	} else {
+		ch = &node{name: name, parent: n}
+	}
+	if n.children == nil {
+		n.children = make(map[string]*node)
+	}
+	n.children[name] = ch
+	c.nodes++
 	return ch
 }
 
@@ -205,8 +198,8 @@ func (n *node) pathLen() int {
 // root INode and chain[len-1] the terminal INode of path. Intermediate
 // entries are cached under their ancestor paths.
 func (c *Cache) PutChain(path string, chain []*namespace.INode) {
-	cs := split(path)
-	if len(chain) == 0 || len(chain) > 1 && (cs.done || len(chain)-2 > strings.Count(cs.rest, "/")) {
+	cs := namespace.Walk(path)
+	if len(chain) == 0 || len(chain) > 1+cs.Len() {
 		return // more rows than the root plus one per component
 	}
 	c.mu.Lock()
@@ -217,13 +210,13 @@ func (c *Cache) PutChain(path string, chain []*namespace.INode) {
 			if c.detached(n) {
 				// An eviction took n: walk down again, leaving structural nodes.
 				n = &c.root
-				for again, k := split(path), 1; k < i; k++ {
-					comp, _ := again.next()
-					n = n.child(comp)
+				for again, k := namespace.Walk(path), 1; k < i; k++ {
+					comp, _ := again.Next()
+					n = c.childLocked(n, comp)
 				}
 			}
-			comp, _ := cs.next()
-			n = n.child(comp)
+			comp, _ := cs.Next()
+			n = c.childLocked(n, comp)
 		}
 		c.setLocked(n, in)
 	}
@@ -234,7 +227,7 @@ func (c *Cache) PutChain(path string, chain []*namespace.INode) {
 func (c *Cache) Put(path string, n *namespace.INode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.setLocked(c.makeLocked(split(path)), n)
+	c.setLocked(c.makeLocked(namespace.Walk(path)), n)
 }
 
 // setLocked caches in at n, a node in the tree, as the most recently used
@@ -293,12 +286,15 @@ func (c *Cache) dropLocked(n *node, count *uint64) int {
 		delete(n.parent.children, n.name)
 	}
 	removed := c.emptyLocked(n)
+	for ; c.spare > c.nodes; c.spare-- {
+		c.free = c.free.next // more spare nodes than live ones: let the excess go
+	}
 	*count += uint64(removed)
 	return removed
 }
 
-// emptyLocked unlinks the rows of n's subtree and leaves every node in it
-// detached, and returns how many rows there were.
+// emptyLocked unlinks the rows of n's subtree and puts every node in it but
+// the root on the free list, emptied, and returns how many rows there were.
 func (c *Cache) emptyLocked(n *node) int {
 	removed := 0
 	if n.inode != nil {
@@ -311,24 +307,35 @@ func (c *Cache) emptyLocked(n *node) int {
 	for _, ch := range n.children {
 		removed += c.emptyLocked(ch)
 	}
-	n.parent, n.children, n.listing = nil, nil, listingUnknown
+	clear(n.children)
+	n.listing = listingUnknown
+	if n != &c.root {
+		n.name, n.parent, n.next = "", nil, c.free
+		c.free = n
+		c.spare++
+		c.nodes--
+	}
 	return removed
 }
 
 // Lookup returns the cached INode chain for path — the cached pointers
-// themselves, read-only. hit is true only when the entire chain, including
-// the terminal INode, is cached; otherwise the longest cached prefix is
-// returned (used to shorten store resolution). A lookup touches every
-// returned entry (leaf to root) in the LRU.
+// themselves, read-only — when the entire chain, including the terminal
+// INode, is cached; otherwise nil and hit false. Either way it touches the
+// cached prefix of the chain in the LRU, leaf to root, so a miss keeps the
+// ancestors its fill is about to reuse as warm as a hit would.
 //
 //vet:hotpath
 func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, depth, hit := c.chainLocked(split(path))
-	chain = make([]*namespace.INode, depth)
+	n, depth, hit := c.chainLocked(namespace.Walk(path))
+	if hit {
+		chain = make([]*namespace.INode, depth)
+	}
 	for i := depth - 1; i >= 0; i, n = i-1, n.parent {
-		chain[i] = n.inode
+		if hit {
+			chain[i] = n.inode
+		}
 		c.touchLocked(n)
 	}
 	return chain, hit
@@ -337,11 +344,11 @@ func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
 // chainLocked follows cs down from the root for as long as the nodes hold
 // rows: it returns the last node that did, how many did, and whether that
 // took in all of cs.
-func (c *Cache) chainLocked(cs components) (n *node, depth int, all bool) {
+func (c *Cache) chainLocked(cs namespace.Components) (n *node, depth int, all bool) {
 	if n = &c.root; n.inode == nil {
 		return n, 0, false
 	}
-	for comp, ok := cs.next(); ok; comp, ok = cs.next() {
+	for comp, ok := cs.Next(); ok; comp, ok = cs.Next() {
 		next := n.children[comp]
 		if next == nil || next.inode == nil {
 			return n, depth + 1, false
@@ -365,25 +372,18 @@ func (c *Cache) Get(path string) (*namespace.INode, bool) {
 func (c *Cache) Contains(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rowLocked(split(path)) != nil
+	return c.rowLocked(namespace.Walk(path)) != nil
 }
 
 // Invalidate removes the entry for path and, because descendants must not
-// outlive their ancestors, any cached entries underneath it. Returns the
-// number of entries removed. This implements the INV of the coherence
-// protocol (§3.5).
+// outlive their ancestors, every cached entry underneath it. Returns the
+// number of entries removed. This implements both the INV of the coherence
+// protocol (§3.5) and the subtree/prefix INV of Appendix D: the invariant
+// makes every invalidation a subtree removal.
 func (c *Cache) Invalidate(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.removeLocked(c.nodeLocked(split(path)), &c.stats.Invalidations)
-}
-
-// InvalidatePrefix removes every cached entry at or under path — the
-// subtree/prefix invalidation of Appendix D. Semantically identical to
-// Invalidate (the invariant makes every invalidation a subtree removal)
-// but kept separate for protocol clarity and stats.
-func (c *Cache) InvalidatePrefix(path string) int {
-	return c.Invalidate(path)
+	return c.removeLocked(c.nodeLocked(namespace.Walk(path)), &c.stats.Invalidations)
 }
 
 // PutListing caches a directory's full child listing: every child INode
@@ -391,7 +391,7 @@ func (c *Cache) InvalidatePrefix(path string) int {
 // subsequent ls operations servable locally (§3.3 read optimization). The
 // dir chain must already be cached (PutChain the resolution first).
 func (c *Cache) PutListing(dir string, children []*namespace.INode) {
-	cs := split(dir)
+	cs := namespace.Walk(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := c.rowLocked(cs)
@@ -402,7 +402,7 @@ func (c *Cache) PutListing(dir string, children []*namespace.INode) {
 		if c.detached(d) { // a put's eviction reached dir's subtree
 			d = c.makeLocked(cs)
 		}
-		c.setLocked(d.child(child.Name), child)
+		c.setLocked(c.childLocked(d, child.Name), child)
 	}
 	// Mark complete only when the dir and every child survived any
 	// evictions the puts triggered.
@@ -426,8 +426,8 @@ func (c *Cache) PutListing(dir string, children []*namespace.INode) {
 // the listing is now suspended; in every other case the listing is left
 // unknown, exactly as Invalidate plus ClearComplete leave it.
 func (c *Cache) SuspendListing(path, gone string) bool {
-	cs := split(path)
-	dirCs, _, ok := cs.dir()
+	cs := namespace.Walk(path)
+	dirCs, _, ok := cs.Dir()
 	if !ok {
 		return false
 	}
@@ -435,7 +435,7 @@ func (c *Cache) SuspendListing(path, gone string) bool {
 	defer c.mu.Unlock()
 	c.dropLocked(c.nodeLocked(cs), &c.stats.Invalidations)
 	if gone != "" {
-		c.dropLocked(c.nodeLocked(split(gone)), &c.stats.Invalidations)
+		c.dropLocked(c.nodeLocked(namespace.Walk(gone)), &c.stats.Invalidations)
 	}
 	dir := c.rowLocked(dirCs)
 	if dir == nil {
@@ -457,7 +457,7 @@ func (c *Cache) SuspendListing(path, gone string) bool {
 // reported. A listing no longer suspended (an INV or an eviction got there
 // first) is left as it is, and nothing is installed.
 func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool {
-	dirCs, name, ok := split(path).dir()
+	dirCs, name, ok := namespace.Walk(path).Dir()
 	if !ok {
 		return false
 	}
@@ -478,7 +478,7 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 		if dir = suspended(); dir == nil {
 			return false
 		}
-		c.setLocked(dir.child(name), child)
+		c.setLocked(c.childLocked(dir, name), child)
 	}
 	if dir = suspended(); dir == nil {
 		return false
@@ -501,7 +501,7 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, _, ok := c.chainLocked(split(dir))
+	d, _, ok := c.chainLocked(namespace.Walk(dir))
 	if !ok || d.listing != listingComplete {
 		return nil, false
 	}
@@ -523,7 +523,7 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 func (c *Cache) ClearComplete(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d := c.rowLocked(split(dir)); d != nil {
+	if d := c.rowLocked(namespace.Walk(dir)); d != nil {
 		d.listing = listingUnknown
 	}
 }
@@ -532,7 +532,7 @@ func (c *Cache) ClearComplete(dir string) {
 func (c *Cache) IsComplete(dir string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.rowLocked(split(dir))
+	d := c.rowLocked(namespace.Walk(dir))
 	return d != nil && d.listing == listingComplete
 }
 

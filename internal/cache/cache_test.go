@@ -47,15 +47,27 @@ func TestLookupHitAfterPutChain(t *testing.T) {
 	}
 }
 
-func TestLookupMissReturnsLongestPrefix(t *testing.T) {
-	c := New(0)
-	c.PutChain("/a/b", chainFor("/a/b"))
-	chain, hit := c.Lookup("/a/b/missing/deeper")
-	if hit {
-		t.Fatal("unexpected hit")
+// TestLookupMissTouchesPrefix: a miss returns no chain, but it touches the
+// cached prefix as a hit would, so the eviction that would have taken the
+// prefix at its parent (/a, the coldest row before the lookup) takes the
+// sibling /b instead.
+func TestLookupMissTouchesPrefix(t *testing.T) {
+	fill := func(budget int64) *Cache {
+		c := New(budget)
+		c.PutChain("/a/x", chainFor("/a/x"))
+		c.PutChain("/b", chainFor("/b")) // LRU, coldest first: /a, /a/x, /, /b
+		return c
 	}
-	if len(chain) != 3 { // /, /a, /a/b
-		t.Fatalf("prefix chain length = %d", len(chain))
+	c := fill(fill(0).UsedBytes()) // a budget the fixture just fits
+	if chain, hit := c.Lookup("/a/x/missing/deeper"); hit || chain != nil {
+		t.Fatalf("Lookup miss = %v, %v; want nil, false", chain, hit)
+	}
+	c.Put("/c", inode(101, "c", false)) // as many bytes as /b's row: one eviction
+	if !c.Contains("/a") || !c.Contains("/a/x") {
+		t.Fatal("the missed lookup's cached prefix was evicted: the miss did not touch it")
+	}
+	if s := c.Stats(); s.Evictions != 1 || c.Contains("/b") {
+		t.Fatalf("fixture: %d evictions, want /b's row alone to go", s.Evictions)
 	}
 }
 
@@ -115,7 +127,7 @@ func TestInvalidatePrefixRoot(t *testing.T) {
 	c := New(0)
 	c.PutChain("/a", chainFor("/a"))
 	c.PutChain("/b/x", chainFor("/b/x"))
-	if n := c.InvalidatePrefix("/"); n != 4 { // /, /a, /b, /b/x
+	if n := c.Invalidate("/"); n != 4 { // /, /a, /b, /b/x
 		t.Fatalf("root invalidation removed %d entries, want 4", n)
 	}
 	if c.Len() != 0 || c.UsedBytes() != 0 {
@@ -168,7 +180,7 @@ func TestByteAccountingExact(t *testing.T) {
 				c.PutChain(p, chainFor(p))
 			}
 		}
-		c.InvalidatePrefix("/")
+		c.Invalidate("/")
 		return c.UsedBytes() == 0 && c.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -400,7 +412,7 @@ func TestListingSuspensionIsFragile(t *testing.T) {
 	full := listed(0).UsedBytes() // a budget the fixture just fits
 	for name, touch := range map[string]func(c *Cache){
 		"peer INV of a sibling": func(c *Cache) { c.Invalidate("/dir/b") },
-		"prefix INV of the dir": func(c *Cache) { c.InvalidatePrefix("/dir") },
+		"prefix INV of the dir": func(c *Cache) { c.Invalidate("/dir") },
 		"ClearComplete":         func(c *Cache) { c.ClearComplete("/dir") },
 		"a second suspension":   func(c *Cache) { c.SuspendListing("/dir/d", "") },
 		"eviction of a sibling": func(c *Cache) {
@@ -514,7 +526,7 @@ func TestPrefixRemovalKeepsSiblings(t *testing.T) {
 	for _, p := range []string{"/a/x/y", "/a2/x", "/b/a"} {
 		c.PutChain(p, chainFor(p))
 	}
-	if n := c.InvalidatePrefix("/a"); n != 3 {
+	if n := c.Invalidate("/a"); n != 3 {
 		t.Fatalf("removed %d, want 3", n)
 	}
 	for _, p := range []string{"/a2/x", "/b/a"} {
@@ -522,8 +534,39 @@ func TestPrefixRemovalKeepsSiblings(t *testing.T) {
 			t.Fatalf("%s went with /a", p)
 		}
 	}
-	if n := c.InvalidatePrefix("/missing"); n != 0 {
+	if n := c.Invalidate("/missing"); n != 0 {
 		t.Fatalf("removed %d under a missing prefix", n)
+	}
+}
+
+// TestFreeListBoundedByTree: invalidating a large subtree recycles its nodes
+// only up to the size of what is left, and invalidating everything keeps
+// none; the spare nodes then serve the next fills.
+func TestFreeListBoundedByTree(t *testing.T) {
+	c := New(0)
+	for i := 0; i < 1000; i++ {
+		p := fmt.Sprintf("/big/d%02d/f%02d", i/40, i%40)
+		c.PutChain(p, chainFor(p))
+	}
+	for _, p := range []string{"/small/x", "/small/y/z"} {
+		c.PutChain(p, chainFor(p))
+	}
+	if n := c.Invalidate("/big"); n != 1+25+1000 {
+		t.Fatalf("invalidating /big removed %d rows", n)
+	}
+	if err := c.checkFreeList(); err != nil {
+		t.Fatal(err)
+	}
+	if c.spare != 4 || c.nodes != 4 { // the tree: /small, x, y and z
+		t.Fatalf("after invalidating /big: %d spare nodes for a tree of %d, want 4 and 4", c.spare, c.nodes)
+	}
+	c.PutChain("/big/f", chainFor("/big/f"))
+	if err := c.checkFreeList(); err != nil || c.spare != 2 || c.nodes != 6 {
+		t.Fatalf("refilling two nodes left %d spare for a tree of %d (%v), want 2 and 6", c.spare, c.nodes, err)
+	}
+	c.Invalidate("/")
+	if err := c.checkFreeList(); err != nil || c.spare != 0 || c.nodes != 0 {
+		t.Fatalf("after invalidating the root: %d spare nodes for a tree of %d (%v), want none", c.spare, c.nodes, err)
 	}
 }
 
@@ -627,7 +670,10 @@ func (m *model) lookup(p string) ([]*namespace.INode, bool) {
 	for i := len(chain) - 1; i >= 0; i-- {
 		m.touch(paths[i])
 	}
-	return chain, len(chain) == len(paths)
+	if len(chain) < len(paths) {
+		return nil, false // a miss returns no chain, but it touched the prefix
+	}
+	return chain, true
 }
 
 func (m *model) putListing(dir string, kids []*namespace.INode) {
@@ -720,11 +766,50 @@ func byID(ns []*namespace.INode) []*namespace.INode {
 	return ns
 }
 
+// checkFreeList holds the free list to what a recycled node must be: out of
+// the tree and the LRU list, empty (no row, no bytes, no parent, no children,
+// listing unknown) and, all told, no longer than the tree.
+func (c *Cache) checkFreeList() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inTree := map[*node]bool{}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if inTree[n] {
+			return // a node linked twice: the counts below disagree
+		}
+		inTree[n] = true
+		for _, ch := range n.children {
+			walk(ch)
+		}
+	}
+	walk(&c.root)
+	inLRU := map[*node]bool{}
+	for n := c.lru.next; n != &c.lru && n != nil && len(inLRU) <= c.rows; n = n.next {
+		inLRU[n] = true
+	}
+	spare := 0
+	for n := c.free; n != nil && spare <= c.spare; n = n.next {
+		switch spare++; {
+		case inTree[n] || inLRU[n]:
+			return fmt.Errorf("free node %d is still reachable (from the root %v, from the LRU list %v)", spare, inTree[n], inLRU[n])
+		case n.inode != nil || n.bytes != 0 || n.parent != nil || n.prev != nil || n.name != "" || len(n.children) != 0 || n.listing != listingUnknown:
+			return fmt.Errorf("free node %d not emptied: row %v, %d bytes, parent %v, prev %v, name %q, %d children, listing %d",
+				spare, n.inode != nil, n.bytes, n.parent != nil, n.prev != nil, n.name, len(n.children), n.listing)
+		}
+	}
+	if spare != c.spare || c.nodes != len(inTree)-1 || c.spare > c.nodes {
+		return fmt.Errorf("free list of %d nodes (counted %d), tree of %d (counted %d): want it no longer than the tree",
+			spare, c.spare, len(inTree)-1, c.nodes)
+	}
+	return nil
+}
+
 // TestCacheMatchesReferenceModel drives the cache and the model with the same
 // seeded random operations, at a budget that evicts on most puts and without
 // one, and requires the same answers and the same Len, UsedBytes, Stats,
 // Contains and IsComplete after every step — so the cache evicts exactly the
-// rows the model does.
+// rows the model does — and a sound free list (checkFreeList).
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	var universe []string
 	var walk func(p string, depth int)
@@ -849,6 +934,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("budget %d seed %d step %d, after %s: %s cached %v complete %v, model disagrees",
 							budget, seed, step, what, q, c.Contains(q), c.IsComplete(q))
 					}
+				}
+				if err := c.checkFreeList(); err != nil {
+					t.Fatalf("budget %d seed %d step %d, after %s: %v", budget, seed, step, what, err)
 				}
 			}
 			if budget > 0 && 2*evicting <= puts {

@@ -38,10 +38,9 @@ import (
 
 // Invalidation is the payload of an INV message (§3.5, Appendix D).
 type Invalidation struct {
-	// Path is the invalidated path; with Prefix set, every cached entry
-	// at or under Path must be invalidated (subtree invalidation).
-	Path   string
-	Prefix bool
+	// Path is the invalidated path: every cached entry at or under it goes,
+	// so a subtree operation's prefix INV is an INV of its root.
+	Path string
 	// INodeID identifies the modified INode (diagnostics).
 	INodeID namespace.INodeID
 	// Writer is the instance performing the write (never invalidates

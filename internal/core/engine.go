@@ -227,17 +227,13 @@ func (e *Engine) ID() string { return e.id }
 func (e *Engine) Cache() *cache.Cache { return e.cache }
 
 // HandleInvalidation applies an INV from the coherence protocol:
-// invalidate the target (prefix for subtree INVs) and drop the parent
-// listing's completeness.
+// invalidate the target with everything under it (which is all a subtree
+// INV's prefix asks for) and drop the parent listing's completeness.
 func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 	if e.cache == nil {
 		return
 	}
-	if inv.Prefix {
-		e.cache.InvalidatePrefix(inv.Path)
-	} else {
-		e.cache.Invalidate(inv.Path)
-	}
+	e.cache.Invalidate(inv.Path)
 	e.cache.ClearComplete(namespace.ParentPath(inv.Path))
 }
 

@@ -641,7 +641,7 @@ func TestNoCacheFillUnderForeignSubtreeLock(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Simulate the prefix INV having already cleared b's cache.
-		b.Cache().InvalidatePrefix("/locked")
+		b.Cache().Invalidate("/locked")
 		// b's read during the locked window is rejected AND must not fill
 		// the cache.
 		wantErr(t, b, namespace.OpStat, "/locked/f", "", namespace.ErrSubtreeBusy)

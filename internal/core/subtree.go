@@ -137,7 +137,7 @@ func (e *Engine) prefixInvalidate(tc *trace.Ctx, deps []int, rootPath, appears s
 		sp.SetDetail(fmt.Sprintf("prefix deps=%d", len(deps)))
 		start = e.clk.Now()
 	}
-	invs := []coordinator.Invalidation{{Path: rootPath, Prefix: true, Writer: e.id}}
+	invs := []coordinator.Invalidation{{Path: rootPath, Writer: e.id}}
 	if appears != "" {
 		invs = append(invs, coordinator.Invalidation{Path: appears, Writer: e.id})
 	}

@@ -196,7 +196,9 @@ func TestRequestKeyUnique(t *testing.T) {
 // same string. On every clean output the path helpers agree with folding
 // JoinPath over SplitPath from the root: the fold gives the path back, its
 // last step is ParentPath and BaseName, and its earlier steps are
-// Ancestors. The seed corpus is testdata/fuzz/FuzzCleanPath.
+// Ancestors. The non-allocating walk (Walk, Next, Len, Dir) and AppendSplit
+// give exactly SplitPath's components. The seed corpus is
+// testdata/fuzz/FuzzCleanPath.
 func FuzzCleanPath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p string) {
 		got, err := CleanPath(p)
@@ -233,5 +235,26 @@ func FuzzCleanPath(f *testing.F) {
 				"ParentPath %q, BaseName %q, Ancestors %q",
 				got, fold, parent, base, prefixes, ParentPath(got), BaseName(got), Ancestors(got))
 		}
+		comps := SplitPath(got)
+		if appended := AppendSplit([]string{"x"}, got); !slices.Equal(appended[1:], comps) || appended[0] != "x" {
+			t.Fatalf("%q: AppendSplit after one element gives %q, SplitPath %q", got, appended, comps)
+		}
+		if walked, n := walkAll(Walk(got)); !slices.Equal(walked, comps) || n != len(comps) {
+			t.Fatalf("%q: Walk gives %q (Len %d), SplitPath %q", got, walked, n, comps)
+		}
+		dir, last, ok := Walk(got).Dir()
+		if walked, n := walkAll(dir); ok != (got != "/") || last != base || !slices.Equal(walked, SplitPath(parent)) || n != len(walked) {
+			t.Fatalf("%q: Dir gives %q (Len %d), %q, %v; want SplitPath(%q) = %q and %q",
+				got, walked, n, last, ok, parent, SplitPath(parent), base)
+		}
 	})
+}
+
+// walkAll returns what cs walks and the Len it reported before the walk.
+func walkAll(cs Components) (comps []string, n int) {
+	n = cs.Len()
+	for c, ok := cs.Next(); ok; c, ok = cs.Next() {
+		comps = append(comps, c)
+	}
+	return comps, n
 }

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"errors"
+	"slices"
 	"strings"
 )
 
@@ -69,6 +70,60 @@ func SplitPath(p string) []string {
 		return nil
 	}
 	return strings.Split(strings.TrimPrefix(p, "/"), "/")
+}
+
+// AppendSplit appends SplitPath(p)'s components to dst: with room in dst —
+// a stack buffer, say — splitting allocates nothing.
+func AppendSplit(dst []string, p string) []string {
+	cs := Walk(p)
+	n, k := len(dst), cs.Len()
+	dst = slices.Grow(dst, k)[:n+k]
+	for i := n; i < len(dst); i++ {
+		dst[i], _ = cs.Next()
+	}
+	return dst
+}
+
+// Components walks a canonical path's components one at a time, exactly as
+// SplitPath splits it, without allocating. The zero value walks none.
+type Components struct {
+	rest string
+	more bool
+}
+
+// Walk returns the walk over p's components.
+func Walk(p string) Components {
+	return Components{rest: strings.TrimPrefix(p, "/"), more: p != "/" && p != ""}
+}
+
+// Next returns the next component; ok is false once there is none.
+func (cs *Components) Next() (comp string, ok bool) {
+	if !cs.more {
+		return "", false
+	}
+	comp, cs.rest, cs.more = strings.Cut(cs.rest, "/")
+	return comp, true
+}
+
+// Len returns how many components are left to walk.
+func (cs Components) Len() int {
+	if !cs.more {
+		return 0
+	}
+	return 1 + strings.Count(cs.rest, "/")
+}
+
+// Dir splits off the last component: parent walks the ones before it. ok is
+// false when there is none (the root).
+func (cs Components) Dir() (parent Components, last string, ok bool) {
+	if !cs.more {
+		return Components{}, "", false
+	}
+	i := strings.LastIndexByte(cs.rest, '/')
+	if i < 0 {
+		return Components{}, cs.rest, true
+	}
+	return Components{rest: cs.rest[:i], more: true}, cs.rest[i+1:], true
 }
 
 // ParentPath returns the parent directory of a canonical path.

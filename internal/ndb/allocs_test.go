@@ -24,16 +24,31 @@ func TestReadPathAllocs(t *testing.T) {
 		addFile(t, db, parent, "f")
 		path += "/f"
 
-		// The transaction, the split, the multi-get's per-shard counts, the
-		// chain — and nothing to clean the canonical path, per row or per lock.
+		// The transaction and the chain — and nothing to clean the canonical
+		// path, per row or per lock: the split and the multi-get's per-shard
+		// counts are on the stack.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if chain, err := tx.ResolvePathBatched(path, store.LockShared, store.LockShared); err != nil || len(chain) != 7 {
 				t.Fatalf("resolve %s: %d rows, %v", path, len(chain), err)
 			}
 			tx.Abort()
-		}); got != 4 {
-			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 4", got)
+		}); got != 2 {
+			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 2", got)
+		}
+		// A rename's lock phase: the transaction, the reply, one chain per
+		// path, a private copy of each exclusive row each walk reads (/a/b
+		// twice, /a/b/c/d/e and f) and the lock set's growth past eight
+		// rows — the plans, their splits and the per-shard counts are on
+		// the stack.
+		if got := testing.AllocsPerRun(100, func() {
+			tx := db.Begin("nn")
+			if locked, err := tx.LockPaths(path, "/a/b/g"); err != nil || len(locked) != 2 {
+				t.Fatalf("lock %s and /a/b/g: %d paths, %v", path, len(locked), err)
+			}
+			tx.Abort()
+		}); got != 9 {
+			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 9", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}

@@ -76,13 +76,33 @@ func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([]int, len(db.shards))
+	var split [stackComponents]string
+	var counts [stackShards]int
+	perShard := db.shardCounts(counts[:])
 	db.mu.RLock()
-	chain, err := db.chainLocked(namespace.SplitPath(p), perShard)
+	chain, err := db.chainLocked(namespace.AppendSplit(split[:0], p), perShard)
 	db.mu.RUnlock()
 	db.serviceMultiT(perShard, tc)
 	db.tel.countBatchedResolve()
 	return chain, err
+}
+
+// A resolution splits its paths, and counts its rows per shard, into stack
+// buffers this large; a deeper path or a store with more shards spills to
+// the heap.
+const (
+	stackComponents = 16
+	stackShards     = 16
+)
+
+// shardCounts returns per-shard row counts, all zero: the first
+// len(db.shards) entries of buf, which the caller hands over zeroed, when
+// they fit, else a new slice.
+func (db *DB) shardCounts(buf []int) []int {
+	if len(db.shards) <= len(buf) {
+		return buf[:len(db.shards)]
+	}
+	return make([]int, len(db.shards))
 }
 
 // chainLocked walks comps from the root (caller holds db.mu) and returns the
@@ -130,17 +150,23 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 	return out, nil
 }
 
-// lockPlan is one path of a batched locked resolution. Rows above depth
-// slotFrom (the root is depth 0) are taken with ancestors, resolver-style:
-// the (parent, name) slot is locked only when the row is missing. Rows
-// from slotFrom down are taken with tail, slot first and then the row,
-// which is what protects the names the caller decides on against phantoms.
+// lockPlan is one path of a batched locked resolution. Its components are
+// split[from:to] of the split buffer the resolution's paths were appended
+// to: a plan holds no pointer, so the plans and the buffer can both live on
+// the resolver's stack. Rows above depth slotFrom (the root is depth 0) are
+// taken with ancestors, resolver-style: the (parent, name) slot is locked
+// only when the row is missing. Rows from slotFrom down are taken with
+// tail, slot first and then the row, which is what protects the names the
+// caller decides on against phantoms.
 type lockPlan struct {
-	comps     []string
+	from, to  int
 	ancestors store.LockMode
 	tail      store.LockMode
 	slotFrom  int
 }
+
+// comps returns the plan's path components out of split.
+func (p *lockPlan) comps(split []string) []string { return split[p.from:p.to] }
 
 func (p *lockPlan) modeAt(depth int) store.LockMode {
 	if depth >= p.slotFrom {
@@ -170,17 +196,19 @@ func samePrefix(a, b []string, depth int) bool {
 // list, the children of the directory a plan resolves to ride in the same
 // multi-get: one more row each on that directory's shard. The locked walks
 // that follow revalidate every row.
-func (t *tx) chargePlans(plans []lockPlan, list bool) {
+func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 	db := t.db
-	perShard := make([]int, len(db.shards))
+	var counts [stackShards]int
+	perShard := db.shardCounts(counts[:])
 	perShard[db.shardFor(inodeKey(namespace.RootID))]++
 	db.mu.RLock()
 	for i := range plans {
 		curID, found := namespace.RootID, true
-		for d, c := range plans[i].comps {
+		comps := plans[i].comps(split)
+		for d, c := range comps {
 			fetched := false
 			for j := 0; j < i && !fetched; j++ {
-				fetched = samePrefix(plans[j].comps, plans[i].comps, d+1)
+				fetched = samePrefix(plans[j].comps(split), comps, d+1)
 			}
 			id, ok := db.children[curID][c]
 			key := childKey(curID, c) // a missing component probes its slot
@@ -211,11 +239,11 @@ func (t *tx) chargePlans(plans []lockPlan, list bool) {
 // row's first acquisition, so a row two paths share is never upgraded and
 // never takes its slot after the row. A missing component ends the walk
 // with the partial chain and namespace.ErrNotFound.
-func (t *tx) walkPlan(plans []lockPlan, i int) ([]*namespace.INode, error) {
-	p := &plans[i]
+func (t *tx) walkPlan(plans []lockPlan, split []string, i int) ([]*namespace.INode, error) {
+	comps := plans[i].comps(split)
 	how := func(depth int) (m store.LockMode, slotFirst bool) {
 		for j := range plans {
-			if q := &plans[j]; samePrefix(p.comps, q.comps, depth) {
+			if q := &plans[j]; samePrefix(comps, q.comps(split), depth) {
 				m = max(m, q.modeAt(depth))
 				slotFirst = slotFirst || depth >= q.slotFrom
 			}
@@ -230,9 +258,9 @@ func (t *tx) walkPlan(plans []lockPlan, i int) ([]*namespace.INode, error) {
 	if cur == nil {
 		return nil, namespace.ErrInvalidState
 	}
-	chain := make([]*namespace.INode, 0, len(p.comps)+1)
+	chain := make([]*namespace.INode, 0, len(comps)+1)
 	chain = append(chain, cur)
-	for d, c := range p.comps {
+	for d, c := range comps {
 		mode, slotFirst := how(d + 1)
 		next, err := t.lockChild(cur.ID, c, mode, slotFirst)
 		if err != nil {
@@ -257,10 +285,11 @@ func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bo
 	if err != nil {
 		return nil, err
 	}
-	comps := namespace.SplitPath(p)
-	plans := [1]lockPlan{{comps: comps, ancestors: ancestors, tail: terminal, slotFrom: len(comps)}}
-	t.chargePlans(plans[:], list)
-	return t.walkPlan(plans[:], 0)
+	var buf [stackComponents]string
+	split := namespace.AppendSplit(buf[:0], p)
+	plans := [1]lockPlan{{to: len(split), ancestors: ancestors, tail: terminal, slotFrom: len(split)}}
+	t.chargePlans(plans[:], split, list)
+	return t.walkPlan(plans[:], split, 0)
 }
 
 // ResolvePathBatched implements store.Tx.
@@ -298,24 +327,31 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 	if t.done {
 		return nil, store.ErrTxDone
 	}
-	plans := make([]lockPlan, len(paths))
-	order := make([]int, len(paths))
+	var planBuf [2]lockPlan // a write locks one path, a rename two
+	var orderBuf [len(planBuf)]int
+	var buf [len(planBuf) * stackComponents]string
+	n, split := len(paths), buf[:0]
+	plans, order := planBuf[:], orderBuf[:]
+	if n > len(planBuf) {
+		plans, order = make([]lockPlan, n), make([]int, n)
+	}
+	plans, order = plans[:n], order[:n]
 	for i, p := range paths {
-		comps := namespace.SplitPath(p)
-		if len(comps) == 0 || p[0] != '/' {
+		from := len(split)
+		if split = namespace.AppendSplit(split, p); len(split) == from || p[0] != '/' {
 			return nil, namespace.ErrInvalidPath // the root has no parent to lock
 		}
-		plans[i] = lockPlan{comps: comps, ancestors: store.LockShared, tail: store.LockExclusive, slotFrom: len(comps) - 1}
+		plans[i] = lockPlan{from: from, to: len(split), ancestors: store.LockShared, tail: store.LockExclusive, slotFrom: len(split) - from - 1}
 		order[i] = i
-		for k := i; k > 0 && slices.Compare(comps, plans[order[k-1]].comps) < 0; k-- {
+		for k := i; k > 0 && slices.Compare(plans[i].comps(split), plans[order[k-1]].comps(split)) < 0; k-- {
 			order[k], order[k-1] = order[k-1], order[k]
 		}
 	}
-	t.chargePlans(plans, false)
+	t.chargePlans(plans, split, false)
 	out := make([]store.LockedPath, len(paths))
 	for _, i := range order {
-		chain, err := t.walkPlan(plans, i)
-		parents := len(plans[i].comps) // rows root … parent
+		chain, err := t.walkPlan(plans, split, i)
+		parents := plans[i].to - plans[i].from // rows root … parent
 		switch {
 		case err == nil:
 			out[i].Chain, out[i].Target = chain[:parents], chain[parents]
