@@ -13,9 +13,11 @@
 # component walker on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec
 # (FuzzDecodeAttr: round trip, every other length rejected), the
-# determinism smoke — the clock's own tests, bench's three golden
-# sim-driven tests (storm tables, hotpath gate, a real-stack scale point)
-# and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
+# determinism smoke — the clock's own tests, bench's five golden
+# sim-driven tests (storm tables, hotpath gate, a real-stack scale point,
+# TestSweepTablesGolden's fake-runner digests of every §5.3 sweep at every
+# scale and TestSweepTinyRunsGolden's real tiny fig11/fig13/fig14/
+# ablation-rpc digests) and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
 # and four Ps, which covers every crash-restart and alert-coverage test —
 # the one -chaosseed replay of a chaos episode, an event-heap smoke for
 # internal/sim (kept only because benchmark/ times it), and the
@@ -82,9 +84,9 @@ go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
 echo "== fuzz (indexfs attribute codec: encode/decode round trip, every 20-byte row re-encodes to itself, every other length rejected; bounded) =="
 go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate and real-stack scale point, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point and sweep tables (fake runner, every scale; real runs, tiny), then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism' -cpu 1,2,4 -count=2
+go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden' -cpu 1,2,4 -count=2
 go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
 echo "== chaos replay (one episode through the -chaosseed path, which no other step runs) =="
