@@ -48,9 +48,13 @@ func main() {
 	}
 	flag.Parse()
 	args := flag.Args()
+	scale := bench.Quick
+	if *full {
+		scale = bench.Full
+	}
 
 	if *baseline != "" || *check != "" {
-		opts := bench.Options{Quick: !*full, Seed: *seed}
+		opts := bench.Options{Scale: scale, Seed: *seed}
 		if *baseline != "" {
 			path, err := bench.WriteBaseline(*baseline, opts)
 			if err != nil {
@@ -95,7 +99,7 @@ func main() {
 		}
 	}
 
-	opts := bench.Options{Quick: !*full, Seed: *seed, Out: os.Stdout, TraceDir: *traceDir,
+	opts := bench.Options{Scale: scale, Seed: *seed, Out: os.Stdout, TraceDir: *traceDir,
 		MetricsDir: *metricsDir, ChaosSeed: *chaosSeed, SLODir: *sloDir}
 	mode := "quick"
 	if *full {

@@ -20,17 +20,6 @@ type baselineHeader struct {
 	Seed   int64  `json:"seed"`
 }
 
-func baselineMode(opts Options) string {
-	switch {
-	case opts.Tiny:
-		return "tiny"
-	case opts.Quick:
-		return "quick"
-	default:
-		return "full"
-	}
-}
-
 type baselineKind struct {
 	name, schema string
 	measure      func(Options) any
@@ -118,8 +107,11 @@ func loadBaseline(path, name, schema string, doc any, opts Options) (Options, er
 		return opts, fmt.Errorf("baseline schema %q, want %q (regenerate with -baseline %s)",
 			hdr.Schema, schema, name)
 	}
-	opts.Quick = hdr.Mode == "quick"
-	opts.Tiny = hdr.Mode == "tiny"
+	for opts.Scale = Full; opts.Scale.String() != hdr.Mode; opts.Scale++ {
+		if opts.Scale == Tiny {
+			return opts, fmt.Errorf("baseline mode %q, want full, quick or tiny", hdr.Mode)
+		}
+	}
 	opts.Seed = hdr.Seed
 	return opts, nil
 }

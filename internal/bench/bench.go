@@ -32,15 +32,31 @@ import (
 	"lambdafs/internal/workload"
 )
 
-// Options control experiment scale.
+// Scale sizes an experiment: its op counts, durations, client sweeps and
+// tree shapes.
+type Scale int
+
+const (
+	// Full uses the paper's counts (slow). It is the zero value.
+	Full Scale = iota
+	// Quick trims durations and per-client op counts so that the suite
+	// runs in minutes.
+	Quick
+	// Tiny shrinks further, to the sizes the repository's tests and
+	// testing.B benchmarks (bench_test.go) run at.
+	Tiny
+)
+
+// String names the scale; it is also a baseline file's mode.
+func (s Scale) String() string { return [...]string{"full", "quick", "tiny"}[s] }
+
+// scaled picks the value for s: full, quick or tiny.
+func scaled[T any](s Scale, full, quick, tiny T) T { return [...]T{full, quick, tiny}[s] }
+
+// Options control an experiment run.
 type Options struct {
-	// Quick trims durations and per-client op counts so the whole suite
-	// runs in minutes; Full uses the paper's counts.
-	Quick bool
-	// Tiny shrinks further so that every experiment fits inside Go's
-	// default 10-minute test timeout when the whole set runs as
-	// testing.B benchmarks (bench_test.go). Implies Quick.
-	Tiny bool
+	// Scale sizes every experiment (the zero value is Full).
+	Scale Scale
 	// Seed drives all workload randomness.
 	Seed int64
 	// Out receives the rendered tables (defaults to io.Discard when nil).
@@ -402,6 +418,15 @@ func fmtDur(d time.Duration) string {
 }
 
 func fmtUSD(v float64) string { return fmt.Sprintf("$%.4f", v) }
+
+// headings is first followed by one column heading per value.
+func headings(first, format string, vs []int) []string {
+	out := []string{first}
+	for _, v := range vs {
+		out = append(out, fmt.Sprintf(format, v))
+	}
+	return out
+}
 
 func ratio(a, b float64) string {
 	if b <= 0 {

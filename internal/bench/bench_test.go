@@ -10,7 +10,7 @@ import (
 )
 
 func tinyOpts() Options {
-	return Options{Quick: true, Seed: 7}
+	return Options{Scale: Quick, Seed: 7}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -54,7 +54,7 @@ func TestMicroPointLambdaVsHops(t *testing.T) {
 	// One tiny closed-loop point per system: λFS's cached reads must beat
 	// stateless HopsFS (the evaluation's central claim).
 	opts := tinyOpts()
-	lam := runMicro(opts, lambdaMicro(0, opts.Seed), namespace.OpRead, 32, 512, 48)
+	lam := runMicro(opts, lambdaMicro(opts.Seed, nil), namespace.OpRead, 32, 512, 48)
 	hops := runMicro(opts, hopsMicro(false), namespace.OpRead, 32, 512, 48)
 	if lam.throughput <= 0 || hops.throughput <= 0 {
 		t.Fatalf("throughputs: λFS=%v hops=%v", lam.throughput, hops.throughput)

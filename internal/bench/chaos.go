@@ -46,12 +46,7 @@ func RunChaos(opts Options) []*Table {
 
 // runChaosEpisodes is phase A: model-checked deterministic episodes.
 func runChaosEpisodes(opts Options) *Table {
-	episodes := 12
-	if opts.Tiny {
-		episodes = 4
-	} else if opts.Quick {
-		episodes = 8
-	}
+	episodes := scaled(opts.Scale, 12, 8, 4)
 	seeds := make([]int64, 0, episodes)
 	if opts.ChaosSeed > 0 {
 		seeds = append(seeds, opts.ChaosSeed)
@@ -159,8 +154,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 		cfg.OnTCPFault = inj.RPCOnTCP
 	}
 
-	d, f := microTreeShape(opts)
-	dirs, files := workload.GenerateNamespace(d, f)
+	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
 	c := newLambdaCluster(clk, p)
 	workload.PreloadNDB(c.db, dirs, files)
 	defer c.close()
@@ -169,12 +163,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	scraper.OnSnapshot(fr.RecordSnapshot)
 	scraper.Start()
 
-	clients, per := 32, 128
-	if opts.Tiny {
-		clients, per = 8, 48
-	} else if opts.Quick {
-		clients, per = 16, 64
-	}
+	clients, per := scaled(opts.Scale, 32, 16, 8), scaled(opts.Scale, 128, 64, 48)
 	mix := workload.Mix{
 		{Op: namespace.OpCreate, Weight: 10},
 		{Op: namespace.OpMv, Weight: 4},
@@ -196,10 +185,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	// Storm phase: between workload waves, arm a seeded batch of faults
 	// across every injection layer, plus direct instance kills.
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
-	waves := 4
-	if opts.Tiny {
-		waves = 2
-	}
+	waves := scaled(opts.Scale, 4, 4, 2)
 	storm := workload.NewRecorder(clk.Now())
 	for w := 0; w < waves; w++ {
 		inj.ArmKillInvocation(1 + rng.Intn(2))

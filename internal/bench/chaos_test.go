@@ -14,7 +14,7 @@ import (
 // actually fired, the phase-B storm must keep serving ops and leave the
 // store structurally clean, and episode digests must be reproducible.
 func TestRunChaosExperiment(t *testing.T) {
-	opts := Options{Tiny: true, Quick: true, Seed: 7}
+	opts := Options{Scale: Tiny, Seed: 7}
 	tables := RunChaos(opts)
 	if len(tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(tables))
@@ -54,7 +54,7 @@ func TestRunChaosExperiment(t *testing.T) {
 
 	// Replay mode: a fixed ChaosSeed reruns one episode with the same
 	// digest as the sweep produced for it.
-	replay := RunChaos(Options{Tiny: true, Quick: true, Seed: 7, ChaosSeed: 7})
+	replay := RunChaos(Options{Scale: Tiny, Seed: 7, ChaosSeed: 7})
 	if len(replay) != 1 {
 		t.Fatalf("replay tables = %d, want 1 (episodes only)", len(replay))
 	}
@@ -98,7 +98,7 @@ var goldenStormRows = map[int64]string{
 // table is the committed one. Run at -cpu 1,2,4.
 func TestChaosStormSeedDeterminism(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
-		opts := Options{Tiny: true, Quick: true, Seed: seed}
+		opts := Options{Scale: Tiny, Seed: seed}
 		a := runChaosStorm(opts)
 		if seed == 11 {
 			if b := runChaosStorm(opts); !reflect.DeepEqual(a.Rows, b.Rows) {
@@ -118,7 +118,7 @@ func TestChaosStormSeedDeterminism(t *testing.T) {
 // the digest chaos.RunEpisode computes for that seed directly.
 func TestChaosEpisodeDigestMatchesLibrary(t *testing.T) {
 	const seed = 42
-	tb := runChaosEpisodes(Options{Tiny: true, Quick: true, Seed: seed, ChaosSeed: seed})
+	tb := runChaosEpisodes(Options{Scale: Tiny, Seed: seed, ChaosSeed: seed})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tb.Rows))
 	}

@@ -40,7 +40,7 @@ func TestHotpathBaselineGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-measures the hotpath experiment")
 	}
-	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
+	opts := Options{Scale: Tiny, Seed: 1, Out: io.Discard}
 	cur := HotpathMeasure(opts)
 
 	ls := cur.Scenarios["ls_miss"]

@@ -70,31 +70,14 @@ type restartScenario struct {
 	ckptEvery int // 0: never checkpoint, replay the whole log
 }
 
-// restartScenarios picks the measured points for a mode. The uncheck-
+// restartScenarios picks the measured points for a scale. The uncheck-
 // pointed points sweep log length (recovery time should scale with it);
 // the checkpointed point proves a checkpoint bounds replay to the tail.
-func restartScenarios(opts Options) []restartScenario {
-	switch {
-	case opts.Tiny:
-		return []restartScenario{
-			{"wal_64", 64, 0},
-			{"wal_256", 256, 0},
-			{"ckpt_256", 256, 64},
-		}
-	case opts.Quick:
-		return []restartScenario{
-			{"wal_256", 256, 0},
-			{"wal_1024", 1024, 0},
-			{"ckpt_1024", 1024, 256},
-		}
-	default:
-		return []restartScenario{
-			{"wal_512", 512, 0},
-			{"wal_2048", 2048, 0},
-			{"wal_8192", 8192, 0},
-			{"ckpt_8192", 8192, 2048},
-		}
-	}
+func restartScenarios(s Scale) []restartScenario {
+	return scaled(s,
+		[]restartScenario{{"wal_512", 512, 0}, {"wal_2048", 2048, 0}, {"wal_8192", 8192, 0}, {"ckpt_8192", 8192, 2048}},
+		[]restartScenario{{"wal_256", 256, 0}, {"wal_1024", 1024, 0}, {"ckpt_1024", 1024, 256}},
+		[]restartScenario{{"wal_64", 64, 0}, {"wal_256", 256, 0}, {"ckpt_256", 256, 64}})
 }
 
 // restartDigest canonically hashes the store's committed state: every
@@ -180,11 +163,11 @@ func measureRestart(sc restartScenario) *RestartRow {
 func RestartMeasure(opts Options) *RestartBaseline {
 	b := &RestartBaseline{
 		Schema: RestartSchema,
-		Mode:   baselineMode(opts),
+		Mode:   opts.Scale.String(),
 		Seed:   opts.Seed,
 		Rows:   map[string]*RestartRow{},
 	}
-	for _, sc := range restartScenarios(opts) {
+	for _, sc := range restartScenarios(opts.Scale) {
 		b.Rows[sc.name] = measureRestart(sc)
 	}
 	return b
@@ -200,7 +183,7 @@ func RunRestart(opts Options) []*Table {
 		Columns: []string{"scenario", "commits", "ckpts", "wal_recs", "wal_bytes",
 			"base_lsn", "ckpt_rows", "replayed", "recovery", "digest"},
 	}
-	for _, sc := range restartScenarios(opts) {
+	for _, sc := range restartScenarios(opts.Scale) {
 		r := b.Rows[sc.name]
 		match := "match"
 		if !r.DigestMatch {
@@ -230,13 +213,7 @@ func RunRestart(opts Options) []*Table {
 		Columns: []string{"seed", "steps", "commits", "crashes", "ckpts",
 			"replayed", "discarded", "violations"},
 	}
-	seeds := 6
-	if opts.Quick {
-		seeds = 4
-	}
-	if opts.Tiny {
-		seeds = 2
-	}
+	seeds := scaled(opts.Scale, 6, 4, 2)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		cfg := chaos.CrashRestartConfig{Seed: opts.Seed*1000 + seed}
 		res := chaos.RunCrashRestart(cfg)
@@ -273,7 +250,7 @@ func CheckRestartBaseline(path string, opts Options) error {
 	}
 	cur := RestartMeasure(opts)
 	var d baselineDiff
-	for _, sc := range restartScenarios(opts) {
+	for _, sc := range restartScenarios(opts.Scale) {
 		want, ok := committed.Rows[sc.name]
 		if !ok {
 			return fmt.Errorf("baseline %s lacks scenario %q (regenerate with -baseline restart)",

@@ -40,9 +40,9 @@ func cloneRestartBaseline(t *testing.T, b *RestartBaseline) *RestartBaseline {
 // exactly their log; the checkpointed scenario's replay is bounded by
 // the cadence and its recovery starts from a non-zero base LSN.
 func TestRestartMeasure(t *testing.T) {
-	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
+	opts := Options{Scale: Tiny, Seed: 1, Out: io.Discard}
 	b := RestartMeasure(opts)
-	for _, sc := range restartScenarios(opts) {
+	for _, sc := range restartScenarios(opts.Scale) {
 		r := b.Rows[sc.name]
 		if r == nil {
 			t.Fatalf("scenario %s missing from measurement", sc.name)
@@ -76,7 +76,7 @@ func TestRestartMeasure(t *testing.T) {
 // honest baseline passes, a deflated recovery-time fixture fails
 // mentioning recovery, and a stale schema is rejected.
 func TestRestartBaselineGate(t *testing.T) {
-	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
+	opts := Options{Scale: Tiny, Seed: 1, Out: io.Discard}
 	cur := RestartMeasure(opts)
 
 	t.Run("honest baseline passes", func(t *testing.T) {

@@ -41,15 +41,11 @@ type scalePoint struct {
 // The sweeps are sized by host cost (a goroutine, two PRNGs and an rpc
 // client per simulated client): quick stays under 1 GiB and ~20 s of
 // wall, and only -full crosses the cliff at 30k clients.
-func scalePoints(opts Options) []scalePoint {
-	switch {
-	case opts.Tiny:
-		return []scalePoint{{200, 4}, {1_000, 4}}
-	case opts.Quick:
-		return []scalePoint{{1_000, 8}, {10_000, 8}}
-	default:
-		return []scalePoint{{1_000, 8}, {10_000, 8}, {30_000, 8}}
-	}
+func scalePoints(s Scale) []scalePoint {
+	return scaled(s,
+		[]scalePoint{{1_000, 8}, {10_000, 8}, {30_000, 8}},
+		[]scalePoint{{1_000, 8}, {10_000, 8}},
+		[]scalePoint{{200, 4}, {1_000, 4}})
 }
 
 // ScaleTenantRow is one tenant's outcome at a point: the admission
@@ -113,7 +109,7 @@ func runScalePoint(pt scalePoint, seed int64) *scaleResult {
 	p.seed = seed
 	p.minInstances = 1
 	p.metrics = reg
-	dirs, files := workload.GenerateNamespace(microTreeShape(Options{Quick: true}))
+	dirs, files := workload.GenerateNamespace(microTreeShape(Quick))
 	tree := workload.NewTree(dirs, files)
 
 	var c *lambdaCluster
@@ -170,12 +166,12 @@ func scaleKey(clients int) string { return fmt.Sprintf("c%d", clients) }
 func ScaleMeasure(opts Options) (*ScaleBaseline, []*scaleResult) {
 	b := &ScaleBaseline{
 		Schema: ScaleSchema,
-		Mode:   baselineMode(opts),
+		Mode:   opts.Scale.String(),
 		Seed:   opts.Seed,
 		Rows:   make(map[string]*ScaleRow),
 	}
 	var results []*scaleResult
-	for _, pt := range scalePoints(opts) {
+	for _, pt := range scalePoints(opts.Scale) {
 		r := runScalePoint(pt, opts.Seed)
 		results = append(results, r)
 		b.Rows[scaleKey(pt.clients)] = r.row
@@ -250,7 +246,7 @@ func CheckScaleBaseline(path string, opts Options) error {
 	}
 	cur, _ := ScaleMeasure(opts)
 	var d baselineDiff
-	for _, pt := range scalePoints(opts) {
+	for _, pt := range scalePoints(opts.Scale) {
 		key := scaleKey(pt.clients)
 		want, ok := committed.Rows[key]
 		if !ok {

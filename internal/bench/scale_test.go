@@ -32,7 +32,7 @@ func TestScalePointDeterminism(t *testing.T) {
 // move), every deployment cold-started at least its warm instance, and
 // admission clips the underprovisioned crawler class and nobody else.
 func TestScaleMeasureTiny(t *testing.T) {
-	b, results := ScaleMeasure(Options{Tiny: true, Seed: 1, Out: io.Discard})
+	b, results := ScaleMeasure(Options{Scale: Tiny, Seed: 1, Out: io.Discard})
 	if b.Schema != ScaleSchema {
 		t.Fatalf("schema %q, want %q", b.Schema, ScaleSchema)
 	}
@@ -96,7 +96,7 @@ func TestScaleMeasureTiny(t *testing.T) {
 func writeTinyScaleBaseline(t *testing.T) (string, Options, *ScaleBaseline) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "scale.json")
-	opts := Options{Tiny: true, Seed: 1, Out: io.Discard}
+	opts := Options{Scale: Tiny, Seed: 1, Out: io.Discard}
 	cur, _ := ScaleMeasure(opts)
 	if err := writeBaselineFile(path, cur); err != nil {
 		t.Fatalf("write baseline: %v", err)
@@ -138,7 +138,7 @@ func TestScaleBaselineCatchesDrift(t *testing.T) {
 		if err := json.Unmarshal(data, &mutated); err != nil {
 			t.Fatalf("parse baseline: %v", err)
 		}
-		corrupt(mutated.Rows[scaleKey(scalePoints(opts)[0].clients)])
+		corrupt(mutated.Rows[scaleKey(scalePoints(opts.Scale)[0].clients)])
 		mpath := filepath.Join(t.TempDir(), "mutated.json")
 		if err := writeBaselineFile(mpath, &mutated); err != nil {
 			t.Fatalf("write mutated baseline: %v", err)
@@ -161,11 +161,19 @@ func TestScaleBaselineRejectsBadSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	err := CheckScaleBaseline(path, Options{Tiny: true, Seed: 1})
+	err := CheckScaleBaseline(path, Options{Scale: Tiny, Seed: 1})
 	if err == nil {
 		t.Fatalf("stale schema accepted")
 	}
 	if !strings.Contains(err.Error(), "-baseline scale") {
 		t.Fatalf("error lacks the regenerate hint: %v", err)
+	}
+	// A mode that names no Scale is refused too, not measured at Full.
+	doc = `{"schema":"` + ScaleSchema + `","mode":"medium","seed":1,"rows":{}}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := CheckScaleBaseline(path, Options{Seed: 1}); err == nil || !strings.Contains(err.Error(), `"medium"`) {
+		t.Fatalf("unknown mode: err %v", err)
 	}
 }

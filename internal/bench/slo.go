@@ -48,12 +48,7 @@ func RunSLO(opts Options) []*Table {
 
 // runSLOCoverage is phase A: the chaos alert-coverage battery.
 func runSLOCoverage(opts Options) *Table {
-	seeds := []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}
-	if opts.Tiny {
-		seeds = seeds[:1]
-	} else if opts.Quick {
-		seeds = seeds[:2]
-	}
+	seeds := []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}[:scaled(opts.Scale, 3, 2, 1)]
 
 	t := &Table{
 		ID:      "slo-coverage",
@@ -125,8 +120,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	fr := telemetry.NewFlightRecorder(0, 0)
 	eng.SetEventSink(fr.RecordEvent)
 
-	d, f := microTreeShape(opts)
-	dirs, files := workload.GenerateNamespace(d, f)
+	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
 	c := newLambdaCluster(clk, p)
 	workload.PreloadNDB(c.db, dirs, files)
 	defer c.close()
@@ -136,12 +130,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	scraper.OnSnapshot(fr.RecordSnapshot)
 	scraper.Start()
 
-	warmClients, burstClients, per := 8, 48, 96
-	if opts.Tiny {
-		warmClients, burstClients, per = 4, 16, 32
-	} else if opts.Quick {
-		warmClients, burstClients, per = 8, 32, 64
-	}
+	warmClients, burstClients, per := scaled(opts.Scale, 8, 8, 4), scaled(opts.Scale, 48, 32, 16), scaled(opts.Scale, 96, 64, 32)
 	mix := workload.Mix{
 		{Op: namespace.OpCreate, Weight: 10},
 		{Op: namespace.OpMv, Weight: 2},

@@ -16,7 +16,7 @@ import (
 func TestSLOExperiment(t *testing.T) {
 	dir := t.TempDir()
 	opts := tinyOpts()
-	opts.Tiny = true
+	opts.Scale = Tiny
 	opts.SLODir = dir
 	tables := RunSLO(opts)
 	if len(tables) != 2 {

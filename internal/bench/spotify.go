@@ -23,37 +23,23 @@ type spotifyParams struct {
 }
 
 func spotifyShape(opts Options, base float64) spotifyParams {
+	// Quick scales the workload down ~2.5x in rate and ~8x in duration,
+	// and makes the 7x burst deterministic (a short run may never draw one
+	// from the Pareto distribution). The shape-defining relationships are
+	// preserved: the base rate stays below the store's read capacity while
+	// the burst exceeds it, so λFS still absorbs a spike that HopsFS
+	// cannot. Tiny shrinks further.
+	s := opts.Scale
 	p := spotifyParams{
-		base:     base,
-		duration: 300 * time.Second,
-		interval: 15 * time.Second,
-		clients:  1024,
-		dirs:     256,
-		files:    200,
+		base:     base * scaled(s, 1, 0.3, 0.15),
+		duration: scaled(s, 300*time.Second, 40*time.Second, 12*time.Second),
+		interval: scaled(s, 15*time.Second, 10*time.Second, 3*time.Second),
+		clients:  scaled(s, 1024, 128, 64),
+		dirs:     scaled(s, 256, 128, 64),
+		files:    scaled(s, 200, 100, 50),
 	}
-	if opts.Tiny {
-		p.base = base * 0.15
-		p.duration = 12 * time.Second
-		p.interval = 3 * time.Second
-		p.clients = 64
-		p.dirs = 64
-		p.files = 50
-		p.targets = []float64{p.base, p.base, 7 * p.base, p.base}
-	} else if opts.Quick {
-		// Quick mode scales the workload down ~2.5x in rate and ~8x in
-		// duration, and makes the 7x burst deterministic (a short run
-		// may never draw one from the Pareto distribution). The
-		// shape-defining relationships are preserved: the base rate
-		// stays below the store's read capacity while the burst exceeds
-		// it, so λFS still absorbs a spike that HopsFS cannot.
-		p.base = base * 0.3
-		p.duration = 40 * time.Second
-		p.interval = 10 * time.Second
-		p.clients = 128
-		p.dirs = 128
-		p.files = 100
-		p.targets = []float64{p.base, p.base, 7 * p.base, p.base}
-	} else {
+	p.targets = []float64{p.base, p.base, 7 * p.base, p.base}
+	if s == Full {
 		p.targets = workload.NewParetoLoad(p.base, opts.Seed).Series(p.duration)
 	}
 	return p
@@ -393,10 +379,7 @@ func RunFig10(opts Options) []*Table {
 // with one NameNode killed every 30 s round-robin.
 func RunFig15(opts Options) []*Table {
 	sp := spotifyShape(opts, 25000)
-	faultEvery := 30 * time.Second
-	if opts.Quick {
-		faultEvery = 10 * time.Second
-	}
+	faultEvery := scaled(opts.Scale, 30*time.Second, 10*time.Second, 10*time.Second)
 	normal := runSpotifyLambda(opts, sp, "λFS", -1, 256, 6, 0)
 	faulty := runSpotifyLambda(opts, sp, "λFS+Failures", -1, 256, 6, faultEvery)
 	t := &Table{

@@ -29,8 +29,7 @@ func RunTrace(opts Options) []*Table {
 	p.clientVMs = 2
 	p.tracer = tr
 
-	d, f := microTreeShape(opts)
-	dirs, files := workload.GenerateNamespace(d, f)
+	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
 	var c *lambdaCluster
 	clock.Run(clk, func() {
 		c = newLambdaCluster(clk, p)
@@ -38,12 +37,7 @@ func RunTrace(opts Options) []*Table {
 	})
 	defer func() { clock.Run(clk, c.close) }()
 
-	clients, per := 32, 192
-	if opts.Tiny {
-		clients, per = 8, 64
-	} else if opts.Quick {
-		clients, per = 16, 96
-	}
+	clients, per := scaled(opts.Scale, 32, 16, 8), scaled(opts.Scale, 192, 96, 64)
 	// Write-heavier than Spotify so create/mv decompositions have enough
 	// samples to report.
 	mix := workload.Mix{

@@ -69,7 +69,7 @@ func TestBreakdownTableGolden(t *testing.T) {
 // start, reclamation, and anti-thrashing events.
 func TestRunTraceExperiment(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Tiny: true, Quick: true, Seed: 7, TraceDir: dir}
+	opts := Options{Scale: Tiny, Seed: 7, TraceDir: dir}
 	tables := RunTrace(opts)
 	if len(tables) != 3 {
 		t.Fatalf("tables = %d", len(tables))
