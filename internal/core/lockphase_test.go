@@ -17,13 +17,18 @@ import (
 
 // TestWriteLockPhaseIsOneStoreRead pins the store round trips of every
 // write's lock phase: one LockPaths call, so one ndb read, whatever the
-// operation locks — and one more for mkdirs' lock-free peek.
+// operation locks — a leaf mkdirs too, and what an existing name answers —
+// and one more for a deep mkdirs, whose first lock phase finds where the
+// path goes missing.
 func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
 		mustOK(t, e, namespace.OpMkdirs, "/p/q", "")
 		mustOK(t, e, namespace.OpMkdirs, "/r", "")
 		mustOK(t, e, namespace.OpCreate, "/r/warm", "") // loads the DataNode view (a KV scan) once
+
+		// Every row succeeds but this one.
+		fails := map[string]error{"mkdirs over a file": namespace.ErrExists}
 		for _, c := range []struct {
 			name       string
 			op         namespace.OpType
@@ -35,9 +40,14 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 			{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1},
 			{"delete", namespace.OpDelete, "/r/h", "", 1},
 			{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2},
+			{"mkdirs leaf", namespace.OpMkdirs, "/p/q/leaf", "", 1},
+			{"mkdirs existing dir", namespace.OpMkdirs, "/p/q", "", 1},
+			{"mkdirs over a file", namespace.OpMkdirs, "/r/warm", "", 1},
 		} {
 			before := st.Stats()
-			mustOK(t, e, c.op, c.path, c.dest)
+			if resp := do(t, e, c.op, c.path, c.dest); !errors.Is(resp.Error(), fails[c.name]) {
+				t.Fatalf("%s: err=%v, want %v", c.name, resp.Error(), fails[c.name])
+			}
 			after := st.Stats()
 			if got := after.Reads - before.Reads; got != c.reads {
 				t.Errorf("%s: %d store reads, want %d", c.name, got, c.reads)

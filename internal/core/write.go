@@ -80,102 +80,117 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 	return &namespace.Response{ID: created.ID}
 }
 
+// errAncestorMissing aborts a mkdirs transaction that locked for a leaf and
+// found an ancestor missing too; mkdirs redoes it from the first missing
+// component.
+var errAncestorMissing = errors.New("core: mkdirs ancestor missing")
+
 // mkdirs creates the directory at path along with any missing ancestors
-// (HDFS mkdirs semantics). Creating an existing directory succeeds.
+// (HDFS mkdirs semantics). Creating an existing directory succeeds. The
+// first lock phase assumes a leaf — only the last component missing — and
+// so is the one store round of a leaf, an existing directory or a file in
+// the way. When it finds an ancestor missing too, the rows it did find say
+// where the path first goes missing, and a second transaction locks from
+// there: a deep mkdirs takes two rounds.
 func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
 	if path == "/" {
 		return &namespace.Response{ID: namespace.RootID}
 	}
+	comps := namespace.SplitPath(path)
+	first := len(comps) - 1 // index of the first missing component, as far as is known
 	var dirID namespace.INodeID
-	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
-		// Lock-free peek to find the deepest existing component; the
-		// authoritative check happens below under exclusive locks. Taking
-		// shared locks here would deadlock concurrent mkdirs on a
-		// shared→exclusive upgrade.
-		chain, err := e.resolveStore(tc, path)
-		if err == nil {
-			target := chain[len(chain)-1]
-			if !target.IsDir {
-				return namespace.ErrExists
-			}
-			dirID = target.ID
-			return nil
-		}
-		if !errors.Is(err, namespace.ErrNotFound) {
-			return err
-		}
-		// The peek only says where to start; every check it could make is
-		// made again by the lock phase on the same rows.
-		comps := namespace.SplitPath(path)
-		first := len(chain) - 1 // index of the first missing component
-		curPath := "/"
-		for _, c := range comps[:first] {
-			curPath = namespace.JoinPath(curPath, c)
-		}
-		now := e.clk.Now()
-		var created []written
-		var cur *namespace.INode
-		for i := first; i < len(comps); i++ {
-			curPath = namespace.JoinPath(curPath, comps[i])
-			if len(created) == 0 {
-				// One round trip: the deepest existing directory exclusive
-				// (ancestors shared only, so sibling mkdirs serialize without
-				// upgrades) plus this component's slot.
-				locked, err := tx.LockPaths(curPath)
-				if err != nil {
-					return err
-				}
-				if cur, err = e.lockedParent(locked[0]); err != nil {
-					return err
-				}
-				if existing := locked[0].Target; existing != nil {
-					// A concurrent mkdirs created this component since the
-					// peek: step into it and lock one level further down.
-					if !existing.IsDir {
-						return namespace.ErrNotDir
-					}
-					cur = existing
-					continue
-				}
-			}
-			// Absent under the parent's exclusive lock — or inside a
-			// directory this transaction is itself creating, where nothing
-			// else can exist: no store read needed.
-			child := &namespace.INode{
-				ID:       e.st.NextID(),
-				ParentID: cur.ID,
-				Name:     comps[i],
-				IsDir:    true,
-				Perm:     namespace.PermDefaultDir,
-				Owner:    "hdfs",
-				Group:    "hdfs",
-				Mtime:    now,
-				Ctime:    now,
-			}
-			if err := tx.PutINode(child); err != nil {
-				return err
-			}
-			cur.Mtime = now
-			if err := tx.PutINode(cur); err != nil {
-				return err
-			}
-			created = append(created, written{path: curPath, parent: cur, child: child})
-			cur = child
-		}
-		dirID = cur.ID
-		if len(created) == 0 {
-			return nil
-		}
-		// Fresh directories cannot be cached anywhere; the INVs exist for
-		// the listings the parents appear complete in, which is where the
-		// new directories are owned — and only the first component's parent
-		// existed before, so only its listing can be cached at all.
-		return e.invalidateAll(tc, tx, created...)
-	})
+	run := func(tx store.Tx) (err error) {
+		dirID, err = e.mkdirsFrom(tc, tx, comps, &first)
+		return err
+	}
+	err := store.RunTx(e.st, e.id, tc, run)
+	if err == errAncestorMissing {
+		err = store.RunTx(e.st, e.id, tc, run)
+	}
 	if err != nil {
 		return fail(err)
 	}
 	return &namespace.Response{ID: dirID}
+}
+
+// mkdirsFrom is one mkdirs transaction whose lock phase starts at
+// comps[*first]. Locking for the leaf, it answers an existing directory's
+// ID, or ErrExists for a file, before subtree isolation applies (what the
+// path names decides first, as in del); when an ancestor is missing it sets
+// *first to the first missing component and returns errAncestorMissing.
+func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, comps []string, first *int) (namespace.INodeID, error) {
+	leaf := len(comps) - 1
+	curPath := "/"
+	for _, c := range comps[:*first] {
+		curPath = namespace.JoinPath(curPath, c)
+	}
+	now := e.clk.Now()
+	var created []written
+	var cur *namespace.INode
+	for i := *first; i < len(comps); i++ {
+		curPath = namespace.JoinPath(curPath, comps[i])
+		if len(created) == 0 {
+			// One round trip: the deepest existing directory exclusive
+			// (ancestors shared only, so sibling mkdirs serialize without
+			// upgrades) plus this component's slot.
+			locked, err := tx.LockPaths(curPath)
+			if errors.Is(err, namespace.ErrNotFound) && *first == leaf {
+				*first = len(locked[0].Chain) - 1
+				return 0, errAncestorMissing
+			}
+			if err != nil {
+				return 0, err
+			}
+			existing := locked[0].Target
+			if existing != nil && i == leaf {
+				if !existing.IsDir {
+					return 0, namespace.ErrExists
+				}
+				return existing.ID, nil
+			}
+			if cur, err = e.lockedParent(locked[0]); err != nil {
+				return 0, err
+			}
+			if existing != nil {
+				// A concurrent mkdirs created this component since the
+				// first lock phase: step into it and lock one level further
+				// down.
+				if !existing.IsDir {
+					return 0, namespace.ErrNotDir
+				}
+				cur = existing
+				continue
+			}
+		}
+		// Absent under the parent's exclusive lock — or inside a directory
+		// this transaction is itself creating, where nothing else can
+		// exist: no store read needed.
+		child := &namespace.INode{
+			ID:       e.st.NextID(),
+			ParentID: cur.ID,
+			Name:     comps[i],
+			IsDir:    true,
+			Perm:     namespace.PermDefaultDir,
+			Owner:    "hdfs",
+			Group:    "hdfs",
+			Mtime:    now,
+			Ctime:    now,
+		}
+		if err := tx.PutINode(child); err != nil {
+			return 0, err
+		}
+		cur.Mtime = now
+		if err := tx.PutINode(cur); err != nil {
+			return 0, err
+		}
+		created = append(created, written{path: curPath, parent: cur, child: child})
+		cur = child
+	}
+	// Fresh directories cannot be cached anywhere; the INVs exist for the
+	// listings the parents appear complete in, which is where the new
+	// directories are owned — and only the first component's parent existed
+	// before, so only its listing can be cached at all.
+	return cur.ID, e.invalidateAll(tc, tx, created...)
 }
 
 // del deletes a file or (recursively) a directory. What the path names

@@ -357,6 +357,9 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 			out[i].Chain, out[i].Target = chain[:parents], chain[parents]
 		case errors.Is(err, namespace.ErrNotFound) && len(chain) == parents:
 			out[i].Chain = chain // only the terminal is missing: absent, slot locked
+		case errors.Is(err, namespace.ErrNotFound):
+			out[i].Chain = chain // an ancestor is missing: the rows that exist
+			return out, err
 		default:
 			return nil, err
 		}

@@ -310,12 +310,12 @@ func (t *tx) AtCommitPoint(fn func()) {
 
 // Commit applies buffered writes atomically, charges write service time
 // across the shards in parallel, and releases all locks. With a
-// durability tier attached, the WAL record is appended (and its fsync
-// charged) before the locks release, so a committed transaction is on
-// durable media before any conflicting transaction can observe it —
-// which is what makes the global LSN order a valid serialization. The
-// commit-point hooks run between the two: after the fsync, before the
-// release.
+// durability tier attached, the WAL fsync window opens beside the row
+// service and the record is appended once both windows have ended, before
+// the locks release, so a committed transaction is on durable media before
+// any conflicting transaction can observe it — which is what makes the
+// global LSN order a valid serialization. The commit-point hooks run
+// between the two: after the append, before the release.
 func (t *tx) Commit() error {
 	if t.done {
 		return store.ErrTxDone
@@ -333,13 +333,12 @@ func (t *tx) Commit() error {
 		sp := t.tc.Start(trace.KindStoreCommit)
 		sp.SetDetail(fmt.Sprintf("writes=%d", writes))
 		sp.AddRes(trace.Resources{StoreHops: 1, Allocs: uint64(writes)})
-		t.chargeCommit(writes)
-		walBytes = t.logAndApply()
-		if walBytes > 0 {
-			if d := t.db.cfg.Durability.WALFsync; d > 0 {
-				t.db.clk.Sleep(d)
-			}
+		var fsync time.Duration
+		if t.db.dur != nil {
+			fsync = t.db.cfg.Durability.WALFsync
 		}
+		t.chargeCommit(writes, fsync)
+		walBytes = t.logAndApply()
 		sp.End()
 	}
 	for _, fn := range t.atCommit {
@@ -361,21 +360,28 @@ func (t *tx) Commit() error {
 // chargeCommit spreads the write service cost over the shards in
 // parallel, approximating NDB's distributed commit: total work is
 // writes × WriteService, executed by up to DataNodes shards concurrently.
-// A single-row (or single-shard) commit is a round trip and then one
-// service slot; a multi-shard commit reserves every shard's share at once
-// and the round trip overlaps the service, so the caller waits for
-// whichever ends last.
-func (t *tx) chargeCommit(writes int) {
+// The fsync window (zero without durability) opens at the same instant as
+// the service windows. A single-row (or single-shard) commit is a round
+// trip and then one service slot beside the fsync; a multi-shard commit
+// reserves every shard's share at once and the round trip overlaps the
+// service and the fsync. Either way the caller waits once, for whichever
+// window ends last.
+func (t *tx) chargeCommit(writes int, fsync time.Duration) {
 	db := t.db
 	shards := len(db.shards)
 	if writes <= 1 || shards == 1 {
 		db.clk.Sleep(db.cfg.RTT)
-		db.shards[0].Acquire(time.Duration(writes) * db.cfg.WriteService)
+		until := fsync
+		if d := time.Duration(writes) * db.cfg.WriteService; d > 0 {
+			wait, dur := db.shards[0].Reserve(db.clk.Now(), d)
+			until = max(until, wait+dur)
+		}
+		db.clk.Sleep(until)
 		return
 	}
 	perShard := (writes + shards - 1) / shards
 	now := db.clk.Now()
-	until := db.cfg.RTT
+	until := max(db.cfg.RTT, fsync)
 	for i := 0; i < shards && writes > 0; i++ {
 		n := min(perShard, writes)
 		writes -= n

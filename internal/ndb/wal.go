@@ -35,8 +35,10 @@ import (
 // DurabilityConfig tunes the latency/cadence model of the durability
 // tier. It is only consulted when Config.Durable is non-nil.
 type DurabilityConfig struct {
-	// WALFsync is charged once per committed write-transaction for the
-	// group-committed log flush.
+	// WALFsync is the log force of one committed write-transaction's
+	// record, one per transaction: its window opens beside the commit's row
+	// service, the commit waits for whichever ends last, and both end
+	// before the locks release.
 	WALFsync time.Duration
 	// ReplayPerRecord is charged per WAL record replayed during Recover
 	// (on top of the checkpoint stores' own probe latencies).

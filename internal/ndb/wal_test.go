@@ -482,23 +482,109 @@ func TestWALStatsCounted(t *testing.T) {
 	})
 }
 
+// TestWALFsyncBilled: a durable write commit opens its fsync window beside
+// its row service and waits once, for whichever window ends last — a
+// single-row commit after its round trip, a multi-shard commit with the
+// round trip overlapped too — and a store without durability charges no
+// fsync.
 func TestWALFsyncBilled(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
+	const us = time.Microsecond
+	for _, c := range []struct {
+		name                string
+		durable             bool
+		shards, writes      int
+		rtt, service, fsync time.Duration
+		want                time.Duration
+	}{
 		// A durable commit advances the virtual clock by the configured fsync
 		// latency (every other latency here is zero).
+		{"zero service: the 5ms fsync", true, 1, 1, 0, 0, 5 * time.Millisecond, 5 * time.Millisecond},
+		{"fsync within the service is hidden", true, 1, 1, 300 * us, 400 * us, 100 * us, 700 * us},
+		{"fsync past the service shows the difference", true, 1, 1, 300 * us, 400 * us, 1000 * us, 1300 * us},
+		// 5 rows over 4 shards: shares of 2, 2 and 1 rows, the slowest 800µs.
+		{"multi-shard: the slowest shard", true, 4, 5, 300 * us, 400 * us, 100 * us, 800 * us},
+		{"multi-shard: the fsync", true, 4, 5, 300 * us, 400 * us, 1000 * us, 1000 * us},
+		{"multi-shard: the round trip", true, 4, 5, 2000 * us, 400 * us, 1000 * us, 2000 * us},
+		{"not durable: no fsync", false, 1, 1, 300 * us, 400 * us, 5 * time.Millisecond, 700 * us},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			simtest.Run(t, func(clk *clock.Sim) {
+				cfg := durableCfg(NewDurable(clk, c.shards, zeroLSM()))
+				if !c.durable {
+					cfg.Durable, cfg.DataNodes = nil, c.shards
+				}
+				cfg.RTT, cfg.WriteService = c.rtt, c.service
+				cfg.Durability.WALFsync = c.fsync
+				db := New(clk, cfg)
+				tx := db.Begin("w")
+				for i := 0; i < c.writes; i++ {
+					if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+						Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				start := clk.Now()
+				mustCommit(t, tx)
+				if dur := clk.Since(start); dur != c.want {
+					t.Fatalf("commit of %d rows charged %v, want %v", c.writes, dur, c.want)
+				}
+			})
+		})
+	}
+}
+
+// TestCommitWindowDurableBeforeVisible: a reader queued on a row that a
+// committing transaction wrote is granted it only when the commit's window
+// — the row service beside a longer fsync — has ended, and then reads the
+// write; the media as it stands at the commit point already recovers it.
+func TestCommitWindowDurableBeforeVisible(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
 		d := NewDurable(clk, 1, zeroLSM())
 		cfg := durableCfg(d)
-		cfg.Durability.WALFsync = 5 * time.Millisecond
+		cfg.RTT, cfg.WriteService = 300*time.Microsecond, 400*time.Microsecond
+		cfg.Durability.WALFsync = time.Millisecond
+		window := cfg.RTT + cfg.Durability.WALFsync // the fsync outlasts the service
 		db := New(clk, cfg)
-		tx := db.Begin("w")
-		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+		id := db.NextID()
+		w := db.Begin("w")
+		if err := w.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
 			Name: "f", Perm: namespace.PermDefaultFile}); err != nil {
 			t.Fatal(err)
 		}
 		start := clk.Now()
-		mustCommit(t, tx)
-		if dur := clk.Since(start); dur != 5*time.Millisecond {
-			t.Fatalf("durable commit charged %v, want the 5ms fsync", dur)
+		committedAt := time.Duration(-1)
+		w.AtCommitPoint(func() {
+			committedAt = clk.Since(start)
+			recovered, _, err := Recover(clk, durableCfg(d))
+			if err != nil {
+				t.Error(err) // not Fatal: the commit must still release the reader
+				return
+			}
+			if _, err := recovered.ResolvePath("/f"); err != nil {
+				t.Errorf("media at the commit point does not recover the write: %v", err)
+			}
+		})
+		var grantedAt time.Duration
+		var seen *namespace.INode
+		reader := clock.NewGroup(clk)
+		reader.Go(func() {
+			r := db.Begin("r").(*tx)
+			if err := r.lock(inodeKey(id), store.LockShared); err != nil {
+				t.Error(err)
+				return
+			}
+			grantedAt = clk.Since(start)
+			seen = r.readINode(id, store.LockShared)
+			r.Abort()
+		})
+		mustCommit(t, w)
+		reader.Wait()
+		if committedAt != window || grantedAt != window {
+			t.Fatalf("commit point at +%v, reader granted at +%v; want both at the window's end +%v",
+				committedAt, grantedAt, window)
+		}
+		if seen == nil {
+			t.Fatal("reader granted the row does not read the write")
 		}
 	})
 }

@@ -139,7 +139,10 @@ type Tx interface {
 	// each walked from the root down. A missing terminal is not an error
 	// (LockedPath.Target is nil and stays absent until the transaction
 	// ends); a missing ancestor or parent fails the call with
-	// namespace.ErrNotFound. The root itself is not a valid target.
+	// namespace.ErrNotFound, and the failing path's LockedPath.Chain holds
+	// the rows that do exist, root down — a chain shorter than the parent's
+	// depth says where the path first goes missing. The root itself is not
+	// a valid target.
 	LockPaths(paths ...string) ([]LockedPath, error)
 
 	// GetINodesBatched fetches the given INodes as one batched per-shard
