@@ -44,9 +44,9 @@ var goldenSweepFake = map[string]string{
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "fac91bb19dbc505401df1325130f3f6ba14029f3e712cdfabbe0d6a67103e080",
+	"fig11":        "a147f79cdc27215948fde354701a90651d97340cdd3bbc4c98c34e658f2fe10a",
 	"fig13":        "d3f34bc178d139da2893b09543a379e9a9dbad738ccbc9b5dab760225b980156",
-	"fig14":        "5c6028af5999afb66f837e78c21dd8877f7c5ec68605f30cc5a0b308e0eb4e35",
+	"fig14":        "0498c81f0498ef2787465a847fa030b5d2a2dfb4b39f958a23dbdaf40096f78b",
 	"ablation-rpc": "2f0ec049def63c2d94320e5e54fc2d3ec9a0878793a5b95deaa4096f75aab372",
 }
 

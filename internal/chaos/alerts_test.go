@@ -33,11 +33,11 @@ func TestAlertCoverage(t *testing.T) {
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
-	FamilyInstanceKill: {"a740ba155fad06e7", "0f5a7fc547812bcd"},
-	FamilyShardFault:   {"f8ca5fca856d10be", "a211bf645364a664"},
+	FamilyInstanceKill: {"1cff280ff83192aa", "6dd0bc82e8df6f2c"},
+	FamilyShardFault:   {"8e3663ec8beb3baa", "128850b28fb5aa30"},
 	FamilyCrashRestart: {"103dc5152dd742c2", "103dc5152dd742c2"},
-	FamilyLeaderDepose: {"a60223a1855bc85a", "3bf90f6ac45b2bc9"},
-	FamilyTenantStorm:  {"f0f35022795e343b", "06b19f23139978cb"},
+	FamilyLeaderDepose: {"52f8ec4ff09df1ab", "b2214d9cf20bfec6"},
+	FamilyTenantStorm:  {"de04242e35486d5c", "39408959a1cfc405"},
 }
 
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must

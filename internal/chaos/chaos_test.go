@@ -183,8 +183,8 @@ func TestEpisodeFaultsCostVirtualTime(t *testing.T) {
 	const (
 		seed        = 42 // the digest-golden seed
 		wantElapsed = 4020 * time.Millisecond
-		wantBytes   = 57482
-		wantSHA     = "8b22387212623441"
+		wantBytes   = 57485
+		wantSHA     = "665f6e6a22e92a8c"
 	)
 	res := RunEpisode(EpisodeConfig{Seed: seed})
 	var buf bytes.Buffer
