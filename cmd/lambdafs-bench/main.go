@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"time"
 
 	"lambdafs/internal/bench"
@@ -132,6 +134,7 @@ func main() {
 		}
 	}
 	for _, e := range selected {
+		peak := peakRSS()
 		elapsed := wallTimer()
 		fmt.Printf("--- %s: %s\n", e.Name, e.Brief)
 		var tables []*bench.Table
@@ -153,8 +156,45 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("--- %s done in %v (wall)\n\n", e.Name, elapsed().Round(time.Millisecond))
+		fmt.Printf("--- %s done in %v (wall)%s\n\n", e.Name, elapsed().Round(time.Millisecond), peak())
 	}
+}
+
+// peakRSS starts measuring one experiment's resident-set peak and returns
+// what reports it on the "done in" line. Where the kernel lets a process
+// reset its high-water mark (5 written to /proc/self/clear_refs), the free
+// heap the previous experiment left is first returned to the OS, so the
+// number is this experiment's own; elsewhere it is the process's mark so far
+// and says so. Without /proc/self/status it reports nothing.
+func peakRSS() func() string {
+	debug.FreeOSMemory()
+	reset := os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) == nil
+	return func() string {
+		kb, ok := vmHWMKiB()
+		switch {
+		case !ok:
+			return ""
+		case reset:
+			return fmt.Sprintf(", peak RSS %d MiB", kb>>10)
+		default:
+			return fmt.Sprintf(", peak RSS %d MiB (process high-water mark)", kb>>10)
+		}
+	}
+}
+
+// vmHWMKiB reads the process's resident-set high-water mark (VmHWM).
+func vmHWMKiB() (int64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == "VmHWM:" {
+			kb, err := strconv.ParseInt(fields[1], 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 // wallTimer measures host wall-clock runtime for the "done in … (wall)"

@@ -28,6 +28,11 @@ func TestExecuteHitAllocs(t *testing.T) {
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
 		// Lookup's chain, the StatInfo and the Response (a canonical path cleans
 		// for free); a read adds the reply's block list and its location list.
+		// A read carrying a ClientID and a fresh Seq costs the same, and leaves
+		// nothing behind: only writes enter the result cache. (Keeping the reply
+		// would not show as a count here: the FIFO's growth is amortized below
+		// one allocation per run.)
+		var seq uint64 // fresh across both ops: the key is ClientID and Seq
 		for op, want := range map[namespace.OpType]float64{namespace.OpStat: 3, namespace.OpRead: 5} {
 			req := namespace.Request{Op: op, Path: "/a/b/f"}
 			e.Execute(req) // the fill
@@ -37,6 +42,13 @@ func TestExecuteHitAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {
 				t.Errorf("%v hit of a depth-3 path: %v allocs, want %v", op, got, want)
 			}
+			tagged := namespace.Request{Op: op, Path: "/a/b/f", ClientID: "c1"}
+			if got := testing.AllocsPerRun(100, func() { seq++; tagged.Seq = seq; e.Execute(tagged) }); got != want {
+				t.Errorf("%v hit of a depth-3 path with ClientID and a fresh Seq: %v allocs, want %v", op, got, want)
+			}
+		}
+		if n := e.results.len(); n != 0 {
+			t.Errorf("the result cache kept %d read replies", n)
 		}
 	})
 }

@@ -102,7 +102,8 @@ type EngineConfig struct {
 	// CacheBudget is the metadata cache size in bytes (0 = unlimited,
 	// negative = caching disabled → stateless HopsFS NameNode).
 	CacheBudget int64
-	// ResultCacheSize bounds the resubmission result cache.
+	// ResultCacheSize bounds the resubmission result cache: the number of
+	// write replies (FIFO) an engine keeps for deduplication.
 	ResultCacheSize int
 	// SubtreeBatch is the sub-operation batch size (paper default 512).
 	SubtreeBatch int
@@ -237,10 +238,14 @@ func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 	e.cache.ClearComplete(namespace.ParentPath(inv.Path))
 }
 
-// Execute runs one metadata request to completion, including the result
-// cache check for resubmissions. It implements rpc.Server.
+// Execute runs one metadata request to completion. A write carrying a
+// ClientID is first looked up in, and its reply then kept in, the result
+// cache, so a resubmission answers what the first execution did; any other
+// request simply runs (see resultCache for why a read needs no entry). It
+// implements rpc.Server.
 func (e *Engine) Execute(req namespace.Request) *namespace.Response {
-	if req.ClientID != "" {
+	dedup := req.ClientID != "" && req.Op.IsWrite()
+	if dedup {
 		if r := e.results.get(req.Key()); r != nil {
 			return r
 		}
@@ -269,7 +274,7 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	sp.AddAllocs(1 + uint64(len(resp.Entries)) + uint64(len(resp.Blocks)))
 	sp.End()
 	resp.ServedBy = e.id
-	if req.ClientID != "" {
+	if dedup {
 		e.results.put(req.Key(), resp)
 	}
 	return resp

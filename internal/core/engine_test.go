@@ -253,26 +253,75 @@ func TestLocalWriteInvalidatesOwnEntryKeepsListing(t *testing.T) {
 	})
 }
 
+// TestResultCacheDedupesResubmission: a resubmitted write (same
+// ClientID/Seq) answers the first execution's reply, where running it again
+// would answer otherwise; a resubmitted read runs again and sees what
+// happened in between.
 func TestResultCacheDedupesResubmission(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		e, _ := soloEngine(clk)
-		req := namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 7}
-		r1 := e.Execute(req)
-		if !r1.OK() {
-			t.Fatalf("create: %s", r1.Err)
-		}
-		// Resubmission (same ClientID/Seq) returns the cached success rather
-		// than ErrExists.
-		r2 := e.Execute(req)
-		if !r2.OK() || r2.ID != r1.ID {
-			t.Fatalf("resubmission: %+v vs %+v", r2, r1)
-		}
-		// A genuinely new request for the same path fails.
-		r3 := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: "/dedup", ClientID: "c1", Seq: 8})
-		if !errors.Is(r3.Error(), namespace.ErrExists) {
-			t.Fatalf("new create: %v", r3.Error())
-		}
-	})
+	type call struct {
+		op         namespace.OpType
+		path, dest string
+	}
+	var (
+		mkD     = call{namespace.OpMkdirs, "/d", ""}
+		createF = call{namespace.OpCreate, "/d/f", ""}
+		deleteF = call{namespace.OpDelete, "/d/f", ""}
+	)
+	for _, tc := range []struct {
+		req            call
+		setup, between []call // anonymous: never deduplicated
+		// dedup: the resubmission is the first reply itself. Otherwise it
+		// re-executes, answering wantErr and listing wantEntries.
+		dedup       bool
+		wantErr     error
+		wantEntries int
+	}{
+		{req: createF, setup: []call{mkD}, dedup: true}, // again: ErrExists
+		// mkdirs is idempotent, so the directory is deleted in between:
+		// running it again would make a new one under a new ID.
+		{req: call{namespace.OpMkdirs, "/d/m", ""}, setup: []call{mkD}, between: []call{{namespace.OpDelete, "/d/m", ""}}, dedup: true},
+		{req: deleteF, setup: []call{mkD, createF}, dedup: true},                              // again: ErrNotFound
+		{req: call{namespace.OpMv, "/d/f", "/d/g"}, setup: []call{mkD, createF}, dedup: true}, // again: ErrNotFound
+		{req: call{namespace.OpStat, "/d/f", ""}, setup: []call{mkD, createF}, between: []call{deleteF}, wantErr: namespace.ErrNotFound},
+		{req: call{namespace.OpRead, "/d/f", ""}, setup: []call{mkD, createF}, between: []call{deleteF}, wantErr: namespace.ErrNotFound},
+		{req: call{namespace.OpLs, "/d", ""}, setup: []call{mkD, createF}, between: []call{{namespace.OpCreate, "/d/g", ""}}, wantEntries: 2},
+	} {
+		t.Run(tc.req.op.String(), func(t *testing.T) {
+			simtest.Run(t, func(clk *clock.Sim) {
+				e, _ := soloEngine(clk)
+				for _, c := range tc.setup {
+					mustOK(t, e, c.op, c.path, c.dest)
+				}
+				req := namespace.Request{Op: tc.req.op, Path: tc.req.path, Dest: tc.req.dest, ClientID: "c1", Seq: 7}
+				first := e.Execute(req)
+				if !first.OK() {
+					t.Fatalf("first %v: %s", tc.req.op, first.Err)
+				}
+				for _, c := range tc.between {
+					mustOK(t, e, c.op, c.path, c.dest)
+				}
+				again := e.Execute(req)
+				if tc.dedup {
+					if again != first {
+						t.Fatalf("resubmitted %v re-executed: %+v, first %+v", tc.req.op, again, first)
+					}
+					// A genuinely new request (next Seq) runs.
+					req.Seq++
+					if e.Execute(req) == first {
+						t.Fatalf("a new %v (next Seq) replayed the cached reply", tc.req.op)
+					}
+					return
+				}
+				if again == first {
+					t.Fatalf("resubmitted %v replayed the first reply %+v", tc.req.op, first)
+				}
+				if !errors.Is(again.Error(), tc.wantErr) || len(again.Entries) != tc.wantEntries {
+					t.Fatalf("resubmitted %v: err %v, %d entries; want %v, %d", tc.req.op,
+						again.Error(), len(again.Entries), tc.wantErr, tc.wantEntries)
+				}
+			})
+		})
+	}
 }
 
 // twoEngines builds two engines in the same deployment sharing a store
@@ -481,21 +530,35 @@ func TestNonOwnerDoesNotCache(t *testing.T) {
 	})
 }
 
+// TestResultCacheBounded: an engine keeps its last ResultCacheSize write
+// replies; a resubmission of an evicted one runs again.
 func TestResultCacheBounded(t *testing.T) {
-	rc := newResultCache(3)
-	k := func(seq uint64) namespace.RequestKey { return namespace.RequestKey{ClientID: "c", Seq: seq} }
-	for i := uint64(0); i < 10; i++ {
-		rc.put(k(i), &namespace.Response{})
-	}
-	if rc.len() != 3 {
-		t.Fatalf("result cache len = %d", rc.len())
-	}
-	if rc.get(k(0)) != nil {
-		t.Fatal("oldest entry not evicted")
-	}
-	if rc.get(k(9)) == nil {
-		t.Fatal("newest entry missing")
-	}
+	simtest.Run(t, func(clk *clock.Sim) {
+		st := fastStore(clk)
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost, cfg.ResultCacheSize = 0, 2
+		e := NewEngine("nn-solo", -1, clk, st, nil, nil, nil, cfg)
+		exec := func(seq uint64, path string) *namespace.Response {
+			t.Helper()
+			resp := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: path, ClientID: "c", Seq: seq})
+			if n := e.results.len(); n > cfg.ResultCacheSize {
+				t.Fatalf("result cache holds %d replies, bound %d", n, cfg.ResultCacheSize)
+			}
+			return resp
+		}
+		var newest *namespace.Response
+		for seq, p := range []string{"/f1", "/f2", "/f3"} {
+			if newest = exec(uint64(seq), p); !newest.OK() {
+				t.Fatalf("create %s: %s", p, newest.Err)
+			}
+		}
+		if r := exec(0, "/f1"); !errors.Is(r.Error(), namespace.ErrExists) {
+			t.Fatalf("resubmitted evicted create: %v, want it re-executed (ErrExists)", r.Error())
+		}
+		if r := exec(2, "/f3"); r != newest {
+			t.Fatalf("resubmitted newest create: %+v, want its cached reply %+v", r, newest)
+		}
+	})
 }
 
 func TestInvalidPathsRejected(t *testing.T) {

@@ -6,10 +6,13 @@ import (
 	"lambdafs/internal/namespace"
 )
 
-// resultCache is the NameNode-side response cache for resubmitted
-// requests (§3.2): when network delays or failures prevent a client from
-// receiving a result, the retried request (same ClientID/Seq) returns the
-// cached result instead of re-executing. Bounded FIFO.
+// resultCache is the NameNode-side response cache for resubmitted writes
+// (§3.2): when network delays or failures prevent a client from receiving
+// a result, the retried write (same ClientID/Seq) returns the cached result
+// instead of re-executing, which would answer ErrExists or ErrNotFound for
+// a write that succeeded. Reads (read, stat, ls) never enter it: they change
+// nothing, so running one again is observationally equivalent to replaying
+// it. Bounded FIFO.
 type resultCache struct {
 	mu    sync.Mutex
 	m     map[namespace.RequestKey]*namespace.Response

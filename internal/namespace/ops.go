@@ -57,9 +57,9 @@ type Request struct {
 	Tenant string
 
 	// ClientID and Seq identify the request for resubmission
-	// deduplication: NameNodes briefly cache results keyed by
-	// (ClientID, Seq) so a retried request returns the original result
-	// instead of re-executing (§3.2).
+	// deduplication: NameNodes briefly cache write results keyed by
+	// (ClientID, Seq) so a retried write returns the original result
+	// instead of re-executing (§3.2); a retried read re-executes.
 	ClientID string
 	Seq      uint64
 
