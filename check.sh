@@ -7,8 +7,10 @@
 # core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
 # pins of cache, ndb, core, clock, rpc and namespace run in the plain test
 # step only — among them a cache Lookup miss 0, a PutChain that evicts a
-# chain of its own shape 0, ndb's depth-6 shared ResolvePathBatched 2 and
-# namespace's AppendSplit of a depth-6 path into a stack buffer 0),
+# chain of its own shape 0, ndb's depth-6 shared ResolvePathBatched 2, a
+# rename's LockPaths 8 and a one-row durable commit 3, core's warm create
+# plus delete 20 and file mv there and back 22, and namespace's AppendSplit
+# of a depth-6 path into a stack buffer 0),
 # bounded fuzzes of namespace's CleanPath (and the path helpers and the
 # component walker on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec

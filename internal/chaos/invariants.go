@@ -21,7 +21,9 @@ type Frozen map[*namespace.INode]*namespace.INode
 func (f Frozen) check(where string, rows []*namespace.INode) (bad []string) {
 	for _, n := range rows {
 		if was, seen := f[n]; !seen && f != nil {
-			f[n] = n.Clone()
+			was = n.Clone()
+			was.Blocks = namespace.CloneBlocks(n.Blocks) // a Clone shares them
+			f[n] = was
 		} else if seen && !reflect.DeepEqual(n, was) {
 			bad = append(bad, fmt.Sprintf("%s: published row was written: %+v, first seen as %+v", where, *n, *was))
 		}

@@ -174,38 +174,36 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	}
 	// Snapshot the membership at protocol start, deduplicating members that
 	// appear in several target deployments so each receives the batch once.
+	// A member that wrote every inv in the batch has nothing to invalidate;
+	// per-inv writers are skipped at delivery time. A round whose only
+	// members are such writers — a deployment of one — ends before it
+	// allocates anything.
 	z.mu.Lock()
 	nmax := 0
 	for _, dep := range deps {
-		nmax += len(z.deps[dep])
+		for id := range z.deps[dep] {
+			if !wroteAll(invs, id) {
+				nmax++
+			}
+		}
+	}
+	if nmax == 0 {
+		z.mu.Unlock()
+		z.tel.invalidations.Inc()
+		return nil
 	}
 	targets := make([]*zkSession, 0, nmax)
 	seen := make(map[string]bool, nmax)
 	for _, dep := range deps {
 		for id, s := range z.deps[dep] {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			// A member that wrote every inv in the batch has nothing to
-			// invalidate; per-inv writers are skipped at delivery time.
-			all := true
-			for _, inv := range invs {
-				if inv.Writer != id {
-					all = false
-					break
-				}
-			}
-			if !all {
+			if !seen[id] && !wroteAll(invs, id) {
+				seen[id] = true
 				targets = append(targets, s)
 			}
 		}
 	}
 	z.mu.Unlock()
 	z.tel.invalidations.Inc()
-	if len(targets) == 0 {
-		return nil
-	}
 	// Deterministic delivery order: membership is a map, so sort by id
 	// before fanning out.
 	slices.SortFunc(targets, func(a, b *zkSession) int { return cmp.Compare(a.id, b.id) })
@@ -291,6 +289,16 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// wroteAll reports whether member id wrote every inv of the batch.
+func wroteAll(invs []Invalidation, id string) bool {
+	for _, inv := range invs {
+		if inv.Writer != id {
+			return false
+		}
+	}
+	return true
 }
 
 // ExpireSession force-expires the ephemeral session of id, as when its

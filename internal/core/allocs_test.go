@@ -52,3 +52,46 @@ func TestExecuteHitAllocs(t *testing.T) {
 		}
 	})
 }
+
+// A warm write's host cost, through Engine.Execute. Per op: the
+// transaction, its write buffer (a map and its first group), the lock
+// phase's argument list, reply and the one array behind its chains, a
+// private copy of each exclusive row the walks read (the parent, once per
+// path; a delete's or a mv's target), the row a create builds, a mv's INV
+// targets and the response. Each written row is that one new version — the
+// store takes over the row built or the private copy handed out, copying
+// neither and no block list — and the commit builds no record or frame of
+// its own. (Not under -race: the detector allocates.)
+func TestExecuteWriteAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
+		create := namespace.Request{Op: namespace.OpCreate, Path: "/a/b/h"}
+		del := namespace.Request{Op: namespace.OpDelete, Path: "/a/b/h"}
+		there := namespace.Request{Op: namespace.OpMv, Path: "/a/b/f", Dest: "/a/b/g"}
+		back := namespace.Request{Op: namespace.OpMv, Path: "/a/b/g", Dest: "/a/b/f"}
+		run := func(reqs ...namespace.Request) func() {
+			return func() {
+				for _, req := range reqs {
+					if resp := e.Execute(req); !resp.OK() {
+						t.Fatalf("%v %s: %s", req.Op, req.Path, resp.Err)
+					}
+				}
+			}
+		}
+		for _, c := range []struct {
+			what string
+			reqs []namespace.Request
+			want float64
+		}{
+			{"create and delete of a depth-3 file", []namespace.Request{create, del}, 20},
+			{"a file mv inside a directory and back", []namespace.Request{there, back}, 22},
+		} {
+			run(c.reqs...)() // warm: the lock table and the store's scratch
+			if got := testing.AllocsPerRun(100, run(c.reqs...)); got != c.want {
+				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
+			}
+		}
+	})
+}

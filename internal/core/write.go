@@ -179,7 +179,12 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, comps []string, first *i
 		if err := tx.PutINode(child); err != nil {
 			return 0, err
 		}
-		cur.Mtime = now
+		if len(created) == 0 {
+			// The existing parent's private copy. A directory this
+			// transaction created already carries now and was handed to the
+			// store, so it is not written again.
+			cur.Mtime = now
+		}
 		if err := tx.PutINode(cur); err != nil {
 			return 0, err
 		}

@@ -57,11 +57,12 @@ type Block struct {
 // reachable from the store's table, a metadata cache, a resolved chain or a
 // listing is never written again — fields, Blocks and Locations alike — and
 // a new version is a new INode, so the store, every cache and every reader
-// share one snapshot per row version without copying or locking. Only two
-// parties may write an INode: whoever built it, until they hand it over (to
-// store.Tx.PutINode, which copies it in, or to a cache, which keeps the
-// pointer), and a transaction that read the row with store.LockExclusive,
-// which is given a private copy for exactly that.
+// share one snapshot per row version without copying or locking. The one
+// rule for writing: you may write a version you built, or the private copy
+// a store.LockExclusive read handed you, until you hand it over — to
+// store.Tx.PutINode or ndb.Preload, which publish that pointer itself, or to
+// a cache, which keeps it. A Block or a Locations element is never written
+// in place, not even in a private copy: a copy shares them (see Clone).
 type INode struct {
 	ID       INodeID
 	ParentID INodeID
@@ -81,15 +82,17 @@ type INode struct {
 	SubtreeLockOwner string
 }
 
-// Clone returns a deep copy: a private, writable version of n. Sharing needs
-// no copy, so the callers are few: the store copying a row in (PutINode,
-// Preload) or handing one out under LockExclusive, and test witnesses.
+// Clone returns a private, writable version of n: a copy of the struct that
+// shares n's block list, which no one writes in place. Blocks is clipped to
+// its length, so an append on the copy always reallocates and never reaches
+// n. Sharing needs no copy, so the callers are few: the store handing a row
+// out under LockExclusive, and test witnesses.
 func (n *INode) Clone() *INode {
 	if n == nil {
 		return nil
 	}
 	c := *n
-	c.Blocks = CloneBlocks(n.Blocks)
+	c.Blocks = slices.Clip(n.Blocks)
 	return &c
 }
 

@@ -120,16 +120,31 @@ func TestAncestors(t *testing.T) {
 	}
 }
 
+// TestINodeClone: a clone is the original's private copy under the rule a
+// Block is never written in place — its own scalars, a block list it may
+// replace or append to without reaching the original, and nothing copied
+// that no one writes.
 func TestINodeClone(t *testing.T) {
-	n := &INode{
-		ID: 7, ParentID: 1, Name: "f", IsDir: false,
-		Blocks: []Block{{ID: 1, Size: 64, Locations: []string{"dn1", "dn2"}}},
-	}
+	blocks := make([]Block, 1, 4) // spare capacity: an unclipped append would write into it
+	blocks[0] = Block{ID: 1, Size: 64, Locations: []string{"dn1", "dn2"}}
+	n := &INode{ID: 7, ParentID: 1, Name: "f", Size: 64, Blocks: blocks}
 	c := n.Clone()
-	c.Blocks[0].Locations[0] = "mutated"
-	c.Name = "other"
-	if n.Blocks[0].Locations[0] != "dn1" || n.Name != "f" {
-		t.Fatal("Clone aliases the original")
+	c.Name, c.Size, c.ParentID, c.SubtreeLockOwner = "other", 128, 9, "nn"
+	if n.Name != "f" || n.Size != 64 || n.ParentID != 1 || n.SubtreeLockOwner != "" {
+		t.Fatalf("a scalar write to the clone reached the original: %+v", n)
+	}
+	c.Blocks = append(c.Blocks, Block{ID: 2, Size: 32})
+	if len(n.Blocks) != 1 || blocks[:2][1].ID != 0 {
+		t.Fatalf("an append to the clone's blocks reached the original: %+v", blocks[:2])
+	}
+	if &c.Blocks[0] == &n.Blocks[0] {
+		t.Fatal("the clone's append did not reallocate its block list")
+	}
+	if c.Blocks[0].ID != 1 || len(c.Blocks[0].Locations) != 2 {
+		t.Fatalf("the clone lost the original's blocks: %+v", c.Blocks)
+	}
+	if n.Clone().Blocks == nil || (&INode{}).Clone().Blocks != nil {
+		t.Fatal("Clone changed whether the block list is nil")
 	}
 	if (*INode)(nil).Clone() != nil {
 		t.Fatal("nil clone should be nil")

@@ -36,19 +36,19 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 2 {
 			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 2", got)
 		}
-		// A rename's lock phase: the transaction, the reply, one chain per
-		// path, a private copy of each exclusive row each walk reads (/a/b
-		// twice, /a/b/c/d/e and f) and the lock set's growth past eight
-		// rows — the plans, their splits and the per-shard counts are on
-		// the stack.
+		// A rename's lock phase: the transaction, the reply, one backing
+		// array for both chains, a private copy of each exclusive row each
+		// walk reads (/a/b twice, /a/b/c/d/e and f; a copy shares the block
+		// list) and the lock set's growth past eight rows — the plans, their
+		// splits and the per-shard counts are on the stack.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if locked, err := tx.LockPaths(path, "/a/b/g"); err != nil || len(locked) != 2 {
 				t.Fatalf("lock %s and /a/b/g: %d paths, %v", path, len(locked), err)
 			}
 			tx.Abort()
-		}); got != 9 {
-			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 9", got)
+		}); got != 8 {
+			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 8", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}
@@ -86,12 +86,13 @@ func TestDurablePathAllocs(t *testing.T) {
 			mustCommit(t, tx)
 			d.cropWAL(d.walShard(d.LastLSN()), 0) // keep the log's capacity: no growth
 		}
-		// The transaction, the buffered put (its map and the row's copy-in),
-		// the record, the commit span's detail — and no encode buffer: the
-		// frame goes into the store's reused one.
+		// The transaction and its write buffer (the map and its first
+		// group) — and no copy of the row, which the store takes over, no
+		// record and no encode buffer, which are the store's reused ones,
+		// and no detail for a commit span no one traces.
 		commit()
-		if got := testing.AllocsPerRun(100, commit); got != 6 {
-			t.Errorf("one-row durable commit: %v allocs, want 6", got)
+		if got := testing.AllocsPerRun(100, commit); got != 3 {
+			t.Errorf("one-row durable commit: %v allocs, want 3", got)
 		}
 
 		// Each shard's copy of the metadata into its memtable and each

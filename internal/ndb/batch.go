@@ -232,14 +232,15 @@ func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 	db.tel.countBatchedResolve()
 }
 
-// walkPlan locks and re-reads plans[i]'s chain from the root down,
-// charging nothing (chargePlans paid for the rows). Each row is taken the
+// walkPlan locks and re-reads plans[i]'s chain from the root down into
+// chain, which the caller hands over with one slot per row, charging
+// nothing (chargePlans paid for the rows). Each row is taken the
 // way the most demanding plan sharing it asks — strongest mode, and slot
 // first if it is any plan's parent or terminal — decided here before the
 // row's first acquisition, so a row two paths share is never upgraded and
 // never takes its slot after the row. A missing component ends the walk
 // with the partial chain and namespace.ErrNotFound.
-func (t *tx) walkPlan(plans []lockPlan, split []string, i int) ([]*namespace.INode, error) {
+func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespace.INode) ([]*namespace.INode, error) {
 	comps := plans[i].comps(split)
 	how := func(depth int) (m store.LockMode, slotFirst bool) {
 		for j := range plans {
@@ -258,15 +259,14 @@ func (t *tx) walkPlan(plans []lockPlan, split []string, i int) ([]*namespace.INo
 	if cur == nil {
 		return nil, namespace.ErrInvalidState
 	}
-	chain := make([]*namespace.INode, 0, len(comps)+1)
-	chain = append(chain, cur)
+	chain[0] = cur
 	for d, c := range comps {
 		mode, slotFirst := how(d + 1)
 		next, err := t.lockChild(cur.ID, c, mode, slotFirst)
 		if err != nil {
-			return chain, err
+			return chain[:d+1], err
 		}
-		chain = append(chain, next)
+		chain[d+1] = next
 		cur = next
 	}
 	return chain, nil
@@ -289,7 +289,7 @@ func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bo
 	split := namespace.AppendSplit(buf[:0], p)
 	plans := [1]lockPlan{{to: len(split), ancestors: ancestors, tail: terminal, slotFrom: len(split)}}
 	t.chargePlans(plans[:], split, list)
-	return t.walkPlan(plans[:], split, 0)
+	return t.walkPlan(plans[:], split, 0, make([]*namespace.INode, len(split)+1))
 }
 
 // ResolvePathBatched implements store.Tx.
@@ -349,9 +349,12 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 	}
 	t.chargePlans(plans, split, false)
 	out := make([]store.LockedPath, len(paths))
+	rows := make([]*namespace.INode, len(split)+n) // each path's root … terminal, back to back
 	for _, i := range order {
-		chain, err := t.walkPlan(plans, split, i)
 		parents := plans[i].to - plans[i].from // rows root … parent
+		at := plans[i].from + i                // past the earlier paths' components and a root each
+		end := at + parents + 1
+		chain, err := t.walkPlan(plans, split, i, rows[at:end:end])
 		switch {
 		case err == nil:
 			out[i].Chain, out[i].Target = chain[:parents], chain[parents]

@@ -169,6 +169,7 @@ type DB struct {
 	ckptMu     sync.Mutex    // serializes checkpoint rounds
 	commitTick atomic.Uint64 // write-commits since New, for CheckpointEvery
 	dirty      []dirtyRows   // per shard, guarded by mu; nil without durability
+	walRec     walRecord     // record scratch of logAndApply, guarded by mu
 	walBuf     []byte        // frame scratch of logAndApply, guarded by mu
 }
 
@@ -367,12 +368,13 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 // the latency model. It exists for benchmark setup (pre-populating the
 // namespace before measurement, as the artifact's setup scripts do) and
 // must not run concurrently with serving. IDs must be unique; parents
-// must precede children.
+// must precede children. Like store.Tx.PutINode it takes the nodes over:
+// each pointer becomes the published row, so the caller must not write it
+// again (namespace.INode).
 func (db *DB) Preload(nodes []*namespace.INode) {
-	rec := &walRecord{puts: make([]*namespace.INode, len(nodes))}
+	rec := &walRecord{puts: nodes}
 	maxID := db.nextID.Load()
-	for i, n := range nodes {
-		rec.puts[i] = n.Clone()
+	for _, n := range nodes {
 		maxID = max(maxID, uint64(n.ID))
 	}
 	db.mu.Lock()

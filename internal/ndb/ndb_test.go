@@ -120,6 +120,107 @@ func TestTxReadYourWrites(t *testing.T) {
 	})
 }
 
+// TestTxRewritesOneRow: a transaction that writes one row several times —
+// put→delete→put, delete→put, a rename, a delete whose name a new row takes
+// — reads back its last write through every buffered read (readINode,
+// bufferedChild, childrenOf), once; the commit publishes exactly the
+// pointers it was handed; and the WAL replays to the live store.
+func TestTxRewritesOneRow(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 2, zeroLSM())
+		db := New(clk, durableCfg(d))
+		dir := addDir(t, db, namespace.RootID, "d")
+		old := addFile(t, db, dir, "old")   // deleted, then put back renamed
+		gone := addFile(t, db, dir, "gone") // deleted; a new row takes its name
+		kept := addFile(t, db, dir, "kept") // renamed in place from its exclusive copy
+
+		w := db.Begin("w").(*tx)
+		put := func(n *namespace.INode) *namespace.INode {
+			t.Helper()
+			if err := w.PutINode(n); err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		del := func(id namespace.INodeID) {
+			t.Helper()
+			if err := w.DeleteINode(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := db.NextID()
+		put(&namespace.INode{ID: fresh, ParentID: dir, Name: "y"})
+		del(fresh)
+		y := put(&namespace.INode{ID: fresh, ParentID: dir, Name: "y", Size: 2})
+		del(old)
+		renamed := put(&namespace.INode{ID: old, ParentID: dir, Name: "renamed"})
+		del(gone)
+		reused := put(&namespace.INode{ID: db.NextID(), ParentID: dir, Name: "gone"})
+		k, err := w.GetINode(kept, store.LockExclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Name = "kept2"
+		k = put(k)
+		want := map[string]*namespace.INode{"gone": reused, "kept2": k, "renamed": renamed, "y": y}
+
+		check := func(when string, r *tx) {
+			t.Helper()
+			for name, n := range want {
+				if got := r.readINode(n.ID, store.LockNone); got != n {
+					t.Errorf("%s: readINode(%d) = %v, want the row put as %q", when, n.ID, got, name)
+				}
+				if got, err := getChild(r, dir, name, store.LockNone); err != nil || got != n {
+					t.Errorf("%s: child %q = %v, %v, want the row put", when, name, got, err)
+				}
+			}
+			for _, name := range []string{"old", "kept"} {
+				if got, err := getChild(r, dir, name, store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+					t.Errorf("%s: child %q = %v, %v, want ErrNotFound", when, name, got, err)
+				}
+			}
+			if got := r.readINode(gone, store.LockNone); got != nil {
+				t.Errorf("%s: deleted row %d reads back as %v", when, gone, got)
+			}
+			var names []string
+			for _, n := range r.childrenOf(dir, store.LockNone) {
+				if n != want[n.Name] {
+					t.Errorf("%s: listing has %v, not the row put as %q", when, n, n.Name)
+				}
+				names = append(names, n.Name)
+			}
+			if wantNames := []string{"gone", "kept2", "renamed", "y"}; !slices.Equal(names, wantNames) {
+				t.Errorf("%s: listing = %v, want %v", when, names, wantNames)
+			}
+		}
+		check("buffered", w)
+		if got := w.bufferedChild(dir, "renamed"); got != renamed {
+			t.Errorf("bufferedChild(renamed) = %v, want the row put", got)
+		}
+		if got := w.bufferedChild(dir, "old"); got != nil {
+			t.Errorf("bufferedChild(old) = %v, want none: the row was renamed", got)
+		}
+		mustCommit(t, w)
+
+		for name, n := range want {
+			if got := db.inodes[n.ID]; got != n {
+				t.Errorf("committed %q is %p, want the pointer put, %p", name, got, n)
+			}
+		}
+		r := db.Begin("r").(*tx)
+		check("committed", r)
+		r.Abort()
+
+		recovered, _, err := Recover(clk, durableCfg(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, live := stateDigest(recovered), stateDigest(db); got != live {
+			t.Fatalf("WAL replay diverged from the live store\n got: %s\nwant: %s", got, live)
+		}
+	})
+}
+
 func TestAbortDiscardsWrites(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)

@@ -22,10 +22,9 @@ type tx struct {
 	done bool
 	tc   *trace.Ctx // nil when untraced
 
-	putINodes map[namespace.INodeID]*namespace.INode
-	delINodes map[namespace.INodeID]bool
-	kvPuts    map[kvRef][]byte
-	kvDels    map[kvRef]bool
+	inodes map[namespace.INodeID]*namespace.INode // buffered row writes; nil marks a delete
+	kvPuts map[kvRef][]byte
+	kvDels map[kvRef]bool
 
 	atCommit []func() // commit-point hooks, in registration order
 }
@@ -88,8 +87,8 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 
 // bufferedChild looks for a buffered put matching (parent, name).
 func (t *tx) bufferedChild(parent namespace.INodeID, name string) *namespace.INode {
-	for _, n := range t.putINodes {
-		if n.ParentID == parent && n.Name == name && !t.delINodes[n.ID] {
+	for _, n := range t.inodes {
+		if n != nil && n.ParentID == parent && n.Name == name {
 			return n
 		}
 	}
@@ -99,11 +98,8 @@ func (t *tx) bufferedChild(parent namespace.INodeID, name string) *namespace.INo
 // readINode reads a row, locked with mode, through the transaction's write
 // buffer; nil when there is none.
 func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
-	if t.delINodes[id] {
-		return nil
-	}
-	if n, ok := t.putINodes[id]; ok {
-		return handOut(n, mode)
+	if n, ok := t.inodes[id]; ok {
+		return handOut(n, mode) // nil for a buffered delete
 	}
 	t.db.mu.RLock()
 	n := t.db.inodes[id]
@@ -120,24 +116,16 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 	kids := t.db.children[dir]
 	out := make([]*namespace.INode, 0, len(kids))
 	for _, id := range kids {
-		if t.delINodes[id] {
-			continue
-		}
-		if buf, ok := t.putINodes[id]; ok {
-			if buf.ParentID == dir {
-				out = append(out, handOut(buf, mode))
-			}
-			continue
+		if _, ok := t.inodes[id]; ok {
+			continue // this transaction's version decides, below
 		}
 		if n := t.db.inodes[id]; n != nil {
 			out = append(out, handOut(n, mode))
 		}
 	}
-	for _, n := range t.putINodes {
-		if n.ParentID == dir && !t.delINodes[n.ID] {
-			if _, committed := kids[n.Name]; !committed {
-				out = append(out, handOut(n, mode))
-			}
+	for _, n := range t.inodes {
+		if n != nil && n.ParentID == dir {
+			out = append(out, handOut(n, mode))
 		}
 	}
 	t.db.mu.RUnlock()
@@ -145,9 +133,22 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 	return out
 }
 
-// PutINode buffers an insert/update. The row and its (parent, name) slot
-// are locked exclusively; on a move (parent or name change of an existing
-// row), the old slot is locked too.
+// slotHolder returns the version of row id whose (parent, name) slot a put
+// or delete must lock besides its own: the transaction's buffered put, else
+// the committed row (nil when there is none).
+func (t *tx) slotHolder(id namespace.INodeID) *namespace.INode {
+	if n := t.inodes[id]; n != nil {
+		return n
+	}
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	return t.db.inodes[id]
+}
+
+// PutINode buffers an insert/update of n itself: the commit publishes this
+// pointer, so from here on n is the store's (namespace.INode). The row and
+// its (parent, name) slot are locked exclusively; on a move (parent or name
+// change of an existing row), the old slot is locked too.
 func (t *tx) PutINode(n *namespace.INode) error {
 	if t.done {
 		return store.ErrTxDone
@@ -162,23 +163,21 @@ func (t *tx) PutINode(n *namespace.INode) error {
 		return err
 	}
 	// Lock the old slot when this put moves an existing row.
-	old := t.putINodes[n.ID]
-	if old == nil {
-		t.db.mu.RLock()
-		old = t.db.inodes[n.ID]
-		t.db.mu.RUnlock()
-	}
-	if old != nil && (old.ParentID != n.ParentID || old.Name != n.Name) {
+	if old := t.slotHolder(n.ID); old != nil && (old.ParentID != n.ParentID || old.Name != n.Name) {
 		if err := t.lock(childKey(old.ParentID, old.Name), store.LockExclusive); err != nil {
 			return err
 		}
 	}
-	if t.putINodes == nil {
-		t.putINodes = make(map[namespace.INodeID]*namespace.INode)
-	}
-	t.putINodes[n.ID] = n.Clone() // the one copy-in: Commit publishes this copy itself
-	delete(t.delINodes, n.ID)
+	t.buffer(n.ID, n)
 	return nil
+}
+
+// buffer records row id's write: n, or nil for a delete.
+func (t *tx) buffer(id namespace.INodeID, n *namespace.INode) {
+	if t.inodes == nil {
+		t.inodes = make(map[namespace.INodeID]*namespace.INode)
+	}
+	t.inodes[id] = n
 }
 
 // DeleteINode buffers a row deletion.
@@ -189,22 +188,12 @@ func (t *tx) DeleteINode(id namespace.INodeID) error {
 	if err := t.lock(inodeKey(id), store.LockExclusive); err != nil {
 		return err
 	}
-	cur := t.putINodes[id]
-	if cur == nil {
-		t.db.mu.RLock()
-		cur = t.db.inodes[id]
-		t.db.mu.RUnlock()
-	}
-	if cur != nil {
+	if cur := t.slotHolder(id); cur != nil {
 		if err := t.lock(childKey(cur.ParentID, cur.Name), store.LockExclusive); err != nil {
 			return err
 		}
 	}
-	if t.delINodes == nil {
-		t.delINodes = make(map[namespace.INodeID]bool)
-	}
-	t.delINodes[id] = true
-	delete(t.putINodes, id)
+	t.buffer(id, nil)
 	return nil
 }
 
@@ -299,7 +288,7 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 
 // writeCount returns the number of buffered row writes.
 func (t *tx) writeCount() int {
-	return len(t.putINodes) + len(t.delINodes) + len(t.kvPuts) + len(t.kvDels)
+	return len(t.inodes) + len(t.kvPuts) + len(t.kvDels)
 }
 
 // AtCommitPoint implements store.Tx: fn runs inside a successful Commit,
@@ -331,7 +320,9 @@ func (t *tx) Commit() error {
 	walBytes := 0
 	if writes > 0 {
 		sp := t.tc.Start(trace.KindStoreCommit)
-		sp.SetDetail(fmt.Sprintf("writes=%d", writes))
+		if sp != nil {
+			sp.SetDetail(fmt.Sprintf("writes=%d", writes))
+		}
 		sp.AddRes(trace.Resources{StoreHops: 1, Allocs: uint64(writes)})
 		var fsync time.Duration
 		if t.db.dur != nil {
@@ -396,19 +387,22 @@ func (t *tx) chargeCommit(writes int, fsync time.Duration) {
 // structure lock: LSN assignment, log append, and apply are one atomic
 // step, so a checkpoint round, which reads its dirty rows under the same
 // lock, always reflects every LSN the media has. What is logged is what is applied —
-// one record, one applyRecord, at commit as at replay. The frame is encoded
-// into the store's scratch buffer, which appendFrame copies into the log.
+// one record, one applyRecord, at commit as at replay. The record and the
+// frame are the store's scratch, reused by every commit: appendFrame copies
+// the frame into the log, and applyRecord keeps the rows, not the record.
 // Returns the appended frame size (0 without durability).
 func (t *tx) logAndApply() int {
 	db := t.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rec := &walRecord{puts: make([]*namespace.INode, 0, len(t.putINodes))}
-	for _, n := range t.putINodes { // disjoint from delINodes: each buffers out of the other
-		rec.puts = append(rec.puts, n)
-	}
-	for id := range t.delINodes {
-		rec.dels = append(rec.dels, id)
+	rec := &db.walRec
+	*rec = walRecord{puts: rec.puts[:0], dels: rec.dels[:0], kvPuts: rec.kvPuts[:0], kvDels: rec.kvDels[:0]}
+	for id, n := range t.inodes {
+		if n == nil {
+			rec.dels = append(rec.dels, id)
+		} else {
+			rec.puts = append(rec.puts, n)
+		}
 	}
 	for ref, v := range t.kvPuts {
 		rec.kvPuts = append(rec.kvPuts, kvOp{table: ref.table, key: ref.key, val: v})
@@ -429,6 +423,8 @@ func (t *tx) logAndApply() int {
 		walBytes = len(frame)
 	}
 	db.applyRecord(rec)
+	clear(rec.puts) // the scratch keeps no row alive
+	clear(rec.kvPuts)
 	return walBytes
 }
 

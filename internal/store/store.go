@@ -90,11 +90,15 @@ type LockedPath struct {
 // exclusive ⇒ a private copy, the caller's to change and PutINode;
 // otherwise the shared snapshot of the row (namespace.INode), read-only, the
 // pointer every other reader and cache holds. LockPaths reads parent and
-// Target exclusive, ancestors shared.
+// Target exclusive, ancestors shared. A private copy shares the row's block
+// list, which no one writes in place.
 type Tx interface {
 	// GetINode fetches an INode by ID.
 	GetINode(id namespace.INodeID, lock LockMode) (*namespace.INode, error)
-	// PutINode inserts or updates an INode (implicitly exclusive).
+	// PutINode inserts or updates an INode (implicitly exclusive). The store
+	// takes n over: Commit publishes this pointer as the row's new version,
+	// so the caller — who built n, or was handed it as a private copy — must
+	// not write it again (namespace.INode), not even before Commit.
 	PutINode(n *namespace.INode) error
 	// DeleteINode removes an INode by ID (implicitly exclusive).
 	DeleteINode(id namespace.INodeID) error
