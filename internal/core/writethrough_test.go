@@ -457,3 +457,70 @@ func TestReadersInCommitWindow(t *testing.T) {
 		t.Fatalf("locks leaked: %d", db.HeldLocks())
 	}
 }
+
+// TestListingDuringSubtreeOp sweeps the start of an ls across a directory
+// delete and a directory mv, at 250 µs steps over 12 ms of virtual time on
+// the default store and coordinator latencies: a peer of the writer lists the
+// directory the operation changes — the root's parent for delete /p/x, the
+// destination for mv /p/x /q/x — and afterwards both engines must list what
+// the store holds. A listing filled between the subtree's prefix INV and the
+// transaction that deletes or relinks the root is stale unless that
+// transaction invalidates it under its own locks.
+func TestListingDuringSubtreeOp(t *testing.T) {
+	const step, offsets = 250 * time.Microsecond, 48
+	for _, c := range []struct {
+		op         namespace.OpType
+		dest, list string
+	}{
+		{namespace.OpDelete, "", "/p"},
+		{namespace.OpMv, "/q/x", "/q"},
+	} {
+		t.Run(c.op.String(), func(t *testing.T) {
+			var stale []time.Duration
+			for i := 0; i < offsets; i++ {
+				at := time.Duration(i) * step
+				clk := clock.NewSim()
+				clock.Run(clk, func() {
+					st := ndb.New(clk, ndb.DefaultConfig())
+					zk := coordinator.NewZK(clk, coordinator.DefaultConfig())
+					ring := partition.NewRing(1, 0)
+					cfg := DefaultEngineConfig()
+					cfg.OpCPUCost = 0
+					var writer, lister *Engine
+					for j, e := range []**Engine{&writer, &lister} {
+						id := fmt.Sprintf("nn-%d", j)
+						*e = NewEngine(id, 0, clk, st, ring, zk, nil, cfg)
+						zk.Register(0, id, (*e).HandleInvalidation)
+					}
+					for _, p := range []string{"/p/x/sub", "/q"} {
+						mustOK(t, writer, namespace.OpMkdirs, p, "")
+					}
+					for _, p := range []string{"/p/y", "/p/x/f", "/p/x/sub/g", "/q/z"} {
+						mustOK(t, writer, namespace.OpCreate, p, "")
+					}
+					g := clock.NewGroup(clk)
+					g.Go(func() { mustOK(t, writer, c.op, "/p/x", c.dest) })
+					g.Go(func() {
+						clk.Sleep(at)
+						mustOK(t, lister, namespace.OpLs, c.list, "")
+					})
+					g.Wait()
+					for _, e := range []*Engine{writer, lister} {
+						ls := mustOK(t, e, namespace.OpLs, c.list, "")
+						if got, want := entryNames(ls), storeNames(t, st, c.list); !slices.Equal(got, want) {
+							if e == lister {
+								stale = append(stale, at)
+							}
+							t.Errorf("ls %s started +%v into %v /p/x: %s then lists %v (cache hit %v), store has %v",
+								c.list, at, c.op, e.ID(), got, ls.CacheHit, want)
+						}
+					}
+				})
+				clk.Close()
+			}
+			if len(stale) > 0 {
+				t.Errorf("%v: stale listing at %d of %d offsets: %v", c.op, len(stale), offsets, stale)
+			}
+		})
+	}
+}
