@@ -52,7 +52,7 @@
 // released, installs the committed directory and child rows and resumes it.
 // The cache package doc has the listing's three states and who may change
 // them; followers, non-owning (anti-thrash) writers, aborted and failed
-// commits and the subtree protocol invalidate plainly.
+// commits and the subtree protocol's prefix INV invalidate plainly.
 package core
 
 import (

@@ -457,13 +457,29 @@ func TestConcurrentCreateSameFileOneWins(t *testing.T) {
 	})
 }
 
+// flagSubtreeOf runs the first transaction of op on the directory at path
+// alone — Phase 1, which flags the subtree and commits — as if the operation
+// had stalled there (an mv's destination is path+"-moved"), and returns the
+// root it flagged.
+func flagSubtreeOf(e *Engine, op namespace.OpType, path string) (root namespace.INodeID, err error) {
+	err = store.RunTx(e.st, e.id, nil, func(tx store.Tx) (err error) {
+		if op == namespace.OpMv {
+			root, err = e.mvTx(nil, tx, path, path+"-moved", namespace.InvalidID)
+		} else {
+			root, err = e.delTx(nil, tx, path, namespace.InvalidID)
+		}
+		return err
+	})
+	return root, err
+}
+
 func TestSubtreeIsolationBlocksInnerOps(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		a, b, _ := twoEngines(t, clk, 1)
 		mustOK(t, a, namespace.OpMkdirs, "/iso/deep", "")
 		mustOK(t, a, namespace.OpMkdirs, "/quiet", "")
 		mustOK(t, a, namespace.OpCreate, "/quiet/file", "")
-		root, err := a.subtreeLock(nil, "/iso", namespace.OpDelete)
+		root, err := flagSubtreeOf(a, namespace.OpDelete, "/iso")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,18 +488,18 @@ func TestSubtreeIsolationBlocksInnerOps(t *testing.T) {
 		// What the path names is decided first, as the pre-transaction peek
 		// used to: a missing target is ErrNotFound whatever is above it (the
 		// model tests pin the same for a non-directory parent); a target that
-		// exists meets isolation — a file in the transaction that locked it, a
-		// directory in the subtree protocol it is rerouted to.
+		// exists meets isolation in the transaction that locked it, a file's
+		// and a directory's alike (a directory is flagged there).
 		wantErr(t, b, namespace.OpDelete, "/iso/deep/missing", "", namespace.ErrNotFound)
 		wantErr(t, b, namespace.OpMv, "/iso/deep/missing", "/elsewhere", namespace.ErrNotFound)
 		wantErr(t, b, namespace.OpMv, "/quiet/missing", "/iso/deep/f", namespace.ErrNotFound)
 		wantErr(t, b, namespace.OpDelete, "/iso/deep", "", namespace.ErrSubtreeBusy)
 		wantErr(t, b, namespace.OpMv, "/quiet/file", "/iso/deep/f", namespace.ErrSubtreeBusy)
 		// Overlapping subtree op rejected too.
-		if _, err := b.subtreeLock(nil, "/iso", namespace.OpMv); !errors.Is(err, namespace.ErrSubtreeBusy) {
+		if _, err := flagSubtreeOf(b, namespace.OpMv, "/iso"); !errors.Is(err, namespace.ErrSubtreeBusy) {
 			t.Fatalf("overlapping subtree lock: %v", err)
 		}
-		a.subtreeUnlock(nil, root.ID)
+		a.subtreeUnlock(nil, root)
 		mustOK(t, b, namespace.OpCreate, "/iso/deep/f", "")
 	})
 }
@@ -492,7 +508,7 @@ func TestCrashCleanupReleasesSubtreeLock(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		a, b, st := twoEngines(t, clk, 1)
 		mustOK(t, a, namespace.OpMkdirs, "/crash/dir", "")
-		if _, err := a.subtreeLock(nil, "/crash", namespace.OpDelete); err != nil {
+		if _, err := flagSubtreeOf(a, namespace.OpDelete, "/crash"); err != nil {
 			t.Fatal(err)
 		}
 		wantErr(t, b, namespace.OpCreate, "/crash/dir/f", "", namespace.ErrSubtreeBusy)
@@ -500,6 +516,54 @@ func TestCrashCleanupReleasesSubtreeLock(t *testing.T) {
 		CleanupCrashedNameNode(st, a.ID())
 		mustOK(t, b, namespace.OpCreate, "/crash/dir/f", "")
 	})
+}
+
+// TestStaleOwnFlagStillQuiesces: a non-empty directory still flagged with
+// the engine's own ID (a subtree operation of an earlier life of this
+// NameNode ID that never finished) is deleted, or moved, by the full
+// protocol — flag, quiesce, batches, last transaction — never by the last
+// transaction alone, which would orphan the children.
+func TestStaleOwnFlagStillQuiesces(t *testing.T) {
+	for _, op := range []namespace.OpType{namespace.OpDelete, namespace.OpMv} {
+		t.Run(op.String(), func(t *testing.T) {
+			simtest.Run(t, func(clk *clock.Sim) {
+				e, st := soloEngine(clk)
+				mustOK(t, e, namespace.OpMkdirs, "/stale/sub", "")
+				for _, p := range []string{"/stale/f", "/stale/sub/g"} {
+					mustOK(t, e, namespace.OpCreate, p, "")
+				}
+				if _, err := flagSubtreeOf(e, op, "/stale"); err != nil {
+					t.Fatal(err)
+				}
+				mustOK(t, e, op, "/stale", "/fresh")
+				if op == namespace.OpMv {
+					mustOK(t, e, namespace.OpStat, "/fresh/sub/g", "")
+					chain, err := st.ResolvePath("/fresh")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if owner := chain[len(chain)-1].SubtreeLockOwner; owner != "" {
+						t.Fatalf("moved root still flagged by %q", owner)
+					}
+				} else if n := st.INodeCount(); n != 1 {
+					t.Fatalf("inodes left after delete: %d, want the root directory alone", n)
+				}
+				if bad := st.CheckIntegrity(); len(bad) != 0 {
+					t.Fatalf("store integrity: %v", bad)
+				}
+				var ops map[string][]byte
+				if err := store.RunTx(st, "audit", nil, func(tx store.Tx) (err error) {
+					ops, err = tx.KVScan(store.TableSubtreeOps, "")
+					return err
+				}); err != nil || len(ops) != 0 {
+					t.Fatalf("subtree_ops rows left: %v (err %v)", ops, err)
+				}
+				if st.HeldLocks() != 0 {
+					t.Fatalf("locks leaked: %d", st.HeldLocks())
+				}
+			})
+		})
+	}
 }
 
 func TestNonOwnerDoesNotCache(t *testing.T) {
@@ -699,7 +763,7 @@ func TestNoCacheFillUnderForeignSubtreeLock(t *testing.T) {
 		a, b, _ := twoEngines(t, clk, 1)
 		mustOK(t, a, namespace.OpMkdirs, "/locked", "")
 		mustOK(t, a, namespace.OpCreate, "/locked/f", "")
-		root, err := a.subtreeLock(nil, "/locked", namespace.OpDelete)
+		root, err := flagSubtreeOf(a, namespace.OpDelete, "/locked")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -711,7 +775,7 @@ func TestNoCacheFillUnderForeignSubtreeLock(t *testing.T) {
 		if b.Cache().Contains("/locked/f") || b.Cache().Contains("/locked") {
 			t.Fatal("cache filled under a foreign subtree lock")
 		}
-		a.subtreeUnlock(nil, root.ID)
+		a.subtreeUnlock(nil, root)
 		mustOK(t, b, namespace.OpStat, "/locked/f", "")
 	})
 }

@@ -16,10 +16,13 @@ import (
 )
 
 // TestWriteLockPhaseIsOneStoreRead pins the store round trips of every
-// write's lock phase: one LockPaths call, so one ndb read, whatever the
-// operation locks — a leaf mkdirs too, and what an existing name answers —
-// and one more for a deep mkdirs, whose first lock phase finds where the
-// path goes missing.
+// write's lock phase: one LockPaths call, so one ndb read and one resolve
+// hop, whatever the operation locks — a leaf mkdirs too, and what an
+// existing name answers — and one more for a deep mkdirs, whose first lock
+// phase finds where the path goes missing. A directory delete or mv locks
+// twice: the transaction that flags the subtree and, after the subtree
+// protocol (whose walk and batches are the rest of its reads), the one that
+// deletes or relinks the root.
 func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
@@ -30,19 +33,21 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 		// Every row succeeds but this one.
 		fails := map[string]error{"mkdirs over a file": namespace.ErrExists}
 		for _, c := range []struct {
-			name       string
-			op         namespace.OpType
-			path, dest string
-			reads      uint64
+			name        string
+			op          namespace.OpType
+			path, dest  string
+			reads, hops uint64
 		}{
-			{"create", namespace.OpCreate, "/p/q/f", "", 1},
-			{"mv same parent", namespace.OpMv, "/p/q/f", "/p/q/g", 1},
-			{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1},
-			{"delete", namespace.OpDelete, "/r/h", "", 1},
-			{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2},
-			{"mkdirs leaf", namespace.OpMkdirs, "/p/q/leaf", "", 1},
-			{"mkdirs existing dir", namespace.OpMkdirs, "/p/q", "", 1},
-			{"mkdirs over a file", namespace.OpMkdirs, "/r/warm", "", 1},
+			{"create", namespace.OpCreate, "/p/q/f", "", 1, 1},
+			{"mv same parent", namespace.OpMv, "/p/q/f", "/p/q/g", 1, 1},
+			{"mv cross parent", namespace.OpMv, "/p/q/g", "/r/h", 1, 1},
+			{"delete", namespace.OpDelete, "/r/h", "", 1, 1},
+			{"mkdirs three missing", namespace.OpMkdirs, "/p/q/x/y/z", "", 2, 2},
+			{"mkdirs leaf", namespace.OpMkdirs, "/p/q/leaf", "", 1, 1},
+			{"mkdirs existing dir", namespace.OpMkdirs, "/p/q", "", 1, 1},
+			{"mkdirs over a file", namespace.OpMkdirs, "/r/warm", "", 1, 1},
+			{"mv directory", namespace.OpMv, "/p/q/x", "/r/x", 4, 2},   // + the walk, + one quiesce batch
+			{"delete directory", namespace.OpDelete, "/r/x", "", 3, 2}, // + the walk
 		} {
 			before := st.Stats()
 			if resp := do(t, e, c.op, c.path, c.dest); !errors.Is(resp.Error(), fails[c.name]) {
@@ -52,8 +57,8 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 			if got := after.Reads - before.Reads; got != c.reads {
 				t.Errorf("%s: %d store reads, want %d", c.name, got, c.reads)
 			}
-			if got := after.ResolveHops - before.ResolveHops; got != c.reads {
-				t.Errorf("%s: %d resolve hops, want %d", c.name, got, c.reads)
+			if got := after.ResolveHops - before.ResolveHops; got != c.hops {
+				t.Errorf("%s: %d resolve hops, want %d", c.name, got, c.hops)
 			}
 		}
 		if st.HeldLocks() != 0 {
@@ -136,9 +141,10 @@ func TestLsMissIsOneStoreRead(t *testing.T) {
 }
 
 // TestDirectoryDispatchUnderLock: del and mv learn what the path names
-// from the rows they locked and reroute a directory through the subtree
-// protocol — also when a file was replaced by a directory after the
-// operation chose its rows (it used to answer ErrInvalidState).
+// from the rows they locked and, finding a directory, flag it for the
+// subtree protocol in that same transaction — also when a file was replaced
+// by a directory after the operation chose its rows (it used to answer
+// ErrInvalidState).
 func TestDirectoryDispatchUnderLock(t *testing.T) {
 	t.Run("plain directory", func(t *testing.T) {
 		simtest.Run(t, func(clk *clock.Sim) {
@@ -272,10 +278,10 @@ func runSimRounds(t *testing.T, rounds int, setup, ops func(r int) []simOp) {
 
 // TestCrossingMovesTakeOneLockOrder runs crossing renames between two
 // directories in virtual time: directory moves /a→/b and /b→/a beside
-// file moves both ways, all starting on the same tick. mvSubtree's relink
-// used to lock destination parent then source parent whatever their
-// order, so crossing pairs deadlocked until the lock-wait timeout fired;
-// every rename now locks through one sorted LockPaths call.
+// file moves both ways, all starting on the same tick. A directory
+// rename's relink used to lock destination parent then source parent
+// whatever their order, so crossing pairs deadlocked until the lock-wait
+// timeout fired; every rename now locks through one sorted LockPaths call.
 func TestCrossingMovesTakeOneLockOrder(t *testing.T) {
 	name := func(format string, r int) string { return fmt.Sprintf(format, r) }
 	runSimRounds(t, 6, func(r int) []simOp {

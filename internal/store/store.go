@@ -133,7 +133,7 @@ type Tx interface {
 
 	// LockPaths is a write's whole lock phase in one store round trip: it
 	// resolves and locks the row set of the given canonical target paths
-	// (one for create/delete/mkdirs/subtree-lock, two for mv) under a single
+	// (one for create/delete/mkdirs, two for mv) under a single
 	// batched multi-get over the union of their rows. Per path, ancestors
 	// are locked shared, the parent directory exclusive (slot, then row)
 	// and the terminal's (parent, name) slot plus its row, when present,
