@@ -183,8 +183,8 @@ func TestEpisodeFaultsCostVirtualTime(t *testing.T) {
 	const (
 		seed        = 42 // the digest-golden seed
 		wantElapsed = 4020 * time.Millisecond
-		wantBytes   = 57485
-		wantSHA     = "665f6e6a22e92a8c"
+		wantBytes   = 59977
+		wantSHA     = "d7385a014f4a644b"
 	)
 	res := RunEpisode(EpisodeConfig{Seed: seed})
 	var buf bytes.Buffer
