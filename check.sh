@@ -5,12 +5,15 @@
 # concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
 # engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
 # core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
-# pins of cache, ndb, core, clock, rpc and namespace run in the plain test
-# step only — among them a cache Lookup miss 0, a PutChain that evicts a
-# chain of its own shape 0, ndb's depth-6 shared ResolvePathBatched 2, a
-# rename's LockPaths 8 and a one-row durable commit 3, core's warm create
-# plus delete 20 and file mv there and back 22, and namespace's AppendSplit
-# of a depth-6 path into a stack buffer 0),
+# pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim run
+# in the plain test step only — among them a cache Lookup miss 0, a
+# PutChain that evicts a chain of its own shape 0, ndb's depth-6 shared
+# ResolvePathBatched 2 and lock-free DB.ResolvePathBatched 1, a depth-5
+# ListPathBatched 3, a rename's LockPaths 8 and a one-row durable commit 3,
+# core's cache-miss stat 4, pass-through stat 3, warm create plus delete 20
+# and file mv there and back 22, coordinator's INV/ACK round to two peers
+# 11, sim's event loop 0, and namespace's AppendSplit of a depth-6 path
+# into a stack buffer 0),
 # bounded fuzzes of namespace's CleanPath (and the path helpers and the
 # component walker on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec
@@ -74,7 +77,7 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc and namespace are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="

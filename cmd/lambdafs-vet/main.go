@@ -1,11 +1,10 @@
-// Command lambdafs-vet runs the repository's custom static analyzer, nine
+// Command lambdafs-vet runs the repository's custom static analyzer, eight
 // checks enforcing the disciplines the λFS reproduction's evaluation
 // depends on: virtualtime (no wall clock, no wait or goroutine clock.Sim
 // cannot see), determinism, locks, spans, errcheck, metricnames, slorules
-// (SLO rules name registered metrics), and two over a module-wide call
-// graph — lockorder (lock-acquisition-order cycles) and hotpath (the
-// //vet:hotpath zero-allocation, virtual-time-only contract). Built purely
-// on the standard library's go/ast, go/parser, go/token, and go/types.
+// (SLO rules name registered metrics), and lockorder (lock-acquisition-order
+// cycles over a module-wide call graph). Built purely on the standard
+// library's go/ast, go/parser, go/token, and go/types.
 //
 // Usage:
 //

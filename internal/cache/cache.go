@@ -323,8 +323,6 @@ func (c *Cache) emptyLocked(n *node) int {
 // INode, is cached; otherwise nil and hit false. Either way it touches the
 // cached prefix of the chain in the LRU, leaf to root, so a miss keeps the
 // ancestors its fill is about to reuse as warm as a hit would.
-//
-//vet:hotpath
 func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -496,8 +494,6 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 // Listing returns the directory's cached children (the cached pointers,
 // read-only, in no particular order) when the listing is known-complete,
 // touching the directory's chain in the LRU.
-//
-//vet:hotpath
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

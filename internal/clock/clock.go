@@ -17,8 +17,8 @@
 //
 // Idle is the one exception left: a park on a raw channel, kept only because
 // benchmark/run.go joins its clients that way and only a benchmark PR may
-// edit it (ROADMAP 1(e)); the note above Idle in sim.go says what goes with
-// it.
+// edit it (ROADMAP item 8(d)); the note above Idle in sim.go says what goes
+// with it.
 package clock
 
 import "time"

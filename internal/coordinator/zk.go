@@ -166,8 +166,6 @@ func (z *ZK) InvalidateBatch(deps []int, invs []Invalidation) error {
 // InvalidateBatchTraced is InvalidateBatch with per-target trace
 // attribution: each delivery leg is a coherence.target child span of tc
 // tagged with the target instance's ID.
-//
-//vet:hotpath
 func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ctx) error {
 	if len(invs) == 0 {
 		return nil
@@ -285,7 +283,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	errs := make([]error, 0, len(targets))
 	for i, s := range targets {
 		if !acked[i] {
-			errs = append(errs, fmt.Errorf("target %s: %w", s.id, ErrAckTimeout)) //vet:allow hotpath ack-timeout error path only runs after the protocol already failed slow
+			errs = append(errs, fmt.Errorf("target %s: %w", s.id, ErrAckTimeout))
 		}
 	}
 	return errors.Join(errs...)

@@ -53,6 +53,38 @@ func TestExecuteHitAllocs(t *testing.T) {
 	})
 }
 
+// A stat the cache does not serve, through Engine.Execute: the StatInfo and
+// the Response, and the store resolution's chain. A miss adds the
+// transaction its shared-locked fill runs in, and re-caches the row in the
+// node its invalidation freed; a pass-through resolution (caching disabled)
+// takes no lock and so needs no transaction. (Not under -race: the
+// detector allocates.)
+func TestExecuteMissAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		stat := namespace.Request{Op: namespace.OpStat, Path: "/a/b/f"}
+		e, st := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
+		miss := func() {
+			e.Cache().Invalidate(stat.Path)
+			if resp := e.Execute(stat); !resp.OK() || resp.CacheHit {
+				t.Fatalf("stat %s: %+v, want a miss", stat.Path, resp)
+			}
+		}
+		miss()
+		if got := testing.AllocsPerRun(100, miss); got != 4 {
+			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 4", got)
+		}
+
+		cfg := DefaultEngineConfig()
+		cfg.OpCPUCost, cfg.SubtreeCPUPerINode, cfg.CacheBudget = 0, 0, -1
+		pass := NewEngine("nn-pass", -1, clk, st, nil, nil, nil, cfg)
+		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 3 {
+			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 3", got)
+		}
+	})
+}
+
 // A warm write's host cost, through Engine.Execute. Per op: the
 // transaction, its write buffer (a map and its first group), the lock
 // phase's argument list, reply and the one array behind its chains, a

@@ -308,14 +308,6 @@ func (e *Engine) execute(tc *trace.Ctx, req namespace.Request) *namespace.Respon
 	return fail(namespace.ErrInvalidState)
 }
 
-// resolveStore is the lock-free store resolution of path: one batched
-// per-shard multi-get, attributed to tc.
-//
-//vet:hotpath
-func (e *Engine) resolveStore(tc *trace.Ctx, path string) ([]*namespace.INode, error) {
-	return e.st.ResolvePathBatched(path, tc)
-}
-
 func fail(err error) *namespace.Response {
 	return &namespace.Response{Err: namespace.ToWire(err)}
 }
@@ -364,7 +356,8 @@ func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string) (chain
 		}
 		return chain, false, nil
 	}
-	chain, err = e.resolveStore(tc, path)
+	// Pass-through: one lock-free batched per-shard multi-get.
+	chain, err = e.st.ResolvePathBatched(path, tc)
 	return chain, false, err
 }
 

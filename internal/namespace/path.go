@@ -76,10 +76,9 @@ func SplitPath(p string) []string {
 // a stack buffer, say — splitting allocates nothing.
 func AppendSplit(dst []string, p string) []string {
 	cs := Walk(p)
-	n, k := len(dst), cs.Len()
-	dst = slices.Grow(dst, k)[:n+k]
-	for i := n; i < len(dst); i++ {
-		dst[i], _ = cs.Next()
+	dst = slices.Grow(dst, cs.Len())
+	for c, ok := cs.Next(); ok; c, ok = cs.Next() {
+		dst = append(dst, c)
 	}
 	return dst
 }

@@ -36,6 +36,26 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 2 {
 			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 2", got)
 		}
+		// A pass-through resolution outside any transaction: the chain alone.
+		if got := testing.AllocsPerRun(100, func() {
+			if chain, err := db.ResolvePathBatched(path, nil); err != nil || len(chain) != 7 {
+				t.Fatalf("lock-free resolve %s: %d rows, %v", path, len(chain), err)
+			}
+		}); got != 1 {
+			t.Errorf("lock-free DB.ResolvePathBatched of a depth-6 path: %v allocs, want 1", got)
+		}
+		// A listing miss: the transaction, the chain and the children's slice
+		// — the listed rows are the store's own, handed out under a shared
+		// lock, and sorting them allocates nothing.
+		if got := testing.AllocsPerRun(100, func() {
+			tx := db.Begin("nn")
+			if chain, kids, err := tx.ListPathBatched("/a/b/c/d/e", store.LockShared); err != nil || len(chain) != 6 || len(kids) != 1 {
+				t.Fatalf("list /a/b/c/d/e: %d rows, %d children, %v", len(chain), len(kids), err)
+			}
+			tx.Abort()
+		}); got != 3 {
+			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 3", got)
+		}
 		// A rename's lock phase: the transaction, the reply, one backing
 		// array for both chains, a private copy of each exclusive row each
 		// walk reads (/a/b twice, /a/b/c/d/e and f; a copy shares the block

@@ -69,8 +69,6 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 
 // ResolvePathBatched implements store.Store: the whole chain fetched as
 // one per-shard multi-get (read-committed, no locks, one resolution hop).
-//
-//vet:hotpath
 func (db *DB) ResolvePathBatched(path string, tc *trace.Ctx) ([]*namespace.INode, error) {
 	p, err := namespace.CleanPath(path)
 	if err != nil {
@@ -293,8 +291,6 @@ func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bo
 }
 
 // ResolvePathBatched implements store.Tx.
-//
-//vet:hotpath
 func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode) ([]*namespace.INode, error) {
 	return t.resolveOne(path, ancestors, terminal, false)
 }
@@ -302,8 +298,6 @@ func (t *tx) ResolvePathBatched(path string, ancestors, terminal store.LockMode)
 // ListPathBatched implements store.Tx: a listing miss in one round — the
 // chain's multi-get also carries the directory's children, which are then
 // read under the directory's lock.
-//
-//vet:hotpath
 func (t *tx) ListPathBatched(path string, mode store.LockMode) (chain, children []*namespace.INode, err error) {
 	if chain, err = t.resolveOne(path, mode, mode, true); err != nil {
 		return chain, nil, err
@@ -321,8 +315,6 @@ func (t *tx) ListPathBatched(path string, mode store.LockMode) (chain, children 
 // terminal exclusive, slot before row, a row two paths share taken on the
 // terms of the more demanding one — so every transaction acquires its
 // rows in the same global order: the namespace tree's preorder.
-//
-//vet:hotpath
 func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 	if t.done {
 		return nil, store.ErrTxDone

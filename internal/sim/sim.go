@@ -4,7 +4,7 @@
 // experiment until that was replaced by the real stack on clock.Sim;
 // nothing in the product imports it any more. It stays because
 // benchmark/layers.go times its event loop as sim.host_ns_per_event, and
-// it goes with that metric (ROADMAP item 1(e)).
+// it goes with that metric (ROADMAP item 8(d)).
 //
 // # Determinism
 //
@@ -113,8 +113,6 @@ const (
 // it, fold it into the digest, dispatch. Dispatch goes through the
 // stored func value, so the loop itself stays allocation- and
 // formatting-free regardless of what the callbacks do.
-//
-//vet:hotpath
 func (s *Scheduler) run(limit int64) {
 	for len(s.heap) > 0 && s.heap[0].due <= limit {
 		e := s.pop()

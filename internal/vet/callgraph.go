@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide call graph the interprocedural checks
-// (lockorder, hotpath) run on. Like the rest of the analyzer it uses only
+// This file builds the module-wide call graph the interprocedural check,
+// lockorder, runs on. Like the rest of the analyzer it uses only
 // the standard library's go/ast + go/types: nodes are keyed by the
 // *types.Func object from Info.Defs, and because the Loader memoizes
 // packages (every importer returns the same *types.Package), object
@@ -24,7 +24,7 @@ import (
 //     an edge to every analyzed concrete type that implements the
 //     interface — sound over the module, which is the analysis universe.
 //   - Calls through function values (fields, variables, parameters)
-//     stay opaque: no edge. The checks that consume the graph are
+//     stay opaque: no edge. The check that consumes the graph is
 //     calibrated for that (closures are flattened into their declaring
 //     function, so a closure's body is still scanned — only the dynamic
 //     dispatch to it is invisible).
@@ -38,15 +38,6 @@ type FuncNode struct {
 	Pkg  *Package
 	File *ast.File
 	Decl *ast.FuncDecl
-
-	// HotPath records a //vet:hotpath line in the declaration's doc
-	// comment (see check_hotpath.go for the contract it enforces).
-	HotPath bool
-	// WallPos is the first direct wall-clock call (time.Now & friends,
-	// the virtualtime check's list) in the body, or token.NoPos.
-	// internal/clock is never a wall source: it is the sanctioned
-	// wall-clock boundary.
-	WallPos token.Pos
 
 	// Calls holds the outgoing edges in source order. An interface call
 	// contributes one edge per CHA-resolved implementation.
@@ -101,10 +92,7 @@ func BuildCallGraph(l *Loader, pkgs []*Package) *CallGraph {
 					continue
 				}
 				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				n := &FuncNode{
-					Obj: obj, Pkg: pkg, File: file, Decl: fd,
-					HotPath: hasHotPathAnnotation(fd),
-				}
+				n := &FuncNode{Obj: obj, Pkg: pkg, File: file, Decl: fd}
 				g.Nodes = append(g.Nodes, n)
 				if obj != nil {
 					g.byObj[obj] = n
@@ -152,22 +140,8 @@ func BuildCallGraph(l *Loader, pkgs []*Package) *CallGraph {
 
 	for _, n := range g.Nodes {
 		n.Calls = collectCalls(g, n, resolveIface)
-		n.WallPos = wallClockPos(n)
 	}
 	return g
-}
-
-// hasHotPathAnnotation reports a //vet:hotpath line in the doc comment.
-func hasHotPathAnnotation(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == "//vet:hotpath" || strings.HasPrefix(c.Text, "//vet:hotpath ") {
-			return true
-		}
-	}
-	return false
 }
 
 // collectCalls extracts n's outgoing edges, flattening function literals.
@@ -213,20 +187,4 @@ func collectCalls(g *CallGraph, n *FuncNode, resolveIface func(*types.Interface,
 		return true
 	})
 	return out
-}
-
-// wallClockPos finds the first wall-clock time call in the body with the
-// virtualtime check's matcher.
-func wallClockPos(n *FuncNode) token.Pos {
-	if strings.HasSuffix(n.Pkg.Path, "internal/clock") {
-		return token.NoPos
-	}
-	pos := token.NoPos
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if sel, ok := node.(*ast.SelectorExpr); ok && wallClockCall(n.Pkg, n.File, sel) {
-			pos = sel.Pos()
-		}
-		return pos == token.NoPos
-	})
-	return pos
 }

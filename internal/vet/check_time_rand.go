@@ -23,13 +23,6 @@ var wallClockFuncs = map[string]bool{
 	"Until":     true,
 }
 
-// wallClockCall reports whether sel names one of wallClockFuncs in package
-// time — the one wall-clock matcher, shared with the call graph's WallPos.
-func wallClockCall(pkg *Package, file *ast.File, sel *ast.SelectorExpr) bool {
-	id, ok := sel.X.(*ast.Ident)
-	return ok && wallClockFuncs[sel.Sel.Name] && pkgPathOf(pkg, file, id) == "time"
-}
-
 // checkVirtualTime enforces the virtual-time discipline: no wall-clock
 // reads or waits outside internal/clock. The simulation's whole latency
 // model — and the benchmark numbers reproduced from the paper — depends
@@ -104,9 +97,13 @@ func checkVirtualTime(l *Loader, pkg *Package, report reporter) {
 					}
 				}
 			case *ast.SelectorExpr:
-				if id, ok := v.X.(*ast.Ident); ok && v.Sel.Name == "Idle" && !host && pkgPathOf(pkg, file, id) == clockPath {
+				id, ok := v.X.(*ast.Ident)
+				if !ok {
+					break
+				}
+				if v.Sel.Name == "Idle" && !host && pkgPathOf(pkg, file, id) == clockPath {
 					flag(v.Pos(), "clock.Idle wraps a wait the clock cannot wake exactly — wait on a clock.Mailbox, Event or Group")
-				} else if wallClockCall(pkg, file, v) {
+				} else if wallClockFuncs[v.Sel.Name] && pkgPathOf(pkg, file, id) == "time" {
 					flag(v.Pos(), fmt.Sprintf(
 						"time.%s reads the wall clock — use the virtual clock ((*clock.Sim).%s, or a clock.Deadline for timeouts)",
 						v.Sel.Name, v.Sel.Name))

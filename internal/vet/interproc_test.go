@@ -12,7 +12,6 @@ import (
 
 func TestGoldenMetricNames(t *testing.T) { checkGolden(t, "metricnames", 0) }
 func TestGoldenLockOrder(t *testing.T)   { checkGolden(t, "lockorder", 0) }
-func TestGoldenHotPath(t *testing.T)     { checkGolden(t, "hotpath", 1) }
 func TestGoldenUnusedAllow(t *testing.T) { checkGolden(t, "unusedallow", 1) }
 
 // TestAllowNearestAndMultiple covers the allow-table matching rules: two

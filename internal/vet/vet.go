@@ -35,10 +35,6 @@
 //     module-wide call graph of callgraph.go) must be cycle-free — a
 //     cycle is a latent deadlock. It reads the same per-function stream
 //     of lock events as locks.
-//   - hotpath: functions annotated `//vet:hotpath` — and everything they
-//     transitively call — must not allocate (fmt.Sprintf, string
-//     concatenation, append growth, escaping composite literals,
-//     per-iteration closures) and must not reach wall-clock time.
 //
 // Each check is one entry of the checks registry, and each hazard has one
 // walk: a rule that two checks share reads one event stream.
@@ -110,7 +106,6 @@ var checks = []struct {
 	{"metricnames", perPackage(checkMetricNames)},
 	{"slorules", checkSLORules},
 	{"lockorder", checkLockOrder},
-	{"hotpath", checkHotPath},
 }
 
 // CheckNames lists the analyzer's checks in presentation order.
