@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,6 +191,33 @@ func TestSleepOr(t *testing.T) {
 	// Cancelled beforehand: no sleep at all.
 	if SleepOr(s, time.Hour, cancel) {
 		t.Error("SleepOr slept through a cancel already set")
+	}
+}
+
+// TestGoexitHandsBatonOn: a clock goroutine whose fn ends in
+// runtime.Goexit (a t.Fatal inside a Group member) still hands the baton
+// on and stops counting as alive. Without that the sibling's deadline is
+// never reached and the watchdog fires after StallTimeout.
+func TestGoexitHandsBatonOn(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	var siblingAt, end time.Duration
+	Run(s, func() {
+		g := NewGroup(s)
+		g.Go(func() {
+			s.Sleep(2 * time.Millisecond)
+			runtime.Goexit()
+		})
+		g.Go(func() {
+			s.Sleep(5 * time.Millisecond)
+			siblingAt = s.Since(Epoch)
+		})
+		g.Wait()
+		s.Sleep(3 * time.Millisecond)
+		end = s.Since(Epoch)
+	})
+	if siblingAt != 5*time.Millisecond || end != 8*time.Millisecond {
+		t.Fatalf("sibling woke at %v, caller ended at %v; want 5ms and 8ms", siblingAt, end)
 	}
 }
 
