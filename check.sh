@@ -12,8 +12,9 @@
 # ListPathBatched 3, a rename's LockPaths 8 and a one-row durable commit 3,
 # core's cache-miss stat 4, pass-through stat 3, warm create plus delete 20
 # and file mv there and back 22, coordinator's INV/ACK round to two peers
-# 11, sim's event loop 0, and namespace's AppendSplit of a depth-6 path
-# into a stack buffer 0),
+# 11, sim's event loop 0, clock's 100 sequential spawns on one reused
+# goroutine, and namespace's AppendSplit of a depth-6 path into a stack
+# buffer 0),
 # bounded fuzzes of namespace's CleanPath (and the path helpers and the
 # component walker on its output), of ndb's WAL recovery
 # (arbitrary bytes after a valid log) and of indexfs's attribute codec

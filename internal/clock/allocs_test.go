@@ -40,8 +40,8 @@ const runs = 101
 
 // Every other wait reuses a spent waiter too (an Event's or a Mailbox's,
 // given back once its source no longer lists it), a Mailbox reuses its
-// receive records, and a spawn reuses its start record; a fresh Event's one
-// waiter needs no list. So once warm none of these allocates.
+// receive records, and a spawn resumes a parked goroutine through its start
+// record; a fresh Event's one waiter needs no list. So once warm none of these allocates.
 func TestWaitAndSpawnAllocs(t *testing.T) {
 	s := NewSim()
 	defer s.Close()
@@ -104,6 +104,32 @@ func TestWaitAndSpawnAllocs(t *testing.T) {
 			j++
 		}); got != 0 {
 			t.Errorf("a Go of a prebuilt fn joined on an Event: %v allocs, want 0", got)
+		}
+	})
+}
+
+// A spawn resumes a parked goroutine: sequential spawns, each joined before
+// the next, all run on the goroutine the first one started, so the clock
+// parses a goroutine ID once per goroutine it starts, not once per spawn.
+func TestSpawnReusesGoroutine(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	Run(s, func() {
+		var ids [100]int64
+		for i := range ids {
+			done := NewEvent(s)
+			Go(s, func() {
+				s.mu.Lock()
+				ids[i] = s.goid()
+				s.mu.Unlock()
+				done.Set()
+			})
+			done.Wait()
+		}
+		for i, id := range ids {
+			if id != ids[0] {
+				t.Fatalf("spawn %d ran on goroutine %d, spawn 0 on %d: want one goroutine for all", i, id, ids[0])
+			}
 		}
 	})
 }

@@ -44,6 +44,13 @@ import (
 // A quiescent cluster therefore holds its clock between two Run calls, and a
 // wake from outside (a spawn, a Set, a Send, Close) starts it again.
 //
+// The reuse rule: a goroutine the clock started outlives its fn. When fn
+// returns it puts its start record back on Sim.tasks, hands the baton on and
+// parks on the record until a spawn resumes it with the next fn, so a spawn
+// costs one channel send, like a wake, and a go statement only when no
+// goroutine is parked. Close releases the parked ones; an fn that ends in
+// runtime.Goexit takes its goroutine with it.
+//
 // What is still a guess: Idle, at the bottom of this file.
 type Sim struct {
 	nowNS atomic.Int64 // virtual ns since Epoch; stored under mu
@@ -60,7 +67,7 @@ type Sim struct {
 	picks      uint64             // baton hand-offs, for the watchdog
 	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
 	spare      []*waiter          // spent waiters, for reuse (getWaiter, putWaiter in wait.go)
-	tasks      []*task            // spent start records, for reuse (spawn)
+	tasks      []*task            // records of parked goroutines, for reuse (spawn)
 	goidBuf    [64]byte           // the stack header goid parses
 
 	stop          chan struct{}
@@ -69,26 +76,28 @@ type Sim struct {
 }
 
 // runnable is one run-queue slot: a parked goroutine to resume with its
-// park's outcome, or (t set) a spawned goroutine to start.
+// park's outcome, or (t set) a spawn to run.
 type runnable struct {
 	w       *waiter
 	expired bool
 	t       *task
 }
 
-// task is a spawn's start record. Records are reused (Sim.tasks), and start
-// is t.run bound once, so dispatch's go statement needs no wrapper: a spawn
-// allocates nothing once warm.
+// task is a spawn's start record and, once dispatch has started a goroutine
+// for it (live), that goroutine's for good: the goroutine parks on ch
+// between fns (the reuse rule in the Sim type comment), so a spawn allocates
+// nothing once warm.
 type task struct {
 	sim    *Sim
 	fn     func()
 	daemon bool
-	start  func()
+	live   bool          // a goroutine serves this record
+	ch     chan struct{} // capacity 1: the resume; closed by Close
 }
 
 // goid returns the current goroutine's ID, parsed from the stack header in
-// s.goidBuf (at every goroutine's start and in isRegistered). Caller holds
-// s.mu.
+// s.goidBuf (once per goroutine the clock starts, and in isRegistered).
+// Caller holds s.mu.
 func (s *Sim) goid() int64 {
 	n := runtime.Stack(s.goidBuf[:], false)
 	// "goroutine 123 [...":
@@ -137,7 +146,9 @@ func NewSim() *Sim {
 
 // Close stops the watchdog and drains the simulation: everything parked
 // with a deadline is woken, in heap order, as if the deadline had come, and
-// from then on a deadline expires as soon as it is waited on.
+// from then on a deadline expires as soon as it is waited on. The goroutines
+// parked between fns exit, and so does each still running once its fn
+// returns.
 func (s *Sim) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -146,6 +157,10 @@ func (s *Sim) Close() {
 		for len(s.heapq) > 0 {
 			s.wakeLocked(heap.Pop(&s.heapq).(*waiter), true)
 		}
+		for _, t := range s.tasks {
+			close(t.ch)
+		}
+		s.tasks = nil
 	}
 	s.mu.Unlock()
 }
@@ -226,8 +241,8 @@ func (s *Sim) wakeLocked(w *waiter, expired bool) bool {
 	return true
 }
 
-// spawn queues fn to start, on a goroutine of its own, when its turn for
-// the baton comes.
+// spawn queues fn to run, on a parked goroutine or a new one, when its
+// turn for the baton comes.
 func (s *Sim) spawn(fn func(), daemon bool) {
 	s.mu.Lock()
 	if !daemon {
@@ -237,8 +252,7 @@ func (s *Sim) spawn(fn func(), daemon bool) {
 	if n := len(s.tasks); n > 0 {
 		t, s.tasks = s.tasks[n-1], s.tasks[:n-1]
 	} else {
-		t = &task{sim: s}
-		t.start = t.run
+		t = &task{sim: s, ch: make(chan struct{}, 1)}
 	}
 	t.fn, t.daemon = fn, daemon
 	s.enqueue(runnable{t: t})
@@ -290,41 +304,69 @@ func (s *Sim) next() (r runnable, ok bool) {
 }
 
 // dispatch hands the baton to r, if there is one: resumes the parked
-// goroutine (its channel has room for the one outcome it ever gets) or
-// starts the spawned one.
+// goroutine (its channel has room for the one outcome or resume it gets per
+// park) or, for a spawn whose record no goroutine serves yet, starts one.
 func (s *Sim) dispatch(r runnable, ok bool) {
 	switch {
 	case !ok:
-	case r.t != nil:
-		go r.t.start()
-	default:
+	case r.t == nil:
 		r.w.ch <- r.expired
+	case r.t.live:
+		r.t.ch <- struct{}{}
+	default:
+		r.t.live = true
+		go r.t.run()
 	}
 }
 
-// run is the body of every registered goroutine: it starts with the baton,
-// gives its start record back before fn runs and hands the baton on when fn
-// returns.
+// run is the body of every registered goroutine: it registers once, then
+// runs one spawn's fn after another, each started with the baton, parking
+// between them until the next spawn resumes it. It exits once the clock is
+// closed, or when fn ends in runtime.Goexit (or a panic) instead of
+// returning: the deferred path hands the baton on for it.
 func (t *task) run() {
 	s := t.sim
 	s.mu.Lock()
-	fn, daemon := t.fn, t.daemon
-	t.fn = nil
-	s.tasks = append(s.tasks, t)
 	id := s.goid()
 	s.registered[id] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
+		if t.fn != nil { // fn did not return
+			t.handOff(false)
+		}
 		s.mu.Lock()
 		delete(s.registered, id)
-		if !daemon {
-			s.alive--
-		}
-		r, ok := s.next()
 		s.mu.Unlock()
-		s.dispatch(r, ok)
 	}()
-	fn()
+	for {
+		t.fn()
+		if !t.handOff(true) {
+			return
+		}
+		if _, open := <-t.ch; !open {
+			return
+		}
+	}
+}
+
+// handOff ends the spawn t ran: it hands the baton on and reports whether
+// t went back on s.tasks for the next spawn, which it does when reuse is
+// asked for and the clock is open.
+func (t *task) handOff(reuse bool) bool {
+	s := t.sim
+	s.mu.Lock()
+	t.fn = nil
+	if !t.daemon {
+		s.alive--
+	}
+	reuse = reuse && !s.closed
+	if reuse {
+		s.tasks = append(s.tasks, t)
+	}
+	r, ok := s.next()
+	s.mu.Unlock()
+	s.dispatch(r, ok)
+	return reuse
 }
 
 // isRegistered reports whether the calling goroutine is

@@ -221,6 +221,47 @@ func TestGoexitHandsBatonOn(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesParkedGoroutines: the goroutines parked between spawns
+// exit on Close, and one whose fn returns after Close exits instead of
+// parking, so a closed Sim leaves no goroutine behind.
+func TestCloseReleasesParkedGoroutines(t *testing.T) {
+	// settle waits for goroutines that are exiting to finish unwinding and
+	// returns the count, or the count after 5s if it never falls to want.
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	time.Sleep(20 * time.Millisecond) // earlier tests' goroutines finish unwinding
+	base := runtime.NumGoroutine()
+	s := NewSim()
+	const spawns = 64
+	Run(s, func() {
+		g := NewGroup(s)
+		for range spawns {
+			g.Go(func() { s.Sleep(time.Millisecond) })
+		}
+		g.Wait()
+	})
+	if n := runtime.NumGoroutine(); n < base+spawns {
+		t.Fatalf("%d goroutines after %d concurrent spawns returned, want at least %d parked for reuse", n, spawns, base+spawns)
+	}
+	s.Close()
+	if n := settle(base); n > base {
+		t.Fatalf("%d goroutines before the Sim, %d after Close", base, n)
+	}
+	ran := false
+	Run(s, func() { ran = true })
+	if !ran {
+		t.Fatal("a Run after Close did not run its fn")
+	}
+	if n := settle(base); n > base {
+		t.Fatalf("%d goroutines before the Sim, %d after a Run on the closed Sim", base, n)
+	}
+}
+
 func TestSimManyEventsThroughput(t *testing.T) {
 	// Smoke-check event processing rate: 50k sleep events must finish
 	// well under the stall timeout.

@@ -264,7 +264,7 @@ type Group struct {
 // NewGroup returns an empty group on clk.
 func NewGroup(clk *Sim) *Group { return &Group{clk: clk} }
 
-// Go runs fn on a new goroutine of the group's clock (see the package's Go).
+// Go runs fn on a goroutine of the group's clock (see the package's Go).
 func (g *Group) Go(fn func()) {
 	g.Add(1)
 	Go(g.clk, func() {
