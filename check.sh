@@ -9,7 +9,10 @@
 # in the plain test step only — among them a cache Lookup miss 0, a
 # PutChain that evicts a chain of its own shape 0, ndb's depth-6 shared
 # ResolvePathBatched 2 and lock-free DB.ResolvePathBatched 1, a depth-5
-# ListPathBatched 3, a rename's LockPaths 8 and a one-row durable commit 3,
+# ListPathBatched 3, a rename's LockPaths 8, a one-row durable commit 3,
+# an empty checkpoint round 8 and a dirty round 22 whether it writes 64 or
+# 1,024 rows (and, in a test -race runs too, 3 clock advances per shard
+# either way),
 # core's cache-miss stat 4, pass-through stat 3, warm create plus delete 20
 # and file mv there and back 22, coordinator's INV/ACK round to two peers
 # 11, sim's event loop 0, clock's 100 sequential spawns on one reused
@@ -17,8 +20,9 @@
 # buffer 0),
 # bounded fuzzes of namespace's CleanPath (and the path helpers and the
 # component walker on its output), of ndb's WAL recovery
-# (arbitrary bytes after a valid log) and of indexfs's attribute codec
-# (FuzzDecodeAttr: round trip, every other length rejected), the
+# (arbitrary bytes after a valid log), of indexfs's attribute codec
+# (FuzzDecodeAttr: round trip, every other length rejected) and of lsm's
+# WriteBatch (FuzzWriteBatch: a batch equals its entries one at a time), the
 # determinism smoke — the clock's own tests, bench's five golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point,
 # TestSweepTablesGolden's fake-runner digests of every §5.3 sweep at every
@@ -89,6 +93,9 @@ go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
 
 echo "== fuzz (indexfs attribute codec: encode/decode round trip, every 20-byte row re-encodes to itself, every other length rejected; bounded) =="
 go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
+
+echo "== fuzz (lsm WriteBatch: reads, table count, Stats and virtual time equal the same entries written one at a time; bounded) =="
+go test ./internal/lsm/ -run '^$' -fuzz FuzzWriteBatch -fuzztime 10s
 
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point and sweep tables (fake runner, every scale; real runs, tiny), then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4

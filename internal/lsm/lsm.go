@@ -1,7 +1,8 @@
 // Package lsm is a small log-structured merge tree modelled on LevelDB,
 // the persistent metadata store of IndexFS (§4, §5.7): a mutable
 // memtable, sorted string tables (SSTables) flushed into level 0, and
-// leveled compaction into non-overlapping higher levels. Writes are fast
+// leveled compaction into non-overlapping higher levels. WriteBatch is the
+// one write path (Put and Delete are one-entry batches): writes are fast
 // (memtable inserts) but occasionally stall on flush/compaction; reads
 // pay a probe per table consulted (read amplification). Deletes are
 // tombstones dropped at the bottom level.
@@ -12,6 +13,7 @@
 package lsm
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,26 +119,101 @@ func New(clk *clock.Sim, cfg Config) *DB {
 	}
 }
 
-// Put inserts or overwrites a key.
+// Entry is one write of a batch: Value under Key, or a tombstone for Key
+// when Delete is set (Value is then ignored).
+type Entry struct {
+	Key    string
+	Value  []byte
+	Delete bool
+}
+
+// Put inserts or overwrites a key: a one-entry batch of a copy of val.
 func (db *DB) Put(key string, val []byte) {
-	db.clk.Sleep(db.cfg.PutLatency)
+	db.WriteBatch([]Entry{{Key: key, Value: append([]byte(nil), val...)}})
+}
+
+// Delete writes a tombstone: a one-entry batch.
+func (db *DB) Delete(key string) {
+	db.WriteBatch([]Entry{{Key: key, Delete: true}})
+}
+
+// WriteBatch applies es in order, with LevelDB WriteBatch semantics: the
+// tree ends exactly as the same sequence of Put and Delete calls would
+// leave it — memtable, flush points, compactions and Stats — and the same
+// virtual time passes, the entries' put latency in one sleep before the
+// apply and every flush and compaction stall in one sleep after. The
+// batch takes ownership of its values: the caller must not modify them
+// afterwards.
+//
+// A run of MemtableEntries distinct keys that reaches an empty memtable
+// is exactly the table the memtable would flush once it filled, so it is
+// sorted once and pushed to L0 without passing through the memtable map.
+// A run with a duplicate key would not fill the memtable; it takes the
+// ordinary path.
+func (db *DB) WriteBatch(es []Entry) {
+	if len(es) == 0 {
+		return
+	}
+	db.clk.Sleep(time.Duration(len(es)) * db.cfg.PutLatency)
 	db.mu.Lock()
-	db.stats.Puts++
-	db.mem[key] = append([]byte(nil), val...)
-	stall := db.maybeFlushLocked()
+	var stall time.Duration
+	var scratch []Entry // the fast path's sort buffer, shared by its runs
+	for len(es) > 0 {
+		if n := db.cfg.MemtableEntries; len(db.mem) == 0 && len(es) >= n {
+			if scratch == nil {
+				scratch = make([]Entry, n)
+			}
+			if t := runTable(es[:n], scratch); t != nil {
+				for i := range scratch {
+					db.countLocked(&scratch[i])
+				}
+				stall += db.pushL0Locked(t) + db.compactLocked()
+				es = es[n:]
+				continue
+			}
+		}
+		e := &es[0]
+		db.countLocked(e)
+		db.mem[e.Key] = e.value()
+		stall += db.maybeFlushLocked()
+		es = es[1:]
+	}
 	db.mu.Unlock()
 	db.clk.Sleep(stall)
 }
 
-// Delete writes a tombstone.
-func (db *DB) Delete(key string) {
-	db.clk.Sleep(db.cfg.PutLatency)
-	db.mu.Lock()
-	db.stats.Deletes++
-	db.mem[key] = append([]byte(nil), tombstone...)
-	stall := db.maybeFlushLocked()
-	db.mu.Unlock()
-	db.clk.Sleep(stall)
+// value is what the tree stores for e: its value, or the tombstone.
+func (e *Entry) value() []byte {
+	if e.Delete {
+		return tombstone
+	}
+	return e.Value
+}
+
+func (db *DB) countLocked(e *Entry) {
+	if e.Delete {
+		db.stats.Deletes++
+	} else {
+		db.stats.Puts++
+	}
+}
+
+// runTable returns the table a memtable holding exactly run's entries
+// flushes into, or nil when two of them share a key. It sorts a copy of
+// run in scratch, which has run's length.
+func runTable(run, scratch []Entry) *sstable {
+	copy(scratch, run)
+	slices.SortFunc(scratch, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	for i := 1; i < len(scratch); i++ {
+		if scratch[i].Key == scratch[i-1].Key {
+			return nil
+		}
+	}
+	t := &sstable{keys: make([]string, len(scratch)), vals: make([][]byte, len(scratch))}
+	for i := range scratch {
+		t.keys[i], t.vals[i] = scratch[i].Key, scratch[i].value()
+	}
+	return t
 }
 
 // Get returns the latest value for key.
@@ -234,15 +311,7 @@ func (db *DB) maybeFlushLocked() time.Duration {
 	if len(db.mem) < db.cfg.MemtableEntries {
 		return 0
 	}
-	var stall time.Duration
-	stall += db.flushLocked()
-	for lvl := -1; lvl < len(db.levels)-1; lvl++ {
-		if !db.needsCompactLocked(lvl) {
-			break
-		}
-		stall += db.compactLocked(lvl)
-	}
-	return stall
+	return db.flushLocked() + db.compactLocked()
 }
 
 // Flush forces the memtable out (test/shutdown hook); returns after
@@ -259,10 +328,28 @@ func (db *DB) flushLocked() time.Duration {
 		return 0
 	}
 	t := tableFromMap(db.mem)
-	db.l0 = append([]*sstable{t}, db.l0...)
 	db.mem = make(map[string][]byte)
+	return db.pushL0Locked(t)
+}
+
+// pushL0Locked adds a flushed table to L0 and returns the flush's stall.
+func (db *DB) pushL0Locked(t *sstable) time.Duration {
+	db.l0 = append([]*sstable{t}, db.l0...)
 	db.stats.Flushes++
 	return time.Duration(len(t.keys)) * db.cfg.FlushPerEntry
+}
+
+// compactLocked runs the compactions a flush has made due, top down, and
+// returns their stall.
+func (db *DB) compactLocked() time.Duration {
+	var stall time.Duration
+	for lvl := -1; lvl < len(db.levels)-1; lvl++ {
+		if !db.needsCompactLocked(lvl) {
+			break
+		}
+		stall += db.compactLevelLocked(lvl)
+	}
+	return stall
 }
 
 func (db *DB) needsCompactLocked(lvl int) bool {
@@ -285,8 +372,8 @@ func pow(base, exp int) int {
 	return out
 }
 
-// compactLocked merges level lvl (−1 = L0) into lvl+1.
-func (db *DB) compactLocked(lvl int) time.Duration {
+// compactLevelLocked merges level lvl (−1 = L0) into lvl+1.
+func (db *DB) compactLevelLocked(lvl int) time.Duration {
 	var inputs []*sstable
 	if lvl == -1 {
 		inputs = append(inputs, db.l0...) // newest first

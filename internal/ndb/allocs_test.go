@@ -3,6 +3,7 @@
 package ndb
 
 import (
+	"runtime"
 	"testing"
 
 	"lambdafs/internal/clock"
@@ -139,6 +140,40 @@ func TestDurablePathAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, truncate(records)); got != 0 {
 			t.Errorf("truncating all of a %d-record log: %v allocs, want 0", records, got)
+		}
+	})
+}
+
+// roundAllocs is testing.AllocsPerRun for checkpoint rounds alone: before
+// each round, dirty marks the rows it writes, uncounted.
+func roundAllocs(db *DB, dirty func()) float64 {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		dirty()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		db.Checkpoint()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	return float64(mallocs / runs)
+}
+
+// A dirty checkpoint round allocates per round and per shard, never per
+// row: its row slices, sort scratch, key string, value buffer and batch,
+// each shard's two fresh dirty sets, metadata copy and metadata read. The rows' values
+// go to the stores in the one buffer, and rows the stores already hold
+// grow no memtable.
+func TestDirtyCheckpointRoundAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db, dirty := dirtyRoundDB(t, clk)
+		small := roundAllocs(db, func() { dirty(64) })
+		large := roundAllocs(db, func() { dirty(1024) })
+		if small != large || small != 22 {
+			t.Errorf("checkpoint round: %v allocs with 64 dirty rows, %v with 1024, want 22 for both", small, large)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ndb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/lsm"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/simtest"
 )
@@ -36,6 +38,99 @@ func fullSnapshot(db *DB) []map[string][]byte {
 		}
 	}
 	return out
+}
+
+// dirtyRoundDB returns a durable store on four shards whose checkpoint
+// stores run the default LSM latency model, holding 512 files and 512 KV
+// rows that a first round has written, and dirty(n), which marks n of those
+// rows, half of each kind, for the next round. Its rounds pay the default
+// metadata sync.
+func dirtyRoundDB(t *testing.T, clk *clock.Sim) (*DB, func(n int)) {
+	t.Helper()
+	cfg := durableCfg(NewDurable(clk, 4, lsm.DefaultConfig()))
+	cfg.Durability = DefaultDurabilityConfig()
+	db := New(clk, cfg)
+	const rows = 512
+	ids := make([]namespace.INodeID, rows)
+	for i := range ids {
+		ids[i] = addFile(t, db, namespace.RootID, fmt.Sprintf("f%d", i))
+	}
+	for i := 0; i < rows; i += 64 {
+		tx := db.Begin("test")
+		for j := i; j < i+64; j++ {
+			if err := tx.KVPut("t", fmt.Sprintf("k%d", j), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	db.Checkpoint()
+	return db, func(n int) {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		for i := 0; i < n/2; i++ {
+			db.markINode(ids[i])
+			db.markKV(kvRef{"t", fmt.Sprintf("k%d", i)})
+		}
+	}
+}
+
+// sortByID orders rows as a comparison sort by ID does, whatever bytes
+// the IDs use.
+func TestSortByID(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bits := range []int{0, 1, 8, 9, 17, 40, 63, 64} {
+		for _, n := range []int{0, 1, 2, 100, 3000} {
+			if bits < 63 {
+				n = min(n, 1<<bits) // IDs are distinct
+			}
+			seen := map[namespace.INodeID]bool{}
+			var rows []ckptINode
+			for len(rows) < n {
+				id := namespace.INodeID(rng.Uint64())
+				if bits < 64 {
+					id &= 1<<bits - 1
+				}
+				if !seen[id] {
+					seen[id] = true
+					rows = append(rows, ckptINode{id: id, n: &namespace.INode{ID: id}})
+				}
+			}
+			want := slices.Clone(rows)
+			slices.SortFunc(want, func(x, y ckptINode) int { return cmp.Compare(x.id, y.id) })
+			sortByID(rows, make([]ckptINode, len(rows)))
+			if !slices.Equal(rows, want) {
+				t.Fatalf("%d rows of %d-bit IDs: sortByID order differs from a comparison sort", n, bits)
+			}
+		}
+	}
+}
+
+// A checkpoint round's clock advances are a constant per shard, whatever
+// its row count: one sleep for its batch's puts, one for the metadata put
+// and one for the sync (no flush is due, and the floor reads hit the
+// memtables).
+func TestDirtyCheckpointRoundAdvances(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db, dirty := dirtyRoundDB(t, clk)
+		puts := func() (sum uint64) {
+			for _, ck := range db.dur.ckpts {
+				sum += ck.Stats().Puts
+			}
+			return sum
+		}
+		for _, n := range []int{64, 1024} {
+			dirty(n)
+			putsBefore, before := puts(), clk.Advances()
+			db.Checkpoint()
+			if got, want := clk.Advances()-before, uint64(3*db.dur.Shards()); got != want {
+				t.Errorf("round of %d dirty rows: %d clock advances, want %d (3 per shard)", n, got, want)
+			}
+			if got, want := puts()-putsBefore, uint64(n+db.dur.Shards()); got != want {
+				t.Errorf("round of %d dirty rows put %d rows, want %d (and a metadata row per shard)", n, got, want)
+			}
+		}
+	})
 }
 
 // TestPartialCheckpointEqualsFullSnapshot is a seeded differential test of

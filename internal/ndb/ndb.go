@@ -31,6 +31,7 @@ package ndb
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -380,6 +381,11 @@ func (db *DB) Preload(nodes []*namespace.INode) {
 		maxID = max(maxID, uint64(n.ID))
 	}
 	db.mu.Lock()
+	// The row map and the dirty sets grow once, not by doubling.
+	db.inodes = grown(db.inodes, len(nodes))
+	for s := range db.dirty {
+		db.dirty[s].inodes = grown(db.dirty[s].inodes, len(nodes)/len(db.dirty))
+	}
 	db.applyRecord(rec)
 	db.nextID.Store(maxID)
 	db.mu.Unlock()
@@ -388,6 +394,13 @@ func (db *DB) Preload(nodes []*namespace.INode) {
 	if db.dur != nil {
 		db.Checkpoint()
 	}
+}
+
+// grown returns a copy of m with room for n more entries.
+func grown[K comparable, V any](m map[K]V, n int) map[K]V {
+	g := make(map[K]V, len(m)+n)
+	maps.Copy(g, m)
+	return g
 }
 
 // INodeCount reports the number of INodes (test/diagnostic hook).

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -278,6 +279,37 @@ func appendINode(b []byte, n *namespace.INode) []byte {
 	return b
 }
 
+// appendKVOp appends a KV put's table, key and value.
+func appendKVOp(b []byte, op *kvOp) []byte {
+	b = appendStr(b, op.table)
+	b = appendStr(b, op.key)
+	return appendBytes(b, op.val)
+}
+
+// kvOpSize is the length appendKVOp appends for op.
+func kvOpSize(op *kvOp) int { return 4 + len(op.table) + 4 + len(op.key) + 4 + len(op.val) }
+
+// inodeSize is the length appendINode appends for n.
+func inodeSize(n *namespace.INode) int {
+	size := 8 + 8 + 4 + len(n.Name) + 1 + 4 + 4 + len(n.Owner) + 4 + len(n.Group) + 8 +
+		timeSize(n.Mtime) + timeSize(n.Ctime) + 4 + 4 + len(n.SubtreeLockOwner)
+	for _, blk := range n.Blocks {
+		size += 8 + 8 + 4
+		for _, loc := range blk.Locations {
+			size += 4 + len(loc)
+		}
+	}
+	return size
+}
+
+// timeSize is the length appendTime appends for t.
+func timeSize(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + 8
+}
+
 // appendRecord appends r's frame to b — the length+checksum header, then
 // the payload — and returns the extended buffer. Ops are sorted first, so
 // identical logical transactions always produce identical bytes.
@@ -301,11 +333,8 @@ func appendRecord(b []byte, r *walRecord) []byte {
 		b = append(b, opDelINode)
 		b = appendU64(b, uint64(id))
 	}
-	for _, op := range r.kvPuts {
-		b = append(b, opKVPut)
-		b = appendStr(b, op.table)
-		b = appendStr(b, op.key)
-		b = appendBytes(b, op.val)
+	for i := range r.kvPuts {
+		b = appendKVOp(append(b, opKVPut), &r.kvPuts[i])
 	}
 	for _, op := range r.kvDels {
 		b = append(b, opKVDel)
@@ -577,60 +606,130 @@ func (db *DB) markKV(ref kvRef) {
 	}
 }
 
-// ckptRow is one dirty row and its value as a checkpoint round read it:
-// an INode (kind 'i') or a KV row (kind 'k'); live is false when the row
-// is absent, which the round writes as a delete.
-type ckptRow struct {
-	shard int
-	kind  byte
-	id    namespace.INodeID
-	ref   kvRef
-	inode *namespace.INode
-	val   []byte
-	live  bool
+// ckptINode is a dirty INode row as a checkpoint round read it: n is nil
+// when the row is absent, which the round writes as a delete.
+type ckptINode struct {
+	id namespace.INodeID
+	n  *namespace.INode
 }
 
-// cmpCkptRow orders rows by shard, then key kind, ID and name, so a round
-// writes the same sequence every run.
-func cmpCkptRow(x, y ckptRow) int {
-	if c := cmp.Compare(x.shard, y.shard); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.kind, y.kind); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.id, y.id); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.ref.table, y.ref.table); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.ref.key, y.ref.key)
+// ckptKV is a dirty KV row as a checkpoint round read it; live is false
+// when the row is absent.
+type ckptKV struct {
+	op   kvOp
+	live bool
 }
 
-// key is the checkpoint store key of the row.
-func (r *ckptRow) key() string {
-	if r.kind == 'i' {
-		return inodeKey(r.id).String()
+// ckptSpan is where one shard's rows end in a round's row slices: shard
+// s's INodes run from the previous shard's end to inodes, its KV rows
+// likewise to kvs.
+type ckptSpan struct{ inodes, kvs int }
+
+// encodeCkptRound sorts each shard's rows into the order a round writes
+// them — INodes by ID, then KV rows by table and key — and encodes them as
+// one LSM batch for the whole round, shard after shard: shard s's batch
+// runs from the previous span's end to spans[s]'s. Every key is cut from
+// one string and every value from one buffer, both sized before they are
+// filled, so a round allocates the same few objects whatever its row
+// count; the checkpoint stores take them over with the batch.
+func encodeCkptRound(inodes []ckptINode, kvs []ckptKV, spans []ckptSpan) []lsm.Entry {
+	// Sorted first, so that sizing reads the rows in ID order too: a bulk
+	// load allocated them in that order.
+	var prev ckptSpan
+	buf := make([]ckptINode, len(inodes))
+	for _, sp := range spans {
+		sortByID(inodes[prev.inodes:sp.inodes], buf)
+		slices.SortFunc(kvs[prev.kvs:sp.kvs], func(x, y ckptKV) int { return cmpKVOp(x.op, y.op) })
+		prev = sp
 	}
-	return kvKey(r.ref.table, r.ref.key).String()
+
+	var kb [24]byte // an INode key: "i/" and up to 20 digits
+	keyLen, valLen := 0, 0
+	for _, r := range inodes {
+		keyLen += len(inodeKey(r.id).prefix(kb[:0]))
+		if r.n != nil {
+			valLen += 1 + inodeSize(r.n)
+		}
+	}
+	for i := range kvs {
+		r := &kvs[i]
+		keyLen += len("k/") + len(r.op.table) + len("/") + len(r.op.key)
+		if r.live {
+			valLen += 1 + kvOpSize(&r.op)
+		}
+	}
+	// A Builder only appends, so a key cut from an earlier String stays
+	// valid; grown once, every key shares its one allocation.
+	var keys strings.Builder
+	keys.Grow(keyLen)
+	vals := make([]byte, 0, valLen)
+	batch := make([]lsm.Entry, 0, len(inodes)+len(kvs))
+	prev = ckptSpan{}
+	for _, sp := range spans {
+		for _, r := range inodes[prev.inodes:sp.inodes] {
+			from := keys.Len()
+			keys.Write(inodeKey(r.id).prefix(kb[:0]))
+			e := lsm.Entry{Key: keys.String()[from:], Delete: r.n == nil}
+			if r.n != nil {
+				v := len(vals)
+				vals = appendINode(append(vals, ckptTagINode), r.n)
+				e.Value = vals[v:len(vals):len(vals)]
+			}
+			batch = append(batch, e)
+		}
+		for i := prev.kvs; i < sp.kvs; i++ {
+			r := &kvs[i]
+			from := keys.Len()
+			keys.WriteString("k/")
+			keys.WriteString(r.op.table)
+			keys.WriteByte('/')
+			keys.WriteString(r.op.key)
+			e := lsm.Entry{Key: keys.String()[from:], Delete: !r.live}
+			if r.live {
+				v := len(vals)
+				vals = appendKVOp(append(vals, ckptTagKV), &r.op)
+				e.Value = vals[v:len(vals):len(vals)]
+			}
+			batch = append(batch, e)
+		}
+		prev = sp
+	}
+	return batch
 }
 
-// appendValue appends the row's self-describing checkpoint value to b.
-func (r *ckptRow) appendValue(b []byte) []byte {
-	if r.kind == 'i' {
-		return appendINode(append(b, ckptTagINode), r.inode)
+// sortByID sorts rows, whose IDs are distinct, by ID: a radix sort, least
+// significant byte first, over the bytes the largest ID uses. buf is
+// scratch at least as long as rows.
+func sortByID(rows, buf []ckptINode) {
+	var hi namespace.INodeID
+	for _, r := range rows {
+		hi = max(hi, r.id)
 	}
-	b = appendStr(append(b, ckptTagKV), r.ref.table)
-	b = appendStr(b, r.ref.key)
-	return appendBytes(b, r.val)
+	src, dst := rows, buf[:len(rows)]
+	for shift := 0; shift < 64 && hi>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, r := range src {
+			at[byte(r.id>>shift)]++
+		}
+		pos := 0
+		for b, n := range at {
+			at[b], pos = pos, pos+n
+		}
+		for _, r := range src {
+			b := byte(r.id >> shift)
+			dst[at[b]] = r
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(rows, src)
 }
 
 // Checkpoint persists a partial checkpoint: each shard's store receives
-// the rows written since that shard's last completed round (a put per live
-// row, a delete per absent one) and then its metadata, so by the
-// dirtyRows invariant it holds the full snapshot of the shard's rows at
-// the round's LSN. Every WAL is then truncated up to the lowest LSN any
+// the rows written since that shard's last completed round (one batch: a
+// put per live row, a delete per absent one) and then its metadata, so by
+// the dirtyRows invariant it holds the full snapshot of the shard's rows
+// at the round's LSN. Every WAL is then truncated up to the lowest LSN any
 // shard's checkpoint covers (conservative: a shard whose round is lost
 // keeps its old metadata, so the records it still needs stay in the log,
 // and its rows stay dirty for the next round). It returns the LSN the
@@ -646,69 +745,60 @@ func (db *DB) Checkpoint() uint64 {
 
 	// Swap the dirty sets out and read their rows' values under the
 	// structure lock: WAL append, apply and mark are atomic under it, so
-	// the values are exactly the state at lsn. (Fresh sets, not cleared
+	// the values are exactly the state at lsn. Published rows are
+	// immutable, so they are encoded after it. (Fresh sets, not cleared
 	// ones: a set that once held a bulk load would keep its buckets.)
 	db.mu.Lock()
 	lsn := db.dur.LastLSN()
 	nextID := db.nextID.Load()
-	total := 0
-	for s := range db.dirty {
-		total += len(db.dirty[s].inodes) + len(db.dirty[s].kv)
+	nINodes, nKVs := 0, 0
+	for _, d := range db.dirty {
+		nINodes += len(d.inodes)
+		nKVs += len(d.kv)
 	}
-	rows := make([]ckptRow, 0, total)
+	inodes := make([]ckptINode, 0, nINodes)
+	kvs := make([]ckptKV, 0, nKVs)
+	var spanBuf [stackShards]ckptSpan
+	spans := spanBuf[:0]
 	for s, d := range db.dirty {
 		for id := range d.inodes {
-			n := db.inodes[id]
-			rows = append(rows, ckptRow{shard: s, kind: 'i', id: id, inode: n, live: n != nil})
+			inodes = append(inodes, ckptINode{id: id, n: db.inodes[id]})
 		}
 		for ref := range d.kv {
 			v, ok := db.kv[ref.table][ref.key]
-			rows = append(rows, ckptRow{shard: s, kind: 'k', ref: ref, val: v, live: ok})
+			kvs = append(kvs, ckptKV{op: kvOp{ref.table, ref.key, v}, live: ok})
 		}
+		spans = append(spans, ckptSpan{inodes: len(inodes), kvs: len(kvs)})
 		if len(d.inodes)+len(d.kv) > 0 {
 			db.dirty[s] = newDirtyRows()
 		}
 	}
 	db.mu.Unlock()
-	slices.SortFunc(rows, cmpCkptRow)
+	batch := encodeCkptRound(inodes, kvs, spans)
 
 	meta := encodeCkptMeta(lsn, nextID)
-	var buf []byte
-	for s := range db.dirty {
-		n := 0
-		for n < len(rows) && rows[n].shard == s {
-			n++
-		}
-		shardRows := rows[:n]
-		rows = rows[n:]
+	var prev ckptSpan
+	for s, sp := range spans {
 		if h := db.cfg.OnCheckpoint; h != nil && !h(s) {
 			// This shard's round is lost (fault injection): its store still
 			// holds the previous round, so its taken rows merge back.
 			db.mu.Lock()
-			for i := range shardRows {
-				if r := &shardRows[i]; r.kind == 'i' {
-					db.markINode(r.id)
-				} else {
-					db.markKV(r.ref)
-				}
+			for _, r := range inodes[prev.inodes:sp.inodes] {
+				db.markINode(r.id)
+			}
+			for _, r := range kvs[prev.kvs:sp.kvs] {
+				db.markKV(kvRef{r.op.table, r.op.key})
 			}
 			db.mu.Unlock()
-			continue
-		}
-		ck := db.dur.ckpts[s]
-		for i := range shardRows {
-			r := &shardRows[i]
-			if !r.live {
-				ck.Delete(r.key())
-				continue
+		} else {
+			ck := db.dur.ckpts[s]
+			ck.WriteBatch(batch[prev.inodes+prev.kvs : sp.inodes+sp.kvs])
+			ck.Put(ckptMetaKey, meta)
+			if d := db.cfg.Durability.CheckpointSync; d > 0 {
+				db.clk.Sleep(d)
 			}
-			buf = r.appendValue(buf[:0])
-			ck.Put(r.key(), buf)
 		}
-		ck.Put(ckptMetaKey, meta)
-		if d := db.cfg.Durability.CheckpointSync; d > 0 {
-			db.clk.Sleep(d)
-		}
+		prev = sp
 	}
 
 	floor := db.ckptFloor()

@@ -205,6 +205,11 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 		kvPuts: []kvOp{{table: "t/x", key: "k1", val: []byte{1, 2, 3}}, {table: "t", key: "", val: nil}},
 		kvDels: []kvOp{{table: "t", key: "gone"}},
 	}
+	for _, n := range rec.puts {
+		if got, want := inodeSize(n), len(appendINode(nil, n)); got != want {
+			t.Fatalf("inodeSize(%d) = %d, appendINode appends %d", n.ID, got, want)
+		}
+	}
 	frame := appendRecord(nil, rec)
 	got, size, ok := decodeFrame(frame)
 	if !ok || size != len(frame) {
