@@ -29,8 +29,9 @@
 # scale and TestSweepTinyRunsGolden's real tiny fig11/fig13/fig14/
 # ablation-rpc digests) and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
 # and four Ps, which covers every crash-restart and alert-coverage test —
-# the one -chaosseed replay of a chaos episode, an event-heap smoke for
-# internal/sim (kept only because benchmark/ times it), and the
+# a one-P repeat (50 runs) of the clock's join tests, so an Idle grace that
+# misses its helper fails instead of flaking, the one -chaosseed replay of
+# a chaos episode, an event-heap smoke for internal/sim (kept only because benchmark/ times it), and the
 # perf/durability/scale baseline gates. Run before sending changes.
 set -e
 
@@ -101,6 +102,9 @@ echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden' -cpu 1,2,4 -count=2
 go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
+
+echo "== one-P join repeat (Idle joins against Group joins and the exact reference pool, 50 runs on one P: a grace that misses a helper fails here) =="
+go test ./internal/clock/ -cpu 1 -count 50 -run 'Idle|QueueMatches'
 
 echo "== chaos replay (one episode through the -chaosseed path, which no other step runs) =="
 go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1

@@ -3,7 +3,6 @@ package clock
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -12,53 +11,46 @@ import (
 // stamps when it was dequeued and when its service ended.
 type refTask struct {
 	dur, arrival, start, finish time.Duration
-	done                        chan struct{}
+	done                        *Event
 }
 
 // refPool is the design Queue replaced, kept here as its reference:
-// ceil(vcpu) goroutines on a Sim clock pull tasks off one channel, sleep
-// the service time stretched by ceil(vcpu)/vcpu and close done. It feeds
-// the pool one task per (gap, dur) pair from a single driver, so tasks
-// enter the channel in index order, and returns them served.
-//
-// The pool's channel hand-offs are waits the Sim monitor detects only
-// heuristically (clock.Idle); they are reliable on one P, where a woken
-// goroutine always runs before the monitor's grace yields run out.
+// ceil(vcpu) goroutines on a Sim clock take tasks off one Mailbox, sleep
+// the service time stretched by ceil(vcpu)/vcpu and set done; a nil task
+// stops a worker. It feeds the pool one task per (gap, dur) pair from a
+// single driver, so tasks enter the mailbox in index order, and returns
+// them served. Every wait is the clock's, so the pool is exact on any
+// number of Ps.
 func refPool(vcpu float64, gaps, durs []time.Duration) []*refTask {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := NewSim()
 	defer s.Close()
 	workers := int(math.Ceil(vcpu))
 	adjust := float64(workers) / vcpu
-	tasks := make(chan *refTask, len(durs))
-	for w := 0; w < workers; w++ {
-		Go(s, func() {
-			for {
-				var tk *refTask
-				var ok bool
-				Idle(s, func() { tk, ok = <-tasks })
-				if !ok {
-					return
-				}
-				tk.start = s.Since(Epoch)
-				s.Sleep(time.Duration(float64(tk.dur) * adjust))
-				tk.finish = s.Since(Epoch)
-				close(tk.done)
-			}
-		})
-	}
 	out := make([]*refTask, len(durs))
 	Run(s, func() {
+		tasks := NewMailbox[*refTask](s)
+		for w := 0; w < workers; w++ {
+			Go(s, func() {
+				for tk := tasks.Recv(); tk != nil; tk = tasks.Recv() {
+					tk.start = s.Since(Epoch)
+					s.Sleep(time.Duration(float64(tk.dur) * adjust))
+					tk.finish = s.Since(Epoch)
+					tk.done.Set()
+				}
+			})
+		}
 		for i, dur := range durs {
 			s.Sleep(gaps[i])
-			out[i] = &refTask{dur: dur, arrival: s.Since(Epoch), done: make(chan struct{})}
-			tasks <- out[i]
+			out[i] = &refTask{dur: dur, arrival: s.Since(Epoch), done: NewEvent(s)}
+			tasks.Send(out[i])
 		}
 		for _, tk := range out {
-			Idle(s, func() { <-tk.done })
+			tk.done.Wait()
+		}
+		for w := 0; w < workers; w++ {
+			tasks.Send(nil)
 		}
 	})
-	close(tasks)
 	return out
 }
 

@@ -51,7 +51,8 @@ import (
 // goroutine is parked. Close releases the parked ones; an fn that ends in
 // runtime.Goexit takes its goroutine with it.
 //
-// What is still a guess: Idle, at the bottom of this file.
+// What is still a guess: Idle, at the bottom of this file, whose raw wake
+// must be made by a clock-started goroutine's fn before that fn returns.
 type Sim struct {
 	nowNS atomic.Int64 // virtual ns since Epoch; stored under mu
 
@@ -63,6 +64,7 @@ type Sim struct {
 	running    bool // a registered goroutine holds the baton
 	alive      int  // non-daemon goroutines spawned and not yet returned
 	idlers     int  // Idle helpers out
+	graceDue   bool // a clock goroutine returned while a helper was out: grace the next advance
 	closed     bool
 	picks      uint64             // baton hand-offs, for the watchdog
 	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
@@ -278,7 +280,8 @@ func (s *Sim) enqueue(r runnable) {
 // a wake from outside. Caller holds s.mu.
 func (s *Sim) next() (r runnable, ok bool) {
 	for s.head == len(s.runq) {
-		if s.idlers > 0 {
+		if s.graceDue {
+			s.graceDue = false
 			if s.grace(); s.head < len(s.runq) {
 				break
 			}
@@ -362,6 +365,13 @@ func (t *task) handOff(reuse bool) bool {
 	reuse = reuse && !s.closed
 	if reuse {
 		s.tasks = append(s.tasks, t)
+	}
+	// An Idle helper's raw wake is made just before an fn returns (Idle's
+	// contract). If this pick dispatches a queued goroutine, the helper may
+	// not run before that one parks, so the grace is owed to the next
+	// advance that finds the run queue empty, whoever makes it.
+	if s.idlers > 0 {
+		s.graceDue = true
 	}
 	r, ok := s.next()
 	s.mu.Unlock()
@@ -447,19 +457,23 @@ func Run(s *Sim, fn func()) {
 	<-done
 }
 
-// The Idle compatibility path: everything below, Sim.idlers and the grace
-// call in Sim.next exist for the two joins in benchmark/run.go, which only
-// a benchmark PR may edit, and are deleted together by ROADMAP's
-// one-substrate item (a).
+// The Idle compatibility path: everything below, Sim.idlers, Sim.graceDue
+// and the grace call in Sim.next exist for the two joins in
+// benchmark/run.go, which only a benchmark PR may edit, and are deleted
+// together by ROADMAP's one-substrate item (a).
 
 // Idle runs fn, which blocks on a raw channel or WaitGroup, while the
 // caller is parked on s: fn runs on a helper goroutine the clock does not
-// schedule and the caller parks on an Event the helper sets; the wake that
-// ends fn is a raw channel's, so while a helper is out the picker holds each
-// advance back for graceRounds scheduler yields — a guess, sound on one P,
-// where benchmark/ runs. This module has no non-test caller and
-// lambdafs-vet's virtualtime check keeps it so. Wait on a Mailbox, Event or
-// Group instead.
+// schedule and the caller parks on an Event the helper sets. The wake that
+// ends fn is a raw channel's, and it must be made by a goroutine the clock
+// started, inside its fn, before that fn returns (a deferred wg.Done or
+// close(done) in the fn Go was given). After such a return, while a helper
+// is out, the first advance that finds the run queue empty is held back for
+// graceRounds scheduler yields — a guess, sound on one P, where benchmark/
+// runs. A raw wake made any other way (by a goroutine that then parks, or
+// from outside the clock) may land after time has moved on. This module
+// has no non-test caller and lambdafs-vet's virtualtime check keeps it so.
+// Wait on a Mailbox, Event or Group instead.
 func Idle(s *Sim, fn func()) {
 	done := NewEvent(s)
 	s.mu.Lock()
@@ -476,14 +490,15 @@ func Idle(s *Sim, fn func()) {
 }
 
 // graceRounds is how many scheduler yields an advance is held back for
-// while an Idle helper is out.
+// after a clock goroutine returned while an Idle helper was out.
 const graceRounds = 16
 
 // grace gives the Idle helpers that are out a chance to turn a raw wake
-// into a clock one (a run-queue entry) before time moves. Caller holds
-// s.mu, which is released across each yield.
+// into a clock one (a run-queue entry) before time moves; with none out
+// (the last one returned after graceDue was set) it yields nothing. Caller
+// holds s.mu, which is released across each yield.
 func (s *Sim) grace() {
-	for i := 0; i < graceRounds && s.head == len(s.runq); i++ {
+	for i := 0; i < graceRounds && s.head == len(s.runq) && s.idlers > 0; i++ {
 		s.mu.Unlock()
 		runtime.Gosched()
 		s.mu.Lock()

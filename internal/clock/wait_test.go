@@ -2,6 +2,7 @@ package clock
 
 import (
 	"container/heap"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -234,6 +235,83 @@ func TestIdleJoinOnOneP(t *testing.T) {
 	})
 	if total != 20*4*time.Millisecond {
 		t.Fatalf("20 phases of a 4ms-longest actor took %v, want 80ms", total)
+	}
+}
+
+// TestIdleJoinMatchesGroupJoin: an Idle join over a raw WaitGroup ends
+// every phase at the instant a Group join does, and the two runs make the
+// same number of advances. Each actor's last act before its deferred Done
+// is a fire-and-forget spawn, so its return finds the run queue non-empty
+// and the grace has to wait for the next empty-queue advance; a 50µs daemon
+// ticker keeps deadlines due at the instants actors return.
+func TestIdleJoinMatchesGroupJoin(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const phases, actors, rounds = 50, 16, 20
+	rng := rand.New(rand.NewSource(1))
+	naps := make([]time.Duration, phases*actors*rounds)
+	for i := range naps {
+		naps[i] = time.Duration(50_000 + rng.Intn(100_001))
+	}
+	run := func(join func(s *Sim, actors []func())) (joins []time.Duration, advances uint64) {
+		s := NewSim()
+		defer s.Close()
+		Run(s, func() {
+			stop := NewEvent(s)
+			GoDaemon(s, func() {
+				for SleepOr(s, 50*time.Microsecond, stop) {
+				}
+			})
+			for p := 0; p < phases; p++ {
+				fns := make([]func(), actors)
+				for a := range fns {
+					mine := naps[(p*actors+a)*rounds:][:rounds]
+					fns[a] = func() {
+						reply := NewMailbox[struct{}](s)
+						for _, d := range mine {
+							Go(s, func() {
+								s.Sleep(d)
+								reply.Send(struct{}{})
+							})
+							reply.Recv()
+						}
+						Go(s, func() { s.Sleep(10 * time.Microsecond) })
+					}
+				}
+				join(s, fns)
+				joins = append(joins, s.Since(Epoch))
+			}
+			// Read before the last phase's fire-and-forget sleepers
+			// move time on behind Run's return.
+			advances = s.Advances()
+			stop.Set()
+		})
+		return joins, advances
+	}
+	idleJoins, idleAdvances := run(func(s *Sim, fns []func()) {
+		var wg sync.WaitGroup
+		for _, fn := range fns {
+			wg.Add(1)
+			Go(s, func() {
+				defer wg.Done()
+				fn()
+			})
+		}
+		Idle(s, wg.Wait)
+	})
+	groupJoins, groupAdvances := run(func(s *Sim, fns []func()) {
+		g := NewGroup(s)
+		for _, fn := range fns {
+			g.Go(fn)
+		}
+		g.Wait()
+	})
+	for p := range groupJoins {
+		if idleJoins[p] != groupJoins[p] {
+			t.Fatalf("phase %d: Idle join at %v, Group join at %v", p, idleJoins[p], groupJoins[p])
+		}
+	}
+	if idleAdvances != groupAdvances {
+		t.Fatalf("Idle joins took %d advances, Group joins %d", idleAdvances, groupAdvances)
 	}
 }
 
