@@ -10,24 +10,26 @@ import (
 	"lambdafs/internal/trace"
 )
 
-// This file implements the store's batched multi-get path: one shared
+// This file implements the store's one read charge, the multi-get: one
 // network round trip carrying primary-key reads for many rows at once,
 // with each data-node shard serving its share of the rows concurrently
 // (MySQL Cluster's batched PK reads, which λFS's single-round-trip path
 // resolution relies on). The caller's wait is the max of the per-shard
-// service times, not the sum — the serial serviceT loop shape these
-// helpers replace.
+// service times, not the sum. A single-row or single-key read is a
+// multi-get whose rows all sit on one shard (serviceRows).
 
-// serviceMultiT charges read service for one batched multi-get, given as
-// how many of its rows each shard owns (callers count a row on its key's
-// shard and keep no key; a directory's children sit on the directory's
-// shard): a single RTT, then each shard serves ceil(rows/BatchRows) read
-// batches, all shards in parallel. With a trace context, the round trip and
-// each shard's queue/service phases become spans exactly as in serviceT;
-// the shared round trip bills one dependent store round and each shard's
-// service span the rows it materializes — the inverse of the serial shape,
-// where the wire exchange carries everything. Safe for concurrent use;
-// blocks until every shard has served its share.
+// serviceMultiT charges read service for one multi-get, given as how many
+// of its rows each shard owns (callers count a row on its key's shard and
+// keep no key; a directory's children sit on the directory's shard): a
+// single RTT, then each shard serves ceil(rows/BatchRows) read batches, all
+// shards in parallel. This is the single point where the store's read
+// capacity model applies. With a trace context, the round trip (ndb.rtt)
+// and each shard's wait for a worker (ndb.queue) and service (ndb.service)
+// become spans, the last two tagged with the shard index; the round trip
+// bills one dependent store round (none without an RTT) and each shard's
+// service span the rows it materializes. A nil context records and
+// allocates nothing. Safe for concurrent use; blocks until every shard has
+// served its share.
 func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 	if db.cfg.RTT > 0 {
 		sp := tc.Start(trace.KindStoreRTT)
@@ -48,7 +50,7 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 		dur := time.Duration(batches) * db.cfg.ReadService
 		if db.cfg.OnShardService != nil {
 			// Injected stalls delay the batch no matter how cheap its
-			// nominal service is (same rule as serviceT).
+			// nominal service is.
 			dur += db.cfg.OnShardService(idx)
 		}
 		if dur <= 0 {
@@ -65,6 +67,15 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 		until = max(until, wait+dur)
 	}
 	db.clk.Sleep(until)
+}
+
+// serviceRows charges a read of rows rows that all sit on key's shard: a
+// one-shard multi-get, RTT + wait + ceil(rows/BatchRows) × ReadService.
+func (db *DB) serviceRows(key rowKey, rows int, tc *trace.Ctx) {
+	var counts [stackShards]int
+	perShard := db.shardCounts(counts[:])
+	perShard[db.shardFor(key)] = rows
+	db.serviceMultiT(perShard, tc)
 }
 
 // ResolvePathBatched implements store.Store: the whole chain fetched as
@@ -363,7 +374,7 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 }
 
 // lockChild finds, locks and re-reads the row named name inside parent,
-// charging nothing (the caller's multi-get or serviceT paid for it). With
+// charging nothing (the caller's multi-get paid for it). With
 // slotFirst the (parent, name) slot is locked before the lookup — phantom
 // protection for a name the caller decides on; without it the slot is
 // locked only when the row is missing, so the miss serializes against a

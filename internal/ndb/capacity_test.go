@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/namespace"
+	"lambdafs/internal/store"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/trace"
 )
@@ -38,8 +40,8 @@ func queueDepth(reg *telemetry.Registry, shard int) float64 {
 // TestStalledShardBuildsQueueDepth: a shard whose accesses are stalled
 // (fault injection through OnShardService) backs up, and the depth gauge
 // shows exactly the accesses that hold a reservation but no worker yet —
-// past the SLO pack's saturation threshold of 8 — through both the serial
-// and the batched charging paths, and drains to zero afterwards.
+// past the SLO pack's saturation threshold of 8 — through both a
+// single-row read and a batched resolution, and drains to zero afterwards.
 func TestStalledShardBuildsQueueDepth(t *testing.T) {
 	sim := clock.NewSim()
 	defer sim.Close()
@@ -54,17 +56,22 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 		return 0
 	}
 	db := New(sim, cfg)
-	stalled = db.shardFor(inodeKey(1)) // the root row's shard; "/" batched reads only it
-	serial := inodeKey(1)
+	stalled = db.shardFor(inodeKey(namespace.RootID)) // the root row's shard; "/" batched reads only it
 
 	const callers = 40
 	clock.Run(sim, func() {
 		g := clock.NewGroup(sim)
 		for i := 0; i < callers; i++ {
 			g.Go(func() {
+				var err error
 				if i%2 == 0 {
-					db.serviceT(serial, cfg.ReadService, nil, trace.Resources{})
-				} else if _, err := db.ResolvePathBatched("/", nil); err != nil {
+					tx := db.Begin("reader")
+					_, err = tx.GetINode(namespace.RootID, store.LockNone)
+					tx.Abort()
+				} else {
+					_, err = db.ResolvePathBatched("/", nil)
+				}
+				if err != nil {
 					t.Error(err)
 				}
 			})

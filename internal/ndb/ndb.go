@@ -17,13 +17,13 @@
 // by a single goroutine (Tx is not safe for concurrent use). Row locks
 // charge no service time — only row reads/writes consume shard capacity,
 // booked on each shard's queue in arrival order (accesses arriving at the
-// same virtual instant are ordered by the queue's mutex). Serial
-// operations charge one RTT + service per access (serviceT); batched
+// same virtual instant are ordered by the queue's mutex). Every read is one
+// multi-get (serviceMultiT): it counts its rows per shard, books every shard
+// at the same instant under a single RTT and waits once for the slowest; a
+// single-row or single-key read is a multi-get on one shard. The batched
 // operations (ResolvePathBatched, ListPathBatched, LockPaths,
-// GetINodesBatched, ListSubtreeBatched) count rows per shard, book every shard at the same
-// instant under a single RTT and wait once for the slowest
-// (serviceMultiT), taking the same locks in the same global order as
-// their serial equivalents.
+// GetINodesBatched, ListSubtreeBatched) take the same locks in the same
+// global order as their serial equivalents.
 // Deadlock avoidance is that order — which LockPaths fixes for a write's
 // whole row set (paths sorted, each walked root-down, strongest mode and
 // slot-first per row up front) — plus the LockWaitTimeout backstop.
@@ -241,45 +241,6 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 	return db
 }
 
-// serviceT charges dur of service time on the shard owning key and blocks
-// until served; RTT is charged on top. This is the single point where the
-// store's capacity model applies. The network round trip (ndb.rtt), the wait
-// for a shard worker (ndb.queue), and the shard service time (ndb.service)
-// become separate spans tagged with the shard index. The caller's resource
-// ledger (dependent store rounds this exchange represents, rows materialized
-// by it) attaches to the round-trip span — the wire exchange is what carries
-// the rows in the serial shape. A nil context records and allocates nothing.
-func (db *DB) serviceT(key rowKey, dur time.Duration, tc *trace.Ctx, res trace.Resources) {
-	if db.cfg.RTT > 0 {
-		sp := tc.Start(trace.KindStoreRTT)
-		sp.AddRes(res)
-		db.clk.Sleep(db.cfg.RTT)
-		sp.End()
-	}
-	idx := db.shardFor(key)
-	if db.cfg.OnShardService != nil {
-		// Consulted even for zero-cost accesses: an injected stall delays
-		// the access regardless of how cheap its nominal service is.
-		dur += db.cfg.OnShardService(idx)
-	}
-	if dur <= 0 {
-		return
-	}
-	wait, dur := db.shards[idx].Reserve(db.clk.Now(), dur)
-	qsp := tc.Start(trace.KindStoreQueue)
-	qsp.SetShard(idx)
-	db.clk.Sleep(wait)
-	qsp.End()
-	ssp := tc.Start(trace.KindStoreService)
-	ssp.SetShard(idx)
-	if db.cfg.RTT <= 0 {
-		// No round-trip span to carry the ledger; the service span does.
-		ssp.AddRes(res)
-	}
-	db.clk.Sleep(dur)
-	ssp.End()
-}
-
 // shardFor hashes a row key onto its owning data-node shard.
 func (db *DB) shardFor(key rowKey) int {
 	return int(key.hash() % uint32(len(db.shards)))
@@ -307,16 +268,16 @@ func (db *DB) ReleaseOwner(owner string) {
 }
 
 // ResolvePath implements batched single-round-trip resolution: the whole
-// component chain is fetched with one RTT and one read service slot per
-// BatchRows components (HopsFS's INode-hint-cache fast path).
+// component chain (the root and one row per component) is fetched as one
+// multi-get billed to the path's shard (HopsFS's INode-hint-cache fast
+// path). It counts one resolution hop per component.
 func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 	p, err := namespace.CleanPath(path)
 	if err != nil {
 		return nil, err
 	}
 	comps := namespace.SplitPath(p)
-	batches := 1 + len(comps)/db.cfg.BatchRows
-	db.serviceT(plainKey(p), time.Duration(batches)*db.cfg.ReadService, nil, trace.Resources{})
+	db.serviceRows(plainKey(p), len(comps)+1, nil)
 	db.tel.reads.Inc()
 	db.tel.resolveHops.Add(float64(max(len(comps), 1)))
 
@@ -355,14 +316,14 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 }
 
 // ListSubtree returns the subtree rooted at root in BFS order, charging
-// read service proportional to its size (HopsFS Phase-2 subtree walk).
+// its rows and the probe past the last as one multi-get on one shard
+// (HopsFS Phase-2 subtree walk).
 func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 	out, err := db.subtreeRows(root)
 	if err != nil {
 		return nil, err
 	}
-	batches := 1 + len(out)/db.cfg.BatchRows
-	db.serviceT(plainKey(fmt.Sprintf("subtree/%d", root)), time.Duration(batches)*db.cfg.ReadService, nil, trace.Resources{})
+	db.serviceRows(plainKey(fmt.Sprintf("subtree/%d", root)), len(out)+1, nil)
 	db.tel.reads.Inc()
 	return out, nil
 }

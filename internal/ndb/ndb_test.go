@@ -613,14 +613,14 @@ func TestKVOps(t *testing.T) {
 		if err := tx.KVPut(store.TableDataNodes, "dn1", []byte("alive")); err != nil {
 			t.Fatal(err)
 		}
-		if v, ok, err := tx.KVGet(store.TableDataNodes, "dn1", store.LockNone); err != nil || !ok || string(v) != "alive" {
-			t.Fatalf("read own kv write: %q %v %v", v, ok, err)
+		if got, err := tx.KVScan(store.TableDataNodes, "dn1"); err != nil || len(got) != 1 || string(got["dn1"]) != "alive" {
+			t.Fatalf("read own kv write: %q %v", got, err)
 		}
 		mustCommit(t, tx)
 
 		tx2 := db.Begin("t")
-		if v, ok, _ := tx2.KVGet(store.TableDataNodes, "dn1", store.LockShared); !ok || string(v) != "alive" {
-			t.Fatalf("committed kv missing: %q %v", v, ok)
+		if got, _ := tx2.KVScan(store.TableDataNodes, "dn1"); len(got) != 1 || string(got["dn1"]) != "alive" {
+			t.Fatalf("committed kv missing: %q", got)
 		}
 		if err := tx2.KVPut(store.TableDataNodes, "dn2", []byte("x")); err != nil {
 			t.Fatal(err)
@@ -640,8 +640,8 @@ func TestKVOps(t *testing.T) {
 
 		tx3 := db.Begin("t")
 		defer tx3.Abort()
-		if _, ok, _ := tx3.KVGet(store.TableDataNodes, "dn1", store.LockNone); ok {
-			t.Fatal("deleted kv still present")
+		if got, _ := tx3.KVScan(store.TableDataNodes, "dn1"); len(got) != 0 {
+			t.Fatalf("deleted kv still present: %q", got)
 		}
 	})
 }
@@ -864,21 +864,87 @@ func TestRunTxRetriesOnLockTimeout(t *testing.T) {
 	})
 }
 
+// TestServiceLatencyCharged: a read whose rows all sit on one shard costs
+// RTT + that shard's queue wait + ⌈rows/BatchRows⌉ × ReadService, where a
+// scan or a subtree walk counts the probe past its last row. The KVScan
+// cases sit on the batch boundaries, where ⌈(n+1)/B⌉ and 1+⌊n/B⌋ must agree.
 func TestServiceLatencyCharged(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := DefaultConfig()
-		cfg.RTT = 50 * time.Millisecond
-		cfg.ReadService = 0
-		cfg.WriteService = 0
-		db := New(clk, cfg)
-		start := clk.Now()
-		if _, err := db.ResolvePath("/"); err != nil {
-			t.Fatal(err)
-		}
-		if d := clk.Since(start); d != cfg.RTT {
-			t.Fatalf("resolve charged %v virtual, want the RTT %v", d, cfg.RTT)
-		}
-	})
+	const B = 4
+	getRoot := func(db *DB) error {
+		tx := db.Begin("reader")
+		defer tx.Abort()
+		_, err := tx.GetINode(namespace.RootID, store.LockNone)
+		return err
+	}
+	resolve := func(p string) func(*DB) error {
+		return func(db *DB) error { _, err := db.ResolvePath(p); return err }
+	}
+	scan := func(db *DB) error {
+		tx := db.Begin("reader")
+		defer tx.Abort()
+		_, err := tx.KVScan(store.TableDataNodes, "dn")
+		return err
+	}
+	cases := []struct {
+		name    string
+		key     rowKey // the key whose shard serves every row
+		kvRows  int    // committed rows matching the scan's prefix
+		booked  time.Duration
+		free    bool // no read service: the RTT alone
+		batches int
+		read    func(*DB) error
+	}{
+		{name: "GetINode", key: inodeKey(namespace.RootID), batches: 1, read: getRoot},
+		{name: "GetINode behind a booked shard", key: inodeKey(namespace.RootID), booked: 7 * time.Millisecond, batches: 1, read: getRoot},
+		{name: "ResolvePath depth 0", key: plainKey("/"), batches: 1, read: resolve("/")},
+		{name: "ResolvePath without read service", key: plainKey("/"), free: true, batches: 1, read: resolve("/")},
+		{name: "ResolvePath depth 3", key: plainKey("/a/b/c"), batches: 1, read: resolve("/a/b/c")}, // 4 rows
+		{name: "ListSubtree", key: plainKey("subtree/1"), batches: 2, read: func(db *DB) error { // 4 rows + probe
+			_, err := db.ListSubtree(namespace.RootID)
+			return err
+		}},
+		{name: "KVScan 0 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: 0, batches: 1, read: scan},
+		{name: "KVScan B-1 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B - 1, batches: 1, read: scan},
+		{name: "KVScan B rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B, batches: 2, read: scan},
+		{name: "KVScan B+1 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B + 1, batches: 2, read: scan},
+	}
+	for _, c := range cases {
+		simtest.Run(t, func(clk *clock.Sim) {
+			cfg := DefaultConfig()
+			cfg.WorkersPerNode = 1
+			cfg.BatchRows = B
+			cfg.WriteService = 0
+			if c.free {
+				cfg.ReadService = 0
+			}
+			db := New(clk, cfg)
+			db.Preload([]*namespace.INode{
+				{ID: 2, ParentID: namespace.RootID, Name: "a", IsDir: true, Perm: namespace.PermDefaultDir},
+				{ID: 3, ParentID: 2, Name: "b", IsDir: true, Perm: namespace.PermDefaultDir},
+				{ID: 4, ParentID: 3, Name: "c", IsDir: true, Perm: namespace.PermDefaultDir},
+			})
+			tx := db.Begin("setup")
+			for i := 0; i < c.kvRows; i++ {
+				if err := tx.KVPut(store.TableDataNodes, fmt.Sprintf("dn%d", i), []byte("alive")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, tx)
+			start := clk.Now()
+			if c.booked > 0 {
+				// The shard's only worker is busy until c.booked past the
+				// instant the read's round trip lands.
+				db.shards[db.shardFor(c.key)].Reserve(start, cfg.RTT+c.booked)
+			}
+			if err := c.read(db); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			want := cfg.RTT + c.booked + time.Duration(c.batches)*cfg.ReadService
+			if got := clk.Since(start); got != want {
+				t.Errorf("%s charged %v, want RTT + %v wait + %d × ReadService = %v", c.name, got, c.booked, c.batches, want)
+			}
+		})
+	}
 }
 
 func TestStatsCounters(t *testing.T) {

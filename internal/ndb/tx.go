@@ -75,8 +75,7 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 	if err := t.lock(inodeKey(id), mode); err != nil {
 		return nil, err
 	}
-	t.db.serviceT(inodeKey(id), t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: 1, Allocs: 1})
+	t.db.serviceRows(inodeKey(id), 1, t.tc)
 	t.db.tel.reads.Inc()
 	n := t.readINode(id, mode)
 	if n == nil {
@@ -197,32 +196,6 @@ func (t *tx) DeleteINode(id namespace.INodeID) error {
 	return nil
 }
 
-// KVGet reads one key of a KV table.
-func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, store.ErrTxDone
-	}
-	if err := t.lock(kvKey(table, key), mode); err != nil {
-		return nil, false, err
-	}
-	t.db.serviceT(kvKey(table, key), t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: 1, Allocs: 1})
-	t.db.tel.reads.Inc()
-	if t.kvDels[kvRef{table, key}] {
-		return nil, false, nil
-	}
-	if v, ok := t.kvPuts[kvRef{table, key}]; ok {
-		return append([]byte(nil), v...), true, nil
-	}
-	t.db.mu.RLock()
-	v, ok := t.db.kv[table][key]
-	t.db.mu.RUnlock()
-	if !ok {
-		return nil, false, nil
-	}
-	return append([]byte(nil), v...), true, nil
-}
-
 // KVPut buffers a KV write (implicitly exclusive).
 func (t *tx) KVPut(table, key string, val []byte) error {
 	if t.done {
@@ -256,7 +229,9 @@ func (t *tx) KVDelete(table, key string) error {
 }
 
 // KVScan returns all committed keys with the given prefix, merged with
-// this transaction's buffered writes (read-committed, no locks).
+// this transaction's buffered writes (read-committed, no locks). Its
+// charge is one multi-get on the prefix's shard: the matching rows and
+// the probe row past the last.
 func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 	if t.done {
 		return nil, store.ErrTxDone
@@ -279,9 +254,7 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 			delete(out, ref.key)
 		}
 	}
-	batches := 1 + len(out)/t.db.cfg.BatchRows
-	t.db.serviceT(kvKey(table, prefix), time.Duration(batches)*t.db.cfg.ReadService, t.tc,
-		trace.Resources{StoreHops: 1, Allocs: uint64(len(out))})
+	t.db.serviceRows(kvKey(table, prefix), len(out)+1, t.tc)
 	t.db.tel.reads.Inc()
 	return out, nil
 }

@@ -156,8 +156,7 @@ type Tx interface {
 	// result may be shorter than ids.
 	GetINodesBatched(ids []namespace.INodeID, lock LockMode) ([]*namespace.INode, error)
 
-	// KVGet/KVPut/KVDelete/KVScan access a generic KV table.
-	KVGet(table, key string, lock LockMode) ([]byte, bool, error)
+	// KVPut/KVDelete/KVScan access a generic KV table.
 	KVPut(table, key string, val []byte) error
 	KVDelete(table, key string) error
 	KVScan(table, prefix string) (map[string][]byte, error)

@@ -58,12 +58,11 @@ func (t *fakeTx) GetINodesBatched([]namespace.INodeID, LockMode) ([]*namespace.I
 func (t *fakeTx) ListPathBatched(string, LockMode) (chain, children []*namespace.INode, err error) {
 	return nil, nil, nil
 }
-func (t *fakeTx) AtCommitPoint(func())                                 {}
-func (t *fakeTx) PutINode(*namespace.INode) error                      { return nil }
-func (t *fakeTx) DeleteINode(namespace.INodeID) error                  { return nil }
-func (t *fakeTx) KVGet(string, string, LockMode) ([]byte, bool, error) { return nil, false, nil }
-func (t *fakeTx) KVPut(string, string, []byte) error                   { return nil }
-func (t *fakeTx) KVDelete(string, string) error                        { return nil }
+func (t *fakeTx) AtCommitPoint(func())                {}
+func (t *fakeTx) PutINode(*namespace.INode) error     { return nil }
+func (t *fakeTx) DeleteINode(namespace.INodeID) error { return nil }
+func (t *fakeTx) KVPut(string, string, []byte) error  { return nil }
+func (t *fakeTx) KVDelete(string, string) error       { return nil }
 func (t *fakeTx) KVScan(string, string) (map[string][]byte, error) {
 	return nil, nil
 }

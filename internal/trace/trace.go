@@ -103,9 +103,9 @@ type Resources struct {
 	// materialized as INode/KV clones and response objects built for the
 	// client. It is the ledger the zero-allocation hot-path work drives down.
 	Allocs uint64
-	// StoreHops counts dependent NDB store rounds represented by the span
-	// (a serial path resolution is one wire exchange but len(components)
-	// dependent rounds; a batched multi-get is one).
+	// StoreHops counts dependent NDB store rounds represented by the span:
+	// every store read is a multi-get, one round billed on its round-trip
+	// span (none when the store models no round trip), and a commit is one.
 	StoreHops uint64
 	// LockWaitNS is virtual nanoseconds spent waiting on store row locks.
 	LockWaitNS int64
