@@ -120,3 +120,24 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenLambdaTiny pins the real tiny tables of the λFS experiments that no
+// other golden covers: the Spotify runs (Figures 8–10 and 15), the trace
+// decomposition and the live SLO deployment. Each builds its own λFS
+// deployment, so these digests hold the deployment itself fixed.
+var goldenLambdaTiny = map[string]string{
+	"fig8a": "1fb185fd317f88aa552c23029dcdc0dd0f6b1cbaa5f732792c5626270e10cb7e",
+	"fig9":  "7a90556e47fca35b2f976f11b328752c60a966cb64e76851cf8d995bb32d1078",
+	"fig10": "d98963ea2b9fb6ba40cbb45e0fb2d590c0c42daf6609a047d52cd1ca25c420ac",
+	"fig15": "3664d97faf6043c17153ff133c8f7922cbf8178dab7d74c207cf9be67d483ecf",
+	"trace": "93b46607cc252a774678b2b192890f92cff4ecc7f5a16e6fc4fab73600096270",
+	"slo":   "d94f823956636d63166e8eeef82bce1634c09f8dda27d935e63436a1eb91b93c",
+}
+
+func TestLambdaTablesTinyGolden(t *testing.T) {
+	for _, name := range []string{"fig8a", "fig9", "fig10", "fig15", "trace", "slo"} {
+		if got, out := sweepDigest(t, name, Options{Scale: Tiny, Seed: 1}); got != goldenLambdaTiny[name] {
+			t.Errorf("%s: digest %s, golden %s; rendered:\n%s", name, got, goldenLambdaTiny[name], out)
+		}
+	}
+}
