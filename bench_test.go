@@ -6,12 +6,13 @@
 // All numbers are virtual-time measurements from the simulated substrates
 // (see DESIGN.md); the reproduction target is the paper's shapes, not its
 // absolute testbed numbers.
-package lambdafs
+package lambdafs_test
 
 import (
 	"testing"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/bench"
 	"lambdafs/internal/namespace"
 )
@@ -38,9 +39,9 @@ func BenchmarkExperiments(b *testing.B) {
 // cached reads through the public API (a sanity probe on the TCP fast
 // path: ~1 ms per the paper's §3.2).
 func BenchmarkClientOpLatency(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := lambdafs.DefaultConfig()
 	cfg.Deployments = 4
-	cluster, err := NewCluster(cfg)
+	cluster, err := lambdafs.NewCluster(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,16 +19,13 @@ import (
 	"strings"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/coordinator"
 	"lambdafs/internal/core"
-	"lambdafs/internal/faas"
 	"lambdafs/internal/hopsfs"
-	"lambdafs/internal/metrics"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/rpc"
-	"lambdafs/internal/telemetry"
-	"lambdafs/internal/trace"
 	"lambdafs/internal/workload"
 )
 
@@ -223,150 +220,43 @@ func ndbConfig() ndb.Config {
 	}
 }
 
-// lambdaCluster bundles one λFS deployment for an experiment.
-type lambdaCluster struct {
-	clk      *clock.Sim
-	db       *ndb.DB
-	coord    *coordinator.ZK
-	platform *faas.Platform
-	sys      *core.System
-	vms      []*rpc.VM
-	lambda   *metrics.LambdaMeter
-	prov     *metrics.ProvisionedMeter
-	rpcCfg   rpc.Config
+// lambdaConfig is the paper's λFS deployment on clk: the shared NDB
+// deployment, a 300 µs coordinator hop, a 512-vCPU/8192-GB platform and
+// 16 deployments of 6.25-vCPU/30-GB NameNodes at concurrency 1. seed feeds
+// rpc.Config.Seed. Experiments adjust the fields they vary.
+func lambdaConfig(clk *clock.Sim, seed int64) lambdafs.Config {
+	cfg := lambdafs.DefaultConfig()
+	cfg.Clock = clk
+	cfg.Store = ndbConfig()
+	cfg.CoordinatorHop = 300 * time.Microsecond
+	cfg.Platform.TotalRAMGB = 8192
+	cfg.ConcurrencyLevel = 1
+	cfg.RPC.Seed = seed
+	return cfg
 }
 
-type lambdaParams struct {
-	deployments    int
-	nnVCPU         float64
-	nnRAMGB        float64
-	totalVCPU      float64
-	concurrency    int
-	maxInstances   int
-	minInstances   int
-	cacheBudget    int64
-	clientVMs      int
-	replaceProb    float64
-	evictForSpace  bool
-	coldStart      time.Duration
-	gatewayLatency time.Duration
-	seed           int64 // base seed for client RPC jitter (rpc.Config.Seed)
-	tracer         *trace.Tracer
-	metrics        *telemetry.Registry // nil → no telemetry plane
-	// Optional config hooks, applied just before each substrate is built
-	// (the chaos experiment wires fault-injection callbacks through these).
-	ndbHook  func(*ndb.Config)
-	faasHook func(*faas.Config)
-	rpcHook  func(*rpc.Config)
-}
-
-func defaultLambdaParams() lambdaParams {
-	return lambdaParams{
-		deployments:    16,
-		nnVCPU:         6.25,
-		nnRAMGB:        30,
-		totalVCPU:      512,
-		concurrency:    1,
-		clientVMs:      8,
-		replaceProb:    0.005,
-		coldStart:      900 * time.Millisecond,
-		gatewayLatency: 4 * time.Millisecond,
+// lambdaClients spreads clients over vms client VMs, the cluster's own
+// and vms-1 new ones: client i is named c%04d and runs on VM i mod vms.
+func lambdaClients(c *lambdafs.Cluster, vms int) func(i int) *rpc.Client {
+	all := []*rpc.VM{c.VM()}
+	for len(all) < vms {
+		all = append(all, c.NewVM())
+	}
+	sys := c.System()
+	return func(i int) *rpc.Client {
+		return all[i%vms].NewClient(fmt.Sprintf("c%04d", i), sys.Ring(), sys)
 	}
 }
 
-func newLambdaCluster(clk *clock.Sim, p lambdaParams) *lambdaCluster {
-	return newLambdaClusterWith(clk, p, nil)
-}
-
-// newLambdaClusterWith builds λFS with a final hook over the system
-// config (ablations tweak subtree batching and offloading).
-func newLambdaClusterWith(clk *clock.Sim, p lambdaParams, mutate func(*core.SystemConfig)) *lambdaCluster {
-	nCfg := ndbConfig()
-	nCfg.Metrics = p.metrics
-	if p.ndbHook != nil {
-		p.ndbHook(&nCfg)
-	}
-	db := ndb.New(clk, nCfg)
-	coCfg := coordinator.DefaultConfig()
-	coCfg.HopLatency = 300 * time.Microsecond
-	coCfg.Metrics = p.metrics
-	coCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	coord := coordinator.NewZK(clk, coCfg)
-
-	lambda := metrics.NewLambdaMeter(clock.Epoch)
-	prov := metrics.NewProvisionedMeter(clock.Epoch)
-	// Cumulative cost under both billing models, sampled lazily at scrape
-	// time — the same pair the public Cluster registers.
-	p.metrics.GaugeFunc("lambdafs_cost_payperuse_usd", //vet:allow metricnames cost is a cross-cutting subsystem, mirrored from the public Cluster
-		func() float64 { return lambda.TotalUSD() })
-	p.metrics.GaugeFunc("lambdafs_cost_provisioned_usd", //vet:allow metricnames cost is a cross-cutting subsystem, mirrored from the public Cluster
-		func() float64 { return prov.TotalUSD() })
-	fCfg := faas.DefaultConfig()
-	fCfg.TotalVCPU = p.totalVCPU
-	fCfg.TotalRAMGB = 8192
-	fCfg.ColdStart = p.coldStart
-	fCfg.GatewayLatency = p.gatewayLatency
-	fCfg.IdleReclaim = 30 * time.Second
-	fCfg.ReclaimInterval = 5 * time.Second
-	fCfg.Lambda = lambda
-	fCfg.Provisioned = prov
-	fCfg.Tracer = p.tracer
-	fCfg.Metrics = p.metrics
-	if p.faasHook != nil {
-		p.faasHook(&fCfg)
-	}
-	platform := faas.New(clk, fCfg)
-
-	eng := core.DefaultEngineConfig()
-	eng.CacheBudget = p.cacheBudget
-	eng.Metrics = p.metrics
-	sysCfg := core.SystemConfig{
-		Deployments:               p.deployments,
-		NameNodeVCPU:              p.nnVCPU,
-		NameNodeRAMGB:             p.nnRAMGB,
-		ConcurrencyLevel:          p.concurrency,
-		MaxInstancesPerDeployment: p.maxInstances,
-		MinInstancesPerDeployment: p.minInstances,
-		Engine:                    eng,
-		OffloadLatency:            time.Millisecond,
-	}
-	if mutate != nil {
-		mutate(&sysCfg)
-	}
-	sys := core.NewSystem(clk, db, coord, platform, sysCfg)
-
-	rCfg := rpc.DefaultConfig()
-	rCfg.HTTPReplaceProb = p.replaceProb
-	rCfg.Seed = p.seed
-	rCfg.Metrics = p.metrics
-	if p.rpcHook != nil {
-		p.rpcHook(&rCfg)
-	}
-	c := &lambdaCluster{
-		clk: clk, db: db, coord: coord, platform: platform, sys: sys,
-		lambda: lambda, prov: prov, rpcCfg: rCfg,
-	}
-	vms := p.clientVMs
-	if vms <= 0 {
-		vms = 1
-	}
-	for i := 0; i < vms; i++ {
-		vm := rpc.NewVM(clk, rCfg)
-		vm.SetTracer(p.tracer) // before clients: they capture it at creation
-		c.vms = append(c.vms, vm)
+// mustLambda is lambdafs.NewCluster for a config that cannot fail: the
+// bench configs all name the ZooKeeper coordinator.
+func mustLambda(cfg lambdafs.Config) *lambdafs.Cluster {
+	c, err := lambdafs.NewCluster(cfg)
+	if err != nil {
+		panic(err)
 	}
 	return c
 }
-
-// rpcClient spreads clients across the cluster's VMs.
-func (c *lambdaCluster) rpcClient(i int) *rpc.Client {
-	vm := c.vms[i%len(c.vms)]
-	return vm.NewClient(fmt.Sprintf("c%04d", i), c.sys.Ring(), c.sys)
-}
-
-func (c *lambdaCluster) clientFor(i int) workload.FS { return c.rpcClient(i) }
-
-func (c *lambdaCluster) close() { c.platform.Close() }
 
 // hopsCluster bundles a HopsFS (or HopsFS+Cache) deployment.
 type hopsCluster struct {

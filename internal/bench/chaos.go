@@ -7,12 +7,8 @@ import (
 
 	"lambdafs/internal/chaos"
 	"lambdafs/internal/clock"
-	"lambdafs/internal/faas"
 	"lambdafs/internal/namespace"
-	"lambdafs/internal/ndb"
-	"lambdafs/internal/rpc"
 	"lambdafs/internal/telemetry"
-	"lambdafs/internal/trace"
 	"lambdafs/internal/workload"
 )
 
@@ -129,35 +125,25 @@ func runChaosStorm(opts Options) (t *Table) {
 
 func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	inj := chaos.NewInjector()
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.deployments = 4
-	p.clientVMs = 2
+	cfg := lambdaConfig(clk, opts.Seed)
+	cfg.Deployments = 4
 	reg := telemetry.NewRegistry()
-	p.metrics = reg
-	fr := telemetry.NewFlightRecorder(0, 0)
-	if opts.MetricsDir != "" {
-		// With artifact output requested, trace the storm so a violation's
-		// flight dump carries events alongside registry snapshots.
-		p.tracer = trace.New(clk, trace.Config{})
-		p.tracer.SetEventSink(fr.RecordEvent)
-	}
-	p.ndbHook = func(cfg *ndb.Config) {
-		cfg.OnCommit = inj.NDBOnCommit
-		cfg.OnShardService = inj.NDBOnShardService
-	}
-	p.faasHook = func(cfg *faas.Config) {
-		cfg.OnInvoke = inj.FaasOnInvoke
-		cfg.OnProvision = inj.FaasOnProvision
-	}
-	p.rpcHook = func(cfg *rpc.Config) {
-		cfg.OnTCPFault = inj.RPCOnTCP
-	}
+	cfg.Store.Metrics = reg
+	cfg.Store.OnCommit = inj.NDBOnCommit
+	cfg.Store.OnShardService = inj.NDBOnShardService
+	cfg.Platform.OnInvoke = inj.FaasOnInvoke
+	cfg.Platform.OnProvision = inj.FaasOnProvision
+	cfg.RPC.OnTCPFault = inj.RPCOnTCP
+	// With artifact output requested, trace the storm so a violation's
+	// flight dump carries events alongside registry snapshots.
+	cfg.EnableTracing = opts.MetricsDir != ""
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
-	c := newLambdaCluster(clk, p)
-	workload.PreloadNDB(c.db, dirs, files)
-	defer c.close()
+	c := mustLambda(cfg)
+	fr := telemetry.NewFlightRecorder(0, 0)
+	c.Tracer().SetEventSink(fr.RecordEvent)
+	workload.PreloadNDB(c.Store(), dirs, files)
+	defer c.Close()
 
 	scraper := telemetry.NewScraper(clk, reg, time.Second)
 	scraper.OnSnapshot(fr.RecordSnapshot)
@@ -173,9 +159,10 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 		{Op: namespace.OpLs, Weight: 10},
 	}
 	tree := workload.NewTree(dirs, files)
+	client := lambdaClients(c, 2)
 	fss := make([]workload.FS, clients)
 	for i := range fss {
-		fss[i] = c.clientFor(i)
+		fss[i] = client(i)
 	}
 	cached := func(i int) workload.FS { return fss[i] }
 
@@ -193,7 +180,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 		inj.ArmRPCDrop(2 + rng.Intn(3))
 		inj.ArmRPCDelay(time.Duration(1+rng.Intn(4))*time.Millisecond, 2)
 		inj.ArmShardStall(rng.Intn(4), 5*time.Millisecond, 3)
-		c.platform.KillOneInstance(rng.Intn(p.deployments))
+		c.Platform().KillOneInstance(rng.Intn(cfg.Deployments))
 		r := workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+int64(w)+11, cached)
 		storm.Completed.Add(r.Completed.Load())
 		storm.SemanticErrs.Add(r.SemanticErrs.Load())
@@ -206,9 +193,9 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	drain := workload.RunClosedLoop(clk, tree, mix, clients, 16, opts.Seed+101, cached)
 	clk.Sleep(2 * time.Second)
 
-	violations := chaos.CheckStore(c.db, nil)
+	violations := chaos.CheckStore(c.Store(), nil)
 	fired := inj.Fired()
-	stats := c.platform.Stats()
+	stats := c.Platform().Stats()
 	scraper.ScrapeNow()
 	scraper.Stop()
 

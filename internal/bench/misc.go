@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/clock"
-	"lambdafs/internal/core"
 	"lambdafs/internal/faas"
 	"lambdafs/internal/indexfs"
 	"lambdafs/internal/namespace"
@@ -72,13 +72,12 @@ func subtreeMvLatency(opts Options, size int, useLambda bool) time.Duration {
 	closer := func() {}
 	clock.Run(clk, func() {
 		if useLambda {
-			p := defaultLambdaParams()
-			p.seed = opts.Seed
-			p.minInstances = 1
-			c := newLambdaCluster(clk, p)
-			workload.PreloadNDB(c.db, dirs, files)
-			fs = c.clientFor(0)
-			closer = c.close
+			cfg := lambdaConfig(clk, opts.Seed)
+			cfg.MinInstancesPerDeployment = 1
+			c := mustLambda(cfg)
+			workload.PreloadNDB(c.Store(), dirs, files)
+			fs = lambdaClients(c, 1)(0)
+			closer = c.Close
 		} else {
 			h := newHopsCluster(clk, false, 512)
 			workload.PreloadNDB(h.db, dirs, files)
@@ -235,7 +234,7 @@ func RunAblationRPC(opts Options) []*Table {
 // the row label ablation-rpc prints for it.
 func replaceProbSystems(seed int64, probs []float64) (systems []microSystem, labels []string) {
 	for _, prob := range probs {
-		systems = append(systems, lambdaMicro(seed, func(p *lambdaParams) { p.replaceProb = prob }))
+		systems = append(systems, lambdaMicro(seed, func(cfg *lambdafs.Config) { cfg.RPC.HTTPReplaceProb = prob }))
 		label := fmt.Sprintf("%.1f%%", prob*100)
 		if prob == 1.0 {
 			label = "100% (HTTP only)"
@@ -271,25 +270,23 @@ func RunAblationBatch(opts Options) []*Table {
 func subtreeDeleteLatency(opts Options, size, batch int, offload bool) time.Duration {
 	clk := clock.NewSim()
 	defer clk.Close()
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.minInstances = 1
-	var c *lambdaCluster
+	cfg := lambdaConfig(clk, opts.Seed)
+	cfg.MinInstancesPerDeployment = 1
+	cfg.Engine.SubtreeBatch = batch
+	if !offload {
+		cfg.OffloadLatency = -1
+	}
+	var c *lambdafs.Cluster
 	dirs, files := workload.DeepNamespace("/victim", size)
 	clock.Run(clk, func() {
-		c = newLambdaClusterWith(clk, p, func(cfg *core.SystemConfig) {
-			cfg.Engine.SubtreeBatch = batch
-			if !offload {
-				cfg.OffloadLatency = -1
-			}
-		})
-		workload.PreloadNDB(c.db, dirs, files)
+		c = mustLambda(cfg)
+		workload.PreloadNDB(c.Store(), dirs, files)
 	})
-	defer func() { clock.Run(clk, c.close) }()
+	defer c.Close()
 	var lat time.Duration
 	clock.Run(clk, func() {
 		start := clk.Now()
-		resp, err := c.clientFor(0).Do(namespace.OpDelete, "/victim", "")
+		resp, err := lambdaClients(c, 1)(0).Do(namespace.OpDelete, "/victim", "")
 		if err != nil || !resp.OK() {
 			lat = -1
 			return

@@ -2,7 +2,7 @@ package bench
 
 // The scale experiment asks what the metadata service does as the client
 // population grows: each point builds the same λFS deployment every other
-// experiment uses (newLambdaClusterWith on clock.Sim: rpc → faas →
+// experiment uses (lambdafs.NewCluster on clock.Sim: rpc → faas →
 // core.Engine → ndb, one warm NameNode per deployment), registers
 // workload.DefaultTenantClasses with a tenant.Registry wired into
 // EngineConfig.Admission, and drives the population as closed-loop
@@ -21,8 +21,8 @@ import (
 	"math"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/clock"
-	"lambdafs/internal/core"
 	"lambdafs/internal/metrics"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/tenant"
@@ -105,36 +105,37 @@ func runScalePoint(pt scalePoint, seed int64) *scaleResult {
 	for i, cls := range classes {
 		treg.Register(cls.AdmissionClass(counts[i]))
 	}
-	p := defaultLambdaParams()
-	p.seed = seed
-	p.minInstances = 1
-	p.metrics = reg
+	cfg := lambdaConfig(clk, seed)
+	cfg.MinInstancesPerDeployment = 1
+	cfg.Store.Metrics = reg
+	cfg.Engine.Admission = treg
 	dirs, files := workload.GenerateNamespace(microTreeShape(Quick))
 	tree := workload.NewTree(dirs, files)
 
-	var c *lambdaCluster
+	var c *lambdafs.Cluster
 	var recs []*workload.Recorder
 	var elapsed time.Duration
 	clock.Run(clk, func() {
-		c = newLambdaClusterWith(clk, p, func(cfg *core.SystemConfig) { cfg.Engine.Admission = treg })
-		workload.PreloadNDB(c.db, dirs, files)
+		c = mustLambda(cfg)
+		workload.PreloadNDB(c.Store(), dirs, files)
+		client := lambdaClients(c, 8)
 		start := clk.Now()
 		recs = workload.RunPopulation(clk, tree, classes, pt.clients,
 			time.Duration(pt.seconds)*time.Second, seed,
 			func(tenantName string, i int) workload.FS {
-				cl := c.rpcClient(i)
+				cl := client(i)
 				cl.Tenant = tenantName
 				return cl
 			})
 		elapsed = clk.Since(start)
 	})
-	defer c.close()
+	defer c.Close()
 
-	fst := c.platform.Stats()
+	fst := c.Platform().Stats()
 	row := &ScaleRow{
 		Clients:       pt.clients,
 		ColdStarts:    fst.ColdStarts,
-		PeakInstances: int(math.Round(fst.PeakVCPUUsed / p.nnVCPU)),
+		PeakInstances: int(math.Round(fst.PeakVCPUUsed / cfg.NameNodeVCPU)),
 	}
 	var overall metrics.HistSnapshot
 	for i, rec := range recs {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"lambdafs"
 	"lambdafs/internal/telemetry"
 )
 
@@ -50,7 +51,7 @@ func TestScaleMeasureTiny(t *testing.T) {
 		if row.P99Us < row.P50Us {
 			t.Errorf("%s: p99 %dus below p50 %dus", key, row.P99Us, row.P50Us)
 		}
-		if deps := defaultLambdaParams().deployments; row.ColdStarts < uint64(deps) || row.PeakInstances < deps {
+		if deps := lambdafs.DefaultConfig().Deployments; row.ColdStarts < uint64(deps) || row.PeakInstances < deps {
 			t.Errorf("%s: %d cold starts, peak %d instances; want at least one per deployment (%d)",
 				key, row.ColdStarts, row.PeakInstances, deps)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/cephfs"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/coordinator"
@@ -59,35 +60,35 @@ func microSystems(seed int64) []microSystem {
 }
 
 // lambdaMicro builds λFS for the scaling experiments. tweak, when non-nil,
-// adjusts its parameters: Figure 14's instance caps, ablation-rpc's
+// adjusts its config: Figure 14's instance caps, ablation-rpc's
 // replacement probabilities.
-func lambdaMicro(seed int64, tweak func(*lambdaParams)) microSystem {
+func lambdaMicro(seed int64, tweak func(*lambdafs.Config)) microSystem {
 	return microSystem{
 		name: "λFS",
 		build: func(clk *clock.Sim, vcpus int, dirs, files []string) (func(int) workload.FS, func(time.Duration) float64, func()) {
-			p := defaultLambdaParams()
-			p.seed = seed
-			p.totalVCPU = float64(vcpus)
-			p.minInstances = 1
+			cfg := lambdaConfig(clk, seed)
+			cfg.Platform.TotalVCPU = float64(vcpus)
+			cfg.MinInstancesPerDeployment = 1
 			if tweak != nil {
-				tweak(&p)
+				tweak(&cfg)
 			}
-			if float64(p.deployments)*p.nnVCPU > p.totalVCPU {
+			if float64(cfg.Deployments)*cfg.NameNodeVCPU > cfg.Platform.TotalVCPU {
 				// Small budgets cannot host 16 deployments of 6.25 vCPU;
 				// shrink the NameNodes, keeping the deployment count
 				// (namespace partitioning is deployment-count-based).
-				p.nnVCPU = max(p.totalVCPU/float64(p.deployments), 0.5)
-				p.minInstances = 0
+				cfg.NameNodeVCPU = max(cfg.Platform.TotalVCPU/float64(cfg.Deployments), 0.5)
+				cfg.MinInstancesPerDeployment = 0
 			}
-			c := newLambdaCluster(clk, p)
-			workload.PreloadNDB(c.db, dirs, files)
+			c := mustLambda(cfg)
+			workload.PreloadNDB(c.Store(), dirs, files)
 			cost := func(elapsed time.Duration) float64 {
 				// Figure 13 prices λFS under the simplified (provisioned)
 				// model: the instantaneous rate of the fleet that served
 				// the measured phase.
-				return float64(c.platform.ActiveInstances()) * p.nnRAMGB * metrics.LambdaGBSecondUSD
+				return float64(c.Platform().ActiveInstances()) * cfg.NameNodeRAMGB * metrics.LambdaGBSecondUSD
 			}
-			return c.clientFor, cost, c.close
+			client := lambdaClients(c, 8)
+			return func(i int) workload.FS { return client(i) }, cost, c.Close
 		},
 	}
 }
@@ -365,7 +366,7 @@ func RunFig14(opts Options) []*Table {
 	// reads.
 	clients := scaled(opts.Scale, 1024, 512, 192)
 	capped := func(max int) microSystem {
-		return lambdaMicro(opts.Seed, func(p *lambdaParams) { p.maxInstances = max })
+		return lambdaMicro(opts.Seed, func(cfg *lambdafs.Config) { cfg.MaxInstancesPerDeployment = max })
 	}
 	return oneTable(opts, figure{
 		id:      "fig14",

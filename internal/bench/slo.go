@@ -99,21 +99,17 @@ func runSLOLive(opts Options) (t *Table) {
 
 func sloLive(clk *clock.Sim, opts Options) *Table {
 	reg := telemetry.NewRegistry()
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.deployments = 4
-	p.clientVMs = 2
-	p.metrics = reg
+	cfg := lambdaConfig(clk, opts.Seed)
+	cfg.Deployments = 4
+	cfg.Store.Metrics = reg
 	// The default pack's WAL-stall absence rule needs durable media under
 	// the store — without a WAL, commits advancing while appends sit at
 	// zero would read as a stall. The checkpoint tier runs with zeroed
 	// latencies so durability does not distort the latency rules.
-	p.ndbHook = func(cfg *ndb.Config) {
-		ckptCfg := lsm.DefaultConfig()
-		ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
-		ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
-		cfg.Durable = ndb.NewDurable(clk, cfg.DataNodes, ckptCfg)
-	}
+	ckptCfg := lsm.DefaultConfig()
+	ckptCfg.PutLatency, ckptCfg.ProbeLatency = 0, 0
+	ckptCfg.FlushPerEntry, ckptCfg.CompactPerEntry = 0, 0
+	cfg.Store.Durable = ndb.NewDurable(clk, cfg.Store.DataNodes, ckptCfg)
 
 	eng := slo.New(slo.Config{Registry: reg})
 	eng.AddRules(slo.DefaultRules())
@@ -121,9 +117,9 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	eng.SetEventSink(fr.RecordEvent)
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
-	c := newLambdaCluster(clk, p)
-	workload.PreloadNDB(c.db, dirs, files)
-	defer c.close()
+	c := mustLambda(cfg)
+	workload.PreloadNDB(c.Store(), dirs, files)
+	defer c.Close()
 
 	scraper := telemetry.NewScraper(clk, reg, time.Second)
 	scraper.OnSnapshot(eng.Observe)
@@ -140,9 +136,10 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 		{Op: namespace.OpLs, Weight: 10},
 	}
 	tree := workload.NewTree(dirs, files)
+	client := lambdaClients(c, 2)
 	fss := make([]workload.FS, burstClients)
 	for i := range fss {
-		fss[i] = c.clientFor(i)
+		fss[i] = client(i)
 	}
 	cached := func(i int) workload.FS { return fss[i] }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/metrics"
 	"lambdafs/internal/namespace"
@@ -67,24 +68,23 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 	totalVCPU float64, nnRAMGB float64, faultEvery time.Duration) *spotifyRun {
 	clk := clock.NewSim()
 	defer clk.Close()
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.nnVCPU = 5
-	p.nnRAMGB = nnRAMGB
-	p.totalVCPU = totalVCPU
-	p.minInstances = 1
+	cfg := lambdaConfig(clk, opts.Seed)
+	cfg.NameNodeVCPU = 5
+	cfg.NameNodeRAMGB = nnRAMGB
+	cfg.Platform.TotalVCPU = totalVCPU
+	cfg.MinInstancesPerDeployment = 1
 	if cacheBudget >= 0 {
-		p.cacheBudget = cacheBudget
+		cfg.Engine.CacheBudget = cacheBudget
 	}
 	reg := telemetry.NewRegistry()
-	p.metrics = reg
-	var c *lambdaCluster
+	cfg.Store.Metrics = reg
+	var c *lambdafs.Cluster
 	dirs, files := workload.GenerateNamespace(sp.dirs, sp.files)
 	clock.Run(clk, func() {
-		c = newLambdaCluster(clk, p)
-		workload.PreloadNDB(c.db, dirs, files)
+		c = mustLambda(cfg)
+		workload.PreloadNDB(c.Store(), dirs, files)
 	})
-	defer func() { clock.Run(clk, c.close) }()
+	defer c.Close()
 	tree := workload.NewTree(dirs, files)
 
 	// The scraper snapshots every registry instrument once per virtual
@@ -99,12 +99,13 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 
 	stopFaults := clock.NewEvent(clk)
 	if faultEvery > 0 {
-		fi := &workload.FaultInjector{Platform: c.platform, Interval: faultEvery, Deployments: p.deployments}
+		fi := &workload.FaultInjector{Platform: c.Platform(), Interval: faultEvery, Deployments: cfg.Deployments}
 		// A daemon: started from outside the clock, it must not move time
 		// before the workload below does, nor after it.
 		clock.GoDaemon(clk, func() { fi.Run(clk, stopFaults) })
 	}
 
+	client := lambdaClients(c, 8)
 	var rec *workload.Recorder
 	clock.Run(clk, func() {
 		rec = workload.RunRateDriven(clk, tree, workload.RateConfig{
@@ -114,28 +115,29 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 			Interval: sp.interval,
 			Mix:      workload.SpotifyMix(),
 			Seed:     opts.Seed,
-		}, c.clientFor)
+		}, func(i int) workload.FS { return client(i) })
 	})
 	stopFaults.Set()
-	peakVCPU := c.platform.Stats().PeakVCPUUsed
+	peakVCPU := c.Platform().Stats().PeakVCPUUsed
 	var runEnd time.Time
 	clock.Run(clk, func() { runEnd = clk.Now() })
 	scraper.ScrapeNow() // capture the end-of-run state before stopping
 	scraper.Stop()
-	clock.Run(clk, c.close) // flush provisioned billing
+	c.Close() // flush provisioned billing
 
+	lambda, prov := c.Meters()
 	run := &spotifyRun{
 		label: label,
 		rec:   rec,
 		// ValuesUntil pads the series to the end of the run so a pool
 		// that went quiet early still renders across the full timeline.
 		nnSeries:  gauge.ValuesUntil(runEnd),
-		costUSD:   c.lambda.TotalUSD(),
-		costCurve: c.lambda.CumulativeUSD(),
-		ppcCurve:  metrics.PerfPerCostSeries(rec.Throughput.Rate(), c.lambda.PerSecondUSD()),
+		costUSD:   lambda.TotalUSD(),
+		costCurve: lambda.CumulativeUSD(),
+		ppcCurve:  metrics.PerfPerCostSeries(rec.Throughput.Rate(), lambda.PerSecondUSD()),
 		vcpuUsed:  peakVCPU,
-		provUSD:   c.prov.TotalUSD(),
-		provCurve: c.prov.CumulativeUSD(),
+		provUSD:   prov.TotalUSD(),
+		provCurve: prov.CumulativeUSD(),
 	}
 	if opts.MetricsDir != "" {
 		if err := writeTelemetryArtifacts(opts.MetricsDir, "spotify-"+sanitizeName(label), reg, scraper); err != nil {
@@ -196,7 +198,7 @@ func spotifySystems(opts Options, sp spotifyParams) []*spotifyRun {
 	// Reduced-cache λFS: budget below half the per-deployment share of
 	// the working set (§5.2.3).
 	wssBytes := int64(sp.dirs*sp.files) * 250
-	reducedBudget := wssBytes / int64(defaultLambdaParams().deployments) / 3
+	reducedBudget := wssBytes / int64(lambdafs.DefaultConfig().Deployments) / 3
 
 	return []*spotifyRun{
 		runSpotifyLambda(opts, sp, "λFS", -1, lambdaVCPU, 6, 0),

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"lambdafs"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/trace"
@@ -23,19 +24,17 @@ func RunTrace(opts Options) []*Table {
 	clk := clock.NewSim()
 	defer clk.Close()
 
-	tr := trace.New(clk, trace.Config{})
-	p := defaultLambdaParams()
-	p.seed = opts.Seed
-	p.clientVMs = 2
-	p.tracer = tr
+	cfg := lambdaConfig(clk, opts.Seed)
+	cfg.EnableTracing = true
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
-	var c *lambdaCluster
+	var c *lambdafs.Cluster
 	clock.Run(clk, func() {
-		c = newLambdaCluster(clk, p)
-		workload.PreloadNDB(c.db, dirs, files)
+		c = mustLambda(cfg)
+		workload.PreloadNDB(c.Store(), dirs, files)
 	})
-	defer func() { clock.Run(clk, c.close) }()
+	defer c.Close()
+	tr := c.Tracer()
 
 	clients, per := scaled(opts.Scale, 32, 16, 8), scaled(opts.Scale, 192, 96, 64)
 	// Write-heavier than Spotify so create/mv decompositions have enough
@@ -49,9 +48,10 @@ func RunTrace(opts Options) []*Table {
 		{Op: namespace.OpLs, Weight: 10},
 	}
 	tree := workload.NewTree(dirs, files)
+	client := lambdaClients(c, 2)
 	fss := make([]workload.FS, clients)
 	for i := range fss {
-		fss[i] = c.clientFor(i)
+		fss[i] = client(i)
 	}
 	cached := func(i int) workload.FS { return fss[i] }
 
@@ -67,13 +67,13 @@ func RunTrace(opts Options) []*Table {
 	// spike pushes the client into anti-thrashing mode.
 	clock.Run(clk, func() {
 		for dep := 0; dep < 4; dep++ {
-			for c.platform.KillOneInstance(dep % p.deployments) {
+			for c.Platform().KillOneInstance(dep % cfg.Deployments) {
 			}
 		}
 		workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+1, cached)
 		// Outlive the anti-thrashing hold, then issue a few more ops so
 		// the (lazy) exit events are observed and recorded.
-		clk.Sleep(c.rpcCfg.AntiThrashHold + time.Second)
+		clk.Sleep(cfg.RPC.AntiThrashHold + time.Second)
 		workload.RunClosedLoop(clk, tree, mix, clients, 8, opts.Seed+2, cached)
 	})
 

@@ -460,7 +460,7 @@ func Run(s *Sim, fn func()) {
 // The Idle compatibility path: everything below, Sim.idlers, Sim.graceDue
 // and the grace call in Sim.next exist for the two joins in
 // benchmark/run.go, which only a benchmark PR may edit, and are deleted
-// together by ROADMAP's one-substrate item (a).
+// together by ROADMAP item 8(d).
 
 // Idle runs fn, which blocks on a raw channel or WaitGroup, while the
 // caller is parked on s: fn runs on a helper goroutine the clock does not

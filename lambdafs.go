@@ -60,9 +60,13 @@ type Config struct {
 	// MaxInstancesPerDeployment caps intra-deployment auto-scaling
 	// (0 = unlimited; 1 reproduces the "no auto-scaling" ablation).
 	MaxInstancesPerDeployment int
-	// CacheBudgetBytes bounds each NameNode's metadata cache
-	// (0 = unlimited).
-	CacheBudgetBytes int64
+	// MinInstancesPerDeployment is the number of instances of each
+	// deployment pre-warmed at start-up (0 = none). NewCluster returns
+	// once their cold starts have run on the virtual clock.
+	MinInstancesPerDeployment int
+	// OffloadLatency is the hop cost of pushing a subtree batch to a
+	// helper NameNode (Appendix D); a negative value disables offloading.
+	OffloadLatency time.Duration
 
 	// Platform shapes the FaaS substrate (resource pool, cold starts,
 	// gateway latency, reclamation).
@@ -76,8 +80,14 @@ type Config struct {
 	Coordinator CoordinatorKind
 	// CoordinatorHop is the coordinator's one-way message latency.
 	CoordinatorHop time.Duration
-	// Engine tunes NameNode execution (CPU per op, subtree batching…).
+	// Engine tunes NameNode execution (CPU per op, subtree batching,
+	// the per-NameNode metadata cache budget…).
 	Engine core.EngineConfig
+	// Clock is the virtual clock the cluster runs on; nil makes a fresh
+	// one. Set it when parts built before the cluster must share its
+	// clock (an ndb.Durable under Store, an admission registry under
+	// Engine). A caller's clock is the caller's to close.
+	Clock *clock.Sim
 
 	// EnableTracing turns on the virtual-time distributed tracer: every
 	// request carries a trace context through the RPC fabric, FaaS
@@ -105,6 +115,7 @@ func DefaultConfig() Config {
 		Coordinator:      CoordinatorZooKeeper,
 		CoordinatorHop:   500 * time.Microsecond,
 		Engine:           core.DefaultEngineConfig(),
+		OffloadLatency:   time.Millisecond,
 	}
 }
 
@@ -122,6 +133,7 @@ type Cluster struct {
 
 	lambdaMeter      *metrics.LambdaMeter
 	provisionedMeter *metrics.ProvisionedMeter
+	ownsClock        bool // the cluster made clk, so Close stops it
 	clientSeq        atomic.Uint64
 	closed           atomic.Bool
 }
@@ -156,8 +168,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Engine.SubtreeBatch == 0 {
 		cfg.Engine = def.Engine
 	}
+	if cfg.OffloadLatency == 0 {
+		cfg.OffloadLatency = def.OffloadLatency
+	}
 
-	c := &Cluster{cfg: cfg, clk: clock.NewSim()}
+	c := &Cluster{cfg: cfg, clk: cfg.Clock}
+	if c.clk == nil {
+		c.clk = clock.NewSim()
+		c.ownsClock = true
+	}
 
 	// The telemetry plane is always on: every subsystem registers its
 	// instruments here (counters and gauges are cheap atomics). A caller-
@@ -198,19 +217,22 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	pcfg.Lambda = c.lambdaMeter
 	pcfg.Provisioned = c.provisionedMeter
 	pcfg.Tracer = c.tracer
-	c.platform = faas.New(c.clk, pcfg)
-
 	sysCfg := core.SystemConfig{
 		Deployments:               cfg.Deployments,
 		NameNodeVCPU:              cfg.NameNodeVCPU,
 		NameNodeRAMGB:             cfg.NameNodeRAMGB,
 		ConcurrencyLevel:          cfg.ConcurrencyLevel,
 		MaxInstancesPerDeployment: cfg.MaxInstancesPerDeployment,
+		MinInstancesPerDeployment: cfg.MinInstancesPerDeployment,
 		Engine:                    cfg.Engine,
-		OffloadLatency:            time.Millisecond,
+		OffloadLatency:            cfg.OffloadLatency,
 	}
-	sysCfg.Engine.CacheBudget = cfg.CacheBudgetBytes
-	c.sys = core.NewSystem(c.clk, c.db, c.coord, c.platform, sysCfg)
+	// A pre-warm sleeps one cold start per instance, so registering the
+	// deployments must run on the clock.
+	clock.Run(c.clk, func() {
+		c.platform = faas.New(c.clk, pcfg)
+		c.sys = core.NewSystem(c.clk, c.db, c.coord, c.platform, sysCfg)
+	})
 	c.vm = rpc.NewVM(c.clk, cfg.RPC)
 	c.vm.SetTracer(c.tracer)
 
@@ -251,6 +273,12 @@ func (c *Cluster) NewVM() *rpc.VM {
 	vm := rpc.NewVM(c.clk, c.cfg.RPC)
 	vm.SetTracer(c.tracer)
 	return vm
+}
+
+// Meters exposes the cluster's cost meters: pay-per-use billing and the
+// provisioned model priced on the same fleet.
+func (c *Cluster) Meters() (*metrics.LambdaMeter, *metrics.ProvisionedMeter) {
+	return c.lambdaMeter, c.provisionedMeter
 }
 
 // Tracer exposes the cluster's tracer (nil when Config.EnableTracing is
@@ -300,8 +328,8 @@ func (c *Cluster) Run(fn func()) {
 	clock.Run(c.clk, fn)
 }
 
-// Close shuts the cluster down: terminates every NameNode instance and
-// stops the clock.
+// Close shuts the cluster down: terminates every NameNode instance and,
+// unless the caller supplied Config.Clock, stops the clock.
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -309,5 +337,7 @@ func (c *Cluster) Close() {
 	// Teardown performs store transactions (coordinator deregistration);
 	// run it registered on the clock.
 	clock.Run(c.clk, c.platform.Close)
-	c.clk.Close()
+	if c.ownsClock {
+		c.clk.Close()
+	}
 }

@@ -227,6 +227,72 @@ func TestConcurrentClientsOnSimClock(t *testing.T) {
 	}
 }
 
+// TestEngineCacheBudgetReachesNameNodes: Engine.CacheBudget is the one
+// cache setting, and -1 runs every NameNode without a metadata cache, so
+// repeated stats of one file never hit.
+func TestEngineCacheBudgetReachesNameNodes(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Engine.CacheBudget = -1
+	c := newTestCluster(t, cfg)
+	cl := c.NewClient("")
+	if err := cl.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := cl.Stat("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := c.Stats().CacheHits; hits != 0 {
+		t.Fatalf("%d cache hits with Engine.CacheBudget -1, want 0", hits)
+	}
+}
+
+// TestNewClusterOnCallersClock: NewCluster, called from a goroutine the
+// clock did not start, runs a pre-warm on the caller's clock and returns
+// with one warm instance per deployment, each having paid one cold start.
+// Close leaves the caller's clock running.
+func TestNewClusterOnCallersClock(t *testing.T) {
+	clk := clock.NewSim()
+	defer clk.Close()
+	cfg := quickConfig()
+	cfg.Clock = clk
+	cfg.MinInstancesPerDeployment = 1
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Clock() != clk {
+		t.Fatal("the cluster does not run on Config.Clock")
+	}
+	for dep := 0; dep < cfg.Deployments; dep++ {
+		if n := c.Platform().Deployment(dep).AliveInstances(); n != 1 {
+			t.Errorf("deployment %d: %d live instances after a pre-warm of 1", dep, n)
+		}
+	}
+	if got := c.Stats().ColdStarts; got != uint64(cfg.Deployments) {
+		t.Errorf("%d cold starts, want one per deployment (%d)", got, cfg.Deployments)
+	}
+	// The deployments register one after another, and each pre-warm
+	// sleeps its instance's 1 ms cold start.
+	const prewarm = 4 * time.Millisecond
+	if got := clk.Since(clock.Epoch); got != prewarm {
+		t.Errorf("the pre-warm ended at %v, want %v", got, prewarm)
+	}
+	c.Close()
+	var after time.Duration
+	clock.Run(clk, func() {
+		clk.Sleep(time.Second)
+		after = clk.Since(clock.Epoch)
+	})
+	if want := prewarm + time.Second; after != want {
+		t.Errorf("a 1s sleep after Close ended at %v, want %v: Close stopped the caller's clock", after, want)
+	}
+}
+
 func TestCloseIdempotentAndTerminal(t *testing.T) {
 	c := newTestCluster(t, quickConfig())
 	cl := c.NewClient("x")
