@@ -23,12 +23,13 @@
 # (arbitrary bytes after a valid log), of indexfs's attribute codec
 # (FuzzDecodeAttr: round trip, every other length rejected) and of lsm's
 # WriteBatch (FuzzWriteBatch: a batch equals its entries one at a time), the
-# determinism smoke — the clock's own tests, bench's six golden
+# determinism smoke — the clock's own tests, bench's seven golden
 # sim-driven tests (storm tables, hotpath gate, a real-stack scale point,
 # TestSweepTablesGolden's fake-runner digests of every §5.3 sweep at every
 # scale, TestSweepTinyRunsGolden's real tiny fig11/fig13/fig14/
-# ablation-rpc digests and TestLambdaTablesTinyGolden's real tiny fig8a/
-# fig9/fig10/fig15/trace/slo digests) and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
+# ablation-rpc digests, TestLambdaTablesTinyGolden's real tiny fig8a/
+# fig9/fig10/fig15/trace/slo digests and TestTreeTestTablesTinyGolden's
+# real tiny fig16 digest) and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
 # and four Ps, which covers every crash-restart and alert-coverage test —
 # a one-P repeat (50 runs) of the clock's join tests, so an Idle grace that
 # misses its helper fails instead of flaking, the one -chaosseed replay of
@@ -99,9 +100,9 @@ go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
 echo "== fuzz (lsm WriteBatch: reads, table count, Stats and virtual time equal the same entries written one at a time; bounded) =="
 go test ./internal/lsm/ -run '^$' -fuzz FuzzWriteBatch -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden' -cpu 1,2,4 -count=2
+go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
 go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
 echo "== one-P join repeat (Idle joins against Group joins and the exact reference pool, 50 runs on one P: a grace that misses a helper fails here) =="

@@ -141,3 +141,13 @@ func TestLambdaTablesTinyGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenTreeTestTiny pins Figure 16's real tiny tables: IndexFS and
+// λIndexFS under tree-test, variable and fixed sizes.
+const goldenTreeTestTiny = "4276271b647738840681a16140f498560e12974cd43b55d1a8cc654922a48814"
+
+func TestTreeTestTablesTinyGolden(t *testing.T) {
+	if got, out := sweepDigest(t, "fig16", Options{Scale: Tiny, Seed: 1}); got != goldenTreeTestTiny {
+		t.Errorf("fig16: digest %s, golden %s; rendered:\n%s", got, goldenTreeTestTiny, out)
+	}
+}
