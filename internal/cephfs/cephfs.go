@@ -303,6 +303,17 @@ func (s *System) revokeLocked(n *inode) time.Duration {
 	return cost
 }
 
+// revokeSubtreeLocked revokes every capability on n and on everything
+// below it, since a delete or mv of n changes every path under it, and
+// returns the MDS CPU the caller owes; caller holds s.mu.
+func (s *System) revokeSubtreeLocked(n *inode) time.Duration {
+	cost := s.revokeLocked(n)
+	for _, kid := range n.kids {
+		cost += s.revokeSubtreeLocked(kid)
+	}
+	return cost
+}
+
 // write creates a file or directory chain.
 func (c *Client) write(path string, dir bool) *namespace.Response {
 	s := c.sys
@@ -396,7 +407,7 @@ func (c *Client) delete(path string) *namespace.Response {
 		s.clk.Sleep(s.cfg.NetOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 	}
-	revoke := s.revokeLocked(target) + s.revokeLocked(parent)
+	revoke := s.revokeSubtreeLocked(target) + s.revokeLocked(parent)
 	delete(parent.kids, name)
 	s.mu.Unlock()
 
@@ -443,7 +454,7 @@ func (c *Client) mv(src, dest string) *namespace.Response {
 		s.clk.Sleep(s.cfg.NetOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrExists)}
 	}
-	revoke := s.revokeLocked(target) + s.revokeLocked(srcParent) + s.revokeLocked(dstParent)
+	revoke := s.revokeSubtreeLocked(target) + s.revokeLocked(srcParent) + s.revokeLocked(dstParent)
 	delete(srcParent.kids, sc[len(sc)-1])
 	target.name = dc[len(dc)-1]
 	dstParent.kids[target.name] = target

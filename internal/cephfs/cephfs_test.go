@@ -110,6 +110,39 @@ func TestMvRevokesCapabilities(t *testing.T) {
 	})
 }
 
+func TestDeleteRevokesSubtreeCapabilities(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		s := fastSys(clk)
+		w := s.NewClient("w")
+		r := s.NewClient("r")
+		cok(t, w, namespace.OpMkdirs, "/b", "")
+		cok(t, w, namespace.OpCreate, "/b/a", "")
+		cok(t, r, namespace.OpStat, "/b/a", "")
+		before := s.stats.Revocations.Load()
+		cok(t, w, namespace.OpDelete, "/b", "")
+		// r's cap on /b/a sat below the deleted directory: it is revoked
+		// and billed, and the next stat goes to the MDS.
+		if got := s.stats.Revocations.Load() - before; got != 1 {
+			t.Fatalf("revocations = %d, want 1 (r's cap on /b/a)", got)
+		}
+		cerr(t, r, namespace.OpStat, "/b/a", "", namespace.ErrNotFound)
+	})
+}
+
+func TestMvRevokesSubtreeCapabilities(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		s := fastSys(clk)
+		w := s.NewClient("w")
+		r := s.NewClient("r")
+		cok(t, w, namespace.OpMkdirs, "/b", "")
+		cok(t, w, namespace.OpCreate, "/b/a", "")
+		cok(t, r, namespace.OpStat, "/b/a", "")
+		cok(t, w, namespace.OpMv, "/b", "/c")
+		cerr(t, r, namespace.OpStat, "/b/a", "", namespace.ErrNotFound)
+		cok(t, r, namespace.OpStat, "/c/a", "")
+	})
+}
+
 func TestParentCapRevokedOnChildCreate(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		s := fastSys(clk)
