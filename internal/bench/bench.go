@@ -21,12 +21,8 @@ import (
 
 	"lambdafs"
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
-	"lambdafs/internal/core"
-	"lambdafs/internal/hopsfs"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/rpc"
-	"lambdafs/internal/workload"
 )
 
 // Scale sizes an experiment: its op counts, durations, client sweeps and
@@ -256,33 +252,6 @@ func mustLambda(cfg lambdafs.Config) *lambdafs.Cluster {
 		panic(err)
 	}
 	return c
-}
-
-// hopsCluster bundles a HopsFS (or HopsFS+Cache) deployment.
-type hopsCluster struct {
-	db *ndb.DB
-	cl *hopsfs.Cluster
-}
-
-func newHopsCluster(clk *clock.Sim, withCache bool, totalVCPU int) *hopsCluster {
-	db := ndb.New(clk, ndbConfig())
-	coCfg := coordinator.DefaultConfig()
-	coCfg.HopLatency = 300 * time.Microsecond
-	coCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-	coord := coordinator.NewZK(clk, coCfg)
-	cfg := hopsfs.DefaultConfig()
-	cfg.WithCache = withCache
-	cfg.VCPUPerNameNode = 16
-	cfg.NameNodes = totalVCPU / 16
-	if cfg.NameNodes < 1 {
-		cfg.NameNodes = 1
-	}
-	cfg.RPCOneWay = 300 * time.Microsecond
-	return &hopsCluster{db: db, cl: hopsfs.New(clk, db, coord, cfg)}
-}
-
-func (h *hopsCluster) clientFor(i int) workload.FS {
-	return h.cl.NewClient(fmt.Sprintf("c%04d", i))
 }
 
 func fmtOps(v float64) string {

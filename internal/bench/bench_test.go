@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/workload"
 )
 
 func tinyOpts() Options {
@@ -79,8 +80,11 @@ func TestMicroPointOtherBaselines(t *testing.T) {
 
 func TestSubtreeMvLatencyScalesWithSize(t *testing.T) {
 	opts := tinyOpts()
-	small := subtreeMvLatency(opts, 1<<9, true)
-	big := subtreeMvLatency(opts, 1<<12, true)
+	mv := func(size int) time.Duration {
+		dirs, files := workload.DeepNamespace("/mvroot", size)
+		return timeOp(lambdaMicro(opts.Seed, nil), dirs, files, namespace.OpMv, "/mvroot", "/moved")
+	}
+	small, big := mv(1<<9), mv(1<<12)
 	if small <= 0 || big <= 0 {
 		t.Fatalf("latencies: %v %v", small, big)
 	}
@@ -91,8 +95,8 @@ func TestSubtreeMvLatencyScalesWithSize(t *testing.T) {
 
 func TestTreeTestRunners(t *testing.T) {
 	opts := tinyOpts()
-	i := runTreeTestIndexFS(opts, 4, 50, 50)
-	l := runTreeTestLambdaIndexFS(opts, 4, 50, 50)
+	i := runTreeTest(opts, false, 4, 50, 50)
+	l := runTreeTest(opts, true, 4, 50, 50)
 	if i.WriteOps != 200 || l.WriteOps != 200 {
 		t.Fatalf("write ops: %d / %d", i.WriteOps, l.WriteOps)
 	}
@@ -111,7 +115,7 @@ func TestSpotifyTinyRun(t *testing.T) {
 		base: 2000, duration: 5 * time.Second, interval: 5 * time.Second,
 		targets: []float64{2000}, clients: 32, dirs: 16, files: 50,
 	}
-	run := runSpotifyLambda(opts, sp, "λFS", -1, 256, 6, 0)
+	run := runSpotifyLambda(opts, sp, "λFS", -1, 256, 0)
 	if run.rec.Completed.Load() == 0 {
 		t.Fatal("no operations completed")
 	}

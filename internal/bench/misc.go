@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"lambdafs"
 	"lambdafs/internal/clock"
@@ -51,8 +50,9 @@ func RunTab3(opts Options) []*Table {
 		Columns: []string{"dir size", "HopsFS", "λFS", "λFS/HopsFS"},
 	}
 	for _, size := range sizes {
-		hops := subtreeMvLatency(opts, size, false)
-		lam := subtreeMvLatency(opts, size, true)
+		dirs, files := workload.DeepNamespace("/mvroot", size)
+		hops := timeOp(hopsMicro(false), dirs, files, namespace.OpMv, "/mvroot", "/moved")
+		lam := timeOp(lambdaMicro(opts.Seed, nil), dirs, files, namespace.OpMv, "/mvroot", "/moved")
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", size), fmtDur(hops), fmtDur(lam), ratio(float64(lam), float64(hops)),
 		})
@@ -61,41 +61,6 @@ func RunTab3(opts Options) []*Table {
 		"paper (262k/524k/1.04M files): HopsFS 7.51s/14.18s/25.14s, λFS 6.46s/12.51s/25.22s — λFS slightly faster until the store dominates")
 	t.Fprint(opts.out())
 	return []*Table{t}
-}
-
-// subtreeMvLatency measures one mv of a size-file directory.
-func subtreeMvLatency(opts Options, size int, useLambda bool) time.Duration {
-	clk := clock.NewSim()
-	defer clk.Close()
-	dirs, files := workload.DeepNamespace("/mvroot", size)
-	var fs workload.FS
-	closer := func() {}
-	clock.Run(clk, func() {
-		if useLambda {
-			cfg := lambdaConfig(clk, opts.Seed)
-			cfg.MinInstancesPerDeployment = 1
-			c := mustLambda(cfg)
-			workload.PreloadNDB(c.Store(), dirs, files)
-			fs = lambdaClients(c, 1)(0)
-			closer = c.Close
-		} else {
-			h := newHopsCluster(clk, false, 512)
-			workload.PreloadNDB(h.db, dirs, files)
-			fs = h.clientFor(0)
-		}
-	})
-	defer func() { clock.Run(clk, closer) }()
-	var lat time.Duration
-	clock.Run(clk, func() {
-		start := clk.Now()
-		resp, err := fs.Do(namespace.OpMv, "/mvroot", "/moved")
-		if err != nil || !resp.OK() {
-			lat = -1
-			return
-		}
-		lat = clk.Since(start)
-	})
-	return lat
 }
 
 // RunFig16 reproduces the λIndexFS vs IndexFS tree-test comparison.
@@ -116,9 +81,11 @@ func RunFig16(opts Options) []*Table {
 			Title:   "λIndexFS vs IndexFS tree-test: " + name,
 			Columns: headings("system/metric", "%d clients", sizes),
 		}
-		rows := map[string][]string{
-			"IndexFS write": {"IndexFS write"}, "IndexFS read": {"IndexFS read"}, "IndexFS agg": {"IndexFS agg"},
-			"λIndexFS write": {"λIndexFS write"}, "λIndexFS read": {"λIndexFS read"}, "λIndexFS agg": {"λIndexFS agg"},
+		// A row per system × metric: IndexFS's three, then λIndexFS's.
+		for _, sys := range []string{"IndexFS", "λIndexFS"} {
+			for _, metric := range []string{"write", "read", "agg"} {
+				t.Rows = append(t.Rows, []string{sys + " " + metric})
+			}
 		}
 		for _, clients := range sizes {
 			writes, reads := perClient, perClient
@@ -126,18 +93,12 @@ func RunFig16(opts Options) []*Table {
 				writes = fixedTotal / clients
 				reads = fixedTotal / clients
 			}
-			iRes := runTreeTestIndexFS(opts, clients, writes, reads)
-			lRes := runTreeTestLambdaIndexFS(opts, clients, writes, reads)
-			rows["IndexFS write"] = append(rows["IndexFS write"], fmtOps(iRes.WriteThroughput()))
-			rows["IndexFS read"] = append(rows["IndexFS read"], fmtOps(iRes.ReadThroughput()))
-			rows["IndexFS agg"] = append(rows["IndexFS agg"], fmtOps(iRes.AggThroughput()))
-			rows["λIndexFS write"] = append(rows["λIndexFS write"], fmtOps(lRes.WriteThroughput()))
-			rows["λIndexFS read"] = append(rows["λIndexFS read"], fmtOps(lRes.ReadThroughput()))
-			rows["λIndexFS agg"] = append(rows["λIndexFS agg"], fmtOps(lRes.AggThroughput()))
-		}
-		for _, k := range []string{"IndexFS write", "IndexFS read", "IndexFS agg",
-			"λIndexFS write", "λIndexFS read", "λIndexFS agg"} {
-			t.Rows = append(t.Rows, rows[k])
+			for i, lambda := range []bool{false, true} {
+				r := runTreeTest(opts, lambda, clients, writes, reads)
+				for m, v := range []float64{r.WriteThroughput(), r.ReadThroughput(), r.AggThroughput()} {
+					t.Rows[3*i+m] = append(t.Rows[3*i+m], fmtOps(v))
+				}
+			}
 		}
 		t.Notes = append(t.Notes,
 			"paper: λIndexFS reads consistently higher (function-side cache); writes higher via auto-scaling but dip past 2^6 clients (64-vCPU OpenWhisk limit)")
@@ -147,62 +108,51 @@ func RunFig16(opts Options) []*Table {
 	return tables
 }
 
-type indexTreeFS struct{ c *indexfs.Client }
+// indexClient is an IndexFS or a λIndexFS client.
+type indexClient interface {
+	Mknod(path string) error
+	Getattr(path string) (indexfs.Attr, bool, error)
+}
 
-func (f indexTreeFS) Mknod(p string) error { return f.c.Mknod(p) }
-func (f indexTreeFS) Getattr(p string) (bool, error) {
+// treeFS serves tree-test from an indexClient.
+type treeFS struct{ c indexClient }
+
+func (f treeFS) Mknod(p string) error { return f.c.Mknod(p) }
+func (f treeFS) Getattr(p string) (bool, error) {
 	_, ok, err := f.c.Getattr(p)
 	return ok, err
 }
 
-type lambdaTreeFS struct{ c *indexfs.LambdaClient }
-
-func (f lambdaTreeFS) Mknod(p string) error { return f.c.Mknod(p) }
-func (f lambdaTreeFS) Getattr(p string) (bool, error) {
-	_, ok, err := f.c.Getattr(p)
-	return ok, err
-}
-
-func runTreeTestIndexFS(opts Options, clients, writes, reads int) workload.TreeTestResult {
+// runTreeTest runs tree-test on a fresh clock against IndexFS or, with
+// lambda, against λIndexFS on the paper's 64-vCPU OpenWhisk cluster (§5.7).
+func runTreeTest(opts Options, lambda bool, clients, writes, reads int) workload.TreeTestResult {
 	clk := clock.NewSim()
 	defer clk.Close()
-	cfg := indexfs.DefaultConfig()
-	cl := indexfs.New(clk, cfg)
-	var res workload.TreeTestResult
-	clock.Run(clk, func() {
-		res = workload.RunTreeTest(clk, workload.TreeTestConfig{
-			Clients: clients, WritesPerClient: writes, ReadsPerClient: reads, Seed: opts.Seed,
-		}, func(i int) workload.TreeTestFS {
-			return indexTreeFS{cl.NewClient(fmt.Sprintf("c%d", i))}
+	var client func(id string) indexClient
+	if lambda {
+		fCfg := faas.DefaultConfig()
+		fCfg.TotalVCPU = 64
+		var platform *faas.Platform
+		var sys *indexfs.LambdaSystem
+		clock.Run(clk, func() {
+			platform = faas.New(clk, fCfg)
+			sys = indexfs.NewLambda(clk, platform, indexfs.DefaultLambdaConfig())
 		})
-	})
-	return res
-}
-
-func runTreeTestLambdaIndexFS(opts Options, clients, writes, reads int) workload.TreeTestResult {
-	clk := clock.NewSim()
-	defer clk.Close()
-	fCfg := faas.DefaultConfig()
-	fCfg.TotalVCPU = 64 // the paper's OpenWhisk cluster for §5.7
-	fCfg.GatewayLatency = 4 * time.Millisecond
-	fCfg.ColdStart = 900 * time.Millisecond
-	fCfg.IdleReclaim = 30 * time.Second
-	var platform *faas.Platform
-	var sys *indexfs.LambdaSystem
-	clock.Run(clk, func() {
-		platform = faas.New(clk, fCfg)
-		sys = indexfs.NewLambda(clk, platform, indexfs.DefaultLambdaConfig())
-	})
-	defer platform.Close()
-	rCfg := rpc.DefaultConfig()
-	rCfg.Seed = opts.Seed
-	vm := rpc.NewVM(clk, rCfg)
+		defer platform.Close()
+		rCfg := rpc.DefaultConfig()
+		rCfg.Seed = opts.Seed
+		vm := rpc.NewVM(clk, rCfg)
+		client = func(id string) indexClient { return sys.NewClient(vm, id) }
+	} else {
+		cl := indexfs.New(clk, indexfs.DefaultConfig())
+		client = func(id string) indexClient { return cl.NewClient(id) }
+	}
 	var res workload.TreeTestResult
 	clock.Run(clk, func() {
 		res = workload.RunTreeTest(clk, workload.TreeTestConfig{
 			Clients: clients, WritesPerClient: writes, ReadsPerClient: reads, Seed: opts.Seed,
 		}, func(i int) workload.TreeTestFS {
-			return lambdaTreeFS{sys.NewClient(vm, fmt.Sprintf("c%d", i))}
+			return treeFS{client(fmt.Sprintf("c%d", i))}
 		})
 	})
 	return res
@@ -248,15 +198,21 @@ func replaceProbSystems(seed int64, probs []float64) (systems []microSystem, lab
 // without serverless offloading (Appendix D).
 func RunAblationBatch(opts Options) []*Table {
 	size := scaled(opts.Scale, 1<<17, 1<<14, 1<<12)
-	batches := []int{64, 512, 4096}
 	t := &Table{
 		ID:      "ablation-batch",
 		Title:   fmt.Sprintf("Subtree delete latency (%d files) by batch size and offloading", size),
 		Columns: []string{"batch", "offload", "latency"},
 	}
-	for _, batch := range batches {
+	dirs, files := workload.DeepNamespace("/victim", size)
+	for _, batch := range []int{64, 512, 4096} {
 		for _, offload := range []bool{true, false} {
-			lat := subtreeDeleteLatency(opts, size, batch, offload)
+			sys := lambdaMicro(opts.Seed, func(cfg *lambdafs.Config) {
+				cfg.Engine.SubtreeBatch = batch
+				if !offload {
+					cfg.OffloadLatency = -1
+				}
+			})
+			lat := timeOp(sys, dirs, files, namespace.OpDelete, "/victim", "")
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", batch), fmt.Sprintf("%v", offload), fmtDur(lat),
 			})
@@ -265,33 +221,4 @@ func RunAblationBatch(opts Options) []*Table {
 	t.Notes = append(t.Notes, "Appendix D: larger batches amortize offload hops; default 512")
 	t.Fprint(opts.out())
 	return []*Table{t}
-}
-
-func subtreeDeleteLatency(opts Options, size, batch int, offload bool) time.Duration {
-	clk := clock.NewSim()
-	defer clk.Close()
-	cfg := lambdaConfig(clk, opts.Seed)
-	cfg.MinInstancesPerDeployment = 1
-	cfg.Engine.SubtreeBatch = batch
-	if !offload {
-		cfg.OffloadLatency = -1
-	}
-	var c *lambdafs.Cluster
-	dirs, files := workload.DeepNamespace("/victim", size)
-	clock.Run(clk, func() {
-		c = mustLambda(cfg)
-		workload.PreloadNDB(c.Store(), dirs, files)
-	})
-	defer c.Close()
-	var lat time.Duration
-	clock.Run(clk, func() {
-		start := clk.Now()
-		resp, err := lambdaClients(c, 1)(0).Do(namespace.OpDelete, "/victim", "")
-		if err != nil || !resp.OK() {
-			lat = -1
-			return
-		}
-		lat = clk.Since(start)
-	})
-	return lat
 }

@@ -9,11 +9,11 @@ import (
 	"lambdafs/internal/clock"
 	"lambdafs/internal/coordinator"
 	"lambdafs/internal/core"
-	"lambdafs/internal/faas"
-	"lambdafs/internal/infinicache"
+	"lambdafs/internal/hopsfs"
 	"lambdafs/internal/metrics"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
+	"lambdafs/internal/rpc"
 	"lambdafs/internal/workload"
 )
 
@@ -93,6 +93,8 @@ func lambdaMicro(seed int64, tweak func(*lambdafs.Config)) microSystem {
 	}
 }
 
+// hopsMicro builds serverful HopsFS, or HopsFS+Cache, on the shared NDB
+// deployment: one 16-vCPU NameNode per 16 vCPU of the budget.
 func hopsMicro(withCache bool) microSystem {
 	name := "HopsFS"
 	if withCache {
@@ -101,45 +103,75 @@ func hopsMicro(withCache bool) microSystem {
 	return microSystem{
 		name: name,
 		build: func(clk *clock.Sim, vcpus int, dirs, files []string) (func(int) workload.FS, func(time.Duration) float64, func()) {
-			h := newHopsCluster(clk, withCache, vcpus)
-			workload.PreloadNDB(h.db, dirs, files)
-			cost := func(elapsed time.Duration) float64 {
-				return float64(h.cl.TotalVCPU()) * metrics.VMvCPUSecondUSD
-			}
-			return h.clientFor, cost, func() {}
+			db := ndb.New(clk, ndbConfig())
+			coCfg := coordinator.DefaultConfig()
+			coCfg.HopLatency = 300 * time.Microsecond
+			coCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
+			cfg := hopsfs.DefaultConfig()
+			cfg.WithCache = withCache
+			cfg.VCPUPerNameNode = 16
+			cfg.NameNodes = max(vcpus/16, 1)
+			cfg.RPCOneWay = 300 * time.Microsecond
+			cl := hopsfs.New(clk, db, coordinator.NewZK(clk, coCfg), cfg)
+			workload.PreloadNDB(db, dirs, files)
+			fsFor := func(i int) workload.FS { return cl.NewClient(fmt.Sprintf("c%04d", i)) }
+			cost := func(time.Duration) float64 { return float64(cl.TotalVCPU()) * metrics.VMvCPUSecondUSD }
+			return fsFor, cost, func() {}
 		},
 	}
 }
 
+// infiniMicro builds InfiniCache (§5.1) on vcpus: 16 static NameNodes of
+// vcpus/16 × 0.9 vCPU each, billed as a serverful fleet.
 func infiniMicro() microSystem {
 	return microSystem{
 		name: "InfiniCache",
 		build: func(clk *clock.Sim, vcpus int, dirs, files []string) (func(int) workload.FS, func(time.Duration) float64, func()) {
-			db := ndb.New(clk, ndbConfig())
-			workload.PreloadNDB(db, dirs, files)
-			coCfg := coordinator.DefaultConfig()
-			coCfg.HopLatency = 300 * time.Microsecond
-			coCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-			coord := coordinator.NewZK(clk, coCfg)
-			fCfg := faas.DefaultConfig()
-			fCfg.TotalVCPU = float64(vcpus)
-			fCfg.GatewayLatency = 4 * time.Millisecond
-			fCfg.ColdStart = 900 * time.Millisecond
-			fCfg.IdleReclaim = 0 // static deployment
-			platform := faas.New(clk, fCfg)
-			icfg := infinicache.DefaultConfig()
-			icfg.Deployments = 16
-			icfg.InstancesPerDeployment = 1
-			icfg.VCPU = float64(vcpus) / 16 * 0.9
-			if icfg.VCPU <= 0 {
-				icfg.VCPU = 0.5
-			}
-			sys := infinicache.New(clk, db, coord, platform, icfg)
-			fsFor := func(i int) workload.FS { return sys.NewClient(fmt.Sprintf("c%04d", i)) }
+			cfg := lambdaConfig(clk, 0) // httpFS uses no rpc client, so no seed
+			cfg.Platform.TotalVCPU = float64(vcpus)
+			cfg.NameNodeVCPU = float64(vcpus) / float64(cfg.Deployments) * 0.9
+			c := infiniCache(cfg)
+			workload.PreloadNDB(c.Store(), dirs, files)
+			fsFor := func(i int) workload.FS { return &httpFS{sys: c.System(), id: fmt.Sprintf("c%04d", i)} }
 			cost := func(time.Duration) float64 { return float64(vcpus) * metrics.VMvCPUSecondUSD }
-			return fsFor, cost, platform.Close
+			return fsFor, cost, c.Close
 		},
 	}
+}
+
+// infiniCache is InfiniCache (FAST '20) as the paper deploys it for
+// metadata (§5.1): λFS's NameNode in a static function fleet, one warm
+// instance per deployment that is neither reclaimed nor scaled out, each
+// serving 8 invocations at once, with no subtree offloading. Its clients
+// are httpFS. So it is λFS minus its TCP path and its auto-scaling.
+func infiniCache(cfg lambdafs.Config) *lambdafs.Cluster {
+	cfg.MinInstancesPerDeployment, cfg.MaxInstancesPerDeployment = 1, 1
+	cfg.Platform.IdleReclaim = 0
+	cfg.ConcurrencyLevel = 8
+	cfg.OffloadLatency = -1
+	return mustLambda(cfg)
+}
+
+// httpFS is an InfiniCache client: every op is one HTTP invocation of its
+// deployment's function, with no ReplyTo, so no TCP connection back.
+type httpFS struct {
+	sys *core.System
+	id  string
+	seq uint64
+}
+
+func (f *httpFS) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
+	f.seq++
+	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq}
+	v, err := f.sys.Invoke(f.sys.Ring().Route(op, path), rpc.Payload{Req: req})
+	if err != nil {
+		return nil, err
+	}
+	resp, ok := v.(*namespace.Response)
+	if !ok || resp == nil {
+		return nil, namespace.ErrUnavailable
+	}
+	return resp, nil
 }
 
 func cephMicro() microSystem {
@@ -163,6 +195,29 @@ func cephMicro() microSystem {
 // microPoint runs one point of a §5.3 sweep: runMicro, or a fake the
 // sweep goldens substitute to pin every layout at every scale.
 var microPoint = runMicro
+
+// timeOp times one op on a fresh 512-vCPU deployment of sys preloaded with
+// dirs and files: Table 3's directory mv, ablation-batch's delete.
+func timeOp(sys microSystem, dirs, files []string, op namespace.OpType, src, dest string) time.Duration {
+	clk := clock.NewSim()
+	defer clk.Close()
+	var fsFor func(int) workload.FS
+	var closer func()
+	clock.Run(clk, func() { fsFor, _, closer = sys.build(clk, 512, dirs, files) })
+	defer func() { clock.Run(clk, closer) }()
+	fs := fsFor(0)
+	var lat time.Duration
+	clock.Run(clk, func() {
+		start := clk.Now()
+		resp, err := fs.Do(op, src, dest)
+		if err != nil || !resp.OK() {
+			lat = -1
+			return
+		}
+		lat = clk.Since(start)
+	})
+	return lat
+}
 
 // runMicro executes one closed-loop microbenchmark point.
 func runMicro(opts Options, sys microSystem, op namespace.OpType, clients, vcpus, opsPerClient int) microResult {
@@ -204,7 +259,11 @@ func runMicro(opts Options, sys microSystem, op namespace.OpType, clients, vcpus
 
 // figure is one closed-loop sweep of §5.3 as data: its points are every
 // (clients, vCPU) pair of its two axes. sweep runs every op × system ×
-// point; tablePerOp or oneTable lays the results out.
+// point; tablePerOp or oneTable lays the results out. The other paper
+// experiments cannot be figures: tab3 and ablation-batch time one op
+// (timeOp), not a closed loop; fig16 drives IndexFS's mknod/getattr
+// tree-test clients, which are no workload.FS; and the Spotify figures
+// (8–10, 15) are open-loop, rate-driven timelines.
 type figure struct {
 	id, title      string // a per-op table's title formats its op (%s)
 	systems        []microSystem

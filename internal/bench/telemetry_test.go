@@ -23,7 +23,7 @@ func TestMetricsArtifacts(t *testing.T) {
 		base: 2000, duration: 5 * time.Second, interval: 5 * time.Second,
 		targets: []float64{2000}, clients: 32, dirs: 16, files: 50,
 	}
-	run := runSpotifyLambda(opts, sp, "λFS", -1, 256, 6, 0)
+	run := runSpotifyLambda(opts, sp, "λFS", -1, 256, 0)
 	if run.rec.Completed.Load() == 0 {
 		t.Fatal("no operations completed")
 	}
