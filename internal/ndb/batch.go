@@ -10,36 +10,24 @@ import (
 	"lambdafs/internal/trace"
 )
 
-// This file implements the store's one read charge, the multi-get: one
-// network round trip carrying primary-key reads for many rows at once,
-// with each data-node shard serving its share of the rows concurrently
-// (MySQL Cluster's batched PK reads, which λFS's single-round-trip path
-// resolution relies on). The caller's wait is the max of the per-shard
-// service times, not the sum. A single-row or single-key read is a
-// multi-get whose rows all sit on one shard (serviceRows).
+// This file implements the store's one service charge: an access counts
+// its rows on the shards that own them, and every shard serves its share
+// concurrently (MySQL Cluster's batched primary-key operations, which
+// λFS's single-round-trip path resolution relies on), so the caller waits
+// for the slowest shard, not the sum. A read, the multi-get, pays its
+// round trip first; a commit's overlaps the rows' service (Commit).
 
-// serviceMultiT charges read service for one multi-get, given as how many
-// of its rows each shard owns (callers count a row on its key's shard and
-// keep no key; a directory's children sit on the directory's shard): a
-// single RTT, then each shard serves ceil(rows/BatchRows) read batches, all
-// shards in parallel. This is the single point where the store's read
-// capacity model applies. With a trace context, the round trip (ndb.rtt)
-// and each shard's wait for a worker (ndb.queue) and service (ndb.service)
-// become spans, the last two tagged with the shard index; the round trip
-// bills one dependent store round (none without an RTT) and each shard's
-// service span the rows it materializes. A nil context records and
-// allocates nothing. Safe for concurrent use; blocks until every shard has
-// served its share.
-func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
-	if db.cfg.RTT > 0 {
-		sp := tc.Start(trace.KindStoreRTT)
-		sp.AddStoreHops(1)
-		db.clk.Sleep(db.cfg.RTT)
-		sp.End()
-	}
-	// Every shard's share is reserved at the same instant; the caller
-	// waits once, until the slowest shard has served. The per-shard spans
-	// are stamped from the reserved windows.
+// reserveShards books, at the current instant, each shard's share of one
+// access, given as how many of its rows each shard owns (callers count a
+// row on its key's shard and keep no key): ceil(rows/BatchRows) batches of
+// service each, plus whatever OnShardService adds for the shard. It
+// returns how long after now the slowest shard is done. This is the single
+// point where the store's capacity model applies. With a trace context,
+// each shard's wait for a worker (ndb.queue) and service (ndb.service)
+// become spans tagged with the shard index, stamped from the reserved
+// windows, the service span billing the rows the shard serves. A nil
+// context records and allocates nothing. Safe for concurrent use.
+func (db *DB) reserveShards(perShard []int, service time.Duration, tc *trace.Ctx) time.Duration {
 	now := db.clk.Now()
 	var until time.Duration
 	for idx, rows := range perShard {
@@ -47,7 +35,7 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 			continue
 		}
 		batches := (rows + db.cfg.BatchRows - 1) / db.cfg.BatchRows
-		dur := time.Duration(batches) * db.cfg.ReadService
+		dur := time.Duration(batches) * service
 		if db.cfg.OnShardService != nil {
 			// Injected stalls delay the batch no matter how cheap its
 			// nominal service is.
@@ -66,7 +54,21 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 		ssp.EndAt(now.Add(wait), dur)
 		until = max(until, wait+dur)
 	}
-	db.clk.Sleep(until)
+	return until
+}
+
+// serviceMultiT charges one multi-get: a single RTT, then every shard's
+// read batches (reserveShards with ReadService); it blocks until the last
+// is served. With a trace context the round trip is an ndb.rtt span that
+// bills one dependent store round (none without an RTT).
+func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
+	if db.cfg.RTT > 0 {
+		sp := tc.Start(trace.KindStoreRTT)
+		sp.AddStoreHops(1)
+		db.clk.Sleep(db.cfg.RTT)
+		sp.End()
+	}
+	db.clk.Sleep(db.reserveShards(perShard, db.cfg.ReadService, tc))
 }
 
 // serviceRows charges a read of rows rows that all sit on key's shard: a

@@ -1,6 +1,7 @@
 package ndb
 
 import (
+	"maps"
 	"runtime"
 	"strconv"
 	"testing"
@@ -42,6 +43,8 @@ func queueDepth(reg *telemetry.Registry, shard int) float64 {
 // shows exactly the accesses that hold a reservation but no worker yet —
 // past the SLO pack's saturation threshold of 8 — through both a
 // single-row read and a batched resolution, and drains to zero afterwards.
+// The stall delays a commit that writes one of the shard's rows, and not a
+// commit that writes none.
 func TestStalledShardBuildsQueueDepth(t *testing.T) {
 	sim := clock.NewSim()
 	defer sim.Close()
@@ -93,6 +96,27 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 		if got := queueDepth(reg, stalled); got != 0 {
 			t.Errorf("depth after the drain = %v, want 0", got)
 		}
+
+		for _, onStalled := range []bool{true, false} {
+			id := db.NextID()
+			for (db.shardFor(inodeKey(id)) == stalled) != onStalled {
+				id = db.NextID()
+			}
+			want := max(cfg.RTT, cfg.WriteService)
+			if onStalled {
+				want = 20*time.Millisecond + cfg.WriteService
+			}
+			tx := db.Begin("writer")
+			if err := tx.PutINode(&namespace.INode{ID: id, ParentID: namespace.RootID,
+				Name: "f" + strconv.Itoa(int(id)), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			start := sim.Now()
+			mustCommit(t, tx)
+			if got := sim.Since(start); got != want {
+				t.Errorf("commit of a row on shard %d (stalled: %v) took %v, want %v", db.shardFor(inodeKey(id)), onStalled, got, want)
+			}
+		}
 	})
 }
 
@@ -142,4 +166,163 @@ func TestBatchedSpansCarryReservedWindows(t *testing.T) {
 	if got, want := tc.Trace().Duration(), cfg.RTT+2*cfg.ReadService; got != want {
 		t.Errorf("multi-get took %v, want RTT + queue + service = %v", got, want)
 	}
+}
+
+// TestCommitReservesOwnerShards pins which shards the commits of the four
+// namespace writes reserve: each written row is served by its own key's
+// shard, whatever the commit's size, and the rows a shard owns share one
+// write batch. The shards are literal: the rows' placement on 4 data nodes
+// is i/2 (/a) on 1, i/3 (/b) on 2, i/4 (/a/f) on 3 and i/6 on 1
+// (TestRowKeyHashesItsStringForm pins the hash).
+func TestCommitReservesOwnerShards(t *testing.T) {
+	dir := func(id namespace.INodeID, name string) *namespace.INode {
+		return &namespace.INode{ID: id, ParentID: namespace.RootID, Name: name, IsDir: true, Perm: namespace.PermDefaultDir}
+	}
+	file := func(id, parent namespace.INodeID, name string) *namespace.INode {
+		return &namespace.INode{ID: id, ParentID: parent, Name: name, Perm: namespace.PermDefaultFile}
+	}
+	put := func(rows ...*namespace.INode) func(store.Tx) error {
+		return func(tx store.Tx) error {
+			for _, n := range rows {
+				if err := tx.PutINode(n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		write func(store.Tx) error
+		want  map[int]uint64 // shard → rows its service span bills
+	}{
+		// The new file and its parent sit on one shard: one batch.
+		{"create /a/n", put(file(6, 2, "n"), dir(2, "a")), map[int]uint64{1: 2}},
+		{"mv /a/f /a/h", put(file(4, 2, "h"), dir(2, "a")), map[int]uint64{1: 1, 3: 1}},
+		{"mv /a/f /b/f", put(file(4, 3, "f"), dir(2, "a"), dir(3, "b")), map[int]uint64{1: 1, 2: 1, 3: 1}},
+		{"delete /a/f", func(tx store.Tx) error {
+			if err := tx.DeleteINode(4); err != nil {
+				return err
+			}
+			return tx.PutINode(dir(2, "a"))
+		}, map[int]uint64{1: 1, 3: 1}},
+	} {
+		sim := clock.NewSim()
+		cfg := DefaultConfig() // 4 data nodes, 8 workers each
+		cfg.RTT, cfg.ReadService = 0, 0
+		db := New(sim, cfg)
+		db.Preload([]*namespace.INode{dir(2, "a"), dir(3, "b"), file(4, 2, "f")})
+		tracer := trace.New(sim, trace.Config{})
+		var took time.Duration
+		var tc *trace.Ctx
+		clock.Run(sim, func() {
+			tc = tracer.StartTrace("commit", "/", "c0")
+			tx := db.BeginTraced("w", tc)
+			if err := c.write(tx); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			start := sim.Now()
+			mustCommit(t, tx)
+			took = sim.Since(start)
+			tc.Finish("")
+		})
+		sim.Close()
+		spans := tc.Trace().Spans()
+		var commit uint64 // ended, and so recorded, after its shards' spans
+		for _, sp := range spans {
+			if sp.Kind == trace.KindStoreCommit {
+				commit = sp.ID
+			}
+		}
+		got := map[int]uint64{}
+		for _, sp := range spans {
+			if sp.Kind != trace.KindStoreService {
+				continue
+			}
+			if sp.Parent != commit || sp.Dur != cfg.WriteService {
+				t.Errorf("%s: shard %d served %v under span %d, want one WriteService (%v) under the commit's %d",
+					c.name, sp.Shard, sp.Dur, sp.Parent, cfg.WriteService, commit)
+			}
+			got[sp.Shard] += sp.Res.Allocs
+		}
+		if !maps.Equal(got, c.want) {
+			t.Errorf("%s: rows served per shard %v, want %v", c.name, got, c.want)
+		}
+		if took != cfg.WriteService {
+			t.Errorf("%s: commit took %v, want one write batch (%v) on every shard at once", c.name, took, cfg.WriteService)
+		}
+	}
+}
+
+// TestCreateThroughputGrowsWithDataNodes: write capacity scales with the
+// data nodes. The same closed loop — every client creating files in a
+// directory of its own, one LockPaths round and one commit each — commits
+// strictly more creates per virtual second on 2 data nodes than on 1, on 4
+// than on 2 and on 8 than on 4.
+func TestCreateThroughputGrowsWithDataNodes(t *testing.T) {
+	const clients, creates = 64, 16
+	rate := func(dataNodes int) float64 {
+		sim := clock.NewSim()
+		defer sim.Close()
+		cfg := DefaultConfig()
+		cfg.DataNodes, cfg.WorkersPerNode = dataNodes, 1
+		db := New(sim, cfg)
+		dirs := make([]*namespace.INode, clients)
+		for i := range dirs {
+			dirs[i] = &namespace.INode{ID: namespace.INodeID(i + 2), ParentID: namespace.RootID,
+				Name: "d" + strconv.Itoa(i), IsDir: true, Perm: namespace.PermDefaultDir}
+		}
+		db.Preload(dirs)
+		var took time.Duration
+		clock.Run(sim, func() {
+			start := sim.Now()
+			g := clock.NewGroup(sim)
+			for i := 0; i < clients; i++ {
+				g.Go(func() {
+					for k := 0; k < creates; k++ {
+						path := "/d" + strconv.Itoa(i) + "/f" + strconv.Itoa(k)
+						if err := create(db, path); err != nil {
+							t.Errorf("create %s: %v", path, err)
+							return
+						}
+					}
+				})
+			}
+			g.Wait()
+			took = sim.Since(start)
+		})
+		return clients * creates / took.Seconds()
+	}
+	prev := 0.0
+	for _, n := range []int{1, 2, 4, 8} {
+		got := rate(n)
+		t.Logf("%d data nodes: %.0f creates/s", n, got)
+		if got <= prev {
+			t.Errorf("%d data nodes commit %.0f creates/s, want more than %.0f with half as many", n, got, prev)
+		}
+		prev = got
+	}
+}
+
+// create is a file create's transaction, as the NameNode runs it: the
+// path's rows locked in one round, then the new row and its parent's
+// written in one commit.
+func create(db *DB, path string) error {
+	tx := db.Begin("nn")
+	locked, err := tx.LockPaths(path)
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	parent := locked[0].Chain[len(locked[0].Chain)-1]
+	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: parent.ID,
+		Name: namespace.BaseName(path), Perm: namespace.PermDefaultFile}); err != nil {
+		tx.Abort()
+		return err
+	}
+	if err := tx.PutINode(parent); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }

@@ -3,6 +3,7 @@ package ndb
 import (
 	"errors"
 	"hash/fnv"
+	"strconv"
 	"testing"
 	"time"
 
@@ -52,6 +53,11 @@ func TestRowKeyHashesItsStringForm(t *testing.T) {
 	}
 	if testing.AllocsPerRun(100, func() { _ = childKey(1234567890123, "f0042").hash() }) != 0 {
 		t.Error("hashing a key allocates")
+	}
+	// Past 32 bytes, a concatenation would not fit the compiler's stack buffer.
+	table, key := store.TableSubtreeOps, strconv.Itoa(1234567890123)+"/"+strconv.Itoa(1234567890123)
+	if testing.AllocsPerRun(100, func() { _ = kvKey(table, key).hash() }) != 0 {
+		t.Error("hashing a KV row's key allocates")
 	}
 }
 

@@ -17,10 +17,10 @@
 // by a single goroutine (Tx is not safe for concurrent use). Row locks
 // charge no service time — only row reads/writes consume shard capacity,
 // booked on each shard's queue in arrival order (accesses arriving at the
-// same virtual instant are ordered by the queue's mutex). Every read is one
-// multi-get (serviceMultiT): it counts its rows per shard, books every shard
-// at the same instant under a single RTT and waits once for the slowest; a
-// single-row or single-key read is a multi-get on one shard. The batched
+// same virtual instant are ordered by the queue's mutex). Every access
+// counts its rows on their shards and books them all at one instant
+// (reserveShards), waiting once for the slowest: a read (serviceMultiT)
+// after its RTT, a commit beside its RTT and WAL fsync. The batched
 // operations (ResolvePathBatched, ListPathBatched, LockPaths,
 // GetINodesBatched, ListSubtreeBatched) take the same locks in the same
 // global order as their serial equivalents.
@@ -57,21 +57,22 @@ type Config struct {
 	RTT time.Duration
 	// ReadService is the service time of a primary-key read batch.
 	ReadService time.Duration
-	// WriteService is the service time of one row write at commit.
+	// WriteService is the service time of a row write batch at commit.
 	WriteService time.Duration
-	// BatchRows is how many rows one read service slot covers (batched
-	// primary-key operations).
+	// BatchRows is how many rows one service slot covers, read or write
+	// (batched primary-key operations): a shard serves its n rows of one
+	// access in ceil(n/BatchRows) slots.
 	BatchRows int
 	// LockWaitTimeout is the lock wait timeout (deadlock/crash
 	// detection), in virtual time: it expires at an exact simulated instant.
 	LockWaitTimeout time.Duration
 
-	// OnShardService, when non-nil, is consulted before every read's
-	// shard service charge with the target shard index; the returned
-	// duration is added to the service time (fault injection: per-shard
-	// stalls and crash/recover windows). Commits do not consult it, so a
-	// stalled shard delays reads only (ROADMAP item 12). It must be safe
-	// for concurrent use.
+	// OnShardService, when non-nil, is consulted before every shard
+	// service charge, read or commit, with the target shard index; the
+	// returned duration is added to the service time (fault injection:
+	// per-shard stalls and crash/recover windows). A stalled shard delays
+	// the accesses with rows on it and no other. It must be safe for
+	// concurrent use.
 	OnShardService func(shard int) time.Duration
 	// OnCommit, when non-nil, is consulted at the top of every Commit with
 	// the transaction's owner; a non-nil error aborts the transaction and
@@ -241,7 +242,11 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 	return db
 }
 
-// shardFor hashes a row key onto its owning data-node shard.
+// shardFor hashes a row key onto its owning data-node shard. This is the
+// store's one placement rule: each row sits on its own key's shard (an
+// INode on its ID's, a KV row on its table and key's), and a listing's
+// children are served from the directory's shard, like HopsFS's
+// partition-pruned scan of one parent's rows.
 func (db *DB) shardFor(key rowKey) int {
 	return int(key.hash() % uint32(len(db.shards)))
 }
@@ -382,19 +387,20 @@ func (db *DB) HeldLocks() int { return db.locks.heldLocks() }
 // hash is 32-bit FNV-1a over exactly those bytes: row→shard placement is part
 // of the media's layout and of every committed virtual-time number.
 type rowKey struct {
-	kind byte              // 'i', 'c', 'k'; 0 for a plain string
-	id   namespace.INodeID // 'i': the row; 'c': the parent
-	name string            // 'c': the name; 'k': table/key; 0: the string
+	kind  byte              // 'i', 'c', 'k'; 0 for a plain string
+	id    namespace.INodeID // 'i': the row; 'c': the parent
+	table string            // 'k': the table
+	name  string            // 'c': the name; 'k': the key; 0: the string
 }
 
 func inodeKey(id namespace.INodeID) rowKey { return rowKey{kind: 'i', id: id} }
 func childKey(parent namespace.INodeID, name string) rowKey {
 	return rowKey{kind: 'c', id: parent, name: name}
 }
-func kvKey(table, key string) rowKey { return rowKey{kind: 'k', name: table + "/" + key} }
+func kvKey(table, key string) rowKey { return rowKey{kind: 'k', table: table, name: key} }
 func plainKey(s string) rowKey       { return rowKey{name: s} }
 
-// prefix appends everything of the string form but the name.
+// prefix appends everything of the string form before the table and name.
 func (k rowKey) prefix(b []byte) []byte {
 	switch k.kind {
 	case 'i':
@@ -409,12 +415,19 @@ func (k rowKey) prefix(b []byte) []byte {
 
 func (k rowKey) String() string {
 	var buf [24]byte // "c/" + 20 digits + "/"
+	if k.kind == 'k' {
+		return string(k.prefix(buf[:0])) + k.table + "/" + k.name
+	}
 	return string(k.prefix(buf[:0])) + k.name
 }
 
 func (k rowKey) hash() uint32 {
 	var buf [24]byte
-	return fnv1a(fnv1a(2166136261, k.prefix(buf[:0])), k.name)
+	h := fnv1a(2166136261, k.prefix(buf[:0]))
+	if k.kind == 'k' {
+		h = fnv1a(fnv1a(h, k.table), "/")
+	}
+	return fnv1a(h, k.name)
 }
 
 func fnv1a[T string | []byte](h uint32, s T) uint32 {

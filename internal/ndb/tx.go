@@ -264,20 +264,36 @@ func (t *tx) writeCount() int {
 	return len(t.inodes) + len(t.kvPuts) + len(t.kvDels)
 }
 
+// countWrites counts each buffered row write on its key's shard into
+// perShard, which the caller hands over zeroed, and returns it.
+func (t *tx) countWrites(perShard []int) []int {
+	for id := range t.inodes {
+		perShard[t.db.shardFor(inodeKey(id))]++
+	}
+	for ref := range t.kvPuts {
+		perShard[t.db.shardFor(kvKey(ref.table, ref.key))]++
+	}
+	for ref := range t.kvDels {
+		perShard[t.db.shardFor(kvKey(ref.table, ref.key))]++
+	}
+	return perShard
+}
+
 // AtCommitPoint implements store.Tx: fn runs inside a successful Commit,
 // once the writes are applied and durable, while every lock is still held.
 func (t *tx) AtCommitPoint(fn func()) {
 	t.atCommit = append(t.atCommit, fn)
 }
 
-// Commit applies buffered writes atomically, charges write service time
-// across the shards in parallel, and releases all locks. With a
-// durability tier attached, the WAL fsync window opens beside the row
-// service and the record is appended once both windows have ended, before
-// the locks release, so a committed transaction is on durable media before
-// any conflicting transaction can observe it — which is what makes the
-// global LSN order a valid serialization. The commit-point hooks run
-// between the two: after the append, before the release.
+// Commit applies buffered writes atomically and releases all locks. Its
+// charge is one store round: every shard serves the written rows it owns
+// (reserveShards with WriteService) beside the round trip and, with a
+// durability tier attached, the WAL fsync; the caller waits once, for the
+// last of the three. The record is then appended before the locks
+// release, so a committed transaction is on durable media before any
+// conflicting transaction can observe it — which is what makes the global
+// LSN order a valid serialization. The commit-point hooks run between the
+// two: after the append, before the release.
 func (t *tx) Commit() error {
 	if t.done {
 		return store.ErrTxDone
@@ -301,7 +317,10 @@ func (t *tx) Commit() error {
 		if t.db.dur != nil {
 			fsync = t.db.cfg.Durability.WALFsync
 		}
-		t.chargeCommit(writes, fsync)
+		var counts [stackShards]int
+		perShard := t.countWrites(t.db.shardCounts(counts[:]))
+		until := t.db.reserveShards(perShard, t.db.cfg.WriteService, sp.Ctx())
+		t.db.clk.Sleep(max(t.db.cfg.RTT, fsync, until))
 		walBytes = t.logAndApply()
 		sp.End()
 	}
@@ -319,40 +338,6 @@ func (t *tx) Commit() error {
 		t.db.maybeCheckpoint()
 	}
 	return nil
-}
-
-// chargeCommit spreads the write service cost over the shards in
-// parallel, approximating NDB's distributed commit: total work is
-// writes × WriteService, executed by up to DataNodes shards concurrently.
-// The fsync window (zero without durability) opens at the same instant as
-// the service windows. A single-row (or single-shard) commit is a round
-// trip and then one service slot beside the fsync; a multi-shard commit
-// reserves every shard's share at once and the round trip overlaps the
-// service and the fsync. Either way the caller waits once, for whichever
-// window ends last.
-func (t *tx) chargeCommit(writes int, fsync time.Duration) {
-	db := t.db
-	shards := len(db.shards)
-	if writes <= 1 || shards == 1 {
-		db.clk.Sleep(db.cfg.RTT)
-		until := fsync
-		if d := time.Duration(writes) * db.cfg.WriteService; d > 0 {
-			wait, dur := db.shards[0].Reserve(db.clk.Now(), d)
-			until = max(until, wait+dur)
-		}
-		db.clk.Sleep(until)
-		return
-	}
-	perShard := (writes + shards - 1) / shards
-	now := db.clk.Now()
-	until := max(db.cfg.RTT, fsync)
-	for i := 0; i < shards && writes > 0; i++ {
-		n := min(perShard, writes)
-		writes -= n
-		wait, dur := db.shards[i].Reserve(now, time.Duration(n)*db.cfg.WriteService)
-		until = max(until, wait+dur)
-	}
-	db.clk.Sleep(until)
 }
 
 // logAndApply appends the transaction's WAL record (when a durability
