@@ -44,9 +44,9 @@ var goldenSweepFake = map[string]string{
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "a147f79cdc27215948fde354701a90651d97340cdd3bbc4c98c34e658f2fe10a",
+	"fig11":        "89fd77a00e72acaf75db231849fe2c41e3e114c56791065abad452bb7a948caf",
 	"fig13":        "d3f34bc178d139da2893b09543a379e9a9dbad738ccbc9b5dab760225b980156",
-	"fig14":        "0498c81f0498ef2787465a847fa030b5d2a2dfb4b39f958a23dbdaf40096f78b",
+	"fig14":        "196e58d97eab14ad813ec19627340f830c7cda39772b59757f54202e3cbad882",
 	"ablation-rpc": "2f0ec049def63c2d94320e5e54fc2d3ec9a0878793a5b95deaa4096f75aab372",
 }
 
@@ -110,7 +110,7 @@ func TestSweepTinyRunsGolden(t *testing.T) {
 // directory mv or delete (Table 3, the batch-size ablation): real tiny runs.
 var goldenSubtreeTiny = map[string]string{
 	"tab3":           "b0274be0eb45ee80792d09d768cd17b21758db0c60125be94089e24f01f163d1",
-	"ablation-batch": "9bdfd13324818eae00dd2acc97f4793a715b298e57cafd602d13206b98b0e449",
+	"ablation-batch": "5da258a7162f265a91472ec937f0ae79b8787ec4038a8fdabf5939d70c3cd78c",
 }
 
 func TestSubtreeTablesTinyGolden(t *testing.T) {
@@ -126,12 +126,12 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "1fb185fd317f88aa552c23029dcdc0dd0f6b1cbaa5f732792c5626270e10cb7e",
-	"fig9":  "7a90556e47fca35b2f976f11b328752c60a966cb64e76851cf8d995bb32d1078",
-	"fig10": "d98963ea2b9fb6ba40cbb45e0fb2d590c0c42daf6609a047d52cd1ca25c420ac",
-	"fig15": "3664d97faf6043c17153ff133c8f7922cbf8178dab7d74c207cf9be67d483ecf",
-	"trace": "93b46607cc252a774678b2b192890f92cff4ecc7f5a16e6fc4fab73600096270",
-	"slo":   "d94f823956636d63166e8eeef82bce1634c09f8dda27d935e63436a1eb91b93c",
+	"fig8a": "d1af930a49729dd1be177bf46519122d128d8acc41e53cba131e28f0bc91dad0",
+	"fig9":  "b1c91731df83f93ce2823c9a95bbf050a170f812b75d60d0ac77678f498cc1e7",
+	"fig10": "9746360cc588e7dfe8d11b9a760e7dea70da7b1cbd9cde23c26b7d3f81ce725c",
+	"fig15": "2498d3b20627150db6e45553d249bb6e3eec668fade057ad8fb744e1feca690c",
+	"trace": "c22999bf9b75430b45bb207f80b99cb89a3a8808e4e6ba7051b618111dbe1368",
+	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
 }
 
 func TestLambdaTablesTinyGolden(t *testing.T) {

@@ -34,8 +34,8 @@ func TestAlertCoverage(t *testing.T) {
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
 	FamilyInstanceKill: {"1cff280ff83192aa", "6dd0bc82e8df6f2c"},
-	FamilyShardFault:   {"8e3663ec8beb3baa", "128850b28fb5aa30"},
-	FamilyCrashRestart: {"103dc5152dd742c2", "103dc5152dd742c2"},
+	FamilyShardFault:   {"b76e62a01cc31589", "f6f57f985c82055b"},
+	FamilyCrashRestart: {"e29e92e093280c33", "e29e92e093280c33"},
 	FamilyLeaderDepose: {"52f8ec4ff09df1ab", "b2214d9cf20bfec6"},
 	FamilyTenantStorm:  {"de04242e35486d5c", "39408959a1cfc405"},
 }
