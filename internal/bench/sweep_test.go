@@ -129,7 +129,7 @@ var goldenLambdaTiny = map[string]string{
 	"fig8a": "d1af930a49729dd1be177bf46519122d128d8acc41e53cba131e28f0bc91dad0",
 	"fig9":  "b1c91731df83f93ce2823c9a95bbf050a170f812b75d60d0ac77678f498cc1e7",
 	"fig10": "9746360cc588e7dfe8d11b9a760e7dea70da7b1cbd9cde23c26b7d3f81ce725c",
-	"fig15": "2498d3b20627150db6e45553d249bb6e3eec668fade057ad8fb744e1feca690c",
+	"fig15": "0b393fa1e49803aeade42c67060055a6986e4a1695ca3cc29d3cf0c17102229a",
 	"trace": "c22999bf9b75430b45bb207f80b99cb89a3a8808e4e6ba7051b618111dbe1368",
 	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
 }

@@ -618,6 +618,53 @@ func TestOnTCPFaultHook(t *testing.T) {
 	})
 }
 
+// TestHedgedReadFailsOver: a hedge-eligible read whose primary loses its
+// connection fails over to the VM's other live connection, exactly like an
+// unhedged read, instead of spending a retry and a backoff.
+func TestHedgedReadFailsOver(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := testCfg()
+		cfg.Hedging = true
+		cfg.LatencyWindow = 4
+		var drop atomic.Bool
+		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
+			return drop.CompareAndSwap(true, false), 0
+		}
+		fcfg := faas.DefaultConfig()
+		fcfg.ColdStart, fcfg.GatewayLatency, fcfg.IdleReclaim = 0, 0, 0
+		p := faas.New(clk, fcfg)
+		defer p.Close()
+		var nns []*testNN
+		p.Register("nn", func(inst *faas.Instance) faas.App {
+			nn := &testNN{inst: inst}
+			nns = append(nns, nn)
+			return nn
+		}, faas.DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 8, MinInstances: 2})
+		c := NewVM(clk, cfg).NewClient("c1", partition.NewRing(1, 0), platformInvoker{p})
+		for _, nn := range nns {
+			c.tcp.Offer(0, NewConn(nn.inst, nn))
+		}
+		if got := c.tcp.ConnCount(0); got != 2 {
+			t.Fatalf("live connections = %d, want 2", got)
+		}
+		for i := 0; i < 4; i++ {
+			c.window.Add(time.Millisecond) // arm hedging
+		}
+		drop.Store(true)
+		resp, err := c.Do(namespace.OpRead, "/a", "")
+		if err == nil && !resp.OK() {
+			err = resp.Error()
+		}
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		st := c.Stats()
+		if st.Retries != 0 || st.ConnFailovers != 1 || st.TCPRPCs != 1 || st.HTTPRPCs != 0 {
+			t.Fatalf("stats = %+v, want 0 retries, 1 failover, 1 TCP and no HTTP call", st)
+		}
+	})
+}
+
 // TestClientJitterSeedDeterminism pins the client's jitter stream (HTTP
 // replacement draws, backoff jitter) to (Config.Seed, client id): same
 // pair, same stream; different seed or id, different stream. This is what
