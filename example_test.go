@@ -40,7 +40,9 @@ func Example() {
 // ExampleClient_Rename demonstrates rename semantics, including the
 // sentinel errors that survive the RPC boundary.
 func ExampleClient_Rename() {
-	cluster, err := lambdafs.NewCluster(lambdafs.Config{Deployments: 2})
+	cfg := lambdafs.DefaultConfig()
+	cfg.Deployments = 2
+	cluster, err := lambdafs.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +67,9 @@ func ExampleClient_Rename() {
 
 // ExampleCluster_Stats shows cluster introspection after some traffic.
 func ExampleCluster_Stats() {
-	cluster, err := lambdafs.NewCluster(lambdafs.Config{Deployments: 2})
+	cfg := lambdafs.DefaultConfig()
+	cfg.Deployments = 2
+	cluster, err := lambdafs.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

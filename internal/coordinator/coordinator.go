@@ -18,7 +18,7 @@
 // never runs under it — rounds snapshot the membership, dedup and sort
 // targets by id (so concurrent rounds are deterministic regardless of
 // map iteration order), then fan out on a bounded pool
-// (Config.InvFanout) of clock.Go goroutines with a single AckTimeout
+// (invFanout) of clock.Go goroutines with a single AckTimeout
 // deadline per round and hedged re-sends after Config.HedgeAfter.
 // Invalidation handlers are invoked from those delivery goroutines, may
 // run concurrently with each other, and must be idempotent (hedging can
@@ -80,7 +80,7 @@ type Coordinator interface {
 	// InvalidateBatchTraced implements Algorithm 1 steps 1–2 for a batch
 	// of invalidations in one INV/ACK round: every live member of each
 	// deployment in deps receives the whole batch in a single message,
-	// all targets concurrently (bounded by Config.InvFanout) under a
+	// all targets concurrently (bounded by invFanout) under a
 	// single ACK deadline, with hedged re-sends to stragglers after
 	// Config.HedgeAfter, and the call blocks until all required ACKs
 	// arrive. Instances that terminate mid-protocol are excused
@@ -110,10 +110,6 @@ type Config struct {
 	// AckTimeout bounds the wait for ACKs from live members (real time
 	// scaled by the clock; generous because handler execution is fast).
 	AckTimeout time.Duration
-	// InvFanout bounds how many concurrent INV deliveries one batch round
-	// keeps in flight (≤0 = deliver to all targets at once). It models
-	// the coordinator's outbound messaging capacity.
-	InvFanout int
 	// HedgeAfter, when > 0, re-sends the INV to any target that has not
 	// ACKed within this duration (hedged stragglers; batch rounds only).
 	// Duplicate delivery is benign — invalidation handlers are
@@ -130,6 +126,11 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
+// invFanout bounds how many concurrent INV deliveries one batch round
+// keeps in flight. It models the coordinator's outbound messaging
+// capacity.
+const invFanout = 64
+
 // DefaultConfig returns ZooKeeper-like latencies: sub-millisecond hops.
 // HedgeAfter is far above a healthy round's latency, so hedges fire only
 // for genuine stragglers (a stalled handler or a wedged delivery).
@@ -137,7 +138,6 @@ func DefaultConfig() Config {
 	return Config{
 		HopLatency: 500 * time.Microsecond,
 		AckTimeout: 30 * time.Second,
-		InvFanout:  64,
 		HedgeAfter: 250 * time.Millisecond,
 	}
 }

@@ -97,6 +97,36 @@ func TestInvalidateMultipleDeployments(t *testing.T) {
 	})
 }
 
+// TestInvalidateFanoutBounded: a batch round to one member more than
+// invFanout keeps at most invFanout deliveries in flight; the last member
+// waits for a free slot, so the round takes two handler times.
+func TestInvalidateFanoutBounded(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		z := newTestZK(clk)
+		const handle = time.Millisecond
+		var inFlight, peak, handled int
+		for i := 0; i < invFanout+1; i++ {
+			z.Register(0, fmt.Sprintf("nn-%03d", i), func(Invalidation) {
+				inFlight++
+				peak = max(peak, inFlight)
+				clk.Sleep(handle)
+				inFlight--
+				handled++
+			})
+		}
+		start := clk.Now()
+		if err := z.InvalidateBatch([]int{0}, []Invalidation{{Path: "/f"}}); err != nil {
+			t.Fatal(err)
+		}
+		if handled != invFanout+1 || peak != invFanout {
+			t.Fatalf("handled %d, peak in flight %d; want %d and %d", handled, peak, invFanout+1, invFanout)
+		}
+		if took := clk.Since(start); took != 2*handle {
+			t.Fatalf("round took %v, want %v", took, 2*handle)
+		}
+	})
+}
+
 func TestInvalidateEmptyDeployment(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		z := newTestZK(clk)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/telemetry"
@@ -66,9 +65,6 @@ type zkSession struct {
 
 // NewZK creates the coordinator.
 func NewZK(clk *clock.Sim, cfg Config) *ZK {
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 30 * time.Second
-	}
 	z := &ZK{
 		clk:     clk,
 		cfg:     cfg,
@@ -208,10 +204,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	z.tel.watches.Add(float64(len(targets)))
 	invStart := z.clk.Now()
 
-	fan := z.cfg.InvFanout
-	if fan <= 0 || fan > len(targets) {
-		fan = len(targets)
-	}
+	fan := min(invFanout, len(targets))
 	sem := clock.NewMailbox[struct{}](z.clk) // fan delivery slots
 	for i := 0; i < fan; i++ {
 		sem.Send(struct{}{})

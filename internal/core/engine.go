@@ -102,16 +102,8 @@ type EngineConfig struct {
 	// CacheBudget is the metadata cache size in bytes (0 = unlimited,
 	// negative = caching disabled → stateless HopsFS NameNode).
 	CacheBudget int64
-	// ResultCacheSize bounds the resubmission result cache: the number of
-	// write replies (FIFO) an engine keeps for deduplication.
-	ResultCacheSize int
 	// SubtreeBatch is the sub-operation batch size (paper default 512).
 	SubtreeBatch int
-	// DataNodeViewTTL is how long a cached DataNode fleet view stays
-	// fresh.
-	DataNodeViewTTL time.Duration
-	// Replication is the block replication factor for new files.
-	Replication int
 
 	// Metrics is the registry the engine instruments (lambdafs_core_*)
 	// live in: metadata-cache hits/misses and invalidation rounds. Engines
@@ -142,12 +134,20 @@ func DefaultEngineConfig() EngineConfig {
 		OpCPUCost:          400 * time.Microsecond,
 		SubtreeCPUPerINode: 2 * time.Microsecond,
 		CacheBudget:        0,
-		ResultCacheSize:    4096,
 		SubtreeBatch:       512,
-		DataNodeViewTTL:    10 * time.Second,
-		Replication:        3,
 	}
 }
+
+const (
+	// resultCacheSize bounds the resubmission result cache: the number of
+	// write replies (FIFO) an engine keeps for deduplication.
+	resultCacheSize = 4096
+	// dataNodeViewTTL is how long a cached DataNode fleet view stays
+	// fresh.
+	dataNodeViewTTL = 10 * time.Second
+	// replication is the block replication factor for new files.
+	replication = 3
+)
 
 // Engine executes metadata operations. One Engine runs per NameNode
 // instance.
@@ -199,16 +199,13 @@ func NewEngine(id string, dep int, clk *clock.Sim, st store.Store, ring *partiti
 	if cpu == nil {
 		cpu = nopCPU{}
 	}
-	if cfg.SubtreeBatch <= 0 {
-		cfg.SubtreeBatch = 512
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
 	e := &Engine{
 		id: id, dep: dep, ring: ring, st: st, coord: coord, cpu: cpu, clk: clk, cfg: cfg,
-		dnview:  datanode.NewView(clk, st, id, cfg.DataNodeViewTTL, cfg.Replication),
-		results: newResultCache(cfg.ResultCacheSize),
+		dnview:  datanode.NewView(clk, st, id, dataNodeViewTTL, replication),
+		results: newResultCache(resultCacheSize),
 	}
 	if cfg.CacheBudget >= 0 {
 		e.cache = cache.New(cfg.CacheBudget)

@@ -594,24 +594,26 @@ func TestNonOwnerDoesNotCache(t *testing.T) {
 	})
 }
 
-// TestResultCacheBounded: an engine keeps its last ResultCacheSize write
+// TestResultCacheBounded: an engine keeps its last resultCacheSize write
 // replies; a resubmission of an evicted one runs again.
 func TestResultCacheBounded(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		st := fastStore(clk)
 		cfg := DefaultEngineConfig()
-		cfg.OpCPUCost, cfg.ResultCacheSize = 0, 2
+		cfg.OpCPUCost = 0
 		e := NewEngine("nn-solo", -1, clk, st, nil, nil, nil, cfg)
 		exec := func(seq uint64, path string) *namespace.Response {
 			t.Helper()
 			resp := e.Execute(namespace.Request{Op: namespace.OpCreate, Path: path, ClientID: "c", Seq: seq})
-			if n := e.results.len(); n > cfg.ResultCacheSize {
-				t.Fatalf("result cache holds %d replies, bound %d", n, cfg.ResultCacheSize)
+			if n := e.results.len(); n > resultCacheSize {
+				t.Fatalf("result cache holds %d replies, bound %d", n, resultCacheSize)
 			}
 			return resp
 		}
+		creates := resultCacheSize + 2
 		var newest *namespace.Response
-		for seq, p := range []string{"/f1", "/f2", "/f3"} {
+		for seq := 0; seq < creates; seq++ {
+			p := fmt.Sprintf("/f%d", seq+1)
 			if newest = exec(uint64(seq), p); !newest.OK() {
 				t.Fatalf("create %s: %s", p, newest.Err)
 			}
@@ -619,7 +621,7 @@ func TestResultCacheBounded(t *testing.T) {
 		if r := exec(0, "/f1"); !errors.Is(r.Error(), namespace.ErrExists) {
 			t.Fatalf("resubmitted evicted create: %v, want it re-executed (ErrExists)", r.Error())
 		}
-		if r := exec(2, "/f3"); r != newest {
+		if r := exec(uint64(creates-1), fmt.Sprintf("/f%d", creates)); r != newest {
 			t.Fatalf("resubmitted newest create: %+v, want its cached reply %+v", r, newest)
 		}
 	})

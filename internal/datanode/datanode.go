@@ -178,9 +178,6 @@ type View struct {
 // NewView creates a view refreshing at most every ttl with the given
 // replication factor.
 func NewView(clk *clock.Sim, st store.Store, owner string, ttl time.Duration, replication int) *View {
-	if replication <= 0 {
-		replication = 3
-	}
 	return &View{clk: clk, st: st, owner: owner, ttl: ttl, replica: replication}
 }
 

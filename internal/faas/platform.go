@@ -223,15 +223,6 @@ type Deployment struct {
 
 // New creates a platform and starts its reclaimer.
 func New(clk *clock.Sim, cfg Config) *Platform {
-	if cfg.MaxUtilization <= 0 || cfg.MaxUtilization > 1 {
-		cfg.MaxUtilization = 1
-	}
-	if cfg.ReclaimInterval <= 0 {
-		cfg.ReclaimInterval = 5 * time.Second
-	}
-	if cfg.InvokeQueueTimeout <= 0 {
-		cfg.InvokeQueueTimeout = 15 * time.Second
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()

@@ -90,9 +90,6 @@ func New(clk *clock.Sim, st store.Store, coord coordinator.Coordinator, cfg Conf
 	if cfg.NameNodes <= 0 {
 		cfg.NameNodes = 1
 	}
-	if cfg.RPCHandlers <= 0 {
-		cfg.RPCHandlers = 200
-	}
 	c := &Cluster{clk: clk, cfg: cfg, coord: coord}
 	eng := cfg.Engine
 	if eng.Metrics == nil {

@@ -57,8 +57,7 @@ func decodeAttr(b []byte) (Attr, bool) {
 // Config shapes a vanilla IndexFS deployment: servers co-located with
 // the client VMs (the paper uses 4), each owning one LevelDB partition.
 type Config struct {
-	Servers       int
-	VCPUPerServer float64
+	Servers int
 	// OpCPUCost is server CPU per metadata operation.
 	OpCPUCost time.Duration
 	// NetOneWay is the client↔server latency.
@@ -70,15 +69,17 @@ type Config struct {
 // DefaultConfig matches the §5.7 testbed shape.
 func DefaultConfig() Config {
 	return Config{
-		Servers: 4,
-		// IndexFS servers are co-located with the client VMs (§5.7's
-		// "co-location principle"), so each gets only part of a VM.
-		VCPUPerServer: 4,
-		OpCPUCost:     300 * time.Microsecond,
-		NetOneWay:     300 * time.Microsecond,
-		LSM:           lsm.DefaultConfig(),
+		Servers:   4,
+		OpCPUCost: 300 * time.Microsecond,
+		NetOneWay: 300 * time.Microsecond,
+		LSM:       lsm.DefaultConfig(),
 	}
 }
+
+// vcpuPerServer is each server's compute capacity. IndexFS servers are
+// co-located with the client VMs (§5.7's "co-location principle"), so
+// each gets only part of a VM.
+const vcpuPerServer = 4
 
 // server is one IndexFS metadata server: a LevelDB partition behind a
 // vCPU queue.
@@ -104,7 +105,7 @@ func New(clk *clock.Sim, cfg Config) *Cluster {
 	}
 	c := &Cluster{clk: clk, cfg: cfg, ring: partition.NewRing(cfg.Servers, 0)}
 	for i := 0; i < cfg.Servers; i++ {
-		c.servers = append(c.servers, &server{db: lsm.New(clk, cfg.LSM), cpu: clock.NewCPUQueue(clk, cfg.VCPUPerServer)})
+		c.servers = append(c.servers, &server{db: lsm.New(clk, cfg.LSM), cpu: clock.NewCPUQueue(clk, vcpuPerServer)})
 	}
 	return c
 }

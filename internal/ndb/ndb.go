@@ -203,15 +203,6 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 		// per-shard checkpoint stores.
 		cfg.DataNodes = cfg.Durable.Shards()
 	}
-	if cfg.DataNodes <= 0 {
-		cfg.DataNodes = 1
-	}
-	if cfg.WorkersPerNode <= 0 {
-		cfg.WorkersPerNode = 1
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = 64
-	}
 	db := &DB{
 		cfg:      cfg,
 		clk:      clk,

@@ -78,9 +78,9 @@ type Config struct {
 	AntiThrashThreshold float64       // T: latency multiple that triggers the mode
 	AntiThrashHold      time.Duration // how long the client stays in the mode
 
-	// Retry policy for transport-level failures.
+	// Retry policy for transport-level failures: the backoff before retry
+	// k is jittered over BackoffBase·2^(k-1), capped at backoffMax.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	MaxAttempts int
 
 	// Seed is the base seed for per-client randomness (HTTP-replacement
@@ -118,10 +118,12 @@ func DefaultConfig() Config {
 		AntiThrashThreshold: 2.5,
 		AntiThrashHold:      5 * time.Second,
 		BackoffBase:         25 * time.Millisecond,
-		BackoffMax:          2 * time.Second,
 		MaxAttempts:         10,
 	}
 }
+
+// backoffMax caps one retry backoff before jitter.
+const backoffMax = 2 * time.Second
 
 // Conn is one TCP connection from a client VM's TCP server to a NameNode
 // instance.
@@ -251,15 +253,6 @@ func (vm *VM) Tracer() *trace.Tracer {
 
 // NewVM creates a client VM.
 func NewVM(clk *clock.Sim, cfg Config) *VM {
-	if cfg.ClientsPerTCPServer <= 0 {
-		cfg.ClientsPerTCPServer = 128
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 10
-	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = 64
-	}
 	return &VM{clk: clk, cfg: cfg, tel: newRPCTelemetry(cfg.Metrics)}
 }
 

@@ -41,7 +41,7 @@ const (
 	// alert contracts.
 	SignalDelta
 	// SignalEWMA is an exponentially weighted moving average of
-	// SignalValue (smoothing factor Config.EWMAAlpha).
+	// SignalValue (smoothing factor ewmaAlpha).
 	SignalEWMA
 )
 
@@ -195,9 +195,10 @@ type Config struct {
 	// Window is the sliding-window length in scrape ticks for quantile
 	// rules (default 16).
 	Window int
-	// EWMAAlpha is the smoothing factor for SignalEWMA (default 0.3).
-	EWMAAlpha float64
 }
+
+// ewmaAlpha is the smoothing factor for SignalEWMA.
+const ewmaAlpha = 0.3
 
 // ruleState is the per-rule evaluation state. All mutation happens on
 // the scrape goroutine under Engine.mu.
@@ -304,9 +305,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.Window <= 0 {
 		cfg.Window = 16
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.3
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -500,7 +498,7 @@ func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, 
 			if !rs.hasEWMA {
 				rs.ewma, rs.hasEWMA = cur, true
 			} else {
-				rs.ewma = e.cfg.EWMAAlpha*cur + (1-e.cfg.EWMAAlpha)*rs.ewma
+				rs.ewma = ewmaAlpha*cur + (1-ewmaAlpha)*rs.ewma
 			}
 			val = rs.ewma
 		case SignalDelta, SignalRate:

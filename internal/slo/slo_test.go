@@ -103,7 +103,7 @@ func TestDeltaSumsCountersAndClampsResets(t *testing.T) {
 }
 
 func TestEWMASmoothsSpikes(t *testing.T) {
-	e := New(Config{EWMAAlpha: 0.3})
+	e := New(Config{})
 	e.AddRule(Threshold("sat", "lambdafs_ndb_queue_depth", SignalEWMA, OpGreater, 8, 1))
 	// One-tick spike to 20: EWMA from 0 is 0.3*20 = 6 < 8, stays quiet.
 	e.Observe(snapAt(1, map[string]float64{"lambdafs_ndb_queue_depth": 0}))

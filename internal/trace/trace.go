@@ -219,9 +219,6 @@ type Event struct {
 
 // Config bounds the tracer's retention.
 type Config struct {
-	// SampleEvery keeps one of every N traces (≤1 = keep all). Sampled-out
-	// requests run with a nil context (zero span overhead).
-	SampleEvery int
 	// MaxTraces caps retained traces; further StartTrace calls return nil.
 	MaxTraces int
 	// MaxEvents caps retained events; further events are counted dropped.
@@ -292,16 +289,12 @@ func (tr *Tracer) Now() time.Time {
 }
 
 // StartTrace opens a trace for one request. Returns nil (a no-op context)
-// on a nil tracer, when the request is sampled out, or when the trace cap
-// is reached.
+// on a nil tracer or when the trace cap is reached.
 func (tr *Tracer) StartTrace(op, path, client string) *Ctx {
 	if tr == nil {
 		return nil
 	}
 	id := tr.idSeq.Add(1)
-	if tr.cfg.SampleEvery > 1 && id%uint64(tr.cfg.SampleEvery) != 0 {
-		return nil
-	}
 	t := &Trace{ID: id, Op: op, Path: path, Client: client, Start: tr.clk.Now()}
 	tr.mu.Lock()
 	if len(tr.traces) >= tr.cfg.MaxTraces {

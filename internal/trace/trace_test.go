@@ -190,7 +190,7 @@ func TestConcurrentTracing(t *testing.T) {
 
 func TestSamplingAndCaps(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		tr := New(clk, Config{SampleEvery: 2, MaxTraces: 3, MaxEvents: 2, MaxSpansPerTrace: 1})
+		tr := New(clk, Config{MaxTraces: 3, MaxEvents: 2, MaxSpansPerTrace: 1})
 		var kept int
 		for i := 0; i < 10; i++ {
 			if tc := tr.StartTrace("stat", "/", "c"); tc != nil {
@@ -204,7 +204,7 @@ func TestSamplingAndCaps(t *testing.T) {
 			}
 		}
 		if kept != 3 {
-			t.Fatalf("kept = %d, want 3 (5 sampled in, 3 under cap)", kept)
+			t.Fatalf("kept = %d, want 3 (the trace cap)", kept)
 		}
 		for i := 0; i < 5; i++ {
 			tr.Emit(Event{Type: EventColdStart, Deployment: 0})
@@ -213,8 +213,8 @@ func TestSamplingAndCaps(t *testing.T) {
 			t.Fatalf("events = %d", n)
 		}
 		dt, ds, de := tr.Dropped()
-		if dt != 2 || ds != 3 || de != 3 {
-			t.Fatalf("dropped = %d/%d/%d, want 2/3/3", dt, ds, de)
+		if dt != 7 || ds != 3 || de != 3 {
+			t.Fatalf("dropped = %d/%d/%d, want 7/3/3", dt, ds, de)
 		}
 		for _, trc := range tr.Traces() {
 			if len(trc.Spans()) != 1 {

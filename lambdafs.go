@@ -46,27 +46,17 @@ const (
 	CoordinatorNDB       CoordinatorKind = "ndb"
 )
 
-// Config assembles a λFS cluster. Zero values fall back to the defaults
-// of DefaultConfig.
+// Config assembles a λFS cluster. Start from DefaultConfig and edit the
+// fields to change: NewCluster fills no zero field, so a Config{} is
+// rejected (it names no coordinator).
 type Config struct {
-	// Deployments is n, the number of serverless NameNode deployments
-	// the namespace is consistently hashed across (§3.3).
-	Deployments int
-	// NameNodeVCPU / NameNodeRAMGB shape each serverless NameNode.
-	NameNodeVCPU  float64
-	NameNodeRAMGB float64
-	// ConcurrencyLevel is the per-instance HTTP concurrency (§3.4).
-	ConcurrencyLevel int
-	// MaxInstancesPerDeployment caps intra-deployment auto-scaling
-	// (0 = unlimited; 1 reproduces the "no auto-scaling" ablation).
-	MaxInstancesPerDeployment int
-	// MinInstancesPerDeployment is the number of instances of each
-	// deployment pre-warmed at start-up (0 = none). NewCluster returns
-	// once their cold starts have run on the virtual clock.
-	MinInstancesPerDeployment int
-	// OffloadLatency is the hop cost of pushing a subtree batch to a
-	// helper NameNode (Appendix D); a negative value disables offloading.
-	OffloadLatency time.Duration
+	// SystemConfig is the deployment shape: n deployments (§3.3), the
+	// NameNode vCPU/RAM, the concurrency level (§3.4), the instance
+	// bounds, the subtree offload hop and the NameNode engine (CPU per
+	// op, subtree batching, the metadata cache budget…). A pre-warm
+	// (MinInstancesPerDeployment) has run its cold starts on the virtual
+	// clock by the time NewCluster returns.
+	core.SystemConfig
 
 	// Platform shapes the FaaS substrate (resource pool, cold starts,
 	// gateway latency, reclamation).
@@ -80,9 +70,6 @@ type Config struct {
 	Coordinator CoordinatorKind
 	// CoordinatorHop is the coordinator's one-way message latency.
 	CoordinatorHop time.Duration
-	// Engine tunes NameNode execution (CPU per op, subtree batching,
-	// the per-NameNode metadata cache budget…).
-	Engine core.EngineConfig
 	// Clock is the virtual clock the cluster runs on; nil makes a fresh
 	// one. Set it when parts built before the cluster must share its
 	// clock (an ndb.Durable under Store, an admission registry under
@@ -95,8 +82,8 @@ type Config struct {
 	// transitions are recorded as structured events. Off by default (the
 	// nil-context fast path costs nothing per request).
 	EnableTracing bool
-	// Trace tunes the tracer (sampling, retention caps) when
-	// EnableTracing is set; zero values use trace.DefaultConfig.
+	// Trace tunes the tracer's retention caps when EnableTracing is set;
+	// zero caps use trace.DefaultConfig's.
 	Trace trace.Config
 }
 
@@ -105,17 +92,12 @@ type Config struct {
 // ZooKeeper coordinator.
 func DefaultConfig() Config {
 	return Config{
-		Deployments:      16,
-		NameNodeVCPU:     6.25,
-		NameNodeRAMGB:    30,
-		ConcurrencyLevel: 4,
-		Platform:         faas.DefaultConfig(),
-		Store:            ndb.DefaultConfig(),
-		RPC:              rpc.DefaultConfig(),
-		Coordinator:      CoordinatorZooKeeper,
-		CoordinatorHop:   500 * time.Microsecond,
-		Engine:           core.DefaultEngineConfig(),
-		OffloadLatency:   time.Millisecond,
+		SystemConfig:   core.DefaultSystemConfig(),
+		Platform:       faas.DefaultConfig(),
+		Store:          ndb.DefaultConfig(),
+		RPC:            rpc.DefaultConfig(),
+		Coordinator:    CoordinatorZooKeeper,
+		CoordinatorHop: 500 * time.Microsecond,
 	}
 }
 
@@ -140,38 +122,6 @@ type Cluster struct {
 
 // NewCluster starts a λFS cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
-	def := DefaultConfig()
-	if cfg.Deployments <= 0 {
-		cfg.Deployments = def.Deployments
-	}
-	if cfg.NameNodeVCPU <= 0 {
-		cfg.NameNodeVCPU = def.NameNodeVCPU
-	}
-	if cfg.NameNodeRAMGB <= 0 {
-		cfg.NameNodeRAMGB = def.NameNodeRAMGB
-	}
-	if cfg.ConcurrencyLevel <= 0 {
-		cfg.ConcurrencyLevel = def.ConcurrencyLevel
-	}
-	if cfg.Coordinator == "" {
-		cfg.Coordinator = def.Coordinator
-	}
-	if cfg.Store.DataNodes == 0 {
-		cfg.Store = def.Store
-	}
-	if cfg.Platform.TotalVCPU == 0 {
-		cfg.Platform = def.Platform
-	}
-	if cfg.RPC.MaxAttempts == 0 {
-		cfg.RPC = def.RPC
-	}
-	if cfg.Engine.SubtreeBatch == 0 {
-		cfg.Engine = def.Engine
-	}
-	if cfg.OffloadLatency == 0 {
-		cfg.OffloadLatency = def.OffloadLatency
-	}
-
 	c := &Cluster{cfg: cfg, clk: cfg.Clock}
 	if c.clk == nil {
 		c.clk = clock.NewSim()
@@ -217,21 +167,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	pcfg.Lambda = c.lambdaMeter
 	pcfg.Provisioned = c.provisionedMeter
 	pcfg.Tracer = c.tracer
-	sysCfg := core.SystemConfig{
-		Deployments:               cfg.Deployments,
-		NameNodeVCPU:              cfg.NameNodeVCPU,
-		NameNodeRAMGB:             cfg.NameNodeRAMGB,
-		ConcurrencyLevel:          cfg.ConcurrencyLevel,
-		MaxInstancesPerDeployment: cfg.MaxInstancesPerDeployment,
-		MinInstancesPerDeployment: cfg.MinInstancesPerDeployment,
-		Engine:                    cfg.Engine,
-		OffloadLatency:            cfg.OffloadLatency,
-	}
 	// A pre-warm sleeps one cold start per instance, so registering the
 	// deployments must run on the clock.
 	clock.Run(c.clk, func() {
 		c.platform = faas.New(c.clk, pcfg)
-		c.sys = core.NewSystem(c.clk, c.db, c.coord, c.platform, sysCfg)
+		c.sys = core.NewSystem(c.clk, c.db, c.coord, c.platform, cfg.SystemConfig)
 	})
 	c.vm = rpc.NewVM(c.clk, cfg.RPC)
 	c.vm.SetTracer(c.tracer)
