@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lambdafs/internal/chaos"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/simtest"
@@ -243,4 +244,63 @@ func TestPreloadResolvable(t *testing.T) {
 			t.Fatal("preloaded dir not a dir")
 		}
 	})
+}
+
+// TestErrorClassesMatchOracle holds every write's answer to chaos.Oracle's
+// error class, from one tree: a directory /d holding a file /d/x, and a
+// file /f.
+func TestErrorClassesMatchOracle(t *testing.T) {
+	cases := []struct {
+		op         namespace.OpType
+		path, dest string
+	}{
+		{namespace.OpCreate, "/d/y", ""},
+		{namespace.OpCreate, "/d/x", ""},
+		{namespace.OpCreate, "/g/a", ""},
+		{namespace.OpCreate, "/f/a", ""},
+		{namespace.OpCreate, "/f/a/b", ""},
+		{namespace.OpMkdirs, "/d/e/f", ""},
+		{namespace.OpMkdirs, "/f", ""},
+		{namespace.OpMkdirs, "/f/a", ""},
+		{namespace.OpMkdirs, "/f/a/b", ""},
+		{namespace.OpDelete, "/", ""},
+		{namespace.OpDelete, "/nope", ""},
+		{namespace.OpDelete, "/f/a", ""},
+		{namespace.OpDelete, "/d", ""},
+		{namespace.OpMv, "/d/x", "/d/z"},
+		{namespace.OpMv, "/", "/z"},
+		{namespace.OpMv, "/d/x", "/"},
+		{namespace.OpMv, "/d", "/d/sub"},
+		{namespace.OpMv, "/nope", "/d/z"},
+		{namespace.OpMv, "/nope", "/f/y"},
+		{namespace.OpMv, "/d/x", "/f"},
+		{namespace.OpMv, "/d/x", "/g/y"},
+		{namespace.OpMv, "/d/x", "/f/y"},
+		{namespace.OpMv, "/d/x", "/f/a/y"},
+	}
+	for _, tc := range cases {
+		simtest.Run(t, func(clk *clock.Sim) {
+			s := fastSys(clk)
+			c := s.NewClient("c")
+			o := chaos.NewOracle()
+			for _, p := range []string{"/d", "/d/x", "/f"} {
+				op := namespace.OpCreate
+				if p == "/d" {
+					op = namespace.OpMkdirs
+				}
+				cok(t, c, op, p, "")
+				if err := o.Apply(op, p, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := o.Apply(tc.op, tc.path, tc.dest)
+			r, err := c.Do(tc.op, tc.path, tc.dest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Error(); !errors.Is(got, want) {
+				t.Errorf("%v %s %s: err=%v, oracle %v", tc.op, tc.path, tc.dest, got, want)
+			}
+		})
+	}
 }
