@@ -1,40 +1,19 @@
 #!/bin/sh
-# Repo health check: formatting, the one-clock guard (no second time
-# source, no host-time wait in a test), vet, the in-repo lambdafs-vet
-# analyzer, build, full test suite, the race detector over the
-# concurrency-heavy packages (clock, tracer, metrics, telemetry plane, SLO
-# engine, FaaS platform, RPC fabric, chaos harness, coordinator, NDB, LSM,
-# core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun
-# pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim run
-# in the plain test step only — among them a cache Lookup miss 0, a
-# PutChain that evicts a chain of its own shape 0, ndb's depth-6 shared
-# ResolvePathBatched 2 and lock-free DB.ResolvePathBatched 1, a depth-5
-# ListPathBatched 3, a rename's LockPaths 8, a one-row durable commit 3,
-# an empty checkpoint round 8 and a dirty round 22 whether it writes 64 or
-# 1,024 rows (and, in a test -race runs too, 3 clock advances per shard
-# either way),
-# core's cache-miss stat 4, pass-through stat 3, warm create plus delete 20
-# and file mv there and back 22, coordinator's INV/ACK round to two peers
-# 11, sim's event loop 0, clock's 100 sequential spawns on one reused
-# goroutine, and namespace's AppendSplit of a depth-6 path into a stack
-# buffer 0),
-# bounded fuzzes of namespace's CleanPath (and the path helpers and the
-# component walker on its output), of ndb's WAL recovery
-# (arbitrary bytes after a valid log), of indexfs's attribute codec
-# (FuzzDecodeAttr: round trip, every other length rejected) and of lsm's
-# WriteBatch (FuzzWriteBatch: a batch equals its entries one at a time), the
-# determinism smoke — the clock's own tests, bench's seven golden
-# sim-driven tests (storm tables, hotpath gate, a real-stack scale point,
-# TestSweepTablesGolden's fake-runner digests of every §5.3 sweep at every
-# scale, TestSweepTinyRunsGolden's real tiny fig11/fig13/fig14/
-# ablation-rpc digests, TestLambdaTablesTinyGolden's real tiny fig8a/
-# fig9/fig10/fig15/trace/slo digests and TestTreeTestTablesTinyGolden's
-# real tiny fig16 digest) and every test of core, chaos, ndb, faas, rpc and coordinator on one, two
-# and four Ps, which covers every crash-restart and alert-coverage test —
-# a one-P repeat (50 runs) of the clock's join tests, so an Idle grace that
-# misses its helper fails instead of flaking, the one -chaosseed replay of
-# a chaos episode, an event-heap smoke for internal/sim (kept only because benchmark/ times it), and the
-# perf/durability/scale baseline gates. Run before sending changes.
+# Repo health check; run it before sending changes. Each step's banner
+# says what the step checks. What the banners do not say:
+# - The pinned values (allocation counts, goldens, digests, baselines)
+#   live in the tests and BENCH_*.json files that gate them. This script
+#   names steps, not values, so re-pinning one edits only its test or
+#   baseline.
+# - The -race step covers the packages that run goroutines of their own
+#   or share state between concurrent callers; the others gain nothing
+#   from the detector.
+# - Each fuzz run is bounded to 10 s to keep the gate short. A crasher
+#   lands in the package's testdata/fuzz and becomes a committed seed.
+# - clock.Sim schedules every goroutine it runs, so a seeded result is the
+#   same on any GOMAXPROCS. A difference in the 1, 2 and 4 P runs is a
+#   bug, never a flake.
+# - set -e: the first failing step ends the run.
 set -e
 
 cd "$(dirname "$0")"
@@ -85,8 +64,8 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
-go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, lsm, core, tenant, cache, partition, hopsfs, cephfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
+go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/ ./internal/cephfs/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
