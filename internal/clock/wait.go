@@ -219,6 +219,16 @@ func (e *Event) Set() {
 	e.waiters = nil
 }
 
+// Reset unsets the event, so its owner can reuse it. Nothing may be
+// parked on it.
+func (e *Event) Reset() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.set = false
+	clear(e.first[:])
+	e.waiters = e.first[:0]
+}
+
 // IsSet reports whether the event has been set, without waiting.
 func (e *Event) IsSet() bool {
 	e.mu.Lock()

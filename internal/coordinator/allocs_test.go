@@ -10,7 +10,8 @@ import (
 )
 
 // An INV/ACK round's host cost is fixed by its target count, not by the
-// batch. Per round: the target list and the ACK flags, the slot and ACK
+// batch. Per round: the target list with its ACK flags, the round's own
+// copy of the batch (the caller may reuse its slice), the slot and ACK
 // mailboxes, the ACK mailbox's one receive record and the first growth of
 // its two record lists (a fresh mailbox has no spare), the delivery closure
 // and one spawn closure per target. The membership dedup set stays on the

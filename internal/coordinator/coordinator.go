@@ -91,6 +91,8 @@ type Coordinator interface {
 	// coherence.target child span of tc tagged with the target's
 	// instance ID; a nil tc records nothing. On ACK timeout the returned
 	// error joins one wrapped ErrAckTimeout per missing target, naming it.
+	// deps and invs are read only until the call returns, so the caller
+	// may reuse both.
 	InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ctx) error
 
 	// TryLead attempts to acquire leadership of group for id, returning

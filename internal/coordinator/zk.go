@@ -186,13 +186,13 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		z.tel.invalidations.Inc()
 		return nil
 	}
-	targets := make([]*zkSession, 0, nmax)
+	targets := make([]zkTarget, 0, nmax)
 	seen := make(map[string]bool, nmax)
 	for _, dep := range deps {
 		for id, s := range z.deps[dep] {
 			if !seen[id] && !wroteAll(invs, id) {
 				seen[id] = true
-				targets = append(targets, s)
+				targets = append(targets, zkTarget{s: s})
 			}
 		}
 	}
@@ -200,7 +200,11 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	z.tel.invalidations.Inc()
 	// Deterministic delivery order: membership is a map, so sort by id
 	// before fanning out.
-	slices.SortFunc(targets, func(a, b *zkSession) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(targets, func(a, b zkTarget) int { return cmp.Compare(a.s.id, b.s.id) })
+	// The deliveries read the round's own copy of the batch: a straggler
+	// or a hedged re-send may still be delivering after the round returns,
+	// and by then the caller may be reusing invs.
+	batch := slices.Clone(invs)
 	z.tel.watches.Add(float64(len(targets)))
 	invStart := z.clk.Now()
 
@@ -221,7 +225,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		z.clk.Sleep(2 * z.cfg.HopLatency)
 		// A member that terminated mid-protocol is excused.
 		if !s.gone.IsSet() {
-			for _, inv := range invs {
+			for _, inv := range batch {
 				if inv.Writer == s.id {
 					continue
 				}
@@ -234,8 +238,8 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		sem.Send(struct{}{})
 		acks.Send(i)
 	}
-	for i, s := range targets {
-		clock.Go(z.clk, func() { deliver(i, s) })
+	for i, t := range targets {
+		clock.Go(z.clk, func() { deliver(i, t.s) })
 	}
 
 	// Gather: wait for every target's ACK until the deadline, stopping once
@@ -245,24 +249,23 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 	if z.cfg.HedgeAfter > 0 && z.cfg.HedgeAfter < z.cfg.AckTimeout {
 		waitBy, hedged = clock.DeadlineIn(z.clk, z.cfg.HedgeAfter), false
 	}
-	acked := make([]bool, len(targets))
 	need := len(targets)
 	timedOut := false
 	for need > 0 && !timedOut {
 		i, ok := acks.RecvBy(waitBy)
 		switch {
 		case ok:
-			if !acked[i] {
-				acked[i] = true
+			if !targets[i].acked {
+				targets[i].acked = true
 				need--
 			}
 		case !hedged:
 			// Duplicate delivery is benign — handlers are idempotent.
 			waitBy, hedged = ackBy, true
-			for i, s := range targets {
-				if !acked[i] && !s.gone.IsSet() {
+			for i, t := range targets {
+				if !t.acked && !t.s.gone.IsSet() {
 					z.tel.hedgedINVs.Inc()
-					clock.Go(z.clk, func() { deliver(i, s) })
+					clock.Go(z.clk, func() { deliver(i, t.s) })
 				}
 			}
 		default:
@@ -274,12 +277,19 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		return nil
 	}
 	errs := make([]error, 0, len(targets))
-	for i, s := range targets {
-		if !acked[i] {
-			errs = append(errs, fmt.Errorf("target %s: %w", s.id, ErrAckTimeout))
+	for _, t := range targets {
+		if !t.acked {
+			errs = append(errs, fmt.Errorf("target %s: %w", t.s.id, ErrAckTimeout))
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// zkTarget is one member an INV/ACK round delivers to, and whether it has
+// ACKed.
+type zkTarget struct {
+	s     *zkSession
+	acked bool
 }
 
 // wroteAll reports whether member id wrote every inv of the batch.

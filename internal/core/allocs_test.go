@@ -3,10 +3,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
@@ -85,43 +87,94 @@ func TestExecuteMissAllocs(t *testing.T) {
 	})
 }
 
-// A warm write's host cost, through Engine.Execute. Per op: the
-// transaction, its write buffer (a map and its first group), the lock
-// phase's argument list, reply and the one array behind its chains, a
-// private copy of each exclusive row the walks read (the parent, once per
-// path; a delete's or a mv's target), the row a create builds, a mv's INV
-// targets and the response. Each written row is that one new version — the
-// store takes over the row built or the private copy handed out, copying
-// neither and no block list — and the commit builds no record or frame of
-// its own. (Not under -race: the detector allocates.)
+// writerEngine is the one engine of a one-deployment fleet: it owns every
+// path, so each write's INV round has no member but the writer — the
+// shape of every deployment that serves a benchmark workload.
+func writerEngine(clk *clock.Sim) *Engine {
+	st := fastStore(clk)
+	zk := fastCoord(clk, st)
+	cfg := DefaultEngineConfig()
+	cfg.OpCPUCost, cfg.SubtreeCPUPerINode = 0, 0
+	e := NewEngine("nn-w", 0, clk, st, partition.NewRing(1, 0), zk, nil, cfg)
+	zk.Register(0, e.ID(), e.HandleInvalidation)
+	return e
+}
+
+// opAllocs is testing.AllocsPerRun for op alone: before each run, prep
+// readies what op acts on, uncounted, and the first run warms up, uncounted
+// too. Like AllocsPerRun it truncates the mean, so a map's amortized growth
+// does not show.
+func opAllocs(prep, op func()) float64 {
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prep()
+	op()
+	var ms runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		prep()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		op()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	return float64(mallocs / runs)
+}
+
+// A warm write's host cost, through Engine.Execute, one pin per op kind.
+// Every write pays three things: the transaction, the lock phase's argument
+// list and the response. Then one private copy of each exclusive row its
+// walks read: the parent, once per path, and a delete's or a mv's target.
+//   - create 5: the three, the parent's copy and the row it builds;
+//   - delete 5: the three and the target's and the parent's copies;
+//   - mv inside a directory 6: the three, the target's copy and the
+//     parent's copy once per path;
+//   - mv across directories 7: the three, three copies, and the lock set's
+//     growth past eight rows;
+//   - leaf mkdirs 10: the three, the parent's copy, the directory it
+//     builds and that directory's child table in the store, the component
+//     list it splits and the three paths it joins on the way down.
+//
+// Nothing else: the write set, the lock phase's reply and chains, the INV
+// round's targets and batch and, on a contended row, the lock waiter are
+// reused (the transaction's inline buffers, the engine's free list, the
+// lock table's). Each written row is that one new version — the store takes
+// over the row built or the private copy handed out, copying neither and no
+// block list — and the commit builds no record or frame of its own. (Not
+// under -race: the detector allocates.)
 func TestExecuteWriteAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		e, _ := soloEngine(clk)
+		e := writerEngine(clk)
 		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		mustOK(t, e, namespace.OpMkdirs, "/a/c", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
-		create := namespace.Request{Op: namespace.OpCreate, Path: "/a/b/h"}
-		del := namespace.Request{Op: namespace.OpDelete, Path: "/a/b/h"}
-		there := namespace.Request{Op: namespace.OpMv, Path: "/a/b/f", Dest: "/a/b/g"}
-		back := namespace.Request{Op: namespace.OpMv, Path: "/a/b/g", Dest: "/a/b/f"}
-		run := func(reqs ...namespace.Request) func() {
+		mustOK(t, e, namespace.OpCreate, "/a/b/x", "")
+		exec := func(op namespace.OpType, path, dest string) func() {
+			req := namespace.Request{Op: op, Path: path, Dest: dest}
 			return func() {
-				for _, req := range reqs {
-					if resp := e.Execute(req); !resp.OK() {
-						t.Fatalf("%v %s: %s", req.Op, req.Path, resp.Err)
-					}
+				if resp := e.Execute(req); !resp.OK() {
+					t.Fatalf("%v %s: %s", op, path, resp.Err)
 				}
 			}
 		}
+		// settle readies a row for the op measured; it may find it ready.
+		settle := func(op namespace.OpType, path, dest string) func() {
+			req := namespace.Request{Op: op, Path: path, Dest: dest}
+			return func() { e.Execute(req) }
+		}
 		for _, c := range []struct {
-			what string
-			reqs []namespace.Request
-			want float64
+			what     string
+			prep, op func()
+			want     float64
 		}{
-			{"create and delete of a depth-3 file", []namespace.Request{create, del}, 20},
-			{"a file mv inside a directory and back", []namespace.Request{there, back}, 22},
+			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 5},
+			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 5},
+			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 6},
+			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 7},
+			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 10},
 		} {
-			run(c.reqs...)() // warm: the lock table and the store's scratch
-			if got := testing.AllocsPerRun(100, run(c.reqs...)); got != c.want {
+			if got := opAllocs(c.prep, c.op); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
 			}
 		}

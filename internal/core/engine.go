@@ -59,6 +59,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"lambdafs/internal/cache"
@@ -166,6 +167,9 @@ type Engine struct {
 	results *resultCache
 	offload Offloader // nil → run subtree batches locally
 	tel     coreTelemetry
+
+	invMu   sync.Mutex
+	invFree []*invRound // spent INV round scratch, reused by invalidateAll
 }
 
 // coreTelemetry holds the engine's registry instruments. The registry is
@@ -472,22 +476,50 @@ type written struct {
 	gone   string
 }
 
-// invTargets computes the deployments whose caches may hold metadata
-// invalidated by a single-INode write: each written path's owner, which
-// caches the INode and, being where its siblings live, the parent's listing
-// too. One deployment per written directory. Unpartitioned engines
+// invTargets appends to deps the deployments whose caches may hold
+// metadata invalidated by a single-INode write: each written path's owner,
+// which caches the INode and, being where its siblings live, the parent's
+// listing too. One deployment per written directory. Unpartitioned engines
 // (serverful cached baselines) target every peer.
-func (e *Engine) invTargets(ws []written) []int {
+func (e *Engine) invTargets(deps []int, ws []written) []int {
 	if e.ring == nil {
-		return []int{e.dep}
+		return append(deps, e.dep)
 	}
-	deps := make([]int, 0, len(ws))
 	for i := range ws {
 		if d := e.ring.DeploymentForPath(ws[i].path); !slices.Contains(deps, d) {
 			deps = append(deps, d)
 		}
 	}
 	return deps
+}
+
+// invRound is one INV round's scratch: its target deployments and its
+// batch. The coordinator reads neither once the round returns, so a spent
+// one goes back to the engine's free list with its arrays.
+type invRound struct {
+	deps []int
+	invs []coordinator.Invalidation
+}
+
+// getInvRound returns a spent round's scratch, emptied, or a new one.
+func (e *Engine) getInvRound() *invRound {
+	e.invMu.Lock()
+	defer e.invMu.Unlock()
+	if n := len(e.invFree); n > 0 {
+		r := e.invFree[n-1]
+		e.invFree = e.invFree[:n-1]
+		return r
+	}
+	return new(invRound)
+}
+
+// putInvRound gives back a round's scratch; its batch keeps no path alive.
+func (e *Engine) putInvRound(r *invRound) {
+	clear(r.invs)
+	r.deps, r.invs = r.deps[:0], r.invs[:0]
+	e.invMu.Lock()
+	e.invFree = append(e.invFree, r)
+	e.invMu.Unlock()
 }
 
 // ownsPath reports whether this engine's deployment is the owner of path's
@@ -511,7 +543,10 @@ func (e *Engine) ownsPath(path string) bool {
 // the local half only suspends the listing (invalidateLocal) and a hook at
 // tx's commit point brings it back exact.
 func (e *Engine) invalidateAll(tc *trace.Ctx, tx store.Tx, ws ...written) error {
-	deps := e.invTargets(ws)
+	r := e.getInvRound()
+	defer e.putInvRound(r)
+	r.deps = e.invTargets(r.deps, ws)
+	deps := r.deps
 	paths := len(ws)
 	for i := range ws {
 		if ws[i].gone != "" {
@@ -529,18 +564,17 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, tx store.Tx, ws ...written) error 
 	}
 	var invErr error
 	if e.coord != nil {
-		invs := make([]coordinator.Invalidation, 0, paths)
 		for i := range ws {
 			if ws[i].gone != "" {
-				invs = append(invs, coordinator.Invalidation{Path: ws[i].gone, Writer: e.id})
+				r.invs = append(r.invs, coordinator.Invalidation{Path: ws[i].gone, Writer: e.id})
 			}
-			invs = append(invs, coordinator.Invalidation{Path: ws[i].path, Writer: e.id})
+			r.invs = append(r.invs, coordinator.Invalidation{Path: ws[i].path, Writer: e.id})
 		}
 		e.tel.parallelInvs.Add(float64(paths))
 		// Target legs nest under the coherence.inv span, so the
 		// critical-path walk sees the exchange as parent of its slowest
 		// member leg; each leg bills its own INV delivery.
-		invErr = e.coord.InvalidateBatchTraced(deps, invs, sp.Ctx())
+		invErr = e.coord.InvalidateBatchTraced(deps, r.invs, sp.Ctx())
 	}
 	// The local invalidation is unconditionally safe (it only removes
 	// entries), so apply it even when a remote ACK timed out — the caller

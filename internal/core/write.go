@@ -121,7 +121,8 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, comps []string, first *i
 		curPath = namespace.JoinPath(curPath, c)
 	}
 	now := e.clk.Now()
-	var created []written
+	var createdBuf [1]written // a leaf mkdirs creates one directory
+	created := createdBuf[:0]
 	var cur *namespace.INode
 	for i := *first; i < len(comps); i++ {
 		curPath = namespace.JoinPath(curPath, comps[i])

@@ -5,6 +5,7 @@ package ndb
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
@@ -57,19 +58,19 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 3 {
 			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 3", got)
 		}
-		// A rename's lock phase: the transaction, the reply, one backing
-		// array for both chains, a private copy of each exclusive row each
-		// walk reads (/a/b twice, /a/b/c/d/e and f; a copy shares the block
-		// list) and the lock set's growth past eight rows — the plans, their
-		// splits and the per-shard counts are on the stack.
+		// A rename's lock phase: the transaction, a private copy of each
+		// exclusive row each walk reads (/a/b twice, /a/b/c/d/e and f; a copy
+		// shares the block list) and the lock set's growth past eight rows —
+		// the plans, their splits and the per-shard counts are on the stack,
+		// and the reply and its chains are the transaction's inline buffers.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if locked, err := tx.LockPaths(path, "/a/b/g"); err != nil || len(locked) != 2 {
 				t.Fatalf("lock %s and /a/b/g: %d paths, %v", path, len(locked), err)
 			}
 			tx.Abort()
-		}); got != 8 {
-			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 8", got)
+		}); got != 6 {
+			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 6", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}
@@ -85,6 +86,36 @@ func TestReadPathAllocs(t *testing.T) {
 		cycle() // the table parks eight rowLocks
 		if got := testing.AllocsPerRun(100, cycle); got != 0 {
 			t.Errorf("uncontended acquire and release of 8 rows: %v allocs, want 0", got)
+		}
+
+		// A contended acquire parks a waiter until the holder releases: the
+		// waiter and its grant event are the table's spares, and the spawn
+		// and join are the clock's (a prebuilt fn, one Event per run).
+		holder, waiter := &lockTx{owner: "a"}, &lockTx{owner: "b"}
+		done := make([]*clock.Event, 101)
+		for i := range done {
+			done[i] = clock.NewEvent(clk)
+		}
+		run := 0
+		wait := func() {
+			if w, err := lm.Acquire(waiter, keys[0], true); err != nil || w != time.Millisecond {
+				t.Errorf("contended acquire: waited %v, %v; want 1ms, granted", w, err)
+			}
+			lm.ReleaseAll(waiter)
+			done[run].Set()
+		}
+		contend := func() {
+			if _, err := lm.Acquire(holder, keys[0], true); err != nil {
+				t.Fatal(err)
+			}
+			clock.Go(clk, wait)
+			clk.Sleep(time.Millisecond)
+			lm.ReleaseAll(holder)
+			done[run].Wait()
+			run++
+		}
+		if got := testing.AllocsPerRun(100, contend); got != 0 {
+			t.Errorf("warm contended acquire and release: %v allocs, want 0", got)
 		}
 	})
 }
@@ -107,13 +138,13 @@ func TestDurablePathAllocs(t *testing.T) {
 			mustCommit(t, tx)
 			d.cropWAL(d.walShard(d.LastLSN()), 0) // keep the log's capacity: no growth
 		}
-		// The transaction and its write buffer (the map and its first
-		// group) — and no copy of the row, which the store takes over, no
-		// record and no encode buffer, which are the store's reused ones,
-		// and no detail for a commit span no one traces.
+		// The transaction alone: its write set is its inline buffer, the
+		// store takes the row over without a copy, the record and the
+		// encode buffer are the store's reused ones, and a commit span no
+		// one traces gets no detail.
 		commit()
-		if got := testing.AllocsPerRun(100, commit); got != 3 {
-			t.Errorf("one-row durable commit: %v allocs, want 3", got)
+		if got := testing.AllocsPerRun(100, commit); got != 1 {
+			t.Errorf("one-row durable commit: %v allocs, want 1", got)
 		}
 
 		// Each shard's copy of the metadata into its memtable and each

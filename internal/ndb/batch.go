@@ -353,8 +353,7 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 		}
 	}
 	t.chargePlans(plans, split, false)
-	out := make([]store.LockedPath, len(paths))
-	rows := make([]*namespace.INode, len(split)+n) // each path's root … terminal, back to back
+	out, rows := t.lockedStorage(n, len(split)+n) // rows: each path's root … terminal, back to back
 	for _, i := range order {
 		parents := plans[i].to - plans[i].from // rows root … parent
 		at := plans[i].from + i                // past the earlier paths' components and a root each
@@ -373,6 +372,18 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 		}
 	}
 	return out, nil
+}
+
+// lockedStorage returns a LockPaths reply of n paths and the rows backing
+// their chains: the transaction's inline buffers for its first reply when
+// they fit, else new slices, so every reply stays valid until the
+// transaction ends.
+func (t *tx) lockedStorage(n, rows int) ([]store.LockedPath, []*namespace.INode) {
+	if t.lockedOut || n > len(t.lockedBuf) || rows > len(t.chainBuf) {
+		return make([]store.LockedPath, n), make([]*namespace.INode, rows)
+	}
+	t.lockedOut = true
+	return t.lockedBuf[:n:n], t.chainBuf[:rows:rows]
 }
 
 // lockChild finds, locks and re-reads the row named name inside parent,

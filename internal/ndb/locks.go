@@ -25,6 +25,7 @@ type lockManager struct {
 	rows        map[rowKey]*rowLock
 	txs         map[*lockTx]struct{} // those holding at least one row (ReleaseOwner's index)
 	free        []*rowLock           // emptied rowLocks, reused with their slices
+	freeWaiters []*lockWaiter        // spent waiters, reused with their events
 	waitTimeout time.Duration
 	// waits counts acquisitions that could not be granted immediately
 	// (nil-safe; set by ndb.New when a telemetry registry is wired).
@@ -105,8 +106,8 @@ func (lm *lockManager) grant(rl *rowLock, key rowKey, tx *lockTx, exclusive bool
 // Acquire blocks until the lock is granted or the wait times out. It
 // returns the *virtual* time spent waiting (0 on an immediate grant) so
 // callers can attribute lock contention per transaction and per span. An
-// uncontended acquire builds no string and, rowLocks being reused, allocates
-// nothing.
+// acquire builds no string and, rowLocks and waiters being reused, allocates
+// nothing once the table is warm, contended or not.
 func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Duration, error) {
 	lm.mu.Lock()
 	rl := lm.rows[key]
@@ -123,24 +124,34 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 		lm.mu.Unlock()
 		return 0, nil
 	}
-	w := &lockWaiter{tx: tx, exclusive: exclusive, ready: clock.NewEvent(lm.clk)}
+	var w *lockWaiter
+	if n := len(lm.freeWaiters); n > 0 {
+		w, lm.freeWaiters = lm.freeWaiters[n-1], lm.freeWaiters[:n-1]
+	} else {
+		w = &lockWaiter{ready: clock.NewEvent(lm.clk)}
+	}
+	w.tx, w.exclusive = tx, exclusive
 	rl.waiters = append(rl.waiters, w)
 	lm.mu.Unlock()
 	lm.waits.Inc()
 	waitStart := lm.clk.Now()
 
-	if !w.ready.WaitBy(clock.DeadlineIn(lm.clk, lm.waitTimeout)) {
-		// Timed out — unless a grant landed on the same instant: promote
-		// sets ready under lm.mu, so under lm.mu the answer is final.
-		lm.mu.Lock()
-		granted := w.ready.IsSet()
-		if !granted {
+	granted := w.ready.WaitBy(clock.DeadlineIn(lm.clk, lm.waitTimeout))
+	lm.mu.Lock()
+	// A timeout may lose to a grant on the same instant: promote sets ready
+	// under lm.mu, so under lm.mu the answer is final. Either way no row
+	// lists w any more, and it is spare.
+	if !granted {
+		if granted = w.ready.IsSet(); !granted {
 			rl.waiters = slices.DeleteFunc(rl.waiters, func(o *lockWaiter) bool { return o == w })
 		}
-		lm.mu.Unlock()
-		if !granted {
-			return lm.clk.Now().Sub(waitStart), store.ErrLockTimeout
-		}
+	}
+	w.tx = nil
+	w.ready.Reset()
+	lm.freeWaiters = append(lm.freeWaiters, w)
+	lm.mu.Unlock()
+	if !granted {
+		return lm.clk.Now().Sub(waitStart), store.ErrLockTimeout
 	}
 	return lm.clk.Now().Sub(waitStart), nil
 }

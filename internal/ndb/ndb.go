@@ -27,6 +27,16 @@
 // Deadlock avoidance is that order — which LockPaths fixes for a write's
 // whole row set (paths sorted, each walked root-down, strongest mode and
 // slot-first per row up front) — plus the LockWaitTimeout backstop.
+//
+// # The write set
+//
+// A transaction buffers its row writes in a list it owns, one entry per
+// row in the order the row was first written (a later write of the row
+// replaces its entry in place), with inline room for a usual write's
+// rows; its reads see their own writes through it. At commit the WAL
+// record takes the list's puts and deletes sorted by row ID, and the apply
+// follows the record, so a record's bytes depend only on what the
+// transaction wrote.
 package ndb
 
 import (

@@ -1093,3 +1093,129 @@ func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
 		}
 	})
 }
+
+// TestConcurrentTxsKeepTheirOwnBuffers: the LockPaths reply and the write
+// set live in the transaction, so two transactions in flight on one store
+// at once each keep their own, and a second LockPaths in one transaction
+// leaves the first reply as it was.
+func TestConcurrentTxsKeepTheirOwnBuffers(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		names := []string{"a", "b"}
+		dirs := []namespace.INodeID{addDir(t, db, namespace.RootID, "a"), addDir(t, db, namespace.RootID, "b")}
+		for _, dir := range dirs {
+			addDir(t, db, dir, "s")
+		}
+		files := []namespace.INodeID{db.NextID(), db.NextID()}
+		g := clock.NewGroup(clk)
+		for i, name := range names {
+			g.Go(func() {
+				w := db.Begin(name).(*tx)
+				first, err := w.LockPaths("/" + name + "/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				clk.Sleep(time.Millisecond) // the other transaction locks meanwhile
+				second, err := w.LockPaths("/" + name + "/s/g")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				dir := first[0].Chain[len(first[0].Chain)-1]
+				if dir.ID != dirs[i] || first[0].Target != nil || len(first[0].Chain) != 2 {
+					t.Errorf("%s: first reply = %+v, want /%s's chain and no target", name, first[0], name)
+				}
+				if len(second[0].Chain) != 3 || second[0].Chain[1].ID != dirs[i] || &second[0].Chain[0] == &first[0].Chain[0] {
+					t.Errorf("%s: second reply = %+v, want /%s/s's chain in storage of its own", name, second[0], name)
+				}
+				if err := w.PutINode(&namespace.INode{ID: files[i], ParentID: dir.ID, Name: "f"}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := w.PutINode(dir); err != nil {
+					t.Error(err)
+					return
+				}
+				clk.Sleep(time.Millisecond) // the other transaction buffers meanwhile
+				if got := w.writeCount(); got != 2 {
+					t.Errorf("%s: %d buffered writes, want its own 2", name, got)
+				}
+				if n, err := w.GetINode(files[1-i], store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
+					t.Errorf("%s reads the other transaction's buffered row: %v, %v", name, n, err)
+				}
+				clk.Sleep(time.Millisecond) // both check before either commits
+				if err := w.Commit(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		g.Wait()
+		for i, id := range files {
+			if n := db.inodes[id]; n == nil || n.ParentID != dirs[i] {
+				t.Errorf("committed %d = %v, want f under /%s", id, n, names[i])
+			}
+		}
+	})
+}
+
+// TestTxLargeWriteSet: a write set past indexFrom rows reads back through
+// its index as a small one does through its scan — rows rewritten or
+// deleted from either side of the index's building included — and commits
+// each row once, at its last version.
+func TestTxLargeWriteSet(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		dir := addDir(t, db, namespace.RootID, "d")
+		w := db.Begin("w").(*tx)
+		put := func(n *namespace.INode) {
+			t.Helper()
+			if err := w.PutINode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows := make([]*namespace.INode, 2*indexFrom)
+		for i := range rows {
+			rows[i] = &namespace.INode{ID: db.NextID(), ParentID: dir, Name: fmt.Sprintf("f%03d", i)}
+			put(rows[i])
+		}
+		for _, i := range []int{0, len(rows) - 1} { // buffered before and after the index
+			rows[i] = &namespace.INode{ID: rows[i].ID, ParentID: dir, Name: rows[i].Name, Size: 7}
+			put(rows[i])
+		}
+		for _, i := range []int{1, len(rows) - 2} {
+			if err := w.DeleteINode(rows[i].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deleted := []*namespace.INode{rows[1], rows[len(rows)-2]}
+		if len(w.rows) != len(rows) || w.index == nil {
+			t.Fatalf("%d buffered rows (index %v), want one per row, %d, indexed", len(w.rows), w.index != nil, len(rows))
+		}
+		live := slices.DeleteFunc(slices.Clone(rows), func(n *namespace.INode) bool { return slices.Contains(deleted, n) })
+		for _, n := range live {
+			if got := w.readINode(n.ID, store.LockNone); got != n {
+				t.Errorf("readINode(%d) = %v, want the last version put", n.ID, got)
+			}
+		}
+		for _, n := range deleted {
+			if got := w.readINode(n.ID, store.LockNone); got != nil {
+				t.Errorf("deleted row %d reads back as %v", n.ID, got)
+			}
+		}
+		if kids := w.childrenOf(dir, store.LockNone); !slices.Equal(kids, live) {
+			t.Errorf("listing has %d rows, want the %d live ones in name order", len(kids), len(live))
+		}
+		mustCommit(t, w)
+		for _, n := range live {
+			if got := db.inodes[n.ID]; got != n {
+				t.Errorf("committed %d = %v, want the last version put", n.ID, got)
+			}
+		}
+		for _, n := range deleted {
+			if got := db.inodes[n.ID]; got != nil {
+				t.Errorf("deleted row %d committed as %v", n.ID, got)
+			}
+		}
+	})
+}

@@ -117,3 +117,29 @@ func TestStatsWithoutRegistry(t *testing.T) {
 		}
 	})
 }
+
+// TestReadOnlyAbortIsNotCounted: a cache fill ends its shared-locked
+// transaction with Abort, which undoes nothing; only a transaction that
+// asked for an exclusive lock counts in lambdafs_ndb_tx_aborts_total.
+func TestReadOnlyAbortIsNotCounted(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		addFile(t, db, namespace.RootID, "f")
+		fill := db.Begin("reader")
+		if _, err := fill.ResolvePathBatched("/f", store.LockShared, store.LockShared); err != nil {
+			t.Fatal(err)
+		}
+		fill.Abort()
+		if n := db.Stats().Aborts; n != 0 {
+			t.Fatalf("a shared-locked resolve ended by Abort counted %d aborts, want 0", n)
+		}
+		write := db.Begin("writer")
+		if _, err := write.LockPaths("/f"); err != nil {
+			t.Fatal(err)
+		}
+		write.Abort()
+		if n := db.Stats().Aborts; n != 1 {
+			t.Fatalf("an aborted write's lock phase counted %d aborts, want 1", n)
+		}
+	})
+}

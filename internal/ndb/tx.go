@@ -17,16 +17,32 @@ import (
 // the store's structure lock, while row locks (strict 2PL) provide
 // isolation against concurrent transactions.
 type tx struct {
-	db   *DB
-	lt   lockTx // identity and holdings in the lock table
-	done bool
-	tc   *trace.Ctx // nil when untraced
+	db        *DB
+	lt        lockTx // identity and holdings in the lock table
+	done      bool
+	exclusive bool       // asked for an exclusive lock: a write transaction
+	lockedOut bool       // lockedBuf and chainBuf back a LockPaths reply
+	tc        *trace.Ctx // nil when untraced
 
-	inodes map[namespace.INodeID]*namespace.INode // buffered row writes; nil marks a delete
+	rows   []rowWrite                // buffered row writes, one per row, in write order
+	index  map[namespace.INodeID]int // each row's place in rows, once rows reaches indexFrom
 	kvPuts map[kvRef][]byte
 	kvDels map[kvRef]bool
 
 	atCommit []func() // commit-point hooks, in registration order
+
+	// Inline backing for the common write: its write set, and the first
+	// LockPaths reply with its chains (up to ten components across a
+	// rename's two paths). Anything larger spills to the heap.
+	rowBuf    [4]rowWrite
+	lockedBuf [2]store.LockedPath
+	chainBuf  [12]*namespace.INode
+}
+
+// rowWrite is one buffered row write: n, or nil for a delete of row id.
+type rowWrite struct {
+	id namespace.INodeID
+	n  *namespace.INode
 }
 
 var _ store.Tx = (*tx)(nil)
@@ -48,13 +64,19 @@ func (t *tx) lock(key rowKey, mode store.LockMode) error {
 	if mode == store.LockNone {
 		return nil
 	}
+	if mode == store.LockExclusive {
+		t.exclusive = true
+	}
 	// The span is opened before the acquire so a contended wait is timed
 	// from its true start; an immediate grant cancels it (no span spam on
-	// the uncontended fast path — with a nil trace context this is free).
+	// the uncontended fast path — with a nil trace context this is free,
+	// and so is a wait: the key's string is built for a traced span only).
 	sp := t.tc.Start(trace.KindStoreLock)
 	wait, err := t.db.locks.Acquire(&t.lt, key, mode == store.LockExclusive)
 	if wait > 0 {
-		sp.SetDetail(key.String())
+		if sp != nil {
+			sp.SetDetail(key.String())
+		}
 		sp.AddLockWait(wait)
 		sp.End()
 		t.db.tel.lockWaitSec.Add(wait.Seconds())
@@ -86,18 +108,49 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 
 // bufferedChild looks for a buffered put matching (parent, name).
 func (t *tx) bufferedChild(parent namespace.INodeID, name string) *namespace.INode {
-	for _, n := range t.inodes {
-		if n != nil && n.ParentID == parent && n.Name == name {
+	for _, w := range t.rows {
+		if n := w.n; n != nil && n.ParentID == parent && n.Name == name {
 			return n
 		}
 	}
 	return nil
 }
 
+// indexFrom is the write-set size from which a transaction also indexes
+// its rows by ID. A usual write scans a few rows; a subtree delete batch
+// buffers up to 512, and scanning those once per row written cost such a
+// batch 590 µs of host time against 380 µs with the index (2 vCPU).
+const indexFrom = 32
+
+// find returns the place of row id in the write set, or -1.
+func (t *tx) find(id namespace.INodeID) int {
+	if t.index != nil {
+		if i, ok := t.index[id]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.rows {
+		if t.rows[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// buffered returns this transaction's write of row id: ok, and nil for a
+// delete, when it wrote the row.
+func (t *tx) buffered(id namespace.INodeID) (n *namespace.INode, ok bool) {
+	if i := t.find(id); i >= 0 {
+		return t.rows[i].n, true
+	}
+	return nil, false
+}
+
 // readINode reads a row, locked with mode, through the transaction's write
 // buffer; nil when there is none.
 func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
-	if n, ok := t.inodes[id]; ok {
+	if n, ok := t.buffered(id); ok {
 		return handOut(n, mode) // nil for a buffered delete
 	}
 	t.db.mu.RLock()
@@ -115,16 +168,16 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 	kids := t.db.children[dir]
 	out := make([]*namespace.INode, 0, len(kids))
 	for _, id := range kids {
-		if _, ok := t.inodes[id]; ok {
+		if _, ok := t.buffered(id); ok {
 			continue // this transaction's version decides, below
 		}
 		if n := t.db.inodes[id]; n != nil {
 			out = append(out, handOut(n, mode))
 		}
 	}
-	for _, n := range t.inodes {
-		if n != nil && n.ParentID == dir {
-			out = append(out, handOut(n, mode))
+	for _, w := range t.rows {
+		if w.n != nil && w.n.ParentID == dir {
+			out = append(out, handOut(w.n, mode))
 		}
 	}
 	t.db.mu.RUnlock()
@@ -136,7 +189,7 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 // or delete must lock besides its own: the transaction's buffered put, else
 // the committed row (nil when there is none).
 func (t *tx) slotHolder(id namespace.INodeID) *namespace.INode {
-	if n := t.inodes[id]; n != nil {
+	if n, _ := t.buffered(id); n != nil {
 		return n
 	}
 	t.db.mu.RLock()
@@ -171,12 +224,26 @@ func (t *tx) PutINode(n *namespace.INode) error {
 	return nil
 }
 
-// buffer records row id's write: n, or nil for a delete.
+// buffer records row id's write: n, or nil for a delete. A row written
+// again keeps its place in the write order.
 func (t *tx) buffer(id namespace.INodeID, n *namespace.INode) {
-	if t.inodes == nil {
-		t.inodes = make(map[namespace.INodeID]*namespace.INode)
+	if i := t.find(id); i >= 0 {
+		t.rows[i].n = n
+		return
 	}
-	t.inodes[id] = n
+	if t.rows == nil {
+		t.rows = t.rowBuf[:0]
+	}
+	t.rows = append(t.rows, rowWrite{id, n})
+	switch {
+	case t.index != nil:
+		t.index[id] = len(t.rows) - 1
+	case len(t.rows) == indexFrom:
+		t.index = make(map[namespace.INodeID]int, 2*indexFrom)
+		for i, w := range t.rows {
+			t.index[w.id] = i
+		}
+	}
 }
 
 // DeleteINode buffers a row deletion.
@@ -261,14 +328,14 @@ func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
 
 // writeCount returns the number of buffered row writes.
 func (t *tx) writeCount() int {
-	return len(t.inodes) + len(t.kvPuts) + len(t.kvDels)
+	return len(t.rows) + len(t.kvPuts) + len(t.kvDels)
 }
 
 // countWrites counts each buffered row write on its key's shard into
 // perShard, which the caller hands over zeroed, and returns it.
 func (t *tx) countWrites(perShard []int) []int {
-	for id := range t.inodes {
-		perShard[t.db.shardFor(inodeKey(id))]++
+	for _, w := range t.rows {
+		perShard[t.db.shardFor(inodeKey(w.id))]++
 	}
 	for ref := range t.kvPuts {
 		perShard[t.db.shardFor(kvKey(ref.table, ref.key))]++
@@ -355,11 +422,11 @@ func (t *tx) logAndApply() int {
 	defer db.mu.Unlock()
 	rec := &db.walRec
 	*rec = walRecord{puts: rec.puts[:0], dels: rec.dels[:0], kvPuts: rec.kvPuts[:0], kvDels: rec.kvDels[:0]}
-	for id, n := range t.inodes {
-		if n == nil {
-			rec.dels = append(rec.dels, id)
+	for _, w := range t.rows {
+		if w.n == nil {
+			rec.dels = append(rec.dels, w.id)
 		} else {
-			rec.puts = append(rec.puts, n)
+			rec.puts = append(rec.puts, w.n)
 		}
 	}
 	for ref, v := range t.kvPuts {
@@ -386,12 +453,16 @@ func (t *tx) logAndApply() int {
 	return walBytes
 }
 
-// Abort discards buffered writes and releases locks; idempotent.
+// Abort discards buffered writes and releases locks; idempotent. Only a
+// write transaction's abort is counted: a read-only one ending here has
+// nothing to undo.
 func (t *tx) Abort() {
 	if t.done {
 		return
 	}
 	t.done = true
 	t.db.locks.ReleaseAll(&t.lt)
-	t.db.tel.aborts.Inc()
+	if t.exclusive {
+		t.db.tel.aborts.Inc()
+	}
 }

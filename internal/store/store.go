@@ -146,7 +146,9 @@ type Tx interface {
 	// namespace.ErrNotFound, and the failing path's LockedPath.Chain holds
 	// the rows that do exist, root down — a chain shorter than the parent's
 	// depth says where the path first goes missing. The root itself is not
-	// a valid target.
+	// a valid target. The reply and its chains may be storage the
+	// transaction owns: they stay valid until Commit or Abort, and no
+	// longer.
 	LockPaths(paths ...string) ([]LockedPath, error)
 
 	// GetINodesBatched fetches the given INodes as one batched per-shard
