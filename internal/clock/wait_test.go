@@ -447,3 +447,28 @@ func TestLateWakerMissesReusedWaiter(t *testing.T) {
 		}
 	}
 }
+
+// TestEventReset: a reset event is unset again — a wait on it runs to its
+// deadline — and the next Set wakes a waiter parked on it as on a new one.
+func TestEventReset(t *testing.T) {
+	s := NewSim()
+	defer s.Close()
+	Run(s, func() {
+		ev := NewEvent(s)
+		ev.Set()
+		ev.Reset()
+		if ev.IsSet() || ev.WaitBy(DeadlineIn(s, time.Millisecond)) {
+			t.Fatal("a reset event still reads set")
+		}
+		g := NewGroup(s)
+		g.Go(func() {
+			s.Sleep(time.Millisecond)
+			ev.Set()
+		})
+		start := s.Now()
+		if !ev.WaitBy(DeadlineIn(s, time.Hour)) || s.Since(start) != time.Millisecond {
+			t.Errorf("a wait on a reset event ended after %v, want the Set's 1ms", s.Since(start))
+		}
+		g.Wait()
+	})
+}

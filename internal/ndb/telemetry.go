@@ -27,9 +27,13 @@ type storeTelemetry struct {
 
 func newStoreTelemetry(reg *telemetry.Registry) storeTelemetry {
 	return storeTelemetry{
-		reads:           reg.Counter("lambdafs_ndb_reads_total"),
-		writes:          reg.Counter("lambdafs_ndb_writes_total"),
-		commits:         reg.Counter("lambdafs_ndb_tx_commits_total"),
+		reads:   reg.Counter("lambdafs_ndb_reads_total"),
+		writes:  reg.Counter("lambdafs_ndb_writes_total"),
+		commits: reg.Counter("lambdafs_ndb_tx_commits_total"),
+		// Write transactions aborted: an Abort, or a failed Commit, of a
+		// transaction that asked for an exclusive lock. A read-only
+		// transaction ending in Abort, as every cache fill does, has
+		// nothing to undo and is not counted.
 		aborts:          reg.Counter("lambdafs_ndb_tx_aborts_total"),
 		lockTimeouts:    reg.Counter("lambdafs_ndb_lock_timeouts_total"),
 		batchedResolves: reg.Counter("lambdafs_ndb_batched_resolves_total"),
