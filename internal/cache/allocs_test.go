@@ -10,8 +10,9 @@ import (
 )
 
 // The hit paths copy no INode and split no path: what they allocate is the
-// slice handed back — a fixed count, whatever the rows hold. (Not under
-// -race: the detector allocates.)
+// slice handed back — a fixed count, whatever the rows hold — and nothing
+// when the caller's buffer holds the chain. (Not under -race: the detector
+// allocates.)
 func TestHitPathAllocs(t *testing.T) {
 	c := New(0)
 	c.PutChain("/a/b", chainFor("/a/b"))
@@ -25,8 +26,22 @@ func TestHitPathAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { c.Lookup("/a/b/f00") }); got != 1 {
 		t.Errorf("Lookup hit of a depth-3 path: %v allocs, want 1 (the chain)", got)
 	}
+	if got := testing.AllocsPerRun(100, func() {
+		var buf [4]*namespace.INode
+		if chain, hit := c.LookupInto("/a/b/f00", buf[:0]); !hit || len(chain) != 4 {
+			t.Fatalf("LookupInto /a/b/f00: %d rows, hit %v", len(chain), hit)
+		}
+	}); got != 0 {
+		t.Errorf("LookupInto hit of a depth-3 path into a stack buffer: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { c.Get("/a/b/f00") }); got != 0 {
+		t.Errorf("Get hit of a depth-3 path: %v allocs, want 0", got)
+	}
 	if got := testing.AllocsPerRun(100, func() { c.Listing("/a/b") }); got != 1 {
 		t.Errorf("Listing hit of 64 children: %v allocs, want 1 (the listing)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { c.Entries("/a/b") }); got != 1 {
+		t.Errorf("Entries hit of 64 children: %v allocs, want 1 (the sorted entries)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { c.Lookup("/a/b/missing/f") }); got != 0 {
 		t.Errorf("Lookup miss below a cached depth-2 prefix: %v allocs, want 0", got)

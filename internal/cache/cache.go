@@ -322,13 +322,26 @@ func (c *Cache) emptyLocked(n *node) int {
 // themselves, read-only — when the entire chain, including the terminal
 // INode, is cached; otherwise nil and hit false. Either way it touches the
 // cached prefix of the chain in the LRU, leaf to root, so a miss keeps the
-// ancestors its fill is about to reuse as warm as a hit would.
+// ancestors its fill is about to reuse as warm as a hit would. The chain is
+// a new slice: LookupInto with a nil buffer.
 func (c *Cache) Lookup(path string) (chain []*namespace.INode, hit bool) {
+	return c.LookupInto(path, nil)
+}
+
+// LookupInto is Lookup writing the chain of a hit into buf's storage when
+// its capacity holds it, and into a new slice otherwise: a caller that
+// hands in a stack buffer and keeps the chain on its stack allocates
+// nothing.
+func (c *Cache) LookupInto(path string, buf []*namespace.INode) (chain []*namespace.INode, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, depth, hit := c.chainLocked(namespace.Walk(path))
 	if hit {
-		chain = make([]*namespace.INode, depth)
+		if chain = buf[:0]; cap(chain) >= depth {
+			chain = chain[:depth]
+		} else {
+			chain = make([]*namespace.INode, depth)
+		}
 	}
 	for i := depth - 1; i >= 0; i, n = i-1, n.parent {
 		if hit {
@@ -356,9 +369,14 @@ func (c *Cache) chainLocked(cs namespace.Components) (n *node, depth int, all bo
 	return n, depth + 1, true
 }
 
+// stackDepth is the chain length Get's stack buffer holds; a deeper chain
+// spills to the heap.
+const stackDepth = 16
+
 // Get returns the cached terminal INode for path, touching its chain.
 func (c *Cache) Get(path string) (*namespace.INode, bool) {
-	chain, hit := c.Lookup(path)
+	var buf [stackDepth]*namespace.INode
+	chain, hit := c.LookupInto(path, buf[:0])
 	if !hit {
 		return nil, false
 	}
@@ -495,6 +513,22 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 // read-only, in no particular order) when the listing is known-complete,
 // touching the directory's chain in the LRU.
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
+	return listing(c, dir, func(n *namespace.INode) *namespace.INode { return n })
+}
+
+// Entries is Listing as an ls reply carries it: the children's entries,
+// sorted by name, built straight from the cached rows.
+func (c *Cache) Entries(dir string) ([]namespace.DirEntry, bool) {
+	out, ok := listing(c, dir, namespace.EntryOf)
+	if ok {
+		namespace.SortEntries(out)
+	}
+	return out, ok
+}
+
+// listing is Listing and Entries: what of each cached child row goes into
+// the one slice it returns is row's.
+func listing[T any](c *Cache, dir string, row func(*namespace.INode) T) ([]T, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, _, ok := c.chainLocked(namespace.Walk(dir))
@@ -504,10 +538,10 @@ func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
 	for n := d; n != nil; n = n.parent {
 		c.touchLocked(n)
 	}
-	out := make([]*namespace.INode, 0, len(d.children))
+	out := make([]T, 0, len(d.children))
 	for _, ch := range d.children {
 		if ch.inode != nil {
-			out = append(out, ch.inode)
+			out = append(out, row(ch.inode))
 		}
 	}
 	return out, true

@@ -13,9 +13,10 @@ import (
 	"lambdafs/internal/store"
 )
 
-// A cache hit copies no INode: what a hit allocates is fixed by the path's
-// depth and, for a read, the block list the reply carries out. (Not under
-// -race: the detector allocates.)
+// A cache hit copies no INode and allocates its reply alone: the chain is
+// on the stack, and the reply is one object holding the Response, its
+// StatInfo and, for a read, the private copy of a one-block list. (Not
+// under -race: the detector allocates.)
 func TestExecuteHitAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
@@ -28,17 +29,18 @@ func TestExecuteHitAllocs(t *testing.T) {
 		}
 		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
-		// Lookup's chain, the StatInfo and the Response (a canonical path cleans
-		// for free); a read adds the reply's block list and its location list.
-		// A read carrying a ClientID and a fresh Seq costs the same, and leaves
-		// nothing behind: only writes enter the result cache. (Keeping the reply
-		// would not show as a count here: the FIFO's growth is amortized below
-		// one allocation per run.)
+		// The reply, and nothing else: Lookup writes the chain into the
+		// caller's stack buffer, and a canonical path cleans for free. A read
+		// carrying a ClientID and a fresh Seq costs the same, and leaves
+		// nothing behind: only writes enter the result cache. (Keeping the
+		// reply would not show as a count here: the FIFO's growth is amortized
+		// below one allocation per run.)
 		var seq uint64 // fresh across both ops: the key is ClientID and Seq
-		for op, want := range map[namespace.OpType]float64{namespace.OpStat: 3, namespace.OpRead: 5} {
+		for op, blocks := range map[namespace.OpType]int{namespace.OpStat: 0, namespace.OpRead: 1} {
+			const want = 1
 			req := namespace.Request{Op: op, Path: "/a/b/f"}
 			e.Execute(req) // the fill
-			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != int(want-3)/2 {
+			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != blocks {
 				t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected: %+v", op, resp)
 			}
 			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {
@@ -55,11 +57,12 @@ func TestExecuteHitAllocs(t *testing.T) {
 	})
 }
 
-// A stat the cache does not serve, through Engine.Execute: the StatInfo and
-// the Response, and the store resolution's chain. A miss adds the
-// transaction its shared-locked fill runs in, and re-caches the row in the
-// node its invalidation freed; a pass-through resolution (caching disabled)
-// takes no lock and so needs no transaction. (Not under -race: the
+// A stat the cache does not serve, through Engine.Execute: the reply (the
+// Response and its StatInfo, one object) and one more. A miss's is the
+// transaction its shared-locked fill runs in, whose inline buffer holds the
+// chain, and it re-caches the row in the node its invalidation freed; a
+// pass-through resolution (caching disabled) takes no lock and so needs no
+// transaction, and its one more is the chain. (Not under -race: the
 // detector allocates.)
 func TestExecuteMissAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
@@ -74,15 +77,15 @@ func TestExecuteMissAllocs(t *testing.T) {
 			}
 		}
 		miss()
-		if got := testing.AllocsPerRun(100, miss); got != 4 {
-			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 4", got)
+		if got := testing.AllocsPerRun(100, miss); got != 2 {
+			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 2", got)
 		}
 
 		cfg := DefaultEngineConfig()
 		cfg.OpCPUCost, cfg.SubtreeCPUPerINode, cfg.CacheBudget = 0, 0, -1
 		pass := NewEngine("nn-pass", -1, clk, st, nil, nil, nil, cfg)
-		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 3 {
-			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 3", got)
+		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 2 {
+			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 2", got)
 		}
 	})
 }
@@ -130,16 +133,15 @@ func opAllocs(prep, op func()) float64 {
 //   - delete 5: the three and the target's and the parent's copies;
 //   - mv inside a directory 6: the three, the target's copy and the
 //     parent's copy once per path;
-//   - mv across directories 7: the three, three copies, and the lock set's
-//     growth past eight rows;
+//   - mv across directories 6: the three and three copies;
 //   - leaf mkdirs 10: the three, the parent's copy, the directory it
 //     builds and that directory's child table in the store, the component
 //     list it splits and the three paths it joins on the way down.
 //
-// Nothing else: the write set, the lock phase's reply and chains, the INV
-// round's targets and batch and, on a contended row, the lock waiter are
-// reused (the transaction's inline buffers, the engine's free list, the
-// lock table's). Each written row is that one new version — the store takes
+// Nothing else: the write set, the lock phase's reply and chains, its lock
+// set (up to 16 rows: a rename's fits), the INV round's targets and batch
+// and, on a contended row, the lock waiter are reused (the transaction's
+// inline buffers, the engine's free list, the lock table's). Each written row is that one new version — the store takes
 // over the row built or the private copy handed out, copying neither and no
 // block list — and the commit builds no record or frame of its own. (Not
 // under -race: the detector allocates.)
@@ -171,7 +173,7 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 5},
 			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 5},
 			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 6},
-			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 7},
+			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 6},
 			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 10},
 		} {
 			if got := opAllocs(c.prep, c.op); got != c.want {

@@ -56,7 +56,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -333,10 +332,12 @@ func (e *Engine) cachingAllowed(op namespace.OpType, path string) bool {
 // possible and filling the cache with a shared-locked store resolution on
 // misses (the staleness guard of §3.5: a concurrent writer's exclusive
 // locks serialize against the fill, and the chain is inserted before the
-// locks are released).
-func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string) (chain []*namespace.INode, hit bool, err error) {
+// locks are released). A hit's chain is written into buf when it fits
+// (cache.LookupInto); a miss's is the transaction's, which stays readable
+// after the deferred Abort because a transaction is never reused.
+func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string, buf []*namespace.INode) (chain []*namespace.INode, hit bool, err error) {
 	if e.cachingAllowed(op, path) {
-		if chain, ok := e.cache.Lookup(path); ok {
+		if chain, ok := e.cache.LookupInto(path, buf); ok {
 			e.tel.hits.Inc()
 			return chain, true, nil
 		}
@@ -362,6 +363,10 @@ func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string) (chain
 	return chain, false, err
 }
 
+// chainDepth is the chain length read's and stat's stack buffer holds: the
+// root and 15 components. A deeper hit's chain spills to the heap.
+const chainDepth = 16
+
 // checkSubtreeLocks rejects operations whose path crosses an in-progress
 // subtree operation (subtree isolation, Appendix D).
 func checkSubtreeLocks(chain []*namespace.INode, self string) error {
@@ -373,10 +378,34 @@ func checkSubtreeLocks(chain []*namespace.INode, self string) error {
 	return nil
 }
 
+// statReply is a stat reply as one object: the Response and the StatInfo
+// its Stat points at.
+type statReply struct {
+	resp namespace.Response
+	stat namespace.StatInfo
+}
+
+// readReply is a read reply as one object: a statReply, plus room for the
+// private copy of a one-block list with up to replication locations. A
+// longer list spills to the heap (namespace.CloneBlocksInto).
+type readReply struct {
+	statReply
+	block [1]namespace.Block
+	locs  [replication]string
+}
+
+// fill makes r the reply for n at path and returns its Response.
+func (r *statReply) fill(n *namespace.INode, path string, hit bool) *namespace.Response {
+	r.stat = namespace.StatOf(n, path)
+	r.resp = namespace.Response{ID: n.ID, Stat: &r.stat, CacheHit: hit}
+	return &r.resp
+}
+
 // read resolves a file and returns its block locations (open /
 // getBlockLocations).
 func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
-	chain, hit, err := e.resolve(tc, namespace.OpRead, path)
+	var buf [chainDepth]*namespace.INode
+	chain, hit, err := e.resolve(tc, namespace.OpRead, path, buf[:0])
 	if err != nil {
 		return fail(err)
 	}
@@ -387,27 +416,23 @@ func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
 	if target.IsDir {
 		return fail(namespace.ErrIsDir)
 	}
-	stat := namespace.StatOf(target, path)
-	return &namespace.Response{
-		ID:       target.ID,
-		Stat:     &stat,
-		Blocks:   namespace.CloneBlocks(target.Blocks), // the reply leaves the process; the row is shared
-		CacheHit: hit,
-	}
+	r := new(readReply)
+	resp := r.fill(target, path, hit)
+	resp.Blocks = namespace.CloneBlocksInto(target.Blocks, r.block[:], r.locs[:]) // the reply leaves the process; the row is shared
+	return resp
 }
 
 // stat resolves any path and returns its attributes.
 func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
-	chain, hit, err := e.resolve(tc, namespace.OpStat, path)
+	var buf [chainDepth]*namespace.INode
+	chain, hit, err := e.resolve(tc, namespace.OpStat, path, buf[:0])
 	if err != nil {
 		return fail(err)
 	}
 	if err := checkSubtreeLocks(chain, e.id); err != nil {
 		return fail(err)
 	}
-	target := chain[len(chain)-1]
-	stat := namespace.StatOf(target, path)
-	return &namespace.Response{ID: target.ID, Stat: &stat, CacheHit: hit}
+	return new(statReply).fill(chain[len(chain)-1], path, hit)
 }
 
 // ls lists a directory (or stats a file, HDFS-style). Directory listings
@@ -421,9 +446,9 @@ func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
 func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
-		if kids, ok := e.cache.Listing(path); ok {
+		if entries, ok := e.cache.Entries(path); ok {
 			e.tel.hits.Inc()
-			return &namespace.Response{Entries: toEntries(kids), CacheHit: true}
+			return &namespace.Response{Entries: entries, CacheHit: true}
 		}
 		e.tel.misses.Inc()
 	}
@@ -442,10 +467,9 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	}
 	target := chain[len(chain)-1]
 	if !target.IsDir {
-		stat := namespace.StatOf(target, path)
-		return &namespace.Response{ID: target.ID, Stat: &stat, Entries: []namespace.DirEntry{
-			{Name: target.Name, ID: target.ID, IsDir: false, Size: target.Size},
-		}}
+		resp := new(statReply).fill(target, path, false)
+		resp.Entries = []namespace.DirEntry{namespace.EntryOf(target)}
+		return resp
 	}
 	if allowed {
 		e.cache.PutChain(path, chain)
@@ -457,9 +481,9 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 func toEntries(kids []*namespace.INode) []namespace.DirEntry {
 	out := make([]namespace.DirEntry, len(kids))
 	for i, k := range kids {
-		out[i] = namespace.DirEntry{Name: k.Name, ID: k.ID, IsDir: k.IsDir, Size: k.Size}
+		out[i] = namespace.EntryOf(k)
 	}
-	slices.SortFunc(out, func(a, b namespace.DirEntry) int { return cmp.Compare(a.Name, b.Name) })
+	namespace.SortEntries(out)
 	return out
 }
 

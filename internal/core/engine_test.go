@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,6 +204,55 @@ func TestReadReturnsBlockLocations(t *testing.T) {
 		if !again.CacheHit || len(again.Blocks) != 1 || again.Blocks[0].ID != namespace.BlockID(again.ID) ||
 			again.Blocks[0].Locations[0] == "scribbled" {
 			t.Fatalf("a reply's blocks alias the cache: next read = %+v (hit %v)", again.Blocks, again.CacheHit)
+		}
+	})
+}
+
+// A block list longer than a read reply's inline room — two blocks of four
+// locations each, against one block of replication — spills to the heap and
+// is still the reply's own: a scribbled reply reaches neither the cached row
+// nor the store's.
+func TestReadSpilledBlocksArePrivate(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		blocks := func() []namespace.Block {
+			return []namespace.Block{
+				{ID: 7, Size: 1 << 20, Locations: []string{"dn1", "dn2", "dn3", "dn4"}},
+				{ID: 8, Size: 512, Locations: []string{"dn5", "dn6", "dn7", "dn8"}},
+			}
+		}
+		want := blocks()
+		tx := st.Begin("seed")
+		if err := tx.PutINode(&namespace.INode{ID: st.NextID(), ParentID: namespace.RootID, Name: "big",
+			Perm: namespace.PermDefaultFile, Blocks: blocks()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for i, wantHit := range []bool{false, true, true} {
+			rd := mustOK(t, e, namespace.OpRead, "/big", "")
+			if rd.CacheHit != wantHit || !reflect.DeepEqual(rd.Blocks, want) {
+				t.Fatalf("read %d: hit %v, blocks %+v; want hit %v, blocks %+v", i, rd.CacheHit, rd.Blocks, wantHit, want)
+			}
+			for b := range rd.Blocks {
+				rd.Blocks[b].ID = 0
+				for l := range rd.Blocks[b].Locations {
+					rd.Blocks[b].Locations[l] = "scribbled"
+				}
+				rd.Blocks[b].Locations = append(rd.Blocks[b].Locations, "appended")
+			}
+			rd.Blocks = append(rd.Blocks[:1], namespace.Block{ID: 99})
+		}
+		cached, ok := e.Cache().Get("/big")
+		if !ok || !reflect.DeepEqual(cached.Blocks, want) {
+			t.Fatalf("cached row's blocks after scribbled replies: %+v (cached %v), want %+v", cached, ok, want)
+		}
+		rtx := st.Begin("check")
+		defer rtx.Abort()
+		chain, err := rtx.ResolvePathBatched("/big", store.LockNone, store.LockNone)
+		if err != nil || !reflect.DeepEqual(chain[len(chain)-1].Blocks, want) {
+			t.Fatalf("store row's blocks after scribbled replies: %+v, %v; want %+v", chain, err, want)
 		}
 	})
 }

@@ -14,6 +14,7 @@
 package namespace
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -96,12 +97,32 @@ func (n *INode) Clone() *INode {
 	return &c
 }
 
-// CloneBlocks deep-copies a block list, replica locations included: the
-// copy a reply carries out of the process, away from the shared row.
-func CloneBlocks(blocks []Block) []Block {
-	out := slices.Clone(blocks) // nil stays nil
+// CloneBlocks deep-copies a block list, replica locations included, away
+// from the shared row it came from.
+func CloneBlocks(blocks []Block) []Block { return CloneBlocksInto(blocks, nil, nil) }
+
+// CloneBlocksInto is CloneBlocks into the caller's storage where it fits:
+// the list into blockBuf when it is no longer, and each block's locations
+// into what the earlier blocks left of locBuf. What does not fit is cloned
+// onto the heap, so the copy shares nothing with blocks either way; each
+// slice handed out is clipped, so an append to it never reaches a
+// neighbour's storage. A nil list or location list stays nil. A read reply
+// keeps its copy inside the reply (core's readReply).
+func CloneBlocksInto(blocks, blockBuf []Block, locBuf []string) []Block {
+	var out []Block
+	if n := len(blocks); n > 0 && n <= len(blockBuf) {
+		out = blockBuf[:n:n]
+		copy(out, blocks)
+	} else {
+		out = slices.Clone(blocks)
+	}
 	for i := range out {
-		out[i].Locations = slices.Clone(out[i].Locations)
+		if n := len(out[i].Locations); n > 0 && n <= len(locBuf) {
+			copy(locBuf, out[i].Locations)
+			out[i].Locations, locBuf = locBuf[:n:n], locBuf[n:]
+		} else {
+			out[i].Locations = slices.Clone(out[i].Locations)
+		}
 	}
 	return out
 }
@@ -160,6 +181,16 @@ type StatInfo struct {
 	Size  int64
 	Mtime time.Time
 	Ctime time.Time
+}
+
+// EntryOf is n's row in its directory's listing.
+func EntryOf(n *INode) DirEntry {
+	return DirEntry{Name: n.Name, ID: n.ID, IsDir: n.IsDir, Size: n.Size}
+}
+
+// SortEntries orders a listing by name.
+func SortEntries(es []DirEntry) {
+	slices.SortFunc(es, func(a, b DirEntry) int { return cmp.Compare(a.Name, b.Name) })
 }
 
 // StatOf converts an INode plus its full path into a StatInfo.

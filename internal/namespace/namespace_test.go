@@ -151,6 +151,58 @@ func TestINodeClone(t *testing.T) {
 	}
 }
 
+// CloneBlocksInto is CloneBlocks wherever the copy lands: equal to the
+// source, nil and empty kept apart, and sharing nothing with the source or
+// — through an append — with its neighbours in the caller's storage.
+func TestCloneBlocksInto(t *testing.T) {
+	source := func() []Block {
+		return []Block{
+			{ID: 1, Locations: []string{"a", "b"}},
+			{ID: 2, Locations: []string{}},
+			{ID: 3},
+			{ID: 4, Locations: []string{"c", "d", "e"}},
+		}
+	}
+	same := func(a, b Block) bool {
+		return a.ID == b.ID && (a.Locations == nil) == (b.Locations == nil) && slices.Equal(a.Locations, b.Locations)
+	}
+	src := source()
+	for _, c := range []struct {
+		what   string
+		blocks []Block
+		locs   []string
+	}{
+		{"no storage", nil, nil},
+		{"room for every block and location", make([]Block, 4), make([]string, 5)},
+		{"room for one block and one location", make([]Block, 1), make([]string, 1)},
+	} {
+		for _, in := range [][]Block{nil, {}, src, src[:1], src[3:]} {
+			out := CloneBlocksInto(in, c.blocks, c.locs)
+			if (out == nil) != (in == nil) || !slices.EqualFunc(out, in, same) {
+				t.Fatalf("%s: CloneBlocksInto(%v) = %v", c.what, in, out)
+			}
+			for i := range out {
+				out[i].ID = 0
+				for j := range out[i].Locations {
+					out[i].Locations[j] = "scribbled"
+				}
+			}
+			if !slices.EqualFunc(src, source(), same) {
+				t.Fatalf("%s: the copy aliases its source: %v", c.what, src)
+			}
+			out = CloneBlocksInto(in, c.blocks, c.locs)
+			for i := range out {
+				out[i].Locations = append(out[i].Locations, "appended")
+			}
+			for i := range out {
+				if !slices.Equal(out[i].Locations[:len(in[i].Locations)], in[i].Locations) {
+					t.Fatalf("%s: an append to one block's locations reached another's: %v", c.what, out)
+				}
+			}
+		}
+	}
+}
+
 func TestINodeApproxBytesPositive(t *testing.T) {
 	n := NewRoot()
 	if n.ApproxBytes() <= 0 {

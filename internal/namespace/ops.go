@@ -79,7 +79,12 @@ type RequestKey struct {
 // Key returns the deduplication key of the request.
 func (r Request) Key() RequestKey { return RequestKey{r.ClientID, r.Seq} }
 
-// Response is the result of a metadata RPC.
+// Response is the result of a metadata RPC. It is the caller's: nothing in
+// it is shared with a store row or a cache. A read or stat reply is one
+// object — the Response, the StatInfo Stat points at and, for a read, the
+// block list when it is short — so Stat and Blocks live exactly as long as
+// the Response does. Blocks is a private deep copy of the file's block
+// list, replica locations included (CloneBlocksInto).
 type Response struct {
 	Err string // sentinel error text; empty on success (see errors.go)
 

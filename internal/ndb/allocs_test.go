@@ -26,17 +26,17 @@ func TestReadPathAllocs(t *testing.T) {
 		addFile(t, db, parent, "f")
 		path += "/f"
 
-		// The transaction and the chain — and nothing to clean the canonical
-		// path, per row or per lock: the split and the multi-get's per-shard
-		// counts are on the stack.
+		// The transaction alone — and nothing to clean the canonical path, per
+		// row or per lock: the chain is the transaction's inline buffer, and
+		// the split and the multi-get's per-shard counts are on the stack.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if chain, err := tx.ResolvePathBatched(path, store.LockShared, store.LockShared); err != nil || len(chain) != 7 {
 				t.Fatalf("resolve %s: %d rows, %v", path, len(chain), err)
 			}
 			tx.Abort()
-		}); got != 2 {
-			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 2", got)
+		}); got != 1 {
+			t.Errorf("shared-lock ResolvePathBatched of a depth-6 path: %v allocs, want 1", got)
 		}
 		// A pass-through resolution outside any transaction: the chain alone.
 		if got := testing.AllocsPerRun(100, func() {
@@ -46,31 +46,32 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 1 {
 			t.Errorf("lock-free DB.ResolvePathBatched of a depth-6 path: %v allocs, want 1", got)
 		}
-		// A listing miss: the transaction, the chain and the children's slice
-		// — the listed rows are the store's own, handed out under a shared
-		// lock, and sorting them allocates nothing.
+		// A listing miss: the transaction and the children's slice — the chain
+		// is the transaction's inline buffer, the listed rows are the store's
+		// own, handed out under a shared lock, and sorting them allocates
+		// nothing.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if chain, kids, err := tx.ListPathBatched("/a/b/c/d/e", store.LockShared); err != nil || len(chain) != 6 || len(kids) != 1 {
 				t.Fatalf("list /a/b/c/d/e: %d rows, %d children, %v", len(chain), len(kids), err)
 			}
 			tx.Abort()
-		}); got != 3 {
-			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 3", got)
+		}); got != 2 {
+			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 2", got)
 		}
-		// A rename's lock phase: the transaction, a private copy of each
+		// A rename's lock phase: the transaction and a private copy of each
 		// exclusive row each walk reads (/a/b twice, /a/b/c/d/e and f; a copy
-		// shares the block list) and the lock set's growth past eight rows —
-		// the plans, their splits and the per-shard counts are on the stack,
-		// and the reply and its chains are the transaction's inline buffers.
+		// shares the block list) — the plans, their splits and the per-shard
+		// counts are on the stack, and the reply, its chains and the lock set
+		// (11 rows) are the transaction's inline buffers.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if locked, err := tx.LockPaths(path, "/a/b/g"); err != nil || len(locked) != 2 {
 				t.Fatalf("lock %s and /a/b/g: %d paths, %v", path, len(locked), err)
 			}
 			tx.Abort()
-		}); got != 6 {
-			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 6", got)
+		}); got != 5 {
+			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 5", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}

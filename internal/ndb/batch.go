@@ -287,7 +287,8 @@ func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespac
 // and ListPathBatched: one multi-get charge for the whole chain (with list,
 // the terminal directory's children ride in it), then the locked walk —
 // ancestors locked with ancestors, the terminal component's (parent, name)
-// slot and row with terminal.
+// slot and row with terminal. The chain is the transaction's storage, on
+// lockedStorage's terms.
 func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bool) ([]*namespace.INode, error) {
 	if t.done {
 		return nil, store.ErrTxDone
@@ -300,7 +301,8 @@ func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bo
 	split := namespace.AppendSplit(buf[:0], p)
 	plans := [1]lockPlan{{to: len(split), ancestors: ancestors, tail: terminal, slotFrom: len(split)}}
 	t.chargePlans(plans[:], split, list)
-	return t.walkPlan(plans[:], split, 0, make([]*namespace.INode, len(split)+1))
+	_, rows := t.lockedStorage(0, len(split)+1)
+	return t.walkPlan(plans[:], split, 0, rows)
 }
 
 // ResolvePathBatched implements store.Tx.
@@ -374,10 +376,11 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 	return out, nil
 }
 
-// lockedStorage returns a LockPaths reply of n paths and the rows backing
-// their chains: the transaction's inline buffers for its first reply when
-// they fit, else new slices, so every reply stays valid until the
-// transaction ends.
+// lockedStorage returns a reply of n paths — none for a one-path
+// resolution's chain — and the rows backing their chains: the
+// transaction's inline buffers for its first reply when they fit, else new
+// slices, so no reply is ever overwritten by a later one. A transaction is
+// never reused, so a reply outlives the transaction's end too.
 func (t *tx) lockedStorage(n, rows int) ([]store.LockedPath, []*namespace.INode) {
 	if t.lockedOut || n > len(t.lockedBuf) || rows > len(t.chainBuf) {
 		return make([]store.LockedPath, n), make([]*namespace.INode, rows)

@@ -36,11 +36,15 @@ type lockManager struct {
 // of the rows it holds, both guarded by the table's mutex.
 type lockTx struct {
 	owner   string
-	held    []rowKey
-	heldBuf [8]rowKey // backs held: a read's or a one-path write's lock set fits
+	held    []*rowLock
+	heldBuf [16]*rowLock // backs held: a read's lock set or a rename's fits
 }
 
+// rowLock is one row's entry in the lock table. A holder's lockTx points
+// at it, so a release finds it without a lookup; it stays in lm.rows, under
+// key, for as long as anyone holds or waits for it.
 type rowLock struct {
+	key       rowKey
 	exclusive *lockTx   // nil when none
 	shared    []*lockTx // few at a time
 	waiters   []*lockWaiter
@@ -83,7 +87,7 @@ func (rl *rowLock) canGrant(tx *lockTx, exclusive bool) bool {
 }
 
 // grant must be called with lm.mu held.
-func (lm *lockManager) grant(rl *rowLock, key rowKey, tx *lockTx, exclusive bool) {
+func (lm *lockManager) grant(rl *rowLock, tx *lockTx, exclusive bool) {
 	i := slices.Index(rl.shared, tx)
 	already := rl.exclusive == tx || i >= 0
 	if exclusive {
@@ -99,7 +103,7 @@ func (lm *lockManager) grant(rl *rowLock, key rowKey, tx *lockTx, exclusive bool
 			tx.held = tx.heldBuf[:0]
 			lm.txs[tx] = struct{}{}
 		}
-		tx.held = append(tx.held, key)
+		tx.held = append(tx.held, rl)
 	}
 }
 
@@ -117,10 +121,11 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 		} else {
 			rl = new(rowLock)
 		}
+		rl.key = key
 		lm.rows[key] = rl
 	}
 	if rl.canGrant(tx, exclusive) {
-		lm.grant(rl, key, tx, exclusive)
+		lm.grant(rl, tx, exclusive)
 		lm.mu.Unlock()
 		return 0, nil
 	}
@@ -158,13 +163,13 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 
 // promote wakes every waiter that is now grantable. Must be called with
 // lm.mu held.
-func (lm *lockManager) promote(rl *rowLock, key rowKey) {
+func (lm *lockManager) promote(rl *rowLock) {
 	for {
 		progressed := false
 		remaining := rl.waiters[:0]
 		for i, w := range rl.waiters {
 			if rl.canGrant(w.tx, w.exclusive) {
-				lm.grant(rl, key, w.tx, w.exclusive)
+				lm.grant(rl, w.tx, w.exclusive)
 				w.ready.Set()
 				progressed = true
 				// Exclusive grant blocks everything behind it.
@@ -192,20 +197,17 @@ func (lm *lockManager) ReleaseAll(tx *lockTx) {
 }
 
 func (lm *lockManager) releaseAllLocked(tx *lockTx) {
-	for _, key := range tx.held {
-		rl := lm.rows[key]
-		if rl == nil {
-			continue
-		}
+	for _, rl := range tx.held {
 		if rl.exclusive == tx {
 			rl.exclusive = nil
 		}
 		if i := slices.Index(rl.shared, tx); i >= 0 {
 			rl.shared = slices.Delete(rl.shared, i, i+1)
 		}
-		lm.promote(rl, key)
+		lm.promote(rl)
 		if rl.exclusive == nil && len(rl.shared) == 0 && len(rl.waiters) == 0 {
-			delete(lm.rows, key)
+			delete(lm.rows, rl.key)
+			rl.key = rowKey{}             // a parked rowLock pins no name
 			lm.free = append(lm.free, rl) // parked, slices and all, for the next new row
 		}
 	}

@@ -1159,6 +1159,88 @@ func TestConcurrentTxsKeepTheirOwnBuffers(t *testing.T) {
 	})
 }
 
+// TestResolvedChainOutlivesTx: a read-only transaction's chain is its
+// inline buffer, and it stays intact once the transaction has ended — past
+// its Abort, past a later resolution in the same transaction (which gets
+// storage of its own) and past another transaction resolving another path
+// on the same store. core's read and stat read the chain after a deferred
+// Abort.
+func TestResolvedChainOutlivesTx(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		a := addDir(t, db, namespace.RootID, "a")
+		f := addFile(t, db, addDir(t, db, a, "b"), "f")
+		g := addFile(t, db, addDir(t, db, addDir(t, db, namespace.RootID, "x"), "y"), "g")
+
+		first := db.Begin("nn")
+		chain, err := first.ResolvePathBatched("/a/b/f", store.LockShared, store.LockShared)
+		if err != nil || len(chain) != 4 || chain[3].ID != f {
+			t.Fatalf("resolve /a/b/f: %v, %v", chain, err)
+		}
+		want := slices.Clone(chain)
+		again, err := first.ResolvePathBatched("/x/y/g", store.LockShared, store.LockShared)
+		if err != nil || again[3].ID != g || &again[0] == &chain[0] {
+			t.Fatalf("second resolve in one transaction: %v, %v; want /x/y/g in storage of its own", again, err)
+		}
+		first.Abort()
+		if !slices.Equal(chain, want) {
+			t.Fatalf("chain after Abort = %v, want %v", chain, want)
+		}
+		second := db.Begin("nn")
+		other, kids, err := second.ListPathBatched("/x/y", store.LockShared)
+		if err != nil || len(other) != 3 || len(kids) != 1 || kids[0].ID != g {
+			t.Fatalf("list /x/y: %v, %v, %v", other, kids, err)
+		}
+		second.Abort()
+		if !slices.Equal(chain, want) {
+			t.Fatalf("chain after another transaction's resolution = %v, want %v", chain, want)
+		}
+	})
+}
+
+// TestLockSetPastInlineReleasesEveryRow: a lock set larger than lockTx's
+// inline buffer — a directory's 20 children read locked, the way a subtree
+// quiesce reads a listing, beside the directory's chain — spills to the
+// heap and is still released whole: by Abort for shared locks, by Commit
+// for exclusive ones, leaving no holding and no rowLock in the table.
+func TestLockSetPastInlineReleasesEveryRow(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		dir := addDir(t, db, namespace.RootID, "d")
+		for i := range 20 {
+			addFile(t, db, dir, fmt.Sprintf("f%02d", i))
+		}
+		for _, mode := range []store.LockMode{store.LockShared, store.LockExclusive} {
+			tx := db.Begin("nn").(*tx)
+			_, kids, err := tx.ListPathBatched("/d", mode)
+			if err != nil || len(kids) != 20 {
+				t.Fatalf("list /d: %d children, %v", len(kids), err)
+			}
+			ids := make([]namespace.INodeID, len(kids))
+			for i, k := range kids {
+				ids[i] = k.ID
+			}
+			if _, err := tx.GetINodesBatched(ids, mode); err != nil {
+				t.Fatal(err)
+			}
+			if held := db.HeldLocks(); held <= len(tx.lt.heldBuf) {
+				t.Fatalf("%v: %d rows held, want more than the %d inline", mode, held, len(tx.lt.heldBuf))
+			}
+			if mode == store.LockExclusive {
+				mustCommit(t, tx)
+			} else {
+				tx.Abort()
+			}
+			db.locks.mu.Lock()
+			rows := len(db.locks.rows)
+			db.locks.mu.Unlock()
+			if held := db.HeldLocks(); held != 0 || rows != 0 {
+				t.Fatalf("%v: %d rows held and %d rowLocks in the table after the transaction ended", mode, held, rows)
+			}
+		}
+	})
+}
+
 // TestTxLargeWriteSet: a write set past indexFrom rows reads back through
 // its index as a small one does through its scan — rows rewritten or
 // deleted from either side of the index's building included — and commits

@@ -21,7 +21,7 @@ type tx struct {
 	lt        lockTx // identity and holdings in the lock table
 	done      bool
 	exclusive bool       // asked for an exclusive lock: a write transaction
-	lockedOut bool       // lockedBuf and chainBuf back a LockPaths reply
+	lockedOut bool       // lockedBuf and chainBuf back a reply (lockedStorage)
 	tc        *trace.Ctx // nil when untraced
 
 	rows   []rowWrite                // buffered row writes, one per row, in write order
@@ -31,9 +31,11 @@ type tx struct {
 
 	atCommit []func() // commit-point hooks, in registration order
 
-	// Inline backing for the common write: its write set, and the first
-	// LockPaths reply with its chains (up to ten components across a
-	// rename's two paths). Anything larger spills to the heap.
+	// Inline backing for the common transaction: a write's write set, and
+	// the first reply with its chains — a LockPaths reply (up to ten
+	// components across a rename's two paths) or a resolved or listed
+	// path's chain (up to eleven components). Anything larger spills to the
+	// heap.
 	rowBuf    [4]rowWrite
 	lockedBuf [2]store.LockedPath
 	chainBuf  [12]*namespace.INode

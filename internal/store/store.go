@@ -114,7 +114,10 @@ type Tx interface {
 	// (Algorithm 1's staleness guard: a concurrent writer's exclusive locks
 	// serialize against the fill); ls resolves through ListPathBatched and
 	// writes lock through LockPaths, which share its walk. Partial chains
-	// are returned with namespace.ErrNotFound.
+	// are returned with namespace.ErrNotFound. The chain slice may be the
+	// transaction's own storage; it stays valid after Commit or Abort,
+	// because a Tx is never reused, so a caller may read it after the
+	// transaction ends (core's read and stat do, past a deferred Abort).
 	ResolvePathBatched(path string, ancestors, terminal LockMode) ([]*namespace.INode, error)
 
 	// ListPathBatched is a listing miss in one store round trip: path's
@@ -128,7 +131,8 @@ type Tx interface {
 	// transaction's buffered writes, sorted by name): LockShared is the
 	// listing fill's staleness guard, LockNone the pass-through ls. For a
 	// file children is nil. Partial chains are returned with
-	// namespace.ErrNotFound.
+	// namespace.ErrNotFound. Both slices stay valid after the transaction
+	// ends, as ResolvePathBatched's chain does.
 	ListPathBatched(path string, mode LockMode) (chain, children []*namespace.INode, err error)
 
 	// LockPaths is a write's whole lock phase in one store round trip: it
