@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/store"
@@ -42,7 +41,7 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 		if locked[0].Target != nil {
 			return namespace.ErrExists
 		}
-		now := e.clk.Now()
+		now := e.clk.Now().UnixNano()
 		created = &namespace.INode{
 			ID:       e.st.NextID(),
 			ParentID: parent.ID,
@@ -120,7 +119,7 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, comps []string, first *i
 	for _, c := range comps[:*first] {
 		curPath = namespace.JoinPath(curPath, c)
 	}
-	now := e.clk.Now()
+	now := e.clk.Now().UnixNano()
 	var createdBuf [1]written // a leaf mkdirs creates one directory
 	created := createdBuf[:0]
 	var cur *namespace.INode
@@ -230,7 +229,7 @@ func (e *Engine) delTx(tc *trace.Ctx, tx store.Tx, path string, root namespace.I
 	if err := tx.DeleteINode(target.ID); err != nil {
 		return namespace.InvalidID, err
 	}
-	parent.Mtime = e.clk.Now()
+	parent.Mtime = e.clk.Now().UnixNano()
 	if err := tx.PutINode(parent); err != nil {
 		return namespace.InvalidID, err
 	}
@@ -282,7 +281,7 @@ func (e *Engine) mvTx(tc *trace.Ctx, tx store.Tx, src, dest string, root namespa
 	if target.IsDir && root == namespace.InvalidID {
 		return e.flagSubtree(tx, target, namespace.OpMv, src)
 	}
-	now := e.clk.Now()
+	now := e.clk.Now().UnixNano()
 	target.ParentID = dstParent.ID
 	target.Name = namespace.BaseName(dest)
 	target.SubtreeLockOwner = ""
@@ -319,7 +318,7 @@ func (e *Engine) lockedMvParents(locked []store.LockedPath) (srcParent, dstParen
 
 // touchMvParents bumps the mtime of a rename's parent directories (one
 // row when the move stays inside a directory).
-func touchMvParents(tx store.Tx, srcParent, dstParent *namespace.INode, now time.Time) error {
+func touchMvParents(tx store.Tx, srcParent, dstParent *namespace.INode, now int64) error {
 	srcParent.Mtime = now
 	if err := tx.PutINode(srcParent); err != nil {
 		return err

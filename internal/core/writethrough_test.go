@@ -124,7 +124,7 @@ func TestCompleteListingSurvivesOwnWrites(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cached, ok := e.Cache().Get("/w"); !ok || !cached.Mtime.Equal(chain[1].Mtime) {
+				if cached, ok := e.Cache().Get("/w"); !ok || cached.Mtime != chain[1].Mtime {
 					t.Errorf("cached /w = %+v, store mtime %v", cached, chain[1].Mtime)
 				}
 				if st.HeldLocks() != 0 {

@@ -73,8 +73,8 @@ type INode struct {
 	Owner    string
 	Group    string
 	Size     int64
-	Mtime    time.Time
-	Ctime    time.Time
+	Mtime    int64 // UnixNano; 0 when never set
+	Ctime    int64 // UnixNano; 0 when never set
 	Blocks   []Block
 
 	// SubtreeLockOwner is non-empty while a subtree operation (recursive
@@ -203,7 +203,17 @@ func StatOf(n *INode, path string) StatInfo {
 		Owner: n.Owner,
 		Group: n.Group,
 		Size:  n.Size,
-		Mtime: n.Mtime,
-		Ctime: n.Ctime,
+		Mtime: unixTime(n.Mtime),
+		Ctime: unixTime(n.Ctime),
 	}
+}
+
+// unixTime converts an INode timestamp back to a time.Time in UTC, the
+// zone of the clock that stamps rows; 0, a row never stamped, is the zero
+// time.
+func unixTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
 }

@@ -130,7 +130,7 @@ func (db *DB) chainLocked(comps []string, perShard []int) ([]*namespace.INode, e
 	chain[0] = cur
 	count(inodeKey(cur.ID))
 	for _, c := range comps {
-		id, ok := db.children[cur.ID][c]
+		id, ok := db.child(cur.ID, c)
 		if !ok {
 			count(childKey(cur.ID, c)) // the multi-get still probes the missing (parent, name) slot
 			return chain, namespace.ErrNotFound
@@ -221,7 +221,7 @@ func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 			for j := 0; j < i && !fetched; j++ {
 				fetched = samePrefix(plans[j].comps(split), comps, d+1)
 			}
-			id, ok := db.children[curID][c]
+			id, ok := db.child(curID, c)
 			key := childKey(curID, c) // a missing component probes its slot
 			if ok {
 				key = inodeKey(id)
@@ -235,7 +235,7 @@ func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 			curID = id
 		}
 		if list && found {
-			perShard[db.shardFor(inodeKey(curID))] += len(db.children[curID]) // no child table: a file
+			perShard[db.shardFor(inodeKey(curID))] += len(db.children[curID]) // a file has no child list
 		}
 	}
 	db.mu.RUnlock()
@@ -410,7 +410,7 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 	}
 	lookup := func() (namespace.INodeID, bool) {
 		t.db.mu.RLock()
-		id, ok := t.db.children[parent][name]
+		id, ok := t.db.child(parent, name)
 		t.db.mu.RUnlock()
 		return id, ok
 	}

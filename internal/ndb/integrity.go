@@ -11,9 +11,11 @@ import (
 // human-readable violation per defect found (empty = consistent). It is a
 // test/diagnostic hook used by the chaos harness after every episode step:
 //
-//   - every child-map entry must point at an existing INode whose
+//   - every child-list entry must point at an existing INode whose
 //     (ParentID, Name) matches the slot it is filed under (no dangling or
 //     misfiled child entries);
+//   - every child list must be strictly sorted by name — no two entries
+//     share a name — which its binary search relies on;
 //   - every INode except the root must be reachable from the root through
 //     child entries (no lost or orphaned inodes);
 //   - every non-root INode's parent must exist and be a directory.
@@ -29,33 +31,29 @@ func (db *DB) CheckIntegrity() []string {
 		return []string{"root inode missing"}
 	}
 
-	// Child entries: dangling references and misfiled slots.
+	// Child entries: order, dangling references and misfiled slots.
 	for parent, kids := range db.children {
-		if parent == namespace.InvalidID {
-			// Applying a root-row update files the root under its
-			// (parent=InvalidID, name="") slot; that lone entry is benign.
-			for name, id := range kids {
-				if name != "" || id != namespace.RootID {
-					bad = append(bad, fmt.Sprintf("child entry under no-parent slot: %q -> inode %d", name, id))
-				}
+		for i := 1; i < len(kids); i++ {
+			if kids[i-1].name >= kids[i].name {
+				bad = append(bad, fmt.Sprintf("child list of inode %d out of order: %q before %q",
+					parent, kids[i-1].name, kids[i].name))
 			}
-			continue
 		}
 		if db.inodes[parent] == nil {
 			if len(kids) > 0 {
-				bad = append(bad, fmt.Sprintf("children map for missing inode %d holds %d entries", parent, len(kids)))
+				bad = append(bad, fmt.Sprintf("child list for missing inode %d holds %d entries", parent, len(kids)))
 			}
 			continue
 		}
-		for name, id := range kids {
-			n := db.inodes[id]
+		for _, e := range kids {
+			n := db.inodes[e.id]
 			if n == nil {
-				bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, name, id))
+				bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.name, e.id))
 				continue
 			}
-			if n.ParentID != parent || n.Name != name {
+			if n.ParentID != parent || n.Name != e.name {
 				bad = append(bad, fmt.Sprintf("misfiled child entry %d/%q -> inode %d (parent=%d name=%q)",
-					parent, name, id, n.ParentID, n.Name))
+					parent, e.name, e.id, n.ParentID, n.Name))
 			}
 		}
 	}
@@ -67,10 +65,10 @@ func (db *DB) CheckIntegrity() []string {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		for _, cid := range db.children[id] {
-			if !reached[cid] && db.inodes[cid] != nil {
-				reached[cid] = true
-				queue = append(queue, cid)
+		for _, e := range db.children[id] {
+			if !reached[e.id] && db.inodes[e.id] != nil {
+				reached[e.id] = true
+				queue = append(queue, e.id)
 			}
 		}
 	}

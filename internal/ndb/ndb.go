@@ -44,6 +44,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,7 +171,7 @@ type DB struct {
 
 	mu       sync.RWMutex
 	inodes   map[namespace.INodeID]*namespace.INode
-	children map[namespace.INodeID]map[string]namespace.INodeID
+	children map[namespace.INodeID][]childEntry // per directory, sorted by name; nil while Recover replays
 	kv       map[string]map[string][]byte
 
 	nextID atomic.Uint64
@@ -199,7 +200,6 @@ func New(clk *clock.Sim, cfg Config) *DB {
 	db := newDB(clk, cfg)
 	root := namespace.NewRoot()
 	db.inodes[root.ID] = root
-	db.children[root.ID] = make(map[string]namespace.INodeID)
 	db.markINode(root.ID)
 	return db
 }
@@ -217,7 +217,7 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 		cfg:      cfg,
 		clk:      clk,
 		inodes:   make(map[namespace.INodeID]*namespace.INode),
-		children: make(map[namespace.INodeID]map[string]namespace.INodeID),
+		children: make(map[namespace.INodeID][]childEntry),
 		kv:       make(map[string]map[string][]byte),
 		locks:    newLockManager(clk, cfg.LockWaitTimeout),
 		dur:      cfg.Durable,
@@ -293,9 +293,9 @@ func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 }
 
 // subtreeRows returns every INode row in the subtree rooted at root
-// (inclusive) in BFS order, each node's children by ascending ID — the
-// child table is a Go map, and callers cut the listing into batches whose
-// latency is modelled, so the order must not be the map's. Charges nothing.
+// (inclusive) in BFS order, each node's children by ascending ID: callers
+// cut the listing into batches whose latency is modelled, so the order is
+// part of every subtree operation's virtual time. Charges nothing.
 func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -313,8 +313,8 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 		}
 		out = append(out, n)
 		first := len(queue)
-		for _, cid := range db.children[id] {
-			queue = append(queue, cid)
+		for _, e := range db.children[id] {
+			queue = append(queue, e.id)
 		}
 		slices.Sort(queue[first:])
 	}
@@ -338,11 +338,12 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 // the latency model. It exists for benchmark setup (pre-populating the
 // namespace before measurement, as the artifact's setup scripts do) and
 // must not run concurrently with serving. IDs must be unique; parents
-// must precede children. Like store.Tx.PutINode it takes the nodes over:
-// each pointer becomes the published row, so the caller must not write it
-// again (namespace.INode).
+// must precede children; no name may be taken in its directory already.
+// Like store.Tx.PutINode it takes the nodes over: each pointer becomes the
+// published row, so the caller must not write it again (namespace.INode).
+// Each directory's child list is appended to and sorted once, not grown
+// by one sorted insert per row.
 func (db *DB) Preload(nodes []*namespace.INode) {
-	rec := &walRecord{puts: nodes}
 	maxID := db.nextID.Load()
 	for _, n := range nodes {
 		maxID = max(maxID, uint64(n.ID))
@@ -353,7 +354,14 @@ func (db *DB) Preload(nodes []*namespace.INode) {
 	for s := range db.dirty {
 		db.dirty[s].inodes = grown(db.dirty[s].inodes, len(nodes)/len(db.dirty))
 	}
-	db.applyRecord(rec)
+	for _, n := range nodes {
+		db.markINode(n.ID)
+		if old := db.inodes[n.ID]; old != nil {
+			db.unlink(old)
+		}
+		db.inodes[n.ID] = n
+	}
+	db.linkAll(nodes)
 	db.nextID.Store(maxID)
 	db.mu.Unlock()
 	// Preload bypasses the WAL; a preloaded namespace must survive
@@ -368,6 +376,73 @@ func grown[K comparable, V any](m map[K]V, n int) map[K]V {
 	g := make(map[K]V, len(m)+n)
 	maps.Copy(g, m)
 	return g
+}
+
+// childEntry is one row of a directory's child list.
+type childEntry struct {
+	name string
+	id   namespace.INodeID
+}
+
+// findChild returns where name is in kids, a list sorted by name, or where
+// it would go, and whether it is there.
+func findChild(kids []childEntry, name string) (int, bool) {
+	return slices.BinarySearchFunc(kids, name, func(e childEntry, name string) int {
+		return strings.Compare(e.name, name)
+	})
+}
+
+// child returns the ID filed under (parent, name). Caller holds db.mu.
+func (db *DB) child(parent namespace.INodeID, name string) (namespace.INodeID, bool) {
+	kids := db.children[parent]
+	if i, ok := findChild(kids, name); ok {
+		return kids[i].id, true
+	}
+	return namespace.InvalidID, false
+}
+
+// link files n under its parent: one sorted insert, or a new ID for a name
+// already filed. The root is no one's child. A new directory's list is
+// nil, the empty list, until its first child. A no-op while Recover
+// replays (finishRecovery builds the lists once). Caller holds db.mu for
+// writing.
+func (db *DB) link(n *namespace.INode) {
+	if db.children == nil || n.ID == namespace.RootID {
+		return
+	}
+	kids := db.children[n.ParentID]
+	i, ok := findChild(kids, n.Name)
+	if ok {
+		kids[i].id = n.ID
+		return
+	}
+	db.children[n.ParentID] = slices.Insert(kids, i, childEntry{n.Name, n.ID})
+}
+
+// unlink removes old's entry from its parent's list if the entry still
+// names old. Caller holds db.mu for writing.
+func (db *DB) unlink(old *namespace.INode) {
+	kids := db.children[old.ParentID]
+	if i, ok := findChild(kids, old.Name); ok && kids[i].id == old.ID {
+		db.children[old.ParentID] = slices.Delete(kids, i, i+1)
+	}
+}
+
+// linkAll files every row of nodes but the root under its parent by
+// appending, then sorts each list it grew once. Caller holds db.mu for
+// writing, and no name of nodes is filed in its directory yet.
+func (db *DB) linkAll(nodes []*namespace.INode) {
+	grew := make(map[namespace.INodeID]struct{})
+	for _, n := range nodes {
+		if n.ID == namespace.RootID {
+			continue
+		}
+		db.children[n.ParentID] = append(db.children[n.ParentID], childEntry{n.Name, n.ID})
+		grew[n.ParentID] = struct{}{}
+	}
+	for parent := range grew {
+		slices.SortFunc(db.children[parent], func(a, b childEntry) int { return strings.Compare(a.name, b.name) })
+	}
 }
 
 // INodeCount reports the number of INodes (test/diagnostic hook).

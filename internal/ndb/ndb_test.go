@@ -546,10 +546,10 @@ func TestListSubtree(t *testing.T) {
 	})
 }
 
-// TestListSubtreeOrderIsSortedBFS: the child table is a Go map, but a
-// subtree listing is cut into batches whose latency is modelled, so both
-// listings must come back in one order every time: BFS, each node's
-// children by ascending ID.
+// TestListSubtreeOrderIsSortedBFS: a directory's child list is in name
+// order, but a subtree listing is cut into batches whose latency is
+// modelled, so both listings must come back in one order every time: BFS,
+// each node's children by ascending ID.
 func TestListSubtreeOrderIsSortedBFS(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)

@@ -164,26 +164,30 @@ func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INo
 // childrenOf reads all direct children of dir, which the caller holds with
 // mode (read-committed, merged with this transaction's buffered writes,
 // sorted by name), charging nothing: ListPathBatched's multi-get paid for
-// the rows.
+// the rows. The committed list is already in name order, so only buffered
+// children of dir call for a sort.
 func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
 	out := make([]*namespace.INode, 0, len(kids))
-	for _, id := range kids {
-		if _, ok := t.buffered(id); ok {
+	for _, e := range kids {
+		if _, ok := t.buffered(e.id); ok {
 			continue // this transaction's version decides, below
 		}
-		if n := t.db.inodes[id]; n != nil {
+		if n := t.db.inodes[e.id]; n != nil {
 			out = append(out, handOut(n, mode))
 		}
 	}
+	committed := len(out)
 	for _, w := range t.rows {
 		if w.n != nil && w.n.ParentID == dir {
 			out = append(out, handOut(w.n, mode))
 		}
 	}
 	t.db.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *namespace.INode) int { return cmp.Compare(a.Name, b.Name) })
+	if len(out) > committed {
+		slices.SortFunc(out, func(a, b *namespace.INode) int { return cmp.Compare(a.Name, b.Name) })
+	}
 	return out
 }
 

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -200,9 +201,12 @@ func (d *Durable) reset() {
 
 // Frame layout: u32 payload length, u32 CRC-32 (IEEE) of the payload,
 // payload. Payload: u64 LSN, u64 INode-ID high-water mark, u32 op
-// count, ops. Ops are tagged: 1 = put INode (full row), 2 = delete
-// INode, 3 = KV put, 4 = KV delete. All integers little-endian;
-// strings and byte slices are u32-length-prefixed.
+// count, ops — this header is fixed-width and little-endian, so frameLSN
+// reads an LSN without decoding the ops. Ops are tagged: 1 = put INode
+// (full row), 2 = delete INode, 3 = KV put, 4 = KV delete. Inside an op
+// every integer is a uvarint and every string or byte slice a uvarint
+// length and its bytes: a row costs what it holds (a checkpoint value is
+// the same row encoding).
 const (
 	opPutINode = 1
 	opDelINode = 2
@@ -233,50 +237,46 @@ type walRecord struct {
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 func appendBytes(b, v []byte) []byte {
-	b = appendU32(b, uint32(len(v)))
-	return append(b, v...)
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
 }
 
-// appendTime encodes a timestamp as a presence byte plus UnixNano (the
-// zero time's UnixNano is undefined, so it gets its own tag).
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return appendU64(b, uint64(t.UnixNano()))
-}
+// uvarintSize is the length binary.AppendUvarint appends for v.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// strSize is the length appendStr appends for a string of n bytes.
+func strSize(n int) int { return uvarintSize(uint64(n)) + n }
+
+// appendINode appends n's row. Signed fields (Size, Mtime, Ctime) are
+// written as their uint64 bit patterns: never negative in practice, and
+// exact either way.
 func appendINode(b []byte, n *namespace.INode) []byte {
-	b = appendU64(b, uint64(n.ID))
-	b = appendU64(b, uint64(n.ParentID))
+	b = binary.AppendUvarint(b, uint64(n.ID))
+	b = binary.AppendUvarint(b, uint64(n.ParentID))
 	b = appendStr(b, n.Name)
 	if n.IsDir {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = appendU32(b, uint32(n.Perm))
+	b = binary.AppendUvarint(b, uint64(n.Perm))
 	b = appendStr(b, n.Owner)
 	b = appendStr(b, n.Group)
-	b = appendU64(b, uint64(n.Size))
-	b = appendTime(b, n.Mtime)
-	b = appendTime(b, n.Ctime)
-	b = appendU32(b, uint32(len(n.Blocks)))
+	b = binary.AppendUvarint(b, uint64(n.Size))
+	b = binary.AppendUvarint(b, uint64(n.Mtime))
+	b = binary.AppendUvarint(b, uint64(n.Ctime))
+	b = binary.AppendUvarint(b, uint64(len(n.Blocks)))
 	for _, blk := range n.Blocks {
-		b = appendU64(b, uint64(blk.ID))
-		b = appendU64(b, uint64(blk.Size))
-		b = appendU32(b, uint32(len(blk.Locations)))
+		b = binary.AppendUvarint(b, uint64(blk.ID))
+		b = binary.AppendUvarint(b, uint64(blk.Size))
+		b = binary.AppendUvarint(b, uint64(len(blk.Locations)))
 		for _, loc := range blk.Locations {
 			b = appendStr(b, loc)
 		}
 	}
-	b = appendStr(b, n.SubtreeLockOwner)
-	return b
+	return appendStr(b, n.SubtreeLockOwner)
 }
 
 // appendKVOp appends a KV put's table, key and value.
@@ -287,27 +287,23 @@ func appendKVOp(b []byte, op *kvOp) []byte {
 }
 
 // kvOpSize is the length appendKVOp appends for op.
-func kvOpSize(op *kvOp) int { return 4 + len(op.table) + 4 + len(op.key) + 4 + len(op.val) }
+func kvOpSize(op *kvOp) int {
+	return strSize(len(op.table)) + strSize(len(op.key)) + strSize(len(op.val))
+}
 
 // inodeSize is the length appendINode appends for n.
 func inodeSize(n *namespace.INode) int {
-	size := 8 + 8 + 4 + len(n.Name) + 1 + 4 + 4 + len(n.Owner) + 4 + len(n.Group) + 8 +
-		timeSize(n.Mtime) + timeSize(n.Ctime) + 4 + 4 + len(n.SubtreeLockOwner)
+	size := uvarintSize(uint64(n.ID)) + uvarintSize(uint64(n.ParentID)) + strSize(len(n.Name)) + 1 +
+		uvarintSize(uint64(n.Perm)) + strSize(len(n.Owner)) + strSize(len(n.Group)) +
+		uvarintSize(uint64(n.Size)) + uvarintSize(uint64(n.Mtime)) + uvarintSize(uint64(n.Ctime)) +
+		uvarintSize(uint64(len(n.Blocks))) + strSize(len(n.SubtreeLockOwner))
 	for _, blk := range n.Blocks {
-		size += 8 + 8 + 4
+		size += uvarintSize(uint64(blk.ID)) + uvarintSize(uint64(blk.Size)) + uvarintSize(uint64(len(blk.Locations)))
 		for _, loc := range blk.Locations {
-			size += 4 + len(loc)
+			size += strSize(len(loc))
 		}
 	}
 	return size
-}
-
-// timeSize is the length appendTime appends for t.
-func timeSize(t time.Time) int {
-	if t.IsZero() {
-		return 1
-	}
-	return 1 + 8
 }
 
 // appendRecord appends r's frame to b — the length+checksum header, then
@@ -330,8 +326,7 @@ func appendRecord(b []byte, r *walRecord) []byte {
 		b = appendINode(b, n)
 	}
 	for _, id := range r.dels {
-		b = append(b, opDelINode)
-		b = appendU64(b, uint64(id))
+		b = binary.AppendUvarint(append(b, opDelINode), uint64(id))
 	}
 	for i := range r.kvPuts {
 		b = appendKVOp(append(b, opKVPut), &r.kvPuts[i])
@@ -398,67 +393,76 @@ func (r *walReader) byte() byte {
 	return v
 }
 
-func (r *walReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
+// uvarint reads one uvarint; a truncated or over-long one fails.
+func (r *walReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *walReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
 		r.fail()
-		return nil
+		return 0
 	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
 	r.off += n
 	return v
 }
 
-func (r *walReader) time() time.Time {
-	if r.byte() == 0 {
-		return time.Time{}
+// count reads a uvarint count of elements, each at least size bytes long,
+// and fails unless they all fit in what is left of the payload. The bound
+// is checked in uint64 before any conversion, so no count, however large,
+// can wrap an offset.
+func (r *walReader) count(size int) int {
+	v := r.uvarint()
+	if r.err != nil || v > uint64((len(r.b)-r.off)/size) {
+		r.fail()
+		return 0
 	}
-	return time.Unix(0, int64(r.u64()))
+	return int(v)
 }
+
+// raw returns the next length-prefixed run of bytes, aliasing the payload.
+func (r *walReader) raw() []byte {
+	n := r.count(1)
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
+	return v
+}
+
+func (r *walReader) str() string { return string(r.raw()) }
+
+func (r *walReader) bytes() []byte { return append([]byte(nil), r.raw()...) }
 
 func (r *walReader) inode() *namespace.INode {
 	n := &namespace.INode{
-		ID:       namespace.INodeID(r.u64()),
-		ParentID: namespace.INodeID(r.u64()),
+		ID:       namespace.INodeID(r.uvarint()),
+		ParentID: namespace.INodeID(r.uvarint()),
 		Name:     r.str(),
 		IsDir:    r.byte() == 1,
-		Perm:     namespace.Permission(r.u32()),
+		Perm:     namespace.Permission(r.uvarint()),
 		Owner:    r.str(),
 		Group:    r.str(),
-		Size:     int64(r.u64()),
-		Mtime:    r.time(),
-		Ctime:    r.time(),
+		Size:     int64(r.uvarint()),
+		Mtime:    int64(r.uvarint()),
+		Ctime:    int64(r.uvarint()),
 	}
-	nblocks := int(r.u32())
-	if r.err != nil || nblocks < 0 || nblocks > len(r.b) {
-		r.fail()
-		return nil
-	}
-	for i := 0; i < nblocks; i++ {
-		blk := namespace.Block{
-			ID:   namespace.BlockID(r.u64()),
-			Size: int64(r.u64()),
+	// A block is at least three bytes (ID, size, location count), a
+	// location at least one (its length).
+	if nblocks := r.count(3); nblocks > 0 {
+		n.Blocks = make([]namespace.Block, nblocks)
+		for i := range n.Blocks {
+			blk := &n.Blocks[i]
+			blk.ID = namespace.BlockID(r.uvarint())
+			blk.Size = int64(r.uvarint())
+			if nlocs := r.count(1); nlocs > 0 {
+				blk.Locations = make([]string, nlocs)
+				for j := range blk.Locations {
+					blk.Locations[j] = r.str()
+				}
+			}
 		}
-		nlocs := int(r.u32())
-		if r.err != nil || nlocs < 0 || nlocs > len(r.b) {
-			r.fail()
-			return nil
-		}
-		for j := 0; j < nlocs; j++ {
-			blk.Locations = append(blk.Locations, r.str())
-		}
-		n.Blocks = append(n.Blocks, blk)
 	}
 	n.SubtreeLockOwner = r.str()
 	if r.err != nil {
@@ -484,7 +488,7 @@ func decodeRecord(payload []byte) *walRecord {
 			}
 			rec.puts = append(rec.puts, n)
 		case opDelINode:
-			rec.dels = append(rec.dels, namespace.INodeID(r.u64()))
+			rec.dels = append(rec.dels, namespace.INodeID(r.uvarint()))
 		case opKVPut:
 			rec.kvPuts = append(rec.kvPuts, kvOp{table: r.str(), key: r.str(), val: r.bytes()})
 		case opKVDel:
@@ -886,6 +890,7 @@ func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 	start := clk.Now()
 	rs := &RecoveryStats{}
 	db := newDB(clk, cfg)
+	db.children = nil // replay installs rows only; finishRecovery files them
 
 	// Phase 1: load the newest checkpoint rows; the replay base is the
 	// lowest LSN any shard's snapshot covers (rows from shards ahead of
@@ -1006,7 +1011,7 @@ func Recover(clk *clock.Sim, cfg Config) (*DB, *RecoveryStats, error) {
 }
 
 // loadCkptRow decodes one self-describing checkpoint row into the store
-// maps (children index is rebuilt afterwards by finishRecovery).
+// maps (the child lists are built afterwards by finishRecovery).
 func (db *DB) loadCkptRow(key string, val []byte) error {
 	if len(val) == 0 {
 		return fmt.Errorf("checkpoint row %q empty", key)
@@ -1039,32 +1044,21 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 // db.mu, at replay by Recover, which owns the store outright — and marks each
 // written row dirty for the next checkpoint round. Puts go before deletes;
 // each put row is installed itself (from here on it is published and
-// immutable); the children index follows the rows; full-row values make
+// immutable); the child lists follow the rows; full-row values make
 // replay idempotent.
 func (db *DB) applyRecord(rec *walRecord) {
-	unlink := func(old *namespace.INode) {
-		if kids := db.children[old.ParentID]; kids != nil && kids[old.Name] == old.ID {
-			delete(kids, old.Name)
-		}
-	}
 	for _, n := range rec.puts {
 		db.markINode(n.ID)
 		if old := db.inodes[n.ID]; old != nil {
-			unlink(old)
+			db.unlink(old)
 		}
 		db.inodes[n.ID] = n
-		if db.children[n.ParentID] == nil {
-			db.children[n.ParentID] = make(map[string]namespace.INodeID)
-		}
-		db.children[n.ParentID][n.Name] = n.ID
-		if n.IsDir && db.children[n.ID] == nil {
-			db.children[n.ID] = make(map[string]namespace.INodeID)
-		}
+		db.link(n)
 	}
 	for _, id := range rec.dels {
 		db.markINode(id)
 		if old := db.inodes[id]; old != nil {
-			unlink(old)
+			db.unlink(old)
 			delete(db.inodes, id)
 			delete(db.children, id)
 		}
@@ -1083,31 +1077,21 @@ func (db *DB) applyRecord(rec *walRecord) {
 }
 
 // finishRecovery installs the root (marked dirty) if the media was empty,
-// rebuilds the derived children index from the recovered rows, and restores
-// the ID allocator above every ID the store has ever handed out.
+// builds the derived child lists from the recovered rows — each appended
+// to and sorted once — and restores the ID allocator above every ID the
+// store has ever handed out.
 func (db *DB) finishRecovery(maxID uint64) {
 	if db.inodes[namespace.RootID] == nil {
 		root := namespace.NewRoot()
 		db.inodes[root.ID] = root
 		db.markINode(root.ID)
 	}
-	db.children = make(map[namespace.INodeID]map[string]namespace.INodeID)
+	rows := make([]*namespace.INode, 0, len(db.inodes))
 	for id, n := range db.inodes {
-		if n.IsDir && db.children[id] == nil {
-			db.children[id] = make(map[string]namespace.INodeID)
-		}
-		if id == namespace.RootID {
-			continue
-		}
-		if db.children[n.ParentID] == nil {
-			db.children[n.ParentID] = make(map[string]namespace.INodeID)
-		}
-		db.children[n.ParentID][n.Name] = id
+		rows = append(rows, n)
+		maxID = max(maxID, uint64(id))
 	}
-	for id := range db.inodes {
-		if uint64(id) > maxID {
-			maxID = uint64(id)
-		}
-	}
+	db.children = make(map[namespace.INodeID][]childEntry)
+	db.linkAll(rows)
 	db.nextID.Store(maxID)
 }

@@ -49,8 +49,8 @@ func stateDigest(db *DB) string {
 			id, n.ParentID, n.Name, n.IsDir, n.Size, n.Owner, len(n.Blocks), n.SubtreeLockOwner))
 	}
 	for parent, kids := range db.children {
-		for name, id := range kids {
-			lines = append(lines, fmt.Sprintf("c %d %q %d", parent, name, id))
+		for _, e := range kids {
+			lines = append(lines, fmt.Sprintf("c %d %q %d", parent, e.name, e.id))
 		}
 	}
 	for table, m := range db.kv {
@@ -91,7 +91,7 @@ func buildWALWorkload(t testing.TB, clk *clock.Sim, n int) (*DB, *Durable, []str
 			node := &namespace.INode{ID: id, ParentID: namespace.RootID,
 				Name: fmt.Sprintf("f%02d", i), Perm: namespace.PermDefaultFile,
 				Owner: "u", Group: "g", Size: int64(i * 10),
-				Mtime: clk.Now(),
+				Mtime: clk.Now().UnixNano(),
 				Blocks: []namespace.Block{
 					{ID: namespace.BlockID(100 + i), Size: 64, Locations: []string{"dn1", "dn2"}},
 				}}
@@ -194,7 +194,7 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 		puts: []*namespace.INode{
 			{ID: 7, ParentID: 1, Name: "a", IsDir: true, Perm: 0o755, Owner: "o", Group: "g"},
 			{ID: 9, ParentID: 7, Name: "b", Size: 123,
-				Mtime: time.Unix(0, 77), Ctime: time.Unix(0, 88),
+				Mtime: 77, Ctime: 88,
 				Blocks: []namespace.Block{
 					{ID: 5, Size: 64, Locations: []string{"dn1", "dn2"}},
 					{ID: 6, Size: 32},
@@ -222,7 +222,7 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 		t.Fatalf("op counts mismatch: %+v", got)
 	}
 	b := got.puts[1]
-	if b.ID != 9 || b.Mtime.UnixNano() != 77 || len(b.Blocks) != 2 ||
+	if b.ID != 9 || b.Mtime != 77 || len(b.Blocks) != 2 ||
 		len(b.Blocks[0].Locations) != 2 || b.Blocks[0].Locations[1] != "dn2" ||
 		b.SubtreeLockOwner != "nn-3" {
 		t.Fatalf("inode roundtrip mismatch: %+v", b)

@@ -28,7 +28,10 @@ func GenerateNamespace(dirs, filesPerDir int) (dirPaths, filePaths []string) {
 }
 
 // PreloadNDB installs the generated namespace directly into the store
-// (benchmark setup; bypasses the latency model).
+// (benchmark setup; bypasses the latency model). Every file's one block
+// names the same three DataNodes, so all blocks share one location list:
+// no one writes a Locations element in place (namespace.INode), and the
+// literal's length is its capacity, so an append to it reallocates.
 func PreloadNDB(db *ndb.DB, dirPaths, filePaths []string) {
 	nodes := make([]*namespace.INode, 0, len(dirPaths)+len(filePaths))
 	ids := map[string]namespace.INodeID{"/": namespace.RootID}
@@ -49,6 +52,7 @@ func PreloadNDB(db *ndb.DB, dirPaths, filePaths []string) {
 			Owner:    "hdfs", Group: "hdfs",
 		})
 	}
+	locations := []string{"dn1", "dn2", "dn3"}
 	for _, f := range filePaths {
 		id := alloc()
 		nodes = append(nodes, &namespace.INode{
@@ -58,7 +62,7 @@ func PreloadNDB(db *ndb.DB, dirPaths, filePaths []string) {
 			Perm:     namespace.PermDefaultFile,
 			Owner:    "hdfs", Group: "hdfs",
 			Size:   128 << 20,
-			Blocks: []namespace.Block{{ID: namespace.BlockID(id), Size: 128 << 20, Locations: []string{"dn1", "dn2", "dn3"}}},
+			Blocks: []namespace.Block{{ID: namespace.BlockID(id), Size: 128 << 20, Locations: locations}},
 		})
 	}
 	db.Preload(nodes)
