@@ -73,6 +73,9 @@ go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="
 go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
 
+echo "== fuzz (ndb row codec: arbitrary bytes never panic walReader.inode, appendINode round-trips through it, inodeSize is the appended length; bounded) =="
+go test ./internal/ndb/ -run '^$' -fuzz FuzzINodeCodec -fuzztime 10s
+
 echo "== fuzz (indexfs attribute codec: encode/decode round trip, every 20-byte row re-encodes to itself, every other length rejected; bounded) =="
 go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 )
 
 func TestCleanPath(t *testing.T) {
@@ -324,4 +326,24 @@ func walkAll(cs Components) (comps []string, n int) {
 		comps = append(comps, c)
 	}
 	return comps, n
+}
+
+// TestINodeSize pins the row struct every stored, cached and resolved
+// version of a file or directory is: 136 bytes, the 144-byte size class
+// (168 and 176 while Mtime and Ctime were time.Time values).
+func TestINodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(INode{}); got != 136 {
+		t.Errorf("unsafe.Sizeof(INode{}) = %d, want 136", got)
+	}
+}
+
+// TestStatOfConvertsTimestamps: a row keeps its timestamps as UnixNano and
+// a stat reports them as time.Time in UTC; a row never stamped reports the
+// zero time.
+func TestStatOfConvertsTimestamps(t *testing.T) {
+	at := time.Date(2023, time.March, 25, 0, 0, 1, 500, time.UTC)
+	st := StatOf(&INode{ID: 2, Mtime: at.UnixNano()}, "/f")
+	if !st.Mtime.Equal(at) || st.Mtime.Location() != time.UTC || !st.Ctime.IsZero() {
+		t.Errorf("StatOf: Mtime %v, Ctime %v; want %v and the zero time", st.Mtime, st.Ctime, at)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -303,6 +304,80 @@ func TestDeleteRemovesRowAndIndex(t *testing.T) {
 		}
 		if _, err := getChild(tx2, namespace.RootID, "dead", store.LockNone); !errors.Is(err, namespace.ErrNotFound) {
 			t.Fatal("deleted child index entry survived")
+		}
+	})
+}
+
+// TestChildListsStaySorted: a directory's child list is sorted by name
+// however its rows arrive — a preload in reverse name order, commits that
+// insert, rename and delete — so every name is found by binary search and
+// the audit finds nothing.
+func TestChildListsStaySorted(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		const dir = namespace.INodeID(100)
+		nodes := []*namespace.INode{{ID: dir, ParentID: namespace.RootID, Name: "d", IsDir: true}}
+		for i := 50; i > 0; i-- {
+			nodes = append(nodes, &namespace.INode{ID: dir + namespace.INodeID(i), ParentID: dir, Name: fmt.Sprintf("f%02d", i)})
+		}
+		db.Preload(nodes)
+		addFile(t, db, dir, "f25x")
+		addFile(t, db, dir, "a")
+		tx := db.Begin("t")
+		if err := tx.DeleteINode(dir + 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.PutINode(&namespace.INode{ID: dir + 20, ParentID: dir, Name: "z"}); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		if bad := db.CheckIntegrity(); len(bad) != 0 {
+			t.Fatalf("integrity: %v", bad)
+		}
+		names := []string{"a", "f25x", "z"}
+		for i := 1; i <= 50; i++ {
+			if i != 10 && i != 20 {
+				names = append(names, fmt.Sprintf("f%02d", i))
+			}
+		}
+		for _, name := range names {
+			if _, ok := db.child(dir, name); !ok {
+				t.Errorf("%q not found", name)
+			}
+		}
+		for _, gone := range []string{"f10", "f20"} {
+			if _, ok := db.child(dir, gone); ok {
+				t.Errorf("%q still filed", gone)
+			}
+		}
+		if got := len(db.children[dir]); got != len(names) {
+			t.Errorf("child list holds %d entries, want %d", got, len(names))
+		}
+	})
+}
+
+// TestCheckIntegrityFlagsUnsortedChildList: binary search needs every child
+// list strictly sorted by name, so the audit flags two swapped entries and
+// a name filed twice.
+func TestCheckIntegrityFlagsUnsortedChildList(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		dir := addDir(t, db, namespace.RootID, "d")
+		for _, name := range []string{"a", "b", "c"} {
+			addFile(t, db, dir, name)
+		}
+		if bad := db.CheckIntegrity(); len(bad) != 0 {
+			t.Fatalf("integrity before the swap: %v", bad)
+		}
+		kids := db.children[dir]
+		kids[0], kids[1] = kids[1], kids[0]
+		if bad := db.CheckIntegrity(); len(bad) != 1 || !strings.Contains(bad[0], `out of order: "b" before "a"`) {
+			t.Errorf("integrity after swapping a and b: %v", bad)
+		}
+		kids[0], kids[1] = kids[1], kids[0]
+		db.children[dir] = slices.Insert(kids, 1, kids[0])
+		if bad := db.CheckIntegrity(); len(bad) != 1 || !strings.Contains(bad[0], `out of order: "a" before "a"`) {
+			t.Errorf("integrity with a filed twice: %v", bad)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package ndb
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -240,6 +242,126 @@ func TestWALRecordCodecRoundtrip(t *testing.T) {
 			// impossible; treat any acceptance as a failure.
 			t.Fatalf("byte %d corruption accepted: %+v", i, rec)
 		}
+	}
+}
+
+// preloadedFile and preloadedDir are rows of the shape workload.PreloadNDB
+// installs, at IDs a 65,536-file namespace reaches: a 128 MiB file with
+// one block on three DataNodes, and a directory; neither is stamped.
+func preloadedFile() *namespace.INode {
+	return &namespace.INode{ID: 70000, ParentID: 4000, Name: "file00015", Perm: namespace.PermDefaultFile,
+		Owner: "hdfs", Group: "hdfs", Size: 128 << 20,
+		Blocks: []namespace.Block{{ID: 70000, Size: 128 << 20, Locations: []string{"dn1", "dn2", "dn3"}}}}
+}
+
+func preloadedDir() *namespace.INode {
+	return &namespace.INode{ID: 4000, ParentID: 1000, Name: "bench0999", IsDir: true,
+		Perm: namespace.PermDefaultDir, Owner: "hdfs", Group: "hdfs"}
+}
+
+// TestRowEncodingFootprint pins what a row costs in a WAL record and as a
+// checkpoint value (one tag byte more): 112 bytes for the file and 62 for
+// the directory when every integer and length was fixed-width.
+func TestRowEncodingFootprint(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		n    *namespace.INode
+		want int
+	}{
+		{"preloaded file", preloadedFile(), 56},
+		{"preloaded directory", preloadedDir(), 32},
+	} {
+		if got := inodeSize(c.n); got != c.want {
+			t.Errorf("%s: inodeSize %d, want %d", c.what, got, c.want)
+		}
+		if got := len(appendINode(nil, c.n)); got != c.want {
+			t.Errorf("%s: appendINode appends %d bytes, want %d", c.what, got, c.want)
+		}
+	}
+}
+
+// TestRowCodecRejectsOversizedLength: a length or count the payload cannot
+// hold fails the decode instead of slicing past the payload — including one
+// so large that adding it to the offset would wrap an int.
+func TestRowCodecRejectsOversizedLength(t *testing.T) {
+	row := appendINode(nil, preloadedDir())
+	nameAt := uvarintSize(4000) + uvarintSize(1000) // the name's length prefix
+	for _, c := range []struct {
+		what   string
+		length []byte
+	}{
+		{"one byte past the payload", binary.AppendUvarint(nil, uint64(len(row)-nameAt))},
+		{"MaxInt64", binary.AppendUvarint(nil, 1<<63-1)},
+		{"MaxUint64", binary.AppendUvarint(nil, 1<<64-1)},
+		{"a uvarint past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+		{"a truncated uvarint", []byte{0x80}},
+	} {
+		b := append(append(slices.Clip(row[:nameAt]), c.length...), row[nameAt+1:]...)
+		if c.what == "a truncated uvarint" {
+			b = b[:nameAt+1]
+		}
+		r := &walReader{b: b}
+		if n := r.inode(); n != nil || r.err == nil {
+			t.Errorf("%s: decoded %v, err %v", c.what, n, r.err)
+		}
+	}
+	// The block and location counts are bounded the same way.
+	file := appendINode(nil, preloadedFile())
+	bare := preloadedFile()
+	bare.Blocks = nil
+	blocksAt := inodeSize(bare) - 2 // the block count, then the subtree owner's empty name
+	b := append(append(slices.Clip(file[:blocksAt]), binary.AppendUvarint(nil, 1<<62)...), file[blocksAt+1:]...)
+	if r := (&walReader{b: b}); r.inode() != nil || r.err == nil {
+		t.Errorf("a block count of 2^62 decoded, err %v", r.err)
+	}
+}
+
+// FuzzINodeCodec holds the row codec to three properties: no input makes
+// walReader.inode panic (a row it accepts re-encodes to a row that decodes
+// to itself); appendINode then walReader.inode gives back the row; and
+// inodeSize is the length appendINode appends.
+func FuzzINodeCodec(f *testing.F) {
+	for _, n := range []*namespace.INode{preloadedFile(), preloadedDir()} {
+		f.Add(appendINode(nil, n), uint64(n.ID), uint64(n.ParentID), n.Name, n.IsDir, uint16(n.Perm),
+			n.Owner, n.Size, n.Mtime, uint8(len(n.Blocks)), "dn1", "")
+	}
+	f.Add([]byte{}, uint64(1<<63), uint64(0), "", false, uint16(0xffff), "", int64(-1), int64(1679702400000000000), uint8(3), "", "nn-3")
+	f.Fuzz(func(t *testing.T, data []byte, id, parent uint64, name string, isDir bool, perm uint16,
+		owner string, size, mtime int64, nblocks uint8, loc, sub string) {
+		r := &walReader{b: data}
+		if got := r.inode(); got != nil {
+			roundTrip(t, got)
+		}
+
+		n := &namespace.INode{ID: namespace.INodeID(id), ParentID: namespace.INodeID(parent), Name: name,
+			IsDir: isDir, Perm: namespace.Permission(perm), Owner: owner, Group: name + owner, Size: size,
+			Mtime: mtime, Ctime: -mtime, SubtreeLockOwner: sub}
+		for i := 0; i < int(nblocks%8); i++ {
+			blk := namespace.Block{ID: namespace.BlockID(id + uint64(i)), Size: size >> i}
+			for j := 0; j < i; j++ {
+				blk.Locations = append(blk.Locations, loc[:min(j, len(loc))])
+			}
+			n.Blocks = append(n.Blocks, blk)
+		}
+		roundTrip(t, n)
+	})
+}
+
+// roundTrip checks that n encodes to inodeSize(n) bytes that decode, all of
+// them, back to n.
+func roundTrip(t *testing.T, n *namespace.INode) {
+	t.Helper()
+	b := appendINode(nil, n)
+	if len(b) != inodeSize(n) {
+		t.Fatalf("inodeSize %d, appendINode appends %d: %+v", inodeSize(n), len(b), n)
+	}
+	r := &walReader{b: b}
+	got := r.inode()
+	if r.err != nil || r.off != len(b) {
+		t.Fatalf("decode of %+v: err %v after %d of %d bytes", n, r.err, r.off, len(b))
+	}
+	if !reflect.DeepEqual(got, n) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, n)
 	}
 }
 
