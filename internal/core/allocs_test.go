@@ -134,9 +134,10 @@ func opAllocs(prep, op func()) float64 {
 //   - mv inside a directory 6: the three, the target's copy and the
 //     parent's copy once per path;
 //   - mv across directories 6: the three and three copies;
-//   - leaf mkdirs 10: the three, the parent's copy, the directory it
-//     builds and that directory's child table in the store, the component
-//     list it splits and the three paths it joins on the way down.
+//   - leaf mkdirs 9: the three, the parent's copy, the directory it
+//     builds, the component list it splits and the three paths it joins on
+//     the way down (the new directory's child list in the store is nil
+//     until its first child).
 //
 // Nothing else: the write set, the lock phase's reply and chains, its lock
 // set (up to 16 rows: a rename's fits), the INV round's targets and batch
@@ -174,7 +175,7 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 5},
 			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 6},
 			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 6},
-			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 10},
+			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 9},
 		} {
 			if got := opAllocs(c.prep, c.op); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
