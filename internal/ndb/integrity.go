@@ -15,7 +15,8 @@ import (
 //     (ParentID, Name) matches the slot it is filed under (no dangling or
 //     misfiled child entries);
 //   - every child list must be strictly sorted by name — no two entries
-//     share a name — which its binary search relies on;
+//     share a name — in chunks none over maxChunk and none empty but a
+//     list's only one, which its binary search relies on;
 //   - every INode except the root must be reachable from the root through
 //     child entries (no lost or orphaned inodes);
 //   - every non-root INode's parent must exist and be a directory.
@@ -31,29 +32,34 @@ func (db *DB) CheckIntegrity() []string {
 		return []string{"root inode missing"}
 	}
 
-	// Child entries: order, dangling references and misfiled slots.
+	// Child entries: chunk shape, order, dangling references and misfiled
+	// slots.
 	for parent, kids := range db.children {
-		for i := 1; i < len(kids); i++ {
-			if kids[i-1].name >= kids[i].name {
-				bad = append(bad, fmt.Sprintf("child list of inode %d out of order: %q before %q",
-					parent, kids[i-1].name, kids[i].name))
-			}
-		}
 		if db.inodes[parent] == nil {
-			if len(kids) > 0 {
-				bad = append(bad, fmt.Sprintf("child list for missing inode %d holds %d entries", parent, len(kids)))
+			if n := kids.len(); n > 0 {
+				bad = append(bad, fmt.Sprintf("child list for missing inode %d holds %d entries", parent, n))
 			}
 			continue
 		}
-		for _, e := range kids {
-			n := db.inodes[e.id]
-			if n == nil {
-				bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.name, e.id))
-				continue
+		var prev *childEntry
+		for _, c := range kids {
+			if (len(c) == 0 && len(kids) > 1) || len(c) > maxChunk {
+				bad = append(bad, fmt.Sprintf("child list of inode %d holds a chunk of %d entries", parent, len(c)))
 			}
-			if n.ParentID != parent || n.Name != e.name {
-				bad = append(bad, fmt.Sprintf("misfiled child entry %d/%q -> inode %d (parent=%d name=%q)",
-					parent, e.name, e.id, n.ParentID, n.Name))
+			for i := range c {
+				e := &c[i]
+				if prev != nil && prev.name >= e.name {
+					bad = append(bad, fmt.Sprintf("child list of inode %d out of order: %q before %q",
+						parent, prev.name, e.name))
+				}
+				prev = e
+				n := db.inodes[e.id]
+				if n == nil {
+					bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.name, e.id))
+				} else if n.ParentID != parent || n.Name != e.name {
+					bad = append(bad, fmt.Sprintf("misfiled child entry %d/%q -> inode %d (parent=%d name=%q)",
+						parent, e.name, e.id, n.ParentID, n.Name))
+				}
 			}
 		}
 	}
@@ -65,10 +71,12 @@ func (db *DB) CheckIntegrity() []string {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		for _, e := range db.children[id] {
-			if !reached[e.id] && db.inodes[e.id] != nil {
-				reached[e.id] = true
-				queue = append(queue, e.id)
+		for _, c := range db.children[id] {
+			for _, e := range c {
+				if !reached[e.id] && db.inodes[e.id] != nil {
+					reached[e.id] = true
+					queue = append(queue, e.id)
+				}
 			}
 		}
 	}

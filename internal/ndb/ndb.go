@@ -44,7 +44,6 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,7 +170,7 @@ type DB struct {
 
 	mu       sync.RWMutex
 	inodes   map[namespace.INodeID]*namespace.INode
-	children map[namespace.INodeID][]childEntry // per directory, sorted by name; nil while Recover replays
+	children map[namespace.INodeID]childList // per directory; nil while Recover replays
 	kv       map[string]map[string][]byte
 
 	nextID atomic.Uint64
@@ -217,7 +216,7 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 		cfg:      cfg,
 		clk:      clk,
 		inodes:   make(map[namespace.INodeID]*namespace.INode),
-		children: make(map[namespace.INodeID][]childEntry),
+		children: make(map[namespace.INodeID]childList),
 		kv:       make(map[string]map[string][]byte),
 		locks:    newLockManager(clk, cfg.LockWaitTimeout),
 		dur:      cfg.Durable,
@@ -313,8 +312,10 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 		}
 		out = append(out, n)
 		first := len(queue)
-		for _, e := range db.children[id] {
-			queue = append(queue, e.id)
+		for _, c := range db.children[id] {
+			for _, e := range c {
+				queue = append(queue, e.id)
+			}
 		}
 		slices.Sort(queue[first:])
 	}
@@ -376,73 +377,6 @@ func grown[K comparable, V any](m map[K]V, n int) map[K]V {
 	g := make(map[K]V, len(m)+n)
 	maps.Copy(g, m)
 	return g
-}
-
-// childEntry is one row of a directory's child list.
-type childEntry struct {
-	name string
-	id   namespace.INodeID
-}
-
-// findChild returns where name is in kids, a list sorted by name, or where
-// it would go, and whether it is there.
-func findChild(kids []childEntry, name string) (int, bool) {
-	return slices.BinarySearchFunc(kids, name, func(e childEntry, name string) int {
-		return strings.Compare(e.name, name)
-	})
-}
-
-// child returns the ID filed under (parent, name). Caller holds db.mu.
-func (db *DB) child(parent namespace.INodeID, name string) (namespace.INodeID, bool) {
-	kids := db.children[parent]
-	if i, ok := findChild(kids, name); ok {
-		return kids[i].id, true
-	}
-	return namespace.InvalidID, false
-}
-
-// link files n under its parent: one sorted insert, or a new ID for a name
-// already filed. The root is no one's child. A new directory's list is
-// nil, the empty list, until its first child. A no-op while Recover
-// replays (finishRecovery builds the lists once). Caller holds db.mu for
-// writing.
-func (db *DB) link(n *namespace.INode) {
-	if db.children == nil || n.ID == namespace.RootID {
-		return
-	}
-	kids := db.children[n.ParentID]
-	i, ok := findChild(kids, n.Name)
-	if ok {
-		kids[i].id = n.ID
-		return
-	}
-	db.children[n.ParentID] = slices.Insert(kids, i, childEntry{n.Name, n.ID})
-}
-
-// unlink removes old's entry from its parent's list if the entry still
-// names old. Caller holds db.mu for writing.
-func (db *DB) unlink(old *namespace.INode) {
-	kids := db.children[old.ParentID]
-	if i, ok := findChild(kids, old.Name); ok && kids[i].id == old.ID {
-		db.children[old.ParentID] = slices.Delete(kids, i, i+1)
-	}
-}
-
-// linkAll files every row of nodes but the root under its parent by
-// appending, then sorts each list it grew once. Caller holds db.mu for
-// writing, and no name of nodes is filed in its directory yet.
-func (db *DB) linkAll(nodes []*namespace.INode) {
-	grew := make(map[namespace.INodeID]struct{})
-	for _, n := range nodes {
-		if n.ID == namespace.RootID {
-			continue
-		}
-		db.children[n.ParentID] = append(db.children[n.ParentID], childEntry{n.Name, n.ID})
-		grew[n.ParentID] = struct{}{}
-	}
-	for parent := range grew {
-		slices.SortFunc(db.children[parent], func(a, b childEntry) int { return strings.Compare(a.name, b.name) })
-	}
 }
 
 // INodeCount reports the number of INodes (test/diagnostic hook).

@@ -3,6 +3,7 @@ package ndb
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -350,15 +351,75 @@ func TestChildListsStaySorted(t *testing.T) {
 				t.Errorf("%q still filed", gone)
 			}
 		}
-		if got := len(db.children[dir]); got != len(names) {
+		if got := db.children[dir].len(); got != len(names) {
 			t.Errorf("child list holds %d entries, want %d", got, len(names))
 		}
 	})
 }
 
+// TestChildListMatchesSortedModel runs random inserts, renames and removes
+// on one child list, across chunk splits and chunk removals, against a map
+// and checks after each that the list holds exactly the map's entries in
+// name order, in chunks none over maxChunk and none empty but a lone one,
+// and that find agrees with the map for names present and absent.
+func TestChildListMatchesSortedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var l childList
+	model := map[string]namespace.INodeID{}
+	for step := 0; step < 20000; step++ {
+		name := fmt.Sprintf("n%03d", rng.Intn(400))
+		id := namespace.INodeID(1 + rng.Intn(1<<20))
+		switch {
+		case rng.Intn(3) > 0 && step < 12000, step%7 == 0:
+			l = l.insert(childEntry{name, id})
+			model[name] = id
+		default:
+			if old, ok := model[name]; ok && rng.Intn(4) > 0 {
+				id = old
+			}
+			l = l.remove(name, id)
+			if model[name] == id {
+				delete(model, name)
+			}
+		}
+		var got []string
+		for ci, c := range l {
+			if (len(c) == 0 && len(l) > 1) || len(c) > maxChunk {
+				t.Fatalf("step %d: chunk %d holds %d entries", step, ci, len(c))
+			}
+			for _, e := range c {
+				if model[e.name] != e.id {
+					t.Fatalf("step %d: %q -> %d, model %d", step, e.name, e.id, model[e.name])
+				}
+				got = append(got, e.name)
+			}
+		}
+		if !slices.IsSorted(got) || len(got) != len(model) || l.len() != len(model) {
+			t.Fatalf("step %d: %d names (sorted %v, len %d), model %d", step, len(got), slices.IsSorted(got), l.len(), len(model))
+		}
+		probe := fmt.Sprintf("n%03d", rng.Intn(420))
+		if id, ok := l.find(probe); ok != (model[probe] != 0) || id != model[probe] {
+			t.Fatalf("step %d: find(%q) = %d, %v; model %d", step, probe, id, ok, model[probe])
+		}
+	}
+	// Emptied, the list keeps one chunk's storage and takes entries again.
+	for name, id := range model {
+		l = l.remove(name, id)
+	}
+	if l.len() != 0 || len(l) != 1 {
+		t.Fatalf("emptied list: %d entries in %d chunks, want 0 in 1", l.len(), len(l))
+	}
+	if l = l.insert(childEntry{"x", 7}); l.len() != 1 {
+		t.Fatalf("insert into an emptied list: %d entries", l.len())
+	}
+	if id, ok := l.find("x"); !ok || id != 7 {
+		t.Fatalf("find after refill: %d, %v", id, ok)
+	}
+}
+
 // TestCheckIntegrityFlagsUnsortedChildList: binary search needs every child
-// list strictly sorted by name, so the audit flags two swapped entries and
-// a name filed twice.
+// list strictly sorted by name and no chunk empty, so the audit flags two
+// swapped entries, a name filed twice and an empty chunk.
 func TestCheckIntegrityFlagsUnsortedChildList(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)
@@ -369,15 +430,19 @@ func TestCheckIntegrityFlagsUnsortedChildList(t *testing.T) {
 		if bad := db.CheckIntegrity(); len(bad) != 0 {
 			t.Fatalf("integrity before the swap: %v", bad)
 		}
-		kids := db.children[dir]
+		kids := db.children[dir][0]
 		kids[0], kids[1] = kids[1], kids[0]
 		if bad := db.CheckIntegrity(); len(bad) != 1 || !strings.Contains(bad[0], `out of order: "b" before "a"`) {
 			t.Errorf("integrity after swapping a and b: %v", bad)
 		}
 		kids[0], kids[1] = kids[1], kids[0]
-		db.children[dir] = slices.Insert(kids, 1, kids[0])
+		db.children[dir][0] = slices.Insert(kids, 1, kids[0])
 		if bad := db.CheckIntegrity(); len(bad) != 1 || !strings.Contains(bad[0], `out of order: "a" before "a"`) {
 			t.Errorf("integrity with a filed twice: %v", bad)
+		}
+		db.children[dir] = append(db.children[dir], nil)
+		if bad := db.CheckIntegrity(); len(bad) != 2 || !strings.Contains(bad[0], "a chunk of 0 entries") {
+			t.Errorf("integrity with an empty chunk: %v", bad)
 		}
 	})
 }

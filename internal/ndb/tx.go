@@ -169,13 +169,15 @@ func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INo
 func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
-	out := make([]*namespace.INode, 0, len(kids))
-	for _, e := range kids {
-		if _, ok := t.buffered(e.id); ok {
-			continue // this transaction's version decides, below
-		}
-		if n := t.db.inodes[e.id]; n != nil {
-			out = append(out, handOut(n, mode))
+	out := make([]*namespace.INode, 0, kids.len())
+	for _, c := range kids {
+		for _, e := range c {
+			if _, ok := t.buffered(e.id); ok {
+				continue // this transaction's version decides, below
+			}
+			if n := t.db.inodes[e.id]; n != nil {
+				out = append(out, handOut(n, mode))
+			}
 		}
 	}
 	committed := len(out)

@@ -1044,15 +1044,19 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 // db.mu, at replay by Recover, which owns the store outright — and marks each
 // written row dirty for the next checkpoint round. Puts go before deletes;
 // each put row is installed itself (from here on it is published and
-// immutable); the child lists follow the rows; full-row values make
-// replay idempotent.
+// immutable); the child lists follow the rows, changing only for a row
+// that is new, moved or renamed; full-row values make replay idempotent.
 func (db *DB) applyRecord(rec *walRecord) {
 	for _, n := range rec.puts {
 		db.markINode(n.ID)
-		if old := db.inodes[n.ID]; old != nil {
+		old := db.inodes[n.ID]
+		db.inodes[n.ID] = n
+		if old != nil && old.ParentID == n.ParentID && old.Name == n.Name {
+			continue // filed where it was: its entry stands
+		}
+		if old != nil {
 			db.unlink(old)
 		}
-		db.inodes[n.ID] = n
 		db.link(n)
 	}
 	for _, id := range rec.dels {
@@ -1091,7 +1095,7 @@ func (db *DB) finishRecovery(maxID uint64) {
 		rows = append(rows, n)
 		maxID = max(maxID, uint64(id))
 	}
-	db.children = make(map[namespace.INodeID][]childEntry)
+	db.children = make(map[namespace.INodeID]childList)
 	db.linkAll(rows)
 	db.nextID.Store(maxID)
 }
