@@ -357,6 +357,19 @@ func TestChildListsStaySorted(t *testing.T) {
 	})
 }
 
+// childName is the k-th of a name set that orders both by nameKey alone
+// (short names) and by the names past their first eight bytes (a shared
+// long prefix, and zero bytes the key's padding cannot tell apart).
+func childName(k int) string {
+	switch k % 3 {
+	case 0:
+		return fmt.Sprintf("n%03d", k)
+	case 1:
+		return fmt.Sprintf("shared-prefix-%03d", k)
+	}
+	return strings.Repeat("\x00", k%5) + fmt.Sprintf("%c", 'a'+k%7)
+}
+
 // TestChildListMatchesSortedModel runs random inserts, renames and removes
 // on one child list, across chunk splits and chunk removals, against a map
 // and checks after each that the list holds exactly the map's entries in
@@ -367,11 +380,11 @@ func TestChildListMatchesSortedModel(t *testing.T) {
 	var l childList
 	model := map[string]namespace.INodeID{}
 	for step := 0; step < 20000; step++ {
-		name := fmt.Sprintf("n%03d", rng.Intn(400))
+		name := childName(rng.Intn(400))
 		id := namespace.INodeID(1 + rng.Intn(1<<20))
 		switch {
 		case rng.Intn(3) > 0 && step < 12000, step%7 == 0:
-			l = l.insert(childEntry{name, id})
+			l = l.insert(newChild(name, id))
 			model[name] = id
 		default:
 			if old, ok := model[name]; ok && rng.Intn(4) > 0 {
@@ -397,7 +410,7 @@ func TestChildListMatchesSortedModel(t *testing.T) {
 		if !slices.IsSorted(got) || len(got) != len(model) || l.len() != len(model) {
 			t.Fatalf("step %d: %d names (sorted %v, len %d), model %d", step, len(got), slices.IsSorted(got), l.len(), len(model))
 		}
-		probe := fmt.Sprintf("n%03d", rng.Intn(420))
+		probe := childName(rng.Intn(420))
 		if id, ok := l.find(probe); ok != (model[probe] != 0) || id != model[probe] {
 			t.Fatalf("step %d: find(%q) = %d, %v; model %d", step, probe, id, ok, model[probe])
 		}
@@ -409,7 +422,7 @@ func TestChildListMatchesSortedModel(t *testing.T) {
 	if l.len() != 0 || len(l) != 1 {
 		t.Fatalf("emptied list: %d entries in %d chunks, want 0 in 1", l.len(), len(l))
 	}
-	if l = l.insert(childEntry{"x", 7}); l.len() != 1 {
+	if l = l.insert(newChild("x", 7)); l.len() != 1 {
 		t.Fatalf("insert into an emptied list: %d entries", l.len())
 	}
 	if id, ok := l.find("x"); !ok || id != 7 {

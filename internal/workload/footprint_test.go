@@ -24,7 +24,7 @@ func liveHeap() uint64 {
 // row: the store's rows, child lists and row map, and the checkpoint its
 // durability tier takes of them. The paths are the harness's and are live
 // on both sides of the measurement, so they count in neither. A row keeps
-// 354 bytes (x86-64, Go 1.24); 518 when each block had its own location
+// 363 bytes (x86-64, Go 1.24); 518 when each block had its own location
 // list, each directory a map of its children, each INode two time.Time
 // fields and each checkpoint value fixed-width integers. (Not under -race:
 // the detector's shadow state is heap too.)
