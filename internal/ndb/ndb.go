@@ -342,8 +342,8 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 // must precede children; no name may be taken in its directory already.
 // Like store.Tx.PutINode it takes the nodes over: each pointer becomes the
 // published row, so the caller must not write it again (namespace.INode).
-// Each directory's child list is appended to and sorted once, not grown
-// by one sorted insert per row.
+// Each directory's child list is gathered and sorted once (linkAll), not
+// grown by one sorted insert per row.
 func (db *DB) Preload(nodes []*namespace.INode) {
 	maxID := db.nextID.Load()
 	for _, n := range nodes {
