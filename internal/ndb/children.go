@@ -67,13 +67,12 @@ func (e *childEntry) before(key uint64, name string) bool {
 	return e.key < key || (e.key == key && e.name < name)
 }
 
-// locate returns the chunk name belongs in — the last one whose first
-// name is at most name, or the first — and name's place in that chunk, and
-// whether name is there. l must hold a chunk. (Hand-written binary
+// locate returns the chunk name, whose key is key, belongs in — the last
+// one whose first name is at most name, or the first — and name's place in
+// that chunk, and whether name is there. l must hold a chunk. (Hand-written binary
 // searches: a lookup is on every path resolution, and a comparison
 // function passed to slices.BinarySearchFunc is called indirectly.)
-func (l childList) locate(name string) (ci, i int, found bool) {
-	key := nameKey(name)
+func (l childList) locate(key uint64, name string) (ci, i int, found bool) {
 	for lo, hi := 1, len(l); lo < hi; { // chunks 1..ci start at or before name
 		if m := int(uint(lo+hi) >> 1); l[m][0].before(key, name) || l[m][0].name == name {
 			ci, lo = m, m+1
@@ -98,7 +97,7 @@ func (l childList) find(name string) (namespace.INodeID, bool) {
 	if len(l) == 0 {
 		return namespace.InvalidID, false
 	}
-	if ci, i, ok := l.locate(name); ok {
+	if ci, i, ok := l.locate(nameKey(name), name); ok {
 		return l[ci][i].id, true
 	}
 	return namespace.InvalidID, false
@@ -119,7 +118,7 @@ func (l childList) insert(e childEntry) childList {
 	if len(l) == 0 {
 		return childList{{e}}
 	}
-	ci, i, found := l.locate(e.name)
+	ci, i, found := l.locate(e.key, e.name)
 	c := l[ci]
 	if found {
 		c[i].id = e.id
@@ -146,7 +145,7 @@ func (l childList) remove(name string, id namespace.INodeID) childList {
 	if len(l) == 0 {
 		return l
 	}
-	ci, i, found := l.locate(name)
+	ci, i, found := l.locate(nameKey(name), name)
 	switch {
 	case !found || l[ci][i].id != id:
 	case len(l[ci]) == 1 && len(l) > 1:

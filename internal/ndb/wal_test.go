@@ -286,35 +286,31 @@ func TestRowEncodingFootprint(t *testing.T) {
 // hold fails the decode instead of slicing past the payload — including one
 // so large that adding it to the offset would wrap an int.
 func TestRowCodecRejectsOversizedLength(t *testing.T) {
-	row := appendINode(nil, preloadedDir())
-	nameAt := uvarintSize(4000) + uvarintSize(1000) // the name's length prefix
-	for _, c := range []struct {
-		what   string
-		length []byte
-	}{
-		{"one byte past the payload", binary.AppendUvarint(nil, uint64(len(row)-nameAt))},
-		{"MaxInt64", binary.AppendUvarint(nil, 1<<63-1)},
-		{"MaxUint64", binary.AppendUvarint(nil, 1<<64-1)},
-		{"a uvarint past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
-		{"a truncated uvarint", []byte{0x80}},
-	} {
-		b := append(append(slices.Clip(row[:nameAt]), c.length...), row[nameAt+1:]...)
-		if c.what == "a truncated uvarint" {
-			b = b[:nameAt+1]
-		}
-		r := &walReader{b: b}
-		if n := r.inode(); n != nil || r.err == nil {
-			t.Errorf("%s: decoded %v, err %v", c.what, n, r.err)
-		}
+	// splice replaces the one-byte uvarint at off in row with v.
+	splice := func(row []byte, off int, v []byte) []byte {
+		return append(append(slices.Clip(row[:off]), v...), row[off+1:]...)
 	}
-	// The block and location counts are bounded the same way.
+	dir := appendINode(nil, preloadedDir())
+	nameAt := uvarintSize(4000) + uvarintSize(1000) // the name's length
 	file := appendINode(nil, preloadedFile())
 	bare := preloadedFile()
 	bare.Blocks = nil
 	blocksAt := inodeSize(bare) - 2 // the block count, then the subtree owner's empty name
-	b := append(append(slices.Clip(file[:blocksAt]), binary.AppendUvarint(nil, 1<<62)...), file[blocksAt+1:]...)
-	if r := (&walReader{b: b}); r.inode() != nil || r.err == nil {
-		t.Errorf("a block count of 2^62 decoded, err %v", r.err)
+	for _, c := range []struct {
+		what string
+		b    []byte
+	}{
+		{"a name one byte past the payload", splice(dir, nameAt, binary.AppendUvarint(nil, uint64(len(dir)-nameAt)))},
+		{"a name of MaxInt64 bytes", splice(dir, nameAt, binary.AppendUvarint(nil, 1<<63-1))},
+		{"a name of MaxUint64 bytes", splice(dir, nameAt, binary.AppendUvarint(nil, 1<<64-1))},
+		{"a uvarint past 64 bits", splice(dir, nameAt, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})},
+		{"a truncated uvarint", append(slices.Clip(dir[:nameAt]), 0x80)},
+		{"a block count of 2^62", splice(file, blocksAt, binary.AppendUvarint(nil, 1<<62))},
+	} {
+		r := &walReader{b: c.b}
+		if n := r.inode(); n != nil || r.err == nil {
+			t.Errorf("%s: decoded %v, err %v", c.what, n, r.err)
+		}
 	}
 }
 
