@@ -21,14 +21,11 @@ import (
 // restored after (mutex to its previous fraction, block back to off) —
 // profiling one experiment must not change the cost of the next.
 
-// profileSuffixes names the files Profile writes for a given experiment,
-// in the order written. check.sh's profiling smoke step keys on these.
-var profileSuffixes = []string{".cpu.pprof", ".heap.pprof", ".mutex.pprof", ".block.pprof"}
-
 // Profile runs fn with CPU, mutex, and block profiling enabled and then
 // snapshots the heap (after a GC, so live objects are measured rather
-// than garbage). Profiles are written to dir/<name><suffix> for each
-// entry of profileSuffixes. It returns fn's host wall-clock runtime.
+// than garbage). Profiles are written to dir/<name>.{cpu,heap,mutex,block}.pprof;
+// check.sh's profiling smoke step keys on these names. It returns fn's
+// host wall-clock runtime.
 func Profile(dir, name string, fn func()) (time.Duration, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err

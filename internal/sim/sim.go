@@ -22,11 +22,7 @@
 // but must never block — there is no other goroutine to unblock them.
 package sim
 
-import (
-	"time"
-
-	"lambdafs/internal/clock"
-)
+import "time"
 
 // event is one scheduled callback. due is virtual nanoseconds since
 // Epoch; seq breaks ties FIFO so simultaneous events fire in scheduling
@@ -59,10 +55,6 @@ func New(hint int) *Scheduler {
 
 // Now returns the current virtual time as an offset from clock.Epoch.
 func (s *Scheduler) Now() time.Duration { return time.Duration(s.now) }
-
-// NowTime returns the current virtual time as an absolute timestamp on
-// the shared clock.Epoch origin.
-func (s *Scheduler) NowTime() time.Time { return clock.Epoch.Add(time.Duration(s.now)) }
 
 // After schedules fn to run d from now (immediately, but still in FIFO
 // order, when d <= 0). fn runs on the Run goroutine and must not block.

@@ -59,8 +59,6 @@ var (
 	ErrLockTimeout = errors.New("store: lock wait timeout")
 	// ErrTxDone reports use of a committed or aborted transaction.
 	ErrTxDone = errors.New("store: transaction already finished")
-	// ErrOverloaded reports that the store shed load (queue full).
-	ErrOverloaded = errors.New("store: overloaded")
 )
 
 // Well-known KV table names.
@@ -68,7 +66,6 @@ const (
 	TableDataNodes  = "datanodes"   // DataNode heartbeats and block reports
 	TableCoord      = "coordinator" // NDB-backed Coordinator state
 	TableSubtreeOps = "subtree_ops" // active subtree operations (isolation)
-	TableLeader     = "leader"      // leader election for serverful baselines
 )
 
 // LockedPath is one target path's rows as locked by Tx.LockPaths.
