@@ -10,6 +10,7 @@
 //	lambdafs-bench fig8a fig11          # run selected experiments
 //	lambdafs-bench -full fig8a          # paper-scale counts (slow)
 //	lambdafs-bench -seed 42 fig16
+//	lambdafs-bench -out DIR trace chaos  # also write CSVs, JSONL and telemetry artifacts
 //	lambdafs-bench -baseline hotpath          # write BENCH_hotpath.json (also: restart, scale)
 //	lambdafs-bench -check BENCH_hotpath.json  # re-measure, fail on regression (gate picked by the file's schema)
 package main
@@ -33,16 +34,13 @@ func main() {
 	debug.SetGCPercent(400)
 	full := flag.Bool("full", false, "run paper-scale op counts and durations (slow)")
 	seed := flag.Int64("seed", 1, "workload randomness seed")
-	csvDir := flag.String("csv", "", "also export each table as CSV into this directory")
-	traceDir := flag.String("trace", "", "dump raw trace/event JSONL from traced experiments into this directory")
-	metricsDir := flag.String("metrics", "", "write per-experiment telemetry artifacts (Prometheus text dump, scraped snapshot JSON, flight-recorder JSONL on chaos violations) into this directory")
+	outDir := flag.String("out", "", "write every artifact into this directory: each table as <table>.csv, trace's trace/event JSONL, the telemetry planes (Prometheus text dump, scraped snapshot JSON) and flight-recorder JSONL, slo's coverage and alert logs")
 	chaosSeed := flag.Int64("chaosseed", 0, "replay a single chaos episode with this seed (0 = full chaos experiment; use the seed a failing run printed)")
-	sloDir := flag.String("slo", "", "write the slo experiment's alert artifacts (coverage battery JSON, alert-transition JSONL, live telemetry plane) into this directory")
 	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap,mutex,block}.pprof into this directory")
 	baseline := flag.String("baseline", "", "measure the named baseline (hotpath|restart|scale) and write BENCH_<name>.json into the current directory, then exit (scale: tenant clients through the real stack, 1k and 10k; -full adds 30k)")
 	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on a regression or divergence")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-csv DIR] [-trace DIR] [-metrics DIR] [-chaosseed N] [-slo DIR] [-pprof DIR] [-baseline NAME] [-check FILE] list | all | <experiment>...\n\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-out DIR] [-chaosseed N] [-pprof DIR] [-baseline NAME] [-check FILE] list | all | <experiment>...\n\n", os.Args[0])
 		fmt.Fprintln(os.Stderr, "experiments:")
 		for _, e := range bench.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", e.Name, e.Brief)
@@ -101,35 +99,17 @@ func main() {
 		}
 	}
 
-	opts := bench.Options{Scale: scale, Seed: *seed, Out: os.Stdout, TraceDir: *traceDir,
-		MetricsDir: *metricsDir, ChaosSeed: *chaosSeed, SLODir: *sloDir}
+	opts := bench.Options{Scale: scale, Seed: *seed, Out: os.Stdout, ArtifactDir: *outDir,
+		ChaosSeed: *chaosSeed}
 	mode := "quick"
 	if *full {
 		mode = "full (paper-scale)"
 	}
 	fmt.Printf("λFS evaluation reproduction — %d experiment(s), %s mode, seed %d\n\n",
 		len(selected), mode, *seed)
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "csv dir:", err)
-			os.Exit(1)
-		}
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "trace dir:", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsDir != "" {
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics dir:", err)
-			os.Exit(1)
-		}
-	}
-	if *sloDir != "" {
-		if err := os.MkdirAll(*sloDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "slo dir:", err)
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "out dir:", err)
 			os.Exit(1)
 		}
 	}
@@ -149,9 +129,9 @@ func main() {
 		} else {
 			tables = e.Run(opts)
 		}
-		if *csvDir != "" {
+		if *outDir != "" {
 			for _, tb := range tables {
-				if err := tb.SaveCSV(*csvDir); err != nil {
+				if err := tb.SaveCSV(*outDir); err != nil {
 					fmt.Fprintln(os.Stderr, "csv export:", err)
 				}
 			}

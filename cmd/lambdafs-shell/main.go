@@ -205,7 +205,7 @@ func main() {
 				fmt.Println("prof: no traces recorded yet")
 				return
 			}
-			bench.CriticalPathTable(trace.CriticalPath(traces)).Fprint(os.Stdout)
+			bench.CriticalPathTable(trace.Aggregate(traces)).Fprint(os.Stdout)
 		case "top":
 			// top [seconds] [clients]: drive a short mixed workload and
 			// render the telemetry plane's key series once per virtual

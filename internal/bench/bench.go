@@ -54,22 +54,18 @@ type Options struct {
 	Seed int64
 	// Out receives the rendered tables (defaults to io.Discard when nil).
 	Out io.Writer
-	// TraceDir, when non-empty, receives raw trace/event JSONL dumps from
-	// the experiments that run with tracing enabled.
-	TraceDir string
-	// MetricsDir, when non-empty, receives per-experiment telemetry
-	// artifacts: scraped snapshot series as JSON plus a final
-	// Prometheus-text registry dump, and flight-recorder JSONL dumps from
-	// failing chaos episodes.
-	MetricsDir string
+	// ArtifactDir, when non-empty, receives every experiment's artifacts,
+	// each under a name of its own: trace's raw trace/event JSONL; the
+	// telemetry plane (a final Prometheus-text registry dump plus the
+	// scraped snapshot series as JSON) of the Spotify runs, the chaos
+	// storm and the live slo run; flight-recorder JSONL from failing chaos
+	// episodes, the chaos storm and the live slo run; and slo's
+	// alert-coverage battery JSON and alert-transition JSONL.
+	ArtifactDir string
 	// ChaosSeed, when > 0, makes the chaos experiment replay that single
 	// deterministic episode instead of its standard seed sweep (the seed a
 	// failing run printed).
 	ChaosSeed int64
-	// SLODir, when non-empty, receives the slo experiment's artifacts:
-	// the alert-coverage battery results as JSON, the live run's alert
-	// transition log as JSONL, and the live telemetry plane.
-	SLODir string
 }
 
 func (o Options) out() io.Writer {

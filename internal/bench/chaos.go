@@ -70,8 +70,8 @@ func runChaosEpisodes(opts Options) *Table {
 		fr := telemetry.NewFlightRecorder(0, 0)
 		cfg.Flight = fr
 		res := chaos.RunEpisode(cfg)
-		if len(res.Violations) > 0 && opts.MetricsDir != "" {
-			if path, err := dumpFlight(opts.MetricsDir,
+		if len(res.Violations) > 0 && opts.ArtifactDir != "" {
+			if path, err := dumpFlight(opts.ArtifactDir,
 				fmt.Sprintf("chaos-flight-%d.jsonl", seed), fr); err == nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("seed %d flight recorder: %s", seed, path))
 			} else {
@@ -136,7 +136,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	cfg.RPC.OnTCPFault = inj.RPCOnTCP
 	// With artifact output requested, trace the storm so a violation's
 	// flight dump carries events alongside registry snapshots.
-	cfg.EnableTracing = opts.MetricsDir != ""
+	cfg.EnableTracing = opts.ArtifactDir != ""
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
 	c := mustLambda(cfg)
@@ -227,12 +227,12 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 	if len(violations) == 0 {
 		t.Notes = append(t.Notes, "store structural invariants clean at quiescence")
 	}
-	if opts.MetricsDir != "" {
-		if err := writeTelemetryArtifacts(opts.MetricsDir, "chaos-storm", reg, scraper); err != nil {
+	if opts.ArtifactDir != "" {
+		if err := writeTelemetryArtifacts(opts.ArtifactDir, "chaos-storm", reg, scraper); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("metrics artifacts failed: %v", err))
 		}
 		if len(violations) > 0 {
-			if path, err := dumpFlight(opts.MetricsDir, "chaos-storm-flight.jsonl", fr); err == nil {
+			if path, err := dumpFlight(opts.ArtifactDir, "chaos-storm-flight.jsonl", fr); err == nil {
 				t.Notes = append(t.Notes, "flight recorder: "+path)
 			}
 		}

@@ -11,9 +11,8 @@ import (
 )
 
 // tracedDeepStatReport runs the deep_stat hot path (stats of files under a
-// 10-deep directory chain) with tracing on and returns its critical-path
-// report.
-func tracedDeepStatReport(t *testing.T) *trace.CritReport {
+// 10-deep directory chain) with tracing on and returns its decomposition.
+func tracedDeepStatReport(t *testing.T) *trace.Breakdown {
 	t.Helper()
 	clk := clock.NewSim()
 	defer clk.Close()
@@ -42,32 +41,35 @@ func tracedDeepStatReport(t *testing.T) *trace.CritReport {
 			mustOK(resp, namespace.OpStat, p)
 		}
 	})
-	return trace.CriticalPath(tr.Traces())
+	return trace.Aggregate(tr.Traces())
 }
 
-// TestDeepStatCriticalPathShift pins the headline behavior of the
-// critical-path report on deep_stat. The store round trip and the
-// per-shard service phase cost identical virtual time (300µs each), so
-// pure latency attribution cannot rank them; the resource ledgers can.
-// Batched resolution makes the wire exchange a single hop and
-// materializes the chain's rows in the per-shard service phase, so
-// ndb.service — not ndb.rtt — holds the top slot.
+// TestDeepStatCriticalPathShift pins the tie rule of the critical-path
+// ranking on deep_stat. The store round trip and the per-shard service
+// phase cost identical virtual time (300µs each), so latency alone cannot
+// rank them; the store-hop ledger does. A batched resolution is one
+// dependent store round, billed on its round-trip span, so ndb.rtt — not
+// ndb.service — holds the top slot.
 func TestDeepStatCriticalPathShift(t *testing.T) {
 	op := tracedDeepStatReport(t).Op("stat")
 	if op == nil {
 		t.Fatal("no stat traces in report")
 	}
-	for cohort, co := range map[string]*trace.CritCohort{"p50": op.P50, "p99": op.P99} {
+	for cohort, co := range map[string]*trace.Cohort{"p50": op.P50, "p99": op.P99} {
 		ranked := co.Ranked()
-		if len(ranked) == 0 {
-			t.Fatalf("%s cohort has no contributors", cohort)
+		if len(ranked) < 2 {
+			t.Fatalf("%s cohort has %d contributors, want at least 2", cohort, len(ranked))
 		}
-		if got := ranked[0]; got.Kind != trace.KindStoreService {
-			t.Errorf("%s top contributor = %s, want %s (rows materialize in the per-shard service phase)",
-				cohort, got.Kind, trace.KindStoreService)
+		if got := ranked[0]; got.Kind != trace.KindStoreRTT || got.Res.StoreHops == 0 {
+			t.Errorf("%s top contributor = %s with %d hops, want %s with the round's hop",
+				cohort, got.Kind, got.Res.StoreHops, trace.KindStoreRTT)
+		}
+		if got := ranked[1]; got.Kind != trace.KindStoreService || got.Res.StoreHops != 0 {
+			t.Errorf("%s second contributor = %s with %d hops, want %s with none",
+				cohort, got.Kind, got.Res.StoreHops, trace.KindStoreService)
 		}
 	}
-	if rtt, svc := op.P50.Kind(trace.KindStoreRTT).PathTotal, op.P50.Kind(trace.KindStoreService).PathTotal; rtt != svc {
+	if rtt, svc := op.P50.Kind(trace.KindStoreRTT).Total, op.P50.Kind(trace.KindStoreService).Total; rtt != svc {
 		t.Errorf("rtt path time %v != service path time %v: the ranking must be a ledger effect, not a latency one", rtt, svc)
 	}
 }

@@ -34,7 +34,7 @@ import (
 // final state of each rule and how many firing/resolved transitions the
 // run produced.
 //
-// With Options.SLODir set, the phases leave artifacts: the coverage
+// With Options.ArtifactDir set, the phases leave artifacts: the coverage
 // results as slo-coverage.json, the live run's alert log as
 // slo-alerts.jsonl, and the live registry/scrape series via the usual
 // telemetry artifact pair.
@@ -78,8 +78,8 @@ func runSLOCoverage(opts Options) *Table {
 			}
 		}
 	}
-	if opts.SLODir != "" {
-		if path, err := writeSLOCoverage(opts.SLODir, results); err != nil {
+	if opts.ArtifactDir != "" {
+		if path, err := writeSLOCoverage(opts.ArtifactDir, results); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("coverage artifact failed: %v", err))
 		} else {
 			t.Notes = append(t.Notes, "coverage artifact: "+path)
@@ -175,16 +175,16 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 			fmt.Sprintf("%d", transByRule[st.Name]),
 		})
 	}
-	if opts.SLODir != "" {
-		if path, err := writeSLOAlerts(opts.SLODir, eng); err != nil {
+	if opts.ArtifactDir != "" {
+		if path, err := writeSLOAlerts(opts.ArtifactDir, eng); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("alert artifact failed: %v", err))
 		} else {
 			t.Notes = append(t.Notes, "alert log: "+path)
 		}
-		if err := writeTelemetryArtifacts(opts.SLODir, "slo-live", reg, scraper); err != nil {
+		if err := writeTelemetryArtifacts(opts.ArtifactDir, "slo-live", reg, scraper); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("telemetry artifacts failed: %v", err))
 		}
-		if path, err := dumpFlight(opts.SLODir, "slo-live-flight.jsonl", fr); err == nil {
+		if path, err := dumpFlight(opts.ArtifactDir, "slo-live-flight.jsonl", fr); err == nil {
 			t.Notes = append(t.Notes, "flight recorder: "+path)
 		}
 	}

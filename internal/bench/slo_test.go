@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestSLOExperiment runs the slo experiment at tiny scale with SLODir
-// set (the library form of `lambdafs-bench -slo DIR`) and checks both
+// TestSLOExperiment runs the slo experiment at tiny scale with ArtifactDir
+// set (the library form of `lambdafs-bench -out DIR`) and checks both
 // phases: the coverage battery must be violation-free with every
 // family's must-fire alert in its fired set, and the live run must
 // leave parseable artifacts with the default rule pack registered.
@@ -17,7 +17,7 @@ func TestSLOExperiment(t *testing.T) {
 	dir := t.TempDir()
 	opts := tinyOpts()
 	opts.Scale = Tiny
-	opts.SLODir = dir
+	opts.ArtifactDir = dir
 	tables := RunSLO(opts)
 	if len(tables) != 2 {
 		t.Fatalf("RunSLO returned %d tables, want 2", len(tables))

@@ -14,6 +14,7 @@ import (
 
 // spotifyParams derive the §5.2 workload shape from Options.
 type spotifyParams struct {
+	exp      string // the experiment's table ID, prefixing its runs' artifact names
 	base     float64
 	duration time.Duration
 	interval time.Duration
@@ -23,7 +24,7 @@ type spotifyParams struct {
 	files    int
 }
 
-func spotifyShape(opts Options, base float64) spotifyParams {
+func spotifyShape(opts Options, exp string, base float64) spotifyParams {
 	// Quick scales the workload down ~2.5x in rate and ~8x in duration,
 	// and makes the 7x burst deterministic (a short run may never draw one
 	// from the Pareto distribution). The shape-defining relationships are
@@ -32,6 +33,7 @@ func spotifyShape(opts Options, base float64) spotifyParams {
 	// cannot. Tiny shrinks further.
 	s := opts.Scale
 	p := spotifyParams{
+		exp:      exp,
 		base:     base * scaled(s, 1, 0.3, 0.15),
 		duration: scaled(s, 300*time.Second, 40*time.Second, 12*time.Second),
 		interval: scaled(s, 15*time.Second, 10*time.Second, 3*time.Second),
@@ -140,8 +142,8 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 		provUSD:   prov.TotalUSD(),
 		provCurve: prov.CumulativeUSD(),
 	}
-	if opts.MetricsDir != "" {
-		if err := writeTelemetryArtifacts(opts.MetricsDir, "spotify-"+sanitizeName(label), reg, scraper); err != nil {
+	if opts.ArtifactDir != "" {
+		if err := writeTelemetryArtifacts(opts.ArtifactDir, sp.exp+"-"+sanitizeName(label), reg, scraper); err != nil {
 			fmt.Fprintf(opts.out(), "metrics: %v\n", err)
 		}
 	}
@@ -211,10 +213,10 @@ func spotifySystems(opts Options, sp spotifyParams, base float64) []*spotifyRun 
 
 // RunFig8 reproduces Figure 8(a) or 8(b).
 func RunFig8(opts Options, base float64) []*Table {
-	sp := spotifyShape(opts, base)
+	sp := spotifyShape(opts, fmt.Sprintf("fig8-%dk", int(base/1000)), base)
 	runs := spotifySystems(opts, sp, base)
 	t := &Table{
-		ID:    fmt.Sprintf("fig8-%dk", int(base/1000)),
+		ID:    sp.exp,
 		Title: fmt.Sprintf("Spotify workload, base %s ops/s, %v, %d clients", fmtOps(base), sp.duration, sp.clients),
 		Columns: []string{"system", "avg ops/s", "peak ops/s", "avg lat", "p99 lat",
 			"completed", "NNs(min-max)", "cost"},
@@ -308,7 +310,7 @@ func throughputTimeline(id string, runs []*spotifyRun) *Table {
 // RunFig9 reproduces Figure 9 (cumulative cost) and Figure 8(c)
 // (performance-per-cost) for the 25k workload.
 func RunFig9(opts Options) []*Table {
-	sp := spotifyShape(opts, 25000)
+	sp := spotifyShape(opts, "fig9", 25000)
 	lam := runSpotifyLambda(opts, sp, "λFS", -1, 256, 0)
 	simpl := &spotifyRun{label: "λFS (Simplified)", rec: lam.rec, costUSD: lam.provUSD, costCurve: lam.provCurve}
 	hops := runSpotifyHops(opts, sp, "HopsFS", false, 512)
@@ -341,7 +343,7 @@ func RunFig9(opts Options) []*Table {
 // RunFig10 reproduces the per-operation latency CDFs (reported as
 // quantiles) for the 25k workload.
 func RunFig10(opts Options) []*Table {
-	sp := spotifyShape(opts, 25000)
+	sp := spotifyShape(opts, "fig10", 25000)
 	runs := []*spotifyRun{
 		runSpotifyLambda(opts, sp, "λFS", -1, 256, 0),
 		runSpotifyHops(opts, sp, "HopsFS", false, 512),
@@ -380,7 +382,7 @@ func RunFig10(opts Options) []*Table {
 // RunFig15 reproduces the fault-tolerance experiment: the 25k workload
 // with one NameNode killed every 30 s round-robin.
 func RunFig15(opts Options) []*Table {
-	sp := spotifyShape(opts, 25000)
+	sp := spotifyShape(opts, "fig15", 25000)
 	faultEvery := scaled(opts.Scale, 30*time.Second, 10*time.Second, 10*time.Second)
 	normal := runSpotifyLambda(opts, sp, "λFS", -1, 256, 0)
 	faulty := runSpotifyLambda(opts, sp, "λFS+Failures", -1, 256, faultEvery)

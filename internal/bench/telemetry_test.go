@@ -10,7 +10,7 @@ import (
 )
 
 // TestMetricsArtifacts runs a miniature Spotify experiment with
-// MetricsDir set (the library form of `lambdafs-bench -metrics DIR`) and
+// ArtifactDir set (the library form of `lambdafs-bench -out DIR`) and
 // checks both artifacts: the Prometheus text dump must cover every
 // instrumented subsystem, and the scraped snapshot series must be
 // chronologically ordered virtual-time samples in which the hot-path
@@ -18,9 +18,9 @@ import (
 func TestMetricsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	opts := tinyOpts()
-	opts.MetricsDir = dir
+	opts.ArtifactDir = dir
 	sp := spotifyParams{
-		base: 2000, duration: 5 * time.Second, interval: 5 * time.Second,
+		exp: "mini", base: 2000, duration: 5 * time.Second, interval: 5 * time.Second,
 		targets: []float64{2000}, clients: 32, dirs: 16, files: 50,
 	}
 	run := runSpotifyLambda(opts, sp, "λFS", -1, 256, 0)
@@ -28,7 +28,7 @@ func TestMetricsArtifacts(t *testing.T) {
 		t.Fatal("no operations completed")
 	}
 
-	prom, err := os.ReadFile(filepath.Join(dir, "spotify-fs.prom"))
+	prom, err := os.ReadFile(filepath.Join(dir, "mini-fs.prom"))
 	if err != nil {
 		t.Fatalf("prometheus dump: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestMetricsArtifacts(t *testing.T) {
 		t.Error("prometheus dump missing TYPE headers")
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, "spotify-fs-snapshots.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "mini-fs-snapshots.json"))
 	if err != nil {
 		t.Fatalf("snapshot series: %v", err)
 	}

@@ -16,11 +16,17 @@ import (
 // RunTrace runs the observability experiment: a traced λFS deployment
 // through three phases — a warm mixed workload, an instance-kill storm
 // (cold starts, retries, anti-thrashing), and an idle window (reclamation)
-// — then renders the per-op-type latency decomposition, the
-// critical-path/resource-attribution report, and the structured event
-// log. With Options.TraceDir set, the raw traces and events are dumped
-// as JSONL for external tooling.
+// — then renders the per-op-type critical-path decomposition (every op,
+// then the top contributors to its p50 and p99 cohorts with their resource
+// ledgers) and the structured event log. With Options.ArtifactDir set, the
+// raw traces and events are dumped as JSONL for external tooling.
 func RunTrace(opts Options) []*Table {
+	_, tables := runTrace(opts)
+	return tables
+}
+
+// runTrace is RunTrace, also returning the decomposition its tables render.
+func runTrace(opts Options) (*trace.Breakdown, []*Table) {
 	clk := clock.NewSim()
 	defer clk.Close()
 
@@ -84,17 +90,16 @@ func RunTrace(opts Options) []*Table {
 	})
 
 	bd := trace.Aggregate(tr.Traces())
-	cp := trace.CriticalPath(tr.Traces())
-	tables := []*Table{BreakdownTable(bd), CriticalPathTable(cp), eventTable(tr)}
+	tables := []*Table{BreakdownTable(bd), CriticalPathTable(bd), eventTable(tr)}
 	for _, t := range tables {
 		t.Fprint(opts.out())
 	}
-	if opts.TraceDir != "" {
-		if err := dumpTraceJSONL(tr, opts.TraceDir); err != nil {
+	if opts.ArtifactDir != "" {
+		if err := dumpTraceJSONL(tr, opts.ArtifactDir); err != nil {
 			fmt.Fprintf(opts.out(), "trace dump failed: %v\n", err)
 		}
 	}
-	return tables
+	return bd, tables
 }
 
 // BreakdownTable renders a latency decomposition with a stable column
@@ -109,7 +114,7 @@ func BreakdownTable(b *trace.Breakdown) *Table {
 	}
 	t := &Table{
 		ID:      "trace-breakdown",
-		Title:   "Per-op latency decomposition by span kind (self time)",
+		Title:   "Per-op latency decomposition by span kind (critical path)",
 		Columns: cols,
 	}
 	for _, op := range b.OpNames() {

@@ -269,9 +269,6 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	cpuSp.End()
 	resp := e.execute(tc, req)
 	e.tel.opLatency.Observe(e.clk.Since(start))
-	// The response object plus any entries/blocks it materializes are the
-	// engine's own contribution to the op's allocation bill.
-	sp.AddAllocs(1 + uint64(len(resp.Entries)) + uint64(len(resp.Blocks)))
 	sp.End()
 	resp.ServedBy = e.id
 	if dedup {

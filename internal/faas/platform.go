@@ -310,7 +310,7 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 	asp := tc.Start(trace.KindAdmit)
 	asp.SetDeployment(d.index)
 	// Admission's child context: a cold start triggered by this admission
-	// nests under the admit span (self time must not double-count).
+	// nests under the admit span (the decomposition counts it once).
 	inst, err := d.admit(asp.Ctx())
 	if err != nil {
 		asp.SetDetail("rejected")

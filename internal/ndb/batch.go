@@ -50,7 +50,6 @@ func (db *DB) reserveShards(perShard []int, service time.Duration, tc *trace.Ctx
 		qsp.EndAt(now, wait)
 		ssp := tc.Start(trace.KindStoreService)
 		ssp.SetShard(idx)
-		ssp.AddAllocs(uint64(rows))
 		ssp.EndAt(now.Add(wait), dur)
 		until = max(until, wait+dur)
 	}

@@ -159,9 +159,9 @@ func TestBatchedSpansCarryReservedWindows(t *testing.T) {
 		t.Errorf("queue span [%v +%v] shard %d, want [%v +%v] shard %d",
 			queue.Start, queue.Dur, queue.Shard, arrive, cfg.ReadService, shard)
 	}
-	if !service.Start.Equal(arrive.Add(cfg.ReadService)) || service.Dur != cfg.ReadService || service.Shard != shard || service.Res.Allocs != 1 {
-		t.Errorf("service span [%v +%v] shard %d allocs %d, want [%v +%v] shard %d allocs 1",
-			service.Start, service.Dur, service.Shard, service.Res.Allocs, arrive.Add(cfg.ReadService), cfg.ReadService, shard)
+	if !service.Start.Equal(arrive.Add(cfg.ReadService)) || service.Dur != cfg.ReadService || service.Shard != shard {
+		t.Errorf("service span [%v +%v] shard %d, want [%v +%v] shard %d",
+			service.Start, service.Dur, service.Shard, arrive.Add(cfg.ReadService), cfg.ReadService, shard)
 	}
 	if got, want := tc.Trace().Duration(), cfg.RTT+2*cfg.ReadService; got != want {
 		t.Errorf("multi-get took %v, want RTT + queue + service = %v", got, want)
@@ -194,18 +194,18 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		write func(store.Tx) error
-		want  map[int]uint64 // shard → rows its service span bills
+		want  map[int]int // shard → rows it serves
 	}{
 		// The new file and its parent sit on one shard: one batch.
-		{"create /a/n", put(file(6, 2, "n"), dir(2, "a")), map[int]uint64{1: 2}},
-		{"mv /a/f /a/h", put(file(4, 2, "h"), dir(2, "a")), map[int]uint64{1: 1, 3: 1}},
-		{"mv /a/f /b/f", put(file(4, 3, "f"), dir(2, "a"), dir(3, "b")), map[int]uint64{1: 1, 2: 1, 3: 1}},
+		{"create /a/n", put(file(6, 2, "n"), dir(2, "a")), map[int]int{1: 2}},
+		{"mv /a/f /a/h", put(file(4, 2, "h"), dir(2, "a")), map[int]int{1: 1, 3: 1}},
+		{"mv /a/f /b/f", put(file(4, 3, "f"), dir(2, "a"), dir(3, "b")), map[int]int{1: 1, 2: 1, 3: 1}},
 		{"delete /a/f", func(tx store.Tx) error {
 			if err := tx.DeleteINode(4); err != nil {
 				return err
 			}
 			return tx.PutINode(dir(2, "a"))
-		}, map[int]uint64{1: 1, 3: 1}},
+		}, map[int]int{1: 1, 3: 1}},
 	} {
 		sim := clock.NewSim()
 		cfg := DefaultConfig() // 4 data nodes, 8 workers each
@@ -215,14 +215,20 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 		tracer := trace.New(sim, trace.Config{})
 		var took time.Duration
 		var tc *trace.Ctx
+		rows := map[int]int{}
 		clock.Run(sim, func() {
 			tc = tracer.StartTrace("commit", "/", "c0")
-			tx := db.BeginTraced("w", tc)
-			if err := c.write(tx); err != nil {
+			wtx := db.BeginTraced("w", tc)
+			if err := c.write(wtx); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
+			for shard, n := range wtx.(*tx).countWrites(make([]int, len(db.shards))) {
+				if n > 0 {
+					rows[shard] = n
+				}
+			}
 			start := sim.Now()
-			mustCommit(t, tx)
+			mustCommit(t, wtx)
 			took = sim.Since(start)
 			tc.Finish("")
 		})
@@ -234,7 +240,10 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 				commit = sp.ID
 			}
 		}
-		got := map[int]uint64{}
+		if !maps.Equal(rows, c.want) {
+			t.Errorf("%s: rows per shard %v, want %v", c.name, rows, c.want)
+		}
+		served := map[int]int{}
 		for _, sp := range spans {
 			if sp.Kind != trace.KindStoreService {
 				continue
@@ -243,10 +252,10 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 				t.Errorf("%s: shard %d served %v under span %d, want one WriteService (%v) under the commit's %d",
 					c.name, sp.Shard, sp.Dur, sp.Parent, cfg.WriteService, commit)
 			}
-			got[sp.Shard] += sp.Res.Allocs
+			served[sp.Shard] = rows[sp.Shard]
 		}
-		if !maps.Equal(got, c.want) {
-			t.Errorf("%s: rows served per shard %v, want %v", c.name, got, c.want)
+		if !maps.Equal(served, c.want) {
+			t.Errorf("%s: shards served %v, want one service span per row-owning shard %v", c.name, served, c.want)
 		}
 		if took != cfg.WriteService {
 			t.Errorf("%s: commit took %v, want one write batch (%v) on every shard at once", c.name, took, cfg.WriteService)

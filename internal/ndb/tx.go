@@ -387,7 +387,7 @@ func (t *tx) Commit() error {
 		if sp != nil {
 			sp.SetDetail(fmt.Sprintf("writes=%d", writes))
 		}
-		sp.AddRes(trace.Resources{StoreHops: 1, Allocs: uint64(writes)})
+		sp.AddStoreHops(1)
 		var fsync time.Duration
 		if t.db.dur != nil {
 			fsync = t.db.cfg.Durability.WALFsync

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,7 +23,6 @@ func TestCriticalPathSequential(t *testing.T) {
 		exec := tc.Start(KindEngineExec)
 		rtt := exec.Ctx().Start(KindStoreRTT)
 		rtt.AddStoreHops(11)
-		rtt.AddAllocs(12)
 		clk.Sleep(3 * time.Millisecond)
 		rtt.End()
 		clk.Sleep(time.Millisecond)
@@ -34,9 +34,8 @@ func TestCriticalPathSequential(t *testing.T) {
 		clk.Sleep(time.Millisecond)
 		tc.Finish("")
 
-		rep := CriticalPath(tr.Traces())
-		op := rep.Op("stat")
-		if op == nil || op.Traces != 1 {
+		op := Aggregate(tr.Traces()).Op("stat")
+		if op == nil || op.Count != 1 {
 			t.Fatalf("op missing: %+v", op)
 		}
 		co := op.P99
@@ -47,22 +46,22 @@ func TestCriticalPathSequential(t *testing.T) {
 		}
 		for k, d := range want {
 			ck := co.Kind(k)
-			if ck == nil || ck.PathTotal != d {
+			if ck == nil || ck.Total != d {
 				t.Fatalf("%s path = %+v, want %v", k, ck, d)
 			}
 		}
-		if co.Unattributed != time.Millisecond {
-			t.Fatalf("unattributed = %v, want 1ms", co.Unattributed)
+		if co.Untraced() != time.Millisecond {
+			t.Fatalf("untraced = %v, want 1ms", co.Untraced())
 		}
 		var sum time.Duration
 		for _, ck := range co.Ranked() {
-			sum += ck.PathTotal
+			sum += ck.Total
 		}
-		if sum+co.Unattributed != co.E2ETotal {
-			t.Fatalf("path sum %v + gap %v != e2e %v", sum, co.Unattributed, co.E2ETotal)
+		if sum+co.Untraced() != co.E2ETotal {
+			t.Fatalf("path sum %v + gap %v != e2e %v", sum, co.Untraced(), co.E2ETotal)
 		}
 		// Ledger rides along on the report.
-		if rtt := co.Kind(KindStoreRTT); rtt.Res.StoreHops != 11 || rtt.Res.Allocs != 12 {
+		if rtt := co.Kind(KindStoreRTT); rtt.Res.StoreHops != 11 {
 			t.Fatalf("rtt ledger = %+v", rtt.Res)
 		}
 		// Ranked: service (4ms) > rtt (3ms) > exec (2ms).
@@ -74,8 +73,8 @@ func TestCriticalPathSequential(t *testing.T) {
 }
 
 // TestCriticalPathParallel checks that among overlapping children only
-// the latest-ending branch is on the path, while resources of parallel
-// branches still bill.
+// the latest-ending branch is on the path, while every parallel branch
+// still counts as a span of its kind.
 func TestCriticalPathParallel(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		tr := New(clk, Config{})
@@ -83,12 +82,10 @@ func TestCriticalPathParallel(t *testing.T) {
 		tc := tr.StartTrace("stat", "/a", "c1")
 		exec := tc.Start(KindEngineExec)
 		// Four parallel shard services, same start; the longest (4ms) is the
-		// pole. All bill one alloc each.
+		// pole.
 		var spans []*ActiveSpan
 		for i := 0; i < 4; i++ {
-			sp := exec.Ctx().Start(KindStoreService)
-			sp.AddAllocs(1)
-			spans = append(spans, sp)
+			spans = append(spans, exec.Ctx().Start(KindStoreService))
 		}
 		clk.Sleep(2 * time.Millisecond)
 		for _, sp := range spans[:3] {
@@ -99,39 +96,46 @@ func TestCriticalPathParallel(t *testing.T) {
 		exec.End()
 		tc.Finish("")
 
-		co := CriticalPath(tr.Traces()).Op("stat").P99
-		if svc := co.Kind(KindStoreService); svc.PathTotal != 4*time.Millisecond {
-			t.Fatalf("service path = %v, want the 4ms pole only", svc.PathTotal)
+		co := Aggregate(tr.Traces()).Op("stat").P99
+		if svc := co.Kind(KindStoreService); svc.Total != 4*time.Millisecond {
+			t.Fatalf("service path = %v, want the 4ms pole only", svc.Total)
 		}
-		if svc := co.Kind(KindStoreService); svc.Res.Allocs != 4 || svc.Spans != 4 {
-			t.Fatalf("parallel resources must still bill: %+v", svc)
+		if svc := co.Kind(KindStoreService); svc.Spans != 4 {
+			t.Fatalf("parallel branches must still count: %+v", svc)
 		}
-		if ex := co.Kind(KindEngineExec); ex != nil && ex.PathTotal != 0 {
-			t.Fatalf("exec fully covered by children, path = %v", ex.PathTotal)
+		if ex := co.Kind(KindEngineExec); ex != nil && ex.Total != 0 {
+			t.Fatalf("exec fully covered by children, path = %v", ex.Total)
 		}
 	})
 }
 
 // TestCriticalPathTieBreak pins the deterministic-tie rule: equal path
-// times rank the denser ledger (allocations, then store hops) first.
+// times rank the kind with more store hops first, then canonical kind
+// order.
 func TestCriticalPathTieBreak(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		tr := New(clk, Config{})
 
+		// Four sequential 3ms spans: ndb.service and ndb.commit bill a hop
+		// each, engine.exec and coherence.inv none.
 		tc := tr.StartTrace("stat", "/a", "c1")
-		rtt := tc.Start(KindStoreRTT)
-		rtt.AddStoreHops(11)
-		clk.Sleep(3 * time.Millisecond)
-		rtt.End()
-		svc := tc.Start(KindStoreService)
-		svc.AddAllocs(12)
-		clk.Sleep(3 * time.Millisecond)
-		svc.End()
+		for _, k := range []Kind{KindCoherence, KindStoreService, KindStoreCommit, KindEngineExec} {
+			sp := tc.Start(k)
+			if k == KindStoreService || k == KindStoreCommit {
+				sp.AddStoreHops(1)
+			}
+			clk.Sleep(3 * time.Millisecond)
+			sp.End()
+		}
 		tc.Finish("")
 
-		ranked := CriticalPath(tr.Traces()).Op("stat").P99.Ranked()
-		if ranked[0].Kind != KindStoreService {
-			t.Fatalf("top-1 = %v, want ndb.service (12 allocs beats 11 hops at equal time)", ranked[0].Kind)
+		var got []Kind
+		for _, ks := range Aggregate(tr.Traces()).Op("stat").P99.Ranked() {
+			got = append(got, ks.Kind)
+		}
+		want := []Kind{KindStoreService, KindStoreCommit, KindEngineExec, KindCoherence}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ranking = %v, want %v (hops first, then KindOrder)", got, want)
 		}
 	})
 }
@@ -142,14 +146,14 @@ func TestTraceResources(t *testing.T) {
 		tr := New(clk, Config{})
 		tc := tr.StartTrace("mv", "/a", "c1")
 		a := tc.Start(KindStoreRTT)
-		a.AddRes(Resources{Allocs: 2, StoreHops: 3, LockWaitNS: 500, INVTargets: 1, WireBytes: 128})
+		a.AddRes(Resources{StoreHops: 3, LockWaitNS: 500, INVTargets: 1, WireBytes: 128})
 		a.End()
 		b := tc.Start(KindStoreCommit)
 		b.AddStoreHops(1)
 		b.End()
 		tc.Finish("")
 		got := tc.Trace().Resources()
-		want := Resources{Allocs: 2, StoreHops: 4, LockWaitNS: 500, INVTargets: 1, WireBytes: 128}
+		want := Resources{StoreHops: 4, LockWaitNS: 500, INVTargets: 1, WireBytes: 128}
 		if got != want {
 			t.Fatalf("trace resources = %+v, want %+v", got, want)
 		}

@@ -32,7 +32,6 @@ type spanJSON struct {
 	Detail string `json:"detail,omitempty"`
 
 	// Resource ledger (omitted when zero).
-	Allocs     uint64 `json:"allocs,omitempty"`
 	StoreHops  uint64 `json:"hops,omitempty"`
 	LockWaitNS int64  `json:"lock_wait_ns,omitempty"`
 	INVTargets uint64 `json:"inv_targets,omitempty"`
@@ -76,9 +75,8 @@ func WriteTraceJSONL(w io.Writer, t *Trace) error {
 			ID: s.ID, Parent: s.Parent, Kind: s.Kind,
 			TUS: virtUS(s.Start), DurUS: s.Dur.Microseconds(),
 			Dep: s.Deployment, Shard: s.Shard, Inst: s.Instance, Detail: s.Detail,
-			Allocs: s.Res.Allocs, StoreHops: s.Res.StoreHops,
-			LockWaitNS: s.Res.LockWaitNS, INVTargets: s.Res.INVTargets,
-			WireBytes: s.Res.WireBytes,
+			StoreHops: s.Res.StoreHops, LockWaitNS: s.Res.LockWaitNS,
+			INVTargets: s.Res.INVTargets, WireBytes: s.Res.WireBytes,
 		})
 	}
 	return writeLine(w, rec)

@@ -95,14 +95,10 @@ const (
 
 // Resources is the per-span resource ledger: what a span *consumed*, as
 // opposed to how long it took. Emitters attach entries at the points that
-// already emit spans/metrics; the critical-path analyzer (critpath.go) and
-// the JSONL export surface them per op. All fields are additive counts in
+// already emit spans/metrics; the decomposition (aggregate.go) and the
+// JSONL export surface them per op. All fields are additive counts in
 // virtual-time semantics — none reads the host.
 type Resources struct {
-	// Allocs counts tracked metadata-object allocations: store rows
-	// materialized as INode/KV clones and response objects built for the
-	// client. It is the ledger the zero-allocation hot-path work drives down.
-	Allocs uint64
 	// StoreHops counts dependent NDB store rounds represented by the span:
 	// every store read is a multi-get, one round billed on its round-trip
 	// span (none when the store models no round trip), and a commit is one.
@@ -117,7 +113,6 @@ type Resources struct {
 
 // Add accumulates o into r.
 func (r *Resources) Add(o Resources) {
-	r.Allocs += o.Allocs
 	r.StoreHops += o.StoreHops
 	r.LockWaitNS += o.LockWaitNS
 	r.INVTargets += o.INVTargets
@@ -489,13 +484,6 @@ func (a *ActiveSpan) SetDetail(d string) {
 func (a *ActiveSpan) AddRes(r Resources) {
 	if a != nil {
 		a.span.Res.Add(r)
-	}
-}
-
-// AddAllocs records tracked metadata-object allocations.
-func (a *ActiveSpan) AddAllocs(n uint64) {
-	if a != nil {
-		a.span.Res.Allocs += n
 	}
 }
 

@@ -34,8 +34,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetShard(2)
 	sp.SetInstance("x")
 	sp.SetDetail("d")
-	sp.AddRes(Resources{Allocs: 1})
-	sp.AddAllocs(1)
+	sp.AddRes(Resources{StoreHops: 1})
 	sp.AddStoreHops(2)
 	sp.AddLockWait(time.Millisecond)
 	sp.AddINVTargets(3)
@@ -87,7 +86,8 @@ func TestSpanTreeSelfTimeAggregation(t *testing.T) {
 		if o == nil || o.Count != 1 {
 			t.Fatalf("op stats missing: %+v", o)
 		}
-		// Self times: rpc.tcp 9−4 = 5ms, engine.exec 4−1 = 3ms, engine.cpu 1ms.
+		// Critical path: rpc.tcp 9−4 = 5ms, engine.exec 4−1 = 3ms, engine.cpu
+		// 1ms.
 		checks := []struct {
 			kind Kind
 			want time.Duration
@@ -99,7 +99,7 @@ func TestSpanTreeSelfTimeAggregation(t *testing.T) {
 		for _, c := range checks {
 			ks := o.Kind(c.kind)
 			if ks == nil || ks.Total != c.want {
-				t.Fatalf("%s self time = %+v, want %v", c.kind, ks, c.want)
+				t.Fatalf("%s path time = %+v, want %v", c.kind, ks, c.want)
 			}
 		}
 		// 9ms of 10ms attributed.
@@ -128,7 +128,7 @@ func TestSpanClippedToTraceWindow(t *testing.T) {
 		o := b.Op("read")
 		ks := o.Kind(KindRPCTCP)
 		if ks == nil || ks.Total != 2*time.Millisecond {
-			t.Fatalf("clipped self time = %+v, want 2ms", ks)
+			t.Fatalf("clipped path time = %+v, want 2ms", ks)
 		}
 		if f := o.AttributedFraction(); f < 0.99 || f > 1.01 {
 			t.Fatalf("attributed fraction = %v", f)
@@ -253,7 +253,7 @@ func TestEndAtRecordsComputedWindow(t *testing.T) {
 		clk.Sleep(time.Millisecond)
 		sp := tc.Start(KindStoreService)
 		sp.SetShard(2)
-		sp.AddAllocs(3)
+		sp.AddStoreHops(3)
 		start := clk.Now().Add(5 * time.Millisecond)
 		sp.EndAt(start, 7*time.Millisecond)
 		sp.End() // already recorded
@@ -267,8 +267,8 @@ func TestEndAtRecordsComputedWindow(t *testing.T) {
 			t.Fatalf("span count = %d, want 1", len(spans))
 		}
 		got := spans[0]
-		if !got.Start.Equal(start) || got.Dur != 7*time.Millisecond || got.Shard != 2 || got.Res.Allocs != 3 {
-			t.Fatalf("span = %+v, want [%v +7ms] shard 2 allocs 3", got, start)
+		if !got.Start.Equal(start) || got.Dur != 7*time.Millisecond || got.Shard != 2 || got.Res.StoreHops != 3 {
+			t.Fatalf("span = %+v, want [%v +7ms] shard 2 hops 3", got, start)
 		}
 		if ks := Aggregate(tr.Traces()).Op("stat").Kind(KindStoreService); ks == nil || ks.Total != 7*time.Millisecond {
 			t.Fatalf("aggregated ndb.service = %+v, want 7ms", ks)
