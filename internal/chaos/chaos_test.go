@@ -183,8 +183,8 @@ func TestEpisodeFaultsCostVirtualTime(t *testing.T) {
 	const (
 		seed        = 42 // the digest-golden seed
 		wantElapsed = 4022 * time.Millisecond
-		wantBytes   = 60282
-		wantSHA     = "b3b69056b4a79c18"
+		wantBytes   = 58533
+		wantSHA     = "8ad9c3e1012eff37"
 	)
 	res := RunEpisode(EpisodeConfig{Seed: seed})
 	var buf bytes.Buffer
