@@ -82,10 +82,10 @@ go test ./internal/indexfs/ -run '^$' -fuzz FuzzDecodeAttr -fuzztime 10s
 echo "== fuzz (lsm WriteBatch: reads, table count, Stats and virtual time equal the same entries written one at a time; bounded) =="
 go test ./internal/lsm/ -run '^$' -fuzz FuzzWriteBatch -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
-go test ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
+go test ./internal/trace/ ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
 echo "== one-P join repeat (Idle joins against Group joins and the exact reference pool, 50 runs on one P: a grace that misses a helper fails here) =="
 go test ./internal/clock/ -cpu 1 -count 50 -run 'Idle|QueueMatches'
