@@ -25,12 +25,12 @@
 // per-shard multi-get (read and stat), a listing miss is that same
 // multi-get with the directory's children riding in it
 // (store.Tx.ListPathBatched — ls makes no other store call), a write's
-// whole lock phase is one store.Tx.LockPaths call (every row it will decide
-// on — parents, targets, free names — resolved and locked under one
-// multi-get, nothing read afterwards), its invalidations go out in one
-// concurrent INV/ACK round, and subtree quiesce reads are batched per
-// partition. Lock-order
-// discipline is global and lives in LockPaths: target paths sorted, each
+// whole lock phase is one store.Tx.LockPath call, LockPaths for a rename's
+// two paths (every row it will decide on — parents, targets, free names —
+// resolved and locked under one multi-get, nothing read afterwards), its
+// invalidations go out in one concurrent INV/ACK round, and subtree quiesce
+// reads are batched per partition. Lock-order
+// discipline is global and lives in the lock phase: target paths sorted, each
 // walked from the root down — ancestors, then the child-key slot, then the
 // inode row. Writes take no row lock before that call, so they inherit the
 // order.
@@ -330,8 +330,9 @@ func (e *Engine) cachingAllowed(op namespace.OpType, path string) bool {
 // misses (the staleness guard of §3.5: a concurrent writer's exclusive
 // locks serialize against the fill, and the chain is inserted before the
 // locks are released). A hit's chain is written into buf when it fits
-// (cache.LookupInto); a miss's is the transaction's, which stays readable
-// after the deferred Abort because a transaction is never reused.
+// (cache.LookupInto), and so is a miss's: the transaction's storage goes
+// back to the store with it (store.Store.Release), so the chain is copied
+// out first. A chain deeper than buf holds spills to the heap.
 func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string, buf []*namespace.INode) (chain []*namespace.INode, hit bool, err error) {
 	if e.cachingAllowed(op, path) {
 		if chain, ok := e.cache.LookupInto(path, buf); ok {
@@ -340,20 +341,17 @@ func (e *Engine) resolve(tc *trace.Ctx, op namespace.OpType, path string, buf []
 		}
 		e.tel.misses.Inc()
 		tx := e.st.BeginTraced(e.id, tc)
-		defer tx.Abort()
+		defer e.st.Release(tx)
 		chain, err := tx.ResolvePathBatched(path, store.LockShared, store.LockShared)
-		if err != nil {
-			return chain, false, err
-		}
 		// Never cache a chain crossing a foreign subtree operation: the
 		// operation's single prefix INV may already have passed, so an
 		// entry inserted now would never be invalidated again
 		// (Appendix D's subtree protocol assumes no new cache entries
 		// appear under a locked subtree).
-		if checkSubtreeLocks(chain, e.id) == nil {
+		if err == nil && checkSubtreeLocks(chain, e.id) == nil {
 			e.cache.PutChain(path, chain)
 		}
-		return chain, false, nil
+		return append(buf, chain...), false, err
 	}
 	// Pass-through: one lock-free batched per-shard multi-get.
 	chain, err = e.st.ResolvePathBatched(path, tc)
@@ -450,7 +448,7 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 		e.tel.misses.Inc()
 	}
 	tx := e.st.BeginTraced(e.id, tc)
-	defer tx.Abort()
+	defer e.st.Release(tx)
 	mode := store.LockNone
 	if allowed {
 		mode = store.LockShared

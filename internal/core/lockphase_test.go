@@ -172,7 +172,7 @@ func TestDirectoryDispatchUnderLock(t *testing.T) {
 				// The blocker owns /d/x's whole row set, so the operation picks
 				// its rows (x is a file) and then parks behind /d.
 				blocker := st.Begin("blocker")
-				locked, err := blocker.LockPaths("/d/x")
+				locked, err := blocker.LockPath("/d/x")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,8 +184,8 @@ func TestDirectoryDispatchUnderLock(t *testing.T) {
 				if st.HeldLocks() == held {
 					t.Fatal("operation never reached its lock phase")
 				}
-				dir := &namespace.INode{ID: st.NextID(), ParentID: locked[0].Target.ParentID, Name: "x", IsDir: true}
-				if err := blocker.DeleteINode(locked[0].Target.ID); err != nil {
+				dir := &namespace.INode{ID: st.NextID(), ParentID: locked.Target.ParentID, Name: "x", IsDir: true}
+				if err := blocker.DeleteINode(locked.Target.ID); err != nil {
 					t.Fatal(err)
 				}
 				if err := blocker.PutINode(dir); err != nil {

@@ -151,7 +151,8 @@ func (db *DB) ListSubtreeBatched(root namespace.INodeID, tc *trace.Ctx) ([]*name
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([]int, len(db.shards))
+	var counts [stackShards]int
+	perShard := db.shardCounts(counts[:])
 	for _, n := range out {
 		perShard[db.shardFor(inodeKey(n.ID))]++
 	}
@@ -248,9 +249,13 @@ func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 // way the most demanding plan sharing it asks — strongest mode, and slot
 // first if it is any plan's parent or terminal — decided here before the
 // row's first acquisition, so a row two paths share is never upgraded and
-// never takes its slot after the row. A missing component ends the walk
-// with the partial chain and namespace.ErrNotFound.
-func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespace.INode) ([]*namespace.INode, error) {
+// never takes its slot after the row. The first len(prev) rows are those an
+// earlier walk of this lock phase handed out for the same components: they
+// are locked again (a no-op on a row the transaction holds) and handed out
+// as the same pointers, so a private copy two paths share is made once. A
+// missing component ends the walk with the partial chain and
+// namespace.ErrNotFound.
+func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain, prev []*namespace.INode) ([]*namespace.INode, error) {
 	comps := plans[i].comps(split)
 	how := func(depth int) (m store.LockMode, slotFirst bool) {
 		for j := range plans {
@@ -261,22 +266,28 @@ func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespac
 		}
 		return m, slotFirst
 	}
+	handOutAt := func(depth int, n *namespace.INode, mode store.LockMode) *namespace.INode {
+		if depth < len(prev) {
+			return prev[depth]
+		}
+		return handOut(n, mode)
+	}
 	rootMode, _ := how(0)
 	if err := t.lock(inodeKey(namespace.RootID), rootMode); err != nil {
 		return nil, err
 	}
-	cur := t.readINode(namespace.RootID, rootMode)
+	cur := t.row(namespace.RootID)
 	if cur == nil {
 		return nil, namespace.ErrInvalidState
 	}
-	chain[0] = cur
+	chain[0] = handOutAt(0, cur, rootMode)
 	for d, c := range comps {
 		mode, slotFirst := how(d + 1)
 		next, err := t.lockChild(cur.ID, c, mode, slotFirst)
 		if err != nil {
 			return chain[:d+1], err
 		}
-		chain[d+1] = next
+		chain[d+1] = handOutAt(d+1, next, mode)
 		cur = next
 	}
 	return chain, nil
@@ -287,7 +298,7 @@ func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespac
 // the terminal directory's children ride in it), then the locked walk —
 // ancestors locked with ancestors, the terminal component's (parent, name)
 // slot and row with terminal. The chain is the transaction's storage, on
-// lockedStorage's terms.
+// chainStorage's terms.
 func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bool) ([]*namespace.INode, error) {
 	if t.done {
 		return nil, store.ErrTxDone
@@ -300,8 +311,7 @@ func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bo
 	split := namespace.AppendSplit(buf[:0], p)
 	plans := [1]lockPlan{{to: len(split), ancestors: ancestors, tail: terminal, slotFrom: len(split)}}
 	t.chargePlans(plans[:], split, list)
-	_, rows := t.lockedStorage(0, len(split)+1)
-	return t.walkPlan(plans[:], split, 0, rows)
+	return t.walkPlan(plans[:], split, 0, t.chainStorage(len(split)+1), nil)
 }
 
 // ResolvePathBatched implements store.Tx.
@@ -322,44 +332,59 @@ func (t *tx) ListPathBatched(path string, mode store.LockMode) (chain, children 
 	return chain, children, nil
 }
 
-// LockPaths implements store.Tx: a write's whole lock phase in one store
-// round trip. One multi-get covers the union of the (canonical) paths'
+// LockPath implements store.Tx: lockPaths of one path.
+func (t *tx) LockPath(path string) (store.LockedPath, error) {
+	locked, err := t.lockPaths(path)
+	return locked[0], err
+}
+
+// LockPaths implements store.Tx: lockPaths of a rename's two paths.
+func (t *tx) LockPaths(src, dest string) (srcRows, destRows store.LockedPath, err error) {
+	locked, err := t.lockPaths(src, dest)
+	return locked[0], locked[1], err
+}
+
+// lockPaths is a write's whole lock phase in one store round trip, for one
+// or two canonical paths. One multi-get covers the union of their
 // rows; then the paths are walked in component-wise sorted order, each
 // from the root down — ancestors shared, the parent directory and the
 // terminal exclusive, slot before row, a row two paths share taken on the
-// terms of the more demanding one — so every transaction acquires its
-// rows in the same global order: the namespace tree's preorder.
-func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
+// terms of the more demanding one and handed out once — so every
+// transaction acquires its rows in the same global order: the namespace
+// tree's preorder. Everything but the chains' storage is on the stack.
+func (t *tx) lockPaths(paths ...string) (out [2]store.LockedPath, err error) {
 	if t.done {
-		return nil, store.ErrTxDone
+		return out, store.ErrTxDone
 	}
-	var planBuf [2]lockPlan // a write locks one path, a rename two
-	var orderBuf [len(planBuf)]int
-	var buf [len(planBuf) * stackComponents]string
-	n, split := len(paths), buf[:0]
-	plans, order := planBuf[:], orderBuf[:]
-	if n > len(planBuf) {
-		plans, order = make([]lockPlan, n), make([]int, n)
-	}
-	plans, order = plans[:n], order[:n]
+	var planBuf [len(out)]lockPlan
+	var buf [len(out) * stackComponents]string
+	plans, split := planBuf[:len(paths)], buf[:0]
 	for i, p := range paths {
 		from := len(split)
 		if split = namespace.AppendSplit(split, p); len(split) == from || p[0] != '/' {
-			return nil, namespace.ErrInvalidPath // the root has no parent to lock
+			return out, namespace.ErrInvalidPath // the root has no parent to lock
 		}
 		plans[i] = lockPlan{from: from, to: len(split), ancestors: store.LockShared, tail: store.LockExclusive, slotFrom: len(split) - from - 1}
-		order[i] = i
-		for k := i; k > 0 && slices.Compare(plans[i].comps(split), plans[order[k-1]].comps(split)) < 0; k-- {
-			order[k], order[k-1] = order[k-1], order[k]
+	}
+	order, shared := []int{0}, 0 // shared: the rows two paths share, root included
+	if len(paths) == 2 {
+		a, b := plans[0].comps(split), plans[1].comps(split)
+		if order = []int{0, 1}; slices.Compare(b, a) < 0 {
+			order = []int{1, 0}
 		}
+		for shared < len(a) && shared < len(b) && a[shared] == b[shared] {
+			shared++
+		}
+		shared++
 	}
 	t.chargePlans(plans, split, false)
-	out, rows := t.lockedStorage(n, len(split)+n) // rows: each path's root … terminal, back to back
+	rows := t.chainStorage(len(split) + len(paths)) // each path's root … terminal, back to back
+	var prev []*namespace.INode                     // the earlier walk's rows
 	for _, i := range order {
 		parents := plans[i].to - plans[i].from // rows root … parent
 		at := plans[i].from + i                // past the earlier paths' components and a root each
 		end := at + parents + 1
-		chain, err := t.walkPlan(plans, split, i, rows[at:end:end])
+		chain, err := t.walkPlan(plans, split, i, rows[at:end:end], prev[:min(len(prev), shared)])
 		switch {
 		case err == nil:
 			out[i].Chain, out[i].Target = chain[:parents], chain[parents]
@@ -369,23 +394,23 @@ func (t *tx) LockPaths(paths ...string) ([]store.LockedPath, error) {
 			out[i].Chain = chain // an ancestor is missing: the rows that exist
 			return out, err
 		default:
-			return nil, err
+			return [2]store.LockedPath{}, err
 		}
+		prev = chain
 	}
 	return out, nil
 }
 
-// lockedStorage returns a reply of n paths — none for a one-path
-// resolution's chain — and the rows backing their chains: the
-// transaction's inline buffers for its first reply when they fit, else new
-// slices, so no reply is ever overwritten by a later one. A transaction is
-// never reused, so a reply outlives the transaction's end too.
-func (t *tx) lockedStorage(n, rows int) ([]store.LockedPath, []*namespace.INode) {
-	if t.lockedOut || n > len(t.lockedBuf) || rows > len(t.chainBuf) {
-		return make([]store.LockedPath, n), make([]*namespace.INode, rows)
+// chainStorage returns rows slots for a reply's chains: the transaction's
+// inline buffer for its first reply when they fit, else a new slice, so no
+// reply is ever overwritten by a later one. Either stays valid until the
+// transaction is released.
+func (t *tx) chainStorage(rows int) []*namespace.INode {
+	if t.lockedOut || rows > len(t.chainBuf) {
+		return make([]*namespace.INode, rows)
 	}
 	t.lockedOut = true
-	return t.lockedBuf[:n:n], t.chainBuf[:rows:rows]
+	return t.chainBuf[:rows:rows]
 }
 
 // lockChild finds, locks and re-reads the row named name inside parent,
@@ -394,7 +419,8 @@ func (t *tx) lockedStorage(n, rows int) ([]store.LockedPath, []*namespace.INode)
 // protection for a name the caller decides on; without it the slot is
 // locked only when the row is missing, so the miss serializes against a
 // concurrent create of that name. The row is validated after its lock: it
-// may have moved or vanished while the transaction waited.
+// may have moved or vanished while the transaction waited. It is returned
+// as the transaction sees it (row), for the caller to hand out.
 func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMode, slotFirst bool) (*namespace.INode, error) {
 	if slotFirst {
 		if err := t.lock(childKey(parent, name), mode); err != nil {
@@ -405,7 +431,7 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 		if err := t.lock(inodeKey(n.ID), mode); err != nil {
 			return nil, err
 		}
-		return handOut(n, mode), nil
+		return n, nil
 	}
 	lookup := func() (namespace.INodeID, bool) {
 		t.db.mu.RLock()
@@ -426,7 +452,7 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 	if err := t.lock(inodeKey(id), mode); err != nil {
 		return nil, err
 	}
-	n := t.readINode(id, mode)
+	n := t.row(id)
 	if n == nil || n.ParentID != parent || n.Name != name {
 		return nil, namespace.ErrNotFound
 	}
@@ -444,7 +470,8 @@ func (t *tx) GetINodesBatched(ids []namespace.INodeID, mode store.LockMode) ([]*
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	perShard := make([]int, len(t.db.shards))
+	var counts [stackShards]int
+	perShard := t.db.shardCounts(counts[:])
 	for _, id := range ids {
 		perShard[t.db.shardFor(inodeKey(id))]++
 	}

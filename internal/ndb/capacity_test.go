@@ -265,7 +265,7 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 
 // TestCreateThroughputGrowsWithDataNodes: write capacity scales with the
 // data nodes. The same closed loop — every client creating files in a
-// directory of its own, one LockPaths round and one commit each — commits
+// directory of its own, one LockPath round and one commit each — commits
 // strictly more creates per virtual second on 2 data nodes than on 1, on 4
 // than on 2 and on 8 than on 4.
 func TestCreateThroughputGrowsWithDataNodes(t *testing.T) {
@@ -318,12 +318,12 @@ func TestCreateThroughputGrowsWithDataNodes(t *testing.T) {
 // written in one commit.
 func create(db *DB, path string) error {
 	tx := db.Begin("nn")
-	locked, err := tx.LockPaths(path)
+	locked, err := tx.LockPath(path)
 	if err != nil {
 		tx.Abort()
 		return err
 	}
-	parent := locked[0].Chain[len(locked[0].Chain)-1]
+	parent := locked.Chain[len(locked.Chain)-1]
 	if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: parent.ID,
 		Name: namespace.BaseName(path), Perm: namespace.PermDefaultFile}); err != nil {
 		tx.Abort()

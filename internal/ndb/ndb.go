@@ -21,10 +21,10 @@
 // counts its rows on their shards and books them all at one instant
 // (reserveShards), waiting once for the slowest: a read (serviceMultiT)
 // after its RTT, a commit beside its RTT and WAL fsync. The batched
-// operations (ResolvePathBatched, ListPathBatched, LockPaths,
+// operations (ResolvePathBatched, ListPathBatched, LockPath, LockPaths,
 // GetINodesBatched, ListSubtreeBatched) take the same locks in the same
 // global order as their serial equivalents.
-// Deadlock avoidance is that order — which LockPaths fixes for a write's
+// Deadlock avoidance is that order — which the lock phase fixes for a write's
 // whole row set (paths sorted, each walked root-down, strongest mode and
 // slot-first per row up front) — plus the LockWaitTimeout backstop.
 //
@@ -175,6 +175,8 @@ type DB struct {
 
 	nextID atomic.Uint64
 	locks  *lockManager
+	txMu   sync.Mutex
+	txFree []*tx          // released transactions, emptied, for BeginTraced to reuse
 	shards []*clock.Queue // one service queue of WorkersPerNode servers per data node
 	tel    storeTelemetry
 
@@ -262,9 +264,33 @@ func (db *DB) Begin(owner string) store.Tx {
 }
 
 // BeginTraced opens a transaction whose store accesses attach spans to tc.
-// A nil tc is exactly Begin.
+// A nil tc is exactly Begin. It reuses a released transaction when there
+// is one.
 func (db *DB) BeginTraced(owner string, tc *trace.Ctx) store.Tx {
-	return &tx{db: db, lt: lockTx{owner: owner}, tc: tc}
+	var t *tx
+	db.txMu.Lock()
+	if n := len(db.txFree); n > 0 {
+		t, db.txFree = db.txFree[n-1], db.txFree[:n-1]
+	}
+	db.txMu.Unlock()
+	if t == nil {
+		t = &tx{db: db}
+	}
+	t.lt.owner, t.tc = owner, tc
+	return t
+}
+
+// Release implements store.Store: it ends st's transaction (Abort, when
+// still open), empties it and parks it for BeginTraced. A parked
+// transaction is the zero transaction of db: it holds no lock, no row, no
+// hook and no trace context.
+func (db *DB) Release(st store.Tx) {
+	t := st.(*tx)
+	t.Abort()
+	*t = tx{db: db}
+	db.txMu.Lock()
+	db.txFree = append(db.txFree, t)
+	db.txMu.Unlock()
 }
 
 // ReleaseOwner force-releases all locks held by a crashed owner.

@@ -67,7 +67,7 @@ func TestRootExists(t *testing.T) {
 	})
 }
 
-// getChild looks a row up by name the way LockPaths takes a name it decides
+// getChild looks a row up by name the way LockPath takes a name it decides
 // on — slot first, then the row — which nothing does through store.Tx alone.
 func getChild(t store.Tx, parent namespace.INodeID, name string, mode store.LockMode) (*namespace.INode, error) {
 	return t.(*tx).lockChild(parent, name, mode, true)
@@ -1204,7 +1204,7 @@ func TestTxResolvePathSeesOwnWrites(t *testing.T) {
 // into /a and deadlocks against it until the lock-wait timeout.
 func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		for _, paths := range [][]string{
+		for _, paths := range [][2]string{
 			{"/a/b/x", "/a/y"}, // directory ← subdirectory
 			{"/a/y", "/a/b/x"}, // directory → subdirectory
 			{"/a/b/x", "/a/b"}, // destination is the source's parent directory
@@ -1223,7 +1223,7 @@ func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
 			mover := clock.NewGroup(clk)
 			mover.Go(func() {
 				tx := db.Begin("mover")
-				_, err = tx.LockPaths(paths...)
+				_, _, err = tx.LockPaths(paths[0], paths[1])
 				tx.Abort()
 			})
 			clk.Sleep(time.Millisecond) // the mover has run as far as it can
@@ -1247,10 +1247,10 @@ func TestLockPathsSharedRowTakesSlotFirst(t *testing.T) {
 	})
 }
 
-// TestConcurrentTxsKeepTheirOwnBuffers: the LockPaths reply and the write
-// set live in the transaction, so two transactions in flight on one store
-// at once each keep their own, and a second LockPaths in one transaction
-// leaves the first reply as it was.
+// TestConcurrentTxsKeepTheirOwnBuffers: the lock phase's chains and the
+// write set live in the transaction, so two transactions in flight on one
+// store at once each keep their own, and a second LockPath in one
+// transaction leaves the first reply as it was.
 func TestConcurrentTxsKeepTheirOwnBuffers(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)
@@ -1264,23 +1264,23 @@ func TestConcurrentTxsKeepTheirOwnBuffers(t *testing.T) {
 		for i, name := range names {
 			g.Go(func() {
 				w := db.Begin(name).(*tx)
-				first, err := w.LockPaths("/" + name + "/f")
+				first, err := w.LockPath("/" + name + "/f")
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				clk.Sleep(time.Millisecond) // the other transaction locks meanwhile
-				second, err := w.LockPaths("/" + name + "/s/g")
+				second, err := w.LockPath("/" + name + "/s/g")
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				dir := first[0].Chain[len(first[0].Chain)-1]
-				if dir.ID != dirs[i] || first[0].Target != nil || len(first[0].Chain) != 2 {
-					t.Errorf("%s: first reply = %+v, want /%s's chain and no target", name, first[0], name)
+				dir := first.Chain[len(first.Chain)-1]
+				if dir.ID != dirs[i] || first.Target != nil || len(first.Chain) != 2 {
+					t.Errorf("%s: first reply = %+v, want /%s's chain and no target", name, first, name)
 				}
-				if len(second[0].Chain) != 3 || second[0].Chain[1].ID != dirs[i] || &second[0].Chain[0] == &first[0].Chain[0] {
-					t.Errorf("%s: second reply = %+v, want /%s/s's chain in storage of its own", name, second[0], name)
+				if len(second.Chain) != 3 || second.Chain[1].ID != dirs[i] || &second.Chain[0] == &first.Chain[0] {
+					t.Errorf("%s: second reply = %+v, want /%s/s's chain in storage of its own", name, second, name)
 				}
 				if err := w.PutINode(&namespace.INode{ID: files[i], ParentID: dir.ID, Name: "f"}); err != nil {
 					t.Error(err)

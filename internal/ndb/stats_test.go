@@ -134,7 +134,7 @@ func TestReadOnlyAbortIsNotCounted(t *testing.T) {
 			t.Fatalf("a shared-locked resolve ended by Abort counted %d aborts, want 0", n)
 		}
 		write := db.Begin("writer")
-		if _, err := write.LockPaths("/f"); err != nil {
+		if _, err := write.LockPath("/f"); err != nil {
 			t.Fatal(err)
 		}
 		write.Abort()

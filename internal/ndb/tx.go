@@ -15,13 +15,15 @@ import (
 // tx is one ACID transaction. A transaction must be used from a single
 // goroutine; writes are buffered and applied atomically at Commit under
 // the store's structure lock, while row locks (strict 2PL) provide
-// isolation against concurrent transactions.
+// isolation against concurrent transactions. A released transaction is
+// emptied and parked on its store's free list (DB.Release), and
+// BeginTraced hands it out again.
 type tx struct {
 	db        *DB
 	lt        lockTx // identity and holdings in the lock table
 	done      bool
 	exclusive bool       // asked for an exclusive lock: a write transaction
-	lockedOut bool       // lockedBuf and chainBuf back a reply (lockedStorage)
+	lockedOut bool       // chainBuf backs a reply (chainStorage)
 	tc        *trace.Ctx // nil when untraced
 
 	rows   []rowWrite                // buffered row writes, one per row, in write order
@@ -32,13 +34,11 @@ type tx struct {
 	atCommit []func() // commit-point hooks, in registration order
 
 	// Inline backing for the common transaction: a write's write set, and
-	// the first reply with its chains — a LockPaths reply (up to ten
-	// components across a rename's two paths) or a resolved or listed
-	// path's chain (up to eleven components). Anything larger spills to the
-	// heap.
-	rowBuf    [4]rowWrite
-	lockedBuf [2]store.LockedPath
-	chainBuf  [12]*namespace.INode
+	// the first reply's chains — a lock phase's (up to ten components
+	// across a rename's two paths) or a resolved or listed path's (up to
+	// eleven components). Anything larger spills to the heap.
+	rowBuf   [4]rowWrite
+	chainBuf [12]*namespace.INode
 }
 
 // rowWrite is one buffered row write: n, or nil for a delete of row id.
@@ -149,16 +149,23 @@ func (t *tx) buffered(id namespace.INodeID) (n *namespace.INode, ok bool) {
 	return nil, false
 }
 
-// readINode reads a row, locked with mode, through the transaction's write
-// buffer; nil when there is none.
-func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
+// row returns row id as this transaction sees it: its buffered write (nil
+// for a buffered delete), else the committed row, nil when there is none.
+// The caller hands it out (handOut).
+func (t *tx) row(id namespace.INodeID) *namespace.INode {
 	if n, ok := t.buffered(id); ok {
-		return handOut(n, mode) // nil for a buffered delete
+		return n
 	}
 	t.db.mu.RLock()
 	n := t.db.inodes[id]
 	t.db.mu.RUnlock()
-	return handOut(n, mode)
+	return n
+}
+
+// readINode reads a row, locked with mode, through the transaction's write
+// buffer; nil when there is none.
+func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
+	return handOut(t.row(id), mode)
 }
 
 // childrenOf reads all direct children of dir, which the caller holds with

@@ -23,9 +23,10 @@ func TestLockModeStrings(t *testing.T) {
 }
 
 // fakeStore exercises RunTx's retry policy without a real store;
-// BeginTraced is all RunTx asks of one.
+// BeginTraced and Release are all RunTx asks of one.
 type fakeStore struct {
 	beginCount int
+	released   []*fakeTx
 	failTimes  int
 	fn         func(*fakeTx) error
 }
@@ -41,6 +42,14 @@ func (s *fakeStore) BeginTraced(string, *trace.Ctx) Tx {
 	return &fakeTx{s: s}
 }
 
+func (s *fakeStore) Release(tx Tx) {
+	t := tx.(*fakeTx)
+	if !t.committed {
+		t.aborted = true
+	}
+	s.released = append(s.released, t)
+}
+
 func (t *fakeTx) GetINode(namespace.INodeID, LockMode) (*namespace.INode, error) {
 	if t.s.failTimes > 0 {
 		t.s.failTimes--
@@ -51,7 +60,10 @@ func (t *fakeTx) GetINode(namespace.INodeID, LockMode) (*namespace.INode, error)
 func (t *fakeTx) ResolvePathBatched(string, LockMode, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
-func (t *fakeTx) LockPaths(...string) ([]LockedPath, error) { return nil, nil }
+func (t *fakeTx) LockPath(string) (LockedPath, error) { return LockedPath{}, nil }
+func (t *fakeTx) LockPaths(string, string) (LockedPath, LockedPath, error) {
+	return LockedPath{}, LockedPath{}, nil
+}
 func (t *fakeTx) GetINodesBatched([]namespace.INodeID, LockMode) ([]*namespace.INode, error) {
 	return nil, nil
 }
@@ -80,6 +92,16 @@ func TestRunTxRetriesLockTimeouts(t *testing.T) {
 	}
 	if s.beginCount != 4 {
 		t.Fatalf("begin count = %d, want 4 (3 retries)", s.beginCount)
+	}
+	// Each attempt is released once, after it ended: the three that timed
+	// out aborted, the last committed.
+	if len(s.released) != 4 {
+		t.Fatalf("%d releases, want one per attempt", len(s.released))
+	}
+	for i, tx := range s.released {
+		if last := i == 3; tx.committed != last || tx.aborted == last {
+			t.Errorf("attempt %d released committed=%v aborted=%v", i, tx.committed, tx.aborted)
+		}
 	}
 }
 
