@@ -58,12 +58,13 @@ func TestExecuteHitAllocs(t *testing.T) {
 }
 
 // A stat the cache does not serve, through Engine.Execute: the reply (the
-// Response and its StatInfo, one object) and one more. A miss's is the
-// transaction its shared-locked fill runs in, whose inline buffer holds the
-// chain, and it re-caches the row in the node its invalidation freed; a
-// pass-through resolution (caching disabled) takes no lock and so needs no
-// transaction, and its one more is the chain. (Not under -race: the
-// detector allocates.)
+// Response and its StatInfo, one object), and for a pass-through one more.
+// A miss's shared-locked fill runs in a transaction the store recycles
+// (store.Store.Release), the chain is copied from its inline buffer into the
+// caller's stack buffer, and the fill re-caches the row in the node its
+// invalidation freed; a pass-through resolution (caching disabled) takes no
+// lock and so needs no transaction, and its one more is the chain. (Not
+// under -race: the detector allocates.)
 func TestExecuteMissAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		stat := namespace.Request{Op: namespace.OpStat, Path: "/a/b/f"}
@@ -77,8 +78,8 @@ func TestExecuteMissAllocs(t *testing.T) {
 			}
 		}
 		miss()
-		if got := testing.AllocsPerRun(100, miss); got != 2 {
-			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 2", got)
+		if got := testing.AllocsPerRun(100, miss); got != 1 {
+			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 1", got)
 		}
 
 		cfg := DefaultEngineConfig()
@@ -126,26 +127,30 @@ func opAllocs(prep, op func()) float64 {
 }
 
 // A warm write's host cost, through Engine.Execute, one pin per op kind.
-// Every write pays three things: the transaction, the lock phase's argument
-// list and the response. Then one private copy of each exclusive row its
-// walks read: the parent, once per path, and a delete's or a mv's target.
-//   - create 5: the three, the parent's copy and the row it builds;
-//   - delete 5: the three and the target's and the parent's copies;
-//   - mv inside a directory 6: the three, the target's copy and the
-//     parent's copy once per path;
-//   - mv across directories 6: the three and three copies;
-//   - leaf mkdirs 9: the three, the parent's copy, the directory it
-//     builds, the component list it splits and the three paths it joins on
-//     the way down (the new directory's child list in the store is nil
-//     until its first child).
+// Every write pays its response, and one object per row version it
+// publishes: a row it builds, or the private copy of an exclusive row its
+// lock phase read, which a rename's two walks hand out once for a row both
+// paths share. A delete also pays its target's copy, which it deletes.
+//   - create 3: the response, the parent's copy and the row it builds;
+//   - delete 3: the response and the target's and the parent's copies;
+//   - mv inside a directory 3: the response, the target's copy and the
+//     parent's copy;
+//   - mv across directories 4: the response and three copies;
+//   - leaf mkdirs 3: the response, the parent's copy and the directory it
+//     builds (the new directory's child list in the store is nil until its
+//     first child).
 //
-// Nothing else: the write set, the lock phase's reply and chains, its lock
-// set (up to 16 rows: a rename's fits), the INV round's targets and batch
-// and, on a contended row, the lock waiter are reused (the transaction's
-// inline buffers, the engine's free list, the lock table's). Each written row is that one new version — the store takes
-// over the row built or the private copy handed out, copying neither and no
-// block list — and the commit builds no record or frame of its own. (Not
-// under -race: the detector allocates.)
+// Nothing else: the transaction is a spent one the store recycles
+// (store.Store.Release), and its write set, the lock phase's chains and its
+// lock set (up to 16 rows: a rename's fits) are its inline buffers; the
+// lock phase's paths and reply are values, mkdirs splits its path into a
+// stack buffer and takes each directory's path as a prefix of it, and the
+// INV round's targets and batch and, on a contended row, the lock waiter
+// are reused (the engine's free list, the lock table's). Each written row
+// is that one new version — the store takes over the row built or the
+// private copy handed out, copying neither and no block list — and the
+// commit builds no record or frame of its own. (Not under -race: the
+// detector allocates.)
 func TestExecuteWriteAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e := writerEngine(clk)
@@ -171,11 +176,11 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			prep, op func()
 			want     float64
 		}{
-			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 5},
-			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 5},
-			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 6},
-			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 6},
-			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 9},
+			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 3},
+			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 3},
+			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 3},
+			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 4},
+			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 3},
 		} {
 			if got := opAllocs(c.prep, c.op); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
