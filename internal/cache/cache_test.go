@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lambdafs/internal/childindex"
 	"lambdafs/internal/namespace"
 )
 
@@ -554,18 +555,18 @@ func TestFreeListBoundedByTree(t *testing.T) {
 	if n := c.Invalidate("/big"); n != 1+25+1000 {
 		t.Fatalf("invalidating /big removed %d rows", n)
 	}
-	if err := c.checkFreeList(); err != nil {
+	if err := c.checkTree(); err != nil {
 		t.Fatal(err)
 	}
 	if c.spare != 4 || c.nodes != 4 { // the tree: /small, x, y and z
 		t.Fatalf("after invalidating /big: %d spare nodes for a tree of %d, want 4 and 4", c.spare, c.nodes)
 	}
 	c.PutChain("/big/f", chainFor("/big/f"))
-	if err := c.checkFreeList(); err != nil || c.spare != 2 || c.nodes != 6 {
+	if err := c.checkTree(); err != nil || c.spare != 2 || c.nodes != 6 {
 		t.Fatalf("refilling two nodes left %d spare for a tree of %d (%v), want 2 and 6", c.spare, c.nodes, err)
 	}
 	c.Invalidate("/")
-	if err := c.checkFreeList(); err != nil || c.spare != 0 || c.nodes != 0 {
+	if err := c.checkTree(); err != nil || c.spare != 0 || c.nodes != 0 {
 		t.Fatalf("after invalidating the root: %d spare nodes for a tree of %d (%v), want none", c.spare, c.nodes, err)
 	}
 }
@@ -766,24 +767,49 @@ func byID(ns []*namespace.INode) []*namespace.INode {
 	return ns
 }
 
-// checkFreeList holds the free list to what a recycled node must be: out of
-// the tree and the LRU list, empty (no row, no bytes, no parent, no children,
-// listing unknown) and, all told, no longer than the tree.
-func (c *Cache) checkFreeList() error {
+// checkTree holds the trie to its shape and the recycled storage to what it
+// must be. In the tree, every node's children are strictly increasing by
+// name, in chunks none over childindex.MaxChunk and none empty but a lone
+// one, each filed under its own name with the node as its parent. Every
+// node on the free list is out of the tree and the LRU list and empty (no
+// row, no bytes, no parent, no children, listing unknown), and the list is
+// no longer than the tree. The chunk pool accounts for exactly the tree's
+// chunks and holds no more capacity than they do.
+func (c *Cache) checkTree() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	inTree := map[*node]bool{}
-	var walk func(n *node)
-	walk = func(n *node) {
+	chunkCap := 0
+	var walk func(n *node, path string) error
+	walk = func(n *node, path string) error {
 		if inTree[n] {
-			return // a node linked twice: the counts below disagree
+			return nil // a node linked twice: the counts below disagree
 		}
 		inTree[n] = true
-		for _, ch := range n.children {
-			walk(ch)
+		var prev string
+		for ci, chunk := range n.kids {
+			if (len(chunk) == 0 && len(n.kids) > 1) || len(chunk) > childindex.MaxChunk {
+				return fmt.Errorf("%s: chunk %d of %d holds %d children", path, ci, len(n.kids), len(chunk))
+			}
+			chunkCap += cap(chunk)
+			for i, e := range chunk {
+				if (ci > 0 || i > 0) && e.Name <= prev {
+					return fmt.Errorf("%s: children out of order, %q before %q", path, prev, e.Name)
+				}
+				prev = e.Name
+				if ch := e.Val; ch.name != e.Name || ch.parent != n {
+					return fmt.Errorf("%s: child %q filed as %q, parent link %v", path, ch.name, e.Name, ch.parent == n)
+				}
+				if err := walk(e.Val, namespace.JoinPath(path, e.Name)); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
 	}
-	walk(&c.root)
+	if err := walk(&c.root, "/"); err != nil {
+		return err
+	}
 	inLRU := map[*node]bool{}
 	for n := c.lru.next; n != &c.lru && n != nil && len(inLRU) <= c.rows; n = n.next {
 		inLRU[n] = true
@@ -793,14 +819,18 @@ func (c *Cache) checkFreeList() error {
 		switch spare++; {
 		case inTree[n] || inLRU[n]:
 			return fmt.Errorf("free node %d is still reachable (from the root %v, from the LRU list %v)", spare, inTree[n], inLRU[n])
-		case n.inode != nil || n.bytes != 0 || n.parent != nil || n.prev != nil || n.name != "" || len(n.children) != 0 || n.listing != listingUnknown:
+		case n.inode != nil || n.bytes != 0 || n.parent != nil || n.prev != nil || n.name != "" || n.kids != nil || n.kids0[0] != nil || n.listing != listingUnknown:
 			return fmt.Errorf("free node %d not emptied: row %v, %d bytes, parent %v, prev %v, name %q, %d children, listing %d",
-				spare, n.inode != nil, n.bytes, n.parent != nil, n.prev != nil, n.name, len(n.children), n.listing)
+				spare, n.inode != nil, n.bytes, n.parent != nil, n.prev != nil, n.name, n.kids.Len(), n.listing)
 		}
 	}
 	if spare != c.spare || c.nodes != len(inTree)-1 || c.spare > c.nodes {
 		return fmt.Errorf("free list of %d nodes (counted %d), tree of %d (counted %d): want it no longer than the tree",
 			spare, c.spare, len(inTree)-1, c.nodes)
+	}
+	if live, held := c.chunks.Stats(); live != chunkCap || held > live {
+		return fmt.Errorf("chunk pool: %d entries of capacity handed out, %d spare; the tree's chunks hold %d: want them equal and no more spare",
+			live, held, chunkCap)
 	}
 	return nil
 }
@@ -809,7 +839,7 @@ func (c *Cache) checkFreeList() error {
 // seeded random operations, at a budget that evicts on most puts and without
 // one, and requires the same answers and the same Len, UsedBytes, Stats,
 // Contains and IsComplete after every step — so the cache evicts exactly the
-// rows the model does — and a sound free list (checkFreeList).
+// rows the model does — and a sound free list (checkTree).
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	var universe []string
 	var walk func(p string, depth int)
@@ -935,7 +965,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 							budget, seed, step, what, q, c.Contains(q), c.IsComplete(q))
 					}
 				}
-				if err := c.checkFreeList(); err != nil {
+				if err := c.checkTree(); err != nil {
 					t.Fatalf("budget %d seed %d step %d, after %s: %v", budget, seed, step, what, err)
 				}
 			}

@@ -473,12 +473,13 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	return &namespace.Response{ID: target.ID, Entries: toEntries(kids)}
 }
 
+// toEntries is a listing's reply entries, in the order the store listed
+// the children: name order (store.Tx.ListPathBatched).
 func toEntries(kids []*namespace.INode) []namespace.DirEntry {
 	out := make([]namespace.DirEntry, len(kids))
 	for i, k := range kids {
 		out[i] = namespace.EntryOf(k)
 	}
-	namespace.SortEntries(out)
 	return out
 }
 

@@ -14,7 +14,6 @@
 package namespace
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -186,11 +185,6 @@ type StatInfo struct {
 // EntryOf is n's row in its directory's listing.
 func EntryOf(n *INode) DirEntry {
 	return DirEntry{Name: n.Name, ID: n.ID, IsDir: n.IsDir, Size: n.Size}
-}
-
-// SortEntries orders a listing by name.
-func SortEntries(es []DirEntry) {
-	slices.SortFunc(es, func(a, b DirEntry) int { return cmp.Compare(a.Name, b.Name) })
 }
 
 // StatOf converts an INode plus its full path into a StatInfo.

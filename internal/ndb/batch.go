@@ -235,7 +235,7 @@ func (t *tx) chargePlans(plans []lockPlan, split []string, list bool) {
 			curID = id
 		}
 		if list && found {
-			perShard[db.shardFor(inodeKey(curID))] += db.children[curID].len() // a file has no child list
+			perShard[db.shardFor(inodeKey(curID))] += db.children[curID].Len() // a file has no child list
 		}
 	}
 	db.mu.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lambdafs/internal/childindex"
 	"lambdafs/internal/namespace"
 )
 
@@ -15,8 +16,8 @@ import (
 //     (ParentID, Name) matches the slot it is filed under (no dangling or
 //     misfiled child entries);
 //   - every child list must be strictly sorted by name — no two entries
-//     share a name — in chunks none over maxChunk and none empty but a
-//     list's only one, which its binary search relies on;
+//     share a name — in chunks none over childindex.MaxChunk and none
+//     empty but a list's only one, which its binary search relies on;
 //   - every INode except the root must be reachable from the root through
 //     child entries (no lost or orphaned inodes);
 //   - every non-root INode's parent must exist and be a directory.
@@ -36,29 +37,29 @@ func (db *DB) CheckIntegrity() []string {
 	// slots.
 	for parent, kids := range db.children {
 		if db.inodes[parent] == nil {
-			if n := kids.len(); n > 0 {
+			if n := kids.Len(); n > 0 {
 				bad = append(bad, fmt.Sprintf("child list for missing inode %d holds %d entries", parent, n))
 			}
 			continue
 		}
-		var prev *childEntry
+		var prev *childindex.Entry[namespace.INodeID]
 		for _, c := range kids {
-			if (len(c) == 0 && len(kids) > 1) || len(c) > maxChunk {
+			if (len(c) == 0 && len(kids) > 1) || len(c) > childindex.MaxChunk {
 				bad = append(bad, fmt.Sprintf("child list of inode %d holds a chunk of %d entries", parent, len(c)))
 			}
 			for i := range c {
 				e := &c[i]
-				if prev != nil && prev.name >= e.name {
+				if prev != nil && prev.Name >= e.Name {
 					bad = append(bad, fmt.Sprintf("child list of inode %d out of order: %q before %q",
-						parent, prev.name, e.name))
+						parent, prev.Name, e.Name))
 				}
 				prev = e
-				n := db.inodes[e.id]
+				n := db.inodes[e.Val]
 				if n == nil {
-					bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.name, e.id))
-				} else if n.ParentID != parent || n.Name != e.name {
+					bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.Name, e.Val))
+				} else if n.ParentID != parent || n.Name != e.Name {
 					bad = append(bad, fmt.Sprintf("misfiled child entry %d/%q -> inode %d (parent=%d name=%q)",
-						parent, e.name, e.id, n.ParentID, n.Name))
+						parent, e.Name, e.Val, n.ParentID, n.Name))
 				}
 			}
 		}
@@ -73,9 +74,9 @@ func (db *DB) CheckIntegrity() []string {
 		queue = queue[1:]
 		for _, c := range db.children[id] {
 			for _, e := range c {
-				if !reached[e.id] && db.inodes[e.id] != nil {
-					reached[e.id] = true
-					queue = append(queue, e.id)
+				if !reached[e.Val] && db.inodes[e.Val] != nil {
+					reached[e.Val] = true
+					queue = append(queue, e.Val)
 				}
 			}
 		}

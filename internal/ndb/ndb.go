@@ -282,12 +282,18 @@ func (db *DB) BeginTraced(owner string, tc *trace.Ctx) store.Tx {
 
 // Release implements store.Store: it ends st's transaction (Abort, when
 // still open), empties it and parks it for BeginTraced. A parked
-// transaction is the zero transaction of db: it holds no lock, no row, no
-// hook and no trace context.
+// transaction is the zero transaction of db — it holds no lock, no row, no
+// hook and no trace context — but for the room it kept for a listing's
+// children, emptied, when that is at most keptKids.
 func (db *DB) Release(st store.Tx) {
 	t := st.(*tx)
 	t.Abort()
-	*t = tx{db: db}
+	kids := t.kids // its length is what a listing may have written
+	if cap(kids) > keptKids {
+		kids = nil
+	}
+	clear(kids)
+	*t = tx{db: db, kids: kids[:0]}
 	db.txMu.Lock()
 	db.txFree = append(db.txFree, t)
 	db.txMu.Unlock()
@@ -340,7 +346,7 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 		first := len(queue)
 		for _, c := range db.children[id] {
 			for _, e := range c {
-				queue = append(queue, e.id)
+				queue = append(queue, e.Val)
 			}
 		}
 		slices.Sort(queue[first:])

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lambdafs/internal/childindex"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/simtest"
@@ -351,13 +352,13 @@ func TestChildListsStaySorted(t *testing.T) {
 				t.Errorf("%q still filed", gone)
 			}
 		}
-		if got := db.children[dir].len(); got != len(names) {
+		if got := db.children[dir].Len(); got != len(names) {
 			t.Errorf("child list holds %d entries, want %d", got, len(names))
 		}
 	})
 }
 
-// childName is the k-th of a name set that orders both by nameKey alone
+// childName is the k-th of a name set that orders both by childindex.Key alone
 // (short names) and by the names past their first eight bytes (a shared
 // long prefix, and zero bytes the key's padding cannot tell apart).
 func childName(k int) string {
@@ -373,7 +374,7 @@ func childName(k int) string {
 // TestChildListMatchesSortedModel runs random inserts, renames and removes
 // on one child list, across chunk splits and chunk removals, against a map
 // and checks after each that the list holds exactly the map's entries in
-// name order, in chunks none over maxChunk and none empty but a lone one,
+// name order, in chunks none over childindex.MaxChunk and none empty but a lone one,
 // and that find agrees with the map for names present and absent.
 func TestChildListMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -384,48 +385,48 @@ func TestChildListMatchesSortedModel(t *testing.T) {
 		id := namespace.INodeID(1 + rng.Intn(1<<20))
 		switch {
 		case rng.Intn(3) > 0 && step < 12000, step%7 == 0:
-			l = l.insert(newChild(name, id))
+			l = l.Insert(childindex.NewEntry(name, id), nil)
 			model[name] = id
 		default:
 			if old, ok := model[name]; ok && rng.Intn(4) > 0 {
 				id = old
 			}
-			l = l.remove(name, id)
+			l = l.Remove(name, id, nil)
 			if model[name] == id {
 				delete(model, name)
 			}
 		}
 		var got []string
 		for ci, c := range l {
-			if (len(c) == 0 && len(l) > 1) || len(c) > maxChunk {
+			if (len(c) == 0 && len(l) > 1) || len(c) > childindex.MaxChunk {
 				t.Fatalf("step %d: chunk %d holds %d entries", step, ci, len(c))
 			}
 			for _, e := range c {
-				if model[e.name] != e.id {
-					t.Fatalf("step %d: %q -> %d, model %d", step, e.name, e.id, model[e.name])
+				if model[e.Name] != e.Val {
+					t.Fatalf("step %d: %q -> %d, model %d", step, e.Name, e.Val, model[e.Name])
 				}
-				got = append(got, e.name)
+				got = append(got, e.Name)
 			}
 		}
-		if !slices.IsSorted(got) || len(got) != len(model) || l.len() != len(model) {
-			t.Fatalf("step %d: %d names (sorted %v, len %d), model %d", step, len(got), slices.IsSorted(got), l.len(), len(model))
+		if !slices.IsSorted(got) || len(got) != len(model) || l.Len() != len(model) {
+			t.Fatalf("step %d: %d names (sorted %v, len %d), model %d", step, len(got), slices.IsSorted(got), l.Len(), len(model))
 		}
 		probe := childName(rng.Intn(420))
-		if id, ok := l.find(probe); ok != (model[probe] != 0) || id != model[probe] {
+		if id, ok := l.Find(probe); ok != (model[probe] != 0) || id != model[probe] {
 			t.Fatalf("step %d: find(%q) = %d, %v; model %d", step, probe, id, ok, model[probe])
 		}
 	}
 	// Emptied, the list keeps one chunk's storage and takes entries again.
 	for name, id := range model {
-		l = l.remove(name, id)
+		l = l.Remove(name, id, nil)
 	}
-	if l.len() != 0 || len(l) != 1 {
-		t.Fatalf("emptied list: %d entries in %d chunks, want 0 in 1", l.len(), len(l))
+	if l.Len() != 0 || len(l) != 1 {
+		t.Fatalf("emptied list: %d entries in %d chunks, want 0 in 1", l.Len(), len(l))
 	}
-	if l = l.insert(newChild("x", 7)); l.len() != 1 {
-		t.Fatalf("insert into an emptied list: %d entries", l.len())
+	if l = l.Insert(childindex.NewEntry("x", namespace.INodeID(7)), nil); l.Len() != 1 {
+		t.Fatalf("insert into an emptied list: %d entries", l.Len())
 	}
-	if id, ok := l.find("x"); !ok || id != 7 {
+	if id, ok := l.Find("x"); !ok || id != 7 {
 		t.Fatalf("find after refill: %d, %v", id, ok)
 	}
 }
@@ -462,7 +463,10 @@ func TestCheckIntegrityFlagsUnsortedChildList(t *testing.T) {
 
 // TestListChildrenSortedAndMerged: the children ListPathBatched returns are
 // the committed ones merged with the transaction's own buffered writes —
-// puts, deletes and moves out of the directory — sorted by name.
+// puts, deletes, renames inside the directory and moves out of it — in
+// name order: a buffered create lands in its sorted place, first, between
+// two committed names or last. Every listing in a transaction gets storage
+// of its own, so an earlier reply still reads the same.
 func TestListChildrenSortedAndMerged(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)
@@ -471,16 +475,38 @@ func TestListChildrenSortedAndMerged(t *testing.T) {
 		addFile(t, db, namespace.RootID, "a")
 		dead := addFile(t, db, namespace.RootID, "dead")
 		moved := addFile(t, db, namespace.RootID, "moved")
+		renamed := addFile(t, db, namespace.RootID, "renamed")
+		addFile(t, db, addDir(t, db, namespace.RootID, "more"), "x")
+		var want []string
+		for i := 0; i < 20; i++ { // past the transaction's inline buffer
+			name := fmt.Sprintf("f%02d", 2*i)
+			addFile(t, db, namespace.RootID, name)
+			want = append(want, name)
+		}
 		tx := db.Begin("t")
 		defer tx.Abort()
-		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "c"}); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"c", "0first", "f07", "zz-last"} {
+			if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: name}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := tx.DeleteINode(dead); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.PutINode(&namespace.INode{ID: moved, ParentID: other, Name: "moved"}); err != nil {
 			t.Fatal(err)
+		}
+		if err := tx.PutINode(&namespace.INode{ID: renamed, ParentID: namespace.RootID, Name: "e"}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "0first", "a", "b", "c", "e", "f07", "more", "other", "zz-last")
+		slices.Sort(want)
+		names := func(kids []*namespace.INode) []string {
+			out := make([]string, len(kids))
+			for i, k := range kids {
+				out[i] = k.Name
+			}
+			return out
 		}
 		chain, kids, err := tx.ListPathBatched("/", store.LockShared)
 		if err != nil {
@@ -489,12 +515,21 @@ func TestListChildrenSortedAndMerged(t *testing.T) {
 		if len(chain) != 1 || chain[0].ID != namespace.RootID {
 			t.Fatalf("chain = %v, want the root alone", chain)
 		}
-		names := make([]string, len(kids))
-		for i, k := range kids {
-			names[i] = k.Name
+		if got := names(kids); !slices.Equal(got, want) {
+			t.Fatalf("children = %v, want %v", got, want)
 		}
-		if want := []string{"a", "b", "c", "other"}; !slices.Equal(names, want) {
-			t.Fatalf("children = %v, want %v", names, want)
+		_, first, err := tx.ListPathBatched("/other", store.LockShared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, second, err := tx.ListPathBatched("/more", store.LockShared); err != nil || !slices.Equal(names(second), []string{"x"}) {
+			t.Fatalf("ls /more = %v, %v; want [x]", names(second), err)
+		}
+		if got := names(first); !slices.Equal(got, []string{"moved"}) {
+			t.Fatalf("after two more listings ls /other reads %v, want [moved]", got)
+		}
+		if got := names(kids); !slices.Equal(got, want) {
+			t.Fatalf("after two more listings ls / reads %v, want %v", got, want)
 		}
 	})
 }

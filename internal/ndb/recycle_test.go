@@ -191,7 +191,7 @@ func TestConcurrentRunTxShareTheFreeList(t *testing.T) {
 		})
 		g.Wait()
 		for w, dir := range dirs {
-			if n := db.children[dir].len(); n != writes {
+			if n := db.children[dir].Len(); n != writes {
 				t.Errorf("/d%d holds %d files, want %d", w, n, writes)
 			}
 		}
@@ -200,6 +200,53 @@ func TestConcurrentRunTxShareTheFreeList(t *testing.T) {
 		}
 		if n := len(db.txFree); n == 0 || n > writers+1 {
 			t.Errorf("free list holds %d transactions, want 1 to %d", n, writers+1)
+		}
+	})
+}
+
+// TestReleasedTxKeepsBoundedListingRoom: a listing past the inline buffer
+// fills heap storage the transaction keeps when it is released, emptied,
+// and the next listing on the recycled transaction writes into the same
+// storage; a directory of more than keptKids children leaves nothing kept,
+// so a parked transaction never pins a big directory's listing.
+func TestReleasedTxKeepsBoundedListingRoom(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		db := testDB(clk)
+		var rows []*namespace.INode
+		mkdir := func(name string, files int) {
+			dir := &namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: name, IsDir: true}
+			rows = append(rows, dir)
+			for i := range files {
+				rows = append(rows, &namespace.INode{ID: db.NextID(), ParentID: dir.ID, Name: fmt.Sprintf("f%04d", i)})
+			}
+		}
+		mkdir("small", 40)
+		mkdir("big", keptKids+1)
+		db.Preload(rows)
+		list := func(path string, want int) *tx {
+			stx := db.BeginTraced("nn", nil)
+			if _, kids, err := stx.ListPathBatched(path, store.LockShared); err != nil || len(kids) != want {
+				t.Fatalf("ls %s: %d children, %v; want %d", path, len(kids), err, want)
+			}
+			db.Release(stx)
+			return stx.(*tx)
+		}
+		parked := list("/small", 40)
+		kept := parked.kids[:cap(parked.kids)]
+		if set := setFields(parked); !reflect.DeepEqual(set, []string{"db", "kids"}) || len(parked.kids) != 0 || len(kept) < 40 {
+			t.Fatalf("after ls /small the parked transaction keeps %v, %d of %d children's room; want its store and the room, empty",
+				set, len(parked.kids), cap(parked.kids))
+		}
+		for i, n := range kept {
+			if n != nil {
+				t.Fatalf("the kept room still holds child %d", i)
+			}
+		}
+		if again := list("/small", 40); again != parked || &again.kids[:1][0] != &kept[0] {
+			t.Fatal("a second ls /small on the recycled transaction did not reuse its room")
+		}
+		if parked = list("/big", keptKids+1); parked.kids != nil {
+			t.Errorf("after ls /big the parked transaction keeps room for %d children, want none past %d", cap(parked.kids), keptKids)
 		}
 	})
 }

@@ -39,7 +39,18 @@ type tx struct {
 	// eleven components). Anything larger spills to the heap.
 	rowBuf   [4]rowWrite
 	chainBuf [12]*namespace.INode
+
+	// A listed directory's children (childrenOf): kidsBuf when they fit,
+	// else kids, heap storage the transaction keeps across its releases up
+	// to keptKids entries; kidsOut once a reply holds either.
+	kidsBuf [16]*namespace.INode
+	kids    []*namespace.INode
+	kidsOut bool
 }
+
+// keptKids is the most children a released transaction keeps room for, so
+// a parked one never pins a big directory's listing.
+const keptKids = 1024
 
 // rowWrite is one buffered row write: n, or nil for a delete of row id.
 type rowWrite struct {
@@ -172,17 +183,18 @@ func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INo
 // mode (read-committed, merged with this transaction's buffered writes,
 // sorted by name), charging nothing: ListPathBatched's multi-get paid for
 // the rows. The committed list is already in name order, so only buffered
-// children of dir call for a sort.
+// children of dir call for a sort. The children are the transaction's
+// storage (kidsStorage).
 func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
-	out := make([]*namespace.INode, 0, kids.len())
+	out := t.kidsStorage(kids.Len() + len(t.rows))
 	for _, c := range kids {
 		for _, e := range c {
-			if _, ok := t.buffered(e.id); ok {
+			if _, ok := t.buffered(e.Val); ok {
 				continue // this transaction's version decides, below
 			}
-			if n := t.db.inodes[e.id]; n != nil {
+			if n := t.db.inodes[e.Val]; n != nil {
 				out = append(out, handOut(n, mode))
 			}
 		}
@@ -198,6 +210,25 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 		slices.SortFunc(out, func(a, b *namespace.INode) int { return cmp.Compare(a.Name, b.Name) })
 	}
 	return out
+}
+
+// kidsStorage returns room for n children, empty: the transaction's inline
+// buffer when they fit, else its kept heap storage, grown when short; a new
+// slice once a reply holds the transaction's, so no reply is overwritten by
+// a later one. Either stays valid until the transaction is released.
+func (t *tx) kidsStorage(n int) []*namespace.INode {
+	switch {
+	case t.kidsOut:
+		return make([]*namespace.INode, 0, n)
+	case n <= len(t.kidsBuf):
+		t.kidsOut = true
+		return t.kidsBuf[:0]
+	case cap(t.kids) < n:
+		t.kids = make([]*namespace.INode, n)
+	}
+	t.kidsOut = true
+	t.kids = t.kids[:n] // Release clears what the reply may fill
+	return t.kids[:0:n]
 }
 
 // slotHolder returns the version of row id whose (parent, name) slot a put

@@ -53,7 +53,7 @@ func stateDigest(db *DB) string {
 	for parent, kids := range db.children {
 		for _, c := range kids {
 			for _, e := range c {
-				lines = append(lines, fmt.Sprintf("c %d %q %d", parent, e.name, e.id))
+				lines = append(lines, fmt.Sprintf("c %d %q %d", parent, e.Name, e.Val))
 			}
 		}
 	}

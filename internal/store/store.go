@@ -130,12 +130,14 @@ type Tx interface {
 	// shard, so the call counts one read, one resolution hop and one batched
 	// resolve however many children there are. Every row of the chain is
 	// locked with mode as ResolvePathBatched(path, mode, mode) locks it, and
-	// the children are read under the directory's lock (merged with this
-	// transaction's buffered writes, sorted by name): LockShared is the
-	// listing fill's staleness guard, LockNone the pass-through ls. For a
-	// file children is nil. Partial chains are returned with
-	// namespace.ErrNotFound. The chain may be the transaction's own storage,
-	// as ResolvePathBatched's is; children is the caller's.
+	// the children are read under the directory's lock: LockShared is the
+	// listing fill's staleness guard, LockNone the pass-through ls. The
+	// children come back in name order, this transaction's buffered writes
+	// merged in — a buffered create in its sorted place, a buffered delete
+	// or move out gone — so a caller never sorts them. For a file children
+	// is nil. Partial chains are returned with namespace.ErrNotFound. The
+	// chain and the children may be the transaction's own storage, as
+	// ResolvePathBatched's chain is.
 	ListPathBatched(path string, mode LockMode) (chain, children []*namespace.INode, err error)
 
 	// LockPath is a write's whole lock phase in one store round trip: it
