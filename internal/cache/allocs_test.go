@@ -41,7 +41,7 @@ func TestHitPathAllocs(t *testing.T) {
 		t.Errorf("Listing hit of 64 children: %v allocs, want 1 (the listing)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { c.Entries("/a/b") }); got != 1 {
-		t.Errorf("Entries hit of 64 children: %v allocs, want 1 (the sorted entries)", got)
+		t.Errorf("Entries hit of 64 children: %v allocs, want 1 (the entries, in name order as the children are kept)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { c.Lookup("/a/b/missing/f") }); got != 0 {
 		t.Errorf("Lookup miss below a cached depth-2 prefix: %v allocs, want 0", got)
@@ -50,7 +50,7 @@ func TestHitPathAllocs(t *testing.T) {
 
 // With an empty free list — nothing was ever evicted or invalidated —
 // caching a new row allocates its node, and a directory's first child adds
-// its children map.
+// its child list's first chunk: the list's header is the node's own.
 func TestPutChainAllocs(t *testing.T) {
 	c := New(0)
 	c.PutChain("/d/seed", chainFor("/d/seed"))
@@ -75,14 +75,14 @@ func TestPutChainAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		c.PutChain(paths[i], deeper)
 		i++
-	}); got != 3 {
-		t.Errorf("PutChain of a directory's first child, nothing to recycle: %v allocs, want 3 (a new node, the children map's header and first group)", got)
+	}); got != 2 {
+		t.Errorf("PutChain of a directory's first child, nothing to recycle: %v allocs, want 2 (a new node and its parent's first chunk)", got)
 	}
 }
 
-// Under memory pressure a chain's nodes are the ones its put evicted: once
-// every spare node has been a directory (and kept its children map), a put
-// that evicts a chain of its own shape allocates nothing.
+// Under memory pressure a chain's nodes are the ones its put evicted, and
+// its child lists' chunks the ones they held: a put that evicts a chain of
+// its own shape allocates nothing.
 func TestPutChainEvictingAllocs(t *testing.T) {
 	paths := make([]string, 400)
 	for i := range paths {
@@ -107,5 +107,46 @@ func TestPutChainEvictingAllocs(t *testing.T) {
 	}
 	if evicted := c.Stats().Evictions - before; evicted != 2*101 || c.Len() != 9 {
 		t.Errorf("fixture: %d rows evicted by 101 puts, %d cached; want 2 per put and 9", evicted, c.Len())
+	}
+}
+
+// A listing fill under memory pressure is recycled the same way: once the
+// free list and the chunk pool have warmed up, caching a directory and its
+// 16 children, which evicts an older directory and its children, allocates
+// nothing — the nodes come off the free list and the directory's chunk,
+// grown one capacity at a time, out of the pool.
+func TestPutListingEvictingAllocs(t *testing.T) {
+	kids := make([]*namespace.INode, 16)
+	for i := range kids {
+		kids[i] = &namespace.INode{ID: namespace.INodeID(200 + i), Name: fmt.Sprintf("f%02d", i)}
+	}
+	dirs := make([]string, 400)
+	for i := range dirs {
+		dirs[i] = fmt.Sprintf("/d%03d", i)
+	}
+	chain := chainFor(dirs[0]) // every fill caches the same rows: their bytes match
+	full := New(0)
+	for _, d := range dirs[:3] {
+		full.PutChain(d, chain)
+		full.PutListing(d, kids)
+	}
+	c, i := New(full.UsedBytes()), 0 // room for the root and three listed directories
+	fill := func() {
+		c.PutChain(dirs[i], chain)
+		c.PutListing(dirs[i], kids)
+		i++
+	}
+	for i < 200 {
+		fill()
+	}
+	before := c.Stats().Evictions
+	if got := testing.AllocsPerRun(100, fill); got != 0 {
+		t.Errorf("steady-state PutChain and PutListing of 16 children, evicting: %v allocs, want 0", got)
+	}
+	if evicted := c.Stats().Evictions - before; evicted != 17*101 || !c.IsComplete(dirs[i-1]) {
+		t.Errorf("fixture: %d rows evicted by 101 fills, last listing complete %v; want 17 per fill, complete", evicted, c.IsComplete(dirs[i-1]))
+	}
+	if err := c.checkTree(); err != nil {
+		t.Error(err)
 	}
 }

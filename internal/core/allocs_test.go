@@ -3,6 +3,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -87,6 +88,40 @@ func TestExecuteMissAllocs(t *testing.T) {
 		pass := NewEngine("nn-pass", -1, clk, st, nil, nil, nil, cfg)
 		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 2 {
 			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 2", got)
+		}
+	})
+}
+
+// An ls, hit or miss, allocates its reply and its entries alone. A hit walks
+// the cached children, which are kept in name order, so nothing sorts. A
+// miss — a child's INV made the listing unknown — lists the directory into
+// storage its recycled transaction keeps, and the fill re-caches the
+// children in the nodes and child list the cache already holds or recycled.
+// (Not under -race: the detector allocates.)
+func TestExecuteLsAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
+		for i := 0; i < 64; i++ {
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/a/b/f%02d", i), "")
+		}
+		ls := namespace.Request{Op: namespace.OpLs, Path: "/a/b"}
+		e.Execute(ls) // the fill
+		if resp := e.Execute(ls); !resp.OK() || !resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[0].Name != "f00" {
+			t.Fatalf("ls /a/b does not hit with its 64 entries in name order: %+v", resp)
+		}
+		if got := testing.AllocsPerRun(100, func() { e.Execute(ls) }); got != 2 {
+			t.Errorf("ls hit of a 64-entry directory: %v allocs, want 2 (the reply and its entries)", got)
+		}
+		miss := func() {
+			e.Cache().Invalidate("/a/b/f17")
+			if resp := e.Execute(ls); !resp.OK() || resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[17].Name != "f17" {
+				t.Fatalf("ls /a/b after an INV of /a/b/f17: %+v, want a miss with 64 entries in name order", resp)
+			}
+		}
+		miss()
+		if got := testing.AllocsPerRun(100, miss); got != 2 {
+			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 2 (the reply and its entries)", got)
 		}
 	})
 }

@@ -46,18 +46,18 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 1 {
 			t.Errorf("lock-free DB.ResolvePathBatched of a depth-6 path: %v allocs, want 1", got)
 		}
-		// A listing miss: the transaction and the children's slice — the chain
-		// is the transaction's inline buffer, the listed rows are the store's
-		// own, handed out under a shared lock, and sorting them allocates
-		// nothing.
+		// A listing miss: the transaction alone — the chain and the children
+		// are the transaction's inline buffers, the listed rows are the
+		// store's own, handed out under a shared lock, and they come out of
+		// the directory's child list in name order.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			if chain, kids, err := tx.ListPathBatched("/a/b/c/d/e", store.LockShared); err != nil || len(chain) != 6 || len(kids) != 1 {
 				t.Fatalf("list /a/b/c/d/e: %d rows, %d children, %v", len(chain), len(kids), err)
 			}
 			tx.Abort()
-		}); got != 2 {
-			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 2", got)
+		}); got != 1 {
+			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 1", got)
 		}
 		// A rename's lock phase: the transaction and a private copy of each
 		// exclusive row the walks read (/a/b/c/d/e, f, and /a/b once: the
