@@ -63,6 +63,15 @@ func microSystems(seed int64) []microSystem {
 // adjusts its config: Figure 14's instance caps, ablation-rpc's
 // replacement probabilities.
 func lambdaMicro(seed int64, tweak func(*lambdafs.Config)) microSystem {
+	return lambdaMicroWith(seed, tweak, func(c *lambdafs.Cluster) func(int) workload.FS {
+		client := lambdaClients(c, 8)
+		return func(i int) workload.FS { return client(i) }
+	})
+}
+
+// lambdaMicroWith is lambdaMicro with the clients clients builds on the
+// cluster.
+func lambdaMicroWith(seed int64, tweak func(*lambdafs.Config), clients func(*lambdafs.Cluster) func(int) workload.FS) microSystem {
 	return microSystem{
 		name: "λFS",
 		build: func(clk *clock.Sim, vcpus int, dirs, files []string) (func(int) workload.FS, func(time.Duration) float64, func()) {
@@ -87,8 +96,7 @@ func lambdaMicro(seed int64, tweak func(*lambdafs.Config)) microSystem {
 				// the measured phase.
 				return float64(c.Platform().ActiveInstances()) * cfg.NameNodeRAMGB * metrics.LambdaGBSecondUSD
 			}
-			client := lambdaClients(c, 8)
-			return func(i int) workload.FS { return client(i) }, cost, c.Close
+			return clients(c), cost, c.Close
 		},
 	}
 }

@@ -13,6 +13,7 @@ import (
 type NameNode struct {
 	eng     *Engine
 	inst    *faas.Instance
+	conn    *rpc.Conn // the connection it offers back to every client VM
 	session coordinator.Session
 }
 
@@ -20,7 +21,7 @@ var _ faas.App = (*NameNode)(nil)
 
 // NewNameNode builds the App for a fresh function instance.
 func NewNameNode(eng *Engine, inst *faas.Instance, coord coordinator.Coordinator) *NameNode {
-	nn := &NameNode{eng: eng, inst: inst}
+	nn := &NameNode{eng: eng, inst: inst, conn: rpc.NewConn(inst, eng)}
 	if coord != nil {
 		nn.session = coord.Register(inst.DeploymentIndex(), eng.ID(), eng.HandleInvalidation)
 	}
@@ -39,7 +40,7 @@ func (nn *NameNode) HandleInvoke(payload any) any {
 	}
 	resp := nn.eng.Execute(p.Req)
 	if p.ReplyTo != nil {
-		p.ReplyTo.Offer(nn.inst.DeploymentIndex(), rpc.NewConn(nn.inst, nn.eng))
+		p.ReplyTo.Offer(nn.inst.DeploymentIndex(), nn.conn)
 	}
 	return resp
 }

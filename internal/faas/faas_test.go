@@ -562,6 +562,44 @@ func TestCloseRejectsInvocations(t *testing.T) {
 	})
 }
 
+// TestCloseEndsQueuedAdmission: an invocation queued in admission behind a
+// deployment at its cap comes back with ErrClosed at the instant the
+// platform closes, not at its queue timeout (and not never: on a closed
+// clock every poll of the wait returns at once, so a waiter that kept
+// polling would spin at one instant).
+func TestCloseEndsQueuedAdmission(t *testing.T) {
+	sim := clock.NewSim()
+	defer sim.Close()
+	cfg := fastCfg()
+	cfg.InvokeQueueTimeout = time.Second
+	p := New(sim, cfg)
+	tr := &appTracker{}
+	const closeAt = 5 * time.Millisecond
+	var err error
+	var returned time.Duration
+	clock.Run(sim, func() {
+		// The holder keeps the one slot of the one instance the cap allows
+		// until the close kills it.
+		d := p.Register("nn0", tr.factory(nil, time.Minute), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1, MaxInstances: 1, MinInstances: 1})
+		clock.Go(sim, func() { _, _ = d.Invoke("holder") })
+		queued := clock.NewEvent(sim)
+		clock.Go(sim, func() {
+			_, err = d.Invoke("queued")
+			returned = sim.Since(clock.Epoch)
+			queued.Set()
+		})
+		sim.Sleep(closeAt)
+		p.Close()
+		queued.Wait()
+	})
+	if err != ErrClosed || returned != closeAt {
+		t.Errorf("queued invocation returned %v at %v, want %v at the close, %v", err, returned, ErrClosed, closeAt)
+	}
+	if s := p.Stats(); s.Rejections != 0 {
+		t.Errorf("rejections = %d, want 0: a close sheds nothing", s.Rejections)
+	}
+}
+
 func TestManyDeploymentsParallelInvokes(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		p := New(clk, fastCfg())

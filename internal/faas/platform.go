@@ -315,7 +315,9 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 	if err != nil {
 		asp.SetDetail("rejected")
 		asp.End()
-		p.tel.rejections.Inc()
+		if err == ErrNoCapacity { // a close is no shed invocation
+			p.tel.rejections.Inc()
+		}
 		return nil, err
 	}
 	asp.SetInstance(inst.id)
@@ -333,10 +335,13 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 
 // admit finds or creates an instance with a free HTTP concurrency slot,
 // waiting for capacity up to the queue timeout. The wait is measured in
-// virtual time so queueing delay is part of the latency model.
+// virtual time so queueing delay is part of the latency model. A platform
+// that closes ends the wait with ErrClosed: nothing can free a slot any
+// more, and on a closed clock every poll would return at the same instant.
 func (d *Deployment) admit(tc *trace.Ctx) (*Instance, error) {
-	clk := d.p.clk
-	deadline := clk.Now().Add(d.p.cfg.InvokeQueueTimeout)
+	p := d.p
+	clk := p.clk
+	deadline := clk.Now().Add(p.cfg.InvokeQueueTimeout)
 	for {
 		// 1. A warm instance with a free slot.
 		if inst := d.pickWarm(); inst != nil {
@@ -345,6 +350,12 @@ func (d *Deployment) admit(tc *trace.Ctx) (*Instance, error) {
 		// 2. Scale out.
 		if inst := d.provisionT(true, tc); inst != nil {
 			return inst, nil
+		}
+		p.mu.Lock()
+		closed := p.closed
+		p.mu.Unlock()
+		if closed {
+			return nil, ErrClosed
 		}
 		// 3. Wait for a slot or capacity to free, polling every 10 ms for
 		// one that freed while no waiter was parked.

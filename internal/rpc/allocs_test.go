@@ -44,3 +44,29 @@ func TestHedgedFastPathAllocs(t *testing.T) {
 		}
 	})
 }
+
+// A warm replaced read races its TCP call against its HTTP invocation and
+// takes both racers' state from its client's free list, the losing
+// invocation handing it back when it finishes. It allocates the two
+// responses the server builds and the invocation's boxed payload.
+func TestReplacedReadAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		_, c := replaceHarness(t, clk, nil, testCfg())
+		read := func() {
+			if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
+				t.Error(err)
+			}
+		}
+		// Each invocation outlives five reads: let the free list and the
+		// clock's pools grow to the number in flight.
+		for i := 0; i < 20; i++ {
+			read()
+		}
+		if got := testing.AllocsPerRun(100, read); got != 3 {
+			t.Errorf("a warm replaced read: %v allocs, want 3", got)
+		}
+		if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 121 || st.HTTPRPCs != 122 {
+			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)
+		}
+	})
+}

@@ -17,10 +17,11 @@ import (
 // Client is one λFS client. Clients are cheap; a workload driver creates
 // one per simulated application thread. A Client may be used from a
 // single goroutine (the usual driver pattern); its internals are
-// nevertheless safe against the concurrency hedging introduces. It keeps a
-// free list of hedge-eligible calls' state (hedged), so a read whose
+// nevertheless safe against the concurrency hedging and racing introduce.
+// It keeps a free list of racing calls' state (hedged), so a read whose
 // primary answers before the straggler threshold allocates nothing for the
-// race it did not need.
+// race it did not need, and a replaced read's race reuses the state a
+// finished race gave back.
 type Client struct {
 	// Tenant, when set before the first Do, tags every request with the
 	// issuing tenant for the engines' admission gate; empty bypasses it.
@@ -154,7 +155,8 @@ func (c *Client) noteLatency(lat time.Duration) {
 // Do executes one metadata operation end-to-end: route to the deployment
 // the ring names for (op, path) — the hash of the parent directory, or for
 // ls the directory's own hash, where its children are cached — pick TCP vs
-// HTTP, retry transport failures with backoff, hedge stragglers. Semantic
+// HTTP (racing the two for a replaced read), retry transport failures with
+// backoff, hedge stragglers. Semantic
 // failures (ErrNotFound, ErrExists…) are returned inside the Response
 // without retry.
 func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
@@ -202,20 +204,21 @@ func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request) (*namesp
 			bsp.End()
 		}
 		conn, _ := c.vm.findConn(dep, c.tcp, nil)
-		useHTTP := conn == nil
 		// Randomized HTTP-TCP replacement keeps scaling signals flowing,
-		// unless the client is in anti-thrashing mode (Appendix C).
-		if !useHTTP && !c.inAntiThrash() && c.cfg.HTTPReplaceProb > 0 &&
-			c.randFloat() < c.cfg.HTTPReplaceProb {
-			useHTTP = true
+		// unless the client is in anti-thrashing mode (Appendix C). A
+		// replaced write detours through the gateway; a replaced read races
+		// its invocation against the TCP call.
+		replaced := conn != nil && !c.inAntiThrash() && c.cfg.HTTPReplaceProb > 0 &&
+			c.randFloat() < c.cfg.HTTPReplaceProb
+		if replaced {
 			tc.Emit(trace.Event{Type: trace.EventHTTPReplace, Client: c.id, Deployment: dep})
 		}
 		var resp *namespace.Response
 		var err error
-		if useHTTP {
+		if conn == nil || replaced && req.Op.IsWrite() {
 			resp, err = c.callHTTP(tc, dep, req)
 		} else {
-			resp, err = c.callTCPHedged(tc, dep, conn, req)
+			resp, err = c.callTCPHedged(tc, dep, conn, req, replaced)
 		}
 		if err == nil {
 			return resp, nil
@@ -332,70 +335,69 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 // response wins. Only read operations hedge — a hedged write could
 // execute twice. Hedged or not, a primary whose connection is lost fails
 // over to the VM's other live connections first.
-func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request) (*namespace.Response, error) {
+//
+// A replaced read (race) is the same hedge fired at once, with the HTTP
+// invocation as its second racer: the platform sees the invocation, the
+// client waits only for the first success, or for the other racer's
+// answer when one fails.
+func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
 	hedge := c.cfg.Hedging && !req.Op.IsWrite() && c.window.Len() >= c.cfg.LatencyWindow/2
-	if !hedge {
+	if !hedge && !race {
 		return c.tcpWithFailover(tc, dep, conn, req)
 	}
-	threshold := time.Duration(c.cfg.StragglerThreshold * float64(c.window.Mean()))
-	if threshold < c.cfg.StragglerFloor {
-		threshold = c.cfg.StragglerFloor
-	}
 	h := c.getHedged()
-	h.tc, h.dep, h.conn, h.req = tc, dep, conn, req
+	h.tc, h.dep, h.conn, h.req, h.race = tc, dep, conn, req, race
+	h.out, h.waiting = 1, true
 	clock.Go(c.vm.clk, h.primary)
-	results := h.results
-	if primary, ok := results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
-		c.putHedged(h)
-		return primary.resp, primary.err
+	if !race {
+		threshold := time.Duration(c.cfg.StragglerThreshold * float64(c.window.Mean()))
+		if threshold < c.cfg.StragglerFloor {
+			threshold = c.cfg.StragglerFloor
+		}
+		if primary, ok := h.results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
+			h.settle(1)
+			return primary.resp, primary.err
+		}
+		c.stats.hedges.Add(1)
+		c.tel.hedges.Inc()
+		tc.Emit(trace.Event{
+			Type: trace.EventHedgedRetry, Client: c.id, Deployment: dep,
+			Instance: conn.InstanceID(), Dur: threshold,
+			Detail: fmt.Sprintf("threshold=%v", threshold),
+		})
 	}
-	// Straggler: hedge on a different instance, falling back to HTTP.
-	c.stats.hedges.Add(1)
-	c.tel.hedges.Inc()
-	tc.Emit(trace.Event{
-		Type: trace.EventHedgedRetry, Client: c.id, Deployment: dep,
-		Instance: conn.InstanceID(), Dur: threshold,
-		Detail: fmt.Sprintf("threshold=%v", threshold),
-	})
-	clock.Go(c.vm.clk, func() {
-		if alt, _ := c.vm.findConn(dep, c.tcp, conn); alt != nil {
-			resp, err := c.callTCP(tc, alt, req)
-			results.Send(hedgeResult{resp, err})
-			return
-		}
-		resp, err := c.callHTTP(tc, dep, req)
-		results.Send(hedgeResult{resp, err})
-	})
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		r := results.Recv()
-		if r.err == nil {
-			return r.resp, nil
-		}
-		if firstErr == nil {
-			firstErr = r.err
-		}
+	c.mu.Lock()
+	h.out++
+	c.mu.Unlock()
+	clock.Go(c.vm.clk, h.hedge)
+	resp, err := h.wait(2)
+	if err != nil {
+		c.connBroken(dep, conn)
 	}
-	c.connBroken(dep, conn)
-	return nil, firstErr
+	return resp, err
 }
 
-// hedged is one hedge-eligible call's state: the mailbox the racers answer
-// on and what the primary sends. A call whose primary answered before the
-// threshold gives it back to its client's free list: exactly one value was
-// sent, by the primary, and under the baton the primary has returned by the
-// time the caller runs again, so nothing can reach the mailbox any more. A
-// call that hedged leaves it to the two racers, either of which may still
-// send to it.
+// hedged is one racing call's state: the mailbox the racers answer on and
+// what they send. Racers answer only while the caller waits; the caller,
+// once it has its answer, drains what was sent and not taken. Whichever of
+// the caller and the racers finishes last gives the state back to the
+// client's free list, so a loser still out keeps it from reuse, and its
+// late answer can never reach a later call. All counts are guarded by c.mu.
 type hedged struct {
 	c       *Client
 	results *clock.Mailbox[hedgeResult]
-	primary func() // h.callPrimary, bound once
+	// The racers, bound once: the TCP primary and the second racer.
+	primary, hedge func()
 
 	tc   *trace.Ctx
 	dep  int
 	conn *Conn
 	req  namespace.Request
+	race bool // the second racer is a replaced read's invocation
+
+	out     int  // racers not yet finished
+	sent    int  // answers sent while the caller waited
+	waiting bool // the caller still takes answers
 }
 
 type hedgeResult struct {
@@ -403,9 +405,72 @@ type hedgeResult struct {
 	err  error
 }
 
-func (h *hedged) callPrimary() {
-	resp, err := h.c.tcpWithFailover(h.tc, h.dep, h.conn, h.req)
-	h.results.Send(hedgeResult{resp, err})
+func (h *hedged) callPrimary() { h.finish(h.c.tcpWithFailover(h.tc, h.dep, h.conn, h.req)) }
+
+// callHedge runs the second racer: a replaced read's invocation, or a
+// straggler's hedge on a different instance, falling back to HTTP.
+func (h *hedged) callHedge() {
+	c := h.c
+	if !h.race {
+		if alt, _ := c.vm.findConn(h.dep, c.tcp, h.conn); alt != nil {
+			h.finish(c.callTCP(h.tc, alt, h.req))
+			return
+		}
+	}
+	h.finish(c.callHTTP(h.tc, h.dep, h.req))
+}
+
+// finish ends one racer: it answers if the caller still waits, and frees
+// the state if it is the last one out.
+func (h *hedged) finish(resp *namespace.Response, err error) {
+	c := h.c
+	c.mu.Lock()
+	h.out--
+	if h.waiting {
+		h.sent++
+		h.results.Send(hedgeResult{resp, err})
+	}
+	free := h.out == 0 && !h.waiting
+	c.mu.Unlock()
+	if free {
+		c.putHedged(h)
+	}
+}
+
+// wait takes the answers of n racers until one succeeds, or all failed and
+// the first failure is returned.
+func (h *hedged) wait(n int) (*namespace.Response, error) {
+	var firstErr error
+	for got := 1; got <= n; got++ {
+		r := h.results.Recv()
+		if r.err == nil {
+			h.settle(got)
+			return r.resp, nil
+		}
+		if firstErr == nil {
+			firstErr = r.err
+		}
+	}
+	h.settle(n)
+	return nil, firstErr
+}
+
+// settle ends the caller's wait after it took got answers: the answers
+// sent and not taken are queued on the mailbox, so draining them does not
+// park.
+func (h *hedged) settle(got int) {
+	c := h.c
+	c.mu.Lock()
+	h.waiting = false
+	unread := h.sent - got
+	free := h.out == 0
+	c.mu.Unlock()
+	for ; unread > 0; unread-- {
+		h.results.Recv()
+	}
+	if free {
+		c.putHedged(h)
+	}
 }
 
 // getHedged returns a spent hedged call of c's, or a new one.
@@ -418,13 +483,13 @@ func (c *Client) getHedged() *hedged {
 		return h
 	}
 	h := &hedged{c: c, results: clock.NewMailbox[hedgeResult](c.vm.clk)}
-	h.primary = h.callPrimary
+	h.primary, h.hedge = h.callPrimary, h.callHedge
 	return h
 }
 
-// putHedged gives back a call whose primary answered before the threshold.
+// putHedged gives back a call that neither the caller nor a racer holds.
 func (c *Client) putHedged(h *hedged) {
-	h.tc, h.dep, h.conn, h.req = nil, 0, nil, namespace.Request{}
+	h.tc, h.dep, h.conn, h.req, h.sent = nil, 0, nil, namespace.Request{}, 0
 	c.mu.Lock()
 	c.freeHedged = append(c.freeHedged, h)
 	c.mu.Unlock()

@@ -9,11 +9,19 @@
 //     auto-scaler.
 //
 // The client library keeps the two in tension with the randomized
-// HTTP-TCP replacement mechanism of §3.4 (a small probability converts a
-// would-be TCP RPC into an HTTP RPC so load stays visible), shares TCP
-// connections between co-located clients (Figure 4), retries with
-// exponential backoff and jitter, hedges stragglers (Appendix B), and
-// falls into anti-thrashing mode under latency collapse (Appendix C).
+// HTTP-TCP replacement mechanism of §3.4: with a small probability a
+// request that could go over TCP also makes an HTTP invocation, so load
+// stays visible to the auto-scaler. A replaced write goes through the
+// gateway alone, as in the paper. A replaced read, beyond the paper, races
+// its invocation against its TCP call and takes the first success: the
+// invocation still runs to completion (gateway, admission, cold start,
+// engine, billing), but the client no longer waits out the detour. Writes
+// do not race, because a write run twice could act after the client's
+// next op (a create's late HTTP copy re-creating a file since deleted).
+// The client also shares TCP connections between co-located clients
+// (Figure 4), retries with exponential backoff and jitter, hedges
+// stragglers (Appendix B), and falls into anti-thrashing mode under
+// latency collapse (Appendix C).
 package rpc
 
 import (
@@ -60,9 +68,12 @@ type Config struct {
 	// TCPOneWay is the one-way client↔NameNode latency of the direct TCP
 	// path.
 	TCPOneWay time.Duration
-	// HTTPReplaceProb is the probability of replacing a TCP RPC with an
-	// HTTP RPC (§3.4's fine-grained auto-scaling control; ≤1% works best
-	// per the paper).
+	// HTTPReplaceProb is the probability that a request with a TCP
+	// connection also makes an HTTP invocation (§3.4's fine-grained
+	// auto-scaling control; ≤1% works best per the paper). A replaced
+	// write is the invocation alone; a replaced read races it against the
+	// TCP call and answers with the first success (writes do not race: a
+	// write run twice could act after the client's next op).
 	HTTPReplaceProb float64
 	// ClientsPerTCPServer is the at-most-n clients assigned per TCP
 	// server on a VM.

@@ -12,6 +12,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
+	"lambdafs/internal/trace"
 )
 
 // testNN is a minimal NameNode: it implements faas.App for the HTTP path
@@ -23,10 +24,18 @@ type testNN struct {
 	execs atomic.Int64
 	block *clock.Event // when non-nil, TCP Execute parks on it once
 	used  atomic.Bool
+	conn  atomic.Pointer[Conn] // the one connection it offers back
+	exec  time.Duration        // service time, spent inside an engine.exec span
+	clk   *clock.Sim
 }
 
 func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 	n.execs.Add(1)
+	if n.exec > 0 {
+		sp := req.TC.Start(trace.KindEngineExec)
+		n.clk.Sleep(n.exec)
+		sp.End()
+	}
 	// Stall the first read op only (hedging tests): connection
 	// establishment and stat ops must complete normally.
 	if n.block != nil && req.Op == namespace.OpRead && n.used.CompareAndSwap(false, true) {
@@ -42,7 +51,12 @@ func (n *testNN) HandleInvoke(payload any) any {
 	}
 	resp := n.Execute(p.Req)
 	if p.ReplyTo != nil {
-		p.ReplyTo.Offer(n.inst.DeploymentIndex(), NewConn(n.inst, n))
+		conn := n.conn.Load()
+		if conn == nil {
+			conn = NewConn(n.inst, n)
+			n.conn.Store(conn)
+		}
+		p.ReplyTo.Offer(n.inst.DeploymentIndex(), conn)
 	}
 	return resp
 }
@@ -66,16 +80,28 @@ type harness struct {
 
 func newHarness(t *testing.T, clk *clock.Sim, deployments int, rpcCfg Config) *harness {
 	t.Helper()
+	return newHarnessOn(t, clk, deployments, rpcCfg, fastFaasCfg())
+}
+
+// fastFaasCfg is a platform with no gateway hop, no cold start and no
+// reclaimer, so a test's latencies are its own.
+func fastFaasCfg() faas.Config {
 	fcfg := faas.DefaultConfig()
 	fcfg.ColdStart = 0
 	fcfg.GatewayLatency = 0
 	fcfg.IdleReclaim = 0
+	return fcfg
+}
+
+// newHarnessOn is newHarness on a platform configured by fcfg.
+func newHarnessOn(t *testing.T, clk *clock.Sim, deployments int, rpcCfg Config, fcfg faas.Config) *harness {
+	t.Helper()
 	p := faas.New(clk, fcfg)
 	t.Cleanup(p.Close)
 	h := &harness{clk: clk, p: p, ring: partition.NewRing(deployments, 0), vm: NewVM(clk, rpcCfg)}
 	for i := 0; i < deployments; i++ {
 		p.Register("nn", func(inst *faas.Instance) faas.App {
-			nn := &testNN{inst: inst}
+			nn := &testNN{inst: inst, clk: clk}
 			h.mu.Lock()
 			h.nns = append(h.nns, nn)
 			h.mu.Unlock()
@@ -117,22 +143,125 @@ func TestFirstOpHTTPThenTCP(t *testing.T) {
 	})
 }
 
+// replaceHarness is a one-deployment harness whose client replaces every
+// request once it holds a connection, on a platform whose gateway hop
+// (5ms each way) is far slower than the TCP path (1ms each way), so a
+// call's latency tells which transport answered it. The first op, which
+// has no connection to replace, establishes one over HTTP.
+func replaceHarness(t *testing.T, clk *clock.Sim, inv func(Invoker) Invoker, cfg Config) (*harness, *Client) {
+	cfg.HTTPReplaceProb = 1
+	cfg.TCPOneWay = time.Millisecond
+	fcfg := fastFaasCfg()
+	fcfg.GatewayLatency = 5 * time.Millisecond
+	h := newHarnessOn(t, clk, 1, cfg, fcfg)
+	var invoker Invoker = platformInvoker{h.p}
+	if inv != nil {
+		invoker = inv(invoker)
+	}
+	c := h.vm.NewClient("c1", h.ring, invoker)
+	if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
+		t.Fatal(err)
+	}
+	return h, c
+}
+
+// TestReplacementForcesHTTP: a replaced request always makes its HTTP
+// invocation (§3.4's scaling signal). A replaced read also makes its TCP
+// call at the same instant and answers at TCP latency, the invocation
+// running on to completion behind it; a replaced write detours through
+// the gateway alone, since a write run twice could act after the client's
+// next op.
 func TestReplacementForcesHTTP(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := testCfg()
-		cfg.HTTPReplaceProb = 1.0
-		h := newHarness(t, clk, 1, cfg)
-		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
-		for i := 0; i < 5; i++ {
-			if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
-				t.Fatal(err)
+		h, c := replaceHarness(t, clk, nil, testCfg())
+		nn := h.nns[0]
+		for _, tc := range []struct {
+			op        namespace.OpType
+			took      time.Duration
+			tcp, http uint64
+		}{
+			{namespace.OpRead, 2 * time.Millisecond, 1, 1},
+			{namespace.OpStat, 2 * time.Millisecond, 1, 1},
+			{namespace.OpLs, 2 * time.Millisecond, 1, 1},
+			{namespace.OpCreate, 10 * time.Millisecond, 0, 1},
+		} {
+			before, execs := c.Stats(), nn.execs.Load()
+			start := clk.Now()
+			resp, err := c.Do(tc.op, "/a", "")
+			if err != nil || !resp.OK() {
+				t.Fatalf("replaced %v: %v %v", tc.op, resp, err)
+			}
+			if took := clk.Since(start); took != tc.took {
+				t.Errorf("replaced %v answered after %v, want %v", tc.op, took, tc.took)
+			}
+			clk.Sleep(20 * time.Millisecond) // let a losing invocation finish
+			st := c.Stats()
+			if st.TCPRPCs-before.TCPRPCs != tc.tcp || st.HTTPRPCs-before.HTTPRPCs != tc.http {
+				t.Errorf("replaced %v: %d TCP calls and %d HTTP invocations, want %d and %d",
+					tc.op, st.TCPRPCs-before.TCPRPCs, st.HTTPRPCs-before.HTTPRPCs, tc.tcp, tc.http)
+			}
+			if got, want := nn.execs.Load()-execs, int64(tc.tcp+tc.http); got != want {
+				t.Errorf("replaced %v executed %d times, want %d", tc.op, got, want)
 			}
 		}
-		st := c.Stats()
-		if st.HTTPRPCs != 5 || st.TCPRPCs != 0 {
-			t.Fatalf("replacement prob 1.0 stats: %+v", st)
-		}
 	})
+}
+
+// TestReplacedReadRaceFailures: when one racer of a replaced read fails,
+// the other's answer is the read's, with no retry; when both fail, the
+// retry loop runs.
+func TestReplacedReadRaceFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		drop, reject  bool
+		took          time.Duration
+		retries, http uint64
+	}{
+		// The TCP call loses its connection at once; the invocation answers
+		// after two gateway hops.
+		{"tcp drops", true, false, 10 * time.Millisecond, 0, 1},
+		// The invocation is rejected at once; the TCP call answers.
+		{"http rejected", false, true, 2 * time.Millisecond, 0, 1},
+		// Both fail at once; the retry finds no connection left and
+		// invokes over HTTP.
+		{"both fail", true, true, 10 * time.Millisecond, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			simtest.Run(t, func(clk *clock.Sim) {
+				var drop atomic.Bool
+				cfg := testCfg()
+				cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
+					return drop.CompareAndSwap(true, false), 0
+				}
+				var flaky *flakyInvoker
+				_, c := replaceHarness(t, clk, func(inner Invoker) Invoker {
+					flaky = &flakyInvoker{inner: inner}
+					return flaky
+				}, cfg)
+				drop.Store(tc.drop)
+				if tc.reject {
+					flaky.failures = 1
+				}
+				before := c.Stats()
+				start := clk.Now()
+				resp, err := c.Do(namespace.OpRead, "/a", "")
+				if err != nil || !resp.OK() {
+					t.Fatalf("read: %v %v", resp, err)
+				}
+				if seq := c.seq.Load(); resp.ID != namespace.INodeID(seq) {
+					t.Errorf("read (seq %d) got the response to seq %d", seq, resp.ID)
+				}
+				if took := clk.Since(start); took != tc.took {
+					t.Errorf("read answered after %v, want %v", took, tc.took)
+				}
+				st := c.Stats()
+				if st.Retries-before.Retries != tc.retries || st.HTTPRPCs-before.HTTPRPCs != tc.http {
+					t.Errorf("%d retries and %d HTTP invocations, want %d and %d",
+						st.Retries-before.Retries, st.HTTPRPCs-before.HTTPRPCs, tc.retries, tc.http)
+				}
+			})
+		})
+	}
 }
 
 func TestConnectionSharingAcrossServers(t *testing.T) {

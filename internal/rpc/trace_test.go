@@ -169,3 +169,71 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 		}
 	})
 }
+
+// TestRacedReadCriticalPath: a replaced read whose TCP call answers first
+// is that call on its critical path. The invocation racing it runs its
+// gateway hop, admission and engine execution inside the read's window and
+// its return hop past the end: every one of those spans is recorded, on
+// the trace and none dropped, and each lies off the path.
+func TestRacedReadCriticalPath(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := testCfg()
+		cfg.HTTPReplaceProb = 1
+		cfg.TCPOneWay = time.Millisecond
+		fcfg := fastFaasCfg()
+		fcfg.GatewayLatency = 1200 * time.Microsecond
+		h := newHarnessOn(t, clk, 1, cfg, fcfg)
+		tr := trace.New(clk, trace.Config{})
+		h.vm.SetTracer(tr)
+		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
+		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
+			t.Fatal(err)
+		}
+		h.nns[0].exec = 500 * time.Microsecond
+		tr.Reset()
+
+		// TCP: 1ms out, 0.5ms engine, 1ms back: the read answers at 2.5ms.
+		// HTTP: gateway to 1.2ms, engine to 1.7ms, gateway back to 2.9ms.
+		start := clk.Now()
+		if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
+			t.Fatal(err)
+		}
+		if took := clk.Since(start); took != 2500*time.Microsecond {
+			t.Fatalf("raced read answered after %v, want the TCP call's 2.5ms", took)
+		}
+		clk.Sleep(10 * time.Millisecond) // the invocation finishes
+		traces := tr.Traces()
+		if len(traces) != 1 {
+			t.Fatalf("%d traces, want 1", len(traces))
+		}
+		count := map[trace.Kind]int{}
+		for _, sp := range traces[0].Spans() {
+			count[sp.Kind]++
+		}
+		want := map[trace.Kind]int{
+			trace.KindRPCTCP: 1, trace.KindRPCTCPNet: 2, trace.KindRPCHTTP: 1,
+			trace.KindGateway: 2, trace.KindAdmit: 1, trace.KindEngineExec: 2,
+		}
+		for k, n := range want {
+			if count[k] != n {
+				t.Errorf("%d %s spans recorded, want %d", count[k], k, n)
+			}
+		}
+		if _, dropped, _ := tr.Dropped(); dropped != 0 {
+			t.Errorf("%d spans dropped", dropped)
+		}
+
+		co := trace.Aggregate(traces).Op("read").Cohort
+		for k, want := range map[trace.Kind]time.Duration{
+			trace.KindRPCTCPNet: 2 * time.Millisecond, trace.KindEngineExec: 500 * time.Microsecond,
+			trace.KindRPCTCP: 0, trace.KindRPCHTTP: 0, trace.KindGateway: 0, trace.KindAdmit: 0,
+		} {
+			if ks := co.Kind(k); ks == nil || ks.Total != want {
+				t.Errorf("%s on the critical path: %+v, want %v", k, ks, want)
+			}
+		}
+		if co.Untraced() != 0 {
+			t.Errorf("untraced = %v, want 0", co.Untraced())
+		}
+	})
+}

@@ -233,6 +233,7 @@ func walk(t *Trace, end time.Time, into []*Cohort) {
 	// trace, and only the in-window portion explains the client's wait.
 	spans := t.Spans()
 	clipped := spans[:0]
+	var outlived map[uint64]bool // spans cut at the trace end
 	for _, s := range spans {
 		if !s.Start.Before(end) {
 			continue
@@ -243,6 +244,10 @@ func walk(t *Trace, end time.Time, into []*Cohort) {
 		}
 		if over := s.Start.Add(s.Dur).Sub(end); over > 0 {
 			s.Dur -= over
+			if outlived == nil {
+				outlived = make(map[uint64]bool)
+			}
+			outlived[s.ID] = true
 		}
 		s.Dur = max(s.Dur, 0)
 		clipped = append(clipped, s)
@@ -258,14 +263,22 @@ func walk(t *Trace, end time.Time, into []*Cohort) {
 	}
 
 	// Latest-ending first; equal ends prefer the longer span (the fuller
-	// explanation of the window), then span ID for determinism. Each
-	// parent's child list inherits the order.
+	// explanation of the window), then one that ended on its own over one
+	// cut at the trace end (of two racers started together, the one that
+	// answered, not the loser still out), then span ID for determinism.
+	// Each parent's child list inherits the order.
 	slices.SortFunc(clipped, func(a, b Span) int {
 		if c := b.Start.Add(b.Dur).Compare(a.Start.Add(a.Dur)); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(b.Dur, a.Dur); c != 0 {
 			return c
+		}
+		if oa := outlived[a.ID]; oa != outlived[b.ID] {
+			if oa {
+				return 1
+			}
+			return -1
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})

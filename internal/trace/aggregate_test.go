@@ -109,6 +109,44 @@ func TestCriticalPathParallel(t *testing.T) {
 	})
 }
 
+// TestCriticalPathSkipsLosingRacer: two racers start together and the
+// trace ends when the second-started one answers. The first, still out, is
+// cut at the trace end to the same window, and the tie goes to the racer
+// that answered: its children are the path, the loser's lie off it.
+func TestCriticalPathSkipsLosingRacer(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		tr := New(clk, Config{})
+		tc := tr.StartTrace("read", "/a", "c1")
+		loser := tc.Start(KindRPCHTTP)
+		winner := tc.Start(KindRPCTCP)
+		gw := loser.Ctx().Start(KindGateway)
+		net := winner.Ctx().Start(KindRPCTCPNet)
+		clk.Sleep(time.Millisecond)
+		gw.End()
+		net.End()
+		exec := winner.Ctx().Start(KindEngineExec)
+		clk.Sleep(time.Millisecond)
+		exec.End()
+		winner.End()
+		tc.Finish("")
+		clk.Sleep(time.Millisecond)
+		loser.End()
+
+		co := Aggregate(tr.Traces()).Op("read").P99
+		for _, c := range []struct {
+			kind Kind
+			want time.Duration
+		}{{KindRPCTCPNet, time.Millisecond}, {KindEngineExec, time.Millisecond}, {KindGateway, 0}, {KindRPCHTTP, 0}} {
+			if got := co.Kind(c.kind).Total; got != c.want {
+				t.Errorf("%s path time = %v, want %v", c.kind, got, c.want)
+			}
+		}
+		if co.Untraced() != 0 {
+			t.Errorf("untraced = %v, want 0", co.Untraced())
+		}
+	})
+}
+
 // TestCriticalPathTieBreak pins the deterministic-tie rule: equal path
 // times rank the kind with more store hops first, then canonical kind
 // order.
