@@ -38,16 +38,16 @@ var goldenSweepFake = map[string]string{
 	"fig14/full":         "0ad3cf0aa3cc0c952b6bfe24896809e107d39f24610833eb1798f99934e4f884",
 	"fig14/quick":        "204cca4f79a85cd5c7671903cd76a8309fe91b1a23faf8e705c7349bf153468a",
 	"fig14/tiny":         "3e889aff9bfd9ee935c006161802fa2e2a6a0ae278dfeaae014f3ccdf7148cdb",
-	"ablation-rpc/full":  "7c4deb061ddfe1ff255ef8c8de933b2a8c5d6329fe4dd01815acf916c03d1ea8",
-	"ablation-rpc/quick": "361106bed6783e5cc4968f107b23f0e47f73feb51c75ab7abfa454d695797a38",
-	"ablation-rpc/tiny":  "32db15ec87bbb823f147b605d0885e4b73a7c1dd737cbfa877a5d876468d2555",
+	"ablation-rpc/full":  "41c43967c25fdf0fd399ff4ddaaa6cde202a231817ab0fe8463e883e62318868",
+	"ablation-rpc/quick": "7a115cbe2dda2448f737d2d8a0f1d01ef6e4b87fa97e9a7d84a342539cc00257",
+	"ablation-rpc/tiny":  "c894e2b417f4e0275279b44092f8290d3b2a0d93128edd3fb81a38c0236ef3fd",
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "89fd77a00e72acaf75db231849fe2c41e3e114c56791065abad452bb7a948caf",
-	"fig13":        "d3f34bc178d139da2893b09543a379e9a9dbad738ccbc9b5dab760225b980156",
-	"fig14":        "196e58d97eab14ad813ec19627340f830c7cda39772b59757f54202e3cbad882",
-	"ablation-rpc": "2f0ec049def63c2d94320e5e54fc2d3ec9a0878793a5b95deaa4096f75aab372",
+	"fig11":        "7c38d39ee5605ba6e4a93cbecbdd4d3cb424c386b82878a07bfdc4cef6b9558b",
+	"fig13":        "6a7e725d92b4dbeff3ee85078498562b528fbc090fe084ffd0b54c2e423d5413",
+	"fig14":        "d6ee4249f54c05b9ae92d0d19443a8a569f27121d3e1a5b4045f0bcb0d858371",
+	"ablation-rpc": "a765f87a3bc3af6ee6ab7174c7dd9c87791ef5e3bb0b8cdfd56a20e6ff26648c",
 }
 
 // fakeMicro stands in for runMicro: a result that is a pure function of
@@ -126,10 +126,10 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "d1af930a49729dd1be177bf46519122d128d8acc41e53cba131e28f0bc91dad0",
-	"fig9":  "b1c91731df83f93ce2823c9a95bbf050a170f812b75d60d0ac77678f498cc1e7",
-	"fig10": "9746360cc588e7dfe8d11b9a760e7dea70da7b1cbd9cde23c26b7d3f81ce725c",
-	"fig15": "0b393fa1e49803aeade42c67060055a6986e4a1695ca3cc29d3cf0c17102229a",
+	"fig8a": "4655c15f518641c659616e7266fd54efce088eb1c2ecb133974a03f22a1b7efe",
+	"fig9":  "e026175364581f5bace47a055f406bf66d55032fab36a0e586ea836aaf0f59b5",
+	"fig10": "32cc2c5479a6cd1e404e83c3bd5a0e979ccff769290e05d52352e28a3847cdec",
+	"fig15": "77b6afe912f2745ac99b903db14bcfd1294e244af3b525cd2b00dfa13e25c8d9",
 	"trace": "3ca9e3a2199a7e036c42c06d4ccb26675f53747205a2d871982d18c85a37a0a6",
 	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
 }
@@ -144,7 +144,7 @@ func TestLambdaTablesTinyGolden(t *testing.T) {
 
 // goldenTreeTestTiny pins Figure 16's real tiny tables: IndexFS and
 // λIndexFS under tree-test, variable and fixed sizes.
-const goldenTreeTestTiny = "4276271b647738840681a16140f498560e12974cd43b55d1a8cc654922a48814"
+const goldenTreeTestTiny = "1ebbbc6f2515b3355137d96081c64299cca059913c66a0ea149eb5d30da5bda2"
 
 func TestTreeTestTablesTinyGolden(t *testing.T) {
 	if got, out := sweepDigest(t, "fig16", Options{Scale: Tiny, Seed: 1}); got != goldenTreeTestTiny {
