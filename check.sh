@@ -64,7 +64,7 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas, rpc, chaos, coordinator, ndb, store, datanode, lsm, core, tenant, cache, partition, hopsfs, cephfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's TCP/HTTP race and its failure paths, chaos, coordinator, ndb, store, datanode, lsm, core, tenant, cache, partition, hopsfs, cephfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/store/ ./internal/datanode/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/hopsfs/ ./internal/cephfs/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
@@ -85,7 +85,7 @@ go test ./internal/lsm/ -run '^$' -fuzz FuzzWriteBatch -fuzztime 10s
 echo "== fuzz (cache operations: PutChain, PutListing, Invalidate, SuspendListing, ResumeListing and evicting puts against a map model; every node's children strictly in name order with sound parent links, Entries the model's sorted listing; bounded) =="
 go test ./internal/cache/ -run '^$' -fuzz FuzzCacheOps -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core, chaos, ndb, faas, rpc and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core, chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
 go test ./internal/trace/ ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
