@@ -397,11 +397,7 @@ func TestHedgingFiresSecondAttempt(t *testing.T) {
 		cfg.StragglerFloor = 10 * time.Millisecond
 		cfg.LatencyWindow = 4
 
-		fcfg := faas.DefaultConfig()
-		fcfg.ColdStart = 0
-		fcfg.GatewayLatency = 0
-		fcfg.IdleReclaim = 0
-		p := faas.New(clk, fcfg)
+		p := faas.New(clk, fastFaasCfg())
 		defer p.Close()
 		block := clock.NewEvent(clk)
 		var nns []*testNN
@@ -459,9 +455,7 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 
 	sim := clock.NewSim()
 	defer sim.Close()
-	fcfg := faas.DefaultConfig()
-	fcfg.ColdStart, fcfg.GatewayLatency, fcfg.IdleReclaim = 0, 0, 0
-	p := faas.New(sim, fcfg)
+	p := faas.New(sim, fastFaasCfg())
 	defer p.Close()
 	p.Register("nn", func(inst *faas.Instance) faas.App { return &testNN{inst: inst} },
 		faas.DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 8})
@@ -759,9 +753,7 @@ func TestHedgedReadFailsOver(t *testing.T) {
 		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
 			return drop.CompareAndSwap(true, false), 0
 		}
-		fcfg := faas.DefaultConfig()
-		fcfg.ColdStart, fcfg.GatewayLatency, fcfg.IdleReclaim = 0, 0, 0
-		p := faas.New(clk, fcfg)
+		p := faas.New(clk, fastFaasCfg())
 		defer p.Close()
 		var nns []*testNN
 		p.Register("nn", func(inst *faas.Instance) faas.App {

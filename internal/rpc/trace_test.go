@@ -24,11 +24,7 @@ func TestHedgedRetryEmitsEvent(t *testing.T) {
 		cfg.StragglerFloor = 10 * time.Millisecond
 		cfg.LatencyWindow = 4
 
-		fcfg := faas.DefaultConfig()
-		fcfg.ColdStart = 0
-		fcfg.GatewayLatency = 0
-		fcfg.IdleReclaim = 0
-		p := faas.New(clk, fcfg)
+		p := faas.New(clk, fastFaasCfg())
 		defer p.Close()
 		block := clock.NewEvent(clk)
 		var nns []*testNN
