@@ -61,10 +61,12 @@ type Sim struct {
 	arms       uint64     // arm sequence: same-instant deadlines fire in arm order
 	runq       []runnable // runq[head:] wait for the baton, first come first served
 	head       int
-	running    bool // a registered goroutine holds the baton
-	alive      int  // non-daemon goroutines spawned and not yet returned
-	idlers     int  // Idle helpers out
-	graceDue   bool // a clock goroutine returned while a helper was out: grace the next advance
+	running    bool   // a registered goroutine holds the baton
+	alive      int    // non-daemon goroutines spawned and not yet returned
+	idlers     int    // Idle helpers out
+	idleSince  uint64 // spawns when the latest Idle began
+	graceDue   bool   // a goroutine spawned before an Idle still out returned: grace the next advance
+	spawns     uint64 // spawn sequence
 	closed     bool
 	picks      uint64             // baton hand-offs, for the watchdog
 	registered map[int64]struct{} // goroutine IDs, for Run's re-entrancy check
@@ -93,6 +95,7 @@ type task struct {
 	sim    *Sim
 	fn     func()
 	daemon bool
+	seq    uint64        // the spawn's place in Sim.spawns
 	live   bool          // a goroutine serves this record
 	ch     chan struct{} // capacity 1: the resume; closed by Close
 }
@@ -256,7 +259,8 @@ func (s *Sim) spawn(fn func(), daemon bool) {
 	} else {
 		t = &task{sim: s, ch: make(chan struct{}, 1)}
 	}
-	t.fn, t.daemon = fn, daemon
+	s.spawns++
+	t.fn, t.daemon, t.seq = fn, daemon, s.spawns
 	s.enqueue(runnable{t: t})
 	s.mu.Unlock()
 }
@@ -366,11 +370,12 @@ func (t *task) handOff(reuse bool) bool {
 	if reuse {
 		s.tasks = append(s.tasks, t)
 	}
-	// An Idle helper's raw wake is made just before an fn returns (Idle's
-	// contract). If this pick dispatches a queued goroutine, the helper may
-	// not run before that one parks, so the grace is owed to the next
-	// advance that finds the run queue empty, whoever makes it.
-	if s.idlers > 0 {
+	// An Idle helper's raw wake is made just before an fn spawned ahead of
+	// the Idle returns (Idle's contract). If this pick dispatches a queued
+	// goroutine, the helper may not run before that one parks, so the grace
+	// is owed to the next advance that finds the run queue empty, whoever
+	// makes it. An fn spawned while the Idle was out cannot owe one.
+	if s.idlers > 0 && t.seq <= s.idleSince {
 		s.graceDue = true
 	}
 	r, ok := s.next()
@@ -466,18 +471,21 @@ func Run(s *Sim, fn func()) {
 // caller is parked on s: fn runs on a helper goroutine the clock does not
 // schedule and the caller parks on an Event the helper sets. The wake that
 // ends fn is a raw channel's, and it must be made by a goroutine the clock
-// started, inside its fn, before that fn returns (a deferred wg.Done or
-// close(done) in the fn Go was given). After such a return, while a helper
-// is out, the first advance that finds the run queue empty is held back for
-// graceRounds scheduler yields — a guess, sound on one P, where benchmark/
-// runs. A raw wake made any other way (by a goroutine that then parks, or
-// from outside the clock) may land after time has moved on. This module
-// has no non-test caller and lambdafs-vet's virtualtime check keeps it so.
-// Wait on a Mailbox, Event or Group instead.
+// started before Idle was called, inside its fn, before that fn returns (a
+// deferred wg.Done or close(done) in the fn Go was given). After such a
+// return, while a helper is out, the first advance that finds the run queue
+// empty is held back for graceRounds scheduler yields — a guess, sound on
+// one P, where benchmark/ runs. The returns of goroutines spawned after
+// Idle began (an actor's racing calls, say) hold nothing back. A raw wake
+// made any other way (by a goroutine that then parks, or from outside the
+// clock, or spawned after Idle began) may land after time has moved on.
+// This module has no non-test caller and lambdafs-vet's virtualtime check
+// keeps it so. Wait on a Mailbox, Event or Group instead.
 func Idle(s *Sim, fn func()) {
 	done := NewEvent(s)
 	s.mu.Lock()
 	s.idlers++
+	s.idleSince = s.spawns
 	s.mu.Unlock()
 	go func() {
 		fn()

@@ -238,6 +238,40 @@ func TestIdleJoinOnOneP(t *testing.T) {
 	}
 }
 
+// TestGraceOwedOnlyBySpawnsBeforeIdle: while an Idle is out, the return of
+// a goroutine spawned before it owes the next advance a grace (its fn may
+// have made the raw wake), and the return of one spawned after it does not.
+// An actor's racing calls return once per op; a grace of graceRounds
+// yields after each was most of the host cost of a closed loop whose
+// clients send at distinct instants.
+func TestGraceOwedOnlyBySpawnsBeforeIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := NewSim()
+	defer s.Close()
+	graceDue := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.graceDue
+	}
+	var afterRacer, afterActor bool
+	Run(s, func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		Go(s, func() { // the actor, spawned before the Idle
+			defer wg.Done()
+			seen := NewMailbox[bool](s)
+			Go(s, func() {}) // a racer, spawned while the Idle is out
+			Go(s, func() { seen.Send(graceDue()) })
+			afterRacer = seen.Recv()
+			Go(s, func() { afterActor = graceDue() })
+		})
+		Idle(s, wg.Wait)
+	})
+	if afterRacer || !afterActor {
+		t.Fatalf("grace due after the racer returned: %v, after the actor: %v; want false, true", afterRacer, afterActor)
+	}
+}
+
 // TestIdleJoinMatchesGroupJoin: an Idle join over a raw WaitGroup ends
 // every phase at the instant a Group join does, and the two runs make the
 // same number of advances. Each actor's last act before its deferred Done
