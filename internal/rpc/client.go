@@ -42,8 +42,9 @@ type Client struct {
 	mu              sync.Mutex
 	rng             *rand.Rand
 	antiThrashUntil time.Time
-	atEngaged       bool      // anti-thrash mode entered and exit not yet emitted
-	freeHedged      []*hedged // spent hedged calls, for reuse (callTCPHedged)
+	atEngaged       bool          // anti-thrash mode entered and exit not yet emitted
+	freeHedged      []*hedged     // spent hedged calls, for reuse (callTCPHedged)
+	jitter          atomic.Uint64 // splitmix64 state of the TCP latency draws
 
 	stats struct {
 		tcp, http, retries, hedges, failovers, antiThrash atomic.Uint64
@@ -52,7 +53,8 @@ type Client struct {
 
 // NewClient creates a client on vm, routed by ring, invoking through inv.
 func (vm *VM) NewClient(id string, ring *partition.Ring, inv Invoker) *Client {
-	return &Client{
+	seed := clientSeed(vm.cfg.Seed, id)
+	c := &Client{
 		id:     id,
 		vm:     vm,
 		tcp:    vm.assignServer(),
@@ -62,8 +64,10 @@ func (vm *VM) NewClient(id string, ring *partition.Ring, inv Invoker) *Client {
 		window: metrics.NewMovingWindow(vm.cfg.LatencyWindow),
 		tracer: vm.Tracer(),
 		tel:    vm.tel,
-		rng:    rand.New(rand.NewSource(clientSeed(vm.cfg.Seed, id))),
+		rng:    rand.New(rand.NewSource(seed)),
 	}
+	c.jitter.Store(uint64(seed))
+	return c
 }
 
 // clientSeed derives a per-client stream from the run seed: mixing in the
@@ -94,6 +98,22 @@ func (c *Client) Stats() ClientStats {
 		ConnFailovers:    c.stats.failovers.Load(),
 		AntiThrashEvents: c.stats.antiThrash.Load(),
 	}
+}
+
+// tcpOneWay draws one TCP leg's latency, TCPOneWay·(1 ± TCPJitter). The
+// draws are splitmix64 over the client's own state, not its rng, so they
+// move none of the replacement and backoff draws.
+func (c *Client) tcpOneWay() time.Duration {
+	d := c.cfg.TCPOneWay
+	if c.cfg.TCPJitter <= 0 {
+		return d
+	}
+	z := c.jitter.Add(0x9e3779b97f4a7c15)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	u := float64(z>>11)/(1<<53)*2 - 1 // uniform on [-1, 1)
+	return d + time.Duration(u*c.cfg.TCPJitter*float64(d))
 }
 
 func (c *Client) randFloat() float64 {
@@ -306,7 +326,7 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 	c.tel.wireBytes.Add(float64(reqBytes))
 	req.TC = sp.Ctx()
 	nsp := sp.Ctx().Start(trace.KindRPCTCPNet)
-	c.vm.clk.Sleep(c.cfg.TCPOneWay)
+	c.vm.clk.Sleep(c.tcpOneWay())
 	nsp.End()
 	v, err := conn.inst.Serve(func() any { return conn.srv.Execute(req) })
 	if err != nil {
@@ -315,7 +335,7 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 		return nil, namespace.ErrConnLost
 	}
 	nsp = sp.Ctx().Start(trace.KindRPCTCPNet)
-	c.vm.clk.Sleep(c.cfg.TCPOneWay)
+	c.vm.clk.Sleep(c.tcpOneWay())
 	nsp.End()
 	resp, ok := v.(*namespace.Response)
 	if !ok || resp == nil {

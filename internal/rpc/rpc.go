@@ -68,6 +68,13 @@ type Config struct {
 	// TCPOneWay is the one-way client↔NameNode latency of the direct TCP
 	// path.
 	TCPOneWay time.Duration
+	// TCPJitter spreads each one-way TCP latency uniformly over
+	// TCPOneWay·(1 ± TCPJitter), from a per-client stream of Seed. With
+	// every message taking exactly TCPOneWay, closed-loop clients whose
+	// ops all answer at one latency send at the same instants for good,
+	// and cost, billed per instance busy interval, then hangs on the few
+	// events that knock a client off that beat.
+	TCPJitter float64
 	// HTTPReplaceProb is the probability that a request with a TCP
 	// connection also makes an HTTP invocation (§3.4's fine-grained
 	// auto-scaling control; ≤1% works best per the paper). A replaced
@@ -114,12 +121,13 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// DefaultConfig mirrors the paper's settings: ~0.3 ms one-way TCP,
+// DefaultConfig mirrors the paper's settings: ~0.3 ms one-way TCP (±5%),
 // replacement probability under 1%, straggler threshold 10× (≥50 ms),
 // anti-thrashing threshold in the 2–3 range.
 func DefaultConfig() Config {
 	return Config{
 		TCPOneWay:           300 * time.Microsecond,
+		TCPJitter:           0.05,
 		HTTPReplaceProb:     0.005,
 		ClientsPerTCPServer: 128,
 		Hedging:             true,

@@ -111,9 +111,13 @@ func newHarnessOn(t *testing.T, clk *clock.Sim, deployments int, rpcCfg Config, 
 	return h
 }
 
+// testCfg is DefaultConfig with the TCP path's delay, its jitter,
+// replacement, hedging and backoff off: tests switch on what they time,
+// and time it exactly.
 func testCfg() Config {
 	cfg := DefaultConfig()
 	cfg.TCPOneWay = 0
+	cfg.TCPJitter = 0
 	cfg.HTTPReplaceProb = 0
 	cfg.Hedging = false
 	cfg.BackoffBase = 0
@@ -811,6 +815,59 @@ func TestClientJitterSeedDeterminism(t *testing.T) {
 		}
 		if draw(1, "c0") == draw(1, "c1") {
 			t.Fatal("different clients must draw decorrelated streams")
+		}
+	})
+}
+
+// TestTCPOneWayJitter: each TCP leg takes TCPOneWay·(1 ± TCPJitter),
+// uniformly, from a stream of (Config.Seed, client id) of its own, so the
+// draws replay under a seed, differ between clients, and move none of the
+// replacement and backoff draws. No jitter is exactly TCPOneWay.
+func TestTCPOneWayJitter(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := DefaultConfig()
+		cfg.Seed = 7
+		vm := NewVM(clk, cfg)
+		client := func(id string) *Client { return vm.NewClient(id, partition.NewRing(1, 0), nil) }
+		lo := cfg.TCPOneWay - time.Duration(cfg.TCPJitter*float64(cfg.TCPOneWay))
+		hi := cfg.TCPOneWay + time.Duration(cfg.TCPJitter*float64(cfg.TCPOneWay))
+		const n = 20000
+		a, b, other := client("c0"), client("c0"), client("c1")
+		var sum time.Duration
+		var below, above int
+		same, differ := true, false
+		for i := 0; i < n; i++ {
+			d := a.tcpOneWay()
+			if d < lo || d >= hi {
+				t.Fatalf("leg %d took %v, want within [%v, %v)", i, d, lo, hi)
+			}
+			if d < cfg.TCPOneWay {
+				below++
+			} else {
+				above++
+			}
+			sum += d
+			same = same && b.tcpOneWay() == d
+			differ = differ || other.tcpOneWay() != d
+		}
+		if !same || !differ {
+			t.Fatalf("same (seed, id) replays: %v, another id differs: %v; want both", same, differ)
+		}
+		if mean := sum / n; mean < cfg.TCPOneWay-time.Microsecond || mean > cfg.TCPOneWay+time.Microsecond {
+			t.Fatalf("mean leg %v, want %v ± 1µs", mean, cfg.TCPOneWay)
+		}
+		if below < n*45/100 || above < n*45/100 {
+			t.Fatalf("%d legs below and %d above %v, want about half each", below, above, cfg.TCPOneWay)
+		}
+		if fresh := client("c0"); a.rng.Float64() != fresh.rng.Float64() {
+			t.Fatal("latency draws moved the replacement and backoff stream")
+		}
+		cfg.TCPJitter = 0
+		flat := NewVM(clk, cfg).NewClient("c0", partition.NewRing(1, 0), nil)
+		for i := 0; i < 100; i++ {
+			if d := flat.tcpOneWay(); d != cfg.TCPOneWay {
+				t.Fatalf("no jitter: leg took %v, want %v", d, cfg.TCPOneWay)
+			}
 		}
 	})
 }
