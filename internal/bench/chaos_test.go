@@ -87,7 +87,7 @@ func TestRunChaosExperiment(t *testing.T) {
 // platform's control loop, the clock's order rule) pastes the "got" line of
 // the failure below.
 var goldenStormRows = map[int64]string{
-	11: "[[warm_ops 384] [storm_ops 384] [storm_semantic_errs 1] [storm_transport_errs 0] [drain_ops 128] [instance_kills 5] [cold_starts 16] [rejections 0] [fired_kill_instance 3] [fired_pool_exhausted 1] [fired_rpc_drop 7] [fired_rpc_delay 4] [fired_shard_stall 6] [fired_shard_crash 0] [store_violations 0]]",
+	11: "[[warm_ops 384] [storm_ops 384] [storm_semantic_errs 0] [storm_transport_errs 0] [drain_ops 128] [instance_kills 5] [cold_starts 17] [rejections 0] [fired_kill_instance 3] [fired_pool_exhausted 1] [fired_rpc_drop 7] [fired_rpc_delay 4] [fired_shard_stall 6] [fired_shard_crash 0] [store_violations 0]]",
 	12: "[[warm_ops 384] [storm_ops 384] [storm_semantic_errs 0] [storm_transport_errs 0] [drain_ops 128] [instance_kills 5] [cold_starts 16] [rejections 0] [fired_kill_instance 3] [fired_pool_exhausted 0] [fired_rpc_drop 4] [fired_rpc_delay 4] [fired_shard_stall 6] [fired_shard_crash 0] [store_violations 0]]",
 	13: "[[warm_ops 384] [storm_ops 384] [storm_semantic_errs 0] [storm_transport_errs 0] [drain_ops 128] [instance_kills 4] [cold_starts 16] [rejections 0] [fired_kill_instance 2] [fired_pool_exhausted 1] [fired_rpc_drop 7] [fired_rpc_delay 4] [fired_shard_stall 6] [fired_shard_crash 0] [store_violations 0]]",
 }

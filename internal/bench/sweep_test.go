@@ -44,10 +44,10 @@ var goldenSweepFake = map[string]string{
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "7c38d39ee5605ba6e4a93cbecbdd4d3cb424c386b82878a07bfdc4cef6b9558b",
-	"fig13":        "6a7e725d92b4dbeff3ee85078498562b528fbc090fe084ffd0b54c2e423d5413",
-	"fig14":        "d6ee4249f54c05b9ae92d0d19443a8a569f27121d3e1a5b4045f0bcb0d858371",
-	"ablation-rpc": "a765f87a3bc3af6ee6ab7174c7dd9c87791ef5e3bb0b8cdfd56a20e6ff26648c",
+	"fig11":        "1aa95dd7ddd3ae8dc0d251bac4eff8c7e270623db23fc1864c3e5216e50d7129",
+	"fig13":        "ee61deae917b9a043e20ecff91003b2a354430969e184ec4e6d1ba1469a1f869",
+	"fig14":        "1f694b83f09a5d78cbdd838c86117b52429b5f260b0d4e6d15e3eff87bb27790",
+	"ablation-rpc": "0c6ecab7fc347e34cffb000ec6bd3ba8c7e88d65efb5f22e20ac197a6de59f9a",
 }
 
 // fakeMicro stands in for runMicro: a result that is a pure function of
@@ -126,11 +126,11 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "4655c15f518641c659616e7266fd54efce088eb1c2ecb133974a03f22a1b7efe",
-	"fig9":  "e026175364581f5bace47a055f406bf66d55032fab36a0e586ea836aaf0f59b5",
-	"fig10": "32cc2c5479a6cd1e404e83c3bd5a0e979ccff769290e05d52352e28a3847cdec",
-	"fig15": "77b6afe912f2745ac99b903db14bcfd1294e244af3b525cd2b00dfa13e25c8d9",
-	"trace": "3ca9e3a2199a7e036c42c06d4ccb26675f53747205a2d871982d18c85a37a0a6",
+	"fig8a": "1cf0a0bb6ad3dbb89d01681dc6647267dd451cf44fcd8fa78e82c8aa58d21522",
+	"fig9":  "05139dccc9523cbf0f2a96bf6bdf672b1c84df0ab91a96f8914412afa7414db8",
+	"fig10": "60674a119a0a317152491da89f0a32e895a2d184848ffa821286455494708741",
+	"fig15": "363e797bea82c231b8a70f674660ae74c66b30ec3e715337e8152f3963e66953",
+	"trace": "014486bb4c8f117138d3a218a207f2f9d97886987a6206dccf1023781ba823b8",
 	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
 }
 
