@@ -9,12 +9,14 @@ import (
 
 // TestAlertCoverage runs every episode family's scripted scenario under
 // the full ChaosRulePack and asserts its coverage contract: each
-// must-fire alert fired and no must-not-fire alert did, across seeds.
+// must-fire alert fired and no must-not-fire alert did, across seeds —
+// among them 15, 31 and 42, whose read-only commits once fired the WAL
+// stall alert.
 func TestAlertCoverage(t *testing.T) {
 	for _, c := range AlertContracts() {
 		c := c
 		t.Run(string(c.Family), func(t *testing.T) {
-			for _, seed := range []int64{1, 7} {
+			for _, seed := range []int64{1, 7, 15, 31, 42} {
 				res := RunAlertEpisode(AlertEpisodeConfig{Family: c.Family, Seed: seed})
 				if res.Failed() {
 					t.Errorf("seed %d: contract violated:\n  %s",

@@ -166,11 +166,11 @@ func TestBurnRateMultiWindow(t *testing.T) {
 
 func TestAbsenceDetectsStalledProgress(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_tx_commits_total", 3))
-	feed := func(tick int, appends, commits float64) {
+	e.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_writes_total", 3))
+	feed := func(tick int, appends, writes float64) {
 		e.Observe(snapAt(tick, map[string]float64{
 			"lambdafs_ndb_wal_appends_total": appends,
-			"lambdafs_ndb_tx_commits_total":  commits,
+			"lambdafs_ndb_writes_total":      writes,
 		}))
 	}
 	// Healthy: both advance together.
@@ -183,7 +183,7 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 	if s := states(e)["wal"]; s != StateInactive {
 		t.Fatalf("healthy stream: state %s", s)
 	}
-	// Stall: commits keep advancing, appends freeze → fires after the
+	// Stall: writes keep advancing, appends freeze → fires after the
 	// 3-tick hold window drains of append progress.
 	for i := 6; i <= 9; i++ {
 		c += 3
@@ -199,13 +199,13 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 	if s := states(e)["wal"]; s != StateInactive {
 		t.Fatalf("resumed WAL: state %s, want inactive", s)
 	}
-	// Idle system (no commits either) never counts as a stall.
+	// Idle system (no writes either) never counts as a stall.
 	e2 := New(Config{})
-	e2.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_tx_commits_total", 2))
+	e2.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_writes_total", 2))
 	for i := 1; i <= 6; i++ {
 		feed2 := snapAt(i, map[string]float64{
 			"lambdafs_ndb_wal_appends_total": 5,
-			"lambdafs_ndb_tx_commits_total":  9,
+			"lambdafs_ndb_writes_total":      9,
 		})
 		e2.Observe(feed2)
 	}
@@ -214,17 +214,59 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 	}
 	// Unarmed: the watched metric never advanced this session (e.g. a
 	// store with no durable media attached registers the WAL counter but
-	// never increments it), so commits advancing alone is not a stall.
+	// never increments it), so writes advancing alone is not a stall.
 	e3 := New(Config{})
-	e3.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_tx_commits_total", 2))
+	e3.AddRule(Absence("wal", "lambdafs_ndb_wal_appends_total", "lambdafs_ndb_writes_total", 2))
 	for i := 1; i <= 8; i++ {
 		e3.Observe(snapAt(i, map[string]float64{
 			"lambdafs_ndb_wal_appends_total": 0,
-			"lambdafs_ndb_tx_commits_total":  float64(i * 3),
+			"lambdafs_ndb_writes_total":      float64(i * 3),
 		}))
 	}
 	if s := states(e3)["wal"]; s != StateInactive {
 		t.Fatalf("never-armed absence rule: state %s, want inactive", s)
+	}
+}
+
+// TestWALStallRuleWatchesWrites: the default pack's WAL stall rule takes
+// rows written as its activity, since only a commit that writes appends to
+// the WAL. Read-only commits advancing beside a silent WAL never fire it;
+// rows written beside a silent WAL do.
+func TestWALStallRuleWatchesWrites(t *testing.T) {
+	var rule Rule
+	for _, r := range DefaultRules() {
+		if r.Name == "wal_fsync_stall" {
+			rule = r
+		}
+	}
+	run := func(writesPerTick float64) string {
+		e := New(Config{})
+		e.AddRule(rule)
+		var appends, writes, commits float64
+		for i := 1; i <= 10; i++ {
+			commits += 5
+			if i <= 2 { // healthy: every counter advances, arming the rule
+				appends += 2
+				writes += 2
+			} else {
+				writes += writesPerTick
+			}
+			e.Observe(snapAt(i, map[string]float64{
+				"lambdafs_ndb_wal_appends_total": appends,
+				"lambdafs_ndb_writes_total":      writes,
+				"lambdafs_ndb_tx_commits_total":  commits,
+			}))
+			if s := states(e)[rule.Name]; s == StateFiring {
+				return s
+			}
+		}
+		return states(e)[rule.Name]
+	}
+	if s := run(0); s == StateFiring {
+		t.Errorf("read-only commits beside a silent WAL: %s, want never firing", s)
+	}
+	if s := run(3); s != StateFiring {
+		t.Errorf("rows written beside a silent WAL: %s, want firing", s)
 	}
 }
 
