@@ -288,6 +288,7 @@ func runCrashRestart(clk *clock.Sim, cfg CrashRestartConfig) *CrashRestartResult
 				if err != nil {
 					return err
 				}
+				n = n.Clone()
 				n.ParentID, n.Name = parentID, name
 				return tx.PutINode(n)
 			}, func() error { return oracle.Mv(src, dst) })

@@ -83,6 +83,7 @@ func (e *Engine) flagSubtree(tx store.Tx, dir *namespace.INode, op namespace.OpT
 	if dir.SubtreeLockOwner != "" && dir.SubtreeLockOwner != e.id {
 		return namespace.InvalidID, namespace.ErrSubtreeBusy
 	}
+	dir = dir.Clone()
 	dir.SubtreeLockOwner = e.id
 	id := dir.ID
 	if err := tx.PutINode(dir); err != nil {
@@ -106,6 +107,7 @@ func (e *Engine) subtreeUnlock(tc *trace.Ctx, rootID namespace.INodeID) {
 			}
 			return err
 		}
+		r = r.Clone()
 		r.SubtreeLockOwner = ""
 		if err := tx.PutINode(r); err != nil {
 			return err
@@ -250,6 +252,7 @@ func CleanupCrashedNameNode(st store.Store, nnID string) {
 				continue
 			}
 			if r, err := tx.GetINode(namespace.INodeID(rootID), store.LockExclusive); err == nil {
+				r = r.Clone()
 				r.SubtreeLockOwner = ""
 				if err := tx.PutINode(r); err != nil {
 					return err

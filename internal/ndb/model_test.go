@@ -190,6 +190,7 @@ func storeModelCheck(clk *clock.Sim, seed int64, crashEvery int) error {
 			if err != nil {
 				return fmt.Errorf("op %d: get: %v", op, err)
 			}
+			n = n.Clone()
 			n.ParentID = newK.parent
 			n.Name = newK.name
 			if err := tx.PutINode(n); err != nil {

@@ -63,16 +63,6 @@ var _ store.Tx = (*tx)(nil)
 // kvRef names one row of a KV table in the write buffer.
 type kvRef struct{ table, key string }
 
-// handOut applies the immutability rule (namespace.INode) to a committed or
-// buffered row read with mode: only LockExclusive, under which the caller may
-// change what it gets, is given a private copy.
-func handOut(n *namespace.INode, mode store.LockMode) *namespace.INode {
-	if mode == store.LockExclusive {
-		return n.Clone()
-	}
-	return n
-}
-
 func (t *tx) lock(key rowKey, mode store.LockMode) error {
 	if mode == store.LockNone {
 		return nil
@@ -112,7 +102,7 @@ func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INo
 	}
 	t.db.serviceRows(inodeKey(id), 1, t.tc)
 	t.db.tel.reads.Inc()
-	n := t.readINode(id, mode)
+	n := t.row(id)
 	if n == nil {
 		return nil, namespace.ErrNotFound
 	}
@@ -162,7 +152,7 @@ func (t *tx) buffered(id namespace.INodeID) (n *namespace.INode, ok bool) {
 
 // row returns row id as this transaction sees it: its buffered write (nil
 // for a buffered delete), else the committed row, nil when there is none.
-// The caller hands it out (handOut).
+// Either is handed out as it is: nothing the store hands out is written.
 func (t *tx) row(id namespace.INodeID) *namespace.INode {
 	if n, ok := t.buffered(id); ok {
 		return n
@@ -173,19 +163,13 @@ func (t *tx) row(id namespace.INodeID) *namespace.INode {
 	return n
 }
 
-// readINode reads a row, locked with mode, through the transaction's write
-// buffer; nil when there is none.
-func (t *tx) readINode(id namespace.INodeID, mode store.LockMode) *namespace.INode {
-	return handOut(t.row(id), mode)
-}
-
-// childrenOf reads all direct children of dir, which the caller holds with
-// mode (read-committed, merged with this transaction's buffered writes,
+// childrenOf reads all direct children of dir, which the caller holds locked
+// (read-committed, merged with this transaction's buffered writes,
 // sorted by name), charging nothing: ListPathBatched's multi-get paid for
 // the rows. The committed list is already in name order, so only buffered
 // children of dir call for a sort. The children are the transaction's
 // storage (kidsStorage).
-func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace.INode {
+func (t *tx) childrenOf(dir namespace.INodeID) []*namespace.INode {
 	t.db.mu.RLock()
 	kids := t.db.children[dir]
 	out := t.kidsStorage(kids.Len() + len(t.rows))
@@ -195,14 +179,14 @@ func (t *tx) childrenOf(dir namespace.INodeID, mode store.LockMode) []*namespace
 				continue // this transaction's version decides, below
 			}
 			if n := t.db.inodes[e.Val]; n != nil {
-				out = append(out, handOut(n, mode))
+				out = append(out, n)
 			}
 		}
 	}
 	committed := len(out)
 	for _, w := range t.rows {
 		if w.n != nil && w.n.ParentID == dir {
-			out = append(out, handOut(w.n, mode))
+			out = append(out, w.n)
 		}
 	}
 	t.db.mu.RUnlock()

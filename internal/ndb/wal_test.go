@@ -703,7 +703,7 @@ func TestCommitWindowDurableBeforeVisible(t *testing.T) {
 				return
 			}
 			grantedAt = clk.Since(start)
-			seen = r.readINode(id, store.LockShared)
+			seen = r.row(id)
 			r.Abort()
 		})
 		mustCommit(t, w)
