@@ -163,17 +163,19 @@ func opAllocs(prep, op func()) float64 {
 
 // A warm write's host cost, through Engine.Execute, one pin per op kind.
 // Every write pays its response, and one object per row version it
-// publishes: a row it builds, or the private copy of an exclusive row its
-// lock phase read, which a rename's two walks hand out once for a row both
-// paths share. A delete also pays its target's copy, which it deletes.
-//   - create 3: the response, the parent's copy and the row it builds;
-//   - delete 3: the response and the target's and the parent's copies;
-//   - mv inside a directory 3: the response, the target's copy and the
-//     parent's copy;
-//   - mv across directories 4: the response and three copies;
-//   - leaf mkdirs 3: the response, the parent's copy and the directory it
-//     builds (the new directory's child list in the store is nil until its
-//     first child).
+// publishes: a row it builds, or the Clone of a row its lock phase read,
+// which is cloned once for a parent both paths of a rename share. The rows
+// the store hands out are its own, so a delete's target, which is never
+// published, costs nothing.
+//   - create 3: the response, the parent's new version and the row it
+//     builds;
+//   - delete 2: the response and the parent's new version;
+//   - mv inside a directory 3: the response and the target's and the
+//     parent's new versions;
+//   - mv across directories 4: the response and three new versions;
+//   - leaf mkdirs 3: the response, the parent's new version and the
+//     directory it builds (the new directory's child list in the store is
+//     nil until its first child).
 //
 // Nothing else: the transaction is a spent one the store recycles
 // (store.Store.Release), and its write set, the lock phase's chains and its
@@ -182,9 +184,9 @@ func opAllocs(prep, op func()) float64 {
 // stack buffer and takes each directory's path as a prefix of it, and the
 // INV round's targets and batch and, on a contended row, the lock waiter
 // are reused (the engine's free list, the lock table's). Each written row
-// is that one new version — the store takes over the row built or the
-// private copy handed out, copying neither and no block list — and the
-// commit builds no record or frame of its own. (Not under -race: the
+// is that one new version — the store takes over the row built or cloned,
+// copying neither and no block list — and the commit builds no record or
+// frame of its own. (Not under -race: the
 // detector allocates.)
 func TestExecuteWriteAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
@@ -212,7 +214,7 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			want     float64
 		}{
 			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 3},
-			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 3},
+			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 2},
 			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 3},
 			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 4},
 			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 3},

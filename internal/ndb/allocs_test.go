@@ -59,21 +59,20 @@ func TestReadPathAllocs(t *testing.T) {
 		}); got != 1 {
 			t.Errorf("shared-lock ListPathBatched of a depth-5 directory: %v allocs, want 1", got)
 		}
-		// A rename's lock phase: the transaction and a private copy of each
-		// exclusive row the walks read (/a/b/c/d/e, f, and /a/b once: the
-		// second walk hands out the first's copy; a copy shares the block
-		// list) — the paths, plans, their splits and the per-shard counts are
+		// A rename's lock phase: the transaction alone — every row, exclusive
+		// ones included, is the store's own, so /a/b is one pointer in both
+		// chains; the paths, plans, their splits and the per-shard counts are
 		// on the stack, the reply is two values, and its chains and the lock
 		// set (11 rows) are the transaction's inline buffers.
 		if got := testing.AllocsPerRun(100, func() {
 			tx := db.Begin("nn")
 			src, dest, err := tx.LockPaths(path, "/a/b/g")
 			if err != nil || src.Target == nil || dest.Target != nil || src.Chain[2] != dest.Chain[2] {
-				t.Fatalf("lock %s and /a/b/g: %+v, %+v, %v; want /a/b handed out once", path, src, dest, err)
+				t.Fatalf("lock %s and /a/b/g: %+v, %+v, %v; want /a/b one pointer in both chains", path, src, dest, err)
 			}
 			tx.Abort()
-		}); got != 4 {
-			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 4", got)
+		}); got != 1 {
+			t.Errorf("LockPaths of a depth-6 and a depth-3 path: %v allocs, want 1", got)
 		}
 
 		lm, tx := db.locks, &lockTx{owner: "nn"}
