@@ -74,8 +74,7 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 // the round trip plus the read batches of the busiest shard, the
 // directory's children riding on the directory's own shard.
 func TestLsMissIsOneStoreRead(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	ncfg := ndb.DefaultConfig() // 4 shards, 64 rows a batch
 	db := ndb.New(clk, ncfg)
 	ring := partition.NewRing(4, 0)
@@ -227,8 +226,7 @@ type simOp struct {
 // shows — the store must be intact and no lock may be left held.
 func runSimRounds(t *testing.T, rounds int, setup, ops func(r int) []simOp) {
 	t.Helper()
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	var db *ndb.DB
 	var engines [2]*Engine
 	// The ops run on simulation goroutines, so failures are t.Error, not t.Fatal.

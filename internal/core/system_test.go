@@ -295,8 +295,7 @@ func TestAutoScaleOutUnderClientLoad(t *testing.T) {
 // cold-starting, before there was an app to shut down — with no goroutine
 // per instance watching for it.
 func TestMembershipFollowsTermination(t *testing.T) {
-	sim := clock.NewSim()
-	t.Cleanup(sim.Close)
+	sim := simtest.New(t)
 	tc := newClusterOn(t, sim, 1, 10*time.Millisecond)
 	clock.Run(sim, func() {
 		c := tc.client("c1")

@@ -317,8 +317,7 @@ type windowRead struct {
 // is done the writer's listing serves the new file from the cache. The
 // counts are virtual-time exact, so they are the same on any GOMAXPROCS.
 func TestReadersInCommitWindow(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	ncfg := ndb.DefaultConfig()
 	ncfg.Durable = ndb.NewDurable(clk, ncfg.DataNodes, lsm.DefaultConfig())
 	ncfg.Durability = ndb.DefaultDurabilityConfig()
@@ -479,7 +478,7 @@ func TestListingDuringSubtreeOp(t *testing.T) {
 			var stale []time.Duration
 			for i := 0; i < offsets; i++ {
 				at := time.Duration(i) * step
-				clk := clock.NewSim()
+				clk := simtest.New(t)
 				clock.Run(clk, func() {
 					st := ndb.New(clk, ndb.DefaultConfig())
 					zk := coordinator.NewZK(clk, coordinator.DefaultConfig())

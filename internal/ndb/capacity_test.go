@@ -9,6 +9,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 	"lambdafs/internal/telemetry"
 	"lambdafs/internal/trace"
@@ -18,8 +19,7 @@ import (
 // pool — a store nobody closes must not leave goroutines parked for the
 // life of the process.
 func TestNewStartsNoGoroutines(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	before := runtime.NumGoroutine()
 	db := New(clk, DefaultConfig())
 	if after := runtime.NumGoroutine(); after > before {
@@ -46,8 +46,7 @@ func queueDepth(reg *telemetry.Registry, shard int) float64 {
 // The stall delays a commit that writes one of the shard's rows, and not a
 // commit that writes none.
 func TestStalledShardBuildsQueueDepth(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	reg := telemetry.NewRegistry()
 	cfg := DefaultConfig() // 8 workers per shard
 	cfg.Metrics = reg
@@ -124,8 +123,7 @@ func TestStalledShardBuildsQueueDepth(t *testing.T) {
 // slowest shard, yet its trace still shows each shard's queue wait and
 // service as their own spans, stamped with the reserved window.
 func TestBatchedSpansCarryReservedWindows(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	cfg := DefaultConfig()
 	cfg.WorkersPerNode = 1
 	db := New(sim, cfg)
@@ -207,7 +205,7 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 			return tx.PutINode(dir(2, "a"))
 		}, map[int]int{1: 1, 3: 1}},
 	} {
-		sim := clock.NewSim()
+		sim := simtest.New(t)
 		cfg := DefaultConfig() // 4 data nodes, 8 workers each
 		cfg.RTT, cfg.ReadService = 0, 0
 		db := New(sim, cfg)
@@ -271,8 +269,7 @@ func TestCommitReservesOwnerShards(t *testing.T) {
 func TestCreateThroughputGrowsWithDataNodes(t *testing.T) {
 	const clients, creates = 64, 16
 	rate := func(dataNodes int) float64 {
-		sim := clock.NewSim()
-		defer sim.Close()
+		sim := simtest.New(t)
 		cfg := DefaultConfig()
 		cfg.DataNodes, cfg.WorkersPerNode = dataNodes, 1
 		db := New(sim, cfg)

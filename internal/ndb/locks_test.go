@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
 )
 
@@ -16,8 +17,7 @@ import (
 // checkpoint on durable media and every committed virtual-time number was
 // made with — and the hash is computed without building that string.
 func TestRowKeyHashesItsStringForm(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	for _, tc := range []struct {
 		key  rowKey
 		form string
@@ -68,8 +68,7 @@ func TestRowKeyHashesItsStringForm(t *testing.T) {
 // owner's forced release frees its rows and wakes their waiters — and an
 // emptied rowLock is what the next new row gets.
 func TestLockTable(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	const timeout = 250 * time.Millisecond
 	row, other := inodeKey(7), childKey(7, "f")
 	mustGrant := func(lm *lockManager, tx *lockTx, key rowKey, exclusive bool, wantWait time.Duration) {
@@ -165,8 +164,7 @@ func TestLockTable(t *testing.T) {
 // get — at exactly the timeout, and no lock or queue entry outlives the
 // release.
 func TestLockGrantAndTimeoutOnOneInstant(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	const timeout = 250 * time.Millisecond
 	granted, timedOut := 0, 0
 	clock.Run(sim, func() {

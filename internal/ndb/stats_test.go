@@ -19,8 +19,7 @@ import (
 // a Gather of the same registry reports — and a store recovered onto that
 // registry carries the counts on across the crash.
 func TestStatsReadTheRegistry(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	reg := telemetry.NewRegistry()
 	cfg := durableCfg(NewDurable(sim, 2, zeroLSM()))
 	cfg.Durability.CheckpointEvery = 2
