@@ -118,8 +118,8 @@ func (f *modelFleet) checkWritten(t *testing.T, step int, m *chaos.Oracle, path,
 // checkFrozen is the immutability rule's check (namespace.INode), made at
 // quiescence: every row the store publishes and every row a cache holds for
 // one of m's paths is shown to the fleet's witness, which fails the test if
-// a row it has met before was written since — what a store handing out its
-// shared row under LockExclusive would let a writer do. The store and cache
+// a row it has met before was written since — what a writer editing a row
+// it was handed, instead of a Clone, would do. The store and cache
 // audits that walk those rows come along.
 func (f *modelFleet) checkFrozen(t *testing.T, step int, m *chaos.Oracle) {
 	t.Helper()
@@ -239,10 +239,9 @@ func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
 }
 
 // TestFrozenRowCheckCatchesAWrite: the witness has teeth. A row read under
-// LockShared is the published row itself — what every LockExclusive read
-// would be if the store stopped copying — and one write through it is
-// reported by the next check, from the store's table and from the cache
-// that shares the row.
+// LockShared is the published row itself, as every read is, and one write
+// through it is reported by the next check, from the store's table and from
+// the cache that shares the row.
 func TestFrozenRowCheckCatchesAWrite(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		f := modelCluster(t, clk, 1, 2, false)

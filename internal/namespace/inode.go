@@ -58,11 +58,11 @@ type Block struct {
 // listing is never written again — fields, Blocks and Locations alike — and
 // a new version is a new INode, so the store, every cache and every reader
 // share one snapshot per row version without copying or locking. The one
-// rule for writing: you may write a version you built, or the private copy
-// a store.LockExclusive read handed you, until you hand it over — to
-// store.Tx.PutINode or ndb.Preload, which publish that pointer itself, or to
-// a cache, which keeps it. A Block or a Locations element is never written
-// in place, not even in a private copy: a copy shares them (see Clone).
+// rule: nothing the store hands out is ever written, under any lock mode;
+// you write only a version you built (new, or a Clone of a row you read)
+// until you hand it over — to store.Tx.PutINode or ndb.Preload, which
+// publish that pointer itself, or to a cache, which keeps it. A Block or a
+// Locations element is never written in place: a Clone shares them.
 type INode struct {
 	ID       INodeID
 	ParentID INodeID
@@ -85,8 +85,8 @@ type INode struct {
 // Clone returns a private, writable version of n: a copy of the struct that
 // shares n's block list, which no one writes in place. Blocks is clipped to
 // its length, so an append on the copy always reallocates and never reaches
-// n. Sharing needs no copy, so the callers are few: the store handing a row
-// out under LockExclusive, and test witnesses.
+// n. Sharing needs no copy, so the callers are few: the writers that build a
+// row's next version from the one they read, and test witnesses.
 func (n *INode) Clone() *INode {
 	if n == nil {
 		return nil

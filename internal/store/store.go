@@ -85,12 +85,12 @@ type LockedPath struct {
 // see their own writes; locks acquired with LockShared/LockExclusive are
 // held until Commit or Abort (strict two-phase locking).
 //
-// Who may write an INode a read returns follows from its lock mode:
-// exclusive ⇒ a private copy, the caller's to change and PutINode;
-// otherwise the shared snapshot of the row (namespace.INode), read-only, the
-// pointer every other reader and cache holds. LockPath and LockPaths read
-// parent and Target exclusive, ancestors shared. A private copy shares the
-// row's block list, which no one writes in place.
+// Nothing a read returns is ever written, under any lock mode: it is the
+// transaction's view of the row — its own buffered write, or else the
+// committed snapshot (namespace.INode), the pointer every other reader and
+// cache holds. A writer builds the row's next version itself (Clone, edit,
+// PutINode). LockPath and LockPaths read parent and Target exclusive,
+// ancestors shared.
 //
 // Slices a method returns may be storage the transaction owns (its reply
 // buffers). They stay valid after Commit or Abort, until the transaction
@@ -101,7 +101,7 @@ type Tx interface {
 	GetINode(id namespace.INodeID, lock LockMode) (*namespace.INode, error)
 	// PutINode inserts or updates an INode (implicitly exclusive). The store
 	// takes n over: Commit publishes this pointer as the row's new version,
-	// so the caller — who built n, or was handed it as a private copy — must
+	// so the caller, who built n (new, or a Clone of the row it read), must
 	// not write it again (namespace.INode), not even before Commit.
 	PutINode(n *namespace.INode) error
 	// DeleteINode removes an INode by ID (implicitly exclusive).
@@ -156,9 +156,9 @@ type Tx interface {
 	// LockPaths is a rename's lock phase: LockPath's row set for src and for
 	// dest under ONE multi-get over the union of their rows. A row the two
 	// paths share is taken once, on its most demanding terms (strongest
-	// mode, slot first) — never upgraded — and handed out once: both chains
-	// hold the same pointer, so a private copy the two share is written
-	// once. Rows are acquired in one global order: the paths sorted by
+	// mode, slot first) — never upgraded — and both chains hold the same
+	// pointer for it, so a writer builds its next version once. Rows are
+	// acquired in one global order: the paths sorted by
 	// component, each walked from the root down. A missing ancestor fails
 	// the call as it fails LockPath, with the rows that exist in the failing
 	// path's LockedPath.
