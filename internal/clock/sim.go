@@ -152,9 +152,10 @@ func NewSim() *Sim {
 
 // Close stops the watchdog and drains the simulation: everything parked
 // with a deadline is woken, in heap order, as if the deadline had come, and
-// from then on a deadline expires as soon as it is waited on. The goroutines
-// parked between fns exit, and so does each still running once its fn
-// returns.
+// from then on a deadline expires as soon as it is waited on. SleepOr tells
+// such a sleep from one that ran its course: it reports false, so a daemon
+// loop over SleepOr returns. The goroutines parked between fns exit, and so
+// does each still running once its fn returns.
 func (s *Sim) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -457,9 +458,13 @@ func GoDaemon(s *Sim, fn func()) { s.spawn(fn, true) }
 // SleepOr sleeps d of virtual time on s unless cancel is set first, and
 // reports whether the sleep ran its course. It is the one way to wait for
 // "a deadline or a shutdown". A cancel already set wins over a sleep that
-// would return at once.
+// would return at once. A sleep runs its course when time reaches its
+// deadline; Close wakes a sleep without moving time, so on a closed clock
+// no sleep runs its course and a `for SleepOr(s, d, stop)` loop returns
+// even when stop is never set.
 func SleepOr(s *Sim, d time.Duration, cancel *Event) bool {
-	return !cancel.WaitBy(DeadlineIn(s, d))
+	dl := DeadlineIn(s, d)
+	return !cancel.WaitBy(dl) && !s.Now().Before(dl.at)
 }
 
 // Run executes fn to completion on s: fn is shuttled into a registered

@@ -262,6 +262,38 @@ func TestCloseReleasesParkedGoroutines(t *testing.T) {
 	}
 }
 
+// TestSleepOrLoopEndsOnClose: a daemon loop over SleepOr whose stop is
+// never set returns once its clock is closed, and the Sim drains. On a
+// closed clock every deadline is due at once, so a sleep that reported
+// its course run would spin the loop forever, holding the baton. The
+// subject is Close seen from the host, so the test keeps a raw Sim.
+func TestSleepOrLoopEndsOnClose(t *testing.T) {
+	s := NewSim()
+	never := NewEvent(s)
+	var ticks atomic.Int64
+	Run(s, func() {
+		GoDaemon(s, func() {
+			for SleepOr(s, time.Millisecond, never) {
+				ticks.Add(1)
+			}
+		})
+		s.Sleep(3500 * time.Microsecond)
+	})
+	if n := ticks.Load(); n != 3 {
+		t.Fatalf("%d ticks in 3.5ms of 1ms sleeps, want 3", n)
+	}
+	s.Close()
+	for yields := 0; !s.Drained(); yields++ {
+		if yields == 10000 {
+			t.Fatalf("not drained after %d yields; the loop ticked %d times after Close", yields, ticks.Load()-3)
+		}
+		runtime.Gosched()
+	}
+	if n := ticks.Load(); n != 3 {
+		t.Fatalf("the loop ticked %d times after Close, want 0", n-3)
+	}
+}
+
 func TestSimManyEventsThroughput(t *testing.T) {
 	// Smoke-check event processing rate: 50k sleep events must finish
 	// well under the stall timeout.
