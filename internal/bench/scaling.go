@@ -7,12 +7,11 @@ import (
 	"lambdafs"
 	"lambdafs/internal/cephfs"
 	"lambdafs/internal/clock"
-	"lambdafs/internal/coordinator"
 	"lambdafs/internal/core"
-	"lambdafs/internal/hopsfs"
+	"lambdafs/internal/faas"
 	"lambdafs/internal/metrics"
 	"lambdafs/internal/namespace"
-	"lambdafs/internal/ndb"
+	"lambdafs/internal/partition"
 	"lambdafs/internal/rpc"
 	"lambdafs/internal/workload"
 )
@@ -102,7 +101,8 @@ func lambdaMicroWith(seed int64, tweak func(*lambdafs.Config), clients func(*lam
 }
 
 // hopsMicro builds serverful HopsFS, or HopsFS+Cache, on the shared NDB
-// deployment: one 16-vCPU NameNode per 16 vCPU of the budget.
+// deployment: one 16-vCPU NameNode per 16 vCPU of the budget, billed as a
+// serverful fleet.
 func hopsMicro(withCache bool) microSystem {
 	name := "HopsFS"
 	if withCache {
@@ -111,22 +111,112 @@ func hopsMicro(withCache bool) microSystem {
 	return microSystem{
 		name: name,
 		build: func(clk *clock.Sim, vcpus int, dirs, files []string) (func(int) workload.FS, func(time.Duration) float64, func()) {
-			db := ndb.New(clk, ndbConfig())
-			coCfg := coordinator.DefaultConfig()
-			coCfg.HopLatency = 300 * time.Microsecond
-			coCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(db, id) }
-			cfg := hopsfs.DefaultConfig()
-			cfg.WithCache = withCache
-			cfg.VCPUPerNameNode = 16
-			cfg.NameNodes = max(vcpus/16, 1)
-			cfg.RPCOneWay = 300 * time.Microsecond
-			cl := hopsfs.New(clk, db, coordinator.NewZK(clk, coCfg), cfg)
-			workload.PreloadNDB(db, dirs, files)
-			fsFor := func(i int) workload.FS { return cl.NewClient(fmt.Sprintf("c%04d", i)) }
-			cost := func(time.Duration) float64 { return float64(cl.TotalVCPU()) * metrics.VMvCPUSecondUSD }
-			return fsFor, cost, func() {}
+			cfg := hopsConfig(clk, vcpus, withCache)
+			c := mustLambda(cfg)
+			workload.PreloadNDB(c.Store(), dirs, files)
+			nns := newHopsNameNodes(c, hopsRPCHandlers, withCache)
+			fsFor := func(i int) workload.FS { return &hopsFS{nns: nns, id: fmt.Sprintf("c%04d", i)} }
+			cost := func(time.Duration) float64 {
+				return float64(cfg.Deployments) * cfg.NameNodeVCPU * metrics.VMvCPUSecondUSD
+			}
+			return fsFor, cost, c.Close
 		},
 	}
+}
+
+// hopsConfig is HopsFS (§5.1) as λFS's own NameNode on a fixed serverful
+// fleet: one 16-vCPU NameNode per deployment, max(vcpus/16, 1) of them,
+// up before the run and never reclaimed, with no subtree offloading. Plain
+// HopsFS caches nothing, so its NameNodes are stateless and run no
+// coherence protocol; HopsFS+Cache keeps λFS's cache and coordinator. Its
+// clients are hopsFS.
+func hopsConfig(clk *clock.Sim, vcpus int, withCache bool) lambdafs.Config {
+	cfg := lambdaConfig(clk, 0) // hopsFS uses no rpc client, so no seed
+	cfg.Deployments, cfg.NameNodeVCPU = max(vcpus/16, 1), 16
+	cfg.MinInstancesPerDeployment, cfg.MaxInstancesPerDeployment = 1, 1
+	cfg.Platform.TotalVCPU = cfg.NameNodeVCPU * float64(cfg.Deployments)
+	cfg.Platform.MaxUtilization = 1
+	cfg.Platform.ColdStart = 0
+	cfg.Platform.IdleReclaim = 0
+	cfg.OffloadLatency = -1
+	if !withCache {
+		cfg.Engine.CacheBudget = -1
+	}
+	return cfg
+}
+
+const (
+	// hopsRPCHandlers bounds the requests one HopsFS NameNode serves at
+	// once (the evaluation's 200).
+	hopsRPCHandlers = 200
+	// hopsOneWay is a HopsFS client's serverful TCP latency, each way.
+	hopsOneWay = 300 * time.Microsecond
+)
+
+// hopsNameNode is one serverful HopsFS NameNode: its deployment's one
+// instance and the RPC handler pool every client shares.
+type hopsNameNode struct {
+	inst     *faas.Instance
+	eng      *core.Engine
+	handlers *clock.Mailbox[struct{}] // one token per free handler
+}
+
+// hopsNameNodes is what the HopsFS clients of one cluster share: its
+// NameNodes, in deployment order, and, for HopsFS+Cache, λFS's ring.
+type hopsNameNodes struct {
+	clk  *clock.Sim
+	ring *partition.Ring // nil: clients go round-robin
+	nns  []hopsNameNode
+}
+
+// newHopsNameNodes puts handlers RPC handlers in front of each of c's
+// NameNodes; routed, clients route with the cluster's ring.
+func newHopsNameNodes(c *lambdafs.Cluster, handlers int, routed bool) *hopsNameNodes {
+	s := &hopsNameNodes{clk: c.Clock()}
+	if routed {
+		s.ring = c.System().Ring()
+	}
+	p := c.Platform()
+	for dep := range p.Deployments() {
+		inst := p.Deployment(dep).Warm()[0]
+		nn := hopsNameNode{inst: inst, eng: inst.App().(*core.NameNode).Engine(), handlers: clock.NewMailbox[struct{}](s.clk)}
+		for range handlers {
+			nn.handlers.Send(struct{}{})
+		}
+		s.nns = append(s.nns, nn)
+	}
+	return s
+}
+
+// hopsFS is a HopsFS client: every op goes over TCP to one NameNode,
+// the one λFS's ring routes it to for HopsFS+Cache, the next in the
+// client's own round-robin for HopsFS, and waits for one of its handlers.
+type hopsFS struct {
+	nns     *hopsNameNodes
+	id      string
+	rr, seq uint64
+}
+
+func (f *hopsFS) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
+	f.seq++
+	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq}
+	s := f.nns
+	var nn *hopsNameNode
+	if s.ring != nil {
+		nn = &s.nns[s.ring.Route(op, path)]
+	} else {
+		f.rr++
+		nn = &s.nns[f.rr%uint64(len(s.nns))]
+	}
+	s.clk.Sleep(hopsOneWay)
+	nn.handlers.Recv()
+	v, err := nn.inst.Serve(func() any { return nn.eng.Execute(req) })
+	nn.handlers.Send(struct{}{})
+	s.clk.Sleep(hopsOneWay)
+	if err != nil {
+		return nil, err
+	}
+	return v.(*namespace.Response), nil
 }
 
 // infiniMicro builds InfiniCache (§5.1) on vcpus: 16 static NameNodes of

@@ -156,8 +156,10 @@ func runSpotifyHops(opts Options, sp spotifyParams, label string, withCache bool
 	clk := clock.NewSim()
 	defer clk.Close()
 	var fsFor func(int) workload.FS
+	var closer func()
 	dirs, files := workload.GenerateNamespace(sp.dirs, sp.files)
-	clock.Run(clk, func() { fsFor, _, _ = hopsMicro(withCache).build(clk, totalVCPU, dirs, files) })
+	clock.Run(clk, func() { fsFor, _, closer = hopsMicro(withCache).build(clk, totalVCPU, dirs, files) })
+	defer func() { clock.Run(clk, closer) }()
 	tree := workload.NewTree(dirs, files)
 	var rec *workload.Recorder
 	clock.Run(clk, func() {

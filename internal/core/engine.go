@@ -6,10 +6,11 @@
 // elastically offloaded batches for recursive operations (Appendix D).
 //
 // The Engine is deployment-agnostic: wrapped in a faas.App it is a λFS
-// NameNode; hosted on a fixed serverful cluster it is a HopsFS+Cache
-// NameNode; with caching and coherence disabled it is a stateless HopsFS
-// NameNode. The baselines in internal/hopsfs reuse it directly, which is
-// what makes the evaluation an apples-to-apples architecture comparison.
+// NameNode; on a fixed fleet of warm, never-reclaimed instances it is a
+// HopsFS+Cache NameNode; with caching disabled, and coherence with it, it
+// is a stateless HopsFS NameNode. The baselines are System configs
+// (internal/bench), which is what makes the evaluation an apples-to-apples
+// architecture comparison.
 //
 // # Concurrency and ownership
 //
@@ -72,8 +73,8 @@ import (
 	"lambdafs/internal/trace"
 )
 
-// CPU abstracts the compute capacity an Engine runs on: a faas.Instance
-// for λFS, a serverful NameNode's vCPU queue for the baselines.
+// CPU abstracts the compute capacity an Engine runs on: the faas.Instance
+// hosting it, whose vCPU queue is a λFS or a serverful NameNode's alike.
 type CPU interface {
 	AcquireCPU(d time.Duration)
 }
@@ -109,7 +110,7 @@ type EngineConfig struct {
 	// live in: metadata-cache hits/misses and invalidation rounds. Engines
 	// sharing one config share the counters (registry get-or-create),
 	// giving fleet-wide totals. Nil gives a bare engine a private
-	// registry; NewSystem and hopsfs.New make one for all their engines.
+	// registry; NewSystem makes one for all its engines.
 	Metrics *telemetry.Registry
 
 	// Admission, when non-nil, gates every tenant-tagged request before

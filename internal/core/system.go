@@ -31,7 +31,9 @@ type SystemConfig struct {
 	MaxInstancesPerDeployment int
 	// MinInstancesPerDeployment pre-warms instances.
 	MinInstancesPerDeployment int
-	// Engine tunes each NameNode's engine.
+	// Engine tunes each NameNode's engine. An engine that caches nothing
+	// (CacheBudget < 0) runs no coherence protocol: it gets no
+	// coordinator, since it holds nothing to invalidate.
 	Engine EngineConfig
 	// OffloadLatency is the network hop cost of pushing a subtree batch
 	// to a helper NameNode; offloading is disabled when negative.
@@ -100,8 +102,11 @@ func NewSystem(clk *clock.Sim, st store.Store, coord coordinator.Coordinator,
 }
 
 func (s *System) newNameNode(dep int, inst *faas.Instance) faas.App {
-	id := inst.ID()
-	eng := NewEngine(id, dep, s.clk, s.st, s.ring, s.coord, inst, s.cfg.Engine)
+	coord := s.coord
+	if s.cfg.Engine.CacheBudget < 0 {
+		coord = nil // nothing cached, so nothing to invalidate
+	}
+	eng := NewEngine(inst.ID(), dep, s.clk, s.st, s.ring, coord, inst, s.cfg.Engine)
 	if s.cfg.OffloadLatency >= 0 {
 		eng.SetOffloader(s)
 	}

@@ -63,6 +63,9 @@ func (inst *Instance) start() {
 // ID returns the instance's unique identifier.
 func (inst *Instance) ID() string { return inst.id }
 
+// App returns the app the instance runs (nil before its cold start ends).
+func (inst *Instance) App() App { return inst.app }
+
 // DeploymentIndex returns the index of the owning deployment.
 func (inst *Instance) DeploymentIndex() int { return inst.d.index }
 
