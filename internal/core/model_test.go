@@ -210,6 +210,10 @@ func randomOpsMatchModel(t *testing.T, f *modelFleet, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	for step := 0; step < 250; step++ {
+		// The fleet's store and CPU cost no virtual time: without a pause a
+		// write would stamp a parent with the mtime it already holds, and
+		// checkFrozen could not see a writer edit a published row in place.
+		f.clk.Sleep(time.Microsecond)
 		op := randOp(rng)
 		path := randPathUnder(rng, "", 3)
 		dest := ""
@@ -361,6 +365,7 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet, seed int64) *histo
 		running.Go(func() {
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			for step := 0; step < steps; step++ {
+				f.clk.Sleep(time.Microsecond) // see randomOpsMatchModel
 				op := randOp(rng)
 				path := randPathUnder(rng, root, 3)
 				dest := ""
