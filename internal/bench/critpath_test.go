@@ -6,6 +6,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/trace"
 	"lambdafs/internal/workload"
 )
@@ -14,8 +15,7 @@ import (
 // 10-deep directory chain) with tracing on and returns its decomposition.
 func tracedDeepStatReport(t *testing.T) *trace.Breakdown {
 	t.Helper()
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	var c *hotpathCluster
 	var tr *trace.Tracer
 	var paths []string

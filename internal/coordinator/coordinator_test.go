@@ -202,8 +202,7 @@ func TestAckTimeoutVirtualTimestamp(t *testing.T) {
 		{"batch, no hedging", 0, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := clock.NewSim()
-			defer clk.Close()
+			clk := simtest.New(t)
 			cfg := DefaultConfig()
 			cfg.HopLatency = 0
 			cfg.AckTimeout = ackTimeout

@@ -354,8 +354,7 @@ func TestCPUCapacityLimitsThroughput(t *testing.T) {
 // the instance is killed — not when their reserved slots would have ended
 // — and a dead instance charges nothing.
 func TestAcquireCPUReturnsAtKillInstant(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	p := New(sim, fastCfg())
 	defer p.Close()
 	tr := &appTracker{}
@@ -409,8 +408,7 @@ func TestAdmissionWakesOnlyOnFreedCapacity(t *testing.T) {
 		{"queue timeout", time.Second, ErrNoCapacity, 101 * time.Millisecond, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim := clock.NewSim()
-			defer sim.Close()
+			sim := simtest.New(t)
 			cfg := fastCfg()
 			cfg.TotalVCPU, cfg.MaxUtilization, cfg.EvictForSpace = 1, 1, false
 			cfg.InvokeQueueTimeout = 100 * time.Millisecond
@@ -497,8 +495,7 @@ func TestEvictForSpace(t *testing.T) {
 		{"above the floor", 1, nil, 0, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim := clock.NewSim()
-			defer sim.Close()
+			sim := simtest.New(t)
 			p := New(sim, cfg)
 			defer p.Close()
 			tr := &appTracker{}
@@ -568,8 +565,7 @@ func TestCloseRejectsInvocations(t *testing.T) {
 // clock every poll of the wait returns at once, so a waiter that kept
 // polling would spin at one instant).
 func TestCloseEndsQueuedAdmission(t *testing.T) {
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	cfg := fastCfg()
 	cfg.InvokeQueueTimeout = time.Second
 	p := New(sim, cfg)

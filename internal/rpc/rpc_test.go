@@ -457,8 +457,7 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 	cfg.LatencyWindow = 4
 	cfg.TCPOneWay = time.Millisecond
 
-	sim := clock.NewSim()
-	defer sim.Close()
+	sim := simtest.New(t)
 	p := faas.New(sim, fastFaasCfg())
 	defer p.Close()
 	p.Register("nn", func(inst *faas.Instance) faas.App { return &testNN{inst: inst} },

@@ -386,8 +386,7 @@ func TestQuantileRuleSeesItsWindow(t *testing.T) {
 // path keeps recording and a display surface polls the read API.
 func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clk := clock.NewSim()
-	t.Cleanup(clk.Close)
+	clk := simtest.New(t)
 	sc := telemetry.NewScraper(clk, reg, time.Millisecond)
 	e := New(Config{Registry: reg, Window: 2})
 	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, OpGreater, 5e-3, 1))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/trace"
 )
 
@@ -105,7 +106,7 @@ func TestFlightRecorderDumpJSONL(t *testing.T) {
 // way the cluster does and checks events flow through even past the
 // tracer's own retention cap.
 func TestTracerSinkFeedsRecorder(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	tr := trace.New(clk, trace.Config{MaxEvents: 2})
 	fr := NewFlightRecorder(16, 4)
 	tr.SetEventSink(fr.RecordEvent)

@@ -6,21 +6,14 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 )
-
-// newClock returns a clock for tests that read it from outside the
-// simulation, as an application's own goroutines read a cluster's telemetry.
-func newClock(t *testing.T) *clock.Sim {
-	clk := clock.NewSim()
-	t.Cleanup(clk.Close)
-	return clk
-}
 
 // TestScrapeEmptyRegistry pins the zero-instrument edge case: scraping
 // a registry with nothing registered yields empty-but-valid snapshots,
 // and the loop runs without issue.
 func TestScrapeEmptyRegistry(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	reg := NewRegistry()
 	sc := NewScraper(clk, reg, time.Second)
 	snap := sc.ScrapeNow()
@@ -44,7 +37,7 @@ func TestScrapeEmptyRegistry(t *testing.T) {
 // panicking hook is recovered and counted, and the other subscribers
 // (registered before and after it) still observe every snapshot.
 func TestOnSnapshotPanicIsolated(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	reg := NewRegistry()
 	reg.Gauge("lambdafs_test_g").Set(1)
 	sc := NewScraper(clk, reg, time.Second)
@@ -74,7 +67,7 @@ func TestOnSnapshotPanicIsolated(t *testing.T) {
 // is live on a Sim clock and checks the cadence actually changes.
 // Exercised under -race by check.sh.
 func TestSetIntervalMidRun(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	reg := NewRegistry()
 	reg.Counter("lambdafs_test_ticks_total")
 	sc := NewScraper(clk, reg, time.Second)
@@ -110,7 +103,7 @@ func TestSetIntervalMidRun(t *testing.T) {
 // from multiple host goroutines while the scrape loop ticks on the clock —
 // a pure race-detector target.
 func TestSetIntervalConcurrent(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	reg := NewRegistry()
 	ctr := reg.Counter("lambdafs_test_ops_total")
 	sc := NewScraper(clk, reg, time.Millisecond)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/simtest"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -59,7 +60,7 @@ func TestHistogramSumExact(t *testing.T) {
 	for _, d := range []time.Duration{1, 1, 2} {
 		h.Observe(d)
 	}
-	snap := NewScraper(newClock(t), r, 0).ScrapeNow()
+	snap := NewScraper(simtest.New(t), r, 0).ScrapeNow()
 	if got := snap.Values["lambdafs_test_latency_seconds_sum"]; got != 4e-9 {
 		t.Fatalf("_sum = %g, want 4e-09", got)
 	}
@@ -164,7 +165,7 @@ func TestGatherSorted(t *testing.T) {
 // series it accumulates is chronological with nondecreasing counter
 // readings.
 func TestScraperOnSimClock(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	r := NewRegistry()
 	c := r.Counter("lambdafs_test_ticks_total")
 	sc := NewScraper(clk, r, time.Second)
@@ -201,7 +202,7 @@ func TestScraperOnSimClock(t *testing.T) {
 // gathered histogram must be one consistent instant: its buckets add up
 // to its count, and the scrape's flattened _count says the same.
 func TestConcurrentScrapeAndUpdate(t *testing.T) {
-	clk := newClock(t)
+	clk := simtest.New(t)
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

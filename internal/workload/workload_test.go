@@ -321,9 +321,8 @@ func TestClosedLoopDriverCounts(t *testing.T) {
 
 // runRateDrivenOnSim runs the rate-driven loop in virtual time, where its
 // pacing is exact, against an in-memory FS of the given service latency.
-func runRateDrivenOnSim(cfg RateConfig, lat time.Duration) *Recorder {
-	clk := clock.NewSim()
-	defer clk.Close()
+func runRateDrivenOnSim(t *testing.T, cfg RateConfig, lat time.Duration) *Recorder {
+	clk := simtest.New(t)
 	dirs, files := GenerateNamespace(4, 50)
 	tree := NewTree(dirs, files)
 	fs := newMemFS(clk, files, lat)
@@ -335,7 +334,7 @@ func runRateDrivenOnSim(cfg RateConfig, lat time.Duration) *Recorder {
 func TestRateDrivenRollover(t *testing.T) {
 	// Service latency 20ms → a single client does 50 ops/sec; target
 	// 100 ops/sec forces rollover and a drain phase.
-	rec := runRateDrivenOnSim(RateConfig{
+	rec := runRateDrivenOnSim(t, RateConfig{
 		Clients:  1,
 		Duration: 3 * time.Second,
 		Targets:  []float64{100},
@@ -351,7 +350,7 @@ func TestRateDrivenRollover(t *testing.T) {
 }
 
 func TestRateDrivenHitsTargetWhenFast(t *testing.T) {
-	rec := runRateDrivenOnSim(RateConfig{
+	rec := runRateDrivenOnSim(t, RateConfig{
 		Clients:  4,
 		Duration: 5 * time.Second,
 		Targets:  []float64{200},
@@ -446,8 +445,7 @@ func TestRecorderThrottledAccounting(t *testing.T) {
 // its own Recorder, clients issue at their class's rate for the window
 // and no longer, each tagged with its tenant.
 func TestPopulationDriver(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	dirs, files := GenerateNamespace(4, 50)
 	tree := NewTree(dirs, files)
 	classes := DefaultTenantClasses()

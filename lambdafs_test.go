@@ -10,6 +10,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/datanode"
+	"lambdafs/internal/simtest"
 	"lambdafs/internal/telemetry"
 )
 
@@ -256,8 +257,7 @@ func TestEngineCacheBudgetReachesNameNodes(t *testing.T) {
 // with one warm instance per deployment, each having paid one cold start.
 // Close leaves the caller's clock running.
 func TestNewClusterOnCallersClock(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
+	clk := simtest.New(t)
 	cfg := quickConfig()
 	cfg.Clock = clk
 	cfg.MinInstancesPerDeployment = 1
