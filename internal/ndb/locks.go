@@ -56,13 +56,20 @@ type lockWaiter struct {
 	ready     *clock.Event // set, under lm.mu, by the promote that grants the lock
 }
 
+// lockTableHint sizes the lock table well above the rows locked at once.
+// A map churned by acquire and release grows once its deletes have left
+// enough tombstones, and a delete leaves one only in a full group, which
+// the runtime's per-map hash seed decides; a sparse table seldom has a
+// full group, so identical runs allocate alike.
+const lockTableHint = 512
+
 func newLockManager(clk *clock.Sim, waitTimeout time.Duration) *lockManager {
 	if waitTimeout <= 0 {
 		waitTimeout = 250 * time.Millisecond
 	}
 	return &lockManager{
 		clk:         clk,
-		rows:        make(map[rowKey]*rowLock),
+		rows:        make(map[rowKey]*rowLock, lockTableHint),
 		txs:         make(map[*lockTx]struct{}),
 		waitTimeout: waitTimeout,
 	}
