@@ -85,6 +85,9 @@ go test ./internal/lsm/ -run '^$' -fuzz FuzzWriteBatch -fuzztime 10s
 echo "== fuzz (cache operations: PutChain, PutListing, Invalidate, SuspendListing, ResumeListing and evicting puts against a map model; every node's children strictly in name order with sound parent links, Entries the model's sorted listing; bounded) =="
 go test ./internal/cache/ -run '^$' -fuzz FuzzCacheOps -fuzztime 10s
 
+echo "== fuzz (core result cache: puts and gets of a few clients' Seqs against a map model; one entry per client, its highest Seq, a get answering only that Seq, the first client to arrive evicted first; bounded) =="
+go test ./internal/core/ -run '^$' -fuzz FuzzResultCache -fuzztime 10s
+
 echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core, chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2

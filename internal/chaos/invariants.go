@@ -14,11 +14,14 @@ import (
 
 // Frozen witnesses the rule that a published INode is never written again
 // (namespace.INode): it keeps a deep copy of every row it is shown — the
-// store's table through CheckStore, what the caches hold through CheckCaches
-// — and reports each row that no longer equals its copy. Nil checks nothing.
+// store's table through CheckStore, what the caches hold through CheckCaches,
+// any other rows through Check — and reports each row that no longer equals
+// its copy. Nil checks nothing.
 type Frozen map[*namespace.INode]*namespace.INode
 
-func (f Frozen) check(where string, rows []*namespace.INode) (bad []string) {
+// Check shows the witness rows, found where; it returns one line per row
+// written since it was first shown.
+func (f Frozen) Check(where string, rows []*namespace.INode) (bad []string) {
 	for _, n := range rows {
 		if was, seen := f[n]; !seen && f != nil {
 			was = n.Clone()
@@ -48,7 +51,7 @@ func CheckStore(db *ndb.DB, frozen Frozen) []string {
 	if err != nil {
 		return append(bad, fmt.Sprintf("subtree walk failed: %v", err))
 	}
-	bad = append(bad, frozen.check("store", nodes)...)
+	bad = append(bad, frozen.Check("store", nodes)...)
 	for _, n := range nodes {
 		if n.SubtreeLockOwner != "" {
 			bad = append(bad, fmt.Sprintf("subtree lock leaked on inode %d (name=%q owner=%s)",
@@ -119,7 +122,7 @@ func CheckCaches(engines []*core.Engine, m *Oracle, probe map[string]bool, froze
 				continue
 			}
 			kids, complete := c.Listing(p)
-			bad = append(bad, frozen.check("cache of "+e.ID(), append(kids, n))...)
+			bad = append(bad, frozen.Check("cache of "+e.ID(), append(kids, n))...)
 			if !m.Has(p) {
 				bad = append(bad, fmt.Sprintf("cache of %s holds deleted path %s", e.ID(), p))
 			} else if n.IsDir != m.IsDir(p) {

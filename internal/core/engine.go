@@ -107,10 +107,10 @@ type EngineConfig struct {
 	SubtreeBatch int
 
 	// Metrics is the registry the engine instruments (lambdafs_core_*)
-	// live in: metadata-cache hits/misses and invalidation rounds. Engines
-	// sharing one config share the counters (registry get-or-create),
-	// giving fleet-wide totals. Nil gives a bare engine a private
-	// registry; NewSystem makes one for all its engines.
+	// live in: metadata-cache hits/misses, result-cache hits and
+	// invalidation rounds. Engines sharing one config share the counters
+	// (registry get-or-create), giving fleet-wide totals. Nil gives a bare
+	// engine a private registry; NewSystem makes one for all its engines.
 	Metrics *telemetry.Registry
 
 	// Admission, when non-nil, gates every tenant-tagged request before
@@ -141,7 +141,8 @@ func DefaultEngineConfig() EngineConfig {
 
 const (
 	// resultCacheSize bounds the resubmission result cache: the number of
-	// write replies (FIFO) an engine keeps for deduplication.
+	// clients whose latest write reply an engine keeps for deduplication,
+	// oldest client evicted first.
 	resultCacheSize = 4096
 	// dataNodeViewTTL is how long a cached DataNode fleet view stays
 	// fresh.
@@ -178,6 +179,7 @@ type Engine struct {
 type coreTelemetry struct {
 	hits         *telemetry.Counter
 	misses       *telemetry.Counter
+	resultHits   *telemetry.Counter
 	invRounds    *telemetry.Counter
 	parallelInvs *telemetry.Counter
 	subtreeParts *telemetry.Counter
@@ -188,6 +190,7 @@ func newCoreTelemetry(reg *telemetry.Registry) coreTelemetry {
 	return coreTelemetry{
 		hits:         reg.Counter("lambdafs_core_cache_hits_total"),
 		misses:       reg.Counter("lambdafs_core_cache_misses_total"),
+		resultHits:   reg.Counter("lambdafs_core_result_cache_hits_total"),
 		invRounds:    reg.Counter("lambdafs_core_invalidation_rounds_total"),
 		parallelInvs: reg.Counter("lambdafs_core_parallel_invalidations_total"),
 		subtreeParts: reg.Counter("lambdafs_core_subtree_partitions_total"),
@@ -248,6 +251,7 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	dedup := req.ClientID != "" && req.Op.IsWrite()
 	if dedup {
 		if r := e.results.get(req.Key()); r != nil {
+			e.tel.resultHits.Inc()
 			return r
 		}
 	}

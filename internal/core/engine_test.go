@@ -351,17 +351,26 @@ func TestResultCacheDedupesResubmission(t *testing.T) {
 					mustOK(t, e, c.op, c.path, c.dest)
 				}
 				again := e.Execute(req)
+				wantHits := func(want float64) {
+					t.Helper()
+					if got := e.tel.resultHits.Value(); got != want {
+						t.Fatalf("%v: %v result-cache hits, want %v", tc.req.op, got, want)
+					}
+				}
 				if tc.dedup {
 					if again != first {
 						t.Fatalf("resubmitted %v re-executed: %+v, first %+v", tc.req.op, again, first)
 					}
+					wantHits(1)
 					// A genuinely new request (next Seq) runs.
 					req.Seq++
 					if e.Execute(req) == first {
 						t.Fatalf("a new %v (next Seq) replayed the cached reply", tc.req.op)
 					}
+					wantHits(1)
 					return
 				}
+				wantHits(0)
 				if again == first {
 					t.Fatalf("resubmitted %v replayed the first reply %+v", tc.req.op, first)
 				}
@@ -644,8 +653,10 @@ func TestNonOwnerDoesNotCache(t *testing.T) {
 	})
 }
 
-// TestResultCacheBounded: an engine keeps its last resultCacheSize write
-// replies; a resubmission of an evicted one runs again.
+// TestResultCacheBounded: an engine keeps one client's latest write reply
+// only, so a resubmission of an older write runs again, while the newest
+// still answers its cached reply; the cache never holds more than
+// resultCacheSize entries.
 func TestResultCacheBounded(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		st := fastStore(clk)
@@ -673,6 +684,59 @@ func TestResultCacheBounded(t *testing.T) {
 		}
 		if r := exec(uint64(creates-1), fmt.Sprintf("/f%d", creates)); r != newest {
 			t.Fatalf("resubmitted newest create: %+v, want its cached reply %+v", r, newest)
+		}
+	})
+}
+
+// TestResultCacheKeepsEachClientsLatestReply: the cache holds one entry per
+// client, its latest write; at most resultCacheSize clients are kept, the
+// first to arrive evicted first; and a stale resubmission re-executes
+// without displacing the client's newer reply.
+func TestResultCacheKeepsEachClientsLatestReply(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		create := func(client string, seq uint64, path string) *namespace.Response {
+			t.Helper()
+			return e.Execute(namespace.Request{Op: namespace.OpCreate, Path: path, ClientID: client, Seq: seq})
+		}
+
+		for seq := uint64(1); seq <= 100; seq++ {
+			if r := create("c", seq, fmt.Sprintf("/seq%d", seq)); !r.OK() {
+				t.Fatalf("create %d: %s", seq, r.Err)
+			}
+		}
+		if n := e.results.len(); n != 1 {
+			t.Fatalf("one client's 100 sequential writes left %d entries, want 1", n)
+		}
+
+		// A stale Seq re-executes (here: a create that now succeeds) and
+		// does not displace the newer reply.
+		newest := create("c", 100, "/seq100")
+		if r := create("c", 3, "/stale"); !r.OK() || r == newest {
+			t.Fatalf("stale resubmission: %+v, want a fresh execution", r)
+		}
+		if r := create("c", 100, "/seq100"); r != newest {
+			t.Fatalf("after a stale resubmission the newest reply is %+v, want %+v", r, newest)
+		}
+
+		first := create("client-0", 1, "/by-client-0")
+		if create("client-0", 1, "/by-client-0") != first {
+			t.Fatal("client-0's write was not cached")
+		}
+		// c and client-0 plus resultCacheSize-1 more: the cache is full, and
+		// one more client evicts the first to arrive, c.
+		for i := 1; i < resultCacheSize; i++ {
+			create(fmt.Sprintf("client-%d", i), 1, fmt.Sprintf("/by-client-%d", i))
+		}
+		if n := e.results.len(); n != resultCacheSize {
+			t.Fatalf("%d clients left %d entries, want %d", resultCacheSize+1, n, resultCacheSize)
+		}
+		if r := create("c", 100, "/seq100"); r == newest || !errors.Is(r.Error(), namespace.ErrExists) {
+			t.Fatalf("the evicted client's resubmission: %+v, want it re-executed (ErrExists)", r)
+		}
+		// c came back as the newest client, so client-0 is now the oldest.
+		if r := create("client-0", 1, "/by-client-0"); r == first || !errors.Is(r.Error(), namespace.ErrExists) {
+			t.Fatalf("client-0's resubmission after c returned: %+v, want it re-executed (ErrExists)", r)
 		}
 	})
 }

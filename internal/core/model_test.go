@@ -133,6 +133,25 @@ func (f *modelFleet) checkFrozen(t *testing.T, step int, m *chaos.Oracle) {
 	}
 }
 
+// witnessStore shows the witness every row the store publishes now. It
+// leaves out CheckStore's audits that hold only at quiescence (no row or
+// subtree lock held), so it can run while other clients are mid-operation,
+// and it reports with t.Errorf, as a client goroutine must; it says whether
+// every row was sound.
+func (f *modelFleet) witnessStore(t *testing.T, where string) bool {
+	nodes, err := f.db.ListSubtree(namespace.RootID)
+	if err == nil {
+		if bad := f.frozen.Check("store", nodes); len(bad) != 0 {
+			err = errors.New(strings.Join(bad, "\n"))
+		}
+	}
+	if err != nil {
+		t.Errorf("%s: %v", where, err)
+		return false
+	}
+	return true
+}
+
 // randPathUnder draws paths under prefix from a small universe so
 // operations collide often. prefix "" yields root-level paths.
 func randPathUnder(rng *rand.Rand, prefix string, depth int) string {
@@ -321,8 +340,10 @@ func overSeeds(t *testing.T, first int64, run func(t *testing.T, seed int64) *hi
 // store and coordinator latencies — rename and recursive mv/delete
 // included. Because their subtrees are disjoint, each client's oracle stays
 // exact, while the shared cache, coherence protocol, subtree protocol, and
-// lock manager absorb the interleaving the seed produces. A final merged
-// sweep checks every client's namespace through every engine.
+// lock manager absorb the interleaving the seed produces. After each of its
+// steps a client shows the frozen-row witness the store's rows, so a writer
+// that edits a published row in place is caught while the clients run. A
+// final merged sweep checks every client's namespace through every engine.
 func TestEngineMatchesModelConcurrentClients(t *testing.T) {
 	for _, deployments := range []int{1, 4} {
 		t.Run(fmt.Sprintf("deployments=%d", deployments), func(t *testing.T) {
@@ -377,6 +398,9 @@ func concurrentClientsMatchModel(t *testing.T, f *modelFleet, seed int64) *histo
 					ClientID: fmt.Sprintf("c%d", c), Seq: uint64(step + 1),
 				})
 				h.record(c, step, resp.Error())
+				if !f.witnessStore(t, fmt.Sprintf("seed %d client %d step %d", seed, c, step)) {
+					return
+				}
 				if !op.IsWrite() {
 					continue
 				}

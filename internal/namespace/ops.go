@@ -57,8 +57,8 @@ type Request struct {
 	Tenant string
 
 	// ClientID and Seq identify the request for resubmission
-	// deduplication: NameNodes briefly cache write results keyed by
-	// (ClientID, Seq) so a retried write returns the original result
+	// deduplication: NameNodes keep each client's latest write result
+	// with its Seq, so a retried write returns the original result
 	// instead of re-executing (§3.2); a retried read re-executes.
 	ClientID string
 	Seq      uint64
@@ -80,11 +80,13 @@ type RequestKey struct {
 func (r Request) Key() RequestKey { return RequestKey{r.ClientID, r.Seq} }
 
 // Response is the result of a metadata RPC. It is the caller's: nothing in
-// it is shared with a store row or a cache. A read or stat reply is one
-// object — the Response, the StatInfo Stat points at and, for a read, the
-// block list when it is short — so Stat and Blocks live exactly as long as
-// the Response does. Blocks is a private deep copy of the file's block
-// list, replica locations included (CloneBlocksInto).
+// it is shared with a store row or a cache. The one exception is a
+// resubmitted write (same ClientID/Seq) that a NameNode's result cache
+// answers: its reply is the first execution's Response object itself. A
+// read or stat reply is one object — the Response, the StatInfo Stat points
+// at and, for a read, the block list when it is short — so Stat and Blocks
+// live exactly as long as the Response does. Blocks is a private deep copy
+// of the file's block list, replica locations included (CloneBlocksInto).
 type Response struct {
 	Err string // sentinel error text; empty on success (see errors.go)
 
