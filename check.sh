@@ -64,7 +64,7 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's TCP/HTTP race and its failure paths, chaos, coordinator, ndb, store, datanode, lsm, core, tenant, cache, partition, cephfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's and the replaced write's TCP/HTTP race and their failure paths, chaos, coordinator, ndb, store, datanode, lsm, core, tenant, cache, partition, cephfs; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/store/ ./internal/datanode/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/cephfs/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
@@ -88,7 +88,10 @@ go test ./internal/cache/ -run '^$' -fuzz FuzzCacheOps -fuzztime 10s
 echo "== fuzz (core result cache: puts and gets of a few clients' Seqs against a map model; one entry per client, its highest Seq, a get answering only that Seq, the first client to arrive evicted first; bounded) =="
 go test ./internal/core/ -run '^$' -fuzz FuzzResultCache -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core, chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== fuzz (core result row codec, the raced write's record: every row round-trips, its strict prefixes and a byte more are rejected, arbitrary bytes never panic and are accepted only as a row's one encoding; bounded) =="
+go test ./internal/core/ -run '^$' -fuzz FuzzResultRow -fuzztime 10s
+
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core (with the exactly-once matrix of raced writes), chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's and the replaced write's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
 go test ./internal/trace/ ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2

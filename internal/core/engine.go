@@ -34,7 +34,8 @@
 // discipline is global and lives in the lock phase: target paths sorted, each
 // walked from the root down — ancestors, then the child-key slot, then the
 // inode row. Writes take no row lock before that call, so they inherit the
-// order.
+// order — but for a raced write's result row (resultrow.go), which is first
+// in the order and locked by no one but its own client's writes.
 //
 // Who caches what is the ring's decision, not the engine's: an engine
 // fills its cache only with what partition.Ring.Route sends to its own
@@ -180,6 +181,7 @@ type coreTelemetry struct {
 	hits         *telemetry.Counter
 	misses       *telemetry.Counter
 	resultHits   *telemetry.Counter
+	racedReplays *telemetry.Counter
 	invRounds    *telemetry.Counter
 	parallelInvs *telemetry.Counter
 	subtreeParts *telemetry.Counter
@@ -191,6 +193,7 @@ func newCoreTelemetry(reg *telemetry.Registry) coreTelemetry {
 		hits:         reg.Counter("lambdafs_core_cache_hits_total"),
 		misses:       reg.Counter("lambdafs_core_cache_misses_total"),
 		resultHits:   reg.Counter("lambdafs_core_result_cache_hits_total"),
+		racedReplays: reg.Counter("lambdafs_core_raced_replays_total"),
 		invRounds:    reg.Counter("lambdafs_core_invalidation_rounds_total"),
 		parallelInvs: reg.Counter("lambdafs_core_parallel_invalidations_total"),
 		subtreeParts: reg.Counter("lambdafs_core_subtree_partitions_total"),
@@ -245,10 +248,12 @@ func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 // Execute runs one metadata request to completion. A write carrying a
 // ClientID is first looked up in, and its reply then kept in, the result
 // cache, so a resubmission answers what the first execution did; any other
-// request simply runs (see resultCache for why a read needs no entry). It
-// implements rpc.Server.
+// request simply runs (see resultCache for why a read needs no entry). A
+// raced write skips the result cache: its client's result row in the store
+// is its one record, on every engine (resultrow.go). It implements
+// rpc.Server.
 func (e *Engine) Execute(req namespace.Request) *namespace.Response {
-	dedup := req.ClientID != "" && req.Op.IsWrite()
+	dedup := req.ClientID != "" && req.Op.IsWrite() && !req.Raced
 	if dedup {
 		if r := e.results.get(req.Key()); r != nil {
 			e.tel.resultHits.Inc()
@@ -295,17 +300,17 @@ func (e *Engine) execute(tc *trace.Ctx, req namespace.Request) *namespace.Respon
 	case namespace.OpLs:
 		return e.ls(tc, path)
 	case namespace.OpCreate:
-		return e.create(tc, path)
+		return e.create(tc, path, racedOf(req))
 	case namespace.OpMkdirs:
-		return e.mkdirs(tc, path)
+		return e.mkdirs(tc, path, racedOf(req))
 	case namespace.OpDelete:
-		return e.del(tc, path)
+		return e.del(tc, path, racedOf(req))
 	case namespace.OpMv:
 		dest, derr := namespace.CleanPath(req.Dest)
 		if derr != nil {
 			return fail(derr)
 		}
-		return e.mv(tc, path, dest)
+		return e.mv(tc, path, dest, racedOf(req))
 	}
 	return fail(namespace.ErrInvalidState)
 }

@@ -523,9 +523,9 @@ func TestConcurrentCreateSameFileOneWins(t *testing.T) {
 func flagSubtreeOf(e *Engine, op namespace.OpType, path string) (root namespace.INodeID, err error) {
 	err = store.RunTx(e.st, e.id, nil, func(tx store.Tx) (err error) {
 		if op == namespace.OpMv {
-			root, err = e.mvTx(nil, tx, path, path+"-moved", namespace.InvalidID)
+			root, err = e.mvTx(nil, tx, path, path+"-moved", namespace.InvalidID, false)
 		} else {
-			root, err = e.delTx(nil, tx, path, namespace.InvalidID)
+			root, err = e.delTx(nil, tx, path, namespace.InvalidID, false)
 		}
 		return err
 	})

@@ -42,13 +42,13 @@ import (
 // change to the directory itself — and to nothing else: a different row at
 // the path is ErrNotFound. It is never run for a root this operation did not
 // flag and quiesce, so a flag left over with this engine's ID is quiesced
-// like any other.
-func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string,
+// like any other. A raced operation's first transaction checks and records
+// its result row (writeTx); run declines a directory for it, so it never
+// gets further.
+func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string, r raced,
 	run func(tx store.Tx, root namespace.INodeID) (flagged namespace.INodeID, err error)) *namespace.Response {
-	var root namespace.INodeID
-	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) (err error) {
-		root, err = run(tx, namespace.InvalidID)
-		return err
+	root, err := e.writeTx(tc, r, func(tx store.Tx) (namespace.INodeID, error) {
+		return run(tx, namespace.InvalidID)
 	})
 	if err != nil {
 		return fail(err)

@@ -25,25 +25,24 @@ func (e *Engine) lockedParent(lp store.LockedPath) (*namespace.INode, error) {
 
 // create makes a new file at path, running the single-INode coherence
 // protocol (Algorithm 1): exclusive store locks → INV/ACK → persist.
-func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
+func (e *Engine) create(tc *trace.Ctx, path string, r raced) *namespace.Response {
 	if path == "/" {
 		return fail(namespace.ErrExists)
 	}
-	var created *namespace.INode
-	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) error {
+	id, err := e.writeTx(tc, r, func(tx store.Tx) (namespace.INodeID, error) {
 		locked, err := tx.LockPath(path)
 		if err != nil {
-			return err
+			return namespace.InvalidID, err
 		}
 		parent, err := e.lockedParent(locked)
 		if err != nil {
-			return err
+			return namespace.InvalidID, err
 		}
 		if locked.Target != nil {
-			return namespace.ErrExists
+			return namespace.InvalidID, namespace.ErrExists
 		}
 		now := e.clk.Now().UnixNano()
-		created = &namespace.INode{
+		created := &namespace.INode{
 			ID:       e.st.NextID(),
 			ParentID: parent.ID,
 			Name:     namespace.BaseName(path),
@@ -61,18 +60,18 @@ func (e *Engine) create(tc *trace.Ctx, path string) *namespace.Response {
 			}}
 		}
 		if err := tx.PutINode(created); err != nil {
-			return err
+			return namespace.InvalidID, err
 		}
 		if parent, err = touched(tx, parent, now); err != nil {
-			return err
+			return namespace.InvalidID, err
 		}
 		// Locks held: run the coherence protocol before persisting.
-		return e.invalidateAll(tc, tx, written{path: path, parent: parent, child: created})
+		return created.ID, e.invalidateAll(tc, tx, written{path: path, parent: parent, child: created})
 	})
 	if err != nil {
 		return fail(err)
 	}
-	return &namespace.Response{ID: created.ID}
+	return &namespace.Response{ID: id}
 }
 
 // errAncestorMissing aborts a mkdirs transaction that locked for a leaf and
@@ -89,21 +88,19 @@ var errAncestorMissing = errors.New("core: mkdirs ancestor missing")
 // there: a deep mkdirs takes two rounds. path is canonical: its components
 // are split into a stack buffer, and each directory's path is a prefix of
 // it.
-func (e *Engine) mkdirs(tc *trace.Ctx, path string) *namespace.Response {
+func (e *Engine) mkdirs(tc *trace.Ctx, path string, r raced) *namespace.Response {
 	if path == "/" {
 		return &namespace.Response{ID: namespace.RootID}
 	}
 	var split [chainDepth]string // a deeper path spills to the heap
 	comps := namespace.AppendSplit(split[:0], path)
 	first := len(comps) - 1 // index of the first missing component, as far as is known
-	var dirID namespace.INodeID
-	run := func(tx store.Tx) (err error) {
-		dirID, err = e.mkdirsFrom(tc, tx, path, comps, &first)
-		return err
+	run := func(tx store.Tx) (namespace.INodeID, error) {
+		return e.mkdirsFrom(tc, tx, path, comps, &first)
 	}
-	err := store.RunTx(e.st, e.id, tc, run)
+	dirID, err := e.writeTx(tc, r, run)
 	if err == errAncestorMissing {
-		err = store.RunTx(e.st, e.id, tc, run)
+		dirID, err = e.writeTx(tc, r, run)
 	}
 	if err != nil {
 		return fail(err)
@@ -201,12 +198,12 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, path string, comps []str
 }
 
 // del deletes a file or (recursively) a directory, through delTx.
-func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
+func (e *Engine) del(tc *trace.Ctx, path string, r raced) *namespace.Response {
 	if path == "/" {
 		return fail(namespace.ErrPermission)
 	}
-	return e.deleteOrMove(tc, namespace.OpDelete, path, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
-		return e.delTx(tc, tx, path, root)
+	return e.deleteOrMove(tc, namespace.OpDelete, path, r, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+		return e.delTx(tc, tx, path, root, r.client != "")
 	})
 }
 
@@ -214,9 +211,10 @@ func (e *Engine) del(tc *trace.Ctx, path string) *namespace.Response {
 // read under the transaction's own locks and decided before anything above
 // it is checked (the client-visible precedence of the peek this replaced):
 // a missing target is ErrNotFound; then subtree isolation applies to the
-// chain. A directory is flagged for the subtree protocol; a file — or the
-// flagged root, emptied — is deleted. mvTx follows the same order.
-func (e *Engine) delTx(tc *trace.Ctx, tx store.Tx, path string, root namespace.INodeID) (namespace.INodeID, error) {
+// chain. A directory is flagged for the subtree protocol, or declined when
+// raced (namespace.ErrRaceDeclined); a file — or the flagged root, emptied
+// — is deleted. mvTx follows the same order.
+func (e *Engine) delTx(tc *trace.Ctx, tx store.Tx, path string, root namespace.INodeID, raced bool) (namespace.INodeID, error) {
 	locked, err := tx.LockPath(path)
 	if err != nil {
 		return namespace.InvalidID, err
@@ -230,6 +228,9 @@ func (e *Engine) delTx(tc *trace.Ctx, tx store.Tx, path string, root namespace.I
 		return namespace.InvalidID, err
 	}
 	if target.IsDir && root == namespace.InvalidID {
+		if raced {
+			return namespace.InvalidID, namespace.ErrRaceDeclined
+		}
 		return e.flagSubtree(tx, target, namespace.OpDelete, path)
 	}
 	if err := tx.DeleteINode(target.ID); err != nil {
@@ -251,15 +252,15 @@ func lockedTarget(lp store.LockedPath, root namespace.INodeID) (*namespace.INode
 }
 
 // mv renames path to dest, through mvTx.
-func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
+func (e *Engine) mv(tc *trace.Ctx, src, dest string, r raced) *namespace.Response {
 	if src == "/" || dest == "/" {
 		return fail(namespace.ErrPermission)
 	}
 	if namespace.HasPathPrefix(dest, src) {
 		return fail(namespace.ErrMvIntoSelf)
 	}
-	return e.deleteOrMove(tc, namespace.OpMv, src, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
-		return e.mvTx(tc, tx, src, dest, root)
+	return e.deleteOrMove(tc, namespace.OpMv, src, r, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+		return e.mvTx(tc, tx, src, dest, root, r.client != "")
 	})
 }
 
@@ -269,9 +270,10 @@ func (e *Engine) mv(tc *trace.Ctx, src, dest string) *namespace.Response {
 // LockPaths call, which also fixes their order against crossing moves and
 // hands a parent both paths share out as one pointer. Both
 // ends are checked, the destination name free included, before a directory
-// source is flagged for the subtree protocol; a file — or the flagged root,
-// quiesced, its flag cleared — is relinked.
-func (e *Engine) mvTx(tc *trace.Ctx, tx store.Tx, src, dest string, root namespace.INodeID) (namespace.INodeID, error) {
+// source is flagged for the subtree protocol (or declined when raced, as in
+// delTx); a file — or the flagged root, quiesced, its flag cleared — is
+// relinked.
+func (e *Engine) mvTx(tc *trace.Ctx, tx store.Tx, src, dest string, root namespace.INodeID, raced bool) (namespace.INodeID, error) {
 	srcRows, destRows, err := tx.LockPaths(src, dest)
 	if err != nil {
 		return namespace.InvalidID, err
@@ -285,6 +287,9 @@ func (e *Engine) mvTx(tc *trace.Ctx, tx store.Tx, src, dest string, root namespa
 		return namespace.InvalidID, err
 	}
 	if target.IsDir && root == namespace.InvalidID {
+		if raced {
+			return namespace.InvalidID, namespace.ErrRaceDeclined
+		}
 		return e.flagSubtree(tx, target, namespace.OpMv, src)
 	}
 	now := e.clk.Now().UnixNano()

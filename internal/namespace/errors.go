@@ -21,12 +21,42 @@ var (
 	// a request (token bucket empty or in-flight cap reached) before it
 	// touches the store. Clients back off rather than retry immediately.
 	ErrThrottled = errors.New("namespace: tenant throttled")
+	// ErrStale answers a raced write (Request.Raced) whose client's result
+	// row already holds a later Seq: the client has moved on, and nothing
+	// ran. It is a transport-class failure, seen only by a late twin.
+	ErrStale = errors.New("namespace: stale raced write")
+	// ErrRaceDeclined answers a raced delete or mv whose target is a
+	// directory: the recursive subtree protocol never runs under a raced
+	// Seq, so the client re-issues the operation under a fresh one, neither
+	// raced nor replaced.
+	ErrRaceDeclined = errors.New("namespace: raced subtree operation declined")
 )
 
 var wireErrors = []error{
 	ErrNotFound, ErrExists, ErrNotDir, ErrIsDir, ErrPermission,
 	ErrSubtreeBusy, ErrMvIntoSelf, ErrUnavailable, ErrTimeout,
 	ErrConnLost, ErrInvalidState, ErrInvalidPath, ErrThrottled,
+	ErrStale, ErrRaceDeclined,
+}
+
+// IsOutcome reports whether err, a write's failure, is the write's outcome:
+// it found the namespace so and changed nothing, and running it again on
+// that namespace answers the same. A raced write records such a failure in
+// its result row. Any other failure (a lock timeout, a failed INV round, a
+// lost connection, a throttled or stale request) leaves the outcome unknown
+// to the client.
+func IsOutcome(err error) bool {
+	for _, o := range outcomeErrors {
+		if errors.Is(err, o) {
+			return true
+		}
+	}
+	return false
+}
+
+var outcomeErrors = []error{
+	ErrNotFound, ErrExists, ErrNotDir, ErrIsDir, ErrPermission,
+	ErrSubtreeBusy, ErrMvIntoSelf, ErrInvalidPath, ErrRaceDeclined,
 }
 
 // ToWire converts an error into its wire string ("" for nil).

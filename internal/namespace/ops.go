@@ -63,6 +63,13 @@ type Request struct {
 	ClientID string
 	Seq      uint64
 
+	// Raced marks a write whose client runs it twice at once, its TCP call
+	// racing an HTTP invocation (§3.4's replacement; the race is beyond the
+	// paper). Every transaction of a raced write first locks the client's
+	// row in store.TableResults, so whichever copy comes second answers what
+	// the first did. A retry of the same Seq keeps it set.
+	Raced bool
+
 	// TC is the request's trace context; nil when tracing is off (the
 	// nil-context fast path — every trace method no-ops on nil). The RPC
 	// client re-points it at the transport span before handing the

@@ -281,7 +281,9 @@ func diffRows(got, want map[string][]byte) []string {
 // sixth committed record) the state is that committed prefix's. Wherever
 // decodeFrame accepts a frame in the tail, frameLSN reads the same LSN and
 // size. The seed corpus, testdata/fuzz/FuzzWALRecover, is the torn-tail
-// sweep's cuts of the sixth record plus stale and corrupt frames.
+// sweep's cuts of the sixth record plus stale and corrupt frames, and the
+// sixth record followed by a seventh whose one op is a KV put of a client's
+// result row (table "results", the engine's raced-write record).
 func FuzzWALRecover(f *testing.F) {
 	const n = 6
 	var log []byte

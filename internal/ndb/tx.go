@@ -293,6 +293,35 @@ func (t *tx) DeleteINode(id namespace.INodeID) error {
 	return nil
 }
 
+// KVGet implements store.Tx: the row is locked with mode, then read as a
+// one-row multi-get on its shard — this transaction's buffered write, else
+// the committed value, which a commit replaces and never writes.
+func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, error) {
+	if t.done {
+		return nil, store.ErrTxDone
+	}
+	k := kvKey(table, key)
+	if err := t.lock(k, mode); err != nil {
+		return nil, err
+	}
+	t.db.serviceRows(k, 1, t.tc)
+	t.db.tel.reads.Inc()
+	ref := kvRef{table, key}
+	if t.kvDels[ref] {
+		return nil, namespace.ErrNotFound
+	}
+	if v, ok := t.kvPuts[ref]; ok {
+		return v, nil
+	}
+	t.db.mu.RLock()
+	v, ok := t.db.kv[table][key]
+	t.db.mu.RUnlock()
+	if !ok {
+		return nil, namespace.ErrNotFound
+	}
+	return v, nil
+}
+
 // KVPut buffers a KV write (implicitly exclusive).
 func (t *tx) KVPut(table, key string, val []byte) error {
 	if t.done {

@@ -70,3 +70,32 @@ func TestReplacedReadAllocs(t *testing.T) {
 		}
 	})
 }
+
+// A warm replaced write races like a replaced read: it allocates the two
+// responses the server builds and the invocation's boxed payload, and
+// nothing for its Raced mark, which rides in the request. Every write here
+// is raced, so each invocation, arriving after its client's next raced
+// write, is stale, but for the last, which answers from the row.
+func TestReplacedWriteAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		h, c := replaceHarness(t, clk, nil, testCfg())
+		create := func() {
+			if _, err := c.Do(namespace.OpCreate, "/a", ""); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			create()
+		}
+		if got := testing.AllocsPerRun(100, create); got != 3 {
+			t.Errorf("a warm replaced write: %v allocs, want 3", got)
+		}
+		if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 121 || st.HTTPRPCs != 122 {
+			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)
+		}
+		clk.Sleep(20 * time.Millisecond) // let the last invocation finish
+		if n, replays := h.st.creates("/a"); n != 121 || replays != 1 {
+			t.Errorf("%d creates acted and %d copies replayed, want 121 and 1", n, replays)
+		}
+	})
+}

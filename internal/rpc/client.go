@@ -20,7 +20,7 @@ import (
 // nevertheless safe against the concurrency hedging and racing introduce.
 // It keeps a free list of racing calls' state (hedged), so a read whose
 // primary answers before the straggler threshold allocates nothing for the
-// race it did not need, and a replaced read's race reuses the state a
+// race it did not need, and a replaced request's race reuses the state a
 // finished race gave back.
 type Client struct {
 	// Tenant, when set before the first Do, tags every request with the
@@ -175,10 +175,12 @@ func (c *Client) noteLatency(lat time.Duration) {
 // Do executes one metadata operation end-to-end: route to the deployment
 // the ring names for (op, path) — the hash of the parent directory, or for
 // ls the directory's own hash, where its children are cached — pick TCP vs
-// HTTP (racing the two for a replaced read), retry transport failures with
-// backoff, hedge stragglers. Semantic
+// HTTP (racing the two for a replaced request), retry transport failures
+// with backoff, hedge stragglers. Semantic
 // failures (ErrNotFound, ErrExists…) are returned inside the Response
-// without retry.
+// without retry. A raced delete or mv that finds a directory is declined
+// (namespace.ErrRaceDeclined) and re-issued at once under a fresh Seq,
+// neither raced nor replaced, so the subtree protocol never races.
 func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	req := namespace.Request{
 		Op: op, Path: path, Dest: dest, Tenant: c.Tenant,
@@ -188,7 +190,11 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 	dep := c.ring.Route(op, path)
 	start := c.vm.clk.Now()
 	c.tel.inflight.Add(1)
-	resp, err := c.attempt(tc, dep, req)
+	resp, err := c.attempt(tc, dep, req, true)
+	if err == nil && resp.Err == errDeclined {
+		req.Seq = c.seq.Add(1)
+		resp, err = c.attempt(tc, dep, req, false)
+	}
 	c.tel.inflight.Add(-1)
 	if err == nil {
 		lat := c.vm.clk.Since(start)
@@ -208,8 +214,11 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 	return resp, err
 }
 
-// attempt runs the retry loop.
-func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request) (*namespace.Response, error) {
+// errDeclined is namespace.ErrRaceDeclined's wire text.
+var errDeclined = namespace.ToWire(namespace.ErrRaceDeclined)
+
+// attempt runs the retry loop; replace allows §3.4's replacement.
+func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request, replace bool) (*namespace.Response, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -226,19 +235,26 @@ func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request) (*namesp
 		conn, _ := c.vm.findConn(dep, c.tcp, nil)
 		// Randomized HTTP-TCP replacement keeps scaling signals flowing,
 		// unless the client is in anti-thrashing mode (Appendix C). A
-		// replaced write detours through the gateway; a replaced read races
-		// its invocation against the TCP call.
-		replaced := conn != nil && !c.inAntiThrash() && c.cfg.HTTPReplaceProb > 0 &&
+		// replaced request races its invocation against the TCP call. A
+		// replaced write is marked Raced for good: every copy of its Seq,
+		// retries included, goes through its client's result row, so it
+		// executes once (beyond the paper, which detours the write
+		// through the gateway alone).
+		replaced := conn != nil && !c.inAntiThrash() && replace && c.cfg.HTTPReplaceProb > 0 &&
 			c.randFloat() < c.cfg.HTTPReplaceProb
 		if replaced {
 			tc.Emit(trace.Event{Type: trace.EventHTTPReplace, Client: c.id, Deployment: dep})
+			req.Raced = req.Op.IsWrite()
 		}
 		var resp *namespace.Response
 		var err error
-		if conn == nil || replaced && req.Op.IsWrite() {
+		if conn == nil {
 			resp, err = c.callHTTP(tc, dep, req)
 		} else {
 			resp, err = c.callTCPHedged(tc, dep, conn, req, replaced)
+		}
+		if err == nil && req.Raced {
+			err = racedFailure(resp)
 		}
 		if err == nil {
 			return resp, nil
@@ -349,6 +365,20 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 	return resp, nil
 }
 
+// racedFailure is the transport-class failure a raced write's reply
+// carries, nil when the reply is final: a success, an outcome
+// (namespace.IsOutcome) or a throttled reply, which ran nothing. Any other
+// error leaves the outcome unknown (an aborted transaction recorded
+// nothing, a stale twin found a later Seq), so the client retries, and the
+// retry's row check answers what ran, if anything did.
+func racedFailure(resp *namespace.Response) error {
+	err := resp.Error()
+	if err == nil || namespace.IsOutcome(err) || err == namespace.ErrThrottled {
+		return nil
+	}
+	return err
+}
+
 // callTCPHedged wraps tcpWithFailover with straggler mitigation (Appendix
 // B): when the RPC exceeds max(threshold × windowed mean, floor), a second
 // attempt is fired at a different NameNode (or over HTTP) and the first
@@ -356,10 +386,12 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 // execute twice. Hedged or not, a primary whose connection is lost fails
 // over to the VM's other live connections first.
 //
-// A replaced read (race) is the same hedge fired at once, with the HTTP
+// A replaced request (race) is the same hedge fired at once, with the HTTP
 // invocation as its second racer: the platform sees the invocation, the
 // client waits only for the first success, or for the other racer's
-// answer when one fails.
+// answer when one fails. A replaced write may race because it is Raced:
+// both copies check its client's result row, so the write runs once and
+// both answer what it did.
 func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
 	hedge := c.cfg.Hedging && !req.Op.IsWrite() && c.window.Len() >= c.cfg.LatencyWindow/2
 	if !hedge && !race {
@@ -413,7 +445,7 @@ type hedged struct {
 	dep  int
 	conn *Conn
 	req  namespace.Request
-	race bool // the second racer is a replaced read's invocation
+	race bool // the second racer is a replaced request's invocation
 
 	out     int  // racers not yet finished
 	sent    int  // answers sent while the caller waited
@@ -427,7 +459,7 @@ type hedgeResult struct {
 
 func (h *hedged) callPrimary() { h.finish(h.c.tcpWithFailover(h.tc, h.dep, h.conn, h.req)) }
 
-// callHedge runs the second racer: a replaced read's invocation, or a
+// callHedge runs the second racer: a replaced request's invocation, or a
 // straggler's hedge on a different instance, falling back to HTTP.
 func (h *hedged) callHedge() {
 	c := h.c
@@ -458,22 +490,45 @@ func (h *hedged) finish(resp *namespace.Response, err error) {
 }
 
 // wait takes the answers of n racers until one succeeds, or all failed and
-// the first failure is returned.
+// the gravest failure, the first of its rank, is returned (raceRank).
 func (h *hedged) wait(n int) (*namespace.Response, error) {
-	var firstErr error
+	var failed hedgeResult
+	worst := -1
 	for got := 1; got <= n; got++ {
 		r := h.results.Recv()
-		if r.err == nil {
+		rank := h.raceRank(r)
+		if rank == 0 {
 			h.settle(got)
 			return r.resp, nil
 		}
-		if firstErr == nil {
-			firstErr = r.err
+		if rank > worst {
+			failed, worst = r, rank
 		}
 	}
 	h.settle(n)
-	return nil, firstErr
+	return failed.resp, failed.err
 }
+
+// raceRank ranks a racer's answer: 0 a success; for a raced write, 1 a
+// throttled reply (its racer ran nothing) and 2 a reply whose outcome is
+// unknown (racedFailure); 3 a transport failure, whose racer may have run
+// the write.
+func (h *hedged) raceRank(r hedgeResult) int {
+	switch {
+	case r.err != nil:
+		return 3
+	case !h.req.Raced:
+		return 0
+	case racedFailure(r.resp) != nil:
+		return 2
+	case r.resp.Err == errThrottled:
+		return 1
+	}
+	return 0
+}
+
+// errThrottled is namespace.ErrThrottled's wire text.
+var errThrottled = namespace.ToWire(namespace.ErrThrottled)
 
 // settle ends the caller's wait after it took got answers: the answers
 // sent and not taken are queued on the mailbox, so draining them does not

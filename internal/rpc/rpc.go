@@ -11,13 +11,18 @@
 // The client library keeps the two in tension with the randomized
 // HTTP-TCP replacement mechanism of §3.4: with a small probability a
 // request that could go over TCP also makes an HTTP invocation, so load
-// stays visible to the auto-scaler. A replaced write goes through the
-// gateway alone, as in the paper. A replaced read, beyond the paper, races
-// its invocation against its TCP call and takes the first success: the
+// stays visible to the auto-scaler. In the paper the replaced request goes
+// through the gateway alone. Here, beyond the paper, it races its
+// invocation against its TCP call and takes the first success: the
 // invocation still runs to completion (gateway, admission, cold start,
-// engine, billing), but the client no longer waits out the detour. Writes
-// do not race, because a write run twice could act after the client's
-// next op (a create's late HTTP copy re-creating a file since deleted).
+// engine, billing), but the client no longer waits out the detour. A read
+// run twice is harmless. A replaced write is marked Raced
+// (namespace.Request.Raced) on every copy and retry of its Seq: each of its
+// transactions first locks its client's result row in the store, so one
+// copy executes and the other answers what it did, even when the copies
+// reach different instances (internal/core's resultrow.go). A raced delete
+// or mv that finds a directory is declined and re-issued under a fresh Seq,
+// neither raced nor replaced, so the subtree protocol never races.
 // The client also shares TCP connections between co-located clients
 // (Figure 4), retries with exponential backoff and jitter, hedges
 // stragglers (Appendix B), and falls into anti-thrashing mode under
@@ -78,9 +83,9 @@ type Config struct {
 	// HTTPReplaceProb is the probability that a request with a TCP
 	// connection also makes an HTTP invocation (§3.4's fine-grained
 	// auto-scaling control; ≤1% works best per the paper). A replaced
-	// write is the invocation alone; a replaced read races it against the
-	// TCP call and answers with the first success (writes do not race: a
-	// write run twice could act after the client's next op).
+	// request races the invocation against the TCP call and answers with
+	// the first success; a replaced write is raced through its client's
+	// result row, so it executes once.
 	HTTPReplaceProb float64
 	// ClientsPerTCPServer is the at-most-n clients assigned per TCP
 	// server on a VM.

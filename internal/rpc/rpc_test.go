@@ -21,6 +21,7 @@ import (
 // request's Seq, so a test can tell whose response a call got.
 type testNN struct {
 	inst  *faas.Instance
+	st    *testStore
 	execs atomic.Int64
 	block *clock.Event // when non-nil, TCP Execute parks on it once
 	used  atomic.Bool
@@ -35,6 +36,9 @@ func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 		sp := req.TC.Start(trace.KindEngineExec)
 		n.clk.Sleep(n.exec)
 		sp.End()
+	}
+	if req.Op.IsWrite() {
+		return n.st.write(req, n.inst.ID())
 	}
 	// Stall the first read op only (hedging tests): connection
 	// establishment and stat ops must complete normally.
@@ -63,6 +67,67 @@ func (n *testNN) HandleInvoke(payload any) any {
 
 func (n *testNN) Shutdown(bool) {}
 
+// testStore is what the test NameNodes of a harness share: the files their
+// creates made, and each client's result row, which a raced write checks
+// before it acts, as the engine's transactions do: a copy of the row's Seq
+// answers from it, one older than the row's is stale.
+type testStore struct {
+	mu      sync.Mutex
+	files   map[string]int // path → creates that acted on it
+	rows    map[string]testRow
+	replays int    // raced writes answered from their row
+	fail    string // when set, the next write answers this error, unrecorded
+	dirs    bool   // deletes find a directory: a raced one is declined
+}
+
+func (s *testStore) write(req namespace.Request, servedBy string) *namespace.Response {
+	resp := &namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: servedBy}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fail != "" {
+		resp.Err, s.fail = s.fail, ""
+		return resp
+	}
+	if req.Raced {
+		row, ok := s.rows[req.ClientID]
+		switch {
+		case ok && row.seq == req.Seq:
+			s.replays++
+			resp.Err = row.err
+			return resp
+		case ok && row.seq > req.Seq:
+			resp.Err = namespace.ToWire(namespace.ErrStale)
+			return resp
+		}
+		if s.dirs && req.Op == namespace.OpDelete {
+			resp.Err = namespace.ToWire(namespace.ErrRaceDeclined)
+		}
+		s.rows[req.ClientID] = testRow{req.Seq, resp.Err}
+		if resp.Err != "" {
+			return resp
+		}
+	}
+	if req.Op == namespace.OpCreate {
+		s.files[req.Path]++
+	}
+	return resp
+}
+
+// testRow is a client's result row: its latest raced Seq and the error
+// that write answered.
+type testRow struct {
+	seq uint64
+	err string
+}
+
+// creates returns how many creates acted on path, and how many raced
+// writes were answered from their row.
+func (s *testStore) creates(path string) (n, replays int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.files[path], s.replays
+}
+
 type platformInvoker struct{ p *faas.Platform }
 
 func (pi platformInvoker) Invoke(dep int, payload any) (any, error) {
@@ -74,6 +139,7 @@ type harness struct {
 	p    *faas.Platform
 	ring *partition.Ring
 	vm   *VM
+	st   *testStore
 	nns  []*testNN
 	mu   sync.Mutex
 }
@@ -98,10 +164,11 @@ func newHarnessOn(t *testing.T, clk *clock.Sim, deployments int, rpcCfg Config, 
 	t.Helper()
 	p := faas.New(clk, fcfg)
 	t.Cleanup(p.Close)
-	h := &harness{clk: clk, p: p, ring: partition.NewRing(deployments, 0), vm: NewVM(clk, rpcCfg)}
+	h := &harness{clk: clk, p: p, ring: partition.NewRing(deployments, 0), vm: NewVM(clk, rpcCfg),
+		st: &testStore{files: make(map[string]int), rows: make(map[string]testRow)}}
 	for i := 0; i < deployments; i++ {
 		p.Register("nn", func(inst *faas.Instance) faas.App {
-			nn := &testNN{inst: inst, clk: clk}
+			nn := &testNN{inst: inst, st: h.st, clk: clk}
 			h.mu.Lock()
 			h.nns = append(h.nns, nn)
 			h.mu.Unlock()
@@ -170,11 +237,10 @@ func replaceHarness(t *testing.T, clk *clock.Sim, inv func(Invoker) Invoker, cfg
 }
 
 // TestReplacementForcesHTTP: a replaced request always makes its HTTP
-// invocation (§3.4's scaling signal). A replaced read also makes its TCP
-// call at the same instant and answers at TCP latency, the invocation
-// running on to completion behind it; a replaced write detours through
-// the gateway alone, since a write run twice could act after the client's
-// next op.
+// invocation (§3.4's scaling signal). It also makes its TCP call at the
+// same instant and answers at TCP latency, the invocation running on to
+// completion behind it. A replaced write is raced: both copies execute,
+// and the result row lets only the first act, so the store holds one file.
 func TestReplacementForcesHTTP(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
@@ -187,7 +253,7 @@ func TestReplacementForcesHTTP(t *testing.T) {
 			{namespace.OpRead, 2 * time.Millisecond, 1, 1},
 			{namespace.OpStat, 2 * time.Millisecond, 1, 1},
 			{namespace.OpLs, 2 * time.Millisecond, 1, 1},
-			{namespace.OpCreate, 10 * time.Millisecond, 0, 1},
+			{namespace.OpCreate, 2 * time.Millisecond, 1, 1},
 		} {
 			before, execs := c.Stats(), nn.execs.Load()
 			start := clk.Now()
@@ -207,6 +273,9 @@ func TestReplacementForcesHTTP(t *testing.T) {
 			if got, want := nn.execs.Load()-execs, int64(tc.tcp+tc.http); got != want {
 				t.Errorf("replaced %v executed %d times, want %d", tc.op, got, want)
 			}
+		}
+		if n, replays := h.st.creates("/a"); n != 1 || replays != 1 {
+			t.Errorf("the raced create acted %d times, %d copies replayed; want 1 and 1", n, replays)
 		}
 	})
 }
@@ -266,6 +335,110 @@ func TestReplacedReadRaceFailures(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestReplacedWriteRaceFailures mirrors the read test for a raced create:
+// when one racer fails, the other's answer is the write's; a reply whose
+// outcome is unknown counts as a failure; when both racers fail, the retry
+// keeps Raced, and its copies answer from the row what the first execution
+// did. The create acts once in every case.
+func TestReplacedWriteRaceFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		drop, reject  bool
+		lose          bool   // the invocation runs, and its answer is lost
+		abort         string // the TCP racer's reply: an aborted transaction
+		took          time.Duration
+		retries, http uint64
+		replays       int
+	}{
+		// The TCP call loses its connection at once; the invocation answers
+		// after two gateway hops.
+		{name: "tcp drops", drop: true, took: 10 * time.Millisecond, http: 1},
+		// The invocation is rejected at once; the TCP call answers.
+		{name: "http rejected", reject: true, took: 2 * time.Millisecond, http: 1},
+		// The TCP racer's transaction aborted and recorded nothing: the
+		// client waits for the invocation, which acts.
+		{name: "tcp aborted", abort: "store: lock wait timeout", took: 10 * time.Millisecond, http: 1},
+		// The TCP call drops and the invocation runs the write, then loses
+		// its answer. The retry finds no connection left and invokes over
+		// HTTP, still raced, and that copy answers from the row.
+		{name: "both fail", drop: true, lose: true, took: 20 * time.Millisecond, retries: 1, http: 2, replays: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			simtest.Run(t, func(clk *clock.Sim) {
+				var drop atomic.Bool
+				cfg := testCfg()
+				cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
+					return drop.CompareAndSwap(true, false), 0
+				}
+				var flaky *flakyInvoker
+				h, c := replaceHarness(t, clk, func(inner Invoker) Invoker {
+					flaky = &flakyInvoker{inner: inner}
+					return flaky
+				}, cfg)
+				drop.Store(tc.drop)
+				if tc.reject {
+					flaky.failures = 1
+				}
+				if tc.lose {
+					flaky.lost = 1
+				}
+				h.st.fail = tc.abort
+				before := c.Stats()
+				start := clk.Now()
+				resp, err := c.Do(namespace.OpCreate, "/f", "")
+				if err != nil || !resp.OK() {
+					t.Fatalf("create: %v %v", resp, err)
+				}
+				if seq := c.seq.Load(); resp.ID != namespace.INodeID(seq) {
+					t.Errorf("create (seq %d) got the response to seq %d", seq, resp.ID)
+				}
+				if took := clk.Since(start); took != tc.took {
+					t.Errorf("create answered after %v, want %v", took, tc.took)
+				}
+				clk.Sleep(20 * time.Millisecond) // let a losing invocation finish
+				st := c.Stats()
+				if st.Retries-before.Retries != tc.retries || st.HTTPRPCs-before.HTTPRPCs != tc.http {
+					t.Errorf("%d retries and %d HTTP invocations, want %d and %d",
+						st.Retries-before.Retries, st.HTTPRPCs-before.HTTPRPCs, tc.retries, tc.http)
+				}
+				if n, replays := h.st.creates("/f"); n != 1 || replays != tc.replays {
+					t.Errorf("the create acted %d times, %d copies replayed; want 1 and %d", n, replays, tc.replays)
+				}
+			})
+		})
+	}
+}
+
+// TestRacedDirectoryDeleteReissued: a raced delete that finds a directory
+// is declined by both copies, and the client re-issues it at once under a
+// fresh Seq over TCP alone, neither raced nor replaced, though every
+// request of this client is replaced.
+func TestRacedDirectoryDeleteReissued(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		h, c := replaceHarness(t, clk, nil, testCfg())
+		h.st.dirs = true
+		before, seq := c.Stats(), c.seq.Load()
+		start := clk.Now()
+		resp, err := c.Do(namespace.OpDelete, "/d", "")
+		if err != nil || !resp.OK() {
+			t.Fatalf("delete: %v %v", resp, err)
+		}
+		if resp.ID != namespace.INodeID(seq+2) {
+			t.Errorf("the delete answered the reply to seq %d, want the re-issue's %d", resp.ID, seq+2)
+		}
+		if took := clk.Since(start); took != 4*time.Millisecond {
+			t.Errorf("the delete answered after %v, want two TCP round trips, 4ms", took)
+		}
+		clk.Sleep(20 * time.Millisecond) // let the declined invocation finish
+		if st := c.Stats(); st.TCPRPCs-before.TCPRPCs != 2 || st.HTTPRPCs-before.HTTPRPCs != 1 || st.Retries != before.Retries {
+			t.Errorf("stats %+v, want 2 TCP calls, 1 invocation and no retry since %+v", st, before)
+		}
+		if _, replays := h.st.creates(""); replays != 1 {
+			t.Errorf("%d declined copies answered from the row, want 1", replays)
+		}
+	})
 }
 
 func TestConnectionSharingAcrossServers(t *testing.T) {
@@ -351,10 +524,13 @@ func TestRetryThroughInvokerFailures(t *testing.T) {
 	})
 }
 
+// flakyInvoker rejects its next failures invocations at once, and loses
+// the answers of the lost invocations after those, which run.
 type flakyInvoker struct {
 	inner    Invoker
 	mu       sync.Mutex
 	failures int
+	lost     int
 }
 
 func (f *flakyInvoker) Invoke(dep int, payload any) (any, error) {
@@ -364,8 +540,16 @@ func (f *flakyInvoker) Invoke(dep int, payload any) (any, error) {
 		f.mu.Unlock()
 		return nil, faas.ErrNoCapacity
 	}
+	lose := f.lost > 0
+	if lose {
+		f.lost--
+	}
 	f.mu.Unlock()
-	return f.inner.Invoke(dep, payload)
+	v, err := f.inner.Invoke(dep, payload)
+	if lose {
+		return nil, faas.ErrNoCapacity
+	}
+	return v, err
 }
 
 func TestSemanticErrorsNotRetried(t *testing.T) {

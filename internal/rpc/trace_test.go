@@ -171,7 +171,13 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 // gateway hop, admission and engine execution inside the read's window and
 // its return hop past the end: every one of those spans is recorded, on
 // the trace and none dropped, and each lies off the path.
-func TestRacedReadCriticalPath(t *testing.T) {
+func TestRacedReadCriticalPath(t *testing.T) { racedCriticalPath(t, namespace.OpRead) }
+
+// TestRacedWriteCriticalPath: a replaced write races as a read does, so
+// neither the HTTP call nor the gateway is on its critical path.
+func TestRacedWriteCriticalPath(t *testing.T) { racedCriticalPath(t, namespace.OpCreate) }
+
+func racedCriticalPath(t *testing.T, op namespace.OpType) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
 		cfg.HTTPReplaceProb = 1
@@ -188,14 +194,14 @@ func TestRacedReadCriticalPath(t *testing.T) {
 		h.nns[0].exec = 500 * time.Microsecond
 		tr.Reset()
 
-		// TCP: 1ms out, 0.5ms engine, 1ms back: the read answers at 2.5ms.
+		// TCP: 1ms out, 0.5ms engine, 1ms back: the op answers at 2.5ms.
 		// HTTP: gateway to 1.2ms, engine to 1.7ms, gateway back to 2.9ms.
 		start := clk.Now()
-		if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
+		if _, err := c.Do(op, "/a", ""); err != nil {
 			t.Fatal(err)
 		}
 		if took := clk.Since(start); took != 2500*time.Microsecond {
-			t.Fatalf("raced read answered after %v, want the TCP call's 2.5ms", took)
+			t.Fatalf("raced %v answered after %v, want the TCP call's 2.5ms", op, took)
 		}
 		clk.Sleep(10 * time.Millisecond) // the invocation finishes
 		traces := tr.Traces()
@@ -219,7 +225,7 @@ func TestRacedReadCriticalPath(t *testing.T) {
 			t.Errorf("%d spans dropped", dropped)
 		}
 
-		co := trace.Aggregate(traces).Op("read").Cohort
+		co := trace.Aggregate(traces).Op(op.String()).Cohort
 		for k, want := range map[trace.Kind]time.Duration{
 			trace.KindRPCTCPNet: 2 * time.Millisecond, trace.KindEngineExec: 500 * time.Microsecond,
 			trace.KindRPCTCP: 0, trace.KindRPCHTTP: 0, trace.KindGateway: 0, trace.KindAdmit: 0,

@@ -15,11 +15,12 @@
 // Abort, or in Store.Release, which ends it and hands it back for reuse.
 // Rows a transaction has locked are owned by that transaction
 // until it ends; implementations enforce strict two-phase locking. The
-// global lock-acquisition order is path ancestors first, then child-key
-// slot, then inode row; a write takes its whole row set in that order with
-// one Tx.LockPath or Tx.LockPaths call (a rename's two paths: sorted, each
-// walked from the root down), so callers that lock nothing else before it
-// inherit the order instead of maintaining it. Every trace-carrying method
+// global lock-acquisition order is a raced write's result row first (its
+// client's row in TableResults, one Tx.KVGet), then path ancestors, then
+// child-key slot, then inode row; a write takes its whole path row set in
+// that order with one Tx.LockPath or Tx.LockPaths call (a rename's two
+// paths: sorted, each walked from the root down), so callers that lock
+// nothing else before it inherit the order instead of maintaining it. Every trace-carrying method
 // takes a *trace.Ctx and must treat nil exactly like an untraced call, so
 // callers pass their context through unconditionally.
 package store
@@ -67,6 +68,7 @@ const (
 	TableDataNodes  = "datanodes"   // DataNode heartbeats and block reports
 	TableCoord      = "coordinator" // NDB-backed Coordinator state
 	TableSubtreeOps = "subtree_ops" // active subtree operations (isolation)
+	TableResults    = "results"     // each client's latest raced write and its reply
 )
 
 // LockedPath is one target path's rows as locked by Tx.LockPath or
@@ -171,6 +173,11 @@ type Tx interface {
 	// result may be shorter than ids.
 	GetINodesBatched(ids []namespace.INodeID, lock LockMode) ([]*namespace.INode, error)
 
+	// KVGet reads one KV row under lock: a one-row multi-get on the key's
+	// shard, one store round. It sees this transaction's own buffered
+	// writes; an absent row is namespace.ErrNotFound. The value returned is
+	// never written, by the caller or the store.
+	KVGet(table, key string, lock LockMode) ([]byte, error)
 	// KVPut/KVDelete/KVScan access a generic KV table.
 	KVPut(table, key string, val []byte) error
 	KVDelete(table, key string) error

@@ -74,7 +74,10 @@ func (t *fakeTx) AtCommitPoint(func())                {}
 func (t *fakeTx) PutINode(*namespace.INode) error     { return nil }
 func (t *fakeTx) DeleteINode(namespace.INodeID) error { return nil }
 func (t *fakeTx) KVPut(string, string, []byte) error  { return nil }
-func (t *fakeTx) KVDelete(string, string) error       { return nil }
+func (t *fakeTx) KVGet(string, string, LockMode) ([]byte, error) {
+	return nil, namespace.ErrNotFound
+}
+func (t *fakeTx) KVDelete(string, string) error { return nil }
 func (t *fakeTx) KVScan(string, string) (map[string][]byte, error) {
 	return nil, nil
 }
