@@ -44,9 +44,9 @@ var goldenSweepFake = map[string]string{
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "1aa95dd7ddd3ae8dc0d251bac4eff8c7e270623db23fc1864c3e5216e50d7129",
+	"fig11":        "e09fd38728280aaae022710b895bbfd52dbce454b9893d14a025b2b9779afe9f",
 	"fig13":        "ee61deae917b9a043e20ecff91003b2a354430969e184ec4e6d1ba1469a1f869",
-	"fig14":        "1f694b83f09a5d78cbdd838c86117b52429b5f260b0d4e6d15e3eff87bb27790",
+	"fig14":        "39db512373d43a5f9171711e08d2e3d02c0082796f063064a29d70a8e61ae7b2",
 	"ablation-rpc": "0c6ecab7fc347e34cffb000ec6bd3ba8c7e88d65efb5f22e20ac197a6de59f9a",
 }
 
@@ -126,11 +126,11 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "1cf0a0bb6ad3dbb89d01681dc6647267dd451cf44fcd8fa78e82c8aa58d21522",
-	"fig9":  "05139dccc9523cbf0f2a96bf6bdf672b1c84df0ab91a96f8914412afa7414db8",
-	"fig10": "60674a119a0a317152491da89f0a32e895a2d184848ffa821286455494708741",
-	"fig15": "363e797bea82c231b8a70f674660ae74c66b30ec3e715337e8152f3963e66953",
-	"trace": "014486bb4c8f117138d3a218a207f2f9d97886987a6206dccf1023781ba823b8",
+	"fig8a": "a4a6ef48e63f7e5809144258b0e7473765d586b2b23e93012362b63ac91e6be8",
+	"fig9":  "418e470e5ed1afc367839eb16410182f5b37929fcf791ece5f71c4f6326799a8",
+	"fig10": "18751a82ac606f8e7e1ab502d639bfb05ac69e1e5ac1a5885d0ff5388e1927b3",
+	"fig15": "2206c17a459758cdc520d199cd1f49e1b0145e73c63879b4e534b4d9d8c1cd0c",
+	"trace": "53bcb9a97808958226a529ec8445690822710343d0acee7c8f3f0f3e6391359a",
 	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
 }
 
@@ -144,7 +144,7 @@ func TestLambdaTablesTinyGolden(t *testing.T) {
 
 // goldenTreeTestTiny pins Figure 16's real tiny tables: IndexFS and
 // λIndexFS under tree-test, variable and fixed sizes.
-const goldenTreeTestTiny = "1ebbbc6f2515b3355137d96081c64299cca059913c66a0ea149eb5d30da5bda2"
+const goldenTreeTestTiny = "7656b5682702f040c8c038ccea06e203c1f6dbd4eed8b3375554fe899c6daa88"
 
 func TestTreeTestTablesTinyGolden(t *testing.T) {
 	if got, out := sweepDigest(t, "fig16", Options{Scale: Tiny, Seed: 1}); got != goldenTreeTestTiny {
