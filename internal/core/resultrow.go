@@ -84,30 +84,24 @@ func uvarint(b []byte) (uint64, []byte, bool) {
 	return v, b[n:], true
 }
 
-// raced names a raced write's row and Seq; the zero value is a write that
-// is not raced.
-type raced struct {
-	client string
-	seq    uint64
-}
-
-// racedOf is req's raced, zero unless req is a raced write.
-func racedOf(req namespace.Request) raced {
+// racedOf is a raced write's key, which names its client's row and its Seq;
+// the zero key for any other request.
+func racedOf(req namespace.Request) namespace.RequestKey {
 	if !req.Raced || req.ClientID == "" || !req.Op.IsWrite() {
-		return raced{}
+		return namespace.RequestKey{}
 	}
-	return raced{req.ClientID, req.Seq}
+	return req.Key()
 }
 
 // writeTx runs one transaction of a write through store.RunTx: fn is its
-// body, which returns the reply's ID. A write that is not raced is fn
-// alone. A raced one checks and records its client's row around fn, and
-// answers the row's reply when its twin came first, counted in
-// lambdafs_core_raced_replays_total; a failure it records is returned as
-// the write's error, like fn's own.
-func (e *Engine) writeTx(tc *trace.Ctx, r raced, fn func(tx store.Tx) (namespace.INodeID, error)) (namespace.INodeID, error) {
+// body, which returns the reply's ID. A write that is not raced (race is
+// zero) is fn alone. A raced one checks and records its client's row
+// around fn, and answers the row's reply when its twin came first, counted
+// in lambdafs_core_raced_replays_total; a failure it records is returned
+// as the write's error, like fn's own.
+func (e *Engine) writeTx(tc *trace.Ctx, race namespace.RequestKey, fn func(tx store.Tx) (namespace.INodeID, error)) (namespace.INodeID, error) {
 	var id namespace.INodeID
-	if r.client == "" {
+	if race.ClientID == "" {
 		err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) (err error) {
 			id, err = fn(tx)
 			return err
@@ -117,7 +111,7 @@ func (e *Engine) writeTx(tc *trace.Ctx, r raced, fn func(tx store.Tx) (namespace
 	var answer error
 	var replayed bool
 	err := store.RunTx(e.st, e.id, tc, func(tx store.Tx) (err error) {
-		id, answer, replayed, err = e.racedTx(tx, r, fn)
+		id, answer, replayed, err = e.racedTx(tx, race, fn)
 		return err
 	})
 	if err != nil {
@@ -132,8 +126,8 @@ func (e *Engine) writeTx(tc *trace.Ctx, r raced, fn func(tx store.Tx) (namespace
 // racedTx is one attempt of a raced write's transaction: the row check,
 // then fn and the row it records. answer is the write's outcome failure,
 // recorded or replayed; err aborts the attempt.
-func (e *Engine) racedTx(tx store.Tx, r raced, fn func(tx store.Tx) (namespace.INodeID, error)) (id namespace.INodeID, answer error, replayed bool, err error) {
-	val, err := tx.KVGet(store.TableResults, r.client, store.LockExclusive)
+func (e *Engine) racedTx(tx store.Tx, race namespace.RequestKey, fn func(tx store.Tx) (namespace.INodeID, error)) (id namespace.INodeID, answer error, replayed bool, err error) {
+	val, err := tx.KVGet(store.TableResults, race.ClientID, store.LockExclusive)
 	switch {
 	case errors.Is(err, namespace.ErrNotFound):
 	case err != nil:
@@ -143,9 +137,9 @@ func (e *Engine) racedTx(tx store.Tx, r raced, fn func(tx store.Tx) (namespace.I
 		switch {
 		case err != nil:
 			return namespace.InvalidID, nil, false, err
-		case row.seq == r.seq:
+		case row.seq == race.Seq:
 			return row.id, namespace.FromWire(row.err), true, nil
-		case row.seq > r.seq:
+		case row.seq > race.Seq:
 			return namespace.InvalidID, nil, false, namespace.ErrStale
 		}
 	}
@@ -159,6 +153,6 @@ func (e *Engine) racedTx(tx store.Tx, r raced, fn func(tx store.Tx) (namespace.I
 	default:
 		return namespace.InvalidID, nil, false, err
 	}
-	row := resultRow{seq: r.seq, id: id, err: namespace.ToWire(answer)}
-	return id, answer, false, tx.KVPut(store.TableResults, r.client, appendResultRow(nil, row))
+	row := resultRow{seq: race.Seq, id: id, err: namespace.ToWire(answer)}
+	return id, answer, false, tx.KVPut(store.TableResults, race.ClientID, appendResultRow(nil, row))
 }

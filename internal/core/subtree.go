@@ -45,9 +45,9 @@ import (
 // like any other. A raced operation's first transaction checks and records
 // its result row (writeTx); run declines a directory for it, so it never
 // gets further.
-func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string, r raced,
+func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string, race namespace.RequestKey,
 	run func(tx store.Tx, root namespace.INodeID) (flagged namespace.INodeID, err error)) *namespace.Response {
-	root, err := e.writeTx(tc, r, func(tx store.Tx) (namespace.INodeID, error) {
+	root, err := e.writeTx(tc, race, func(tx store.Tx) (namespace.INodeID, error) {
 		return run(tx, namespace.InvalidID)
 	})
 	if err != nil {

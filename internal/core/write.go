@@ -25,11 +25,11 @@ func (e *Engine) lockedParent(lp store.LockedPath) (*namespace.INode, error) {
 
 // create makes a new file at path, running the single-INode coherence
 // protocol (Algorithm 1): exclusive store locks → INV/ACK → persist.
-func (e *Engine) create(tc *trace.Ctx, path string, r raced) *namespace.Response {
+func (e *Engine) create(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
 		return fail(namespace.ErrExists)
 	}
-	id, err := e.writeTx(tc, r, func(tx store.Tx) (namespace.INodeID, error) {
+	id, err := e.writeTx(tc, race, func(tx store.Tx) (namespace.INodeID, error) {
 		locked, err := tx.LockPath(path)
 		if err != nil {
 			return namespace.InvalidID, err
@@ -88,7 +88,7 @@ var errAncestorMissing = errors.New("core: mkdirs ancestor missing")
 // there: a deep mkdirs takes two rounds. path is canonical: its components
 // are split into a stack buffer, and each directory's path is a prefix of
 // it.
-func (e *Engine) mkdirs(tc *trace.Ctx, path string, r raced) *namespace.Response {
+func (e *Engine) mkdirs(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
 		return &namespace.Response{ID: namespace.RootID}
 	}
@@ -98,9 +98,9 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string, r raced) *namespace.Response
 	run := func(tx store.Tx) (namespace.INodeID, error) {
 		return e.mkdirsFrom(tc, tx, path, comps, &first)
 	}
-	dirID, err := e.writeTx(tc, r, run)
+	dirID, err := e.writeTx(tc, race, run)
 	if err == errAncestorMissing {
-		dirID, err = e.writeTx(tc, r, run)
+		dirID, err = e.writeTx(tc, race, run)
 	}
 	if err != nil {
 		return fail(err)
@@ -198,12 +198,12 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, path string, comps []str
 }
 
 // del deletes a file or (recursively) a directory, through delTx.
-func (e *Engine) del(tc *trace.Ctx, path string, r raced) *namespace.Response {
+func (e *Engine) del(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
 		return fail(namespace.ErrPermission)
 	}
-	return e.deleteOrMove(tc, namespace.OpDelete, path, r, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
-		return e.delTx(tc, tx, path, root, r.client != "")
+	return e.deleteOrMove(tc, namespace.OpDelete, path, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+		return e.delTx(tc, tx, path, root, race.ClientID != "")
 	})
 }
 
@@ -252,15 +252,15 @@ func lockedTarget(lp store.LockedPath, root namespace.INodeID) (*namespace.INode
 }
 
 // mv renames path to dest, through mvTx.
-func (e *Engine) mv(tc *trace.Ctx, src, dest string, r raced) *namespace.Response {
+func (e *Engine) mv(tc *trace.Ctx, src, dest string, race namespace.RequestKey) *namespace.Response {
 	if src == "/" || dest == "/" {
 		return fail(namespace.ErrPermission)
 	}
 	if namespace.HasPathPrefix(dest, src) {
 		return fail(namespace.ErrMvIntoSelf)
 	}
-	return e.deleteOrMove(tc, namespace.OpMv, src, r, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
-		return e.mvTx(tc, tx, src, dest, root, r.client != "")
+	return e.deleteOrMove(tc, namespace.OpMv, src, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+		return e.mvTx(tc, tx, src, dest, root, race.ClientID != "")
 	})
 }
 

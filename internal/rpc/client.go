@@ -509,26 +509,19 @@ func (h *hedged) wait(n int) (*namespace.Response, error) {
 	return failed.resp, failed.err
 }
 
-// raceRank ranks a racer's answer: 0 a success; for a raced write, 1 a
-// throttled reply (its racer ran nothing) and 2 a reply whose outcome is
-// unknown (racedFailure); 3 a transport failure, whose racer may have run
-// the write.
+// raceRank ranks a racer's answer: 0 an answer to take; 1 a raced write's
+// reply that is neither a success nor an outcome (namespace.IsOutcome),
+// whose racer ran nothing, so the other racer's answer is awaited; 2 a
+// transport failure, whose racer may have run the write.
 func (h *hedged) raceRank(r hedgeResult) int {
 	switch {
 	case r.err != nil:
-		return 3
-	case !h.req.Raced:
-		return 0
-	case racedFailure(r.resp) != nil:
 		return 2
-	case r.resp.Err == errThrottled:
+	case h.req.Raced && r.resp.Err != "" && !namespace.IsOutcome(r.resp.Error()):
 		return 1
 	}
 	return 0
 }
-
-// errThrottled is namespace.ErrThrottled's wire text.
-var errThrottled = namespace.ToWire(namespace.ErrThrottled)
 
 // settle ends the caller's wait after it took got answers: the answers
 // sent and not taken are queued on the mailbox, so draining them does not
