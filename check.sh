@@ -45,6 +45,19 @@ if grep -rnE 'time\.(Sleep|After|NewTimer)\(' --include='*_test.go' . |
 fi
 echo "ok"
 
+echo "== one rule pack (slo.Rules in internal/slo/pack.go is the only alert rule list) =="
+# A second pack coming back: an slo rule constructor called outside
+# internal/slo/pack.go, qualified (slo.Threshold) or, inside internal/slo,
+# unqualified. Allowed: tests, lambdafs-vet's fixtures, the constructors'
+# own declarations.
+if grep -rnE '\b(Threshold|QuantileThreshold|Absence)\(' --include='*.go' . |
+    grep -E '\bslo\.|^\./internal/slo/' |
+    grep -vE '_test\.go:|^\./internal/vet/testdata/|^\./internal/slo/pack\.go:|^[^:]+:[0-9]+:func '; then
+    echo "one rule pack: add the rule to slo.Rules, with a chaos family that fires it"
+    exit 1
+fi
+echo "ok"
+
 echo "== go vet =="
 go vet ./...
 

@@ -62,12 +62,12 @@ func main() {
 	cluster.Tracer().SetEventSink(recorder.RecordEvent)
 	scraper := telemetry.NewScraper(cluster.Clock(), cluster.Telemetry(), time.Second)
 	scraper.OnSnapshot(recorder.RecordSnapshot)
-	// The SLO engine rides along for the whole session: the default
-	// production rule pack evaluates on every scrape tick, firing/resolved
+	// The SLO engine rides along for the whole session: the one rule pack
+	// evaluates on every scrape tick, firing/resolved
 	// transitions land in the flight recorder next to the trace events, and
 	// the slo / watch commands render its live state.
 	sloEng := slo.New(slo.Config{Registry: cluster.Telemetry()})
-	sloEng.AddRules(slo.DefaultRules())
+	sloEng.AddRules(slo.Rules())
 	sloEng.SetEventSink(recorder.RecordEvent)
 	scraper.OnSnapshot(sloEng.Observe)
 	// Registered after Observe: each sample sees the states the engine

@@ -178,7 +178,7 @@ func All() []Experiment {
 		{"trace", "Observability: latency decomposition and structured event log", RunTrace},
 		{"chaos", "Chaos: deterministic fault-injection episodes + full-stack fault storm", RunChaos},
 		{"restart", "Durability: recovery time vs WAL length + crash_restart episode battery", RunRestart},
-		{"slo", "SLOs: chaos alert-coverage battery + default rule pack on a live deployment", RunSLO},
+		{"slo", "SLOs: chaos alert-coverage battery + the one rule pack on a live deployment", RunSLO},
 		{"scale", "Scalability: 10³–10⁴-client (-full: 3·10⁴) curve of the real stack with multi-tenant admission: throughput, p50/p99, cold starts, fleet", RunScale},
 	}
 }

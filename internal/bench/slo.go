@@ -19,20 +19,21 @@ import (
 
 // RunSLO runs the alerting experiment in two phases.
 //
+// Both phases evaluate the one rule pack, slo.Rules.
+//
 // Phase A is the chaos alert-coverage battery: every episode family's
-// scripted fault scenario runs under the full ChaosRulePack across a
-// seed sweep, and each row reports which alerts fired against the
+// scripted fault scenario runs under the pack across a seed sweep, and each row reports which alerts fired against the
 // family's must-fire/must-not-fire contract plus the replayable
 // transition digest. A non-zero violation count means an alert either
 // stayed silent through the fault it exists for, or fired on a fault
 // it should ignore.
 //
-// Phase B runs the default production rule pack (slo.DefaultRules)
-// against a live λFS deployment under a warm-then-burst workload on the
-// simulation clock: the SLO engine subscribes to the telemetry scraper
-// and evaluates every rule once per virtual second. The table shows the
-// final state of each rule and how many firing/resolved transitions the
-// run produced.
+// Phase B runs the pack against a healthy live λFS deployment under a
+// warm-then-burst workload on the simulation clock: the SLO engine
+// subscribes to the telemetry scraper and evaluates every rule once per
+// virtual second. The table shows the final state of each rule and how
+// many firing/resolved transitions the run produced — none, as the pack's
+// bounds are set for a healthy deployment to stay silent.
 //
 // With Options.ArtifactDir set, the phases leave artifacts: the coverage
 // results as slo-coverage.json, the live run's alert log as
@@ -56,7 +57,7 @@ func runSLOCoverage(opts Options) *Table {
 		Columns: []string{"family", "seed", "must_fire", "fired", "transitions", "violations", "digest"},
 		Notes: []string{
 			"replay any row with go test ./internal/chaos/ -run TestAlertCoverage (seeds are pinned there) or via this experiment's -seed",
-			"every ChaosRulePack rule appears in each family's contract: silence on a must-not-fire row is an assertion, not a gap",
+			"every slo.Rules rule appears in each family's contract: silence on a must-not-fire row is an assertion, not a gap",
 		},
 	}
 	var results []*chaos.AlertEpisodeResult
@@ -88,7 +89,7 @@ func runSLOCoverage(opts Options) *Table {
 	return t
 }
 
-// runSLOLive is phase B: the default rule pack over a live deployment,
+// runSLOLive is phase B: the rule pack over a live deployment,
 // every phase driven by one clock-registered goroutine (see runChaosStorm).
 func runSLOLive(opts Options) (t *Table) {
 	clk := clock.NewSim()
@@ -102,7 +103,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	cfg := lambdaConfig(clk, opts.Seed)
 	cfg.Deployments = 4
 	cfg.Store.Metrics = reg
-	// The default pack's WAL-stall absence rule needs durable media under
+	// The pack's WAL-stall absence rule needs durable media under
 	// the store — without a WAL, commits advancing while appends sit at
 	// zero would read as a stall. The checkpoint tier runs with zeroed
 	// latencies so durability does not distort the latency rules.
@@ -112,7 +113,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	cfg.Store.Durable = ndb.NewDurable(clk, cfg.Store.DataNodes, ckptCfg)
 
 	eng := slo.New(slo.Config{Registry: reg})
-	eng.AddRules(slo.DefaultRules())
+	eng.AddRules(slo.Rules())
 	fr := telemetry.NewFlightRecorder(0, 0)
 	eng.SetEventSink(fr.RecordEvent)
 
@@ -146,7 +147,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 	// Warm phase: a light load settles instances and caches.
 	warm := workload.RunClosedLoop(clk, tree, mix, warmClients, per, opts.Seed, cached)
 	// Burst phase: client count jumps — cold starts and queueing spike,
-	// which is what the burn-rate and saturation rules watch.
+	// which the latency and saturation rules must ride out.
 	burst := workload.RunClosedLoop(clk, tree, mix, burstClients, per, opts.Seed+1, cached)
 	// Settle phase: a few quiet virtual seconds so resolved transitions
 	// have ticks to land on before the final scrape.
@@ -161,7 +162,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 
 	t := &Table{
 		ID:      "slo-live",
-		Title:   "Default SLO rule pack over a live λFS deployment (warm → burst → settle)",
+		Title:   "SLO rule pack over a live λFS deployment (warm → burst → settle)",
 		Columns: []string{"rule", "kind", "state", "value", "bound", "transitions"},
 		Notes: []string{
 			fmt.Sprintf("warm_ops=%d burst_ops=%d", warm.Completed.Load(), burst.Completed.Load()),

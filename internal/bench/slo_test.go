@@ -2,17 +2,21 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lambdafs/internal/chaos"
+	"lambdafs/internal/slo"
 )
 
 // TestSLOExperiment runs the slo experiment at tiny scale with ArtifactDir
 // set (the library form of `lambdafs-bench -out DIR`) and checks both
 // phases: the coverage battery must be violation-free with every
-// family's must-fire alert in its fired set, and the live run must
-// leave parseable artifacts with the default rule pack registered.
+// family's must-fire alert in its fired set, and the live run must fire
+// nothing and leave parseable artifacts with the rule pack registered.
 func TestSLOExperiment(t *testing.T) {
 	dir := t.TempDir()
 	opts := tinyOpts()
@@ -38,16 +42,20 @@ func TestSLOExperiment(t *testing.T) {
 		}
 	}
 
-	// The live table carries one row per default rule, each in a legal
-	// state.
-	if len(live.Rows) != 6 {
-		t.Fatalf("live table has %d rules, want the 6 of the default pack", len(live.Rows))
+	// The live table carries one row per rule of the pack, and the
+	// healthy deployment fires none of them: no rule ends firing and none
+	// records a transition.
+	if len(live.Rows) != len(slo.Rules()) {
+		t.Fatalf("live table has %d rules, want the pack's %d", len(live.Rows), len(slo.Rules()))
 	}
 	for _, row := range live.Rows {
 		switch row[2] {
-		case "inactive", "pending", "firing":
+		case "inactive", "pending":
 		default:
-			t.Errorf("rule %s in unknown state %q", row[0], row[2])
+			t.Errorf("rule %s in state %q on a healthy deployment", row[0], row[2])
+		}
+		if row[5] != "0" {
+			t.Errorf("rule %s recorded %s firing/resolved transitions on a healthy deployment", row[0], row[5])
 		}
 	}
 
@@ -63,8 +71,8 @@ func TestSLOExperiment(t *testing.T) {
 	if err := json.Unmarshal(raw, &results); err != nil {
 		t.Fatalf("coverage artifact is not JSON: %v", err)
 	}
-	if len(results) != 5 {
-		t.Fatalf("coverage artifact has %d episodes, want 5 (one per family at tiny scale)", len(results))
+	if len(results) != len(chaos.AlertContracts()) {
+		t.Fatalf("coverage artifact has %d episodes, want %d (one per family at tiny scale)", len(results), len(chaos.AlertContracts()))
 	}
 	for _, r := range results {
 		if len(r.Fired) == 0 || len(r.Digest) != 64 {
@@ -79,8 +87,8 @@ func TestSLOExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live prometheus dump: %v", err)
 	}
-	if !strings.Contains(string(prom), "lambdafs_slo_rules 6") {
-		t.Error("live registry does not report the 6 default rules")
+	if want := fmt.Sprintf("lambdafs_slo_rules %d", len(slo.Rules())); !strings.Contains(string(prom), want) {
+		t.Errorf("live registry does not report the pack's rules: no %q", want)
 	}
 	if !strings.Contains(string(prom), `lambdafs_slo_firing{rule="inv_latency_p99"}`) {
 		t.Error("live registry missing per-rule firing gauges")

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
+	"lambdafs/internal/coordinator"
+	"lambdafs/internal/core"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/slo"
@@ -25,56 +27,18 @@ type AlertFamily string
 
 // The alert families.
 const (
-	FamilyInstanceKill AlertFamily = "instance_kill"
-	FamilyShardFault   AlertFamily = "shard_fault"
-	FamilyCrashRestart AlertFamily = "crash_restart"
-	FamilyLeaderDepose AlertFamily = "leader_depose"
-	FamilyTenantStorm  AlertFamily = "tenant_storm"
+	FamilyInstanceKill    AlertFamily = "instance_kill"
+	FamilyShardFault      AlertFamily = "shard_fault"
+	FamilySlowCoordinator AlertFamily = "slow_coordinator"
+	FamilyCrashRestart    AlertFamily = "crash_restart"
+	FamilyWALDrop         AlertFamily = "wal_drop"
+	FamilyLeaderDepose    AlertFamily = "leader_depose"
+	FamilyTenantStorm     AlertFamily = "tenant_storm"
 )
-
-// Chaos alert rule names (stable identifiers — they appear in digests,
-// artifacts, and the coverage contracts below).
-const (
-	AlertLeaseChurn      = "alert_lease_churn"
-	AlertLeaderFlap      = "alert_leader_flap"
-	AlertOpLatency       = "alert_op_latency"
-	AlertRecoveryCeiling = "alert_recovery_ceiling"
-	AlertWALStall        = "alert_wal_stall"
-	AlertTenantThrottle  = "alert_tenant_throttle"
-)
-
-// ChaosRulePack is the uniform rule set every alert episode runs: the
-// same six rules are active in every family, so "must not fire" is a
-// real statement about signal selectivity, not about a rule being
-// absent.
-func ChaosRulePack() []slo.Rule {
-	return []slo.Rule{
-		// Any lease expiry within a tick is churn.
-		slo.Threshold(AlertLeaseChurn,
-			"lambdafs_coordinator_lease_expiries_total", slo.SignalDelta, slo.OpGreater, 0.5, 1),
-		// Any leadership failover within a tick.
-		slo.Threshold(AlertLeaderFlap,
-			"lambdafs_coordinator_failovers_total", slo.SignalDelta, slo.OpGreater, 0.5, 1),
-		// p99 metadata-op latency over 2ms (episode clusters run ~100µs
-		// store RTTs, so healthy ops sit well under 1ms).
-		slo.QuantileThreshold(AlertOpLatency,
-			"lambdafs_core_op_latency_seconds", 0.99, slo.OpGreater, 2e-3, 1),
-		// Any crash recovery slower than 500ms of virtual time.
-		slo.QuantileThreshold(AlertRecoveryCeiling,
-			"lambdafs_ndb_recovery_seconds", 0.99, slo.OpGreater, 0.5, 1),
-		// Rows written while the WAL is silent for 4 ticks (rows, not
-		// commits: a read-only commit appends nothing to the WAL).
-		slo.Absence(AlertWALStall,
-			"lambdafs_ndb_wal_appends_total", "lambdafs_ndb_writes_total", 4),
-		// More than 10 tenant admission rejections within one tick.
-		slo.Threshold(AlertTenantThrottle,
-			"lambdafs_tenant_throttled_total", slo.SignalDelta, slo.OpGreater, 10, 1),
-	}
-}
 
 // AlertContract is one row of the alert-coverage table: a family, the
-// rules its scripted fault must fire, and the fault. Every other rule of
-// ChaosRulePack must not fire, so each rule sits in each contract on one
+// rules of slo.Rules its scripted fault must fire, and the fault. Every
+// other rule must not fire, so each rule sits in each contract on one
 // side or the other by construction.
 type AlertContract struct {
 	Family   AlertFamily
@@ -84,13 +48,17 @@ type AlertContract struct {
 	fault func(a *alertEpisode, sec int)
 }
 
-// alertFamilies is the coverage table.
+// alertFamilies is the coverage table. Each fault is scripted to breach
+// its rules' bounds as slo.Rules states them; no bound is set to meet a
+// fault.
 var alertFamilies = []AlertContract{
-	{FamilyInstanceKill, []string{AlertLeaseChurn}, killInstance},
-	{FamilyShardFault, []string{AlertOpLatency}, stallShard},
-	{FamilyCrashRestart, []string{AlertRecoveryCeiling}, crashStore},
-	{FamilyLeaderDepose, []string{AlertLeaderFlap}, deposeLeader},
-	{FamilyTenantStorm, []string{AlertTenantThrottle}, floodTenant},
+	{FamilyInstanceKill, []string{"lease_churn"}, killInstance},
+	{FamilyShardFault, []string{"op_latency_p99", "ndb_queue_saturation"}, stallShard},
+	{FamilySlowCoordinator, []string{"inv_latency_p99"}, slowACKs},
+	{FamilyCrashRestart, []string{"recovery_time_ceiling"}, crashStore},
+	{FamilyWALDrop, []string{"wal_fsync_stall"}, dropWAL},
+	{FamilyLeaderDepose, []string{"leader_flap"}, deposeLeader},
+	{FamilyTenantStorm, []string{"tenant_throttle_surge"}, floodTenant},
 }
 
 // AlertContracts returns the coverage contract of every episode family.
@@ -98,7 +66,8 @@ func AlertContracts() []AlertContract { return slices.Clone(alertFamilies) }
 
 // The alert episodes' shape: alertSeconds virtual seconds, one scrape at
 // the end of each, and alertOpsPerSec steady requests per second on the
-// live cluster (half as many commits on the crash_restart family's store).
+// live cluster (half as many commits on the durable store of the
+// crash_restart and wal_drop families).
 const (
 	alertSeconds   = 12
 	alertOpsPerSec = 20
@@ -137,8 +106,8 @@ type AlertEpisodeResult struct {
 func (r *AlertEpisodeResult) Failed() bool { return len(r.Violations) > 0 }
 
 // RunAlertEpisode executes one family's scripted fault scenario under
-// the full ChaosRulePack and asserts its coverage contract: every
-// must-fire alert fired, no must-not-fire alert did.
+// slo.Rules and asserts its coverage contract: every must-fire alert
+// fired, no must-not-fire alert did.
 func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	res := &AlertEpisodeResult{Family: cfg.Family, Seed: cfg.Seed}
 	i := slices.IndexFunc(alertFamilies, func(c AlertContract) bool { return c.Family == cfg.Family })
@@ -152,7 +121,7 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	clk := clock.NewSim()
 	sc := telemetry.NewScraper(clk, reg, time.Second)
 	eng := slo.New(slo.Config{Registry: reg, Window: 16})
-	eng.AddRules(ChaosRulePack())
+	eng.AddRules(slo.Rules())
 	if cfg.MuteRule != "" {
 		eng.Mute(cfg.MuteRule)
 	}
@@ -163,12 +132,14 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	sc.OnSnapshot(eng.Observe)
 
 	clock.Run(clk, func() {
-		a := &alertEpisode{clk: clk, reg: reg, rng: rand.New(rand.NewSource(cfg.Seed)), inj: NewInjector()}
+		a := &alertEpisode{clk: clk, reg: reg, rng: rand.New(rand.NewSource(cfg.Seed)), inj: NewInjector(),
+			clients: clock.NewGroup(clk)}
 		for sec := 0; sec < alertSeconds; sec++ {
 			contract.fault(a, sec)
 			clk.Sleep(time.Second)
 			sc.ScrapeNow()
 		}
+		a.clients.Wait()
 	})
 
 	res.Transitions = eng.Transitions()
@@ -183,7 +154,7 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	}
 	sort.Strings(res.Fired)
 
-	for _, r := range ChaosRulePack() {
+	for _, r := range slo.Rules() {
 		switch must := slices.Contains(contract.MustFire, r.Name); {
 		case must && !fired[r.Name]:
 			res.Violations = append(res.Violations,
@@ -204,8 +175,8 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 }
 
 // alertEpisode is one alert episode's running state. Its substrate is
-// built on first use: the live cluster every family but crash_restart
-// drives, or the durable store crash_restart crashes.
+// built on first use: the live cluster the families that serve requests
+// drive, or the durable store crash_restart and wal_drop commit to.
 type alertEpisode struct {
 	clk *clock.Sim
 	reg *telemetry.Registry
@@ -213,6 +184,12 @@ type alertEpisode struct {
 	inj *Injector
 	c   *cluster
 	d   *durable
+	// clients joins the concurrent clients of shard_fault before the
+	// episode ends.
+	clients *clock.Group
+	// ackDelay, while non-zero, holds every peer's ACK of an invalidation
+	// back (slow_coordinator).
+	ackDelay time.Duration
 }
 
 // alertStore is the alert episodes' store config: modest real latencies,
@@ -228,18 +205,30 @@ func (a *alertEpisode) alertStore() ndb.Config {
 
 // cluster returns the live cluster: three engines on a durable store (so
 // the WAL-stall absence rule sees appends married to commits), gated by
-// the storm tenants' admission (tenantstorm.go).
+// the storm tenants' admission (tenantstorm.go), whose peers handle
+// invalidations through ack.
 func (a *alertEpisode) cluster() *cluster {
 	if a.c == nil {
 		a.c = newCluster(a.clk, durableConfig(a.clk, a.inj, a.alertStore()), 50*time.Microsecond, 3,
-			func(c *cluster) { c.ecfg.Admission = stormTenants(a.clk, a.reg) })
+			func(c *cluster) {
+				c.ecfg.Admission = stormTenants(a.clk, a.reg)
+				c.invalidate = a.ack
+			})
 	}
 	return a.c
 }
 
-// durable returns crash_restart's store. Each replayed record charges
-// 50ms of virtual recovery time: a crash after ~30 commits recovers in
-// ~1.5s, breaching the 500ms ceiling deterministically.
+// ack handles one invalidation at peer e, after ackDelay when it is set.
+func (a *alertEpisode) ack(e *core.Engine, inv coordinator.Invalidation) {
+	if a.ackDelay > 0 {
+		a.clk.Sleep(a.ackDelay)
+	}
+	e.HandleInvalidation(inv)
+}
+
+// durable returns the durable store. Each replayed record charges 50ms of
+// virtual recovery time: crash_restart's crash, after 60 commits, recovers
+// in ~3s, over the 2s ceiling.
 func (a *alertEpisode) durable() *durable {
 	if a.d == nil {
 		cfg := a.alertStore()
@@ -278,13 +267,78 @@ func killInstance(a *alertEpisode, sec int) {
 	a.steady()
 }
 
-// stallShard stalls one shard for a second's worth of accesses at each
-// fault second: raw op latency jumps ~5ms, far over the 2ms p99 bound.
+// shard_fault's load and stall. shardClients concurrent clients, each due
+// to send shardClientRate requests a second, outnumber a shard's
+// ndb.DefaultConfig().WorkersPerNode (8) servers threefold; the stall
+// charges stallDelay to each of the stalled shard's next stallAccesses
+// accesses, seconds of its service in all. stallDelay tops the 50ms
+// op-latency bound and stays under the 100ms that makes a stall a shard
+// crash.
+const (
+	shardClients    = 32
+	shardClientRate = 10
+	stallDelay      = 60 * time.Millisecond
+	stallAccesses   = 800
+)
+
+// stallShard runs the episode's steady traffic from shardClients
+// concurrent clients of the two well-provisioned tenants (stormMix's
+// first three entries) and, at the first fault second, stalls one shard.
+// The stalled shard serves fewer accesses than the clients send, so every
+// client ends up queued on it: its depth holds near the client count less
+// its servers — over the saturation bound — for several ticks, and ops
+// take longer than the stall itself.
 func stallShard(a *alertEpisode, sec int) {
-	if faultSecond(sec) {
-		a.inj.ArmShardStall(mediaShards-1, 5*time.Millisecond, alertOpsPerSec)
+	switch sec {
+	case 0:
+		start := a.clk.Now()
+		for i := 0; i < shardClients; i++ {
+			a.clients.Go(func() { a.shardClient(i, start) })
+		}
+	case 4:
+		a.inj.ArmShardStall(mediaShards-1, stallDelay, stallAccesses)
 	}
+}
+
+// shardClient is shard_fault's client i: due to send shardClientRate
+// requests a second from start, each a write that reaches the store — a
+// directory of its own, then fresh files in it — under its own client id,
+// so no other client's sequence numbers overtake its own.
+func (a *alertEpisode) shardClient(i int, start time.Time) {
+	const period = time.Second / shardClientRate
+	offset := time.Duration(i) * period / shardClients
+	c := a.cluster()
+	for n := 0; n < alertSeconds*shardClientRate; n++ {
+		if wait := start.Add(time.Duration(n)*period + offset).Sub(a.clk.Now()); wait > 0 {
+			a.clk.Sleep(wait)
+		}
+		req := namespace.Request{Op: namespace.OpCreate, Path: fmt.Sprintf("/s%d/f%d", i, n),
+			ClientID: fmt.Sprintf("s%d", i), Seq: uint64(n + 1), Tenant: stormMix[i%3]}
+		if n == 0 {
+			req.Op, req.Path = namespace.OpMkdirs, fmt.Sprintf("/s%d", i)
+		}
+		c.engines[a.rng.Intn(len(c.engines))].Execute(req)
+	}
+}
+
+// slowACKs holds every peer's ACK back 6ms through each fault second: the
+// second's steady traffic, then alertOpsPerSec/4 creates of fresh files,
+// so the second has writes whichever paths the seeded stream has built.
+// The INV/ACK rounds of its writes outlast the 5ms bound, while the ops
+// that wait on them stay far under the op-latency bound.
+func slowACKs(a *alertEpisode, sec int) {
+	if !faultSecond(sec) {
+		a.steady()
+		return
+	}
+	a.ackDelay = 6 * time.Millisecond
 	a.steady()
+	for i := 0; i < alertOpsPerSec/4; i++ {
+		_, e, req := a.cluster().next(a.rng, alertMix)
+		req.Op, req.Path, req.Tenant = namespace.OpCreate, fmt.Sprintf("/slow%d-%d", sec, i), "media"
+		e.Execute(req)
+	}
+	a.ackDelay = 0
 }
 
 // deposeLeader rotates coordination leadership at each fault second.
@@ -302,11 +356,30 @@ func deposeLeader(a *alertEpisode, sec int) {
 // stays quiet). A failed recovery leaves the ceiling alert silent, which
 // the must-fire contract reports.
 func crashStore(a *alertEpisode, sec int) {
-	d := a.durable()
 	if sec == alertSeconds/2 {
-		_, _ = d.crash()
+		_, _ = a.durable().crash()
 		a.inj.NoteFired(FaultCrashRestart, fmt.Sprintf("sec=%d", sec))
 	}
+	a.commits(sec)
+}
+
+// walDropSeconds is how many seconds of commits dropWAL's media lose.
+const walDropSeconds = 6
+
+// dropWAL commits the durable store's seeded stream and, from the first
+// fault second on, loses every WAL record for walDropSeconds seconds:
+// rows keep committing while nothing reaches media, for longer than the
+// stall rule's 4-tick window.
+func dropWAL(a *alertEpisode, sec int) {
+	if sec == 4 {
+		a.inj.ArmWALDrop(walDropSeconds * alertOpsPerSec / 2)
+	}
+	a.commits(sec)
+}
+
+// commits runs second sec's commits of the durable store's seeded stream.
+func (a *alertEpisode) commits(sec int) {
+	d := a.durable()
 	for i := 0; i < alertOpsPerSec/2; i++ {
 		seq := sec*alertOpsPerSec/2 + i + 1
 		id := d.db.NextID()

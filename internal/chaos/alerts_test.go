@@ -1,18 +1,36 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"lambdafs/internal/slo"
 	"lambdafs/internal/telemetry"
 )
 
 // TestAlertCoverage runs every episode family's scripted scenario under
-// the full ChaosRulePack and asserts its coverage contract: each
-// must-fire alert fired and no must-not-fire alert did, across seeds —
-// among them 15, 31 and 42, whose read-only commits once fired the WAL
-// stall alert.
+// slo.Rules and asserts its coverage contract: each must-fire alert fired
+// and no must-not-fire alert did, across seeds — among them 15, 31 and 42,
+// whose read-only commits once fired the WAL stall alert. Every rule of
+// the pack is a must-fire rule of some family, and every must-fire name
+// is a rule of the pack.
 func TestAlertCoverage(t *testing.T) {
+	covered := map[string]bool{}
+	for _, c := range AlertContracts() {
+		for _, name := range c.MustFire {
+			covered[name] = true
+		}
+	}
+	for _, r := range slo.Rules() {
+		if !covered[r.Name] {
+			t.Errorf("rule %q is no family's must-fire rule", r.Name)
+		}
+		delete(covered, r.Name)
+	}
+	for name := range covered {
+		t.Errorf("must-fire rule %q is not in slo.Rules", name)
+	}
 	for _, c := range AlertContracts() {
 		c := c
 		t.Run(string(c.Family), func(t *testing.T) {
@@ -64,26 +82,23 @@ func TestAlertEpisodeDigestStable(t *testing.T) {
 	}
 }
 
-// TestAlertCoverageCatchesMutedAlert is the sabotage proof: muting a
-// family's must-fire rule (the alert evaluates but can never
-// transition) must surface as a contract violation. If this test fails,
-// the battery would silently pass with dead alerts.
+// TestAlertCoverageCatchesMutedAlert is the sabotage proof: muting any
+// of a family's must-fire rules (the alert evaluates but can never
+// transition) must surface as a contract violation naming that rule. If
+// this test fails, the battery would silently pass with dead alerts.
 func TestAlertCoverageCatchesMutedAlert(t *testing.T) {
 	for _, c := range AlertContracts() {
-		cfg := AlertEpisodeConfig{Family: c.Family, Seed: 5, MuteRule: c.MustFire[0]}
-		res := RunAlertEpisode(cfg)
-		if !res.Failed() {
-			t.Errorf("family %s: muted must-fire rule %q was not caught", c.Family, cfg.MuteRule)
-			continue
-		}
-		found := false
-		for _, v := range res.Violations {
-			if strings.Contains(v, cfg.MuteRule) && strings.Contains(v, "never fired") {
-				found = true
+		for _, rule := range c.MustFire {
+			res := RunAlertEpisode(AlertEpisodeConfig{Family: c.Family, Seed: 5, MuteRule: rule})
+			found := false
+			for _, v := range res.Violations {
+				if strings.Contains(v, fmt.Sprintf("%q", rule)) && strings.Contains(v, "never fired") {
+					found = true
+				}
 			}
-		}
-		if !found {
-			t.Errorf("family %s: violations do not name the muted rule: %v", c.Family, res.Violations)
+			if !found {
+				t.Errorf("family %s: muted must-fire rule %q was not caught: %v", c.Family, rule, res.Violations)
+			}
 		}
 	}
 }

@@ -32,14 +32,15 @@ func stormTenants(clk *clock.Sim, reg *telemetry.Registry) *tenant.Registry {
 // its 5 ops/s budget.
 var stormMix = []string{"media", "media", "analytics", "crawler"}
 
-// floodTenant follows each fault second's steady ops, which drain the
-// crawler's bucket, with a burst of 20× the per-second op count from the
-// crawler: admission admits a handful and rejects the rest before any CPU
-// or store work happens.
+// floodTenant follows the steady ops of each fault second and the second
+// after it, which drain the crawler's bucket, with a burst of 30× the
+// per-second op count from the crawler: admission admits a handful and
+// rejects the rest, over the surge bound of 500 a tick for both ticks,
+// before any CPU or store work happens.
 func floodTenant(a *alertEpisode, sec int) {
 	a.steady()
-	if faultSecond(sec) {
-		for i := 0; i < alertOpsPerSec*20; i++ {
+	if faultSecond(sec) || faultSecond(sec-1) {
+		for i := 0; i < alertOpsPerSec*30; i++ {
 			a.request("crawler")
 		}
 		a.inj.NoteFired(FaultTenantStorm, fmt.Sprintf("sec=%d tenant=crawler", sec))

@@ -15,12 +15,12 @@ func TestTenantStormContract(t *testing.T) {
 		}
 		fired := false
 		for _, name := range res.Fired {
-			if name == AlertTenantThrottle {
+			if name == "tenant_throttle_surge" {
 				fired = true
 			}
 		}
 		if !fired {
-			t.Fatalf("seed %d: %s never fired (fired: %v)", seed, AlertTenantThrottle, res.Fired)
+			t.Fatalf("seed %d: tenant_throttle_surge never fired (fired: %v)", seed, res.Fired)
 		}
 		replay := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: seed})
 		if replay.Digest != res.Digest {
@@ -33,9 +33,9 @@ func TestTenantStormContract(t *testing.T) {
 // family: muting the throttle alert must surface as a must-fire
 // violation, demonstrating the contract assertions are alive.
 func TestTenantStormMutedAlertCaught(t *testing.T) {
-	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 7, MuteRule: AlertTenantThrottle})
+	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 7, MuteRule: "tenant_throttle_surge"})
 	if !res.Failed() {
-		t.Fatalf("muting %s went undetected — the coverage assertions are dead", AlertTenantThrottle)
+		t.Fatal("muting tenant_throttle_surge went undetected — the coverage assertions are dead")
 	}
 }
 
@@ -46,7 +46,7 @@ func TestTenantStormMutedAlertCaught(t *testing.T) {
 func TestTenantStormStoreIsolation(t *testing.T) {
 	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 11})
 	for _, name := range res.Fired {
-		if name == AlertOpLatency {
+		if name == "op_latency_p99" {
 			t.Fatalf("op latency alert fired during a tenant storm: throttled requests leaked into the service path")
 		}
 	}

@@ -155,9 +155,9 @@ type Stats struct {
 	// waiting on contended row locks (0 while every acquire is granted
 	// immediately). The hotpath baseline gates lock-wait/op on it.
 	LockWaitNS uint64
-	// WALAppends / WALBytes count WAL records appended and their frame
-	// bytes; Checkpoints counts completed checkpoint rounds. All zero
-	// without a durability tier attached.
+	// WALAppends / WALBytes count WAL records whose whole frame reached
+	// media and their frame bytes; Checkpoints counts completed
+	// checkpoint rounds. All zero without a durability tier attached.
 	WALAppends  uint64
 	WALBytes    uint64
 	Checkpoints uint64

@@ -474,7 +474,8 @@ func (t *tx) Commit() error {
 // one record, one applyRecord, at commit as at replay. The record and the
 // frame are the store's scratch, reused by every commit: appendFrame copies
 // the frame into the log, and applyRecord keeps the rows, not the record.
-// Returns the appended frame size (0 without durability).
+// Returns the appended frame size when the whole frame reached media, 0
+// when OnWALAppend lost any of it or without durability.
 func (t *tx) logAndApply() int {
 	db := t.db
 	db.mu.Lock()
@@ -504,7 +505,9 @@ func (t *tx) logAndApply() int {
 			durable = h(db.dur.walShard(rec.lsn), rec.lsn, len(frame))
 		}
 		db.dur.appendFrame(rec.lsn, frame, durable)
-		walBytes = len(frame)
+		if durable == len(frame) {
+			walBytes = len(frame)
+		}
 	}
 	db.applyRecord(rec)
 	clear(rec.puts) // the scratch keeps no row alive

@@ -607,6 +607,38 @@ func TestWALStatsCounted(t *testing.T) {
 	})
 }
 
+// TestWALStatsCountOnlyFramesOnMedia: a commit whose frame the media lost,
+// whole or in part, advances neither WALAppends nor WALBytes, so a WAL
+// that stops reaching media reads as stalled while rows keep committing.
+func TestWALStatsCountOnlyFramesOnMedia(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := durableCfg(NewDurable(clk, 2, zeroLSM()))
+		var onMedia int
+		cfg.OnWALAppend = func(shard int, lsn uint64, size int) int {
+			switch lsn {
+			case 2:
+				return 0 // dropped
+			case 3:
+				return size - 1 // torn
+			}
+			onMedia += size
+			return size
+		}
+		db := New(clk, cfg)
+		for i := 0; i < 4; i++ {
+			tx := db.Begin("w")
+			if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+				Name: fmt.Sprintf("f%d", i), Perm: namespace.PermDefaultFile}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		if st := db.Stats(); st.Writes != 4 || st.WALAppends != 2 || st.WALBytes != uint64(onMedia) {
+			t.Fatalf("stats %+v, want 4 writes, 2 appends of %d bytes", st, onMedia)
+		}
+	})
+}
+
 // TestWALFsyncBilled: a durable write commit opens its fsync window beside
 // its row service and waits once, for whichever window ends last — a
 // single-row commit after its round trip, a multi-shard commit with the

@@ -422,11 +422,7 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	h.out++
 	c.mu.Unlock()
 	clock.Go(c.vm.clk, h.hedge)
-	resp, err := h.wait(2)
-	if err != nil {
-		c.connBroken(dep, conn)
-	}
-	return resp, err
+	return h.wait(2)
 }
 
 // hedged is one racing call's state: the mailbox the racers answer on and

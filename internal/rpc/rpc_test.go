@@ -361,9 +361,10 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 		// client waits for the invocation, which acts.
 		{name: "tcp aborted", abort: "store: lock wait timeout", took: 10 * time.Millisecond, http: 1},
 		// The TCP call drops and the invocation runs the write, then loses
-		// its answer. The retry finds no connection left and invokes over
-		// HTTP, still raced, and that copy answers from the row.
-		{name: "both fail", drop: true, lose: true, took: 20 * time.Millisecond, retries: 1, http: 2, replays: 1},
+		// its answer. The retry races again over the connection the
+		// invocation's NameNode offered back, and both copies answer from
+		// the row, the TCP copy first.
+		{name: "both fail", drop: true, lose: true, took: 12 * time.Millisecond, retries: 1, http: 2, replays: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			simtest.Run(t, func(clk *clock.Sim) {

@@ -1,9 +1,9 @@
 // Package slo is the streaming analytics and alerting layer of the
 // telemetry plane: it subscribes to the virtual-time Scraper, maintains
-// derived series per instrument (windowed rates, EWMA smoothing, and
+// derived series per instrument (per-tick deltas, EWMA smoothing, and
 // windowed quantiles taken as differences of scraped histogram
-// snapshots), and evaluates SLO rules — threshold, multi-window
-// burn-rate, and staleness/absence — every scrape tick. Rule transitions
+// snapshots), and evaluates SLO rules — threshold, quantile and
+// staleness/absence — every scrape tick. Rule transitions
 // are exported as trace events, lambdafs_slo_* instruments, and a JSONL
 // alert log. The chaos harness consumes it for alert-coverage testing:
 // each episode family declares alerts it must and must not fire
@@ -29,56 +29,20 @@ import (
 type Signal int
 
 const (
-	// SignalValue is the raw instantaneous value (max across label sets —
-	// the right aggregation for gauges like per-shard queue depth).
-	SignalValue Signal = iota
-	// SignalRate is the per-second increase over the last tick, summed
-	// across label sets (counters). Falls back to the per-tick delta when
-	// virtual time did not advance between scrapes.
-	SignalRate
-	// SignalDelta is the per-tick increase summed across label sets —
-	// deterministic regardless of tick spacing; the workhorse for chaos
-	// alert contracts.
-	SignalDelta
-	// SignalEWMA is an exponentially weighted moving average of
-	// SignalValue (smoothing factor ewmaAlpha).
+	// SignalDelta is the per-tick increase summed across label sets
+	// (counters) — deterministic regardless of tick spacing.
+	SignalDelta Signal = iota
+	// SignalEWMA is an exponentially weighted moving average (smoothing
+	// factor ewmaAlpha) of the instantaneous value, taken as the max
+	// across label sets — the right aggregation for gauges like per-shard
+	// queue depth.
 	SignalEWMA
 )
-
-func (s Signal) String() string {
-	switch s {
-	case SignalValue:
-		return "value"
-	case SignalRate:
-		return "rate"
-	case SignalDelta:
-		return "delta"
-	case SignalEWMA:
-		return "ewma"
-	}
-	return "unknown"
-}
-
-// Op is a threshold comparison direction.
-type Op int
-
-const (
-	OpGreater Op = iota
-	OpLess
-)
-
-func (o Op) String() string {
-	if o == OpLess {
-		return "<"
-	}
-	return ">"
-}
 
 // Rule kinds.
 const (
 	KindThreshold = "threshold"
 	KindQuantile  = "quantile"
-	KindBurnRate  = "burn_rate"
 	KindAbsence   = "absence"
 )
 
@@ -90,65 +54,37 @@ const (
 )
 
 // Rule is one declarative SLO statement against a registered
-// lambdafs_* metric name. Build rules with the constructors below —
-// lambdafs-vet's slorules check statically verifies the metric-name
-// arguments of those constructor calls against the set of names some
-// package actually registers.
+// lambdafs_* metric name: it breaches when its signal exceeds Bound.
+// Build rules with the constructors below — lambdafs-vet's slorules check
+// statically verifies the metric-name arguments of those constructor
+// calls against the set of names some package actually registers.
 type Rule struct {
 	Name   string // unique rule name; alert identity in logs and traces
-	Kind   string // KindThreshold | KindQuantile | KindBurnRate | KindAbsence
+	Kind   string // KindThreshold | KindQuantile | KindAbsence
 	Metric string // primary metric (bare instrument name, no labels)
 
-	// Threshold / quantile.
-	Signal    Signal
+	Signal    Signal  // KindThreshold only
 	Q         float64 // quantile in (0,1), KindQuantile only
-	Op        Op
 	Bound     float64
 	HoldTicks int // consecutive breaching ticks before firing (min 1)
 
-	// Burn rate (multi-window): fires when the error ratio
-	// ΔMetric/ΔTotalMetric exceeds BurnFactor×(1-Target) over BOTH the
-	// fast and the slow window — the SRE fast-burn/slow-burn pattern on
-	// scrape ticks of the virtual clock.
-	TotalMetric string
-	Target      float64
-	BurnFactor  float64
-	FastTicks   int
-	SlowTicks   int
+	// ActivityMetric is the counter whose progress makes Metric's
+	// silence a stall, KindAbsence only.
+	ActivityMetric string
 }
 
 // Threshold declares a rule that fires when the chosen derived signal of
-// metric breaches bound for holdTicks consecutive scrape ticks.
-func Threshold(name, metric string, sig Signal, op Op, bound float64, holdTicks int) Rule {
-	if holdTicks < 1 {
-		holdTicks = 1
-	}
-	return Rule{Name: name, Kind: KindThreshold, Metric: metric, Signal: sig, Op: op, Bound: bound, HoldTicks: holdTicks}
+// metric exceeds bound for holdTicks consecutive scrape ticks.
+func Threshold(name, metric string, sig Signal, bound float64, holdTicks int) Rule {
+	return Rule{Name: name, Kind: KindThreshold, Metric: metric, Signal: sig, Bound: bound, HoldTicks: max(holdTicks, 1)}
 }
 
 // QuantileThreshold declares a latency-style rule over a histogram: the
 // q-quantile of the observations metric recorded during the last
-// Config.Window scrape ticks (all label sets together) must not breach
-// bound for holdTicks consecutive ticks.
-func QuantileThreshold(name, metric string, q float64, op Op, bound float64, holdTicks int) Rule {
-	if holdTicks < 1 {
-		holdTicks = 1
-	}
-	return Rule{Name: name, Kind: KindQuantile, Metric: metric, Q: q, Op: op, Bound: bound, HoldTicks: holdTicks}
-}
-
-// BurnRate declares a multi-window burn-rate rule: errMetric over
-// totalMetric (both counters) burning error budget 1-target faster than
-// burnFactor× on both the fast and slow windows.
-func BurnRate(name, errMetric, totalMetric string, target, burnFactor float64, fastTicks, slowTicks int) Rule {
-	if fastTicks < 1 {
-		fastTicks = 1
-	}
-	if slowTicks < fastTicks {
-		slowTicks = fastTicks
-	}
-	return Rule{Name: name, Kind: KindBurnRate, Metric: errMetric, TotalMetric: totalMetric,
-		Target: target, BurnFactor: burnFactor, FastTicks: fastTicks, SlowTicks: slowTicks, HoldTicks: 1}
+// Config.Window scrape ticks (all label sets together) must not exceed
+// bound (seconds) for holdTicks consecutive ticks.
+func QuantileThreshold(name, metric string, q, bound float64, holdTicks int) Rule {
+	return Rule{Name: name, Kind: KindQuantile, Metric: metric, Q: q, Bound: bound, HoldTicks: max(holdTicks, 1)}
 }
 
 // Absence declares a staleness rule: fires when activityMetric advanced
@@ -160,10 +96,7 @@ func BurnRate(name, errMetric, totalMetric string, target, burnFactor float64, f
 // shape (a store with no durable media registers the WAL counter but
 // never increments it).
 func Absence(name, metric, activityMetric string, holdTicks int) Rule {
-	if holdTicks < 1 {
-		holdTicks = 1
-	}
-	return Rule{Name: name, Kind: KindAbsence, Metric: metric, TotalMetric: activityMetric, HoldTicks: holdTicks}
+	return Rule{Name: name, Kind: KindAbsence, Metric: metric, ActivityMetric: activityMetric, HoldTicks: max(holdTicks, 1)}
 }
 
 // Transition is one alert state change, the unit of the JSONL alert log
@@ -210,8 +143,9 @@ type ruleState struct {
 	breachTicks int
 	sinceTUS    int64
 	lastValue   float64
-	// rings of per-tick deltas for burn-rate / absence windows
-	errRing, totalRing ring
+	// per-tick deltas of Metric and ActivityMetric over the last
+	// HoldTicks ticks (absence rules)
+	progress, activity ring
 	// EWMA accumulator
 	ewma    float64
 	hasEWMA bool
@@ -222,7 +156,7 @@ type ruleState struct {
 	transCtr    *telemetry.Counter
 }
 
-// ring is a fixed-size ring of per-tick float64 samples.
+// ring is a fixed-size window of per-tick float64 samples.
 type ring struct {
 	buf  []float64
 	n    int // total pushes (for fill detection)
@@ -230,9 +164,6 @@ type ring struct {
 }
 
 func (r *ring) push(v float64) {
-	if len(r.buf) == 0 {
-		return
-	}
 	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	r.n++
@@ -240,17 +171,11 @@ func (r *ring) push(v float64) {
 
 func (r *ring) full() bool { return r.n >= len(r.buf) }
 
-// sumLast sums the most recent k samples (k ≤ len(buf)).
-func (r *ring) sumLast(k int) float64 {
-	if k > len(r.buf) {
-		k = len(r.buf)
-	}
-	if k > r.n {
-		k = r.n
-	}
+// sum adds up the window.
+func (r *ring) sum() float64 {
 	s := 0.0
-	for i := 0; i < k; i++ {
-		s += r.buf[(r.next-1-i+2*len(r.buf))%len(r.buf)]
+	for _, v := range r.buf {
+		s += v
 	}
 	return s
 }
@@ -292,7 +217,6 @@ type Engine struct {
 	byName      map[string]*ruleState
 	hists       map[string]*histWindow // histogram base name → sliding window
 	prevVals    map[string]float64     // previous snapshot values (delta base)
-	prevTime    time.Time
 	havePrev    bool
 	transitions []Transition
 	sink        func(trace.Event)
@@ -336,12 +260,9 @@ func (e *Engine) AddRule(r Rule) {
 	}
 	rs := &ruleState{rule: r, state: StateInactive, firingGauge: fg, transCtr: tc}
 	switch r.Kind {
-	case KindBurnRate:
-		rs.errRing = ring{buf: make([]float64, r.SlowTicks)}
-		rs.totalRing = ring{buf: make([]float64, r.SlowTicks)}
 	case KindAbsence:
-		rs.errRing = ring{buf: make([]float64, r.HoldTicks)}
-		rs.totalRing = ring{buf: make([]float64, r.HoldTicks)}
+		rs.progress = ring{buf: make([]float64, r.HoldTicks)}
+		rs.activity = ring{buf: make([]float64, r.HoldTicks)}
 	case KindQuantile:
 		if _, ok := e.hists[r.Metric]; !ok {
 			e.hists[r.Metric] = &histWindow{ring: make([]metrics.HistSnapshot, e.cfg.Window)}
@@ -438,7 +359,6 @@ func (e *Engine) Observe(snap telemetry.Snapshot) {
 		}
 	}
 	e.prevVals = snap.Values
-	e.prevTime = snap.Time
 	e.havePrev = true
 	sink := e.sink
 	e.mu.Unlock()
@@ -484,16 +404,13 @@ func (e *Engine) step(rs *ruleState, breach bool) string {
 }
 
 // evaluate computes the rule's signal against snap. ok=false means the
-// rule cannot be evaluated yet (no previous snapshot for deltas, window
-// not yet full for burn-rate) and state should not advance.
+// rule cannot be evaluated yet (no previous snapshot for deltas, absence
+// window not yet full) and state should not advance.
 func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, breach, ok bool) {
 	r := rs.rule
 	switch r.Kind {
 	case KindThreshold:
-		switch r.Signal {
-		case SignalValue:
-			val = e.aggMax(snap, r.Metric)
-		case SignalEWMA:
+		if r.Signal == SignalEWMA {
 			cur := e.aggMax(snap, r.Metric)
 			if !rs.hasEWMA {
 				rs.ewma, rs.hasEWMA = cur, true
@@ -501,19 +418,13 @@ func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, 
 				rs.ewma = ewmaAlpha*cur + (1-ewmaAlpha)*rs.ewma
 			}
 			val = rs.ewma
-		case SignalDelta, SignalRate:
+		} else {
 			if !e.havePrev {
 				return 0, false, false
 			}
-			d := e.aggDelta(snap, r.Metric)
-			if r.Signal == SignalRate {
-				if dt := snap.Time.Sub(e.prevTime).Seconds(); dt > 0 {
-					d /= dt
-				}
-			}
-			val = d
+			val = e.aggDelta(snap, r.Metric)
 		}
-		return val, compare(r.Op, val, r.Bound), true
+		return val, val > r.Bound, true
 
 	case KindQuantile:
 		w := e.hists[r.Metric].window
@@ -521,29 +432,7 @@ func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, 
 			return 0, false, true // no traffic: quantile rule is quiet, not stuck
 		}
 		val = w.Quantile(r.Q).Seconds()
-		return val, compare(r.Op, val, r.Bound), true
-
-	case KindBurnRate:
-		if !e.havePrev {
-			return 0, false, false
-		}
-		rs.errRing.push(e.aggDelta(snap, r.Metric))
-		rs.totalRing.push(e.aggDelta(snap, r.TotalMetric))
-		if !rs.errRing.full() {
-			return 0, false, false
-		}
-		budget := (1 - r.Target) * r.BurnFactor
-		fastTot := rs.totalRing.sumLast(r.FastTicks)
-		slowTot := rs.totalRing.sumLast(r.SlowTicks)
-		var fast, slow float64
-		if fastTot > 0 {
-			fast = rs.errRing.sumLast(r.FastTicks) / fastTot
-		}
-		if slowTot > 0 {
-			slow = rs.errRing.sumLast(r.SlowTicks) / slowTot
-		}
-		val = slow
-		return val, fast > budget && slow > budget, true
+		return val, val > r.Bound, true
 
 	case KindAbsence:
 		if !e.havePrev {
@@ -553,24 +442,15 @@ func (e *Engine) evaluate(rs *ruleState, snap telemetry.Snapshot) (val float64, 
 		if d > 0 {
 			rs.everProgressed = true
 		}
-		rs.errRing.push(d)
-		rs.totalRing.push(e.aggDelta(snap, r.TotalMetric))
-		if !rs.errRing.full() {
+		rs.progress.push(d)
+		rs.activity.push(e.aggDelta(snap, r.ActivityMetric))
+		if !rs.progress.full() {
 			return 0, false, false
 		}
-		activity := rs.totalRing.sumLast(r.HoldTicks)
-		progress := rs.errRing.sumLast(r.HoldTicks)
-		val = progress
-		return val, rs.everProgressed && activity > 0 && progress == 0, true
+		val = rs.progress.sum()
+		return val, rs.everProgressed && rs.activity.sum() > 0 && val == 0, true
 	}
 	return 0, false, false
-}
-
-func compare(op Op, v, bound float64) bool {
-	if op == OpLess {
-		return v < bound
-	}
-	return v > bound
 }
 
 // seriesBase extracts the instrument name from a flattened series key

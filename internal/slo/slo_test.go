@@ -27,24 +27,26 @@ func states(e *Engine) map[string]string {
 
 func TestThresholdHoldAndResolve(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Threshold("depth", "lambdafs_ndb_queue_depth", SignalValue, OpGreater, 5, 2))
+	e.AddRule(Threshold("throttled", "lambdafs_tenant_throttled_total", SignalDelta, 5, 2))
 
 	var events []trace.Event
 	e.SetEventSink(func(ev trace.Event) { events = append(events, ev) })
 
+	// Tick 0 only seeds the delta base.
+	e.Observe(snapAt(0, map[string]float64{`lambdafs_tenant_throttled_total{tenant="a"}`: 0}))
 	// Tick 1: breach → pending (hold=2 not yet met).
-	e.Observe(snapAt(1, map[string]float64{`lambdafs_ndb_queue_depth{shard="0"}`: 9}))
-	if s := states(e)["depth"]; s != StatePending {
+	e.Observe(snapAt(1, map[string]float64{`lambdafs_tenant_throttled_total{tenant="a"}`: 9}))
+	if s := states(e)["throttled"]; s != StatePending {
 		t.Fatalf("after 1 breach tick: state %s, want pending", s)
 	}
 	// Tick 2: second consecutive breach → firing.
-	e.Observe(snapAt(2, map[string]float64{`lambdafs_ndb_queue_depth{shard="0"}`: 7}))
-	if s := states(e)["depth"]; s != StateFiring {
+	e.Observe(snapAt(2, map[string]float64{`lambdafs_tenant_throttled_total{tenant="a"}`: 16}))
+	if s := states(e)["throttled"]; s != StateFiring {
 		t.Fatalf("after 2 breach ticks: state %s, want firing", s)
 	}
 	// Tick 3: below bound → resolved to inactive.
-	e.Observe(snapAt(3, map[string]float64{`lambdafs_ndb_queue_depth{shard="0"}`: 1}))
-	if s := states(e)["depth"]; s != StateInactive {
+	e.Observe(snapAt(3, map[string]float64{`lambdafs_tenant_throttled_total{tenant="a"}`: 17}))
+	if s := states(e)["throttled"]; s != StateInactive {
 		t.Fatalf("after recovery: state %s, want inactive", s)
 	}
 
@@ -64,14 +66,16 @@ func TestThresholdHoldAndResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], `"rule":"depth"`) {
+	if len(lines) != 2 || !strings.Contains(lines[0], `"rule":"throttled"`) {
 		t.Fatalf("alert JSONL:\n%s", buf.String())
 	}
 }
 
+// TestValueAggregatesMaxAcrossLabelSets: an EWMA rule smooths the worst
+// label set's value, and its first tick is that value itself.
 func TestValueAggregatesMaxAcrossLabelSets(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Threshold("depth", "lambdafs_ndb_queue_depth", SignalValue, OpGreater, 5, 1))
+	e.AddRule(Threshold("depth", "lambdafs_ndb_queue_depth", SignalEWMA, 5, 1))
 	e.Observe(snapAt(1, map[string]float64{
 		`lambdafs_ndb_queue_depth{shard="0"}`: 1,
 		`lambdafs_ndb_queue_depth{shard="1"}`: 8,  // worst shard trips the rule
@@ -84,7 +88,7 @@ func TestValueAggregatesMaxAcrossLabelSets(t *testing.T) {
 
 func TestDeltaSumsCountersAndClampsResets(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Threshold("exp", "lambdafs_coordinator_lease_expiries_total", SignalDelta, OpGreater, 0.5, 1))
+	e.AddRule(Threshold("exp", "lambdafs_coordinator_lease_expiries_total", SignalDelta, 0.5, 1))
 	// First tick only seeds the delta base.
 	e.Observe(snapAt(1, map[string]float64{"lambdafs_coordinator_lease_expiries_total": 10}))
 	if s := states(e)["exp"]; s != StateInactive {
@@ -104,7 +108,7 @@ func TestDeltaSumsCountersAndClampsResets(t *testing.T) {
 
 func TestEWMASmoothsSpikes(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Threshold("sat", "lambdafs_ndb_queue_depth", SignalEWMA, OpGreater, 8, 1))
+	e.AddRule(Threshold("sat", "lambdafs_ndb_queue_depth", SignalEWMA, 8, 1))
 	// One-tick spike to 20: EWMA from 0 is 0.3*20 = 6 < 8, stays quiet.
 	e.Observe(snapAt(1, map[string]float64{"lambdafs_ndb_queue_depth": 0}))
 	e.Observe(snapAt(2, map[string]float64{"lambdafs_ndb_queue_depth": 20}))
@@ -117,50 +121,6 @@ func TestEWMASmoothsSpikes(t *testing.T) {
 	}
 	if s := states(e)["sat"]; s != StateFiring {
 		t.Fatalf("sustained saturation: state %s, want firing", s)
-	}
-}
-
-func TestBurnRateMultiWindow(t *testing.T) {
-	// 50% error budget burn factor 2 on a 10% budget → fire above 20%
-	// error ratio on BOTH a 2-tick fast and 6-tick slow window.
-	mk := func() *Engine {
-		e := New(Config{})
-		e.AddRule(BurnRate("burn", "lambdafs_faas_cold_starts_total", "lambdafs_faas_invocations_total",
-			0.90, 2, 2, 6))
-		return e
-	}
-	feed := func(e *Engine, tick int, cold, total float64) {
-		e.Observe(snapAt(tick, map[string]float64{
-			"lambdafs_faas_cold_starts_total": cold,
-			"lambdafs_faas_invocations_total": total,
-		}))
-	}
-
-	// Sustained 50% cold-start ratio: must fire once the slow window fills.
-	e := mk()
-	cold, total := 0.0, 0.0
-	for i := 1; i <= 10; i++ {
-		cold += 5
-		total += 10
-		feed(e, i, cold, total)
-	}
-	if s := states(e)["burn"]; s != StateFiring {
-		t.Fatalf("sustained burn: state %s, want firing", s)
-	}
-
-	// A single bad tick inside an otherwise clean stream must NOT fire:
-	// the slow window dilutes it below the budget.
-	e = mk()
-	cold, total = 0, 0
-	for i := 1; i <= 12; i++ {
-		if i == 8 {
-			cold += 10 // one tick of 100% cold starts
-		}
-		total += 10
-		feed(e, i, cold, total)
-	}
-	if s := states(e)["burn"]; s == StateFiring {
-		t.Fatalf("single-tick spike fired a multi-window burn rule")
 	}
 }
 
@@ -228,13 +188,13 @@ func TestAbsenceDetectsStalledProgress(t *testing.T) {
 	}
 }
 
-// TestWALStallRuleWatchesWrites: the default pack's WAL stall rule takes
+// TestWALStallRuleWatchesWrites: the pack's WAL stall rule takes
 // rows written as its activity, since only a commit that writes appends to
 // the WAL. Read-only commits advancing beside a silent WAL never fire it;
 // rows written beside a silent WAL do.
 func TestWALStallRuleWatchesWrites(t *testing.T) {
 	var rule Rule
-	for _, r := range DefaultRules() {
+	for _, r := range Rules() {
 		if r.Name == "wal_fsync_stall" {
 			rule = r
 		}
@@ -278,7 +238,7 @@ func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		sc := telemetry.NewScraper(clk, reg, time.Second)
 		e := New(Config{Registry: reg, Window: 4})
-		e.AddRule(QuantileThreshold("p99", "lambdafs_coordinator_inv_latency_seconds", 0.99, OpGreater, 5e-3, 1))
+		e.AddRule(QuantileThreshold("p99", "lambdafs_coordinator_inv_latency_seconds", 0.99, 5e-3, 1))
 		sc.OnSnapshot(e.Observe)
 
 		h := reg.Histogram("lambdafs_coordinator_inv_latency_seconds")
@@ -356,7 +316,7 @@ func TestQuantileRuleSeesItsWindow(t *testing.T) {
 					reg := telemetry.NewRegistry()
 					sc := telemetry.NewScraper(clk, reg, time.Second)
 					e := New(Config{Window: window})
-					e.AddRule(QuantileThreshold("p99", metric, 0.99, OpGreater, 5e-3, 1))
+					e.AddRule(QuantileThreshold("p99", metric, 0.99, 5e-3, 1))
 					sc.OnSnapshot(e.Observe)
 					for i, st := range script {
 						for k := 0; k < st.ticks; k++ {
@@ -389,7 +349,7 @@ func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 	clk := simtest.New(t)
 	sc := telemetry.NewScraper(clk, reg, time.Millisecond)
 	e := New(Config{Registry: reg, Window: 2})
-	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, OpGreater, 5e-3, 1))
+	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, 5e-3, 1))
 	sc.OnSnapshot(e.Observe)
 
 	// The recorder and the poller are host goroutines, outside the
@@ -441,7 +401,7 @@ func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 
 func TestMuteSuppressesTransitions(t *testing.T) {
 	e := New(Config{})
-	e.AddRule(Threshold("depth", "lambdafs_ndb_queue_depth", SignalValue, OpGreater, 5, 1))
+	e.AddRule(Threshold("depth", "lambdafs_ndb_queue_depth", SignalEWMA, 5, 1))
 	e.Mute("depth")
 	for i := 1; i <= 5; i++ {
 		e.Observe(snapAt(i, map[string]float64{"lambdafs_ndb_queue_depth": 50}))
@@ -458,18 +418,19 @@ func TestMuteSuppressesTransitions(t *testing.T) {
 	}
 }
 
-func TestDefaultRulesRegisterCleanly(t *testing.T) {
+// TestRulesRegisterCleanly: every rule of the pack registers under a name
+// of its own, and an idle snapshot stream fires none of them.
+func TestRulesRegisterCleanly(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Config{Registry: reg})
-	e.AddRules(DefaultRules())
-	if got := len(e.Status()); got != 6 {
-		t.Fatalf("default pack has %d rules, want 6", got)
+	e.AddRules(Rules())
+	if got, want := len(e.Status()), len(Rules()); got != want {
+		t.Fatalf("engine holds %d rules of the pack's %d: a name is taken twice", got, want)
 	}
-	// A quiet snapshot stream must not fire anything.
 	for i := 1; i <= 20; i++ {
 		e.Observe(snapAt(i, map[string]float64{}))
 	}
 	if f := e.Firing(); len(f) != 0 {
-		t.Fatalf("default pack fired on an idle system: %v", f)
+		t.Fatalf("the pack fired on an idle system: %v", f)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // checkSLORules is a module-wide check: SLO rule definitions (calls to
-// internal/slo's Threshold / QuantileThreshold / BurnRate / Absence
+// internal/slo's Threshold / QuantileThreshold / Absence
 // constructors) may only reference metric names that some analyzed
 // package actually registers on a telemetry.Registry. A typo in a rule's
 // metric name would otherwise produce a rule that silently never fires —
@@ -25,7 +25,6 @@ import (
 var sloRuleMetricArgs = map[string][]int{
 	"Threshold":         {1},
 	"QuantileThreshold": {1},
-	"BurnRate":          {1, 2},
 	"Absence":           {1, 2},
 }
 

@@ -21,22 +21,22 @@ func register(reg *telemetry.Registry) {
 }
 
 // clean rules: every metric reference resolves to a registration above,
-// including via a named constant and the derived _count series.
+// including via a named constant and the derived _count series, in both
+// of Absence's metric positions.
 func clean() []slo.Rule {
 	return []slo.Rule{
-		slo.Threshold("depth", "lambdafs_slorules_queue_depth", slo.SignalEWMA, slo.OpGreater, 8, 3),
-		slo.QuantileThreshold("p99", "lambdafs_slorules_latency_seconds", 0.99, slo.OpGreater, 5e-3, 1),
-		slo.QuantileThreshold("ratio", ratioMetric, 0.5, slo.OpLess, 0.9, 1),
-		slo.BurnRate("burn", "lambdafs_slorules_ops_total", "lambdafs_slorules_latency_seconds_count", 0.99, 4, 3, 12),
-		slo.Absence("stall", "lambdafs_slorules_ops_total", "lambdafs_slorules_queue_depth", 4),
+		slo.Threshold("depth", "lambdafs_slorules_queue_depth", slo.SignalEWMA, 8, 3),
+		slo.QuantileThreshold("p99", "lambdafs_slorules_latency_seconds", 0.99, 5e-3, 1),
+		slo.QuantileThreshold("ratio", ratioMetric, 0.5, 0.9, 1),
+		slo.Absence("stall", "lambdafs_slorules_ops_total", "lambdafs_slorules_latency_seconds_count", 4),
 	}
 }
 
 func dirty(dynamic string) []slo.Rule {
 	return []slo.Rule{
-		slo.Threshold("typo", "lambdafs_slorules_queue_dept", slo.SignalValue, slo.OpGreater, 8, 3),                // want slorules
-		slo.QuantileThreshold("ghost", "lambdafs_slorules_missing_seconds", 0.99, slo.OpGreater, 1, 1),             // want slorules
-		slo.BurnRate("badtotal", "lambdafs_slorules_ops_total", "lambdafs_slorules_requests_total", 0.9, 4, 3, 12), // want slorules
-		slo.Absence("dyn", dynamic, "lambdafs_slorules_ops_total", 4),                                              // want slorules
+		slo.Threshold("typo", "lambdafs_slorules_queue_dept", slo.SignalDelta, 8, 3),                     // want slorules
+		slo.QuantileThreshold("ghost", "lambdafs_slorules_missing_seconds", 0.99, 1, 1),                  // want slorules
+		slo.Absence("badactivity", "lambdafs_slorules_ops_total", "lambdafs_slorules_requests_total", 4), // want slorules
+		slo.Absence("dyn", dynamic, "lambdafs_slorules_ops_total", 4),                                    // want slorules
 	}
 }
