@@ -131,7 +131,7 @@ var goldenLambdaTiny = map[string]string{
 	"fig10": "18751a82ac606f8e7e1ab502d639bfb05ac69e1e5ac1a5885d0ff5388e1927b3",
 	"fig15": "2206c17a459758cdc520d199cd1f49e1b0145e73c63879b4e534b4d9d8c1cd0c",
 	"trace": "53bcb9a97808958226a529ec8445690822710343d0acee7c8f3f0f3e6391359a",
-	"slo":   "22bc16d2e2f6ff76ca252ea9ff82f991170216b841ef198cb52a2e55447d445e",
+	"slo":   "3a7b40787801499a98a7b2bc6a626701eaf7ac90d01596863a9296855f610a35",
 }
 
 func TestLambdaTablesTinyGolden(t *testing.T) {

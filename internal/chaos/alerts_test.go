@@ -49,15 +49,17 @@ func TestAlertCoverage(t *testing.T) {
 }
 
 // goldenAlertDigests are the transition digests of every family's episode
-// for seeds 1 and 2, the ten `lambdafs-bench slo` prints (first 16 hex
+// for seeds 1 and 2, the fourteen `lambdafs-bench slo` prints (first 16 hex
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
-	FamilyInstanceKill: {"1cff280ff83192aa", "6dd0bc82e8df6f2c"},
-	FamilyShardFault:   {"b76e62a01cc31589", "f6f57f985c82055b"},
-	FamilyCrashRestart: {"e29e92e093280c33", "e29e92e093280c33"},
-	FamilyLeaderDepose: {"52f8ec4ff09df1ab", "b2214d9cf20bfec6"},
-	FamilyTenantStorm:  {"de04242e35486d5c", "39408959a1cfc405"},
+	FamilyInstanceKill:    {"15e2a5ad0e7ce4c7", "942afd24e028114d"},
+	FamilyShardFault:      {"3569d2744157eb93", "3569d2744157eb93"},
+	FamilySlowCoordinator: {"91f23b2849a1a8ba", "9ce7492f7baa568c"},
+	FamilyCrashRestart:    {"c62a0b603a9d0cc6", "c62a0b603a9d0cc6"},
+	FamilyWALDrop:         {"ae67d6704c192669", "ae67d6704c192669"},
+	FamilyLeaderDepose:    {"cdfb591aa751787d", "856498b3ef91fc8b"},
+	FamilyTenantStorm:     {"13f2417b6b01188e", "db3dc3b46932a023"},
 }
 
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must
@@ -76,7 +78,7 @@ func TestAlertEpisodeDigestStable(t *testing.T) {
 			}
 			if len(a.Digest) < 16 || a.Digest[:16] != want {
 				t.Errorf("family %s seed %d: digest %.16s, committed %s — if the change is meant to move alert timing, "+
-					"`go run ./cmd/lambdafs-bench slo` prints all ten for goldenAlertDigests", c.Family, seed, a.Digest, want)
+					"`go run ./cmd/lambdafs-bench slo` prints all fourteen for goldenAlertDigests", c.Family, seed, a.Digest, want)
 			}
 		}
 	}
