@@ -119,6 +119,7 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 
 	reg := telemetry.NewRegistry()
 	clk := clock.NewSim()
+	defer clk.Close()
 	sc := telemetry.NewScraper(clk, reg, time.Second)
 	eng := slo.New(slo.Config{Registry: reg, Window: 16})
 	eng.AddRules(slo.Rules())
