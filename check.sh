@@ -104,9 +104,9 @@ go test ./internal/core/ -run '^$' -fuzz FuzzResultCache -fuzztime 10s
 echo "== fuzz (core result row codec, the raced write's record: every row round-trips, its strict prefixes and a byte more are rejected, arbitrary bytes never panic and are accepted only as a row's one encoding; bounded) =="
 go test ./internal/core/ -run '^$' -fuzz FuzzResultRow -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, hotpath gate, real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core (with the exactly-once matrix of raced writes), chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's and the replaced write's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, baseline gate (every kind at tiny), real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core (with the exactly-once matrix of raced writes), chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's and the replaced write's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
-go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestHotpathBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
+go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
 go test ./internal/trace/ ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
 
 echo "== one-P join repeat (Idle joins against Group joins and the exact reference pool, 50 runs on one P: a grace that misses a helper fails here) =="
@@ -118,14 +118,10 @@ go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1
 echo "== event-heap smoke (internal/sim, which only benchmark/ still times: determinism, FIFO stability, 100k-event-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
-echo "== hotpath perf baseline (quick mode; every virtual column exact, a margin on allocs/op alone) =="
-go run ./cmd/lambdafs-bench -check BENCH_hotpath.json
-
-echo "== restart durability baseline (quick mode; digest-exact recovery, every column exact) =="
-go run ./cmd/lambdafs-bench -check BENCH_restart.json
-
-echo "== scale baseline (quick mode; 1k and 10k tenant clients through the real rpc/faas/core/ndb stack on clock.Sim; exact gate on ops, throttles, p50/p99, cold starts, peak instances and per-tenant admitted/throttled/p99) =="
-go run ./cmd/lambdafs-bench -check BENCH_scale.json
+echo "== committed baselines (every BENCH_*.json, routed by its schema and re-measured at its mode and seed; every leaf exact but hotpath's allocs_per_op, which may reach baseline × 1.25 + 8, and a diverged restart recovery fails whatever the file records) =="
+for f in BENCH_*.json; do
+    go run ./cmd/lambdafs-bench -check "$f"
+done
 
 echo "== profiling smoke =="
 profdir=$(mktemp -d)

@@ -11,8 +11,8 @@
 //	lambdafs-bench -full fig8a          # paper-scale counts (slow)
 //	lambdafs-bench -seed 42 fig16
 //	lambdafs-bench -out DIR trace chaos  # also write CSVs, JSONL and telemetry artifacts
-//	lambdafs-bench -baseline hotpath          # write BENCH_hotpath.json (also: restart, scale)
-//	lambdafs-bench -check BENCH_hotpath.json  # re-measure, fail on regression (gate picked by the file's schema)
+//	lambdafs-bench -baseline hotpath          # write BENCH_hotpath.json (any committed BENCH_<name>.json's name)
+//	lambdafs-bench -check BENCH_hotpath.json  # re-measure, fail on any differing leaf (gate picked by the file's schema)
 package main
 
 import (
@@ -37,8 +37,8 @@ func main() {
 	outDir := flag.String("out", "", "write every artifact into this directory: each table as <table>.csv, trace's trace/event JSONL, the telemetry planes (Prometheus text dump, scraped snapshot JSON) and flight-recorder JSONL, slo's coverage and alert logs")
 	chaosSeed := flag.Int64("chaosseed", 0, "replay a single chaos episode with this seed (0 = full chaos experiment; use the seed a failing run printed)")
 	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap,mutex,block}.pprof into this directory")
-	baseline := flag.String("baseline", "", "measure the named baseline (hotpath|restart|scale) and write BENCH_<name>.json into the current directory, then exit (scale: tenant clients through the real stack, 1k and 10k; -full adds 30k)")
-	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on a regression or divergence")
+	baseline := flag.String("baseline", "", "measure the named baseline — the <name> of a committed BENCH_<name>.json; an unknown name lists the known ones — and write BENCH_<name>.json into the current directory, then exit")
+	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on any leaf that differs (hotpath's allocs_per_op: beyond baseline × 1.25 + 8)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-full] [-seed N] [-out DIR] [-chaosseed N] [-pprof DIR] [-baseline NAME] [-check FILE] list | all | <experiment>...\n\n", os.Args[0])
 		fmt.Fprintln(os.Stderr, "experiments:")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"lambdafs/internal/clock"
@@ -23,7 +24,8 @@ import (
 // regenerated by `lambdafs-bench -baseline hotpath` and checked by
 // `lambdafs-bench -check BENCH_hotpath.json` (check.sh runs the latter).
 // All latencies are virtual (discrete-event) time, so runs are
-// deterministic and the regression gate is tight.
+// deterministic and every column but allocs/op is gated exactly
+// (baseline.go).
 
 // HotpathSchema identifies the baseline file format. v3 stores one
 // measurement per scenario; older baselines fail the schema check and
@@ -60,9 +62,7 @@ type HotpathScenario struct {
 
 // HotpathBaseline is the committed BENCH_hotpath.json document.
 type HotpathBaseline struct {
-	Schema    string                      `json:"schema"`
-	Mode      string                      `json:"mode"`
-	Seed      int64                       `json:"seed"`
+	baselineHeader
 	Scenarios map[string]*HotpathScenario `json:"scenarios"`
 }
 
@@ -151,38 +151,41 @@ func (c *hotpathCluster) measureOps(ops int, fn func(i int)) *HotpathScenario {
 	return sc
 }
 
-// mustOK panics on an unexpected op failure; the benchmark namespace is
-// private to each scenario, so every operation must succeed.
-func mustOK(resp *namespace.Response, op namespace.OpType, path string) {
-	if !resp.OK() {
-		panic(fmt.Sprintf("hotpath: %v %s failed: %s", op, path, resp.Err))
-	}
+// hotpathScenario preloads dirs and files into a fresh hotpath cluster
+// with peers peer NameNodes and measures ops requests, the i-th being
+// req(i). The benchmark namespace is private to each scenario, so every
+// request must succeed.
+func hotpathScenario(peers int, dirs, files []string, ops int, req func(i int) namespace.Request) *HotpathScenario {
+	clk := clock.NewSim()
+	defer clk.Close()
+	var c *hotpathCluster
+	clock.Run(clk, func() {
+		c = newHotpathCluster(clk, peers)
+		workload.PreloadNDB(c.db, dirs, files)
+	})
+	return c.measureOps(ops, func(i int) {
+		r := req(i)
+		if resp := c.writer.Execute(r); !resp.OK() {
+			panic(fmt.Sprintf("hotpath: %v %s failed: %s", r.Op, r.Path, resp.Err))
+		}
+	})
 }
 
 // hotpathDeepStat measures cache-miss stats of files under a deep
 // directory chain: each resolution is a single per-shard multi-get,
 // whatever the depth.
 func hotpathDeepStat(depth, files int) *HotpathScenario {
-	clk := clock.NewSim()
-	defer clk.Close()
-	var c *hotpathCluster
-	var paths []string
-	clock.Run(clk, func() {
-		c = newHotpathCluster(clk, 4)
-		dir := ""
-		var dirs []string
-		for d := 0; d < depth; d++ {
-			dir = fmt.Sprintf("%s/h%d", dir, d)
-			dirs = append(dirs, dir)
-		}
-		for f := 0; f < files; f++ {
-			paths = append(paths, fmt.Sprintf("%s/f%04d", dir, f))
-		}
-		workload.PreloadNDB(c.db, dirs, paths)
-	})
-	return c.measureOps(files, func(i int) {
-		resp := c.writer.Execute(namespace.Request{Op: namespace.OpStat, Path: paths[i]})
-		mustOK(resp, namespace.OpStat, paths[i])
+	dir := ""
+	var dirs, paths []string
+	for d := 0; d < depth; d++ {
+		dir = fmt.Sprintf("%s/h%d", dir, d)
+		dirs = append(dirs, dir)
+	}
+	for f := 0; f < files; f++ {
+		paths = append(paths, fmt.Sprintf("%s/f%04d", dir, f))
+	}
+	return hotpathScenario(4, dirs, paths, files, func(i int) namespace.Request {
+		return namespace.Request{Op: namespace.OpStat, Path: paths[i]}
 	})
 }
 
@@ -190,9 +193,6 @@ func hotpathDeepStat(depth, files int) *HotpathScenario {
 // of perDir files, and chain and children come back in one fused multi-get
 // — one store read and one resolve hop per ls, like a stat.
 func hotpathLsMiss(dirs, perDir int) *HotpathScenario {
-	clk := clock.NewSim()
-	defer clk.Close()
-	var c *hotpathCluster
 	dirPaths := []string{"/ls"}
 	var files []string
 	for d := 0; d < dirs; d++ {
@@ -202,13 +202,8 @@ func hotpathLsMiss(dirs, perDir int) *HotpathScenario {
 			files = append(files, fmt.Sprintf("%s/f%02d", dir, f))
 		}
 	}
-	clock.Run(clk, func() {
-		c = newHotpathCluster(clk, 4)
-		workload.PreloadNDB(c.db, dirPaths, files)
-	})
-	return c.measureOps(dirs, func(i int) {
-		resp := c.writer.Execute(namespace.Request{Op: namespace.OpLs, Path: dirPaths[1+i]})
-		mustOK(resp, namespace.OpLs, dirPaths[1+i])
+	return hotpathScenario(4, dirPaths, files, dirs, func(i int) namespace.Request {
+		return namespace.Request{Op: namespace.OpLs, Path: dirPaths[1+i]}
 	})
 }
 
@@ -216,17 +211,8 @@ func hotpathLsMiss(dirs, perDir int) *HotpathScenario {
 // directories with many peer NameNodes registered: every created path
 // must be invalidated on every peer, all in one coalesced INV/ACK round.
 func hotpathWriteStorm(peers, ops int) *HotpathScenario {
-	clk := clock.NewSim()
-	defer clk.Close()
-	var c *hotpathCluster
-	clock.Run(clk, func() {
-		c = newHotpathCluster(clk, peers)
-		workload.PreloadNDB(c.db, []string{"/storm"}, nil)
-	})
-	return c.measureOps(ops, func(i int) {
-		p := fmt.Sprintf("/storm/d%04d/a/b/c/d", i)
-		resp := c.writer.Execute(namespace.Request{Op: namespace.OpMkdirs, Path: p})
-		mustOK(resp, namespace.OpMkdirs, p)
+	return hotpathScenario(peers, []string{"/storm"}, nil, ops, func(i int) namespace.Request {
+		return namespace.Request{Op: namespace.OpMkdirs, Path: fmt.Sprintf("/storm/d%04d/a/b/c/d", i)}
 	})
 }
 
@@ -234,19 +220,9 @@ func hotpathWriteStorm(peers, ops int) *HotpathScenario {
 // quiesce phase reads every INode in the subtree under exclusive locks,
 // one per-shard multi-get per partition.
 func hotpathSubtreeMv(size int) *HotpathScenario {
-	clk := clock.NewSim()
-	defer clk.Close()
-	var c *hotpathCluster
 	dirs, files := workload.DeepNamespace("/mvroot", size)
-	clock.Run(clk, func() {
-		c = newHotpathCluster(clk, 4)
-		workload.PreloadNDB(c.db, dirs, files)
-	})
-	return c.measureOps(1, func(int) {
-		resp := c.writer.Execute(namespace.Request{
-			Op: namespace.OpMv, Path: "/mvroot", Dest: "/moved",
-		})
-		mustOK(resp, namespace.OpMv, "/mvroot")
+	return hotpathScenario(4, dirs, files, 1, func(int) namespace.Request {
+		return namespace.Request{Op: namespace.OpMv, Path: "/mvroot", Dest: "/moved"}
 	})
 }
 
@@ -258,9 +234,7 @@ func HotpathMeasure(opts Options) *HotpathBaseline {
 	stormPeers, stormOps := scaled(s, 16, 16, 8), scaled(s, 192, 48, 16)
 	mvSize := scaled(s, 10_000, 10_000, 2_000)
 	return &HotpathBaseline{
-		Schema: HotpathSchema,
-		Mode:   s.String(),
-		Seed:   opts.Seed,
+		baselineHeader: baselineHeader{HotpathSchema, s.String(), opts.Seed},
 		Scenarios: map[string]*HotpathScenario{
 			"deep_stat":   hotpathDeepStat(depth, files),
 			"ls_miss":     hotpathLsMiss(files, 16),
@@ -305,47 +279,20 @@ func RunHotpath(opts Options) []*Table {
 	return []*Table{t}
 }
 
-// The margin on allocs/op, the one host-side column: 25% relative plus an
-// absolute slack, so the runtime's run-to-run jitter on a small baseline
-// does not fail the gate.
-const (
-	hotpathAllocsMargin = 1.25
-	hotpathAllocsSlack  = 8.0 // allocs/op
-)
+// allocsMargin is allocs_per_op's rule. The one host-side column may
+// rise 25% plus an absolute slack over its baseline, so the runtime's
+// run-to-run jitter on a small baseline does not fail the gate.
+const hotpathAllocsMargin, hotpathAllocsSlack = 1.25, 8.0
 
-// CheckHotpathBaseline re-measures at the committed baseline's mode and
-// fails on any divergence in a virtual column of any scenario
-// (baselineDiff.exact: a reintroduced store round trip, a microsecond of
-// lock wait, a moved percentile), on an allocs/op blow-up, or on a scenario
-// disappearing.
-func CheckHotpathBaseline(path string, opts Options) error {
-	var committed HotpathBaseline
-	opts, err := loadBaseline(path, "hotpath", HotpathSchema, &committed, opts)
-	if err != nil {
-		return err
+func allocsMargin(got, want any) string {
+	g, gerr := strconv.ParseFloat(fmt.Sprint(got), 64)
+	w, werr := strconv.ParseFloat(fmt.Sprint(want), 64)
+	if gerr != nil || werr != nil {
+		return exactLeaf(got, want)
 	}
-	cur := HotpathMeasure(opts)
-	var d baselineDiff
-	for _, name := range hotpathScenarioOrder {
-		want, ok := committed.Scenarios[name]
-		if !ok {
-			return fmt.Errorf("baseline %s lacks scenario %q (regenerate with -baseline hotpath)", path, name)
-		}
-		got := cur.Scenarios[name]
-		d.exact(name, "ops", got.Ops, want.Ops)
-		d.exact(name, "throughput ops/s", got.ThroughputOpsSec, want.ThroughputOpsSec)
-		d.exact(name, "p50_us", got.P50Us, want.P50Us)
-		d.exact(name, "p99_us", got.P99Us, want.P99Us)
-		d.exact(name, "ndb reads/op", got.NDBReadsPerOp, want.NDBReadsPerOp)
-		d.exact(name, "resolve hops/op", got.ResolveHopsPerOp, want.ResolveHopsPerOp)
-		d.exact(name, "virtual_wall_us", got.VirtualWallUs, want.VirtualWallUs)
-		d.exact(name, "lock-wait us/op", got.LockWaitUsPerOp, want.LockWaitUsPerOp)
-		if limit := want.AllocsPerOp*hotpathAllocsMargin + hotpathAllocsSlack; got.AllocsPerOp > limit {
-			d.fails = append(d.fails, fmt.Sprintf(
-				"%s: allocs/op %.0f > %.0f (baseline %.0f ×%.2f + %.0f slack)",
-				name, got.AllocsPerOp, limit,
-				want.AllocsPerOp, hotpathAllocsMargin, hotpathAllocsSlack))
-		}
+	if limit := w*hotpathAllocsMargin + hotpathAllocsSlack; g > limit {
+		return fmt.Sprintf("allocs/op %.0f > %.0f (baseline %.0f ×%.2f + %.0f slack)",
+			g, limit, w, hotpathAllocsMargin, hotpathAllocsSlack)
 	}
-	return regressionError("hotpath perf regression", path, d.fails)
+	return ""
 }

@@ -25,9 +25,8 @@ import (
 // chaos crash_restart episodes (fault-flavoured crashes mid-workload).
 // All recovery latencies are virtual (WAL fsync, per-record replay, and
 // checkpoint probes are billed on the simulated clock), so runs are
-// deterministic and the committed BENCH_restart.json regression gate is
-// tight: replayed-record counts must match exactly and recovery time
-// may not regress more than 10%.
+// deterministic and every leaf of the committed BENCH_restart.json must
+// match exactly (baseline.go).
 
 // RestartSchema identifies the baseline file format.
 const RestartSchema = "lambdafs-restart-baseline/v1"
@@ -57,10 +56,8 @@ type RestartRow struct {
 
 // RestartBaseline is the committed BENCH_restart.json document.
 type RestartBaseline struct {
-	Schema string                 `json:"schema"`
-	Mode   string                 `json:"mode"`
-	Seed   int64                  `json:"seed"`
-	Rows   map[string]*RestartRow `json:"rows"`
+	baselineHeader
+	Rows map[string]*RestartRow `json:"rows"`
 }
 
 // restartScenario names one (log length, checkpoint cadence) point.
@@ -162,10 +159,8 @@ func measureRestart(sc restartScenario) *RestartRow {
 // RestartMeasure runs all scenarios and returns the baseline document.
 func RestartMeasure(opts Options) *RestartBaseline {
 	b := &RestartBaseline{
-		Schema: RestartSchema,
-		Mode:   opts.Scale.String(),
-		Seed:   opts.Seed,
-		Rows:   map[string]*RestartRow{},
+		baselineHeader: baselineHeader{RestartSchema, opts.Scale.String(), opts.Seed},
+		Rows:           map[string]*RestartRow{},
 	}
 	for _, sc := range restartScenarios(opts.Scale) {
 		b.Rows[sc.name] = measureRestart(sc)
@@ -238,37 +233,11 @@ func RunRestart(opts Options) []*Table {
 	return []*Table{t, ep}
 }
 
-// CheckRestartBaseline re-measures at the committed baseline's mode and
-// fails when a scenario's recovered state diverges from the pre-crash
-// state or any column — the log footprint, the checkpoint/replay split,
-// the recovery time — differs from the baseline (baselineDiff.exact).
-func CheckRestartBaseline(path string, opts Options) error {
-	var committed RestartBaseline
-	opts, err := loadBaseline(path, "restart", RestartSchema, &committed, opts)
-	if err != nil {
-		return err
+// recoveredExact is digest_match's rule: a recovery that diverged from
+// the pre-crash committed state fails whatever the committed file says.
+func recoveredExact(got, want any) string {
+	if got != true {
+		return "recovered state diverged from the pre-crash committed state"
 	}
-	cur := RestartMeasure(opts)
-	var d baselineDiff
-	for _, sc := range restartScenarios(opts.Scale) {
-		want, ok := committed.Rows[sc.name]
-		if !ok {
-			return fmt.Errorf("baseline %s lacks scenario %q (regenerate with -baseline restart)",
-				path, sc.name)
-		}
-		got := cur.Rows[sc.name]
-		if !got.DigestMatch {
-			d.fails = append(d.fails, fmt.Sprintf(
-				"%s: recovered state diverged from the pre-crash committed state", sc.name))
-		}
-		d.exact(sc.name, "commits", got.Commits, want.Commits)
-		d.exact(sc.name, "checkpoints", got.Checkpoints, want.Checkpoints)
-		d.exact(sc.name, "wal_records", got.WALRecords, want.WALRecords)
-		d.exact(sc.name, "wal_bytes", got.WALBytes, want.WALBytes)
-		d.exact(sc.name, "base_lsn", got.BaseLSN, want.BaseLSN)
-		d.exact(sc.name, "checkpoint_rows", got.CheckpointRows, want.CheckpointRows)
-		d.exact(sc.name, "replayed_records", got.Replayed, want.Replayed)
-		d.exact(sc.name, "recovery_us", got.RecoveryUs, want.RecoveryUs)
-	}
-	return regressionError("restart recovery regression", path, d.fails)
+	return exactLeaf(got, want)
 }

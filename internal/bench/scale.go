@@ -76,10 +76,8 @@ type ScaleRow struct {
 
 // ScaleBaseline is the committed BENCH_scale.json document.
 type ScaleBaseline struct {
-	Schema string               `json:"schema"`
-	Mode   string               `json:"mode"`
-	Seed   int64                `json:"seed"`
-	Rows   map[string]*ScaleRow `json:"rows"`
+	baselineHeader
+	Rows map[string]*ScaleRow `json:"rows"`
 }
 
 // scaleResult is one measured point: the gated row plus what only the
@@ -166,10 +164,8 @@ func scaleKey(clients int) string { return fmt.Sprintf("c%d", clients) }
 // baseline document plus the results for rendering.
 func ScaleMeasure(opts Options) (*ScaleBaseline, []*scaleResult) {
 	b := &ScaleBaseline{
-		Schema: ScaleSchema,
-		Mode:   opts.Scale.String(),
-		Seed:   opts.Seed,
-		Rows:   make(map[string]*ScaleRow),
+		baselineHeader: baselineHeader{ScaleSchema, opts.Scale.String(), opts.Seed},
+		Rows:           make(map[string]*ScaleRow),
 	}
 	var results []*scaleResult
 	for _, pt := range scalePoints(opts.Scale) {
@@ -233,40 +229,4 @@ func scaleTables(results []*scaleResult) []*Table {
 	tenants.Notes = append(tenants.Notes,
 		"crawler is provisioned below demand by design — the throttle column is admission control working")
 	return []*Table{curve, tenants}
-}
-
-// CheckScaleBaseline re-runs the sweep at the committed baseline's mode
-// and seed and fails on ANY divergence: the substrate is bit-exact, so
-// every column of every row must match. An intentional behaviour change
-// regenerates the file with -baseline scale.
-func CheckScaleBaseline(path string, opts Options) error {
-	var committed ScaleBaseline
-	opts, err := loadBaseline(path, "scale", ScaleSchema, &committed, opts)
-	if err != nil {
-		return err
-	}
-	cur, _ := ScaleMeasure(opts)
-	var d baselineDiff
-	for _, pt := range scalePoints(opts.Scale) {
-		key := scaleKey(pt.clients)
-		want, ok := committed.Rows[key]
-		if !ok {
-			return fmt.Errorf("baseline %s lacks point %q (regenerate with -baseline scale)", path, key)
-		}
-		got := cur.Rows[key]
-		d.exact(key, "ops", got.Ops, want.Ops)
-		d.exact(key, "throttled", got.Throttled, want.Throttled)
-		d.exact(key, "p50_us", got.P50Us, want.P50Us)
-		d.exact(key, "p99_us", got.P99Us, want.P99Us)
-		d.exact(key, "cold_starts", got.ColdStarts, want.ColdStarts)
-		d.exact(key, "peak_instances", got.PeakInstances, want.PeakInstances)
-		if len(got.Tenants) != len(want.Tenants) {
-			d.exact(key, "tenants", len(got.Tenants), len(want.Tenants))
-			continue
-		}
-		for i, ts := range got.Tenants {
-			d.exact(key, "tenant "+ts.Tenant, ts, want.Tenants[i])
-		}
-	}
-	return regressionError("scale regression", path, d.fails)
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,90 +88,5 @@ func TestScaleMeasureTiny(t *testing.T) {
 		if row.Throttled == 0 {
 			t.Errorf("%s: clients saw no throttled reply", key)
 		}
-	}
-}
-
-func writeTinyScaleBaseline(t *testing.T) (string, Options, *ScaleBaseline) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "scale.json")
-	opts := Options{Scale: Tiny, Seed: 1, Out: io.Discard}
-	cur, _ := ScaleMeasure(opts)
-	if err := writeBaselineFile(path, cur); err != nil {
-		t.Fatalf("write baseline: %v", err)
-	}
-	return path, opts, cur
-}
-
-// TestScaleBaselineRoundTrip writes a tiny baseline and immediately
-// re-checks it: a freshly measured baseline must hold.
-func TestScaleBaselineRoundTrip(t *testing.T) {
-	path, opts, _ := writeTinyScaleBaseline(t)
-	if err := CheckScaleBaseline(path, opts); err != nil {
-		t.Fatalf("fresh baseline did not hold: %v", err)
-	}
-}
-
-// TestScaleBaselineCatchesDrift is the sabotage proof for the gate:
-// corrupting any gated column of the committed file must fail the check
-// and name the column.
-func TestScaleBaselineCatchesDrift(t *testing.T) {
-	_, opts, b := writeTinyScaleBaseline(t)
-	sabotage := map[string]func(r *ScaleRow){
-		"ops":              func(r *ScaleRow) { r.Ops++ },
-		"throttled":        func(r *ScaleRow) { r.Throttled++ },
-		"p50_us":           func(r *ScaleRow) { r.P50Us += 3 },
-		"p99_us":           func(r *ScaleRow) { r.P99Us += 17 },
-		"cold_starts":      func(r *ScaleRow) { r.ColdStarts++ },
-		"peak_instances":   func(r *ScaleRow) { r.PeakInstances-- },
-		"tenant admitted":  func(r *ScaleRow) { r.Tenants[0].Admitted++ },
-		"tenant throttled": func(r *ScaleRow) { r.Tenants[3].Throttled-- },
-		"tenant p99_us":    func(r *ScaleRow) { r.Tenants[1].P99Us++ },
-	}
-	for name, corrupt := range sabotage {
-		data, err := json.Marshal(b)
-		if err != nil {
-			t.Fatalf("marshal baseline: %v", err)
-		}
-		var mutated ScaleBaseline
-		if err := json.Unmarshal(data, &mutated); err != nil {
-			t.Fatalf("parse baseline: %v", err)
-		}
-		corrupt(mutated.Rows[scaleKey(scalePoints(opts.Scale)[0].clients)])
-		mpath := filepath.Join(t.TempDir(), "mutated.json")
-		if err := writeBaselineFile(mpath, &mutated); err != nil {
-			t.Fatalf("write mutated baseline: %v", err)
-		}
-		err = CheckScaleBaseline(mpath, opts)
-		if err == nil {
-			t.Errorf("%s corruption went undetected", name)
-		} else if col := strings.Fields(name)[0]; !strings.Contains(err.Error(), col) {
-			t.Errorf("%s corruption produced an error that does not name the column: %v", name, err)
-		}
-	}
-}
-
-// TestScaleBaselineRejectsBadSchema: a file of the deleted queueing
-// proxy (schema v1) must be refused with the regenerate hint, not
-// compared.
-func TestScaleBaselineRejectsBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scale.json")
-	doc := `{"schema":"lambdafs-scale-baseline/v1","mode":"tiny","seed":1,"rows":{}}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	err := CheckScaleBaseline(path, Options{Scale: Tiny, Seed: 1})
-	if err == nil {
-		t.Fatalf("stale schema accepted")
-	}
-	if !strings.Contains(err.Error(), "-baseline scale") {
-		t.Fatalf("error lacks the regenerate hint: %v", err)
-	}
-	// A mode that names no Scale is refused too, not measured at Full.
-	doc = `{"schema":"` + ScaleSchema + `","mode":"medium","seed":1,"rows":{}}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := CheckScaleBaseline(path, Options{Seed: 1}); err == nil || !strings.Contains(err.Error(), `"medium"`) {
-		t.Fatalf("unknown mode: err %v", err)
 	}
 }

