@@ -238,3 +238,76 @@ func edited(t *testing.T, doc []byte, path string, f func(any) any) []byte {
 	t.Fatalf("no node %s", path)
 	return nil
 }
+
+// TestHotpathBaselineGate pins the hotpath gate on its exact columns:
+// the counts are exact, so a committed file claiming one round trip
+// fewer is a regression; and a file claiming a slower or more contended
+// run than the tree measures is as stale as one claiming a faster one.
+func TestHotpathBaselineGate(t *testing.T) {
+	g := measureGate(t, "hotpath")
+	t.Run("deflated store-count fixtures fail", func(t *testing.T) {
+		g.failsWith(t, func(f float64) float64 { return f - 1 },
+			"scenarios.write_storm.ndb_reads_per_op", "scenarios.write_storm.resolve_hops_per_op")
+	})
+	t.Run("inflated virtual-column fixtures fail", func(t *testing.T) {
+		g.failsWith(t, func(f float64) float64 { return f + 1 },
+			"scenarios.subtree_mv.p99_us", "scenarios.subtree_mv.lock_wait_us_per_op",
+			"scenarios.subtree_mv.virtual_wall_us")
+	})
+}
+
+// TestRestartBaselineGate pins the restart gate on its recovery
+// columns: a committed file claiming a much faster recovery, or one
+// replayed record fewer, fails naming the leaf.
+func TestRestartBaselineGate(t *testing.T) {
+	g := measureGate(t, "restart")
+	t.Run("deflated recovery fixture fails", func(t *testing.T) {
+		g.failsWith(t, func(f float64) float64 { return f / 10 }, "rows.wal_256.recovery_us")
+	})
+	t.Run("replay drift fails", func(t *testing.T) {
+		g.failsWith(t, func(f float64) float64 { return f - 1 }, "rows.wal_256.replayed_records")
+	})
+}
+
+// measuredGate is one gate kind with a fresh tiny measurement and the
+// honest document of it.
+type measuredGate struct {
+	k      *baselineKind
+	fresh  any
+	honest []byte
+}
+
+func measureGate(t *testing.T, name string) measuredGate {
+	t.Helper()
+	for i := range baselineKinds {
+		if k := &baselineKinds[i]; k.name == name {
+			fresh := k.measure(Options{Scale: Tiny, Seed: 1, Out: io.Discard})
+			honest, err := json.Marshal(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return measuredGate{k, fresh, honest}
+		}
+	}
+	t.Fatalf("no baseline kind %s", name)
+	return measuredGate{}
+}
+
+// failsWith checks, for each numeric leaf path, that a committed file
+// with f applied to that leaf fails the gate naming it.
+func (g measuredGate) failsWith(t *testing.T, f func(float64) float64, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		committed := edited(t, g.honest, p, func(v any) any {
+			was, _ := v.(json.Number).Float64()
+			if f(was) == was {
+				t.Fatalf("%s = %g: the fixture leaves it unchanged", p, was)
+			}
+			return f(was)
+		})
+		err := g.k.compare("BENCH_"+g.k.name+".json", committed, g.fresh)
+		if err == nil || !strings.Contains(err.Error(), "\n  "+p+": ") {
+			t.Errorf("%s edited: gate said %v", p, err)
+		}
+	}
+}
