@@ -1,4 +1,4 @@
-// Package coordinator implements λFS's pluggable "Coordinator" service
+// Package coordinator implements λFS's "Coordinator" service
 // (§3.1, §3.5): it tracks which NameNode instances are alive in which
 // deployments, delivers the coherence protocol's INV messages, collects
 // ACKs (excusing instances that terminate mid-protocol), and provides the
@@ -6,10 +6,10 @@
 // NameNodes (§3.6). Leader election for the serverful baselines is
 // included.
 //
-// Two implementations are provided, as in the paper: a ZooKeeper-like
-// in-memory service (zk.go) and an NDB-backed one that persists membership
-// in the metadata store and pays store round trips for protocol messages
-// (ndbcoord.go).
+// The one implementation is the ZooKeeper-like in-memory service (zk.go).
+// The paper also runs λFS on an NDB-backed coordinator but reports no
+// result for it, so none is built here. The Coordinator interface stays
+// the engine's seam: tests substitute recording fakes through it.
 //
 // # Concurrency and ownership
 //

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/ndb"
 	"lambdafs/internal/simtest"
-	"lambdafs/internal/store"
 )
 
 func newTestZK(clk *clock.Sim) *ZK {
@@ -271,46 +269,6 @@ func TestTryLeadIdempotent(t *testing.T) {
 		z.Register(0, "a", func(Invalidation) {})
 		if !z.TryLead("g", "a") || !z.TryLead("g", "a") {
 			t.Fatal("repeated TryLead by the leader should stay true")
-		}
-	})
-}
-
-func TestNDBCoordPersistsMembership(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		dbCfg := ndb.DefaultConfig()
-		dbCfg.RTT, dbCfg.ReadService, dbCfg.WriteService = 0, 0, 0
-		db := ndb.New(clk, dbCfg)
-		cfg := DefaultConfig()
-		cfg.HopLatency = 0
-		c := NewNDB(clk, cfg, db)
-
-		// persisted reads deployment 3's membership rows back from the store.
-		persisted := func() map[string][]byte {
-			t.Helper()
-			tx := db.Begin("test")
-			defer tx.Abort()
-			rows, err := tx.KVScan(store.TableCoord, "member/3/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rows
-		}
-		s := c.Register(3, "nn-x", func(Invalidation) {})
-		if rows := persisted(); len(rows) != 1 || rows[memberKey(3, "nn-x")] == nil {
-			t.Fatalf("persisted = %v", rows)
-		}
-		// INV works through the embedded dispatcher.
-		var got atomic.Bool
-		c.Register(3, "nn-y", func(Invalidation) { got.Store(true) })
-		if err := c.InvalidateBatch([]int{3}, []Invalidation{{Path: "/p", Writer: "nn-x"}}); err != nil {
-			t.Fatal(err)
-		}
-		if !got.Load() {
-			t.Fatal("INV not delivered via NDB coordinator")
-		}
-		s.Close()
-		if rows := persisted(); rows[memberKey(3, "nn-x")] != nil {
-			t.Fatal("membership row survived Close")
 		}
 	})
 }

@@ -410,7 +410,7 @@ func TestAdmissionWakesOnlyOnFreedCapacity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := simtest.New(t)
 			cfg := fastCfg()
-			cfg.TotalVCPU, cfg.MaxUtilization, cfg.EvictForSpace = 1, 1, false
+			cfg.TotalVCPU, cfg.MaxUtilization = 1, 1
 			cfg.InvokeQueueTimeout = 100 * time.Millisecond
 			var consults atomic.Int64
 			cfg.OnProvision = func(int) bool { consults.Add(1); return true }
@@ -481,7 +481,6 @@ func TestEvictForSpace(t *testing.T) {
 	cfg := fastCfg()
 	cfg.TotalVCPU = 8
 	cfg.MaxUtilization = 1
-	cfg.EvictForSpace = true
 	opts := DeploymentOptions{VCPU: 4, RAMGB: 1, ConcurrencyLevel: 1}
 	for _, tc := range []struct {
 		name      string
@@ -619,30 +618,6 @@ func TestManyDeploymentsParallelInvokes(t *testing.T) {
 		}
 		if p.Deployments() != deps {
 			t.Fatalf("deployments = %d", p.Deployments())
-		}
-	})
-}
-
-func TestNuclioProfile(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		owCfg := DefaultConfig()
-		nuCfg := NuclioConfig()
-		if nuCfg.ColdStart >= owCfg.ColdStart {
-			t.Fatal("Nuclio profile should have faster cold starts")
-		}
-		if nuCfg.GatewayLatency >= owCfg.GatewayLatency {
-			t.Fatal("Nuclio profile should have a lighter gateway")
-		}
-		// The profile must be a drop-in: same control loop, working end to end.
-		nuCfg.ColdStart = 0
-		nuCfg.GatewayLatency = 0
-		nuCfg.IdleReclaim = 0
-		p := New(clk, nuCfg)
-		defer p.Close()
-		tr := &appTracker{}
-		d := p.Register("fn", tr.factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 2})
-		if resp, err := d.Invoke("ping"); err != nil || resp != "ping" {
-			t.Fatalf("nuclio-profile invoke: %v %v", resp, err)
 		}
 	})
 }

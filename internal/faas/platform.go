@@ -64,12 +64,6 @@ type Config struct {
 	// MaxUtilization caps the fraction of TotalVCPU the platform will
 	// provision (λFS's self-imposed 92.77% anti-thrashing bound, §5.1).
 	MaxUtilization float64
-	// EvictForSpace permits terminating the longest-idle instance of
-	// another deployment to make room, as OpenWhisk does on a
-	// resource-bounded cluster (the private-cloud thrashing regime of
-	// Appendix C). Without it, deployments that lose the initial
-	// provisioning race can starve behind a fully-committed pool.
-	EvictForSpace bool
 	// InvokeQueueTimeout bounds how long an invocation waits for
 	// admission before the platform sheds it (HTTP 503 → client backoff).
 	InvokeQueueTimeout time.Duration
@@ -105,17 +99,6 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// NuclioConfig returns a Nuclio-flavoured platform profile (§4: λFS also
-// supports Nuclio): faster cold starts and a lighter gateway, with the
-// same control-loop semantics — porting λFS between FaaS platforms is a
-// configuration change, as the paper's 108-line Nuclio port suggests.
-func NuclioConfig() Config {
-	cfg := DefaultConfig()
-	cfg.ColdStart = 400 * time.Millisecond
-	cfg.GatewayLatency = 2 * time.Millisecond
-	return cfg
-}
-
 // DefaultConfig returns OpenWhisk-like parameters used across the
 // evaluation.
 func DefaultConfig() Config {
@@ -127,7 +110,6 @@ func DefaultConfig() Config {
 		IdleReclaim:        30 * time.Second,
 		ReclaimInterval:    5 * time.Second,
 		MaxUtilization:     0.9277,
-		EvictForSpace:      true,
 		InvokeQueueTimeout: 15 * time.Second,
 	}
 }
@@ -421,8 +403,11 @@ func (d *Deployment) provisionT(chargeColdStart bool, tc *trace.Ctx) *Instance {
 
 	limit := p.cfg.TotalVCPU * p.cfg.MaxUtilization
 	if p.vcpuUsed+d.opts.VCPU > limit || p.ramUsed+d.opts.RAMGB > p.cfg.TotalRAMGB {
-		// Optionally evict the longest-idle instance elsewhere.
-		if !p.cfg.EvictForSpace || !p.evictIdleLocked(d) {
+		// Evict the longest-idle instance elsewhere, as OpenWhisk does on
+		// a resource-bounded cluster (the private-cloud thrashing regime
+		// of Appendix C): without it, deployments that lose the initial
+		// provisioning race starve behind a fully-committed pool.
+		if !p.evictIdleLocked(d) {
 			p.mu.Unlock()
 			return nil
 		}
@@ -603,9 +588,6 @@ func (d *Deployment) Warm() []*Instance {
 	}
 	return out
 }
-
-// Name returns the deployment name.
-func (d *Deployment) Name() string { return d.name }
 
 // Index returns the deployment's index on the platform.
 func (d *Deployment) Index() int { return d.index }

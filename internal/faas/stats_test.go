@@ -86,7 +86,6 @@ func TestEvictionsMatchRegistry(t *testing.T) {
 		cfg := fastCfg()
 		cfg.TotalVCPU = 8
 		cfg.MaxUtilization = 1
-		cfg.EvictForSpace = true
 		p := New(clk, cfg)
 		defer p.Close()
 		tr := &appTracker{}

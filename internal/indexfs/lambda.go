@@ -84,9 +84,6 @@ func NewLambda(clk *clock.Sim, platform *faas.Platform, cfg LambdaConfig) *Lambd
 	return s
 }
 
-// Ring exposes the partitioning (clients route with it).
-func (s *LambdaSystem) Ring() *partition.Ring { return s.ring }
-
 // Invoke implements rpc.Invoker.
 func (s *LambdaSystem) Invoke(dep int, payload any) (any, error) {
 	return s.platform.Invoke(dep, payload)

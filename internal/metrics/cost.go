@@ -141,9 +141,6 @@ func (m *ProvisionedMeter) TotalUSD() float64 {
 	return m.gbHours * 3600 * LambdaGBSecondUSD
 }
 
-// PerSecondUSD returns the per-second spend series.
-func (m *ProvisionedMeter) PerSecondUSD() []float64 { return m.series.Values() }
-
 // CumulativeUSD returns the cumulative spend per second.
 func (m *ProvisionedMeter) CumulativeUSD() []float64 {
 	per := m.series.Values()

@@ -50,10 +50,10 @@ func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 					return err
 				}
 			}
-			if err := stx.KVPut(store.TableCoord, "kept", []byte("v")); err != nil {
+			if err := stx.KVPut(store.TableSubtreeOps, "kept", []byte("v")); err != nil {
 				return err
 			}
-			if err := stx.KVDelete(store.TableCoord, "gone"); err != nil {
+			if err := stx.KVDelete(store.TableSubtreeOps, "gone"); err != nil {
 				return err
 			}
 			stx.AtCommitPoint(func() { hooked = true })
@@ -84,7 +84,7 @@ func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 			if n := second.writeCount(); n != 0 {
 				t.Errorf("the reused transaction starts with %d buffered writes", n)
 			}
-			kv, err := stx.KVScan(store.TableCoord, "")
+			kv, err := stx.KVScan(store.TableSubtreeOps, "")
 			if err != nil || len(kv) != 1 || string(kv["kept"]) != "v" {
 				t.Errorf("the reused transaction scans %v, %v; want the committed row alone", kv, err)
 			}

@@ -66,7 +66,6 @@ var (
 // Well-known KV table names.
 const (
 	TableDataNodes  = "datanodes"   // DataNode heartbeats and block reports
-	TableCoord      = "coordinator" // NDB-backed Coordinator state
 	TableSubtreeOps = "subtree_ops" // active subtree operations (isolation)
 	TableResults    = "results"     // each client's latest raced write and its reply
 )

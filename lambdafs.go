@@ -37,18 +37,9 @@ import (
 	"lambdafs/internal/trace"
 )
 
-// CoordinatorKind selects the pluggable Coordinator backend (§3.1).
-type CoordinatorKind string
-
-// Supported coordinator backends.
-const (
-	CoordinatorZooKeeper CoordinatorKind = "zookeeper"
-	CoordinatorNDB       CoordinatorKind = "ndb"
-)
-
 // Config assembles a λFS cluster. Start from DefaultConfig and edit the
 // fields to change: NewCluster fills no zero field, so a Config{} is
-// rejected (it names no coordinator).
+// rejected (its store has no shards).
 type Config struct {
 	// SystemConfig is the deployment shape: n deployments (§3.3), the
 	// NameNode vCPU/RAM, the concurrency level (§3.4), the instance
@@ -66,8 +57,6 @@ type Config struct {
 	// RPC shapes the hybrid HTTP/TCP client library (§3.2, Appendices
 	// B-C).
 	RPC rpc.Config
-	// Coordinator selects the coordination backend.
-	Coordinator CoordinatorKind
 	// CoordinatorHop is the coordinator's one-way message latency.
 	CoordinatorHop time.Duration
 	// Clock is the virtual clock the cluster runs on; nil makes a fresh
@@ -96,7 +85,6 @@ func DefaultConfig() Config {
 		Platform:       faas.DefaultConfig(),
 		Store:          ndb.DefaultConfig(),
 		RPC:            rpc.DefaultConfig(),
-		Coordinator:    CoordinatorZooKeeper,
 		CoordinatorHop: 500 * time.Microsecond,
 	}
 }
@@ -122,6 +110,9 @@ type Cluster struct {
 
 // NewCluster starts a λFS cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
+	if cfg.Store.DataNodes < 1 && cfg.Store.Durable == nil {
+		return nil, fmt.Errorf("lambdafs: the store has %d shards (Store.DataNodes); start from DefaultConfig", cfg.Store.DataNodes)
+	}
 	c := &Cluster{cfg: cfg, clk: cfg.Clock}
 	if c.clk == nil {
 		c.clk = clock.NewSim()
@@ -148,15 +139,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	coordCfg.HopLatency = cfg.CoordinatorHop
 	coordCfg.Metrics = c.registry
 	coordCfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(c.db, id) }
-	switch cfg.Coordinator {
-	case CoordinatorZooKeeper:
-		c.coord = coordinator.NewZK(c.clk, coordCfg)
-	case CoordinatorNDB:
-		coordCfg.HopLatency = cfg.Store.RTT
-		c.coord = coordinator.NewNDB(c.clk, coordCfg, c.db)
-	default:
-		return nil, fmt.Errorf("lambdafs: unknown coordinator %q", cfg.Coordinator)
-	}
+	c.coord = coordinator.NewZK(c.clk, coordCfg)
 
 	c.lambdaMeter = metrics.NewLambdaMeter(clock.Epoch)
 	c.provisionedMeter = metrics.NewProvisionedMeter(clock.Epoch)

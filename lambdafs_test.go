@@ -141,35 +141,11 @@ func TestClusterStatsSurviveReclamation(t *testing.T) {
 	}
 }
 
-func TestNDBCoordinatorVariant(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Coordinator = CoordinatorNDB
-	c := newTestCluster(t, cfg)
-	cl := c.NewClient("ndbcoord")
-	if err := cl.MkdirAll("/co"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Create("/co/f"); err != nil {
-		t.Fatal(err)
-	}
-	// Coherence through the NDB-backed coordinator.
-	cl2 := c.NewClient("reader")
-	if _, err := cl2.Stat("/co/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Remove("/co/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl2.Stat("/co/f"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("stale read through NDB coordinator: %v", err)
-	}
-}
-
-func TestUnknownCoordinatorRejected(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Coordinator = CoordinatorKind("etcd")
-	if _, err := NewCluster(cfg); err == nil {
-		t.Fatal("unknown coordinator accepted")
+// TestZeroConfigRejected: NewCluster fills no zero field, so a Config{}
+// (a store of no shards) is an error, not a cluster that cannot serve.
+func TestZeroConfigRejected(t *testing.T) {
+	if _, err := NewCluster(Config{}); err == nil {
+		t.Fatal("Config{} accepted")
 	}
 }
 
