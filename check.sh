@@ -118,7 +118,7 @@ go test ./internal/chaos/ -run TestChaosRandomized -chaosseed 3 -count=1
 echo "== event-heap smoke (internal/sim, which only benchmark/ still times: determinism, FIFO stability, 100k-event-client wall/alloc budget) =="
 go test ./internal/sim/ -run 'TestSchedulerDeterminism|TestHeapFIFOStability|TestHundredKClientBudget' -count=1
 
-echo "== reachability (BenchmarkExperiments under -coverpkg=./...: every function outside cmd/, examples/ and internal/vet/ that no experiment runs is listed with its reason in internal/bench/testdata/unreached.txt; a newly unreached function, or a listed one that runs, fails) =="
+echo "== reachability (BenchmarkExperiments under -coverpkg=./...: every function outside cmd/, examples/ and internal/vet/ that no experiment runs, and every package there that no binary links, is listed with its reason in internal/bench/testdata/unreached.txt; a newly unreached function or unlinked package, or a listed one that runs, fails) =="
 ./unreached.sh
 
 echo "== committed baselines (every BENCH_*.json, routed by its schema and re-measured at its mode and seed; every leaf exact but hotpath's allocs_per_op, which may reach baseline × 1.25 + 8, and a diverged restart recovery fails whatever the file records) =="

@@ -58,7 +58,7 @@ func main() {
 	// The flight recorder rides along for the whole session: every trace
 	// event and every top scrape lands in its bounded rings, and an
 	// interrupt dumps the freshest window for post-mortem inspection.
-	recorder := telemetry.NewFlightRecorder(0, 0)
+	recorder := telemetry.NewFlightRecorder()
 	cluster.Tracer().SetEventSink(recorder.RecordEvent)
 	scraper := telemetry.NewScraper(cluster.Clock(), cluster.Telemetry(), time.Second)
 	scraper.OnSnapshot(recorder.RecordSnapshot)

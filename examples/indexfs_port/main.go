@@ -32,7 +32,7 @@ func main() {
 
 	// --- vanilla IndexFS ---
 	clk1 := clock.NewSim()
-	cluster := indexfs.New(clk1, indexfs.DefaultConfig())
+	cluster := indexfs.New(clk1)
 	var vres workload.TreeTestResult
 	clock.Run(clk1, func() {
 		vres = workload.RunTreeTest(clk1, workload.TreeTestConfig{
@@ -57,7 +57,7 @@ func main() {
 	var sys *indexfs.LambdaSystem
 	clock.Run(clk2, func() {
 		platform = faas.New(clk2, fCfg)
-		sys = indexfs.NewLambda(clk2, platform, indexfs.DefaultLambdaConfig())
+		sys = indexfs.NewLambda(clk2, platform)
 	})
 	defer platform.Close()
 	vm := rpc.NewVM(clk2, rpc.DefaultConfig())

@@ -67,7 +67,7 @@ func runChaosEpisodes(opts Options) *Table {
 		// tracer feeds its ring and its clock stamps a final snapshot, and
 		// on an invariant violation the freshest window is dumped for
 		// post-mortem replay.
-		fr := telemetry.NewFlightRecorder(0, 0)
+		fr := telemetry.NewFlightRecorder()
 		cfg.Flight = fr
 		res := chaos.RunEpisode(cfg)
 		if len(res.Violations) > 0 && opts.ArtifactDir != "" {
@@ -140,7 +140,7 @@ func chaosStorm(clk *clock.Sim, opts Options) *Table {
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))
 	c := mustLambda(cfg)
-	fr := telemetry.NewFlightRecorder(0, 0)
+	fr := telemetry.NewFlightRecorder()
 	c.Tracer().SetEventSink(fr.RecordEvent)
 	workload.PreloadNDB(c.Store(), dirs, files)
 	defer c.Close()

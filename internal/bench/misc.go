@@ -136,7 +136,7 @@ func runTreeTest(opts Options, lambda bool, clients, writes, reads int) workload
 		var sys *indexfs.LambdaSystem
 		clock.Run(clk, func() {
 			platform = faas.New(clk, fCfg)
-			sys = indexfs.NewLambda(clk, platform, indexfs.DefaultLambdaConfig())
+			sys = indexfs.NewLambda(clk, platform)
 		})
 		defer platform.Close()
 		rCfg := rpc.DefaultConfig()
@@ -144,7 +144,7 @@ func runTreeTest(opts Options, lambda bool, clients, writes, reads int) workload
 		vm := rpc.NewVM(clk, rCfg)
 		client = func(id string) indexClient { return sys.NewClient(vm, id) }
 	} else {
-		cl := indexfs.New(clk, indexfs.DefaultConfig())
+		cl := indexfs.New(clk)
 		client = func(id string) indexClient { return cl.NewClient(id) }
 	}
 	var res workload.TreeTestResult

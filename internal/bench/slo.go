@@ -114,7 +114,7 @@ func sloLive(clk *clock.Sim, opts Options) *Table {
 
 	eng := slo.New(slo.Config{Registry: reg})
 	eng.AddRules(slo.Rules())
-	fr := telemetry.NewFlightRecorder(0, 0)
+	fr := telemetry.NewFlightRecorder()
 	eng.SetEventSink(fr.RecordEvent)
 
 	dirs, files := workload.GenerateNamespace(microTreeShape(opts.Scale))

@@ -93,7 +93,7 @@ func runSpotifyLambda(opts Options, sp spotifyParams, label string, cacheBudget 
 	// The scraper snapshots every registry instrument once per virtual
 	// second; the active-instance series feeds Figure 8's secondary axis
 	// (the old ad-hoc instance gauge, now read out of the telemetry plane).
-	gauge := metrics.NewGauge(clock.Epoch, time.Second)
+	gauge := metrics.NewGauge()
 	scraper := telemetry.NewScraper(clk, reg, time.Second)
 	scraper.OnSnapshot(func(s telemetry.Snapshot) {
 		gauge.Sample(s.Time, s.Values["lambdafs_faas_active_instances"])

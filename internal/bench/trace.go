@@ -9,6 +9,7 @@ import (
 	"lambdafs"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
+	"lambdafs/internal/rpc"
 	"lambdafs/internal/trace"
 	"lambdafs/internal/workload"
 )
@@ -79,7 +80,7 @@ func runTrace(opts Options) (*trace.Breakdown, []*Table) {
 		workload.RunClosedLoop(clk, tree, mix, clients, per/2, opts.Seed+1, cached)
 		// Outlive the anti-thrashing hold, then issue a few more ops so
 		// the (lazy) exit events are observed and recorded.
-		clk.Sleep(cfg.RPC.AntiThrashHold + time.Second)
+		clk.Sleep(rpc.AntiThrashHold + time.Second)
 		workload.RunClosedLoop(clk, tree, mix, clients, 8, opts.Seed+2, cached)
 	})
 

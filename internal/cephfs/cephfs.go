@@ -36,39 +36,37 @@ import (
 
 // Config shapes the model.
 type Config struct {
-	// MDSServers is the fixed metadata cluster size.
+	// MDSServers is the fixed metadata cluster size: the §5.3 sweeps
+	// give CephFS one 16-vCPU MDS per 16 vCPUs of their cap.
 	MDSServers int
-	// VCPUPerMDS is each server's compute capacity.
-	VCPUPerMDS float64
-	// ReadCPUCost / WriteCPUCost are per-op MDS CPU costs. CephFS's
-	// capability system makes write issuance cheaper than the
-	// lock-heavy HopsFS/λFS write path (§5.3.1).
-	ReadCPUCost  time.Duration
-	WriteCPUCost time.Duration
-	// CapRevokeCost is MDS CPU per client capability revoked on a write.
-	CapRevokeCost time.Duration
-	// JournalLatency is the RADOS journal flush per mutation.
-	JournalLatency time.Duration
-	// NetOneWay is the client↔MDS latency.
-	NetOneWay time.Duration
 }
-
-// capHitCost is the client-side cost of serving a read from a held
-// capability (local cache lookup + permission check).
-const capHitCost = 30 * time.Microsecond
 
 // DefaultConfig matches the evaluation-scale CephFS deployment.
 func DefaultConfig() Config {
-	return Config{
-		MDSServers:     8,
-		VCPUPerMDS:     16,
-		ReadCPUCost:    1200 * time.Microsecond,
-		WriteCPUCost:   800 * time.Microsecond,
-		CapRevokeCost:  30 * time.Microsecond,
-		JournalLatency: time.Millisecond,
-		NetOneWay:      200 * time.Microsecond,
-	}
+	return Config{MDSServers: 8}
 }
+
+// The MDS cost model, calibrated to fig11's CephFS curves: CephFS leads
+// at small client counts, then flattens once its fixed MDS cluster
+// saturates (§5.3.1). The paper reports curves, not these costs.
+const (
+	// vcpuPerMDS is each server's compute capacity.
+	vcpuPerMDS = 16
+	// readCPUCost and writeCPUCost are per-op MDS CPU costs. CephFS's
+	// capability system makes write issuance cheaper than the lock-heavy
+	// HopsFS/λFS write path (§5.3.1).
+	readCPUCost  = 1200 * time.Microsecond
+	writeCPUCost = 800 * time.Microsecond
+	// capRevokeCost is MDS CPU per client capability revoked on a write.
+	capRevokeCost = 30 * time.Microsecond
+	// journalLatency is the RADOS journal flush per mutation.
+	journalLatency = time.Millisecond
+	// netOneWay is the client↔MDS latency.
+	netOneWay = 200 * time.Microsecond
+	// capHitCost is the client-side cost of serving a read from a held
+	// capability (local cache lookup + permission check).
+	capHitCost = 30 * time.Microsecond
+)
 
 type inode struct {
 	id    namespace.INodeID
@@ -85,7 +83,6 @@ type inode struct {
 // System is the modelled CephFS metadata service.
 type System struct {
 	clk *clock.Sim
-	cfg Config
 
 	mu     sync.Mutex
 	root   *inode
@@ -109,7 +106,6 @@ func New(clk *clock.Sim, cfg Config) *System {
 	}
 	s := &System{
 		clk: clk,
-		cfg: cfg,
 		root: &inode{
 			id: namespace.RootID, isDir: true,
 			caps: map[*Client]bool{}, kids: map[string]*inode{},
@@ -117,7 +113,7 @@ func New(clk *clock.Sim, cfg Config) *System {
 	}
 	s.nextID.Store(uint64(namespace.RootID))
 	for i := 0; i < cfg.MDSServers; i++ {
-		s.servers = append(s.servers, clock.NewCPUQueue(clk, cfg.VCPUPerMDS))
+		s.servers = append(s.servers, clock.NewCPUQueue(clk, vcpuPerMDS))
 	}
 	return s
 }
@@ -221,21 +217,21 @@ func (c *Client) read(path string, op namespace.OpType) *namespace.Response {
 	c.mu.Unlock()
 
 	s := c.sys
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	m := s.mdsFor(path)
-	m.Acquire(s.cfg.ReadCPUCost)
+	m.Acquire(readCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
 	n := s.lookup(namespace.SplitPath(path))
 	if n == nil {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 	}
 	if op == namespace.OpRead && n.isDir {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrIsDir)}
 	}
 	stat := namespace.StatInfo{
@@ -248,7 +244,7 @@ func (c *Client) read(path string, op namespace.OpType) *namespace.Response {
 	c.caps[path] = stat
 	c.byIno[stat.ID] = append(c.byIno[stat.ID], path)
 	c.mu.Unlock()
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	return &namespace.Response{ID: stat.ID, Stat: &stat}
 }
 
@@ -256,11 +252,11 @@ func (c *Client) read(path string, op namespace.OpType) *namespace.Response {
 // the model).
 func (c *Client) ls(path string) *namespace.Response {
 	s := c.sys
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	m := s.mdsFor(path)
-	m.Acquire(s.cfg.ReadCPUCost)
+	m.Acquire(readCPUCost)
 	s.stats.MDSOps.Add(1)
-	defer s.clk.Sleep(s.cfg.NetOneWay)
+	defer s.clk.Sleep(netOneWay)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,7 +283,7 @@ func (s *System) revokeLocked(n *inode) time.Duration {
 	if len(n.caps) == 0 {
 		return 0
 	}
-	cost := time.Duration(len(n.caps)) * s.cfg.CapRevokeCost
+	cost := time.Duration(len(n.caps)) * capRevokeCost
 	s.stats.Revocations.Add(uint64(len(n.caps)))
 	for cl := range n.caps {
 		cl.dropCap(n.id)
@@ -310,16 +306,16 @@ func (s *System) revokeSubtreeLocked(n *inode) time.Duration {
 // write creates a file or directory chain.
 func (c *Client) write(path string, dir bool) *namespace.Response {
 	s := c.sys
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	m := s.mdsFor(path)
-	m.Acquire(s.cfg.WriteCPUCost)
+	m.Acquire(writeCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
 	comps := namespace.SplitPath(path)
 	if len(comps) == 0 {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		if dir {
 			return &namespace.Response{ID: namespace.RootID}
 		}
@@ -333,7 +329,7 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 		if next == nil {
 			if !last && !dir {
 				s.mu.Unlock()
-				s.clk.Sleep(s.cfg.NetOneWay)
+				s.clk.Sleep(netOneWay)
 				return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 			}
 			next = &inode{
@@ -350,11 +346,11 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 			if dir && next.isDir {
 				id := next.id
 				s.mu.Unlock()
-				s.clk.Sleep(s.cfg.NetOneWay)
+				s.clk.Sleep(netOneWay)
 				return &namespace.Response{ID: id}
 			}
 			s.mu.Unlock()
-			s.clk.Sleep(s.cfg.NetOneWay)
+			s.clk.Sleep(netOneWay)
 			return &namespace.Response{Err: namespace.ToWire(namespace.ErrExists)}
 		} else if !next.isDir {
 			// A file on the chain: mkdirs and a create whose parent it is
@@ -364,7 +360,7 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 				err = namespace.ErrNotFound
 			}
 			s.mu.Unlock()
-			s.clk.Sleep(s.cfg.NetOneWay)
+			s.clk.Sleep(netOneWay)
 			return &namespace.Response{Err: namespace.ToWire(err)}
 		}
 		cur = next
@@ -373,37 +369,37 @@ func (c *Client) write(path string, dir bool) *namespace.Response {
 	s.mu.Unlock()
 
 	m.Acquire(revoke)
-	s.clk.Sleep(s.cfg.JournalLatency)
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(journalLatency)
+	s.clk.Sleep(netOneWay)
 	return &namespace.Response{ID: id}
 }
 
 // delete removes a file or an entire directory subtree.
 func (c *Client) delete(path string) *namespace.Response {
 	s := c.sys
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	m := s.mdsFor(path)
-	m.Acquire(s.cfg.WriteCPUCost)
+	m.Acquire(writeCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
 	comps := namespace.SplitPath(path)
 	if len(comps) == 0 {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrPermission)}
 	}
 	parent := s.lookup(comps[:len(comps)-1])
 	if parent == nil || !parent.isDir {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 	}
 	name := comps[len(comps)-1]
 	target := parent.kids[name]
 	if target == nil {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrNotFound)}
 	}
 	revoke := s.revokeSubtreeLocked(target) + s.revokeLocked(parent)
@@ -411,8 +407,8 @@ func (c *Client) delete(path string) *namespace.Response {
 	s.mu.Unlock()
 
 	m.Acquire(revoke)
-	s.clk.Sleep(s.cfg.JournalLatency)
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(journalLatency)
+	s.clk.Sleep(netOneWay)
 	return &namespace.Response{}
 }
 
@@ -422,16 +418,16 @@ func (c *Client) mv(src, dest string) *namespace.Response {
 		return &namespace.Response{Err: namespace.ToWire(namespace.ErrMvIntoSelf)}
 	}
 	s := c.sys
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(netOneWay)
 	m := s.mdsFor(src)
-	m.Acquire(s.cfg.WriteCPUCost)
+	m.Acquire(writeCPUCost)
 	s.stats.MDSOps.Add(1)
 
 	s.mu.Lock()
 	target, srcParent, dstParent, err := s.mvTargetsLocked(src, dest)
 	if err != nil {
 		s.mu.Unlock()
-		s.clk.Sleep(s.cfg.NetOneWay)
+		s.clk.Sleep(netOneWay)
 		return &namespace.Response{Err: namespace.ToWire(err)}
 	}
 	revoke := s.revokeSubtreeLocked(target) + s.revokeLocked(srcParent) + s.revokeLocked(dstParent)
@@ -441,8 +437,8 @@ func (c *Client) mv(src, dest string) *namespace.Response {
 	s.mu.Unlock()
 
 	m.Acquire(revoke)
-	s.clk.Sleep(s.cfg.JournalLatency)
-	s.clk.Sleep(s.cfg.NetOneWay)
+	s.clk.Sleep(journalLatency)
+	s.clk.Sleep(netOneWay)
 	return &namespace.Response{ID: target.id}
 }
 

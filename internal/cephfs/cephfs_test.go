@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"lambdafs/internal/chaos"
 	"lambdafs/internal/clock"
@@ -12,14 +11,8 @@ import (
 	"lambdafs/internal/simtest"
 )
 
-func fastSys(clk *clock.Sim) *System {
-	cfg := DefaultConfig()
-	cfg.NetOneWay = 0
-	cfg.ReadCPUCost = 0
-	cfg.WriteCPUCost = 0
-	cfg.CapRevokeCost = 0
-	cfg.JournalLatency = 0
-	return New(clk, cfg)
+func newSys(clk *clock.Sim) *System {
+	return New(clk, DefaultConfig())
 }
 
 func cok(t *testing.T, c *Client, op namespace.OpType, path, dest string) *namespace.Response {
@@ -44,7 +37,7 @@ func cerr(t *testing.T, c *Client, op namespace.OpType, path, dest string, want 
 
 func TestLifecycle(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		c := s.NewClient("c1")
 		cok(t, c, namespace.OpMkdirs, "/a/b", "")
 		cok(t, c, namespace.OpCreate, "/a/b/f", "")
@@ -66,7 +59,7 @@ func TestLifecycle(t *testing.T) {
 
 func TestCapabilityHitOnRepeatRead(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		c := s.NewClient("c1")
 		cok(t, c, namespace.OpCreate, "/f", "")
 		cok(t, c, namespace.OpStat, "/f", "")
@@ -83,7 +76,7 @@ func TestCapabilityHitOnRepeatRead(t *testing.T) {
 
 func TestWriteRevokesCapabilities(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		w := s.NewClient("w")
 		r := s.NewClient("r")
 		cok(t, w, namespace.OpCreate, "/shared", "")
@@ -99,7 +92,7 @@ func TestWriteRevokesCapabilities(t *testing.T) {
 
 func TestMvRevokesCapabilities(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		w := s.NewClient("w")
 		r := s.NewClient("r")
 		cok(t, w, namespace.OpMkdirs, "/d", "")
@@ -113,7 +106,7 @@ func TestMvRevokesCapabilities(t *testing.T) {
 
 func TestDeleteRevokesSubtreeCapabilities(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		w := s.NewClient("w")
 		r := s.NewClient("r")
 		cok(t, w, namespace.OpMkdirs, "/b", "")
@@ -132,7 +125,7 @@ func TestDeleteRevokesSubtreeCapabilities(t *testing.T) {
 
 func TestMvRevokesSubtreeCapabilities(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		w := s.NewClient("w")
 		r := s.NewClient("r")
 		cok(t, w, namespace.OpMkdirs, "/b", "")
@@ -146,7 +139,7 @@ func TestMvRevokesSubtreeCapabilities(t *testing.T) {
 
 func TestParentCapRevokedOnChildCreate(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		w := s.NewClient("w")
 		r := s.NewClient("r")
 		cok(t, w, namespace.OpMkdirs, "/p", "")
@@ -166,19 +159,14 @@ func TestParentCapRevokedOnChildCreate(t *testing.T) {
 
 func TestMDSCapacityBoundsThroughput(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := DefaultConfig()
-		cfg.MDSServers = 1
-		cfg.VCPUPerMDS = 1
-		cfg.ReadCPUCost = 5 * time.Millisecond
-		cfg.NetOneWay = 0
-		cfg.JournalLatency = 0
-		cfg.WriteCPUCost = 0
-		s := New(clk, cfg)
+		s := New(clk, Config{MDSServers: 1})
 		c := s.NewClient("c")
 		cok(t, c, namespace.OpCreate, "/cap", "")
 		start := clk.Now()
 		wg := clock.NewGroup(clk)
-		for i := 0; i < 8; i++ {
+		// Three reads per vCPU of the one server: each vCPU serves its three
+		// back to back, between one network leg out and one back.
+		for i := 0; i < 3*vcpuPerMDS; i++ {
 			wg.Go(func() {
 				// Distinct clients so no capability sharing.
 				cl := s.NewClient(fmt.Sprintf("c%d", i))
@@ -186,15 +174,16 @@ func TestMDSCapacityBoundsThroughput(t *testing.T) {
 			})
 		}
 		wg.Wait()
-		if d := clk.Since(start); d != 40*time.Millisecond {
-			t.Fatalf("8 MDS reads of 5ms each on one server took %v, want exactly 40ms", d)
+		if d, want := clk.Since(start), 2*netOneWay+3*readCPUCost; d != want {
+			t.Fatalf("%d MDS reads of %v each on one %d-vCPU server took %v, want exactly %v",
+				3*vcpuPerMDS, readCPUCost, vcpuPerMDS, d, want)
 		}
 	})
 }
 
 func TestConcurrentClients(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		wg := clock.NewGroup(clk)
 		for w := 0; w < 8; w++ {
 			wg.Go(func() {
@@ -230,7 +219,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestPreloadResolvable(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		s := fastSys(clk)
+		s := newSys(clk)
 		s.Preload([]string{"/pre", "/pre/sub"}, []string{"/pre/f1", "/pre/sub/f2"})
 		c := s.NewClient("c")
 		cok(t, c, namespace.OpStat, "/pre/f1", "")
@@ -280,7 +269,7 @@ func TestErrorClassesMatchOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		simtest.Run(t, func(clk *clock.Sim) {
-			s := fastSys(clk)
+			s := newSys(clk)
 			c := s.NewClient("c")
 			o := chaos.NewOracle()
 			for _, p := range []string{"/d", "/d/x", "/f"} {

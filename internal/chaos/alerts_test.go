@@ -108,7 +108,7 @@ func TestAlertCoverageCatchesMutedAlert(t *testing.T) {
 // TestAlertEpisodeRecorderWiring checks the failure-dump path: snapshots
 // and firing/resolved trace events land in a flight recorder.
 func TestAlertEpisodeRecorderWiring(t *testing.T) {
-	rec := telemetry.NewFlightRecorder(256, 256)
+	rec := telemetry.NewFlightRecorder()
 	res := RunAlertEpisode(AlertEpisodeConfig{Family: FamilyShardFault, Seed: 3, Flight: rec})
 	if res.Failed() {
 		t.Fatalf("episode failed: %v", res.Violations)

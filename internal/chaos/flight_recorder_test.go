@@ -24,7 +24,7 @@ func TestFlightRecorderOnInvariantViolation(t *testing.T) {
 
 	cfg := EpisodeConfig{Seed: seed}
 	cfg.Metrics = telemetry.NewRegistry()
-	fr := telemetry.NewFlightRecorder(0, 0)
+	fr := telemetry.NewFlightRecorder()
 	cfg.Flight = fr
 	cfg.Sabotage = func(step int, db *ndb.DB) {
 		if step != sabotageStep {

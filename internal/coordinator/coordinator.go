@@ -18,8 +18,8 @@
 // never runs under it — rounds snapshot the membership, dedup and sort
 // targets by id (so concurrent rounds are deterministic regardless of
 // map iteration order), then fan out on a bounded pool
-// (invFanout) of clock.Go goroutines with a single AckTimeout
-// deadline per round and hedged re-sends after Config.HedgeAfter.
+// (invFanout) of clock.Go goroutines with a single ackTimeout
+// deadline per round and hedged re-sends after hedgeAfter.
 // Invalidation handlers are invoked from those delivery goroutines, may
 // run concurrently with each other, and must be idempotent (hedging can
 // deliver an INV twice). A member that expires mid-round is excused
@@ -65,24 +65,20 @@ type Session interface {
 // ErrAckTimeout reports that a live member failed to ACK in time.
 var ErrAckTimeout = errors.New("coordinator: ACK timeout")
 
-// Coordinator tracks instance liveness and runs the INV/ACK exchange.
+// Coordinator is what a NameNode needs of the coordinator: membership
+// and the INV/ACK exchange. ZK implements it; the engine's tests
+// substitute recording fakes through it.
 type Coordinator interface {
 	// Register adds an instance to deployment dep. The handler receives
 	// INVs targeted at the deployment.
 	Register(dep int, id string, h Handler) Session
-
-	// Members returns the live instance IDs of deployment dep.
-	Members(dep int) []string
-
-	// MemberCount returns the total number of live instances.
-	MemberCount() int
 
 	// InvalidateBatchTraced implements Algorithm 1 steps 1–2 for a batch
 	// of invalidations in one INV/ACK round: every live member of each
 	// deployment in deps receives the whole batch in a single message,
 	// all targets concurrently (bounded by invFanout) under a
 	// single ACK deadline, with hedged re-sends to stragglers after
-	// Config.HedgeAfter, and the call blocks until all required ACKs
+	// hedgeAfter, and the call blocks until all required ACKs
 	// arrive. Instances that terminate mid-protocol are excused
 	// (Algorithm 1 step 1). The round's latency is therefore ~max of the
 	// per-target latencies instead of the per-path sum of one round per
@@ -94,14 +90,6 @@ type Coordinator interface {
 	// deps and invs are read only until the call returns, so the caller
 	// may reuse both.
 	InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ctx) error
-
-	// TryLead attempts to acquire leadership of group for id, returning
-	// true when id is (or becomes) the leader. Leadership is released
-	// when the id's session closes or crashes.
-	TryLead(group, id string) bool
-
-	// Leader returns the current leader of group ("" when none).
-	Leader(group string) string
 }
 
 // Config tunes the coordinator's latency model.
@@ -109,14 +97,6 @@ type Config struct {
 	// HopLatency is the one-way latency of a message routed through the
 	// coordinator (leader → coordinator → member, and back for the ACK).
 	HopLatency time.Duration
-	// AckTimeout bounds the wait for ACKs from live members (real time
-	// scaled by the clock; generous because handler execution is fast).
-	AckTimeout time.Duration
-	// HedgeAfter, when > 0, re-sends the INV to any target that has not
-	// ACKed within this duration (hedged stragglers; batch rounds only).
-	// Duplicate delivery is benign — invalidation handlers are
-	// idempotent, they only remove cache entries.
-	HedgeAfter time.Duration
 	// OnCrash, when set, is invoked with the instance ID of every crashed
 	// session (used to break store locks, §3.6).
 	OnCrash func(id string)
@@ -133,13 +113,21 @@ type Config struct {
 // capacity.
 const invFanout = 64
 
+// ackTimeout bounds an INV/ACK round's wait for ACKs from live members
+// (§3.5). The paper gives no value; it is generous because handler
+// execution is fast, so only a wedged member reaches it.
+const ackTimeout = 30 * time.Second
+
+// hedgeAfter re-sends a round's INV to every target that has not ACKed
+// by then: Appendix B's straggler hedge, applied to INV delivery.
+// Duplicate delivery is benign — invalidation handlers are idempotent,
+// they only remove cache entries. It lies far above a healthy round's
+// latency (the INV p99 of fig8a–fig15 is a few milliseconds), so hedges
+// fire only for genuine stragglers: a stalled handler or a wedged
+// delivery.
+const hedgeAfter = 250 * time.Millisecond
+
 // DefaultConfig returns ZooKeeper-like latencies: sub-millisecond hops.
-// HedgeAfter is far above a healthy round's latency, so hedges fire only
-// for genuine stragglers (a stalled handler or a wedged delivery).
 func DefaultConfig() Config {
-	return Config{
-		HopLatency: 500 * time.Microsecond,
-		AckTimeout: 30 * time.Second,
-		HedgeAfter: 250 * time.Millisecond,
-	}
+	return Config{HopLatency: 500 * time.Microsecond}
 }

@@ -244,11 +244,8 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 
 	// Gather: wait for every target's ACK until the deadline, stopping once
 	// on the way, at the hedge instant, to re-send to the stragglers.
-	ackBy := clock.DeadlineIn(z.clk, z.cfg.AckTimeout)
-	waitBy, hedged := ackBy, true
-	if z.cfg.HedgeAfter > 0 && z.cfg.HedgeAfter < z.cfg.AckTimeout {
-		waitBy, hedged = clock.DeadlineIn(z.clk, z.cfg.HedgeAfter), false
-	}
+	ackBy := clock.DeadlineIn(z.clk, ackTimeout)
+	waitBy, hedged := clock.DeadlineIn(z.clk, hedgeAfter), false
 	need := len(targets)
 	timedOut := false
 	for need > 0 && !timedOut {
@@ -341,7 +338,9 @@ func (z *ZK) Depose(group string) string {
 	return z.leaders[group][0]
 }
 
-// TryLead acquires or queues for leadership of group.
+// TryLead acquires or queues for leadership of group for id, returning
+// true when id is (or becomes) the leader. Leadership is released when
+// the id's session closes or crashes.
 func (z *ZK) TryLead(group, id string) bool {
 	z.mu.Lock()
 	defer z.mu.Unlock()
@@ -354,7 +353,7 @@ func (z *ZK) TryLead(group, id string) bool {
 	return z.leaders[group][0] == id
 }
 
-// Leader returns the current leader of group.
+// Leader returns the current leader of group ("" when none).
 func (z *ZK) Leader(group string) string {
 	z.mu.Lock()
 	defer z.mu.Unlock()

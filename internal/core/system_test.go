@@ -61,8 +61,6 @@ func newClusterOn(t *testing.T, clk *clock.Sim, deployments int, coldStart time.
 	rCfg := rpc.DefaultConfig()
 	rCfg.TCPOneWay = 0
 	rCfg.HTTPReplaceProb = 0
-	rCfg.Hedging = false
-	rCfg.BackoffBase = time.Millisecond
 	vm := rpc.NewVM(clk, rCfg)
 	return &testCluster{clk: clk, st: st, coord: coord, p: p, sys: sys, vm: vm}
 }

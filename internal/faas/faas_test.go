@@ -130,9 +130,7 @@ func TestScaleOutWhenConcurrencyFull(t *testing.T) {
 
 func TestMaxInstancesCapsScaleOut(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := fastCfg()
-		cfg.InvokeQueueTimeout = 100 * time.Millisecond
-		p := New(clk, cfg)
+		p := New(clk, fastCfg())
 		defer p.Close()
 		tr := &appTracker{}
 		block := clock.NewEvent(clk)
@@ -149,8 +147,8 @@ func TestMaxInstancesCapsScaleOut(t *testing.T) {
 			if err := results.Recv(); err != ErrNoCapacity {
 				t.Fatalf("first results = %v, want ErrNoCapacity while the app blocks", err)
 			}
-			if at := clk.Since(clock.Epoch); at != cfg.InvokeQueueTimeout {
-				t.Fatalf("shed at %v, want the queue timeout %v", at, cfg.InvokeQueueTimeout)
+			if at := clk.Since(clock.Epoch); at != invokeQueueTimeout {
+				t.Fatalf("shed at %v, want the queue timeout %v", at, invokeQueueTimeout)
 			}
 		}
 		if d.AliveInstances() > 2 {
@@ -170,7 +168,6 @@ func TestResourcePoolBoundsProvisioning(t *testing.T) {
 		cfg := fastCfg()
 		cfg.TotalVCPU = 8
 		cfg.MaxUtilization = 1
-		cfg.InvokeQueueTimeout = 100 * time.Millisecond
 		p := New(clk, cfg)
 		defer p.Close()
 		tr := &appTracker{}
@@ -188,8 +185,8 @@ func TestResourcePoolBoundsProvisioning(t *testing.T) {
 		if err := results.Recv(); err != ErrNoCapacity {
 			t.Fatalf("first result = %v, want ErrNoCapacity", err)
 		}
-		if at := clk.Since(clock.Epoch); at != cfg.InvokeQueueTimeout {
-			t.Fatalf("shed at %v, want the queue timeout %v", at, cfg.InvokeQueueTimeout)
+		if at := clk.Since(clock.Epoch); at != invokeQueueTimeout {
+			t.Fatalf("shed at %v, want the queue timeout %v", at, invokeQueueTimeout)
 		}
 		if p.VCPUInUse() > 8 {
 			t.Fatalf("vCPU in use %v exceeds pool", p.VCPUInUse())
@@ -208,7 +205,6 @@ func TestMaxUtilizationBound(t *testing.T) {
 		cfg := fastCfg()
 		cfg.TotalVCPU = 10
 		cfg.MaxUtilization = 0.5
-		cfg.InvokeQueueTimeout = 80 * time.Millisecond
 		p := New(clk, cfg)
 		defer p.Close()
 		tr := &appTracker{}
@@ -229,8 +225,7 @@ func TestMaxUtilizationBound(t *testing.T) {
 func TestIdleReclaimScalesIn(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := fastCfg()
-		cfg.IdleReclaim = 50 * time.Millisecond
-		cfg.ReclaimInterval = 10 * time.Millisecond
+		cfg.IdleReclaim = 2 * reclaimInterval
 		p := New(clk, cfg)
 		defer p.Close()
 		tr := &appTracker{}
@@ -238,13 +233,13 @@ func TestIdleReclaimScalesIn(t *testing.T) {
 		if _, err := d.Invoke("x"); err != nil {
 			t.Fatal(err)
 		}
-		// Idle since 0: the reclaimer's ticks up to 50ms leave it (idle for
-		// no longer than IdleReclaim), the one at 60ms takes it.
-		clk.Sleep(55 * time.Millisecond)
+		// Idle since 0: the reclaimer's ticks at 5s and 10s leave it (idle
+		// for no longer than IdleReclaim), the one at 15s takes it.
+		clk.Sleep(3*reclaimInterval - time.Millisecond)
 		if d.AliveInstances() != 1 {
 			t.Fatal("instance reclaimed before it had been idle for longer than IdleReclaim")
 		}
-		clk.Sleep(10 * time.Millisecond)
+		clk.Sleep(time.Millisecond)
 		if d.AliveInstances() != 0 {
 			t.Fatal("idle instance was not reclaimed")
 		}
@@ -260,8 +255,7 @@ func TestIdleReclaimScalesIn(t *testing.T) {
 func TestMinInstancesPrewarmedAndKept(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := fastCfg()
-		cfg.IdleReclaim = 20 * time.Millisecond
-		cfg.ReclaimInterval = 10 * time.Millisecond
+		cfg.IdleReclaim = reclaimInterval / 2
 		p := New(clk, cfg)
 		defer p.Close()
 		tr := &appTracker{}
@@ -269,7 +263,7 @@ func TestMinInstancesPrewarmedAndKept(t *testing.T) {
 		if d.AliveInstances() != 2 {
 			t.Fatalf("prewarmed %d, want 2", d.AliveInstances())
 		}
-		clk.Sleep(100 * time.Millisecond) // ten reclaim ticks, five IdleReclaims
+		clk.Sleep(10 * reclaimInterval) // ten reclaim ticks, twenty IdleReclaims
 		if d.AliveInstances() != 2 {
 			t.Fatalf("reclaimer violated MinInstances: %d", d.AliveInstances())
 		}
@@ -404,14 +398,13 @@ func TestAdmissionWakesOnlyOnFreedCapacity(t *testing.T) {
 	}{
 		// Queued at 1ms: passes at 1, 11, 21, 31ms, woken at 35ms into a free slot, served by 70ms.
 		{"slot frees", 35 * time.Millisecond, nil, 70 * time.Millisecond, 4},
-		// Passes at 1, 11, … 101ms, the last one finding the 100ms queue timeout spent.
-		{"queue timeout", time.Second, ErrNoCapacity, 101 * time.Millisecond, 11},
+		// Passes at 1, 11, … 15001ms, the last one finding the 15s queue timeout spent.
+		{"queue timeout", time.Minute, ErrNoCapacity, time.Millisecond + invokeQueueTimeout, int64(invokeQueueTimeout/(10*time.Millisecond)) + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := simtest.New(t)
 			cfg := fastCfg()
 			cfg.TotalVCPU, cfg.MaxUtilization = 1, 1
-			cfg.InvokeQueueTimeout = 100 * time.Millisecond
 			var consults atomic.Int64
 			cfg.OnProvision = func(int) bool { consults.Add(1); return true }
 			p := New(sim, cfg)
@@ -490,7 +483,7 @@ func TestEvictForSpace(t *testing.T) {
 		idleLeft  int
 		evictions uint64
 	}{
-		{"at the floor", 2, ErrNoCapacity, cfg.InvokeQueueTimeout, 2, 0},
+		{"at the floor", 2, ErrNoCapacity, invokeQueueTimeout, 2, 0},
 		{"above the floor", 1, nil, 0, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -565,9 +558,7 @@ func TestCloseRejectsInvocations(t *testing.T) {
 // polling would spin at one instant).
 func TestCloseEndsQueuedAdmission(t *testing.T) {
 	sim := simtest.New(t)
-	cfg := fastCfg()
-	cfg.InvokeQueueTimeout = time.Second
-	p := New(sim, cfg)
+	p := New(sim, fastCfg())
 	tr := &appTracker{}
 	const closeAt = 5 * time.Millisecond
 	var err error
@@ -775,7 +766,6 @@ func TestOnInvokeKillHook(t *testing.T) {
 func TestOnProvisionDenyHook(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := fastCfg()
-		cfg.InvokeQueueTimeout = 50 * time.Millisecond
 		var deny atomic.Bool
 		deny.Store(true)
 		cfg.OnProvision = func(dep int) bool { return !deny.Load() }

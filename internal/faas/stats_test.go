@@ -18,7 +18,6 @@ func TestStatsMatchRegistry(t *testing.T) {
 		cfg := fastCfg()
 		cfg.ColdStart = 2 * time.Millisecond
 		cfg.IdleReclaim = 50 * time.Millisecond
-		cfg.ReclaimInterval = 10 * time.Millisecond
 		cfg.TotalVCPU = 64
 		reg := telemetry.NewRegistry()
 		cfg.Metrics = reg
@@ -38,10 +37,10 @@ func TestStatsMatchRegistry(t *testing.T) {
 		wg.Wait()
 		p.KillOneInstance(0)
 
-		// Let the reclaimer scale the rest in.
-		clk.Sleep(2 * cfg.IdleReclaim)
+		// Let the reclaimer scale the rest in at its first scan.
+		clk.Sleep(reclaimInterval)
 		if n := d.AliveInstances(); n != 0 {
-			t.Fatalf("%d instances alive two IdleReclaims after the last invocation", n)
+			t.Fatalf("%d instances alive after the reclaimer's first scan", n)
 		}
 
 		s := p.Stats()

@@ -54,32 +54,21 @@ func decodeAttr(b []byte) (Attr, bool) {
 	}, true
 }
 
-// Config shapes a vanilla IndexFS deployment: servers co-located with
-// the client VMs (the paper uses 4), each owning one LevelDB partition.
-type Config struct {
-	Servers int
-	// OpCPUCost is server CPU per metadata operation.
-	OpCPUCost time.Duration
-	// NetOneWay is the client↔server latency.
-	NetOneWay time.Duration
-	// LSM tunes each server's LevelDB partition.
-	LSM lsm.Config
-}
-
-// DefaultConfig matches the §5.7 testbed shape.
-func DefaultConfig() Config {
-	return Config{
-		Servers:   4,
-		OpCPUCost: 300 * time.Microsecond,
-		NetOneWay: 300 * time.Microsecond,
-		LSM:       lsm.DefaultConfig(),
-	}
-}
-
-// vcpuPerServer is each server's compute capacity. IndexFS servers are
-// co-located with the client VMs (§5.7's "co-location principle"), so
-// each gets only part of a VM.
-const vcpuPerServer = 4
+// A vanilla IndexFS deployment, the §5.7 testbed shape: servers
+// co-located with the client VMs, each owning one LevelDB partition
+// (lsm.DefaultConfig).
+const (
+	// servers is the deployment's size: the paper uses 4.
+	servers = 4
+	// vcpuPerServer is each server's compute capacity. IndexFS servers
+	// are co-located with the client VMs (§5.7's "co-location
+	// principle"), so each gets only part of a VM.
+	vcpuPerServer = 4
+	// opCPUCost is server CPU per metadata operation and netOneWay the
+	// client↔server latency, calibrated to fig16's IndexFS curve.
+	opCPUCost = 300 * time.Microsecond
+	netOneWay = 300 * time.Microsecond
+)
 
 // server is one IndexFS metadata server: a LevelDB partition behind a
 // vCPU queue.
@@ -91,7 +80,6 @@ type server struct {
 // Cluster is a running IndexFS deployment.
 type Cluster struct {
 	clk     *clock.Sim
-	cfg     Config
 	ring    *partition.Ring
 	servers []*server
 	mknods  atomic.Uint64
@@ -99,13 +87,10 @@ type Cluster struct {
 }
 
 // New starts the cluster.
-func New(clk *clock.Sim, cfg Config) *Cluster {
-	if cfg.Servers <= 0 {
-		cfg.Servers = 1
-	}
-	c := &Cluster{clk: clk, cfg: cfg, ring: partition.NewRing(cfg.Servers, 0)}
-	for i := 0; i < cfg.Servers; i++ {
-		c.servers = append(c.servers, &server{db: lsm.New(clk, cfg.LSM), cpu: clock.NewCPUQueue(clk, vcpuPerServer)})
+func New(clk *clock.Sim) *Cluster {
+	c := &Cluster{clk: clk, ring: partition.NewRing(servers, 0)}
+	for range servers {
+		c.servers = append(c.servers, &server{db: lsm.New(clk, lsm.DefaultConfig()), cpu: clock.NewCPUQueue(clk, vcpuPerServer)})
 	}
 	return c
 }
@@ -132,12 +117,12 @@ func (cl *Client) Mknod(path string) error {
 		return err
 	}
 	c := cl.c
-	c.clk.Sleep(c.cfg.NetOneWay)
+	c.clk.Sleep(netOneWay)
 	s := c.serverFor(p)
-	s.cpu.Acquire(c.cfg.OpCPUCost)
+	s.cpu.Acquire(opCPUCost)
 	s.db.Put(p, encodeAttr(Attr{Mode: 0o644, Ctime: c.clk.Now().UnixNano()}))
 	c.mknods.Add(1)
-	c.clk.Sleep(c.cfg.NetOneWay)
+	c.clk.Sleep(netOneWay)
 	return nil
 }
 
@@ -148,12 +133,12 @@ func (cl *Client) Getattr(path string) (Attr, bool, error) {
 		return Attr{}, false, err
 	}
 	c := cl.c
-	c.clk.Sleep(c.cfg.NetOneWay)
+	c.clk.Sleep(netOneWay)
 	s := c.serverFor(p)
-	s.cpu.Acquire(c.cfg.OpCPUCost)
+	s.cpu.Acquire(opCPUCost)
 	raw, ok := s.db.Get(p)
 	c.gets.Add(1)
-	c.clk.Sleep(c.cfg.NetOneWay)
+	c.clk.Sleep(netOneWay)
 	if !ok {
 		return Attr{}, false, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/faas"
@@ -12,20 +11,9 @@ import (
 	"lambdafs/internal/simtest"
 )
 
-func fastCfg() Config {
-	cfg := DefaultConfig()
-	cfg.NetOneWay = 0
-	cfg.OpCPUCost = 0
-	cfg.LSM.PutLatency = 0
-	cfg.LSM.ProbeLatency = 0
-	cfg.LSM.FlushPerEntry = 0
-	cfg.LSM.CompactPerEntry = 0
-	return cfg
-}
-
 func TestIndexFSMknodGetattr(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		c := New(clk, fastCfg())
+		c := New(clk)
 		cl := c.NewClient("c1")
 		if err := cl.Mknod("/d/f1"); err != nil {
 			t.Fatal(err)
@@ -49,7 +37,7 @@ func TestIndexFSMknodGetattr(t *testing.T) {
 
 func TestIndexFSPartitioningByDirectory(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		c := New(clk, fastCfg())
+		c := New(clk)
 		cl := c.NewClient("c1")
 		// All files of a directory live in the same partition.
 		for i := 0; i < 20; i++ {
@@ -71,7 +59,7 @@ func TestIndexFSPartitioningByDirectory(t *testing.T) {
 
 func TestIndexFSConcurrentClients(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		c := New(clk, fastCfg())
+		c := New(clk)
 		wg := clock.NewGroup(clk)
 		for w := 0; w < 8; w++ {
 			wg.Go(func() {
@@ -107,19 +95,10 @@ func newLambda(t *testing.T, clk *clock.Sim) (*LambdaSystem, *rpc.VM, *faas.Plat
 	fCfg.IdleReclaim = 0
 	p := faas.New(clk, fCfg)
 	t.Cleanup(p.Close)
-	lCfg := DefaultLambdaConfig()
-	lCfg.Deployments = 4
-	lCfg.OpCPUCost = 0
-	lCfg.LSM.PutLatency = 0
-	lCfg.LSM.ProbeLatency = 0
-	lCfg.LSM.FlushPerEntry = 0
-	lCfg.LSM.CompactPerEntry = 0
-	sys := NewLambda(clk, p, lCfg)
+	sys := NewLambda(clk, p)
 	rCfg := rpc.DefaultConfig()
 	rCfg.TCPOneWay = 0
 	rCfg.HTTPReplaceProb = 0
-	rCfg.Hedging = false
-	rCfg.BackoffBase = time.Millisecond
 	vm := rpc.NewVM(clk, rCfg)
 	return sys, vm, p
 }
@@ -180,7 +159,7 @@ func TestLambdaIndexFSPersistsThroughInstanceDeath(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kill every instance: the cache dies, LevelDB survives.
-		for dep := 0; dep < 4; dep++ {
+		for dep := range lambdaDeployments {
 			for p.KillOneInstance(dep) {
 			}
 		}

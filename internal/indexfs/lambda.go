@@ -12,38 +12,24 @@ import (
 	"lambdafs/internal/rpc"
 )
 
-// LambdaConfig shapes λIndexFS: serverless caching functions in front of
-// the LevelDB partitions (Figure 7b).
-type LambdaConfig struct {
-	// Deployments is the number of function deployments; each owns one
-	// LevelDB partition (matching the directory-hash partitioning).
-	Deployments      int
-	VCPU             float64
-	RAMGB            float64
-	ConcurrencyLevel int
-	// MaxInstancesPerDeployment caps auto-scaling (0 = unlimited).
-	MaxInstancesPerDeployment int
-	// MinInstancesPerDeployment pre-warms a floor of instances so no
+// λIndexFS, the §5.7 OpenWhisk deployment: serverless caching functions
+// in front of the LevelDB partitions (Figure 7b, lsm.DefaultConfig).
+const (
+	// lambdaDeployments is the number of function deployments; each owns
+	// one LevelDB partition (matching the directory-hash partitioning).
+	lambdaDeployments = 8
+	// fnVCPU, fnRAMGB and fnConcurrency shape each function instance;
+	// auto-scaling is uncapped.
+	fnVCPU        = 2
+	fnRAMGB       = 8
+	fnConcurrency = 4
+	// fnMinInstances pre-warms a floor of instances per deployment so no
 	// deployment starves behind a fully-committed pool.
-	MinInstancesPerDeployment int
-	// OpCPUCost is function CPU per metadata operation.
-	OpCPUCost time.Duration
-	// LSM tunes the backing LevelDB partitions.
-	LSM lsm.Config
-}
-
-// DefaultLambdaConfig matches the §5.7 OpenWhisk deployment.
-func DefaultLambdaConfig() LambdaConfig {
-	return LambdaConfig{
-		Deployments:               8,
-		VCPU:                      2,
-		RAMGB:                     8,
-		ConcurrencyLevel:          4,
-		MinInstancesPerDeployment: 1,
-		OpCPUCost:                 300 * time.Microsecond,
-		LSM:                       lsm.DefaultConfig(),
-	}
-}
+	fnMinInstances = 1
+	// fnOpCPUCost is function CPU per metadata operation, calibrated to
+	// fig16's λIndexFS curve like the servers' opCPUCost.
+	fnOpCPUCost = 300 * time.Microsecond
+)
 
 // LambdaSystem is a running λIndexFS deployment.
 type LambdaSystem struct {
@@ -51,34 +37,27 @@ type LambdaSystem struct {
 	platform *faas.Platform
 	ring     *partition.Ring
 	lsms     []*lsm.DB
-	cfg      LambdaConfig
 }
 
 // NewLambda registers the λIndexFS function deployments.
-func NewLambda(clk *clock.Sim, platform *faas.Platform, cfg LambdaConfig) *LambdaSystem {
-	if cfg.Deployments <= 0 {
-		cfg.Deployments = 1
-	}
+func NewLambda(clk *clock.Sim, platform *faas.Platform) *LambdaSystem {
 	s := &LambdaSystem{
 		clk:      clk,
 		platform: platform,
-		ring:     partition.NewRing(cfg.Deployments, 0),
-		cfg:      cfg,
-	}
-	for i := 0; i < cfg.Deployments; i++ {
-		s.lsms = append(s.lsms, lsm.New(clk, cfg.LSM))
+		ring:     partition.NewRing(lambdaDeployments, 0),
 	}
 	opts := faas.DeploymentOptions{
-		VCPU:             cfg.VCPU,
-		RAMGB:            cfg.RAMGB,
-		ConcurrencyLevel: cfg.ConcurrencyLevel,
-		MaxInstances:     cfg.MaxInstancesPerDeployment,
-		MinInstances:     cfg.MinInstancesPerDeployment,
+		VCPU:             fnVCPU,
+		RAMGB:            fnRAMGB,
+		ConcurrencyLevel: fnConcurrency,
+		MinInstances:     fnMinInstances,
 	}
-	for i := 0; i < cfg.Deployments; i++ {
-		db := s.lsms[i]
+	for range lambdaDeployments {
+		s.lsms = append(s.lsms, lsm.New(clk, lsm.DefaultConfig()))
+	}
+	for _, db := range s.lsms {
 		platform.Register("indexfn", func(inst *faas.Instance) faas.App {
-			return newIndexFn(inst, db, cfg.OpCPUCost)
+			return newIndexFn(inst, db)
 		}, opts)
 	}
 	return s
@@ -134,9 +113,8 @@ func (c *LambdaClient) Stats() rpc.ClientStats { return c.inner.Stats() }
 // no cross-instance coherence (the full λFS coherence protocol would be
 // layered exactly as in internal/core if overwrites were in scope).
 type indexFn struct {
-	inst    *faas.Instance
-	db      *lsm.DB
-	cpuCost time.Duration
+	inst *faas.Instance
+	db   *lsm.DB
 
 	mu    sync.Mutex
 	cache map[string]Attr
@@ -145,8 +123,8 @@ type indexFn struct {
 var _ faas.App = (*indexFn)(nil)
 var _ rpc.Server = (*indexFn)(nil)
 
-func newIndexFn(inst *faas.Instance, db *lsm.DB, cpuCost time.Duration) *indexFn {
-	return &indexFn{inst: inst, db: db, cpuCost: cpuCost, cache: make(map[string]Attr)}
+func newIndexFn(inst *faas.Instance, db *lsm.DB) *indexFn {
+	return &indexFn{inst: inst, db: db, cache: make(map[string]Attr)}
 }
 
 // Execute implements the rpc.Server (TCP) path. Cache hits cost half the
@@ -154,7 +132,7 @@ func newIndexFn(inst *faas.Instance, db *lsm.DB, cpuCost time.Duration) *indexFn
 func (f *indexFn) Execute(req namespace.Request) *namespace.Response {
 	switch req.Op {
 	case namespace.OpCreate:
-		f.inst.AcquireCPU(f.cpuCost)
+		f.inst.AcquireCPU(fnOpCPUCost)
 		attr := Attr{Mode: 0o644}
 		f.db.Put(req.Path, encodeAttr(attr))
 		f.mu.Lock()
@@ -167,9 +145,9 @@ func (f *indexFn) Execute(req namespace.Request) *namespace.Response {
 		f.mu.Unlock()
 		hit := ok
 		if hit {
-			f.inst.AcquireCPU(f.cpuCost / 2)
+			f.inst.AcquireCPU(fnOpCPUCost / 2)
 		} else {
-			f.inst.AcquireCPU(f.cpuCost)
+			f.inst.AcquireCPU(fnOpCPUCost)
 		}
 		if !ok {
 			raw, found := f.db.Get(req.Path)

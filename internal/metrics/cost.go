@@ -35,7 +35,7 @@ type LambdaMeter struct {
 // NewLambdaMeter returns a meter whose per-second cost series starts at
 // origin.
 func NewLambdaMeter(origin time.Time) *LambdaMeter {
-	return &LambdaMeter{origin: origin, series: NewTimeseries(origin, time.Second)}
+	return &LambdaMeter{origin: origin, series: NewTimeseries(origin)}
 }
 
 // BillActive charges for a NameNode with memGB of memory serving requests
@@ -108,7 +108,7 @@ type ProvisionedMeter struct {
 
 // NewProvisionedMeter returns a provisioned-time meter starting at origin.
 func NewProvisionedMeter(origin time.Time) *ProvisionedMeter {
-	return &ProvisionedMeter{origin: origin, series: NewTimeseries(origin, time.Second)}
+	return &ProvisionedMeter{origin: origin, series: NewTimeseries(origin)}
 }
 
 // BillProvisioned charges memGB of provisioned function memory for the

@@ -244,7 +244,7 @@ func TestPercentile(t *testing.T) {
 
 func TestTimeseriesRates(t *testing.T) {
 	origin := clock.Epoch
-	ts := NewTimeseries(origin, time.Second)
+	ts := NewTimeseries(origin)
 	for i := 0; i < 10; i++ {
 		ts.Incr(origin.Add(500 * time.Millisecond))
 	}
@@ -267,7 +267,7 @@ func TestTimeseriesRates(t *testing.T) {
 }
 
 func TestTimeseriesDropsPreOrigin(t *testing.T) {
-	ts := NewTimeseries(clock.Epoch, time.Second)
+	ts := NewTimeseries(clock.Epoch)
 	ts.Incr(clock.Epoch.Add(-time.Second))
 	if ts.Total() != 0 {
 		t.Fatal("pre-origin sample was recorded")
@@ -275,7 +275,7 @@ func TestTimeseriesDropsPreOrigin(t *testing.T) {
 }
 
 func TestGaugeCarriesForward(t *testing.T) {
-	g := NewGauge(clock.Epoch, time.Second)
+	g := NewGauge()
 	g.Sample(clock.Epoch, 5)
 	g.Sample(clock.Epoch.Add(3*time.Second), 9)
 	g.Sample(clock.Epoch.Add(3*time.Second+100*time.Millisecond), 7) // bucket keeps max
@@ -295,7 +295,7 @@ func TestGaugeCarriesForward(t *testing.T) {
 }
 
 func TestGaugeValuesUntilPadsToNow(t *testing.T) {
-	g := NewGauge(clock.Epoch, time.Second)
+	g := NewGauge()
 	g.Sample(clock.Epoch, 5)
 	g.Sample(clock.Epoch.Add(2*time.Second), 9)
 	// The run keeps going for four more seconds after the gauge's last
@@ -319,7 +319,7 @@ func TestGaugeValuesUntilPadsToNow(t *testing.T) {
 		t.Fatalf("ValuesUntil(past) = %v, want plain Values() length 3", vals)
 	}
 	// And on a never-sampled gauge it still pads with zeros.
-	empty := NewGauge(clock.Epoch, time.Second)
+	empty := NewGauge()
 	if vals := empty.ValuesUntil(clock.Epoch.Add(2 * time.Second)); len(vals) != 3 {
 		t.Fatalf("empty ValuesUntil = %v, want 3 zero buckets", vals)
 	}

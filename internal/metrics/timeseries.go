@@ -3,24 +3,27 @@ package metrics
 import (
 	"sync"
 	"time"
+
+	"lambdafs/internal/clock"
 )
 
-// Timeseries accumulates values into fixed-width time buckets (default one
-// virtual second). It backs the throughput-over-time curves of Figures 8
-// and 15 and the instantaneous cost series of Figure 8(c).
+// bucketWidth is the width of a Timeseries or Gauge bucket: one virtual
+// second, the x-axis step of Figures 8, 8(c) and 15.
+const bucketWidth = time.Second
+
+// Timeseries accumulates values into one-virtual-second buckets. It backs
+// the throughput-over-time curves of Figures 8 and 15 and the
+// instantaneous cost series of Figure 8(c).
 type Timeseries struct {
 	mu     sync.Mutex
 	origin time.Time
-	width  time.Duration
 	vals   []float64
 }
 
-// NewTimeseries returns a series bucketed at width, starting at origin.
-func NewTimeseries(origin time.Time, width time.Duration) *Timeseries {
-	if width <= 0 {
-		width = time.Second
-	}
-	return &Timeseries{origin: origin, width: width}
+// NewTimeseries returns a series bucketed at bucketWidth, starting at
+// origin.
+func NewTimeseries(origin time.Time) *Timeseries {
+	return &Timeseries{origin: origin}
 }
 
 func (ts *Timeseries) bucket(t time.Time) int {
@@ -28,7 +31,7 @@ func (ts *Timeseries) bucket(t time.Time) int {
 	if d < 0 {
 		return -1
 	}
-	return int(d / ts.width)
+	return int(d / bucketWidth)
 }
 
 // Add accumulates v into the bucket containing t. Samples before the
@@ -60,7 +63,7 @@ func (ts *Timeseries) Values() []float64 {
 // i.e. ops/sec when Incr is used.
 func (ts *Timeseries) Rate() []float64 {
 	vals := ts.Values()
-	sec := ts.width.Seconds()
+	sec := bucketWidth.Seconds()
 	out := make([]float64, len(vals))
 	for i, v := range vals {
 		out[i] = v / sec
@@ -105,33 +108,27 @@ func (ts *Timeseries) PeakRate() float64 {
 }
 
 // Gauge samples an instantaneous value over time (e.g. the number of
-// active λFS NameNodes on Figure 8's secondary y-axis). Each bucket keeps
-// the maximum sampled value.
+// active λFS NameNodes on Figure 8's secondary y-axis) into
+// bucketWidth-sized buckets from clock.Epoch. Each bucket keeps the
+// maximum sampled value.
 type Gauge struct {
-	mu     sync.Mutex
-	origin time.Time
-	width  time.Duration
-	vals   []float64
-	set    []bool
+	mu   sync.Mutex
+	vals []float64
+	set  []bool
 }
 
-// NewGauge returns a gauge sampled into width-sized buckets from origin.
-func NewGauge(origin time.Time, width time.Duration) *Gauge {
-	if width <= 0 {
-		width = time.Second
-	}
-	return &Gauge{origin: origin, width: width}
-}
+// NewGauge returns an empty gauge.
+func NewGauge() *Gauge { return &Gauge{} }
 
 // Sample records v at time t; the bucket keeps the max.
 func (g *Gauge) Sample(t time.Time, v float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	d := t.Sub(g.origin)
+	d := t.Sub(clock.Epoch)
 	if d < 0 {
 		return
 	}
-	b := int(d / g.width)
+	b := int(d / bucketWidth)
 	for len(g.vals) <= b {
 		g.vals = append(g.vals, 0)
 		g.set = append(g.set, false)
@@ -164,14 +161,14 @@ func (g *Gauge) Values() []float64 {
 // truncates at the last sampled bucket, which silently shortens a series
 // whose gauge went quiet before the end of the run; exposition and the
 // shell dashboard use ValuesUntil(runEnd) so the rendered series spans
-// the whole experiment. Times at or before origin yield the plain
+// the whole experiment. Times at or before clock.Epoch yield the plain
 // Values() result.
 func (g *Gauge) ValuesUntil(t time.Time) []float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := len(g.vals)
-	if d := t.Sub(g.origin); d > 0 {
-		if want := int(d/g.width) + 1; want > n {
+	if d := t.Sub(clock.Epoch); d > 0 {
+		if want := int(d/bucketWidth) + 1; want > n {
 			n = want
 		}
 	}

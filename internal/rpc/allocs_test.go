@@ -19,8 +19,6 @@ import (
 func TestHedgedFastPathAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
-		cfg.Hedging = true
-		cfg.LatencyWindow = 4
 		cfg.TCPOneWay = 300 * time.Microsecond
 		h := newHarness(t, clk, 1, cfg)
 		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
@@ -28,9 +26,7 @@ func TestHedgedFastPathAllocs(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond) // arm hedging
-		}
+		armHedging(c, time.Millisecond)
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
 				t.Error(err)

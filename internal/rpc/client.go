@@ -61,7 +61,7 @@ func (vm *VM) NewClient(id string, ring *partition.Ring, inv Invoker) *Client {
 		ring:   ring,
 		inv:    inv,
 		cfg:    vm.cfg,
-		window: metrics.NewMovingWindow(vm.cfg.LatencyWindow),
+		window: metrics.NewMovingWindow(latencyWindow),
 		tracer: vm.Tracer(),
 		tel:    vm.tel,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -100,20 +100,17 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// tcpOneWay draws one TCP leg's latency, TCPOneWay·(1 ± TCPJitter). The
+// tcpOneWay draws one TCP leg's latency, TCPOneWay·(1 ± tcpJitter). The
 // draws are splitmix64 over the client's own state, not its rng, so they
 // move none of the replacement and backoff draws.
 func (c *Client) tcpOneWay() time.Duration {
 	d := c.cfg.TCPOneWay
-	if c.cfg.TCPJitter <= 0 {
-		return d
-	}
 	z := c.jitter.Add(0x9e3779b97f4a7c15)
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	z ^= z >> 31
 	u := float64(z>>11)/(1<<53)*2 - 1 // uniform on [-1, 1)
-	return d + time.Duration(u*c.cfg.TCPJitter*float64(d))
+	return d + time.Duration(u*tcpJitter*float64(d))
 }
 
 func (c *Client) randFloat() float64 {
@@ -148,21 +145,21 @@ func (c *Client) inAntiThrashLocked() bool {
 func (c *Client) noteLatency(lat time.Duration) {
 	mean := c.window.Mean()
 	c.window.Add(lat)
-	if c.cfg.AntiThrashThreshold <= 0 || c.window.Len() < c.cfg.LatencyWindow/2 || mean <= 0 {
+	if c.window.Len() < latencyWindow/2 || mean <= 0 {
 		return
 	}
-	if float64(lat) > c.cfg.AntiThrashThreshold*float64(mean) && lat > c.cfg.StragglerFloor/2 {
+	if float64(lat) > antiThrashThreshold*float64(mean) && lat > stragglerFloor/2 {
 		c.mu.Lock()
 		// Flush a pending exit first so re-triggering after an expired hold
 		// yields exit-then-enter in timestamp order.
 		engaged := c.inAntiThrashLocked()
 		now := c.vm.clk.Now()
-		c.antiThrashUntil = now.Add(c.cfg.AntiThrashHold)
+		c.antiThrashUntil = now.Add(AntiThrashHold)
 		if !engaged {
 			c.atEngaged = true
 			c.tracer.Emit(trace.Event{
 				Type: trace.EventAntiThrashEnter, Client: c.id, Time: now,
-				Dur:    c.cfg.AntiThrashHold,
+				Dur:    AntiThrashHold,
 				Detail: fmt.Sprintf("lat=%v mean=%v", lat, mean),
 			})
 		}
@@ -220,7 +217,7 @@ var errDeclined = namespace.ToWire(namespace.ErrRaceDeclined)
 // attempt runs the retry loop; replace allows §3.4's replacement.
 func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request, replace bool) (*namespace.Response, error) {
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.retries.Add(1)
 			c.tel.retries.Inc()
@@ -269,11 +266,7 @@ func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request, replace 
 // backoff sleeps an exponentially growing, jittered delay (§3.2: avoid
 // request storms on the FaaS platform).
 func (c *Client) backoff(attempt int) {
-	base := c.cfg.BackoffBase
-	if base <= 0 {
-		return
-	}
-	d := base << uint(attempt-1)
+	d := backoffBase << uint(attempt-1)
 	d = min(d, backoffMax)
 	// Full jitter.
 	d = time.Duration(c.randFloat() * float64(d))
@@ -393,7 +386,7 @@ func racedFailure(resp *namespace.Response) error {
 // both copies check its client's result row, so the write runs once and
 // both answer what it did.
 func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
-	hedge := c.cfg.Hedging && !req.Op.IsWrite() && c.window.Len() >= c.cfg.LatencyWindow/2
+	hedge := !req.Op.IsWrite() && c.window.Len() >= latencyWindow/2
 	if !hedge && !race {
 		return c.tcpWithFailover(tc, dep, conn, req)
 	}
@@ -402,10 +395,7 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 	h.out, h.waiting = 1, true
 	clock.Go(c.vm.clk, h.primary)
 	if !race {
-		threshold := time.Duration(c.cfg.StragglerThreshold * float64(c.window.Mean()))
-		if threshold < c.cfg.StragglerFloor {
-			threshold = c.cfg.StragglerFloor
-		}
+		threshold := max(time.Duration(stragglerThreshold*float64(c.window.Mean())), stragglerFloor)
 		if primary, ok := h.results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
 			h.settle(1)
 			return primary.resp, primary.err

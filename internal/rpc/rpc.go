@@ -71,15 +71,8 @@ func (p Payload) TraceCtx() *trace.Ctx { return p.TC }
 // Config tunes the RPC fabric.
 type Config struct {
 	// TCPOneWay is the one-way client↔NameNode latency of the direct TCP
-	// path.
+	// path; each leg takes TCPOneWay·(1 ± tcpJitter).
 	TCPOneWay time.Duration
-	// TCPJitter spreads each one-way TCP latency uniformly over
-	// TCPOneWay·(1 ± TCPJitter), from a per-client stream of Seed. With
-	// every message taking exactly TCPOneWay, closed-loop clients whose
-	// ops all answer at one latency send at the same instants for good,
-	// and cost, billed per instance busy interval, then hangs on the few
-	// events that knock a client off that beat.
-	TCPJitter float64
 	// HTTPReplaceProb is the probability that a request with a TCP
 	// connection also makes an HTTP invocation (§3.4's fine-grained
 	// auto-scaling control; ≤1% works best per the paper). A replaced
@@ -87,24 +80,6 @@ type Config struct {
 	// the first success; a replaced write is raced through its client's
 	// result row, so it executes once.
 	HTTPReplaceProb float64
-	// ClientsPerTCPServer is the at-most-n clients assigned per TCP
-	// server on a VM.
-	ClientsPerTCPServer int
-
-	// Straggler mitigation (Appendix B).
-	Hedging            bool
-	StragglerThreshold float64       // multiple of the moving-average latency
-	StragglerFloor     time.Duration // never hedge below this latency
-	LatencyWindow      int           // moving window size
-
-	// Anti-thrashing (Appendix C).
-	AntiThrashThreshold float64       // T: latency multiple that triggers the mode
-	AntiThrashHold      time.Duration // how long the client stays in the mode
-
-	// Retry policy for transport-level failures: the backoff before retry
-	// k is jittered over BackoffBase·2^(k-1), capped at backoffMax.
-	BackoffBase time.Duration
-	MaxAttempts int
 
 	// Seed is the base seed for per-client randomness (HTTP-replacement
 	// draws and backoff jitter). Each client derives its stream from
@@ -126,28 +101,57 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// DefaultConfig mirrors the paper's settings: ~0.3 ms one-way TCP (±5%),
-// replacement probability under 1%, straggler threshold 10× (≥50 ms),
-// anti-thrashing threshold in the 2–3 range.
+// DefaultConfig mirrors the paper's settings: ~0.3 ms one-way TCP and a
+// replacement probability under 1% (§3.4).
 func DefaultConfig() Config {
 	return Config{
-		TCPOneWay:           300 * time.Microsecond,
-		TCPJitter:           0.05,
-		HTTPReplaceProb:     0.005,
-		ClientsPerTCPServer: 128,
-		Hedging:             true,
-		StragglerThreshold:  10,
-		StragglerFloor:      50 * time.Millisecond,
-		LatencyWindow:       64,
-		AntiThrashThreshold: 2.5,
-		AntiThrashHold:      5 * time.Second,
-		BackoffBase:         25 * time.Millisecond,
-		MaxAttempts:         10,
+		TCPOneWay:       300 * time.Microsecond,
+		HTTPReplaceProb: 0.005,
 	}
 }
 
-// backoffMax caps one retry backoff before jitter.
-const backoffMax = 2 * time.Second
+// tcpJitter spreads each one-way TCP latency uniformly over
+// TCPOneWay·(1 ± tcpJitter), from a per-client stream of Seed. With every
+// message taking exactly TCPOneWay, closed-loop clients whose ops all
+// answer at one latency send at the same instants for good, and cost,
+// billed per instance busy interval, then hangs on the few events that
+// knock a client off that beat. The paper gives the mean latency only
+// (DESIGN §1's network row).
+const tcpJitter = 0.05
+
+// clientsPerTCPServer is the n of §3.2's "at most n clients per TCP
+// server" on a VM. The paper gives no value; 128 is the one every
+// experiment has run.
+const clientsPerTCPServer = 128
+
+// Straggler mitigation (Appendix B): a read whose latency passes
+// stragglerThreshold × the moving mean of the client's last
+// latencyWindow ops, and at least stragglerFloor, fires a hedge. The
+// mode arms once the window holds latencyWindow/2 samples.
+const (
+	stragglerThreshold = 10
+	stragglerFloor     = 50 * time.Millisecond
+	latencyWindow      = 64
+)
+
+// Anti-thrashing (Appendix C): an op slower than antiThrashThreshold (the
+// paper's T, 2–3) × the windowed mean, and than stragglerFloor/2, puts
+// the client in the mode for AntiThrashHold, during which it makes no
+// HTTP replacement.
+const (
+	antiThrashThreshold = 2.5
+	// AntiThrashHold is exported so a harness can wait the mode out.
+	AntiThrashHold = 5 * time.Second
+)
+
+// Retry policy for transport-level failures (§3.2: avoid request storms
+// on the FaaS platform): at most maxAttempts attempts, the backoff before
+// retry k jittered over backoffBase·2^(k-1), capped at backoffMax.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	maxAttempts = 10
+)
 
 // Conn is one TCP connection from a client VM's TCP server to a NameNode
 // instance.
@@ -285,7 +289,7 @@ func NewVM(clk *clock.Sim, cfg Config) *VM {
 func (vm *VM) assignServer() *TCPServer {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	idx := vm.numClients / vm.cfg.ClientsPerTCPServer
+	idx := vm.numClients / clientsPerTCPServer
 	vm.numClients++
 	for len(vm.servers) <= idx {
 		vm.servers = append(vm.servers, NewTCPServer())

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,18 +179,44 @@ func newHarnessOn(t *testing.T, clk *clock.Sim, deployments int, rpcCfg Config, 
 	return h
 }
 
-// testCfg is DefaultConfig with the TCP path's delay, its jitter,
-// replacement, hedging and backoff off: tests switch on what they time,
-// and time it exactly.
+// testCfg is DefaultConfig with the TCP path's delay and replacement
+// off: tests switch on what they time, and time it exactly. Hedging arms
+// only once a client's latency window is half full (armHedging).
 func testCfg() Config {
 	cfg := DefaultConfig()
 	cfg.TCPOneWay = 0
-	cfg.TCPJitter = 0
 	cfg.HTTPReplaceProb = 0
-	cfg.Hedging = false
-	cfg.BackoffBase = 0
 	return cfg
 }
+
+// legs returns the total of the next n TCP legs c will draw, without
+// drawing them: a test that times TCP calls exactly adds their legs up.
+func legs(c *Client, n int) time.Duration {
+	state := c.jitter.Load()
+	defer c.jitter.Store(state)
+	var sum time.Duration
+	for range n {
+		sum += c.tcpOneWay()
+	}
+	return sum
+}
+
+// armHedging fills half of c's latency window with lat, the fewest
+// samples with which a read hedges (and a slow op can enter
+// anti-thrashing mode).
+func armHedging(c *Client, lat time.Duration) {
+	for range latencyWindow / 2 {
+		c.window.Add(lat)
+	}
+}
+
+// halfSource makes every draw of a client's rng 0.5: each request is
+// replaced when HTTPReplaceProb exceeds it, and the full-jitter backoff
+// before retry k is exactly half of backoffBase·2^(k-1).
+type halfSource struct{}
+
+func (halfSource) Int63() int64 { return 1 << 62 }
+func (halfSource) Seed(int64)   {}
 
 func TestFirstOpHTTPThenTCP(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
@@ -216,9 +243,11 @@ func TestFirstOpHTTPThenTCP(t *testing.T) {
 
 // replaceHarness is a one-deployment harness whose client replaces every
 // request once it holds a connection, on a platform whose gateway hop
-// (5ms each way) is far slower than the TCP path (1ms each way), so a
-// call's latency tells which transport answered it. The first op, which
-// has no connection to replace, establishes one over HTTP.
+// (5ms each way) is far slower than the TCP path (1ms ± 5% each way), so
+// a call's latency tells which transport answered it. The client's rng
+// draws 0.5 every time (halfSource), so its first retry backs off 12.5ms.
+// The first op, which has no connection to replace, establishes one over
+// HTTP.
 func replaceHarness(t *testing.T, clk *clock.Sim, inv func(Invoker) Invoker, cfg Config) (*harness, *Client) {
 	cfg.HTTPReplaceProb = 1
 	cfg.TCPOneWay = time.Millisecond
@@ -230,11 +259,15 @@ func replaceHarness(t *testing.T, clk *clock.Sim, inv func(Invoker) Invoker, cfg
 		invoker = inv(invoker)
 	}
 	c := h.vm.NewClient("c1", h.ring, invoker)
+	c.rng = rand.New(halfSource{})
 	if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
 		t.Fatal(err)
 	}
 	return h, c
 }
+
+// halfBackoff is the backoff before a replaceHarness client's first retry.
+const halfBackoff = backoffBase / 2
 
 // TestReplacementForcesHTTP: a replaced request always makes its HTTP
 // invocation (§3.4's scaling signal). It also makes its TCP call at the
@@ -247,22 +280,21 @@ func TestReplacementForcesHTTP(t *testing.T) {
 		nn := h.nns[0]
 		for _, tc := range []struct {
 			op        namespace.OpType
-			took      time.Duration
 			tcp, http uint64
 		}{
-			{namespace.OpRead, 2 * time.Millisecond, 1, 1},
-			{namespace.OpStat, 2 * time.Millisecond, 1, 1},
-			{namespace.OpLs, 2 * time.Millisecond, 1, 1},
-			{namespace.OpCreate, 2 * time.Millisecond, 1, 1},
+			{namespace.OpRead, 1, 1},
+			{namespace.OpStat, 1, 1},
+			{namespace.OpLs, 1, 1},
+			{namespace.OpCreate, 1, 1},
 		} {
 			before, execs := c.Stats(), nn.execs.Load()
-			start := clk.Now()
+			start, want := clk.Now(), legs(c, 2)
 			resp, err := c.Do(tc.op, "/a", "")
 			if err != nil || !resp.OK() {
 				t.Fatalf("replaced %v: %v %v", tc.op, resp, err)
 			}
-			if took := clk.Since(start); took != tc.took {
-				t.Errorf("replaced %v answered after %v, want %v", tc.op, took, tc.took)
+			if took := clk.Since(start); took != want {
+				t.Errorf("replaced %v answered after %v, want the TCP call's two legs %v", tc.op, took, want)
 			}
 			clk.Sleep(20 * time.Millisecond) // let a losing invocation finish
 			st := c.Stats()
@@ -288,16 +320,17 @@ func TestReplacedReadRaceFailures(t *testing.T) {
 		name          string
 		drop, reject  bool
 		took          time.Duration
+		tcpLegs       int // TCP legs the read waits for, beyond took
 		retries, http uint64
 	}{
 		// The TCP call loses its connection at once; the invocation answers
 		// after two gateway hops.
-		{"tcp drops", true, false, 10 * time.Millisecond, 0, 1},
+		{"tcp drops", true, false, 10 * time.Millisecond, 0, 0, 1},
 		// The invocation is rejected at once; the TCP call answers.
-		{"http rejected", false, true, 2 * time.Millisecond, 0, 1},
-		// Both fail at once; the retry finds no connection left and
-		// invokes over HTTP.
-		{"both fail", true, true, 10 * time.Millisecond, 1, 2},
+		{"http rejected", false, true, 0, 2, 0, 1},
+		// Both fail at once; the retry backs off, finds no connection left
+		// and invokes over HTTP.
+		{"both fail", true, true, halfBackoff + 10*time.Millisecond, 0, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			simtest.Run(t, func(clk *clock.Sim) {
@@ -316,7 +349,7 @@ func TestReplacedReadRaceFailures(t *testing.T) {
 					flaky.failures = 1
 				}
 				before := c.Stats()
-				start := clk.Now()
+				start, want := clk.Now(), tc.took+legs(c, tc.tcpLegs)
 				resp, err := c.Do(namespace.OpRead, "/a", "")
 				if err != nil || !resp.OK() {
 					t.Fatalf("read: %v %v", resp, err)
@@ -324,8 +357,8 @@ func TestReplacedReadRaceFailures(t *testing.T) {
 				if seq := c.seq.Load(); resp.ID != namespace.INodeID(seq) {
 					t.Errorf("read (seq %d) got the response to seq %d", seq, resp.ID)
 				}
-				if took := clk.Since(start); took != tc.took {
-					t.Errorf("read answered after %v, want %v", took, tc.took)
+				if took := clk.Since(start); took != want {
+					t.Errorf("read answered after %v, want %v", took, want)
 				}
 				st := c.Stats()
 				if st.Retries-before.Retries != tc.retries || st.HTTPRPCs-before.HTTPRPCs != tc.http {
@@ -349,6 +382,7 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 		lose          bool   // the invocation runs, and its answer is lost
 		abort         string // the TCP racer's reply: an aborted transaction
 		took          time.Duration
+		tcpLegs       int // TCP legs the create waits for, beyond took
 		retries, http uint64
 		replays       int
 	}{
@@ -356,15 +390,15 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 		// after two gateway hops.
 		{name: "tcp drops", drop: true, took: 10 * time.Millisecond, http: 1},
 		// The invocation is rejected at once; the TCP call answers.
-		{name: "http rejected", reject: true, took: 2 * time.Millisecond, http: 1},
+		{name: "http rejected", reject: true, tcpLegs: 2, http: 1},
 		// The TCP racer's transaction aborted and recorded nothing: the
 		// client waits for the invocation, which acts.
 		{name: "tcp aborted", abort: "store: lock wait timeout", took: 10 * time.Millisecond, http: 1},
 		// The TCP call drops and the invocation runs the write, then loses
-		// its answer. The retry races again over the connection the
-		// invocation's NameNode offered back, and both copies answer from
-		// the row, the TCP copy first.
-		{name: "both fail", drop: true, lose: true, took: 12 * time.Millisecond, retries: 1, http: 2, replays: 2},
+		// its answer. The retry backs off, then races again over the
+		// connection the invocation's NameNode offered back, and both copies
+		// answer from the row, the TCP copy first.
+		{name: "both fail", drop: true, lose: true, took: 10*time.Millisecond + halfBackoff, tcpLegs: 2, retries: 1, http: 2, replays: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			simtest.Run(t, func(clk *clock.Sim) {
@@ -387,7 +421,7 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 				}
 				h.st.fail = tc.abort
 				before := c.Stats()
-				start := clk.Now()
+				start, want := clk.Now(), tc.took+legs(c, tc.tcpLegs)
 				resp, err := c.Do(namespace.OpCreate, "/f", "")
 				if err != nil || !resp.OK() {
 					t.Fatalf("create: %v %v", resp, err)
@@ -395,8 +429,8 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 				if seq := c.seq.Load(); resp.ID != namespace.INodeID(seq) {
 					t.Errorf("create (seq %d) got the response to seq %d", seq, resp.ID)
 				}
-				if took := clk.Since(start); took != tc.took {
-					t.Errorf("create answered after %v, want %v", took, tc.took)
+				if took := clk.Since(start); took != want {
+					t.Errorf("create answered after %v, want %v", took, want)
 				}
 				clk.Sleep(20 * time.Millisecond) // let a losing invocation finish
 				st := c.Stats()
@@ -421,7 +455,7 @@ func TestRacedDirectoryDeleteReissued(t *testing.T) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
 		h.st.dirs = true
 		before, seq := c.Stats(), c.seq.Load()
-		start := clk.Now()
+		start, want := clk.Now(), legs(c, 4)
 		resp, err := c.Do(namespace.OpDelete, "/d", "")
 		if err != nil || !resp.OK() {
 			t.Fatalf("delete: %v %v", resp, err)
@@ -429,8 +463,8 @@ func TestRacedDirectoryDeleteReissued(t *testing.T) {
 		if resp.ID != namespace.INodeID(seq+2) {
 			t.Errorf("the delete answered the reply to seq %d, want the re-issue's %d", resp.ID, seq+2)
 		}
-		if took := clk.Since(start); took != 4*time.Millisecond {
-			t.Errorf("the delete answered after %v, want two TCP round trips, 4ms", took)
+		if took := clk.Since(start); took != want {
+			t.Errorf("the delete answered after %v, want two TCP round trips, %v", took, want)
 		}
 		clk.Sleep(20 * time.Millisecond) // let the declined invocation finish
 		if st := c.Stats(); st.TCPRPCs-before.TCPRPCs != 2 || st.HTTPRPCs-before.HTTPRPCs != 1 || st.Retries != before.Retries {
@@ -444,12 +478,16 @@ func TestRacedDirectoryDeleteReissued(t *testing.T) {
 
 func TestConnectionSharingAcrossServers(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := testCfg()
-		cfg.ClientsPerTCPServer = 1 // every client gets its own TCP server
-		h := newHarness(t, clk, 1, cfg)
+		h := newHarness(t, clk, 1, testCfg())
 		inv := platformInvoker{h.p}
-		c1 := h.vm.NewClient("c1", h.ring, inv)
-		c2 := h.vm.NewClient("c2", h.ring, inv)
+		// clientsPerTCPServer+1 clients: the last gets a TCP server of its own.
+		var c1, c2 *Client
+		for i := range clientsPerTCPServer + 1 {
+			c2 = h.vm.NewClient(fmt.Sprintf("c%d", i+1), h.ring, inv)
+			if i == 0 {
+				c1 = c2
+			}
+		}
 		if c1.tcp == c2.tcp {
 			t.Fatal("clients should have distinct TCP servers")
 		}
@@ -515,12 +553,18 @@ func TestRetryThroughInvokerFailures(t *testing.T) {
 		h := newHarness(t, clk, 1, cfg)
 		flaky := &flakyInvoker{inner: platformInvoker{h.p}, failures: 3}
 		c := h.vm.NewClient("c1", h.ring, flaky)
+		c.rng = rand.New(halfSource{})
+		start := clk.Now()
 		resp, err := c.Do(namespace.OpStat, "/a", "")
 		if err != nil || !resp.OK() {
 			t.Fatalf("retry did not recover: %v %v", resp, err)
 		}
 		if st := c.Stats(); st.Retries != 3 {
 			t.Fatalf("retries = %d, want 3", st.Retries)
+		}
+		// Half of 25, 50 and 100ms: the full-jitter backoffs at a 0.5 draw.
+		if took, want := clk.Since(start), (backoffBase+2*backoffBase+4*backoffBase)/2; took != want {
+			t.Fatalf("three retries answered after %v, want their backoffs %v", took, want)
 		}
 	})
 }
@@ -581,10 +625,6 @@ func TestSemanticErrorsNotRetried(t *testing.T) {
 func TestHedgingFiresSecondAttempt(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
-		cfg.Hedging = true
-		cfg.StragglerThreshold = 2
-		cfg.StragglerFloor = 10 * time.Millisecond
-		cfg.LatencyWindow = 4
 
 		p := faas.New(clk, fastFaasCfg())
 		defer p.Close()
@@ -607,12 +647,10 @@ func TestHedgingFiresSecondAttempt(t *testing.T) {
 		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
 			t.Fatal(err)
 		}
-		// Pre-fill the latency window so hedging is armed.
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond)
-		}
-		// The primary parks for good; the hedge fires at the 10ms floor (twice
-		// the 1ms window mean is below it) and answers at that same instant.
+		armHedging(c, time.Millisecond)
+		// The primary parks for good; the hedge fires at the 50ms floor (ten
+		// times the 1ms window mean is below it) and answers at that same
+		// instant.
 		start := clk.Now()
 		resp, err := c.Do(namespace.OpRead, "/a", "")
 		if err == nil && !resp.OK() {
@@ -621,8 +659,8 @@ func TestHedgingFiresSecondAttempt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hedged op failed: %v", err)
 		}
-		if took := clk.Since(start); took != cfg.StragglerFloor {
-			t.Fatalf("hedged read answered after %v, want the straggler floor %v", took, cfg.StragglerFloor)
+		if took := clk.Since(start); took != stragglerFloor {
+			t.Fatalf("hedged read answered after %v, want the straggler floor %v", took, stragglerFloor)
 		}
 		block.Set()
 		if st := c.Stats(); st.Hedges != 1 {
@@ -637,9 +675,6 @@ func TestHedgingFiresSecondAttempt(t *testing.T) {
 // when time later passes that instant.
 func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 	cfg := testCfg()
-	cfg.Hedging = true
-	cfg.StragglerFloor = 50 * time.Millisecond
-	cfg.LatencyWindow = 4
 	cfg.TCPOneWay = time.Millisecond
 
 	sim := simtest.New(t)
@@ -652,15 +687,13 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond) // arm hedging
-		}
-		start := sim.Now()
+		armHedging(c, time.Millisecond)
+		start, want := sim.Now(), legs(c, 2)
 		if _, err := c.Do(namespace.OpRead, "/a", ""); err != nil {
 			t.Fatal(err)
 		}
-		if took := sim.Since(start); took != 2*cfg.TCPOneWay {
-			t.Fatalf("read took %v, want two one-way trips", took)
+		if took := sim.Since(start); took != want {
+			t.Fatalf("read took %v, want two one-way trips %v", took, want)
 		}
 		before := sim.Advances()
 		sim.Sleep(time.Second) // across the 50ms threshold instant, short of the reclaimer's first tick
@@ -678,21 +711,19 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 // past the threshold (its primary delayed through OnTCPFault), its hedge
 // answers, and 50 fast reads follow on the same client while the abandoned
 // primary is still out: its late response lands mid-sequence, and it must
-// never reach a later call — each call gets its own response.
+// never reach a later call — each call gets its own response. Every TCP
+// call is delayed by OnTCPFault, the fast reads' 2ms as well, so each
+// read's latency is exact.
 func TestHedgedCallReuseSkipsAbandonedPrimary(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
-		cfg.Hedging = true
-		cfg.StragglerThreshold = 2
-		cfg.StragglerFloor = 10 * time.Millisecond
-		cfg.LatencyWindow = 4
-		cfg.TCPOneWay = time.Millisecond
+		const fast, slow = 2 * time.Millisecond, 2 * stragglerFloor
 		var straggle atomic.Bool
 		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
 			if straggle.CompareAndSwap(true, false) {
-				return false, 50 * time.Millisecond
+				return false, slow
 			}
-			return false, 0
+			return false, fast
 		}
 		h := newHarness(t, clk, 1, cfg)
 		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
@@ -700,9 +731,7 @@ func TestHedgedCallReuseSkipsAbandonedPrimary(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond) // arm hedging
-		}
+		armHedging(c, time.Millisecond)
 		read := func(what string) bool {
 			resp, err := c.Do(namespace.OpRead, "/a", "")
 			if err != nil {
@@ -729,9 +758,9 @@ func TestHedgedCallReuseSkipsAbandonedPrimary(t *testing.T) {
 				return
 			}
 		}
-		// The primary sent 52 ms after it started, about 42 ms into the fast reads.
-		if took := clk.Since(start); took != 50*2*cfg.TCPOneWay {
-			t.Errorf("50 fast reads took %v, want %v", took, 50*2*cfg.TCPOneWay)
+		// The primary sent 100 ms after it started, 50 ms into the fast reads.
+		if took := clk.Since(start); took != 50*fast {
+			t.Errorf("50 fast reads took %v, want %v", took, 50*fast)
 		}
 		if st := c.Stats(); st.Hedges != 1 || st.TCPRPCs != 51 || st.HTTPRPCs != 2 {
 			t.Errorf("stats = %+v, want 1 hedge, 51 TCP (the abandoned primary's included) and 2 HTTP", st)
@@ -743,19 +772,13 @@ func TestAntiThrashTriggersAndSuppressesReplacement(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
 		cfg.HTTPReplaceProb = 1.0 // would force HTTP every time...
-		cfg.AntiThrashThreshold = 2
-		cfg.AntiThrashHold = time.Hour
-		cfg.LatencyWindow = 4
-		cfg.StragglerFloor = 0
 		h := newHarness(t, clk, 1, cfg)
 		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
 		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
 			t.Fatal(err)
 		}
-		// Simulate a latency collapse: window full of 1ms, then a 100ms op.
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond)
-		}
+		// Simulate a latency collapse: a window of 1ms, then a 100ms op.
+		armHedging(c, time.Millisecond)
 		c.noteLatency(100 * time.Millisecond)
 		if !c.inAntiThrash() {
 			t.Fatal("anti-thrashing mode not entered")
@@ -763,7 +786,8 @@ func TestAntiThrashTriggersAndSuppressesReplacement(t *testing.T) {
 		if st := c.Stats(); st.AntiThrashEvents != 1 {
 			t.Fatalf("events = %d", st.AntiThrashEvents)
 		}
-		// ...but anti-thrashing suppresses replacement: next op is TCP.
+		// ...but anti-thrashing suppresses replacement for AntiThrashHold:
+		// the next op, at once, is TCP.
 		before := c.Stats().TCPRPCs
 		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
 			t.Fatal(err)
@@ -845,18 +869,20 @@ func TestConnRotationSpreadsLoad(t *testing.T) {
 
 func TestClientsPerTCPServerBoundary(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := testCfg()
-		cfg.ClientsPerTCPServer = 2
-		h := newHarness(t, clk, 1, cfg)
+		h := newHarness(t, clk, 1, testCfg())
 		inv := platformInvoker{h.p}
-		c1 := h.vm.NewClient("c1", h.ring, inv)
-		c2 := h.vm.NewClient("c2", h.ring, inv)
-		c3 := h.vm.NewClient("c3", h.ring, inv)
-		if c1.tcp != c2.tcp {
-			t.Fatal("first two clients should share a TCP server")
+		clients := make([]*Client, clientsPerTCPServer+1)
+		for i := range clients {
+			clients[i] = h.vm.NewClient(fmt.Sprintf("c%d", i+1), h.ring, inv)
 		}
-		if c3.tcp == c1.tcp {
-			t.Fatal("third client should get a fresh TCP server (at-most-n rule)")
+		first, last := clients[0], clients[clientsPerTCPServer]
+		for _, c := range clients[1:clientsPerTCPServer] {
+			if c.tcp != first.tcp {
+				t.Fatalf("client %s should share the first TCP server", c.id)
+			}
+		}
+		if last.tcp == first.tcp {
+			t.Fatal("client n+1 should get a fresh TCP server (at-most-n rule)")
 		}
 		if got := len(h.vm.Servers()); got != 2 {
 			t.Fatalf("servers = %d", got)
@@ -867,17 +893,15 @@ func TestClientsPerTCPServerBoundary(t *testing.T) {
 func TestBackoffBounded(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		// All attempts failing must return the last transport error, not hang.
-		cfg := testCfg()
-		cfg.MaxAttempts = 3
-		h := newHarness(t, clk, 1, cfg)
+		h := newHarness(t, clk, 1, testCfg())
 		dead := &flakyInvoker{inner: platformInvoker{h.p}, failures: 1 << 30}
 		c := h.vm.NewClient("c1", h.ring, dead)
 		_, err := c.Do(namespace.OpStat, "/a", "")
 		if err == nil {
 			t.Fatal("expected transport failure after bounded attempts")
 		}
-		if st := c.Stats(); st.Retries != 2 {
-			t.Fatalf("retries = %d, want MaxAttempts-1", st.Retries)
+		if st := c.Stats(); st.Retries != maxAttempts-1 {
+			t.Fatalf("retries = %d, want maxAttempts-1", st.Retries)
 		}
 	})
 }
@@ -935,8 +959,6 @@ func TestOnTCPFaultHook(t *testing.T) {
 func TestHedgedReadFailsOver(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
-		cfg.Hedging = true
-		cfg.LatencyWindow = 4
 		var drop atomic.Bool
 		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
 			return drop.CompareAndSwap(true, false), 0
@@ -956,9 +978,7 @@ func TestHedgedReadFailsOver(t *testing.T) {
 		if got := c.tcp.ConnCount(0); got != 2 {
 			t.Fatalf("live connections = %d, want 2", got)
 		}
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond) // arm hedging
-		}
+		armHedging(c, time.Millisecond)
 		drop.Store(true)
 		resp, err := c.Do(namespace.OpRead, "/a", "")
 		if err == nil && !resp.OK() {
@@ -1003,18 +1023,18 @@ func TestClientJitterSeedDeterminism(t *testing.T) {
 	})
 }
 
-// TestTCPOneWayJitter: each TCP leg takes TCPOneWay·(1 ± TCPJitter),
+// TestTCPOneWayJitter: each TCP leg takes TCPOneWay·(1 ± tcpJitter),
 // uniformly, from a stream of (Config.Seed, client id) of its own, so the
 // draws replay under a seed, differ between clients, and move none of the
-// replacement and backoff draws. No jitter is exactly TCPOneWay.
+// replacement and backoff draws.
 func TestTCPOneWayJitter(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := DefaultConfig()
 		cfg.Seed = 7
 		vm := NewVM(clk, cfg)
 		client := func(id string) *Client { return vm.NewClient(id, partition.NewRing(1, 0), nil) }
-		lo := cfg.TCPOneWay - time.Duration(cfg.TCPJitter*float64(cfg.TCPOneWay))
-		hi := cfg.TCPOneWay + time.Duration(cfg.TCPJitter*float64(cfg.TCPOneWay))
+		lo := cfg.TCPOneWay - time.Duration(tcpJitter*float64(cfg.TCPOneWay))
+		hi := cfg.TCPOneWay + time.Duration(tcpJitter*float64(cfg.TCPOneWay))
 		const n = 20000
 		a, b, other := client("c0"), client("c0"), client("c1")
 		var sum time.Duration
@@ -1045,13 +1065,6 @@ func TestTCPOneWayJitter(t *testing.T) {
 		}
 		if fresh := client("c0"); a.rng.Float64() != fresh.rng.Float64() {
 			t.Fatal("latency draws moved the replacement and backoff stream")
-		}
-		cfg.TCPJitter = 0
-		flat := NewVM(clk, cfg).NewClient("c0", partition.NewRing(1, 0), nil)
-		for i := 0; i < 100; i++ {
-			if d := flat.tcpOneWay(); d != cfg.TCPOneWay {
-				t.Fatalf("no jitter: leg took %v, want %v", d, cfg.TCPOneWay)
-			}
 		}
 	})
 }

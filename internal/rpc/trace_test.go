@@ -19,10 +19,6 @@ import (
 func TestHedgedRetryEmitsEvent(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := testCfg()
-		cfg.Hedging = true
-		cfg.StragglerThreshold = 2
-		cfg.StragglerFloor = 10 * time.Millisecond
-		cfg.LatencyWindow = 4
 
 		p := faas.New(clk, fastFaasCfg())
 		defer p.Close()
@@ -47,9 +43,7 @@ func TestHedgedRetryEmitsEvent(t *testing.T) {
 		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil { // establish conn
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond)
-		}
+		armHedging(c, time.Millisecond)
 		start := clk.Now()
 		resp, err := c.Do(namespace.OpRead, "/a", "")
 		if err == nil && !resp.OK() {
@@ -71,11 +65,11 @@ func TestHedgedRetryEmitsEvent(t *testing.T) {
 		if ev.Instance == "" {
 			t.Fatal("event missing straggling instance")
 		}
-		if ev.Dur != cfg.StragglerFloor {
-			t.Fatalf("event threshold dur = %v, want the straggler floor %v", ev.Dur, cfg.StragglerFloor)
+		if ev.Dur != stragglerFloor {
+			t.Fatalf("event threshold dur = %v, want the straggler floor %v", ev.Dur, stragglerFloor)
 		}
-		if at := ev.Time.Sub(start); at != cfg.StragglerFloor {
-			t.Fatalf("event stamped %v into the read, want the hedge instant %v", at, cfg.StragglerFloor)
+		if at := ev.Time.Sub(start); at != stragglerFloor {
+			t.Fatalf("event stamped %v into the read, want the hedge instant %v", at, stragglerFloor)
 		}
 	})
 }
@@ -86,20 +80,12 @@ func TestHedgedRetryEmitsEvent(t *testing.T) {
 // stamped at antiThrashUntil even though it is observed (lazily) later.
 func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := testCfg()
-		cfg.AntiThrashThreshold = 2
-		cfg.AntiThrashHold = 500 * time.Millisecond
-		cfg.LatencyWindow = 4
-		cfg.StragglerFloor = 0
-
 		tr := trace.New(clk, trace.Config{})
-		vm := NewVM(clk, cfg)
+		vm := NewVM(clk, testCfg())
 		vm.SetTracer(tr)
 		c := vm.NewClient("c1", partition.NewRing(1, 0), nil)
 
-		for i := 0; i < 4; i++ {
-			c.window.Add(time.Millisecond)
-		}
+		armHedging(c, time.Millisecond)
 		enterAt := clk.Now()
 		c.noteLatency(100 * time.Millisecond)
 		if !c.inAntiThrash() {
@@ -112,13 +98,13 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 		if !enters[0].Time.Equal(enterAt) {
 			t.Fatalf("enter time = %v, want %v", enters[0].Time, enterAt)
 		}
-		if enters[0].Dur != cfg.AntiThrashHold {
-			t.Fatalf("enter dur = %v, want hold %v", enters[0].Dur, cfg.AntiThrashHold)
+		if enters[0].Dur != AntiThrashHold {
+			t.Fatalf("enter dur = %v, want hold %v", enters[0].Dur, AntiThrashHold)
 		}
 
 		// The mode expires passively at antiThrashUntil; the exit event is
 		// emitted on the next check but stamped with the expiry instant.
-		clk.Sleep(cfg.AntiThrashHold + 17*time.Second)
+		clk.Sleep(AntiThrashHold + 17*time.Second)
 		if c.inAntiThrash() {
 			t.Fatal("mode did not expire")
 		}
@@ -126,7 +112,7 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 		if len(exits) != 1 {
 			t.Fatalf("exit events = %d", len(exits))
 		}
-		wantExit := enterAt.Add(cfg.AntiThrashHold)
+		wantExit := enterAt.Add(AntiThrashHold)
 		if !exits[0].Time.Equal(wantExit) {
 			t.Fatalf("exit time = %v, want expiry %v (not observation time %v)",
 				exits[0].Time, wantExit, clk.Now())
@@ -145,7 +131,7 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 			t.Fatalf("re-enter time = %v, want %v", second.Time, reEnterAt)
 		}
 		// Expire again and observe: exit stamped at the *second* hold's expiry.
-		clk.Sleep(cfg.AntiThrashHold + time.Minute)
+		clk.Sleep(AntiThrashHold + time.Minute)
 		if c.inAntiThrash() {
 			t.Fatal("second hold did not expire")
 		}
@@ -153,8 +139,8 @@ func TestAntiThrashEventsVirtualTimestamps(t *testing.T) {
 		if len(exits) != 2 {
 			t.Fatalf("exit events = %d", len(exits))
 		}
-		if !exits[1].Time.Equal(reEnterAt.Add(cfg.AntiThrashHold)) {
-			t.Fatalf("second exit time = %v, want %v", exits[1].Time, reEnterAt.Add(cfg.AntiThrashHold))
+		if !exits[1].Time.Equal(reEnterAt.Add(AntiThrashHold)) {
+			t.Fatalf("second exit time = %v, want %v", exits[1].Time, reEnterAt.Add(AntiThrashHold))
 		}
 		// Events must be globally timestamp-ordered despite lazy exit emission.
 		all := tr.Events()
@@ -194,14 +180,16 @@ func racedCriticalPath(t *testing.T, op namespace.OpType) {
 		h.nns[0].exec = 500 * time.Microsecond
 		tr.Reset()
 
-		// TCP: 1ms out, 0.5ms engine, 1ms back: the op answers at 2.5ms.
-		// HTTP: gateway to 1.2ms, engine to 1.7ms, gateway back to 2.9ms.
+		// TCP: 1ms ± 5% out, 0.5ms engine, 1ms ± 5% back: the op answers
+		// at 2.5ms ± 0.1ms. HTTP: gateway to 1.2ms, engine to 1.7ms,
+		// gateway back to 2.9ms.
+		net := legs(c, 2)
 		start := clk.Now()
 		if _, err := c.Do(op, "/a", ""); err != nil {
 			t.Fatal(err)
 		}
-		if took := clk.Since(start); took != 2500*time.Microsecond {
-			t.Fatalf("raced %v answered after %v, want the TCP call's 2.5ms", op, took)
+		if took, want := clk.Since(start), net+500*time.Microsecond; took != want {
+			t.Fatalf("raced %v answered after %v, want the TCP call's %v", op, took, want)
 		}
 		clk.Sleep(10 * time.Millisecond) // the invocation finishes
 		traces := tr.Traces()
@@ -227,7 +215,7 @@ func racedCriticalPath(t *testing.T, op namespace.OpType) {
 
 		co := trace.Aggregate(traces).Op(op.String()).Cohort
 		for k, want := range map[trace.Kind]time.Duration{
-			trace.KindRPCTCPNet: 2 * time.Millisecond, trace.KindEngineExec: 500 * time.Microsecond,
+			trace.KindRPCTCPNet: net, trace.KindEngineExec: 500 * time.Microsecond,
 			trace.KindRPCTCP: 0, trace.KindRPCHTTP: 0, trace.KindGateway: 0, trace.KindAdmit: 0,
 		} {
 			if ks := co.Kind(k); ks == nil || ks.Total != want {

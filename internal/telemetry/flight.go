@@ -8,12 +8,12 @@ import (
 	"lambdafs/internal/trace"
 )
 
-// DefaultFlightEvents / DefaultFlightSnaps bound the flight recorder's
-// memory: enough recent history to diagnose a failure, small enough to
-// keep resident at all times.
+// flightEvents and flightSnaps bound the flight recorder's memory: enough
+// recent history to diagnose a failure (64 snapshots are a minute of
+// lambdafs-shell's scrapes), small enough to keep resident at all times.
 const (
-	DefaultFlightEvents = 512
-	DefaultFlightSnaps  = 64
+	flightEvents = 512
+	flightSnaps  = 64
 )
 
 // FlightRecorder keeps the most recent trace events and registry
@@ -35,18 +35,12 @@ type FlightRecorder struct {
 	snCount int
 }
 
-// NewFlightRecorder builds a recorder retaining up to maxEvents trace
-// events and maxSnaps snapshots (defaults apply for values <= 0).
-func NewFlightRecorder(maxEvents, maxSnaps int) *FlightRecorder {
-	if maxEvents <= 0 {
-		maxEvents = DefaultFlightEvents
-	}
-	if maxSnaps <= 0 {
-		maxSnaps = DefaultFlightSnaps
-	}
+// NewFlightRecorder builds a recorder retaining up to flightEvents trace
+// events and flightSnaps snapshots.
+func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{
-		events: make([]trace.Event, maxEvents),
-		snaps:  make([]Snapshot, maxSnaps),
+		events: make([]trace.Event, flightEvents),
+		snaps:  make([]Snapshot, flightSnaps),
 	}
 }
 

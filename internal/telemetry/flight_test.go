@@ -17,37 +17,37 @@ func eventAt(t time.Time) trace.Event {
 }
 
 func TestFlightRecorderRingEviction(t *testing.T) {
-	fr := NewFlightRecorder(4, 2)
+	fr := NewFlightRecorder()
 	base := clock.Epoch
-	for i := 0; i < 10; i++ {
+	for i := 0; i < flightEvents+6; i++ {
 		fr.RecordEvent(eventAt(base.Add(time.Duration(i) * time.Second)))
 	}
 	evs := fr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != flightEvents {
+		t.Fatalf("retained %d events, want %d", len(evs), flightEvents)
 	}
-	// The freshest window survives: seconds 6..9, in order.
+	// The freshest window survives: seconds 6..flightEvents+5, in order.
 	for i, ev := range evs {
 		want := base.Add(time.Duration(6+i) * time.Second)
 		if !ev.Time.Equal(want) {
 			t.Fatalf("event[%d].Time = %v, want %v", i, ev.Time, want)
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < flightSnaps+3; i++ {
 		fr.RecordSnapshot(Snapshot{Time: base.Add(time.Duration(i) * time.Minute)})
 	}
 	snaps := fr.Snapshots()
-	if len(snaps) != 2 || !snaps[0].Time.Equal(base.Add(3*time.Minute)) {
+	if len(snaps) != flightSnaps || !snaps[0].Time.Equal(base.Add(3*time.Minute)) {
 		t.Fatalf("snapshot window wrong: %v", snaps)
 	}
 	ne, ns := fr.Len()
-	if ne != 4 || ns != 2 {
+	if ne != flightEvents || ns != flightSnaps {
 		t.Fatalf("Len = %d, %d", ne, ns)
 	}
 }
 
 func TestFlightRecorderDumpJSONL(t *testing.T) {
-	fr := NewFlightRecorder(8, 8)
+	fr := NewFlightRecorder()
 	base := clock.Epoch
 	for i := 0; i < 3; i++ {
 		ev := eventAt(base.Add(time.Duration(i) * time.Second))
@@ -108,7 +108,7 @@ func TestFlightRecorderDumpJSONL(t *testing.T) {
 func TestTracerSinkFeedsRecorder(t *testing.T) {
 	clk := simtest.New(t)
 	tr := trace.New(clk, trace.Config{MaxEvents: 2})
-	fr := NewFlightRecorder(16, 4)
+	fr := NewFlightRecorder()
 	tr.SetEventSink(fr.RecordEvent)
 	for i := 0; i < 6; i++ {
 		tr.Emit(trace.Event{Type: trace.EventType("test"), Deployment: -1})
@@ -125,8 +125,8 @@ func TestTracerSinkFeedsRecorder(t *testing.T) {
 // exact capacity boundary: filling to capacity retains everything in
 // insertion order, and one more event evicts exactly the oldest.
 func TestFlightRecorderWraparoundBoundary(t *testing.T) {
-	const cap = 4
-	fr := NewFlightRecorder(cap, 1)
+	const cap = flightEvents
+	fr := NewFlightRecorder()
 	base := clock.Epoch
 	for i := 0; i < cap; i++ {
 		fr.RecordEvent(eventAt(base.Add(time.Duration(i) * time.Second)))

@@ -33,7 +33,7 @@ type Recorder struct {
 func NewRecorder(start time.Time) *Recorder {
 	r := &Recorder{
 		Start:      start,
-		Throughput: metrics.NewTimeseries(start, time.Second),
+		Throughput: metrics.NewTimeseries(start),
 		Overall:    metrics.NewHistogram(),
 	}
 	for i := range r.PerOp {

@@ -71,9 +71,6 @@ type Config struct {
 	// transitions are recorded as structured events. Off by default (the
 	// nil-context fast path costs nothing per request).
 	EnableTracing bool
-	// Trace tunes the tracer's retention caps when EnableTracing is set;
-	// zero caps use trace.DefaultConfig's.
-	Trace trace.Config
 }
 
 // DefaultConfig mirrors the paper's standard deployment: 16 deployments
@@ -94,7 +91,7 @@ type Cluster struct {
 	cfg      Config
 	clk      *clock.Sim
 	db       *ndb.DB
-	coord    coordinator.Coordinator
+	coord    *coordinator.ZK
 	platform *faas.Platform
 	sys      *core.System
 	vm       *rpc.VM
@@ -144,7 +141,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.lambdaMeter = metrics.NewLambdaMeter(clock.Epoch)
 	c.provisionedMeter = metrics.NewProvisionedMeter(clock.Epoch)
 	if cfg.EnableTracing {
-		c.tracer = trace.New(c.clk, cfg.Trace)
+		c.tracer = trace.New(c.clk, trace.DefaultConfig())
 	}
 	pcfg := cfg.Platform
 	pcfg.Lambda = c.lambdaMeter

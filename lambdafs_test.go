@@ -23,7 +23,6 @@ func quickConfig() Config {
 	cfg.Platform.ColdStart = time.Millisecond
 	cfg.Platform.GatewayLatency = time.Millisecond
 	cfg.Platform.IdleReclaim = 0
-	cfg.RPC.Hedging = false
 	return cfg
 }
 

@@ -12,7 +12,14 @@
 # unreached function (call it from an experiment, delete it, or list it
 # with a reason) and on a listed one that now runs (drop its line).
 #
-# List lines are "<file> <function> <reason>"; '#' starts a comment line.
+# A package that no binary of the module links has no line in the
+# profile at all, so none of its functions can be listed. Every package
+# of `go list ./...` outside cmd/, examples/ and internal/vet/ must have a
+# profile line or a list line of its own; a listed package that has
+# profile lines fails too.
+#
+# List lines are "<file> <function> <reason>" or "package <dir> <reason>";
+# '#' starts a comment line.
 set -e
 
 cd "$(dirname "$0")"
@@ -56,6 +63,13 @@ $NF == "0.0%" {
     print file, name
 }' | LC_ALL=C sort >"$tmp/unreached"
 
+# Packages with no profile line, by directory ("." for the module root).
+awk -F: 'NR > 1 { sub(/\/[^\/]*$/, "", $1); print $1 }' "$tmp/cover.out" | LC_ALL=C sort -u >"$tmp/profiled"
+go list ./... | grep -vE '^lambdafs/(cmd|examples|internal/vet)(/|$)' | LC_ALL=C sort |
+    LC_ALL=C comm -23 - "$tmp/profiled" |
+    sed -e 's#^lambdafs$#.#' -e 's#^lambdafs/##' -e 's/^/package /' >>"$tmp/unreached"
+LC_ALL=C sort -o "$tmp/unreached" "$tmp/unreached"
+
 if awk 'NF && !/^#/ && NF < 3' "$list" | grep .; then
     echo "unreached: the lines above in $list give no reason"
     exit 1
@@ -63,8 +77,10 @@ fi
 awk 'NF && !/^#/ { print $1, $2 }' "$list" | LC_ALL=C sort >"$tmp/listed"
 
 if ! diff "$tmp/listed" "$tmp/unreached" >"$tmp/diff"; then
-    sed -n 's/^> /newly unreached (call it from an experiment, delete it, or list it with a reason): /p' "$tmp/diff"
-    sed -n 's/^< /listed but reached (drop its line): /p' "$tmp/diff"
+    sed -n 's/^> package /package linked by no binary of the module (import it from an experiment, delete it, or list it with a reason): /p' "$tmp/diff"
+    sed -n '/^> package /!s/^> /newly unreached (call it from an experiment, delete it, or list it with a reason): /p' "$tmp/diff"
+    sed -n 's/^< package /package listed but linked (drop its line): /p' "$tmp/diff"
+    sed -n '/^< package /!s/^< /listed but reached (drop its line): /p' "$tmp/diff"
     exit 1
 fi
-echo "$(wc -l <"$tmp/unreached") unreached functions, each listed with its reason in $list"
+echo "$(grep -vc '^package ' "$tmp/unreached") unreached functions and $(grep -c '^package ' "$tmp/unreached") unlinked package(s), each listed with its reason in $list"
