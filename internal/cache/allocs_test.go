@@ -11,7 +11,7 @@ import (
 
 // The hit paths copy no INode and split no path: what they allocate is the
 // slice handed back — a fixed count, whatever the rows hold — and nothing
-// when the caller's buffer holds the chain. (Not under -race: the detector
+// when the caller's storage holds the chain or the listing. (Not under -race: the detector
 // allocates.)
 func TestHitPathAllocs(t *testing.T) {
 	c := New(0)
@@ -40,8 +40,13 @@ func TestHitPathAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { c.Listing("/a/b") }); got != 1 {
 		t.Errorf("Listing hit of 64 children: %v allocs, want 1 (the listing)", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { c.Entries("/a/b") }); got != 1 {
-		t.Errorf("Entries hit of 64 children: %v allocs, want 1 (the entries, in name order as the children are kept)", got)
+	room := make([]namespace.DirEntry, 64)
+	if got := testing.AllocsPerRun(100, func() {
+		if entries, ok := c.Entries("/a/b", func(n int) []namespace.DirEntry { return room[:n] }); !ok || len(entries) != 64 || entries[63].Name != "f63" {
+			t.Fatalf("Entries /a/b: %d entries, hit %v", len(entries), ok)
+		}
+	}); got != 0 {
+		t.Errorf("Entries hit of 64 children into the caller's storage: %v allocs, want 0 (written under the lock, in name order as the children are kept)", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { c.Lookup("/a/b/missing/f") }); got != 0 {
 		t.Errorf("Lookup miss below a cached depth-2 prefix: %v allocs, want 0", got)

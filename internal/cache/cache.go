@@ -525,38 +525,61 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 
 // Listing returns the directory's cached children (the cached pointers,
 // read-only) in name order when the listing is known-complete, touching the
-// directory's chain in the LRU.
+// directory's chain in the LRU. The listing is a new slice.
 func (c *Cache) Listing(dir string) ([]*namespace.INode, bool) {
-	return listing(c, dir, func(n *namespace.INode) *namespace.INode { return n })
-}
-
-// Entries is Listing as an ls reply carries it: the children's entries, in
-// name order, built straight from the cached rows.
-func (c *Cache) Entries(dir string) ([]namespace.DirEntry, bool) {
-	return listing(c, dir, namespace.EntryOf)
-}
-
-// listing is Listing and Entries: what of each cached child row goes into
-// the one slice it returns is row's.
-func listing[T any](c *Cache, dir string, row func(*namespace.INode) T) ([]T, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, _, ok := c.chainLocked(namespace.Walk(dir))
-	if !ok || d.listing != listingComplete {
+	d := c.completeLocked(dir)
+	if d == nil {
 		return nil, false
 	}
-	for n := d; n != nil; n = n.parent {
-		c.touchLocked(n)
-	}
-	out := make([]T, 0, d.kids.Len())
+	out := make([]*namespace.INode, 0, d.kids.Len())
 	for _, chunk := range d.kids {
 		for _, e := range chunk {
 			if in := e.Val.inode; in != nil {
-				out = append(out, row(in))
+				out = append(out, in)
 			}
 		}
 	}
 	return out, true
+}
+
+// Entries is Listing as an ls reply carries it: the children's entries, in
+// name order, built straight from the cached rows into storage the caller
+// provides. On a hit, room is called once, under the cache's lock, with an
+// upper bound n on the entry count, and returns storage for n entries; the
+// entries are written from its start, and the filled prefix is returned. A
+// caller whose room hands out storage it already holds allocates nothing;
+// storage shorter than n spills the listing to a new slice.
+func (c *Cache) Entries(dir string, room func(n int) []namespace.DirEntry) ([]namespace.DirEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.completeLocked(dir)
+	if d == nil {
+		return nil, false
+	}
+	out := room(d.kids.Len())[:0] // a structural child is counted, not listed
+	for _, chunk := range d.kids {
+		for _, e := range chunk {
+			if in := e.Val.inode; in != nil {
+				out = append(out, namespace.EntryOf(in))
+			}
+		}
+	}
+	return out, true
+}
+
+// completeLocked returns dir's node, with its chain touched in the LRU, when
+// its listing is complete, else nil.
+func (c *Cache) completeLocked(dir string) *node {
+	d, _, ok := c.chainLocked(namespace.Walk(dir))
+	if !ok || d.listing != listingComplete {
+		return nil
+	}
+	for n := d; n != nil; n = n.parent {
+		c.touchLocked(n)
+	}
+	return d
 }
 
 // ClearComplete drops dir's listing-completeness flag (a sibling create /

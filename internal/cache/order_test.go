@@ -142,7 +142,7 @@ func (r *orderRun) check() error {
 		dirs = append(dirs, "/"+orderName(k))
 	}
 	for _, dir := range dirs {
-		got, ok := r.c.Entries(dir)
+		got, ok := r.c.Entries(dir, func(n int) []namespace.DirEntry { return make([]namespace.DirEntry, n) })
 		kids, wantOK := r.m.listingOf(dir)
 		want := make([]namespace.DirEntry, len(kids))
 		for i, k := range kids {

@@ -92,12 +92,15 @@ func TestExecuteMissAllocs(t *testing.T) {
 	})
 }
 
-// An ls, hit or miss, allocates its reply and its entries alone. A hit walks
-// the cached children, which are kept in name order, so nothing sorts. A
-// miss — a child's INV made the listing unknown — lists the directory into
-// storage its recycled transaction keeps, and the fill re-caches the
-// children in the nodes and child list the cache already holds or recycled.
-// (Not under -race: the detector allocates.)
+// An ls, hit or miss, allocates its reply alone: one object holding the
+// Response and room for its entries (newLsReply), and so does an ls of a
+// file (the stat reply and its one entry). A hit walks the cached children,
+// which are kept in name order, so nothing sorts, and writes their entries
+// into the reply under the cache's lock. A miss — a child's INV made the
+// listing unknown — lists the directory into storage its recycled
+// transaction keeps, and the fill re-caches the children in the nodes and
+// child list the cache already holds or recycled. (Not under -race: the
+// detector allocates.)
 func TestExecuteLsAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, _ := soloEngine(clk)
@@ -110,8 +113,8 @@ func TestExecuteLsAllocs(t *testing.T) {
 		if resp := e.Execute(ls); !resp.OK() || !resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[0].Name != "f00" {
 			t.Fatalf("ls /a/b does not hit with its 64 entries in name order: %+v", resp)
 		}
-		if got := testing.AllocsPerRun(100, func() { e.Execute(ls) }); got != 2 {
-			t.Errorf("ls hit of a 64-entry directory: %v allocs, want 2 (the reply and its entries)", got)
+		if got := testing.AllocsPerRun(100, func() { e.Execute(ls) }); got != 1 {
+			t.Errorf("ls hit of a 64-entry directory: %v allocs, want 1 (the reply, its entries inside)", got)
 		}
 		miss := func() {
 			e.Cache().Invalidate("/a/b/f17")
@@ -120,8 +123,15 @@ func TestExecuteLsAllocs(t *testing.T) {
 			}
 		}
 		miss()
-		if got := testing.AllocsPerRun(100, miss); got != 2 {
-			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 2 (the reply and its entries)", got)
+		if got := testing.AllocsPerRun(100, miss); got != 1 {
+			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 1 (the reply, its entries inside)", got)
+		}
+		file := namespace.Request{Op: namespace.OpLs, Path: "/a/b/f03"}
+		if resp := e.Execute(file); !resp.OK() || resp.Stat == nil || len(resp.Entries) != 1 || resp.Entries[0].Name != "f03" {
+			t.Fatalf("ls /a/b/f03: %+v, want its stat and its one entry", resp)
+		}
+		if got := testing.AllocsPerRun(100, func() { e.Execute(file) }); got != 1 {
+			t.Errorf("ls of a file: %v allocs, want 1 (the reply, its stat and entry inside)", got)
 		}
 	})
 }
@@ -175,7 +185,11 @@ func opAllocs(prep, op func()) float64 {
 //   - mv across directories 4: the response and three new versions;
 //   - leaf mkdirs 3: the response, the parent's new version and the
 //     directory it builds (the new directory's child list in the store is
-//     nil until its first child).
+//     nil until its first child);
+//   - create into a directory whose complete listing the writer caches 3,
+//     as a plain create: the hook that resumes the listing at the commit
+//     point is a resume off the engine's free list, its method value bound
+//     once, and the transaction keeps its hook slice's room.
 //
 // Nothing else: the transaction is a spent one the store recycles
 // (store.Store.Release), and its write set, the lock phase's chains and its
@@ -195,6 +209,9 @@ func TestExecuteWriteAllocs(t *testing.T) {
 		mustOK(t, e, namespace.OpMkdirs, "/a/c", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/x", "")
+		mustOK(t, e, namespace.OpMkdirs, "/a/l", "")
+		mustOK(t, e, namespace.OpCreate, "/a/l/f", "")
+		mustOK(t, e, namespace.OpLs, "/a/l", "") // the listing's fill: complete from here on
 		exec := func(op namespace.OpType, path, dest string) func() {
 			req := namespace.Request{Op: op, Path: path, Dest: dest}
 			return func() {
@@ -218,10 +235,15 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 3},
 			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 4},
 			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 3},
+			{"create into a directory whose complete listing is cached", settle(namespace.OpDelete, "/a/l/h", ""), exec(namespace.OpCreate, "/a/l/h", ""), 3},
 		} {
 			if got := opAllocs(c.prep, c.op); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
 			}
+		}
+		if c := e.Cache(); !c.IsComplete("/a/l") || !c.Contains("/a/l/h") {
+			t.Errorf("after the creates into /a/l: listing complete %v, /a/l/h cached %v; want both (each commit point resumed the listing)",
+				c.IsComplete("/a/l"), c.Contains("/a/l/h"))
 		}
 	})
 }

@@ -123,10 +123,12 @@ type EngineConfig struct {
 
 // Admission is the per-tenant admission-control hook consulted at the
 // top of Execute. Admit returns namespace.ErrThrottled (or another
-// sentinel) to reject; every successful Admit is paired with Done when
-// the operation completes.
+// sentinel) to reject. It counts a request once per key: a copy of a
+// request already admitted — the second copy of a raced request, or a
+// resubmission — passes uncounted. Every counted Admit is paired with
+// Done when the operation completes.
 type Admission interface {
-	Admit(tenantName string) error
+	Admit(tenantName string, key namespace.RequestKey) (counted bool, err error)
 	Done(tenantName string)
 }
 
@@ -170,8 +172,9 @@ type Engine struct {
 	offload Offloader // nil → run subtree batches locally
 	tel     coreTelemetry
 
-	invMu   sync.Mutex
-	invFree []*invRound // spent INV round scratch, reused by invalidateAll
+	freeMu     sync.Mutex
+	invFree    []*invRound // spent INV round scratch, reused by invalidateAll
+	resumeFree []*resume   // ended listing resumes, reused by invalidateLocal
 }
 
 // coreTelemetry holds the engine's registry instruments. The registry is
@@ -264,10 +267,13 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 		// Throttled responses are cheap by design: no span, no CPU charge,
 		// no store traffic, no result-cache entry (a resubmission should
 		// re-attempt admission, not replay the rejection).
-		if err := e.cfg.Admission.Admit(req.Tenant); err != nil {
+		counted, err := e.cfg.Admission.Admit(req.Tenant, req.Key())
+		if err != nil {
 			return &namespace.Response{Err: namespace.ToWire(err), ServedBy: e.id}
 		}
-		defer e.cfg.Admission.Done(req.Tenant)
+		if counted {
+			defer e.cfg.Admission.Done(req.Tenant)
+		}
 	}
 	start := e.clk.Now()
 	sp := req.TC.Start(trace.KindEngineExec)
@@ -447,13 +453,19 @@ func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
 // locks when the listing will be cached with the completeness mark. The
 // listing is cached where the ring routes ls, which is where the
 // directory's children are cached: the fill is a prefetch for the reads
-// and stats that follow.
+// and stats that follow. Hit, miss or file, the reply is one object
+// (newLsReply, lsFileReply).
 func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
-		if entries, ok := e.cache.Entries(path); ok {
+		var resp *namespace.Response
+		if entries, ok := e.cache.Entries(path, func(n int) []namespace.DirEntry {
+			resp = newLsReply(n)
+			return resp.Entries
+		}); ok {
 			e.tel.hits.Inc()
-			return &namespace.Response{Entries: entries, CacheHit: true}
+			resp.Entries, resp.CacheHit = entries, true
+			return resp
 		}
 		e.tel.misses.Inc()
 	}
@@ -472,25 +484,63 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	}
 	target := chain[len(chain)-1]
 	if !target.IsDir {
-		resp := new(statReply).fill(target, path, false)
-		resp.Entries = []namespace.DirEntry{namespace.EntryOf(target)}
+		r := new(lsFileReply)
+		resp := r.fill(target, path, false)
+		r.entry[0] = namespace.EntryOf(target)
+		resp.Entries = r.entry[:]
 		return resp
 	}
 	if allowed {
 		e.cache.PutChain(path, chain)
 		e.cache.PutListing(path, kids)
 	}
-	return &namespace.Response{ID: target.ID, Entries: toEntries(kids)}
+	resp := newLsReply(len(kids))
+	for i, k := range kids { // name order, as the store lists the children
+		resp.Entries[i] = namespace.EntryOf(k)
+	}
+	resp.ID = target.ID
+	return resp
 }
 
-// toEntries is a listing's reply entries, in the order the store listed
-// the children: name order (store.Tx.ListPathBatched).
-func toEntries(kids []*namespace.INode) []namespace.DirEntry {
-	out := make([]namespace.DirEntry, len(kids))
-	for i, k := range kids {
-		out[i] = namespace.EntryOf(k)
+// lsFileReply is the reply to an ls of a file as one object: a statReply
+// and the file's one entry.
+type lsFileReply struct {
+	statReply
+	entry [1]namespace.DirEntry
+}
+
+// lsReply is a directory's ls reply as one object: the Response and the
+// fixed room its entries are written into (newLsReply).
+type lsReply[Room any] struct {
+	resp    namespace.Response
+	entries Room
+}
+
+// newLsReply returns an ls reply whose Entries has length n: one object
+// holding the Response and the smallest of the fixed entry capacities that
+// fits n, with Entries clipped to n. A listing longer than the largest
+// spills its entries to a second object.
+func newLsReply(n int) *namespace.Response {
+	var resp *namespace.Response
+	var room []namespace.DirEntry
+	switch {
+	case n <= 4:
+		r := new(lsReply[[4]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
+	case n <= 16:
+		r := new(lsReply[[16]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
+	case n <= 64:
+		r := new(lsReply[[64]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
+	case n <= 256:
+		r := new(lsReply[[256]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
+	default:
+		resp, room = new(namespace.Response), make([]namespace.DirEntry, n)
 	}
-	return out
+	resp.Entries = room[:n:n]
+	return resp
 }
 
 // written is one directory's share of a single-INode write: the path whose
@@ -533,8 +583,8 @@ type invRound struct {
 
 // getInvRound returns a spent round's scratch, emptied, or a new one.
 func (e *Engine) getInvRound() *invRound {
-	e.invMu.Lock()
-	defer e.invMu.Unlock()
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
 	if n := len(e.invFree); n > 0 {
 		r := e.invFree[n-1]
 		e.invFree = e.invFree[:n-1]
@@ -547,9 +597,9 @@ func (e *Engine) getInvRound() *invRound {
 func (e *Engine) putInvRound(r *invRound) {
 	clear(r.invs)
 	r.deps, r.invs = r.deps[:0], r.invs[:0]
-	e.invMu.Lock()
+	e.freeMu.Lock()
 	e.invFree = append(e.invFree, r)
-	e.invMu.Unlock()
+	e.freeMu.Unlock()
 }
 
 // ownsPath reports whether this engine's deployment is the owner of path's
@@ -638,14 +688,54 @@ func (e *Engine) invalidateAll(tc *trace.Ctx, tx store.Tx, ws ...written) error 
 // fsync, so the cache never holds a row that is not durable, and before the
 // locks release, so no other writer or fill can come between; otherwise it
 // is dropped. A write that aborts never resumes: the suspended listing is
-// never served, and the next fill or writer settles it. With no complete
-// listing cached this is one cache call and allocates nothing more.
+// never served, and the next fill or writer settles it. The hook is a
+// resume off the engine's free list, so registering it allocates nothing
+// once the engine has ended as many writes as it runs at once; with no
+// complete listing cached this is one cache call.
 func (e *Engine) invalidateLocal(tx store.Tx, w written, keep bool) {
 	switch {
 	case !e.cache.SuspendListing(w.path, w.gone):
 	case keep && e.ownsPath(w.path):
-		tx.AtCommitPoint(func() { e.cache.ResumeListing(w.path, w.parent, w.child) })
+		tx.AtCommitPoint(e.getResume(w).end)
 	default:
 		e.cache.ClearComplete(namespace.ParentPath(w.path))
 	}
+}
+
+// resume is one written directory's commit-point hook: it resumes the
+// listing invalidateLocal suspended with the rows w commits. It goes back
+// to its engine's free list when its transaction ends, committed or not,
+// and end, its hook, is bound once, when it is first made.
+type resume struct {
+	e   *Engine
+	w   written
+	end func(committed bool)
+}
+
+// run is a resume's hook (end).
+func (r *resume) run(committed bool) {
+	if committed {
+		r.e.cache.ResumeListing(r.w.path, r.w.parent, r.w.child)
+	}
+	r.w = written{} // keeps no row alive on the free list
+	r.e.freeMu.Lock()
+	r.e.resumeFree = append(r.e.resumeFree, r)
+	r.e.freeMu.Unlock()
+}
+
+// getResume returns an ended resume, or a new one, holding w.
+func (e *Engine) getResume(w written) *resume {
+	e.freeMu.Lock()
+	var r *resume
+	if n := len(e.resumeFree); n > 0 {
+		r = e.resumeFree[n-1]
+		e.resumeFree = e.resumeFree[:n-1]
+	}
+	e.freeMu.Unlock()
+	if r == nil {
+		r = &resume{e: e}
+		r.end = r.run
+	}
+	r.w = w
+	return r
 }

@@ -284,7 +284,7 @@ func (db *DB) BeginTraced(owner string, tc *trace.Ctx) store.Tx {
 // still open), empties it and parks it for BeginTraced. A parked
 // transaction is the zero transaction of db — it holds no lock, no row, no
 // hook and no trace context — but for the room it kept for a listing's
-// children, emptied, when that is at most keptKids.
+// children, emptied, when that is at most keptKids, and for its end hooks.
 func (db *DB) Release(st store.Tx) {
 	t := st.(*tx)
 	t.Abort()
@@ -293,7 +293,9 @@ func (db *DB) Release(st store.Tx) {
 		kids = nil
 	}
 	clear(kids)
-	*t = tx{db: db, kids: kids[:0]}
+	hooks := t.atCommit
+	clear(hooks) // a parked transaction keeps no hook's state alive
+	*t = tx{db: db, kids: kids[:0], atCommit: hooks[:0]}
 	db.txMu.Lock()
 	db.txFree = append(db.txFree, t)
 	db.txMu.Unlock()

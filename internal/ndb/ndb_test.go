@@ -619,9 +619,9 @@ func TestListPathBatchedOneRound(t *testing.T) {
 	}
 }
 
-// TestCommitPointHooks: AtCommitPoint hooks run once, in order, inside a
-// successful Commit — the writes visible, the locks still held — and never
-// on an abort or a failed commit.
+// TestCommitPointHooks: AtCommitPoint hooks run once, in order: with true
+// inside a successful Commit — the writes visible, the locks still held —
+// and with false on an abort or a failed commit, the locks still held too.
 func TestCommitPointHooks(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := DefaultConfig()
@@ -643,7 +643,10 @@ func TestCommitPointHooks(t *testing.T) {
 		var ran []string
 		tx := db.Begin("t")
 		put(tx, "x")
-		tx.AtCommitPoint(func() {
+		tx.AtCommitPoint(func(committed bool) {
+			if !committed {
+				t.Error("first hook: told the successful commit did not commit")
+			}
 			if _, err := db.ResolvePath("/x"); err != nil {
 				t.Errorf("first hook: the write is not applied yet: %v", err)
 			}
@@ -652,7 +655,7 @@ func TestCommitPointHooks(t *testing.T) {
 			}
 			ran = append(ran, "first")
 		})
-		tx.AtCommitPoint(func() { ran = append(ran, "second") })
+		tx.AtCommitPoint(func(bool) { ran = append(ran, "second") })
 		mustCommit(t, tx)
 		if !slices.Equal(ran, []string{"first", "second"}) {
 			t.Fatalf("hooks ran %v, want first then second", ran)
@@ -661,16 +664,26 @@ func TestCommitPointHooks(t *testing.T) {
 		for _, end := range []string{"abort", "failed commit"} {
 			tx := db.Begin("t")
 			put(tx, "y")
-			tx.AtCommitPoint(func() { t.Errorf("hook ran on %s", end) })
+			var ends []bool
+			tx.AtCommitPoint(func(committed bool) {
+				if db.HeldLocks() == 0 {
+					t.Errorf("hook on %s: the locks are already released", end)
+				}
+				ends = append(ends, committed)
+			})
 			if end == "abort" {
 				tx.Abort()
-				continue
+			} else {
+				failCommit = true
+				if err := tx.Commit(); err == nil {
+					t.Fatal("injected commit failure did not surface")
+				}
+				failCommit = false
 			}
-			failCommit = true
-			if err := tx.Commit(); err == nil {
-				t.Fatal("injected commit failure did not surface")
+			tx.Abort() // ended already: a no-op, and no second run
+			if !slices.Equal(ends, []bool{false}) {
+				t.Errorf("hook on %s ran with %v, want once with false", end, ends)
 			}
-			failCommit = false
 		}
 		if db.HeldLocks() != 0 {
 			t.Fatalf("locks leaked: %d", db.HeldLocks())

@@ -32,7 +32,8 @@ func setFields(t *tx) []string {
 // indexed write set, both KV maps, a commit hook, the exclusive flag, the
 // inline chain buffer, the lock holdings and a trace context — so a reset
 // that forgets any of them shows, both in the parked transaction (which must
-// keep nothing alive) and in the one handed out again.
+// keep nothing alive: the hooks' room it keeps is cleared) and in the one
+// handed out again.
 func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)
@@ -56,7 +57,7 @@ func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 			if err := stx.KVDelete(store.TableSubtreeOps, "gone"); err != nil {
 				return err
 			}
-			stx.AtCommitPoint(func() { hooked = true })
+			stx.AtCommitPoint(func(committed bool) { hooked = committed })
 			if first.index == nil || first.kvPuts == nil || first.kvDels == nil || len(first.atCommit) != 1 ||
 				!first.exclusive || !first.lockedOut || first.tc != tc || len(first.lt.held) == 0 {
 				t.Fatalf("the write does not dirty every part of its transaction: %v set", setFields(first))
@@ -69,8 +70,11 @@ func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 		if n := len(db.txFree); n != 1 || db.txFree[0] != first {
 			t.Fatalf("after RunTx the free list holds %d transactions, want the one it ran", n)
 		}
-		if set := setFields(first); !reflect.DeepEqual(set, []string{"db"}) {
-			t.Errorf("the parked transaction keeps %v, want only its store", set)
+		if set := setFields(first); !reflect.DeepEqual(set, []string{"db", "atCommit"}) {
+			t.Errorf("the parked transaction keeps %v, want only its store and its hooks' room", set)
+		}
+		if hooks := first.atCommit; len(hooks) != 0 || cap(hooks) != 1 || hooks[:1][0] != nil {
+			t.Errorf("the parked transaction's hooks: len %d, cap %d; want the one hook's room, emptied", len(hooks), cap(hooks))
 		}
 
 		err = store.RunTx(db, "nn-b", nil, func(stx store.Tx) error {
@@ -78,11 +82,11 @@ func TestRunTxReusesAnEmptiedTransaction(t *testing.T) {
 			if second != first {
 				t.Fatal("the second RunTx got a new transaction, want the released one")
 			}
-			if set := setFields(second); !reflect.DeepEqual(set, []string{"db", "lt"}) || !reflect.DeepEqual(second.lt, lockTx{owner: "nn-b"}) {
-				t.Errorf("the reused transaction starts with %v set and lock record %+v, want only its store and owner", set, second.lt)
+			if set := setFields(second); !reflect.DeepEqual(set, []string{"db", "lt", "atCommit"}) || !reflect.DeepEqual(second.lt, lockTx{owner: "nn-b"}) {
+				t.Errorf("the reused transaction starts with %v set and lock record %+v, want only its store, owner and hooks' room", set, second.lt)
 			}
-			if n := second.writeCount(); n != 0 {
-				t.Errorf("the reused transaction starts with %d buffered writes", n)
+			if n := second.writeCount(); n != 0 || len(second.atCommit) != 0 {
+				t.Errorf("the reused transaction starts with %d buffered writes and %d hooks", n, len(second.atCommit))
 			}
 			kv, err := stx.KVScan(store.TableSubtreeOps, "")
 			if err != nil || len(kv) != 1 || string(kv["kept"]) != "v" {

@@ -31,7 +31,7 @@ type tx struct {
 	kvPuts map[kvRef][]byte
 	kvDels map[kvRef]bool
 
-	atCommit []func() // commit-point hooks, in registration order
+	atCommit []func(committed bool) // end hooks, in registration order; Release keeps their room
 
 	// Inline backing for the common transaction: a write's write set, and
 	// the first reply's chains — a lock phase's (up to ten components
@@ -405,10 +405,19 @@ func (t *tx) countWrites(perShard []int) []int {
 	return perShard
 }
 
-// AtCommitPoint implements store.Tx: fn runs inside a successful Commit,
-// once the writes are applied and durable, while every lock is still held.
-func (t *tx) AtCommitPoint(fn func()) {
+// AtCommitPoint implements store.Tx: fn runs with true inside a successful
+// Commit, once the writes are applied and durable, while every lock is
+// still held, or with false when the transaction aborts or its commit
+// fails, before the locks are released.
+func (t *tx) AtCommitPoint(fn func(committed bool)) {
 	t.atCommit = append(t.atCommit, fn)
+}
+
+// end runs the hooks AtCommitPoint registered, in order.
+func (t *tx) end(committed bool) {
+	for _, fn := range t.atCommit {
+		fn(committed)
+	}
 }
 
 // Commit applies buffered writes atomically and releases all locks. Its
@@ -450,9 +459,7 @@ func (t *tx) Commit() error {
 		walBytes = t.logAndApply()
 		sp.End()
 	}
-	for _, fn := range t.atCommit {
-		fn()
-	}
+	t.end(true)
 	t.db.locks.ReleaseAll(&t.lt)
 	t.db.tel.commits.Inc()
 	t.db.tel.writes.Add(float64(writes))
@@ -515,14 +522,15 @@ func (t *tx) logAndApply() int {
 	return walBytes
 }
 
-// Abort discards buffered writes and releases locks; idempotent. Only a
-// write transaction's abort is counted: a read-only one ending here has
-// nothing to undo.
+// Abort discards buffered writes, runs the end hooks with false and
+// releases locks; idempotent. Only a write transaction's abort is counted:
+// a read-only one ending here has nothing to undo.
 func (t *tx) Abort() {
 	if t.done {
 		return
 	}
 	t.done = true
+	t.end(false)
 	t.db.locks.ReleaseAll(&t.lt)
 	if t.exclusive {
 		t.db.tel.aborts.Inc()

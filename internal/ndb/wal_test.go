@@ -714,7 +714,7 @@ func TestCommitWindowDurableBeforeVisible(t *testing.T) {
 		}
 		start := clk.Now()
 		committedAt := time.Duration(-1)
-		w.AtCommitPoint(func() {
+		w.AtCommitPoint(func(bool) {
 			committedAt = clk.Since(start)
 			recovered, _, err := Recover(clk, durableCfg(d))
 			if err != nil {

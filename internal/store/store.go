@@ -182,14 +182,16 @@ type Tx interface {
 	KVDelete(table, key string) error
 	KVScan(table, prefix string) (map[string][]byte, error)
 
-	// AtCommitPoint registers fn to run at this transaction's commit point:
-	// inside a successful Commit, after the writes are applied and durable
-	// and before any lock is released — the one instant at which the caller
-	// still owns every row it wrote and the store already answers with them.
-	// Hooks run in registration order on the committing goroutine; none runs
-	// when the transaction aborts or its commit fails. fn must not use the
+	// AtCommitPoint registers fn to run once, when this transaction ends.
+	// With committed true, that is its commit point: inside a successful
+	// Commit, after the writes are applied and durable and before any lock
+	// is released — the one instant at which the caller still owns every
+	// row it wrote and the store already answers with them. With false, the
+	// transaction aborted or its commit failed, and fn only gets back what
+	// it holds. Hooks run in registration order on the goroutine that ends
+	// the transaction, before its locks are released. fn must not use the
 	// transaction.
-	AtCommitPoint(fn func())
+	AtCommitPoint(fn func(committed bool))
 	// Commit atomically applies the transaction's writes and releases
 	// locks.
 	Commit() error

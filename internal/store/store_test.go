@@ -70,7 +70,7 @@ func (t *fakeTx) GetINodesBatched([]namespace.INodeID, LockMode) ([]*namespace.I
 func (t *fakeTx) ListPathBatched(string, LockMode) (chain, children []*namespace.INode, err error) {
 	return nil, nil, nil
 }
-func (t *fakeTx) AtCommitPoint(func())                {}
+func (t *fakeTx) AtCommitPoint(func(bool))            {}
 func (t *fakeTx) PutINode(*namespace.INode) error     { return nil }
 func (t *fakeTx) DeleteINode(namespace.INodeID) error { return nil }
 func (t *fakeTx) KVPut(string, string, []byte) error  { return nil }
