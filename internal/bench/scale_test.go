@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,5 +91,42 @@ func TestScaleMeasureTiny(t *testing.T) {
 		if row.Throttled == 0 {
 			t.Errorf("%s: clients saw no throttled reply", key)
 		}
+		checkDecidedOnce(t, key, row)
+	}
+}
+
+// checkDecidedOnce holds a scale row to admission once per (ClientID, Seq):
+// the tenants' admitted sum is the replies the clients were served, and
+// their throttled sum the throttled replies, however many copies of a raced
+// request reached an engine.
+func checkDecidedOnce(t *testing.T, key string, row *ScaleRow) {
+	t.Helper()
+	var admitted, throttled uint64
+	for _, ts := range row.Tenants {
+		admitted, throttled = admitted+ts.Admitted, throttled+ts.Throttled
+	}
+	if admitted != row.Ops || throttled != row.Throttled {
+		t.Errorf("%s: tenants admitted %d and throttled %d; the clients were served %d replies and throttled %d",
+			key, admitted, throttled, row.Ops, row.Throttled)
+	}
+}
+
+// TestScaleBaselineDecidesOnce holds every row of the committed quick scale
+// baseline, c10000 included, to checkDecidedOnce. check.sh's -check step
+// re-measures the file leaf by leaf, so the rows are what the code measures.
+func TestScaleBaselineDecidesOnce(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_scale.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b ScaleBaseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Rows[scaleKey(10000)] == nil {
+		t.Fatalf("the committed baseline has no %s row", scaleKey(10000))
+	}
+	for key, row := range b.Rows {
+		checkDecidedOnce(t, key, row)
 	}
 }

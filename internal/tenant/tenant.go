@@ -3,7 +3,11 @@
 // token-bucket rate limits and in-flight caps. The engine consults the
 // registry before executing a tenant-tagged request (core's Admission
 // hook; rpc.Client.Tenant is the tag); rejected requests surface as
-// namespace.ErrThrottled without touching the store. That gate is all
+// namespace.ErrThrottled without touching the store. A request is decided
+// once per (ClientID, Seq): a copy of one already decided — the loser of a
+// raced request, or a resubmission — gets the same answer without being
+// counted, so a raced request takes one token and is admitted, or
+// throttled, once. That gate is all
 // the isolation the request path has: behind it the store's shard
 // queues are clock.Queue reservations, served first come first served.
 //
@@ -52,6 +56,7 @@ type Tenant struct {
 	tokens   float64
 	last     time.Time
 	inflight int
+	seqs     map[string]verdict // each client's last decided Seq
 
 	admitted  *telemetry.Counter
 	throttled *telemetry.Counter
@@ -90,6 +95,7 @@ func (r *Registry) Register(c Class) *Tenant {
 		Class:     c,
 		tokens:    c.Burst,
 		last:      r.clk.Now(),
+		seqs:      make(map[string]verdict),
 		admitted:  r.reg.Counter("lambdafs_tenant_admitted_total", telemetry.L("tenant", c.Name)),
 		throttled: r.reg.Counter("lambdafs_tenant_throttled_total", telemetry.L("tenant", c.Name)),
 		inflightG: r.reg.Gauge("lambdafs_tenant_inflight", telemetry.L("tenant", c.Name)),
@@ -117,15 +123,20 @@ func (r *Registry) Lookup(name string) *Tenant {
 }
 
 // Admit gates one operation for the named tenant: the in-flight cap is
-// checked first, then the token bucket. On success the caller MUST pair
-// it with Done. Unregistered tenants (and the empty name) are admitted
-// without accounting — admission is opt-in per tenant.
-func (r *Registry) Admit(name string) error {
+// checked first, then the token bucket. The first copy of key to arrive is
+// decided and counted; a later copy of key gets its verdict uncounted — no
+// token, no in-flight slot, no admission or throttle counted — and so does
+// a copy of an older Seq of key's client, admitted, since the client has
+// moved on. When counted is true, the caller MUST pair the admission with
+// Done. A key with no ClientID is always decided afresh. Unregistered
+// tenants (and the empty name) are admitted without accounting — admission
+// is opt-in per tenant.
+func (r *Registry) Admit(name string, key namespace.RequestKey) (counted bool, err error) {
 	t := r.Lookup(name)
 	if t == nil {
-		return nil
+		return false, nil
 	}
-	return t.admit(r.clk.Now())
+	return t.admit(r.clk.Now(), key)
 }
 
 // Done releases one admitted operation.
@@ -135,12 +146,17 @@ func (r *Registry) Done(name string) {
 	}
 }
 
-func (t *Tenant) admit(now time.Time) error {
+func (t *Tenant) admit(now time.Time, key namespace.RequestKey) (counted bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if v, ok := t.seqs[key.ClientID]; ok && key.Seq <= v.seq {
+		if key.Seq == v.seq && v.throttled {
+			return false, namespace.ErrThrottled
+		}
+		return false, nil
+	}
 	if t.MaxInflight > 0 && t.inflight >= t.MaxInflight {
-		t.throttled.Inc()
-		return namespace.ErrThrottled
+		return false, t.throttle(key)
 	}
 	if t.OpsPerSec > 0 {
 		dt := now.Sub(t.last).Seconds()
@@ -152,15 +168,35 @@ func (t *Tenant) admit(now time.Time) error {
 			t.last = now
 		}
 		if t.tokens < 1 {
-			t.throttled.Inc()
-			return namespace.ErrThrottled
+			return false, t.throttle(key)
 		}
 		t.tokens--
 	}
+	t.decide(key, false)
 	t.inflight++
 	t.admitted.Inc()
 	t.inflightG.Set(float64(t.inflight))
-	return nil
+	return true, nil
+}
+
+// verdict is a client's last decided Seq and whether it was throttled.
+type verdict struct {
+	seq       uint64
+	throttled bool
+}
+
+// decide remembers key's verdict, when key names a client.
+func (t *Tenant) decide(key namespace.RequestKey, throttled bool) {
+	if key.ClientID != "" {
+		t.seqs[key.ClientID] = verdict{key.Seq, throttled}
+	}
+}
+
+// throttle counts and remembers key's rejection.
+func (t *Tenant) throttle(key namespace.RequestKey) error {
+	t.throttled.Inc()
+	t.decide(key, true)
+	return namespace.ErrThrottled
 }
 
 func (t *Tenant) done() {
