@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lambdafs"
@@ -22,6 +23,40 @@ type microResult struct {
 	meanLat    time.Duration
 	costPerSec float64 // provisioned/serverful cost rate for Figure 13
 	vcpuUsed   float64
+	clients    int // the point's closed-loop clients (set by sweep)
+}
+
+// occupancy is the point's X·R̄/N: throughput times mean latency over
+// clients, by Little's law the share of its time a client spends inside a
+// request. A steady closed loop with no think time reads 1.0; less is time
+// the clients spent outside any request the window counts.
+func (r microResult) occupancy() float64 {
+	if r.clients == 0 {
+		return 0
+	}
+	return r.throughput * r.meanLat.Seconds() / float64(r.clients)
+}
+
+// occupancyNote explains the occupancy columns under every sweep table.
+const occupancyNote = "occ: X·R̄/N, throughput × mean latency / clients; a steady closed loop reads 1.00"
+
+// occupancies formats each result's occupancy.
+func occupancies(rs []microResult) []string {
+	return each(rs, func(r microResult) string { return fmt.Sprintf("%.2f", r.occupancy()) })
+}
+
+// occupancyCols is cols with a heading for each of a row's n occupancies:
+// "occupancy" for a row of one result, else "occ" and the heading of the
+// result's own column, the n after the row label.
+func occupancyCols(cols []string, n int) []string {
+	out := slices.Clone(cols)
+	if n == 1 {
+		return append(out, "occupancy")
+	}
+	for _, c := range cols[1 : 1+n] {
+		out = append(out, "occ "+c)
+	}
+	return out
 }
 
 // microSystem builds a system under test for the scaling experiments.
@@ -390,7 +425,9 @@ func sweep(opts Options, f figure) [][][]microResult {
 		for s, sys := range f.systems {
 			for _, clients := range f.clients {
 				for _, vcpus := range f.vcpus {
-					res[o][s] = append(res[o][s], microPoint(opts, sys, op, clients, vcpus, per))
+					r := microPoint(opts, sys, op, clients, vcpus, per)
+					r.clients = clients
+					res[o][s] = append(res[o][s], r)
 				}
 			}
 		}
@@ -399,20 +436,22 @@ func sweep(opts Options, f figure) [][][]microResult {
 }
 
 // tablePerOp renders one table per op with a row per system and a cell
-// per point (Figures 11–13).
+// per point (Figures 11–13), then the row's occupancy per point.
 func tablePerOp(opts Options, f figure) []*Table {
 	res := sweep(opts, f)
 	tables := make([]*Table, len(f.ops))
 	for o, op := range f.ops {
-		t := &Table{ID: f.id + "-" + op.String(), Title: fmt.Sprintf(f.title, op), Columns: f.cols}
+		cols := occupancyCols(f.cols, len(f.clients)*len(f.vcpus))
+		t := &Table{ID: f.id + "-" + op.String(), Title: fmt.Sprintf(f.title, op), Columns: cols}
 		for s, sys := range f.systems {
-			t.Rows = append(t.Rows, append([]string{sys.name}, f.cells(res[o][s])...))
+			t.Rows = append(t.Rows, slices.Concat([]string{sys.name}, f.cells(res[o][s]), occupancies(res[o][s])))
 		}
 		if f.noteRatio == nil {
 			t.Notes = []string{f.note}
 		} else if num, den := f.noteRatio(res[o]); den > 0 {
 			t.Notes = []string{fmt.Sprintf(f.note, ratio(num, den))}
 		}
+		t.Notes = append(t.Notes, occupancyNote)
 		t.Fprint(opts.out())
 		tables[o] = t
 	}
@@ -421,21 +460,23 @@ func tablePerOp(opts Options, f figure) []*Table {
 
 // oneTable renders a figure of one point as one table: a row per op with
 // a cell per system (Figure 14), or with labels a row per system
-// (ablation-rpc).
+// (ablation-rpc); each row ends in the occupancy of each of its results.
 func oneTable(opts Options, f figure) []*Table {
 	res := sweep(opts, f)
-	t := &Table{ID: f.id, Title: f.title, Columns: f.cols, Notes: []string{f.note}}
+	t := &Table{ID: f.id, Title: f.title, Notes: []string{f.note, occupancyNote}}
 	if f.labels != nil {
+		t.Columns = occupancyCols(f.cols, 1)
 		for s, label := range f.labels {
-			t.Rows = append(t.Rows, append([]string{label}, f.cells(res[0][s])...))
+			t.Rows = append(t.Rows, slices.Concat([]string{label}, f.cells(res[0][s]), occupancies(res[0][s])))
 		}
 	} else {
+		t.Columns = occupancyCols(f.cols, len(f.systems))
 		for o, op := range f.ops {
 			rs := make([]microResult, len(f.systems))
 			for s := range rs {
 				rs[s] = res[o][s][0]
 			}
-			t.Rows = append(t.Rows, append([]string{op.String()}, f.cells(rs)...))
+			t.Rows = append(t.Rows, slices.Concat([]string{op.String()}, f.cells(rs), occupancies(rs)))
 		}
 	}
 	t.Fprint(opts.out())
