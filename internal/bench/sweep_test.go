@@ -26,28 +26,28 @@ import (
 // A refactor of the sweep machinery must leave both unedited.
 
 var goldenSweepFake = map[string]string{
-	"fig11/full":         "07fc202e64ea4911350d56aac4a896da0a05d3963af863d8c9d5e50eeb097e1a",
-	"fig11/quick":        "554d0715bbce074e32e8067cf2a15adb542123b9608c23a1de0d63c25f41d42a",
-	"fig11/tiny":         "90a902f8e088c7e737b44c76c673641044cb05f80be4a9ee45b46b1ef8404ad5",
-	"fig12/full":         "c98266d98be104450d1f56f013943798a3dc0aaa162efdfcb4aacd483a505469",
-	"fig12/quick":        "a4a94f8623d01810d3fa3dbe4488697cf01fbd8984f2887ae4a47931ddeeffcc",
-	"fig12/tiny":         "4e497565d3c4bb9bbfc83b30a51aef10b7071e64f300047e8fbd193f736579ba",
-	"fig13/full":         "f97159750a949e70af9d5ce552ba6c212b08a342dfce83b983266bf02fbe6b5d",
-	"fig13/quick":        "140170d4faa5b5f6583aa3362bb27e2e51905c6f46a35ffb46ef206556fcfaf5",
-	"fig13/tiny":         "6ea04b80bf8003bbb9ced56f7916b0f73e20cb04d73cae8913c09e3ac018a69b",
-	"fig14/full":         "0ad3cf0aa3cc0c952b6bfe24896809e107d39f24610833eb1798f99934e4f884",
-	"fig14/quick":        "204cca4f79a85cd5c7671903cd76a8309fe91b1a23faf8e705c7349bf153468a",
-	"fig14/tiny":         "3e889aff9bfd9ee935c006161802fa2e2a6a0ae278dfeaae014f3ccdf7148cdb",
-	"ablation-rpc/full":  "41c43967c25fdf0fd399ff4ddaaa6cde202a231817ab0fe8463e883e62318868",
-	"ablation-rpc/quick": "7a115cbe2dda2448f737d2d8a0f1d01ef6e4b87fa97e9a7d84a342539cc00257",
-	"ablation-rpc/tiny":  "c894e2b417f4e0275279b44092f8290d3b2a0d93128edd3fb81a38c0236ef3fd",
+	"fig11/full":         "f8d52ec213df6a77beb2fae62785cf115c3892538026bd93041421d2f7e86049",
+	"fig11/quick":        "89c6fb344f9dfada4421c7a65190bcae8e8340f38c2ff4245f4aca38f5507c7c",
+	"fig11/tiny":         "650ed55543e2e4ebe91ffa4ce67416f2fc90f16c1c3358fb0984877b965fc45b",
+	"fig12/full":         "65e0506818ce75decafe588dd6a53a3ede1360b7357f114a8e3dce3869b8675a",
+	"fig12/quick":        "b2a5791164308f7385be184857a8f15f7da99608a992564b39dcd3c8daddc203",
+	"fig12/tiny":         "15e347636e9a55511c6c3bb44c69d0af97466ffb243291d67ebf5d00caa98a7d",
+	"fig13/full":         "91ecfce19dff6438243a546b19beebe00a6d87c577568995cbe7dee8a14a4809",
+	"fig13/quick":        "98cd79a8ec82cdd677604391bb10c7a7eab1ebe108ae0f6ea82e6ed96f96cc1d",
+	"fig13/tiny":         "9994d9eaeaeafcc2d2e2dfdbfd3381dfbc4c67dcaf87631b3df01693b2291a5d",
+	"fig14/full":         "6debd521344cfcd1f477c96b6809c8e822b663a5a7f0c076fa3ebfa4425c803d",
+	"fig14/quick":        "9b6c30fa3aa5ce630bf0e162af1412f818919dc93783f6eff76bb95ec8e6c4f8",
+	"fig14/tiny":         "726b1e195417888e9d1953eea8633c89eae1c060f344c4d90ad7653a7cb03104",
+	"ablation-rpc/full":  "f23d4c24fcd333dcacf6f45e180dd96415ee0984d20e400af35a8b2dd880d5d0",
+	"ablation-rpc/quick": "f886dd728a1d58f17e6e7d1d8c5694f74e676159e8d7d9ca827ae2af9f8a36b1",
+	"ablation-rpc/tiny":  "cdd7db6b5fb4dedeea1bfc5326006c1363bfb50f39704783d78c7eebc5412051",
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "e09fd38728280aaae022710b895bbfd52dbce454b9893d14a025b2b9779afe9f",
-	"fig13":        "ee61deae917b9a043e20ecff91003b2a354430969e184ec4e6d1ba1469a1f869",
-	"fig14":        "39db512373d43a5f9171711e08d2e3d02c0082796f063064a29d70a8e61ae7b2",
-	"ablation-rpc": "0c6ecab7fc347e34cffb000ec6bd3ba8c7e88d65efb5f22e20ac197a6de59f9a",
+	"fig11":        "f8216d06c68eb9da9d62da3e898257c07f14ee59789d4acc0af6edad3d219fa5",
+	"fig13":        "9c50acc959fd41dbe33a1ebdf560929edc38abfb4f9b96d955562b21414e06b5",
+	"fig14":        "29f48d81af84c008d5bac406573e00a4595f82ba31980ccf84de81e4e4fefc30",
+	"ablation-rpc": "8bd39945ea2c4d02d35c84e00613d447e93630f11527f8297557cb8383006d23",
 }
 
 // fakeMicro stands in for runMicro: a result that is a pure function of
