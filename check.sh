@@ -130,7 +130,7 @@ echo "== profiling smoke =="
 profdir=$(mktemp -d)
 trap 'rm -rf "$profdir"' EXIT
 go run ./cmd/lambdafs-bench -pprof "$profdir" hotpath >/dev/null
-for suffix in cpu heap mutex block; do
+for suffix in cpu heap rerun.mutex rerun.block; do
     f="$profdir/hotpath.$suffix.pprof"
     if [ ! -s "$f" ]; then
         echo "profiling smoke: $f missing or empty"

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strconv"
@@ -36,7 +37,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload randomness seed")
 	outDir := flag.String("out", "", "write every artifact into this directory: each table as <table>.csv, trace's trace/event JSONL, the telemetry planes (Prometheus text dump, scraped snapshot JSON) and flight-recorder JSONL, slo's coverage and alert logs")
 	chaosSeed := flag.Int64("chaosseed", 0, "replay a single chaos episode with this seed (0 = full chaos experiment; use the seed a failing run printed)")
-	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap,mutex,block}.pprof into this directory")
+	pprofDir := flag.String("pprof", "", "profile each experiment's host cost and write <experiment>.{cpu,heap}.pprof from one run and <experiment>.rerun.{block,mutex}.pprof from a second into this directory")
 	baseline := flag.String("baseline", "", "measure the named baseline — the <name> of a committed BENCH_<name>.json; an unknown name lists the known ones — and write BENCH_<name>.json into the current directory, then exit")
 	check := flag.String("check", "", "re-measure the experiment behind this baseline file (routed by its schema field, at its recorded mode and seed) and exit nonzero on any leaf that differs (hotpath's allocs_per_op: beyond baseline × 1.25 + 8)")
 	flag.Usage = func() {
@@ -119,12 +120,20 @@ func main() {
 		fmt.Printf("--- %s: %s\n", e.Name, e.Brief)
 		var tables []*bench.Table
 		if *pprofDir != "" {
-			profDur, err := bench.Profile(*pprofDir, e.Name, func() { tables = e.Run(opts) })
+			profDur, err := bench.Profile(*pprofDir, e.Name, func(rerun bool) {
+				if !rerun {
+					tables = e.Run(opts)
+					return
+				}
+				quiet := opts
+				quiet.Out, quiet.ArtifactDir = io.Discard, ""
+				e.Run(quiet)
+			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pprof:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("--- %s profiles written to %s (%v profiled)\n",
+			fmt.Printf("--- %s profiles written to %s (%v CPU-profiled run, then a contention-profiled rerun)\n",
 				e.Name, *pprofDir, profDur.Round(time.Millisecond))
 		} else {
 			tables = e.Run(opts)
