@@ -517,9 +517,9 @@ type lsReply[Room any] struct {
 }
 
 // newLsReply returns an ls reply whose Entries has length n: one object
-// holding the Response and the smallest of the fixed entry capacities that
-// fits n, with Entries clipped to n. A listing longer than the largest
-// spills its entries to a second object.
+// holding the Response and the smallest of the fixed entry capacities, the
+// powers of two from 4 to 256, that fits n, with Entries clipped to n. A
+// listing longer than the largest spills its entries to a second object.
 func newLsReply(n int) *namespace.Response {
 	var resp *namespace.Response
 	var room []namespace.DirEntry
@@ -527,11 +527,20 @@ func newLsReply(n int) *namespace.Response {
 	case n <= 4:
 		r := new(lsReply[[4]namespace.DirEntry])
 		resp, room = &r.resp, r.entries[:]
+	case n <= 8:
+		r := new(lsReply[[8]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
 	case n <= 16:
 		r := new(lsReply[[16]namespace.DirEntry])
 		resp, room = &r.resp, r.entries[:]
+	case n <= 32:
+		r := new(lsReply[[32]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
 	case n <= 64:
 		r := new(lsReply[[64]namespace.DirEntry])
+		resp, room = &r.resp, r.entries[:]
+	case n <= 128:
+		r := new(lsReply[[128]namespace.DirEntry])
 		resp, room = &r.resp, r.entries[:]
 	case n <= 256:
 		r := new(lsReply[[256]namespace.DirEntry])
