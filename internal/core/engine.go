@@ -265,8 +265,8 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	}
 	if e.cfg.Admission != nil && req.Tenant != "" {
 		// Throttled responses are cheap by design: no span, no CPU charge,
-		// no store traffic, no result-cache entry (a resubmission should
-		// re-attempt admission, not replay the rejection).
+		// no store traffic, no result-cache entry (the admission decides
+		// each key once, so a later copy gets its verdict from there).
 		counted, err := e.cfg.Admission.Admit(req.Tenant, req.Key())
 		if err != nil {
 			return &namespace.Response{Err: namespace.ToWire(err), ServedBy: e.id}

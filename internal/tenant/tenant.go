@@ -125,10 +125,10 @@ func (r *Registry) Lookup(name string) *Tenant {
 // Admit gates one operation for the named tenant: the in-flight cap is
 // checked first, then the token bucket. The first copy of key to arrive is
 // decided and counted; a later copy of key gets its verdict uncounted — no
-// token, no in-flight slot, no admission or throttle counted — and so does
-// a copy of an older Seq of key's client, admitted, since the client has
-// moved on. When counted is true, the caller MUST pair the admission with
-// Done. A key with no ClientID is always decided afresh. Unregistered
+// token, no in-flight slot, no admission or throttle counted. A copy of a
+// Seq older than its client's last decided one is admitted uncounted: the
+// client has moved on. When counted is true, the caller MUST pair the
+// admission with Done. A key with no ClientID is always decided afresh. Unregistered
 // tenants (and the empty name) are admitted without accounting — admission
 // is opt-in per tenant.
 func (r *Registry) Admit(name string, key namespace.RequestKey) (counted bool, err error) {
