@@ -33,9 +33,15 @@ var (
 // parent directory, TCP fast path with randomized HTTP replacement,
 // retries with backoff and jitter, straggler hedging, and anti-thrashing
 // (§3.2, §3.4, Appendices B-C).
+//
+// A Client is safe for concurrent use: its calls take turns on the one
+// rpc.Client inside it, which serves one caller at a time and writes each
+// reply into storage it reuses, and every result a call returns is a copy
+// the caller owns, valid across later calls.
 type Client struct {
 	inner *rpc.Client
 	clk   *clock.Sim
+	turn  *clock.Mailbox[struct{}] // one token: the call that holds it runs
 }
 
 // NewClient creates a client on the cluster's default VM.
@@ -46,7 +52,9 @@ func (c *Cluster) NewClientOnVM(vm *rpc.VM, id string) *Client {
 	if id == "" {
 		id = fmt.Sprintf("client-%d", c.clientSeq.Add(1))
 	}
-	return &Client{inner: vm.NewClient(id, c.sys.Ring(), c.sys), clk: c.clk}
+	cl := &Client{inner: vm.NewClient(id, c.sys.Ring(), c.sys), clk: c.clk, turn: clock.NewMailbox[struct{}](c.clk)}
+	cl.turn.Send(struct{}{})
+	return cl
 }
 
 func (cl *Client) do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
@@ -89,7 +97,7 @@ func (cl *Client) Open(path string) (FileInfo, []Block, error) {
 	if err != nil {
 		return FileInfo{}, nil, err
 	}
-	return *resp.Stat, resp.Blocks, nil
+	return *resp.Stat, resp.Blocks, nil // Do's copy: the caller's own
 }
 
 // List returns the entries of a directory (or the file itself for a file
@@ -99,7 +107,7 @@ func (cl *Client) List(path string) ([]DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp.Entries, nil
+	return resp.Entries, nil // Do's copy: the caller's own
 }
 
 // Rename moves a file or directory; directory moves run the subtree
@@ -117,10 +125,16 @@ func (cl *Client) Remove(path string) error {
 
 // Do exposes the raw operation interface used by the workload drivers.
 // The operation is shuttled into a simulation-registered goroutine, so
-// applications may call it from anywhere.
+// applications may call it from anywhere; concurrent calls take turns. The
+// reply is a copy of the one the client received (namespace.Response.Clone),
+// so it stays the caller's across later calls.
 func (cl *Client) Do(op namespace.OpType, path, dest string) (resp *namespace.Response, err error) {
 	clock.Run(cl.clk, func() {
-		resp, err = cl.inner.Do(op, path, dest)
+		cl.turn.Recv()
+		defer cl.turn.Send(struct{}{})
+		if resp, err = cl.inner.Do(op, path, dest); err == nil {
+			resp = resp.Clone()
+		}
 	})
 	return resp, err
 }

@@ -14,10 +14,12 @@ import (
 	"lambdafs/internal/store"
 )
 
-// A cache hit copies no INode and allocates its reply alone: the chain is
-// on the stack, and the reply is one object holding the Response, its
-// StatInfo and, for a read, the private copy of a one-block list. (Not
-// under -race: the detector allocates.)
+// A cache hit copies no INode and allocates nothing: the chain is on the
+// stack, and the reply — the Response, its StatInfo and, for a read, the
+// private copy of a one-block list — is written into the request's reply
+// storage, as an rpc client's call record provides it. A request without
+// storage pays one object, the fresh storage. (Not under -race: the
+// detector allocates.)
 func TestExecuteHitAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
@@ -30,26 +32,29 @@ func TestExecuteHitAllocs(t *testing.T) {
 		}
 		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
-		// The reply, and nothing else: Lookup writes the chain into the
-		// caller's stack buffer, and a canonical path cleans for free. A read
-		// carrying a ClientID and a fresh Seq costs the same, and leaves
-		// nothing behind: only writes enter the result cache. (Keeping the
-		// reply would not show as a count here: the FIFO's growth is amortized
-		// below one allocation per run.)
+		// Nothing: Lookup writes the chain into the caller's stack buffer, a
+		// canonical path cleans for free, and the reply lands in the
+		// request's storage. A read carrying a ClientID and a fresh Seq costs
+		// the same, and leaves nothing behind: only writes enter the result
+		// cache. (Keeping the reply would not show as a count here: the
+		// FIFO's growth is amortized below one allocation per run.)
 		var seq uint64 // fresh across both ops: the key is ClientID and Seq
 		for op, blocks := range map[namespace.OpType]int{namespace.OpStat: 0, namespace.OpRead: 1} {
-			const want = 1
-			req := namespace.Request{Op: op, Path: "/a/b/f"}
+			req := namespace.Request{Op: op, Path: "/a/b/f", Reply: new(namespace.Reply)}
 			e.Execute(req) // the fill
-			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != blocks {
-				t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected: %+v", op, resp)
+			if resp := e.Execute(req); !resp.OK() || !resp.CacheHit || len(resp.Blocks) != blocks || resp != &req.Reply.Response {
+				t.Fatalf("%v /a/b/f does not hit, or not with the blocks expected, or not into its storage: %+v", op, resp)
 			}
-			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != want {
-				t.Errorf("%v hit of a depth-3 path: %v allocs, want %v", op, got, want)
+			if got := testing.AllocsPerRun(100, func() { e.Execute(req) }); got != 0 {
+				t.Errorf("%v hit of a depth-3 path: %v allocs, want 0", op, got)
 			}
-			tagged := namespace.Request{Op: op, Path: "/a/b/f", ClientID: "c1"}
-			if got := testing.AllocsPerRun(100, func() { seq++; tagged.Seq = seq; e.Execute(tagged) }); got != want {
-				t.Errorf("%v hit of a depth-3 path with ClientID and a fresh Seq: %v allocs, want %v", op, got, want)
+			tagged := namespace.Request{Op: op, Path: "/a/b/f", ClientID: "c1", Reply: req.Reply}
+			if got := testing.AllocsPerRun(100, func() { seq++; tagged.Seq = seq; e.Execute(tagged) }); got != 0 {
+				t.Errorf("%v hit of a depth-3 path with ClientID and a fresh Seq: %v allocs, want 0", op, got)
+			}
+			bare := namespace.Request{Op: op, Path: "/a/b/f"}
+			if got := testing.AllocsPerRun(100, func() { e.Execute(bare) }); got != 1 {
+				t.Errorf("%v hit of a depth-3 path without reply storage: %v allocs, want 1 (the fresh storage)", op, got)
 			}
 		}
 		if n := e.results.len(); n != 0 {
@@ -58,17 +63,17 @@ func TestExecuteHitAllocs(t *testing.T) {
 	})
 }
 
-// A stat the cache does not serve, through Engine.Execute: the reply (the
-// Response and its StatInfo, one object), and for a pass-through one more.
-// A miss's shared-locked fill runs in a transaction the store recycles
+// A stat the cache does not serve, through Engine.Execute into the
+// request's reply storage: nothing, and for a pass-through one object. A
+// miss's shared-locked fill runs in a transaction the store recycles
 // (store.Store.Release), the chain is copied from its inline buffer into the
 // caller's stack buffer, and the fill re-caches the row in the node its
 // invalidation freed; a pass-through resolution (caching disabled) takes no
-// lock and so needs no transaction, and its one more is the chain. (Not
+// lock and so needs no transaction, and its one object is the chain. (Not
 // under -race: the detector allocates.)
 func TestExecuteMissAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		stat := namespace.Request{Op: namespace.OpStat, Path: "/a/b/f"}
+		stat := namespace.Request{Op: namespace.OpStat, Path: "/a/b/f", Reply: new(namespace.Reply)}
 		e, st := soloEngine(clk)
 		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
 		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
@@ -79,22 +84,24 @@ func TestExecuteMissAllocs(t *testing.T) {
 			}
 		}
 		miss()
-		if got := testing.AllocsPerRun(100, miss); got != 1 {
-			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 1", got)
+		if got := testing.AllocsPerRun(100, miss); got != 0 {
+			t.Errorf("cache-miss stat of a depth-3 path: %v allocs, want 0", got)
 		}
 
 		cfg := DefaultEngineConfig()
 		cfg.OpCPUCost, cfg.SubtreeCPUPerINode, cfg.CacheBudget = 0, 0, -1
 		pass := NewEngine("nn-pass", -1, clk, st, nil, nil, nil, cfg)
-		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 2 {
-			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 2", got)
+		if got := testing.AllocsPerRun(100, func() { pass.Execute(stat) }); got != 1 {
+			t.Errorf("pass-through stat of a depth-3 path: %v allocs, want 1", got)
 		}
 	})
 }
 
-// An ls, hit or miss, allocates its reply alone: one object holding the
-// Response and room for its entries (newLsReply), and so does an ls of a
-// file (the stat reply and its one entry). A hit walks the cached children,
+// An ls of a directory, hit or miss, allocates its reply alone: one object
+// holding the Response and room for its entries (newLsReply), never the
+// request's reply storage. An ls of a file allocates nothing: its stat and
+// its one entry are written into the request's storage. A hit walks the
+// cached children,
 // which are kept in name order, so nothing sorts, and writes their entries
 // into the reply under the cache's lock. A miss — a child's INV made the
 // listing unknown — lists the directory into storage its recycled
@@ -108,7 +115,7 @@ func TestExecuteLsAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/a/b/f%02d", i), "")
 		}
-		ls := namespace.Request{Op: namespace.OpLs, Path: "/a/b"}
+		ls := namespace.Request{Op: namespace.OpLs, Path: "/a/b", Reply: new(namespace.Reply)}
 		e.Execute(ls) // the fill
 		if resp := e.Execute(ls); !resp.OK() || !resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[0].Name != "f00" {
 			t.Fatalf("ls /a/b does not hit with its 64 entries in name order: %+v", resp)
@@ -126,12 +133,12 @@ func TestExecuteLsAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, miss); got != 1 {
 			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 1 (the reply, its entries inside)", got)
 		}
-		file := namespace.Request{Op: namespace.OpLs, Path: "/a/b/f03"}
-		if resp := e.Execute(file); !resp.OK() || resp.Stat == nil || len(resp.Entries) != 1 || resp.Entries[0].Name != "f03" {
-			t.Fatalf("ls /a/b/f03: %+v, want its stat and its one entry", resp)
+		file := namespace.Request{Op: namespace.OpLs, Path: "/a/b/f03", Reply: ls.Reply}
+		if resp := e.Execute(file); !resp.OK() || resp.Stat == nil || len(resp.Entries) != 1 || resp.Entries[0].Name != "f03" || resp != &file.Reply.Response {
+			t.Fatalf("ls /a/b/f03: %+v, want its stat and its one entry in the request's storage", resp)
 		}
-		if got := testing.AllocsPerRun(100, func() { e.Execute(file) }); got != 1 {
-			t.Errorf("ls of a file: %v allocs, want 1 (the reply, its stat and entry inside)", got)
+		if got := testing.AllocsPerRun(100, func() { e.Execute(file) }); got != 0 {
+			t.Errorf("ls of a file: %v allocs, want 0 (its stat and entry in the request's storage)", got)
 		}
 	})
 }
@@ -172,21 +179,19 @@ func opAllocs(prep, op func()) float64 {
 }
 
 // A warm write's host cost, through Engine.Execute, one pin per op kind.
-// Every write pays its response, and one object per row version it
-// publishes: a row it builds, or the Clone of a row its lock phase read,
-// which is cloned once for a parent both paths of a rename share. The rows
-// the store hands out are its own, so a delete's target, which is never
-// published, costs nothing.
-//   - create 3: the response, the parent's new version and the row it
-//     builds;
-//   - delete 2: the response and the parent's new version;
-//   - mv inside a directory 3: the response and the target's and the
-//     parent's new versions;
-//   - mv across directories 4: the response and three new versions;
-//   - leaf mkdirs 3: the response, the parent's new version and the
-//     directory it builds (the new directory's child list in the store is
-//     nil until its first child);
-//   - create into a directory whose complete listing the writer caches 3,
+// Every write pays one object per row version it publishes: a row it
+// builds, or the Clone of a row its lock phase read, which is cloned once
+// for a parent both paths of a rename share. The rows the store hands out
+// are its own, so a delete's target, which is never published, costs
+// nothing, and the reply lands in the request's reply storage.
+//   - create 2: the parent's new version and the row it builds;
+//   - delete 1: the parent's new version;
+//   - mv inside a directory 2: the target's and the parent's new versions;
+//   - mv across directories 3: three new versions;
+//   - leaf mkdirs 2: the parent's new version and the directory it builds
+//     (the new directory's child list in the store is nil until its first
+//     child);
+//   - create into a directory whose complete listing the writer caches 2,
 //     as a plain create: the hook that resumes the listing at the commit
 //     point is a resume off the engine's free list, its method value bound
 //     once, and the transaction keeps its hook slice's room.
@@ -212,8 +217,10 @@ func TestExecuteWriteAllocs(t *testing.T) {
 		mustOK(t, e, namespace.OpMkdirs, "/a/l", "")
 		mustOK(t, e, namespace.OpCreate, "/a/l/f", "")
 		mustOK(t, e, namespace.OpLs, "/a/l", "") // the listing's fill: complete from here on
+		// The one client's reply storage, reused write after write.
+		reply := new(namespace.Reply)
 		exec := func(op namespace.OpType, path, dest string) func() {
-			req := namespace.Request{Op: op, Path: path, Dest: dest}
+			req := namespace.Request{Op: op, Path: path, Dest: dest, Reply: reply}
 			return func() {
 				if resp := e.Execute(req); !resp.OK() {
 					t.Fatalf("%v %s: %s", op, path, resp.Err)
@@ -222,7 +229,7 @@ func TestExecuteWriteAllocs(t *testing.T) {
 		}
 		// settle readies a row for the op measured; it may find it ready.
 		settle := func(op namespace.OpType, path, dest string) func() {
-			req := namespace.Request{Op: op, Path: path, Dest: dest}
+			req := namespace.Request{Op: op, Path: path, Dest: dest, Reply: reply}
 			return func() { e.Execute(req) }
 		}
 		for _, c := range []struct {
@@ -230,12 +237,12 @@ func TestExecuteWriteAllocs(t *testing.T) {
 			prep, op func()
 			want     float64
 		}{
-			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 3},
-			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 2},
-			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 3},
-			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 4},
-			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 3},
-			{"create into a directory whose complete listing is cached", settle(namespace.OpDelete, "/a/l/h", ""), exec(namespace.OpCreate, "/a/l/h", ""), 3},
+			{"create of a depth-3 file", settle(namespace.OpDelete, "/a/b/h", ""), exec(namespace.OpCreate, "/a/b/h", ""), 2},
+			{"delete of a depth-3 file", settle(namespace.OpCreate, "/a/b/h", ""), exec(namespace.OpDelete, "/a/b/h", ""), 1},
+			{"a file mv inside a directory", settle(namespace.OpMv, "/a/b/g", "/a/b/f"), exec(namespace.OpMv, "/a/b/f", "/a/b/g"), 2},
+			{"a file mv across directories", settle(namespace.OpMv, "/a/c/x", "/a/b/x"), exec(namespace.OpMv, "/a/b/x", "/a/c/x"), 3},
+			{"a leaf mkdirs at depth 3", settle(namespace.OpDelete, "/a/b/d", ""), exec(namespace.OpMkdirs, "/a/b/d", ""), 2},
+			{"create into a directory whose complete listing is cached", settle(namespace.OpDelete, "/a/l/h", ""), exec(namespace.OpCreate, "/a/l/h", ""), 2},
 		} {
 			if got := opAllocs(c.prep, c.op); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)

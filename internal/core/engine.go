@@ -150,8 +150,9 @@ const (
 	// dataNodeViewTTL is how long a cached DataNode fleet view stays
 	// fresh.
 	dataNodeViewTTL = 10 * time.Second
-	// replication is the block replication factor for new files.
-	replication = 3
+	// replication is the block replication factor for new files; a reply
+	// has room for one block's locations.
+	replication = namespace.ReplyLocations
 )
 
 // Engine executes metadata operations. One Engine runs per NameNode
@@ -253,14 +254,16 @@ func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 // cache, so a resubmission answers what the first execution did; any other
 // request simply runs (see resultCache for why a read needs no entry). A
 // raced write skips the result cache: its client's result row in the store
-// is its one record, on every engine (resultrow.go). It implements
+// is its one record, on every engine (resultrow.go). The reply is written
+// into req.Reply (fresh storage when nil), but for a directory's ls, whose
+// entries come in an object of their own (newLsReply). It implements
 // rpc.Server.
 func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	dedup := req.ClientID != "" && req.Op.IsWrite() && !req.Raced
 	if dedup {
-		if r := e.results.get(req.Key()); r != nil {
+		if resp, ok := e.results.get(req.Key()); ok {
 			e.tel.resultHits.Inc()
-			return r
+			return storage(req.Reply).Set(resp)
 		}
 	}
 	if e.cfg.Admission != nil && req.Tenant != "" {
@@ -269,7 +272,7 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 		// each key once, so a later copy gets its verdict from there).
 		counted, err := e.cfg.Admission.Admit(req.Tenant, req.Key())
 		if err != nil {
-			return &namespace.Response{Err: namespace.ToWire(err), ServedBy: e.id}
+			return storage(req.Reply).Set(namespace.Response{Err: namespace.ToWire(err), ServedBy: e.id})
 		}
 		if counted {
 			defer e.cfg.Admission.Done(req.Tenant)
@@ -294,35 +297,51 @@ func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 }
 
 func (e *Engine) execute(tc *trace.Ctx, req namespace.Request) *namespace.Response {
+	r := req.Reply
 	path, err := namespace.CleanPath(req.Path)
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	switch req.Op {
 	case namespace.OpRead:
-		return e.read(tc, path)
+		return e.read(tc, r, path)
 	case namespace.OpStat:
-		return e.stat(tc, path)
+		return e.stat(tc, r, path)
 	case namespace.OpLs:
-		return e.ls(tc, path)
+		return e.ls(tc, r, path)
 	case namespace.OpCreate:
-		return e.create(tc, path, racedOf(req))
+		return e.create(tc, r, path, racedOf(req))
 	case namespace.OpMkdirs:
-		return e.mkdirs(tc, path, racedOf(req))
+		return e.mkdirs(tc, r, path, racedOf(req))
 	case namespace.OpDelete:
-		return e.del(tc, path, racedOf(req))
+		return e.del(tc, r, path, racedOf(req))
 	case namespace.OpMv:
 		dest, derr := namespace.CleanPath(req.Dest)
 		if derr != nil {
-			return fail(derr)
+			return fail(r, derr)
 		}
-		return e.mv(tc, path, dest, racedOf(req))
+		return e.mv(tc, r, path, dest, racedOf(req))
 	}
-	return fail(namespace.ErrInvalidState)
+	return fail(r, namespace.ErrInvalidState)
 }
 
-func fail(err error) *namespace.Response {
-	return &namespace.Response{Err: namespace.ToWire(err)}
+// storage is the reply storage r, or fresh storage when the request
+// brought none.
+func storage(r *namespace.Reply) *namespace.Reply {
+	if r == nil {
+		return new(namespace.Reply)
+	}
+	return r
+}
+
+// fail writes the reply to a request that failed with err into r.
+func fail(r *namespace.Reply, err error) *namespace.Response {
+	return storage(r).Set(namespace.Response{Err: namespace.ToWire(err)})
+}
+
+// done writes the reply to a write that succeeded, naming id, into r.
+func done(r *namespace.Reply, id namespace.INodeID) *namespace.Response {
+	return storage(r).Set(namespace.Response{ID: id})
 }
 
 // cachingAllowed reports whether this engine may populate its cache with
@@ -389,61 +408,38 @@ func checkSubtreeLocks(chain []*namespace.INode, self string) error {
 	return nil
 }
 
-// statReply is a stat reply as one object: the Response and the StatInfo
-// its Stat points at.
-type statReply struct {
-	resp namespace.Response
-	stat namespace.StatInfo
-}
-
-// readReply is a read reply as one object: a statReply, plus room for the
-// private copy of a one-block list with up to replication locations. A
-// longer list spills to the heap (namespace.CloneBlocksInto).
-type readReply struct {
-	statReply
-	block [1]namespace.Block
-	locs  [replication]string
-}
-
-// fill makes r the reply for n at path and returns its Response.
-func (r *statReply) fill(n *namespace.INode, path string, hit bool) *namespace.Response {
-	r.stat = namespace.StatOf(n, path)
-	r.resp = namespace.Response{ID: n.ID, Stat: &r.stat, CacheHit: hit}
-	return &r.resp
-}
-
 // read resolves a file and returns its block locations (open /
-// getBlockLocations).
-func (e *Engine) read(tc *trace.Ctx, path string) *namespace.Response {
+// getBlockLocations), written into r.
+func (e *Engine) read(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.Response {
 	var buf [chainDepth]*namespace.INode
 	chain, hit, err := e.resolve(tc, namespace.OpRead, path, buf[:0])
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	if err := checkSubtreeLocks(chain, e.id); err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	target := chain[len(chain)-1]
 	if target.IsDir {
-		return fail(namespace.ErrIsDir)
+		return fail(r, namespace.ErrIsDir)
 	}
-	r := new(readReply)
-	resp := r.fill(target, path, hit)
-	resp.Blocks = namespace.CloneBlocksInto(target.Blocks, r.block[:], r.locs[:]) // the reply leaves the process; the row is shared
+	r = storage(r)
+	resp := r.SetStat(target, path, hit)
+	r.SetBlocks(target.Blocks) // the reply leaves the process; the row is shared
 	return resp
 }
 
-// stat resolves any path and returns its attributes.
-func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
+// stat resolves any path and returns its attributes, written into r.
+func (e *Engine) stat(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.Response {
 	var buf [chainDepth]*namespace.INode
 	chain, hit, err := e.resolve(tc, namespace.OpStat, path, buf[:0])
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	if err := checkSubtreeLocks(chain, e.id); err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
-	return new(statReply).fill(chain[len(chain)-1], path, hit)
+	return storage(r).SetStat(chain[len(chain)-1], path, hit)
 }
 
 // ls lists a directory (or stats a file, HDFS-style). Directory listings
@@ -453,9 +449,10 @@ func (e *Engine) stat(tc *trace.Ctx, path string) *namespace.Response {
 // locks when the listing will be cached with the completeness mark. The
 // listing is cached where the ring routes ls, which is where the
 // directory's children are cached: the fill is a prefetch for the reads
-// and stats that follow. Hit, miss or file, the reply is one object
-// (newLsReply, lsFileReply).
-func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
+// and stats that follow. A directory's reply, hit or miss, is one object
+// of its own (newLsReply), so r never holds a listing's room; a file's, and
+// a failure, are written into r.
+func (e *Engine) ls(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.Response {
 	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
 		var resp *namespace.Response
@@ -477,17 +474,16 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	}
 	chain, kids, err := tx.ListPathBatched(path, mode)
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	if err := checkSubtreeLocks(chain, e.id); err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	target := chain[len(chain)-1]
 	if !target.IsDir {
-		r := new(lsFileReply)
-		resp := r.fill(target, path, false)
-		r.entry[0] = namespace.EntryOf(target)
-		resp.Entries = r.entry[:]
+		r = storage(r)
+		resp := r.SetStat(target, path, false)
+		r.SetEntry(namespace.EntryOf(target))
 		return resp
 	}
 	if allowed {
@@ -500,13 +496,6 @@ func (e *Engine) ls(tc *trace.Ctx, path string) *namespace.Response {
 	}
 	resp.ID = target.ID
 	return resp
-}
-
-// lsFileReply is the reply to an ls of a file as one object: a statReply
-// and the file's one entry.
-type lsFileReply struct {
-	statReply
-	entry [1]namespace.DirEntry
 }
 
 // lsReply is a directory's ls reply as one object: the Response and the

@@ -358,20 +358,20 @@ func TestResultCacheDedupesResubmission(t *testing.T) {
 					}
 				}
 				if tc.dedup {
-					if again != first {
+					if !sameReply(again, first) {
 						t.Fatalf("resubmitted %v re-executed: %+v, first %+v", tc.req.op, again, first)
 					}
 					wantHits(1)
 					// A genuinely new request (next Seq) runs.
 					req.Seq++
-					if e.Execute(req) == first {
+					if sameReply(e.Execute(req), first) {
 						t.Fatalf("a new %v (next Seq) replayed the cached reply", tc.req.op)
 					}
 					wantHits(1)
 					return
 				}
 				wantHits(0)
-				if again == first {
+				if reflect.DeepEqual(*again, *first) {
 					t.Fatalf("resubmitted %v replayed the first reply %+v", tc.req.op, first)
 				}
 				if !errors.Is(again.Error(), tc.wantErr) || len(again.Entries) != tc.wantEntries {
@@ -682,7 +682,7 @@ func TestResultCacheBounded(t *testing.T) {
 		if r := exec(0, "/f1"); !errors.Is(r.Error(), namespace.ErrExists) {
 			t.Fatalf("resubmitted evicted create: %v, want it re-executed (ErrExists)", r.Error())
 		}
-		if r := exec(uint64(creates-1), fmt.Sprintf("/f%d", creates)); r != newest {
+		if r := exec(uint64(creates-1), fmt.Sprintf("/f%d", creates)); !sameReply(r, newest) {
 			t.Fatalf("resubmitted newest create: %+v, want its cached reply %+v", r, newest)
 		}
 	})
@@ -715,12 +715,12 @@ func TestResultCacheKeepsEachClientsLatestReply(t *testing.T) {
 		if r := create("c", 3, "/stale"); !r.OK() || r == newest {
 			t.Fatalf("stale resubmission: %+v, want a fresh execution", r)
 		}
-		if r := create("c", 100, "/seq100"); r != newest {
+		if r := create("c", 100, "/seq100"); !sameReply(r, newest) {
 			t.Fatalf("after a stale resubmission the newest reply is %+v, want %+v", r, newest)
 		}
 
 		first := create("client-0", 1, "/by-client-0")
-		if create("client-0", 1, "/by-client-0") != first {
+		if !sameReply(create("client-0", 1, "/by-client-0"), first) {
 			t.Fatal("client-0's write was not cached")
 		}
 		// c and client-0 plus resultCacheSize-1 more: the cache is full, and
@@ -731,11 +731,11 @@ func TestResultCacheKeepsEachClientsLatestReply(t *testing.T) {
 		if n := e.results.len(); n != resultCacheSize {
 			t.Fatalf("%d clients left %d entries, want %d", resultCacheSize+1, n, resultCacheSize)
 		}
-		if r := create("c", 100, "/seq100"); r == newest || !errors.Is(r.Error(), namespace.ErrExists) {
+		if r := create("c", 100, "/seq100"); sameReply(r, newest) || !errors.Is(r.Error(), namespace.ErrExists) {
 			t.Fatalf("the evicted client's resubmission: %+v, want it re-executed (ErrExists)", r)
 		}
 		// c came back as the newest client, so client-0 is now the oldest.
-		if r := create("client-0", 1, "/by-client-0"); r == first || !errors.Is(r.Error(), namespace.ErrExists) {
+		if r := create("client-0", 1, "/by-client-0"); sameReply(r, first) || !errors.Is(r.Error(), namespace.ErrExists) {
 			t.Fatalf("client-0's resubmission after c returned: %+v, want it re-executed (ErrExists)", r)
 		}
 	})

@@ -20,6 +20,12 @@ import (
 // newer entry, so a stale resubmission re-executes, as one whose client was
 // evicted does. At most cap clients are kept, evicted oldest-first through
 // a ring of their IDs.
+//
+// A reply is kept by value and copied out on a hit: the Response an engine
+// answers with lives in its client's reply storage (namespace.Reply), which
+// the client writes its next reply into, so the cache never holds a pointer
+// into it. A write's Response points at nothing (no Stat, Entries or
+// Blocks), so the copy is the whole reply.
 type resultCache struct {
 	mu   sync.Mutex
 	m    map[string]clientResult
@@ -31,7 +37,7 @@ type resultCache struct {
 // clientResult is one client's latest write and its reply.
 type clientResult struct {
 	seq  uint64
-	resp *namespace.Response
+	resp namespace.Response
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -41,21 +47,23 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{m: make(map[string]clientResult), cap: capacity}
 }
 
-func (rc *resultCache) get(key namespace.RequestKey) *namespace.Response {
+// get returns a copy of the reply kept for key, if any.
+func (rc *resultCache) get(key namespace.RequestKey) (namespace.Response, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if r, ok := rc.m[key.ClientID]; ok && r.seq == key.Seq {
-		return r.resp
+		return r.resp, true
 	}
-	return nil
+	return namespace.Response{}, false
 }
 
+// put keeps a copy of resp, key's reply.
 func (rc *resultCache) put(key namespace.RequestKey, resp *namespace.Response) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if r, ok := rc.m[key.ClientID]; ok {
 		if key.Seq >= r.seq {
-			rc.m[key.ClientID] = clientResult{key.Seq, resp}
+			rc.m[key.ClientID] = clientResult{key.Seq, *resp}
 		}
 		return
 	}
@@ -66,7 +74,7 @@ func (rc *resultCache) put(key namespace.RequestKey, resp *namespace.Response) {
 		rc.ring[rc.next] = key.ClientID
 		rc.next = (rc.next + 1) % rc.cap
 	}
-	rc.m[key.ClientID] = clientResult{key.Seq, resp}
+	rc.m[key.ClientID] = clientResult{key.Seq, *resp}
 }
 
 func (rc *resultCache) len() int {

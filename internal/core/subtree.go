@@ -45,16 +45,16 @@ import (
 // like any other. A raced operation's first transaction checks and records
 // its result row (writeTx); run declines a directory for it, so it never
 // gets further.
-func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string, race namespace.RequestKey,
+func (e *Engine) deleteOrMove(tc *trace.Ctx, r *namespace.Reply, op namespace.OpType, path string, race namespace.RequestKey,
 	run func(tx store.Tx, root namespace.INodeID) (flagged namespace.INodeID, err error)) *namespace.Response {
 	root, err := e.writeTx(tc, race, func(tx store.Tx) (namespace.INodeID, error) {
 		return run(tx, namespace.InvalidID)
 	})
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
 	if root == namespace.InvalidID {
-		return &namespace.Response{}
+		return done(r, namespace.InvalidID)
 	}
 	err = e.runSubtree(tc, op, path, root)
 	if err == nil {
@@ -67,12 +67,12 @@ func (e *Engine) deleteOrMove(tc *trace.Ctx, op namespace.OpType, path string, r
 	}
 	if err != nil {
 		e.subtreeUnlock(tc, root)
-		return fail(err)
+		return fail(r, err)
 	}
 	if op == namespace.OpMv {
-		return &namespace.Response{ID: root}
+		return done(r, root)
 	}
-	return &namespace.Response{}
+	return done(r, namespace.InvalidID)
 }
 
 // flagSubtree is Phase 1 for dir, found at path under the exclusive locks of

@@ -25,9 +25,9 @@ func (e *Engine) lockedParent(lp store.LockedPath) (*namespace.INode, error) {
 
 // create makes a new file at path, running the single-INode coherence
 // protocol (Algorithm 1): exclusive store locks → INV/ACK → persist.
-func (e *Engine) create(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
+func (e *Engine) create(tc *trace.Ctx, r *namespace.Reply, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
-		return fail(namespace.ErrExists)
+		return fail(r, namespace.ErrExists)
 	}
 	id, err := e.writeTx(tc, race, func(tx store.Tx) (namespace.INodeID, error) {
 		locked, err := tx.LockPath(path)
@@ -69,9 +69,9 @@ func (e *Engine) create(tc *trace.Ctx, path string, race namespace.RequestKey) *
 		return created.ID, e.invalidateAll(tc, tx, written{path: path, parent: parent, child: created})
 	})
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
-	return &namespace.Response{ID: id}
+	return done(r, id)
 }
 
 // errAncestorMissing aborts a mkdirs transaction that locked for a leaf and
@@ -88,9 +88,9 @@ var errAncestorMissing = errors.New("core: mkdirs ancestor missing")
 // there: a deep mkdirs takes two rounds. path is canonical: its components
 // are split into a stack buffer, and each directory's path is a prefix of
 // it.
-func (e *Engine) mkdirs(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
+func (e *Engine) mkdirs(tc *trace.Ctx, r *namespace.Reply, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
-		return &namespace.Response{ID: namespace.RootID}
+		return done(r, namespace.RootID)
 	}
 	var split [chainDepth]string // a deeper path spills to the heap
 	comps := namespace.AppendSplit(split[:0], path)
@@ -103,9 +103,9 @@ func (e *Engine) mkdirs(tc *trace.Ctx, path string, race namespace.RequestKey) *
 		dirID, err = e.writeTx(tc, race, run)
 	}
 	if err != nil {
-		return fail(err)
+		return fail(r, err)
 	}
-	return &namespace.Response{ID: dirID}
+	return done(r, dirID)
 }
 
 // mkdirsFrom is one mkdirs transaction for path, split into comps, whose
@@ -198,11 +198,11 @@ func (e *Engine) mkdirsFrom(tc *trace.Ctx, tx store.Tx, path string, comps []str
 }
 
 // del deletes a file or (recursively) a directory, through delTx.
-func (e *Engine) del(tc *trace.Ctx, path string, race namespace.RequestKey) *namespace.Response {
+func (e *Engine) del(tc *trace.Ctx, r *namespace.Reply, path string, race namespace.RequestKey) *namespace.Response {
 	if path == "/" {
-		return fail(namespace.ErrPermission)
+		return fail(r, namespace.ErrPermission)
 	}
-	return e.deleteOrMove(tc, namespace.OpDelete, path, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+	return e.deleteOrMove(tc, r, namespace.OpDelete, path, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
 		return e.delTx(tc, tx, path, root, race.ClientID != "")
 	})
 }
@@ -252,14 +252,14 @@ func lockedTarget(lp store.LockedPath, root namespace.INodeID) (*namespace.INode
 }
 
 // mv renames path to dest, through mvTx.
-func (e *Engine) mv(tc *trace.Ctx, src, dest string, race namespace.RequestKey) *namespace.Response {
+func (e *Engine) mv(tc *trace.Ctx, r *namespace.Reply, src, dest string, race namespace.RequestKey) *namespace.Response {
 	if src == "/" || dest == "/" {
-		return fail(namespace.ErrPermission)
+		return fail(r, namespace.ErrPermission)
 	}
 	if namespace.HasPathPrefix(dest, src) {
-		return fail(namespace.ErrMvIntoSelf)
+		return fail(r, namespace.ErrMvIntoSelf)
 	}
-	return e.deleteOrMove(tc, namespace.OpMv, src, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
+	return e.deleteOrMove(tc, r, namespace.OpMv, src, race, func(tx store.Tx, root namespace.INodeID) (namespace.INodeID, error) {
 		return e.mvTx(tc, tx, src, dest, root, race.ClientID != "")
 	})
 }

@@ -106,7 +106,7 @@ func CloneBlocks(blocks []Block) []Block { return CloneBlocksInto(blocks, nil, n
 // onto the heap, so the copy shares nothing with blocks either way; each
 // slice handed out is clipped, so an append to it never reaches a
 // neighbour's storage. A nil list or location list stays nil. A read reply
-// keeps its copy inside the reply (core's readReply).
+// keeps its copy inside its reply storage (Reply.SetBlocks).
 func CloneBlocksInto(blocks, blockBuf []Block, locBuf []string) []Block {
 	var out []Block
 	if n := len(blocks); n > 0 && n <= len(blockBuf) {

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"fmt"
+	"slices"
 
 	"lambdafs/internal/trace"
 )
@@ -75,6 +76,14 @@ type Request struct {
 	// client re-points it at the transport span before handing the
 	// request to a NameNode, so server-side spans nest correctly.
 	TC *trace.Ctx
+
+	// Reply is the storage the request's reply is written into: memory
+	// the client owns, as a real client decodes a reply off its
+	// connection into its own buffers. A NameNode that serves the request
+	// answers with a Response inside it (a directory's ls excepted, whose
+	// entries need room of their own); nil gives the reply fresh storage.
+	// It is not part of the request on the wire.
+	Reply *Reply
 }
 
 // RequestKey identifies a request across resubmissions.
@@ -87,13 +96,12 @@ type RequestKey struct {
 func (r Request) Key() RequestKey { return RequestKey{r.ClientID, r.Seq} }
 
 // Response is the result of a metadata RPC. It is the caller's: nothing in
-// it is shared with a store row or a cache. The one exception is a
-// resubmitted write (same ClientID/Seq) that a NameNode's result cache
-// answers: its reply is the first execution's Response object itself. A
-// read or stat reply is one object — the Response, the StatInfo Stat points
-// at and, for a read, the block list when it is short — so Stat and Blocks
-// live exactly as long as the Response does. Blocks is a private deep copy
-// of the file's block list, replica locations included (CloneBlocksInto).
+// it is shared with a store row, a cache or another client's reply. A read,
+// stat or write reply lives in its request's Reply, with the StatInfo Stat
+// points at and, for a read, the block list when it is short, so Stat and
+// Blocks live exactly as long as that storage does. Blocks is a private
+// deep copy of the file's block list, replica locations included
+// (CloneBlocksInto).
 type Response struct {
 	Err string // sentinel error text; empty on success (see errors.go)
 
@@ -107,6 +115,20 @@ type Response struct {
 	ServedBy string // NameNode instance ID
 }
 
+// Clone returns a deep copy of r: its StatInfo, entries and block list
+// (replica locations included) are the copy's own, so it outlives the
+// storage r was written into.
+func (r *Response) Clone() *Response {
+	c := *r
+	if r.Stat != nil {
+		stat := *r.Stat
+		c.Stat = &stat
+	}
+	c.Entries = slices.Clone(r.Entries)
+	c.Blocks = CloneBlocks(r.Blocks)
+	return &c
+}
+
 // OK reports whether the operation succeeded.
 func (r *Response) OK() bool { return r.Err == "" }
 
@@ -114,3 +136,47 @@ func (r *Response) OK() bool { return r.Err == "" }
 // success), mapping sentinel texts onto the package's sentinel errors so
 // callers can use errors.Is.
 func (r *Response) Error() error { return FromWire(r.Err) }
+
+// ReplyLocations is the number of replica locations a Reply has room for:
+// the replication factor of the files NameNodes create.
+const ReplyLocations = 3
+
+// Reply is the storage a request's reply is written into
+// (Request.Reply): the Response and room for what it points at — the
+// StatInfo of a read, a stat or an ls of a file, a one-block list with up
+// to ReplyLocations replica locations, and the one entry of an ls of a
+// file. A longer block list spills to the heap. Writing a reply resets
+// everything an earlier reply left in the storage, so a client reuses one
+// Reply call after call.
+type Reply struct {
+	Response
+	stat  StatInfo
+	block [1]Block
+	locs  [ReplyLocations]string
+	entry [1]DirEntry
+}
+
+// Set makes resp the reply and returns it.
+func (r *Reply) Set(resp Response) *Response {
+	r.Response = resp
+	return &r.Response
+}
+
+// SetStat makes the reply n's attributes at path, hit telling whether the
+// NameNode's cache served them, and returns it.
+func (r *Reply) SetStat(n *INode, path string, hit bool) *Response {
+	r.stat = StatOf(n, path)
+	return r.Set(Response{ID: n.ID, Stat: &r.stat, CacheHit: hit})
+}
+
+// SetBlocks points the reply's Blocks at a private copy of blocks, written
+// into the reply's room when it fits.
+func (r *Reply) SetBlocks(blocks []Block) {
+	r.Blocks = CloneBlocksInto(blocks, r.block[:], r.locs[:])
+}
+
+// SetEntry makes e the reply's one entry (an ls of a file).
+func (r *Reply) SetEntry(e DirEntry) {
+	r.entry[0] = e
+	r.Entries = r.entry[:]
+}

@@ -15,13 +15,14 @@ import (
 )
 
 // Client is one λFS client. Clients are cheap; a workload driver creates
-// one per simulated application thread. A Client may be used from a
-// single goroutine (the usual driver pattern); its internals are
-// nevertheless safe against the concurrency hedging and racing introduce.
-// It keeps a free list of racing calls' state (hedged), so a read whose
-// primary answers before the straggler threshold allocates nothing for the
-// race it did not need, and a replaced request's race reuses the state a
-// finished race gave back.
+// one per simulated application thread. A Client serves one caller at a
+// time: a Do that starts while another Do of the same client runs panics.
+// Its internals are nevertheless safe against the concurrency hedging and
+// racing introduce. Every Do takes a call record (call) off the client's
+// free list: the reply storage its racers write into, one per racer, and
+// the state of a race when there is one. A reply a Do returns lives in its
+// record, so it is valid until the client's next Do, and a warm client
+// allocates nothing for a call's state or its reply, raced or not.
 type Client struct {
 	// Tenant, when set before the first Do, tags every request with the
 	// issuing tenant for the engines' admission gate; empty bypasses it.
@@ -39,11 +40,14 @@ type Client struct {
 	tracer *trace.Tracer // nil when tracing is off
 	tel    rpcTelemetry  // instruments are nil when telemetry is off
 
+	busy atomic.Bool // a Do is running
+
 	mu              sync.Mutex
 	rng             *rand.Rand
 	antiThrashUntil time.Time
 	atEngaged       bool          // anti-thrash mode entered and exit not yet emitted
-	freeHedged      []*hedged     // spent hedged calls, for reuse (callTCPHedged)
+	freeCalls       []*call       // ended call records, for reuse (nextCall)
+	held            *call         // the last Do's record, whose reply the caller holds
 	jitter          atomic.Uint64 // splitmix64 state of the TCP latency draws
 
 	stats struct {
@@ -178,7 +182,15 @@ func (c *Client) noteLatency(lat time.Duration) {
 // without retry. A raced delete or mv that finds a directory is declined
 // (namespace.ErrRaceDeclined) and re-issued at once under a fresh Seq,
 // neither raced nor replaced, so the subtree protocol never races.
+//
+// The reply is written into storage of the client's (namespace.Reply) and
+// is valid until the client's next Do. A Do that starts while another Do
+// of the client runs panics: a Client serves one caller at a time.
 func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
+	if !c.busy.CompareAndSwap(false, true) {
+		panic("rpc: client " + c.id + ": Do called while another Do of the client runs; a Client serves one caller at a time")
+	}
+	defer c.busy.Store(false)
 	req := namespace.Request{
 		Op: op, Path: path, Dest: dest, Tenant: c.Tenant,
 		ClientID: c.id, Seq: c.seq.Add(1),
@@ -187,10 +199,12 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 	dep := c.ring.Route(op, path)
 	start := c.vm.clk.Now()
 	c.tel.inflight.Add(1)
-	resp, err := c.attempt(tc, dep, req, true)
+	resp, err := c.attempt(c.nextCall(), tc, dep, req, true)
 	if err == nil && resp.Err == errDeclined {
+		// The declined copy's twin may still be out, writing into the
+		// record: the re-issue takes a record of its own.
 		req.Seq = c.seq.Add(1)
-		resp, err = c.attempt(tc, dep, req, false)
+		resp, err = c.attempt(c.nextCall(), tc, dep, req, false)
 	}
 	c.tel.inflight.Add(-1)
 	if err == nil {
@@ -214,8 +228,11 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 // errDeclined is namespace.ErrRaceDeclined's wire text.
 var errDeclined = namespace.ToWire(namespace.ErrRaceDeclined)
 
-// attempt runs the retry loop; replace allows §3.4's replacement.
-func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request, replace bool) (*namespace.Response, error) {
+// attempt runs the retry loop on call record k; replace allows §3.4's
+// replacement. An attempt starts only once every racer of the one before
+// has answered, so each reuses k.
+func (c *Client) attempt(k *call, tc *trace.Ctx, dep int, req namespace.Request, replace bool) (*namespace.Response, error) {
+	req.Reply = &k.replies[0]
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
@@ -248,7 +265,7 @@ func (c *Client) attempt(tc *trace.Ctx, dep int, req namespace.Request, replace 
 		if conn == nil {
 			resp, err = c.callHTTP(tc, dep, req)
 		} else {
-			resp, err = c.callTCPHedged(tc, dep, conn, req, replaced)
+			resp, err = c.callTCPHedged(k, tc, dep, conn, req, replaced)
 		}
 		if err == nil && req.Raced {
 			err = racedFailure(resp)
@@ -385,19 +402,21 @@ func racedFailure(resp *namespace.Response) error {
 // answer when one fails. A replaced write may race because it is Raced:
 // both copies check its client's result row, so the write runs once and
 // both answer what it did.
-func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
+//
+// The racers run on record k: the primary writes its reply into
+// k.replies[0], the second racer into k.replies[1].
+func (c *Client) callTCPHedged(k *call, tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
 	hedge := !req.Op.IsWrite() && c.window.Len() >= latencyWindow/2
 	if !hedge && !race {
 		return c.tcpWithFailover(tc, dep, conn, req)
 	}
-	h := c.getHedged()
-	h.tc, h.dep, h.conn, h.req, h.race = tc, dep, conn, req, race
-	h.out, h.waiting = 1, true
-	clock.Go(c.vm.clk, h.primary)
+	k.tc, k.dep, k.conn, k.req, k.race = tc, dep, conn, req, race
+	k.out, k.sent, k.waiting = 1, 0, true
+	clock.Go(c.vm.clk, k.primary)
 	if !race {
 		threshold := max(time.Duration(stragglerThreshold*float64(c.window.Mean())), stragglerFloor)
-		if primary, ok := h.results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
-			h.settle(1)
+		if primary, ok := k.results.RecvBy(clock.DeadlineIn(c.vm.clk, threshold)); ok {
+			k.settle(1)
 			return primary.resp, primary.err
 		}
 		c.stats.hedges.Add(1)
@@ -409,23 +428,29 @@ func (c *Client) callTCPHedged(tc *trace.Ctx, dep int, conn *Conn, req namespace
 		})
 	}
 	c.mu.Lock()
-	h.out++
+	k.out++
 	c.mu.Unlock()
-	clock.Go(c.vm.clk, h.hedge)
-	return h.wait(2)
+	clock.Go(c.vm.clk, k.hedge)
+	return k.wait(2)
 }
 
-// hedged is one racing call's state: the mailbox the racers answer on and
-// what they send. Racers answer only while the caller waits; the caller,
-// once it has its answer, drains what was sent and not taken. Whichever of
-// the caller and the racers finishes last gives the state back to the
-// client's free list, so a loser still out keeps it from reuse, and its
-// late answer can never reach a later call. All counts are guarded by c.mu.
-type hedged struct {
+// call is one Do's record: the reply storage of its racers, one per racer,
+// and the state of a race, when the call has one: the mailbox the racers
+// answer on and what they send. Racers answer only while the caller waits;
+// the caller, once it has its answer, drains what was sent and not taken.
+// The record goes back to the client's free list once the caller's hold on
+// its reply ends, when the client's next Do starts (nextCall), and every
+// racer has finished, whichever comes last: a loser still out keeps it from
+// reuse, so its late reply can never reach a later call or the storage of
+// a reply the caller holds. All counts are guarded by c.mu.
+type call struct {
 	c       *Client
 	results *clock.Mailbox[hedgeResult]
 	// The racers, bound once: the TCP primary and the second racer.
 	primary, hedge func()
+	// replies is the storage the racers write into: the primary's (and a
+	// call's with no race) first, the second racer's after it.
+	replies [2]namespace.Reply
 
 	tc   *trace.Ctx
 	dep  int
@@ -443,55 +468,56 @@ type hedgeResult struct {
 	err  error
 }
 
-func (h *hedged) callPrimary() { h.finish(h.c.tcpWithFailover(h.tc, h.dep, h.conn, h.req)) }
+func (k *call) callPrimary() { k.finish(k.c.tcpWithFailover(k.tc, k.dep, k.conn, k.req)) }
 
 // callHedge runs the second racer: a replaced request's invocation, or a
 // straggler's hedge on a different instance, falling back to HTTP.
-func (h *hedged) callHedge() {
-	c := h.c
-	if !h.race {
-		if alt, _ := c.vm.findConn(h.dep, c.tcp, h.conn); alt != nil {
-			h.finish(c.callTCP(h.tc, alt, h.req))
+func (k *call) callHedge() {
+	c := k.c
+	req := k.req
+	req.Reply = &k.replies[1]
+	if !k.race {
+		if alt, _ := c.vm.findConn(k.dep, c.tcp, k.conn); alt != nil {
+			k.finish(c.callTCP(k.tc, alt, req))
 			return
 		}
 	}
-	h.finish(c.callHTTP(h.tc, h.dep, h.req))
+	k.finish(c.callHTTP(k.tc, k.dep, req))
 }
 
 // finish ends one racer: it answers if the caller still waits, and frees
-// the state if it is the last one out.
-func (h *hedged) finish(resp *namespace.Response, err error) {
-	c := h.c
+// the record if it is the last one out and the caller's hold has ended.
+func (k *call) finish(resp *namespace.Response, err error) {
+	c := k.c
 	c.mu.Lock()
-	h.out--
-	if h.waiting {
-		h.sent++
-		h.results.Send(hedgeResult{resp, err})
+	defer c.mu.Unlock()
+	k.out--
+	if k.waiting {
+		k.sent++
+		k.results.Send(hedgeResult{resp, err})
 	}
-	free := h.out == 0 && !h.waiting
-	c.mu.Unlock()
-	if free {
-		c.putHedged(h)
+	if k.out == 0 && c.held != k {
+		c.freeLocked(k)
 	}
 }
 
 // wait takes the answers of n racers until one succeeds, or all failed and
 // the gravest failure, the first of its rank, is returned (raceRank).
-func (h *hedged) wait(n int) (*namespace.Response, error) {
+func (k *call) wait(n int) (*namespace.Response, error) {
 	var failed hedgeResult
 	worst := -1
 	for got := 1; got <= n; got++ {
-		r := h.results.Recv()
-		rank := h.raceRank(r)
+		r := k.results.Recv()
+		rank := k.raceRank(r)
 		if rank == 0 {
-			h.settle(got)
+			k.settle(got)
 			return r.resp, nil
 		}
 		if rank > worst {
 			failed, worst = r, rank
 		}
 	}
-	h.settle(n)
+	k.settle(n)
 	return failed.resp, failed.err
 }
 
@@ -499,11 +525,11 @@ func (h *hedged) wait(n int) (*namespace.Response, error) {
 // reply that is neither a success nor an outcome (namespace.IsOutcome),
 // whose racer ran nothing, so the other racer's answer is awaited; 2 a
 // transport failure, whose racer may have run the write.
-func (h *hedged) raceRank(r hedgeResult) int {
+func (k *call) raceRank(r hedgeResult) int {
 	switch {
 	case r.err != nil:
 		return 2
-	case h.req.Raced && r.resp.Err != "" && !namespace.IsOutcome(r.resp.Error()):
+	case k.req.Raced && r.resp.Err != "" && !namespace.IsOutcome(r.resp.Error()):
 		return 1
 	}
 	return 0
@@ -511,42 +537,44 @@ func (h *hedged) raceRank(r hedgeResult) int {
 
 // settle ends the caller's wait after it took got answers: the answers
 // sent and not taken are queued on the mailbox, so draining them does not
-// park.
-func (h *hedged) settle(got int) {
-	c := h.c
+// park. The record stays the caller's: its reply is still held.
+func (k *call) settle(got int) {
+	c := k.c
 	c.mu.Lock()
-	h.waiting = false
-	unread := h.sent - got
-	free := h.out == 0
+	k.waiting = false
+	unread := k.sent - got
 	c.mu.Unlock()
 	for ; unread > 0; unread-- {
-		h.results.Recv()
-	}
-	if free {
-		c.putHedged(h)
+		k.results.Recv()
 	}
 }
 
-// getHedged returns a spent hedged call of c's, or a new one.
-func (c *Client) getHedged() *hedged {
+// nextCall ends the caller's hold on the last call's reply, freeing its
+// record unless a racer is still out, and returns a record for the next
+// call: an ended one of c's, or a new one.
+func (c *Client) nextCall() *call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.freeHedged); n > 0 {
-		h := c.freeHedged[n-1]
-		c.freeHedged = c.freeHedged[:n-1]
-		return h
+	if k := c.held; k != nil && k.out == 0 {
+		c.freeLocked(k)
 	}
-	h := &hedged{c: c, results: clock.NewMailbox[hedgeResult](c.vm.clk)}
-	h.primary, h.hedge = h.callPrimary, h.callHedge
-	return h
+	var k *call
+	if n := len(c.freeCalls); n > 0 {
+		k = c.freeCalls[n-1]
+		c.freeCalls = c.freeCalls[:n-1]
+	} else {
+		k = &call{c: c, results: clock.NewMailbox[hedgeResult](c.vm.clk)}
+		k.primary, k.hedge = k.callPrimary, k.callHedge
+	}
+	c.held = k
+	return k
 }
 
-// putHedged gives back a call that neither the caller nor a racer holds.
-func (c *Client) putHedged(h *hedged) {
-	h.tc, h.dep, h.conn, h.req, h.sent = nil, 0, nil, namespace.Request{}, 0
-	c.mu.Lock()
-	c.freeHedged = append(c.freeHedged, h)
-	c.mu.Unlock()
+// freeLocked gives back a record that neither the caller nor a racer
+// holds. Caller holds c.mu.
+func (c *Client) freeLocked(k *call) {
+	k.tc, k.dep, k.conn, k.req = nil, 0, nil, namespace.Request{}
+	c.freeCalls = append(c.freeCalls, k)
 }
 
 // tcpWithFailover runs one TCP RPC, failing over across the VM's other

@@ -19,7 +19,8 @@ import (
 // testNN is a minimal NameNode: it implements faas.App for the HTTP path
 // and Server for the TCP path, and connects back to the client's TCP
 // server exactly like the real NameNode does. Its response's ID is the
-// request's Seq, so a test can tell whose response a call got.
+// request's Seq, so a test can tell whose response a call got, and it is
+// written into the request's reply storage, as the engine writes it.
 type testNN struct {
 	inst  *faas.Instance
 	st    *testStore
@@ -46,7 +47,17 @@ func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 	if n.block != nil && req.Op == namespace.OpRead && n.used.CompareAndSwap(false, true) {
 		n.block.Wait()
 	}
-	return &namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: n.inst.ID()}
+	return replyTo(req, namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: n.inst.ID()})
+}
+
+// replyTo writes resp into req's reply storage and returns it; a request
+// without storage gets fresh storage.
+func replyTo(req namespace.Request, resp namespace.Response) *namespace.Response {
+	r := req.Reply
+	if r == nil {
+		r = new(namespace.Reply)
+	}
+	return r.Set(resp)
 }
 
 func (n *testNN) HandleInvoke(payload any) any {
@@ -82,7 +93,7 @@ type testStore struct {
 }
 
 func (s *testStore) write(req namespace.Request, servedBy string) *namespace.Response {
-	resp := &namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: servedBy}
+	resp := replyTo(req, namespace.Response{ID: namespace.INodeID(req.Seq), ServedBy: servedBy})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fail != "" {
@@ -706,8 +717,8 @@ func TestHedgedReadLeavesNoDeadlineBehind(t *testing.T) {
 	}
 }
 
-// TestHedgedCallReuseSkipsAbandonedPrimary: a client reuses a hedged call's
-// state only when its primary answered in time. Here one read straggles
+// TestHedgedCallReuseSkipsAbandonedPrimary: a client reuses a call record
+// only once every racer of it has finished. Here one read straggles
 // past the threshold (its primary delayed through OnTCPFault), its hedge
 // answers, and 50 fast reads follow on the same client while the abandoned
 // primary is still out: its late response lands mid-sequence, and it must

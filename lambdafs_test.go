@@ -3,13 +3,16 @@ package lambdafs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/datanode"
+	"lambdafs/internal/namespace"
 	"lambdafs/internal/simtest"
 	"lambdafs/internal/telemetry"
 )
@@ -374,4 +377,95 @@ func TestQuiescentClusterStandsStill(t *testing.T) {
 	c.Close()
 	scraper.Stop()
 	dn.Stop()
+}
+
+// What a Client's List and Open return is the caller's: the rpc client
+// under it writes every reply into storage it reuses, so the public client
+// hands out copies, which later calls on the same client leave unchanged.
+// The held results cover an ls of a directory, an ls of a file (its entry)
+// and an open (its block list, replica locations included).
+func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
+	c := newTestCluster(t, quickConfig())
+	dn := datanode.New(c.Clock(), c.Store(), "dn1", time.Second) // so files get a block
+	dn.Start()
+	c.Run(func() { c.Clock().Sleep(2 * time.Second) })
+	cl := c.NewClient("holder")
+	for _, p := range []string{"/keep/a", "/keep/b", "/other/x", "/other/y"} {
+		if err := cl.MkdirAll(namespace.ParentPath(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Create(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir, err := cl.List("/keep")
+	if err != nil || len(dir) != 2 {
+		t.Fatalf("list /keep: %v %v", dir, err)
+	}
+	file, err := cl.List("/keep/a")
+	if err != nil || len(file) != 1 {
+		t.Fatalf("list /keep/a: %v %v", file, err)
+	}
+	_, blocks, err := cl.Open("/keep/a")
+	if err != nil || len(blocks) != 1 || len(blocks[0].Locations) == 0 {
+		t.Fatalf("open /keep/a: %v %v, want one block with its locations", blocks, err)
+	}
+	wantDir, wantFile := slices.Clone(dir), slices.Clone(file)
+	wantBlocks := namespace.CloneBlocks(blocks)
+	for range 4 {
+		for _, p := range []string{"/other/x", "/other/y", "/keep/b"} {
+			if _, err := cl.List(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cl.Open(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.List("/other"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(dir, wantDir) || !slices.Equal(file, wantFile) || !reflect.DeepEqual(blocks, wantBlocks) {
+		t.Errorf("held results changed across later calls: ls /keep %v (was %v), ls /keep/a %v (was %v), blocks %v (was %v)",
+			dir, wantDir, file, wantFile, blocks, wantBlocks)
+	}
+	c.Close()
+	dn.Stop()
+}
+
+// A Client is safe for concurrent use: goroutines sharing one take turns on
+// the rpc client inside it, which serves one caller at a time.
+func TestSharedClientTakesTurns(t *testing.T) {
+	c := newTestCluster(t, quickConfig())
+	cl := c.NewClient("shared")
+	if err := cl.MkdirAll("/shared"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				p := fmt.Sprintf("/shared/w%d-%d", w, i)
+				if err := cl.Create(p); err != nil {
+					errs <- err
+					return
+				}
+				if info, err := cl.Stat(p); err != nil || info.Path != p {
+					errs <- fmt.Errorf("stat %s: %+v %v", p, info, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if entries, err := cl.List("/shared"); err != nil || len(entries) != 20 {
+		t.Fatalf("list /shared: %d entries, %v", len(entries), err)
+	}
 }
