@@ -60,15 +60,58 @@ func TestDoAllocs(t *testing.T) {
 		}
 		create := func() { do(namespace.OpCreate, "/d/g") }
 		remove := func() { do(namespace.OpDelete, "/d/g") }
-		if got := allocsBetween(remove, create); got != 2 {
+		// The mean keeps its fraction, and a stray runtime allocation
+		// lands in about one run of a thousand, so the pin allows a tenth of
+		// an object over the count: half an object per call still fails it.
+		if got := allocsBetween(remove, create); got < 2 || got > 2.1 {
 			t.Errorf("a create through rpc.Client.Do: %v allocs, want 2 (its row and its parent's new version)", got)
+		}
+	})
+}
+
+// TestClientAllocs pins the public client's typed calls on a warm cluster,
+// from a registered goroutine: each allocates its turn's closure and the
+// one object holding its results, and copies out only what it returns — a
+// stat and an open (no DataNode runs, so the file has no blocks) nothing
+// more, an ls of a file its one entry. (Not under -race: the detector
+// allocates.)
+func TestClientAllocs(t *testing.T) {
+	cfg := quickConfig()
+	cfg.RPC.HTTPReplaceProb = 0
+	c := newTestCluster(t, cfg)
+	cl := c.NewClient("typed")
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(func() {
+		must(cl.MkdirAll("/d"))
+		must(cl.Create("/d/f"))
+		stat := func() { _, err := cl.Stat("/d/f"); must(err) }
+		open := func() { _, _, err := cl.Open("/d/f"); must(err) }
+		list := func() { _, err := cl.List("/d/f"); must(err) }
+		for range 64 { // as in TestDoAllocs
+			stat()
+			open()
+			list()
+		}
+		for _, pin := range []struct {
+			what string
+			op   func()
+			want float64
+		}{{"Stat", stat, 2}, {"Open", open, 2}, {"List of a file", list, 3}} {
+			if got := testing.AllocsPerRun(100, pin.op); got != pin.want {
+				t.Errorf("a cache-hit %s through lambdafs.Client: %v allocs, want %v", pin.what, got, pin.want)
+			}
 		}
 	})
 }
 
 // allocsBetween is the mean count of objects op allocates over 100 runs,
 // each after an uncounted prep, on one P; the first run warms up,
-// uncounted too.
+// uncounted too. Unlike testing.AllocsPerRun, the mean keeps its fraction,
+// so an object allocated every other run shows.
 func allocsBetween(prep, op func()) float64 {
 	const runs = 100
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -83,5 +126,5 @@ func allocsBetween(prep, op func()) float64 {
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - before
 	}
-	return float64(mallocs / runs)
+	return float64(mallocs) / runs
 }

@@ -2,6 +2,7 @@ package lambdafs
 
 import (
 	"fmt"
+	"slices"
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/namespace"
@@ -57,69 +58,84 @@ func (c *Cluster) NewClientOnVM(vm *rpc.VM, id string) *Client {
 	return cl
 }
 
-func (cl *Client) do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
-	resp, err := cl.Do(op, path, dest)
-	if err != nil {
-		return nil, err
+// call runs op through the inner client in the caller's turn and returns
+// keep's copy of what the caller keeps of a successful reply, taken before
+// the turn passes on: the reply itself lives in the inner client's storage,
+// valid only until its next Do. A failed reply is its error; a nil keep
+// keeps nothing.
+func call[T any](cl *Client, op namespace.OpType, path, dest string, keep func(*namespace.Response) T) (T, error) {
+	var res struct { // one object for both results
+		out T
+		err error
 	}
-	if !resp.OK() {
-		return nil, resp.Error()
-	}
-	return resp, nil
+	clock.Run(cl.clk, func() {
+		cl.turn.Recv()
+		defer cl.turn.Send(struct{}{})
+		resp, err := cl.inner.Do(op, path, dest)
+		if err == nil {
+			err = resp.Error()
+		}
+		if res.err = err; err == nil && keep != nil {
+			res.out = keep(resp)
+		}
+	})
+	return res.out, res.err
 }
 
 // Create makes a new empty file.
 func (cl *Client) Create(path string) error {
-	_, err := cl.do(namespace.OpCreate, path, "")
+	_, err := call[struct{}](cl, namespace.OpCreate, path, "", nil)
 	return err
 }
 
 // MkdirAll creates a directory and any missing ancestors; creating an
 // existing directory succeeds.
 func (cl *Client) MkdirAll(path string) error {
-	_, err := cl.do(namespace.OpMkdirs, path, "")
+	_, err := call[struct{}](cl, namespace.OpMkdirs, path, "", nil)
 	return err
 }
 
 // Stat returns the attributes of a file or directory.
 func (cl *Client) Stat(path string) (FileInfo, error) {
-	resp, err := cl.do(namespace.OpStat, path, "")
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return *resp.Stat, nil
+	return call(cl, namespace.OpStat, path, "", statOf)
 }
+
+func statOf(resp *namespace.Response) FileInfo { return *resp.Stat }
 
 // Open resolves a file and returns its attributes and block locations
 // (the HDFS open/getBlockLocations read path).
 func (cl *Client) Open(path string) (FileInfo, []Block, error) {
-	resp, err := cl.do(namespace.OpRead, path, "")
-	if err != nil {
-		return FileInfo{}, nil, err
-	}
-	return *resp.Stat, resp.Blocks, nil // Do's copy: the caller's own
+	o, err := call(cl, namespace.OpRead, path, "", openOf)
+	return o.info, o.blocks, err
+}
+
+type opened struct {
+	info   FileInfo
+	blocks []Block
+}
+
+func openOf(resp *namespace.Response) opened {
+	return opened{*resp.Stat, namespace.CloneBlocks(resp.Blocks)}
 }
 
 // List returns the entries of a directory (or the file itself for a file
 // path, HDFS-style).
 func (cl *Client) List(path string) ([]DirEntry, error) {
-	resp, err := cl.do(namespace.OpLs, path, "")
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil // Do's copy: the caller's own
+	return call(cl, namespace.OpLs, path, "", entriesOf)
 }
+
+func entriesOf(resp *namespace.Response) []DirEntry { return slices.Clone(resp.Entries) }
 
 // Rename moves a file or directory; directory moves run the subtree
 // protocol (Appendix D).
 func (cl *Client) Rename(src, dest string) error {
-	_, err := cl.do(namespace.OpMv, src, dest)
+	_, err := call[struct{}](cl, namespace.OpMv, src, dest, nil)
 	return err
 }
 
 // Remove deletes a file, or a directory recursively.
 func (cl *Client) Remove(path string) error {
-	_, err := cl.do(namespace.OpDelete, path, "")
+	_, err := call[struct{}](cl, namespace.OpDelete, path, "", nil)
 	return err
 }
 
@@ -127,7 +143,8 @@ func (cl *Client) Remove(path string) error {
 // The operation is shuttled into a simulation-registered goroutine, so
 // applications may call it from anywhere; concurrent calls take turns. The
 // reply is a copy of the one the client received (namespace.Response.Clone),
-// so it stays the caller's across later calls.
+// so it stays the caller's across later calls. A failed operation is a
+// reply with its Err set, not an error.
 func (cl *Client) Do(op namespace.OpType, path, dest string) (resp *namespace.Response, err error) {
 	clock.Run(cl.clk, func() {
 		cl.turn.Recv()

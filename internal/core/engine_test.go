@@ -712,8 +712,12 @@ func TestResultCacheKeepsEachClientsLatestReply(t *testing.T) {
 		// A stale Seq re-executes (here: a create that now succeeds) and
 		// does not displace the newer reply.
 		newest := create("c", 100, "/seq100")
-		if r := create("c", 3, "/stale"); !r.OK() || r == newest {
+		hits := e.tel.resultHits.Value()
+		if r := create("c", 3, "/stale"); !r.OK() || sameReply(r, newest) {
 			t.Fatalf("stale resubmission: %+v, want a fresh execution", r)
+		}
+		if got := e.tel.resultHits.Value(); got != hits {
+			t.Fatalf("the stale resubmission hit the result cache (%v hits, want %v)", got, hits)
 		}
 		if r := create("c", 100, "/seq100"); !sameReply(r, newest) {
 			t.Fatalf("after a stale resubmission the newest reply is %+v, want %+v", r, newest)

@@ -382,8 +382,9 @@ func TestQuiescentClusterStandsStill(t *testing.T) {
 // What a Client's List and Open return is the caller's: the rpc client
 // under it writes every reply into storage it reuses, so the public client
 // hands out copies, which later calls on the same client leave unchanged.
-// The held results cover an ls of a directory, an ls of a file (its entry)
-// and an open (its block list, replica locations included).
+// The held results cover an ls of a directory, an ls of a file (its entry),
+// an open (its block list, replica locations included) and a raw Do's read
+// reply (its StatInfo and block list).
 func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
 	c := newTestCluster(t, quickConfig())
 	dn := datanode.New(c.Clock(), c.Store(), "dn1", time.Second) // so files get a block
@@ -410,8 +411,12 @@ func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
 	if err != nil || len(blocks) != 1 || len(blocks[0].Locations) == 0 {
 		t.Fatalf("open /keep/a: %v %v, want one block with its locations", blocks, err)
 	}
+	raw, err := cl.Do(namespace.OpRead, "/keep/a", "")
+	if err != nil || !raw.OK() || len(raw.Blocks) != 1 {
+		t.Fatalf("Do read /keep/a: %+v %v, want one block", raw, err)
+	}
 	wantDir, wantFile := slices.Clone(dir), slices.Clone(file)
-	wantBlocks := namespace.CloneBlocks(blocks)
+	wantBlocks, wantRaw := namespace.CloneBlocks(blocks), raw.Clone()
 	for range 4 {
 		for _, p := range []string{"/other/x", "/other/y", "/keep/b"} {
 			if _, err := cl.List(p); err != nil {
@@ -424,6 +429,12 @@ func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
 		if _, err := cl.List("/other"); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := cl.Do(namespace.OpRead, "/keep/b", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(raw, wantRaw) {
+		t.Errorf("a held Do reply changed across later calls: %+v (was %+v)", raw, wantRaw)
 	}
 	if !slices.Equal(dir, wantDir) || !slices.Equal(file, wantFile) || !reflect.DeepEqual(blocks, wantBlocks) {
 		t.Errorf("held results changed across later calls: ls /keep %v (was %v), ls /keep/a %v (was %v), blocks %v (was %v)",
