@@ -5,7 +5,9 @@ package lambdafs
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"lambdafs/internal/datanode"
 	"lambdafs/internal/namespace"
 )
 
@@ -14,7 +16,8 @@ import (
 // record holds the reply storage the NameNode writes into, the chain is on
 // the engine's stack and every clock wait reuses a parked waiter. A create
 // allocates its rows alone: the file's row and its parent's new version
-// (the cluster runs no DataNode, so the file gets no block list). Replacement
+// while no DataNode is published, and its block list and replica locations
+// besides once one is. Replacement
 // is off: a replaced call boxes its invocation's payload. (Not under -race:
 // the detector allocates.)
 func TestDoAllocs(t *testing.T) {
@@ -65,6 +68,29 @@ func TestDoAllocs(t *testing.T) {
 		// an object over the count: half an object per call still fails it.
 		if got := allocsBetween(remove, create); got < 2 || got > 2.1 {
 			t.Errorf("a create through rpc.Client.Do: %v allocs, want 2 (its row and its parent's new version)", got)
+		}
+
+		// With one DataNode published, the file gets a block: its block
+		// list and its replica locations are two objects more, and the
+		// NameNode's DataNode view picks the locations from its reports in
+		// place. The sleep outlasts the view's 10 s TTL, so the next
+		// create refreshes it.
+		if err := datanode.New(c.Clock(), c.Store(), "dn1", time.Second).Publish(); err != nil {
+			t.Fatal(err)
+		}
+		c.Clock().Sleep(11 * time.Second)
+		for range 64 {
+			read()
+			stat()
+		}
+		remove()
+		create()
+		if n := do(namespace.OpRead, "/d/g"); len(n.Blocks) != 1 {
+			t.Fatalf("a create with a DataNode published made %d blocks, want 1", len(n.Blocks))
+		}
+		remove()
+		if got := allocsBetween(remove, create); got < 4 || got > 4.1 {
+			t.Errorf("a create with a DataNode published: %v allocs, want 4 (its row, its block list and locations, and its parent's new version)", got)
 		}
 	})
 }

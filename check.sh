@@ -83,7 +83,7 @@ go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s
 
-echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame; bounded) =="
+echo "== fuzz (ndb WAL: arbitrary bytes after a valid log recover the committed prefix, frameLSN agrees with decodeFrame, and the row table stays within its footprint bound whatever row IDs a record names — no more pages or far rows than rows, a directory at most rowDirSlack pages past the most rows held; bounded) =="
 go test ./internal/ndb/ -run '^$' -fuzz FuzzWALRecover -fuzztime 10s
 
 echo "== fuzz (ndb row codec: arbitrary bytes never panic walReader.inode, appendINode round-trips through it, inodeSize is the appended length; bounded) =="

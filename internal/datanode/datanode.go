@@ -181,18 +181,27 @@ func NewView(clk *clock.Sim, st store.Store, owner string, ttl time.Duration, re
 	return &View{clk: clk, st: st, owner: owner, ttl: ttl, replica: replication}
 }
 
-// Live returns the known DataNode reports, refreshing when stale.
+// Live returns a copy of the known DataNode reports, refreshing when stale.
 func (v *View) Live() []Report {
+	v.refresh()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return append([]Report(nil), v.reports...)
+}
+
+// refresh re-reads the reports from the store when they are stale and no
+// other caller is re-reading them already; the others serve the stale view
+// meanwhile.
+func (v *View) refresh() {
 	v.mu.Lock()
 	stale := v.reports == nil || v.clk.Since(v.refreshed) > v.ttl
 	doRefresh := stale && !v.refreshing
 	if doRefresh {
 		v.refreshing = true
 	}
-	out := append([]Report(nil), v.reports...)
 	v.mu.Unlock()
 	if !doRefresh {
-		return out
+		return
 	}
 	reports, err := Discover(v.clk, v.st, v.owner, 0)
 	v.mu.Lock()
@@ -204,17 +213,17 @@ func (v *View) Live() []Report {
 		v.reports = reports
 		v.refreshed = v.clk.Now()
 	}
-	out = append([]Report(nil), v.reports...)
 	v.mu.Unlock()
-	return out
 }
 
 // PickLocations chooses replica targets for a new block, round-robin over
-// live DataNodes ("" slice when none are known).
+// live DataNodes ("" slice when none are known). It reads the reports in
+// place, under the view's lock: only the targets are copied out.
 func (v *View) PickLocations() []string {
-	live := v.Live()
+	v.refresh()
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	live := v.reports
 	if len(live) == 0 {
 		return nil
 	}

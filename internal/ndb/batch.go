@@ -124,7 +124,7 @@ func (db *DB) chainLocked(comps []string, perShard []int) ([]*namespace.INode, e
 			perShard[db.shardFor(k)]++
 		}
 	}
-	cur := db.inodes[namespace.RootID]
+	cur := db.inodes.get(namespace.RootID)
 	chain := make([]*namespace.INode, 1, len(comps)+1)
 	chain[0] = cur
 	count(inodeKey(cur.ID))
@@ -134,7 +134,7 @@ func (db *DB) chainLocked(comps []string, perShard []int) ([]*namespace.INode, e
 			count(childKey(cur.ID, c)) // the multi-get still probes the missing (parent, name) slot
 			return chain, namespace.ErrNotFound
 		}
-		if cur = db.inodes[id]; cur == nil {
+		if cur = db.inodes.get(id); cur == nil {
 			return chain, namespace.ErrNotFound
 		}
 		count(inodeKey(id))

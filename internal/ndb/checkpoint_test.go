@@ -25,10 +25,10 @@ func fullSnapshot(db *DB) []map[string][]byte {
 	for s := range out {
 		out[s] = make(map[string][]byte)
 	}
-	for id, n := range db.inodes {
-		k := inodeKey(id)
+	db.inodes.each(func(n *namespace.INode) {
+		k := inodeKey(n.ID)
 		out[db.shardFor(k)][k.String()] = append([]byte{ckptTagINode}, appendINode(nil, n)...)
-	}
+	})
 	for table, m := range db.kv {
 		for key, val := range m {
 			k := kvKey(table, key)
@@ -128,6 +128,71 @@ func TestDirtyCheckpointRoundAdvances(t *testing.T) {
 			}
 			if got, want := puts()-putsBefore, uint64(n+db.dur.Shards()); got != want {
 				t.Errorf("round of %d dirty rows put %d rows, want %d (and a metadata row per shard)", n, got, want)
+			}
+		}
+	})
+}
+
+// Preload writes its rows into the round it runs and marks none dirty:
+// each row once, beside its shard's dirty rows (the root, and a committed
+// row it replaces by ID). A shard whose round is lost gets its rows dirty
+// again, like any round's, and the next round leaves every store holding
+// the full snapshot.
+func TestPreloadRound(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		d := NewDurable(clk, 4, zeroLSM())
+		cfg := durableCfg(d)
+		lost := -1
+		cfg.OnCheckpoint = func(s int) bool { return s != lost }
+		db := New(clk, cfg)
+		replaced := addFile(t, db, namespace.RootID, "committed")
+		nodes := []*namespace.INode{{ID: replaced, ParentID: namespace.RootID, Name: "replaced"}}
+		for i := range 64 {
+			nodes = append(nodes, &namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: fmt.Sprintf("p%d", i)})
+		}
+		rows := make([]int, d.Shards()) // each shard's rows: the root and nodes
+		for _, id := range append([]namespace.INodeID{namespace.RootID}, replaced) {
+			rows[db.shardFor(inodeKey(id))]++
+		}
+		for _, n := range nodes[1:] {
+			rows[db.shardFor(inodeKey(n.ID))]++
+		}
+		puts := make([]uint64, d.Shards())
+		for s, ck := range d.ckpts {
+			puts[s] = ck.Stats().Puts
+		}
+
+		lost = (db.shardFor(inodeKey(replaced)) + 1) % d.Shards() // not the replaced row's
+		db.Preload(nodes)
+		full := fullSnapshot(db)
+		for s, ck := range d.ckpts {
+			got := ck.Stats().Puts - puts[s]
+			if s == lost {
+				if got != 0 || len(db.dirty[s].inodes) != rows[s] {
+					t.Errorf("shard %d's lost round put %d rows and left %d dirty, want 0 and %d", s, got, len(db.dirty[s].inodes), rows[s])
+				}
+				continue
+			}
+			if want := uint64(rows[s] + 1); got != want {
+				t.Errorf("shard %d's round put %d rows, want %d (each row once and the metadata)", s, got, want)
+			}
+			if len(db.dirty[s].inodes) != 0 {
+				t.Errorf("shard %d left %d rows dirty after its round", s, len(db.dirty[s].inodes))
+			}
+			snap := ck.Scan("")
+			delete(snap, ckptMetaKey)
+			if !maps.EqualFunc(snap, full[s], bytes.Equal) {
+				t.Errorf("shard %d after the preload round != full snapshot: %q", s, diffRows(snap, full[s]))
+			}
+		}
+
+		lost = -1
+		db.Checkpoint()
+		for s, ck := range d.ckpts {
+			snap := ck.Scan("")
+			delete(snap, ckptMetaKey)
+			if !maps.EqualFunc(snap, full[s], bytes.Equal) {
+				t.Errorf("shard %d after the next round != full snapshot: %q", s, diffRows(snap, full[s]))
 			}
 		}
 	})
@@ -280,10 +345,14 @@ func diffRows(got, want map[string][]byte) []string {
 // with, and where the tail continues it with nothing (or starts with the
 // sixth committed record) the state is that committed prefix's. Wherever
 // decodeFrame accepts a frame in the tail, frameLSN reads the same LSN and
-// size. The seed corpus, testdata/fuzz/FuzzWALRecover, is the torn-tail
-// sweep's cuts of the sixth record plus stale and corrupt frames, and the
-// sixth record followed by a seventh whose one op is a KV put of a client's
-// result row (table "results", the engine's raced-write record).
+// size. Whatever row IDs the replayed records name, the row table stays
+// within its footprint bound (checkRowBound). The seed corpus,
+// testdata/fuzz/FuzzWALRecover, is the torn-tail sweep's cuts of the sixth
+// record plus stale and corrupt frames, the sixth record followed by a
+// seventh whose one op is a KV put of a client's result row (table
+// "results", the engine's raced-write record), and a sixth record putting
+// a row of ID 2^63 (seed19) or of ID 2^32, past the record's ID high-water
+// mark (seed20).
 func FuzzWALRecover(f *testing.F) {
 	const n = 6
 	var log []byte
@@ -338,6 +407,9 @@ func FuzzWALRecover(f *testing.F) {
 			}
 			if rs.LastLSN != want {
 				t.Fatalf("recovered to LSN %d, want %d (stats %+v)", rs.LastLSN, want, rs)
+			}
+			if err := checkRowBound(&db.inodes); err != nil {
+				t.Fatal(err)
 			}
 			if want == n-1 || (want == n && bytes.HasPrefix(tail, last)) {
 				if got := stateDigest(db); got != digests[want] {

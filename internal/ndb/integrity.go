@@ -29,14 +29,14 @@ func (db *DB) CheckIntegrity() []string {
 	defer db.mu.RUnlock()
 
 	var bad []string
-	if db.inodes[namespace.RootID] == nil {
+	if db.inodes.get(namespace.RootID) == nil {
 		return []string{"root inode missing"}
 	}
 
 	// Child entries: chunk shape, order, dangling references and misfiled
 	// slots.
 	for parent, kids := range db.children {
-		if db.inodes[parent] == nil {
+		if db.inodes.get(parent) == nil {
 			if n := kids.Len(); n > 0 {
 				bad = append(bad, fmt.Sprintf("child list for missing inode %d holds %d entries", parent, n))
 			}
@@ -54,7 +54,7 @@ func (db *DB) CheckIntegrity() []string {
 						parent, prev.Name, e.Name))
 				}
 				prev = e
-				n := db.inodes[e.Val]
+				n := db.inodes.get(e.Val)
 				if n == nil {
 					bad = append(bad, fmt.Sprintf("dangling child entry %d/%q -> missing inode %d", parent, e.Name, e.Val))
 				} else if n.ParentID != parent || n.Name != e.Name {
@@ -66,7 +66,7 @@ func (db *DB) CheckIntegrity() []string {
 	}
 
 	// Reachability from the root (orphan detection).
-	reached := make(map[namespace.INodeID]bool, len(db.inodes))
+	reached := make(map[namespace.INodeID]bool, db.inodes.len())
 	queue := []namespace.INodeID{namespace.RootID}
 	reached[namespace.RootID] = true
 	for len(queue) > 0 {
@@ -74,32 +74,31 @@ func (db *DB) CheckIntegrity() []string {
 		queue = queue[1:]
 		for _, c := range db.children[id] {
 			for _, e := range c {
-				if !reached[e.Val] && db.inodes[e.Val] != nil {
+				if !reached[e.Val] && db.inodes.get(e.Val) != nil {
 					reached[e.Val] = true
 					queue = append(queue, e.Val)
 				}
 			}
 		}
 	}
-	for id, n := range db.inodes {
-		if reached[id] {
-			continue
+	db.inodes.each(func(n *namespace.INode) {
+		if !reached[n.ID] {
+			bad = append(bad, fmt.Sprintf("orphaned inode %d (name=%q parent=%d)", n.ID, n.Name, n.ParentID))
 		}
-		bad = append(bad, fmt.Sprintf("orphaned inode %d (name=%q parent=%d)", id, n.Name, n.ParentID))
-	}
+	})
 
 	// Parent pointers of reachable inodes.
-	for id, n := range db.inodes {
-		if id == namespace.RootID {
-			continue
+	db.inodes.each(func(n *namespace.INode) {
+		if n.ID == namespace.RootID {
+			return
 		}
-		p := db.inodes[n.ParentID]
+		p := db.inodes.get(n.ParentID)
 		if p == nil {
-			bad = append(bad, fmt.Sprintf("inode %d (name=%q) has missing parent %d", id, n.Name, n.ParentID))
+			bad = append(bad, fmt.Sprintf("inode %d (name=%q) has missing parent %d", n.ID, n.Name, n.ParentID))
 		} else if !p.IsDir {
-			bad = append(bad, fmt.Sprintf("inode %d (name=%q) has non-directory parent %d", id, n.Name, n.ParentID))
+			bad = append(bad, fmt.Sprintf("inode %d (name=%q) has non-directory parent %d", n.ID, n.Name, n.ParentID))
 		}
-	}
+	})
 
 	sort.Strings(bad)
 	return bad

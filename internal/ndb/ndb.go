@@ -41,7 +41,6 @@ package ndb
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -169,7 +168,7 @@ type DB struct {
 	clk *clock.Sim
 
 	mu       sync.RWMutex
-	inodes   map[namespace.INodeID]*namespace.INode
+	inodes   rowTable                        // by ID
 	children map[namespace.INodeID]childList // per directory; nil while Recover replays
 	kv       map[string]map[string][]byte
 
@@ -200,7 +199,7 @@ func New(clk *clock.Sim, cfg Config) *DB {
 	}
 	db := newDB(clk, cfg)
 	root := namespace.NewRoot()
-	db.inodes[root.ID] = root
+	db.inodes.put(root)
 	db.markINode(root.ID)
 	return db
 }
@@ -217,7 +216,6 @@ func newDB(clk *clock.Sim, cfg Config) *DB {
 	db := &DB{
 		cfg:      cfg,
 		clk:      clk,
-		inodes:   make(map[namespace.INodeID]*namespace.INode),
 		children: make(map[namespace.INodeID]childList),
 		kv:       make(map[string]map[string][]byte),
 		locks:    newLockManager(clk, cfg.LockWaitTimeout),
@@ -332,7 +330,7 @@ func (db *DB) ResolvePath(path string) ([]*namespace.INode, error) {
 func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.inodes[root] == nil {
+	if db.inodes.get(root) == nil {
 		return nil, namespace.ErrNotFound
 	}
 	var out []*namespace.INode
@@ -340,7 +338,7 @@ func (db *DB) subtreeRows(root namespace.INodeID) ([]*namespace.INode, error) {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		n := db.inodes[id]
+		n := db.inodes.get(id)
 		if n == nil {
 			continue
 		}
@@ -378,46 +376,40 @@ func (db *DB) ListSubtree(root namespace.INodeID) ([]*namespace.INode, error) {
 // published row, so the caller must not write it again (namespace.INode).
 // Each directory's child list is gathered and sorted once (linkAll), not
 // grown by one sorted insert per row.
+//
+// Preload bypasses the WAL; a preloaded namespace must survive restart
+// like committed state, so with a durability tier its rows go straight
+// into a checkpoint round, not through the dirty sets. No other round runs
+// between the install and that one.
 func (db *DB) Preload(nodes []*namespace.INode) {
 	maxID := db.nextID.Load()
 	for _, n := range nodes {
 		maxID = max(maxID, uint64(n.ID))
 	}
-	db.mu.Lock()
-	// The row map and the dirty sets grow once, not by doubling.
-	db.inodes = grown(db.inodes, len(nodes))
-	for s := range db.dirty {
-		db.dirty[s].inodes = grown(db.dirty[s].inodes, len(nodes)/len(db.dirty))
+	if db.dur != nil {
+		db.ckptMu.Lock()
+		defer db.ckptMu.Unlock()
 	}
+	db.mu.Lock()
 	for _, n := range nodes {
-		db.markINode(n.ID)
-		if old := db.inodes[n.ID]; old != nil {
+		if old := db.inodes.get(n.ID); old != nil {
 			db.unlink(old)
 		}
-		db.inodes[n.ID] = n
+		db.inodes.put(n)
 	}
 	db.linkAll(nodes)
 	db.nextID.Store(maxID)
 	db.mu.Unlock()
-	// Preload bypasses the WAL; a preloaded namespace must survive
-	// restart like committed state, so snapshot it immediately.
 	if db.dur != nil {
-		db.Checkpoint()
+		db.checkpointLocked(nodes)
 	}
-}
-
-// grown returns a copy of m with room for n more entries.
-func grown[K comparable, V any](m map[K]V, n int) map[K]V {
-	g := make(map[K]V, len(m)+n)
-	maps.Copy(g, m)
-	return g
 }
 
 // INodeCount reports the number of INodes (test/diagnostic hook).
 func (db *DB) INodeCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.inodes)
+	return db.inodes.len()
 }
 
 // HeldLocks reports currently held row locks (test hook: must drain to 0).

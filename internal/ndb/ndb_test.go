@@ -207,7 +207,7 @@ func TestTxRewritesOneRow(t *testing.T) {
 		mustCommit(t, w)
 
 		for name, n := range want {
-			if got := db.inodes[n.ID]; got != n {
+			if got := db.inodes.get(n.ID); got != n {
 				t.Errorf("committed %q is %p, want the pointer put, %p", name, got, n)
 			}
 		}
@@ -1259,7 +1259,7 @@ func TestExclusiveReadsHandOutTheRow(t *testing.T) {
 		held := func(ids ...namespace.INodeID) []*namespace.INode {
 			out := make([]*namespace.INode, len(ids))
 			for i, id := range ids {
-				out[i] = db.inodes[id]
+				out[i] = db.inodes.get(id)
 			}
 			return out
 		}
@@ -1294,13 +1294,13 @@ func TestExclusiveReadsHandOutTheRow(t *testing.T) {
 				return append(chain, kids...), held(namespace.RootID, a, b, f), err
 			}},
 			{"LockPath of a buffered parent", func(tx *tx) ([]*namespace.INode, []*namespace.INode, error) {
-				next := db.inodes[b].Clone()
+				next := db.inodes.get(b).Clone()
 				next.Mtime++
 				if err := tx.PutINode(next); err != nil {
 					return nil, nil, err
 				}
 				lp, err := tx.LockPath("/a/b/f")
-				return append(lp.Chain, lp.Target), []*namespace.INode{db.inodes[namespace.RootID], db.inodes[a], next, db.inodes[f]}, err
+				return append(lp.Chain, lp.Target), []*namespace.INode{db.inodes.get(namespace.RootID), db.inodes.get(a), next, db.inodes.get(f)}, err
 			}},
 		} {
 			tx := db.Begin("nn").(*tx)
@@ -1430,7 +1430,7 @@ func TestConcurrentTxsKeepTheirOwnBuffers(t *testing.T) {
 		}
 		g.Wait()
 		for i, id := range files {
-			if n := db.inodes[id]; n == nil || n.ParentID != dirs[i] {
+			if n := db.inodes.get(id); n == nil || n.ParentID != dirs[i] {
 				t.Errorf("committed %d = %v, want f under /%s", id, n, names[i])
 			}
 		}
@@ -1568,12 +1568,12 @@ func TestTxLargeWriteSet(t *testing.T) {
 		}
 		mustCommit(t, w)
 		for _, n := range live {
-			if got := db.inodes[n.ID]; got != n {
+			if got := db.inodes.get(n.ID); got != n {
 				t.Errorf("committed %d = %v, want the last version put", n.ID, got)
 			}
 		}
 		for _, n := range deleted {
-			if got := db.inodes[n.ID]; got != nil {
+			if got := db.inodes.get(n.ID); got != nil {
 				t.Errorf("deleted row %d committed as %v", n.ID, got)
 			}
 		}

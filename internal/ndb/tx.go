@@ -158,7 +158,7 @@ func (t *tx) row(id namespace.INodeID) *namespace.INode {
 		return n
 	}
 	t.db.mu.RLock()
-	n := t.db.inodes[id]
+	n := t.db.inodes.get(id)
 	t.db.mu.RUnlock()
 	return n
 }
@@ -178,7 +178,7 @@ func (t *tx) childrenOf(dir namespace.INodeID) []*namespace.INode {
 			if _, ok := t.buffered(e.Val); ok {
 				continue // this transaction's version decides, below
 			}
-			if n := t.db.inodes[e.Val]; n != nil {
+			if n := t.db.inodes.get(e.Val); n != nil {
 				out = append(out, n)
 			}
 		}
@@ -224,7 +224,7 @@ func (t *tx) slotHolder(id namespace.INodeID) *namespace.INode {
 	}
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	return t.db.inodes[id]
+	return t.db.inodes.get(id)
 }
 
 // PutINode buffers an insert/update of n itself: the commit publishes this

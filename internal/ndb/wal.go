@@ -595,6 +595,12 @@ func newDirtyRows() dirtyRows {
 	return dirtyRows{inodes: make(map[namespace.INodeID]struct{}), kv: make(map[kvRef]struct{})}
 }
 
+// has reports whether INode id is dirty.
+func (d dirtyRows) has(id namespace.INodeID) bool {
+	_, ok := d.inodes[id]
+	return ok
+}
+
 // markINode records that INode id changed; a no-op without durability.
 // Caller holds db.mu for writing (or owns the store, as Recover does).
 func (db *DB) markINode(id namespace.INodeID) {
@@ -635,7 +641,8 @@ type ckptSpan struct{ inodes, kvs int }
 // runs from the previous span's end to spans[s]'s. Every key is cut from
 // one string and every value from one buffer, both sized before they are
 // filled, so a round allocates the same few objects whatever its row
-// count; the checkpoint stores take them over with the batch.
+// count; the checkpoint stores copy what they keep, so both are garbage
+// once the round is written.
 func encodeCkptRound(inodes []ckptINode, kvs []ckptKV, spans []ckptSpan) []lsm.Entry {
 	// Sorted first, so that sizing reads the rows in ID order too: a bulk
 	// load allocated them in that order.
@@ -746,7 +753,14 @@ func (db *DB) Checkpoint() uint64 {
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	return db.checkpointLocked(nil)
+}
 
+// checkpointLocked runs one round, as Checkpoint describes, that also
+// writes the rows of preload (Preload installed them and marked none
+// dirty): each once, beside its shard's dirty rows. The caller holds
+// ckptMu.
+func (db *DB) checkpointLocked(preload []*namespace.INode) uint64 {
 	// Swap the dirty sets out and read their rows' values under the
 	// structure lock: WAL append, apply and mark are atomic under it, so
 	// the values are exactly the state at lsn. Published rows are
@@ -755,24 +769,46 @@ func (db *DB) Checkpoint() uint64 {
 	db.mu.Lock()
 	lsn := db.dur.LastLSN()
 	nextID := db.nextID.Load()
+	// Count each shard's rows first, into its span, so that its INodes
+	// take one run of inodes: its dirty ones, then its preloaded ones that
+	// are not dirty too.
+	var spanBuf [stackShards]ckptSpan
+	spans := spanBuf[:0]
 	nINodes, nKVs := 0, 0
 	for _, d := range db.dirty {
+		spans = append(spans, ckptSpan{inodes: len(d.inodes), kvs: len(d.kv)})
 		nINodes += len(d.inodes)
 		nKVs += len(d.kv)
 	}
-	inodes := make([]ckptINode, 0, nINodes)
+	for _, n := range preload {
+		if s := db.shardFor(inodeKey(n.ID)); !db.dirty[s].has(n.ID) {
+			spans[s].inodes++
+			nINodes++
+		}
+	}
+	inodes := make([]ckptINode, nINodes)
 	kvs := make([]ckptKV, 0, nKVs)
-	var spanBuf [stackShards]ckptSpan
-	spans := spanBuf[:0]
+	end := 0
 	for s, d := range db.dirty {
+		at := end
+		end += spans[s].inodes
 		for id := range d.inodes {
-			inodes = append(inodes, ckptINode{id: id, n: db.inodes[id]})
+			inodes[at] = ckptINode{id: id, n: db.inodes.get(id)}
+			at++
 		}
 		for ref := range d.kv {
 			v, ok := db.kv[ref.table][ref.key]
 			kvs = append(kvs, ckptKV{op: kvOp{ref.table, ref.key, v}, live: ok})
 		}
-		spans = append(spans, ckptSpan{inodes: len(inodes), kvs: len(kvs)})
+		spans[s] = ckptSpan{inodes: at, kvs: len(kvs)} // its preloaded rows take it up to end
+	}
+	for _, n := range preload {
+		if s := db.shardFor(inodeKey(n.ID)); !db.dirty[s].has(n.ID) {
+			inodes[spans[s].inodes] = ckptINode{id: n.ID, n: db.inodes.get(n.ID)}
+			spans[s].inodes++
+		}
+	}
+	for s, d := range db.dirty {
 		if len(d.inodes)+len(d.kv) > 0 {
 			db.dirty[s] = newDirtyRows()
 		}
@@ -1023,7 +1059,7 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 		if n == nil || r.off != len(r.b) {
 			return fmt.Errorf("checkpoint row %q: corrupt inode", key)
 		}
-		db.inodes[n.ID] = n
+		db.inodes.put(n)
 	case ckptTagKV:
 		r := &walReader{b: val[1:]}
 		table, k, v := r.str(), r.str(), r.bytes()
@@ -1049,8 +1085,8 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 func (db *DB) applyRecord(rec *walRecord) {
 	for _, n := range rec.puts {
 		db.markINode(n.ID)
-		old := db.inodes[n.ID]
-		db.inodes[n.ID] = n
+		old := db.inodes.get(n.ID)
+		db.inodes.put(n)
 		if old != nil && old.ParentID == n.ParentID && old.Name == n.Name {
 			continue // filed where it was: its entry stands
 		}
@@ -1061,9 +1097,9 @@ func (db *DB) applyRecord(rec *walRecord) {
 	}
 	for _, id := range rec.dels {
 		db.markINode(id)
-		if old := db.inodes[id]; old != nil {
+		if old := db.inodes.get(id); old != nil {
 			db.unlink(old)
-			delete(db.inodes, id)
+			db.inodes.delete(id)
 			delete(db.children, id)
 		}
 	}
@@ -1085,16 +1121,16 @@ func (db *DB) applyRecord(rec *walRecord) {
 // to and sorted once — and restores the ID allocator above every ID the
 // store has ever handed out.
 func (db *DB) finishRecovery(maxID uint64) {
-	if db.inodes[namespace.RootID] == nil {
+	if db.inodes.get(namespace.RootID) == nil {
 		root := namespace.NewRoot()
-		db.inodes[root.ID] = root
+		db.inodes.put(root)
 		db.markINode(root.ID)
 	}
-	rows := make([]*namespace.INode, 0, len(db.inodes))
-	for id, n := range db.inodes {
+	rows := make([]*namespace.INode, 0, db.inodes.len())
+	db.inodes.each(func(n *namespace.INode) {
 		rows = append(rows, n)
-		maxID = max(maxID, uint64(id))
-	}
+		maxID = max(maxID, uint64(n.ID))
+	})
 	db.children = make(map[namespace.INodeID]childList)
 	db.linkAll(rows)
 	db.nextID.Store(maxID)

@@ -46,10 +46,10 @@ func stateDigest(db *DB) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var lines []string
-	for id, n := range db.inodes {
+	db.inodes.each(func(n *namespace.INode) {
 		lines = append(lines, fmt.Sprintf("i %d %d %q dir=%v size=%d owner=%s blocks=%d sub=%q",
-			id, n.ParentID, n.Name, n.IsDir, n.Size, n.Owner, len(n.Blocks), n.SubtreeLockOwner))
-	}
+			n.ID, n.ParentID, n.Name, n.IsDir, n.Size, n.Owner, len(n.Blocks), n.SubtreeLockOwner))
+	})
 	for parent, kids := range db.children {
 		for _, c := range kids {
 			for _, e := range c {

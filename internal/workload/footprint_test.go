@@ -21,15 +21,17 @@ func liveHeap() uint64 {
 }
 
 // TestPreloadFootprint bounds what a preloaded namespace keeps live per
-// row: the store's rows, child lists and row map, and the checkpoint its
+// row: the store's rows, child lists and row table, and the checkpoint its
 // durability tier takes of them. The paths are the harness's and are live
 // on both sides of the measurement, so they count in neither. A row keeps
-// 363 bytes (x86-64, Go 1.24); 518 when each block had its own location
-// list, each directory a map of its children, each INode two time.Time
-// fields and each checkpoint value fixed-width integers. (Not under -race:
-// the detector's shadow state is heap too.)
+// 308.6 bytes (x86-64, Go 1.24), and the bound is that plus 5 %; 366.8
+// when the rows were filed in a map and each sstable entry had its own key
+// and value headers, 518 when each block had its own location list, each
+// directory a map of its children, each INode two time.Time fields and
+// each checkpoint value fixed-width integers. (Not under -race: the
+// detector's shadow state is heap too.)
 func TestPreloadFootprint(t *testing.T) {
-	const files, perDir, maxPerRow = 16384, 16, 400
+	const files, perDir, maxPerRow = 16384, 16, 324
 	dirs, paths := GenerateNamespace(files/perDir, perDir)
 	rows := len(dirs) + len(paths)
 	simtest.Run(t, func(clk *clock.Sim) {
