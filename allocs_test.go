@@ -3,6 +3,7 @@
 package lambdafs
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -12,14 +13,14 @@ import (
 )
 
 // Through rpc.Client.Do, the path every workload takes, a warm cluster
-// answers a cache-hit read and a stat without allocating: the client's call
-// record holds the reply storage the NameNode writes into, the chain is on
-// the engine's stack and every clock wait reuses a parked waiter. A create
+// answers a cache-hit read, a stat and an ls of a 64-entry directory
+// without allocating: the client's call record holds the reply storage the
+// NameNode writes into, the ls's entries in the storage's room, the chain
+// is on the engine's stack and every clock wait reuses a parked waiter. A create
 // allocates its rows alone: the file's row and its parent's new version
 // while no DataNode is published, and its block list and replica locations
-// besides once one is. Replacement
-// is off: a replaced call boxes its invocation's payload. (Not under -race:
-// the detector allocates.)
+// besides once one is. Replacement is off, so each call takes its TCP
+// path alone. (Not under -race: the detector allocates.)
 func TestDoAllocs(t *testing.T) {
 	cfg := quickConfig()
 	cfg.RPC.HTTPReplaceProb = 0
@@ -37,6 +38,11 @@ func TestDoAllocs(t *testing.T) {
 		do(namespace.OpMkdirs, "/d")
 		do(namespace.OpCreate, "/d/f")
 		do(namespace.OpRead, "/d/f") // the fill
+		do(namespace.OpMkdirs, "/e")
+		for i := range 64 {
+			do(namespace.OpCreate, fmt.Sprintf("/e/f%02d", i))
+		}
+		do(namespace.OpLs, "/e") // the fill
 		read := func() {
 			if !do(namespace.OpRead, "/d/f").CacheHit {
 				t.Fatal("read /d/f missed the cache")
@@ -47,16 +53,23 @@ func TestDoAllocs(t *testing.T) {
 				t.Fatal("stat /d/f missed the cache")
 			}
 		}
+		ls := func() {
+			if resp := do(namespace.OpLs, "/e"); !resp.CacheHit || len(resp.Entries) != 64 {
+				t.Fatalf("ls /e: %+v, want a cache hit with 64 entries", resp)
+			}
+		}
 		// Warm up: the TCP connection, the latency window that arms
-		// hedging, the clock's and the call records' free lists.
+		// hedging, the clock's and the call records' free lists, the
+		// reply storage's room for entries.
 		for range 64 {
 			read()
 			stat()
+			ls()
 		}
 		for _, pin := range []struct {
 			what string
 			op   func()
-		}{{"a cache-hit read", read}, {"a cache-hit stat", stat}} {
+		}{{"a cache-hit read", read}, {"a cache-hit stat", stat}, {"a cache-hit ls of a 64-entry directory", ls}} {
 			if got := testing.AllocsPerRun(100, pin.op); got != 0 {
 				t.Errorf("%s through rpc.Client.Do: %v allocs, want 0", pin.what, got)
 			}
@@ -99,7 +112,8 @@ func TestDoAllocs(t *testing.T) {
 // from a registered goroutine: each allocates its turn's closure and the
 // one object holding its results, and copies out only what it returns — a
 // stat and an open (no DataNode runs, so the file has no blocks) nothing
-// more, an ls of a file its one entry. (Not under -race: the detector
+// more, an ls of a file its one entry and an ls of a directory its
+// entries. (Not under -race: the detector
 // allocates.)
 func TestClientAllocs(t *testing.T) {
 	cfg := quickConfig()
@@ -117,16 +131,26 @@ func TestClientAllocs(t *testing.T) {
 		stat := func() { _, err := cl.Stat("/d/f"); must(err) }
 		open := func() { _, _, err := cl.Open("/d/f"); must(err) }
 		list := func() { _, err := cl.List("/d/f"); must(err) }
+		must(cl.MkdirAll("/e"))
+		for i := range 64 {
+			must(cl.Create(fmt.Sprintf("/e/f%02d", i)))
+		}
+		listDir := func() {
+			if entries, err := cl.List("/e"); err != nil || len(entries) != 64 {
+				t.Fatalf("List /e: %d entries, %v; want 64", len(entries), err)
+			}
+		}
 		for range 64 { // as in TestDoAllocs
 			stat()
 			open()
 			list()
+			listDir()
 		}
 		for _, pin := range []struct {
 			what string
 			op   func()
 			want float64
-		}{{"Stat", stat, 2}, {"Open", open, 2}, {"List of a file", list, 3}} {
+		}{{"Stat", stat, 2}, {"Open", open, 2}, {"List of a file", list, 3}, {"List of a 64-entry directory", listDir, 3}} {
 			if got := testing.AllocsPerRun(100, pin.op); got != pin.want {
 				t.Errorf("a cache-hit %s through lambdafs.Client: %v allocs, want %v", pin.what, got, pin.want)
 			}

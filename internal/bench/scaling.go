@@ -296,7 +296,7 @@ type httpFS struct {
 func (f *httpFS) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	f.seq++
 	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq}
-	v, err := f.sys.Invoke(f.sys.Ring().Route(op, path), rpc.Payload{Req: req})
+	v, err := f.sys.Invoke(f.sys.Ring().Route(op, path), &rpc.Payload{Req: req})
 	if err != nil {
 		return nil, err
 	}

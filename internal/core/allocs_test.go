@@ -97,17 +97,16 @@ func TestExecuteMissAllocs(t *testing.T) {
 	})
 }
 
-// An ls of a directory, hit or miss, allocates its reply alone: one object
-// holding the Response and room for its entries (newLsReply), never the
-// request's reply storage. An ls of a file allocates nothing: its stat and
-// its one entry are written into the request's storage. A hit walks the
-// cached children,
-// which are kept in name order, so nothing sorts, and writes their entries
-// into the reply under the cache's lock. A miss — a child's INV made the
-// listing unknown — lists the directory into storage its recycled
-// transaction keeps, and the fill re-caches the children in the nodes and
-// child list the cache already holds or recycled. (Not under -race: the
-// detector allocates.)
+// An ls, of a directory hit or miss or of a file, allocates nothing: its
+// reply and entries are written into the request's reply storage, whose
+// room for entries grew to the listing on the first call. A hit walks the
+// cached children, which are kept in name order, so nothing sorts, and
+// writes their entries into the room under the cache's lock. A miss — a
+// child's INV made the listing unknown — lists the directory into storage
+// its recycled transaction keeps, and the fill re-caches the children in
+// the nodes and child list the cache already holds or recycled. A request
+// without storage pays two objects, the fresh storage and its room. (Not
+// under -race: the detector allocates.)
 func TestExecuteLsAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, _ := soloEngine(clk)
@@ -117,11 +116,11 @@ func TestExecuteLsAllocs(t *testing.T) {
 		}
 		ls := namespace.Request{Op: namespace.OpLs, Path: "/a/b", Reply: new(namespace.Reply)}
 		e.Execute(ls) // the fill
-		if resp := e.Execute(ls); !resp.OK() || !resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[0].Name != "f00" {
-			t.Fatalf("ls /a/b does not hit with its 64 entries in name order: %+v", resp)
+		if resp := e.Execute(ls); !resp.OK() || !resp.CacheHit || len(resp.Entries) != 64 || resp.Entries[0].Name != "f00" || resp != &ls.Reply.Response {
+			t.Fatalf("ls /a/b does not hit with its 64 entries in name order, into its storage: %+v", resp)
 		}
-		if got := testing.AllocsPerRun(100, func() { e.Execute(ls) }); got != 1 {
-			t.Errorf("ls hit of a 64-entry directory: %v allocs, want 1 (the reply, its entries inside)", got)
+		if got := testing.AllocsPerRun(100, func() { e.Execute(ls) }); got != 0 {
+			t.Errorf("ls hit of a 64-entry directory: %v allocs, want 0 (reply and entries in the request's storage)", got)
 		}
 		miss := func() {
 			e.Cache().Invalidate("/a/b/f17")
@@ -130,8 +129,12 @@ func TestExecuteLsAllocs(t *testing.T) {
 			}
 		}
 		miss()
-		if got := testing.AllocsPerRun(100, miss); got != 1 {
-			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 1 (the reply, its entries inside)", got)
+		if got := testing.AllocsPerRun(100, miss); got != 0 {
+			t.Errorf("steady-state ls miss of a 64-entry directory: %v allocs, want 0 (reply and entries in the request's storage)", got)
+		}
+		bare := namespace.Request{Op: namespace.OpLs, Path: "/a/b"}
+		if got := testing.AllocsPerRun(100, func() { e.Execute(bare) }); got != 2 {
+			t.Errorf("ls hit of a 64-entry directory without reply storage: %v allocs, want 2 (the fresh storage and its room)", got)
 		}
 		file := namespace.Request{Op: namespace.OpLs, Path: "/a/b/f03", Reply: ls.Reply}
 		if resp := e.Execute(file); !resp.OK() || resp.Stat == nil || len(resp.Entries) != 1 || resp.Entries[0].Name != "f03" || resp != &file.Reply.Response {
@@ -139,6 +142,48 @@ func TestExecuteLsAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { e.Execute(file) }); got != 0 {
 			t.Errorf("ls of a file: %v allocs, want 0 (its stat and entry in the request's storage)", got)
+		}
+	})
+}
+
+// A listing longer than namespace.ReplyEntries is written into room of
+// its own, so every ls of it allocates that room, hit or miss, and the
+// storage keeps none of it: a listing that fits the room it kept still
+// allocates nothing afterwards. (Not under -race: the detector allocates.)
+func TestLsPastReplyEntriesAllocs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		const long = namespace.ReplyEntries + 44
+		mustOK(t, e, namespace.OpMkdirs, "/big", "")
+		for i := 0; i < long; i++ {
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/big/f%03d", i), "")
+		}
+		mustOK(t, e, namespace.OpMkdirs, "/small", "")
+		for i := 0; i < 64; i++ {
+			mustOK(t, e, namespace.OpCreate, fmt.Sprintf("/small/f%02d", i), "")
+		}
+		r := new(namespace.Reply)
+		big := namespace.Request{Op: namespace.OpLs, Path: "/big", Reply: r}
+		small := namespace.Request{Op: namespace.OpLs, Path: "/small", Reply: r}
+		e.Execute(small) // the fill, and the room a 64-entry listing keeps
+		e.Execute(big)   // the fill
+		last := fmt.Sprintf("f%03d", long-1)
+		for _, hit := range []bool{true, false} {
+			ls := func() {
+				if !hit {
+					e.Cache().Invalidate("/big/f100")
+				}
+				resp := e.Execute(big)
+				if !resp.OK() || resp.CacheHit != hit || len(resp.Entries) != long || resp.Entries[long-1].Name != last {
+					t.Fatalf("ls /big (hit %v): %+v, want its %d entries in name order", hit, resp, long)
+				}
+			}
+			if got := testing.AllocsPerRun(100, ls); got != 1 {
+				t.Errorf("ls of a %d-entry directory (hit %v): %v allocs, want 1 (its entries' own room)", long, hit, got)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { e.Execute(small) }); got != 0 {
+			t.Errorf("ls hit of a 64-entry directory after the long listings: %v allocs, want 0", got)
 		}
 	})
 }

@@ -255,9 +255,7 @@ func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 // request simply runs (see resultCache for why a read needs no entry). A
 // raced write skips the result cache: its client's result row in the store
 // is its one record, on every engine (resultrow.go). The reply is written
-// into req.Reply (fresh storage when nil), but for a directory's ls, whose
-// entries come in an object of their own (newLsReply). It implements
-// rpc.Server.
+// into req.Reply (fresh storage when nil). It implements rpc.Server.
 func (e *Engine) Execute(req namespace.Request) *namespace.Response {
 	dedup := req.ClientID != "" && req.Op.IsWrite() && !req.Raced
 	if dedup {
@@ -449,20 +447,15 @@ func (e *Engine) stat(tc *trace.Ctx, r *namespace.Reply, path string) *namespace
 // locks when the listing will be cached with the completeness mark. The
 // listing is cached where the ring routes ls, which is where the
 // directory's children are cached: the fill is a prefetch for the reads
-// and stats that follow. A directory's reply, hit or miss, is one object
-// of its own (newLsReply), so r never holds a listing's room; a file's, and
-// a failure, are written into r.
+// and stats that follow. The reply, hit or miss, is written into r, its
+// entries into r's room (namespace.Reply.EntryRoom).
 func (e *Engine) ls(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.Response {
+	r = storage(r)
 	allowed := e.cachingAllowed(namespace.OpLs, path)
 	if allowed {
-		var resp *namespace.Response
-		if entries, ok := e.cache.Entries(path, func(n int) []namespace.DirEntry {
-			resp = newLsReply(n)
-			return resp.Entries
-		}); ok {
+		if entries, ok := e.cache.Entries(path, r.EntryRoom); ok {
 			e.tel.hits.Inc()
-			resp.Entries, resp.CacheHit = entries, true
-			return resp
+			return r.Set(namespace.Response{Entries: entries, CacheHit: true})
 		}
 		e.tel.misses.Inc()
 	}
@@ -481,7 +474,6 @@ func (e *Engine) ls(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.R
 	}
 	target := chain[len(chain)-1]
 	if !target.IsDir {
-		r = storage(r)
 		resp := r.SetStat(target, path, false)
 		r.SetEntry(namespace.EntryOf(target))
 		return resp
@@ -490,55 +482,11 @@ func (e *Engine) ls(tc *trace.Ctx, r *namespace.Reply, path string) *namespace.R
 		e.cache.PutChain(path, chain)
 		e.cache.PutListing(path, kids)
 	}
-	resp := newLsReply(len(kids))
+	entries := r.EntryRoom(len(kids))
 	for i, k := range kids { // name order, as the store lists the children
-		resp.Entries[i] = namespace.EntryOf(k)
+		entries[i] = namespace.EntryOf(k)
 	}
-	resp.ID = target.ID
-	return resp
-}
-
-// lsReply is a directory's ls reply as one object: the Response and the
-// fixed room its entries are written into (newLsReply).
-type lsReply[Room any] struct {
-	resp    namespace.Response
-	entries Room
-}
-
-// newLsReply returns an ls reply whose Entries has length n: one object
-// holding the Response and the smallest of the fixed entry capacities, the
-// powers of two from 4 to 256, that fits n, with Entries clipped to n. A
-// listing longer than the largest spills its entries to a second object.
-func newLsReply(n int) *namespace.Response {
-	var resp *namespace.Response
-	var room []namespace.DirEntry
-	switch {
-	case n <= 4:
-		r := new(lsReply[[4]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 8:
-		r := new(lsReply[[8]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 16:
-		r := new(lsReply[[16]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 32:
-		r := new(lsReply[[32]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 64:
-		r := new(lsReply[[64]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 128:
-		r := new(lsReply[[128]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	case n <= 256:
-		r := new(lsReply[[256]namespace.DirEntry])
-		resp, room = &r.resp, r.entries[:]
-	default:
-		resp, room = new(namespace.Response), make([]namespace.DirEntry, n)
-	}
-	resp.Entries = room[:n:n]
-	return resp
+	return r.Set(namespace.Response{ID: target.ID, Entries: entries})
 }
 
 // written is one directory's share of a single-INode write: the path whose

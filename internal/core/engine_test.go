@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -898,4 +899,51 @@ func TestNoCacheFillUnderForeignSubtreeLock(t *testing.T) {
 		a.subtreeUnlock(nil, root)
 		mustOK(t, b, namespace.OpStat, "/locked/f", "")
 	})
+}
+
+// Each ls writes its entries into its own request's storage: a reply its
+// caller holds keeps its entries whatever an ls into other storage writes
+// afterwards, on a miss and on a hit, and so does a listing longer than
+// the room a storage keeps (namespace.ReplyEntries).
+func TestLsRepliesShareNoRoom(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, _ := soloEngine(clk)
+		sizes := map[string]int{"/a": 3, "/b": 5, "/c": namespace.ReplyEntries + 1}
+		for dir, n := range sizes {
+			mustOK(t, e, namespace.OpMkdirs, dir, "")
+			for i := 0; i < n; i++ {
+				mustOK(t, e, namespace.OpCreate, fmt.Sprintf("%s/%s%03d", dir, dir[1:], i), "")
+			}
+		}
+		for _, pair := range [][2]string{{"/a", "/b"}, {"/b", "/a"}, {"/c", "/a"}, {"/a", "/c"}} {
+			for _, hit := range []bool{false, true} { // the miss fills, the hit reads it
+				if !hit {
+					e.Cache().Invalidate(pair[0])
+					e.Cache().Invalidate(pair[1])
+				}
+				held := e.Execute(namespace.Request{Op: namespace.OpLs, Path: pair[0], Reply: new(namespace.Reply)})
+				want := slices.Clone(held.Entries)
+				if !held.OK() || held.CacheHit != hit || len(want) != sizes[pair[0]] {
+					t.Fatalf("ls %s (hit %v): %+v, want %d entries", pair[0], hit, held, sizes[pair[0]])
+				}
+				other := e.Execute(namespace.Request{Op: namespace.OpLs, Path: pair[1], Reply: new(namespace.Reply)})
+				if !other.OK() || other.CacheHit != hit {
+					t.Fatalf("ls %s (hit %v): %+v", pair[1], hit, other)
+				}
+				if !slices.Equal(held.Entries, want) {
+					t.Errorf("ls %s then %s (hit %v): the held reply's entries became %v, were %v",
+						pair[0], pair[1], hit, names(held.Entries), names(want))
+				}
+			}
+		}
+	})
+}
+
+// names returns the names of entries.
+func names(entries []namespace.DirEntry) []string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.Name
+	}
+	return out
 }

@@ -34,7 +34,7 @@ func (nn *NameNode) Engine() *Engine { return nn.eng }
 // HandleInvoke serves one HTTP-RPC payload and proactively connects back
 // to the issuing client's TCP server.
 func (nn *NameNode) HandleInvoke(payload any) any {
-	p, ok := payload.(rpc.Payload)
+	p, ok := payload.(*rpc.Payload)
 	if !ok {
 		return nil
 	}

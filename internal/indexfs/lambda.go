@@ -171,7 +171,7 @@ func (f *indexFn) Execute(req namespace.Request) *namespace.Response {
 // HandleInvoke implements the HTTP path and connects back to the client's
 // TCP server, exactly like a λFS NameNode.
 func (f *indexFn) HandleInvoke(payload any) any {
-	p, ok := payload.(rpc.Payload)
+	p, ok := payload.(*rpc.Payload)
 	if !ok {
 		return nil
 	}

@@ -21,17 +21,24 @@ func distinctBatch(n int) []Entry {
 }
 
 // batchAllocs counts the objects one WriteBatch of es allocates into a
-// fresh tree, the tree's construction uncounted: the fewest of a few runs,
-// since a collection the batch's garbage sets off may allocate besides.
+// fresh tree, the tree's construction uncounted.
 func batchAllocs(clk *clock.Sim, es []Entry) uint64 {
+	var db *DB
+	return fewestAllocs(func() { db = fastDB(clk, 4096) }, func() { db.WriteBatch(es) })
+}
+
+// fewestAllocs counts the objects op allocates after an uncounted prep: the
+// fewest of a few runs, since a collection op's garbage sets off may
+// allocate besides.
+func fewestAllocs(prep, op func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	fewest := ^uint64(0)
 	for i := 0; i < 5; i++ {
-		db := fastDB(clk, 4096)
+		prep()
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		db.WriteBatch(es)
+		op()
 		runtime.ReadMemStats(&ms)
 		fewest = min(fewest, ms.Mallocs-before)
 	}
@@ -42,7 +49,9 @@ func batchAllocs(clk *clock.Sim, es []Entry) uint64 {
 // in the memtable or in a table, and a miss allocates nothing. A run of
 // MemtableEntries distinct keys into an empty tree allocates per table,
 // never per entry: the sort order once per batch, and each table's header,
-// data and offsets, and L0's list growing for each of the first three.
+// data and offsets, and L0's list growing for each of the first three. A
+// run into a memtable a flush emptied allocates its string alone: the
+// memtable keeps its buckets across the flush.
 func TestAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := fastDB(clk, 4096)
@@ -58,6 +67,12 @@ func TestAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(100, func() { db.Get(c.key) }); got != c.want {
 				t.Errorf("%s: %v allocs, want %v", c.what, got, c.want)
 			}
+		}
+		refill := fastDB(clk, 4096)
+		run := distinctBatch(100)
+		refill.WriteBatch(run) // the memtable grows to the run
+		if got := fewestAllocs(refill.Flush, func() { refill.WriteBatch(run) }); got != 1 {
+			t.Errorf("a WriteBatch of 100 entries into a memtable a flush emptied: %v allocs, want 1 (its run's string)", got)
 		}
 		for tables := 1; tables <= 3; tables++ {
 			want := uint64(1 + 4*tables)

@@ -415,7 +415,7 @@ func (db *DB) flushLocked() time.Duration {
 		return 0
 	}
 	t := tableFromMap(db.mem, "")
-	db.mem = make(map[string]string)
+	clear(db.mem) // keeps the buckets the next fill grows back into
 	return db.pushL0Locked(t)
 }
 

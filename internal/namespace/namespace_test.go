@@ -347,3 +347,27 @@ func TestStatOfConvertsTimestamps(t *testing.T) {
 		t.Errorf("StatOf: Mtime %v, Ctime %v; want %v and the zero time", st.Mtime, st.Ctime, at)
 	}
 }
+
+// A Reply's room for entries grows to the smallest power of two that holds
+// the longest listing it was asked for, up to ReplyEntries, and is handed
+// out clipped; a longer listing gets room of its own, and the storage
+// keeps no room past ReplyEntries.
+func TestReplyEntryRoom(t *testing.T) {
+	var r Reply
+	for _, c := range []struct{ n, kept int }{
+		{1, 1}, {3, 4}, {2, 4}, {64, 64}, {65, 128}, {ReplyEntries, ReplyEntries},
+		{ReplyEntries + 1, ReplyEntries}, {10 * ReplyEntries, ReplyEntries}, {5, ReplyEntries},
+	} {
+		room := r.EntryRoom(c.n)
+		if len(room) != c.n || cap(room) != c.n {
+			t.Fatalf("EntryRoom(%d): len %d cap %d, want both %d", c.n, len(room), cap(room), c.n)
+		}
+		if cap(r.entries) != c.kept {
+			t.Errorf("after EntryRoom(%d) the storage keeps room for %d entries, want %d", c.n, cap(r.entries), c.kept)
+		}
+		in, want := &room[0] == &r.entries[0], c.n <= ReplyEntries
+		if in != want {
+			t.Errorf("EntryRoom(%d): in the kept room %v, want %v", c.n, in, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"lambdafs/internal/trace"
@@ -80,9 +81,8 @@ type Request struct {
 	// Reply is the storage the request's reply is written into: memory
 	// the client owns, as a real client decodes a reply off its
 	// connection into its own buffers. A NameNode that serves the request
-	// answers with a Response inside it (a directory's ls excepted, whose
-	// entries need room of their own); nil gives the reply fresh storage.
-	// It is not part of the request on the wire.
+	// answers with a Response inside it; nil gives the reply fresh
+	// storage. It is not part of the request on the wire.
 	Reply *Reply
 }
 
@@ -96,12 +96,12 @@ type RequestKey struct {
 func (r Request) Key() RequestKey { return RequestKey{r.ClientID, r.Seq} }
 
 // Response is the result of a metadata RPC. It is the caller's: nothing in
-// it is shared with a store row, a cache or another client's reply. A read,
-// stat or write reply lives in its request's Reply, with the StatInfo Stat
-// points at and, for a read, the block list when it is short, so Stat and
-// Blocks live exactly as long as that storage does. Blocks is a private
-// deep copy of the file's block list, replica locations included
-// (CloneBlocksInto).
+// it is shared with a store row, a cache or another client's reply. It
+// lives in its request's Reply, with the StatInfo Stat points at, a read's
+// block list when it is short and an ls's entries unless the listing is
+// longer than ReplyEntries, so Stat, Blocks and Entries live exactly as
+// long as that storage does. Blocks is a private deep copy of the file's
+// block list, replica locations included (CloneBlocksInto).
 type Response struct {
 	Err string // sentinel error text; empty on success (see errors.go)
 
@@ -141,19 +141,26 @@ func (r *Response) Error() error { return FromWire(r.Err) }
 // the replication factor of the files NameNodes create.
 const ReplyLocations = 3
 
+// ReplyEntries is the longest listing whose entries a Reply keeps room for
+// from one reply to the next: 256 entries, 10 KiB, the largest room the
+// engine's ls replies had when each was an object of its own, and four
+// times the 64-entry directories of the benchmark namespaces. No storage
+// holds more than that, whatever listing it once read.
+const ReplyEntries = 256
+
 // Reply is the storage a request's reply is written into
 // (Request.Reply): the Response and room for what it points at — the
 // StatInfo of a read, a stat or an ls of a file, a one-block list with up
-// to ReplyLocations replica locations, and the one entry of an ls of a
-// file. A longer block list spills to the heap. Writing a reply resets
-// everything an earlier reply left in the storage, so a client reuses one
-// Reply call after call.
+// to ReplyLocations replica locations, and an ls's entries (EntryRoom). A
+// longer block list spills to the heap. Writing a reply resets everything
+// an earlier reply left in the storage, so a client reuses one Reply call
+// after call.
 type Reply struct {
 	Response
-	stat  StatInfo
-	block [1]Block
-	locs  [ReplyLocations]string
-	entry [1]DirEntry
+	stat    StatInfo
+	block   [1]Block
+	locs    [ReplyLocations]string
+	entries []DirEntry
 }
 
 // Set makes resp the reply and returns it.
@@ -177,6 +184,20 @@ func (r *Reply) SetBlocks(blocks []Block) {
 
 // SetEntry makes e the reply's one entry (an ls of a file).
 func (r *Reply) SetEntry(e DirEntry) {
-	r.entry[0] = e
-	r.Entries = r.entry[:]
+	r.Entries = r.EntryRoom(1)
+	r.Entries[0] = e
+}
+
+// EntryRoom returns room for a listing's n entries, clipped to n: the
+// storage's own room, grown to the smallest power of two that holds n,
+// when n is at most ReplyEntries, else a fresh slice the storage does not
+// keep, gone with the reply that points at it.
+func (r *Reply) EntryRoom(n int) []DirEntry {
+	if n > ReplyEntries {
+		return make([]DirEntry, n)
+	}
+	if n > cap(r.entries) {
+		r.entries = make([]DirEntry, 1<<bits.Len(uint(n-1)))
+	}
+	return r.entries[:n:n]
 }

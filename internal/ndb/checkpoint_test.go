@@ -346,13 +346,14 @@ func diffRows(got, want map[string][]byte) []string {
 // sixth committed record) the state is that committed prefix's. Wherever
 // decodeFrame accepts a frame in the tail, frameLSN reads the same LSN and
 // size. Whatever row IDs the replayed records name, the row table stays
-// within its footprint bound (checkRowBound). The seed corpus,
+// within its footprint bound (checkRowBound), and NextID then hands out
+// fresh IDs (checkNextID). The seed corpus,
 // testdata/fuzz/FuzzWALRecover, is the torn-tail sweep's cuts of the sixth
 // record plus stale and corrupt frames, the sixth record followed by a
 // seventh whose one op is a KV put of a client's result row (table
 // "results", the engine's raced-write record), and a sixth record putting
-// a row of ID 2^63 (seed19) or of ID 2^32, past the record's ID high-water
-// mark (seed20).
+// a row past the record's ID high-water mark: of ID 2^63, which is corrupt
+// (idLimit, seed19), of ID 2^32 (seed20) or of ID 2^63-1 (seed21).
 func FuzzWALRecover(f *testing.F) {
 	const n = 6
 	var log []byte
@@ -415,6 +416,9 @@ func FuzzWALRecover(f *testing.F) {
 				if got := stateDigest(db); got != digests[want] {
 					t.Fatalf("state diverged from committed prefix %d:\n got: %s\nwant: %s", want, got, digests[want])
 				}
+			}
+			if err := checkNextID(db); err != nil {
+				t.Fatal(err)
 			}
 		})
 	})

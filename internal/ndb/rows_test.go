@@ -83,36 +83,70 @@ func TestRowTable(t *testing.T) {
 	}
 }
 
-// A WAL record may name a row far past the IDs the store hands out — its
-// ID 2^63, or past the record's own ID high-water mark. Recovery files it
-// like any other row, and the row table stays within its bound: such a row
-// costs it a map entry, not a directory reaching its ID. Both records are
-// seeds of FuzzWALRecover.
+// A WAL record may name a row far past the IDs the store hands out — past
+// the record's own ID high-water mark, up to 2^63-1. Recovery files it like
+// any other row, and the row table stays within its bound: such a row costs
+// it a map entry, not a directory reaching its ID. A record naming a row of
+// ID 2^63 or more, or an ID high-water mark there, is corrupt (idLimit):
+// recovery cuts the log at it. Either way the allocator comes back above
+// every recovered row, so NextID hands out neither 0, nor the root's ID,
+// nor a row's. The records of IDs 2^63, 2^32 and 2^63-1 are seeds of
+// FuzzWALRecover.
 func TestRecoverFarRowIDs(t *testing.T) {
-	for _, id := range []namespace.INodeID{1 << 63, 1<<64 - 1, 1 << 32} {
+	for _, c := range []struct {
+		id   namespace.INodeID
+		idHW uint64
+		kept bool
+	}{
+		{1 << 32, 2, true}, {1<<63 - 1, 2, true},
+		{1 << 63, 2, false}, {1<<64 - 1, 2, false}, {1<<64 - 1, 1<<64 - 1, false}, {3, 1 << 63, false},
+	} {
 		simtest.Run(t, func(clk *clock.Sim) {
 			d := NewDurable(clk, 1, zeroLSM())
 			rows := []*namespace.INode{
 				{ID: 2, ParentID: namespace.RootID, Name: "near", IsDir: true},
-				{ID: id, ParentID: 2, Name: "far", Perm: namespace.PermDefaultFile},
+				{ID: c.id, ParentID: 2, Name: "far", Perm: namespace.PermDefaultFile},
 			}
-			d.wals[0] = appendRecord(nil, &walRecord{lsn: 1, idHW: 2, puts: rows})
+			d.wals[0] = appendRecord(nil, &walRecord{lsn: 1, idHW: c.idHW, puts: rows})
 			db, rs, err := Recover(clk, durableCfg(d))
-			if err != nil || rs.ReplayedRecords != 1 {
-				t.Fatalf("row %d: recover replayed %d records: %v", id, rs.ReplayedRecords, err)
+			if err != nil {
+				t.Fatalf("row %d, high-water mark %d: %v", c.id, c.idHW, err)
 			}
-			if got := db.inodes.get(id); got == nil || got.Name != "far" {
-				t.Fatalf("row %d recovered as %v", id, got)
+			replayed, far := 0, 0
+			if c.kept {
+				replayed, far = 1, 1
+			}
+			if rs.ReplayedRecords != replayed || rs.TruncatedShards != 1-replayed {
+				t.Fatalf("row %d, high-water mark %d: recover replayed %d records and cut %d shards, want %d and %d",
+					c.id, c.idHW, rs.ReplayedRecords, rs.TruncatedShards, replayed, 1-replayed)
+			}
+			if got := db.inodes.get(c.id); (got != nil && got.Name == "far") != c.kept {
+				t.Fatalf("row %d, high-water mark %d recovered as %v, want it kept %v", c.id, c.idHW, got, c.kept)
 			}
 			if bad := db.CheckIntegrity(); len(bad) > 0 {
-				t.Fatalf("row %d: %v", id, bad)
+				t.Fatalf("row %d: %v", c.id, bad)
 			}
 			if err := checkRowBound(&db.inodes); err != nil {
-				t.Fatalf("row %d: %v", id, err)
+				t.Fatalf("row %d: %v", c.id, err)
 			}
-			if dir, far := len(db.inodes.dir), len(db.inodes.far); dir > rowDirSlack || far != 1 {
-				t.Fatalf("row %d: %d directory entries and %d far rows, want at most %d and 1", id, dir, far, rowDirSlack)
+			if dir, n := len(db.inodes.dir), len(db.inodes.far); dir > rowDirSlack || n != far {
+				t.Fatalf("row %d: %d directory entries and %d far rows, want at most %d and %d", c.id, dir, n, rowDirSlack, far)
+			}
+			if err := checkNextID(db); err != nil {
+				t.Fatalf("row %d, high-water mark %d: %v", c.id, c.idHW, err)
 			}
 		})
 	}
+}
+
+// checkNextID fails unless the next IDs db hands out are fresh: neither 0,
+// nor the root's ID, nor one a row holds.
+func checkNextID(db *DB) error {
+	for range 3 {
+		id := db.NextID()
+		if id == 0 || id == namespace.RootID || db.inodes.get(id) != nil {
+			return fmt.Errorf("NextID handed out %d, which is 0, the root's or a row's", id)
+		}
+	}
+	return nil
 }

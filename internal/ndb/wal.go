@@ -224,6 +224,14 @@ type kvOp struct {
 	val        []byte
 }
 
+// idLimit bounds every INode ID and ID high-water mark recovery takes; a
+// record or checkpoint naming one at or past it is corrupt. HDFS keeps
+// INode IDs in a Java long, so none reaches 2^63, and an allocator
+// recovered below it has 2^63 IDs of room above every recovered row:
+// NextID, which hands them out one at a time, never wraps to 0, the root's
+// ID or a row's.
+const idLimit = 1 << 63
+
 // walRecord is one decoded committed transaction.
 type walRecord struct {
 	lsn    uint64
@@ -476,14 +484,14 @@ func decodeRecord(payload []byte) *walRecord {
 	r := &walReader{b: payload}
 	rec := &walRecord{lsn: r.u64(), idHW: r.u64()}
 	nops := int(r.u32())
-	if r.err != nil || nops < 0 || nops > len(payload) {
+	if r.err != nil || nops < 0 || nops > len(payload) || rec.idHW >= idLimit {
 		return nil
 	}
 	for i := 0; i < nops; i++ {
 		switch r.byte() {
 		case opPutINode:
 			n := r.inode()
-			if n == nil {
+			if n == nil || n.ID >= idLimit {
 				return nil
 			}
 			rec.puts = append(rec.puts, n)
@@ -573,7 +581,8 @@ func decodeCkptMeta(b []byte) (lsn, nextID uint64, ok bool) {
 	if len(b) != 16 {
 		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]), true
+	lsn, nextID = binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+	return lsn, nextID, nextID < idLimit
 }
 
 // dirtyRows is one shard's rows written since its last completed
@@ -1056,7 +1065,7 @@ func (db *DB) loadCkptRow(key string, val []byte) error {
 	case ckptTagINode:
 		r := &walReader{b: val[1:]}
 		n := r.inode()
-		if n == nil || r.off != len(r.b) {
+		if n == nil || r.off != len(r.b) || n.ID >= idLimit {
 			return fmt.Errorf("checkpoint row %q: corrupt inode", key)
 		}
 		db.inodes.put(n)

@@ -42,9 +42,9 @@ func TestHedgedFastPathAllocs(t *testing.T) {
 }
 
 // A warm replaced read races its TCP call against its HTTP invocation and
-// takes both racers' state and reply storage from its client's free list,
-// the losing invocation handing the record back when it finishes. It
-// allocates the invocation's boxed payload alone.
+// takes both racers' state, reply storage and the invocation's payload from
+// its client's free list, the losing invocation handing the record back
+// when it finishes. It allocates nothing.
 func TestReplacedReadAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		_, c := replaceHarness(t, clk, nil, testCfg())
@@ -58,8 +58,8 @@ func TestReplacedReadAllocs(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			read()
 		}
-		if got := testing.AllocsPerRun(100, read); got != 1 {
-			t.Errorf("a warm replaced read: %v allocs, want 1", got)
+		if got := testing.AllocsPerRun(100, read); got != 0 {
+			t.Errorf("a warm replaced read: %v allocs, want 0", got)
 		}
 		if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 121 || st.HTTPRPCs != 122 {
 			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)
@@ -67,9 +67,8 @@ func TestReplacedReadAllocs(t *testing.T) {
 	})
 }
 
-// A warm replaced write races like a replaced read: it allocates the
-// invocation's boxed payload, and nothing for its Raced mark, which rides
-// in the request. Every write here
+// A warm replaced write races like a replaced read: it allocates nothing,
+// for its Raced mark rides in the request. Every write here
 // is raced, so each invocation, arriving after its client's next raced
 // write, is stale, but for the last, which answers from the row.
 func TestReplacedWriteAllocs(t *testing.T) {
@@ -83,8 +82,8 @@ func TestReplacedWriteAllocs(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			create()
 		}
-		if got := testing.AllocsPerRun(100, create); got != 1 {
-			t.Errorf("a warm replaced write: %v allocs, want 1", got)
+		if got := testing.AllocsPerRun(100, create); got != 0 {
+			t.Errorf("a warm replaced write: %v allocs, want 0", got)
 		}
 		if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 121 || st.HTTPRPCs != 122 {
 			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)

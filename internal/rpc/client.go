@@ -263,7 +263,7 @@ func (c *Client) attempt(k *call, tc *trace.Ctx, dep int, req namespace.Request,
 		var resp *namespace.Response
 		var err error
 		if conn == nil {
-			resp, err = c.callHTTP(tc, dep, req)
+			resp, err = c.callHTTP(&k.payloads[0], tc, dep, req)
 		} else {
 			resp, err = c.callTCPHedged(k, tc, dep, conn, req, replaced)
 		}
@@ -290,10 +290,11 @@ func (c *Client) backoff(attempt int) {
 	c.vm.clk.Sleep(d)
 }
 
-// callHTTP performs the gateway-routed invocation; the serving NameNode
-// establishes a TCP connection back to the client's server as a side
-// effect (handled by the NameNode via Payload.ReplyTo).
-func (c *Client) callHTTP(tc *trace.Ctx, dep int, req namespace.Request) (*namespace.Response, error) {
+// callHTTP performs the gateway-routed invocation, its payload written
+// into p; the serving NameNode establishes a TCP connection back to the
+// client's server as a side effect (handled by the NameNode via
+// Payload.ReplyTo).
+func (c *Client) callHTTP(p *Payload, tc *trace.Ctx, dep int, req namespace.Request) (*namespace.Response, error) {
 	c.stats.http.Add(1)
 	c.tel.http.Inc()
 	sp := tc.Start(trace.KindRPCHTTP)
@@ -306,7 +307,8 @@ func (c *Client) callHTTP(tc *trace.Ctx, dep int, req namespace.Request) (*names
 	// Re-point the request's context at the transport span so server-side
 	// spans (gateway, cold start, engine, store) nest under it.
 	req.TC = sp.Ctx()
-	v, err := c.inv.Invoke(dep, Payload{Req: req, ReplyTo: c.tcp, TC: sp.Ctx()})
+	*p = Payload{Req: req, ReplyTo: c.tcp, TC: sp.Ctx()}
+	v, err := c.inv.Invoke(dep, p)
 	if err != nil {
 		sp.SetDetail(err.Error())
 		sp.End()
@@ -451,6 +453,9 @@ type call struct {
 	// replies is the storage the racers write into: the primary's (and a
 	// call's with no race) first, the second racer's after it.
 	replies [2]namespace.Reply
+	// payloads is each racer's invocation payload, laid out as replies;
+	// an invocation drops its payload before it returns (rpc.Invoker).
+	payloads [2]Payload
 
 	tc   *trace.Ctx
 	dep  int
@@ -482,7 +487,7 @@ func (k *call) callHedge() {
 			return
 		}
 	}
-	k.finish(c.callHTTP(k.tc, k.dep, req))
+	k.finish(c.callHTTP(&k.payloads[1], k.tc, k.dep, req))
 }
 
 // finish ends one racer: it answers if the caller still waits, and frees
@@ -574,6 +579,7 @@ func (c *Client) nextCall() *call {
 // holds. Caller holds c.mu.
 func (c *Client) freeLocked(k *call) {
 	k.tc, k.dep, k.conn, k.req = nil, 0, nil, namespace.Request{}
+	k.payloads = [2]Payload{}
 	c.freeCalls = append(c.freeCalls, k)
 }
 

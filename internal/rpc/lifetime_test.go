@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,44 +18,56 @@ import (
 // A reply Do returns lives in its call record's storage and is valid until
 // the client's next Do. A replaced read's losing invocation, still out when
 // the caller's next Do starts, keeps its record from reuse, so it answers
-// into storage the caller no longer looks at. Here the first read's
-// invocation is held at the gateway until the next read has returned, and
-// the next read's TCP call is held up past its own invocation, so the reply
+// into storage the caller no longer looks at. Here the first call's
+// invocation is held at the gateway until the next call has returned, and
+// the next call's TCP call is held up past its own invocation, so the reply
 // the caller holds is the one its invocation wrote, in the storage of a
-// second racer — the slot the loser writes into in its own record.
+// second racer — the slot the loser writes into in its own record. The same
+// holds for a directory's ls, whose entries the loser writes into its own
+// storage's room, never into the entries the caller holds.
 func TestReplacedLoserNeverWritesHeldReply(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		var slowTCP atomic.Bool
-		cfg := testCfg()
-		cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
-			if slowTCP.Load() {
-				return false, 50 * time.Millisecond
+	for _, op := range []namespace.OpType{namespace.OpRead, namespace.OpLs} {
+		simtest.Run(t, func(clk *clock.Sim) {
+			var slowTCP atomic.Bool
+			cfg := testCfg()
+			cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
+				if slowTCP.Load() {
+					return false, 50 * time.Millisecond
+				}
+				return false, 0
 			}
-			return false, 0
-		}
-		gate := &gatedInvoker{gate: clock.NewEvent(clk)}
-		_, c := replaceHarness(t, clk, func(inv Invoker) Invoker { gate.inner = inv; return gate }, cfg)
-		gate.hold.Store(true) // the next invocation waits for the gate
-		first, err := c.Do(namespace.OpRead, "/a", "")
-		if err != nil || !first.OK() || first.ID != namespace.INodeID(c.seq.Load()) {
-			t.Fatalf("first read: %+v %v, want its own reply", first, err)
-		}
-		slowTCP.Store(true)
-		second, err := c.Do(namespace.OpRead, "/b", "")
-		seq := namespace.INodeID(c.seq.Load())
-		if err != nil || second.ID != seq {
-			t.Fatalf("second read: %+v %v, want its own reply (ID %d)", second, err, seq)
-		}
-		held := *second
-		gate.gate.Set()
-		clk.Sleep(100 * time.Millisecond) // every racer of both calls has finished
-		if !reflect.DeepEqual(*second, held) {
-			t.Errorf("the loser's late reply landed in the held reply: %+v, was %+v", *second, held)
-		}
-		if st := c.Stats(); st.TCPRPCs != 2 || st.HTTPRPCs != 3 {
-			t.Errorf("stats = %+v, want 2 TCP calls and 3 invocations", st)
-		}
-	})
+			gate := &gatedInvoker{gate: clock.NewEvent(clk)}
+			_, c := replaceHarness(t, clk, func(inv Invoker) Invoker { gate.inner = inv; return gate }, cfg)
+			gate.hold.Store(true) // the next invocation waits for the gate
+			first, err := c.Do(op, "/a", "")
+			if err != nil || !first.OK() || first.ID != namespace.INodeID(c.seq.Load()) {
+				t.Fatalf("first %v: %+v %v, want its own reply", op, first, err)
+			}
+			slowTCP.Store(true)
+			second, err := c.Do(op, "/b", "")
+			seq := namespace.INodeID(c.seq.Load())
+			if err != nil || second.ID != seq {
+				t.Fatalf("second %v: %+v %v, want its own reply (ID %d)", op, second, err, seq)
+			}
+			held, heldEntries := *second, slices.Clone(second.Entries)
+			if op == namespace.OpLs && (len(heldEntries) != lsEntries || heldEntries[0].ID != seq) {
+				t.Fatalf("second ls: entries %+v, want %d of ID %d", heldEntries, lsEntries, seq)
+			}
+			gate.gate.Set()
+			// First the loser answers, then the second call's held-up TCP
+			// call: every racer of both calls has finished.
+			for _, wait := range []time.Duration{20 * time.Millisecond, 100 * time.Millisecond} {
+				clk.Sleep(wait)
+				if !reflect.DeepEqual(*second, held) || !slices.Equal(second.Entries, heldEntries) {
+					t.Errorf("%v, %v after the gate: a late reply landed in the held reply: %+v %+v, was %+v %+v",
+						op, wait, *second, second.Entries, held, heldEntries)
+				}
+			}
+			if st := c.Stats(); st.TCPRPCs != 2 || st.HTTPRPCs != 3 {
+				t.Errorf("%v: stats = %+v, want 2 TCP calls and 3 invocations", op, st)
+			}
+		})
+	}
 }
 
 // gatedInvoker holds one invocation, the first after hold is set, until its

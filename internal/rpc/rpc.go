@@ -46,7 +46,8 @@ type Server interface {
 }
 
 // Invoker performs HTTP invocations of a deployment; the λFS system
-// adapts the FaaS platform to it.
+// adapts the FaaS platform to it. The payload is a *Payload the caller
+// owns: Invoke keeps no reference to it once it returns.
 type Invoker interface {
 	Invoke(dep int, payload any) (any, error)
 }
@@ -66,7 +67,7 @@ type Payload struct {
 
 // TraceCtx exposes the trace context to the platform (faas's carrier
 // interface) without faas importing this package.
-func (p Payload) TraceCtx() *trace.Ctx { return p.TC }
+func (p *Payload) TraceCtx() *trace.Ctx { return p.TC }
 
 // Config tunes the RPC fabric.
 type Config struct {

@@ -51,17 +51,28 @@ func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 }
 
 // replyTo writes resp into req's reply storage and returns it; a request
-// without storage gets fresh storage.
+// without storage gets fresh storage. An ls lists lsEntries entries, each
+// with the request's Seq for its ID, into the storage's room, as the
+// engine lists a directory.
 func replyTo(req namespace.Request, resp namespace.Response) *namespace.Response {
 	r := req.Reply
 	if r == nil {
 		r = new(namespace.Reply)
 	}
+	if req.Op == namespace.OpLs {
+		resp.Entries = r.EntryRoom(lsEntries)
+		for i := range resp.Entries {
+			resp.Entries[i] = namespace.DirEntry{Name: "e", ID: namespace.INodeID(req.Seq)}
+		}
+	}
 	return r.Set(resp)
 }
 
+// lsEntries is the length of a test NameNode's listings.
+const lsEntries = 3
+
 func (n *testNN) HandleInvoke(payload any) any {
-	p, ok := payload.(Payload)
+	p, ok := payload.(*Payload)
 	if !ok {
 		return nil
 	}
@@ -825,7 +836,7 @@ func TestTCPServerOfferDedupes(t *testing.T) {
 		cfg2.HTTPReplaceProb = 1
 		c2 := h.vm.NewClient("c2", h.ring, platformInvoker{h.p})
 		_ = c2
-		if _, err := c.callHTTP(nil, 0, namespace.Request{Op: namespace.OpStat, Path: "/a", ClientID: "c1", Seq: 99}); err != nil {
+		if _, err := c.callHTTP(new(Payload), nil, 0, namespace.Request{Op: namespace.OpStat, Path: "/a", ClientID: "c1", Seq: 99}); err != nil {
 			t.Fatal(err)
 		}
 		if s.ConnCount(0) != 1 {
@@ -858,7 +869,7 @@ func TestConnRotationSpreadsLoad(t *testing.T) {
 		}
 		// Force a second instance via a direct second HTTP call while the
 		// first connection exists (replacement path).
-		if _, err := c.callHTTP(nil, 0, namespace.Request{Op: namespace.OpStat, Path: "/a", ClientID: "c1", Seq: 1000}); err != nil {
+		if _, err := c.callHTTP(new(Payload), nil, 0, namespace.Request{Op: namespace.OpStat, Path: "/a", ClientID: "c1", Seq: 1000}); err != nil {
 			t.Fatal(err)
 		}
 		s := c.tcp
