@@ -91,13 +91,14 @@ func TestHopsFSCacheHitsRoutesAndStaysCoherent(t *testing.T) {
 		r := &hopsFS{nns: nns, id: "r"}
 		hok(t, w, namespace.OpMkdirs, "/cc", "")
 		hok(t, w, namespace.OpCreate, "/cc/f", "")
-		first := hok(t, r, namespace.OpStat, "/cc/f", "")
+		// A reply lives until the client's next Do: keep what is compared.
+		firstBy := hok(t, r, namespace.OpStat, "/cc/f", "").ServedBy
 		second := hok(t, r, namespace.OpStat, "/cc/f", "")
 		if !second.CacheHit {
 			t.Fatal("HopsFS+Cache did not cache")
 		}
-		if first.ServedBy != second.ServedBy {
-			t.Fatalf("one path served by %s and %s", first.ServedBy, second.ServedBy)
+		if firstBy != second.ServedBy {
+			t.Fatalf("one path served by %s and %s", firstBy, second.ServedBy)
 		}
 		// Coherence: a delete through w, then a stat through r must miss.
 		hok(t, w, namespace.OpDelete, "/cc/f", "")

@@ -226,15 +226,18 @@ func newHopsNameNodes(c *lambdafs.Cluster, handlers int, routed bool) *hopsNameN
 // hopsFS is a HopsFS client: every op goes over TCP to one NameNode,
 // the one λFS's ring routes it to for HopsFS+Cache, the next in the
 // client's own round-robin for HopsFS, and waits for one of its handlers.
+// Its reply is written into the client's one storage, so it is valid until
+// the client's next Do.
 type hopsFS struct {
 	nns     *hopsNameNodes
 	id      string
 	rr, seq uint64
+	reply   namespace.Reply
 }
 
 func (f *hopsFS) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	f.seq++
-	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq}
+	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq, Reply: &f.reply}
 	s := f.nns
 	var nn *hopsNameNode
 	if s.ring != nil {
@@ -286,17 +289,22 @@ func infiniCache(cfg lambdafs.Config) *lambdafs.Cluster {
 }
 
 // httpFS is an InfiniCache client: every op is one HTTP invocation of its
-// deployment's function, with no ReplyTo, so no TCP connection back.
+// deployment's function, with no ReplyTo, so no TCP connection back. Like
+// an rpc.Client's call record, it writes each invocation's payload and
+// reply into storage of its own, so a reply is valid until the client's
+// next Do.
 type httpFS struct {
-	sys *core.System
-	id  string
-	seq uint64
+	sys     *core.System
+	id      string
+	seq     uint64
+	payload rpc.Payload
+	reply   namespace.Reply
 }
 
 func (f *httpFS) Do(op namespace.OpType, path, dest string) (*namespace.Response, error) {
 	f.seq++
-	req := namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq}
-	v, err := f.sys.Invoke(f.sys.Ring().Route(op, path), &rpc.Payload{Req: req})
+	f.payload = rpc.Payload{Req: namespace.Request{Op: op, Path: path, Dest: dest, ClientID: f.id, Seq: f.seq, Reply: &f.reply}}
+	v, err := f.sys.Invoke(f.sys.Ring().Route(op, path), &f.payload)
 	if err != nil {
 		return nil, err
 	}
