@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
-	"lambdafs/internal/datanode"
 	"lambdafs/internal/namespace"
 )
 
@@ -17,10 +15,8 @@ import (
 // without allocating: the client's call record holds the reply storage the
 // NameNode writes into, the ls's entries in the storage's room, the chain
 // is on the engine's stack and every clock wait reuses a parked waiter. A create
-// allocates its rows alone: the file's row and its parent's new version
-// while no DataNode is published, and its block list and replica locations
-// besides once one is. Replacement is off, so each call takes its TCP
-// path alone. (Not under -race: the detector allocates.)
+// allocates its rows alone: the file's row and its parent's new version.
+// Replacement is off, so each call takes its TCP path alone. (Not under -race: the detector allocates.)
 func TestDoAllocs(t *testing.T) {
 	cfg := quickConfig()
 	cfg.RPC.HTTPReplaceProb = 0
@@ -82,39 +78,15 @@ func TestDoAllocs(t *testing.T) {
 		if got := allocsBetween(remove, create); got < 2 || got > 2.1 {
 			t.Errorf("a create through rpc.Client.Do: %v allocs, want 2 (its row and its parent's new version)", got)
 		}
-
-		// With one DataNode published, the file gets a block: its block
-		// list and its replica locations are two objects more, and the
-		// NameNode's DataNode view picks the locations from its reports in
-		// place. The sleep outlasts the view's 10 s TTL, so the next
-		// create refreshes it.
-		if err := datanode.New(c.Clock(), c.Store(), "dn1", time.Second).Publish(); err != nil {
-			t.Fatal(err)
-		}
-		c.Clock().Sleep(11 * time.Second)
-		for range 64 {
-			read()
-			stat()
-		}
-		remove()
-		create()
-		if n := do(namespace.OpRead, "/d/g"); len(n.Blocks) != 1 {
-			t.Fatalf("a create with a DataNode published made %d blocks, want 1", len(n.Blocks))
-		}
-		remove()
-		if got := allocsBetween(remove, create); got < 4 || got > 4.1 {
-			t.Errorf("a create with a DataNode published: %v allocs, want 4 (its row, its block list and locations, and its parent's new version)", got)
-		}
 	})
 }
 
 // TestClientAllocs pins the public client's typed calls on a warm cluster,
 // from a registered goroutine: each allocates its turn's closure and the
 // one object holding its results, and copies out only what it returns — a
-// stat and an open (no DataNode runs, so the file has no blocks) nothing
-// more, an ls of a file its one entry and an ls of a directory its
-// entries. (Not under -race: the detector
-// allocates.)
+// stat and an open (a created file has no blocks) nothing more, an ls of
+// a file its one entry and an ls of a directory its entries. (Not under
+// -race: the detector allocates.)
 func TestClientAllocs(t *testing.T) {
 	cfg := quickConfig()
 	cfg.RPC.HTTPReplaceProb = 0

@@ -116,6 +116,21 @@ func TestChaosDigestGolden(t *testing.T) {
 	}
 }
 
+// TestArmedAbortLandsOnItsStep: a tx_abort is armed only before a
+// single-transaction write the oracle predicts will commit, and it aborts
+// the next commit, so that write — and no other transaction — must answer
+// the injected fault.
+func TestArmedAbortLandsOnItsStep(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		for _, s := range runSeededEpisode(t, seed).Steps {
+			if s.Fault == string(FaultTxAbort) && s.Err != ErrInjected.Error() {
+				t.Errorf("seed %d step %d (%s %s): answered %q with an abort armed for it, want %q",
+					seed, s.Step, s.Op, s.Path, s.Err, ErrInjected.Error())
+			}
+		}
+	}
+}
+
 // TestInjectorArming covers the armed-counter bookkeeping of every hook.
 func TestInjectorArming(t *testing.T) {
 	in := NewInjector()

@@ -40,7 +40,7 @@ import (
 //
 // The stand-still rule: time moves only for someone. It advances only while
 // a goroutine started by Go or Run is alive; periodic background loops
-// (reclaimer, scraper, heartbeats) are started by GoDaemon and do not count.
+// (reclaimer, scraper, fault injector) are started by GoDaemon and do not count.
 // A quiescent cluster therefore holds its clock between two Run calls, and a
 // wake from outside (a spawn, a Set, a Send, Close) starts it again.
 //
@@ -450,7 +450,7 @@ func (s *Sim) watchdog() {
 func Go(s *Sim, fn func()) { s.spawn(fn, false) }
 
 // GoDaemon is Go for a background loop that ticks for as long as its owner
-// exists (a reclaimer, a scraper, a heartbeat): it runs like any other
+// exists (a reclaimer, a scraper, a fault injector): it runs like any other
 // goroutine, but time does not advance on its account alone (the stand-still
 // rule in the Sim type comment).
 func GoDaemon(s *Sim, fn func()) { s.spawn(fn, true) }

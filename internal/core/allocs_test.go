@@ -11,7 +11,7 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
-	"lambdafs/internal/store"
+	"lambdafs/internal/workload"
 )
 
 // A cache hit copies no INode and allocates nothing: the chain is on the
@@ -23,15 +23,8 @@ import (
 func TestExecuteHitAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
-		tx := st.Begin("seed") // a DataNode, so the file gets a block with a location
-		if err := tx.KVPut(store.TableDataNodes, "dn1", []byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		mustOK(t, e, namespace.OpMkdirs, "/a/b", "")
-		mustOK(t, e, namespace.OpCreate, "/a/b/f", "")
+		// A preloaded file, so it has a block with its locations.
+		workload.PreloadNDB(st, []string{"/a", "/a/b"}, []string{"/a/b/f"})
 		// Nothing: Lookup writes the chain into the caller's stack buffer, a
 		// canonical path cleans for free, and the reply lands in the
 		// request's storage. A read carrying a ClientID and a fresh Seq costs

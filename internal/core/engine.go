@@ -66,7 +66,6 @@ import (
 	"lambdafs/internal/cache"
 	"lambdafs/internal/clock"
 	"lambdafs/internal/coordinator"
-	"lambdafs/internal/datanode"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/store"
@@ -147,12 +146,6 @@ const (
 	// clients whose latest write reply an engine keeps for deduplication,
 	// oldest client evicted first.
 	resultCacheSize = 4096
-	// dataNodeViewTTL is how long a cached DataNode fleet view stays
-	// fresh.
-	dataNodeViewTTL = 10 * time.Second
-	// replication is the block replication factor for new files; a reply
-	// has room for one block's locations.
-	replication = namespace.ReplyLocations
 )
 
 // Engine executes metadata operations. One Engine runs per NameNode
@@ -168,7 +161,6 @@ type Engine struct {
 	clk   *clock.Sim
 	cfg   EngineConfig
 
-	dnview  *datanode.View
 	results *resultCache
 	offload Offloader // nil → run subtree batches locally
 	tel     coreTelemetry
@@ -218,7 +210,6 @@ func NewEngine(id string, dep int, clk *clock.Sim, st store.Store, ring *partiti
 	}
 	e := &Engine{
 		id: id, dep: dep, ring: ring, st: st, coord: coord, cpu: cpu, clk: clk, cfg: cfg,
-		dnview:  datanode.NewView(clk, st, id, dataNodeViewTTL, replication),
 		results: newResultCache(resultCacheSize),
 	}
 	if cfg.CacheBudget >= 0 {

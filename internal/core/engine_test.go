@@ -17,6 +17,7 @@ import (
 	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
 	"lambdafs/internal/store"
+	"lambdafs/internal/workload"
 )
 
 func fastStore(clk *clock.Sim) *ndb.DB {
@@ -173,22 +174,10 @@ func TestMvDirSubtree(t *testing.T) {
 func TestReadReturnsBlockLocations(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)
-		// Publish two DataNodes so create assigns locations.
-		tx := st.Begin("seed")
-		if err := tx.KVPut(store.TableDataNodes, "dn1",
-			[]byte(`{"ID":"dn1","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.KVPut(store.TableDataNodes, "dn2",
-			[]byte(`{"ID":"dn2","Timestamp":"2023-03-25T00:00:00Z"}`)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		mustOK(t, e, namespace.OpCreate, "/blocks.bin", "")
+		// A preloaded file: one block on three DataNodes.
+		workload.PreloadNDB(st, nil, []string{"/blocks.bin"})
 		rd := mustOK(t, e, namespace.OpRead, "/blocks.bin", "")
-		if len(rd.Blocks) != 1 || len(rd.Blocks[0].Locations) != 2 {
+		if len(rd.Blocks) != 1 || len(rd.Blocks[0].Locations) != 3 {
 			t.Fatalf("blocks = %+v", rd.Blocks)
 		}
 		// The reply's blocks are the caller's own: read hands out the chain
@@ -210,7 +199,7 @@ func TestReadReturnsBlockLocations(t *testing.T) {
 }
 
 // A block list longer than a read reply's inline room — two blocks of four
-// locations each, against one block of replication — spills to the heap and
+// locations each, against one block of namespace.ReplyLocations — spills to the heap and
 // is still the reply's own: a scribbled reply reaches neither the cached row
 // nor the store's.
 func TestReadSpilledBlocksArePrivate(t *testing.T) {

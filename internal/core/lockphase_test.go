@@ -28,7 +28,7 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 		e, st := soloEngine(clk)
 		mustOK(t, e, namespace.OpMkdirs, "/p/q", "")
 		mustOK(t, e, namespace.OpMkdirs, "/r", "")
-		mustOK(t, e, namespace.OpCreate, "/r/warm", "") // loads the DataNode view (a KV scan) once
+		mustOK(t, e, namespace.OpCreate, "/r/warm", "")
 
 		// Every row succeeds but this one.
 		fails := map[string]error{"mkdirs over a file": namespace.ErrExists}
@@ -63,6 +63,29 @@ func TestWriteLockPhaseIsOneStoreRead(t *testing.T) {
 		}
 		if st.HeldLocks() != 0 {
 			t.Fatalf("locks leaked: %d", st.HeldLocks())
+		}
+	})
+}
+
+// TestCreateIsOneTransaction: a create commits its one transaction and
+// reads the store as often whether it is the engine's first or a later one
+// — no other transaction rides on it.
+func TestCreateIsOneTransaction(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		e, st := soloEngine(clk)
+		mustOK(t, e, namespace.OpMkdirs, "/d", "")
+		var reads [2]uint64
+		for i, path := range []string{"/d/first", "/d/later"} {
+			before := st.Stats()
+			mustOK(t, e, namespace.OpCreate, path, "")
+			after := st.Stats()
+			if got := after.Commits - before.Commits; got != 1 {
+				t.Errorf("create %s: %d commits, want 1", path, got)
+			}
+			reads[i] = after.Reads - before.Reads
+		}
+		if reads[0] != reads[1] {
+			t.Errorf("the first create read the store %d times, a later one %d", reads[0], reads[1])
 		}
 	})
 }

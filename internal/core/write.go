@@ -52,13 +52,6 @@ func (e *Engine) create(tc *trace.Ctx, r *namespace.Reply, path string, race nam
 			Mtime:    now,
 			Ctime:    now,
 		}
-		if locs := e.dnview.PickLocations(); len(locs) > 0 {
-			created.Blocks = []namespace.Block{{
-				ID:        namespace.BlockID(created.ID),
-				Size:      0,
-				Locations: locs,
-			}}
-		}
 		if err := tx.PutINode(created); err != nil {
 			return namespace.InvalidID, err
 		}

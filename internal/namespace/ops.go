@@ -138,7 +138,8 @@ func (r *Response) OK() bool { return r.Err == "" }
 func (r *Response) Error() error { return FromWire(r.Err) }
 
 // ReplyLocations is the number of replica locations a Reply has room for:
-// the replication factor of the files NameNodes create.
+// HDFS's default replication factor, which every preloaded file's block
+// has.
 const ReplyLocations = 3
 
 // ReplyEntries is the longest listing whose entries a Reply keeps room for

@@ -30,8 +30,8 @@ func TestRowKeyHashesItsStringForm(t *testing.T) {
 		{childKey(1234567890123, "übung-日本語.txt"), "c/1234567890123/übung-日本語.txt"},
 		{childKey(7, ""), "c/7/"},
 		{kvKey(store.TableSubtreeOps, "42"), "k/subtree_ops/42"},
-		{kvKey(store.TableDataNodes, "dn-é"), "k/datanodes/dn-é"},
-		{kvKey(store.TableDataNodes, ""), "k/datanodes/"}, // KVScan's empty prefix
+		{kvKey(testTable, "dn-é"), "k/test_kv/dn-é"},
+		{kvKey(testTable, ""), "k/test_kv/"}, // KVScan's empty prefix
 		{plainKey("/a/b/c"), "/a/b/c"},
 		{plainKey("subtree/77"), "subtree/77"},
 	} {

@@ -808,33 +808,36 @@ func firstDiff(a, b []namespace.INodeID) int {
 	return len(a)
 }
 
+// testTable is a KV table of the tests' own.
+const testTable = "test_kv"
+
 func TestKVOps(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)
 		tx := db.Begin("t")
-		if err := tx.KVPut(store.TableDataNodes, "dn1", []byte("alive")); err != nil {
+		if err := tx.KVPut(testTable, "dn1", []byte("alive")); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := tx.KVScan(store.TableDataNodes, "dn1"); err != nil || len(got) != 1 || string(got["dn1"]) != "alive" {
+		if got, err := tx.KVScan(testTable, "dn1"); err != nil || len(got) != 1 || string(got["dn1"]) != "alive" {
 			t.Fatalf("read own kv write: %q %v", got, err)
 		}
 		mustCommit(t, tx)
 
 		tx2 := db.Begin("t")
-		if got, _ := tx2.KVScan(store.TableDataNodes, "dn1"); len(got) != 1 || string(got["dn1"]) != "alive" {
+		if got, _ := tx2.KVScan(testTable, "dn1"); len(got) != 1 || string(got["dn1"]) != "alive" {
 			t.Fatalf("committed kv missing: %q", got)
 		}
-		if err := tx2.KVPut(store.TableDataNodes, "dn2", []byte("x")); err != nil {
+		if err := tx2.KVPut(testTable, "dn2", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		scan, err := tx2.KVScan(store.TableDataNodes, "dn")
+		scan, err := tx2.KVScan(testTable, "dn")
 		if err != nil || len(scan) != 2 {
 			t.Fatalf("scan = %v, %v", scan, err)
 		}
-		if err := tx2.KVDelete(store.TableDataNodes, "dn1"); err != nil {
+		if err := tx2.KVDelete(testTable, "dn1"); err != nil {
 			t.Fatal(err)
 		}
-		scan, _ = tx2.KVScan(store.TableDataNodes, "dn")
+		scan, _ = tx2.KVScan(testTable, "dn")
 		if len(scan) != 1 {
 			t.Fatalf("scan after buffered delete = %v", scan)
 		}
@@ -842,7 +845,7 @@ func TestKVOps(t *testing.T) {
 
 		tx3 := db.Begin("t")
 		defer tx3.Abort()
-		if got, _ := tx3.KVScan(store.TableDataNodes, "dn1"); len(got) != 0 {
+		if got, _ := tx3.KVScan(testTable, "dn1"); len(got) != 0 {
 			t.Fatalf("deleted kv still present: %q", got)
 		}
 	})
@@ -1085,7 +1088,7 @@ func TestServiceLatencyCharged(t *testing.T) {
 	scan := func(db *DB) error {
 		tx := db.Begin("reader")
 		defer tx.Abort()
-		_, err := tx.KVScan(store.TableDataNodes, "dn")
+		_, err := tx.KVScan(testTable, "dn")
 		return err
 	}
 	cases := []struct {
@@ -1106,10 +1109,10 @@ func TestServiceLatencyCharged(t *testing.T) {
 			_, err := db.ListSubtree(namespace.RootID)
 			return err
 		}},
-		{name: "KVScan 0 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: 0, batches: 1, read: scan},
-		{name: "KVScan B-1 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B - 1, batches: 1, read: scan},
-		{name: "KVScan B rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B, batches: 2, read: scan},
-		{name: "KVScan B+1 rows", key: kvKey(store.TableDataNodes, "dn"), kvRows: B + 1, batches: 2, read: scan},
+		{name: "KVScan 0 rows", key: kvKey(testTable, "dn"), kvRows: 0, batches: 1, read: scan},
+		{name: "KVScan B-1 rows", key: kvKey(testTable, "dn"), kvRows: B - 1, batches: 1, read: scan},
+		{name: "KVScan B rows", key: kvKey(testTable, "dn"), kvRows: B, batches: 2, read: scan},
+		{name: "KVScan B+1 rows", key: kvKey(testTable, "dn"), kvRows: B + 1, batches: 2, read: scan},
 	}
 	for _, c := range cases {
 		simtest.Run(t, func(clk *clock.Sim) {
@@ -1128,7 +1131,7 @@ func TestServiceLatencyCharged(t *testing.T) {
 			})
 			tx := db.Begin("setup")
 			for i := 0; i < c.kvRows; i++ {
-				if err := tx.KVPut(store.TableDataNodes, fmt.Sprintf("dn%d", i), []byte("alive")); err != nil {
+				if err := tx.KVPut(testTable, fmt.Sprintf("dn%d", i), []byte("alive")); err != nil {
 					t.Fatal(err)
 				}
 			}

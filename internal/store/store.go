@@ -1,8 +1,8 @@
 // Package store defines the Data Access Layer (DAL) between metadata
 // servers and the persistent metadata store, mirroring HopsFS's pluggable
 // DAL (§2): a transactional row store holding the INode table plus generic
-// key-value tables used for DataNode reports, coordination state, and the
-// subtree-operation registry.
+// key-value tables used for coordination state, the subtree-operation
+// registry and each client's latest raced write.
 //
 // λFS and all baselines speak this interface; internal/ndb provides the
 // MySQL-Cluster-NDB-like implementation with row locks, ACID transactions,
@@ -65,7 +65,6 @@ var (
 
 // Well-known KV table names.
 const (
-	TableDataNodes  = "datanodes"   // DataNode heartbeats and block reports
 	TableSubtreeOps = "subtree_ops" // active subtree operations (isolation)
 	TableResults    = "results"     // each client's latest raced write and its reply
 )

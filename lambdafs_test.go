@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"lambdafs/internal/clock"
-	"lambdafs/internal/datanode"
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/simtest"
 	"lambdafs/internal/telemetry"
+	"lambdafs/internal/workload"
 )
 
 // quickConfig keeps public-API tests fast: tiny latencies, DES clock.
@@ -317,17 +317,14 @@ func TestClustersLeaveNoGoroutinesBehind(t *testing.T) {
 
 // TestQuiescentClusterStandsStill: time moves only for someone. A default
 // cluster driven from a goroutine the clock does not know holds its clock
-// between calls — although its reclaimer, a started scraper and a started
-// DataNode all tick on it — moves again inside the next Run, and still
-// drains on Close.
+// between calls — although its reclaimer and a started scraper both tick
+// on it — moves again inside the next Run, and still drains on Close.
 func TestQuiescentClusterStandsStill(t *testing.T) {
 	c := newTestCluster(t, DefaultConfig())
 	sim := c.Clock()
 	const tick = time.Second
 	scraper := telemetry.NewScraper(sim, c.Telemetry(), tick)
 	scraper.Start()
-	dn := datanode.New(sim, c.Store(), "dn1", tick)
-	dn.Start()
 	cl := c.NewClient("")
 	if err := cl.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
@@ -366,17 +363,10 @@ func TestQuiescentClusterStandsStill(t *testing.T) {
 	if got := len(scraper.Snapshots()) - scrapes; got < 2 {
 		t.Errorf("the scraper ticked %d times across a 3s sleep, want one per second", got)
 	}
-	var reports []datanode.Report
-	var err error
-	c.Run(func() { reports, err = datanode.Discover(sim, c.Store(), "test", 0) })
-	if err != nil || len(reports) != 1 || reports[0].Timestamp.Before(rest.now.Add(tick)) {
-		t.Errorf("DataNode report after the sleep: %+v, %v; want one published during it", reports, err)
-	}
 
 	// Close wakes the tickers wherever they are parked; the joins return.
 	c.Close()
 	scraper.Stop()
-	dn.Stop()
 }
 
 // What a Client's List and Open return is the caller's: the rpc client
@@ -387,18 +377,9 @@ func TestQuiescentClusterStandsStill(t *testing.T) {
 // reply (its StatInfo and block list).
 func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
 	c := newTestCluster(t, quickConfig())
-	dn := datanode.New(c.Clock(), c.Store(), "dn1", time.Second) // so files get a block
-	dn.Start()
-	c.Run(func() { c.Clock().Sleep(2 * time.Second) })
+	// Preloaded files, so each has a block with its replica locations.
+	workload.PreloadNDB(c.Store(), []string{"/keep", "/other"}, []string{"/keep/a", "/keep/b", "/other/x", "/other/y"})
 	cl := c.NewClient("holder")
-	for _, p := range []string{"/keep/a", "/keep/b", "/other/x", "/other/y"} {
-		if err := cl.MkdirAll(namespace.ParentPath(p)); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Create(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	dir, err := cl.List("/keep")
 	if err != nil || len(dir) != 2 {
 		t.Fatalf("list /keep: %v %v", dir, err)
@@ -440,8 +421,6 @@ func TestListAndOpenResultsOutliveLaterCalls(t *testing.T) {
 		t.Errorf("held results changed across later calls: ls /keep %v (was %v), ls /keep/a %v (was %v), blocks %v (was %v)",
 			dir, wantDir, file, wantFile, blocks, wantBlocks)
 	}
-	c.Close()
-	dn.Stop()
 }
 
 // A Client is safe for concurrent use: goroutines sharing one take turns on
