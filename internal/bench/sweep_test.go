@@ -44,9 +44,9 @@ var goldenSweepFake = map[string]string{
 }
 
 var goldenSweepTiny = map[string]string{
-	"fig11":        "f8216d06c68eb9da9d62da3e898257c07f14ee59789d4acc0af6edad3d219fa5",
+	"fig11":        "6b12e22fe0589e916fb20412a4905a51e8646c4a35a46357233a042e25b68b20",
 	"fig13":        "9c50acc959fd41dbe33a1ebdf560929edc38abfb4f9b96d955562b21414e06b5",
-	"fig14":        "29f48d81af84c008d5bac406573e00a4595f82ba31980ccf84de81e4e4fefc30",
+	"fig14":        "93314dd94c7379c8f16bc370ebe30ebfb9f206498f469777547d5459fe9ed6c2",
 	"ablation-rpc": "8bd39945ea2c4d02d35c84e00613d447e93630f11527f8297557cb8383006d23",
 }
 
@@ -126,12 +126,12 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "a4a6ef48e63f7e5809144258b0e7473765d586b2b23e93012362b63ac91e6be8",
-	"fig9":  "418e470e5ed1afc367839eb16410182f5b37929fcf791ece5f71c4f6326799a8",
-	"fig10": "18751a82ac606f8e7e1ab502d639bfb05ac69e1e5ac1a5885d0ff5388e1927b3",
-	"fig15": "2206c17a459758cdc520d199cd1f49e1b0145e73c63879b4e534b4d9d8c1cd0c",
-	"trace": "53bcb9a97808958226a529ec8445690822710343d0acee7c8f3f0f3e6391359a",
-	"slo":   "3a7b40787801499a98a7b2bc6a626701eaf7ac90d01596863a9296855f610a35",
+	"fig8a": "0d85a766e6eb3357b240867bc647926abbc08bb19ea2a7c0efd1016994329532",
+	"fig9":  "9fefb4a72a7affc5c39104e8d93a1a5b060438912d0a484a63912164fb200caa",
+	"fig10": "14d3844cc7faffa532ed9aea528b51ab092ea168ecce3409ad24a432faaa1c86",
+	"fig15": "698f2d126eca8b58ab1e881a8f9838e9380f764fd9b87642bd0393a685eda7b7",
+	"trace": "5fbe626988433eadd09fb55e82e790dab7840710253979d7fc09137266698bd3",
+	"slo":   "0a0b6e862f981e4343aaa13954dc39ceda8532c31a3ccd5240b9347fb8473cf3",
 }
 
 func TestLambdaTablesTinyGolden(t *testing.T) {

@@ -53,13 +53,13 @@ func TestAlertCoverage(t *testing.T) {
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
-	FamilyInstanceKill:    {"15e2a5ad0e7ce4c7", "942afd24e028114d"},
+	FamilyInstanceKill:    {"cfd4c07da868a2b8", "d150163944c5fb97"},
 	FamilyShardFault:      {"3569d2744157eb93", "3569d2744157eb93"},
-	FamilySlowCoordinator: {"91f23b2849a1a8ba", "9ce7492f7baa568c"},
+	FamilySlowCoordinator: {"b436da06b6a337d2", "c127350f56ffd341"},
 	FamilyCrashRestart:    {"c62a0b603a9d0cc6", "c62a0b603a9d0cc6"},
 	FamilyWALDrop:         {"ae67d6704c192669", "ae67d6704c192669"},
-	FamilyLeaderDepose:    {"cdfb591aa751787d", "856498b3ef91fc8b"},
-	FamilyTenantStorm:     {"13f2417b6b01188e", "db3dc3b46932a023"},
+	FamilyLeaderDepose:    {"e40186b9511d2c83", "08e45d1880ee937b"},
+	FamilyTenantStorm:     {"688be20dafbfd56f", "0d6ded65047436d3"},
 }
 
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must
