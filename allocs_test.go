@@ -16,7 +16,8 @@ import (
 // NameNode writes into, the ls's entries in the storage's room, the chain
 // is on the engine's stack and every clock wait reuses a parked waiter. A create
 // allocates its rows alone: the file's row and its parent's new version.
-// Replacement is off, so each call takes its TCP path alone. (Not under -race: the detector allocates.)
+// Replacement is off, so each call takes its TCP path alone. (Not under
+// -race: the detector allocates.)
 func TestDoAllocs(t *testing.T) {
 	cfg := quickConfig()
 	cfg.RPC.HTTPReplaceProb = 0

@@ -199,9 +199,9 @@ func TestReadReturnsBlockLocations(t *testing.T) {
 }
 
 // A block list longer than a read reply's inline room — two blocks of four
-// locations each, against one block of namespace.ReplyLocations — spills to the heap and
-// is still the reply's own: a scribbled reply reaches neither the cached row
-// nor the store's.
+// locations each, against one block of namespace.ReplyLocations — spills
+// to the heap and is still the reply's own: a scribbled reply reaches
+// neither the cached row nor the store's.
 func TestReadSpilledBlocksArePrivate(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		e, st := soloEngine(clk)

@@ -1,8 +1,8 @@
 // Package store defines the Data Access Layer (DAL) between metadata
 // servers and the persistent metadata store, mirroring HopsFS's pluggable
 // DAL (§2): a transactional row store holding the INode table plus generic
-// key-value tables used for coordination state, the subtree-operation
-// registry and each client's latest raced write.
+// key-value tables: the subtree-operation registry and each client's
+// latest raced write.
 //
 // λFS and all baselines speak this interface; internal/ndb provides the
 // MySQL-Cluster-NDB-like implementation with row locks, ACID transactions,
