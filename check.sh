@@ -58,6 +58,17 @@ if grep -rnE '\b(Threshold|QuantileThreshold|Absence)\(' --include='*.go' . |
 fi
 echo "ok"
 
+echo "== one value per knob (the model constants of DESIGN §3b stay constants) =="
+# A knob that every caller set to one value coming back as a struct field:
+# the WAL fsync and checkpoint sync, ndb's batch size, the LSM shape and
+# the slo window. Allowed: tests.
+if grep -rnE '^[[:space:]]+(WALFsync|CheckpointSync|BatchRows|MemtableEntries|L0CompactTrigger|MaxLevels|Window)([[:space:]]*,[[:space:]]*[[:alnum:]_]+)*[[:space:]]+[^=:[:space:]]' --include='*.go' . |
+    grep -vE '_test\.go:'; then
+    echo "one value per knob: these are constants (ndb.walFsync, checkpointSync, batchRows; lsm.MemtableEntries, L0CompactTrigger, maxLevels; slo.window) — give a second value a reason in DESIGN §3b first"
+    exit 1
+fi
+echo "ok"
+
 echo "== go vet =="
 go vet ./...
 

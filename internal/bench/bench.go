@@ -207,7 +207,6 @@ func ndbConfig() ndb.Config {
 		RTT:             300 * time.Microsecond,
 		ReadService:     300 * time.Microsecond,
 		WriteService:    250 * time.Microsecond,
-		BatchRows:       64,
 		LockWaitTimeout: 500 * time.Millisecond,
 	}
 }

@@ -121,7 +121,7 @@ func RunAlertEpisode(cfg AlertEpisodeConfig) *AlertEpisodeResult {
 	clk := clock.NewSim()
 	defer clk.Close()
 	sc := telemetry.NewScraper(clk, reg, time.Second)
-	eng := slo.New(slo.Config{Registry: reg, Window: 16})
+	eng := slo.New(slo.Config{Registry: reg})
 	eng.AddRules(slo.Rules())
 	if cfg.MuteRule != "" {
 		eng.Mute(cfg.MuteRule)

@@ -11,24 +11,24 @@ import (
 	"lambdafs/internal/simtest"
 )
 
-// batchCfg is a tree small enough that a few dozen entries flush, cross
-// L0CompactTrigger and compact L1 into the bottom level (which drops
-// tombstones), with a distinct cost per kind of work so that any
+// batchShape is a tree small enough that a few dozen entries flush, cross
+// its L0 trigger and compact L1 into the bottom level (which drops
+// tombstones).
+var batchShape = shape{memtable: 4, l0Trigger: 2, levels: 2}
+
+// batchCfg charges a distinct cost per kind of work, so that any
 // difference in what was done shows as a difference in virtual time.
 func batchCfg() Config {
 	return Config{
-		MemtableEntries:  4,
-		L0CompactTrigger: 2,
-		MaxLevels:        2,
-		PutLatency:       2 * time.Microsecond,
-		ProbeLatency:     10 * time.Microsecond,
-		FlushPerEntry:    300 * time.Nanosecond,
-		CompactPerEntry:  700 * time.Nanosecond,
+		PutLatency:      2 * time.Microsecond,
+		ProbeLatency:    10 * time.Microsecond,
+		FlushPerEntry:   300 * time.Nanosecond,
+		CompactPerEntry: 700 * time.Nanosecond,
 	}
 }
 
 // batchKeys is the key space of decodeBatches: more keys than L1 holds
-// before it compacts (MemtableEntries × 8), so level compactions happen.
+// before it compacts (batchShape.memtable × 8), so level compactions happen.
 const batchKeys = 64
 
 // decodeBatches turns bytes into batches, two bytes per entry: the first
@@ -65,10 +65,10 @@ func genBatches(rng *rand.Rand) []byte {
 		var keys []int
 		switch rng.Intn(3) {
 		case 0: // distinct keys
-			keys = rng.Perm(batchKeys)[:rng.Intn(3*batchCfg().MemtableEntries+1)]
+			keys = rng.Perm(batchKeys)[:rng.Intn(3*batchShape.memtable+1)]
 		case 1: // a duplicate inside a would-be fast run
-			keys = rng.Perm(batchKeys)[:2*batchCfg().MemtableEntries]
-			i := 1 + rng.Intn(batchCfg().MemtableEntries-1)
+			keys = rng.Perm(batchKeys)[:2*batchShape.memtable]
+			i := 1 + rng.Intn(batchShape.memtable-1)
 			keys[i] = keys[rng.Intn(i)]
 		default:
 			for n := rng.Intn(12); n > 0; n-- {
@@ -100,8 +100,8 @@ type equivalenceCoverage struct {
 // time after every batch, then the same Get of every key and Scan("").
 func checkBatchEquivalence(t *testing.T, clk *clock.Sim, batches [][]Entry, cov *equivalenceCoverage) {
 	t.Helper()
-	batched, single := New(clk, batchCfg()), New(clk, batchCfg())
-	n := batchCfg().MemtableEntries
+	batched, single := newShaped(clk, batchCfg(), batchShape), newShaped(clk, batchCfg(), batchShape)
+	n := batchShape.memtable
 	for bi, es := range batches {
 		if cov != nil {
 			switch {
@@ -172,7 +172,7 @@ const equivalenceSeeds = 64
 // TestWriteBatchMatchesOneAtATime is a seeded differential test of
 // WriteBatch against the same entries written one at a time: deletes,
 // duplicates inside a would-be fast run, batches that start on a
-// non-empty memtable, and batches that cross L0CompactTrigger and a level
+// non-empty memtable, and batches that cross the L0 trigger and a level
 // compaction.
 func TestWriteBatchMatchesOneAtATime(t *testing.T) {
 	var cov equivalenceCoverage

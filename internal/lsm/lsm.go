@@ -34,17 +34,29 @@ func isTombstone[T string | []byte](v T) bool {
 	return len(v) == len(tombstone) && string(v) == string(tombstone)
 }
 
-// Config tunes the tree and its latency model.
-type Config struct {
-	// MemtableEntries triggers a flush.
-	MemtableEntries int
-	// L0CompactTrigger is the number of L0 tables that triggers
-	// compaction into L1.
-	L0CompactTrigger int
-	// MaxLevels bounds the tree depth (each level is kept as one sorted
-	// table; compaction into the bottom level drops tombstones).
-	MaxLevels int
+// The tree's shape, after LevelDB's defaults (the paper gives none).
+const (
+	// MemtableEntries triggers a flush. LevelDB sizes its write buffer in
+	// bytes (4 MiB); the model counts entries.
+	MemtableEntries = 4096
+	// L0CompactTrigger is the number of L0 tables past which L0 compacts
+	// into L1: LevelDB's kL0_CompactionTrigger.
+	L0CompactTrigger = 4
+	// maxLevels bounds the tree depth (each level is kept as one sorted
+	// table; compaction into the bottom level drops tombstones). LevelDB
+	// keeps 7; L1 to L3 here hold 8×, 64× and everything past that.
+	maxLevels = 4
+)
 
+// shape is a tree's geometry: the constants above for every tree New
+// builds; lsm's own tests build smaller ones, so that a few dozen entries
+// flush and compact.
+type shape struct {
+	memtable, l0Trigger, levels int
+}
+
+// Config tunes the tree's latency model.
+type Config struct {
 	// PutLatency is charged per memtable insert.
 	PutLatency time.Duration
 	// ProbeLatency is charged per table consulted on a read.
@@ -55,16 +67,13 @@ type Config struct {
 	CompactPerEntry time.Duration
 }
 
-// DefaultConfig returns LevelDB-flavoured defaults.
+// DefaultConfig returns LevelDB-flavoured latencies.
 func DefaultConfig() Config {
 	return Config{
-		MemtableEntries:  4096,
-		L0CompactTrigger: 4,
-		MaxLevels:        4,
-		PutLatency:       2 * time.Microsecond,
-		ProbeLatency:     10 * time.Microsecond,
-		FlushPerEntry:    500 * time.Nanosecond,
-		CompactPerEntry:  500 * time.Nanosecond,
+		PutLatency:      2 * time.Microsecond,
+		ProbeLatency:    10 * time.Microsecond,
+		FlushPerEntry:   500 * time.Nanosecond,
+		CompactPerEntry: 500 * time.Nanosecond,
 	}
 }
 
@@ -150,8 +159,9 @@ type Stats struct {
 
 // DB is the LSM tree. Safe for concurrent use.
 type DB struct {
-	clk *clock.Sim
-	cfg Config
+	clk   *clock.Sim
+	cfg   Config
+	shape shape
 
 	mu     sync.Mutex
 	mem    map[string]string // the memtable: keys and values the tree copied
@@ -162,20 +172,16 @@ type DB struct {
 
 // New creates an empty tree.
 func New(clk *clock.Sim, cfg Config) *DB {
-	if cfg.MemtableEntries <= 0 {
-		cfg.MemtableEntries = 4096
-	}
-	if cfg.L0CompactTrigger <= 0 {
-		cfg.L0CompactTrigger = 4
-	}
-	if cfg.MaxLevels <= 0 {
-		cfg.MaxLevels = 4
-	}
+	return newShaped(clk, cfg, shape{MemtableEntries, L0CompactTrigger, maxLevels})
+}
+
+func newShaped(clk *clock.Sim, cfg Config, sh shape) *DB {
 	return &DB{
 		clk:    clk,
 		cfg:    cfg,
+		shape:  sh,
 		mem:    make(map[string]string),
-		levels: make([]*sstable, cfg.MaxLevels),
+		levels: make([]*sstable, sh.levels),
 	}
 }
 
@@ -222,7 +228,7 @@ func (db *DB) WriteBatch(es []Entry) {
 	var run strings.Builder // the memtable's copy of the entries up to its next flush
 	room := 0               // entries run has room for and has yet to take
 	for len(es) > 0 {
-		if n := db.cfg.MemtableEntries; len(db.mem) == 0 && len(es) >= n {
+		if n := db.shape.memtable; len(db.mem) == 0 && len(es) >= n {
 			if order == nil {
 				order = make([]int, n)
 			}
@@ -239,7 +245,7 @@ func (db *DB) WriteBatch(es []Entry) {
 			// run ends where the next flush may come, no sooner: the
 			// entries a flush leaves behind share no string with those
 			// it packed, so nothing outlives its memtable.
-			room = min(len(es), db.cfg.MemtableEntries-len(db.mem))
+			room = min(len(es), db.shape.memtable-len(db.mem))
 			run.Reset()
 			run.Grow(runBytes(es[:room]))
 		}
@@ -395,7 +401,7 @@ func (db *DB) Scan(prefix string) map[string][]byte {
 // maybeFlushLocked flushes the memtable and compacts as needed, returning
 // the virtual stall the caller must absorb. Caller holds db.mu.
 func (db *DB) maybeFlushLocked() time.Duration {
-	if len(db.mem) < db.cfg.MemtableEntries {
+	if len(db.mem) < db.shape.memtable {
 		return 0
 	}
 	return db.flushLocked() + db.compactLocked()
@@ -441,13 +447,13 @@ func (db *DB) compactLocked() time.Duration {
 
 func (db *DB) needsCompactLocked(lvl int) bool {
 	if lvl == -1 {
-		return len(db.l0) > db.cfg.L0CompactTrigger
+		return len(db.l0) > db.shape.l0Trigger
 	}
 	next := db.levels[lvl]
 	if next == nil || lvl+1 >= len(db.levels) {
 		return false
 	}
-	limit := db.cfg.MemtableEntries * pow(8, lvl+1)
+	limit := db.shape.memtable * pow(8, lvl+1)
 	return next.len() > limit
 }
 

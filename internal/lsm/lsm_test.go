@@ -11,14 +11,15 @@ import (
 	"lambdafs/internal/simtest"
 )
 
+// memtableShape is the tree New builds with its memtable flushing at
+// memEntries entries, so that small tests reach flushes and compactions.
+func memtableShape(memEntries int) shape {
+	return shape{memEntries, L0CompactTrigger, maxLevels}
+}
+
+// fastDB is a latency-free tree of memtableShape(memEntries).
 func fastDB(clk *clock.Sim, memEntries int) *DB {
-	cfg := DefaultConfig()
-	cfg.MemtableEntries = memEntries
-	cfg.PutLatency = 0
-	cfg.ProbeLatency = 0
-	cfg.FlushPerEntry = 0
-	cfg.CompactPerEntry = 0
-	return New(clk, cfg)
+	return newShaped(clk, Config{}, memtableShape(memEntries))
 }
 
 func TestPutGet(t *testing.T) {
@@ -85,7 +86,7 @@ func TestCompactionBoundsL0(t *testing.T) {
 			db.Put(fmt.Sprintf("key%04d", i), []byte("v"))
 		}
 		l0, deeper := db.TableCount()
-		if l0 > db.cfg.L0CompactTrigger {
+		if l0 > L0CompactTrigger {
 			t.Fatalf("L0 grew to %d tables", l0)
 		}
 		if deeper == 0 {
@@ -226,19 +227,14 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestProbeLatencyCharged(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
-		cfg := DefaultConfig()
-		cfg.MemtableEntries = 2
-		cfg.ProbeLatency = 10 * 1000 * 1000 // 10ms
-		cfg.PutLatency = 0
-		cfg.FlushPerEntry = 0
-		cfg.CompactPerEntry = 0
-		db := New(clk, cfg)
+		cfg := Config{ProbeLatency: 10 * time.Millisecond}
+		db := newShaped(clk, cfg, memtableShape(2))
 		for i := 0; i < 8; i++ {
 			db.Put(fmt.Sprintf("k%d", i), []byte("v"))
 		}
 		start := clk.Now()
 		db.Get("absent") // probes every table
-		if d := clk.Since(start); d < 10*1000*1000 {
+		if d := clk.Since(start); d < cfg.ProbeLatency {
 			t.Fatalf("miss charged only %v", d)
 		}
 	})
@@ -250,13 +246,8 @@ func TestScanProbeLatencyCharged(t *testing.T) {
 		// readdir latency. A scan consults every table, so it must charge
 		// one ProbeLatency per L0 table and per non-empty deeper level,
 		// advancing the virtual clock like Get does.
-		cfg := DefaultConfig()
-		cfg.MemtableEntries = 2
-		cfg.ProbeLatency = 10 * 1000 * 1000 // 10ms
-		cfg.PutLatency = 0
-		cfg.FlushPerEntry = 0
-		cfg.CompactPerEntry = 0
-		db := New(clk, cfg)
+		cfg := Config{ProbeLatency: 10 * time.Millisecond}
+		db := newShaped(clk, cfg, memtableShape(2))
 		for i := 0; i < 8; i++ {
 			db.Put(fmt.Sprintf("k%d", i), []byte("v"))
 		}

@@ -19,7 +19,7 @@ import (
 
 // reserveShards books, at the current instant, each shard's share of one
 // access, given as how many of its rows each shard owns (callers count a
-// row on its key's shard and keep no key): ceil(rows/BatchRows) batches of
+// row on its key's shard and keep no key): ceil(rows/batchRows) batches of
 // service each, plus whatever OnShardService adds for the shard. It
 // returns how long after now the slowest shard is done. This is the single
 // point where the store's capacity model applies. With a trace context,
@@ -34,7 +34,7 @@ func (db *DB) reserveShards(perShard []int, service time.Duration, tc *trace.Ctx
 		if rows == 0 {
 			continue
 		}
-		batches := (rows + db.cfg.BatchRows - 1) / db.cfg.BatchRows
+		batches := (rows + batchRows - 1) / batchRows
 		dur := time.Duration(batches) * service
 		if db.cfg.OnShardService != nil {
 			// Injected stalls delay the batch no matter how cheap its
@@ -71,7 +71,7 @@ func (db *DB) serviceMultiT(perShard []int, tc *trace.Ctx) {
 }
 
 // serviceRows charges a read of rows rows that all sit on key's shard: a
-// one-shard multi-get, RTT + wait + ceil(rows/BatchRows) × ReadService.
+// one-shard multi-get, RTT + wait + ceil(rows/batchRows) × ReadService.
 func (db *DB) serviceRows(key rowKey, rows int, tc *trace.Ctx) {
 	var counts [stackShards]int
 	perShard := db.shardCounts(counts[:])

@@ -203,7 +203,8 @@ func TestPreloadRound(t *testing.T) {
 // random rounds in which each shard's round may be lost, and crash→Recover
 // cycles. After every round, each shard that completed it must hold exactly
 // the full snapshot of its rows, byte for byte, under metadata naming the
-// round's LSN; every Recover must reproduce the committed state.
+// round's LSN; every Recover must reproduce the committed state. The last
+// seed's final round must flush and compact every shard's store.
 func TestPartialCheckpointEqualsFullSnapshot(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		simtest.Run(t, func(clk *clock.Sim) { partialCheckpointEpisode(t, clk, seed) })
@@ -212,9 +213,7 @@ func TestPartialCheckpointEqualsFullSnapshot(t *testing.T) {
 
 func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	lsmCfg := zeroLSM()
-	lsmCfg.MemtableEntries = 16 // flush and compact through tombstones
-	d := NewDurable(clk, 3, lsmCfg)
+	d := NewDurable(clk, 3, zeroLSM())
 	cfg := durableCfg(d)
 	completed := make([]bool, d.Shards())
 	lossy := false // Preload's rows are in no WAL: its round must land
@@ -242,6 +241,18 @@ func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 			}
 		}
 		clear(completed)
+	}
+	recoverChecked := func(step int) {
+		t.Helper()
+		want := stateDigest(db)
+		recovered, _, err := Recover(clk, cfg)
+		if err != nil {
+			t.Fatalf("seed %d step %d: recover: %v", seed, step, err)
+		}
+		if got := stateDigest(recovered); got != want {
+			t.Fatalf("seed %d step %d: recovered state diverged\n got: %s\nwant: %s", seed, step, got, want)
+		}
+		db = recovered
 	}
 
 	type file struct {
@@ -275,15 +286,7 @@ func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 	for step := 0; step < 300; step++ {
 		switch r := rng.Intn(20); {
 		case r == 0:
-			want := stateDigest(db)
-			recovered, _, err := Recover(clk, cfg)
-			if err != nil {
-				t.Fatalf("seed %d step %d: recover: %v", seed, step, err)
-			}
-			if got := stateDigest(recovered); got != want {
-				t.Fatalf("seed %d step %d: recovered state diverged\n got: %s\nwant: %s", seed, step, got, want)
-			}
-			db = recovered
+			recoverChecked(step)
 		case r < 4:
 			checkRound(step, db.Checkpoint())
 		default:
@@ -318,6 +321,35 @@ func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 			mustCommit(t, tx)
 		}
 	}
+
+	if seed != 24 {
+		return
+	}
+	// The last seed ends on a preload that gives every shard's store
+	// more than L0CompactTrigger memtables of rows in one round, so the
+	// round flushes and compacts what the episode left, tombstones
+	// included, and the last recovery loads the compacted stores.
+	before := make([]lsm.Stats, d.Shards())
+	for s, ck := range d.ckpts {
+		before[s] = ck.Stats()
+	}
+	perShard := make([]int, d.Shards())
+	var bulk []*namespace.INode
+	for slices.Min(perShard) < (lsm.L0CompactTrigger+1)*lsm.MemtableEntries {
+		n := newFile(db.NextID())
+		perShard[db.shardFor(inodeKey(n.ID))]++
+		bulk = append(bulk, n)
+	}
+	lossy = false
+	db.Preload(bulk)
+	checkRound(-2, d.LastLSN())
+	for s, ck := range d.ckpts {
+		if st := ck.Stats(); st.Flushes == before[s].Flushes || st.Compactions == before[s].Compactions {
+			t.Fatalf("seed %d shard %d: the bulk round ran %d flushes and %d compactions, want both",
+				seed, s, st.Flushes-before[s].Flushes, st.Compactions-before[s].Compactions)
+		}
+	}
+	recoverChecked(-2)
 }
 
 // diffRows lists the keys on which a checkpoint and a snapshot disagree.

@@ -545,18 +545,18 @@ func TestListChildrenSortedAndMerged(t *testing.T) {
 func TestListPathBatchedOneRound(t *testing.T) {
 	sim := simtest.New(t)
 	cfg := DefaultConfig()
-	cfg.BatchRows = 8
 	db := New(sim, cfg)
+	const kids = batchRows + 1 // a second batch on d's shard
 	var a, dir, f00 namespace.INodeID
 	clock.Run(sim, func() {
 		a = addDir(t, db, namespace.RootID, "a")
 		dir = addDir(t, db, a, "d")
 		f00 = addFile(t, db, dir, "f00")
-		for i := 1; i < 20; i++ {
+		for i := 1; i < kids; i++ {
 			addFile(t, db, dir, fmt.Sprintf("f%02d", i))
 		}
 	})
-	// rows[shard] of ls /a/d: the three chain rows, and 20 children beside d.
+	// rows[shard] of ls /a/d: the three chain rows, and the children beside d.
 	rows := make([]int, len(db.shards))
 	for _, id := range []namespace.INodeID{namespace.RootID, a, dir} {
 		rows[db.shardFor(inodeKey(id))]++
@@ -565,11 +565,11 @@ func TestListPathBatchedOneRound(t *testing.T) {
 	fileRows[db.shardFor(inodeKey(f00))]++
 	missRows := slices.Clone(rows) // ls /a/d/nope: the missing name's slot
 	missRows[db.shardFor(childKey(dir, "nope"))]++
-	rows[db.shardFor(inodeKey(dir))] += 20
+	rows[db.shardFor(inodeKey(dir))] += kids
 	cost := func(rows []int) time.Duration {
 		busiest := 0
 		for _, n := range rows {
-			busiest = max(busiest, (n+cfg.BatchRows-1)/cfg.BatchRows)
+			busiest = max(busiest, (n+batchRows-1)/batchRows)
 		}
 		return cfg.RTT + time.Duration(busiest)*cfg.ReadService
 	}
@@ -581,8 +581,8 @@ func TestListPathBatchedOneRound(t *testing.T) {
 		err       error
 		wantDelay time.Duration
 	}{
-		{"/a/d", store.LockShared, 3, 20, nil, cost(rows)},
-		{"/a/d", store.LockNone, 3, 20, nil, cost(rows)},
+		{"/a/d", store.LockShared, 3, kids, nil, cost(rows)},
+		{"/a/d", store.LockNone, 3, kids, nil, cost(rows)},
 		{"/a/d/f00", store.LockShared, 4, 0, nil, cost(fileRows)},
 		{"/a/d/nope", store.LockShared, 3, 0, namespace.ErrNotFound, cost(missRows)},
 	} {
@@ -611,8 +611,8 @@ func TestListPathBatchedOneRound(t *testing.T) {
 			t.Errorf("ls %s (%v) took %v, want %v", c.path, c.mode, took, c.wantDelay)
 		}
 	}
-	if cost(rows) < cfg.RTT+3*cfg.ReadService {
-		t.Fatalf("fixture: 20 children at 8 rows a batch must cost 3 batches, got %v", cost(rows))
+	if cost(rows) < cfg.RTT+2*cfg.ReadService {
+		t.Fatalf("fixture: %d children at %d rows a batch must cost 2 batches, got %v", kids, batchRows, cost(rows))
 	}
 	if db.HeldLocks() != 0 {
 		t.Fatalf("locks leaked: %d", db.HeldLocks())
@@ -1075,7 +1075,7 @@ func TestRunTxRetriesOnLockTimeout(t *testing.T) {
 // scan or a subtree walk counts the probe past its last row. The KVScan
 // cases sit on the batch boundaries, where ⌈(n+1)/B⌉ and 1+⌊n/B⌋ must agree.
 func TestServiceLatencyCharged(t *testing.T) {
-	const B = 4
+	const B = batchRows
 	getRoot := func(db *DB) error {
 		tx := db.Begin("reader")
 		defer tx.Abort()
@@ -1105,7 +1105,7 @@ func TestServiceLatencyCharged(t *testing.T) {
 		{name: "ResolvePath depth 0", key: plainKey("/"), batches: 1, read: resolve("/")},
 		{name: "ResolvePath without read service", key: plainKey("/"), free: true, batches: 1, read: resolve("/")},
 		{name: "ResolvePath depth 3", key: plainKey("/a/b/c"), batches: 1, read: resolve("/a/b/c")}, // 4 rows
-		{name: "ListSubtree", key: plainKey("subtree/1"), batches: 2, read: func(db *DB) error { // 4 rows + probe
+		{name: "ListSubtree", key: plainKey("subtree/1"), batches: 2, read: func(db *DB) error { // B rows + probe
 			_, err := db.ListSubtree(namespace.RootID)
 			return err
 		}},
@@ -1118,17 +1118,20 @@ func TestServiceLatencyCharged(t *testing.T) {
 		simtest.Run(t, func(clk *clock.Sim) {
 			cfg := DefaultConfig()
 			cfg.WorkersPerNode = 1
-			cfg.BatchRows = B
 			cfg.WriteService = 0
 			if c.free {
 				cfg.ReadService = 0
 			}
 			db := New(clk, cfg)
-			db.Preload([]*namespace.INode{
+			rows := []*namespace.INode{
 				{ID: 2, ParentID: namespace.RootID, Name: "a", IsDir: true, Perm: namespace.PermDefaultDir},
 				{ID: 3, ParentID: 2, Name: "b", IsDir: true, Perm: namespace.PermDefaultDir},
 				{ID: 4, ParentID: 3, Name: "c", IsDir: true, Perm: namespace.PermDefaultDir},
-			})
+			}
+			for id := namespace.INodeID(5); id <= B; id++ { // files in c: the subtree is B rows
+				rows = append(rows, &namespace.INode{ID: id, ParentID: 4, Name: fmt.Sprintf("f%d", id), Perm: namespace.PermDefaultFile})
+			}
+			db.Preload(rows)
 			tx := db.Begin("setup")
 			for i := 0; i < c.kvRows; i++ {
 				if err := tx.KVPut(testTable, fmt.Sprintf("dn%d", i), []byte("alive")); err != nil {

@@ -450,7 +450,7 @@ func (t *tx) Commit() error {
 		sp.AddStoreHops(1)
 		var fsync time.Duration
 		if t.db.dur != nil {
-			fsync = t.db.cfg.Durability.WALFsync
+			fsync = walFsync
 		}
 		var counts [stackShards]int
 		perShard := t.countWrites(t.db.shardCounts(counts[:]))

@@ -34,14 +34,22 @@ import (
 	"lambdafs/internal/namespace"
 )
 
-// DurabilityConfig tunes the latency/cadence model of the durability
-// tier. It is only consulted when Config.Durable is non-nil.
-type DurabilityConfig struct {
-	// WALFsync is the log force of one committed write-transaction's
+// The durability tier's two syncs, paid by every durable store: no value
+// in the paper; both sit at the scale of the store's 300 µs round trip.
+const (
+	// walFsync is the log force of one committed write-transaction's
 	// record, one per transaction: its window opens beside the commit's row
 	// service, the commit waits for whichever ends last, and both end
 	// before the locks release.
-	WALFsync time.Duration
+	walFsync = 100 * time.Microsecond
+	// checkpointSync is charged per shard per checkpoint round for the
+	// final checkpoint metadata sync.
+	checkpointSync = 200 * time.Microsecond
+)
+
+// DurabilityConfig tunes the durability tier's replay cost and checkpoint
+// cadence. It is only consulted when Config.Durable is non-nil.
+type DurabilityConfig struct {
 	// ReplayPerRecord is charged per WAL record replayed during Recover
 	// (on top of the checkpoint stores' own probe latencies).
 	ReplayPerRecord time.Duration
@@ -49,19 +57,14 @@ type DurabilityConfig struct {
 	// committed write-transactions; <= 0 disables automatic rounds
 	// (explicit Checkpoint calls only).
 	CheckpointEvery int
-	// CheckpointSync is charged per shard per checkpoint round for the
-	// final checkpoint metadata sync.
-	CheckpointSync time.Duration
 }
 
-// DefaultDurabilityConfig returns fsync/replay costs in line with the
-// store's RTT-scale latency model.
+// DefaultDurabilityConfig returns a replay cost in line with the store's
+// RTT-scale latency model and a checkpoint round every 4,096 commits.
 func DefaultDurabilityConfig() DurabilityConfig {
 	return DurabilityConfig{
-		WALFsync:        100 * time.Microsecond,
 		ReplayPerRecord: 25 * time.Microsecond,
 		CheckpointEvery: 4096,
-		CheckpointSync:  200 * time.Microsecond,
 	}
 }
 
@@ -843,9 +846,7 @@ func (db *DB) checkpointLocked(preload []*namespace.INode) uint64 {
 			ck := db.dur.ckpts[s]
 			ck.WriteBatch(batch[prev.inodes+prev.kvs : sp.inodes+sp.kvs])
 			ck.Put(ckptMetaKey, meta)
-			if d := db.cfg.Durability.CheckpointSync; d > 0 {
-				db.clk.Sleep(d)
-			}
+			db.clk.Sleep(checkpointSync)
 		}
 		prev = sp
 	}

@@ -639,33 +639,34 @@ func TestWALStatsCountOnlyFramesOnMedia(t *testing.T) {
 	})
 }
 
-// TestWALFsyncBilled: a durable write commit opens its fsync window beside
-// its row service and waits once, for whichever window ends last — a
-// single-row commit after its round trip, a multi-shard commit with the
+// TestWALFsyncBilled: a durable write commit opens its walFsync window
+// beside its row service and waits once, for whichever window ends last —
+// a single-row commit after its round trip, a multi-shard commit with the
 // round trip overlapped too — and a store without durability charges no
-// fsync.
+// fsync. The fsync binds on a store whose round trip and service are both
+// under its 100 µs.
 func TestWALFsyncBilled(t *testing.T) {
 	const us = time.Microsecond
 	for _, c := range []struct {
-		name                string
-		durable             bool
-		shards, writes      int
-		rtt, service, fsync time.Duration
-		want                time.Duration
+		name           string
+		durable        bool
+		shards, writes int
+		rtt, service   time.Duration
+		want           time.Duration
 	}{
 		// A commit waits once for the longest of its round trip, its fsync
 		// and its slowest shard. A durable commit with every other latency
-		// zero advances the virtual clock by the configured fsync.
-		{"zero service: the 5ms fsync", true, 1, 1, 0, 0, 5 * time.Millisecond, 5 * time.Millisecond},
-		{"fsync within the service is hidden", true, 1, 1, 300 * us, 400 * us, 100 * us, 400 * us},
-		{"fsync past the service shows the difference", true, 1, 1, 300 * us, 400 * us, 1000 * us, 1000 * us},
+		// zero advances the virtual clock by the fsync.
+		{"zero service: the fsync", true, 1, 1, 0, 0, walFsync},
+		{"fsync within the service is hidden", true, 1, 1, 300 * us, 400 * us, 400 * us},
+		{"fsync past the service shows the difference", true, 1, 1, 30 * us, 60 * us, walFsync},
 		// 5 rows over 4 shards: each shard serves its rows in one batch.
-		{"multi-shard: the slowest shard", true, 4, 5, 300 * us, 400 * us, 100 * us, 400 * us},
-		{"multi-shard: the fsync", true, 4, 5, 300 * us, 400 * us, 1000 * us, 1000 * us},
-		{"multi-shard: the round trip", true, 4, 5, 2000 * us, 400 * us, 1000 * us, 2000 * us},
-		// BatchRows is 64: a shard's 65th row takes a second batch.
-		{"one shard: a second batch", true, 1, 65, 300 * us, 400 * us, 100 * us, 800 * us},
-		{"not durable: no fsync", false, 1, 1, 300 * us, 400 * us, 5 * time.Millisecond, 400 * us},
+		{"multi-shard: the slowest shard", true, 4, 5, 30 * us, 400 * us, 400 * us},
+		{"multi-shard: the fsync", true, 4, 5, 30 * us, 60 * us, walFsync},
+		{"multi-shard: the round trip", true, 4, 5, 2000 * us, 400 * us, 2000 * us},
+		// batchRows is 64: a shard's 65th row takes a second batch.
+		{"one shard: a second batch", true, 1, batchRows + 1, 30 * us, 60 * us, 2 * 60 * us},
+		{"not durable: no fsync", false, 1, 1, 30 * us, 60 * us, 60 * us},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			simtest.Run(t, func(clk *clock.Sim) {
@@ -674,7 +675,6 @@ func TestWALFsyncBilled(t *testing.T) {
 					cfg.Durable, cfg.DataNodes = nil, c.shards
 				}
 				cfg.RTT, cfg.WriteService = c.rtt, c.service
-				cfg.Durability.WALFsync = c.fsync
 				db := New(clk, cfg)
 				tx := db.Begin("w")
 				for i := 0; i < c.writes; i++ {
@@ -693,6 +693,34 @@ func TestWALFsyncBilled(t *testing.T) {
 	}
 }
 
+// TestDurableStoresPaySyncs: every durable store pays the WAL fsync and the
+// checkpoint sync, the ones built with a zero DurabilityConfig (the slo
+// experiment's, chaos's) too. On a store where nothing else costs time, a
+// one-row write commit takes the 100 µs fsync, and a checkpoint round the
+// 200 µs sync on each of its four shards.
+func TestDurableStoresPaySyncs(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := durableCfg(NewDurable(clk, 4, zeroLSM()))
+		cfg.Durability = DurabilityConfig{}
+		db := New(clk, cfg)
+		tx := db.Begin("w")
+		if err := tx.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID,
+			Name: "f", Perm: namespace.PermDefaultFile}); err != nil {
+			t.Fatal(err)
+		}
+		start := clk.Now()
+		mustCommit(t, tx)
+		if got := clk.Since(start); got != 100*time.Microsecond {
+			t.Errorf("write commit took %v, want the 100µs fsync", got)
+		}
+		start = clk.Now()
+		db.Checkpoint()
+		if got := clk.Since(start); got != 4*200*time.Microsecond {
+			t.Errorf("checkpoint round took %v, want 4 shards × the 200µs sync", got)
+		}
+	})
+}
+
 // TestCommitWindowDurableBeforeVisible: a reader queued on a row that a
 // committing transaction wrote is granted it only when the commit's window
 // — the round trip and the row service beside a longer fsync — has ended,
@@ -702,9 +730,8 @@ func TestCommitWindowDurableBeforeVisible(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		d := NewDurable(clk, 1, zeroLSM())
 		cfg := durableCfg(d)
-		cfg.RTT, cfg.WriteService = 300*time.Microsecond, 400*time.Microsecond
-		cfg.Durability.WALFsync = time.Millisecond
-		window := cfg.Durability.WALFsync // the fsync outlasts the round trip and the service
+		cfg.RTT, cfg.WriteService = 30*time.Microsecond, 60*time.Microsecond
+		window := walFsync // the fsync outlasts the round trip and the service
 		db := New(clk, cfg)
 		id := db.NextID()
 		w := db.Begin("w")

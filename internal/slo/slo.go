@@ -81,7 +81,7 @@ func Threshold(name, metric string, sig Signal, bound float64, holdTicks int) Ru
 
 // QuantileThreshold declares a latency-style rule over a histogram: the
 // q-quantile of the observations metric recorded during the last
-// Config.Window scrape ticks (all label sets together) must not exceed
+// window scrape ticks (all label sets together) must not exceed
 // bound (seconds) for holdTicks consecutive ticks.
 func QuantileThreshold(name, metric string, q, bound float64, holdTicks int) Rule {
 	return Rule{Name: name, Kind: KindQuantile, Metric: metric, Q: q, Bound: bound, HoldTicks: max(holdTicks, 1)}
@@ -125,10 +125,11 @@ type RuleStatus struct {
 type Config struct {
 	// Registry, when set, receives the lambdafs_slo_* state instruments.
 	Registry *telemetry.Registry
-	// Window is the sliding-window length in scrape ticks for quantile
-	// rules (default 16).
-	Window int
 }
+
+// window is the sliding-window length in scrape ticks of a quantile rule:
+// 16 s at the 1 s scrape every engine runs under. No value in the paper.
+const window = 16
 
 // ewmaAlpha is the smoothing factor for SignalEWMA.
 const ewmaAlpha = 0.3
@@ -181,10 +182,10 @@ func (r *ring) sum() float64 {
 }
 
 // histWindow is one quantile-rule metric's sliding window: a ring of the
-// last Config.Window cumulative snapshots (label sets merged), one per
+// last window cumulative snapshots (label sets merged), one per
 // scrape tick, and the difference the latest tick left in the window.
 type histWindow struct {
-	ring   []metrics.HistSnapshot
+	ring   [window]metrics.HistSnapshot
 	next   int
 	window metrics.HistSnapshot
 }
@@ -227,9 +228,6 @@ type Engine struct {
 
 // New builds an Engine. Rules are added with AddRule / AddRules.
 func New(cfg Config) *Engine {
-	if cfg.Window <= 0 {
-		cfg.Window = 16
-	}
 	e := &Engine{
 		cfg:      cfg,
 		byName:   make(map[string]*ruleState),
@@ -265,7 +263,7 @@ func (e *Engine) AddRule(r Rule) {
 		rs.activity = ring{buf: make([]float64, r.HoldTicks)}
 	case KindQuantile:
 		if _, ok := e.hists[r.Metric]; !ok {
-			e.hists[r.Metric] = &histWindow{ring: make([]metrics.HistSnapshot, e.cfg.Window)}
+			e.hists[r.Metric] = &histWindow{}
 		}
 	}
 	e.rules = append(e.rules, rs)

@@ -237,7 +237,7 @@ func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
 		// windowed quantile trip a p99 rule.
 		reg := telemetry.NewRegistry()
 		sc := telemetry.NewScraper(clk, reg, time.Second)
-		e := New(Config{Registry: reg, Window: 4})
+		e := New(Config{Registry: reg})
 		e.AddRule(QuantileThreshold("p99", "lambdafs_coordinator_inv_latency_seconds", 0.99, 5e-3, 1))
 		sc.OnSnapshot(e.Observe)
 
@@ -278,13 +278,12 @@ func TestQuantileRuleOverScrapedHistogram(t *testing.T) {
 // sides. Old history must not dilute a bad tick: once 10,000 healthy
 // observations have aged out of the window, 50 slow ones fire a p99 rule
 // (the lifetime p99 stays at 1ms). And a bad tick must not outlive the
-// window: healthy traffic resolves the alert Window ticks later (the
+// window: healthy traffic resolves the alert window ticks later (the
 // lifetime p99 stays slow until slow observations drop under 1% of
 // everything ever recorded). Each script runs unlabelled and spread over
 // two label sets, which covers the cross-label merge.
 func TestQuantileRuleSeesItsWindow(t *testing.T) {
 	const metric = "lambdafs_core_op_latency_seconds"
-	const window = 4
 	type step struct {
 		ticks int // scrape ticks of this traffic
 		n     int // observations per tick
@@ -315,7 +314,7 @@ func TestQuantileRuleSeesItsWindow(t *testing.T) {
 				simtest.Run(t, func(clk *clock.Sim) {
 					reg := telemetry.NewRegistry()
 					sc := telemetry.NewScraper(clk, reg, time.Second)
-					e := New(Config{Window: window})
+					e := New(Config{})
 					e.AddRule(QuantileThreshold("p99", metric, 0.99, 5e-3, 1))
 					sc.OnSnapshot(e.Observe)
 					for i, st := range script {
@@ -348,7 +347,7 @@ func TestEngineConcurrentScrapeAndStatus(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := simtest.New(t)
 	sc := telemetry.NewScraper(clk, reg, time.Millisecond)
-	e := New(Config{Registry: reg, Window: 2})
+	e := New(Config{Registry: reg})
 	e.AddRule(QuantileThreshold("p99", "lambdafs_core_op_latency_seconds", 0.99, 5e-3, 1))
 	sc.OnSnapshot(e.Observe)
 
