@@ -322,23 +322,14 @@ func (a *alertEpisode) shardClient(i int, start time.Time) {
 	}
 }
 
-// slowACKs holds every peer's ACK back 6ms through each fault second: the
-// second's steady traffic, then alertOpsPerSec/4 creates of fresh files,
-// so the second has writes whichever paths the seeded stream has built.
-// The INV/ACK rounds of its writes outlast the 5ms bound, while the ops
-// that wait on them stay far under the op-latency bound.
+// slowACKs holds every peer's ACK back 6ms through each fault second's
+// steady traffic. The INV/ACK rounds of its writes outlast the 5ms bound,
+// while the ops that wait on them stay far under the op-latency bound.
 func slowACKs(a *alertEpisode, sec int) {
-	if !faultSecond(sec) {
-		a.steady()
-		return
+	if faultSecond(sec) {
+		a.ackDelay = 6 * time.Millisecond
 	}
-	a.ackDelay = 6 * time.Millisecond
 	a.steady()
-	for i := 0; i < alertOpsPerSec/4; i++ {
-		_, e, req := a.cluster().next(a.rng, alertMix)
-		req.Op, req.Path, req.Tenant = namespace.OpCreate, fmt.Sprintf("/slow%d-%d", sec, i), "media"
-		e.Execute(req)
-	}
 	a.ackDelay = 0
 }
 

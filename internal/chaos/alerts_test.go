@@ -48,6 +48,35 @@ func TestAlertCoverage(t *testing.T) {
 	}
 }
 
+// TestAlertEpisodesKeepWriting: the live cluster's steady traffic keeps
+// writing once the tree over randPath's paths has filled, so each of the
+// twelve seconds of the families it serves runs at least one INV round
+// (the flight recorder's scrapes count them).
+func TestAlertEpisodesKeepWriting(t *testing.T) {
+	const rounds = "lambdafs_coordinator_invalidations_total"
+	for _, family := range []AlertFamily{FamilyInstanceKill, FamilySlowCoordinator, FamilyLeaderDepose, FamilyTenantStorm} {
+		for _, seed := range []int64{1, 2, 15} {
+			rec := telemetry.NewFlightRecorder()
+			RunAlertEpisode(AlertEpisodeConfig{Family: family, Seed: seed, Flight: rec})
+			snaps := rec.Snapshots()
+			if len(snaps) != alertSeconds {
+				t.Fatalf("%s seed %d: %d scrapes, want one a second (%d)", family, seed, len(snaps), alertSeconds)
+			}
+			perSec := make([]float64, len(snaps))
+			quiet := false
+			prev := 0.0
+			for i, s := range snaps {
+				perSec[i] = s.Values[rounds] - prev
+				prev = s.Values[rounds]
+				quiet = quiet || perSec[i] == 0
+			}
+			if quiet {
+				t.Errorf("%s seed %d: INV rounds per second %v, want at least one every second", family, seed, perSec)
+			}
+		}
+	}
+}
+
 // goldenAlertDigests are the transition digests of every family's episode
 // for seeds 1 and 2, the fourteen `lambdafs-bench slo` prints (first 16 hex
 // digits). The episodes run on clock.Sim, which schedules its goroutines

@@ -94,8 +94,8 @@ func (c *cluster) replace(slot int, inj *Injector) string {
 
 // The op mixes seeded episodes draw from, as weight tables: an op appears
 // as many times as its weight. The model-checked episode leans on writes
-// that collide; the alert episodes' steady traffic builds a tree and reads
-// it.
+// that collide; the alert episodes' steady traffic builds a tree, reads it
+// and, deleting and moving its paths, keeps writing once it has filled.
 var (
 	episodeMix = []namespace.OpType{
 		namespace.OpCreate, namespace.OpCreate, namespace.OpCreate,
@@ -107,6 +107,7 @@ var (
 	alertMix = []namespace.OpType{
 		namespace.OpMkdirs, namespace.OpMkdirs, namespace.OpMkdirs,
 		namespace.OpCreate, namespace.OpCreate,
+		namespace.OpDelete, namespace.OpMv,
 		namespace.OpStat, namespace.OpLs, namespace.OpRead,
 	}
 )
