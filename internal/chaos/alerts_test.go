@@ -82,13 +82,13 @@ func TestAlertEpisodesKeepWriting(t *testing.T) {
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
-	FamilyInstanceKill:    {"cfd4c07da868a2b8", "d150163944c5fb97"},
+	FamilyInstanceKill:    {"08f7246c64d1c0c1", "26e0aafd91c1d5d0"},
 	FamilyShardFault:      {"3569d2744157eb93", "3569d2744157eb93"},
-	FamilySlowCoordinator: {"b436da06b6a337d2", "c127350f56ffd341"},
+	FamilySlowCoordinator: {"564c246e5e8e4779", "38d963b2ee5d27c2"},
 	FamilyCrashRestart:    {"c62a0b603a9d0cc6", "c62a0b603a9d0cc6"},
 	FamilyWALDrop:         {"ae67d6704c192669", "ae67d6704c192669"},
-	FamilyLeaderDepose:    {"e40186b9511d2c83", "08e45d1880ee937b"},
-	FamilyTenantStorm:     {"688be20dafbfd56f", "0d6ded65047436d3"},
+	FamilyLeaderDepose:    {"a9d511449a7b05fb", "e1198b79c2a28b3f"},
+	FamilyTenantStorm:     {"7bc0b963e227f733", "885ae88f0f60a7f6"},
 }
 
 // TestAlertEpisodeDigestStable pins seeded replay: the same config must
