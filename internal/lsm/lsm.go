@@ -44,7 +44,7 @@ const (
 	L0CompactTrigger = 4
 	// maxLevels bounds the tree depth (each level is kept as one sorted
 	// table; compaction into the bottom level drops tombstones). LevelDB
-	// keeps 7; L1 to L3 here hold 8×, 64× and everything past that.
+	// keeps 7; here L1 holds 8 memtables' worth, L2 64, and L3 the rest.
 	maxLevels = 4
 )
 

@@ -283,7 +283,8 @@ func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 	}
 	lossy = true
 
-	for step := 0; step < 300; step++ {
+	const steps = 300
+	for step := 0; step < steps; step++ {
 		switch r := rng.Intn(20); {
 		case r == 0:
 			recoverChecked(step)
@@ -342,14 +343,14 @@ func partialCheckpointEpisode(t *testing.T, clk *clock.Sim, seed int64) {
 	}
 	lossy = false
 	db.Preload(bulk)
-	checkRound(-2, d.LastLSN())
+	checkRound(steps, d.LastLSN())
 	for s, ck := range d.ckpts {
 		if st := ck.Stats(); st.Flushes == before[s].Flushes || st.Compactions == before[s].Compactions {
 			t.Fatalf("seed %d shard %d: the bulk round ran %d flushes and %d compactions, want both",
 				seed, s, st.Flushes-before[s].Flushes, st.Compactions-before[s].Compactions)
 		}
 	}
-	recoverChecked(-2)
+	recoverChecked(steps)
 }
 
 // diffRows lists the keys on which a checkpoint and a snapshot disagree.
