@@ -26,8 +26,9 @@ const (
 )
 
 // cluster is the λFS cluster every chaos episode and test runs on: one
-// store, one coordinator, and zero-cost engines of one deployment — their
-// only virtual-time cost is the store's and whatever a fault injects.
+// store, one coordinator, and engines of one deployment built with no CPU
+// to charge — their only virtual-time cost is the store's and whatever a
+// fault injects.
 type cluster struct {
 	clk  *clock.Sim
 	db   *ndb.DB
@@ -55,7 +56,6 @@ func newCluster(clk *clock.Sim, ncfg ndb.Config, hop time.Duration, n int, tune 
 	ccfg.OnCrash = func(id string) { core.CleanupCrashedNameNode(c.db, id) }
 	c.zk = coordinator.NewZK(clk, ccfg)
 	c.ecfg = core.DefaultEngineConfig()
-	c.ecfg.OpCPUCost, c.ecfg.SubtreeCPUPerINode = 0, 0
 	c.ecfg.Metrics = ncfg.Metrics
 	if tune != nil {
 		tune(c)
