@@ -80,10 +80,7 @@ func runChaosEpisodes(opts Options) *Table {
 		}
 		var fired uint64
 		mix := ""
-		for _, kind := range []chaos.FaultKind{
-			chaos.FaultTxAbort, chaos.FaultShardStall, chaos.FaultShardCrash,
-			chaos.FaultLeaseExpiry, chaos.FaultLeaderFlap,
-		} {
+		for _, kind := range chaos.EpisodeFaults() {
 			n := res.FaultsFired[kind]
 			fired += n
 			if n > 0 {

@@ -32,7 +32,6 @@ const (
 	FamilySlowCoordinator AlertFamily = "slow_coordinator"
 	FamilyCrashRestart    AlertFamily = "crash_restart"
 	FamilyWALDrop         AlertFamily = "wal_drop"
-	FamilyLeaderDepose    AlertFamily = "leader_depose"
 	FamilyTenantStorm     AlertFamily = "tenant_storm"
 )
 
@@ -57,7 +56,6 @@ var alertFamilies = []AlertContract{
 	{FamilySlowCoordinator, []string{"inv_latency_p99"}, slowACKs},
 	{FamilyCrashRestart, []string{"recovery_time_ceiling"}, crashStore},
 	{FamilyWALDrop, []string{"wal_fsync_stall"}, dropWAL},
-	{FamilyLeaderDepose, []string{"leader_flap"}, deposeLeader},
 	{FamilyTenantStorm, []string{"tenant_throttle_surge"}, floodTenant},
 }
 
@@ -257,10 +255,9 @@ func (a *alertEpisode) steady() {
 // faultSecond reports whether the live-cluster families fault at sec.
 func faultSecond(sec int) bool { return sec == 4 || sec == 7 }
 
-// killInstance expires a NameNode's session at each fault second; a fresh
-// engine takes its slot. Slot 0 registered first and holds leadership, so
-// only slots 1 and 2 die: the leader (and the leader-flap alert) stay
-// untouched.
+// killInstance crashes a NameNode's session at each fault second; a fresh
+// engine takes its slot. Only slots 1 and 2 die, so slot 0's engine serves
+// the whole episode.
 func killInstance(a *alertEpisode, sec int) {
 	if faultSecond(sec) {
 		a.cluster().replace(1+a.rng.Intn(2), a.inj)
@@ -331,15 +328,6 @@ func slowACKs(a *alertEpisode, sec int) {
 	}
 	a.steady()
 	a.ackDelay = 0
-}
-
-// deposeLeader rotates coordination leadership at each fault second.
-func deposeLeader(a *alertEpisode, sec int) {
-	if faultSecond(sec) {
-		a.cluster().zk.Depose(LeaderGroup)
-		a.inj.NoteFired(FaultLeaderFlap, "scripted depose")
-	}
-	a.steady()
 }
 
 // crashStore commits a seeded stream against the durable store and, at

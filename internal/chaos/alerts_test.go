@@ -54,7 +54,7 @@ func TestAlertCoverage(t *testing.T) {
 // (the flight recorder's scrapes count them).
 func TestAlertEpisodesKeepWriting(t *testing.T) {
 	const rounds = "lambdafs_coordinator_invalidations_total"
-	for _, family := range []AlertFamily{FamilyInstanceKill, FamilySlowCoordinator, FamilyLeaderDepose, FamilyTenantStorm} {
+	for _, family := range []AlertFamily{FamilyInstanceKill, FamilySlowCoordinator, FamilyTenantStorm} {
 		for _, seed := range []int64{1, 2, 15} {
 			rec := telemetry.NewFlightRecorder()
 			RunAlertEpisode(AlertEpisodeConfig{Family: family, Seed: seed, Flight: rec})
@@ -78,7 +78,7 @@ func TestAlertEpisodesKeepWriting(t *testing.T) {
 }
 
 // goldenAlertDigests are the transition digests of every family's episode
-// for seeds 1 and 2, the fourteen `lambdafs-bench slo` prints (first 16 hex
+// for seeds 1 and 2, the twelve `lambdafs-bench slo` prints (first 16 hex
 // digits). The episodes run on clock.Sim, which schedules its goroutines
 // itself, so they are the same on every run, host and GOMAXPROCS.
 var goldenAlertDigests = map[AlertFamily][2]string{
@@ -87,7 +87,6 @@ var goldenAlertDigests = map[AlertFamily][2]string{
 	FamilySlowCoordinator: {"564c246e5e8e4779", "38d963b2ee5d27c2"},
 	FamilyCrashRestart:    {"c62a0b603a9d0cc6", "c62a0b603a9d0cc6"},
 	FamilyWALDrop:         {"ae67d6704c192669", "ae67d6704c192669"},
-	FamilyLeaderDepose:    {"a9d511449a7b05fb", "e1198b79c2a28b3f"},
 	FamilyTenantStorm:     {"7bc0b963e227f733", "885ae88f0f60a7f6"},
 }
 
@@ -107,7 +106,7 @@ func TestAlertEpisodeDigestStable(t *testing.T) {
 			}
 			if len(a.Digest) < 16 || a.Digest[:16] != want {
 				t.Errorf("family %s seed %d: digest %.16s, committed %s — if the change is meant to move alert timing, "+
-					"`go run ./cmd/lambdafs-bench slo` prints all fourteen for goldenAlertDigests", c.Family, seed, a.Digest, want)
+					"`go run ./cmd/lambdafs-bench slo` prints all twelve for goldenAlertDigests", c.Family, seed, a.Digest, want)
 			}
 		}
 	}

@@ -70,10 +70,7 @@ func TestChaosRandomized(t *testing.T) {
 	// Coverage: every harness-reachable fault class must actually have
 	// fired somewhere across the episode set, or the harness has quietly
 	// stopped injecting.
-	for _, kind := range []FaultKind{
-		FaultTxAbort, FaultShardStall, FaultShardCrash,
-		FaultLeaseExpiry, FaultLeaderFlap,
-	} {
+	for _, kind := range episodeFaults {
 		if total[kind] == 0 {
 			t.Errorf("fault class %s never fired across %d episodes", kind, randomizedEpisodes)
 		}

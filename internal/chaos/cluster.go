@@ -16,9 +16,6 @@ import (
 )
 
 const (
-	// LeaderGroup is the election group cluster engines compete for;
-	// leader flap faults rotate it.
-	LeaderGroup = "chaos-nn"
 	// clients is how many clients issue a seeded episode's requests.
 	clients = 4
 	// mediaShards is the shard count of every durable store's media.
@@ -38,14 +35,17 @@ type cluster struct {
 	// invalidate, when set, receives every engine's invalidations in place
 	// of the engine's own handler.
 	invalidate func(e *core.Engine, inv coordinator.Invalidation)
-	engines    []*core.Engine
-	nnSeq      int
-	seqs       [clients]uint64
+	// engines and sessions hold each slot's engine and its coordinator
+	// session, which replace crashes.
+	engines  []*core.Engine
+	sessions []coordinator.Session
+	nnSeq    int
+	seqs     [clients]uint64
 }
 
 // newCluster builds a cluster on a store from ncfg, whose registry the
 // coordinator and engines share, with coordinator hops of hop and n engines
-// registered and queued for LeaderGroup in slot order, so slot 0 leads.
+// registered in slot order.
 // tune, when non-nil, adjusts the engine config or sets invalidate before
 // the first engine spawns.
 func newCluster(clk *clock.Sim, ncfg ndb.Config, hop time.Duration, n int, tune func(*cluster)) *cluster {
@@ -61,6 +61,7 @@ func newCluster(clk *clock.Sim, ncfg ndb.Config, hop time.Duration, n int, tune 
 		tune(c)
 	}
 	c.engines = make([]*core.Engine, n)
+	c.sessions = make([]coordinator.Session, n)
 	for slot := range c.engines {
 		c.spawnEngine(slot)
 	}
@@ -77,16 +78,16 @@ func (c *cluster) spawnEngine(slot int) {
 	if c.invalidate != nil {
 		h = func(inv coordinator.Invalidation) { c.invalidate(e, inv) }
 	}
-	c.zk.Register(0, id, h)
-	c.zk.TryLead(LeaderGroup, id)
+	c.sessions[slot] = c.zk.Register(0, id, h)
 }
 
-// replace expires the session of slot's engine and fills the slot with a
-// fresh one — a new serverless instance with an empty cache, exactly like
-// a FaaS replacement. It returns the retired engine's id.
+// replace crashes the session of slot's engine, as a terminated NameNode's
+// Shutdown(true) does, and fills the slot with a fresh engine — a new
+// serverless instance with an empty cache, exactly like a FaaS replacement.
+// It returns the retired engine's id.
 func (c *cluster) replace(slot int, inj *Injector) string {
 	old := c.engines[slot].ID()
-	c.zk.ExpireSession(old)
+	c.sessions[slot].Crash()
 	inj.NoteFired(FaultLeaseExpiry, "nn="+old)
 	c.spawnEngine(slot)
 	return old

@@ -144,36 +144,40 @@ func runEpisode(clk *clock.Sim, cfg EpisodeConfig) *Result {
 	return ep.res
 }
 
+// episodeFaults are the fault classes maybeArmFault draws from, in draw
+// order.
+var episodeFaults = [...]FaultKind{FaultTxAbort, FaultShardStall, FaultShardCrash, FaultLeaseExpiry}
+
+// EpisodeFaults returns the fault classes a model-checked episode draws
+// from.
+func EpisodeFaults() []FaultKind { return slices.Clone(episodeFaults[:]) }
+
 // maybeArmFault decides, from the seed stream, whether to arm a fault
 // before this step, and returns its canonical description ("" = none).
 func (ep *episode) maybeArmFault() string {
 	if ep.rng.Intn(faultEvery) != 0 {
 		return ""
 	}
-	switch ep.rng.Intn(5) {
-	case 0:
+	switch episodeFaults[ep.rng.Intn(len(episodeFaults))] {
+	case FaultTxAbort:
 		// Transaction abort: armed only when the upcoming step is a
 		// single-transaction write that will reach commit (see runStep,
-		// which consults pendingAbortable). Deferred: flag it and let
+		// which consults abortable). Deferred: flag it and let
 		// runStep arm it once the op is known.
 		return "tx_abort"
-	case 1:
+	case FaultShardStall:
 		shard := ep.rng.Intn(4)
 		ep.inj.ArmShardStall(shard, 2*time.Millisecond, 3)
 		return fmt.Sprintf("shard_stall shard=%d", shard)
-	case 2:
+	case FaultShardCrash:
 		shard := ep.rng.Intn(4)
 		// A long window models shard crash + redo-log recovery.
 		ep.inj.ArmShardStall(shard, 500*time.Millisecond, 2)
 		return fmt.Sprintf("shard_crash shard=%d", shard)
-	case 3:
+	default: // FaultLeaseExpiry
 		slot := ep.rng.Intn(episodeEngines)
 		old := ep.c.replace(slot, ep.inj)
 		return fmt.Sprintf("lease_expiry slot=%d nn=%s", slot, old)
-	default:
-		newLeader := ep.c.zk.Depose(LeaderGroup)
-		ep.inj.NoteFired(FaultLeaderFlap, "leader="+newLeader)
-		return fmt.Sprintf("leader_flap leader=%s", newLeader)
 	}
 }
 

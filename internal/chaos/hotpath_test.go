@@ -55,10 +55,10 @@ func invalidationKillEpisode(t *testing.T, clk *clock.Sim) (digest string) {
 	cl := newCluster(clk, zeroStore(), 0, 4, func(cl *cluster) {
 		cl.invalidate = func(e *core.Engine, inv coordinator.Invalidation) {
 			// Mid-round NameNode death: the INV for /w/f0 is in flight to
-			// every peer concurrently when nn-2's session expires.
+			// every peer concurrently when nn-2's session crashes.
 			if e.ID() == "nn-1" && inv.Path == "/w/f0" && !killed {
 				killed = true
-				cl.zk.ExpireSession("nn-2")
+				cl.sessions[2].Crash()
 			}
 			e.HandleInvalidation(inv)
 		}

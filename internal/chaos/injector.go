@@ -21,7 +21,6 @@ const (
 	FaultRPCDrop       FaultKind = "rpc_drop"        // rpc: TCP call dropped, forcing failover
 	FaultRPCDelay      FaultKind = "rpc_delay"       // rpc: TCP call stalled, forcing hedged retry
 	FaultLeaseExpiry   FaultKind = "lease_expiry"    // coordinator: ephemeral session expires
-	FaultLeaderFlap    FaultKind = "leader_flap"     // coordinator: leadership rotates without crash
 	FaultWALDrop       FaultKind = "wal_drop"        // ndb: a committed WAL record never reaches media
 	FaultWALTear       FaultKind = "wal_torn_write"  // ndb: crash mid-append leaves a torn WAL tail
 	FaultCkptLoss      FaultKind = "checkpoint_loss" // ndb: one shard's checkpoint round silently lost
@@ -280,9 +279,10 @@ func (in *Injector) NDBOnCheckpoint(shard int) bool {
 	return false
 }
 
-// NoteFired records an externally executed fault (lease expiry and leader
-// flap run through coordinator methods rather than hooks) so counters and
-// the OnFault stream cover every class.
+// NoteFired records an externally executed fault (a lease expiry crashes a
+// coordinator session, a crash restart recovers the store, a tenant storm
+// floods admission: none runs through a hook) so counters and the OnFault
+// stream cover every class.
 func (in *Injector) NoteFired(kind FaultKind, detail string) {
 	in.mu.Lock()
 	notify := in.firedLocked(kind, detail)

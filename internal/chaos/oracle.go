@@ -2,7 +2,7 @@
 // the λFS stack. It arms faults at every substrate boundary — faas
 // (instance kill mid-invocation, cold-start storms, pool exhaustion), ndb
 // (per-shard stalls, crash/recover windows, transaction aborts), rpc
-// (dropped and delayed calls), and coordinator (lease expiry, leader flap)
+// (dropped and delayed calls), and coordinator (lease expiry)
 // — and checks global file-system invariants against a trivially-correct
 // in-memory oracle after every step. Episodes are reproducible from a
 // single seed: the op sequence and fault schedule are both derived from

@@ -3,8 +3,7 @@
 // deployments, delivers the coherence protocol's INV messages, collects
 // ACKs (excusing instances that terminate mid-protocol), and provides the
 // crash-detection hook that lets the store break locks held by dead
-// NameNodes (§3.6). Leader election for the serverful baselines is
-// included.
+// NameNodes (§3.6).
 //
 // The one implementation is the ZooKeeper-like in-memory service (zk.go).
 // The paper also runs λFS on an NDB-backed coordinator but reports no
@@ -95,7 +94,7 @@ type Coordinator interface {
 // Config tunes the coordinator's latency model.
 type Config struct {
 	// HopLatency is the one-way latency of a message routed through the
-	// coordinator (leader → coordinator → member, and back for the ACK).
+	// coordinator (writer → coordinator → member, and back for the ACK).
 	HopLatency time.Duration
 	// OnCrash, when set, is invoked with the instance ID of every crashed
 	// session (used to break store locks, §3.6).
@@ -103,8 +102,8 @@ type Config struct {
 
 	// Metrics, when non-nil, receives coordinator instruments
 	// (lambdafs_coordinator_*): live session gauge, lease open/expiry
-	// counters, invalidation rounds and watch deliveries, and leader
-	// failovers.
+	// counters, invalidation rounds, watch deliveries and hedged INVs, and
+	// the INV round latency.
 	Metrics *telemetry.Registry
 }
 

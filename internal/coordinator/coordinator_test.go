@@ -227,43 +227,6 @@ func TestAckTimeoutVirtualTimestamp(t *testing.T) {
 	}
 }
 
-func TestLeaderElectionSuccession(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		z := newTestZK(clk)
-		s1 := z.Register(0, "a", func(Invalidation) {})
-		z.Register(0, "b", func(Invalidation) {})
-		if !z.TryLead("nn", "a") {
-			t.Fatal("first candidate should lead")
-		}
-		if z.TryLead("nn", "b") {
-			t.Fatal("second candidate should not lead")
-		}
-		if z.Leader("nn") != "a" {
-			t.Fatalf("leader = %q", z.Leader("nn"))
-		}
-		s1.Crash()
-		if !z.TryLead("nn", "b") {
-			t.Fatal("successor should lead after crash")
-		}
-		if z.Leader("nn") != "b" {
-			t.Fatalf("leader after crash = %q", z.Leader("nn"))
-		}
-		if z.Leader("other") != "" {
-			t.Fatal("unknown group has a leader")
-		}
-	})
-}
-
-func TestTryLeadIdempotent(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		z := newTestZK(clk)
-		z.Register(0, "a", func(Invalidation) {})
-		if !z.TryLead("g", "a") || !z.TryLead("g", "a") {
-			t.Fatal("repeated TryLead by the leader should stay true")
-		}
-	})
-}
-
 func TestConcurrentRegisterInvalidate(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		z := newTestZK(clk)
@@ -286,80 +249,28 @@ func TestConcurrentRegisterInvalidate(t *testing.T) {
 	})
 }
 
-// TestExpireSessionEndsCrashed covers the chaos harness's lease-expiry
-// primitive: the victim's session ends as a crash (OnCrash fires, crashed-
-// NameNode cleanup runs), its membership disappears, and leadership passes
-// to the next candidate.
-func TestExpireSessionEndsCrashed(t *testing.T) {
+// TestSessionCrashEndsCrashed covers a NameNode's crash (core's
+// Shutdown(true), chaos's lease expiry): the session leaves its
+// deployment, OnCrash fires once with its ID so crashed-NameNode cleanup
+// runs, and a second end of the session is a no-op.
+func TestSessionCrashEndsCrashed(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		cfg := DefaultConfig()
 		cfg.HopLatency = 0
-		var crashedID atomic.Value
-		cfg.OnCrash = func(id string) { crashedID.Store(id) }
+		var crashed []string
+		cfg.OnCrash = func(id string) { crashed = append(crashed, id) }
 		z := NewZK(clk, cfg)
-		z.Register(0, "a", func(Invalidation) {})
+		a := z.Register(0, "a", func(Invalidation) {})
 		z.Register(0, "b", func(Invalidation) {})
-		z.TryLead("g", "a")
-		z.TryLead("g", "b")
 
-		if !z.ExpireSession("a") {
-			t.Fatal("ExpireSession(a) found no session")
+		a.Crash()
+		if got := z.Members(0); len(got) != 1 || got[0] != "b" {
+			t.Fatalf("members after crash = %v, want [b]", got)
 		}
-		if got, _ := crashedID.Load().(string); got != "a" {
-			t.Fatalf("OnCrash got %q, want a", got)
-		}
-		for _, id := range z.Members(0) {
-			if id == "a" {
-				t.Fatal("expired session still a member")
-			}
-		}
-		if z.Leader("g") != "b" {
-			t.Fatalf("leader after expiry = %q, want b", z.Leader("g"))
-		}
-		if z.ExpireSession("a") {
-			t.Fatal("double expiry reported a session")
-		}
-		if z.ExpireSession("ghost") {
-			t.Fatal("expiry of unknown id reported a session")
-		}
-	})
-}
-
-// TestDeposeRotatesLeadership covers the leader-flap primitive: the head
-// candidate is rotated to the back of the queue without losing its
-// session, so repeated flaps cycle leadership through all candidates.
-func TestDeposeRotatesLeadership(t *testing.T) {
-	simtest.Run(t, func(clk *clock.Sim) {
-		z := newTestZK(clk)
-		for _, id := range []string{"a", "b", "c"} {
-			z.Register(0, id, func(Invalidation) {})
-			z.TryLead("g", id)
-		}
-		if z.Leader("g") != "a" {
-			t.Fatalf("initial leader = %q", z.Leader("g"))
-		}
-		if got := z.Depose("g"); got != "b" {
-			t.Fatalf("Depose -> %q, want b", got)
-		}
-		if got := z.Depose("g"); got != "c" {
-			t.Fatalf("Depose -> %q, want c", got)
-		}
-		// The deposed leaders re-queued: a full cycle returns to a.
-		if got := z.Depose("g"); got != "a" {
-			t.Fatalf("Depose -> %q, want a (full rotation)", got)
-		}
-		// No sessions were lost along the way.
-		if got := len(z.Members(0)); got != 3 {
-			t.Fatalf("members = %d after flaps, want 3", got)
-		}
-		// A group with fewer than two candidates cannot flap.
-		z.Register(0, "solo", func(Invalidation) {})
-		z.TryLead("lone", "solo")
-		if got := z.Depose("lone"); got != "" {
-			t.Fatalf("Depose on single-candidate group -> %q, want \"\"", got)
-		}
-		if got := z.Depose("none"); got != "" {
-			t.Fatalf("Depose on unknown group -> %q, want \"\"", got)
+		a.Crash()
+		a.Close()
+		if len(crashed) != 1 || crashed[0] != "a" {
+			t.Fatalf("OnCrash calls = %v, want [a]", crashed)
 		}
 	})
 }

@@ -13,17 +13,15 @@ import (
 )
 
 // ZK is the ZooKeeper-like in-memory Coordinator: ephemeral sessions for
-// liveness, watch-style crash callbacks, group messaging for INV/ACK, and
-// first-come leader election with succession.
+// liveness, watch-style crash callbacks and group messaging for INV/ACK.
 type ZK struct {
 	clk *clock.Sim
 	cfg Config
 
 	tel coordTelemetry
 
-	mu      sync.Mutex
-	deps    map[int]map[string]*zkSession
-	leaders map[string][]string // group -> ordered candidate ids
+	mu   sync.Mutex
+	deps map[int]map[string]*zkSession
 }
 
 // coordTelemetry holds the coordinator's registry counters; instruments
@@ -33,7 +31,6 @@ type coordTelemetry struct {
 	leaseExpiries *telemetry.Counter
 	invalidations *telemetry.Counter
 	watches       *telemetry.Counter
-	failovers     *telemetry.Counter
 	hedgedINVs    *telemetry.Counter
 	invLatency    *telemetry.Histogram
 }
@@ -44,7 +41,6 @@ func newCoordTelemetry(reg *telemetry.Registry) coordTelemetry {
 		leaseExpiries: reg.Counter("lambdafs_coordinator_lease_expiries_total"),
 		invalidations: reg.Counter("lambdafs_coordinator_invalidations_total"),
 		watches:       reg.Counter("lambdafs_coordinator_watch_deliveries_total"),
-		failovers:     reg.Counter("lambdafs_coordinator_failovers_total"),
 		hedgedINVs:    reg.Counter("lambdafs_coordinator_hedged_invs_total"),
 		invLatency:    reg.Histogram("lambdafs_coordinator_inv_latency_seconds"),
 	}
@@ -66,11 +62,10 @@ type zkSession struct {
 // NewZK creates the coordinator.
 func NewZK(clk *clock.Sim, cfg Config) *ZK {
 	z := &ZK{
-		clk:     clk,
-		cfg:     cfg,
-		tel:     newCoordTelemetry(cfg.Metrics),
-		deps:    make(map[int]map[string]*zkSession),
-		leaders: make(map[string][]string),
+		clk:  clk,
+		cfg:  cfg,
+		tel:  newCoordTelemetry(cfg.Metrics),
+		deps: make(map[int]map[string]*zkSession),
 	}
 	// The session gauge reads MemberCount, which takes z.mu briefly; the
 	// scraper invokes it from its own goroutine, never under z.mu.
@@ -103,22 +98,7 @@ func (s *zkSession) end(crashed bool) {
 	}
 	s.closed = true
 	delete(z.deps[s.dep], s.id)
-	failovers := 0
-	for group, ids := range z.leaders {
-		for i, id := range ids {
-			if id == s.id {
-				// Losing the group's leader with a successor queued is a
-				// leader failover: the next candidate takes over.
-				if i == 0 && len(ids) > 1 {
-					failovers++
-				}
-				z.leaders[group] = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-	}
 	z.mu.Unlock()
-	z.tel.failovers.Add(float64(failovers))
 	if crashed {
 		z.tel.leaseExpiries.Inc()
 	}
@@ -221,7 +201,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 		tsp := tc.Start(trace.KindCoherenceTarget)
 		tsp.SetInstance(s.id)
 		tsp.AddINVTargets(1)
-		// Leader → coordinator → member hop.
+		// Writer → coordinator → member hop.
 		z.clk.Sleep(2 * z.cfg.HopLatency)
 		// A member that terminated mid-protocol is excused.
 		if !s.gone.IsSet() {
@@ -231,7 +211,7 @@ func (z *ZK) InvalidateBatchTraced(deps []int, invs []Invalidation, tc *trace.Ct
 				}
 				s.handler(inv)
 			}
-			// Member → coordinator → leader ACK hop.
+			// Member → coordinator → writer ACK hop.
 			z.clk.Sleep(2 * z.cfg.HopLatency)
 		}
 		tsp.End()
@@ -297,68 +277,4 @@ func wroteAll(invs []Invalidation, id string) bool {
 		}
 	}
 	return true
-}
-
-// ExpireSession force-expires the ephemeral session of id, as when its
-// lease lapses after missed heartbeats (fault injection). The session ends
-// exactly as a crash: it leaves its deployment and any leader queues, and
-// the OnCrash watch fires so crashed-NameNode cleanup runs. Reports
-// whether a live session with that id existed.
-func (z *ZK) ExpireSession(id string) bool {
-	z.mu.Lock()
-	var victim *zkSession
-	for _, members := range z.deps {
-		if s, ok := members[id]; ok {
-			victim = s
-			break
-		}
-	}
-	z.mu.Unlock()
-	if victim == nil {
-		return false
-	}
-	victim.end(true)
-	return true
-}
-
-// Depose rotates leadership of group without ending any session (fault
-// injection: leader flap — the leader's znode is momentarily disconnected,
-// succession promotes the next candidate, and the old leader re-queues at
-// the back). Returns the new leader id ("" when the group has fewer than
-// two candidates, in which case nothing changes).
-func (z *ZK) Depose(group string) string {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	ids := z.leaders[group]
-	if len(ids) < 2 {
-		return ""
-	}
-	z.leaders[group] = append(ids[1:], ids[0])
-	z.tel.failovers.Inc()
-	return z.leaders[group][0]
-}
-
-// TryLead acquires or queues for leadership of group for id, returning
-// true when id is (or becomes) the leader. Leadership is released when
-// the id's session closes or crashes.
-func (z *ZK) TryLead(group, id string) bool {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	for _, cand := range z.leaders[group] {
-		if cand == id {
-			return z.leaders[group][0] == id
-		}
-	}
-	z.leaders[group] = append(z.leaders[group], id)
-	return z.leaders[group][0] == id
-}
-
-// Leader returns the current leader of group ("" when none).
-func (z *ZK) Leader(group string) string {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if ids := z.leaders[group]; len(ids) > 0 {
-		return ids[0]
-	}
-	return ""
 }

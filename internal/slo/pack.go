@@ -17,10 +17,6 @@ func Rules() []Rule {
 		Threshold("lease_churn",
 			"lambdafs_coordinator_lease_expiries_total", SignalDelta, 0.5, 1),
 
-		// Any leadership failover within a tick.
-		Threshold("leader_flap",
-			"lambdafs_coordinator_failovers_total", SignalDelta, 0.5, 1),
-
 		// p99 of metadata-op latency at the NameNode over 50ms: well
 		// clear of a healthy deployment's burst tail (p99 ~18ms at
 		// paper scale), well under a stalled shard's service time.
