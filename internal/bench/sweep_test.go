@@ -131,7 +131,7 @@ var goldenLambdaTiny = map[string]string{
 	"fig10": "14d3844cc7faffa532ed9aea528b51ab092ea168ecce3409ad24a432faaa1c86",
 	"fig15": "698f2d126eca8b58ab1e881a8f9838e9380f764fd9b87642bd0393a685eda7b7",
 	"trace": "5fbe626988433eadd09fb55e82e790dab7840710253979d7fc09137266698bd3",
-	"slo":   "1244c76355d175f50e6b30a0da05af8c5735090a14aa779e18b059f71f96b2b0",
+	"slo":   "06f76f8153d6bb8238ec7e228a6748495dcdc63cc424aa816c75ddae46406474",
 }
 
 func TestLambdaTablesTinyGolden(t *testing.T) {
