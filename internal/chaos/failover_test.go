@@ -109,11 +109,12 @@ func (fc *failoverCluster) checkFailoverOutcome(t *testing.T, m *Oracle, mvOK bo
 	}
 }
 
-// TestFailoverKilledMidSubtreeMv crashes nn-0's coordinator session at
-// the final relink commit of mv /big /dst — after the subtree lock and
-// quiesce phases persisted state. The lease expires, crashed-NameNode
-// cleanup races the in-flight operation, and the operation must still
-// complete atomically.
+// TestFailoverKilledMidSubtreeMv kills nn-0 at the final relink commit
+// of mv /big /dst — after the subtree lock and quiesce phases persisted
+// state. Its lease expires there, and crashed-NameNode cleanup races the
+// in-flight operation; the dead NameNode persists nothing more, so only
+// that cleanup breaks the subtree lock it left. The client then resubmits
+// the mv to the survivor, which must complete it atomically.
 func TestFailoverKilledMidSubtreeMv(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		fc := newFailoverCluster(t, clk)
@@ -125,57 +126,68 @@ func TestFailoverKilledMidSubtreeMv(t *testing.T) {
 				return nil
 			}
 			commits++
-			if commits == 2 {
+			switch {
+			case commits == 1:
+				return nil
+			case commits == 2:
 				// Commit 1 was the subtree-lock registration; commit 2 is the
 				// final relink. Crash nn-0's session now — cleanup for the
 				// crashed NameNode runs synchronously, racing the
 				// still-in-flight mv exactly as a watch firing would.
 				fc.sessions[0].Crash()
 			}
-			return nil
+			// A dead NameNode persists nothing: not the relink, not its
+			// own subtree unlock.
+			return ErrInjected
 		})
 		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
 		fc.setOnCommit(nil)
 		if commits < 2 {
 			t.Fatalf("mv committed %d times for nn-0, expected the lock + relink pair", commits)
 		}
-		if !resp.OK() {
-			t.Fatalf("mv after mid-op lease expiry: %s", resp.Err)
+		if resp.OK() || !IsInjected(resp.Error()) {
+			t.Fatalf("mv on the killed NameNode: %v, want the injected fault", resp.Error())
+		}
+		if resp := fc.b.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"}); !resp.OK() {
+			t.Fatalf("mv resubmitted to the survivor after mid-op lease expiry: %s", resp.Err)
 		}
 		fc.checkFailoverOutcome(t, m, true)
 	})
 }
 
-// TestFailoverKilledAtSubtreeLock kills nn-0 as it tries to commit the
-// subtree-lock transaction itself: the commit aborts (the NameNode died
-// before persisting anything) and its lease expires. The op must roll back
-// completely — no subtree lock, no registry entry, the source subtree
+// TestFailoverKilledAtSubtreeLock kills nn-0 just after its subtree-lock
+// transaction commits: the lock persisted, and nothing nn-0 commits after
+// it does, so the mv fails without unlocking. Its lease expires only once
+// the operation has given up, and the crash watch alone must roll the op
+// back completely — no subtree lock, no registry entry, the source subtree
 // untouched — and the survivor must serve.
 func TestFailoverKilledAtSubtreeLock(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		fc := newFailoverCluster(t, clk)
 		m := fc.buildTree(t, 6, 6)
 
-		fired := false
+		commits := 0
 		fc.setOnCommit(func(owner string) error {
-			if owner != "nn-0" || fired {
+			if owner != "nn-0" {
 				return nil
 			}
-			fired = true
-			fc.sessions[0].Crash()
+			if commits++; commits == 1 {
+				return nil // the subtree lock lands; nn-0 dies right after it
+			}
 			return ErrInjected
 		})
 		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
 		fc.setOnCommit(nil)
-		if !fired {
-			t.Fatal("commit hook never fired")
+		if commits < 2 {
+			t.Fatalf("mv committed %d times for nn-0, expected the lock and a refused relink", commits)
 		}
 		if resp.OK() {
-			t.Fatal("mv succeeded though its lock commit was killed")
+			t.Fatal("mv succeeded though its NameNode died after the lock commit")
 		}
 		if !IsInjected(resp.Error()) {
 			t.Fatalf("mv error = %v, want injected fault", resp.Error())
 		}
+		fc.sessions[0].Crash()
 		fc.checkFailoverOutcome(t, m, false)
 	})
 }
