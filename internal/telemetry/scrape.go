@@ -59,7 +59,7 @@ func (s *Snapshot) flatten(ms []Metric) {
 type Scraper struct {
 	clk      *clock.Sim
 	reg      *Registry
-	interval time.Duration
+	interval time.Duration // fixed at construction
 
 	mu         sync.Mutex
 	snaps      []Snapshot
@@ -101,27 +101,6 @@ func (s *Scraper) HookPanics() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hookPanics
-}
-
-// SetInterval reconfigures the scrape interval. Takes effect from the
-// next loop iteration; safe to call while the loop is running.
-func (s *Scraper) SetInterval(d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.interval = d
-	s.mu.Unlock()
-}
-
-// Interval returns the current scrape interval.
-func (s *Scraper) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.interval
 }
 
 // ScrapeNow takes an immediate snapshot, appends it to the series, and
@@ -175,10 +154,7 @@ func (s *Scraper) Start() {
 func (s *Scraper) loop(stop, done *clock.Event) {
 	defer done.Set()
 	for {
-		s.mu.Lock()
-		interval := s.interval
-		s.mu.Unlock()
-		if !clock.SleepOr(s.clk, interval, stop) {
+		if !clock.SleepOr(s.clk, s.interval, stop) {
 			return
 		}
 		s.ScrapeNow()
