@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sync"
@@ -189,5 +190,63 @@ func TestFailoverKilledAtSubtreeLock(t *testing.T) {
 		}
 		fc.sessions[0].Crash()
 		fc.checkFailoverOutcome(t, m, false)
+	})
+}
+
+// TestFailoverFencesZombieRelink kills nn-0 from inside its relink commit
+// of mv /big /dst, after the hook let it through: crash cleanup drops the
+// six row locks the relink holds, and in that window the survivor creates
+// /big/d0/late and runs mkdirs /dst, both of which succeed. A store that
+// only unlocks then lets the dead NameNode's relink commit over the
+// survivor's /dst entry: CheckStore reports "orphaned inode 46 (name="dst"
+// parent=1)". The fence refuses the relink instead (store.ErrFenced), the
+// mv answers a transport-class failure, and the store holds exactly the
+// survivor's two writes on the unmoved tree.
+func TestFailoverFencesZombieRelink(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		fc := newFailoverCluster(t, clk)
+		m := fc.buildTree(t, 6, 6)
+
+		commits := 0
+		var locksBefore, locksAfter int
+		survivor := func(op namespace.OpType, path string) {
+			t.Helper()
+			if resp := fc.b.Execute(namespace.Request{Op: op, Path: path}); !resp.OK() {
+				t.Errorf("survivor %v %s inside the window: %s", op, path, resp.Err)
+			}
+			if err := m.Apply(op, path, ""); err != nil {
+				t.Errorf("oracle %v %s: %v", op, path, err)
+			}
+		}
+		fc.setOnCommit(func(owner string) error {
+			if owner != "nn-0" {
+				return nil
+			}
+			if commits++; commits == 2 { // commit 1 registered the subtree lock
+				locksBefore = fc.db.HeldLocks()
+				fc.sessions[0].Crash()
+				locksAfter = fc.db.HeldLocks()
+				survivor(namespace.OpCreate, "/big/d0/late")
+				survivor(namespace.OpMkdirs, "/dst")
+			}
+			return nil // the hook refuses nothing: only the fence can
+		})
+		resp := fc.a.Execute(namespace.Request{Op: namespace.OpMv, Path: "/big", Dest: "/dst"})
+		fc.setOnCommit(nil)
+		if commits < 2 {
+			t.Fatalf("nn-0 reached %d commits, want the lock and the relink", commits)
+		}
+		if locksBefore == 0 || locksAfter != 0 {
+			t.Errorf("row locks around the crash: %d before, %d after; want some, then none", locksBefore, locksAfter)
+		}
+		if !errors.Is(resp.Error(), namespace.ErrUnavailable) {
+			t.Errorf("mv on the fenced NameNode: %v, want %v", resp.Error(), namespace.ErrUnavailable)
+		}
+		if bad := CheckStore(fc.db, nil); len(bad) != 0 {
+			t.Fatalf("store after the fenced relink: %v", bad)
+		}
+		if bad := CheckOracle(fc.db, m); len(bad) != 0 {
+			t.Fatalf("namespace after the fenced relink: %v", bad)
+		}
 	})
 }

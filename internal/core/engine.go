@@ -58,6 +58,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -323,8 +324,14 @@ func storage(r *namespace.Reply) *namespace.Reply {
 	return r
 }
 
-// fail writes the reply to a request that failed with err into r.
+// fail writes the reply to a request that failed with err into r. A
+// fenced NameNode's store call (store.ErrFenced) answers as a dead
+// NameNode does, with a transport-class failure: namespace.ErrUnavailable,
+// never an outcome, so a raced write's client retries it.
 func fail(r *namespace.Reply, err error) *namespace.Response {
+	if errors.Is(err, store.ErrFenced) {
+		err = namespace.ErrUnavailable
+	}
 	return storage(r).Set(namespace.Response{Err: namespace.ToWire(err)})
 }
 

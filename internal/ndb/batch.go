@@ -292,8 +292,8 @@ func (t *tx) walkPlan(plans []lockPlan, split []string, i int, chain []*namespac
 // slot and row with terminal. The chain is the transaction's storage, on
 // chainStorage's terms.
 func (t *tx) resolveOne(path string, ancestors, terminal store.LockMode, list bool) ([]*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	p, err := namespace.CleanPath(path)
 	if err != nil {
@@ -346,8 +346,8 @@ func (t *tx) LockPaths(src, dest string) (srcRows, destRows store.LockedPath, er
 // namespace tree's preorder. Everything but the chains' storage is on the
 // stack.
 func (t *tx) lockPaths(paths ...string) (out [2]store.LockedPath, err error) {
-	if t.done {
-		return out, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return out, err
 	}
 	var planBuf [len(out)]lockPlan
 	var buf [len(out) * stackComponents]string
@@ -448,8 +448,8 @@ func (t *tx) lockChild(parent namespace.INodeID, name string, mode store.LockMod
 // given (callers pass a protocol-consistent order, e.g. a quiesced
 // subtree's BFS order). Missing rows are skipped.
 func (t *tx) GetINodesBatched(ids []namespace.INodeID, mode store.LockMode) ([]*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	if len(ids) == 0 {
 		return nil, nil

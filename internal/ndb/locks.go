@@ -12,8 +12,8 @@ import (
 
 // lockManager implements strict two-phase row locking with shared and
 // exclusive modes, lock upgrades, FIFO-ish waiter wakeup, and owner-based
-// forced release (used when the Coordinator declares a NameNode dead,
-// §3.6).
+// fencing and forced release (used when the Coordinator declares a
+// NameNode dead, §3.6).
 //
 // Lock waits time out after a configurable interval of virtual time: a
 // timeout indicates either a deadlock or a lock held by a crashed peer; the
@@ -26,6 +26,10 @@ type lockManager struct {
 	txs         map[*lockTx]struct{} // those holding at least one row (ReleaseOwner's index)
 	free        []*rowLock           // emptied rowLocks, reused with their slices
 	freeWaiters []*lockWaiter        // spent waiters, reused with their events
+	// fenced holds the owners ReleaseOwner declared dead. It is written
+	// under both lm.mu and the store's structure lock (DB.mu), so either
+	// one reads it: Acquire under lm.mu, a commit under DB.mu.
+	fenced      map[string]struct{}
 	waitTimeout time.Duration
 	// waits counts acquisitions that could not be granted immediately
 	// (nil-safe; set by ndb.New when a telemetry registry is wired).
@@ -71,6 +75,7 @@ func newLockManager(clk *clock.Sim, waitTimeout time.Duration) *lockManager {
 		clk:         clk,
 		rows:        make(map[rowKey]*rowLock, lockTableHint),
 		txs:         make(map[*lockTx]struct{}),
+		fenced:      make(map[string]struct{}),
 		waitTimeout: waitTimeout,
 	}
 }
@@ -118,9 +123,16 @@ func (lm *lockManager) grant(rl *rowLock, tx *lockTx, exclusive bool) {
 // returns the *virtual* time spent waiting (0 on an immediate grant) so
 // callers can attribute lock contention per transaction and per span. An
 // acquire builds no string and, rowLocks and waiters being reused, allocates
-// nothing once the table is warm, contended or not.
+// nothing once the table is warm, contended or not. A fenced owner's
+// request fails with store.ErrFenced, and so does one whose owner is
+// fenced while it waits; a lock granted in that wait is the transaction's
+// until it ends.
 func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Duration, error) {
 	lm.mu.Lock()
+	if _, dead := lm.fenced[tx.owner]; dead {
+		lm.mu.Unlock()
+		return 0, store.ErrFenced
+	}
 	rl := lm.rows[key]
 	if rl == nil {
 		if n := len(lm.free); n > 0 {
@@ -161,7 +173,11 @@ func (lm *lockManager) Acquire(tx *lockTx, key rowKey, exclusive bool) (time.Dur
 	w.tx = nil
 	w.ready.Reset()
 	lm.freeWaiters = append(lm.freeWaiters, w)
+	_, dead := lm.fenced[tx.owner]
 	lm.mu.Unlock()
+	if dead {
+		return lm.clk.Now().Sub(waitStart), store.ErrFenced
+	}
 	if !granted {
 		return lm.clk.Now().Sub(waitStart), store.ErrLockTimeout
 	}
@@ -222,11 +238,14 @@ func (lm *lockManager) releaseAllLocked(tx *lockTx) {
 	delete(lm.txs, tx)
 }
 
-// ReleaseOwner force-releases locks of every transaction begun by owner
-// (crash cleanup).
+// ReleaseOwner fences owner and then force-releases the locks of every
+// transaction it began (crash cleanup): from here on its lock requests
+// fail, so no lock it loses comes back to it. The caller holds the
+// store's structure lock (DB.ReleaseOwner).
 func (lm *lockManager) ReleaseOwner(owner string) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
+	lm.fenced[owner] = struct{}{}
 	for tx := range lm.txs {
 		if tx.owner == owner {
 			lm.releaseAllLocked(tx)

@@ -300,9 +300,23 @@ func (db *DB) Release(st store.Tx) {
 	db.txMu.Unlock()
 }
 
-// ReleaseOwner force-releases all locks held by a crashed owner.
+// ReleaseOwner fences a crashed owner and force-releases all locks it
+// holds (store.Store). The fence is set under the structure lock too, so a
+// commit, which applies its writes under that lock, reads it there: a
+// transaction of the owner either applied before the fence, holding its
+// locks, or applies nothing.
 func (db *DB) ReleaseOwner(owner string) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.locks.ReleaseOwner(owner)
+}
+
+// fenced reports whether ReleaseOwner has fenced owner.
+func (db *DB) fenced(owner string) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	_, dead := db.locks.fenced[owner]
+	return dead
 }
 
 // ResolvePath implements batched single-round-trip resolution: the whole

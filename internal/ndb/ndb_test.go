@@ -963,6 +963,73 @@ func TestReleaseOwnerBreaksCrashedLocks(t *testing.T) {
 	})
 }
 
+// A fenced owner's transactions do nothing more. One open at the crash,
+// which put a row before it, fails its next read, lock request and Commit
+// with store.ErrFenced and publishes nothing; so does one the owner begins
+// afterwards. A commit already sleeping through its round when the fence
+// lands applies nothing either, and releases its locks.
+func TestReleaseOwnerFencesTransactions(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := DefaultConfig()
+		cfg.RTT = time.Millisecond // a commit's round takes time the fence can land in
+		db := New(clk, cfg)
+		id := addFile(t, db, namespace.RootID, "fenced")
+		open := db.Begin("nn-dead")
+		if _, err := open.GetINode(id, store.LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := open.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "zombie"}); err != nil {
+			t.Fatal(err)
+		}
+		db.ReleaseOwner("nn-dead")
+		if db.HeldLocks() != 0 {
+			t.Fatalf("%d locks held after the fence", db.HeldLocks())
+		}
+		if _, err := open.GetINode(id, store.LockNone); !errors.Is(err, store.ErrFenced) {
+			t.Errorf("read after the fence: %v, want ErrFenced", err)
+		}
+		if err := open.DeleteINode(id); !errors.Is(err, store.ErrFenced) {
+			t.Errorf("lock request after the fence: %v, want ErrFenced", err)
+		}
+		if err := open.Commit(); !errors.Is(err, store.ErrFenced) {
+			t.Errorf("commit after the fence: %v, want ErrFenced", err)
+		}
+		later := db.Begin("nn-dead")
+		if _, err := later.ResolvePathBatched("/fenced", store.LockNone, store.LockNone); !errors.Is(err, store.ErrFenced) {
+			t.Errorf("a later transaction's read: %v, want ErrFenced", err)
+		}
+		later.Abort()
+
+		// A commit in flight: its owner is fenced during the round.
+		mid := db.Begin("nn-mid")
+		if err := mid.PutINode(&namespace.INode{ID: db.NextID(), ParentID: namespace.RootID, Name: "mid"}); err != nil {
+			t.Fatal(err)
+		}
+		g := clock.NewGroup(clk)
+		var err error
+		g.Go(func() { err = mid.Commit() })
+		clk.Sleep(time.Millisecond / 2)
+		db.ReleaseOwner("nn-mid")
+		g.Wait()
+		if !errors.Is(err, store.ErrFenced) {
+			t.Errorf("commit fenced mid-round: %v, want ErrFenced", err)
+		}
+		for _, name := range []string{"/zombie", "/mid"} {
+			if _, err := db.ResolvePath(name); !errors.Is(err, namespace.ErrNotFound) {
+				t.Errorf("%s: %v, want it never published", name, err)
+			}
+		}
+		if db.HeldLocks() != 0 {
+			t.Errorf("%d locks held after the fenced commit", db.HeldLocks())
+		}
+		tx := db.Begin("nn-live")
+		if _, err := tx.GetINode(id, store.LockExclusive); err != nil {
+			t.Errorf("a live owner after the fences: %v", err)
+		}
+		tx.Abort()
+	})
+}
+
 func TestConcurrentCreateSameNameSerializes(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		db := testDB(clk)

@@ -94,8 +94,8 @@ func (t *tx) lock(key rowKey, mode store.LockMode) error {
 
 // GetINode fetches an INode by ID.
 func (t *tx) GetINode(id namespace.INodeID, mode store.LockMode) (*namespace.INode, error) {
-	if t.done {
-		return nil, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	if err := t.lock(inodeKey(id), mode); err != nil {
 		return nil, err
@@ -232,8 +232,8 @@ func (t *tx) slotHolder(id namespace.INodeID) *namespace.INode {
 // its (parent, name) slot are locked exclusively; on a move (parent or name
 // change of an existing row), the old slot is locked too.
 func (t *tx) PutINode(n *namespace.INode) error {
-	if t.done {
-		return store.ErrTxDone
+	if err := t.live(); err != nil {
+		return err
 	}
 	if n == nil || n.ID == namespace.InvalidID {
 		return namespace.ErrInvalidState
@@ -278,8 +278,8 @@ func (t *tx) buffer(id namespace.INodeID, n *namespace.INode) {
 
 // DeleteINode buffers a row deletion.
 func (t *tx) DeleteINode(id namespace.INodeID) error {
-	if t.done {
-		return store.ErrTxDone
+	if err := t.live(); err != nil {
+		return err
 	}
 	if err := t.lock(inodeKey(id), store.LockExclusive); err != nil {
 		return err
@@ -297,8 +297,8 @@ func (t *tx) DeleteINode(id namespace.INodeID) error {
 // one-row multi-get on its shard — this transaction's buffered write, else
 // the committed value, which a commit replaces and never writes.
 func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, error) {
-	if t.done {
-		return nil, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	k := kvKey(table, key)
 	if err := t.lock(k, mode); err != nil {
@@ -324,8 +324,8 @@ func (t *tx) KVGet(table, key string, mode store.LockMode) ([]byte, error) {
 
 // KVPut buffers a KV write (implicitly exclusive).
 func (t *tx) KVPut(table, key string, val []byte) error {
-	if t.done {
-		return store.ErrTxDone
+	if err := t.live(); err != nil {
+		return err
 	}
 	if err := t.lock(kvKey(table, key), store.LockExclusive); err != nil {
 		return err
@@ -340,8 +340,8 @@ func (t *tx) KVPut(table, key string, val []byte) error {
 
 // KVDelete buffers a KV deletion.
 func (t *tx) KVDelete(table, key string) error {
-	if t.done {
-		return store.ErrTxDone
+	if err := t.live(); err != nil {
+		return err
 	}
 	if err := t.lock(kvKey(table, key), store.LockExclusive); err != nil {
 		return err
@@ -359,8 +359,8 @@ func (t *tx) KVDelete(table, key string) error {
 // charge is one multi-get on the prefix's shard: the matching rows and
 // the probe row past the last.
 func (t *tx) KVScan(table, prefix string) (map[string][]byte, error) {
-	if t.done {
-		return nil, store.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	out := make(map[string][]byte)
 	t.db.mu.RLock()
@@ -428,10 +428,13 @@ func (t *tx) end(committed bool) {
 // release, so a committed transaction is on durable media before any
 // conflicting transaction can observe it — which is what makes the global
 // LSN order a valid serialization. The commit-point hooks run between the
-// two: after the append, before the release.
+// two: after the append, before the release. A transaction whose owner is
+// fenced before the append publishes nothing: it ends as an abort does,
+// with store.ErrFenced.
 func (t *tx) Commit() error {
-	if t.done {
-		return store.ErrTxDone
+	if err := t.live(); err != nil {
+		t.Abort()
+		return err
 	}
 	if h := t.db.cfg.OnCommit; h != nil {
 		if err := h(t.lt.owner); err != nil {
@@ -456,8 +459,13 @@ func (t *tx) Commit() error {
 		perShard := t.countWrites(t.db.shardCounts(counts[:]))
 		until := t.db.reserveShards(perShard, t.db.cfg.WriteService, sp.Ctx())
 		t.db.clk.Sleep(max(t.db.cfg.RTT, fsync, until))
-		walBytes = t.logAndApply()
+		var applied bool
+		walBytes, applied = t.logAndApply()
 		sp.End()
+		if !applied {
+			t.rollback()
+			return store.ErrFenced
+		}
 	}
 	t.end(true)
 	t.db.locks.ReleaseAll(&t.lt)
@@ -482,11 +490,16 @@ func (t *tx) Commit() error {
 // frame are the store's scratch, reused by every commit: appendFrame copies
 // the frame into the log, and applyRecord keeps the rows, not the record.
 // Returns the appended frame size when the whole frame reached media, 0
-// when OnWALAppend lost any of it or without durability.
-func (t *tx) logAndApply() int {
+// when OnWALAppend lost any of it or without durability. A transaction
+// whose owner was fenced while it committed logs and applies nothing, and
+// reports applied false: the fence is read under the same lock.
+func (t *tx) logAndApply() (walBytes int, applied bool) {
 	db := t.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if _, dead := db.locks.fenced[t.lt.owner]; dead {
+		return 0, false
+	}
 	rec := &db.walRec
 	*rec = walRecord{puts: rec.puts[:0], dels: rec.dels[:0], kvPuts: rec.kvPuts[:0], kvDels: rec.kvDels[:0]}
 	for _, w := range t.rows {
@@ -502,7 +515,6 @@ func (t *tx) logAndApply() int {
 	for ref := range t.kvDels {
 		rec.kvDels = append(rec.kvDels, kvOp{table: ref.table, key: ref.key})
 	}
-	walBytes := 0
 	if db.dur != nil {
 		rec.lsn, rec.idHW = db.dur.LastLSN()+1, db.nextID.Load()
 		db.walBuf = appendRecord(db.walBuf[:0], rec)
@@ -519,7 +531,7 @@ func (t *tx) logAndApply() int {
 	db.applyRecord(rec)
 	clear(rec.puts) // the scratch keeps no row alive
 	clear(rec.kvPuts)
-	return walBytes
+	return walBytes, true
 }
 
 // Abort discards buffered writes, runs the end hooks with false and
@@ -530,9 +542,27 @@ func (t *tx) Abort() {
 		return
 	}
 	t.done = true
+	t.rollback()
+}
+
+// rollback ends a transaction that publishes nothing: the end hooks run
+// with false and the locks are released.
+func (t *tx) rollback() {
 	t.end(false)
 	t.db.locks.ReleaseAll(&t.lt)
 	if t.exclusive {
 		t.db.tel.aborts.Inc()
 	}
+}
+
+// live is nil while t may act: ErrTxDone once it has ended, ErrFenced once
+// its owner has been fenced (DB.ReleaseOwner).
+func (t *tx) live() error {
+	if t.done {
+		return store.ErrTxDone
+	}
+	if t.db.fenced(t.lt.owner) {
+		return store.ErrFenced
+	}
+	return nil
 }

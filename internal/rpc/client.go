@@ -228,6 +228,12 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 // errDeclined is namespace.ErrRaceDeclined's wire text.
 var errDeclined = namespace.ToWire(namespace.ErrRaceDeclined)
 
+// errUnavailable is namespace.ErrUnavailable's wire text: the reply of a
+// NameNode the store has fenced, whose crash the client sees as the
+// transport failure it is, a lost connection or a dropped invocation, and
+// retries.
+var errUnavailable = namespace.ToWire(namespace.ErrUnavailable)
+
 // attempt runs the retry loop on call record k; replace allows §3.4's
 // replacement. An attempt starts only once every racer of the one before
 // has answered, so each reuses k.
@@ -315,7 +321,7 @@ func (c *Client) callHTTP(p *Payload, tc *trace.Ctx, dep int, req namespace.Requ
 		return nil, err
 	}
 	resp, ok := v.(*namespace.Response)
-	if !ok || resp == nil {
+	if !ok || resp == nil || resp.Err == errUnavailable {
 		sp.End()
 		return nil, namespace.ErrUnavailable
 	}
@@ -369,6 +375,11 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 	if !ok || resp == nil {
 		sp.End()
 		return nil, namespace.ErrUnavailable
+	}
+	if resp.Err == errUnavailable {
+		sp.SetDetail("fenced")
+		sp.End()
+		return nil, namespace.ErrConnLost
 	}
 	respBytes := respWireBytes(resp)
 	sp.AddWireBytes(respBytes)

@@ -61,6 +61,10 @@ var (
 	ErrLockTimeout = errors.New("store: lock wait timeout")
 	// ErrTxDone reports use of a committed or aborted transaction.
 	ErrTxDone = errors.New("store: transaction already finished")
+	// ErrFenced reports a transaction whose owner was declared dead
+	// (Store.ReleaseOwner): it publishes nothing, and every later lock
+	// request, read and Commit of it fails.
+	ErrFenced = errors.New("store: owner fenced")
 )
 
 // Well-known KV table names.
@@ -231,8 +235,11 @@ type Store interface {
 	// NextID allocates a cluster-unique INode ID.
 	NextID() namespace.INodeID
 
-	// ReleaseOwner force-releases all locks held by a crashed owner
-	// (invoked by the Coordinator's failure detector, §3.6).
+	// ReleaseOwner fences a crashed owner and then force-releases all
+	// locks it holds (invoked by the Coordinator's failure detector,
+	// §3.6). Fenced, the owner's open transactions and any it begins later
+	// fail their lock requests, reads and Commit with ErrFenced, so none
+	// publishes a write after its locks are gone.
 	ReleaseOwner(owner string)
 }
 
