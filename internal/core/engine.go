@@ -247,8 +247,14 @@ func (e *Engine) HandleInvalidation(inv coordinator.Invalidation) {
 // request simply runs (see resultCache for why a read needs no entry). A
 // raced write skips the result cache: its client's result row in the store
 // is its one record, on every engine (resultrow.go). The reply is written
-// into req.Reply (fresh storage when nil). It implements rpc.Server.
+// into req.Reply (fresh storage when nil). A copy of a replaced request
+// whose race the client has already decided (Request.Decided) runs
+// nothing — no admission, no CPU, no store — writes no reply and returns
+// nil: nobody reads its answer. It implements rpc.Server.
 func (e *Engine) Execute(req namespace.Request) *namespace.Response {
+	if req.Decided() {
+		return nil
+	}
 	dedup := req.ClientID != "" && req.Op.IsWrite() && !req.Raced
 	if dedup {
 		if resp, ok := e.results.get(req.Key()); ok {

@@ -32,7 +32,10 @@ func NewNameNode(eng *Engine, inst *faas.Instance, coord coordinator.Coordinator
 func (nn *NameNode) Engine() *Engine { return nn.eng }
 
 // HandleInvoke serves one HTTP-RPC payload and proactively connects back
-// to the issuing client's TCP server.
+// to the issuing client's TCP server. A replaced request's invocation
+// whose race is already decided runs nothing (Engine.Execute) and answers
+// nil, but still connects back: the connection is what the client gains
+// from the invocation.
 func (nn *NameNode) HandleInvoke(payload any) any {
 	p, ok := payload.(*rpc.Payload)
 	if !ok {
@@ -41,6 +44,9 @@ func (nn *NameNode) HandleInvoke(payload any) any {
 	resp := nn.eng.Execute(p.Req)
 	if p.ReplyTo != nil {
 		p.ReplyTo.Offer(nn.inst.DeploymentIndex(), nn.conn)
+	}
+	if resp == nil {
+		return nil
 	}
 	return resp
 }

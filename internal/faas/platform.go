@@ -174,6 +174,16 @@ func traceOf(payload any) *trace.Ctx {
 	return nil
 }
 
+// raceCarrier lets the platform see that the client has decided the race
+// an invocation's payload runs in (rpc.Payload implements it): nobody
+// waits for its response.
+type raceCarrier interface{ Decided() bool }
+
+func decided(payload any) bool {
+	c, ok := payload.(raceCarrier)
+	return ok && c.Decided()
+}
+
 // Platform is the FaaS control plane.
 type Platform struct {
 	clk *clock.Sim
@@ -269,7 +279,10 @@ func (p *Platform) Deployments() int {
 
 // Invoke performs an HTTP invocation of deployment dep: gateway hop,
 // admission to a warm instance (or cold start), app execution, gateway
-// hop back. It blocks until the response is available.
+// hop back. It blocks until the response is available. An invocation
+// whose client has decided its race by the time the app returns (a
+// payload with Decided) skips the hop back; everything before it, the
+// admission that scales a deployment out included, every invocation pays.
 func (p *Platform) Invoke(dep int, payload any) (any, error) {
 	d := p.Deployment(dep)
 	if d == nil {
@@ -313,6 +326,10 @@ func (d *Deployment) Invoke(payload any) (any, error) {
 		p.cfg.Lambda.BillRequest(p.clk.Now())
 	}
 	resp := inst.serveHTTP(payload)
+	if decided(payload) {
+		// Nobody waits for the response: it takes no return hop.
+		return resp, nil
+	}
 	gsp = tc.Start(trace.KindGateway)
 	gsp.SetDeployment(d.index)
 	p.clk.Sleep(p.cfg.GatewayLatency)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"lambdafs/internal/trace"
 )
@@ -84,7 +85,19 @@ type Request struct {
 	// answers with a Response inside it; nil gives the reply fresh
 	// storage. It is not part of the request on the wire.
 	Reply *Reply
+
+	// Done is the done mark of the race a replaced request's copy runs
+	// in, nil for any other request: the client sets it once the race is
+	// decided, and from then on nobody reads this copy's answer
+	// (Decided). Like Reply, it is not part of the request on the wire;
+	// it models the client closing its end of the call.
+	Done *atomic.Bool
 }
+
+// Decided reports whether the client has decided the race this copy of a
+// replaced request runs in: a NameNode that finds it so runs nothing and
+// writes no reply.
+func (r *Request) Decided() bool { return r.Done != nil && r.Done.Load() }
 
 // RequestKey identifies a request across resubmissions.
 type RequestKey struct {

@@ -42,9 +42,11 @@ func TestHedgedFastPathAllocs(t *testing.T) {
 }
 
 // A warm replaced read races its TCP call against its HTTP invocation and
-// takes both racers' state, reply storage and the invocation's payload from
-// its client's free list, the losing invocation handing the record back
-// when it finishes. It allocates nothing.
+// takes its record, both racers' reply storage and the invocation's payload
+// from its client's free lists. The losing invocation leaves the record
+// when the race is decided, and hands its own storage back when it ends,
+// so the client keeps at most two call records however many invocations
+// are out. It allocates nothing.
 func TestReplacedReadAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		_, c := replaceHarness(t, clk, nil, testCfg())
@@ -53,7 +55,7 @@ func TestReplacedReadAllocs(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		// Each invocation outlives five reads: let the free list and the
+		// Each invocation outlives five reads: let the free lists and the
 		// clock's pools grow to the number in flight.
 		for i := 0; i < 20; i++ {
 			read()
@@ -64,13 +66,19 @@ func TestReplacedReadAllocs(t *testing.T) {
 		if st := c.Stats(); st.Hedges != 0 || st.TCPRPCs != 121 || st.HTTPRPCs != 122 {
 			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)
 		}
+		clk.Sleep(20 * time.Millisecond) // let the last invocation finish
+		if n := records(c); n > 2 {
+			t.Errorf("the client keeps %d call records, want at most 2", n)
+		}
 	})
 }
 
 // A warm replaced write races like a replaced read: it allocates nothing,
-// for its Raced mark rides in the request. Every write here
-// is raced, so each invocation, arriving after its client's next raced
-// write, is stale, but for the last, which answers from the row.
+// for its Raced mark rides in the request, and its client keeps at most two
+// call records. Every write here is raced and its TCP call wins, so each
+// invocation reaches its NameNode after its race was decided and runs
+// nothing: the store sees each create once, and no copy answers from the
+// row.
 func TestReplacedWriteAllocs(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
@@ -89,8 +97,23 @@ func TestReplacedWriteAllocs(t *testing.T) {
 			t.Errorf("stats = %+v, want 121 TCP calls and 122 invocations", st)
 		}
 		clk.Sleep(20 * time.Millisecond) // let the last invocation finish
-		if n, replays := h.st.creates("/a"); n != 121 || replays != 1 {
-			t.Errorf("%d creates acted and %d copies replayed, want 121 and 1", n, replays)
+		if n, replays := h.st.creates("/a"); n != 121 || replays != 0 {
+			t.Errorf("%d creates acted and %d copies replayed, want 121 and 0", n, replays)
+		}
+		if n := records(c); n > 2 {
+			t.Errorf("the client keeps %d call records, want at most 2", n)
 		}
 	})
+}
+
+// records counts the call records c keeps once no racer is out: the free
+// ones and the one whose reply the caller holds.
+func records(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.freeCalls)
+	if c.held != nil {
+		n++
+	}
+	return n
 }

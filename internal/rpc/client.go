@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -22,7 +23,10 @@ import (
 // free list: the reply storage its racers write into, one per racer, and
 // the state of a race when there is one. A reply a Do returns lives in its
 // record, so it is valid until the client's next Do, and a warm client
-// allocates nothing for a call's state or its reply, raced or not.
+// allocates nothing for a call's state or its reply, raced or not. A
+// replaced request's loser leaves the record when the race is decided,
+// taking its own storage (racer) with it, so the next Do reuses the record
+// whether or not the loser is still out.
 type Client struct {
 	// Tenant, when set before the first Do, tags every request with the
 	// issuing tenant for the engines' admission gate; empty bypasses it.
@@ -47,6 +51,7 @@ type Client struct {
 	antiThrashUntil time.Time
 	atEngaged       bool          // anti-thrash mode entered and exit not yet emitted
 	freeCalls       []*call       // ended call records, for reuse (nextCall)
+	freeRacers      []*racer      // second racers that left their records and ended, for reuse
 	held            *call         // the last Do's record, whose reply the caller holds
 	jitter          atomic.Uint64 // splitmix64 state of the TCP latency draws
 
@@ -179,7 +184,8 @@ func (c *Client) noteLatency(lat time.Duration) {
 // HTTP (racing the two for a replaced request), retry transport failures
 // with backoff, hedge stragglers. Semantic
 // failures (ErrNotFound, ErrExists…) are returned inside the Response
-// without retry. A raced delete or mv that finds a directory is declined
+// without retry; a fenced NameNode's reply (ErrUnavailable) is a transport
+// failure. A raced delete or mv that finds a directory is declined
 // (namespace.ErrRaceDeclined) and re-issued at once under a fresh Seq,
 // neither raced nor replaced, so the subtree protocol never races.
 //
@@ -228,6 +234,11 @@ func (c *Client) Do(op namespace.OpType, path, dest string) (*namespace.Response
 // errDeclined is namespace.ErrRaceDeclined's wire text.
 var errDeclined = namespace.ToWire(namespace.ErrRaceDeclined)
 
+// errCancelled ends a racer whose NameNode ran nothing for it: it arrived
+// after its race was decided (namespace.Request.Decided). Nobody waits for
+// its answer.
+var errCancelled = errors.New("rpc: race decided before the copy ran")
+
 // errUnavailable is namespace.ErrUnavailable's wire text: the reply of a
 // NameNode the store has fenced, whose crash the client sees as the
 // transport failure it is, a lost connection or a dropped invocation, and
@@ -238,7 +249,7 @@ var errUnavailable = namespace.ToWire(namespace.ErrUnavailable)
 // replacement. An attempt starts only once every racer of the one before
 // has answered, so each reuses k.
 func (c *Client) attempt(k *call, tc *trace.Ctx, dep int, req namespace.Request, replace bool) (*namespace.Response, error) {
-	req.Reply = &k.replies[0]
+	req.Reply = &k.reply
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
@@ -269,7 +280,7 @@ func (c *Client) attempt(k *call, tc *trace.Ctx, dep int, req namespace.Request,
 		var resp *namespace.Response
 		var err error
 		if conn == nil {
-			resp, err = c.callHTTP(&k.payloads[0], tc, dep, req)
+			resp, err = c.callHTTP(&k.payload, tc, dep, req)
 		} else {
 			resp, err = c.callTCPHedged(k, tc, dep, conn, req, replaced)
 		}
@@ -323,6 +334,9 @@ func (c *Client) callHTTP(p *Payload, tc *trace.Ctx, dep int, req namespace.Requ
 	resp, ok := v.(*namespace.Response)
 	if !ok || resp == nil || resp.Err == errUnavailable {
 		sp.End()
+		if resp == nil && req.Decided() {
+			return nil, errCancelled
+		}
 		return nil, namespace.ErrUnavailable
 	}
 	respBytes := respWireBytes(resp) + wireHTTPOverheadBytes
@@ -374,6 +388,9 @@ func (c *Client) callTCP(tc *trace.Ctx, conn *Conn, req namespace.Request) (*nam
 	resp, ok := v.(*namespace.Response)
 	if !ok || resp == nil {
 		sp.End()
+		if req.Decided() {
+			return nil, errCancelled
+		}
 		return nil, namespace.ErrUnavailable
 	}
 	if resp.Err == errUnavailable {
@@ -414,17 +431,25 @@ func racedFailure(resp *namespace.Response) error {
 // client waits only for the first success, or for the other racer's
 // answer when one fails. A replaced write may race because it is Raced:
 // both copies check its client's result row, so the write runs once and
-// both answer what it did.
+// both answer what it did. Both copies of a race carry its done mark
+// (namespace.Request.Done), which the caller sets once the race is
+// decided: a loser that reaches a NameNode after that runs nothing.
 //
-// The racers run on record k: the primary writes its reply into
-// k.replies[0], the second racer into k.replies[1].
+// The racers run on record k: the primary writes its reply into k.reply,
+// the second racer into its racer's (k.second).
 func (c *Client) callTCPHedged(k *call, tc *trace.Ctx, dep int, conn *Conn, req namespace.Request, race bool) (*namespace.Response, error) {
 	hedge := !req.Op.IsWrite() && c.window.Len() >= latencyWindow/2
 	if !hedge && !race {
 		return c.tcpWithFailover(tc, dep, conn, req)
 	}
-	k.tc, k.dep, k.conn, k.req, k.race = tc, dep, conn, req, race
+	k.tc, k.dep, k.conn, k.race = tc, dep, conn, race
 	k.out, k.sent, k.waiting = 1, 0, true
+	if race {
+		r := c.racer(k)
+		r.done.Store(false)
+		req.Done = &r.done
+	}
+	k.req = req
 	clock.Go(c.vm.clk, k.primary)
 	if !race {
 		threshold := max(time.Duration(stragglerThreshold*float64(c.window.Mean())), stragglerFloor)
@@ -440,33 +465,40 @@ func (c *Client) callTCPHedged(k *call, tc *trace.Ctx, dep int, conn *Conn, req 
 			Detail: fmt.Sprintf("threshold=%v", threshold),
 		})
 	}
+	r := c.racer(k)
+	r.req = req
+	r.req.Reply = &r.reply
 	c.mu.Lock()
 	k.out++
+	r.out = true
 	c.mu.Unlock()
-	clock.Go(c.vm.clk, k.hedge)
+	clock.Go(c.vm.clk, r.run)
 	return k.wait(2)
 }
 
-// call is one Do's record: the reply storage of its racers, one per racer,
-// and the state of a race, when the call has one: the mailbox the racers
-// answer on and what they send. Racers answer only while the caller waits;
-// the caller, once it has its answer, drains what was sent and not taken.
-// The record goes back to the client's free list once the caller's hold on
-// its reply ends, when the client's next Do starts (nextCall), and every
-// racer has finished, whichever comes last: a loser still out keeps it from
-// reuse, so its late reply can never reach a later call or the storage of
-// a reply the caller holds. All counts are guarded by c.mu.
+// call is one Do's record: the primary's reply storage (a call's with no
+// race), the second racer's storage when the call has one (racer), and the
+// state of a race: the mailbox the racers answer on and what they send.
+// Racers answer only while the caller waits; the caller, once it has its
+// answer, drains what was sent and not taken. The record goes back to the
+// client's free list once the caller's hold on its reply ends, when the
+// client's next Do starts (nextCall), and every racer still in it has
+// finished, whichever comes last. A straggler's loser still out keeps the
+// record from reuse, so its late reply can never reach a later call or the
+// storage of a reply the caller holds. A replaced request's loser still
+// out when the race is decided leaves the record instead (settle), taking
+// its racer with it: it writes nothing into the record, and the record is
+// free for the client's next Do. All counts are guarded by c.mu.
 type call struct {
 	c       *Client
 	results *clock.Mailbox[hedgeResult]
-	// The racers, bound once: the TCP primary and the second racer.
-	primary, hedge func()
-	// replies is the storage the racers write into: the primary's (and a
-	// call's with no race) first, the second racer's after it.
-	replies [2]namespace.Reply
-	// payloads is each racer's invocation payload, laid out as replies;
-	// an invocation drops its payload before it returns (rpc.Invoker).
-	payloads [2]Payload
+	primary func() // callPrimary, bound once
+	// reply is the storage the primary (and a call with no race) writes
+	// into; payload is its invocation's when the call goes over HTTP. An
+	// invocation drops its payload before it returns (rpc.Invoker).
+	reply   namespace.Reply
+	payload Payload
+	second  *racer // the second racer's storage, nil until one is needed
 
 	tc   *trace.Ctx
 	dep  int
@@ -474,9 +506,25 @@ type call struct {
 	req  namespace.Request
 	race bool // the second racer is a replaced request's invocation
 
-	out     int  // racers not yet finished
+	out     int  // racers in the record not yet finished
 	sent    int  // answers sent while the caller waited
 	waiting bool // the caller still takes answers
+}
+
+// racer is a second racer's storage: the request it sends, the reply it
+// writes, its invocation's payload and the done mark of its race. It
+// belongs to a record (k) until a replaced request's race is decided with
+// it still out; it then leaves the record, and goes back to its client's
+// free list when it finishes. All but done is guarded by c.mu.
+type racer struct {
+	c       *Client
+	k       *call // the record it races in; nil once it left it
+	run     func()
+	req     namespace.Request
+	reply   namespace.Reply
+	payload Payload
+	done    atomic.Bool // the race is decided: the caller kept an answer, or every racer answered
+	out     bool        // running
 }
 
 type hedgeResult struct {
@@ -484,36 +532,85 @@ type hedgeResult struct {
 	err  error
 }
 
-func (k *call) callPrimary() { k.finish(k.c.tcpWithFailover(k.tc, k.dep, k.conn, k.req)) }
-
-// callHedge runs the second racer: a replaced request's invocation, or a
-// straggler's hedge on a different instance, falling back to HTTP.
-func (k *call) callHedge() {
-	c := k.c
-	req := k.req
-	req.Reply = &k.replies[1]
-	if !k.race {
-		if alt, _ := c.vm.findConn(k.dep, c.tcp, k.conn); alt != nil {
-			k.finish(c.callTCP(k.tc, alt, req))
-			return
+// racer returns k's second racer, attaching a spare one (or a new one)
+// when a decided loser left k with the last.
+func (c *Client) racer(k *call) *racer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k.second == nil {
+		if n := len(c.freeRacers); n > 0 {
+			k.second = c.freeRacers[n-1]
+			c.freeRacers = c.freeRacers[:n-1]
+		} else {
+			k.second = &racer{c: c}
+			k.second.run = k.second.callHedge
 		}
+		k.second.k = k
 	}
-	k.finish(c.callHTTP(&k.payloads[1], k.tc, k.dep, req))
+	return k.second
 }
 
-// finish ends one racer: it answers if the caller still waits, and frees
-// the record if it is the last one out and the caller's hold has ended.
-func (k *call) finish(resp *namespace.Response, err error) {
+func (k *call) callPrimary() {
+	resp, err := k.c.tcpWithFailover(k.tc, k.dep, k.conn, k.req)
 	c := k.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	k.finishLocked(resp, err)
+}
+
+// callHedge runs the second racer: a replaced request's invocation, or a
+// straggler's hedge on a different instance, falling back to HTTP. It
+// reads its record only before it can be decided, while its caller waits.
+func (r *racer) callHedge() {
+	c := r.c
+	c.mu.Lock()
+	k := r.k
+	c.mu.Unlock()
+	var resp *namespace.Response
+	var err error
+	var alt *Conn
+	if !k.race {
+		alt, _ = c.vm.findConn(k.dep, c.tcp, k.conn)
+	}
+	if alt != nil {
+		resp, err = c.callTCP(k.tc, alt, r.req)
+	} else {
+		resp, err = c.callHTTP(&r.payload, k.tc, k.dep, r.req)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.out = false
+	if r.k == nil { // it left its record: nobody reads its answer
+		c.noteCancelled(err)
+		r.req, r.payload = namespace.Request{}, Payload{}
+		c.freeRacers = append(c.freeRacers, r)
+		return
+	}
+	r.k.finishLocked(resp, err)
+}
+
+// finishLocked ends one racer of k: it answers if the caller still waits,
+// and frees the record if it is the last one out and the caller's hold
+// has ended. Caller holds c.mu.
+func (k *call) finishLocked(resp *namespace.Response, err error) {
+	c := k.c
 	k.out--
 	if k.waiting {
 		k.sent++
 		k.results.Send(hedgeResult{resp, err})
+	} else {
+		c.noteCancelled(err)
 	}
 	if k.out == 0 && c.held != k {
 		c.freeLocked(k)
+	}
+}
+
+// noteCancelled counts a racer that ran nothing because its race was
+// decided first (errCancelled). Caller holds c.mu.
+func (c *Client) noteCancelled(err error) {
+	if err == errCancelled {
+		c.tel.raceCancelled.Inc()
 	}
 }
 
@@ -553,12 +650,21 @@ func (k *call) raceRank(r hedgeResult) int {
 
 // settle ends the caller's wait after it took got answers: the answers
 // sent and not taken are queued on the mailbox, so draining them does not
-// park. The record stays the caller's: its reply is still held.
+// park. The record stays the caller's: its reply is still held. A race is
+// decided here: its done mark is set, and a second racer still out leaves
+// the record (racer).
 func (k *call) settle(got int) {
 	c := k.c
 	c.mu.Lock()
 	k.waiting = false
 	unread := k.sent - got
+	if r := k.second; k.race && r != nil {
+		r.done.Store(true)
+		if r.out {
+			r.k, k.second = nil, nil
+			k.out--
+		}
+	}
 	c.mu.Unlock()
 	for ; unread > 0; unread-- {
 		k.results.Recv()
@@ -566,7 +672,7 @@ func (k *call) settle(got int) {
 }
 
 // nextCall ends the caller's hold on the last call's reply, freeing its
-// record unless a racer is still out, and returns a record for the next
+// record unless a racer is still in it, and returns a record for the next
 // call: an ended one of c's, or a new one.
 func (c *Client) nextCall() *call {
 	c.mu.Lock()
@@ -580,7 +686,7 @@ func (c *Client) nextCall() *call {
 		c.freeCalls = c.freeCalls[:n-1]
 	} else {
 		k = &call{c: c, results: clock.NewMailbox[hedgeResult](c.vm.clk)}
-		k.primary, k.hedge = k.callPrimary, k.callHedge
+		k.primary = k.callPrimary
 	}
 	c.held = k
 	return k
@@ -590,7 +696,10 @@ func (c *Client) nextCall() *call {
 // holds. Caller holds c.mu.
 func (c *Client) freeLocked(k *call) {
 	k.tc, k.dep, k.conn, k.req = nil, 0, nil, namespace.Request{}
-	k.payloads = [2]Payload{}
+	k.payload = Payload{}
+	if r := k.second; r != nil {
+		r.req, r.payload = namespace.Request{}, Payload{}
+	}
 	c.freeCalls = append(c.freeCalls, k)
 }
 
@@ -599,8 +708,8 @@ func (c *Client) freeLocked(k *call) {
 // §3.2).
 func (c *Client) tcpWithFailover(tc *trace.Ctx, dep int, conn *Conn, req namespace.Request) (*namespace.Response, error) {
 	resp, err := c.callTCP(tc, conn, req)
-	if err == nil {
-		return resp, nil
+	if err == nil || err == errCancelled {
+		return resp, err
 	}
 	c.connBroken(dep, conn)
 	c.stats.failovers.Add(1)

@@ -13,23 +13,28 @@ import (
 	"lambdafs/internal/namespace"
 	"lambdafs/internal/partition"
 	"lambdafs/internal/simtest"
+	"lambdafs/internal/telemetry"
 )
 
 // A reply Do returns lives in its call record's storage and is valid until
 // the client's next Do. A replaced read's losing invocation, still out when
-// the caller's next Do starts, keeps its record from reuse, so it answers
-// into storage the caller no longer looks at. Here the first call's
-// invocation is held at the gateway until the next call has returned, and
-// the next call's TCP call is held up past its own invocation, so the reply
-// the caller holds is the one its invocation wrote, in the storage of a
-// second racer — the slot the loser writes into in its own record. The same
-// holds for a directory's ls, whose entries the loser writes into its own
-// storage's room, never into the entries the caller holds.
+// its race is decided, leaves its record with its own storage (racer), so
+// the client's next Do reuses the record, and once it reaches its NameNode
+// it runs nothing and writes nothing. Here the first call's invocation is
+// held at the gateway until the next call has returned, and the next call's
+// TCP call is held up past its own invocation, so the reply the caller
+// holds is the one that invocation wrote into the second racer's storage
+// of the reused record. Neither loser — the first call's invocation, the
+// second call's TCP call — writes into the held reply, or into the storage
+// the first loser took with it; both are counted as cancelled. The same
+// holds for a directory's ls, whose entries a loser would write into its
+// storage's room.
 func TestReplacedLoserNeverWritesHeldReply(t *testing.T) {
 	for _, op := range []namespace.OpType{namespace.OpRead, namespace.OpLs} {
 		simtest.Run(t, func(clk *clock.Sim) {
 			var slowTCP atomic.Bool
 			cfg := testCfg()
+			cfg.Metrics = telemetry.NewRegistry()
 			cfg.OnTCPFault = func(string, int) (bool, time.Duration) {
 				if slowTCP.Load() {
 					return false, 50 * time.Millisecond
@@ -43,19 +48,23 @@ func TestReplacedLoserNeverWritesHeldReply(t *testing.T) {
 			if err != nil || !first.OK() || first.ID != namespace.INodeID(c.seq.Load()) {
 				t.Fatalf("first %v: %+v %v, want its own reply", op, first, err)
 			}
+			record := c.held
 			slowTCP.Store(true)
 			second, err := c.Do(op, "/b", "")
 			seq := namespace.INodeID(c.seq.Load())
 			if err != nil || second.ID != seq {
 				t.Fatalf("second %v: %+v %v, want its own reply (ID %d)", op, second, err, seq)
 			}
+			if c.held != record {
+				t.Errorf("%v: the second call took a new record while the first call's loser was out", op)
+			}
 			held, heldEntries := *second, slices.Clone(second.Entries)
 			if op == namespace.OpLs && (len(heldEntries) != lsEntries || heldEntries[0].ID != seq) {
 				t.Fatalf("second ls: entries %+v, want %d of ID %d", heldEntries, lsEntries, seq)
 			}
 			gate.gate.Set()
-			// First the loser answers, then the second call's held-up TCP
-			// call: every racer of both calls has finished.
+			// First the loser reaches its NameNode, then the second call's
+			// held-up TCP call: every racer of both calls has finished.
 			for _, wait := range []time.Duration{20 * time.Millisecond, 100 * time.Millisecond} {
 				clk.Sleep(wait)
 				if !reflect.DeepEqual(*second, held) || !slices.Equal(second.Entries, heldEntries) {
@@ -63,23 +72,31 @@ func TestReplacedLoserNeverWritesHeldReply(t *testing.T) {
 						op, wait, *second, second.Entries, held, heldEntries)
 				}
 			}
+			if loser := gate.held.Reply; !reflect.DeepEqual(*loser, namespace.Reply{}) {
+				t.Errorf("%v: the first call's loser wrote into the storage it took with it: %+v", op, loser.Response)
+			}
 			if st := c.Stats(); st.TCPRPCs != 2 || st.HTTPRPCs != 3 {
 				t.Errorf("%v: stats = %+v, want 2 TCP calls and 3 invocations", op, st)
+			}
+			if n := cfg.Metrics.Counter("lambdafs_rpc_race_cancelled_total").Value(); n != 2 {
+				t.Errorf("%v: %v racers cancelled, want both losers", op, n)
 			}
 		})
 	}
 }
 
 // gatedInvoker holds one invocation, the first after hold is set, until its
-// gate is set.
+// gate is set, and keeps the request it held.
 type gatedInvoker struct {
 	inner Invoker
 	gate  *clock.Event
 	hold  atomic.Bool
+	held  namespace.Request
 }
 
 func (g *gatedInvoker) Invoke(dep int, payload any) (any, error) {
 	if g.hold.CompareAndSwap(true, false) {
+		g.held = payload.(*Payload).Req
 		g.gate.Wait()
 	}
 	return g.inner.Invoke(dep, payload)

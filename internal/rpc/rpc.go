@@ -13,10 +13,13 @@
 // request that could go over TCP also makes an HTTP invocation, so load
 // stays visible to the auto-scaler. In the paper the replaced request goes
 // through the gateway alone. Here, beyond the paper, it races its
-// invocation against its TCP call and takes the first success: the
-// invocation still runs to completion (gateway, admission, cold start,
-// engine, billing), but the client no longer waits out the detour. A read
-// run twice is harmless. A replaced write is marked Raced
+// invocation against its TCP call and takes the first success, so the
+// client no longer waits out the detour. Once the race is decided the
+// loser stops where it stands: the invocation still crosses the gateway
+// and its admission (a cold start included), so the platform sees every
+// invocation it would have seen, but its NameNode runs nothing for it,
+// connects back to the client all the same, and the invocation takes no
+// return hop (namespace.Request.Done). A read run twice is harmless. A replaced write is marked Raced
 // (namespace.Request.Raced) on every copy and retry of its Seq: each of its
 // transactions first locks its client's result row in the store, so one
 // copy executes and the other answers what it did, even when the copies
@@ -69,6 +72,11 @@ type Payload struct {
 // interface) without faas importing this package.
 func (p *Payload) TraceCtx() *trace.Ctx { return p.TC }
 
+// Decided reports that the client has decided the race the request runs
+// in (namespace.Request.Decided), for the platform, which skips such an
+// invocation's hop back.
+func (p *Payload) Decided() bool { return p.Req.Decided() }
+
 // Config tunes the RPC fabric.
 type Config struct {
 	// TCPOneWay is the one-way client↔NameNode latency of the direct TCP
@@ -78,8 +86,9 @@ type Config struct {
 	// connection also makes an HTTP invocation (§3.4's fine-grained
 	// auto-scaling control; ≤1% works best per the paper). A replaced
 	// request races the invocation against the TCP call and answers with
-	// the first success; a replaced write is raced through its client's
-	// result row, so it executes once.
+	// the first success, and its loser runs nothing once the race is
+	// decided; a replaced write is raced through its client's result row,
+	// so it executes once.
 	HTTPReplaceProb float64
 
 	// Seed is the base seed for per-client randomness (HTTP-replacement

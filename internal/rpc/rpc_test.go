@@ -33,6 +33,9 @@ type testNN struct {
 }
 
 func (n *testNN) Execute(req namespace.Request) *namespace.Response {
+	if req.Decided() { // as the engine: a decided race's copy runs nothing
+		return nil
+	}
 	n.execs.Add(1)
 	if n.exec > 0 {
 		sp := req.TC.Start(trace.KindEngineExec)
@@ -84,6 +87,9 @@ func (n *testNN) HandleInvoke(payload any) any {
 			n.conn.Store(conn)
 		}
 		p.ReplyTo.Offer(n.inst.DeploymentIndex(), conn)
+	}
+	if resp == nil {
+		return nil
 	}
 	return resp
 }
@@ -293,9 +299,10 @@ const halfBackoff = backoffBase / 2
 
 // TestReplacementForcesHTTP: a replaced request always makes its HTTP
 // invocation (§3.4's scaling signal). It also makes its TCP call at the
-// same instant and answers at TCP latency, the invocation running on to
-// completion behind it. A replaced write is raced: both copies execute,
-// and the result row lets only the first act, so the store holds one file.
+// same instant and answers at TCP latency. The invocation, whose race is
+// decided by the time it reaches its NameNode, runs nothing there: each
+// op executes once, and the raced create acts once with no copy answered
+// from its row.
 func TestReplacementForcesHTTP(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
@@ -324,12 +331,12 @@ func TestReplacementForcesHTTP(t *testing.T) {
 				t.Errorf("replaced %v: %d TCP calls and %d HTTP invocations, want %d and %d",
 					tc.op, st.TCPRPCs-before.TCPRPCs, st.HTTPRPCs-before.HTTPRPCs, tc.tcp, tc.http)
 			}
-			if got, want := nn.execs.Load()-execs, int64(tc.tcp+tc.http); got != want {
+			if got, want := nn.execs.Load()-execs, int64(tc.tcp); got != want {
 				t.Errorf("replaced %v executed %d times, want %d", tc.op, got, want)
 			}
 		}
-		if n, replays := h.st.creates("/a"); n != 1 || replays != 1 {
-			t.Errorf("the raced create acted %d times, %d copies replayed; want 1 and 1", n, replays)
+		if n, replays := h.st.creates("/a"); n != 1 || replays != 0 {
+			t.Errorf("the raced create acted %d times, %d copies replayed; want 1 and 0", n, replays)
 		}
 	})
 }
@@ -418,9 +425,10 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 		{name: "tcp aborted", abort: "store: lock wait timeout", took: 10 * time.Millisecond, http: 1},
 		// The TCP call drops and the invocation runs the write, then loses
 		// its answer. The retry backs off, then races again over the
-		// connection the invocation's NameNode offered back, and both copies
-		// answer from the row, the TCP copy first.
-		{name: "both fail", drop: true, lose: true, took: 10*time.Millisecond + halfBackoff, tcpLegs: 2, retries: 1, http: 2, replays: 2},
+		// connection the invocation's NameNode offered back. Its TCP copy
+		// answers from the row, which decides the race, so its invocation
+		// runs nothing.
+		{name: "both fail", drop: true, lose: true, took: 10*time.Millisecond + halfBackoff, tcpLegs: 2, retries: 1, http: 2, replays: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			simtest.Run(t, func(clk *clock.Sim) {
@@ -469,9 +477,10 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 }
 
 // TestRacedDirectoryDeleteReissued: a raced delete that finds a directory
-// is declined by both copies, and the client re-issues it at once under a
-// fresh Seq over TCP alone, neither raced nor replaced, though every
-// request of this client is replaced.
+// is declined by its TCP copy, which decides the race, so its invocation
+// runs nothing; the client re-issues the delete at once under a fresh Seq
+// over TCP alone, neither raced nor replaced, though every request of this
+// client is replaced.
 func TestRacedDirectoryDeleteReissued(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
@@ -492,8 +501,8 @@ func TestRacedDirectoryDeleteReissued(t *testing.T) {
 		if st := c.Stats(); st.TCPRPCs-before.TCPRPCs != 2 || st.HTTPRPCs-before.HTTPRPCs != 1 || st.Retries != before.Retries {
 			t.Errorf("stats %+v, want 2 TCP calls, 1 invocation and no retry since %+v", st, before)
 		}
-		if _, replays := h.st.creates(""); replays != 1 {
-			t.Errorf("%d declined copies answered from the row, want 1", replays)
+		if _, replays := h.st.creates(""); replays != 0 {
+			t.Errorf("%d declined copies answered from the row, want none: the invocation ran nothing", replays)
 		}
 	})
 }

@@ -20,6 +20,9 @@ type rpcTelemetry struct {
 	failovers  *telemetry.Counter
 	antiThrash *telemetry.Counter
 	wireBytes  *telemetry.Counter
+	// raceCancelled counts the racers of replaced requests that reached a
+	// NameNode after their race was decided and ran nothing there.
+	raceCancelled *telemetry.Counter
 }
 
 func newRPCTelemetry(reg *telemetry.Registry) rpcTelemetry {
@@ -34,5 +37,7 @@ func newRPCTelemetry(reg *telemetry.Registry) rpcTelemetry {
 		failovers:  reg.Counter("lambdafs_rpc_failovers_total"),
 		antiThrash: reg.Counter("lambdafs_rpc_antithrash_total"),
 		wireBytes:  reg.Counter("lambdafs_rpc_wire_bytes_total"),
+
+		raceCancelled: reg.Counter("lambdafs_rpc_race_cancelled_total"),
 	}
 }
