@@ -46,7 +46,7 @@ var goldenSweepFake = map[string]string{
 var goldenSweepTiny = map[string]string{
 	"fig11":        "6b12e22fe0589e916fb20412a4905a51e8646c4a35a46357233a042e25b68b20",
 	"fig13":        "9c50acc959fd41dbe33a1ebdf560929edc38abfb4f9b96d955562b21414e06b5",
-	"fig14":        "93314dd94c7379c8f16bc370ebe30ebfb9f206498f469777547d5459fe9ed6c2",
+	"fig14":        "231c3d231dca3cf59a52ad0cfb19a3f246dd4e57a077a5f1e3b4cbc07e669601",
 	"ablation-rpc": "8bd39945ea2c4d02d35c84e00613d447e93630f11527f8297557cb8383006d23",
 }
 
@@ -126,10 +126,10 @@ func TestSubtreeTablesTinyGolden(t *testing.T) {
 // decomposition and the live SLO deployment. Each builds its own λFS
 // deployment, so these digests hold the deployment itself fixed.
 var goldenLambdaTiny = map[string]string{
-	"fig8a": "0d85a766e6eb3357b240867bc647926abbc08bb19ea2a7c0efd1016994329532",
-	"fig9":  "9fefb4a72a7affc5c39104e8d93a1a5b060438912d0a484a63912164fb200caa",
-	"fig10": "14d3844cc7faffa532ed9aea528b51ab092ea168ecce3409ad24a432faaa1c86",
-	"fig15": "698f2d126eca8b58ab1e881a8f9838e9380f764fd9b87642bd0393a685eda7b7",
+	"fig8a": "3ff68e15250144d14e46e50143a506ad3c9382ab62d6dd9e84127fea24cfb2c9",
+	"fig9":  "f9926252f80412c5a8e35a277fccb6124d59efa77fdd134cf4741891528b6dc6",
+	"fig10": "a4603f2e42d984cb347f40239296f7975c8a02b2c4ae7266976486c8d3dac0d8",
+	"fig15": "52c4a1a43fd2dc626967759dd986abd4ae0ff2871ed0788e73371d088ba5c3aa",
 	"trace": "5fbe626988433eadd09fb55e82e790dab7840710253979d7fc09137266698bd3",
 	"slo":   "06f76f8153d6bb8238ec7e228a6748495dcdc63cc424aa816c75ddae46406474",
 }
