@@ -45,9 +45,6 @@ func (nn *NameNode) HandleInvoke(payload any) any {
 	if p.ReplyTo != nil {
 		p.ReplyTo.Offer(nn.inst.DeploymentIndex(), nn.conn)
 	}
-	if resp == nil {
-		return nil
-	}
 	return resp
 }
 

@@ -466,10 +466,10 @@ func (c *Client) callTCPHedged(k *call, tc *trace.Ctx, dep int, conn *Conn, req 
 		})
 	}
 	r := c.racer(k)
-	r.req = req
-	r.req.Reply = &r.reply
 	c.mu.Lock()
 	k.out++
+	r.req = req
+	r.req.Reply = &r.reply
 	r.out = true
 	c.mu.Unlock()
 	clock.Go(c.vm.clk, r.run)
@@ -564,7 +564,7 @@ func (k *call) callPrimary() {
 func (r *racer) callHedge() {
 	c := r.c
 	c.mu.Lock()
-	k := r.k
+	k, req := r.k, r.req
 	c.mu.Unlock()
 	var resp *namespace.Response
 	var err error
@@ -573,9 +573,9 @@ func (r *racer) callHedge() {
 		alt, _ = c.vm.findConn(k.dep, c.tcp, k.conn)
 	}
 	if alt != nil {
-		resp, err = c.callTCP(k.tc, alt, r.req)
+		resp, err = c.callTCP(k.tc, alt, req)
 	} else {
-		resp, err = c.callHTTP(&r.payload, k.tc, k.dep, r.req)
+		resp, err = c.callHTTP(&r.payload, k.tc, k.dep, req)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -88,9 +88,6 @@ func (n *testNN) HandleInvoke(payload any) any {
 		}
 		p.ReplyTo.Offer(n.inst.DeploymentIndex(), conn)
 	}
-	if resp == nil {
-		return nil
-	}
 	return resp
 }
 
