@@ -88,7 +88,7 @@ go test ./...
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's and the replaced write's TCP/HTTP race and their failure paths, chaos, coordinator, ndb, store, lsm, core, tenant, cache, partition, cephfs, workload — its closed-loop, rate-driven and fault-injector client goroutines; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's and the replaced write's TCP/HTTP race, their failure paths and the decided loser's cancellation (its record reused while the loser is out), chaos, coordinator, ndb, store, lsm, core, tenant, cache, partition, cephfs, workload — its closed-loop, rate-driven and fault-injector client goroutines; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
 go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/store/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/cephfs/ ./internal/workload/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
@@ -115,7 +115,7 @@ go test ./internal/core/ -run '^$' -fuzz FuzzResultCache -fuzztime 10s
 echo "== fuzz (core result row codec, the raced write's record: every row round-trips, its strict prefixes and a byte more are rejected, arbitrary bytes never panic and are accepted only as a row's one encoding; bounded) =="
 go test ./internal/core/ -run '^$' -fuzz FuzzResultRow -fuzztime 10s
 
-echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, baseline gate (every kind at tiny), real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core (with the exactly-once matrix of raced writes), chaos, ndb, faas (with the closed-platform admission test), rpc (with the replaced read's and the replaced write's TCP/HTTP racing path) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
+echo "== determinism smoke (clock.Sim schedules its goroutines itself: the clock's order and trace tests, bench's golden storm tables, baseline gate (every kind at tiny), real-stack scale point, sweep tables (fake runner, every scale; real runs, tiny) and tiny λFS tables of fig8a/fig9/fig10/fig15/trace/slo and the tiny fig16 tree-test tables, then every test of trace (the one decomposition, read by four outputs), core (with the exactly-once matrix of raced writes and the cancelled loser that runs no engine yet scales out), chaos (with the fenced zombie relink), ndb, faas (with the closed-platform admission test), rpc (with the replaced read's and the replaced write's TCP/HTTP racing path and the decided loser's cancellation) and coordinator — goldens, digests, exact instants and same-seed history digests — on 1, 2 and 4 Ps) =="
 go test ./internal/clock/ -cpu 1,2,4
 go test ./internal/bench/ -run 'TestChaosStormSeedDeterminism|TestBaselineGate|TestScalePointDeterminism|TestSweepTablesGolden|TestSweepTinyRunsGolden|TestLambdaTablesTinyGolden|TestTreeTestTablesTinyGolden' -cpu 1,2,4 -count=2
 go test ./internal/trace/ ./internal/core/ ./internal/chaos/ ./internal/ndb/ ./internal/faas/ ./internal/rpc/ ./internal/coordinator/ -cpu 1,2,4 -count=2
