@@ -22,12 +22,13 @@ import (
 // ledgers) and the structured event log. With Options.ArtifactDir set, the
 // raw traces and events are dumped as JSONL for external tooling.
 func RunTrace(opts Options) []*Table {
-	_, tables := runTrace(opts)
+	_, _, tables := runTrace(opts)
 	return tables
 }
 
-// runTrace is RunTrace, also returning the decomposition its tables render.
-func runTrace(opts Options) (*trace.Breakdown, []*Table) {
+// runTrace is RunTrace, also returning the decomposition its tables render
+// and the spans still open once the run is over.
+func runTrace(opts Options) (*trace.Breakdown, int64, []*Table) {
 	clk := clock.NewSim()
 	defer clk.Close()
 
@@ -100,7 +101,7 @@ func runTrace(opts Options) (*trace.Breakdown, []*Table) {
 			fmt.Fprintf(opts.out(), "trace dump failed: %v\n", err)
 		}
 	}
-	return bd, tables
+	return bd, tr.OpenSpans(), tables
 }
 
 // BreakdownTable renders a latency decomposition with a stable column

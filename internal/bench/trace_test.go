@@ -101,16 +101,21 @@ func TestBreakdownTableGolden(t *testing.T) {
 // TestRunTraceExperiment runs the observability experiment end-to-end and
 // checks its acceptance bar: ≥90% of mean latency attributed to named
 // spans for stat/create/mv, every op's decomposition summing exactly to
-// its end-to-end time, and the JSONL dump containing cold start,
-// reclamation, and anti-thrashing events.
+// its end-to-end time, no span left open once the run is over (a span an
+// error path never ends would be missing from its trace's sum), and the
+// JSONL dump containing cold start, reclamation, and anti-thrashing
+// events.
 func TestRunTraceExperiment(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Scale: Tiny, Seed: 7, ArtifactDir: dir}
-	bd, tables := runTrace(opts)
+	bd, open, tables := runTrace(opts)
 	if len(tables) != 3 {
 		t.Fatalf("tables = %d", len(tables))
 	}
 	checkDecomposition(t, bd)
+	if open != 0 {
+		t.Errorf("%d span(s) still open after the run", open)
+	}
 	for _, op := range []string{"stat", "create", "mv"} {
 		o := bd.Op(op)
 		if o == nil {

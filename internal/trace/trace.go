@@ -239,6 +239,7 @@ type Tracer struct {
 	droppedTraces atomic.Uint64
 	droppedSpans  atomic.Uint64
 	droppedEvents atomic.Uint64
+	openSpans     atomic.Int64 // started, neither ended nor cancelled
 
 	sink atomic.Value // func(Event); fan-out for flight recorders etc.
 
@@ -366,6 +367,16 @@ func (tr *Tracer) Dropped() (traces, spans, events uint64) {
 	return tr.droppedTraces.Load(), tr.droppedSpans.Load(), tr.droppedEvents.Load()
 }
 
+// OpenSpans reports the spans started and not yet ended or cancelled. Once
+// every request has finished it is 0; a span left open on some path (an
+// error return that skips its End, say) keeps it above 0 for good.
+func (tr *Tracer) OpenSpans() int64 {
+	if tr == nil {
+		return 0
+	}
+	return tr.openSpans.Load()
+}
+
 // Reset discards all retained traces and events (the shell reuses one
 // tracer across commands).
 func (tr *Tracer) Reset() {
@@ -393,6 +404,7 @@ func (c *Ctx) Start(kind Kind) *ActiveSpan {
 	if c == nil {
 		return nil
 	}
+	c.tracer.openSpans.Add(1)
 	return &ActiveSpan{
 		ctx: c,
 		span: Span{
@@ -519,8 +531,9 @@ func (a *ActiveSpan) AddWireBytes(n uint64) {
 // action turned out not to happen, e.g. provisioning that found no
 // capacity).
 func (a *ActiveSpan) Cancel() {
-	if a != nil {
+	if a != nil && !a.dropped {
 		a.dropped = true
+		a.ctx.tracer.openSpans.Add(-1)
 	}
 }
 
@@ -544,6 +557,7 @@ func (a *ActiveSpan) EndAt(start time.Time, dur time.Duration) {
 	a.dropped = true // double-End protection
 	a.span.Start, a.span.Dur = start, dur
 	tracer := a.ctx.tracer
+	tracer.openSpans.Add(-1)
 	t := a.ctx.tr
 	t.mu.Lock()
 	if len(t.spans) >= tracer.cfg.MaxSpansPerTrace {

@@ -242,6 +242,36 @@ func TestCancelledSpanNotRecorded(t *testing.T) {
 	})
 }
 
+// TestOpenSpansCountsUnclosed: a span counts as open from Start until its
+// first End, EndAt or Cancel, however many of them follow.
+func TestOpenSpansCountsUnclosed(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		tr := New(clk, Config{})
+		tc := tr.StartTrace("create", "/x", "c")
+		ended, cancelled, leaked := tc.Start(KindRPCTCP), tc.Start(KindColdStart), tc.Start(KindAdmit)
+		if n := tr.OpenSpans(); n != 3 {
+			t.Fatalf("open spans = %d, want 3", n)
+		}
+		ended.End()
+		ended.End()
+		cancelled.Cancel()
+		cancelled.Cancel()
+		cancelled.End()
+		tc.Finish("")
+		if n := tr.OpenSpans(); n != 1 {
+			t.Fatalf("open spans = %d, want 1 (the leaked one)", n)
+		}
+		leaked.EndAt(clk.Now(), 0)
+		if n := tr.OpenSpans(); n != 0 {
+			t.Fatalf("open spans = %d, want 0", n)
+		}
+		var nilTracer *Tracer
+		if nilTracer.OpenSpans() != 0 {
+			t.Fatal("nil tracer reports open spans")
+		}
+	})
+}
+
 // TestEndAtRecordsComputedWindow: a span for a leg that was computed, not
 // lived through, carries the window it is given — here one that lies
 // wholly in the future of the clock — keeps its tags and ledger, records
