@@ -166,17 +166,28 @@ func (inst *Instance) serveHTTP(payload any) any {
 		inst.terminate(true)
 		return nil
 	}
-	return inst.app.HandleInvoke(payload)
+	resp := inst.app.HandleInvoke(payload)
+	if inst.term.IsSet() {
+		// Killed while it ran: the invocation is dropped with its reply.
+		return nil
+	}
+	return resp
 }
 
 // Serve runs fn as a TCP-path request on this instance: it bypasses the
 // gateway and HTTP admission but is billed and CPU-accounted identically.
+// An instance killed while fn ran loses the connection, and fn's reply
+// with it.
 func (inst *Instance) Serve(fn func() any) (any, error) {
 	if !inst.beginRequest() {
 		return nil, ErrInstanceDead
 	}
 	defer inst.endRequest(false)
-	return fn(), nil
+	v := fn()
+	if inst.term.IsSet() {
+		return nil, ErrInstanceDead
+	}
+	return v, nil
 }
 
 // terminate tears the instance down: releases pool resources, bills

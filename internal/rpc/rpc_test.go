@@ -29,6 +29,7 @@ type testNN struct {
 	used  atomic.Bool
 	conn  atomic.Pointer[Conn] // the one connection it offers back
 	exec  time.Duration        // service time, spent inside an engine.exec span
+	cpu   time.Duration        // instance CPU a TCP read charges, as the engine does
 	clk   *clock.Sim
 }
 
@@ -44,6 +45,9 @@ func (n *testNN) Execute(req namespace.Request) *namespace.Response {
 	}
 	if req.Op.IsWrite() {
 		return n.st.write(req, n.inst.ID())
+	}
+	if req.Op == namespace.OpRead {
+		n.inst.AcquireCPU(n.cpu)
 	}
 	// Stall the first read op only (hedging tests): connection
 	// establishment and stat ops must complete normally.
@@ -235,6 +239,19 @@ func armHedging(c *Client, lat time.Duration) {
 	}
 }
 
+// traceSpans has c trace its calls on a fresh tracer, and fails the test
+// if a span is still open when it ends: every path of a call, its failures
+// included, closes the spans it opened.
+func traceSpans(t *testing.T, clk *clock.Sim, c *Client) {
+	tr := trace.New(clk, trace.Config{})
+	c.tracer = tr
+	t.Cleanup(func() {
+		if n := tr.OpenSpans(); n != 0 {
+			t.Errorf("%d span(s) left open", n)
+		}
+	})
+}
+
 // halfSource makes every draw of a client's rng 0.5: each request is
 // replaced when HTTPReplaceProb exceeds it, and the full-jitter backoff
 // before retry k is exactly half of backoffBase·2^(k-1).
@@ -303,6 +320,7 @@ const halfBackoff = backoffBase / 2
 func TestReplacementForcesHTTP(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h, c := replaceHarness(t, clk, nil, testCfg())
+		traceSpans(t, clk, c)
 		nn := h.nns[0]
 		for _, tc := range []struct {
 			op        namespace.OpType
@@ -370,6 +388,7 @@ func TestReplacedReadRaceFailures(t *testing.T) {
 					flaky = &flakyInvoker{inner: inner}
 					return flaky
 				}, cfg)
+				traceSpans(t, clk, c)
 				drop.Store(tc.drop)
 				if tc.reject {
 					flaky.failures = 1
@@ -439,6 +458,7 @@ func TestReplacedWriteRaceFailures(t *testing.T) {
 					flaky = &flakyInvoker{inner: inner}
 					return flaky
 				}, cfg)
+				traceSpans(t, clk, c)
 				drop.Store(tc.drop)
 				if tc.reject {
 					flaky.failures = 1
@@ -555,6 +575,39 @@ func TestDeadConnectionFailsOverToHTTP(t *testing.T) {
 	})
 }
 
+// TestKilledInstanceReplyIsLost kills an instance while a TCP read charges
+// its CPU: the connection dies with it, so the client sees a lost
+// connection and the retry is served elsewhere, not by the dead instance.
+// The lost call's spans are closed like any other's.
+func TestKilledInstanceReplyIsLost(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		h := newHarness(t, clk, 1, testCfg())
+		c := h.vm.NewClient("c1", h.ring, platformInvoker{h.p})
+		traceSpans(t, clk, c)
+		if _, err := c.Do(namespace.OpStat, "/a", ""); err != nil {
+			t.Fatal(err)
+		}
+		victim := h.nns[0]
+		victim.cpu = time.Millisecond
+		clock.Go(clk, func() {
+			clk.Sleep(victim.cpu / 2)
+			if !h.p.KillOneInstance(0) {
+				t.Error("kill failed")
+			}
+		})
+		resp, err := c.Do(namespace.OpRead, "/a", "")
+		if err != nil || !resp.OK() {
+			t.Fatalf("read across the kill failed: %v %v", resp, err)
+		}
+		if resp.ServedBy == victim.inst.ID() {
+			t.Fatalf("read answered by instance %s, killed while it ran", resp.ServedBy)
+		}
+		if st := c.Stats(); st.HTTPRPCs != 2 {
+			t.Fatalf("stats after the kill: %+v, want the retry to go through HTTP", st)
+		}
+	})
+}
+
 func TestRoutingByParentDirectory(t *testing.T) {
 	simtest.Run(t, func(clk *clock.Sim) {
 		h := newHarness(t, clk, 8, testCfg())
@@ -582,6 +635,7 @@ func TestRetryThroughInvokerFailures(t *testing.T) {
 		flaky := &flakyInvoker{inner: platformInvoker{h.p}, failures: 3}
 		c := h.vm.NewClient("c1", h.ring, flaky)
 		c.rng = rand.New(halfSource{})
+		traceSpans(t, clk, c)
 		start := clk.Now()
 		resp, err := c.Do(namespace.OpStat, "/a", "")
 		if err != nil || !resp.OK() {
