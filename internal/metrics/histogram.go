@@ -249,6 +249,7 @@ type MovingWindow struct {
 	buf  []time.Duration
 	next int
 	full bool
+	sum  time.Duration // of buf; a slot not yet written holds 0
 }
 
 // NewMovingWindow returns a window holding size samples.
@@ -262,6 +263,7 @@ func NewMovingWindow(size int) *MovingWindow {
 // Add records a sample, evicting the oldest when full.
 func (w *MovingWindow) Add(d time.Duration) {
 	w.mu.Lock()
+	w.sum += d - w.buf[w.next]
 	w.buf[w.next] = d
 	w.next++
 	if w.next == len(w.buf) {
@@ -283,11 +285,7 @@ func (w *MovingWindow) Mean() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for i := 0; i < n; i++ {
-		sum += w.buf[i]
-	}
-	return sum / time.Duration(n)
+	return w.sum / time.Duration(n)
 }
 
 // Len reports how many samples the window currently holds.

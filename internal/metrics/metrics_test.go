@@ -229,6 +229,31 @@ func TestMovingWindow(t *testing.T) {
 	}
 }
 
+// TestMovingWindowMeanMatchesDefinition holds the running sum to the O(n)
+// definition, the mean of the last min(added, size) samples, after every
+// Add into windows of random sizes.
+func TestMovingWindowMeanMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		size := 1 + rng.Intn(40)
+		w := NewMovingWindow(size)
+		var added []time.Duration
+		for i := 0; i < 3*size; i++ {
+			d := time.Duration(rng.Int63n(int64(time.Second)))
+			w.Add(d)
+			added = append(added, d)
+			last := added[max(0, len(added)-size):]
+			var sum time.Duration
+			for _, s := range last {
+				sum += s
+			}
+			if got, want := w.Mean(), sum/time.Duration(len(last)); got != want {
+				t.Fatalf("size %d after %d adds: mean %v, want %v", size, len(added), got, want)
+			}
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	s := []time.Duration{5, 1, 4, 2, 3}
 	if got := Percentile(s, 50); got != 3 {
