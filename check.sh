@@ -72,7 +72,7 @@ echo "ok"
 echo "== go vet =="
 go vet ./...
 
-echo "== lambdafs-vet (fails on any finding or stale allow) =="
+echo "== lambdafs-vet (virtualtime, determinism, locks, spans, errcheck, lockorder; fails on any finding or stale allow) =="
 if ! vetout=$(go run ./cmd/lambdafs-vet ./... 2>&1); then
     echo "$vetout"
     exit 1
@@ -84,6 +84,13 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== mutants (TestMutants plants each row of internal/vet/mutants_test.go, with go test -overlay or in a copy of the module for lambdafs-vet's checks; fails on a survivor, a kill without the row's message, or a stale site) =="
+if ! mutout=$(go test ./internal/vet -run '^TestMutants$' -count=1 -mutants -v 2>&1); then
+    echo "$mutout"
+    exit 1
+fi
+echo "$(echo "$mutout" | grep -c -- '--- PASS: TestMutants/') mutants killed"
 
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)

@@ -1,10 +1,11 @@
-// Command lambdafs-vet runs the repository's custom static analyzer, eight
+// Command lambdafs-vet runs the repository's custom static analyzer, six
 // checks enforcing the disciplines the λFS reproduction's evaluation
 // depends on: virtualtime (no wall clock, no wait or goroutine clock.Sim
-// cannot see), determinism, locks, spans, errcheck, metricnames, slorules
-// (SLO rules name registered metrics), and lockorder (lock-acquisition-order
-// cycles over a module-wide call graph). Built purely on the standard
-// library's go/ast, go/parser, go/token, and go/types.
+// cannot see), determinism, locks, spans, errcheck, and lockorder
+// (lock-acquisition-order cycles over a module-wide call graph). Each
+// guards against a bug no test catches, shown by a mutant row of
+// internal/vet/mutants_test.go. Built purely on the standard library's go/ast,
+// go/parser, go/token, and go/types.
 //
 // Usage:
 //

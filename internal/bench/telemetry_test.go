@@ -4,9 +4,18 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"lambdafs/internal/clock"
+	"lambdafs/internal/lsm"
+	"lambdafs/internal/ndb"
+	"lambdafs/internal/simtest"
+	"lambdafs/internal/slo"
+	"lambdafs/internal/telemetry"
 )
 
 // TestMetricsArtifacts runs a miniature Spotify experiment with
@@ -84,4 +93,93 @@ func TestMetricsArtifacts(t *testing.T) {
 	if last["lambdafs_cost_payperuse_usd"] <= 0 {
 		t.Error("pay-per-use cost gauge never accrued")
 	}
+}
+
+// metricSubsystems are the <subsystem>s a metric name may carry: the
+// packages that register instruments, and cost, the billing meters the
+// cluster exposes.
+var metricSubsystems = []string{"coordinator", "core", "cost", "faas", "ndb", "rpc", "slo", "tenant"}
+
+var metricNameRe = regexp.MustCompile(`^lambdafs_([a-z0-9]+)(_[a-z0-9]+)+$`)
+
+// TestMetricNames walks every instrument of the telemetry planes the
+// experiments build: a scale point's (the cluster with tenant admission)
+// and the slo experiment's (a durable store under the rule engine). A
+// name is lambdafs_<subsystem>_<metric> with a known subsystem; a counter
+// ends in _total, a gauge does not, and a histogram ends in a unit; a
+// metric's series carry one set of at most 3 label keys. Every subsystem
+// must show up, so the walk covers every registering package.
+func TestMetricNames(t *testing.T) {
+	seen := map[string]bool{}
+	planes := map[string]*telemetry.Registry{
+		"scale": runScalePoint(scalePoint{clients: 16, seconds: 1}, 1).reg,
+		"slo":   sloPlane(t),
+	}
+	for plane, reg := range planes {
+		keys := map[string]string{} // metric name → its series' label keys
+		for _, m := range reg.Gather() {
+			sub := metricNameRe.FindStringSubmatch(m.Name)
+			if sub == nil {
+				t.Errorf("%s: metric %q does not match lambdafs_<subsystem>_<metric>", plane, m.Name)
+				continue
+			}
+			if !slices.Contains(metricSubsystems, sub[1]) {
+				t.Errorf("metric %q: subsystem %q is not a known one %v", m.Name, sub[1], metricSubsystems)
+			}
+			seen[sub[1]] = true
+			checkMetricKind(t, m)
+			var ks []string
+			for _, l := range m.Labels {
+				ks = append(ks, l.Key)
+			}
+			if len(ks) > 3 {
+				t.Errorf("metric %q has %d labels, at most 3", m.Name, len(ks))
+			}
+			k := strings.Join(ks, ",")
+			if prev, ok := keys[m.Name]; ok && prev != k {
+				t.Errorf("metric %q: series label keys {%s} and {%s} differ", m.Name, prev, k)
+			}
+			keys[m.Name] = k
+		}
+	}
+	for _, sub := range metricSubsystems {
+		if !seen[sub] {
+			t.Errorf("no plane registers a lambdafs_%s_* metric", sub)
+		}
+	}
+}
+
+// checkMetricKind holds a metric's suffix to its kind.
+func checkMetricKind(t *testing.T, m telemetry.Metric) {
+	t.Helper()
+	total := strings.HasSuffix(m.Name, "_total")
+	switch m.Kind {
+	case telemetry.KindCounter:
+		if !total {
+			t.Errorf("counter %q must end in _total", m.Name)
+		}
+	case telemetry.KindGauge:
+		if total {
+			t.Errorf("gauge %q must not end in _total", m.Name)
+		}
+	case telemetry.KindHistogram:
+		if !strings.HasSuffix(m.Name, "_seconds") && !strings.HasSuffix(m.Name, "_bytes") &&
+			!strings.HasSuffix(m.Name, "_ratio") {
+			t.Errorf("histogram %q must end in a unit suffix (_seconds, _bytes, _ratio)", m.Name)
+		}
+	}
+}
+
+// sloPlane builds the slo experiment's telemetry plane (sloLive): a
+// cluster on a durable store, with the rule engine registered beside it.
+func sloPlane(t *testing.T) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := lambdaConfig(clk, 1)
+		cfg.Store.Metrics = reg
+		cfg.Store.Durable = ndb.NewDurable(clk, cfg.Store.DataNodes, lsm.DefaultConfig())
+		slo.New(slo.Config{Registry: reg}).AddRules(slo.Rules())
+		mustLambda(cfg).Close()
+	})
+	return reg
 }

@@ -8,8 +8,8 @@ package slo
 // Bounds are stated in virtual-time seconds and scrape ticks (default 1s
 // tick).
 //
-// Metric names here are statically checked by lambdafs-vet's slorules
-// check against the set of names registered somewhere in the module.
+// A rule on a metric no subsystem registers never fires, so
+// TestAlertCoverage (internal/chaos) fails on a misspelt metric name.
 func Rules() []Rule {
 	return []Rule{
 		// Any coordination-session expiry within a tick: a NameNode

@@ -55,9 +55,7 @@ const (
 
 // Rule is one declarative SLO statement against a registered
 // lambdafs_* metric name: it breaches when its signal exceeds Bound.
-// Build rules with the constructors below — lambdafs-vet's slorules check
-// statically verifies the metric-name arguments of those constructor
-// calls against the set of names some package actually registers.
+// Build rules with the constructors below, in slo.Rules (pack.go).
 type Rule struct {
 	Name   string // unique rule name; alert identity in logs and traces
 	Kind   string // KindThreshold | KindQuantile | KindAbsence

@@ -102,6 +102,10 @@ func release(held []lockEvent, key string) []lockEvent {
 // finding, one under its creator's is not — and function-local mutexes
 // count. Each hold reports once: later returns on it cascade from the
 // first.
+//
+// No test sees this check's bug: the mutant row
+// locks-scraper-restart-keeps-lock (mutants_test.go)
+// plants one, and only lambdafs-vet kills it.
 func checkLocks(l *Loader, pkgs []*Package, _ *CallGraph, report reporter) {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -171,6 +175,10 @@ func checkLocks(l *Loader, pkgs []*Package, _ *CallGraph, report reporter) {
 // Each cycle reports once, at its lexically first edge, listing every
 // edge with the function that introduces it. Suppress with
 // `//vet:allow lockorder <reason>` on that edge's line.
+//
+// No test sees this check's bug: the mutant row
+// lockorder-pickwarm-reads-platform-under-deployment (mutants_test.go)
+// plants one, and only lambdafs-vet kills it.
 func checkLockOrder(l *Loader, _ []*Package, g *CallGraph, report reporter) {
 	events := make(map[*FuncNode][]lockEvent, len(g.Nodes))
 	acqAll := make(map[*FuncNode]map[string]bool, len(g.Nodes))

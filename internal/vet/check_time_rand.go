@@ -40,6 +40,10 @@ var wallClockFuncs = map[string]bool{
 // like any API user.
 //
 // A line reports once: `<-time.After(d)` is one mistake, not two.
+//
+// No test sees this check's bug: the mutant row
+// virtualtime-indexfs-ctime-on-wall-clock (mutants_test.go)
+// plants one, and only lambdafs-vet kills it.
 func checkVirtualTime(l *Loader, pkg *Package, report reporter) {
 	clockPath := l.ModulePath + "/internal/clock"
 	if pkg.Path == clockPath {
@@ -129,6 +133,10 @@ var randGlobalFuncs = map[string]bool{
 // approximated as "the source expression mentions an identifier whose name
 // contains 'seed'". That convention is what lets a -seed / -chaosseed flag
 // replay an entire run byte-for-byte.
+//
+// No test sees this check's bug: the mutant row
+// determinism-tab2-unseeded (mutants_test.go)
+// plants one, and only lambdafs-vet kills it.
 func checkDeterminism(l *Loader, pkg *Package, report reporter) {
 	for _, file := range pkg.Files {
 		// rand.New(rand.NewSource(e)) reports once, at the outer call.

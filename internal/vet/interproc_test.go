@@ -10,7 +10,6 @@ import (
 	"testing"
 )
 
-func TestGoldenMetricNames(t *testing.T) { checkGolden(t, "metricnames", 0) }
 func TestGoldenLockOrder(t *testing.T)   { checkGolden(t, "lockorder", 0) }
 func TestGoldenUnusedAllow(t *testing.T) { checkGolden(t, "unusedallow", 1) }
 
@@ -130,7 +129,7 @@ func TestExprString(t *testing.T) {
 // TestWriteJSON round-trips the machine-readable report for a fixture with
 // a known finding profile.
 func TestWriteJSON(t *testing.T) {
-	res := analyzeFixture(t, "metricnames")
+	res := analyzeFixture(t, "errcheck")
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -151,9 +150,9 @@ func TestWriteJSON(t *testing.T) {
 	if rep.Packages != 1 {
 		t.Errorf("packages = %d, want 1", rep.Packages)
 	}
-	if rep.Counts["metricnames"] != len(rep.Findings) || len(rep.Findings) == 0 {
-		t.Errorf("counts[metricnames] = %d, findings = %d; want equal and non-zero",
-			rep.Counts["metricnames"], len(rep.Findings))
+	if rep.Counts["errcheck"] != len(rep.Findings) || len(rep.Findings) == 0 {
+		t.Errorf("counts[errcheck] = %d, findings = %d; want equal and non-zero",
+			rep.Counts["errcheck"], len(rep.Findings))
 	}
 	// Every registered check appears with an explicit count, even at zero.
 	for _, name := range CheckNames {

@@ -1,7 +1,11 @@
 // Package vet implements lambdafs-vet: a custom static analyzer, built
 // purely on the standard library's go/ast, go/parser, go/token, and
 // go/types (no golang.org/x/tools), that enforces the platform-level
-// disciplines the λFS reproduction's evaluation rests on:
+// disciplines the λFS reproduction's evaluation rests on. It keeps only
+// the checks whose bug no test catches: each names the mutant row
+// (mutants_test.go) that plants such a bug and that only lambdafs-vet
+// kills. A check whose rows a test killed was deleted for it: slorules
+// (TestAlertCoverage) and metricnames (internal/bench's TestMetricNames).
 //
 //   - virtualtime: all latency and every wait flow through internal/clock.
 //     Wall-clock time.Now/Sleep/After/Tick/NewTimer/NewTicker/Since/
@@ -20,16 +24,11 @@
 //   - spans: every tracer span (trace.Ctx.Start) and trace
 //     (trace.Tracer.StartTrace) opened in a function must be closed in
 //     that function — deferred, or on every return path after it opens.
+//     trace.Tracer.OpenSpans covers the spans that escape the function,
+//     on the paths the traced tests take.
 //   - errcheck: calls inside internal/ must not silently drop error
 //     returns (an explicit `_ =` is allowed; defers and fmt printing are
 //     exempt).
-//   - metricnames: telemetry instruments register with constant names
-//     matching lambdafs_<subsystem>_<metric>, subsystem equal to the
-//     registering package, kind-appropriate suffixes, and bounded
-//     literal-keyed label sets.
-//   - slorules: SLO rule definitions (internal/slo constructor calls) may
-//     only reference metric names that some analyzed package actually
-//     registers — a typo'd rule would silently never fire.
 //   - lockorder: the global lock-acquisition-order graph (which mutexes
 //     are acquired while which are held, propagated through the
 //     module-wide call graph of callgraph.go) must be cycle-free — a
@@ -103,8 +102,6 @@ var checks = []struct {
 	{"locks", checkLocks},
 	{"spans", perPackage(checkSpans)},
 	{"errcheck", perPackage(checkErrcheck)},
-	{"metricnames", perPackage(checkMetricNames)},
-	{"slorules", checkSLORules},
 	{"lockorder", checkLockOrder},
 }
 

@@ -148,9 +148,3 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("analyzed %d packages, expected the whole module", res.NumPackages)
 	}
 }
-
-// TestGoldenSLORules pins the module-wide slorules check: rule
-// constructors referencing unregistered or dynamic metric names are
-// findings; registered names (directly, via constant, or via a derived
-// _count series) are clean.
-func TestGoldenSLORules(t *testing.T) { checkGolden(t, "slorules", 0) }

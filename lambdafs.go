@@ -158,9 +158,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 	// Cumulative cost, the paper's headline metric (Figures 8/12): both
 	// billing models exposed side by side, sampled lazily at scrape time.
-	c.registry.GaugeFunc("lambdafs_cost_payperuse_usd", //vet:allow metricnames cost is a cross-cutting subsystem aggregated here, not a package
+	c.registry.GaugeFunc("lambdafs_cost_payperuse_usd",
 		func() float64 { return c.lambdaMeter.TotalUSD() })
-	c.registry.GaugeFunc("lambdafs_cost_provisioned_usd", //vet:allow metricnames cost is a cross-cutting subsystem aggregated here, not a package
+	c.registry.GaugeFunc("lambdafs_cost_provisioned_usd",
 		func() float64 { return c.provisionedMeter.TotalUSD() })
 	return c, nil
 }
