@@ -86,7 +86,7 @@ echo "== go test =="
 go test ./...
 
 echo "== mutants (TestMutants plants each row of internal/vet/mutants_test.go, with go test -overlay or in a copy of the module for lambdafs-vet's checks; fails on a survivor, a kill without the row's message, or a stale site) =="
-if ! mutout=$(go test ./internal/vet -run '^TestMutants$' -count=1 -mutants -v 2>&1); then
+if ! mutout=$(go test ./internal/vet -run '^TestMutants$' -count=1 -mutants -timeout=5m -v 2>&1); then
     echo "$mutout"
     exit 1
 fi

@@ -12,6 +12,7 @@ import (
 
 	"lambdafs/internal/clock"
 	"lambdafs/internal/lsm"
+	"lambdafs/internal/namespace"
 	"lambdafs/internal/ndb"
 	"lambdafs/internal/simtest"
 	"lambdafs/internal/slo"
@@ -103,8 +104,9 @@ var metricSubsystems = []string{"coordinator", "core", "cost", "faas", "ndb", "r
 var metricNameRe = regexp.MustCompile(`^lambdafs_([a-z0-9]+)(_[a-z0-9]+)+$`)
 
 // TestMetricNames walks every instrument of the telemetry planes the
-// experiments build: a scale point's (the cluster with tenant admission)
-// and the slo experiment's (a durable store under the rule engine). A
+// experiments build: a scale point's (the cluster with tenant admission),
+// the slo experiment's (a durable store under the rule engine) and the
+// crash_restart alert family's (a durable store crashed and recovered). A
 // name is lambdafs_<subsystem>_<metric> with a known subsystem; a counter
 // ends in _total, a gauge does not, and a histogram ends in a unit; a
 // metric's series carry one set of at most 3 label keys. Every subsystem
@@ -112,8 +114,9 @@ var metricNameRe = regexp.MustCompile(`^lambdafs_([a-z0-9]+)(_[a-z0-9]+)+$`)
 func TestMetricNames(t *testing.T) {
 	seen := map[string]bool{}
 	planes := map[string]*telemetry.Registry{
-		"scale": runScalePoint(scalePoint{clients: 16, seconds: 1}, 1).reg,
-		"slo":   sloPlane(t),
+		"scale":   runScalePoint(scalePoint{clients: 16, seconds: 1}, 1).reg,
+		"slo":     sloPlane(t),
+		"restart": restartPlane(t),
 	}
 	for plane, reg := range planes {
 		keys := map[string]string{} // metric name → its series' label keys
@@ -180,6 +183,34 @@ func sloPlane(t *testing.T) *telemetry.Registry {
 		cfg.Store.Durable = ndb.NewDurable(clk, cfg.Store.DataNodes, lsm.DefaultConfig())
 		slo.New(slo.Config{Registry: reg}).AddRules(slo.Rules())
 		mustLambda(cfg).Close()
+	})
+	return reg
+}
+
+// restartPlane builds the crash_restart alert family's telemetry plane: a
+// durable store instrumented into the registry, crashed after one commit
+// and rebuilt by ndb.Recover, which registers the recovery instruments.
+func restartPlane(t *testing.T) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := ndb.DefaultConfig()
+		cfg.Metrics = reg
+		cfg.Durable = ndb.NewDurable(clk, cfg.DataNodes, lsm.DefaultConfig())
+		cfg.Durability = ndb.DefaultDurabilityConfig()
+		db := ndb.New(clk, cfg)
+		tx := db.Begin("restart")
+		if err := tx.PutINode(&namespace.INode{
+			ID: db.NextID(), ParentID: namespace.RootID, Name: "d",
+			IsDir: true, Perm: namespace.PermDefaultDir,
+		}); err != nil {
+			t.Fatalf("put /d: %v", err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit /d: %v", err)
+		}
+		if _, _, err := ndb.Recover(clk, cfg); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
 	})
 	return reg
 }

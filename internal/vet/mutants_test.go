@@ -22,16 +22,20 @@ import (
 // longer matches its file exactly once all fail the row.
 //
 // A `go test` row builds the mutant with go test -overlay, so the tree is
-// never edited. A `lambdafs-vet` row analyzes a copy of the module's
+// never edited, and runs it under rowTimeout, so a mutant that hangs fails
+// its row as timed out. A `lambdafs-vet` row analyzes a copy of the module's
 // non-test Go files with the mutant in place, as `lambdafs-vet -q ./...`
 // would, and is killed by any finding.
 //
 // The rows take a compile each, so TestMutants runs only with -mutants
 // (check.sh's mutants step):
 //
-//	go test ./internal/vet -run '^TestMutants$' -count=1 -mutants
+//	go test ./internal/vet -run '^TestMutants$' -count=1 -mutants -timeout=5m
 
 var runMutants = flag.Bool("mutants", false, "run TestMutants: plant every row of the mutant table")
+
+// rowTimeout bounds one go test row; a killed mutant fails in seconds.
+const rowTimeout = "2m"
 
 // mutant is one row: the bug planted, and the command that must kill it.
 type mutant struct {
@@ -70,6 +74,14 @@ var mutants = []mutant{
 		new:  `"lambdafs_rpc_retries"`,
 		cmd:  "go test ./internal/bench -run ^TestMetricNames$",
 		want: `counter "lambdafs_rpc_retries" must end in _total`,
+	},
+	{
+		name: "metricnames-recovery-counter-without-total",
+		file: "internal/ndb/wal.go",
+		old:  `"lambdafs_ndb_recoveries_total"`,
+		new:  `"lambdafs_ndb_recoveries"`,
+		cmd:  "go test ./internal/bench -run ^TestMetricNames$",
+		want: `counter "lambdafs_ndb_recoveries" must end in _total`,
 	},
 	{
 		name: "spans-dropped-invocation-span-leaked",
@@ -168,7 +180,7 @@ var mutants = []mutant{
 		old:  "\t\tr.done.Store(true)\n",
 		new:  "",
 		cmd:  "go test ./internal/core -run ^TestCancelledLoserRunsNoEngine$",
-		want: "FAIL: TestCancelledLoserRunsNoEngine",
+		want: "the loser ran on the engine",
 	},
 	{
 		name: "release-owner-without-fence",
@@ -184,7 +196,7 @@ var mutants = []mutant{
 		old:  "if key.Seq >= r.seq {",
 		new:  "if key.Seq > r.seq {",
 		cmd:  "go test ./internal/core -run ^FuzzResultCache$",
-		want: "FAIL: FuzzResultCache",
+		want: "answered put",
 	},
 	{
 		name: "sleepor-cut-short-reports-run",
@@ -200,7 +212,7 @@ var mutants = []mutant{
 		old:  `"lambdafs_ndb_wal_appends_total", "lambdafs_ndb_writes_total", 4),`,
 		new:  `"lambdafs_ndb_wal_appends_total", "lambdafs_ndb_tx_commits_total", 4),`,
 		cmd:  "go test ./internal/slo -run ^TestWALStallRuleWatchesWrites$",
-		want: "FAIL: TestWALStallRuleWatchesWrites",
+		want: "read-only commits beside a silent WAL: firing",
 	},
 	{
 		name: "zero-config-accepted",
@@ -208,7 +220,7 @@ var mutants = []mutant{
 		old:  "if cfg.Store.DataNodes < 1 && cfg.Store.Durable == nil {",
 		new:  "if false {",
 		cmd:  "go test . -run ^TestZeroConfigRejected$",
-		want: "FAIL: TestZeroConfigRejected",
+		want: "Config{} accepted",
 	},
 	{
 		name: "list-entries-uncopied",
@@ -216,7 +228,7 @@ var mutants = []mutant{
 		old:  "func entriesOf(resp *namespace.Response) []DirEntry { return slices.Clone(resp.Entries) }",
 		new:  "func entriesOf(resp *namespace.Response) []DirEntry { return slices.Clip(resp.Entries) }",
 		cmd:  "go test . -run ^TestListAndOpenResultsOutliveLaterCalls$",
-		want: "FAIL: TestListAndOpenResultsOutliveLaterCalls",
+		want: "held results changed across later calls",
 	},
 	{
 		name: "coordinator-oncrash-skipped",
@@ -232,7 +244,7 @@ var mutants = []mutant{
 		old:  "\tnn.handlers.Recv()\n",
 		new:  "",
 		cmd:  "go test ./internal/bench -run ^TestHopsFSHandlersBoundConcurrency$",
-		want: "FAIL: TestHopsFSHandlersBoundConcurrency",
+		want: "handler bound not enforced",
 	},
 	{
 		name: "listing-storage-reused-while-held",
@@ -240,7 +252,7 @@ var mutants = []mutant{
 		old:  "\tcase t.kidsOut:\n\t\treturn make([]*namespace.INode, 0, n)\n",
 		new:  "",
 		cmd:  "go test ./internal/ndb -run ^TestListChildrenSortedAndMerged$",
-		want: "FAIL: TestListChildrenSortedAndMerged",
+		want: "after two more listings ls /other reads",
 	},
 	{
 		name: "wal-dropped-frame-counted",
@@ -256,7 +268,7 @@ var mutants = []mutant{
 		old:  "\t\tcase row.seq == race.Seq:\n\t\t\treturn row.id, namespace.FromWire(row.err), true, nil\n",
 		new:  "",
 		cmd:  "go test ./internal/core -run ^TestRacedWriteOutcomes$",
-		want: "FAIL: TestRacedWriteOutcomes",
+		want: "the second copy created /d/f",
 	},
 }
 
@@ -318,7 +330,7 @@ func (m mutant) run(root string) error {
 		if err := os.WriteFile(ov, overlay, 0o644); err != nil {
 			return err
 		}
-		cmd := exec.Command("go", append([]string{"test", "-overlay=" + ov}, args[2:]...)...)
+		cmd := exec.Command("go", append([]string{"test", "-overlay=" + ov, "-timeout=" + rowTimeout}, args[2:]...)...)
 		cmd.Dir = root
 		out, err = cmd.CombinedOutput()
 		var exit *exec.ExitError
@@ -327,6 +339,8 @@ func (m mutant) run(root string) error {
 			return errors.New("survived: " + m.cmd + " passed")
 		case !errors.As(err, &exit):
 			return err
+		case bytes.Contains(out, []byte("panic: test timed out after")):
+			return fmt.Errorf("timed out: %s ran past %s", m.cmd, rowTimeout)
 		}
 	case m.cmd == "lambdafs-vet":
 		if err := copySources(root, dir); err != nil {
@@ -411,7 +425,9 @@ func TestStaleRowFails(t *testing.T) {
 
 // TestRowsMatchOnce holds every committed row to the table's shape: a
 // unique name, a site that matches its file exactly once, a go test
-// command with a -run pattern or lambdafs-vet, and a message to expect.
+// command with a -run pattern or lambdafs-vet, and the message of the
+// assertion that proves the bug (not a bare FAIL line, which any failure
+// of the test prints).
 func TestRowsMatchOnce(t *testing.T) {
 	root := testLoader(t).ModuleRoot
 	names := map[string]bool{}
@@ -427,8 +443,8 @@ func TestRowsMatchOnce(t *testing.T) {
 		if !goTest && m.cmd != "lambdafs-vet" {
 			t.Errorf("row %s: command %q is neither go test <pkg> -run <pattern> nor lambdafs-vet", m.name, m.cmd)
 		}
-		if m.want == "" {
-			t.Errorf("row %s: no message to expect", m.name)
+		if m.want == "" || strings.HasPrefix(m.want, "FAIL") {
+			t.Errorf("row %s: want %q is not the assertion that proves the bug", m.name, m.want)
 		}
 	}
 }
