@@ -95,8 +95,8 @@ echo "$(echo "$mutout" | grep -c -- '--- PASS: TestMutants/') mutants killed"
 echo "== benchmark module (own go.mod: the root ./... patterns skip it) =="
 (cd benchmark && go vet . && go test .)
 
-echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's and the replaced write's TCP/HTTP race, their failure paths and the decided loser's cancellation (its record reused while the loser is out), chaos, coordinator, ndb, store, lsm, core, tenant, cache, partition, cephfs, workload — its closed-loop, rate-driven and fault-injector client goroutines; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim are built only without -race — the detector allocates — and ran in the plain go test above) =="
-go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/store/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/partition/ ./internal/cephfs/ ./internal/workload/
+echo "== go test -race (clock, trace, metrics, telemetry, slo, faas — the closed-platform admission test, rpc — the replaced read's and the replaced write's TCP/HTTP race, their failure paths and the decided loser's cancellation (its record reused while the loser is out), chaos, coordinator, ndb, store, lsm, core, tenant, cache — caches on goroutines of their own recycling nodes and chunks through the pools they share (TestCachesShareStorageConcurrently) —, childindex — goroutines churning lists of their own through one shared chunk pool (TestPoolSharedAcrossGoroutines) —, partition, cephfs, workload — its closed-loop, rate-driven and fault-injector client goroutines; the exact testing.AllocsPerRun pins of cache, ndb, core, clock, rpc, namespace, coordinator and sim, and the pool read-backs of cache and childindex, are built only without -race — the detector allocates, and drops a random share of what a sync.Pool is given — and ran in the plain go test above) =="
+go test -race ./internal/clock/ ./internal/trace/ ./internal/metrics/ ./internal/telemetry/ ./internal/slo/ ./internal/faas/ ./internal/rpc/ ./internal/chaos/ ./internal/coordinator/ ./internal/ndb/ ./internal/store/ ./internal/lsm/ ./internal/core/ ./internal/tenant/ ./internal/cache/ ./internal/childindex/ ./internal/partition/ ./internal/cephfs/ ./internal/workload/
 
 echo "== fuzz (namespace.CleanPath: canonical, idempotent, fast path = split/join, Parent/Base/Ancestors = the JoinPath fold of SplitPath, Walk/AppendSplit = SplitPath; bounded) =="
 go test ./internal/namespace/ -run '^$' -fuzz FuzzCleanPath -fuzztime 10s

@@ -4,6 +4,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lambdafs/internal/namespace"
@@ -53,10 +54,20 @@ func TestHitPathAllocs(t *testing.T) {
 	}
 }
 
-// With an empty free list — nothing was ever evicted or invalidated —
-// caching a new row allocates its node, and a directory's first child adds
-// its child list's first chunk: the list's header is the node's own.
+// emptyPools drops the spare nodes and chunks every Cache shares, so a pin
+// that counts a fresh allocation counts the same whatever ran before it: a
+// sync.Pool keeps what it holds through one collection, not two.
+func emptyPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// With nothing to recycle — the pools emptied, and nothing evicted or
+// invalidated since — caching a new row allocates its node, and a
+// directory's first child adds its child list's first chunk: the list's
+// header is the node's own.
 func TestPutChainAllocs(t *testing.T) {
+	emptyPools()
 	c := New(0)
 	c.PutChain("/d/seed", chainFor("/d/seed"))
 	chain := chainFor("/d/f")
@@ -153,5 +164,59 @@ func TestPutListingEvictingAllocs(t *testing.T) {
 	}
 	if err := c.checkTree(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStorageRecyclesAcrossCaches: the nodes and chunks one cache gives up
+// are every cache's. Cache A caches chains and listings, loses them to
+// evictions (a second set of the same shapes) and then an invalidation of
+// everything, and cache B then caches the first set without allocating.
+func TestStorageRecyclesAcrossCaches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a sync.Pool hands back what it was given on the same P
+	emptyPools()
+	kids := make([]*namespace.INode, 16)
+	for i := range kids {
+		kids[i] = &namespace.INode{ID: namespace.INodeID(200 + i), Name: fmt.Sprintf("f%02d", i)}
+	}
+	type shape struct {
+		dir, deep     string
+		dirRows, rows []*namespace.INode
+	}
+	set := func(prefix string) []shape {
+		s := make([]shape, 8)
+		for i := range s {
+			d := fmt.Sprintf("/%s%d/sub", prefix, i)
+			deep := fmt.Sprintf("/%s%d/x/y/z", prefix, i)
+			s[i] = shape{d, deep, chainFor(d), chainFor(deep)}
+		}
+		return s
+	}
+	fill := func(c *Cache, s []shape) {
+		for _, sh := range s {
+			c.PutChain(sh.deep, sh.rows)
+			c.PutChain(sh.dir, sh.dirRows)
+			c.PutListing(sh.dir, kids)
+		}
+	}
+	first, second := set("d"), set("e") // the same shapes, the same bytes
+	ref := New(0)
+	fill(ref, first)
+	a := New(ref.UsedBytes()) // room for the root and one set
+	fill(a, first)
+	fill(a, second)
+	if a.Stats().Evictions == 0 || a.Contains(first[0].deep) {
+		t.Fatalf("fixture: cache A evicted %d rows filling the second set, still holds %s", a.Stats().Evictions, first[0].deep)
+	}
+	a.Invalidate("/")
+	b := New(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill(b, first)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("cache B allocated %d objects caching the shapes cache A gave up, want 0: every node and chunk recycled", n)
+	}
+	if !b.IsComplete(first[7].dir) || b.Len() != ref.Len() {
+		t.Errorf("fixture: cache B holds %d rows, want %d, last listing complete %v", b.Len(), ref.Len(), b.IsComplete(first[7].dir))
 	}
 }

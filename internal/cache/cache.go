@@ -34,18 +34,24 @@
 //
 // Every node eviction or invalidation takes out of the tree goes on the
 // Cache's free list, emptied: no row, no parent, no name, no children,
-// listing unknown. Its child list's chunks go, emptied, to the Cache's chunk
-// pool (childindex.Pool), which files them by capacity. A new component
-// takes a node from the free list, and a child list a chunk from the pool,
-// before either allocates, so a cache under memory pressure — each miss
-// evicting cold rows to insert a chain or a listing — caches rows without
-// allocating once both have warmed up. Neither holds more than the tree: a
-// removal that leaves more spare nodes than live ones drops the excess, and
-// the pool never keeps more chunk capacity than the tree's lists hold, so a
-// mass invalidation pins no memory. A node pointer never leaves the package,
-// and no method holds one across an eviction without checking detached
-// first (a node on the list has no parent), so a recycled node is never
-// mistaken for the component it used to be.
+// listing unknown. Its child list's chunks go, emptied, to the chunk pool
+// (childindex.Pool) that every Cache in the process shares, which files
+// them by capacity. The free list lives only as long as the operation that
+// filled it: when an operation that can evict or drop ends, still under the
+// lock, it spills what is left on the list into a node pool every Cache
+// shares (spillLocked). A new component takes a node from the free list,
+// then from that pool, and a child list a chunk from the chunk pool, before
+// either allocates, so a cache under memory pressure — each miss evicting
+// cold rows to insert a chain or a listing — caches rows without
+// allocating once the pools have warmed up, whichever NameNode's cache gave
+// the storage back. Both pools are sync.Pools: the runtime drops what they
+// hold within two collections, so a mass invalidation pins no memory. A
+// node pointer never leaves the package, and no method holds one across an
+// eviction without checking detached first (a node on the list has no
+// parent), so a recycled node is never mistaken for the component it used
+// to be; and as no node reaches the shared pool before the operation that
+// detached it ends, no other cache can take one that operation may still
+// test.
 //
 // # Concurrency and ownership
 //
@@ -86,6 +92,13 @@ import (
 	"lambdafs/internal/namespace"
 )
 
+// The storage every Cache recycles (see the package doc): spare nodes,
+// emptied, and the child lists' chunks.
+var (
+	spareNodes sync.Pool // *node
+	chunks     childindex.Pool[*node]
+)
+
 // Stats counts what only the cache sees. Hits and misses are counted by
 // the engine that looks up (lambdafs_core_cache_{hits,misses}_total).
 type Stats struct {
@@ -118,11 +131,8 @@ const (
 type Cache struct {
 	mu     sync.Mutex
 	root   node
-	lru    node                   // sentinel: lru.next is the most recently used row, lru.prev the least
-	free   *node                  // detached nodes kept for reuse (see the package doc)
-	spare  int                    // the free list's length, never above nodes
-	chunks childindex.Pool[*node] // the child lists' storage, recycled the same way
-	nodes  int                    // nodes in the tree besides the root, structural ones included
+	lru    node  // sentinel: lru.next is the most recently used row, lru.prev the least
+	free   *node // nodes the running operation detached (see the package doc); nil between operations
 	rows   int
 	budget int64
 	used   int64
@@ -172,7 +182,7 @@ func (c *Cache) makeLocked(cs namespace.Components) *node {
 }
 
 // childLocked returns n's child called name, adding a structural one — off
-// the free list when it has one — if need be.
+// the free list, else out of the shared pool, else new — if need be.
 func (c *Cache) childLocked(n *node, name string) *node {
 	if ch, _ := n.kids.Find(name); ch != nil {
 		return ch
@@ -180,17 +190,27 @@ func (c *Cache) childLocked(n *node, name string) *node {
 	ch := c.free
 	if ch != nil {
 		c.free, ch.next = ch.next, nil
-		c.spare--
-		ch.name, ch.parent = name, n
+	} else if spare, ok := spareNodes.Get().(*node); ok {
+		ch = spare
 	} else {
-		ch = &node{name: name, parent: n}
+		ch = new(node)
 	}
+	ch.name, ch.parent = name, n
 	if n.kids == nil {
 		n.kids = n.kids0[:0]
 	}
-	n.kids = n.kids.Insert(childindex.NewEntry(name, ch), &c.chunks)
-	c.nodes++
+	n.kids = n.kids.Insert(childindex.NewEntry(name, ch), &chunks)
 	return ch
+}
+
+// spillLocked ends an operation that can evict or drop: it hands the nodes
+// the operation detached and did not reuse to the shared pool. Each such
+// operation defers it after its deferred unlock, so it runs under the lock.
+func (c *Cache) spillLocked() {
+	for n := c.free; n != nil; n = c.free {
+		c.free, n.next = n.next, nil
+		spareNodes.Put(n)
+	}
 }
 
 // detached reports whether n was taken out of the tree.
@@ -215,6 +235,7 @@ func (c *Cache) PutChain(path string, chain []*namespace.INode) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	n := &c.root
 	for i, in := range chain {
 		if i > 0 {
@@ -238,6 +259,7 @@ func (c *Cache) PutChain(path string, chain []*namespace.INode) {
 func (c *Cache) Put(path string, n *namespace.INode) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	c.setLocked(c.makeLocked(namespace.Walk(path)), n)
 }
 
@@ -294,12 +316,9 @@ func (c *Cache) dropLocked(n *node, count *uint64) int {
 		return 0
 	}
 	if p := n.parent; p != nil {
-		p.kids = p.kids.Remove(n.name, n, &c.chunks)
+		p.kids = p.kids.Remove(n.name, n, &chunks)
 	}
 	removed := c.emptyLocked(n)
-	for ; c.spare > c.nodes; c.spare-- {
-		c.free = c.free.next // more spare nodes than live ones: let the excess go
-	}
 	*count += uint64(removed)
 	return removed
 }
@@ -320,14 +339,12 @@ func (c *Cache) emptyLocked(n *node) int {
 			removed += c.emptyLocked(e.Val)
 		}
 	}
-	c.chunks.Release(n.kids)
+	chunks.Release(n.kids)
 	n.kids, n.kids0[0] = nil, nil
 	n.listing = listingUnknown
 	if n != &c.root {
 		n.name, n.parent, n.next = "", nil, c.free
 		c.free = n
-		c.spare++
-		c.nodes--
 	}
 	return removed
 }
@@ -413,6 +430,7 @@ func (c *Cache) Contains(path string) bool {
 func (c *Cache) Invalidate(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	return c.removeLocked(c.nodeLocked(namespace.Walk(path)), &c.stats.Invalidations)
 }
 
@@ -424,6 +442,7 @@ func (c *Cache) PutListing(dir string, children []*namespace.INode) {
 	cs := namespace.Walk(dir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	d := c.rowLocked(cs)
 	if d == nil {
 		return
@@ -463,6 +482,7 @@ func (c *Cache) SuspendListing(path, gone string) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	c.dropLocked(c.nodeLocked(cs), &c.stats.Invalidations)
 	if gone != "" {
 		c.dropLocked(c.nodeLocked(namespace.Walk(gone)), &c.stats.Invalidations)
@@ -493,6 +513,7 @@ func (c *Cache) ResumeListing(path string, parent, child *namespace.INode) bool 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.spillLocked()
 	suspended := func() *node {
 		if dir := c.rowLocked(dirCs); dir != nil && dir.listing == listingSuspended {
 			return dir

@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,6 +262,47 @@ func TestConcurrentAccess(t *testing.T) {
 	if c.UsedBytes() < 0 {
 		t.Fatal("negative byte accounting after concurrent use")
 	}
+}
+
+// TestCachesShareStorageConcurrently: caches on goroutines of their own,
+// each under memory pressure, recycle nodes and chunks through the pools
+// they share, and each still answers only with rows it was given, its tree
+// sound (checkTree). (check.sh runs it under -race.)
+func TestCachesShareStorageConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := New(4_000)
+			rng := rand.New(rand.NewSource(int64(w)))
+			kids := make([]*namespace.INode, 20)
+			for i := range kids {
+				kids[i] = inode(namespace.INodeID(w<<20|i), fmt.Sprintf("k%02d", i), false)
+			}
+			for i := 0; i < 2000; i++ {
+				d := fmt.Sprintf("/w%d/d%d", w, rng.Intn(8))
+				switch rng.Intn(4) {
+				case 0:
+					c.PutChain(d, chainFor(d))
+					c.PutListing(d, kids[:rng.Intn(len(kids))])
+				case 1:
+					c.Invalidate(d)
+				default:
+					p := d + "/" + kids[rng.Intn(len(kids))].Name
+					c.PutChain(p, chainFor(p))
+					if in, ok := c.Get(p); ok && in.Name != namespace.BaseName(p) {
+						t.Errorf("cache %d: %s holds %q", w, p, in.Name)
+						return
+					}
+				}
+			}
+			if err := c.checkTree(); err != nil {
+				t.Errorf("cache %d: %v", w, err)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestListingPutAndGet(t *testing.T) {
@@ -540,10 +583,11 @@ func TestPrefixRemovalKeepsSiblings(t *testing.T) {
 	}
 }
 
-// TestFreeListBoundedByTree: invalidating a large subtree recycles its nodes
-// only up to the size of what is left, and invalidating everything keeps
-// none; the spare nodes then serve the next fills.
-func TestFreeListBoundedByTree(t *testing.T) {
+// TestFreeListEmptiedByEachOp: the nodes an invalidation, an evicting put
+// or a suspension detaches leave the cache when that operation ends: after
+// each, its free list is empty and the pooled nodes are out of its tree
+// (checkTree), a refill of the invalidated subtree included.
+func TestFreeListEmptiedByEachOp(t *testing.T) {
 	c := New(0)
 	for i := 0; i < 1000; i++ {
 		p := fmt.Sprintf("/big/d%02d/f%02d", i/40, i%40)
@@ -552,23 +596,41 @@ func TestFreeListBoundedByTree(t *testing.T) {
 	for _, p := range []string{"/small/x", "/small/y/z"} {
 		c.PutChain(p, chainFor(p))
 	}
+	check := func(what string) {
+		t.Helper()
+		if err := c.checkTree(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
 	if n := c.Invalidate("/big"); n != 1+25+1000 {
 		t.Fatalf("invalidating /big removed %d rows", n)
 	}
-	if err := c.checkTree(); err != nil {
-		t.Fatal(err)
-	}
-	if c.spare != 4 || c.nodes != 4 { // the tree: /small, x, y and z
-		t.Fatalf("after invalidating /big: %d spare nodes for a tree of %d, want 4 and 4", c.spare, c.nodes)
-	}
+	check("invalidating /big")
 	c.PutChain("/big/f", chainFor("/big/f"))
-	if err := c.checkTree(); err != nil || c.spare != 2 || c.nodes != 6 {
-		t.Fatalf("refilling two nodes left %d spare for a tree of %d (%v), want 2 and 6", c.spare, c.nodes, err)
+	check("refilling /big/f")
+	c.SuspendListing("/small/y/z", "/small/x")
+	if c.Contains("/small/y/z") || c.Contains("/small/x") {
+		t.Fatal("SuspendListing left a row it drops")
+	}
+	check("a suspension that drops two rows")
+	full := New(0)
+	full.PutChain("/t00/f", chainFor("/t00/f"))
+	tight := New(full.UsedBytes()) // room for the root and one chain
+	for i := 0; i < 50; i++ {
+		p := fmt.Sprintf("/t%02d/f", i)
+		tight.PutChain(p, chainFor(p))
+		if err := tight.checkTree(); err != nil {
+			t.Fatalf("after evicting put %d: %v", i, err)
+		}
+	}
+	if ev := tight.Stats().Evictions; ev != 2*49 {
+		t.Fatalf("fixture: 50 puts evicted %d rows, want 2 per put after the first", ev)
 	}
 	c.Invalidate("/")
-	if err := c.checkTree(); err != nil || c.spare != 0 || c.nodes != 0 {
-		t.Fatalf("after invalidating the root: %d spare nodes for a tree of %d (%v), want none", c.spare, c.nodes, err)
+	if c.Len() != 0 {
+		t.Fatalf("%d rows left after invalidating the root", c.Len())
 	}
+	check("invalidating the root")
 }
 
 // model is the reference TestCacheMatchesReferenceModel holds the cache to:
@@ -768,18 +830,19 @@ func byID(ns []*namespace.INode) []*namespace.INode {
 }
 
 // checkTree holds the trie to its shape and the recycled storage to what it
-// must be. In the tree, every node's children are strictly increasing by
-// name, in chunks none over childindex.MaxChunk and none empty but a lone
-// one, each filed under its own name with the node as its parent. Every
-// node on the free list is out of the tree and the LRU list and empty (no
-// row, no bytes, no parent, no children, listing unknown), and the list is
-// no longer than the tree. The chunk pool accounts for exactly the tree's
-// chunks and holds no more capacity than they do.
+// must be between operations. In the tree, every node's children are
+// strictly increasing by name, in chunks none over childindex.MaxChunk and
+// none empty but a lone one, each filed under its own name with the node
+// as its parent, and every chunk reads zero past its length, so it pins no
+// node it no longer holds. The free list is empty: the last operation
+// spilled it. The spare nodes the shared pool hands out first (up to
+// pooledChecked of them, given back after) are out of the tree and the LRU
+// list and empty: no row, no bytes, no parent, no name, no children,
+// listing unknown.
 func (c *Cache) checkTree() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	inTree := map[*node]bool{}
-	chunkCap := 0
 	var walk func(n *node, path string) error
 	walk = func(n *node, path string) error {
 		if inTree[n] {
@@ -791,7 +854,11 @@ func (c *Cache) checkTree() error {
 			if (len(chunk) == 0 && len(n.kids) > 1) || len(chunk) > childindex.MaxChunk {
 				return fmt.Errorf("%s: chunk %d of %d holds %d children", path, ci, len(n.kids), len(chunk))
 			}
-			chunkCap += cap(chunk)
+			for i, e := range chunk[len(chunk):cap(chunk)] {
+				if e != (childindex.Entry[*node]{}) {
+					return fmt.Errorf("%s: chunk %d of %d holds %q at %d, past its %d children", path, ci, len(n.kids), e.Name, len(chunk)+i, len(chunk))
+				}
+			}
 			for i, e := range chunk {
 				if (ci > 0 || i > 0) && e.Name <= prev {
 					return fmt.Errorf("%s: children out of order, %q before %q", path, prev, e.Name)
@@ -814,26 +881,35 @@ func (c *Cache) checkTree() error {
 	for n := c.lru.next; n != &c.lru && n != nil && len(inLRU) <= c.rows; n = n.next {
 		inLRU[n] = true
 	}
-	spare := 0
-	for n := c.free; n != nil && spare <= c.spare; n = n.next {
-		switch spare++; {
-		case inTree[n] || inLRU[n]:
-			return fmt.Errorf("free node %d is still reachable (from the root %v, from the LRU list %v)", spare, inTree[n], inLRU[n])
-		case n.inode != nil || n.bytes != 0 || n.parent != nil || n.prev != nil || n.name != "" || n.kids != nil || n.kids0[0] != nil || n.listing != listingUnknown:
-			return fmt.Errorf("free node %d not emptied: row %v, %d bytes, parent %v, prev %v, name %q, %d children, listing %d",
-				spare, n.inode != nil, n.bytes, n.parent != nil, n.prev != nil, n.name, n.kids.Len(), n.listing)
+	if c.free != nil {
+		return errors.New("the free list holds nodes between operations: the last one did not spill it")
+	}
+	var pooled []*node
+	defer func() {
+		for _, n := range pooled {
+			spareNodes.Put(n)
 		}
-	}
-	if spare != c.spare || c.nodes != len(inTree)-1 || c.spare > c.nodes {
-		return fmt.Errorf("free list of %d nodes (counted %d), tree of %d (counted %d): want it no longer than the tree",
-			spare, c.spare, len(inTree)-1, c.nodes)
-	}
-	if live, held := c.chunks.Stats(); live != chunkCap || held > live {
-		return fmt.Errorf("chunk pool: %d entries of capacity handed out, %d spare; the tree's chunks hold %d: want them equal and no more spare",
-			live, held, chunkCap)
+	}()
+	for len(pooled) < pooledChecked {
+		n, ok := spareNodes.Get().(*node)
+		if !ok {
+			break
+		}
+		pooled = append(pooled, n)
+		switch {
+		case inTree[n] || inLRU[n]:
+			return fmt.Errorf("pooled node %d is still reachable (from the root %v, from the LRU list %v)", len(pooled), inTree[n], inLRU[n])
+		case n.inode != nil || n.bytes != 0 || n.parent != nil || n.prev != nil || n.next != nil || n.name != "" || n.kids != nil || n.kids0[0] != nil || n.listing != listingUnknown:
+			return fmt.Errorf("pooled node %d not emptied: row %v, %d bytes, parent %v, prev %v, next %v, name %q, %d children, listing %d",
+				len(pooled), n.inode != nil, n.bytes, n.parent != nil, n.prev != nil, n.next != nil, n.name, n.kids.Len(), n.listing)
+		}
 	}
 	return nil
 }
+
+// pooledChecked bounds the spare nodes one checkTree takes out of the
+// shared pool: the most recently spilled come out first.
+const pooledChecked = 64
 
 // TestCacheMatchesReferenceModel drives the cache and the model with the same
 // seeded random operations, at a budget that evicts on most puts and without

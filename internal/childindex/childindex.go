@@ -8,7 +8,8 @@
 // chunk; an insert or a removal moves at most MaxChunk entries, however
 // large the directory. A List allocates through a Pool, or with make when
 // the Pool is nil: a caller that recycles its lists passes one, so a list
-// that fills again takes the chunks an emptied one gave up.
+// that fills again takes the chunks an emptied one gave up, whichever list
+// of whichever goroutine that was.
 package childindex
 
 import (
@@ -16,6 +17,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // MaxChunk is the most entries one chunk of a List holds, so an insert or a
@@ -195,16 +197,16 @@ func Chunked[V comparable](sorted []Entry[V]) List[V] {
 	return l
 }
 
-// Pool keeps emptied chunks for the lists it serves to take again, one
-// spare list per capacity (a power of two up to MaxChunk; a List that draws
-// on a Pool has no other). It never holds more capacity than its lists do:
-// whatever a chunk given back takes past that bound is dropped, largest
-// chunks first, so a mass removal pins no memory. The zero Pool is empty; a
-// nil *Pool allocates every chunk and keeps none.
+// Pool keeps emptied chunks for the lists it serves to take again: one
+// sync.Pool per capacity (a power of two up to MaxChunk; a List that draws
+// on a Pool has no other), holding each chunk as a pointer to its array, so
+// giving one back boxes nothing. Lists on many goroutines may share one
+// Pool. The runtime drops what a sync.Pool holds within two collections, so
+// a mass removal pins no memory for long. The zero Pool is empty; a nil
+// *Pool allocates every chunk and keeps none. A Pool must not be copied
+// after first use.
 type Pool[V comparable] struct {
-	spare [maxClass + 1][][]Entry[V] // by capacity class
-	live  int                        // capacity of the chunks handed out and not given back
-	held  int                        // capacity of the spare chunks
+	class [maxClass + 1]sync.Pool // class k holds *[1<<k]Entry[V], emptied
 }
 
 // class is the capacity class that holds n entries: the smallest k with
@@ -212,46 +214,56 @@ type Pool[V comparable] struct {
 func class(n int) int { return bits.Len(uint(n - 1)) }
 
 // chunk returns an empty chunk with room for n entries, n <= MaxChunk: a
-// spare one when p keeps one of that class.
+// spare one of n's class when p keeps one, else a new one of that class
+// (of n entries when p is nil).
 func (p *Pool[V]) chunk(n int) []Entry[V] {
 	if p == nil {
 		return make([]Entry[V], 0, n)
 	}
 	k := class(n)
-	p.live += 1 << k
-	if len(p.spare[k]) == 0 {
-		return make([]Entry[V], 0, 1<<k)
+	switch a := p.class[k].Get().(type) {
+	case *[1]Entry[V]:
+		return a[:0]
+	case *[2]Entry[V]:
+		return a[:0]
+	case *[4]Entry[V]:
+		return a[:0]
+	case *[8]Entry[V]:
+		return a[:0]
+	case *[16]Entry[V]:
+		return a[:0]
+	case *[32]Entry[V]:
+		return a[:0]
+	case *[MaxChunk]Entry[V]:
+		return a[:0]
 	}
-	return p.pop(k)
+	return make([]Entry[V], 0, 1<<k)
 }
 
-// pop takes the last spare chunk of class k off p.
-func (p *Pool[V]) pop(k int) []Entry[V] {
-	s := p.spare[k]
-	c := s[len(s)-1]
-	s[len(s)-1] = nil
-	p.spare[k] = s[:len(s)-1]
-	p.held -= cap(c)
-	return c
-}
-
-// free takes back c, a chunk p handed out, emptied, then drops spare
-// chunks, largest first, until p holds no more than its lists.
+// free takes back c, a chunk p handed out, emptied. A chunk's entries past
+// its length are zero (Insert and Remove clear what they vacate), so
+// clearing its length empties it.
 func (p *Pool[V]) free(c []Entry[V]) {
 	if p == nil {
 		return
 	}
 	clear(c)
-	k := class(cap(c))
-	p.spare[k] = append(p.spare[k], c[:0])
-	p.live -= cap(c)
-	p.held += cap(c)
-	for k := maxClass; p.held > p.live; {
-		if len(p.spare[k]) > 0 {
-			p.pop(k)
-		} else {
-			k--
-		}
+	c = c[:cap(c)]
+	switch k := class(len(c)); k {
+	case 0:
+		p.class[k].Put((*[1]Entry[V])(c))
+	case 1:
+		p.class[k].Put((*[2]Entry[V])(c))
+	case 2:
+		p.class[k].Put((*[4]Entry[V])(c))
+	case 3:
+		p.class[k].Put((*[8]Entry[V])(c))
+	case 4:
+		p.class[k].Put((*[16]Entry[V])(c))
+	case 5:
+		p.class[k].Put((*[32]Entry[V])(c))
+	default:
+		p.class[k].Put((*[MaxChunk]Entry[V])(c))
 	}
 }
 
@@ -263,7 +275,3 @@ func (p *Pool[V]) Release(l List[V]) {
 	}
 	clear(l)
 }
-
-// Stats returns the capacity, in entries, of the chunks p handed out and not
-// taken back, and of the spare chunks it keeps (held <= live).
-func (p *Pool[V]) Stats() (live, held int) { return p.live, p.held }

@@ -2,64 +2,86 @@ package childindex
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 )
 
-// TestPoolRecyclesWithinBound: chunks a released list gives back are kept
-// emptied, by capacity, and are the ones the next list that fills takes;
-// the pool never keeps more capacity than the lists still in use hold, so
-// releasing the last of them leaves it empty.
-func TestPoolRecyclesWithinBound(t *testing.T) {
-	var p Pool[*int]
-	fill := func(n int) List[*int] {
-		var l List[*int]
-		for i := 0; i < n; i++ {
-			v := i
-			l = l.Insert(NewEntry(fmt.Sprintf("n%04d", i), &v), &p)
-		}
-		return l
+// fill files n entries, named in order, into an empty list through p.
+func fill(n int, p *Pool[*int]) List[*int] {
+	var l List[*int]
+	for i := 0; i < n; i++ {
+		v := i
+		l = l.Insert(NewEntry(fmt.Sprintf("n%04d", i), &v), p)
 	}
-	capacity := func(l List[*int]) int {
-		c := 0
-		for _, chunk := range l {
-			c += cap(chunk)
-		}
-		return c
-	}
-	big, small := fill(500), fill(40)
-	if live, held := p.Stats(); live != capacity(big)+capacity(small) || held > live {
-		t.Fatalf("two lists of %d and %d capacity: pool counts %d live, %d held", capacity(big), capacity(small), live, held)
-	}
-	given := &small[0][:1][0]
-	p.Release(small)
-	if small[0] != nil {
-		t.Fatal("a released list still holds its chunk")
-	}
-	if live, held := p.Stats(); live != capacity(big) || held == 0 || held > live {
-		t.Fatalf("after releasing the small list: %d live (want %d), %d held (want some, at most live)", live, capacity(big), held)
-	}
-	for k, spare := range p.spare {
-		for _, chunk := range spare {
-			if len(chunk) != 0 || cap(chunk) != 1<<k {
-				t.Fatalf("class %d keeps a chunk of %d entries, capacity %d", k, len(chunk), cap(chunk))
+	return l
+}
+
+// TestPoolSharedAcrossGoroutines: goroutines that each churn lists of their
+// own through one shared pool — filing, removing, releasing and refilling —
+// never see an entry they did not file: a chunk is handed to one list at a
+// time, whichever goroutine gave it back. (check.sh runs it under -race.)
+func TestPoolSharedAcrossGoroutines(t *testing.T) {
+	const workers, lists, names, steps = 4, 3, 150, 3000
+	var p Pool[int]
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			ls := make([]List[int], lists)
+			models := make([]map[string]int, lists)
+			for i := range models {
+				models[i] = map[string]int{}
 			}
-			for _, e := range chunk[:cap(chunk)] {
-				if e != (Entry[*int]{}) {
-					t.Fatalf("a spare chunk still holds %q", e.Name)
+			for step := 0; step < steps; step++ {
+				i, name := rng.Intn(lists), fmt.Sprintf("k%03d", rng.Intn(names))
+				l, m := ls[i], models[i]
+				switch op := rng.Intn(20); {
+				case op == 0:
+					p.Release(l)
+					l, models[i] = l[:0], map[string]int{}
+				case op < 8:
+					if v, ok := m[name]; ok {
+						l = l.Remove(name, v, &p)
+						delete(m, name)
+					}
+				default:
+					v := w<<20 | step
+					l = l.Insert(NewEntry(name, v), &p)
+					m[name] = v
+				}
+				ls[i] = l
+				if err := matches(l, models[i]); err != nil {
+					t.Errorf("worker %d, list %d, step %d: %v", w, i, step, err)
+					return
 				}
 			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// matches reports how l differs from m: every entry filed once, in name
+// order, with its value, and nothing else.
+func matches(l List[int], m map[string]int) error {
+	var prev string
+	n := 0
+	for _, c := range l {
+		for _, e := range c {
+			if n > 0 && e.Name <= prev {
+				return fmt.Errorf("%q after %q", e.Name, prev)
+			}
+			if v, ok := m[e.Name]; !ok || v != e.Val {
+				return fmt.Errorf("%q holds %#x, want %#x (filed %v)", e.Name, e.Val, v, ok)
+			}
+			prev = e.Name
+			n++
 		}
 	}
-	again := fill(40)
-	if &again[0][:1][0] != given {
-		t.Error("the refilled list did not take the chunk the released one gave back")
+	if n != len(m) {
+		return fmt.Errorf("%d entries, want %d", n, len(m))
 	}
-	p.Release(big)
-	if live, held := p.Stats(); live != capacity(again) || held > live {
-		t.Fatalf("after releasing the big list: %d live (want %d), %d held: want no more than live", live, capacity(again), held)
-	}
-	p.Release(again)
-	if live, held := p.Stats(); live != 0 || held != 0 {
-		t.Fatalf("with every list released the pool holds %d of %d: want nothing", held, live)
-	}
+	return nil
 }

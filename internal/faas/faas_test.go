@@ -761,6 +761,42 @@ func TestOnInvokeKillHook(t *testing.T) {
 	})
 }
 
+// tracedPayload carries a trace context, as rpc.Payload does.
+type tracedPayload struct{ tc *trace.Ctx }
+
+func (p tracedPayload) TraceCtx() *trace.Ctx { return p.tc }
+
+// TestRejectedInvocationClosesItsSpans: an invocation that admission
+// rejects, with no instance to be had, ends every span it opened: the
+// gateway hop's and the admission's, which records the rejection.
+func TestRejectedInvocationClosesItsSpans(t *testing.T) {
+	simtest.Run(t, func(clk *clock.Sim) {
+		cfg := fastCfg()
+		cfg.OnProvision = func(int) bool { return false }
+		tr := trace.New(clk, trace.Config{})
+		cfg.Tracer = tr
+		p := New(clk, cfg)
+		defer p.Close()
+		d := p.Register("nn0", (&appTracker{}).factory(nil, 0), DeploymentOptions{VCPU: 1, RAMGB: 1, ConcurrencyLevel: 1})
+
+		tc := tr.StartTrace("read", "/f", "c0")
+		if _, err := d.Invoke(tracedPayload{tc}); err != ErrNoCapacity {
+			t.Fatalf("invoke with no instance to be had = %v, want ErrNoCapacity", err)
+		}
+		tc.Finish(ErrNoCapacity.Error())
+		if n := tr.OpenSpans(); n != 0 {
+			t.Fatalf("%d span(s) left open by a rejected invocation", n)
+		}
+		var rejected bool
+		for _, sp := range tc.Trace().Spans() {
+			rejected = rejected || sp.Kind == trace.KindAdmit && sp.Detail == "rejected"
+		}
+		if !rejected {
+			t.Errorf("no admission span records the rejection: %+v", tc.Trace().Spans())
+		}
+	})
+}
+
 // TestOnProvisionDenyHook covers the chaos injection point that starves
 // cold starts (pool exhaustion / cold-start storms).
 func TestOnProvisionDenyHook(t *testing.T) {

@@ -173,7 +173,48 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/metrics -run ^TestMovingWindowMeanMatchesDefinition$",
 		want: "adds: mean",
 	},
+	// The caches' shared storage, and a rejected invocation's spans.
+	{
+		name: "cache-spill-skipped",
+		file: "internal/cache/cache.go",
+		old:  "\t\tspareNodes.Put(n)\n",
+		new:  "",
+		cmd:  "go test ./internal/cache -run ^TestStorageRecyclesAcrossCaches$",
+		want: "cache B allocated",
+	},
+	{
+		name: "chunk-free-without-clear",
+		file: "internal/childindex/childindex.go",
+		old:  "\tclear(c)\n\tc = c[:cap(c)]\n",
+		new:  "\tc = c[:cap(c)]\n",
+		cmd:  "go test ./internal/childindex -run ^TestPooledChunksComeBackEmptied$",
+		want: "still holds",
+	},
+	{
+		name: "admission-rejection-span-leaked",
+		file: "internal/faas/platform.go",
+		old:  "\t\tasp.SetDetail(\"rejected\")\n\t\tasp.End()\n",
+		new:  "\t\tasp.SetDetail(\"rejected\")\n",
+		cmd:  "go test ./internal/faas -run ^TestRejectedInvocationClosesItsSpans$",
+		want: "span(s) left open",
+	},
 	// Sabotages earlier changes quoted as proof that a test has teeth.
+	{
+		name: "list-insert-appends-in-place",
+		file: "internal/childindex/childindex.go",
+		old:  "\tl[ci] = slices.Insert(c, i, e)\n",
+		new:  "\tl[ci] = append(c, e)\n",
+		cmd:  "go test ./internal/cache -run ^TestCacheKeepsChildrenInNameOrder$",
+		want: "children out of order",
+	},
+	{
+		name: "empty-skips-release",
+		file: "internal/cache/cache.go",
+		old:  "\tchunks.Release(n.kids)\n",
+		new:  "",
+		cmd:  "go test ./internal/cache -run ^TestStorageRecyclesAcrossCaches$",
+		want: "cache B allocated",
+	},
 	{
 		name: "race-done-mark-never-set",
 		file: "internal/rpc/client.go",
